@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench fmt chaos grayfail blackout fuzz
+.PHONY: all build vet test race verify bench bench-check fmt chaos grayfail blackout fuzz
 
 all: verify
 
@@ -39,6 +39,14 @@ verify:
 # is the partitions=1 vs partitions=N comparison row (see bench_test.go).
 bench:
 	$(GO) test -run XXX -bench . -benchmem . | tee /dev/stderr | $(GO) run scripts/benchjson.go > BENCH_results.json
+
+# bench/ is a module of its own (oasis/bench, `replace oasis => ../`), so
+# the root build/vet/test never compile it — yet it imports internal/core,
+# netengine's config and the panic-form builders. Vet and test it here so an
+# internal rename that breaks the repository benchmark fails tier-1 (~6 s).
+bench-check:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
 
 fmt:
 	gofmt -l -w .

@@ -169,10 +169,9 @@ func (c *Cluster) SetHopLatency(d Duration) {
 }
 
 // AddPodErr appends a pod built from cfg; its index (and thereby its
-// "pod<i>/" identity scope) is its position. Pods may be added after Start
-// — the new pod is empty until its own nodes are added, and Cluster.Start
-// has already run its (empty) wiring pass, so late node adds wire
-// immediately.
+// "pod<i>/" identity scope) is its position. A pod added after
+// Cluster.Start is not started by it: add its nodes and call its own Start
+// (or add them after that Start — the wiring pass is the same either way).
 func (c *Cluster) AddPodErr(cfg Config) (*Pod, error) {
 	idx := len(c.pods)
 	eng := c.Eng
@@ -196,13 +195,7 @@ func (c *Cluster) AddPodErr(cfg Config) (*Pod, error) {
 }
 
 // AddPod is the panic-on-error wrapper around AddPodErr.
-func (c *Cluster) AddPod(cfg Config) *Pod {
-	p, err := c.AddPodErr(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
+func (c *Cluster) AddPod(cfg Config) *Pod { return must(c.AddPodErr(cfg)) }
 
 // Pods returns the cluster's pods in index order.
 func (c *Cluster) Pods() []*Pod { return c.pods }
@@ -324,10 +317,7 @@ func leastLoadedHost(p *Pod) *Host {
 	}
 	var best *Host
 	bestN := 0
-	for _, ph := range p.Hosts {
-		if ph.removed {
-			continue
-		}
+	for _, ph := range p.liveHosts() {
 		if n := counts[ph]; best == nil || n < bestN {
 			best, bestN = ph, n
 		}
@@ -375,13 +365,7 @@ func (c *Cluster) PlaceInstanceErr(ip netstack.IP) (*Instance, error) {
 }
 
 // PlaceInstance is the panic-on-error wrapper around PlaceInstanceErr.
-func (c *Cluster) PlaceInstance(ip netstack.IP) *Instance {
-	inst, err := c.PlaceInstanceErr(ip)
-	if err != nil {
-		panic(err)
-	}
-	return inst
-}
+func (c *Cluster) PlaceInstance(ip netstack.IP) *Instance { return must(c.PlaceInstanceErr(ip)) }
 
 // MigrateInstance moves an instance — and its volume, if it has one — to
 // pod dst. It must run inside a simulation process (use Cluster.Go).

@@ -380,7 +380,7 @@ func (t *Topology) hostDrivers(ph *Host) []*core.Driver {
 		add(be.Driver())
 	}
 	for _, id := range t.ssdIDs() {
-		if d := t.SSDs[id]; d.BE.Host() == ph.H {
+		if d := t.SSDs[id]; d.host == ph {
 			add(d.BE.Driver())
 		}
 	}

@@ -161,8 +161,10 @@ type instState struct {
 	backup  uint16
 }
 
-// Allocator is the control-plane service. Run it with Start on its host.
+// Allocator is the control-plane service. Run it with Start on its host
+// (the embedded seat gives it a core of its own unless it joined one).
 type Allocator struct {
+	core.Seat
 	h   *host.Host
 	cfg Config
 
@@ -189,7 +191,6 @@ type Allocator struct {
 	nextLease  sim.Duration
 	nextRebal  sim.Duration
 	lastPoll   sim.Duration
-	driver     *core.Driver
 
 	// events receives decision trace events when RegisterObs hooked the
 	// allocator to a pod trace ring (nil-safe otherwise).
@@ -230,7 +231,7 @@ func (nullReplicator) Propose(*sim.Proc, []byte) bool { return true }
 
 // New creates an allocator hosted on h.
 func New(h *host.Host, cfg Config) *Allocator {
-	return &Allocator{
+	a := &Allocator{
 		h:              h,
 		cfg:            cfg,
 		feLinks:        make(map[int]*core.LinkEnd),
@@ -246,6 +247,8 @@ func New(h *host.Host, cfg Config) *Allocator {
 		rep:            nullReplicator{},
 		recoveryDetect: &metrics.Histogram{},
 	}
+	a.Seat = core.NewSeat(a, h, core.DriverConfig{LoopCost: cfg.PollCost, IdleBackoff: idleCap})
+	return a
 }
 
 // Replicate installs a Raft-backed replicator (§3.5). Decisions are
@@ -439,32 +442,6 @@ func (a *Allocator) deferRetry(attempt int, fn func(p *sim.Proc, attempt int)) {
 
 // LoopName implements core.EngineLoop.
 func (a *Allocator) LoopName() string { return a.h.Name + "/allocator" }
-
-// Driver returns the core the allocator polls on (nil before Start/Join).
-func (a *Allocator) Driver() *core.Driver { return a.driver }
-
-// Join attaches the allocator to an already-created driver core. Must
-// precede Start.
-func (a *Allocator) Join(d *core.Driver) {
-	if a.driver != nil {
-		panic("allocator: already has a driver core")
-	}
-	a.driver = d
-	d.Attach(a)
-}
-
-// Start launches the allocator's core. No-op if it joined a shared core.
-func (a *Allocator) Start() {
-	if a.driver != nil {
-		a.driver.Start()
-		return
-	}
-	a.driver = core.NewDriver(a.h, a.LoopName(), core.DriverConfig{
-		LoopCost: a.cfg.PollCost, IdleBackoff: idleCap,
-	})
-	a.driver.Attach(a)
-	a.driver.Start()
-}
 
 // PollOnce implements core.EngineLoop: one pass over deferred commands,
 // frontend requests, backend telemetry (NIC and SSD), and the lease and

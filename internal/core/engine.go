@@ -69,14 +69,10 @@ func (d *Driver) Host() *host.Host { return d.h }
 // Name returns the driver core's label.
 func (d *Driver) Name() string { return d.name }
 
-// Attach adds an engine loop to this core. Panics after Start: the paper's
-// drivers fix their duties before polling begins.
-func (d *Driver) Attach(l EngineLoop) {
-	if d.started {
-		panic(fmt.Sprintf("core: attach %q to running driver %q", l.LoopName(), d.name))
-	}
-	d.loops = append(d.loops, l)
-}
+// Attach adds an engine loop to this core. A core that is already polling
+// picks the loop up on its next iteration: the simulation is cooperative and
+// run re-reads the loop list every pass, so a live pod can grow.
+func (d *Driver) Attach(l EngineLoop) { d.loops = append(d.loops, l) }
 
 // Loops returns the attached engine loops in attach order.
 func (d *Driver) Loops() []EngineLoop { return d.loops }
@@ -140,6 +136,46 @@ func (d *Driver) run(p *sim.Proc) {
 		idle = NextIdle(idle, d.cfg.LoopCost, d.cfg.IdleBackoff)
 		p.Sleep(d.cfg.LoopCost + idle)
 	}
+}
+
+// Seat is an engine loop's place on a driver core. Every device engine
+// embeds one, which gives it the two launch modes of §3.2 and §5.1: Start on
+// its own puts the loop on a dedicated core named after it; Join first puts
+// it on a core shared with other loops, and Start then only makes sure that
+// core is polling.
+type Seat struct {
+	loop   EngineLoop
+	h      *host.Host
+	cfg    DriverConfig
+	driver *Driver
+}
+
+// NewSeat returns the seat for loop l on host h; cfg paces the dedicated
+// core Start creates when the loop joined no other.
+func NewSeat(l EngineLoop, h *host.Host, cfg DriverConfig) Seat {
+	return Seat{loop: l, h: h, cfg: cfg}
+}
+
+// Driver returns the core the loop polls on (nil before Start or Join).
+func (s *Seat) Driver() *Driver { return s.driver }
+
+// Join seats the loop on an already-created driver core, running or not, so
+// one core can multiplex several engine loops (§5.1). Must precede Start.
+func (s *Seat) Join(d *Driver) {
+	if s.driver != nil {
+		panic(fmt.Sprintf("core: %s already has a driver core", s.loop.LoopName()))
+	}
+	s.driver = d
+	d.Attach(s.loop)
+}
+
+// Start launches the loop's polling core: the one it joined, or else a
+// dedicated core named after the loop (§3.3). Idempotent.
+func (s *Seat) Start() {
+	if s.driver == nil {
+		s.Join(NewDriver(s.h, s.loop.LoopName(), s.cfg))
+	}
+	s.driver.Start()
 }
 
 // NextIdle doubles the idle backoff from start up to cap (0 cap disables).

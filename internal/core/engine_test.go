@@ -55,18 +55,72 @@ func TestDriverMultiplexesLoops(t *testing.T) {
 	}
 }
 
-func TestDriverAttachAfterStartPanics(t *testing.T) {
+// A running core picks up a loop attached between two of its iterations:
+// live pods grow by seating new engines on shared cores that already poll.
+func TestDriverAttachWhileRunning(t *testing.T) {
 	eng, pool := testPool()
 	h := host.New(eng, 0, "h", pool, host.DefaultConfig())
 	d := NewDriver(h, "h/engines", DriverConfig{LoopCost: time.Microsecond})
+	first := &stubLoop{name: "h/first"}
+	d.Attach(first)
 	d.Start()
+	eng.RunUntil(sim.Duration(10 * time.Microsecond))
+	before := first.polls
+	if before == 0 {
+		t.Fatal("core never polled its first loop")
+	}
+	late := &stubLoop{name: "h/late", busy: 3}
+	d.Attach(late)
+	eng.RunUntil(sim.Duration(20 * time.Microsecond))
+	if late.polls == 0 {
+		t.Fatal("loop attached to a running core was never polled")
+	}
+	if got := first.polls - before; got != late.polls {
+		t.Fatalf("after the attach the core polled the first loop %d times and the late one %d times, want equal", got, late.polls)
+	}
+	if d.Processed != 3 {
+		t.Fatalf("processed = %d, want the late loop's 3 items", d.Processed)
+	}
+}
+
+// A seat runs its loop on a dedicated core named after it unless the loop
+// joined a shared core first, and holds exactly one core.
+func TestSeatLaunchModes(t *testing.T) {
+	eng, pool := testPool()
+	h := host.New(eng, 0, "h", pool, host.DefaultConfig())
+	cfg := DriverConfig{LoopCost: time.Microsecond}
+
+	own := &stubLoop{name: "h/own"}
+	ownSeat := NewSeat(own, h, cfg)
+	if ownSeat.Driver() != nil {
+		t.Fatal("seat has a core before Start or Join")
+	}
+	ownSeat.Start()
+	ownSeat.Start() // idempotent
+	if d := ownSeat.Driver(); d == nil || d.Name() != "h/own" || len(d.Loops()) != 1 {
+		t.Fatalf("dedicated core = %+v, want one named h/own running one loop", d)
+	}
+
+	shared := NewDriver(h, "h/engines", cfg)
+	shared.Start()
+	joined := &stubLoop{name: "h/joined"}
+	joinedSeat := NewSeat(joined, h, cfg)
+	joinedSeat.Join(shared) // the shared core is already polling
+	joinedSeat.Start()
+	if joinedSeat.Driver() != shared {
+		t.Fatal("Start replaced the joined core")
+	}
+	eng.RunUntil(sim.Duration(10 * time.Microsecond))
+	if own.polls == 0 || joined.polls == 0 {
+		t.Fatalf("polls: own=%d joined=%d, want both > 0", own.polls, joined.polls)
+	}
+
 	defer func() {
 		if recover() == nil {
-			t.Fatal("attach after Start accepted")
+			t.Fatal("second Join accepted")
 		}
 	}()
-	d.Attach(&stubLoop{name: "late"})
-	_ = eng
+	joinedSeat.Join(NewDriver(h, "h/other", cfg))
 }
 
 func TestNextIdleDoublesToCap(t *testing.T) {

@@ -42,6 +42,7 @@ type txMeta struct {
 // on the core runtime; messages that hit a full ring park on the core
 // link's bounded pending queue (completions carry buffer ownership).
 type Backend struct {
+	core.Seat
 	h     *host.Host
 	nicID uint16
 	dev   *nic.NIC
@@ -65,7 +66,6 @@ type Backend struct {
 	loadSnap   int64
 	aerSnap    int64
 	errsSnap   int64
-	driver     *core.Driver
 
 	suppressBorrow bool
 
@@ -101,7 +101,7 @@ func NewBackend(h *host.Host, nicID uint16, dev *nic.NIC, pool *cxl.Pool, nicDir
 	if rxTarget > 1024 {
 		rxTarget = 1024
 	}
-	return &Backend{
+	be := &Backend{
 		h:        h,
 		nicID:    nicID,
 		dev:      dev,
@@ -117,7 +117,9 @@ func NewBackend(h *host.Host, nicID uint16, dev *nic.NIC, pool *cxl.Pool, nicDir
 		nicDir:   nicDir,
 		rxTarget: rxTarget,
 		lastUp:   true,
-	}, nil
+	}
+	be.Seat = core.NewSeat(be, h, cfg.driverConfig())
+	return be, nil
 }
 
 // Host returns the backend's host.
@@ -140,31 +142,6 @@ func (be *Backend) SetControlLink(end *core.LinkEnd) { be.ctrl = end }
 
 // LoopName implements core.EngineLoop.
 func (be *Backend) LoopName() string { return fmt.Sprintf("%s/be%d", be.h.Name, be.nicID) }
-
-// Driver returns the core this backend polls on (nil before Start/Join).
-func (be *Backend) Driver() *core.Driver { return be.driver }
-
-// Join attaches the backend to an already-created driver core. Must precede
-// Start.
-func (be *Backend) Join(d *core.Driver) {
-	if be.driver != nil {
-		panic("netengine: backend already has a driver core")
-	}
-	be.driver = d
-	d.Attach(be)
-}
-
-// Start launches the backend's dedicated polling core. No-op if the backend
-// joined a shared core.
-func (be *Backend) Start() {
-	if be.driver != nil {
-		be.driver.Start()
-		return
-	}
-	be.driver = core.NewDriver(be.h, be.LoopName(), be.cfg.driverConfig())
-	be.driver.Attach(be)
-	be.driver.Start()
-}
 
 // PollOnce implements core.EngineLoop: one pass over parked completions,
 // frontend messages, NIC completion queues, RX replenishment, and the

@@ -118,9 +118,11 @@ type feCmd func(p *sim.Proc)
 // Frontend is the per-host frontend driver (§3.3): it owns the host's
 // instances' TX buffer areas, forwards packets and completions between
 // instances and backends, and applies the allocator's failover/migration
-// commands. It is an engine loop on the core runtime — Start gives it a
-// dedicated driver core, Join multiplexes it onto a shared one.
+// commands. It is an engine loop on the core runtime — the embedded seat's
+// Start gives it a dedicated driver core, Join multiplexes it onto a shared
+// one.
 type Frontend struct {
+	core.Seat
 	h    *host.Host
 	pool *cxl.Pool
 	cfg  Config
@@ -131,7 +133,6 @@ type Frontend struct {
 	ctrl      *core.LinkEnd
 	cmds      *sim.Queue[feCmd]
 	scratch   []byte
-	driver    *core.Driver
 
 	// Stats.
 	TxForwarded, RxDelivered int64
@@ -147,7 +148,7 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
 	if !h.InPod() {
 		panic("netengine: frontend host must be in the CXL pod")
 	}
-	return &Frontend{
+	fe := &Frontend{
 		h:       h,
 		pool:    pool,
 		cfg:     cfg,
@@ -156,6 +157,8 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
 		cmds:    sim.NewQueue[feCmd](h.Eng),
 		scratch: make([]byte, cfg.BufSize),
 	}
+	fe.Seat = core.NewSeat(fe, h, cfg.driverConfig())
+	return fe
 }
 
 // Host returns the frontend's host.
@@ -368,31 +371,6 @@ func (fe *Frontend) sendRegister(p *sim.Proc, l *beLink, ip netstack.IP) {
 
 // LoopName implements core.EngineLoop.
 func (fe *Frontend) LoopName() string { return fe.h.Name + "/fe" }
-
-// Driver returns the core this frontend polls on (nil before Start/Join).
-func (fe *Frontend) Driver() *core.Driver { return fe.driver }
-
-// Join attaches the frontend to an already-created driver core, letting one
-// core multiplex several engine loops (§5.1). Must precede Start.
-func (fe *Frontend) Join(d *core.Driver) {
-	if fe.driver != nil {
-		panic("netengine: frontend already has a driver core")
-	}
-	fe.driver = d
-	d.Attach(fe)
-}
-
-// Start launches the frontend's dedicated polling core (§3.3). No-op if the
-// frontend joined a shared core.
-func (fe *Frontend) Start() {
-	if fe.driver != nil {
-		fe.driver.Start()
-		return
-	}
-	fe.driver = core.NewDriver(fe.h, fe.LoopName(), fe.cfg.driverConfig())
-	fe.driver.Attach(fe)
-	fe.driver.Start()
-}
 
 // PollOnce implements core.EngineLoop: one pass over deferred commands,
 // instance TX queues, backend messages, and allocator commands.

@@ -21,6 +21,7 @@ import (
 // The datapath per direction is: instance IPC ring -> driver core -> NIC
 // queue pair, exactly one intermediary.
 type LocalDriver struct {
+	core.Seat
 	h    *host.Host
 	dev  *nic.NIC
 	pool *cxl.Pool
@@ -33,7 +34,6 @@ type LocalDriver struct {
 	nextCook  uint64
 	rxTarget  int
 	scratch   []byte
-	driver    *core.Driver
 
 	// Stats.
 	TxForwarded, RxDelivered int64
@@ -58,7 +58,7 @@ func NewLocalDriver(h *host.Host, dev *nic.NIC, pool *cxl.Pool, cfg Config) (*Lo
 	if rxTarget > 1024 {
 		rxTarget = 1024
 	}
-	return &LocalDriver{
+	d := &LocalDriver{
 		h:        h,
 		dev:      dev,
 		pool:     pool,
@@ -69,7 +69,9 @@ func NewLocalDriver(h *host.Host, dev *nic.NIC, pool *cxl.Pool, cfg Config) (*Lo
 		nextCook: 1,
 		rxTarget: rxTarget,
 		scratch:  make([]byte, cfg.BufSize),
-	}, nil
+	}
+	d.Seat = core.NewSeat(d, h, cfg.driverConfig())
+	return d, nil
 }
 
 // LocalPort is an instance's attachment to the baseline driver. It
@@ -136,31 +138,6 @@ func (lp *LocalPort) Transmit(p *sim.Proc, frame []byte) {
 
 // LoopName implements core.EngineLoop.
 func (d *LocalDriver) LoopName() string { return d.h.Name + "/iokernel" }
-
-// Driver returns the core this driver polls on (nil before Start/Join).
-func (d *LocalDriver) Driver() *core.Driver { return d.driver }
-
-// Join attaches the baseline driver to an already-created core. Must
-// precede Start.
-func (d *LocalDriver) Join(drv *core.Driver) {
-	if d.driver != nil {
-		panic("netengine: local driver already has a driver core")
-	}
-	d.driver = drv
-	drv.Attach(d)
-}
-
-// Start launches the driver's polling core. No-op if it joined a shared
-// core.
-func (d *LocalDriver) Start() {
-	if d.driver != nil {
-		d.driver.Start()
-		return
-	}
-	d.driver = core.NewDriver(d.h, d.LoopName(), d.cfg.driverConfig())
-	d.driver.Attach(d)
-	d.driver.Start()
-}
 
 // PollOnce implements core.EngineLoop: instance TX rings, NIC completions,
 // and RX replenishment — the single-intermediary baseline pass.

@@ -224,9 +224,10 @@ type sbeLink struct {
 
 // Frontend is the per-host storage frontend driver: it exposes block
 // volumes to local instances and forwards requests/completions. It is an
-// engine loop on the core runtime — Start gives it a dedicated driver
-// core, Join multiplexes it onto a shared one.
+// engine loop on the core runtime — the embedded seat's Start gives it a
+// dedicated driver core, Join multiplexes it onto a shared one.
 type Frontend struct {
+	core.Seat
 	h    *host.Host
 	pool *cxl.Pool
 	cfg  Config
@@ -240,7 +241,6 @@ type Frontend struct {
 	nextCID   uint16
 	ctrl      *core.LinkEnd // allocator command channel (failover)
 	backupSSD uint16
-	driver    *core.Driver
 
 	// Stats.
 	Reads, Writes, Errors int64
@@ -258,7 +258,7 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
 	if !h.InPod() {
 		panic("storengine: frontend host must be in the CXL pod")
 	}
-	return &Frontend{
+	fe := &Frontend{
 		h:       h,
 		pool:    pool,
 		cfg:     cfg,
@@ -267,6 +267,8 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
 		reqQ:    sim.NewQueue[*ioReq](h.Eng),
 		pending: make(map[uint16]*pendingLeg),
 	}
+	fe.Seat = core.NewSeat(fe, h, cfg.driverConfig())
+	return fe
 }
 
 // ConnectBackend wires this frontend to a storage backend.
@@ -624,31 +626,6 @@ func (fe *Frontend) RemoveVolume(ip netstack.IP) error {
 
 // LoopName implements core.EngineLoop.
 func (fe *Frontend) LoopName() string { return fe.h.Name + "/storage-fe" }
-
-// Driver returns the core this frontend polls on (nil before Start/Join).
-func (fe *Frontend) Driver() *core.Driver { return fe.driver }
-
-// Join attaches the frontend to an already-created driver core, letting one
-// core multiplex several engine loops (§5.1). Must precede Start.
-func (fe *Frontend) Join(d *core.Driver) {
-	if fe.driver != nil {
-		panic("storengine: frontend already has a driver core")
-	}
-	fe.driver = d
-	d.Attach(fe)
-}
-
-// Start launches the frontend's dedicated core. No-op if the frontend
-// joined a shared core.
-func (fe *Frontend) Start() {
-	if fe.driver != nil {
-		fe.driver.Start()
-		return
-	}
-	fe.driver = core.NewDriver(fe.h, fe.LoopName(), fe.cfg.driverConfig())
-	fe.driver.Attach(fe)
-	fe.driver.Start()
-}
 
 // PollOnce implements core.EngineLoop: one pass over retry promotions, the
 // request queue, backend completions, and allocator commands.
@@ -1033,6 +1010,7 @@ type pendingIO struct {
 // a backend that was presumed dead cannot smuggle stale acks past a
 // failover.
 type Backend struct {
+	core.Seat
 	h     *host.Host
 	ssdID uint16
 	dev   *ssd.SSD
@@ -1050,7 +1028,6 @@ type Backend struct {
 	loadSnap   int64
 	latSum     sim.Duration // summed service latency of IOs completed this window
 	latOps     int64        // IOs completed this window
-	driver     *core.Driver
 
 	// Stats.
 	Submitted, Completed int64
@@ -1064,7 +1041,7 @@ type Backend struct {
 // capacity in blocks.
 func NewBackend(h *host.Host, ssdID uint16, dev *ssd.SSD, capacityBlocks uint64, cfg Config) *Backend {
 	dev.AddNamespace(1, capacityBlocks)
-	return &Backend{
+	be := &Backend{
 		h:        h,
 		ssdID:    ssdID,
 		dev:      dev,
@@ -1074,6 +1051,8 @@ func NewBackend(h *host.Host, ssdID uint16, dev *ssd.SSD, capacityBlocks uint64,
 		capacity: capacityBlocks,
 		inflight: make(map[uint16]pendingIO),
 	}
+	be.Seat = core.NewSeat(be, h, cfg.driverConfig())
+	return be
 }
 
 // SSDID returns the pod-wide SSD identifier.
@@ -1096,31 +1075,6 @@ func (be *Backend) SetControlLink(end *core.LinkEnd) { be.ctrl = end }
 
 // LoopName implements core.EngineLoop.
 func (be *Backend) LoopName() string { return fmt.Sprintf("%s/storage-be%d", be.h.Name, be.ssdID) }
-
-// Driver returns the core this backend polls on (nil before Start/Join).
-func (be *Backend) Driver() *core.Driver { return be.driver }
-
-// Join attaches the backend to an already-created driver core. Must precede
-// Start.
-func (be *Backend) Join(d *core.Driver) {
-	if be.driver != nil {
-		panic("storengine: backend already has a driver core")
-	}
-	be.driver = d
-	d.Attach(be)
-}
-
-// Start launches the backend's dedicated core. No-op if the backend joined
-// a shared core.
-func (be *Backend) Start() {
-	if be.driver != nil {
-		be.driver.Start()
-		return
-	}
-	be.driver = core.NewDriver(be.h, be.LoopName(), be.cfg.driverConfig())
-	be.driver.Attach(be)
-	be.driver.Start()
-}
 
 // PollOnce implements core.EngineLoop: one pass over parked completions,
 // frontend messages, device completions, and the telemetry window.

@@ -29,10 +29,13 @@
 //
 // Pod is a thin compatibility wrapper over Topology, the incremental node
 // graph that owns every host, device, instance, and client. Nodes are
-// added (and removed) one at a time through the ...Err builders; Start
-// wires whatever exists in a deterministic order, and nodes added after
-// Start are wired immediately — links to every peer, driver launch, and
-// metric registration happen as part of the add. See DESIGN.md §10.
+// added (and removed) one at a time through the ...Err builders. A single
+// idempotent wiring pass turns the graph into a live pod — data links to
+// every peer, the allocator's control links, shared-core seats, driver
+// launches, metric registration, always in the same order. Start runs it
+// over whatever exists; an add after Start runs the same pass, which then
+// touches only the new node, so a pod grown one node at a time is wired by
+// the code that wires one built up front. See DESIGN.md §10.
 //
 // # Clusters
 //

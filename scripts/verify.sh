@@ -22,6 +22,14 @@ go vet ./...
 echo "== go test ./... =="
 go test ./...
 
+# bench/ is its own module (`replace oasis => ../`), invisible to the ./...
+# patterns above although it imports internal/core, the engine configs and
+# the panic-form builders: compile, vet and test it so an internal rename
+# that breaks the repository benchmark fails here, not in the pipeline.
+echo "== bench module: go vet + go test (bench-check) =="
+go -C bench vet .
+go -C bench test .
+
 # One engine is single-threaded (cooperative scheduling), so the race
 # detector is meaningful on two fronts: packages usable from concurrent
 # tooling (pure data-structure/statistics code; the obs registry is

@@ -57,6 +57,10 @@ type Host struct {
 	Driver *core.Driver
 
 	removed bool
+	// wired and sfeWired mark what the wiring pass has already linked and
+	// launched: the host (FE, LD, control link) and its storage frontend,
+	// which may arrive later than the host did.
+	wired, sfeWired bool
 }
 
 // Removed reports whether the host has been removed from the topology (its
@@ -70,7 +74,8 @@ type SSDDev struct {
 	BE     *storengine.Backend
 	Backup bool
 
-	dmaPort *cxl.Port
+	host  *Host // owner: the host the drive and its backend are attached to
+	wired bool
 }
 
 // NIC is one pooled NIC: the device and its backend driver.
@@ -81,7 +86,8 @@ type NIC struct {
 	SwPort *netsw.Port
 	Backup bool
 
-	dmaPort *cxl.Port
+	host  *Host // owner: the host the NIC and its driver are attached to
+	wired bool
 }
 
 // Instance is a container instance: its frontend attachment and its
@@ -93,6 +99,7 @@ type Instance struct {
 	Stack     *netstack.Stack
 	host      *Host
 	topo      *Topology
+	wired     bool // stack process launched
 }
 
 // IPAddr returns the instance's address.
@@ -152,6 +159,7 @@ type Client struct {
 	// remote is the cross-partition attachment in per-host mode (nil when
 	// the client shares the pod engine).
 	remote *netsw.RemotePort
+	wired  bool // stack process launched
 }
 
 // Transmit implements netstack.Endpoint for the raw client.
@@ -186,10 +194,11 @@ func (c *Client) Remote() bool { return c.remote != nil }
 // Topology is the incremental node graph behind a pod: the engine, the CXL
 // pool, the ToR switch, and every host, device, instance, and client node.
 // Nodes are added one at a time through the ...Err builders and may be
-// removed again; Start wires whatever exists in one deterministic pass,
-// and nodes added afterwards are wired immediately (links to every peer,
-// driver launch, metric registration). Pod and Cluster are thin layers
-// over it.
+// removed again. One idempotent pass, wire, turns the graph into a live pod
+// (links to every peer, control links, driver launches, metric
+// registration): Start runs it over whatever exists, and every add after
+// Start runs it again, where it touches only the new node. Pod and Cluster
+// are thin layers over it.
 type Topology struct {
 	Eng    *sim.Engine
 	Pool   *cxl.Pool
@@ -234,9 +243,11 @@ type Topology struct {
 	// nodes is the graph's id set — one canonical topo-grammar key per
 	// node — used to reject double-adds of the same id.
 	nodes map[string]bool
-	// obsDrivers dedupes driver-core registration across Start and late
-	// node wiring (shared host cores appear once).
+	// obsDrivers dedupes driver-core registration (a shared host core is
+	// reached through every engine seated on it); obsPorts counts the pool
+	// ports registered so far.
 	obsDrivers map[*core.Driver]bool
+	obsPorts   int
 }
 
 // NewTopology creates an empty standalone topology with its own engine.
@@ -271,7 +282,8 @@ func newTopology(eng *sim.Engine, cfg Config, podIndex int, ownEngine bool) *Top
 // topo.Unscoped for a standalone pod.
 func (t *Topology) PodIndex() int { return t.podIndex }
 
-// Started reports whether Start has run (late adds wire immediately).
+// Started reports whether Start has run (later adds are wired as they are
+// made).
 func (t *Topology) Started() bool { return t.started }
 
 // Instances returns the number of placed instances.
@@ -284,6 +296,15 @@ func (t *Topology) InstanceAt(i int) *Instance {
 		return nil
 	}
 	return t.instances[i]
+}
+
+// must unwraps a builder's result for the panic-on-error wrappers: each one
+// is must(t.Add…Err(…)) and adds nothing else.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // addNode claims a canonical node id in the graph.
@@ -317,22 +338,14 @@ func (t *Topology) AddHostErr() (*Host, error) {
 	h := host.New(t.Eng, id, t.hostName(id), t.Pool, t.cfg.Host)
 	ph := &Host{H: h, FE: netengine.NewFrontend(h, t.Pool, t.cfg.Engine)}
 	t.Hosts = append(t.Hosts, ph)
-	if t.started {
-		if err := t.wireHostLate(ph); err != nil {
-			return nil, err
-		}
+	if err := t.wire(); err != nil {
+		return nil, err
 	}
 	return ph, nil
 }
 
 // AddHost is the legacy panic-on-error wrapper around AddHostErr.
-func (t *Topology) AddHost() *Host {
-	ph, err := t.AddHostErr()
-	if err != nil {
-		panic(err)
-	}
-	return ph
-}
+func (t *Topology) AddHost() *Host { return must(t.AddHostErr()) }
 
 // allocMAC hands out a unique locally-administered MAC.
 func (t *Topology) allocMAC() netsw.MAC {
@@ -357,6 +370,23 @@ func (t *Topology) checkHost(on *Host) error {
 	return nil
 }
 
+// newNIC claims the next NIC id and builds the device on host on: a DMA port
+// on the pool, a switch port, and DMA that snoops the owning host's cache
+// (§3.2.1). The caller gives it a driver and enters it in t.NICs.
+func (t *Topology) newNIC(on *Host) (*NIC, error) {
+	id := t.nextNICID
+	if err := t.addNode(topo.Ref{Pod: topo.Unscoped, Kind: topo.KindNIC, Index: int(id)}.String()); err != nil {
+		return nil, err
+	}
+	t.nextNICID++
+	name := t.nicName(id)
+	dev := nic.New(t.Eng, name, t.allocMAC(), t.Pool.AttachPort(name+"-dma"), netstack.FlowKey, t.cfg.NIC)
+	swPort := t.Switch.AttachPort(name, dev)
+	dev.Connect(swPort)
+	dev.SetSnooper(on.H.Cache)
+	return &NIC{ID: id, Dev: dev, SwPort: swPort, host: on}, nil
+}
+
 // AddNICErr attaches a pooled NIC to a host and creates its backend driver.
 // backup marks the pod's reserved failover NIC (§3.3.3). After Start the
 // NIC is wired immediately: links from every host frontend, an allocator
@@ -365,42 +395,26 @@ func (t *Topology) AddNICErr(on *Host, backup bool) (*NIC, error) {
 	if err := t.checkHost(on); err != nil {
 		return nil, err
 	}
-	id := t.nextNICID
-	if err := t.addNode(topo.Ref{Pod: topo.Unscoped, Kind: topo.KindNIC, Index: int(id)}.String()); err != nil {
-		return nil, err
-	}
-	t.nextNICID++
-	mac := t.allocMAC()
-	name := t.nicName(id)
-	dma := t.Pool.AttachPort(name + "-dma")
-	dev := nic.New(t.Eng, name, mac, dma, netstack.FlowKey, t.cfg.NIC)
-	swPort := t.Switch.AttachPort(name, dev)
-	dev.Connect(swPort)
-	dev.SetSnooper(on.H.Cache) // DMA snoops the owning host's cache (§3.2.1)
-	be, err := netengine.NewBackend(on.H, id, dev, t.Pool, t.nicDir, t.cfg.Engine)
+	n, err := t.newNIC(on)
 	if err != nil {
 		return nil, err
 	}
-	t.nicDir[id] = mac
-	n := &NIC{ID: id, Dev: dev, BE: be, SwPort: swPort, Backup: backup, dmaPort: dma}
-	t.NICs[id] = n
-	on.BEs = append(on.BEs, be)
-	if t.started {
-		if err := t.wireNICLate(on, n); err != nil {
-			return nil, err
-		}
+	n.Backup = backup
+	n.BE, err = netengine.NewBackend(on.H, n.ID, n.Dev, t.Pool, t.nicDir, t.cfg.Engine)
+	if err != nil {
+		return nil, err
+	}
+	t.nicDir[n.ID] = n.Dev.MAC()
+	t.NICs[n.ID] = n
+	on.BEs = append(on.BEs, n.BE)
+	if err := t.wire(); err != nil {
+		return nil, err
 	}
 	return n, nil
 }
 
 // AddNIC is the legacy panic-on-error wrapper around AddNICErr.
-func (t *Topology) AddNIC(on *Host, backup bool) *NIC {
-	n, err := t.AddNICErr(on, backup)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
+func (t *Topology) AddNIC(on *Host, backup bool) *NIC { return must(t.AddNICErr(on, backup)) }
 
 // AddLocalNICErr attaches a NIC served by a Junction-style local driver —
 // the evaluation baseline (§5.1): one intermediary core, no pooling, no
@@ -417,36 +431,20 @@ func (t *Topology) AddLocalNICErr(on *Host) (*NIC, error) {
 	if on.LD != nil {
 		return nil, fmt.Errorf("oasis: host %s already has a local driver", on.H.Name)
 	}
-	id := t.nextNICID
-	if err := t.addNode(topo.Ref{Pod: topo.Unscoped, Kind: topo.KindNIC, Index: int(id)}.String()); err != nil {
-		return nil, err
-	}
-	t.nextNICID++
-	mac := t.allocMAC()
-	name := t.nicName(id)
-	dma := t.Pool.AttachPort(name + "-dma")
-	dev := nic.New(t.Eng, name, mac, dma, netstack.FlowKey, t.cfg.NIC)
-	swPort := t.Switch.AttachPort(name, dev)
-	dev.Connect(swPort)
-	dev.SetSnooper(on.H.Cache)
-	ld, err := netengine.NewLocalDriver(on.H, dev, t.Pool, t.cfg.Engine)
+	n, err := t.newNIC(on)
 	if err != nil {
 		return nil, err
 	}
-	on.LD = ld
-	n := &NIC{ID: id, Dev: dev, SwPort: swPort, dmaPort: dma}
-	t.NICs[id] = n
+	on.LD, err = netengine.NewLocalDriver(on.H, n.Dev, t.Pool, t.cfg.Engine)
+	if err != nil {
+		return nil, err
+	}
+	t.NICs[n.ID] = n
 	return n, nil
 }
 
 // AddLocalNIC is the legacy panic-on-error wrapper around AddLocalNICErr.
-func (t *Topology) AddLocalNIC(on *Host) *NIC {
-	n, err := t.AddLocalNICErr(on)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
+func (t *Topology) AddLocalNIC(on *Host) *NIC { return must(t.AddLocalNICErr(on)) }
 
 // AddLocalInstanceErr launches an instance on the host's baseline local
 // driver. Like the driver itself, baseline instances are pre-Start only.
@@ -478,11 +476,7 @@ func (t *Topology) AddLocalInstanceErr(on *Host, ip netstack.IP) (*Instance, err
 // AddLocalInstance is the legacy panic-on-error wrapper around
 // AddLocalInstanceErr.
 func (t *Topology) AddLocalInstance(on *Host, ip netstack.IP) *Instance {
-	inst, err := t.AddLocalInstanceErr(on, ip)
-	if err != nil {
-		panic(err)
-	}
-	return inst
+	return must(t.AddLocalInstanceErr(on, ip))
 }
 
 // AddSSDErr attaches a pooled SSD of the given capacity (in 4 KiB blocks)
@@ -493,11 +487,7 @@ func (t *Topology) AddSSDErr(on *Host, capacityBlocks uint64) (*SSDDev, error) {
 
 // AddSSD is the legacy panic-on-error wrapper around AddSSDErr.
 func (t *Topology) AddSSD(on *Host, capacityBlocks uint64) *SSDDev {
-	d, err := t.AddSSDErr(on, capacityBlocks)
-	if err != nil {
-		panic(err)
-	}
-	return d
+	return must(t.AddSSDErr(on, capacityBlocks))
 }
 
 // AddBackupSSDErr attaches the pod's reserved backup drive — the §3.3.3
@@ -517,11 +507,7 @@ func (t *Topology) AddBackupSSDErr(on *Host, capacityBlocks uint64) (*SSDDev, er
 
 // AddBackupSSD is the panic-on-error wrapper around AddBackupSSDErr.
 func (t *Topology) AddBackupSSD(on *Host, capacityBlocks uint64) *SSDDev {
-	d, err := t.AddBackupSSDErr(on, capacityBlocks)
-	if err != nil {
-		panic(err)
-	}
-	return d
+	return must(t.AddBackupSSDErr(on, capacityBlocks))
 }
 
 func (t *Topology) addSSD(on *Host, capacityBlocks uint64, backup bool) (*SSDDev, error) {
@@ -537,25 +523,21 @@ func (t *Topology) addSSD(on *Host, capacityBlocks uint64, backup bool) (*SSDDev
 	dma := t.Pool.AttachPort(name + "-dma")
 	dev := ssd.New(t.Eng, name, dma, t.cfg.SSD)
 	be := storengine.NewBackend(on.H, id, dev, capacityBlocks, t.cfg.Storage)
-	d := &SSDDev{ID: id, Dev: dev, BE: be, Backup: backup, dmaPort: dma}
+	d := &SSDDev{ID: id, Dev: dev, BE: be, Backup: backup, host: on}
 	t.SSDs[id] = d
-	if t.started {
-		if err := t.wireSSDLate(on, d); err != nil {
-			return nil, err
-		}
+	if err := t.wire(); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
 
-// storageFE returns (creating and, post-Start, wiring if needed) a host's
-// storage frontend.
+// storageFE returns a host's storage frontend, creating (and, post-Start,
+// wiring) it on first use.
 func (t *Topology) storageFE(on *Host) (*storengine.Frontend, error) {
 	if on.SFE == nil {
 		on.SFE = storengine.NewFrontend(on.H, t.Pool, t.cfg.Storage)
-		if t.started {
-			if err := t.wireStorageFELate(on); err != nil {
-				return nil, err
-			}
+		if err := t.wire(); err != nil {
+			return nil, err
 		}
 	}
 	return on.SFE, nil
@@ -578,11 +560,7 @@ func (t *Topology) AddVolumeErr(inst *Instance, ssdID uint16, blocks uint64) (*s
 
 // AddVolume is the legacy panic-on-error wrapper around AddVolumeErr.
 func (t *Topology) AddVolume(inst *Instance, ssdID uint16, blocks uint64) *storengine.Volume {
-	vol, err := t.AddVolumeErr(inst, ssdID, blocks)
-	if err != nil {
-		panic(err)
-	}
-	return vol
+	return must(t.AddVolumeErr(inst, ssdID, blocks))
 }
 
 // AddInstanceErr launches a container instance on a pod host. After Start
@@ -605,19 +583,15 @@ func (t *Topology) AddInstanceErr(on *Host, ip netstack.IP) (*Instance, error) {
 	port.AttachStack(stack)
 	inst := &Instance{Port: port, Stack: stack, host: on, topo: t}
 	t.instances = append(t.instances, inst)
-	if t.started {
-		stack.Start()
+	if err := t.wire(); err != nil {
+		return nil, err
 	}
 	return inst, nil
 }
 
 // AddInstance is the legacy panic-on-error wrapper around AddInstanceErr.
 func (t *Topology) AddInstance(on *Host, ip netstack.IP) *Instance {
-	inst, err := t.AddInstanceErr(on, ip)
-	if err != nil {
-		panic(err)
-	}
-	return inst
+	return must(t.AddInstanceErr(on, ip))
 }
 
 // AddClientErr attaches a raw load-generator node to the switch. After
@@ -640,20 +614,14 @@ func (t *Topology) AddClientErr(ip netstack.IP) (*Client, error) {
 	c.Stack = netstack.NewStack(c.eng, name, ip,
 		func() netsw.MAC { return mac }, c, t.cfg.Stack)
 	t.clients = append(t.clients, c)
-	if t.started {
-		c.Stack.Start()
+	if err := t.wire(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
 // AddClient is the legacy panic-on-error wrapper around AddClientErr.
-func (t *Topology) AddClient(ip netstack.IP) *Client {
-	c, err := t.AddClientErr(ip)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
+func (t *Topology) AddClient(ip netstack.IP) *Client { return must(t.AddClientErr(ip)) }
 
 // Guest is a per-host compute partition (per-host mode only): application
 // code that runs on a pod host's spare cores but is coupled to the pod
@@ -693,34 +661,21 @@ func (t *Topology) AddGuestErr(h *Host) (*Guest, error) {
 }
 
 // AddGuest is the panic-on-error wrapper around AddGuestErr.
-func (t *Topology) AddGuest(h *Host) *Guest {
-	g, err := t.AddGuestErr(h)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
+func (t *Topology) AddGuest(h *Host) *Guest { return must(t.AddGuestErr(h)) }
 
-// nicIDs returns the pooled NIC ids in ascending order, so pod wiring and
-// reports never depend on map iteration order (determinism).
-func (t *Topology) nicIDs() []uint16 {
-	ids := make([]uint16, 0, len(t.NICs))
-	for id := range t.NICs {
+// sortedIDs returns a device map's ids in ascending order, so pod wiring
+// and reports never depend on map iteration order (determinism).
+func sortedIDs[V any](m map[uint16]V) []uint16 {
+	ids := make([]uint16, 0, len(m))
+	for id := range m {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
-// ssdIDs returns the pooled SSD ids in ascending order.
-func (t *Topology) ssdIDs() []uint16 {
-	ids := make([]uint16, 0, len(t.SSDs))
-	for id := range t.SSDs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+func (t *Topology) nicIDs() []uint16 { return sortedIDs(t.NICs) }
+func (t *Topology) ssdIDs() []uint16 { return sortedIDs(t.SSDs) }
 
 // backupSSDID returns the pod's reserved backup drive id (0 if none).
 func (t *Topology) backupSSDID() uint16 {
@@ -735,191 +690,20 @@ func (t *Topology) backupSSDID() uint16 {
 // allocHost returns the host the allocator runs on (host 0).
 func (t *Topology) allocHost() *Host { return t.Hosts[0] }
 
-// Start wires the control and data links (frontend↔backend full mesh,
-// allocator links for every device backend) and launches every driver,
-// device, and stack process. The wiring pass runs in one deterministic
-// order; the topology stays mutable afterwards — late adds wire their node
-// immediately, removals detach it.
+// Start brings the pod to life: it marks the topology started and runs the
+// wiring pass over every node added so far — links, control plane, driver
+// launches, metric registration, in one deterministic order (see wire). The
+// topology stays mutable afterwards: later adds run the same pass for the
+// new node, removals detach theirs. It panics if the pool cannot hold the
+// pod's channels.
 func (t *Topology) Start() {
 	if t.started {
 		return
 	}
 	t.started = true
-	nicIDs, ssdIDs := t.nicIDs(), t.ssdIDs()
-
-	// Data links: every frontend to every backend.
-	for _, ph := range t.Hosts {
-		if ph.removed {
-			continue
-		}
-		for _, id := range nicIDs {
-			n := t.NICs[id]
-			if n.BE == nil {
-				continue // baseline local NIC: no backend driver
-			}
-			feEnd, beEnd, err := core.NewDuplexLink(t.Pool, ph.H, n.BE.Host(), t.cfg.Engine.Chan)
-			if err != nil {
-				panic(err)
-			}
-			ph.FE.ConnectBackend(n.ID, n.Dev.MAC(), feEnd)
-			n.BE.ConnectFrontend(ph.H.ID, beEnd)
-		}
-		if ph.SFE != nil {
-			for _, id := range ssdIDs {
-				d := t.SSDs[id]
-				feEnd, beEnd, err := core.NewDuplexLink(t.Pool, ph.H, d.BE.Host(), t.cfg.Storage.Chan)
-				if err != nil {
-					panic(err)
-				}
-				ph.SFE.ConnectBackend(d.ID, feEnd)
-				d.BE.ConnectFrontend(ph.H.ID, beEnd)
-			}
-		}
+	if err := t.wire(); err != nil {
+		panic(err)
 	}
-
-	// Backup-drive mirroring: every storage frontend mirrors its volumes
-	// onto the pod's reserved backup drive (the §3.3.3 mechanism applied to
-	// storage). Needs the backend mesh above so mirror registrations can
-	// ride the normal request path.
-	if bid := t.backupSSDID(); bid != 0 {
-		for _, ph := range t.Hosts {
-			if ph.removed {
-				continue
-			}
-			if ph.SFE != nil {
-				ph.SFE.SetBackupSSD(bid)
-			}
-		}
-	}
-
-	// Control plane: the allocator gets a link to every frontend and every
-	// device backend — NIC and SSD backends report through the same path.
-	if !t.cfg.NoAllocator && len(t.Hosts) > 0 {
-		ah := t.allocHost().H // allocator runs on host 0
-		t.Alloc = allocator.New(ah, t.cfg.Allocator)
-		for _, ph := range t.Hosts {
-			if ph.removed {
-				continue
-			}
-			aEnd, feEnd, err := core.NewDuplexLink(t.Pool, ah, ph.H, t.cfg.Engine.Chan)
-			if err != nil {
-				panic(err)
-			}
-			t.Alloc.AddFrontend(ph.H.ID, aEnd)
-			ph.FE.SetControlLink(feEnd)
-		}
-		for _, id := range nicIDs {
-			n := t.NICs[id]
-			if n.BE == nil {
-				continue
-			}
-			aEnd, beEnd, err := core.NewDuplexLink(t.Pool, ah, n.BE.Host(), t.cfg.Engine.Chan)
-			if err != nil {
-				panic(err)
-			}
-			t.Alloc.AddNIC(allocator.NICInfo{
-				ID:          n.ID,
-				HostID:      n.BE.Host().ID,
-				CapacityBps: t.cfg.Switch.PortBandwidth,
-				Backup:      n.Backup,
-			}, aEnd)
-			n.BE.SetControlLink(beEnd)
-		}
-		for _, id := range ssdIDs {
-			d := t.SSDs[id]
-			aEnd, beEnd, err := core.NewDuplexLink(t.Pool, ah, d.BE.Host(), t.cfg.Engine.Chan)
-			if err != nil {
-				panic(err)
-			}
-			t.Alloc.AddSSD(allocator.SSDInfo{ID: d.ID, HostID: d.BE.Host().ID, Backup: d.Backup}, aEnd)
-			d.BE.SetControlLink(beEnd)
-		}
-		// Storage frontends get a control link too: SSD failover commands
-		// (volume re-binds, fencing epochs) are broadcast over it.
-		for _, ph := range t.Hosts {
-			if ph.removed || ph.SFE == nil {
-				continue
-			}
-			aEnd, sfeEnd, err := core.NewDuplexLink(t.Pool, ah, ph.H, t.cfg.Engine.Chan)
-			if err != nil {
-				panic(err)
-			}
-			t.Alloc.AddStorageFrontend(ph.H.ID, aEnd)
-			ph.SFE.SetControlLink(sfeEnd)
-		}
-		if t.cfg.RaftReplicas > 0 {
-			t.setupRaft()
-		}
-		t.Alloc.Start()
-	}
-
-	// Shared host cores (§5.1): one driver core per host multiplexes the
-	// host's frontend loops and locally-attached backend loops. Joins must
-	// precede each engine's Start (which then just starts the shared core).
-	if t.cfg.SharedHostCore {
-		for _, ph := range t.Hosts {
-			if ph.removed {
-				continue
-			}
-			ph.Driver = core.NewDriver(ph.H, ph.H.Name+"/engines", core.DriverConfig{
-				LoopCost:    t.cfg.Engine.LoopCost,
-				IdleBackoff: t.cfg.Engine.IdleBackoff,
-			})
-			ph.FE.Join(ph.Driver)
-			if ph.SFE != nil {
-				ph.SFE.Join(ph.Driver)
-			}
-			for _, be := range ph.BEs {
-				be.Join(ph.Driver)
-			}
-		}
-		for _, id := range ssdIDs {
-			d := t.SSDs[id]
-			for _, ph := range t.Hosts {
-				if ph.removed {
-					continue
-				}
-				if ph.H == d.BE.Host() {
-					d.BE.Join(ph.Driver)
-					break
-				}
-			}
-		}
-	}
-
-	// Launch everything.
-	for _, id := range nicIDs {
-		n := t.NICs[id]
-		n.Dev.Start()
-		if n.BE != nil {
-			n.BE.Start()
-		}
-	}
-	for _, id := range ssdIDs {
-		d := t.SSDs[id]
-		d.Dev.Start()
-		d.BE.Start()
-	}
-	for _, ph := range t.Hosts {
-		if ph.removed {
-			continue
-		}
-		ph.FE.Start()
-		if ph.SFE != nil {
-			ph.SFE.Start()
-		}
-		if ph.LD != nil {
-			ph.LD.Start()
-		}
-	}
-	for _, inst := range t.instances {
-		inst.Stack.Start()
-	}
-	for _, c := range t.clients {
-		c.Stack.Start()
-	}
-
-	t.registerObs()
 }
 
 // Go spawns an application process on the pod partition. Per-host client
@@ -1022,6 +806,7 @@ func (t *Topology) setupRaft() {
 		trs[i].Bind(node)
 		t.Raft = append(t.Raft, node)
 		node.Start()
+		node.RegisterObs(t.obs, fmt.Sprintf("%sraft/%d", t.scope, i))
 	}
 	t.Alloc.Replicate(&multiReplicator{nodes: t.Raft})
 }

@@ -73,13 +73,12 @@ func (t *Topology) RemoveHostErr(ph *Host) error {
 			ErrHostNotEmpty, ph.H.Name, live)
 	}
 	for _, id := range t.nicIDs() {
-		n := t.NICs[id]
-		if (n.BE != nil && n.BE.Host() == ph.H) || (n.BE == nil && ph.LD != nil) {
+		if t.NICs[id].host == ph {
 			return fmt.Errorf("oasis: %w: %s still owns %s", ErrHostNotEmpty, ph.H.Name, t.nicName(id))
 		}
 	}
 	for _, id := range t.ssdIDs() {
-		if t.SSDs[id].BE.Host() == ph.H {
+		if t.SSDs[id].host == ph {
 			return fmt.Errorf("oasis: %w: %s still owns %s", ErrHostNotEmpty, ph.H.Name, t.ssdName(id))
 		}
 	}
@@ -137,16 +136,10 @@ func (t *Topology) RemoveNICErr(id uint16) error {
 	if t.Alloc != nil {
 		t.Alloc.RemoveNIC(id)
 	}
-	beHost := n.BE.Host()
-	for _, ph := range t.Hosts {
-		if ph.H != beHost {
-			continue
-		}
-		for i, be := range ph.BEs {
-			if be == n.BE {
-				ph.BEs = append(ph.BEs[:i], ph.BEs[i+1:]...)
-				break
-			}
+	for i, be := range n.host.BEs {
+		if be == n.BE {
+			n.host.BEs = append(n.host.BEs[:i], n.host.BEs[i+1:]...)
+			break
 		}
 	}
 	delete(t.NICs, id)
@@ -163,11 +156,8 @@ func (t *Topology) RemoveSSDErr(id uint16) error {
 	if !ok {
 		return fmt.Errorf("oasis: %w: %s", ErrNoSuchNode, t.ssdName(id))
 	}
-	for _, ph := range t.Hosts {
-		if ph.removed || ph.SFE == nil {
-			continue
-		}
-		if ph.SFE.UsesSSD(id) {
+	for _, ph := range t.liveHosts() {
+		if ph.SFE != nil && ph.SFE.UsesSSD(id) {
 			return fmt.Errorf("oasis: %w: %s has volumes bound to %s", ErrNodeInUse, ph.H.Name, t.ssdName(id))
 		}
 	}
