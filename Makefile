@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench bench-check fmt chaos grayfail blackout fuzz
+.PHONY: all build vet test race verify bench bench-check bench-history fmt chaos grayfail blackout fuzz
 
 all: verify
 
@@ -47,6 +47,13 @@ bench:
 bench-check:
 	$(GO) -C bench vet .
 	$(GO) -C bench test .
+
+# Append the end-to-end metrics of the last `bash bench/run.sh` to
+# BENCH_history.jsonl, one line per invocation (LABEL="PR n" tags it). A PR
+# that claims a gain records its parent and itself back to back, on one
+# machine.
+bench-history:
+	$(GO) run scripts/benchhist.go -label "$(LABEL)"
 
 fmt:
 	gofmt -l -w .

@@ -22,6 +22,10 @@
 //     out of backend caches.
 //
 // All timing methods take the calling process and advance its virtual time.
+// Each is a cost slept around an effect, and the effects are exported on
+// their own (the ...Now methods, ReadIssue/ReadCollect) for callers that
+// charge several operations as the legs of one sim.Proc.SleepSteps: a
+// message-channel poll, or the range helpers below.
 package cache
 
 import (
@@ -101,7 +105,11 @@ type Cache struct {
 	// fill it was issued for.
 	freeLines []*line
 	freeFills []*fillOp // recycled fill-completion ops (engine-local, no lock)
-	stats     Stats
+	// Steppers of range operations not in flight. A driver and an instance
+	// process share their host's cache and may each be mid-range, so every
+	// call takes its own.
+	freeRanges []*rangeOp
+	stats      Stats
 }
 
 // fillOp is the pooled completion of an asynchronous line fill; firing it as
@@ -161,6 +169,10 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Port returns the CXL port this cache fills from.
 func (c *Cache) Port() *cxl.Port { return c.port }
+
+// Params returns the per-operation costs, for callers that charge them as
+// legs of a stepped sleep.
+func (c *Cache) Params() Params { return c.params }
 
 // lruPushFront links a line at the MRU position.
 func (c *Cache) lruPushFront(ln *line) {
@@ -259,21 +271,56 @@ func (c *Cache) dropLine(ln *line, category string) {
 }
 
 // startFill begins an asynchronous fill for an absent line and returns it.
-func (c *Cache) startFill(addr int64, category string) *line {
+// With timer, a completion event lands the data at readyAt whoever is or is
+// not waiting; without, the caller guarantees a waiter collects the line at
+// readyAt itself (see ReadIssue).
+func (c *Cache) startFill(addr int64, category string, timer bool) *line {
 	ln := c.newLine(addr)
 	ln.pending = true
 	ln.readyAt = c.port.FetchLine(addr, category)
-	var f *fillOp
-	if n := len(c.freeFills); n > 0 {
-		f = c.freeFills[n-1]
-		c.freeFills[n-1] = nil
-		c.freeFills = c.freeFills[:n-1]
-	} else {
-		f = &fillOp{}
+	if timer {
+		var f *fillOp
+		if n := len(c.freeFills); n > 0 {
+			f = c.freeFills[n-1]
+			c.freeFills[n-1] = nil
+			c.freeFills = c.freeFills[:n-1]
+		} else {
+			f = &fillOp{}
+		}
+		f.c, f.ln, f.gen = c, ln, ln.gen
+		c.eng.AtTimer(ln.readyAt, f)
 	}
-	f.c, f.ln, f.gen = c, ln, ln.gen
-	c.eng.AtTimer(ln.readyAt, f)
 	c.insert(ln)
+	return ln
+}
+
+// access is the issue half of a load of line a: a ready line is a hit (and
+// readyAt is 0); an absent one starts a demand fill and an in-flight one is
+// joined, both to be collected at readyAt.
+func (c *Cache) access(a int64, category string, timer bool) (readyAt sim.Duration, hit bool) {
+	ln, ok := c.lines[a]
+	if !ok {
+		c.stats.Misses++
+		ln = c.startFill(a, category, timer)
+	} else if ln.pending {
+		c.stats.FillWaits++
+	} else {
+		c.stats.Hits++
+		c.touch(ln)
+		return 0, true
+	}
+	return ln.readyAt, false
+}
+
+// collect is the other half, run once the fill has had time to land: it
+// returns the line with its data in place, or nil when the line was evicted,
+// snooped or back-invalidated meanwhile.
+func (c *Cache) collect(a int64) *line {
+	ln := c.lines[a]
+	if ln != nil && ln.pending {
+		c.port.CollectLine(a, ln.data[:])
+		ln.pending = false
+	}
 	return ln
 }
 
@@ -283,7 +330,7 @@ func (c *Cache) ensureReady(p *sim.Proc, addr int64, category string) *line {
 	ln, ok := c.lines[addr]
 	if !ok {
 		c.stats.Misses++
-		ln = c.startFill(addr, category)
+		ln = c.startFill(addr, category, true)
 	} else if ln.pending {
 		c.stats.FillWaits++
 	} else {
@@ -321,20 +368,11 @@ func (c *Cache) Read(p *sim.Proc, addr int64, buf []byte, category string) {
 	last := cxl.LineAddr(addr + int64(len(buf)) - 1)
 	var lastReady sim.Duration
 	for a := first; a <= last; a += cxl.LineSize {
-		ln, ok := c.lines[a]
-		if !ok {
-			c.stats.Misses++
-			ln = c.startFill(a, category)
-		} else if ln.pending {
-			c.stats.FillWaits++
-		} else {
-			c.stats.Hits++
-			c.touch(ln)
+		readyAt, hit := c.access(a, category, true)
+		if hit {
 			p.Sleep(c.params.HitLatency)
-			continue
-		}
-		if ln.readyAt > lastReady {
-			lastReady = ln.readyAt
+		} else if readyAt > lastReady {
+			lastReady = readyAt
 		}
 	}
 	// Phase 2: wait for the slowest fill.
@@ -343,25 +381,62 @@ func (c *Cache) Read(p *sim.Proc, addr int64, buf []byte, category string) {
 	}
 	// Phase 3: collect.
 	for a := first; a <= last; a += cxl.LineSize {
-		ln := c.lines[a]
+		ln := c.collect(a)
 		if ln == nil {
 			// Evicted by a concurrent capacity squeeze mid-copy; refill
 			// synchronously. Rare, but must stay correct.
 			ln = c.ensureReady(p, a, category)
-		} else if ln.pending {
-			c.port.CollectLine(a, ln.data[:])
-			ln.pending = false
 		}
-		lo := a
-		if lo < addr {
-			lo = addr
-		}
-		hi := a + cxl.LineSize
-		if hi > addr+int64(len(buf)) {
-			hi = addr + int64(len(buf))
-		}
-		copy(buf[lo-addr:hi-addr], ln.data[lo-a:hi-a])
+		copyOut(buf, addr, ln)
 	}
+}
+
+// overlap returns the part [lo, hi) of [addr, addr+n) that lies in line a.
+func overlap(a, addr int64, n int) (lo, hi int64) {
+	return max(a, addr), min(a+cxl.LineSize, addr+int64(n))
+}
+
+// copyOut copies the part of [addr, addr+len(buf)) that lies in ln into buf.
+func copyOut(buf []byte, addr int64, ln *line) {
+	lo, hi := overlap(ln.addr, addr, len(buf))
+	copy(buf[lo-addr:hi-addr], ln.data[lo-ln.addr:hi-ln.addr])
+}
+
+// ReadIssue is the issue half of a Read that stays inside one line, for a
+// caller that sleeps the wait as a leg of a stepped sleep and then calls
+// ReadCollect. A hit costs HitLatency; otherwise the leg lasts until the
+// fill lands, and is skipped when wait is not positive.
+//
+// A fill started here schedules no completion event. Read would schedule
+// the completion at (readyAt, s) and its own wake-up at (readyAt, s+1) — no
+// event sorts between them — so the collect step at the end of the leg is
+// that completion, and leaving the event out moves every later sequence
+// number down by one without reordering any (by two when, with no timer in
+// the way, the leg then takes the fast path and needs no wake-up either).
+func (c *Cache) ReadIssue(addr int64, category string) (wait sim.Duration, hit bool) {
+	readyAt, hit := c.access(cxl.LineAddr(addr), category, false)
+	if hit {
+		return c.params.HitLatency, true
+	}
+	return readyAt - c.eng.Now(), false
+}
+
+// ReadCollect completes ReadIssue: it copies len(buf) bytes at addr out of
+// the line. It reports false, with buf untouched, when the line went away
+// while the fill was in flight; the caller then owes a ReadRefill.
+func (c *Cache) ReadCollect(addr int64, buf []byte) bool {
+	ln := c.collect(cxl.LineAddr(addr))
+	if ln == nil {
+		return false
+	}
+	copyOut(buf, addr, ln)
+	return true
+}
+
+// ReadRefill is Read's path for a line that vanished under its fill: fetch
+// it again, blocking, and copy out.
+func (c *Cache) ReadRefill(p *sim.Proc, addr int64, buf []byte, category string) {
+	copyOut(buf, addr, c.ensureReady(p, cxl.LineAddr(addr), category))
 }
 
 // Write stores data at addr through the cache (write-back, so the pool does
@@ -378,37 +453,49 @@ func (c *Cache) Write(p *sim.Proc, addr int64, data []byte, category string) {
 	first := cxl.LineAddr(addr)
 	last := cxl.LineAddr(addr + int64(len(data)) - 1)
 	for a := first; a <= last; a += cxl.LineSize {
-		ln, ok := c.lines[a]
-		if !ok {
-			ln = c.newLine(a)
-			c.port.Pool().Peek(a, ln.data[:])
-			c.insert(ln)
-		} else {
-			if ln.pending {
-				// Store to an in-flight line: wait for the fill, then merge.
-				c.stats.FillWaits++
-				if wait := ln.readyAt - p.Now(); wait > 0 {
-					p.Sleep(wait)
-				}
-				if ln.pending {
-					c.port.CollectLine(a, ln.data[:])
-					ln.pending = false
-				}
+		ln := c.lines[a]
+		if ln != nil && ln.pending {
+			// Store to an in-flight line: wait for the fill, then merge.
+			c.stats.FillWaits++
+			if wait := ln.readyAt - p.Now(); wait > 0 {
+				p.Sleep(wait)
 			}
-			c.touch(ln)
+			if ln.pending {
+				c.port.CollectLine(a, ln.data[:])
+				ln.pending = false
+			}
 		}
-		lo := a
-		if lo < addr {
-			lo = addr
-		}
-		hi := a + cxl.LineSize
-		if hi > addr+int64(len(data)) {
-			hi = addr + int64(len(data))
-		}
-		copy(ln.data[lo-a:hi-a], data[lo-addr:hi-addr])
-		ln.dirty = true
+		c.store(ln, a, addr, data)
 		p.Sleep(c.params.StoreLatency)
 	}
+}
+
+// store merges the part of data that falls in line a into ln, allocating the
+// line when ln is nil.
+func (c *Cache) store(ln *line, a, addr int64, data []byte) {
+	if ln == nil {
+		ln = c.newLine(a)
+		c.port.Pool().Peek(a, ln.data[:])
+		c.insert(ln)
+	} else {
+		c.touch(ln)
+	}
+	lo, hi := overlap(a, addr, len(data))
+	copy(ln.data[lo-a:hi-a], data[lo-addr:hi-addr])
+	ln.dirty = true
+}
+
+// StoreNow is Write's effect for data inside one line, without its
+// StoreLatency. It reports false, having done nothing, when the line has a
+// fill in flight: that store has to wait, which only Write can.
+func (c *Cache) StoreNow(addr int64, data []byte) bool {
+	a := cxl.LineAddr(addr)
+	ln := c.lines[a]
+	if ln != nil && ln.pending {
+		return false
+	}
+	c.store(ln, a, addr, data)
+	return true
 }
 
 // Prefetch issues PREFETCHT0 for the line containing addr. If the line is
@@ -417,13 +504,18 @@ func (c *Cache) Write(p *sim.Proc, addr int64, data []byte, category string) {
 // The issue cost is charged to p.
 func (c *Cache) Prefetch(p *sim.Proc, addr int64, category string) {
 	p.Sleep(c.params.PrefetchIssue)
+	c.PrefetchNow(addr, category)
+}
+
+// PrefetchNow is Prefetch's effect, without its PrefetchIssue cost.
+func (c *Cache) PrefetchNow(addr int64, category string) {
 	a := cxl.LineAddr(addr)
 	if _, ok := c.lines[a]; ok {
 		c.stats.PrefetchIgnored++
 		return
 	}
 	c.stats.PrefetchIssued++
-	c.startFill(a, category)
+	c.startFill(a, category, true)
 }
 
 // FlushLine is CLFLUSHOPT: write the line back if dirty, then drop it so the
@@ -431,8 +523,12 @@ func (c *Cache) Prefetch(p *sim.Proc, addr int64, category string) {
 // line is absent.
 func (c *Cache) FlushLine(p *sim.Proc, addr int64, category string) {
 	p.Sleep(c.params.FlushIssue)
-	a := cxl.LineAddr(addr)
-	if ln, ok := c.lines[a]; ok {
+	c.FlushLineNow(addr, category)
+}
+
+// FlushLineNow is FlushLine's effect, without its FlushIssue cost.
+func (c *Cache) FlushLineNow(addr int64, category string) {
+	if ln, ok := c.lines[cxl.LineAddr(addr)]; ok {
 		c.dropLine(ln, category)
 	}
 }
@@ -441,6 +537,12 @@ func (c *Cache) FlushLine(p *sim.Proc, addr int64, category string) {
 // clean. No-op (beyond issue cost) for absent or clean lines.
 func (c *Cache) WritebackLine(p *sim.Proc, addr int64, category string) {
 	p.Sleep(c.params.WritebackIssue)
+	c.WritebackLineNow(addr, category)
+}
+
+// WritebackLineNow is WritebackLine's effect, without its WritebackIssue
+// cost.
+func (c *Cache) WritebackLineNow(addr int64, category string) {
 	a := cxl.LineAddr(addr)
 	if ln, ok := c.lines[a]; ok && ln.dirty && !ln.pending {
 		c.port.WriteLine(a, ln.data[:], category)
@@ -455,6 +557,67 @@ func (c *Cache) WritebackLine(p *sim.Proc, addr int64, category string) {
 // cost shows up in their throughput.
 func (c *Cache) Fence(p *sim.Proc) {
 	p.Sleep(c.params.FenceLatency)
+}
+
+// WritebackRange is a WritebackLine for every line of [addr, addr+n), then
+// a Fence, as one stepped sleep.
+func (c *Cache) WritebackRange(p *sim.Proc, addr int64, n int, category string) {
+	c.sleepRange(p, false, addr, n, category)
+}
+
+// FlushRange is a FlushLine for every line of [addr, addr+n), then a Fence,
+// as one stepped sleep.
+func (c *Cache) FlushRange(p *sim.Proc, addr int64, n int, category string) {
+	c.sleepRange(p, true, addr, n, category)
+}
+
+func (c *Cache) sleepRange(p *sim.Proc, flush bool, addr int64, n int, category string) {
+	if n <= 0 {
+		return
+	}
+	var o *rangeOp
+	if k := len(c.freeRanges); k > 0 {
+		o = c.freeRanges[k-1]
+		c.freeRanges = c.freeRanges[:k-1]
+	} else {
+		o = &rangeOp{c: c}
+	}
+	o.next, o.last = cxl.LineAddr(addr), cxl.LineAddr(addr+int64(n)-1)
+	o.flush, o.category = flush, category
+	p.SleepSteps(o.issueCost(), o)
+	c.freeRanges = append(c.freeRanges, o)
+}
+
+// rangeOp steps a range operation: each leg but the last is one line's issue
+// cost, ended by that line's effect; the last is the fence.
+type rangeOp struct {
+	c          *Cache
+	next, last int64 // line the current leg pays for (past last: the fence); final line
+	flush      bool  // CLFLUSHOPT, else CLWB
+	category   string
+}
+
+func (o *rangeOp) issueCost() sim.Duration {
+	if o.flush {
+		return o.c.params.FlushIssue
+	}
+	return o.c.params.WritebackIssue
+}
+
+func (o *rangeOp) Step() (sim.Duration, bool) {
+	if o.next > o.last {
+		return 0, false
+	}
+	if o.flush {
+		o.c.FlushLineNow(o.next, o.category)
+	} else {
+		o.c.WritebackLineNow(o.next, o.category)
+	}
+	o.next += cxl.LineSize
+	if o.next > o.last {
+		return o.c.params.FenceLatency, true
+	}
+	return o.issueCost(), true
 }
 
 // Contains reports whether the line holding addr is present (ready or in

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -403,5 +404,152 @@ func TestNoBackInvalidationWhenCXL2(t *testing.T) {
 	})
 	if r.a.Stats().BackInvalidations != 0 {
 		t.Fatal("BI fired on a non-coherent pool")
+	}
+}
+
+// chainOf runs fn as every Step of a stepped sleep.
+type chainOf func() (sim.Duration, bool)
+
+func (f chainOf) Step() (sim.Duration, bool) { return f() }
+
+// A read stepped as ReadIssue → leg → ReadCollect must be the blocking Read
+// of the same line: same data, same virtual time, same counters — on a miss,
+// on a hit and on a fill already in flight. Its demand fill needs no
+// completion timer, and with no timer in the way a lone process's wait is a
+// fast-path sleep: two events fewer per demand miss.
+func TestSteppedReadMatchesRead(t *testing.T) {
+	run := func(stepped bool) (log string, events uint64) {
+		r := newRig()
+		for i := 0; i < 8; i++ {
+			r.pool.Poke(int64(i)*cxl.LineSize+3, []byte{byte(40 + i)})
+		}
+		r.run(t, func(p *sim.Proc) {
+			buf := make([]byte, 5)
+			read := func(addr int64) {
+				if !stepped {
+					r.a.Read(p, addr, buf, "test")
+					return
+				}
+				wait, hit := r.a.ReadIssue(addr, "test")
+				collect := chainOf(func() (sim.Duration, bool) {
+					if !r.a.ReadCollect(addr, buf) {
+						t.Errorf("line %#x vanished with nothing to take it", addr)
+					}
+					return 0, false
+				})
+				if hit || wait > 0 {
+					p.SleepSteps(wait, collect)
+				} else {
+					collect()
+				}
+			}
+			for i := int64(0); i < 8; i++ {
+				if i%2 == 1 {
+					r.a.Prefetch(p, i*cxl.LineSize, "test") // in flight when read
+				}
+				read(i*cxl.LineSize + 3) // miss, or join the prefetch
+				log += fmt.Sprintf("%d %v|", p.Now(), buf)
+				read(i*cxl.LineSize + 3) // hit
+				log += fmt.Sprintf("%d %v|", p.Now(), buf)
+			}
+		})
+		return log + fmt.Sprintf("%+v", r.a.Stats()), r.eng.Counters().Events
+	}
+	want, wantEvents := run(false)
+	got, gotEvents := run(true)
+	if got != want {
+		t.Fatalf("stepped read diverged from Read:\n read: %s\nsteps: %s", want, got)
+	}
+	if gotEvents != wantEvents-2*4 {
+		t.Fatalf("stepped reads dispatched %d events, Read %d; want two fewer for each of the 4 demand misses", gotEvents, wantEvents)
+	}
+}
+
+// A line dropped under a stepped read's fill is reported by ReadCollect and
+// fetched again by ReadRefill, as Read does.
+func TestSteppedReadRefillsVanishedLine(t *testing.T) {
+	r := newRig()
+	r.pool.Poke(128, []byte{7})
+	r.run(t, func(p *sim.Proc) {
+		wait, hit := r.a.ReadIssue(128, "test")
+		if hit || wait <= 0 {
+			t.Fatalf("first touch: wait %v hit %v, want a miss", wait, hit)
+		}
+		r.eng.After(wait/2, func() { r.a.Snoop(128, 1, "dma") })
+		p.Sleep(wait)
+		buf := []byte{0}
+		if r.a.ReadCollect(128, buf) {
+			t.Fatal("ReadCollect succeeded on a line snooped away mid-fill")
+		}
+		r.a.ReadRefill(p, 128, buf, "test")
+		if buf[0] != 7 {
+			t.Fatalf("refill read %d, want 7", buf[0])
+		}
+	})
+	if s := r.a.Stats(); s.Misses != 2 || s.SnoopDrops != 1 {
+		t.Fatalf("stats %+v, want two misses around one snoop drop", s)
+	}
+}
+
+// StoreNow is Write's effect, except that it refuses a line with a fill in
+// flight — that store has to wait, which a Step cannot.
+func TestStoreNowRefusesInflightLine(t *testing.T) {
+	r := newRig()
+	r.run(t, func(p *sim.Proc) {
+		if !r.a.StoreNow(64+8, []byte{1, 2}) {
+			t.Fatal("StoreNow refused an absent line")
+		}
+		r.a.Prefetch(p, 256, "test")
+		if r.a.StoreNow(256, []byte{9}) {
+			t.Fatal("StoreNow stored into a line whose fill is in flight")
+		}
+		r.a.Write(p, 256, []byte{9}, "test") // waits for the fill
+		r.a.WritebackLine(p, 64, "test")
+		r.a.WritebackLine(p, 256, "test")
+		p.Sleep(time.Microsecond)
+	})
+	got := make([]byte, 3)
+	r.pool.Peek(64+8, got[:2])
+	r.pool.Peek(256, got[2:])
+	if !bytes.Equal(got, []byte{1, 2, 9}) {
+		t.Fatalf("pool holds %v, want [1 2 9]", got)
+	}
+}
+
+// The range operations are FlushLine/WritebackLine per line plus a Fence, in
+// virtual time, effects and counters — also when two processes run ranges on
+// one cache at once, as a driver and an instance on one host do.
+func TestRangeOpsMatchPerLineCalls(t *testing.T) {
+	const lines = 9
+	run := func(ranged bool) string {
+		r := newRig()
+		var log string
+		for _, base := range []int64{0, 1 << 16} {
+			base := base
+			r.eng.Go(fmt.Sprintf("proc%d", base), func(p *sim.Proc) {
+				p.Sleep(sim.Duration(base>>16) * 7 * time.Nanosecond) // interleave the two
+				r.a.Write(p, base, bytes.Repeat([]byte{byte(1 + base>>16)}, lines*cxl.LineSize), "test")
+				if ranged {
+					r.a.WritebackRange(p, base+5, lines*cxl.LineSize-5, "test")
+					r.a.FlushRange(p, base+5, lines*cxl.LineSize-5, "test")
+					r.a.FlushRange(p, base, 0, "test") // empty: no fence either
+				} else {
+					for a := base; a < base+lines*cxl.LineSize; a += cxl.LineSize {
+						r.a.WritebackLine(p, a, "test")
+					}
+					r.a.Fence(p)
+					for a := base; a < base+lines*cxl.LineSize; a += cxl.LineSize {
+						r.a.FlushLine(p, a, "test")
+					}
+					r.a.Fence(p)
+				}
+				log += fmt.Sprintf("%d done at %d|", base, p.Now())
+			})
+		}
+		r.eng.Run()
+		return log + fmt.Sprintf("%+v len %d dirty %d", r.a.Stats(), r.a.Len(), r.a.DirtyLines())
+	}
+	if want, got := run(false), run(true); got != want {
+		t.Fatalf("range ops diverged from per-line calls:\nlines: %s\nrange: %s", want, got)
 	}
 }

@@ -93,31 +93,18 @@ func (a *BufferArea) Owns(addr int64) bool {
 	return off >= 0 && off < a.region.Size && off%int64(a.bufSize) == 0
 }
 
-// WritebackRange CLWBs every line of [addr, addr+n) — the frontend-side step
-// that makes a just-written I/O buffer visible to devices and other hosts.
+// WritebackRange CLWBs every line of [addr, addr+n) and fences — the
+// frontend-side step that makes a just-written I/O buffer visible to devices
+// and other hosts. The whole range is one stepped sleep.
 func WritebackRange(p *sim.Proc, c *cache.Cache, addr int64, n int, category string) {
-	if n <= 0 {
-		return
-	}
-	last := cxl.LineAddr(addr + int64(n) - 1)
-	for a := cxl.LineAddr(addr); a <= last; a += cxl.LineSize {
-		c.WritebackLine(p, a, category)
-	}
-	c.Fence(p)
+	c.WritebackRange(p, addr, n, category)
 }
 
-// InvalidateRange CLFLUSHOPTs every line of [addr, addr+n) — the step that
-// guarantees the next CPU read of a recycled buffer comes from the pool,
-// not from a stale cached copy.
+// InvalidateRange CLFLUSHOPTs every line of [addr, addr+n) and fences — the
+// step that guarantees the next CPU read of a recycled buffer comes from the
+// pool, not from a stale cached copy. The whole range is one stepped sleep.
 func InvalidateRange(p *sim.Proc, c *cache.Cache, addr int64, n int, category string) {
-	if n <= 0 {
-		return
-	}
-	last := cxl.LineAddr(addr + int64(n) - 1)
-	for a := cxl.LineAddr(addr); a <= last; a += cxl.LineSize {
-		c.FlushLine(p, a, category)
-	}
-	c.Fence(p)
+	c.FlushRange(p, addr, n, category)
 }
 
 // ChanLatency measures one channel direction's message delivery latency —

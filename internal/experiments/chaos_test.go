@@ -20,6 +20,13 @@ func TestChaosDeterministic(t *testing.T) {
 	if v := serial.Values["violations"]; v != 0 {
 		t.Fatalf("chaos campaign violated %v invariant(s):\n%s", v, serial.String())
 	}
+	// Captured at the parent of the stepped-sleep change: the campaign's
+	// published bytes are part of the simulator's contract, not only their
+	// repeatability.
+	const want = "b15ff5f5ac5264bdc6198d4d12cf88c4ef9c030c1328b0229ea51b184e2d8a32"
+	if got := reportDigest(serial); got != want {
+		t.Errorf("chaos report digest = %s, want %s", got, want)
+	}
 	if testing.Short() {
 		return // invariants checked; skip the rerun under -short (race gate)
 	}

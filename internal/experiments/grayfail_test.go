@@ -24,6 +24,12 @@ func TestGrayfailDeterministic(t *testing.T) {
 	if serial.Values["nic_failovers"] != 0 || serial.Values["ssd_failovers"] != 0 {
 		t.Fatalf("gray faults tripped hard failovers:\n%s", serial.String())
 	}
+	// Captured at the parent of the stepped-sleep change (see
+	// TestChaosDeterministic).
+	const want = "e9ccc543f1fccbd3550b3a89492536cb0b05b8c13525b83cdc90ea58240dca86"
+	if got := reportDigest(serial); got != want {
+		t.Errorf("grayfail report digest = %s, want %s", got, want)
+	}
 	if testing.Short() {
 		return // invariants checked; skip the rerun under -short (race gate)
 	}

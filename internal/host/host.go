@@ -4,7 +4,10 @@
 //
 // Local memory is cache-coherent within the host (ordinary DDR), so it has
 // a flat cost model; the interesting coherence behaviour only exists on the
-// CXL side (package cache).
+// CXL side (package cache). Its backing store is sparse at both levels —
+// the page table grows to the highest page touched and pages are allocated
+// on first touch — so building a host allocates a few kilobytes whatever
+// its memory size, and a 128-host rack of mostly idle hosts is cheap.
 package host
 
 import (
@@ -49,7 +52,7 @@ type LocalMemory struct {
 	eng    *sim.Engine
 	params MemParams
 	size   int64
-	pages  [][]byte // sparse backing store, indexed by addr/pageSize
+	pages  [][]byte // sparse backing store, indexed by addr/pageSize; see page
 	alloc  *memalloc.Allocator
 	dma    *sim.Resource
 	frees  []*memWrite // recycled posted-write ops (engine-local, no lock)
@@ -64,7 +67,6 @@ func NewLocalMemory(eng *sim.Engine, size int64, params MemParams) *LocalMemory 
 		eng:    eng,
 		params: params,
 		size:   size,
-		pages:  make([][]byte, size/pageSize),
 		alloc:  memalloc.New(size, cxl.LineSize),
 		dma:    sim.NewResource(eng),
 	}
@@ -84,8 +86,16 @@ func (m *LocalMemory) check(addr int64, n int) {
 	}
 }
 
+// page returns the backing page of addr, which check has already bounded.
+// The table and the pages both grow on first touch, so an idle host costs
+// nothing and a rack no more than the hosts that do I/O.
 func (m *LocalMemory) page(addr int64) []byte {
 	i := addr / pageSize
+	if i >= int64(len(m.pages)) {
+		// Amortised doubling, capped by the size of the memory.
+		n := min(max(2*int64(len(m.pages)), i+1), m.size/pageSize)
+		m.pages = append(make([][]byte, 0, n), m.pages...)[:n]
+	}
 	pg := m.pages[i]
 	if pg == nil {
 		pg = make([]byte, pageSize)

@@ -2,6 +2,7 @@ package host
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -81,4 +82,37 @@ func TestHostInPod(t *testing.T) {
 	if client.InPod() || client.Cache != nil {
 		t.Fatal("non-pod host must not have CXL attachments")
 	}
+}
+
+// Building a host must not pay for its memory size: the page table grows on
+// first touch, up to and including the last page of the address space.
+func TestLocalMemoryIsLazy(t *testing.T) {
+	eng := sim.New()
+	pool := cxl.NewPool(eng, 1<<20, cxl.DefaultParams())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := New(eng, 0, "h0", pool, DefaultConfig())
+	runtime.ReadMemStats(&after)
+	if kb := (after.TotalAlloc - before.TotalAlloc) >> 10; kb >= 64 {
+		t.Fatalf("a fresh host with %d MiB of DDR allocated %d kB, want < 64 kB", DefaultConfig().LocalMemBytes>>20, kb)
+	}
+	size := DefaultConfig().LocalMemBytes
+	want := []byte("top of memory")
+	addr := size - int64(len(want))
+	h.Local.Poke(addr, want)
+	got := make([]byte, len(want))
+	h.Local.Peek(addr, got)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("round trip at the last page: got %q, want %q", got, want)
+	}
+	h.Local.Peek(size/2, got) // a never-written page below the top reads as zeroes
+	if !bytes.Equal(got, make([]byte, len(want))) {
+		t.Fatalf("untouched page read %q, want zeroes", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("access past the end of memory did not panic")
+		}
+	}()
+	h.Local.Poke(size-1, []byte{1, 2})
 }

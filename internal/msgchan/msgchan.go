@@ -217,6 +217,11 @@ type Sender struct {
 
 	shadow []byte // private copy of ring contents
 
+	// Stepped-sleep position (see Step): what the leg in progress pays for.
+	pc             senderPC
+	eng            *sim.Engine // the sleeping process's engine
+	wbLine, wbLast int64       // senderWriteback: ring line being CLWBed; final one
+
 	// Stats.
 	Sent           int64
 	FullStalls     int64 // sends refused because the ring was full
@@ -241,17 +246,49 @@ func NewSender(ch *Channel, port *cxl.Port, costs cache.Params) *Sender {
 func (s *Sender) Free() int { return s.ch.cfg.Slots - int(s.head-s.cachedConsumed) }
 
 // refreshConsumed re-reads the consumed counter from the pool: CLFLUSHOPT +
-// MFENCE + a CXL fetch (§4).
+// MFENCE + a CXL fetch (§4), as one stepped sleep.
 func (s *Sender) refreshConsumed(p *sim.Proc) {
-	p.Sleep(s.costs.FlushIssue + s.costs.FenceLatency)
-	arrival := s.port.FetchLine(s.ch.counterAddr, s.ch.cfg.Category)
-	if wait := arrival - p.Now(); wait > 0 {
-		p.Sleep(wait)
+	s.pc, s.eng = senderFetch, p.Engine()
+	p.SleepSteps(s.costs.FlushIssue+s.costs.FenceLatency, s)
+}
+
+// senderPC says what the leg a Sender is sleeping pays for.
+type senderPC uint8
+
+const (
+	senderFetch     senderPC = iota // counter invalidated and fenced: fetch it
+	senderCollect                   // counter line arriving
+	senderWriteback                 // CLWB of ring line wbLine issued
+)
+
+// Step implements sim.Stepper for the sender's two multi-leg operations. A
+// sender has one user, so it is its own stepper.
+func (s *Sender) Step() (sim.Duration, bool) {
+	switch s.pc {
+	case senderFetch:
+		arrival := s.port.FetchLine(s.ch.counterAddr, s.ch.cfg.Category)
+		if wait := arrival - s.eng.Now(); wait > 0 {
+			s.pc = senderCollect
+			return wait, true
+		}
+		fallthrough
+	case senderCollect:
+		var line [cxl.LineSize]byte
+		s.port.CollectLine(s.ch.counterAddr, line[:])
+		s.cachedConsumed = int64(binary.LittleEndian.Uint64(line[:8]))
+		s.CounterReads++
+	case senderWriteback:
+		idx := s.wbLine * int64(s.ch.slotsPerLine) // first slot of the line
+		addr := cxl.LineAddr(s.ch.slotAddr(idx))
+		off := int(idx%int64(s.ch.cfg.Slots)) * s.ch.cfg.MsgSize
+		s.port.WriteLine(addr, s.shadow[off:off+cxl.LineSize], s.ch.cfg.Category)
+		s.LinesWritten++
+		if s.wbLine < s.wbLast {
+			s.wbLine++
+			return s.costs.WritebackIssue, true
+		}
 	}
-	var line [cxl.LineSize]byte
-	s.port.CollectLine(s.ch.counterAddr, line[:])
-	s.cachedConsumed = int64(binary.LittleEndian.Uint64(line[:8]))
-	s.CounterReads++
+	return 0, false
 }
 
 // TrySend writes one message. payload must be at most PayloadSize bytes.
@@ -297,18 +334,13 @@ func (s *Sender) Flush(p *sim.Proc) {
 }
 
 // writebackThrough CLWBs every line containing messages in
-// [flushedThrough, through).
+// [flushedThrough, through), as one stepped sleep.
 func (s *Sender) writebackThrough(p *sim.Proc, through int64) {
 	spl := int64(s.ch.slotsPerLine)
-	firstLine := s.flushedThrough / spl
-	lastLine := (through - 1) / spl
-	for l := firstLine; l <= lastLine; l++ {
-		idx := l * spl // first slot of the line
-		addr := cxl.LineAddr(s.ch.slotAddr(idx))
-		off := int(idx%int64(s.ch.cfg.Slots)) * s.ch.cfg.MsgSize
-		p.Sleep(s.costs.WritebackIssue)
-		s.port.WriteLine(addr, s.shadow[off:off+cxl.LineSize], s.ch.cfg.Category)
-		s.LinesWritten++
+	s.wbLine, s.wbLast = s.flushedThrough/spl, (through-1)/spl
+	if s.wbLine <= s.wbLast {
+		s.pc = senderWriteback
+		p.SleepSteps(s.costs.WritebackIssue, s)
 	}
 	s.flushedThrough = through
 }
@@ -318,11 +350,20 @@ func (s *Sender) writebackThrough(p *sim.Proc, through int64) {
 type Receiver struct {
 	ch      *Channel
 	cache   *cache.Cache
+	costs   cache.Params
 	slotBuf []byte
 
 	tail              int64 // next absolute index to read
 	pendingConsumed   int   // messages consumed since last counter update
 	highestPrefetched int64 // highest absolute line index prefetch was issued for
+
+	// Poll's position in its stepped sleep (see Step). A receiver has one
+	// consumer, so it is its own stepper.
+	pc       recvPC
+	fresh    bool    // the slot read held a fresh message
+	ctr      [8]byte // consumed counter being stored
+	nextLine int64   // recvFlush / recvPrefetch: absolute ring line the leg pays for
+	lastLine int64   // final line of that run
 
 	// Stats.
 	Received       int64
@@ -332,7 +373,7 @@ type Receiver struct {
 
 // NewReceiver returns the consuming endpoint reading through c.
 func NewReceiver(ch *Channel, c *cache.Cache) *Receiver {
-	return &Receiver{ch: ch, cache: c, slotBuf: make([]byte, ch.cfg.MsgSize), highestPrefetched: -1}
+	return &Receiver{ch: ch, cache: c, costs: c.Params(), slotBuf: make([]byte, ch.cfg.MsgSize), highestPrefetched: -1}
 }
 
 // absLine returns the absolute line index of absolute message index idx.
@@ -346,101 +387,198 @@ func (r *Receiver) lineAddrOf(idx int64) int64 {
 // Poll attempts to consume one message, advancing p's time per the design's
 // cost model. On success it returns the payload (PayloadSize bytes, valid
 // until the next Poll).
+//
+// A poll is one stepped sleep: every cache operation's cost is a leg and its
+// effect runs in Step, so an empty poll of design ④ — read miss, CLFLUSHOPT,
+// MFENCE — resumes p once, not three times. Two things a Step cannot do send
+// the poll back here in between: refetching a slot line that vanished under
+// its fill, and storing to a counter line that has a fill in flight.
 func (r *Receiver) Poll(p *sim.Proc) ([]byte, bool) {
-	cfg := r.ch.cfg
-	if cfg.Design == DesignBypassCache {
-		// ①: invalidate + fence before every poll, then read (always a miss).
-		r.cache.FlushLine(p, r.lineAddrOf(r.tail), cfg.Category)
-		r.cache.Fence(p)
-	}
-	slot := r.slotBuf
-	r.cache.Read(p, r.ch.slotAddr(r.tail), slot, cfg.Category)
-	if slot[0]&epochBit != r.ch.slotEpoch(r.tail) {
-		r.emptyPoll(p)
-		return nil, false
-	}
-	// Fresh message.
-	msgIdx := r.tail
-	r.tail++
-	r.Received++
-	r.pendingConsumed++
-	if r.pendingConsumed >= cfg.CounterBatch {
-		r.updateCounter(p)
-	}
-	switch cfg.Design {
-	case DesignNaivePrefetch, DesignInvalidateConsumed, DesignInvalidatePrefetched, DesignHWCoherent:
-		r.prefetchAhead(p)
-	}
-	switch cfg.Design {
-	case DesignInvalidateConsumed, DesignInvalidatePrefetched:
-		// ③④: drop the line once all its messages are consumed so a future
-		// prefetch can bring in the next wrap's contents.
-		if r.tail%int64(r.ch.slotsPerLine) == 0 {
-			r.cache.FlushLine(p, r.lineAddrOf(msgIdx), cfg.Category)
+	r.pc = recvStart
+	for {
+		if d, more := r.Step(); more {
+			p.SleepSteps(d, r)
+		}
+		switch r.pc {
+		case recvRefill:
+			r.cache.ReadRefill(p, r.ch.slotAddr(r.tail), r.slotBuf, r.ch.cfg.Category)
+			r.pc = recvCheck
+		case recvCounterBlocked:
+			r.cache.Write(p, r.ch.counterAddr, r.ctr[:], r.ch.cfg.Category)
+			r.cache.WritebackLine(p, r.ch.counterAddr, r.ch.cfg.Category)
+			r.pc = recvCounterDone
+		default:
+			if r.fresh {
+				return r.slotBuf[1:], true
+			}
+			return nil, false
 		}
 	}
-	return slot[1:], true
 }
 
-// emptyPoll applies the design's empty-poll coherence actions.
-func (r *Receiver) emptyPoll(p *sim.Proc) {
-	r.EmptyPolls++
-	cfg := r.ch.cfg
-	// Push the consumed counter when going idle so the sender cannot stay
-	// blocked on a stale counter forever (the batched update alone could
-	// deadlock a ring that drains below one batch).
-	if r.pendingConsumed > 0 {
-		r.updateCounter(p)
-	}
-	switch cfg.Design {
-	case DesignBypassCache, DesignHWCoherent:
-		// ① already invalidated before the read; HW coherence needs nothing.
-	case DesignNaivePrefetch, DesignInvalidateConsumed:
-		// ②③: invalidate the current line so the next poll refetches.
-		r.cache.FlushLine(p, r.lineAddrOf(r.tail), cfg.Category)
-		r.cache.Fence(p)
-	case DesignInvalidatePrefetched:
-		// ④: additionally invalidate the previously prefetched lines, which
-		// may hold stale contents that would block prefetching during the
-		// next burst.
-		cur := r.absLine(r.tail)
-		r.cache.FlushLine(p, r.lineAddrOf(r.tail), cfg.Category)
-		for l := cur + 1; l <= r.highestPrefetched; l++ {
-			idx := l * int64(r.ch.slotsPerLine)
-			r.cache.FlushLine(p, r.lineAddrOf(idx), cfg.Category)
+// recvPC says what Step does next. Where a leg is in progress, that is the
+// effect the leg pays for.
+type recvPC uint8
+
+const (
+	recvStart          recvPC = iota // nothing yet
+	recvBypassFlush                  // ① CLFLUSHOPT of the slot line issued
+	recvIssue                        // issue the slot read
+	recvCollect                      // fill landing, or hit being served
+	recvCheck                        // slot bytes are in slotBuf: test the epoch bit
+	recvCounter                      // store the consumed counter
+	recvCounterStored                // store retiring: CLWB comes next
+	recvCounterWB                    // CLWB of the counter line issued
+	recvCounterDone                  // counter published
+	recvActions                      // plan the design's coherence actions
+	recvFlush                        // empty poll: CLFLUSHOPT of ring line nextLine issued
+	recvPrefetch                     // fresh: PREFETCHT0 of ring line nextLine issued
+	recvPrefetched                   // prefetch window topped up
+	recvConsumedFlush                // ③④ CLFLUSHOPT of the fully consumed line issued
+	recvDone                         // last leg in progress, or nothing left
+	recvRefill                       // Poll must refetch the slot line (blocking)
+	recvCounterBlocked               // Poll must store the counter (blocking)
+)
+
+// Step implements sim.Stepper: it runs the poll forward from r.pc to the
+// start of its next leg. Effects and legs come in exactly the order the
+// blocking cache methods would produce them.
+func (r *Receiver) Step() (sim.Duration, bool) {
+	c, cfg := r.cache, &r.ch.cfg
+	spl := int64(r.ch.slotsPerLine)
+	for {
+		switch r.pc {
+		case recvStart:
+			r.pc = recvIssue
+			if cfg.Design == DesignBypassCache {
+				// ①: invalidate + fence before every poll, then read (always a miss).
+				r.pc = recvBypassFlush
+				return r.costs.FlushIssue, true
+			}
+		case recvBypassFlush:
+			c.FlushLineNow(r.lineAddrOf(r.tail), cfg.Category)
+			r.pc = recvIssue
+			return r.costs.FenceLatency, true
+		case recvIssue:
+			r.pc = recvCollect
+			if wait, hit := c.ReadIssue(r.ch.slotAddr(r.tail), cfg.Category); hit || wait > 0 {
+				return wait, true
+			}
+		case recvCollect:
+			r.pc = recvCheck
+			if !c.ReadCollect(r.ch.slotAddr(r.tail), r.slotBuf) {
+				r.pc = recvRefill
+				return 0, false
+			}
+		case recvCheck:
+			r.fresh = r.slotBuf[0]&epochBit == r.ch.slotEpoch(r.tail)
+			owed := false
+			if r.fresh {
+				r.tail++
+				r.Received++
+				r.pendingConsumed++
+				owed = r.pendingConsumed >= cfg.CounterBatch
+			} else {
+				r.EmptyPolls++
+				// Push the consumed counter when going idle so the sender cannot
+				// stay blocked on a stale counter forever (the batched update
+				// alone could deadlock a ring that drains below one batch).
+				owed = r.pendingConsumed > 0
+			}
+			r.pc = recvActions
+			if owed {
+				r.pc = recvCounter
+			}
+		case recvCounter:
+			// Publish the consumed count: store + CLWB on the counter's
+			// dedicated line (§4).
+			binary.LittleEndian.PutUint64(r.ctr[:], uint64(r.tail))
+			if !c.StoreNow(r.ch.counterAddr, r.ctr[:]) {
+				r.pc = recvCounterBlocked
+				return 0, false
+			}
+			r.pc = recvCounterStored
+			return r.costs.StoreLatency, true
+		case recvCounterStored:
+			r.pc = recvCounterWB
+			return r.costs.WritebackIssue, true
+		case recvCounterWB:
+			c.WritebackLineNow(r.ch.counterAddr, cfg.Category)
+			r.pc = recvCounterDone
+		case recvCounterDone:
+			r.pendingConsumed = 0
+			r.CounterUpdates++
+			r.pc = recvActions
+		case recvActions:
+			cur := r.absLine(r.tail)
+			if r.fresh {
+				if cfg.Design == DesignBypassCache {
+					return 0, false
+				}
+				// ②③④ and HW: keep a rolling window of PrefetchDepth lines in
+				// flight beyond the current line.
+				r.nextLine, r.lastLine = r.highestPrefetched+1, cur+int64(cfg.PrefetchDepth)
+				if r.nextLine < cur+1 {
+					r.nextLine = cur + 1
+				}
+				r.pc = recvPrefetched
+				if r.nextLine <= r.lastLine {
+					r.pc = recvPrefetch
+					return r.costs.PrefetchIssue, true
+				}
+				continue
+			}
+			switch cfg.Design {
+			case DesignBypassCache, DesignHWCoherent:
+				// ① already invalidated before the read; HW coherence needs nothing.
+				return 0, false
+			case DesignNaivePrefetch, DesignInvalidateConsumed:
+				// ②③: invalidate the current line so the next poll refetches.
+				r.nextLine, r.lastLine = cur, cur
+			case DesignInvalidatePrefetched:
+				// ④: additionally invalidate the previously prefetched lines,
+				// which may hold stale contents that would block prefetching
+				// during the next burst.
+				r.nextLine, r.lastLine = cur, r.highestPrefetched
+			}
+			r.pc = recvFlush
+			return r.costs.FlushIssue, true
+		case recvFlush:
+			c.FlushLineNow(r.lineAddrOf(r.nextLine*spl), cfg.Category)
+			if r.nextLine < r.lastLine {
+				r.nextLine++
+				return r.costs.FlushIssue, true
+			}
+			if cfg.Design == DesignInvalidatePrefetched {
+				r.highestPrefetched = r.absLine(r.tail)
+			}
+			r.pc = recvDone
+			return r.costs.FenceLatency, true
+		case recvPrefetch:
+			c.PrefetchNow(r.ch.slotAddr(r.nextLine*spl), cfg.Category)
+			if r.nextLine < r.lastLine {
+				r.nextLine++
+				return r.costs.PrefetchIssue, true
+			}
+			r.pc = recvPrefetched
+		case recvPrefetched:
+			if r.lastLine > r.highestPrefetched {
+				r.highestPrefetched = r.lastLine
+			}
+			r.pc = recvDone
+			// ③④: drop the line once all its messages are consumed so a future
+			// prefetch can bring in the next wrap's contents.
+			if (cfg.Design == DesignInvalidateConsumed || cfg.Design == DesignInvalidatePrefetched) && r.tail%spl == 0 {
+				r.pc = recvConsumedFlush
+				return r.costs.FlushIssue, true
+			}
+		case recvConsumedFlush:
+			c.FlushLineNow(r.lineAddrOf(r.tail-1), cfg.Category)
+			r.pc = recvDone
+		default: // recvDone, and the states Poll handles
+			return 0, false
 		}
-		r.highestPrefetched = cur
-		r.cache.Fence(p)
 	}
-}
-
-// prefetchAhead keeps a rolling window of PrefetchDepth lines in flight
-// beyond the current line.
-func (r *Receiver) prefetchAhead(p *sim.Proc) {
-	cur := r.absLine(r.tail)
-	from := r.highestPrefetched + 1
-	if from < cur+1 {
-		from = cur + 1
-	}
-	to := cur + int64(r.ch.cfg.PrefetchDepth)
-	for l := from; l <= to; l++ {
-		idx := l * int64(r.ch.slotsPerLine)
-		r.cache.Prefetch(p, r.ch.slotAddr(idx), r.ch.cfg.Category)
-	}
-	if to > r.highestPrefetched {
-		r.highestPrefetched = to
-	}
-}
-
-// updateCounter publishes the receiver's consumed count: store + CLWB on the
-// counter's dedicated line (§4).
-func (r *Receiver) updateCounter(p *sim.Proc) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(r.tail))
-	r.cache.Write(p, r.ch.counterAddr, buf[:], r.ch.cfg.Category)
-	r.cache.WritebackLine(p, r.ch.counterAddr, r.ch.cfg.Category)
-	r.pendingConsumed = 0
-	r.CounterUpdates++
 }
 
 // Consumed returns the receiver's total messages consumed.

@@ -92,6 +92,9 @@ type Engine struct {
 	ack       chan struct{}
 	unwinding bool  // inside Shutdown's victim loop
 	cur       *Proc // process currently holding the token, nil if the host is
+	stepping  *Proc // process whose Step is executing (see SleepSteps), else nil
+
+	ctr Counters
 
 	// Partitioned execution (see partition.go). A standalone engine has
 	// group == nil and behaves exactly as before; a partition is an
@@ -108,6 +111,20 @@ func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Duration { return e.now }
+
+// Counters are exact costs of a run: they depend only on the simulation, not
+// on the machine or the Go scheduler, so two versions of the simulator can be
+// compared by them where seconds are too noisy. They are plain fields, not
+// obs instruments — reading them never perturbs a snapshot.
+type Counters struct {
+	Events      uint64 // events the loop dispatched: callbacks, timers, process wakes
+	Switches    uint64 // wakes that handed control to another goroutine
+	FastSleeps  uint64 // sleeps and stepped legs that advanced the clock in place
+	SteppedLegs uint64 // Step calls made by SleepSteps, in event context or inline
+}
+
+// Counters returns the engine's cost counters since it was created.
+func (e *Engine) Counters() Counters { return e.ctr }
 
 // Bufs returns the engine-local buffer free list used by the datapath's
 // per-packet/per-line allocation sites. Engine-local means race-free by
@@ -332,11 +349,15 @@ func (e *Engine) drive(owner *Proc) driveResult {
 			next = e.heapPop()
 			e.now = next.at
 		}
+		e.ctr.Events++
 		switch {
 		case next.proc != nil:
 			q := next.proc
 			q.hasWake = false
 			e.recycle(next)
+			if q.steps != nil && e.runSteps(q) {
+				continue // the chain's next leg is scheduled; q stays parked
+			}
 			if q == owner {
 				return driveOwnerWakeup
 			}
@@ -358,6 +379,7 @@ func (e *Engine) drive(owner *Proc) driveResult {
 // transfer hands the control token to process q, spawning its goroutine on
 // first resume. The caller stops driving immediately after.
 func (e *Engine) transfer(q *Proc) {
+	e.ctr.Switches++
 	e.cur = q
 	if !q.started {
 		q.started = true
@@ -391,6 +413,11 @@ func (e *Engine) Shutdown() {
 		}
 	}
 	victims = append(victims, e.blocked...)
+	if e.stepping != nil {
+		// Shutdown called from a Step: the stepped process's wake event has
+		// been popped, so neither walk above found it.
+		victims = append(victims, e.stepping)
+	}
 	e.events = nil
 	e.nowQ = nil
 	e.nowQHead = 0
@@ -481,6 +508,10 @@ type Proc struct {
 	// window.
 	hasWake bool
 	wakeAt  Duration
+
+	// steps is the chain SleepSteps parked this process on: its wake events
+	// run the next Step instead of resuming the goroutine.
+	steps Stepper
 }
 
 // main runs the process body, handling unwind-on-shutdown. On a normal
@@ -516,6 +547,9 @@ func (p *Proc) main(fn func(p *Proc)) {
 // If the engine was (or is while parked) shut down, it unwinds the process.
 func (p *Proc) park() {
 	e := p.eng
+	if e.stepping != nil {
+		e.blockedInStep(p)
+	}
 	if e.dead {
 		panic(killed{}) // main's deferred recover hands control onward
 	}
@@ -560,14 +594,117 @@ func (p *Proc) Sleep(d Duration) {
 		d = 0
 	}
 	e := p.eng
+	if e.stepping != nil {
+		e.blockedInStep(p)
+	}
 	t := e.now + d
-	if d > 0 && !e.dead && t <= e.deadline && e.nowQHead >= len(e.nowQ) &&
-		(len(e.events) == 0 || e.events[0].at > t) {
+	if d > 0 && e.quietUntil(t) {
 		e.now = t
+		e.ctr.FastSleeps++
 		return
 	}
 	e.schedule(t, nil, nil, p)
 	p.park()
+}
+
+// quietUntil reports whether the clock may jump to t in place: nothing is
+// pending at or before t, and t is inside the current run.
+func (e *Engine) quietUntil(t Duration) bool {
+	return !e.dead && t <= e.deadline && e.nowQHead >= len(e.nowQ) &&
+		(len(e.events) == 0 || e.events[0].at > t)
+}
+
+// Stepper is the rest of a multi-leg sleep: see SleepSteps. Step is called
+// each time a leg ends and returns the next leg's length, or more == false
+// when the leg that just ended was the last.
+//
+// Step runs in event context — on whichever goroutine is driving the loop,
+// like a Timer's Fire — so it may schedule events, wake processes and
+// mutate model state, but it must not block: Sleep, Wait, Pop and SleepSteps
+// panic when entered from a Step. It must not allocate either; a stepper is
+// scratch state reused call after call. That state has to belong to the
+// sleeping process or to an object only one process uses at a time: two
+// processes parked on one stepper overwrite each other's position. A leg's
+// length is computed when the leg starts, never ahead of time, because the
+// model it is computed from may change while earlier legs sleep.
+type Stepper interface {
+	Step() (next Duration, more bool)
+}
+
+// SleepSteps sleeps a chain of legs, running s.Step between them. It is
+// exactly
+//
+//	for {
+//		p.Sleep(d)
+//		var more bool
+//		if d, more = s.Step(); !more {
+//			return
+//		}
+//	}
+//
+// except for where Step executes: in event context, when the leg's wake
+// event is dispatched (or inline while the Sleep fast path holds), so the
+// process's goroutine is resumed at most once per call instead of once per
+// leg. Every schedule call is made at the same point of the dispatch order
+// as in that loop, so every event keeps its (time, sequence) and the
+// simulation cannot tell the two apart. A wake event of a chain carries its
+// process like any other, so a deadline that falls mid-chain, Shutdown and
+// the group's window bounds all treat the process as parked on a timer.
+func (p *Proc) SleepSteps(d Duration, s Stepper) {
+	e := p.eng
+	if e.stepping != nil {
+		e.blockedInStep(p)
+	}
+	p.steps = s
+	if !e.legInPlace(p, d) || e.runSteps(p) {
+		p.park() // until the wake event of the last leg
+	}
+}
+
+// legInPlace starts a leg of q's chain. Like Sleep it advances the clock in
+// place when nothing else is due first, and reports true; otherwise it
+// schedules the leg's wake event.
+func (e *Engine) legInPlace(q *Proc, d Duration) bool {
+	if d < 0 {
+		d = 0
+	}
+	t := e.now + d
+	if d == 0 || !e.quietUntil(t) {
+		e.schedule(t, nil, nil, q)
+		return false
+	}
+	e.now = t
+	e.ctr.FastSleeps++
+	return true
+}
+
+// runSteps continues q's chain from a leg that has just ended — its wake
+// event was dispatched, or it ran in place. It reports whether q has to stay
+// (or go) parked: true when a further leg was scheduled, false when the
+// chain is over.
+func (e *Engine) runSteps(q *Proc) bool {
+	for {
+		e.ctr.SteppedLegs++
+		e.stepping = q
+		d, more := q.steps.Step()
+		e.stepping = nil
+		if e.dead {
+			return true // the Step shut the engine down; q unwinds with the rest
+		}
+		if !more {
+			q.steps = nil
+			return false
+		}
+		if !e.legInPlace(q, d) {
+			return true
+		}
+	}
+}
+
+// blockedInStep reports a blocking call made from inside a Step.
+func (e *Engine) blockedInStep(p *Proc) {
+	panic(fmt.Sprintf("sim: process %q blocked inside a Step of process %q: a Step runs in event context and must not sleep or wait",
+		p.name, e.stepping.name))
 }
 
 // Yield lets all other events scheduled at the current time run first.
