@@ -13,18 +13,25 @@ vet:
 test:
 	$(GO) test ./...
 
-# One engine is single-threaded by design (cooperative scheduling), so the
-# race detector has teeth on two fronts: packages used from concurrent
-# tooling, and the experiments harness whose parallel runner fans whole
-# engines out across workers. For experiments only the parallel-runner
-# tests run under race — the full suite re-runs every figure at ~10x race
-# overhead without touching any additional concurrency.
+# The race gate (scripts/verify.sh runs it through this target). One engine
+# is single-threaded by design (cooperative scheduling), so the detector has
+# teeth on three fronts: packages usable from concurrent tooling (pure
+# data-structure/statistics code; the obs registry is explicitly safe to
+# snapshot from outside the sim loop, and core carries the channel-latency
+# trackers it samples); internal/sim, whose partitioned groups run one
+# goroutine per partition inside conservative windows (its whole suite), with
+# the facade's partitioned-cluster and per-host tests on top (client/guest
+# partitions behind RemotePorts and pool channels); and the experiments
+# harness, whose parallel runner fans whole engines out across workers. For
+# experiments only the parallel-runner tests and — under -short — one chaos
+# campaign with its invariants run: the rest of the suite re-runs every
+# figure at ~10x race overhead without touching any additional concurrency.
 RACE_PKGS = ./internal/memalloc ./internal/metrics ./internal/obs/... ./internal/core/... ./internal/faults ./internal/topo
 
 race:
 	$(GO) test -race $(RACE_PKGS) ./internal/par ./internal/sim
-	$(GO) test -race -short -run 'Parallel|Chaos' ./internal/experiments
 	$(GO) test -race -run 'TestPartitionedCluster|TestClusterFaultPlanMidMigration|TestPerHost' .
+	$(GO) test -race -short -timeout 10m -run 'Parallel|TestReportDigests/chaos' ./internal/experiments
 
 verify:
 	./scripts/verify.sh
@@ -35,8 +42,7 @@ verify:
 # The default 1 s benchtime is the iteration floor: sub-second analytic
 # benchmarks (Fig2 stranding, Table 1) iterate until it fills — so their
 # ns/op is a real average, not a single cold run — while the multi-second
-# simulation benchmarks still execute exactly once. The RacksweepSim pair
-# is the partitions=1 vs partitions=N comparison row (see bench_test.go).
+# simulation benchmarks still execute exactly once.
 bench:
 	$(GO) test -run XXX -bench . -benchmem . | tee /dev/stderr | $(GO) run scripts/benchjson.go > BENCH_results.json
 

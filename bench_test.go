@@ -230,34 +230,3 @@ func BenchmarkRacksweep(b *testing.B) {
 		"pod64_nic":  "NICstranded-pod64",
 	})
 }
-
-// benchRacksweepSim is the partitions=1 vs partitions=N comparison row:
-// the same 512-host rack simulation (no analytic tail), timed over its Run
-// phase only — construction is serial in both modes. The partitioned
-// variant runs each pod's event loop on its own goroutine inside
-// conservative lookahead windows; "run-s" is the metric to compare. Even
-// single-core, the split wins ~1.5× (smaller per-pod heaps, more Sleep
-// fast-path hits); multi-core hosts add parallel speedup on top.
-func benchRacksweepSim(b *testing.B, mode string) {
-	for i := 0; i < b.N; i++ {
-		secs, parts, vals := experiments.RacksweepSimTimedMode(0.2, mode)
-		b.ReportMetric(secs, "run-s")
-		b.ReportMetric(float64(parts), "partitions")
-		b.ReportMetric(vals["hosts"], "hosts")
-		b.ReportMetric(vals["echoes"], "echoes")
-	}
-}
-
-// BenchmarkRacksweepSimPartitions1 is the serial baseline row.
-func BenchmarkRacksweepSimPartitions1(b *testing.B) { benchRacksweepSim(b, "serial") }
-
-// BenchmarkRacksweepSimPartitionsN runs the identical simulation split
-// into one partition per pod (plus the control partition).
-func BenchmarkRacksweepSimPartitionsN(b *testing.B) { benchRacksweepSim(b, "perpod") }
-
-// BenchmarkRacksweepSimPerHost splits out one partition per client on top
-// of the per-pod split (33 partitions at this shape): the load generators
-// advance in parallel with the pods they drive. Not byte-comparable to the
-// other two rows — the remote client attachment adds real cable latency —
-// but run-s measures the same Run phase over the same workload shape.
-func BenchmarkRacksweepSimPerHost(b *testing.B) { benchRacksweepSim(b, "perhost") }

@@ -23,12 +23,16 @@ var (
 	// ErrMigrationFailed marks a cross-pod migration that aborted with the
 	// source instance intact (writes unfrozen again).
 	ErrMigrationFailed = errors.New("cross-pod migration failed")
+	// ErrSerialCluster marks a pod whose config needs partitions of its own
+	// (Config.PerHostPartitions) added to a cluster that keeps every pod on
+	// one.
+	ErrSerialCluster = errors.New("serial cluster cannot partition a pod")
 )
 
 // Cluster composes pods into a rack-scale topology. All pods share ONE
-// simulation engine — cross-pod interactions (migrations, staggered fault
-// plans) happen on a single virtual clock — while each pod keeps its own
-// CXL pool, ToR switch, allocator, and raft group, exactly as standalone.
+// virtual clock — cross-pod interactions (migrations, staggered fault plans)
+// happen on a single timeline — while each pod keeps its own CXL pool, ToR
+// switch, allocator, and raft group, exactly as standalone.
 // Pods are identity-scoped: pod i's hosts, devices, drivers, metrics, and
 // fault targets all carry the "pod<i>/" prefix from internal/topo, so a
 // merged cluster snapshot never collides and a fault plan can name any
@@ -38,19 +42,23 @@ var (
 // an instance to the least-loaded pod, and MigrateInstance moves an
 // instance (with its volume, epoch-fenced) between pods — the §3.5
 // allocator's job lifted one level up.
+//
+// Every cluster executes on a sim.Group, and how the group is cut into
+// partitions is the only thing that tells a serial cluster from a
+// partitioned one: NewCluster puts every pod on partition 0 beside the
+// cluster-level processes — one partition, which internal/sim runs as the
+// plain serial loop — while NewPartitionedCluster asks the group for a fresh
+// partition per pod. Cluster-level processes are mobile and hop between
+// pods; a hop within one partition is a sleep of the same length, so the two
+// shapes produce byte-identical virtual timelines.
 type Cluster struct {
-	Eng  *sim.Engine
-	pods []*Pod
-
-	// group is non-nil in partitioned mode (NewPartitionedCluster): each
-	// pod runs on its own partition engine and Eng is the control
-	// partition hosting cluster-level processes.
+	// Eng is partition 0: the control partition hosting cluster-level
+	// processes, and in a serial cluster every pod as well.
+	Eng   *sim.Engine
+	pods  []*Pod
 	group *sim.Group
-	// perHostClients additionally gives every pod client a partition of
-	// its own (NewPerHostCluster): the pods' topologies carry the group,
-	// so AddClient attaches through a RemotePort exactly as in a
-	// standalone per-host pod.
-	perHostClients bool
+	// perPod gives each AddPod a partition of its own.
+	perPod bool
 
 	// MigrationCopyBudget bounds how long a migration waits for the source
 	// volume to quiesce and for the destination volume to register.
@@ -79,14 +87,6 @@ type Cluster struct {
 	// MigrateInstance.
 	LastBlackout Duration
 
-	// HopLatency is the modeled control-plane RPC cost a cluster-level
-	// operation pays each time it moves between pods (placement probe,
-	// migration step). Charged identically in serial and partitioned mode
-	// — in the latter it doubles as the mobile-process lookahead — so the
-	// two modes produce byte-identical virtual timelines. Set it via
-	// SetHopLatency before spawning cluster processes.
-	HopLatency Duration
-
 	// Stats.
 	Placements int64
 	Migrations int64
@@ -96,100 +96,65 @@ type Cluster struct {
 // round trip through the spine plus kernel/IPC overhead on both ends.
 const DefaultHopLatency = 20 * time.Microsecond
 
-// NewCluster creates an empty cluster on a fresh shared engine: every pod
-// shares one serial event loop.
-func NewCluster() *Cluster {
-	return &Cluster{
-		Eng:                 sim.New(),
-		MigrationCopyBudget: 500 * time.Millisecond,
-		HopLatency:          DefaultHopLatency,
-		PrecopyRounds:       4,
-		PrecopyFlushBlocks:  16,
-	}
-}
+// NewCluster creates an empty serial cluster: every pod joins partition 0,
+// so the whole rack is one event loop.
+func NewCluster() *Cluster { return newCluster(false) }
 
-// NewPartitionedCluster creates an empty cluster in partitioned execution
-// mode: each AddPod gets its own sim partition, cluster-level processes
-// (Cluster.Go) run as mobile processes that hop between pods, and Run
-// advances all partitions in parallel under the group's conservative
-// windows. Simulation results are byte-identical to NewCluster provided
-// cross-pod work is written against the cluster API (Go/GoPod/Migrate*):
-// pods share no other channels, so the only cross-partition traffic is the
-// hop itself, which serial mode charges as an equal Sleep.
-func NewPartitionedCluster() *Cluster {
+// NewPartitionedCluster creates an empty cluster whose every AddPod gets a
+// sim partition of its own: Run advances the pods in parallel under the
+// group's conservative windows, and cluster-level processes (Cluster.Go)
+// really move between partitions when they hop. Simulation results are
+// byte-identical to NewCluster provided cross-pod work is written against
+// the cluster API (Go/GoPod/Migrate*): pods share no other channels, so the
+// only cross-partition traffic is the hop itself.
+func NewPartitionedCluster() *Cluster { return newCluster(true) }
+
+func newCluster(perPod bool) *Cluster {
 	g := sim.NewGroup()
-	c := &Cluster{
+	g.SetMobileLatency(DefaultHopLatency)
+	return &Cluster{
 		Eng:                 g.AddPartition(),
 		group:               g,
+		perPod:              perPod,
 		MigrationCopyBudget: 500 * time.Millisecond,
-		HopLatency:          DefaultHopLatency,
 		PrecopyRounds:       4,
 		PrecopyFlushBlocks:  16,
 	}
-	g.SetMobileLatency(c.HopLatency)
-	return c
 }
 
-// NewPerHostCluster creates a partitioned cluster that also splits out
-// every pod client onto a partition of its own: pods execute in parallel
-// with each other AND with their load generators. Client attachment goes
-// through a switch RemotePort (one extra cable hop each way, declared as
-// lookahead), so the modeled topology — and with it the virtual timeline —
-// differs from NewCluster/NewPartitionedCluster; the per-host timeline is
-// itself byte-identical across reruns and GOMAXPROCS settings.
-func NewPerHostCluster() *Cluster {
-	c := NewPartitionedCluster()
-	c.perHostClients = true
-	return c
-}
+// Partitions returns the number of sim partitions backing the cluster: 1
+// for a serial cluster; the control partition, one per pod and one per
+// partitioned client or guest otherwise.
+func (c *Cluster) Partitions() int { return c.group.Partitions() }
 
-// Partitioned reports whether the cluster runs in partitioned mode.
-func (c *Cluster) Partitioned() bool { return c.group != nil }
-
-// PerHost reports whether pod clients get partitions of their own.
-func (c *Cluster) PerHost() bool { return c.perHostClients }
-
-// Partitions returns the number of sim partitions backing the cluster
-// (1 + one per pod in partitioned mode, 1 in serial mode).
-func (c *Cluster) Partitions() int {
-	if c.group == nil {
-		return 1
-	}
-	return c.group.Partitions()
-}
-
-// SetHopLatency changes the modeled cross-pod control RPC cost. Call it
-// before spawning cluster processes; in partitioned mode the latency is
-// also the mobile-process lookahead, so it must respect the group's floor.
-func (c *Cluster) SetHopLatency(d Duration) {
-	c.HopLatency = d
-	if c.group != nil {
-		c.group.SetMobileLatency(d)
-	}
-}
+// SetHopLatency changes the modeled control-plane RPC cost a cluster-level
+// operation pays each time it moves between pods (placement probe, migration
+// step); DefaultHopLatency until set. It is the group's mobile-process
+// latency — the one place it is stored — and so also the lookahead a
+// partitioned cluster's windows are cut from: it must respect the group's
+// 100 ns floor. Call it before spawning cluster processes.
+func (c *Cluster) SetHopLatency(d Duration) { c.group.SetMobileLatency(d) }
 
 // AddPodErr appends a pod built from cfg; its index (and thereby its
 // "pod<i>/" identity scope) is its position. A pod added after
 // Cluster.Start is not started by it: add its nodes and call its own Start
 // (or add them after that Start — the wiring pass is the same either way).
+// A pod with Config.PerHostPartitions needs a partitioned cluster: on a
+// serial one it is refused with ErrSerialCluster.
 func (c *Cluster) AddPodErr(cfg Config) (*Pod, error) {
 	idx := len(c.pods)
 	eng := c.Eng
-	if c.group != nil {
-		// Partitioned mode: the pod is a partition of its own. Pods share
-		// no sim channels (cross-pod interaction is the migration layer's
-		// hop), so no CrossLink registration is needed here; wiring that
-		// ever spans pods must declare one (cxl.Pool.DeclareCrossLink,
+	switch {
+	case c.perPod:
+		// Pods share no sim channels (cross-pod interaction is the migration
+		// layer's hop), so no CrossLink registration is needed here; wiring
+		// that ever spans pods must declare one (cxl.Pool.DeclareCrossLink,
 		// netsw.Switch.DeclareCrossUplink, core.NewCrossChannel).
 		eng = c.group.AddPartition()
+	case cfg.PerHostPartitions:
+		return nil, fmt.Errorf("oasis: %w: pod%d asks for Config.PerHostPartitions (use NewPartitionedCluster)", ErrSerialCluster, idx)
 	}
-	p := &Pod{Topology: newTopology(eng, cfg, idx, false)}
-	if c.perHostClients {
-		// Per-host mode: hand the pod's topology the group so AddClient
-		// (and AddGuest) split out partitions of their own. ownEngine
-		// stays false — the cluster drives the group's lifecycle.
-		p.Topology.group = c.group
-	}
+	p := &Pod{Topology: newTopology(c.group, eng, cfg, idx)}
 	c.pods = append(c.pods, p)
 	return p, nil
 }
@@ -215,23 +180,15 @@ func (c *Cluster) Start() {
 	}
 }
 
-// Go spawns a cluster-level application process. In serial mode it runs on
-// the shared engine; in partitioned mode it becomes a mobile process homed
-// on the control partition, free to hop between pods (MigrateInstance and
+// Go spawns a cluster-level application process: a mobile process homed on
+// the control partition, free to hop between pods (MigrateInstance and
 // friends hop on its behalf). Cross-pod drivers — anything that may call
 // the migration layer — must be spawned here, not with GoPod.
-func (c *Cluster) Go(name string, fn func(p *Proc)) {
-	if c.group != nil {
-		c.group.GoMobile(c.Eng, name, fn)
-		return
-	}
-	c.Eng.Go(name, fn)
-}
+func (c *Cluster) Go(name string, fn func(p *Proc)) { c.group.GoMobile(c.Eng, name, fn) }
 
-// GoPod spawns an application process inside pod i's own execution domain:
-// its partition in partitioned mode, the shared engine in serial mode
-// (where the two are the same thing). Pod-local workloads spawned here are
-// what partitioned execution runs in parallel.
+// GoPod spawns an application process inside pod i's own execution domain,
+// its partition (the shared one in a serial cluster). Pod-local workloads
+// spawned here are what partitioned execution runs in parallel.
 func (c *Cluster) GoPod(i int, name string, fn func(p *Proc)) {
 	pod := c.Pod(i)
 	if pod == nil {
@@ -241,41 +198,20 @@ func (c *Cluster) GoPod(i int, name string, fn func(p *Proc)) {
 }
 
 // Run executes d of virtual time across the whole cluster.
-func (c *Cluster) Run(d Duration) Duration {
-	if c.group != nil {
-		return c.group.RunUntil(d)
-	}
-	return c.Eng.RunUntil(d)
-}
+func (c *Cluster) Run(d Duration) Duration { return c.group.RunUntil(d) }
 
-// Shutdown unwinds all processes in every pod.
-func (c *Cluster) Shutdown() {
-	if c.group != nil {
-		c.group.Shutdown()
-		return
-	}
-	c.Eng.Shutdown()
-}
+// Shutdown unwinds all processes in every pod. A serial cluster may be shut
+// down from inside the simulation; a partitioned one only between Run calls.
+func (c *Cluster) Shutdown() { c.group.Shutdown() }
 
-// Now returns the cluster's virtual clock: the shared engine's clock in
-// serial mode, the committed (barrier) time in partitioned mode.
-func (c *Cluster) Now() Duration {
-	if c.group != nil {
-		return c.group.Now()
-	}
-	return c.Eng.Now()
-}
+// Now returns the cluster's virtual clock: the shared engine's clock in a
+// serial cluster, the committed (barrier) time in a partitioned one.
+func (c *Cluster) Now() Duration { return c.group.Now() }
 
-// hop moves a cluster-level process's execution context to pod, charging
-// HopLatency of virtual time: a partition hop in partitioned mode, a plain
-// sleep in serial mode — identical timelines either way.
-func (c *Cluster) hop(p *Proc, pod *Pod) {
-	if c.group != nil {
-		c.group.Hop(p, pod.Eng)
-		return
-	}
-	p.Sleep(c.HopLatency)
-}
+// hop moves a cluster-level process's execution context to pod, charging the
+// hop latency of virtual time — a sleep when pod shares the process's
+// partition, so timelines are identical however the rack is partitioned.
+func (c *Cluster) hop(p *Proc, pod *Pod) { c.group.Hop(p, pod.Eng) }
 
 // podLoad is the placement layer's load proxy for one pod: placed
 // instances per usable (non-backup) NIC. It needs no cross-pod telemetry
@@ -405,15 +341,15 @@ func (c *Cluster) PlaceInstance(ip netstack.IP) *Instance { return must(c.PlaceI
 // and tracking disarmed (the epoch bump is harmless) and
 // ErrMigrationFailed is returned.
 //
-// The driver executes against one pod at a time, paying a HopLatency
-// control RPC to move between them: source for track/copy-read/fence,
-// destination for placement and copy-write, source again for the cutover
-// removal; each pre-copy round pays one more round trip. In partitioned
-// mode each hop re-homes the (mobile) process onto that pod's partition,
-// which is also what makes the pod-local state it touches race-free;
-// serial mode charges the identical virtual time as a sleep (hopping to
-// the current pod charges the same, keeping the modes byte-identical).
-// Call it only from processes spawned with Cluster.Go.
+// The driver executes against one pod at a time, paying a hop-latency
+// control RPC (SetHopLatency) to move between them: source for
+// track/copy-read/fence, destination for placement and copy-write, source
+// again for the cutover removal; each pre-copy round pays one more round
+// trip. In a partitioned cluster each hop re-homes the (mobile) process onto
+// that pod's partition, which is also what makes the pod-local state it
+// touches race-free; hopping within a partition charges the identical
+// virtual time as a sleep. Call it only from processes spawned with
+// Cluster.Go.
 func (c *Cluster) MigrateInstance(p *Proc, ip netstack.IP, dst int) (*Instance, error) {
 	dstPod := c.Pod(dst)
 	if dstPod == nil {

@@ -16,13 +16,12 @@ import (
 // and a cross-pod migration driver on either a serial or a partitioned
 // cluster, runs a fixed span, and returns the workload transcript plus the
 // full merged stats snapshot — both of which must not depend on the mode.
-func runClusterScenario(t *testing.T, partitioned bool) (string, []byte, int64) {
+// A non-zero hop replaces the default hop latency.
+func runClusterScenario(t *testing.T, partitioned bool, hop Duration) (string, []byte, int64) {
 	t.Helper()
-	var c *Cluster
-	if partitioned {
-		c = NewPartitionedCluster()
-	} else {
-		c = NewCluster()
+	c := newCluster(partitioned)
+	if hop != 0 {
+		c.SetHopLatency(hop)
 	}
 	for i := 0; i < 2; i++ {
 		cfg := DefaultConfig()
@@ -105,12 +104,14 @@ func runClusterScenario(t *testing.T, partitioned bool) (string, []byte, int64) 
 	return strings.Join(all, "\n"), snap, migrations
 }
 
-// Serial and partitioned execution are two schedules of the same
-// simulation: transcript, merged stats snapshot, and migration count must
-// be byte-identical.
-func TestPartitionedClusterMatchesSerial(t *testing.T) {
-	serialLog, serialSnap, serialMig := runClusterScenario(t, false)
-	partLog, partSnap, partMig := runClusterScenario(t, true)
+// shapesMatch runs the scenario on a serial and on a partitioned cluster and
+// insists on what makes them two schedules of one simulation: transcript,
+// merged stats snapshot and migration count byte-identical. It returns the
+// transcript.
+func shapesMatch(t *testing.T, hop Duration) string {
+	t.Helper()
+	serialLog, serialSnap, serialMig := runClusterScenario(t, false, hop)
+	partLog, partSnap, partMig := runClusterScenario(t, true, hop)
 	if serialMig != 1 || partMig != 1 {
 		t.Fatalf("migrations: serial %d, partitioned %d, want 1", serialMig, partMig)
 	}
@@ -123,23 +124,63 @@ func TestPartitionedClusterMatchesSerial(t *testing.T) {
 	if !bytes.Equal(serialSnap, partSnap) {
 		t.Fatalf("stats snapshots diverge:\n--- serial ---\n%s\n--- partitioned ---\n%s", serialSnap, partSnap)
 	}
+	return serialLog
 }
 
-// A partitioned cluster reports its shape and enforces the mobile-process
-// contract on hop latency.
+func TestPartitionedClusterMatchesSerial(t *testing.T) { shapesMatch(t, 0) }
+
+// The hop latency has one home, the group's mobile latency, so no cluster
+// shape can charge a different one: a non-default SetHopLatency moves the
+// migration timeline, and moves both shapes together.
+func TestSetHopLatencyKeepsShapesIdentical(t *testing.T) {
+	c := NewCluster()
+	c.SetHopLatency(75 * time.Microsecond)
+	if got := c.group.MobileLatency(); got != 75*time.Microsecond {
+		t.Fatalf("hop latency reads back %v", got)
+	}
+	slow := shapesMatch(t, 75*time.Microsecond)
+	if fast, _, _ := runClusterScenario(t, false, 0); slow == fast {
+		t.Fatalf("SetHopLatency did not move the migration timeline:\n%s", slow)
+	}
+}
+
+// The cluster's shape is its partition count: a serial cluster stays on one
+// however many pods join, a partitioned one adds one per pod and — for a pod
+// with Config.PerHostPartitions — one per client. A serial cluster cannot
+// give such a pod its partitions and says so instead of attaching its
+// clients directly.
 func TestPartitionedClusterShape(t *testing.T) {
+	perHost := perHostConfig()
 	c := NewPartitionedCluster()
-	if !c.Partitioned() || c.Partitions() != 1 {
-		t.Fatalf("fresh partitioned cluster: Partitioned=%v Partitions=%d", c.Partitioned(), c.Partitions())
+	if c.Partitions() != 1 {
+		t.Fatalf("fresh partitioned cluster: Partitions=%d, want 1 (control)", c.Partitions())
 	}
 	c.AddPod(DefaultConfig())
-	c.AddPod(DefaultConfig())
+	p1, err := c.AddPodErr(perHost)
+	if err != nil {
+		t.Fatalf("per-host pod on a partitioned cluster: %v", err)
+	}
 	if c.Partitions() != 3 {
 		t.Fatalf("2 pods: Partitions=%d, want 3 (control + one per pod)", c.Partitions())
 	}
+	if !p1.AddClient(IP(10, 1, 99, 1)).Remote() || c.Pod(0).AddClient(IP(10, 0, 99, 1)).Remote() {
+		t.Fatal("only the per-host pod's client should attach remotely")
+	}
+	if c.Partitions() != 4 {
+		t.Fatalf("2 pods + 1 partitioned client: Partitions=%d, want 4", c.Partitions())
+	}
+
 	s := NewCluster()
-	if s.Partitioned() || s.Partitions() != 1 {
-		t.Fatalf("serial cluster: Partitioned=%v Partitions=%d", s.Partitioned(), s.Partitions())
+	s.AddPod(DefaultConfig())
+	s.AddPod(DefaultConfig())
+	if s.Partitions() != 1 {
+		t.Fatalf("serial cluster with 2 pods: Partitions=%d, want 1", s.Partitions())
+	}
+	if p, err := s.AddPodErr(perHost); !errors.Is(err, ErrSerialCluster) || p != nil {
+		t.Fatalf("per-host pod on a serial cluster: pod %v, err %v; want ErrSerialCluster", p, err)
+	}
+	if len(s.Pods()) != 2 {
+		t.Fatalf("a refused pod was still appended: %d pods", len(s.Pods()))
 	}
 }
 

@@ -3,6 +3,7 @@
 //	oasis-bench -list
 //	oasis-bench -run all
 //	oasis-bench -run fig6,fig13 -scale 0.5
+//	oasis-bench -run racksweep -exec perpod
 //
 // Each experiment prints the same rows/series the paper reports plus the
 // paper's reference numbers; EXPERIMENTS.md records a full comparison.
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -28,6 +30,9 @@ func main() {
 	parallel := flag.Bool("parallel", false,
 		"fan independent experiments and their inner sweeps out across all CPUs; "+
 			"results are printed in the same order with identical bytes (only wall times differ)")
+	execName := flag.String("exec", "serial",
+		"execution shape of chaos, grayfail and racksweep: serial, perpod (a sim partition per pod; "+
+			"same bytes as serial) or perhost (one more per load-generating client)")
 	flag.Parse()
 
 	if *list {
@@ -57,6 +62,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "oasis-bench: nothing to run")
 		os.Exit(2)
 	}
+
+	x, ok := experiments.ParseExec(*execName)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "oasis-bench: unknown -exec %q (serial, perpod, perhost)\n", *execName)
+		os.Exit(2)
+	}
+	if x != experiments.Serial {
+		for _, id := range ids {
+			if !experiments.Partitionable(id) {
+				fmt.Fprintf(os.Stderr, "oasis-bench: -exec %v: %s has nothing to partition (chaos, grayfail and racksweep do)\n", x, id)
+				os.Exit(2)
+			}
+		}
+	}
+	experiments.SetExec(x)
 
 	workers := 1
 	if *parallel {
@@ -98,10 +118,6 @@ func sortedKeys(m map[string]float64) []string {
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Strings(out)
 	return out
 }

@@ -6,7 +6,6 @@ import (
 
 	"oasis"
 	"oasis/internal/faults"
-	"oasis/internal/sim"
 	"oasis/internal/ssd"
 )
 
@@ -37,45 +36,17 @@ import (
 // control plane — 120 ms device leases and 40 ms telemetry instead of the
 // paper's 300/100 ms — which shrinks every detection window and lets the
 // whole seven-fault schedule fit in 2.6 virtual seconds.
-func Chaos(scale float64) *Report {
-	_ = clampScale(scale) // validated for interface symmetry; timeline is fixed
+//
+// Under PerHost the probe client runs on a partition of its own behind a
+// switch RemotePort. The remote attachment adds real cable latency, so that
+// report is not byte-comparable to the serial one — every recovery invariant
+// must still hold with the client advancing in parallel, and the per-host
+// timeline is itself byte-identical across reruns and GOMAXPROCS settings.
+// PerPod is Serial: the campaign has one pod.
+func Chaos(scale float64) *Report { return chaosRun(scale, exec) }
+
+func chaosRun(_ float64, x Exec) *Report {
 	r := newReport("chaos", "chaos campaign: all fault kinds + recovery invariants (2.6 s run)")
-	return chaosRun(r, chaosSerial)
-}
-
-// ChaosPartitioned runs the identical campaign with the pod mounted on a
-// one-partition sim.Group — the degenerate partitioned-execution
-// configuration, which must reduce to the serial loop byte for byte. Its
-// report body (Lines and Values) must equal Chaos's exactly.
-func ChaosPartitioned(scale float64) *Report {
-	_ = clampScale(scale)
-	r := newReport("chaos-par", "chaos campaign on a one-partition group (must match chaos byte-for-byte)")
-	return chaosRun(r, chaosOnePartition)
-}
-
-// ChaosPerHost runs the campaign on a per-host partitioned pod: the pod
-// core on one partition, the probe client on a partition of its own behind
-// a switch RemotePort. The remote attachment adds real cable latency, so
-// this report is NOT byte-comparable to chaos — the acceptance is that
-// every recovery invariant still holds with the client advancing in
-// parallel, and that the per-host timeline is itself byte-identical across
-// reruns and GOMAXPROCS settings (verify.sh sweeps it at 1/2/8).
-func ChaosPerHost(scale float64) *Report {
-	_ = clampScale(scale)
-	r := newReport("chaos-perhost", "chaos campaign on a per-host partitioned pod (probe client on its own partition)")
-	return chaosRun(r, chaosPerHost)
-}
-
-// chaosMode selects the execution shape of the chaos pod.
-type chaosMode int
-
-const (
-	chaosSerial       chaosMode = iota // one private engine
-	chaosOnePartition                  // degenerate one-partition group
-	chaosPerHost                       // per-host pod: client partitioned out
-)
-
-func chaosRun(r *Report, mode chaosMode) *Report {
 	const (
 		span        = 2600 * time.Millisecond
 		writerStop  = span - 200*time.Millisecond
@@ -101,17 +72,8 @@ func chaosRun(r *Report, mode chaosMode) *Report {
 	cfg.Storage.TelemetryEvery = 40 * time.Millisecond
 	cfg.Engine.TelemetryEvery = 40 * time.Millisecond
 	cfg.RaftReplicas = 3
-	var group *sim.Group
-	var pod *oasis.Pod
-	switch mode {
-	case chaosOnePartition:
-		group = sim.NewGroup()
-		pod = oasis.NewPodOnEngine(group.AddPartition(), cfg)
-	case chaosPerHost:
-		pod = oasis.NewPerHostPod(cfg)
-	default:
-		pod = oasis.NewPod(cfg)
-	}
+	cfg.PerHostPartitions = x == PerHost
+	pod := oasis.NewPod(cfg)
 	host0 := pod.AddHost() // allocator + raft replica 0
 	host1 := pod.AddHost() // nic1 + raft replica 1
 	host2 := pod.AddHost() // nic2 + ssd1 backend + raft replica 2
@@ -240,9 +202,8 @@ func chaosRun(r *Report, mode chaosMode) *Report {
 		sent, lost int
 		lossTimes  []oasis.Duration
 	)
-	// Spawned in the client's execution domain: the pod engine in serial
-	// and one-partition modes (identical to pod.Go there), the client's own
-	// partition in per-host mode.
+	// Spawned in the client's execution domain: the pod engine (identical to
+	// pod.Go) unless the client has a partition of its own.
 	client.Go("chaos-prober", func(p *oasis.Proc) {
 		conn, err := client.Stack.ListenUDP(0)
 		if err != nil {
@@ -276,17 +237,11 @@ func chaosRun(r *Report, mode chaosMode) *Report {
 		}
 	})
 
-	if group != nil {
-		group.RunUntil(span + time.Second)
-		group.Shutdown()
-	} else {
-		// Serial engine, or the per-host pod's own group (Pod.Run drives
-		// it); either way the run is fixed-length with an external
-		// Shutdown — in group mode a mid-window Shutdown from inside a
-		// partition would not be a single global instant.
-		pod.Run(span + time.Second)
-		pod.Shutdown()
-	}
+	// The run is fixed-length with an external Shutdown: with the client
+	// partitioned out, a Shutdown from inside a partition would not be a
+	// single global instant.
+	pod.Run(span + time.Second)
+	pod.Shutdown()
 
 	// Cluster probe losses into outage windows.
 	type window struct{ start, end oasis.Duration }

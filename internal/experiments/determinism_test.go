@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
@@ -51,148 +50,4 @@ func TestPodSnapshotDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("pod snapshot JSON not deterministic across reruns:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
-}
-
-// Racksweep stretches the same promise to rack scale: a 200+ host
-// multi-pod cluster (one engine, eight pods, live migration + traffic)
-// plus a par-fanned analytic sweep. The report must be byte-identical
-// across reruns AND across -parallel settings — workers only ever sit
-// between engines, never inside one.
-func TestRacksweepDeterministicAcrossParallelism(t *testing.T) {
-	if testing.Short() {
-		// The race gate runs this package with -short: par.Do's race
-		// coverage already comes from the parallel-runner tests, and
-		// re-running a 208-host sim twice under the detector's ~10x
-		// overhead buys nothing extra.
-		t.Skip("skipping rack-scale byte-identity sweep in -short mode")
-	}
-	SetParallelism(1)
-	a := Racksweep(0.05)
-	SetParallelism(4)
-	b := Racksweep(0.05).String()
-	SetParallelism(1)
-	if a.String() != b {
-		t.Fatalf("racksweep not deterministic across -parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", a.String(), b)
-	}
-	if a.Values["hosts"] < 200 {
-		t.Fatalf("simulated cluster has %.0f hosts, want >= 200", a.Values["hosts"])
-	}
-	if a.Values["pods"] < 2 {
-		t.Fatalf("racksweep must span multiple pods, got %.0f", a.Values["pods"])
-	}
-	if a.Values["migrations"] == 0 {
-		t.Fatal("hot-spot rebalance performed no cross-pod migrations")
-	}
-	if a.Values["spread_final"] > a.Values["spread_skewed"]-2 {
-		t.Fatalf("rebalance barely helped: spread %v -> %v", a.Values["spread_skewed"], a.Values["spread_final"])
-	}
-	if a.Values["echoes"] == 0 {
-		t.Fatal("no traffic completed during the sweep")
-	}
-	if a.Values["pod64_nic"] >= a.Values["pod8_nic"] {
-		t.Fatal("analytic sweep: stranding should fall as the pooling domain grows")
-	}
-}
-
-// reportBody renders the mode-independent part of a report — the lines and
-// the sorted values, but not the ID/Title header, which legitimately
-// differs between the serial and partitioned registry entries.
-func reportBody(r *Report) string {
-	var b bytes.Buffer
-	for _, l := range r.Lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-	for _, k := range sortedKeys(r.Values) {
-		fmt.Fprintf(&b, "%s=%v\n", k, r.Values[k])
-	}
-	return b.String()
-}
-
-// TestIntraRunPartitionedMatchesSerial is the acceptance gate for
-// partitioned execution: the same experiment run serially (all pods on one
-// engine, one goroutine) and partitioned (one sim partition per pod,
-// advancing in parallel under conservative windows) must produce
-// byte-identical report bodies. verify.sh re-runs this test at
-// GOMAXPROCS=1, 2, and 8 — the schedule of OS threads must not leak into
-// the virtual timeline.
-func TestIntraRunPartitionedMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		// The race gate covers the partitioned goroutines via
-		// internal/sim's and the cluster's own race-mode tests; the full
-		// double runs here are too slow under the detector.
-		t.Skip("skipping intra-run byte-identity sweep in -short mode")
-	}
-	t.Run("racksweep", func(t *testing.T) {
-		serial := reportBody(Racksweep(0.05))
-		part := reportBody(RacksweepPartitioned(0.05))
-		if serial != part {
-			t.Fatalf("racksweep diverges between serial and partitioned execution:\n--- serial ---\n%s--- partitioned ---\n%s", serial, part)
-		}
-	})
-	t.Run("chaos", func(t *testing.T) {
-		serial := reportBody(Chaos(1.0))
-		part := reportBody(ChaosPartitioned(1.0))
-		if serial != part {
-			t.Fatalf("chaos diverges between serial and one-partition group execution:\n--- serial ---\n%s--- partitioned ---\n%s", serial, part)
-		}
-	})
-	t.Run("grayfail", func(t *testing.T) {
-		serial := reportBody(Grayfail(1.0))
-		part := reportBody(GrayfailPartitioned(1.0))
-		if serial != part {
-			t.Fatalf("grayfail diverges between serial and one-partition group execution:\n--- serial ---\n%s--- partitioned ---\n%s", serial, part)
-		}
-	})
-}
-
-// TestPerHostPartitionedDeterministic is the acceptance gate for per-host
-// partitioned execution. Per-host mode splits every client onto a
-// partition of its own behind a switch RemotePort, which adds real modeled
-// cable latency — a different physical topology, so its reports are NOT
-// compared against the serial runners. The promise is the per-host
-// timeline itself: byte-identical report bodies across reruns, with every
-// chaos recovery invariant intact. verify.sh re-runs this test at
-// GOMAXPROCS=1, 2, and 8 — with a partition per client, the thread count
-// must still be invisible in the virtual timeline.
-func TestPerHostPartitionedDeterministic(t *testing.T) {
-	if testing.Short() {
-		// Same rationale as the serial-vs-partitioned sweep above: race-mode
-		// coverage of the partition goroutines comes from internal/sim and
-		// the root-package per-host tests.
-		t.Skip("skipping per-host byte-identity sweep in -short mode")
-	}
-	t.Run("racksweep", func(t *testing.T) {
-		a := RacksweepPerHost(0.05)
-		b := reportBody(RacksweepPerHost(0.05))
-		if reportBody(a) != b {
-			t.Fatalf("racksweep-perhost diverges across reruns:\n--- first ---\n%s--- second ---\n%s", reportBody(a), b)
-		}
-		if a.Values["echoes"] == 0 {
-			t.Fatal("no traffic completed with clients on their own partitions")
-		}
-		if a.Values["migrations"] == 0 {
-			t.Fatal("hot-spot rebalance performed no cross-pod migrations in per-host mode")
-		}
-	})
-	t.Run("chaos", func(t *testing.T) {
-		a := ChaosPerHost(1.0)
-		b := reportBody(ChaosPerHost(1.0))
-		if reportBody(a) != b {
-			t.Fatalf("chaos-perhost diverges across reruns:\n--- first ---\n%s--- second ---\n%s", reportBody(a), b)
-		}
-		if a.Values["violations"] != 0 {
-			t.Fatalf("chaos-perhost violated %v recovery invariants", a.Values["violations"])
-		}
-	})
-	t.Run("grayfail", func(t *testing.T) {
-		a := GrayfailPerHost(1.0)
-		b := reportBody(GrayfailPerHost(1.0))
-		if reportBody(a) != b {
-			t.Fatalf("grayfail-perhost diverges across reruns:\n--- first ---\n%s--- second ---\n%s", reportBody(a), b)
-		}
-		if a.Values["violations"] != 0 {
-			t.Fatalf("grayfail-perhost violated %v health-scorer invariants", a.Values["violations"])
-		}
-	})
 }

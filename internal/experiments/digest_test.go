@@ -18,33 +18,116 @@ func reportDigest(r *Report) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 }
 
-// TestReportDigests pins the published bytes of the experiments that reach
-// the parts of internal/cache and internal/msgchan the benchmark digests and
+// under fixes the execution shape of a partitionable runner.
+func under(x Exec, run func(float64, Exec) *Report) Runner {
+	return func(scale float64) *Report { return run(scale, x) }
+}
+
+// TestReportDigests pins published bytes, every row against a constant
+// captured at the parent commit of the change that added it.
+//
+// The first seven rows are the experiments that reach the parts of
+// internal/cache and internal/msgchan the benchmark digests and
 // TestWiringDigests do not: Fig. 6 runs receiver designs ①–④, abl-coherent
 // runs Back-Invalidation against in-flight fills, and the rest cover the
 // counter-batch, backend-inspect and storage paths. A change to simulator
 // speed must leave every one of them alone; a change to the model re-blesses
 // the constant it moved and says why.
+//
+// The <campaign>/<exec> rows are the determinism gate of the three campaigns
+// under every execution shape: each pair runs once, and a constant is a
+// stronger check than a rerun compare — it pins the bytes across commits as
+// well as across runs. Serial and PerPod rows share one constant because
+// they are two executions of one model; a single-pod campaign has no PerPod
+// row because there it is the Serial path. PerHost is a different modeled
+// topology (clients behind RemotePorts) with a constant of its own — the
+// racksweep one coincides with serial only because at this scale its report
+// is too coarse to see 1.4 µs of cable. scripts/verify.sh re-runs the
+// non-serial rows at GOMAXPROCS=1, 2 and 8 under OASIS_SIMCHECK=1: the
+// thread count must be invisible in the virtual timeline. Every row also
+// re-asserts its campaign's invariants (campaignInvariants), so a re-blessed
+// constant cannot bless a broken campaign. Under -short (the race gate) only
+// chaos/serial of the campaign rows runs.
 func TestReportDigests(t *testing.T) {
+	const (
+		racksweep = "b8a01281304395679e802d50f4b9cb5d662893b4ffe88bac06cc299c650520ff"
+		chaos     = "b15ff5f5ac5264bdc6198d4d12cf88c4ef9c030c1328b0229ea51b184e2d8a32"
+		grayfail  = "e9ccc543f1fccbd3550b3a89492536cb0b05b8c13525b83cdc90ea58240dca86"
+	)
 	for _, tc := range []struct {
-		id   string
-		run  Runner
-		want string
+		name  string
+		run   Runner
+		scale float64
+		want  string
 	}{
-		{"fig6", Fig6, "74fc10620f72e359af467ae5d5e12163467cba9d068151380133db802b3aab86"},
-		{"fig11", Fig11, "0c731f7302743d806f64eaf2908374aae00231686b9ec0251fc8879663d0a4cf"},
-		{"tab3", Table3, "17b9032b7876f32c6b4d002a436f938e37eae30e9a8c34d73b3f81bff90afcc5"},
-		{"abl-counter", AblCounterBatch, "af9faabb00a2763d5cf2f8ca015dcd57b2e5d440a568ed9285b423869fca97ba"},
-		{"abl-coherent", AblHWCoherent, "98e54ab45c2020903abf4d33ee0e3aafeb435c9aa4e81d2bb36371d5e7e41f84"},
-		{"abl-inspect", AblBackendInspect, "9798a48a0764d236d6169754651b88b68991b95af3d540529f294e14e155d60f"},
-		{"abl-storage", AblStorage, "2e67fbd71bbdd810343b5b91d1beced6db6e0e612ba5012e94de05cfd7324cef"},
+		{"fig6", Fig6, 0.05, "74fc10620f72e359af467ae5d5e12163467cba9d068151380133db802b3aab86"},
+		{"fig11", Fig11, 0.05, "0c731f7302743d806f64eaf2908374aae00231686b9ec0251fc8879663d0a4cf"},
+		{"tab3", Table3, 0.05, "17b9032b7876f32c6b4d002a436f938e37eae30e9a8c34d73b3f81bff90afcc5"},
+		{"abl-counter", AblCounterBatch, 0.05, "af9faabb00a2763d5cf2f8ca015dcd57b2e5d440a568ed9285b423869fca97ba"},
+		{"abl-coherent", AblHWCoherent, 0.05, "98e54ab45c2020903abf4d33ee0e3aafeb435c9aa4e81d2bb36371d5e7e41f84"},
+		{"abl-inspect", AblBackendInspect, 0.05, "9798a48a0764d236d6169754651b88b68991b95af3d540529f294e14e155d60f"},
+		{"abl-storage", AblStorage, 0.05, "2e67fbd71bbdd810343b5b91d1beced6db6e0e612ba5012e94de05cfd7324cef"},
+		{"chaos/serial", under(Serial, chaosRun), 1, chaos},
+		{"chaos/perhost", under(PerHost, chaosRun), 1, "4823c279fd59d469e0be131f9f7a08b0e76f0bbcfd436bf86192ef198b3e0298"},
+		{"grayfail/serial", under(Serial, grayfailRun), 1, grayfail},
+		{"grayfail/perhost", under(PerHost, grayfailRun), 1, "89fba91eb4502f8bbe8e171fd117c5987cbc446b8c4d5224dcbcad5b92fe56d6"},
+		{"racksweep/serial", under(Serial, racksweepRun), 0.05, racksweep},
+		{"racksweep/perpod", under(PerPod, racksweepRun), 0.05, racksweep},
+		{"racksweep/perhost", under(PerHost, racksweepRun), 0.05, racksweep},
 	} {
 		tc := tc
-		t.Run(tc.id, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && strings.Contains(tc.name, "/") && tc.name != "chaos/serial" {
+				t.Skip("one campaign is the detector's share; the rest run in the non-race tier")
+			}
 			t.Parallel()
-			if got := reportDigest(tc.run(0.05)); got != tc.want {
-				t.Errorf("%s report digest at scale 0.05 = %s, want %s", tc.id, got, tc.want)
+			r := tc.run(tc.scale)
+			if check := campaignInvariants[r.ID]; check != nil {
+				check(t, r)
+			}
+			if got := reportDigest(r); got != tc.want {
+				t.Errorf("%s report digest at scale %v = %s, want %s", tc.name, tc.scale, got, tc.want)
 			}
 		})
 	}
+}
+
+// campaignInvariants are what a campaign's report must say under every
+// execution shape, keyed by report id (a report keeps its id under all of
+// them).
+var campaignInvariants = map[string]func(*testing.T, *Report){
+	"chaos": func(t *testing.T, r *Report) {
+		if v := r.Values["violations"]; v != 0 {
+			t.Fatalf("chaos campaign violated %v recovery invariant(s):\n%s", v, r)
+		}
+	},
+	"grayfail": func(t *testing.T, r *Report) {
+		if v := r.Values["violations"]; v != 0 {
+			t.Fatalf("grayfail campaign violated %v invariant(s):\n%s", v, r)
+		}
+		if r.Values["health_nic_evacs"] < 1 || r.Values["health_ssd_evacs"] < 1 {
+			t.Fatalf("health scorer did not evacuate both gray devices:\n%s", r)
+		}
+		if r.Values["nic_failovers"] != 0 || r.Values["ssd_failovers"] != 0 {
+			t.Fatalf("gray faults tripped hard failovers:\n%s", r)
+		}
+	},
+	"racksweep": func(t *testing.T, r *Report) {
+		v := r.Values
+		if v["hosts"] < 200 || v["pods"] < 2 {
+			t.Fatalf("simulated cluster has %.0f hosts in %.0f pods, want >= 200 in >= 2", v["hosts"], v["pods"])
+		}
+		if v["migrations"] == 0 {
+			t.Fatal("hot-spot rebalance performed no cross-pod migrations")
+		}
+		if v["spread_final"] > v["spread_skewed"]-2 {
+			t.Fatalf("rebalance barely helped: spread %v -> %v", v["spread_skewed"], v["spread_final"])
+		}
+		if v["echoes"] == 0 {
+			t.Fatal("no traffic completed during the sweep")
+		}
+		if v["pod64_nic"] >= v["pod8_nic"] {
+			t.Fatal("analytic sweep: stranding should fall as the pooling domain grows")
+		}
+	},
 }

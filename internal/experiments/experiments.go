@@ -77,15 +77,9 @@ func Registry() []struct {
 		{"abl-qos", AblQoS},
 		{"abl-storage", AblStorage},
 		{"chaos", Chaos},
-		{"chaos-par", ChaosPartitioned},
-		{"chaos-perhost", ChaosPerHost},
 		{"grayfail", Grayfail},
-		{"grayfail-par", GrayfailPartitioned},
-		{"grayfail-perhost", GrayfailPerHost},
 		{"blackout", Blackout},
 		{"racksweep", Racksweep},
-		{"racksweep-par", RacksweepPartitioned},
-		{"racksweep-perhost", RacksweepPerHost},
 	}
 }
 

@@ -190,8 +190,7 @@ func TestFig14TCPRecovery(t *testing.T) {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig2", "fig3", "tab1", "tab2", "fig6", "fig8", "fig9", "fig10", "fig11", "tab3", "fig12", "fig13", "fig14",
 		"abl-counter", "abl-inspect", "abl-failover", "abl-coherent", "abl-sharding", "abl-qos", "abl-storage",
-		"chaos", "chaos-par", "chaos-perhost", "grayfail", "grayfail-par", "grayfail-perhost", "blackout",
-		"racksweep", "racksweep-par", "racksweep-perhost"}
+		"chaos", "grayfail", "blackout", "racksweep"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(got), len(want))

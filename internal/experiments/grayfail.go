@@ -6,7 +6,6 @@ import (
 
 	"oasis"
 	"oasis/internal/faults"
-	"oasis/internal/sim"
 	"oasis/internal/ssd"
 )
 
@@ -38,35 +37,12 @@ import (
 // must reproduce the identical report. Like chaos, the pod runs with a
 // compressed control plane (120 ms leases, 40 ms telemetry) so three
 // detection windows fit inside each fault's dwell time.
-func Grayfail(scale float64) *Report {
-	_ = clampScale(scale) // validated for interface symmetry; timeline is fixed
+// PerHost moves the probe client onto a partition of its own, exactly as in
+// Chaos, with the same consequences.
+func Grayfail(scale float64) *Report { return grayfailRun(scale, exec) }
+
+func grayfailRun(_ float64, x Exec) *Report {
 	r := newReport("grayfail", "gray-failure campaign: four degraded-mode faults + health-scorer evacuations (2.2 s run)")
-	return grayfailRun(r, chaosSerial)
-}
-
-// GrayfailPartitioned runs the identical campaign with the pod mounted on
-// a one-partition sim.Group — the degenerate partitioned-execution
-// configuration, which must reduce to the serial loop byte for byte. Its
-// report body (Lines and Values) must equal Grayfail's exactly.
-func GrayfailPartitioned(scale float64) *Report {
-	_ = clampScale(scale)
-	r := newReport("grayfail-par", "gray-failure campaign on a one-partition group (must match grayfail byte-for-byte)")
-	return grayfailRun(r, chaosOnePartition)
-}
-
-// GrayfailPerHost runs the campaign on a per-host partitioned pod with the
-// probe client on its own partition behind a switch RemotePort. The remote
-// attachment adds real cable latency, so this report is NOT byte-comparable
-// to grayfail — the acceptance is that every health-scorer invariant still
-// holds, and that the per-host timeline is itself byte-identical across
-// reruns and GOMAXPROCS settings (verify.sh sweeps it at 1/2/8).
-func GrayfailPerHost(scale float64) *Report {
-	_ = clampScale(scale)
-	r := newReport("grayfail-perhost", "gray-failure campaign on a per-host partitioned pod (probe client on its own partition)")
-	return grayfailRun(r, chaosPerHost)
-}
-
-func grayfailRun(r *Report, mode chaosMode) *Report {
 	const (
 		span        = 2200 * time.Millisecond
 		writerStop  = span - 200*time.Millisecond
@@ -90,17 +66,8 @@ func grayfailRun(r *Report, mode chaosMode) *Report {
 	cfg.Engine.TelemetryEvery = 40 * time.Millisecond
 	cfg.Allocator.Health = true // the campaign exists to exercise the scorer
 	cfg.RaftReplicas = 3
-	var group *sim.Group
-	var pod *oasis.Pod
-	switch mode {
-	case chaosOnePartition:
-		group = sim.NewGroup()
-		pod = oasis.NewPodOnEngine(group.AddPartition(), cfg)
-	case chaosPerHost:
-		pod = oasis.NewPerHostPod(cfg)
-	default:
-		pod = oasis.NewPod(cfg)
-	}
+	cfg.PerHostPartitions = x == PerHost
+	pod := oasis.NewPod(cfg)
 	host0 := pod.AddHost() // allocator + raft replica 0
 	host1 := pod.AddHost() // nic1: instA's primary, the lossy suspect
 	host2 := pod.AddHost() // nic2 (healthy peer, evacuation target) + ssd1 backend
@@ -245,13 +212,8 @@ func grayfailRun(r *Report, mode chaosMode) *Report {
 		}
 	})
 
-	if group != nil {
-		group.RunUntil(span + time.Second)
-		group.Shutdown()
-	} else {
-		pod.Run(span + time.Second)
-		pod.Shutdown()
-	}
+	pod.Run(span + time.Second) // fixed-length, external Shutdown: see chaosRun
+	pod.Shutdown()
 
 	// Cluster probe losses into outage windows.
 	type window struct{ start, end oasis.Duration }

@@ -1,48 +1,6 @@
 package experiments
 
-import (
-	"reflect"
-	"testing"
-)
-
-// TestGrayfailDeterministic is the acceptance gate for the gray-failure
-// campaign: all four degraded-mode faults fire, the health scorer must
-// evacuate both gray devices with the hard-failover machinery silent, and
-// the report must be byte-identical when rerun — the rerun happens under
-// SetParallelism(8), so one comparison covers both the replay contract and
-// the parallel runner (the same shape as TestChaosDeterministic).
-func TestGrayfailDeterministic(t *testing.T) {
-	defer SetParallelism(1)
-	SetParallelism(1)
-	serial := Grayfail(1.0)
-	if v := serial.Values["violations"]; v != 0 {
-		t.Fatalf("grayfail campaign violated %v invariant(s):\n%s", v, serial.String())
-	}
-	if serial.Values["health_nic_evacs"] < 1 || serial.Values["health_ssd_evacs"] < 1 {
-		t.Fatalf("health scorer did not evacuate both gray devices:\n%s", serial.String())
-	}
-	if serial.Values["nic_failovers"] != 0 || serial.Values["ssd_failovers"] != 0 {
-		t.Fatalf("gray faults tripped hard failovers:\n%s", serial.String())
-	}
-	// Captured at the parent of the stepped-sleep change (see
-	// TestChaosDeterministic).
-	const want = "e9ccc543f1fccbd3550b3a89492536cb0b05b8c13525b83cdc90ea58240dca86"
-	if got := reportDigest(serial); got != want {
-		t.Errorf("grayfail report digest = %s, want %s", got, want)
-	}
-	if testing.Short() {
-		return // invariants checked; skip the rerun under -short (race gate)
-	}
-	SetParallelism(8)
-	parallel := Grayfail(1.0)
-	if serial.String() != parallel.String() {
-		t.Errorf("grayfail report not byte-identical across reruns:\n--- serial ---\n%s--- parallel ---\n%s",
-			serial.String(), parallel.String())
-	}
-	if !reflect.DeepEqual(serial.Values, parallel.Values) {
-		t.Errorf("grayfail values differ across reruns: %v vs %v", serial.Values, parallel.Values)
-	}
-}
+import "testing"
 
 // TestBlackoutPrecopyBeatsStopTheWorld is the acceptance gate for pre-copy
 // migration: at every write rate in the grid the pre-copy blackout must be

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -29,5 +30,44 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Errorf("%s: parallel values differ from serial: %v vs %v",
 				id, serial.Values, parallel.Values)
 		}
+	}
+}
+
+// The rack sweep reads Parallelism() in one place, its analytic Part 2 (the
+// simulated rack never fans out), so that is where its -parallel invariance
+// is asserted — the full report's bytes are pinned by TestReportDigests.
+func TestRacksweepModelIgnoresParallelism(t *testing.T) {
+	defer SetParallelism(1)
+	model := func(workers int) *Report {
+		SetParallelism(workers)
+		r := newReport("racksweep", "model only")
+		racksweepModel(r, 0.05)
+		return r
+	}
+	serial, parallel := model(1), model(4)
+	if reportDigest(serial) != reportDigest(parallel) {
+		t.Errorf("pooling model differs across -parallel:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
+	}
+}
+
+// Exec names are the -exec flag's vocabulary; only the three campaigns that
+// have something to partition accept one.
+func TestExecNames(t *testing.T) {
+	for _, x := range []Exec{Serial, PerPod, PerHost} {
+		if got, ok := ParseExec(x.String()); !ok || got != x {
+			t.Errorf("ParseExec(%q) = %v, %v", x.String(), got, ok)
+		}
+	}
+	if _, ok := ParseExec("parallel"); ok {
+		t.Error("ParseExec accepted an unknown shape")
+	}
+	var got []string
+	for _, id := range IDs() {
+		if Partitionable(id) {
+			got = append(got, id)
+		}
+	}
+	if fmt.Sprint(got) != "[chaos grayfail racksweep]" {
+		t.Errorf("partitionable experiments = %v", got)
 	}
 }

@@ -8,50 +8,19 @@ import (
 	"oasis/internal/strand"
 )
 
-// rackSimResult is the outcome of the simulated rack sweep (Part 1),
-// shared verbatim by the serial and partitioned runners so the two modes'
-// reports can be compared byte for byte.
-type rackSimResult struct {
-	lines  []string
-	values map[string]float64
-	// partitions is the execution shape (1 serial; control + one per pod
-	// when partitioned). Kept out of values so the report bodies of the two
-	// modes stay byte-identical.
-	partitions int
-}
-
-// racksweepPhaseHook, when non-nil, is called at racksweepSim phase
-// boundaries ("build", "start", "place+spawn", "run", "shutdown"). The
-// speedup benchmark uses it to time the Run phase alone — construction is
-// serial in both modes and would dilute the comparison.
-var racksweepPhaseHook func(string)
-
-// racksweepSim runs the simulated rack: 8 pods x 64 hosts (512 hosts) on
-// one virtual clock. Instances are routed by the cluster's least-loaded
-// placement, a deliberate hot-spot is piled onto pod 0, and the rebalancer
-// migrates instances off it (epoch-fenced, §3.5 lifted to rack scope)
-// while three echo flows per pod run throughout. The run is fixed-length:
-// every process either finishes before the deadline or is unwound by the
-// post-run Shutdown, so the virtual timeline — and with it every counter —
-// is identical whether the pods execute serially on a shared engine or in
-// parallel as partitions of a sim.Group.
-// Execution shapes for the sweep. Serial and per-pod modes are
-// byte-comparable (same modeled topology, different execution); per-host
-// mode additionally splits every client onto a partition of its own behind
-// a RemotePort, which is a different modeled topology — its timeline is
-// compared only against itself (reruns, GOMAXPROCS settings).
-const (
-	rackSerial  = "serial"
-	rackPerPod  = "perpod"
-	rackPerHost = "perhost"
-)
-
-func racksweepSim(scale float64, mode string) rackSimResult {
-	mark := func(s string) {
-		if racksweepPhaseHook != nil {
-			racksweepPhaseHook(s)
-		}
-	}
+// racksweepSim runs the simulated rack (Part 1) into r: 8 pods x 64 hosts
+// (512 hosts) on one virtual clock. Instances are routed by the cluster's
+// least-loaded placement, a deliberate hot-spot is piled onto pod 0, and the
+// rebalancer migrates instances off it (epoch-fenced, §3.5 lifted to rack
+// scope) while three echo flows per pod run throughout. The run is
+// fixed-length: every process either finishes before the deadline or is
+// unwound by the post-run Shutdown, so the virtual timeline — and with it
+// every counter — is identical whether the pods execute serially on one
+// partition or in parallel on one each (Serial and PerPod: same modeled
+// topology, different execution). PerHost additionally splits every client
+// onto a partition of its own behind a RemotePort, which is a different
+// modeled topology — its timeline is compared only against itself.
+func racksweepSim(r *Report, scale float64, x Exec) {
 	const (
 		pods        = 8
 		hostsPerPod = 64 // 512 hosts total
@@ -70,14 +39,9 @@ func racksweepSim(scale float64, mode string) rackSimResult {
 	// instant in partitioned mode.
 	deadline := window + 8*time.Millisecond
 
-	var c *oasis.Cluster
-	switch mode {
-	case rackPerPod:
+	c := oasis.NewCluster()
+	if x != Serial {
 		c = oasis.NewPartitionedCluster()
-	case rackPerHost:
-		c = oasis.NewPerHostCluster()
-	default:
-		c = oasis.NewCluster()
 	}
 	clients := make([]*oasis.Client, pods*flowsPerPod)
 	for i := 0; i < pods; i++ {
@@ -86,6 +50,7 @@ func racksweepSim(scale float64, mode string) rackSimResult {
 		// pod is pure allocation churn at 8 pods; 256 MiB covers the NIC
 		// queues and instance state with room to spare.
 		cfg.PoolBytes = 256 << 20
+		cfg.PerHostPartitions = x == PerHost
 		p := c.AddPod(cfg)
 		for h := 0; h < hostsPerPod; h++ {
 			p.AddHost()
@@ -99,9 +64,7 @@ func racksweepSim(scale float64, mode string) rackSimResult {
 			clients[i*flowsPerPod+f] = p.AddClient(oasis.IP(10, byte(i), 99, byte(1+f)))
 		}
 	}
-	mark("build")
 	c.Start()
-	mark("start")
 
 	// Balanced placement through the cluster router (post-Start: exercises
 	// the incremental wiring path at rack scale).
@@ -152,9 +115,8 @@ func racksweepSim(scale float64, mode string) rackSimResult {
 					}
 				}
 			})
-			// Spawned in the client's execution domain: the pod's engine in
-			// serial/per-pod mode (identical to GoPod there), the client's
-			// own partition in per-host mode.
+			// Spawned in the client's execution domain: the pod's partition
+			// (identical to GoPod) unless the client has one of its own.
 			client.Go(fmt.Sprintf("rack-client%d-%d", i, f), func(p *oasis.Proc) {
 				conn, err := client.Stack.ListenUDP(0)
 				if err != nil {
@@ -177,10 +139,9 @@ func racksweepSim(scale float64, mode string) rackSimResult {
 	}
 
 	// The rebalancer is the only cross-pod actor: spawned with Cluster.Go,
-	// it becomes a mobile process in partitioned mode, hopping between pods
-	// for each migration step. It returns when the rack is even; from then
-	// on no cross-pod coupling remains and the conservative windows open to
-	// the full deadline.
+	// it is a mobile process, hopping between pods for each migration step.
+	// It returns when the rack is even; from then on no cross-pod coupling
+	// remains and the conservative windows open to the full deadline.
 	migrations := 0
 	var final []int
 	c.Go("rack-balancer", func(p *oasis.Proc) {
@@ -194,11 +155,8 @@ func racksweepSim(scale float64, mode string) rackSimResult {
 		}
 		final = perPod()
 	})
-	mark("place+spawn")
 	c.Run(deadline)
-	mark("run")
 	c.Shutdown()
-	mark("shutdown")
 
 	spread := func(v []int) int {
 		min, max := v[0], v[0]
@@ -216,38 +174,27 @@ func racksweepSim(scale float64, mode string) rackSimResult {
 	for _, n := range echoes {
 		totalEchoes += n
 	}
-	res := rackSimResult{values: map[string]float64{}, partitions: c.Partitions()}
-	addf := func(format string, args ...any) {
-		res.lines = append(res.lines, fmt.Sprintf(format, args...))
-	}
-	addf("rack: %d pods x %d hosts = %d hosts, %d NICs + 1 SSD per pod, one virtual clock",
+	r.addf("rack: %d pods x %d hosts = %d hosts, %d NICs + 1 SSD per pod, one virtual clock",
 		pods, hostsPerPod, pods*hostsPerPod, nicsPerPod)
-	addf("placement: %d instances routed least-loaded -> per-pod %v (spread %d)",
+	r.addf("placement: %d instances routed least-loaded -> per-pod %v (spread %d)",
 		pods*instPerPod, balanced, spread(balanced))
-	addf("hot-spot:  +%d on pod0 -> %v (spread %d)", hotspot, skewed, spread(skewed))
-	addf("rebalance: %d cross-pod migrations -> %v (spread %d)", migrations, final, spread(final))
-	addf("traffic:   %d echo flows alive throughout, %d echoes total", pods*flowsPerPod, totalEchoes)
-	res.values["hosts"] = float64(pods * hostsPerPod)
-	res.values["pods"] = float64(pods)
-	res.values["spread_balanced"] = float64(spread(balanced))
-	res.values["spread_skewed"] = float64(spread(skewed))
-	res.values["spread_final"] = float64(spread(final))
-	res.values["migrations"] = float64(migrations)
-	res.values["echoes"] = float64(totalEchoes)
-	return res
+	r.addf("hot-spot:  +%d on pod0 -> %v (spread %d)", hotspot, skewed, spread(skewed))
+	r.addf("rebalance: %d cross-pod migrations -> %v (spread %d)", migrations, final, spread(final))
+	r.addf("traffic:   %d echo flows alive throughout, %d echoes total", pods*flowsPerPod, totalEchoes)
+	r.Values["hosts"] = float64(pods * hostsPerPod)
+	r.Values["pods"] = float64(pods)
+	r.Values["spread_balanced"] = float64(spread(balanced))
+	r.Values["spread_skewed"] = float64(spread(skewed))
+	r.Values["spread_final"] = float64(spread(final))
+	r.Values["migrations"] = float64(migrations)
+	r.Values["echoes"] = float64(totalEchoes)
 }
 
-// renderRacksweep assembles the full report from a Part-1 sim result plus
-// the Part-2 analytic model.
-func renderRacksweep(r *Report, sim rackSimResult, scale float64) *Report {
-	for _, l := range sim.lines {
-		r.addf("%s", l)
-	}
-	for k, v := range sim.values {
-		r.Values[k] = v
-	}
-
-	// --- Part 2: the pooling model at 1000s of hosts. ---
+// racksweepModel appends Part 2 to r: the §2.2 pooling model at 1000s of
+// hosts, pod sizes 8-64, trials fanned out over internal/par. Per-worker
+// results reduce in trial order, so the report is byte-identical at any
+// -parallel setting.
+func racksweepModel(r *Report, scale float64) {
 	sc := strand.DefaultConfig()
 	sc.Hosts = int(2048 * scale)
 	if sc.Hosts < 512 {
@@ -267,76 +214,21 @@ func renderRacksweep(r *Report, sim rackSimResult, scale float64) *Report {
 	}
 	r.addf("paper: stranding keeps falling as the pooling domain grows; composing pods")
 	r.addf("       extends §2.2's single-pod gains to the whole rack")
-	return r
 }
 
 // Racksweep extends Table 2 / Figure 2 from a single pod to a rack: a
 // real multi-pod Cluster simulation of 512 hosts (placement, hot-spot
-// migration, live traffic — every pod on one virtual clock, executed
-// serially), paired with the analytic stranding model pushed to thousands
-// of hosts.
-//
-// Part 2 (analytic): the §2.2 pooling model at 1000s of hosts, pod sizes
-// 8-64, trials fanned out over internal/par. Per-worker results reduce in
-// trial order, so the report is byte-identical at any -parallel setting.
-func Racksweep(scale float64) *Report {
+// migration, live traffic — every pod on one virtual clock), paired with
+// the analytic stranding model pushed to thousands of hosts. Under PerPod
+// each pod advances on a partition of its own (33 partitions under PerHost,
+// one more per client); the serial and per-pod reports are byte-identical
+// at any GOMAXPROCS — only wall-clock time changes.
+func Racksweep(scale float64) *Report { return racksweepRun(scale, exec) }
+
+func racksweepRun(scale float64, x Exec) *Report {
 	scale = clampScale(scale)
 	r := newReport("racksweep", "Rack-scale utilization sweep (multi-pod cluster + pooling model)")
-	return renderRacksweep(r, racksweepSim(scale, rackSerial), scale)
-}
-
-// RacksweepSimTimed runs just the simulated rack (no analytic Part 2) and
-// returns the wall-clock seconds spent inside the Run phase — the part
-// partitioned execution parallelizes; construction and wiring are serial
-// in either mode — plus the partition count and the report values. This is
-// the surface behind the make-bench partitions=1 vs partitions=N
-// comparison row. Wall-clock gain from the partitioned mode scales with
-// available cores; even on one core the per-pod heap split wins ~1.5×
-// (see DESIGN.md §8, partitioned execution).
-func RacksweepSimTimed(scale float64, partitioned bool) (runSeconds float64, partitions int, values map[string]float64) {
-	mode := rackSerial
-	if partitioned {
-		mode = rackPerPod
-	}
-	return RacksweepSimTimedMode(scale, mode)
-}
-
-// RacksweepSimTimedMode is RacksweepSimTimed with the execution shape
-// named explicitly: "serial", "perpod" (one partition per pod), or
-// "perhost" (per-pod plus one partition per client).
-func RacksweepSimTimedMode(scale float64, mode string) (runSeconds float64, partitions int, values map[string]float64) {
-	var t0 time.Time
-	racksweepPhaseHook = func(s string) {
-		switch s {
-		case "place+spawn":
-			t0 = time.Now()
-		case "run":
-			runSeconds = time.Since(t0).Seconds()
-		}
-	}
-	defer func() { racksweepPhaseHook = nil }()
-	res := racksweepSim(clampScale(scale), mode)
-	return runSeconds, res.partitions, res.values
-}
-
-// RacksweepPartitioned is Racksweep with the rack in partitioned execution
-// mode: each pod on its own sim partition, advancing in parallel under
-// conservative windows. The simulated results are byte-identical to the
-// serial runner at any GOMAXPROCS — only wall-clock time changes.
-func RacksweepPartitioned(scale float64) *Report {
-	scale = clampScale(scale)
-	r := newReport("racksweep-par", "Rack-scale utilization sweep (partitioned: one sim partition per pod)")
-	return renderRacksweep(r, racksweepSim(scale, rackPerPod), scale)
-}
-
-// RacksweepPerHost is the sweep in per-host partitioned mode: one
-// partition per pod AND one per client (33 partitions at the default
-// shape), so load generation advances in parallel with the pods it
-// drives. The remote client attachment adds real cable latency, so this
-// report is not byte-comparable to the serial runner; the per-host
-// timeline itself is byte-identical across reruns and GOMAXPROCS.
-func RacksweepPerHost(scale float64) *Report {
-	scale = clampScale(scale)
-	r := newReport("racksweep-perhost", "Rack-scale utilization sweep (per-host: pods and clients on own partitions)")
-	return renderRacksweep(r, racksweepSim(scale, rackPerHost), scale)
+	racksweepSim(r, scale, x)
+	racksweepModel(r, scale)
+	return r
 }

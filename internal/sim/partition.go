@@ -50,8 +50,10 @@
 //
 // Zero-lookahead couplings (shared-core hosts, intra-pod links) are not
 // expressible as CrossLinks — the affected processes must share one
-// partition. A degenerate one-partition group delegates RunUntil straight
-// to the engine, reducing byte-for-byte to the serial loop.
+// partition. A degenerate one-partition group IS its engine: RunUntil, Now
+// and Shutdown delegate straight to it and a same-partition Hop is a Sleep,
+// so it reduces byte-for-byte to the serial loop — which is why serial
+// execution needs no code of its own above this package.
 package sim
 
 import (
@@ -188,8 +190,15 @@ func (g *Group) Partition(i int) *Engine {
 func (g *Group) Partitions() int { return len(g.parts) }
 
 // Now returns the committed group time — the minimum partition commit:
-// every partition has executed all events up to and including it.
-func (g *Group) Now() Duration { return g.now }
+// every partition has executed all events up to and including it. A
+// one-partition group has nothing to commit between: it reads the engine's
+// live clock, from inside a run as well as between runs.
+func (g *Group) Now() Duration {
+	if len(g.parts) == 1 {
+		return g.parts[0].now
+	}
+	return g.now
+}
 
 // Procs returns the number of live processes across all partitions.
 func (g *Group) Procs() int {
@@ -781,8 +790,14 @@ func (g *Group) Run() Duration { return g.RunUntil(MaxTime) }
 // Shutdown terminates the whole group: the persistent workers exit, every
 // partition's processes unwind (including mobile processes caught mid-hop)
 // and pending events drop. Must not be called while RunUntil is executing
-// a window.
+// a window — there a partition's "now" is not a single global instant. A
+// one-partition group has no windows, workers or transfers: it is
+// Engine.Shutdown, safe from a process or callback mid-run.
 func (g *Group) Shutdown() {
+	if len(g.parts) == 1 {
+		g.parts[0].Shutdown()
+		return
+	}
 	if g.running {
 		panic("sim: Group.Shutdown called during a window")
 	}

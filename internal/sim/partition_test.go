@@ -69,6 +69,101 @@ func TestDegenerateGroupMatchesSerial(t *testing.T) {
 	}
 }
 
+// degenerateRun is the cluster-shaped use of a one-partition group next to
+// the bare engine it must equal: a driver spawned mobile that hops (always to
+// its own partition), reads the group clock mid-run and finally shuts the
+// simulation down from inside it, with other processes still parked on
+// timers and signals. The bare form spells the same thing Go + Sleep +
+// Engine.Now + Engine.Shutdown. Every trace line carries the engine's
+// sequence counter, so equal traces mean equal (time, seq).
+func degenerateRun(grouped bool) (string, Duration, Counters, int) {
+	const hop = 2 * time.Microsecond
+	tr := &trace{}
+	e := New()
+	var g *Group
+	if grouped {
+		g = NewGroup()
+		g.SetMobileLatency(hop)
+		e = g.AddPartition()
+	}
+	pingWorkload(e, tr, "w")
+	stuck := NewSignal(e)
+	e.Go("never-signaled", func(p *Proc) { stuck.Wait(p) })
+	e.Go("ticker", func(p *Proc) {
+		for {
+			p.Sleep(900 * time.Nanosecond)
+			tr.log(p.Now(), "tick seq %d", e.seq)
+		}
+	})
+	driver := func(p *Proc) {
+		for leg := 0; leg < 3; leg++ {
+			var now Duration
+			if grouped {
+				g.Hop(p, e)
+				now = g.Now()
+			} else {
+				p.Sleep(hop)
+				now = e.Now()
+			}
+			tr.log(now, "driver leg %d at %v seq %d", leg, p.Now(), e.seq)
+		}
+		if grouped {
+			g.Shutdown()
+		} else {
+			e.Shutdown()
+		}
+	}
+	var end Duration
+	if grouped {
+		g.GoMobile(e, "driver", driver)
+		end = g.RunUntil(time.Millisecond)
+	} else {
+		e.Go("driver", driver)
+		end = e.RunUntil(time.Millisecond)
+	}
+	return tr.String(), end, e.Counters(), e.Procs()
+}
+
+// The rest of the degenerate contract, which lets every pod and cluster run
+// on a group with no serial code path beside it: on one partition GoMobile +
+// Hop is Go + Sleep event for event, Group.Now read from a process is the
+// engine's live clock, and a Shutdown called by a process mid-RunUntil
+// unwinds exactly as Engine.Shutdown does.
+func TestDegenerateGroupHopNowShutdown(t *testing.T) {
+	sTrace, sEnd, sCtr, sProcs := degenerateRun(false)
+	gTrace, gEnd, gCtr, gProcs := degenerateRun(true)
+	if !strings.Contains(sTrace, "driver leg 2 at 6µs") || !strings.Contains(sTrace, "tick") {
+		t.Fatalf("scenario incomplete:\n%s", sTrace)
+	}
+	if sTrace != gTrace {
+		t.Fatalf("one-partition group diverged from the bare engine:\n--- engine ---\n%s\n--- group ---\n%s", sTrace, gTrace)
+	}
+	if sEnd != gEnd || sCtr != gCtr {
+		t.Fatalf("after a mid-run Shutdown: engine clock %v counters %+v, group clock %v counters %+v", sEnd, sCtr, gEnd, gCtr)
+	}
+	if sProcs != 0 || gProcs != 0 {
+		t.Fatalf("processes leaked through Shutdown: engine %d, group %d", sProcs, gProcs)
+	}
+}
+
+// With more than one partition a mid-window Shutdown is still refused: the
+// caller's "now" is one partition's, not a global instant.
+func TestGroupShutdownDuringWindowPanics(t *testing.T) {
+	g := NewGroup()
+	a, b := g.AddPartition(), g.AddPartition()
+	g.Link(a, b, time.Microsecond)
+	var got any
+	a.After(time.Microsecond, func() {
+		defer func() { got = recover() }()
+		g.Shutdown()
+	})
+	g.RunUntil(3 * time.Microsecond)
+	if msg := fmt.Sprint(got); !strings.Contains(msg, "during a window") {
+		t.Fatalf("mid-window Shutdown on two partitions: recovered %q, want the during-a-window panic", msg)
+	}
+	g.Shutdown()
+}
+
 // crossWorkload builds an N-partition simulation where every partition runs
 // a local workload and periodically fires events into its ring neighbor
 // through a CrossLink. Returns the merged trace (sorted by construction:

@@ -39,7 +39,7 @@
 //
 // # Clusters
 //
-// Cluster composes pods into a rack-scale topology on one shared engine:
+// Cluster composes pods into a rack-scale topology on one virtual clock:
 // each pod keeps its own CXL pool, ToR switch, allocator, and raft group,
 // while the cluster routes instance placements to the least-loaded pod and
 // migrates instances (with their volumes, epoch-fenced) between pods on
@@ -79,7 +79,6 @@ import (
 	"oasis/internal/sim"
 	"oasis/internal/ssd"
 	"oasis/internal/storengine"
-	"oasis/internal/topo"
 )
 
 // Re-exported simulation handles so applications only import this package.
@@ -120,6 +119,16 @@ type Config struct {
 	// 64 B message channels across the first N pod hosts (§3.5). 0 disables
 	// replication; otherwise it must be an odd count ≥ 3 and ≤ len(hosts).
 	RaftReplicas int
+	// PerHostPartitions gives every AddClient — and every AddGuest, which
+	// requires it — a simulation partition of its own, so load generation and
+	// guest compute advance in parallel with the pod core under the group's
+	// conservative windows. A client then attaches through a switch
+	// RemotePort (one extra cable hop each way, the declared lookahead), a
+	// guest through a channel at the pool's cross-host latency: a different
+	// modeled topology, so the timeline differs from the same pod without
+	// the field — and is itself byte-identical across reruns and GOMAXPROCS
+	// settings. In a cluster it needs NewPartitionedCluster.
+	PerHostPartitions bool
 }
 
 // DefaultConfig mirrors the paper's evaluation platform (§5): a CXL 2.0
@@ -151,38 +160,6 @@ type Pod struct {
 // names, local fault targets).
 func NewPod(cfg Config) *Pod {
 	return &Pod{Topology: NewTopology(cfg)}
-}
-
-// NewPodOnEngine creates an empty standalone pod driven by a
-// caller-supplied engine — typically a partition of a sim.Group — instead
-// of a private one. Identity stays flat (unscoped) like NewPod; lifecycle
-// calls on the pod delegate to the given engine, but in a group the
-// group's own RunUntil/Shutdown drive the clock.
-func NewPodOnEngine(eng *sim.Engine, cfg Config) *Pod {
-	return &Pod{Topology: newTopology(eng, cfg, topo.Unscoped, false)}
-}
-
-// NewPerHostPod creates an empty standalone pod in per-host partitioned
-// execution mode: the pod core — hosts, CXL pool, ToR switch, devices,
-// instances — runs on partition 0 of a private sim.Group, every AddClient
-// gets a partition of its own behind a switch RemotePort (the cable
-// extension is the declared lookahead), and AddGuest adds host-compute
-// partitions coupled through the pool at its intrinsic cross-host latency.
-// Pod.Run/Shutdown/Now drive the whole group, so single-pod experiments
-// exploit multiple cores: load generation and guest compute advance in
-// parallel with the pod under the group's conservative windows.
-//
-// The remote attachment adds real modeled latency (one extra cable hop
-// each way), so a per-host run's virtual timeline differs from the same
-// pod built with NewPod — per-host mode is a different physical topology,
-// not a different execution of the same one. What partitioned execution
-// guarantees is that the per-host timeline itself is byte-identical across
-// reruns and GOMAXPROCS settings.
-func NewPerHostPod(cfg Config) *Pod {
-	g := sim.NewGroup()
-	t := newTopology(g.AddPartition(), cfg, topo.Unscoped, true)
-	t.group = g
-	return &Pod{Topology: t}
 }
 
 // Snapshot is the structured result of Pod.Stats: a sorted, deterministic

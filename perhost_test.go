@@ -3,17 +3,23 @@ package oasis
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"oasis/internal/metrics"
 )
 
+func perHostConfig() Config {
+	cfg := DefaultConfig()
+	cfg.PerHostPartitions = true
+	return cfg
+}
+
 // buildPerHostEchoPod is buildEchoPod's per-host twin: the pod core on
 // partition 0, the client on a partition of its own behind a RemotePort.
 func buildPerHostEchoPod() *echoPod {
-	cfg := DefaultConfig()
-	pod := NewPerHostPod(cfg)
+	pod := NewPod(perHostConfig())
 	hostA := pod.AddHost()
 	hostB := pod.AddHost()
 	n1 := pod.AddNIC(hostB, false)
@@ -95,12 +101,9 @@ func TestPerHostPodDeterministic(t *testing.T) {
 // TestPerHostPodShape checks the partition layout: pod core + one
 // partition per client.
 func TestPerHostPodShape(t *testing.T) {
-	pod := NewPerHostPod(DefaultConfig())
-	if !pod.PerHost() || pod.Group() == nil {
-		t.Fatal("NewPerHostPod did not enter per-host mode")
-	}
+	pod := NewPod(perHostConfig())
 	pod.AddHost()
-	if got := pod.Group().Partitions(); got != 1 {
+	if got := pod.group.Partitions(); got != 1 {
 		t.Fatalf("pod core alone should be 1 partition, got %d", got)
 	}
 	c1 := pod.AddClient(IP(10, 0, 99, 1))
@@ -108,7 +111,7 @@ func TestPerHostPodShape(t *testing.T) {
 	if !c1.Remote() || !c2.Remote() {
 		t.Fatal("per-host clients should attach remotely")
 	}
-	if got := pod.Group().Partitions(); got != 3 {
+	if got := pod.group.Partitions(); got != 3 {
 		t.Fatalf("pod + 2 clients should be 3 partitions, got %d", got)
 	}
 }
@@ -117,10 +120,10 @@ func TestPerHostPodShape(t *testing.T) {
 // process ping-pongs RPCs with a pod-side responder over the CXL-pool
 // channel, whose latency is the pool's intrinsic cross-host minimum.
 func TestPerHostGuestChannel(t *testing.T) {
-	pod := NewPerHostPod(DefaultConfig())
+	pod := NewPod(perHostConfig())
 	h := pod.AddHost()
 	g := pod.AddGuest(h)
-	if got := pod.Group().Partitions(); got != 2 {
+	if got := pod.group.Partitions(); got != 2 {
 		t.Fatalf("pod + guest should be 2 partitions, got %d", got)
 	}
 	if lat := g.Chan.Latency(); lat != pod.Pool.CrossLatency() {
@@ -160,12 +163,15 @@ func TestPerHostGuestChannel(t *testing.T) {
 	}
 }
 
-// TestAddGuestNeedsPerHostPod: a serial pod has no partition group for a
-// guest to join.
+// TestAddGuestNeedsPerHostPod: a guest is a partition by definition, so a
+// pod that keeps everything on one refuses it and names the field to set.
 func TestAddGuestNeedsPerHostPod(t *testing.T) {
 	pod := NewPod(DefaultConfig())
 	h := pod.AddHost()
-	if _, err := pod.AddGuestErr(h); err == nil {
-		t.Fatal("AddGuestErr on a serial pod should fail")
+	if _, err := pod.AddGuestErr(h); err == nil || !strings.Contains(err.Error(), "Config.PerHostPartitions") {
+		t.Fatalf("AddGuestErr on a serial pod: err %v, want one naming Config.PerHostPartitions", err)
+	}
+	if c := pod.AddClient(IP(10, 0, 99, 1)); c.Remote() || pod.group.Partitions() != 1 {
+		t.Fatal("a serial pod's client must share the pod's only partition")
 	}
 }

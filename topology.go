@@ -143,11 +143,11 @@ func (i *Instance) WaitReady(p *Proc, timeout Duration) bool {
 }
 
 // Client is a load-generator node outside the pod, attached directly to
-// the ToR switch (the paper's "network load driver", §5). In a per-host
-// partitioned pod (NewPerHostPod) each client is a simulation partition of
-// its own, attached through a netsw.RemotePort — the cable extension is
-// the declared cross-partition lookahead — so client-side load generation
-// runs in parallel with the pod core.
+// the ToR switch (the paper's "network load driver", §5). With
+// Config.PerHostPartitions each client is a simulation partition of its
+// own, attached through a netsw.RemotePort — the cable extension is the
+// declared cross-partition lookahead — so client-side load generation runs
+// in parallel with the pod core.
 type Client struct {
 	Stack  *netstack.Stack
 	SwPort *netsw.Port
@@ -179,10 +179,10 @@ func (c *Client) Transmit(p *Proc, frame []byte) {
 func (c *Client) DeliverFrame(f *netsw.Frame) { c.Stack.DeliverFrame(f.Bytes) }
 
 // Go spawns an application process in the client's execution domain: its
-// own partition in per-host mode, the pod engine otherwise (where this is
-// identical to Topology.Go). Processes that touch the client's stack must
-// be spawned here — in per-host mode the stack lives on the client's
-// partition and may not be driven from the pod's.
+// own partition with Config.PerHostPartitions, the pod engine otherwise
+// (where this is identical to Topology.Go). Processes that touch the
+// client's stack must be spawned here — a partitioned client's stack may not
+// be driven from the pod's partition.
 func (c *Client) Go(name string, fn func(p *Proc)) { c.eng.Go(name, fn) }
 
 // Eng returns the engine the client executes on.
@@ -227,15 +227,13 @@ type Topology struct {
 	// prefix every host, device, driver, and metric name with "pod<P>/".
 	podIndex int
 	scope    string
-	// ownEngine is false for cluster pods sharing the cluster's engine.
-	ownEngine bool
 
-	// group is non-nil in per-host partitioned mode (NewPerHostPod, or a
-	// per-host cluster): the pod core — hosts, pool, switch, devices,
-	// instances — runs on Eng, while every AddClient gets a partition of
-	// its own behind a RemotePort and AddGuest adds host-compute
-	// partitions coupled through the CXL pool. Lifecycle calls drive the
-	// group when the topology owns its engine.
+	// group is the partition group Eng belongs to — the pod's own, or its
+	// cluster's — and what Run, Shutdown and Now drive. The pod core (hosts,
+	// pool, switch, devices, instances) runs on Eng; serial execution is the
+	// case where nothing ever asks the group for a second partition, and a
+	// one-partition group is its engine (see internal/sim). With
+	// Config.PerHostPartitions AddClient and AddGuest each ask for one.
 	group *sim.Group
 	// guests are the per-host compute partitions added with AddGuest.
 	guests []*Guest
@@ -250,16 +248,19 @@ type Topology struct {
 	obsPorts   int
 }
 
-// NewTopology creates an empty standalone topology with its own engine.
+// NewTopology creates an empty standalone topology on partition 0 of a
+// group of its own.
 func NewTopology(cfg Config) *Topology {
-	return newTopology(sim.New(), cfg, topo.Unscoped, true)
+	g := sim.NewGroup()
+	return newTopology(g, g.AddPartition(), cfg, topo.Unscoped)
 }
 
-// newTopology builds the graph shell on an engine. podIndex scopes every
-// name when the topology joins a cluster.
-func newTopology(eng *sim.Engine, cfg Config, podIndex int, ownEngine bool) *Topology {
+// newTopology builds the graph shell on partition eng of g. podIndex scopes
+// every name when the topology joins a cluster.
+func newTopology(g *sim.Group, eng *sim.Engine, cfg Config, podIndex int) *Topology {
 	return &Topology{
 		Eng:        eng,
+		group:      g,
 		Pool:       cxl.NewPool(eng, cfg.PoolBytes, cfg.CXL),
 		Switch:     netsw.New(eng, cfg.Switch),
 		NICs:       make(map[uint16]*NIC),
@@ -272,7 +273,6 @@ func newTopology(eng *sim.Engine, cfg Config, podIndex int, ownEngine bool) *Top
 		nextMAC:    0x02_00_00_00_00_01, // locally administered
 		podIndex:   podIndex,
 		scope:      topo.Scope(podIndex),
-		ownEngine:  ownEngine,
 		nodes:      make(map[string]bool),
 		obsDrivers: make(map[*core.Driver]bool),
 	}
@@ -595,15 +595,15 @@ func (t *Topology) AddInstance(on *Host, ip netstack.IP) *Instance {
 }
 
 // AddClientErr attaches a raw load-generator node to the switch. After
-// Start its stack is started immediately. In per-host mode the client
-// becomes a simulation partition of its own: the switch attachment is a
-// RemotePort (one extra cable hop each way, declared as lookahead) and the
+// Start its stack is started immediately. With Config.PerHostPartitions the
+// client becomes a simulation partition of its own: the switch attachment is
+// a RemotePort (one extra cable hop each way, declared as lookahead) and the
 // client's stack — plus anything spawned with Client.Go — executes on the
 // new partition, in parallel with the pod core.
 func (t *Topology) AddClientErr(ip netstack.IP) (*Client, error) {
 	name := t.scope + fmt.Sprintf("client-%v", ip)
 	c := &Client{mac: t.allocMAC(), eng: t.Eng}
-	if t.group != nil {
+	if t.cfg.PerHostPartitions {
 		c.eng = t.group.AddPartition()
 		c.remote = t.Switch.AttachRemotePort(t.group, name, c.eng, c, 0)
 		c.SwPort = c.remote.Port()
@@ -623,7 +623,7 @@ func (t *Topology) AddClientErr(ip netstack.IP) (*Client, error) {
 // AddClient is the legacy panic-on-error wrapper around AddClientErr.
 func (t *Topology) AddClient(ip netstack.IP) *Client { return must(t.AddClientErr(ip)) }
 
-// Guest is a per-host compute partition (per-host mode only): application
+// Guest is a per-host compute partition (Config.PerHostPartitions): application
 // code that runs on a pod host's spare cores but is coupled to the pod
 // only through channels over the CXL pool, so it can execute on a
 // simulation partition of its own. The pool's intrinsic minimum cross-host
@@ -645,13 +645,13 @@ func (g *Guest) Host() *Host { return g.host }
 // Go spawns an application process on the guest's partition.
 func (g *Guest) Go(name string, fn func(p *Proc)) { g.Eng.Go(name, fn) }
 
-// AddGuestErr adds a guest-compute partition on host h. Only per-host
-// topologies (NewPerHostPod) can host guests: the guest needs a partition
-// group to join. The returned guest's channel ends carry its RPCs to the
-// pod at CXL-pool latency.
+// AddGuestErr adds a guest-compute partition on host h. Only a pod built
+// with Config.PerHostPartitions can host guests: a guest is a partition by
+// definition. The returned guest's channel ends carry its RPCs to the pod at
+// CXL-pool latency.
 func (t *Topology) AddGuestErr(h *Host) (*Guest, error) {
-	if t.group == nil {
-		return nil, fmt.Errorf("oasis: AddGuest on %s needs a per-host pod (NewPerHostPod)", h.H.Name)
+	if !t.cfg.PerHostPartitions {
+		return nil, fmt.Errorf("oasis: AddGuest on %s needs a pod built with Config.PerHostPartitions", h.H.Name)
 	}
 	ge := t.group.AddPartition()
 	gEnd, pEnd := core.NewCrossChannel(t.group, ge, t.Eng, t.Pool.CrossLatency())
@@ -710,43 +710,19 @@ func (t *Topology) Start() {
 // workloads spawn with Client.Go, guest workloads with Guest.Go.
 func (t *Topology) Go(name string, fn func(p *Proc)) { t.Eng.Go(name, fn) }
 
-// Run executes d of virtual time and returns the clock — the whole
-// partition group's in per-host mode. Cluster pods share the cluster
-// engine; drive them with Cluster.Run instead.
-func (t *Topology) Run(d Duration) Duration {
-	if t.group != nil && t.ownEngine {
-		return t.group.RunUntil(d)
-	}
-	return t.Eng.RunUntil(d)
-}
+// Run executes d of virtual time on every partition of the pod's group and
+// returns the clock. A cluster pod's group is the cluster's: this is
+// Cluster.Run.
+func (t *Topology) Run(d Duration) Duration { return t.group.RunUntil(d) }
 
-// Shutdown unwinds all processes (end of an experiment) — on every
-// partition in per-host mode. In group mode call it only from outside the
+// Shutdown unwinds all processes (end of an experiment) on every partition.
+// Once the group has more than one partition, call it only from outside the
 // simulation, between Run calls.
-func (t *Topology) Shutdown() {
-	if t.group != nil && t.ownEngine {
-		t.group.Shutdown()
-		return
-	}
-	t.Eng.Shutdown()
-}
+func (t *Topology) Shutdown() { t.group.Shutdown() }
 
-// Now returns the virtual clock: the committed (barrier) time in per-host
-// mode.
-func (t *Topology) Now() Duration {
-	if t.group != nil && t.ownEngine {
-		return t.group.Now()
-	}
-	return t.Eng.Now()
-}
-
-// Group returns the partition group behind a per-host topology, or nil
-// for the ordinary single-engine (or cluster-driven) forms.
-func (t *Topology) Group() *sim.Group { return t.group }
-
-// PerHost reports whether clients (and guests) get partitions of their
-// own.
-func (t *Topology) PerHost() bool { return t.group != nil }
+// Now returns the virtual clock: the engine's while the pod is the group's
+// only partition, the committed (barrier) time otherwise.
+func (t *Topology) Now() Duration { return t.group.Now() }
 
 // FailNICPort injects the paper's §5.3 failure: the switch port connected
 // to the NIC is disabled.

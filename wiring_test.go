@@ -176,11 +176,11 @@ func TestWiringDigests(t *testing.T) {
 			return digestRun(pod, 11*time.Millisecond)
 		}},
 		{"cluster-migration-serial", digestClusterMove, func(t *testing.T) []byte {
-			_, snap, _ := runClusterScenario(t, false)
+			_, snap, _ := runClusterScenario(t, false, 0)
 			return snap
 		}},
 		{"cluster-migration-partitioned", digestClusterMove, func(t *testing.T) []byte {
-			_, snap, _ := runClusterScenario(t, true)
+			_, snap, _ := runClusterScenario(t, true, 0)
 			return snap
 		}},
 	}
