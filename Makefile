@@ -79,7 +79,9 @@ grayfail:
 blackout:
 	$(GO) run ./cmd/oasis-bench -run blackout
 
-# Replay the FuzzParsePlan seed corpus as a plain regression test (no long
-# fuzzing); run `go test -fuzz=FuzzParsePlan ./internal/faults` to explore.
+# Replay the fuzz seed corpora as plain regression tests (no long fuzzing;
+# scripts/verify.sh runs them through this target): the fault-plan grammar
+# and the control codec. To explore, `go test -fuzz=FuzzParsePlan
+# ./internal/faults` or `go test -fuzz=FuzzControlCodec ./internal/core`.
 fuzz:
-	$(GO) test -run FuzzParsePlan -v ./internal/faults
+	$(GO) test -run 'Fuzz' ./internal/faults ./internal/core

@@ -6,20 +6,22 @@
 //
 // The allocator converses with every frontend and backend driver over the
 // datapath's message channels, speaking the shared control protocol
-// (core.ControlMsg) that all device engines use. NICs and SSDs share the
-// telemetry/lease path: host failures are inferred from missing telemetry
-// (lease expiry), NIC failures also arrive as explicit link-down reports.
-// A failed NIC triggers transparent failover (§3.3.3); a failed SSD triggers
-// the same mechanism applied to storage — volumes re-bind onto the pod's
-// backup drive under a bumped fencing epoch, or are declared lost when no
-// backup exists (§3.4's error propagation). When every lease-tracked device
-// on a host expires in the same pass, the host is presumed dead and all of
-// its engines have been re-placed onto survivors. State can be replicated
-// across peers with the raft package (see Replicate), matching §3.5's
-// "replicated with Raft" design; a Propose that fails (e.g. mid-election
-// after a leader crash) is retried with exponential backoff, and an
-// allocator that was itself off the air rebuilds its leases from the next
-// telemetry window instead of mass-expiring survivors.
+// (core.ControlMsg) that all device engines use. It tracks devices, not NICs
+// and SSDs: one record per device, one telemetry/lease path for every kind.
+// Host failures are inferred from missing telemetry (lease expiry), device
+// failures also arrive as explicit link-down reports or as a telemetry record
+// that says so. What a failure sets off is per-kind policy: a failed NIC
+// triggers transparent failover (§3.3.3); a failed SSD triggers the same
+// mechanism applied to storage — volumes re-bind onto the pod's backup drive
+// under a bumped fencing epoch, or are declared lost when no backup exists
+// (§3.4's error propagation). When every lease-tracked device on a host
+// expires in the same pass, the host is presumed dead and all of its engines
+// have been re-placed onto survivors. State can be replicated across peers
+// with the raft package (see Replicate), matching §3.5's "replicated with
+// Raft" design; a Propose that fails (e.g. mid-election after a leader crash)
+// is retried with exponential backoff, and an allocator that was itself off
+// the air rebuilds its leases from the next telemetry window instead of
+// mass-expiring survivors.
 package allocator
 
 import (
@@ -41,10 +43,6 @@ type Config struct {
 	// its host is presumed dead: a NIC's instances are failed over, an SSD
 	// is marked down.
 	LeaseTimeout sim.Duration
-	// PollCost is the allocator core's per-iteration cost.
-	PollCost sim.Duration
-	// Burst bounds messages drained per link per iteration.
-	Burst int
 
 	// Rebalance enables the §6 "load balancing policies" extension: when a
 	// NIC's telemetry-reported load exceeds RebalanceHigh (fraction of
@@ -93,8 +91,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		LeaseTimeout:     300 * time.Millisecond,
-		PollCost:         200 * time.Nanosecond,
-		Burst:            32,
 		RebalanceHigh:    0.80,
 		RebalanceLow:     0.50,
 		RebalanceEvery:   500 * time.Millisecond,
@@ -108,49 +104,60 @@ func DefaultConfig() Config {
 	}
 }
 
-// idleCap bounds the allocator core's idle backoff.
-const idleCap = 20 * time.Microsecond
+// The allocator core's pacing: per-iteration cost, the bound on its idle
+// backoff, and the messages drained per link (and deferred commands run)
+// per iteration.
+const (
+	pollCost = 200 * time.Nanosecond
+	idleCap  = 20 * time.Microsecond
+	burst    = 32
+)
 
-// NICInfo describes one pod NIC to the allocator.
-type NICInfo struct {
-	ID          uint16
-	HostID      int
-	CapacityBps float64
-	Backup      bool // §3.3.3: the reserved per-pod backup NIC
-}
+// telemetryWindow is the window the allocator assumes a telemetry record's
+// byte count covers when it converts it to bytes/s. It is the §3.5 default,
+// not the backend's configured TelemetryEvery: a deployment that reports
+// faster (chaos and grayfail run 40 ms windows) has its load under-reported
+// by the ratio (see DESIGN.md §9).
+const telemetryWindow = 100 * time.Millisecond
 
-// SSDInfo describes one pod SSD to the allocator.
-type SSDInfo struct {
-	ID     uint16
+// DeviceInfo describes one pooled device to the allocator.
+type DeviceInfo struct {
+	Kind   core.DeviceKind
+	ID     uint16 // pod-wide, in Kind's namespace
 	HostID int
-	Backup bool // the reserved per-pod backup drive (mirrors NICInfo.Backup)
+	// CapacityBps is the device's bandwidth for placement (NICs only).
+	CapacityBps float64
+	// Backup marks the kind's reserved per-pod backup device (§3.3.3's
+	// backup NIC, and the same mechanism applied to drives).
+	Backup bool
 }
 
-type nicState struct {
-	info       NICInfo
-	up         bool
-	lastSeen   sim.Duration
-	loadBps    float64 // from telemetry
-	queueDepth uint16  // from telemetry
-	demand     float64 // sum of placed instances' demands
-	errs       uint16  // last window's soft error/drop count (gray signal)
-	suspect    int     // consecutive windows the health scorer flagged this NIC
-	quarantine bool    // health scorer evacuated this NIC; skip for placement
+// device is the allocator's record of one pooled device of any kind. It
+// hangs off Link.Meta of the device's control link in its kind's LinkSet, so
+// the link table is the device table.
+type device struct {
+	DeviceInfo
+	DeviceView
+	lastSeen sim.Duration
+	demand   float64 // sum of placed instances' demands (NICs only)
+	// health is the last window's value of the kind's gray-failure signal:
+	// a NIC's soft error/drop count, a drive's mean service latency in µs.
+	health  uint16
+	suspect int // consecutive windows the health scorer flagged this device
 }
 
-type ssdState struct {
-	info       SSDInfo
-	up         bool
-	lastSeen   sim.Duration
-	loadBps    float64
-	queueDepth uint16
-	latUs      uint16 // last window's mean service latency in µs (gray signal)
-	suspect    int    // consecutive windows the health scorer flagged this drive
-	quarantine bool   // health scorer evacuated this drive
-	// epoch fences a drive's generation of ownership: it is bumped on every
+// DeviceView is the allocator's current view of one device: what telemetry
+// last said and what the allocator's policies have decided about it.
+type DeviceView struct {
+	Up         bool
+	LoadBps    float64 // from telemetry, bytes/s
+	QueueDepth uint16  // from telemetry
+	// Quarantined: the health scorer evacuated the device; placement skips it.
+	Quarantined bool
+	// Epoch fences a drive's generation of ownership: it is bumped on every
 	// failover away from the drive, and storage frontends stamp it into
 	// requests so a zombie backend's late completions are rejected.
-	epoch uint16
+	Epoch uint16
 }
 
 type instState struct {
@@ -168,17 +175,18 @@ type Allocator struct {
 	h   *host.Host
 	cfg Config
 
-	feLinks  map[int]*core.LinkEnd // by host id
-	feOrder  []int
-	beLinks  map[uint16]*core.LinkEnd // by NIC id
-	beOrder  []uint16
-	ssdLinks map[uint16]*core.LinkEnd // by SSD id
-	ssdOrder []uint16
-	sfeLinks map[int]*core.LinkEnd // storage-frontend control links, by host id
-	sfeOrder []int
-	nics     map[uint16]*nicState
-	ssds     map[uint16]*ssdState
-	insts    map[netstack.IP]*instState
+	// Control links, one set per class of peer, polled and flushed in this
+	// order every iteration (so a late-added host still polls before every
+	// NIC). The device sets are keyed by device id and carry the *device in
+	// Link.Meta; the frontend sets are keyed by host id. Storage frontends
+	// only listen — SSD failover commands are broadcast to them — so their
+	// links are flushed but never polled.
+	frontends  *core.LinkSet
+	nics       *core.LinkSet
+	ssds       *core.LinkSet
+	storageFEs *core.LinkSet
+
+	insts map[netstack.IP]*instState
 
 	// instDemand lets the deployment declare expected per-instance NIC
 	// bandwidth (the "instance type", §3.1); default if absent.
@@ -234,12 +242,10 @@ func New(h *host.Host, cfg Config) *Allocator {
 	a := &Allocator{
 		h:              h,
 		cfg:            cfg,
-		feLinks:        make(map[int]*core.LinkEnd),
-		beLinks:        make(map[uint16]*core.LinkEnd),
-		ssdLinks:       make(map[uint16]*core.LinkEnd),
-		sfeLinks:       make(map[int]*core.LinkEnd),
-		nics:           make(map[uint16]*nicState),
-		ssds:           make(map[uint16]*ssdState),
+		frontends:      core.NewLinkSet(0),
+		nics:           core.NewLinkSet(0),
+		ssds:           core.NewLinkSet(0),
+		storageFEs:     core.NewLinkSet(0),
 		insts:          make(map[netstack.IP]*instState),
 		instDemand:     make(map[netstack.IP]float64),
 		defaultDemand:  1e9, // 8 Gbit/s default ask
@@ -247,70 +253,74 @@ func New(h *host.Host, cfg Config) *Allocator {
 		rep:            nullReplicator{},
 		recoveryDetect: &metrics.Histogram{},
 	}
-	a.Seat = core.NewSeat(a, h, core.DriverConfig{LoopCost: cfg.PollCost, IdleBackoff: idleCap})
+	a.Seat = core.NewSeat(a, h, core.DriverConfig{LoopCost: pollCost, IdleBackoff: idleCap})
 	return a
 }
 
 // Replicate installs a Raft-backed replicator (§3.5). Decisions are
 // proposed to the log before being applied and broadcast.
-func (a *Allocator) Replicate(r interface {
-	Propose(p *sim.Proc, cmd []byte) bool
-}) {
-	a.rep = r
+func (a *Allocator) Replicate(r replicator) { a.rep = r }
+
+// class returns the link set — and with it the device table — of one kind.
+func (a *Allocator) class(kind core.DeviceKind) *core.LinkSet {
+	if kind == core.DeviceSSD {
+		return a.ssds
+	}
+	return a.nics
 }
 
-// AddNIC registers a pod NIC and its control link to the backend driver.
-func (a *Allocator) AddNIC(info NICInfo, link *core.LinkEnd) {
-	a.nics[info.ID] = &nicState{info: info, up: true}
-	a.beLinks[info.ID] = link
-	a.beOrder = append(a.beOrder, info.ID)
+// dev returns the device record riding on a device-class link.
+func dev(l *core.Link) *device { return l.Meta.(*device) }
+
+// device looks a record up by kind and id (nil if unknown or removed).
+func (a *Allocator) device(kind core.DeviceKind, id uint16) *device {
+	if l := a.class(kind).Get(uint32(id)); l != nil {
+		return dev(l)
+	}
+	return nil
 }
 
-// AddSSD registers a pod SSD and its control link to the storage backend
-// driver. Drives share the NICs' telemetry/lease path; expiry or explicit
-// failure triggers storage failover onto the pod's backup drive (if any) —
-// the §3.3.3 backup-NIC mechanism applied to storage.
-func (a *Allocator) AddSSD(info SSDInfo, link *core.LinkEnd) {
-	a.ssds[info.ID] = &ssdState{info: info, up: true}
-	a.ssdLinks[info.ID] = link
-	a.ssdOrder = append(a.ssdOrder, info.ID)
+// devices snapshots every record, NICs before SSDs, each in registration
+// order: the order leases are checked and host deaths inferred in.
+func (a *Allocator) devices() []*device {
+	all := make([]*device, 0, a.nics.Len()+a.ssds.Len())
+	for _, set := range []*core.LinkSet{a.nics, a.ssds} {
+		for _, l := range set.All() {
+			all = append(all, dev(l))
+		}
+	}
+	return all
+}
+
+// AddDevice registers a pooled device and its control link to the backend
+// driver that serves it. Every kind shares the telemetry/lease path; what
+// expiry or explicit failure triggers is the kind's policy (see fail).
+func (a *Allocator) AddDevice(info DeviceInfo, link *core.LinkEnd) {
+	a.class(info.Kind).Add(uint32(info.ID), link).Meta = &device{DeviceInfo: info, DeviceView: DeviceView{Up: true}}
 }
 
 // AddFrontend registers a pod host's frontend control link.
 func (a *Allocator) AddFrontend(hostID int, link *core.LinkEnd) {
-	a.feLinks[hostID] = link
-	a.feOrder = append(a.feOrder, hostID)
+	a.frontends.Add(uint32(hostID), link)
 }
 
 // AddStorageFrontend registers a pod host's storage-frontend control link,
 // the channel over which SSD failover commands are broadcast.
 func (a *Allocator) AddStorageFrontend(hostID int, link *core.LinkEnd) {
-	a.sfeLinks[hostID] = link
-	a.sfeOrder = append(a.sfeOrder, hostID)
+	a.storageFEs.Add(uint32(hostID), link)
 }
 
-// RemoveNIC forgets a NIC and its control link (topology removal). The
-// caller guarantees no instance is still placed on it; the device simply
+// RemoveDevice forgets a device and its control link (topology removal).
+// The caller guarantees nothing is still placed on it; the device simply
 // stops existing for placement, failover, and leases.
-func (a *Allocator) RemoveNIC(id uint16) {
-	delete(a.nics, id)
-	delete(a.beLinks, id)
-	a.beOrder = removeID(a.beOrder, id)
+func (a *Allocator) RemoveDevice(kind core.DeviceKind, id uint16) {
+	a.class(kind).Remove(uint32(id))
 }
 
-// RemoveSSD forgets a drive and its control link (topology removal).
-func (a *Allocator) RemoveSSD(id uint16) {
-	delete(a.ssds, id)
-	delete(a.ssdLinks, id)
-	a.ssdOrder = removeID(a.ssdOrder, id)
-}
-
-// RemoveFrontend forgets a host's frontend control link (host removal).
+// RemoveFrontend forgets a host's frontend control links (host removal).
 func (a *Allocator) RemoveFrontend(hostID int) {
-	delete(a.feLinks, hostID)
-	a.feOrder = removeHostID(a.feOrder, hostID)
-	delete(a.sfeLinks, hostID)
-	a.sfeOrder = removeHostID(a.sfeOrder, hostID)
+	a.frontends.Remove(uint32(hostID))
+	a.storageFEs.Remove(uint32(hostID))
 }
 
 // ReleaseInstance forgets an instance's placement (cross-pod migration or
@@ -321,7 +331,7 @@ func (a *Allocator) ReleaseInstance(ip netstack.IP) {
 	if st == nil {
 		return
 	}
-	if ns := a.nics[st.primary]; ns != nil {
+	if ns := a.device(core.DeviceNIC, st.primary); ns != nil {
 		ns.demand -= st.demand
 	}
 	delete(a.insts, ip)
@@ -339,51 +349,21 @@ func (a *Allocator) InstancesOn(nic uint16) int {
 	return n
 }
 
-// Instances returns the number of placed instances.
-func (a *Allocator) Instances() int { return len(a.insts) }
-
-func removeID(s []uint16, id uint16) []uint16 {
-	for i, v := range s {
-		if v == id {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
-func removeHostID(s []int, id int) []int {
-	for i, v := range s {
-		if v == id {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
 // SetInstanceDemand declares an instance type's expected NIC bandwidth in
 // bytes/s, used by placement (§3.5 "static policies such as instance types").
 func (a *Allocator) SetInstanceDemand(ip netstack.IP, bps float64) {
 	a.instDemand[ip] = bps
 }
 
-// BackupNIC returns the reserved backup NIC id (0 if none configured).
-func (a *Allocator) BackupNIC() uint16 {
-	for _, id := range a.beOrder {
-		if a.nics[id].info.Backup {
-			return id
+// backup returns a kind's reserved backup device (nil if none is
+// configured).
+func (a *Allocator) backup(kind core.DeviceKind) *device {
+	for _, l := range a.class(kind).All() {
+		if dev(l).Backup {
+			return dev(l)
 		}
 	}
-	return 0
-}
-
-// BackupSSD returns the reserved backup drive id (0 if none configured).
-func (a *Allocator) BackupSSD() uint16 {
-	for _, id := range a.ssdOrder {
-		if a.ssds[id].info.Backup {
-			return id
-		}
-	}
-	return 0
+	return nil
 }
 
 // Migrate asks the allocator to gracefully move an instance to a NIC
@@ -401,12 +381,20 @@ func (a *Allocator) migrateAttempt(p *sim.Proc, ip netstack.IP, newNIC uint16, a
 		a.deferRetry(attempt, func(p *sim.Proc, attempt int) { a.migrateAttempt(p, ip, newNIC, attempt) })
 		return
 	}
-	old := st.primary
-	st.primary = newNIC
-	a.shiftDemand(old, newNIC, st.demand)
-	a.sendToFE(p, st.hostID, ctlMsg{op: core.CtlMigrate, ip: ip, dev: newNIC})
-	a.Migrations++
+	old := a.repoint(p, st, newNIC)
 	a.events.Emit(p.Now(), "alloc", fmt.Sprintf("migrate ip=%v nic%d -> nic%d", ip, old, newNIC))
+}
+
+// repoint makes nic the instance's primary: the accounted demand moves with
+// it and the owning host's frontend is told to migrate (§3.3.4). It returns
+// the NIC the instance left.
+func (a *Allocator) repoint(p *sim.Proc, st *instState, nic uint16) (old uint16) {
+	old = st.primary
+	st.primary = nic
+	a.shiftDemand(old, nic, st.demand)
+	a.send(p, a.frontends, uint32(st.hostID), core.ControlMsg{Op: core.CtlMigrate, Kind: core.DeviceNIC, IP: st.ip, Dev: nic})
+	a.Migrations++
+	return old
 }
 
 // Propose retry policy: a replicated decision that fails to commit (e.g.
@@ -458,14 +446,9 @@ func (a *Allocator) PollOnce(p *sim.Proc) int {
 	// of the device. Grant a one-window grace instead of mass-expiring the
 	// pod; the next telemetry window rebuilds true liveness.
 	if a.lastPoll > 0 && p.Now()-a.lastPoll > a.cfg.LeaseTimeout {
-		for _, id := range a.beOrder {
-			if ns := a.nics[id]; ns.lastSeen > 0 {
-				ns.lastSeen = p.Now()
-			}
-		}
-		for _, id := range a.ssdOrder {
-			if ds := a.ssds[id]; ds.lastSeen > 0 {
-				ds.lastSeen = p.Now()
+		for _, d := range a.devices() {
+			if d.lastSeen > 0 {
+				d.lastSeen = p.Now()
 			}
 		}
 		a.nextLease = p.Now() + a.cfg.LeaseTimeout
@@ -474,7 +457,7 @@ func (a *Allocator) PollOnce(p *sim.Proc) int {
 	}
 	a.lastPoll = p.Now()
 	progress := 0
-	for i := 0; i < a.cfg.Burst; i++ {
+	for i := 0; i < burst; i++ {
 		cmd, ok := a.cmds.TryPop()
 		if !ok {
 			break
@@ -482,39 +465,9 @@ func (a *Allocator) PollOnce(p *sim.Proc) int {
 		cmd(p)
 		progress++
 	}
-	for _, hostID := range a.feOrder {
-		l := a.feLinks[hostID]
-		for i := 0; i < a.cfg.Burst; i++ {
-			payload, ok := l.Poll(p)
-			if !ok {
-				break
-			}
-			a.handleFE(p, hostID, payload)
-			progress++
-		}
-	}
-	for _, nicID := range a.beOrder {
-		l := a.beLinks[nicID]
-		for i := 0; i < a.cfg.Burst; i++ {
-			payload, ok := l.Poll(p)
-			if !ok {
-				break
-			}
-			a.handleNIC(p, nicID, payload)
-			progress++
-		}
-	}
-	for _, ssdID := range a.ssdOrder {
-		l := a.ssdLinks[ssdID]
-		for i := 0; i < a.cfg.Burst; i++ {
-			payload, ok := l.Poll(p)
-			if !ok {
-				break
-			}
-			a.handleSSD(p, ssdID, payload)
-			progress++
-		}
-	}
+	progress += a.frontends.PollEach(p, burst, a.handleFE)
+	progress += a.nics.PollEach(p, burst, a.ingest)
+	progress += a.ssds.PollEach(p, burst, a.ingest)
 	if p.Now() >= a.nextLease {
 		a.nextLease = p.Now() + a.cfg.LeaseTimeout/4
 		a.checkLeases(p)
@@ -523,163 +476,168 @@ func (a *Allocator) PollOnce(p *sim.Proc) int {
 		a.nextRebal = p.Now() + a.cfg.RebalanceEvery
 		a.rebalance(p)
 	}
-	for _, hostID := range a.feOrder {
-		a.feLinks[hostID].Flush(p)
-	}
-	for _, nicID := range a.beOrder {
-		a.beLinks[nicID].Flush(p)
-	}
-	for _, ssdID := range a.ssdOrder {
-		a.ssdLinks[ssdID].Flush(p)
-	}
-	for _, hostID := range a.sfeOrder {
-		a.sfeLinks[hostID].Flush(p)
-	}
+	a.frontends.FlushAll(p)
+	a.nics.FlushAll(p)
+	a.ssds.FlushAll(p)
+	a.storageFEs.FlushAll(p)
 	return progress
 }
 
-func (a *Allocator) handleFE(p *sim.Proc, hostID int, payload []byte) {
-	m := core.DecodeControl(payload)
-	switch m.Op {
-	case core.CtlAllocRequest:
-		a.place(p, hostID, m.IP)
+func (a *Allocator) handleFE(p *sim.Proc, l *core.Link, payload []byte) {
+	if m := core.DecodeControl(payload); m.Op == core.CtlAllocRequest {
+		a.placeAttempt(p, int(l.Peer), m.IP, 0)
 	}
 }
 
-func (a *Allocator) handleNIC(p *sim.Proc, nicID uint16, payload []byte) {
-	m := core.DecodeControl(payload)
-	ns := a.nics[nicID]
-	if ns == nil {
-		return
+// ingest takes one backend report — telemetry, link-down, link-up — for a
+// device of any kind. A device transitioning to failed, whichever message
+// says so first, triggers its kind's failover (see fail).
+func (a *Allocator) ingest(p *sim.Proc, l *core.Link, payload []byte) {
+	d := dev(l)
+	if a.class(d.Kind).Get(l.Peer) != l {
+		return // removed while this burst was being drained
 	}
+	m := core.DecodeControl(payload)
 	switch m.Op {
 	case core.CtlTelemetry:
-		ns.lastSeen = p.Now()
-		ns.loadBps = float64(m.Load) * float64(time.Second) / float64(a.leaseWindow())
-		ns.queueDepth = m.QueueDepth
-		ns.errs = uint16(m.Errs)
-		ns.up = m.LinkUp
-		if a.cfg.AERFailThreshold > 0 && m.AER >= a.cfg.AERFailThreshold && ns.up && !ns.info.Backup {
+		d.lastSeen = p.Now()
+		d.LoadBps = float64(m.Load) * float64(time.Second) / float64(telemetryWindow)
+		d.QueueDepth = m.QueueDepth
+		d.health = healthSlot(d.Kind, m)
+		wasUp := d.Up
+		d.Up = m.LinkUp
+		if wasUp && !d.Up {
+			// The backend closes telemetry windows and checks its link on
+			// separate timers, so this record can beat the link-down report
+			// that the same drop produces; the report then finds the device
+			// already down. Fail here or the failover is lost for good
+			// (leases skip devices that are down).
+			a.events.Emit(p.Now(), "alloc", fmt.Sprintf("%v%d reported failed", d.Kind, d.ID))
+			a.fail(p, d)
+		}
+		if d.Kind == core.DeviceNIC && a.cfg.AERFailThreshold > 0 && m.AER >= a.cfg.AERFailThreshold && d.Up && !d.Backup {
 			// A burst of uncorrectable PCIe errors: the device is dying.
 			// Fail over proactively instead of waiting for link-down.
-			ns.up = false
+			d.Up = false
 			a.AERFailovers++
-			a.events.Emit(p.Now(), "alloc", fmt.Sprintf("aer burst on nic%d: proactive failover", nicID))
-			a.failNIC(p, nicID)
+			a.events.Emit(p.Now(), "alloc", fmt.Sprintf("aer burst on nic%d: proactive failover", d.ID))
+			a.fail(p, d)
 		}
-		a.scoreNIC(p, nicID, ns)
+		a.score(p, d)
 	case core.CtlLinkDown:
-		ns.lastSeen = p.Now()
-		if ns.up {
-			ns.up = false
-			a.failNIC(p, nicID)
+		d.lastSeen = p.Now()
+		if d.Up {
+			d.Up = false
+			a.fail(p, d)
 		}
 	case core.CtlLinkUp:
-		ns.lastSeen = p.Now()
-		ns.up = true
+		d.lastSeen = p.Now()
+		d.Up = true
 	}
 }
 
-// handleSSD ingests storage-backend telemetry through the same control
-// protocol as NICs. A drive transitioning to failed (LinkUp=false) triggers
-// storage failover onto the pod's backup drive — the same mechanism as
-// failNIC, fenced by the drive's epoch.
-func (a *Allocator) handleSSD(p *sim.Proc, ssdID uint16, payload []byte) {
-	m := core.DecodeControl(payload)
-	ds := a.ssds[ssdID]
-	if ds == nil {
-		return
+// Per-kind policy. Everything above and below treats a device as a device;
+// these are the places a NIC and an SSD are deliberately different, and what
+// a third DeviceKind has to decide (DESIGN.md §6 step 3, §9).
+
+// healthSlot picks the kind's gray-failure signal out of a telemetry record:
+// a NIC's soft error/drop count, a drive's mean service latency in µs (which
+// travels in the AER slot, where NICs report uncorrectable PCIe errors).
+func healthSlot(kind core.DeviceKind, m core.ControlMsg) uint16 {
+	if kind == core.DeviceSSD {
+		return m.AER
 	}
-	switch m.Op {
-	case core.CtlTelemetry:
-		ds.lastSeen = p.Now()
-		ds.loadBps = float64(m.Load) * float64(time.Second) / float64(a.leaseWindow())
-		ds.queueDepth = m.QueueDepth
-		ds.latUs = m.AER // the per-kind health slot: mean service latency, µs
-		wasUp := ds.up
-		ds.up = m.LinkUp
-		if wasUp && !ds.up {
-			a.events.Emit(p.Now(), "alloc", fmt.Sprintf("ssd%d reported failed", ssdID))
-			a.failSSD(p, ssdID)
-		}
-		a.scoreSSD(p, ssdID, ds)
-	case core.CtlLinkDown:
-		ds.lastSeen = p.Now()
-		if ds.up {
-			ds.up = false
-			a.failSSD(p, ssdID)
-		}
-	case core.CtlLinkUp:
-		ds.lastSeen = p.Now()
-		ds.up = true
+	return uint16(m.Errs)
+}
+
+// healthFloor is the value of the kind's signal below which a device is
+// never suspect, so an idle pod does not flag noise.
+func (a *Allocator) healthFloor(kind core.DeviceKind) uint16 {
+	if kind == core.DeviceSSD {
+		return a.cfg.HealthLatFloorUs
+	}
+	return a.cfg.HealthErrFloor
+}
+
+// leaseTracked reports whether silence from the device expires a lease. The
+// backup NIC is exempt — nothing is placed on it until a failover, and there
+// is no second backup to fail over to — while the backup drive is tracked: it
+// holds the mirror of every volume, and losing it silently would turn the
+// next drive failure into data loss.
+func leaseTracked(d *device) bool { return !(d.Kind == core.DeviceNIC && d.Backup) }
+
+// fail runs the kind's failover for a device the caller has marked down.
+func (a *Allocator) fail(p *sim.Proc, d *device) {
+	if d.Kind == core.DeviceSSD {
+		a.failSSDAttempt(p, d.ID, 0)
+	} else {
+		a.failNICAttempt(p, d.ID, 0)
 	}
 }
 
-func (a *Allocator) leaseWindow() sim.Duration { return 100 * time.Millisecond }
+// evacuate steers load off a device the health scorer has quarantined; the
+// device stays up.
+func (a *Allocator) evacuate(p *sim.Proc, d *device) {
+	if d.Kind == core.DeviceSSD {
+		a.events.Emit(p.Now(), "alloc", fmt.Sprintf("health: ssd%d gray (lat=%dµs/req, %d windows): evacuating", d.ID, d.health, d.suspect))
+		a.evacuateSSDAttempt(p, d.ID, 0)
+	} else {
+		a.events.Emit(p.Now(), "alloc", fmt.Sprintf("health: nic%d gray (errs=%d/window, %d windows): evacuating", d.ID, d.health, d.suspect))
+		a.evacuateNICAttempt(p, d.ID, 0)
+	}
+}
 
-// scoreNIC runs one window of the gray-failure scorer over a NIC's soft
-// error/drop count. The metric is judged peer-relative — an outlier vs. the
-// mean of the pod's other healthy NICs — because absolute thresholds can't
-// separate "the workload is bursty" from "this device is sick"; a floor
-// keeps idle pods from flagging noise. HealthWindows consecutive suspect
-// windows quarantine the NIC and steer its instances away.
-func (a *Allocator) scoreNIC(p *sim.Proc, nicID uint16, ns *nicState) {
-	if !a.cfg.Health || ns.quarantine || ns.info.Backup || !ns.up {
+// score runs one window of the gray-failure scorer over a device's health
+// signal. The metric is judged peer-relative — an outlier vs. the mean of
+// the pod's other healthy devices of its kind — because absolute thresholds
+// can't separate "the workload is bursty" from "this device is sick"; a
+// floor keeps idle pods from flagging noise. HealthWindows consecutive
+// suspect windows quarantine the device and steer its load away.
+func (a *Allocator) score(p *sim.Proc, d *device) {
+	if !a.cfg.Health || d.Quarantined || d.Backup || !d.Up {
 		return
 	}
-	metric := float64(ns.errs)
+	metric := float64(d.health)
 	var peerSum float64
 	peers := 0
-	for _, id := range a.beOrder {
-		ps := a.nics[id]
-		if id == nicID || ps.info.Backup || !ps.up || ps.quarantine || ps.lastSeen == 0 {
+	for _, l := range a.class(d.Kind).All() {
+		ps := dev(l)
+		if ps == d || ps.Backup || !ps.Up || ps.Quarantined || ps.lastSeen == 0 {
 			continue
 		}
-		peerSum += float64(ps.errs)
+		peerSum += float64(ps.health)
 		peers++
 	}
-	suspect := metric >= float64(a.cfg.HealthErrFloor)
+	suspect := metric >= float64(a.healthFloor(d.Kind))
 	if suspect && peers > 0 {
 		suspect = metric > a.cfg.HealthFactor*(peerSum/float64(peers))
 	}
 	if !suspect {
-		ns.suspect = 0
+		d.suspect = 0
 		return
 	}
-	ns.suspect++
-	if ns.suspect < a.cfg.HealthWindows {
+	d.suspect++
+	if d.suspect < a.cfg.HealthWindows {
 		return
 	}
-	ns.quarantine = true
-	a.events.Emit(p.Now(), "alloc", fmt.Sprintf("health: nic%d gray (errs=%d/window, %d windows): evacuating", nicID, ns.errs, ns.suspect))
-	a.evacuateNICAttempt(p, nicID, 0)
+	d.Quarantined = true
+	a.evacuate(p, d)
 }
 
 // evacuateNICAttempt gracefully migrates every instance off a quarantined
-// NIC. Unlike failNIC this is not a failover: the link is up, in-flight
-// traffic still flows, and each instance moves via the ordinary §3.3.4
-// migration path. The target is the least-loaded healthy NIC with headroom,
-// falling back to the pod's backup NIC.
+// NIC. Unlike failNICAttempt this is not a failover: the link is up,
+// in-flight traffic still flows, and each instance moves via the ordinary
+// §3.3.4 migration path. The target is the least-loaded healthy NIC with
+// headroom, falling back to the pod's backup NIC.
 func (a *Allocator) evacuateNICAttempt(p *sim.Proc, suspect uint16, attempt int) {
-	ns := a.nics[suspect]
-	if ns == nil {
+	if a.device(core.DeviceNIC, suspect) == nil {
 		return
 	}
 	target := uint16(0)
-	var best *nicState
-	for _, id := range a.beOrder {
-		cand := a.nics[id]
-		if id == suspect || cand.info.Backup || !cand.up || cand.quarantine {
-			continue
-		}
-		if best == nil || cand.demand < best.demand {
-			best = cand
-		}
-	}
-	if best != nil {
-		target = best.info.ID
-	} else if b := a.BackupNIC(); b != 0 && b != suspect && a.nics[b].up {
-		target = b
+	if best := a.leastLoaded(func(c *device) bool { return c.ID != suspect && !c.Quarantined }); best != nil {
+		target = best.ID
+	} else if b := a.backup(core.DeviceNIC); b != nil && b.ID != suspect && b.Up {
+		target = b.ID
 	}
 	if target == 0 {
 		// Nowhere to go: stay quarantined (no new placements land here) but
@@ -705,177 +663,118 @@ func (a *Allocator) evacuateNICAttempt(p *sim.Proc, suspect uint16, attempt int)
 	}
 }
 
-// scoreSSD runs one window of the gray-failure scorer over a drive's mean
-// request service latency (the storage health slot). Same peer-relative
-// outlier rule as scoreNIC; HealthWindows consecutive suspect windows
-// quarantine the drive and re-bind its volumes onto the pod's backup.
-func (a *Allocator) scoreSSD(p *sim.Proc, ssdID uint16, ds *ssdState) {
-	if !a.cfg.Health || ds.quarantine || ds.info.Backup || !ds.up {
-		return
-	}
-	metric := float64(ds.latUs)
-	var peerSum float64
-	peers := 0
-	for _, id := range a.ssdOrder {
-		ps := a.ssds[id]
-		if id == ssdID || ps.info.Backup || !ps.up || ps.quarantine || ps.lastSeen == 0 {
-			continue
-		}
-		peerSum += float64(ps.latUs)
-		peers++
-	}
-	suspect := metric >= float64(a.cfg.HealthLatFloorUs)
-	if suspect && peers > 0 {
-		suspect = metric > a.cfg.HealthFactor*(peerSum/float64(peers))
-	}
-	if !suspect {
-		ds.suspect = 0
-		return
-	}
-	ds.suspect++
-	if ds.suspect < a.cfg.HealthWindows {
-		return
-	}
-	ds.quarantine = true
-	a.events.Emit(p.Now(), "alloc", fmt.Sprintf("health: ssd%d gray (lat=%dµs/req, %d windows): evacuating", ssdID, ds.latUs, ds.suspect))
-	a.evacuateSSDAttempt(p, ssdID, 0)
-}
-
 // evacuateSSDAttempt re-binds a quarantined drive's volumes onto the pod's
-// backup drive under a bumped fencing epoch — the failSSD machinery aimed at
-// a drive that is still alive. Crucially, with no healthy backup it does
-// NOT declare volumes lost (the drive still serves, just slowly): it leaves
-// the quarantine in place and keeps going.
+// backup drive under a bumped fencing epoch — the failSSDAttempt machinery
+// aimed at a drive that is still alive. Crucially, with no healthy backup it
+// does NOT declare volumes lost (the drive still serves, just slowly): it
+// leaves the quarantine in place and keeps going.
 func (a *Allocator) evacuateSSDAttempt(p *sim.Proc, suspect uint16, attempt int) {
-	ds := a.ssds[suspect]
+	ds := a.device(core.DeviceSSD, suspect)
 	if ds == nil {
 		return
 	}
-	target := a.BackupSSD()
-	if target == suspect || (target != 0 && (!a.ssds[target].up || a.ssds[target].quarantine)) {
-		target = 0
-	}
-	if target == 0 {
+	b := a.backup(core.DeviceSSD)
+	if b == nil || b == ds || !b.Up || b.Quarantined {
 		a.events.Emit(p.Now(), "alloc", fmt.Sprintf("health: ssd%d has no evacuation target; serving degraded", suspect))
 		return
 	}
+	target := b.ID
 	if !a.rep.Propose(p, encodeCmd('V', uint32(suspect), target)) {
 		a.deferRetry(attempt, func(p *sim.Proc, attempt int) { a.evacuateSSDAttempt(p, suspect, attempt) })
 		return
 	}
-	ds.epoch++
+	ds.Epoch++
 	a.HealthSSDEvacs++
-	a.events.Emit(p.Now(), "alloc", fmt.Sprintf("health evacuation ssd%d -> ssd%d epoch=%d", suspect, target, ds.epoch))
-	for _, hostID := range a.sfeOrder {
-		a.sendToSFE(p, hostID, ctlMsg{
-			op: core.CtlFailover, kind: core.DeviceSSD, dev: suspect, aux: target, epoch: ds.epoch,
-		})
-	}
+	a.events.Emit(p.Now(), "alloc", fmt.Sprintf("health evacuation ssd%d -> ssd%d epoch=%d", suspect, target, ds.Epoch))
+	a.rebind(p, ds, target)
 }
 
-// place picks a primary NIC for a new instance: host-local first, then the
-// least-loaded NIC with spare capacity (§3.5 "Device allocation"). A repeat
-// request for an already-placed instance (a frontend retrying because the
-// assignment got lost in an allocator crash window) is answered
+// placeAttempt picks a primary NIC for a new instance: host-local first,
+// then the least-loaded NIC with spare capacity (§3.5 "Device allocation").
+// A repeat request for an already-placed instance (a frontend retrying
+// because the assignment got lost in an allocator crash window) is answered
 // idempotently by re-sending the recorded assignment.
-func (a *Allocator) place(p *sim.Proc, hostID int, ip netstack.IP) {
-	a.placeAttempt(p, hostID, ip, 0)
-}
-
 func (a *Allocator) placeAttempt(p *sim.Proc, hostID int, ip netstack.IP, attempt int) {
 	if st, ok := a.insts[ip]; ok {
 		a.AssignResends++
-		a.sendToFE(p, st.hostID, ctlMsg{op: core.CtlAssign, ip: ip, dev: st.primary, aux: st.backup})
+		a.send(p, a.frontends, uint32(st.hostID), core.ControlMsg{Op: core.CtlAssign, Kind: core.DeviceNIC, IP: ip, Dev: st.primary, Aux: st.backup})
 		return
 	}
 	demand := a.defaultDemand
 	if d, ok := a.instDemand[ip]; ok {
 		demand = d
 	}
-	backup := a.BackupNIC()
-	pick := uint16(0)
-	// Host-local NICs first. Quarantined NICs (gray-failure scorer) are
-	// skipped everywhere but the overcommit fallback: degraded beats none.
-	for _, id := range a.beOrder {
-		ns := a.nics[id]
-		if ns.info.HostID == hostID && ns.up && !ns.info.Backup && !ns.quarantine && ns.demand+demand <= ns.info.CapacityBps {
-			pick = id
+	backup := uint16(0) // what "no backup NIC" reads as on the wire
+	if b := a.backup(core.DeviceNIC); b != nil {
+		backup = b.ID
+	}
+	// Quarantined NICs (gray-failure scorer) are skipped everywhere but the
+	// last overcommit fallback: degraded beats none.
+	fits := func(ns *device) bool { return !ns.Quarantined && ns.demand+demand <= ns.CapacityBps }
+	var pick *device
+	// Host-local NICs first, in registration order.
+	for _, l := range a.nics.All() {
+		if ns := dev(l); ns.HostID == hostID && ns.Up && !ns.Backup && fits(ns) {
+			pick = ns
 			break
 		}
 	}
-	if pick == 0 {
+	if pick == nil {
 		// Greedy: lowest current demand with headroom.
-		var best *nicState
-		for _, id := range a.beOrder {
-			ns := a.nics[id]
-			if !ns.up || ns.info.Backup || ns.quarantine {
-				continue
-			}
-			if ns.demand+demand > ns.info.CapacityBps {
-				continue
-			}
-			if best == nil || ns.demand < best.demand {
-				best = ns
-			}
-		}
-		if best != nil {
-			pick = best.info.ID
-		}
+		pick = a.leastLoaded(fits)
 	}
-	if pick == 0 {
+	if pick == nil {
 		// Overcommit the least-loaded non-backup NIC rather than refuse:
 		// the paper oversubscribes deliberately (§2.2). Prefer healthy
 		// NICs; fall back to quarantined ones only when nothing else is up.
-		var best, bestQuar *nicState
-		for _, id := range a.beOrder {
-			ns := a.nics[id]
-			if !ns.up || ns.info.Backup {
-				continue
-			}
-			if ns.quarantine {
-				if bestQuar == nil || ns.demand < bestQuar.demand {
-					bestQuar = ns
-				}
-				continue
-			}
-			if best == nil || ns.demand < best.demand {
-				best = ns
-			}
-		}
-		if best == nil {
-			best = bestQuar
-		}
-		if best == nil {
-			return // no usable NICs at all
-		}
-		pick = best.info.ID
+		pick = a.leastLoaded(func(ns *device) bool { return !ns.Quarantined })
 	}
-	if !a.rep.Propose(p, encodeCmd('P', uint32(ip), pick)) {
+	if pick == nil {
+		pick = a.leastLoaded(func(ns *device) bool { return ns.Quarantined })
+	}
+	if pick == nil {
+		return // no usable NICs at all
+	}
+	if !a.rep.Propose(p, encodeCmd('P', uint32(ip), pick.ID)) {
 		a.deferRetry(attempt, func(p *sim.Proc, attempt int) { a.placeAttempt(p, hostID, ip, attempt) })
 		return
 	}
-	a.nics[pick].demand += demand
-	a.insts[ip] = &instState{ip: ip, hostID: hostID, demand: demand, primary: pick, backup: backup}
-	a.sendToFE(p, hostID, ctlMsg{op: core.CtlAssign, ip: ip, dev: pick, aux: backup})
+	pick.demand += demand
+	a.insts[ip] = &instState{ip: ip, hostID: hostID, demand: demand, primary: pick.ID, backup: backup}
+	a.send(p, a.frontends, uint32(hostID), core.ControlMsg{Op: core.CtlAssign, Kind: core.DeviceNIC, IP: ip, Dev: pick.ID, Aux: backup})
 	a.Placements++
-	a.events.Emit(p.Now(), "alloc", fmt.Sprintf("placement ip=%v nic=%d backup=%d", ip, pick, backup))
+	a.events.Emit(p.Now(), "alloc", fmt.Sprintf("placement ip=%v nic=%d backup=%d", ip, pick.ID, backup))
 }
 
-// failNIC reroutes every instance on the failed NIC to the backup and has
-// the backup borrow the failed NIC's MAC (§3.3.3).
-func (a *Allocator) failNIC(p *sim.Proc, failed uint16) {
-	a.failNICAttempt(p, failed, 0)
+// leastLoaded returns the NIC with the lowest accounted demand among the up,
+// non-backup NICs that ok accepts (the first registered wins a tie), or nil.
+func (a *Allocator) leastLoaded(ok func(ns *device) bool) *device {
+	var best *device
+	for _, l := range a.nics.All() {
+		ns := dev(l)
+		if !ns.Up || ns.Backup || !ok(ns) {
+			continue
+		}
+		if best == nil || ns.demand < best.demand {
+			best = ns
+		}
+	}
+	return best
 }
 
+// failNICAttempt reroutes every instance on the failed NIC to the backup and
+// has the backup borrow the failed NIC's MAC (§3.3.3). The backup NIC's own
+// failure is a no-op: there is nowhere to go.
 func (a *Allocator) failNICAttempt(p *sim.Proc, failed uint16, attempt int) {
-	ns := a.nics[failed]
-	if ns == nil || ns.up {
+	ns := a.device(core.DeviceNIC, failed)
+	if ns == nil || ns.Up {
 		return // repaired (or unknown) by the time the retry fired
 	}
-	backup := a.BackupNIC()
-	if backup == 0 || backup == failed {
+	b := a.backup(core.DeviceNIC)
+	if b == nil || b == ns {
 		return
 	}
+	backup := b.ID
 	if !a.rep.Propose(p, encodeCmd('F', uint32(failed), backup)) {
 		a.deferRetry(attempt, func(p *sim.Proc, attempt int) { a.failNICAttempt(p, failed, attempt) })
 		return
@@ -884,10 +783,8 @@ func (a *Allocator) failNICAttempt(p *sim.Proc, failed uint16, attempt int) {
 	a.events.Emit(p.Now(), "alloc", fmt.Sprintf("failover nic%d -> nic%d", failed, backup))
 	// Tell the backup's backend to borrow the MAC first (RX path), then
 	// repoint the frontends (TX path).
-	a.sendToBE(p, backup, ctlMsg{op: core.CtlBorrowMAC, dev: failed})
-	for _, hostID := range a.feOrder {
-		a.sendToFE(p, hostID, ctlMsg{op: core.CtlFailover, dev: failed, aux: backup})
-	}
+	a.send(p, a.nics, uint32(backup), core.ControlMsg{Op: core.CtlBorrowMAC, Kind: core.DeviceNIC, Dev: failed})
+	a.broadcast(p, a.frontends, core.ControlMsg{Op: core.CtlFailover, Kind: core.DeviceNIC, Dev: failed, Aux: backup})
 	var moved float64
 	for _, st := range a.insts {
 		if st.primary == failed {
@@ -898,49 +795,48 @@ func (a *Allocator) failNICAttempt(p *sim.Proc, failed uint16, attempt int) {
 	a.shiftDemand(failed, backup, moved)
 }
 
-// failSSD re-binds every volume on the failed drive onto the pod's backup
-// drive (§3.3.3's backup mechanism applied to storage). The drive's fencing
-// epoch is bumped and broadcast with the failover so storage frontends
-// reject the zombie backend's late completions. With no usable backup the
-// failover is still broadcast with target 0: frontends mark the volumes
-// lost and surface ErrVolumeLost (§3.4's error propagation).
-func (a *Allocator) failSSD(p *sim.Proc, failed uint16) {
-	a.failSSDAttempt(p, failed, 0)
-}
-
+// failSSDAttempt re-binds every volume on the failed drive onto the pod's
+// backup drive (§3.3.3's backup mechanism applied to storage). The drive's
+// fencing epoch is bumped and broadcast with the failover so storage
+// frontends reject the zombie backend's late completions. With no usable
+// backup the failover is still broadcast with target 0: frontends mark the
+// volumes lost and surface ErrVolumeLost (§3.4's error propagation).
 func (a *Allocator) failSSDAttempt(p *sim.Proc, failed uint16, attempt int) {
-	ds := a.ssds[failed]
-	if ds == nil || ds.up {
+	ds := a.device(core.DeviceSSD, failed)
+	if ds == nil || ds.Up {
 		return // repaired (or unknown) by the time the retry fired
 	}
-	target := a.BackupSSD()
-	if target == failed || (target != 0 && !a.ssds[target].up) {
-		target = 0
+	target := uint16(0)
+	if b := a.backup(core.DeviceSSD); b != nil && b != ds && b.Up {
+		target = b.ID
 	}
 	if !a.rep.Propose(p, encodeCmd('S', uint32(failed), target)) {
 		a.deferRetry(attempt, func(p *sim.Proc, attempt int) { a.failSSDAttempt(p, failed, attempt) })
 		return
 	}
-	ds.epoch++
+	ds.Epoch++
 	a.SSDFailovers++
 	if target == 0 {
 		a.events.Emit(p.Now(), "alloc", fmt.Sprintf("ssd%d failed, no backup: volumes lost", failed))
 	} else {
-		a.events.Emit(p.Now(), "alloc", fmt.Sprintf("ssd failover ssd%d -> ssd%d epoch=%d", failed, target, ds.epoch))
+		a.events.Emit(p.Now(), "alloc", fmt.Sprintf("ssd failover ssd%d -> ssd%d epoch=%d", failed, target, ds.Epoch))
 	}
-	for _, hostID := range a.sfeOrder {
-		a.sendToSFE(p, hostID, ctlMsg{
-			op: core.CtlFailover, kind: core.DeviceSSD, dev: failed, aux: target, epoch: ds.epoch,
-		})
-	}
+	a.rebind(p, ds, target)
 }
 
-// shiftDemand moves accounted demand between NICs.
+// rebind tells every storage frontend to move the drive's volumes onto
+// target (0: they are lost) under the drive's current fencing epoch.
+func (a *Allocator) rebind(p *sim.Proc, ds *device, target uint16) {
+	a.broadcast(p, a.storageFEs, core.ControlMsg{Op: core.CtlFailover, Kind: core.DeviceSSD, Dev: ds.ID, Aux: target, Epoch: ds.Epoch})
+}
+
+// shiftDemand moves accounted demand between NICs (an unknown id — 0, or a
+// NIC since removed — is skipped).
 func (a *Allocator) shiftDemand(from, to uint16, d float64) {
-	if ns := a.nics[from]; ns != nil {
+	if ns := a.device(core.DeviceNIC, from); ns != nil {
 		ns.demand -= d
 	}
-	if ns := a.nics[to]; ns != nil {
+	if ns := a.device(core.DeviceNIC, to); ns != nil {
 		ns.demand += d
 	}
 }
@@ -948,17 +844,17 @@ func (a *Allocator) shiftDemand(from, to uint16, d float64) {
 // rebalance migrates one instance per period from the hottest overloaded
 // NIC to the coldest underloaded one (§6 "Load balancing policies").
 func (a *Allocator) rebalance(p *sim.Proc) {
-	var hot, cold *nicState
-	for _, id := range a.beOrder {
-		ns := a.nics[id]
-		if !ns.up || ns.info.Backup || ns.quarantine || ns.info.CapacityBps <= 0 {
+	var hot, cold *device
+	for _, l := range a.nics.All() {
+		ns := dev(l)
+		if !ns.Up || ns.Backup || ns.Quarantined || ns.CapacityBps <= 0 {
 			continue
 		}
-		util := ns.loadBps / ns.info.CapacityBps
-		if util >= a.cfg.RebalanceHigh && (hot == nil || ns.loadBps > hot.loadBps) {
+		util := ns.LoadBps / ns.CapacityBps
+		if util >= a.cfg.RebalanceHigh && (hot == nil || ns.LoadBps > hot.LoadBps) {
 			hot = ns
 		}
-		if util <= a.cfg.RebalanceLow && (cold == nil || ns.loadBps < cold.loadBps) {
+		if util <= a.cfg.RebalanceLow && (cold == nil || ns.LoadBps < cold.LoadBps) {
 			cold = ns
 		}
 	}
@@ -968,23 +864,19 @@ func (a *Allocator) rebalance(p *sim.Proc) {
 	// Move the largest-demand instance on the hot NIC.
 	var victim *instState
 	for _, st := range a.insts {
-		if st.primary == hot.info.ID && (victim == nil || st.demand > victim.demand) {
+		if st.primary == hot.ID && (victim == nil || st.demand > victim.demand) {
 			victim = st
 		}
 	}
 	if victim == nil {
 		return
 	}
-	if !a.rep.Propose(p, encodeCmd('M', uint32(victim.ip), cold.info.ID)) {
+	if !a.rep.Propose(p, encodeCmd('M', uint32(victim.ip), cold.ID)) {
 		return
 	}
-	old := victim.primary
-	victim.primary = cold.info.ID
-	a.shiftDemand(old, cold.info.ID, victim.demand)
-	a.sendToFE(p, victim.hostID, ctlMsg{op: core.CtlMigrate, ip: victim.ip, dev: cold.info.ID})
-	a.Migrations++
+	old := a.repoint(p, victim, cold.ID)
 	a.Rebalances++
-	a.events.Emit(p.Now(), "alloc", fmt.Sprintf("rebalance ip=%v nic%d -> nic%d", victim.ip, old, cold.info.ID))
+	a.events.Emit(p.Now(), "alloc", fmt.Sprintf("rebalance ip=%v nic%d -> nic%d", victim.ip, old, cold.ID))
 }
 
 // checkLeases expires devices whose telemetry went silent — the host-failure
@@ -996,35 +888,21 @@ func (a *Allocator) rebalance(p *sim.Proc) {
 // re-placed its engines onto survivors.
 func (a *Allocator) checkLeases(p *sim.Proc) {
 	var expiredHosts []int
-	for _, id := range a.beOrder {
-		ns := a.nics[id]
-		if !ns.up || ns.info.Backup {
-			continue
+	for _, d := range a.devices() {
+		if !d.Up || !leaseTracked(d) || d.lastSeen == 0 {
+			continue // down already, exempt, or never reported yet (startup grace)
 		}
-		if ns.lastSeen == 0 {
-			continue // never reported yet (startup grace)
-		}
-		if p.Now()-ns.lastSeen > a.cfg.LeaseTimeout {
-			ns.up = false
-			a.LeaseExpiries++
-			a.recoveryDetect.Record(time.Duration(p.Now() - ns.lastSeen))
-			a.events.Emit(p.Now(), "alloc", fmt.Sprintf("lease expired for nic%d", id))
-			a.failNIC(p, id)
-			expiredHosts = append(expiredHosts, ns.info.HostID)
-		}
-	}
-	for _, id := range a.ssdOrder {
-		ds := a.ssds[id]
-		if !ds.up || ds.lastSeen == 0 {
-			continue
-		}
-		if p.Now()-ds.lastSeen > a.cfg.LeaseTimeout {
-			ds.up = false
-			a.SSDLeaseExpiries++
-			a.recoveryDetect.Record(time.Duration(p.Now() - ds.lastSeen))
-			a.events.Emit(p.Now(), "alloc", fmt.Sprintf("lease expired for ssd%d", id))
-			a.failSSD(p, id)
-			expiredHosts = append(expiredHosts, ds.info.HostID)
+		if p.Now()-d.lastSeen > a.cfg.LeaseTimeout {
+			d.Up = false
+			if d.Kind == core.DeviceSSD {
+				a.SSDLeaseExpiries++
+			} else {
+				a.LeaseExpiries++
+			}
+			a.recoveryDetect.Record(time.Duration(p.Now() - d.lastSeen))
+			a.events.Emit(p.Now(), "alloc", fmt.Sprintf("lease expired for %v%d", d.Kind, d.ID))
+			a.fail(p, d)
+			expiredHosts = append(expiredHosts, d.HostID)
 		}
 	}
 	a.inferHostDeaths(p, expiredHosts)
@@ -1046,23 +924,12 @@ func (a *Allocator) inferHostDeaths(p *sim.Proc, candidates []int) {
 		}
 		prev = hostID
 		dead, tracked := true, false
-		for _, id := range a.beOrder {
-			ns := a.nics[id]
-			if ns.info.HostID != hostID || ns.info.Backup {
+		for _, d := range a.devices() {
+			if d.HostID != hostID || !leaseTracked(d) {
 				continue
 			}
 			tracked = true
-			if ns.up {
-				dead = false
-			}
-		}
-		for _, id := range a.ssdOrder {
-			ds := a.ssds[id]
-			if ds.info.HostID != hostID {
-				continue
-			}
-			tracked = true
-			if ds.up {
+			if d.Up {
 				dead = false
 			}
 		}
@@ -1073,127 +940,30 @@ func (a *Allocator) inferHostDeaths(p *sim.Proc, candidates []int) {
 	}
 }
 
-func (a *Allocator) sendToFE(p *sim.Proc, hostID int, m ctlMsg) {
-	l := a.feLinks[hostID]
-	if l == nil {
-		return
+// send delivers one command to a peer of the given link set (frontends by
+// host id, backends by device id). A full ring re-queues the command behind
+// the deferred commands, to be retried next iteration; a peer that has been
+// removed is skipped.
+func (a *Allocator) send(p *sim.Proc, to *core.LinkSet, peer uint32, m core.ControlMsg) {
+	if l := to.Get(peer); l != nil && !core.SendControl(p, l.End, m) {
+		a.cmds.Push(func(p *sim.Proc) { a.send(p, to, peer, m) })
 	}
-	var buf [15]byte
-	if !l.Send(p, m.encode(buf[:])) {
-		a.cmds.Push(func(p *sim.Proc) { a.sendToFE(p, hostID, m) })
-		return
-	}
-	l.Flush(p)
 }
 
-func (a *Allocator) sendToSFE(p *sim.Proc, hostID int, m ctlMsg) {
-	l := a.sfeLinks[hostID]
-	if l == nil {
-		return
+// broadcast sends one command to every peer of a link set, in order.
+func (a *Allocator) broadcast(p *sim.Proc, to *core.LinkSet, m core.ControlMsg) {
+	for _, l := range to.All() {
+		a.send(p, to, l.Peer, m)
 	}
-	var buf [15]byte
-	if !l.Send(p, m.encode(buf[:])) {
-		a.cmds.Push(func(p *sim.Proc) { a.sendToSFE(p, hostID, m) })
-		return
-	}
-	l.Flush(p)
 }
 
-func (a *Allocator) sendToBE(p *sim.Proc, nicID uint16, m ctlMsg) {
-	l := a.beLinks[nicID]
-	if l == nil {
-		return
+// View returns the allocator's current view of a device (tests, experiments
+// and the obs gauges read this); the zero view for a device it does not know.
+func (a *Allocator) View(kind core.DeviceKind, id uint16) DeviceView {
+	if d := a.device(kind, id); d != nil {
+		return d.DeviceView
 	}
-	var buf [15]byte
-	if !l.Send(p, m.encode(buf[:])) {
-		a.cmds.Push(func(p *sim.Proc) { a.sendToBE(p, nicID, m) })
-		return
-	}
-	l.Flush(p)
-}
-
-// NICLoad returns the allocator's latest telemetry-derived load for a NIC
-// in bytes/s (tests and load-balancing policies read this).
-func (a *Allocator) NICLoad(id uint16) float64 {
-	if ns := a.nics[id]; ns != nil {
-		return ns.loadBps
-	}
-	return 0
-}
-
-// NICUp reports the allocator's view of a NIC's health.
-func (a *Allocator) NICUp(id uint16) bool {
-	if ns := a.nics[id]; ns != nil {
-		return ns.up
-	}
-	return false
-}
-
-// SSDLoad returns the latest telemetry-derived load for an SSD in bytes/s.
-func (a *Allocator) SSDLoad(id uint16) float64 {
-	if ds := a.ssds[id]; ds != nil {
-		return ds.loadBps
-	}
-	return 0
-}
-
-// SSDUp reports the allocator's view of a drive's health.
-func (a *Allocator) SSDUp(id uint16) bool {
-	if ds := a.ssds[id]; ds != nil {
-		return ds.up
-	}
-	return false
-}
-
-// NICQuarantined reports whether the health scorer has quarantined a NIC.
-func (a *Allocator) NICQuarantined(id uint16) bool {
-	if ns := a.nics[id]; ns != nil {
-		return ns.quarantine
-	}
-	return false
-}
-
-// SSDQuarantined reports whether the health scorer has quarantined a drive.
-func (a *Allocator) SSDQuarantined(id uint16) bool {
-	if ds := a.ssds[id]; ds != nil {
-		return ds.quarantine
-	}
-	return false
-}
-
-// SSDServiceLatUs returns the drive's last-reported mean service latency µs.
-func (a *Allocator) SSDServiceLatUs(id uint16) uint16 {
-	if ds := a.ssds[id]; ds != nil {
-		return ds.latUs
-	}
-	return 0
-}
-
-// NICErrs returns the NIC's last-reported per-window soft error count.
-func (a *Allocator) NICErrs(id uint16) uint16 {
-	if ns := a.nics[id]; ns != nil {
-		return ns.errs
-	}
-	return 0
-}
-
-// SSDEpoch returns the drive's current fencing epoch (bumped per failover).
-func (a *Allocator) SSDEpoch(id uint16) uint16 {
-	if ds := a.ssds[id]; ds != nil {
-		return ds.epoch
-	}
-	return 0
-}
-
-// RecoveryDetect exposes the failure-detection latency histogram.
-func (a *Allocator) RecoveryDetect() *metrics.Histogram { return a.recoveryDetect }
-
-// SSDQueueDepth returns the drive's last-reported queue occupancy.
-func (a *Allocator) SSDQueueDepth(id uint16) uint16 {
-	if ds := a.ssds[id]; ds != nil {
-		return ds.queueDepth
-	}
-	return 0
+	return DeviceView{}
 }
 
 // PrimaryOf returns the allocator's current NIC assignment for an instance.
@@ -1207,26 +977,4 @@ func (a *Allocator) PrimaryOf(ip netstack.IP) (uint16, bool) {
 // encodeCmd packs a replicated decision for the Raft log.
 func encodeCmd(kind byte, arg uint32, nic uint16) []byte {
 	return []byte{kind, byte(arg), byte(arg >> 8), byte(arg >> 16), byte(arg >> 24), byte(nic), byte(nic >> 8)}
-}
-
-// ctlMsg is shorthand for building engine control messages. kind's zero
-// value maps to DeviceNIC so the (dominant) NIC-engine call sites stay
-// terse; storage failover sets kind explicitly.
-type ctlMsg struct {
-	op    byte
-	kind  core.DeviceKind
-	ip    netstack.IP
-	dev   uint16
-	aux   uint16
-	epoch uint16
-}
-
-func (m ctlMsg) encode(buf []byte) []byte {
-	kind := m.kind
-	if kind == 0 {
-		kind = core.DeviceNIC
-	}
-	return core.EncodeControl(buf, core.ControlMsg{
-		Op: m.op, Kind: kind, IP: m.ip, Dev: m.dev, Aux: m.aux, Epoch: m.epoch,
-	})
 }

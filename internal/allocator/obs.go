@@ -3,6 +3,7 @@ package allocator
 import (
 	"fmt"
 
+	"oasis/internal/core"
 	"oasis/internal/obs"
 )
 
@@ -27,33 +28,27 @@ func (a *Allocator) RegisterObs(r *obs.Registry, prefix string) {
 	r.Counter(prefix+"/recovery/propose_drops", func() int64 { return a.ProposeDrops })
 	r.Counter(prefix+"/recovery/assign_resends", func() int64 { return a.AssignResends })
 	r.Histogram(prefix+"/recovery/detect_lat", a.recoveryDetect)
-	for _, id := range a.beOrder {
-		id := id
-		npfx := fmt.Sprintf("%s/nic/nic%d", prefix, id)
-		r.Gauge(npfx+"/load_bps", func() float64 { return a.NICLoad(id) })
-		r.Gauge(npfx+"/up", func() float64 { return boolGauge(a.NICUp(id)) })
-		r.Gauge(npfx+"/quarantined", func() float64 { return boolGauge(a.NICQuarantined(id)) })
-	}
-	for _, id := range a.ssdOrder {
-		id := id
-		spfx := fmt.Sprintf("%s/ssd/ssd%d", prefix, id)
-		r.Gauge(spfx+"/up", func() float64 { return boolGauge(a.SSDUp(id)) })
-		r.Gauge(spfx+"/queue_depth", func() float64 { return float64(a.SSDQueueDepth(id)) })
-		r.Gauge(spfx+"/quarantined", func() float64 { return boolGauge(a.SSDQuarantined(id)) })
-	}
-	for _, hostID := range a.feOrder {
-		if h := a.feLinks[hostID].InLatency(); h != nil {
-			r.Histogram(fmt.Sprintf("%s/chan/host%d/rx_lat", prefix, hostID), h)
+	for _, d := range a.devices() {
+		kind, id := d.Kind, d.ID
+		dpfx := fmt.Sprintf("%s/%v/%v%d", prefix, kind, kind, id)
+		// The per-kind gauge is the one the kind's policies steer by: NIC
+		// placement and rebalancing by load, storage by queue occupancy.
+		if kind == core.DeviceNIC {
+			r.Gauge(dpfx+"/load_bps", func() float64 { return a.View(kind, id).LoadBps })
+		} else {
+			r.Gauge(dpfx+"/queue_depth", func() float64 { return float64(a.View(kind, id).QueueDepth) })
 		}
+		r.Gauge(dpfx+"/up", func() float64 { return boolGauge(a.View(kind, id).Up) })
+		r.Gauge(dpfx+"/quarantined", func() float64 { return boolGauge(a.View(kind, id).Quarantined) })
 	}
-	for _, id := range a.beOrder {
-		if h := a.beLinks[id].InLatency(); h != nil {
-			r.Histogram(fmt.Sprintf("%s/chan/nic%d/rx_lat", prefix, id), h)
-		}
-	}
-	for _, id := range a.ssdOrder {
-		if h := a.ssdLinks[id].InLatency(); h != nil {
-			r.Histogram(fmt.Sprintf("%s/chan/ssd%d/rx_lat", prefix, id), h)
+	for _, c := range []struct {
+		peer string
+		set  *core.LinkSet
+	}{{"host", a.frontends}, {"nic", a.nics}, {"ssd", a.ssds}} {
+		for _, l := range c.set.All() {
+			if h := l.End.InLatency(); h != nil {
+				r.Histogram(fmt.Sprintf("%s/chan/%s%d/rx_lat", prefix, c.peer, l.Peer), h)
+			}
 		}
 	}
 	a.events = r.Events

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"oasis/internal/netstack"
+	"oasis/internal/sim"
 )
 
 // The shared control plane (§3.5): every device engine's backend reports
@@ -139,3 +140,38 @@ func DecodeControl(payload []byte) ControlMsg {
 // IsControlOp reports whether an opcode byte belongs to the shared control
 // plane rather than an engine's data plane.
 func IsControlOp(op byte) bool { return op >= CtlLinkDown && op <= CtlAssign }
+
+// SendControl is the one way a control message goes on the wire: encode it
+// into a 15-byte payload, send it on end, and flush the sender line at once —
+// control traffic is too sparse to wait for a batch (§3.2.2). It returns
+// false, with nothing sent or flushed, when the ring is full; whether that
+// is worth a retry is the caller's policy (backend telemetry and link
+// reports are best effort — the next window repeats them — while the
+// allocator re-queues its commands).
+func SendControl(p *sim.Proc, end ChanEnd, m ControlMsg) bool {
+	var buf [15]byte
+	if !end.Send(p, EncodeControl(buf[:], m)) {
+		return false
+	}
+	end.Flush(p)
+	return true
+}
+
+// PollControl drains up to burst control messages from end into handle and
+// returns how many it delivered; a payload whose opcode is not a control op
+// is dropped uncounted. Whether delivered messages count as loop progress,
+// and when the link is flushed, stay with the calling engine.
+func PollControl(p *sim.Proc, end ChanEnd, burst int, handle func(p *sim.Proc, m ControlMsg)) int {
+	n := 0
+	for i := 0; i < burst; i++ {
+		payload, ok := end.Poll(p)
+		if !ok {
+			break
+		}
+		if IsControlOp(payload[0]) {
+			handle(p, DecodeControl(payload))
+			n++
+		}
+	}
+	return n
+}

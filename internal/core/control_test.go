@@ -3,7 +3,10 @@ package core
 import (
 	"testing"
 
+	"oasis/internal/host"
+	"oasis/internal/msgchan"
 	"oasis/internal/netstack"
+	"oasis/internal/sim"
 )
 
 func TestControlCodecRoundTrip(t *testing.T) {
@@ -61,4 +64,50 @@ func TestDeviceKindString(t *testing.T) {
 	if DeviceNIC.String() != "nic" || DeviceSSD.String() != "ssd" || DeviceKind(9).String() != "dev" {
 		t.Fatal("DeviceKind.String mismatch")
 	}
+}
+
+func TestSendPollControl(t *testing.T) {
+	// SendControl puts a message on the wire flushed; PollControl delivers
+	// control messages decoded, burst-bounded, and drops a data-plane payload
+	// uncounted. A full ring refuses the send and leaves it to the caller.
+	eng, pool := testPool()
+	hA := host.New(eng, 0, "A", pool, host.DefaultConfig())
+	hB := host.New(eng, 1, "B", pool, host.DefaultConfig())
+	cfg := msgchan.DefaultConfig()
+	cfg.Slots = 4
+	aEnd, bEnd, err := NewDuplexLink(pool, hA, hB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Go("test", func(p *sim.Proc) {
+		aEnd.Send(p, append([]byte{3}, make([]byte, 14)...)) // a data-plane opcode
+		sent := []ControlMsg{
+			{Op: CtlLinkDown, Kind: DeviceNIC, Dev: 3},
+			{Op: CtlTelemetry, Kind: DeviceSSD, Dev: 1, Load: 77, LinkUp: true, AER: 120},
+			{Op: CtlAssign, Kind: DeviceNIC, IP: netstack.IPv4(10, 0, 0, 1), Dev: 2, Aux: 6},
+		}
+		for _, m := range sent {
+			if !SendControl(p, aEnd, m) {
+				t.Fatalf("send %+v refused", m)
+			}
+		}
+		if SendControl(p, aEnd, ControlMsg{Op: CtlLinkUp}) {
+			t.Error("send into a full 4-slot ring accepted")
+		}
+		var got []ControlMsg
+		collect := func(_ *sim.Proc, m ControlMsg) { got = append(got, m) }
+		// Burst 3 polls the data-plane payload and two control messages.
+		if n := PollControl(p, bEnd, 3, collect); n != 2 {
+			t.Errorf("first burst delivered %d, want 2 (data-plane payload uncounted)", n)
+		}
+		if n := PollControl(p, bEnd, 3, collect); n != 1 {
+			t.Errorf("second burst delivered %d, want 1", n)
+		}
+		for i, m := range sent {
+			if i >= len(got) || got[i] != m {
+				t.Fatalf("delivered %+v, want %+v", got, sent)
+			}
+		}
+	})
+	eng.Run()
 }

@@ -138,6 +138,25 @@ func (s *LinkSet) Add(peer uint32, end ChanEnd) *Link {
 	return l
 }
 
+// Remove forgets a peer's link (topology removal), keeping the others in
+// insertion order; messages parked on it go with it. The order slice is
+// shifted in place, so a PollEach or FlushAll that is suspended mid-pass
+// (the engine is cooperative) finishes over the survivors. Removing an
+// unknown peer does nothing.
+func (s *LinkSet) Remove(peer uint32) {
+	l := s.byPeer[peer]
+	if l == nil {
+		return
+	}
+	delete(s.byPeer, peer)
+	for i, o := range s.order {
+		if o == l {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			break
+		}
+	}
+}
+
 // Get returns the link for a peer, or nil.
 func (s *LinkSet) Get(peer uint32) *Link { return s.byPeer[peer] }
 

@@ -151,3 +151,76 @@ func TestPollEachBurstAndStats(t *testing.T) {
 	})
 	eng.Run()
 }
+
+func TestLinkSetRemove(t *testing.T) {
+	eng, pool := testPool()
+	hA := host.New(eng, 0, "A", pool, host.DefaultConfig())
+	hB := host.New(eng, 1, "B", pool, host.DefaultConfig())
+	s := NewLinkSet(DefaultPendingLimit)
+	peerEnds := map[uint32]*LinkEnd{}
+	for _, peer := range []uint32{5, 1, 9} {
+		aEnd, bEnd, err := NewDuplexLink(pool, hA, hB, tinyChan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Add(peer, aEnd)
+		peerEnds[peer] = bEnd
+	}
+	eng.Go("test", func(p *sim.Proc) {
+		// Park messages on the middle link (4 fill its ring, 2 park) and one
+		// on the last, then remove the middle.
+		for i := byte(0); i < 6; i++ {
+			s.Get(1).SendOrQueue(p, []byte{i})
+		}
+		for i := byte(0); i < 5; i++ {
+			s.Get(9).SendOrQueue(p, []byte{i})
+		}
+		if s.PendingCount() != 3 {
+			t.Fatalf("pending before remove = %d, want 3", s.PendingCount())
+		}
+		s.Remove(1)
+		s.Remove(7) // unknown peer: no-op
+
+		if s.Len() != 2 || s.Get(1) != nil {
+			t.Fatalf("after remove: len=%d get(1)=%v", s.Len(), s.Get(1))
+		}
+		for i, want := range []uint32{5, 9} {
+			if s.All()[i].Peer != want {
+				t.Fatalf("order[%d] = %d, want %d (survivors keep insertion order)", i, s.All()[i].Peer, want)
+			}
+		}
+		if s.PendingCount() != 1 {
+			t.Errorf("pending after remove = %d, want 1 (the removed link's parked messages go with it)", s.PendingCount())
+		}
+		// PollEach and FlushAll walk the survivors, in order, and never the
+		// removed link.
+		for _, peer := range []uint32{5, 1, 9} {
+			peerEnds[peer].Send(p, []byte{byte(peer)})
+			peerEnds[peer].Flush(p)
+		}
+		var polled []uint32
+		s.PollEach(p, 4, func(_ *sim.Proc, l *Link, payload []byte) {
+			if uint32(payload[0]) != l.Peer {
+				t.Errorf("link %d delivered peer %d's message", l.Peer, payload[0])
+			}
+			polled = append(polled, l.Peer)
+		})
+		if len(polled) != 2 || polled[0] != 5 || polled[1] != 9 {
+			t.Errorf("polled %v, want [5 9]", polled)
+		}
+		s.Get(5).Send(p, []byte{42})
+		s.FlushAll(p)
+		if msg, ok := peerEnds[5].Poll(p); !ok || msg[0] != 42 {
+			t.Errorf("survivor's message not flushed: ok=%v", ok)
+		}
+		// The peer id is free again.
+		aEnd, _, err := NewDuplexLink(pool, hA, hB, tinyChan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l := s.Add(1, aEnd); s.All()[2] != l {
+			t.Error("re-added peer is not last in order")
+		}
+	})
+	eng.Run()
+}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"oasis"
+	"oasis/internal/core"
 	"oasis/internal/faults"
 	"oasis/internal/ssd"
 )
@@ -258,8 +259,8 @@ func grayfailRun(_ float64, x Exec) *Report {
 	check(in.Active() == 0, "faults left unhealed at end of campaign")
 	check(alloc.HealthSSDEvacs >= 1, "health scorer never evacuated the slow drive")
 	check(alloc.HealthNICEvacs >= 1, "health scorer never evacuated the lossy NIC")
-	check(alloc.SSDQuarantined(1), "slow drive not quarantined at end of campaign")
-	check(alloc.NICQuarantined(1), "lossy NIC not quarantined at end of campaign")
+	check(alloc.View(core.DeviceSSD, 1).Quarantined, "slow drive not quarantined at end of campaign")
+	check(alloc.View(core.DeviceNIC, 1).Quarantined, "lossy NIC not quarantined at end of campaign")
 	check(alloc.Failovers == 0, "a gray fault tripped a hard NIC failover")
 	check(alloc.SSDFailovers == 0, "a gray fault tripped a hard SSD failover")
 	check(alloc.AERFailovers == 0, "a gray fault tripped an AER failover")
@@ -292,7 +293,7 @@ func grayfailRun(_ float64, x Exec) *Report {
 		r.addf("  outage [%v, %v]", w.start, w.end)
 	}
 	r.addf("health: nic_evacs=%d ssd_evacs=%d nic1_quarantined=%v ssd1_quarantined=%v primary(instA)=nic%d",
-		alloc.HealthNICEvacs, alloc.HealthSSDEvacs, alloc.NICQuarantined(1), alloc.SSDQuarantined(1), primary)
+		alloc.HealthNICEvacs, alloc.HealthSSDEvacs, alloc.View(core.DeviceNIC, 1).Quarantined, alloc.View(core.DeviceSSD, 1).Quarantined, primary)
 	r.addf("hard failovers (must all be zero): nic=%d ssd=%d aer=%d",
 		alloc.Failovers, alloc.SSDFailovers, alloc.AERFailovers)
 	r.addf("storage: rebinds=%d stale_rejected=%d mirror_writes=%d volumes_lost=%d",

@@ -108,7 +108,7 @@ func NewBackend(h *host.Host, nicID uint16, dev *nic.NIC, pool *cxl.Pool, nicDir
 		pool:     pool,
 		cfg:      cfg,
 		rxArea:   area,
-		links:    core.NewLinkSet(cfg.PendingLimit),
+		links:    core.NewLinkSet(core.DefaultPendingLimit),
 		regs:     make(map[netstack.IP]*registration),
 		tags:     make(map[uint32]*registration),
 		nextTag:  1,
@@ -159,11 +159,11 @@ func (be *Backend) PollOnce(p *sim.Proc) int {
 	progress := be.links.PendingCount()
 	be.links.DrainPending(p)
 	// Frontend messages.
-	progress += be.links.PollEach(p, be.cfg.Burst, func(p *sim.Proc, l *core.Link, payload []byte) {
+	progress += be.links.PollEach(p, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
 		be.handleFrontendMsg(p, l.Meta.(*feLink), decode(payload))
 	})
 	// NIC completion queues.
-	for i := 0; i < be.cfg.Burst; i++ {
+	for i := 0; i < burst; i++ {
 		tc, ok := be.dev.PollTxCompletion()
 		if !ok {
 			break
@@ -171,7 +171,7 @@ func (be *Backend) PollOnce(p *sim.Proc) int {
 		be.handleTxCompletion(p, tc)
 		progress++
 	}
-	for i := 0; i < be.cfg.Burst; i++ {
+	for i := 0; i < burst; i++ {
 		rc, ok := be.dev.PollRxCompletion()
 		if !ok {
 			break
@@ -192,13 +192,7 @@ func (be *Backend) PollOnce(p *sim.Proc) int {
 	}
 	// Control plane.
 	if be.ctrl != nil {
-		for i := 0; i < be.cfg.Burst; i++ {
-			payload, ok := be.ctrl.Poll(p)
-			if !ok {
-				break
-			}
-			be.handleControlMsg(p, core.DecodeControl(payload))
-		}
+		core.PollControl(p, be.ctrl, burst, be.handleControlMsg)
 		be.maybeCheckLink(p)
 		be.maybeSendTelemetry(p)
 	}
@@ -351,7 +345,6 @@ func (be *Backend) maybeCheckLink(p *sim.Proc) {
 		return
 	}
 	be.lastUp = up
-	var buf [15]byte
 	op := byte(core.CtlLinkUp)
 	if !up {
 		op = core.CtlLinkDown
@@ -362,10 +355,9 @@ func (be *Backend) maybeCheckLink(p *sim.Proc) {
 		state = "down"
 	}
 	be.events.Emit(p.Now(), be.eventSrc, fmt.Sprintf("nic%d link %s", be.nicID, state))
-	be.ctrl.Send(p, core.EncodeControl(buf[:], core.ControlMsg{
-		Op: op, Kind: core.DeviceNIC, Dev: be.nicID,
-	}))
-	be.ctrl.Flush(p)
+	// Best effort: should a full ring drop the report, the next telemetry
+	// record carries the link state and the allocator acts on that.
+	core.SendControl(p, be.ctrl, core.ControlMsg{Op: op, Kind: core.DeviceNIC, Dev: be.nicID})
 }
 
 // maybeSendTelemetry emits the periodic load record (§3.5: every 100 ms).
@@ -395,8 +387,7 @@ func (be *Backend) maybeSendTelemetry(p *sim.Proc) {
 	if qdepth > 65535 {
 		qdepth = 65535
 	}
-	var buf [15]byte
-	be.ctrl.Send(p, core.EncodeControl(buf[:], core.ControlMsg{
+	core.SendControl(p, be.ctrl, core.ControlMsg{
 		Op:         core.CtlTelemetry,
 		Kind:       core.DeviceNIC,
 		Dev:        be.nicID,
@@ -405,8 +396,7 @@ func (be *Backend) maybeSendTelemetry(p *sim.Proc) {
 		AER:        uint16(aerDelta),
 		Errs:       uint8(errsDelta),
 		QueueDepth: uint16(qdepth),
-	}))
-	be.ctrl.Flush(p)
+	}) // best effort: a full ring drops the record, the next window's stands in
 }
 
 // sendToFE sends a message to a frontend, parking it on the link's bounded

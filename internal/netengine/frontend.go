@@ -30,7 +30,6 @@ type Config struct {
 	BufSize     int   // I/O buffer size; holds one MTU frame
 	Chan        msgchan.Config
 	LoopCost    sim.Duration // per poll-loop iteration CPU cost
-	Burst       int          // max items drained per queue per iteration
 	// MsgCost is the per-message driver handling cost (decode, per-instance
 	// state lookups, WQE/buffer bookkeeping) charged on each send and
 	// receive of a datapath message. It models the §5.1 observation that
@@ -64,10 +63,6 @@ type Config struct {
 	// with the backoff cap it tolerates allocator outages of ~15 s —
 	// because tripping it turns a transient outage into a hard error.
 	AllocRetryBudget int
-
-	// PendingLimit bounds each peer link's queue of messages parked on a
-	// full ring before the link reports backpressure (core.LinkSet).
-	PendingLimit int
 }
 
 // DefaultConfig returns the engine defaults.
@@ -78,17 +73,18 @@ func DefaultConfig() Config {
 		BufSize:          2048,
 		Chan:             msgchan.DefaultConfig(),
 		LoopCost:         60 * time.Nanosecond,
-		Burst:            32,
 		MsgCost:          150 * time.Nanosecond,
 		IdleBackoff:      time.Microsecond,
 		LinkCheckEvery:   time.Millisecond,
 		TelemetryEvery:   100 * time.Millisecond,
 		MigrationGrace:   5 * time.Second,
-		PendingLimit:     core.DefaultPendingLimit,
 		AllocRetryBase:   10 * time.Millisecond,
 		AllocRetryBudget: 32,
 	}
 }
+
+// burst is the most items a driver loop drains per queue per iteration.
+const burst = 32
 
 // allocRetryCap bounds the allocation-request retry backoff.
 const allocRetryCap = 500 * time.Millisecond
@@ -152,7 +148,7 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
 		h:       h,
 		pool:    pool,
 		cfg:     cfg,
-		links:   core.NewLinkSet(cfg.PendingLimit),
+		links:   core.NewLinkSet(core.DefaultPendingLimit),
 		insts:   make(map[netstack.IP]*InstancePort),
 		cmds:    sim.NewQueue[feCmd](h.Eng),
 		scratch: make([]byte, cfg.BufSize),
@@ -350,11 +346,7 @@ func (ip *InstancePort) AllocError() error { return ip.allocErr }
 // sendAllocRequest emits one allocation request (best effort: a full ring
 // is recovered by the retry timer, not a park).
 func (fe *Frontend) sendAllocRequest(p *sim.Proc, inst *InstancePort) {
-	var buf [15]byte
-	fe.ctrl.Send(p, core.EncodeControl(buf[:], core.ControlMsg{
-		Op: core.CtlAllocRequest, Kind: core.DeviceNIC, IP: inst.ip,
-	}))
-	fe.ctrl.Flush(p)
+	core.SendControl(p, fe.ctrl, core.ControlMsg{Op: core.CtlAllocRequest, Kind: core.DeviceNIC, IP: inst.ip})
 }
 
 // sendRegister emits a registration message (best effort; the channel is
@@ -379,7 +371,7 @@ func (fe *Frontend) PollOnce(p *sim.Proc) int {
 	progress := fe.links.PendingCount()
 	fe.links.DrainPending(p)
 	// Deferred commands (assignments, migration steps).
-	for i := 0; i < fe.cfg.Burst; i++ {
+	for i := 0; i < burst; i++ {
 		cmd, ok := fe.cmds.TryPop()
 		if !ok {
 			break
@@ -419,7 +411,7 @@ func (fe *Frontend) PollOnce(p *sim.Proc) int {
 		if !inst.Ready() {
 			continue
 		}
-		for i := 0; i < fe.cfg.Burst; i++ {
+		for i := 0; i < burst; i++ {
 			req, ok := inst.txQ.TryPop()
 			if !ok {
 				break
@@ -429,19 +421,12 @@ func (fe *Frontend) PollOnce(p *sim.Proc) int {
 		}
 	}
 	// Backend messages.
-	progress += fe.links.PollEach(p, fe.cfg.Burst, func(p *sim.Proc, l *core.Link, payload []byte) {
+	progress += fe.links.PollEach(p, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
 		fe.handleBackendMsg(p, l.Meta.(*beLink), decode(payload))
 	})
 	// Allocator commands.
 	if fe.ctrl != nil {
-		for i := 0; i < fe.cfg.Burst; i++ {
-			payload, ok := fe.ctrl.Poll(p)
-			if !ok {
-				break
-			}
-			fe.handleControlMsg(p, core.DecodeControl(payload))
-			progress++
-		}
+		progress += core.PollControl(p, fe.ctrl, burst, fe.handleControlMsg)
 	}
 	// Push partial message lines promptly at low rates (§3.2.2).
 	fe.links.FlushAll(p)

@@ -145,7 +145,7 @@ func (d *LocalDriver) PollOnce(p *sim.Proc) int {
 	progress := 0
 	for _, ip := range d.instOrder {
 		inst := d.insts[ip]
-		for i := 0; i < d.cfg.Burst; i++ {
+		for i := 0; i < burst; i++ {
 			req, ok := inst.txQ.TryPop()
 			if !ok {
 				break
@@ -165,7 +165,7 @@ func (d *LocalDriver) PollOnce(p *sim.Proc) int {
 			progress++
 		}
 	}
-	for i := 0; i < d.cfg.Burst; i++ {
+	for i := 0; i < burst; i++ {
 		tc, ok := d.dev.PollTxCompletion()
 		if !ok {
 			break
@@ -176,7 +176,7 @@ func (d *LocalDriver) PollOnce(p *sim.Proc) int {
 		}
 		progress++
 	}
-	for i := 0; i < d.cfg.Burst; i++ {
+	for i := 0; i < burst; i++ {
 		rc, ok := d.dev.PollRxCompletion()
 		if !ok {
 			break

@@ -59,25 +59,28 @@ type Config struct {
 	BufSize int
 	// Chan configures the 64 B channels.
 	Chan msgchan.Config
-	// LoopCost / Burst / IdleBackoff mirror the network engine's core model.
-	LoopCost    sim.Duration
-	Burst       int
-	IdleBackoff sim.Duration
 	// TelemetryEvery is the backend's load-report period (§3.5: 100 ms).
 	TelemetryEvery sim.Duration
-	// PendingLimit bounds each peer link's queue of messages parked on a
-	// full ring before the link reports backpressure (core.LinkSet).
-	PendingLimit int
-	// MaxRetries bounds per-request resubmissions after an errored or
-	// fenced completion. The retry budget must outlast the allocator's
-	// failure-detection window so a request caught by a drive failure
-	// lands on the re-bound volume instead of erroring. 0 disables
-	// retries (pre-failover behavior).
-	MaxRetries int
-	// RetryBase / RetryCap shape the exponential retry backoff.
-	RetryBase sim.Duration
-	RetryCap  sim.Duration
 }
+
+// Storage driver cores pace themselves: 60 ns per iteration, bursts of 32,
+// idle backoff capped at 1 µs — independently of the pod's network engines
+// (the chaos and gray-failure campaigns raise those to 200 µs; storage loops
+// stay here, and the campaigns' goldens depend on it).
+var pacing = core.DriverConfig{LoopCost: 60 * time.Nanosecond, IdleBackoff: time.Microsecond}
+
+const burst = 32
+
+// Request retry policy. maxRetries bounds per-request resubmissions after an
+// errored or fenced completion; with the exponential backoff below the retry
+// budget outlasts the allocator's failure-detection window, so a request
+// caught by a drive failure lands on the re-bound volume instead of
+// erroring.
+const (
+	maxRetries = 8
+	retryBase  = 5 * time.Millisecond
+	retryCap   = 100 * time.Millisecond
+)
 
 // DefaultConfig: 64 KiB buffers (16 blocks per request max).
 func DefaultConfig() Config {
@@ -87,41 +90,21 @@ func DefaultConfig() Config {
 		BufAreaBytes:   8 << 20,
 		BufSize:        16 * ssd.BlockSize,
 		Chan:           ch,
-		LoopCost:       60 * time.Nanosecond,
-		Burst:          32,
-		IdleBackoff:    time.Microsecond,
 		TelemetryEvery: 100 * time.Millisecond,
-		PendingLimit:   core.DefaultPendingLimit,
-		MaxRetries:     8,
-		RetryBase:      5 * time.Millisecond,
-		RetryCap:       100 * time.Millisecond,
 	}
 }
 
 // MaxBlocksPerRequest is the per-request span bound.
 func (c Config) MaxBlocksPerRequest() int { return c.BufSize / ssd.BlockSize }
 
-// driverConfig derives the core runtime pacing from the engine config.
-func (c Config) driverConfig() core.DriverConfig {
-	return core.DriverConfig{LoopCost: c.LoopCost, IdleBackoff: c.IdleBackoff}
-}
-
-// retryBackoff is the wait before resubmission attempt n (1-based).
-func (c Config) retryBackoff(attempt int) sim.Duration {
-	d := c.RetryBase
-	if d <= 0 {
-		d = time.Millisecond
-	}
-	for i := 1; i < attempt; i++ {
+// retryBackoff is the wait before resubmission attempt n (1-based):
+// retryBase doubled per attempt, capped at retryCap.
+func retryBackoff(attempt int) sim.Duration {
+	d := retryBase
+	for i := 1; i < attempt && d < retryCap; i++ {
 		d *= 2
-		if c.RetryCap > 0 && d >= c.RetryCap {
-			return c.RetryCap
-		}
 	}
-	if c.RetryCap > 0 && d > c.RetryCap {
-		d = c.RetryCap
-	}
-	return d
+	return min(d, retryCap)
 }
 
 // readyRecheck paces the frontend's re-examination of requests parked on a
@@ -262,12 +245,12 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
 		h:       h,
 		pool:    pool,
 		cfg:     cfg,
-		links:   core.NewLinkSet(cfg.PendingLimit),
+		links:   core.NewLinkSet(core.DefaultPendingLimit),
 		vols:    make(map[netstack.IP]*Volume),
 		reqQ:    sim.NewQueue[*ioReq](h.Eng),
 		pending: make(map[uint16]*pendingLeg),
 	}
-	fe.Seat = core.NewSeat(fe, h, cfg.driverConfig())
+	fe.Seat = core.NewSeat(fe, h, pacing)
 	return fe
 }
 
@@ -650,7 +633,7 @@ func (fe *Frontend) PollOnce(p *sim.Proc) int {
 		}
 		fe.retryQ = kept
 	}
-	for i := 0; i < fe.cfg.Burst; i++ {
+	for i := 0; i < burst; i++ {
 		req, ok := fe.reqQ.TryPop()
 		if !ok {
 			break
@@ -658,20 +641,11 @@ func (fe *Frontend) PollOnce(p *sim.Proc) int {
 		fe.forward(p, req, buf[:])
 		progress++
 	}
-	progress += fe.links.PollEach(p, fe.cfg.Burst, func(p *sim.Proc, l *core.Link, payload []byte) {
+	progress += fe.links.PollEach(p, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
 		fe.handleBackendMsg(p, l.Meta.(*sbeLink), sdecode(payload))
 	})
 	if fe.ctrl != nil {
-		for i := 0; i < fe.cfg.Burst; i++ {
-			payload, ok := fe.ctrl.Poll(p)
-			if !ok {
-				break
-			}
-			if core.IsControlOp(payload[0]) {
-				fe.handleControlMsg(p, core.DecodeControl(payload))
-				progress++
-			}
-		}
+		progress += core.PollControl(p, fe.ctrl, burst, fe.handleControlMsg)
 	}
 	fe.links.FlushAll(p)
 	return progress
@@ -855,12 +829,12 @@ func (fe *Frontend) settle(p *sim.Proc, req *ioReq) {
 		req.sig.Broadcast()
 		return
 	}
-	if req.attempts < fe.cfg.MaxRetries {
+	if req.attempts < maxRetries {
 		req.attempts++
 		fe.Retries++
 		req.okOn = req.okOn[:0]
 		req.status = 0
-		req.notBefore = p.Now() + fe.cfg.retryBackoff(req.attempts)
+		req.notBefore = p.Now() + retryBackoff(req.attempts)
 		fe.retryQ = append(fe.retryQ, req)
 		return
 	}
@@ -1046,12 +1020,12 @@ func NewBackend(h *host.Host, ssdID uint16, dev *ssd.SSD, capacityBlocks uint64,
 		ssdID:    ssdID,
 		dev:      dev,
 		cfg:      cfg,
-		links:    core.NewLinkSet(cfg.PendingLimit),
+		links:    core.NewLinkSet(core.DefaultPendingLimit),
 		vols:     make(map[netstack.IP]*svol),
 		capacity: capacityBlocks,
 		inflight: make(map[uint16]pendingIO),
 	}
-	be.Seat = core.NewSeat(be, h, cfg.driverConfig())
+	be.Seat = core.NewSeat(be, h, pacing)
 	return be
 }
 
@@ -1088,10 +1062,10 @@ func (be *Backend) PollOnce(p *sim.Proc) int {
 	// they are delivered.
 	progress := be.links.PendingCount()
 	be.links.DrainPending(p)
-	progress += be.links.PollEach(p, be.cfg.Burst, func(p *sim.Proc, l *core.Link, payload []byte) {
+	progress += be.links.PollEach(p, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
 		be.handleFrontendMsg(p, l.Meta.(*sfeLink), sdecode(payload), buf[:])
 	})
-	for i := 0; i < be.cfg.Burst; i++ {
+	for i := 0; i < burst; i++ {
 		comp, ok := be.dev.PollCompletion()
 		if !ok {
 			break
@@ -1135,8 +1109,7 @@ func (be *Backend) maybeSendTelemetry(p *sim.Proc) {
 		}
 	}
 	be.latSum, be.latOps = 0, 0
-	var buf [15]byte
-	be.ctrl.Send(p, core.EncodeControl(buf[:], core.ControlMsg{
+	core.SendControl(p, be.ctrl, core.ControlMsg{
 		Op:         core.CtlTelemetry,
 		Kind:       core.DeviceSSD,
 		Dev:        be.ssdID,
@@ -1144,8 +1117,7 @@ func (be *Backend) maybeSendTelemetry(p *sim.Proc) {
 		LinkUp:     !be.dev.Failed(),
 		AER:        uint16(meanUs),
 		QueueDepth: uint16(qdepth),
-	}))
-	be.ctrl.Flush(p)
+	}) // best effort: a full ring drops the record, the next window's stands in
 	be.TelemetrySent++
 }
 

@@ -107,11 +107,12 @@ fi
 echo "== migration blackout smoke (pre-copy vs stop-the-world) =="
 go run ./cmd/oasis-bench -run blackout | grep -q "invariants: OK"
 
-# Fuzz seed-corpus regression: the stored FuzzParsePlan seeds (every fault
-# kind incl. the gray quartet, plus near-miss invalids) run as ordinary
-# tests — no long fuzzing here; use `go test -fuzz=FuzzParsePlan
-# ./internal/faults` to explore.
-echo "== fault-plan grammar fuzz corpus =="
-go test -run FuzzParsePlan ./internal/faults
+# Fuzz seed-corpus regression: the stored seeds of every fuzz target
+# (FuzzParsePlan: every fault kind incl. the gray quartet, plus near-miss
+# invalids; FuzzControlCodec: one message per control opcode, the load clamp
+# boundary, all-0xFF, a data-plane opcode) run as ordinary tests — no long
+# fuzzing here. One list, kept in the Makefile (`make fuzz`).
+echo "== fuzz seed corpora (make fuzz) =="
+make fuzz
 
 echo "verify: OK"

@@ -3,6 +3,7 @@ package oasis
 import (
 	"fmt"
 
+	"oasis/internal/core"
 	"oasis/internal/topo"
 )
 
@@ -134,7 +135,7 @@ func (t *Topology) RemoveNICErr(id uint16) error {
 		}
 	}
 	if t.Alloc != nil {
-		t.Alloc.RemoveNIC(id)
+		t.Alloc.RemoveDevice(core.DeviceNIC, id)
 	}
 	for i, be := range n.host.BEs {
 		if be == n.BE {
@@ -167,7 +168,7 @@ func (t *Topology) RemoveSSDErr(id uint16) error {
 		}
 	}
 	if t.Alloc != nil {
-		t.Alloc.RemoveSSD(id)
+		t.Alloc.RemoveDevice(core.DeviceSSD, id)
 	}
 	delete(t.SSDs, id)
 	t.dropNode(topo.Ref{Pod: topo.Unscoped, Kind: topo.KindSSD, Index: int(id)}.String())

@@ -169,7 +169,8 @@ func (t *Topology) wire() error {
 			if err != nil {
 				return err
 			}
-			t.Alloc.AddNIC(allocator.NICInfo{
+			t.Alloc.AddDevice(allocator.DeviceInfo{
+				Kind:        core.DeviceNIC,
 				ID:          n.ID,
 				HostID:      n.host.H.ID,
 				CapacityBps: t.cfg.Switch.PortBandwidth,
@@ -186,7 +187,7 @@ func (t *Topology) wire() error {
 			if err != nil {
 				return err
 			}
-			t.Alloc.AddSSD(allocator.SSDInfo{ID: d.ID, HostID: d.host.H.ID, Backup: d.Backup}, aEnd)
+			t.Alloc.AddDevice(allocator.DeviceInfo{Kind: core.DeviceSSD, ID: d.ID, HostID: d.host.H.ID, Backup: d.Backup}, aEnd)
 			d.BE.SetControlLink(beEnd)
 		}
 		for _, ph := range hosts {
