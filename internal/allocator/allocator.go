@@ -199,6 +199,7 @@ type Allocator struct {
 	nextLease  sim.Duration
 	nextRebal  sim.Duration
 	lastPoll   sim.Duration
+	stages     []core.Stage
 
 	// events receives decision trace events when RegisterObs hooked the
 	// allocator to a pod trace ring (nil-safe otherwise).
@@ -431,10 +432,39 @@ func (a *Allocator) deferRetry(attempt int, fn func(p *sim.Proc, attempt int)) {
 // LoopName implements core.EngineLoop.
 func (a *Allocator) LoopName() string { return a.h.Name + "/allocator" }
 
-// PollOnce implements core.EngineLoop: one pass over deferred commands,
+// PollOnce implements core.EngineLoop: one run of the stages.
+func (a *Allocator) PollOnce(p *sim.Proc) int { return core.RunStages(p, a.Stages()) }
+
+// Stages implements core.StagedLoop: one pass over deferred commands,
 // frontend requests, backend telemetry (NIC and SSD), and the lease and
 // rebalance windows.
-func (a *Allocator) PollOnce(p *sim.Proc) int {
+func (a *Allocator) Stages() []core.Stage {
+	if a.stages == nil {
+		a.stages = []core.Stage{
+			core.WorkStage("commands", a.commandsIdle, a.runCommands),
+			core.PollStage("frontend requests", a.frontends, burst, a.handleFE),
+			core.PollStage("nic reports", a.nics, burst, a.ingest),
+			core.PollStage("ssd reports", a.ssds, burst, a.ingest),
+			core.WorkStage("windows and flush", a.windowsIdle, a.windowsAndFlush),
+		}
+	}
+	return a.stages
+}
+
+// commandsIdle reports whether runCommands has only its time-of-pass mark to
+// make — timers set, no outage behind this pass, no deferred command — and
+// makes it, so that a pass skipped on this word still counts as the allocator
+// having been on the air.
+func (a *Allocator) commandsIdle() bool {
+	now := a.h.Eng.Now()
+	if !a.timersInit || a.cmds.Len() > 0 || (a.lastPoll > 0 && now-a.lastPoll > a.cfg.LeaseTimeout) {
+		return false
+	}
+	a.lastPoll = now
+	return true
+}
+
+func (a *Allocator) runCommands(p *sim.Proc) int {
 	if !a.timersInit {
 		a.timersInit = true
 		a.nextLease = p.Now() + a.cfg.LeaseTimeout
@@ -465,9 +495,20 @@ func (a *Allocator) PollOnce(p *sim.Proc) int {
 		cmd(p)
 		progress++
 	}
-	progress += a.frontends.PollEach(p, burst, a.handleFE)
-	progress += a.nics.PollEach(p, burst, a.ingest)
-	progress += a.ssds.PollEach(p, burst, a.ingest)
+	return progress
+}
+
+// windowsIdle reports whether neither window is due and no control line is
+// partly filled.
+func (a *Allocator) windowsIdle() bool {
+	now := a.h.Eng.Now()
+	if now >= a.nextLease || (a.cfg.Rebalance && now >= a.nextRebal) {
+		return false
+	}
+	return a.frontends.FlushIdle() && a.nics.FlushIdle() && a.ssds.FlushIdle() && a.storageFEs.FlushIdle()
+}
+
+func (a *Allocator) windowsAndFlush(p *sim.Proc) int {
 	if p.Now() >= a.nextLease {
 		a.nextLease = p.Now() + a.cfg.LeaseTimeout/4
 		a.checkLeases(p)
@@ -480,7 +521,7 @@ func (a *Allocator) PollOnce(p *sim.Proc) int {
 	a.nics.FlushAll(p)
 	a.ssds.FlushAll(p)
 	a.storageFEs.FlushAll(p)
-	return progress
+	return 0
 }
 
 func (a *Allocator) handleFE(p *sim.Proc, l *core.Link, payload []byte) {

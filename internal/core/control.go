@@ -160,18 +160,10 @@ func SendControl(p *sim.Proc, end ChanEnd, m ControlMsg) bool {
 // PollControl drains up to burst control messages from end into handle and
 // returns how many it delivered; a payload whose opcode is not a control op
 // is dropped uncounted. Whether delivered messages count as loop progress,
-// and when the link is flushed, stay with the calling engine.
+// and when the link is flushed, stay with the calling engine. A staged loop
+// says the same with a ControlStage.
 func PollControl(p *sim.Proc, end ChanEnd, burst int, handle func(p *sim.Proc, m ControlMsg)) int {
-	n := 0
-	for i := 0; i < burst; i++ {
-		payload, ok := end.Poll(p)
-		if !ok {
-			break
-		}
-		if IsControlOp(payload[0]) {
-			handle(p, DecodeControl(payload))
-			n++
-		}
-	}
-	return n
+	c := &pollPass{ctl: handle}
+	c.begin([]*Link{{End: end}}, burst)
+	return c.run(p)
 }

@@ -182,6 +182,10 @@ func (l *LinkEnd) Send(p *sim.Proc, payload []byte) bool {
 // Flush pushes any partially-filled sender line.
 func (l *LinkEnd) Flush(p *sim.Proc) { l.Out.Flush(p) }
 
+// Unflushed reports whether Flush would push anything. A nil end (a control
+// link not made yet) has nothing to push.
+func (l *LinkEnd) Unflushed() bool { return l != nil && l.Out.Unflushed() }
+
 // NewDuplexLink allocates a pair of message channels in the pool between
 // hosts a and b (§3.2.2: one channel per direction per driver pair) and
 // returns each side's end.

@@ -85,6 +85,9 @@ func (c *CrossEnd) Poll(p *sim.Proc) ([]byte, bool) {
 // Flush is a no-op: cross sends are not line-batched.
 func (c *CrossEnd) Flush(p *sim.Proc) {}
 
+// Unflushed is always false: there is nothing Flush would push.
+func (c *CrossEnd) Unflushed() bool { return false }
+
 // InLatency returns the inbound delivery-latency histogram (time from the
 // peer's Send to this end's draining Poll).
 func (c *CrossEnd) InLatency() *metrics.Histogram { return &c.inLat }

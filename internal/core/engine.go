@@ -17,6 +17,9 @@ import (
 // partially-filled message lines. It must never sleep for pacing — the
 // Driver charges the per-iteration cost — though it may sleep to model the
 // cost of the work itself (message handling, cache operations).
+//
+// An engine that polls channels should also be a StagedLoop (stages.go): the
+// driver then runs its idle iterations without resuming a goroutine.
 type EngineLoop interface {
 	// LoopName labels the loop in the driver's process name and stats.
 	LoopName() string
@@ -46,10 +49,21 @@ type Driver struct {
 	name    string
 	cfg     DriverConfig
 	loops   []EngineLoop
+	stages  [][]Stage // loops[i]'s stage list; empty if it is not a StagedLoop
 	started bool
 
 	stalled  bool
 	stallSig *sim.Signal
+
+	// The iteration cursor: where the polling process is in its endless
+	// sequence of iterations. Step advances it in event context and block
+	// from the process, each as far as it can (see Step).
+	inIter      bool         // an iteration is in progress, over loops[:n]
+	n           int          // loops attached when the iteration began
+	loop, stage int          // the stage at the cursor: stages[loop][stage]
+	polling     bool         // that stage is a poll stage whose pass has begun
+	progress    int          // items processed so far this iteration
+	idle        sim.Duration // backoff after the last idle iteration, 0 after a busy one
 
 	// Stats.
 	Iterations     int64 // total poll iterations
@@ -71,8 +85,16 @@ func (d *Driver) Name() string { return d.name }
 
 // Attach adds an engine loop to this core. A core that is already polling
 // picks the loop up on its next iteration: the simulation is cooperative and
-// run re-reads the loop list every pass, so a live pod can grow.
-func (d *Driver) Attach(l EngineLoop) { d.loops = append(d.loops, l) }
+// every iteration starts from the loop list as it then stands, so a live pod
+// can grow.
+func (d *Driver) Attach(l EngineLoop) {
+	var stages []Stage
+	if sl, ok := l.(StagedLoop); ok {
+		stages = sl.Stages()
+	}
+	d.loops = append(d.loops, l)
+	d.stages = append(d.stages, stages)
+}
 
 // Loops returns the attached engine loops in attach order.
 func (d *Driver) Loops() []EngineLoop { return d.loops }
@@ -115,26 +137,131 @@ func (d *Driver) Resume() {
 // Stalled reports whether the core is currently frozen.
 func (d *Driver) Stalled() bool { return d.stalled }
 
+// run is the polling process: Step as far as event context goes — all the
+// way round, iteration after iteration, while the core is idle — and block
+// for whatever needs the process, at the same cursor.
 func (d *Driver) run(p *sim.Proc) {
-	idle := sim.Duration(0)
 	for {
-		for d.stalled {
-			d.stallSig.Wait(p)
+		if dur, more := d.Step(); more {
+			p.SleepSteps(dur, d)
 		}
-		progress := 0
-		for _, l := range d.loops {
-			progress += l.PollOnce(p)
+		d.block(p)
+	}
+}
+
+// Step implements sim.Stepper: it advances the cursor through everything
+// that needs no process and returns the next sleep. That is the stall check,
+// every work stage whose idle predicate holds, every empty poll of a
+// *LinkEnd (the receiver's own Step, leg by leg), the iteration's accounting
+// and its LoopCost + backoff sleep — after which the next iteration begins
+// in the same chain. The sequence of effects and sleeps is exactly the one
+//
+//	for {
+//		for d.stalled { d.stallSig.Wait(p) }
+//		for _, l := range d.loops { progress += l.PollOnce(p) }
+//		// count the iteration
+//		p.Sleep(d.cfg.LoopCost [+ backoff])
+//	}
+//
+// would make, so no event's (time, sequence) depends on how much of it ran
+// here. It returns more == false where only block can go on: a stalled core,
+// a loop without stages, a work stage that is not idle, a poll that found a
+// message or met one of the receiver's blocking escapes, an end that is not
+// a *LinkEnd.
+func (d *Driver) Step() (sim.Duration, bool) {
+	for {
+		if !d.inIter {
+			if d.stalled {
+				return 0, false
+			}
+			d.inIter, d.n = true, len(d.loops)
+			d.loop, d.stage, d.progress = 0, 0, 0
 		}
-		d.Iterations++
-		d.Processed += int64(progress)
-		if progress > 0 {
-			idle = 0
-			p.Sleep(d.cfg.LoopCost)
+		if d.loop == d.n {
+			d.inIter = false
+			d.Iterations++
+			d.Processed += int64(d.progress)
+			if d.progress > 0 {
+				d.idle = 0
+				return d.cfg.LoopCost, true
+			}
+			d.IdleIterations++
+			d.idle = NextIdle(d.idle, d.cfg.LoopCost, d.cfg.IdleBackoff)
+			return d.cfg.LoopCost + d.idle, true
+		}
+		stages := d.stages[d.loop]
+		if len(stages) == 0 {
+			return 0, false
+		}
+		if d.stage == len(stages) {
+			d.loop, d.stage = d.loop+1, 0
 			continue
 		}
-		d.IdleIterations++
-		idle = NextIdle(idle, d.cfg.LoopCost, d.cfg.IdleBackoff)
-		p.Sleep(d.cfg.LoopCost + idle)
+		st := &stages[d.stage]
+		if st.run != nil {
+			if checking || !st.idle() {
+				return 0, false
+			}
+			d.stage++
+			continue
+		}
+		if !d.polling {
+			d.polling = true
+			st.begin()
+		}
+		if dur, more := st.pass.Step(); more {
+			return dur, true
+		}
+		if !st.pass.over() {
+			return 0, false
+		}
+		d.progress += st.progress()
+		d.polling = false
+		d.stage++
+	}
+}
+
+// block does, from the polling process, the one thing Step stopped at, and
+// moves the cursor past it.
+func (d *Driver) block(p *sim.Proc) {
+	if !d.inIter {
+		if d.stalled {
+			d.stallSig.Wait(p)
+		}
+		return
+	}
+	stages := d.stages[d.loop]
+	if len(stages) == 0 {
+		d.progress += d.loops[d.loop].PollOnce(p)
+		d.loop++
+		return
+	}
+	st := &stages[d.stage]
+	if st.run == nil {
+		st.pass.block(p)
+		return
+	}
+	if checking && st.idle() {
+		d.distrust(p, st)
+	} else {
+		d.progress += st.run(p)
+	}
+	d.stage++
+}
+
+// checking is OASIS_SIMCHECK=1: no work stage is skipped on its predicate's
+// word (see distrust).
+var checking = sim.Checking()
+
+// distrust runs a work stage whose idle predicate holds, which Step would
+// have skipped, and panics unless the run was the no-op the predicate
+// promised: nothing processed, no time passed, nothing scheduled.
+func (d *Driver) distrust(p *sim.Proc, st *Stage) {
+	eng := d.h.Eng
+	now, seq := eng.Now(), eng.Seq()
+	if n := st.run(p); n != 0 || eng.Now() != now || eng.Seq() != seq {
+		panic(fmt.Sprintf("core: loop %s stage %q reported idle at %v, but its run processed %d items, took %v and scheduled %d events",
+			d.loops[d.loop].LoopName(), st.name, now, n, eng.Now()-now, eng.Seq()-seq))
 	}
 }
 

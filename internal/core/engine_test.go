@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -162,5 +164,59 @@ func TestEngineStatsSurfaceBufferExhaustion(t *testing.T) {
 	}
 	if s.Links.Sent != 3 {
 		t.Fatal("link stats clobbered by area accumulation")
+	}
+}
+
+// lyingLoop's one work stage always claims to be idle.
+type lyingLoop struct {
+	stubLoop
+	run func(p *sim.Proc) int
+}
+
+func (l *lyingLoop) Stages() []Stage {
+	return []Stage{WorkStage("fibs", func() bool { return true }, l.run)}
+}
+
+// Under OASIS_SIMCHECK=1 the driver runs the work stages it would have
+// skipped and holds them to their predicate's word: nothing processed, no
+// time passed, nothing scheduled. A predicate that drifts from its run then
+// fails loudly, naming the loop and the stage, instead of moving a digest.
+func TestSimCheckDistrustsIdle(t *testing.T) {
+	defer func(old bool) { checking = old }(checking)
+	checking = true
+	for _, tc := range []struct {
+		name string
+		run  func(p *sim.Proc) int
+		want string // "" = the stage keeps its word
+	}{
+		{"honest", func(*sim.Proc) int { return 0 }, ""},
+		{"processes", func(*sim.Proc) int { return 2 }, "processed 2 items"},
+		{"sleeps", func(p *sim.Proc) int { p.Sleep(5 * time.Nanosecond); return 0 }, "took 5ns"},
+		{"schedules", func(p *sim.Proc) int { p.Engine().After(time.Second, func() {}); return 0 }, "scheduled 1 events"},
+	} {
+		eng, pool := testPool()
+		h := host.New(eng, 0, "h", pool, host.DefaultConfig())
+		d := NewDriver(h, "h/core", DriverConfig{LoopCost: 100 * time.Nanosecond})
+		d.Attach(&lyingLoop{stubLoop: stubLoop{name: "h/liar"}, run: tc.run})
+		var got string
+		eng.Go("core", func(p *sim.Proc) {
+			defer func() {
+				if r := recover(); r != nil {
+					got = fmt.Sprint(r)
+				}
+			}()
+			if _, more := d.Step(); more {
+				t.Errorf("%s: Step skipped a work stage under SIMCHECK", tc.name)
+			}
+			d.block(p)
+		})
+		eng.RunUntil(time.Microsecond)
+		eng.Shutdown()
+		switch {
+		case tc.want == "" && got != "":
+			t.Errorf("%s: panicked: %s", tc.name, got)
+		case tc.want != "" && !(strings.Contains(got, tc.want) && strings.Contains(got, "h/liar") && strings.Contains(got, `"fibs"`)):
+			t.Errorf("%s: panic %q, want one naming loop h/liar, stage \"fibs\" and %q", tc.name, got, tc.want)
+		}
 	}
 }

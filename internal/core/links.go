@@ -43,6 +43,8 @@ type ChanEnd interface {
 	Poll(p *sim.Proc) ([]byte, bool)
 	// Flush pushes any partially-batched sender state.
 	Flush(p *sim.Proc)
+	// Unflushed reports whether Flush would do anything.
+	Unflushed() bool
 	// InLatency returns the inbound delivery-latency histogram, or nil.
 	InLatency() *metrics.Histogram
 }
@@ -112,8 +114,9 @@ func (l *Link) Flush(p *sim.Proc) { l.End.Flush(p) }
 // accounting.
 type LinkSet struct {
 	byPeer       map[uint32]*Link
-	order        []*Link
+	order        []*Link // never shifted in place: a pass in flight holds it (see Remove)
 	pendingLimit int
+	pass         pollPass // PollEach's position; a set has one poller
 }
 
 // DefaultPendingLimit bounds each link's pending queue before the link
@@ -139,9 +142,11 @@ func (s *LinkSet) Add(peer uint32, end ChanEnd) *Link {
 }
 
 // Remove forgets a peer's link (topology removal), keeping the others in
-// insertion order; messages parked on it go with it. The order slice is
-// shifted in place, so a PollEach or FlushAll that is suspended mid-pass
-// (the engine is cooperative) finishes over the survivors. Removing an
+// insertion order; messages parked on it go with it. The survivors go into a
+// new order slice, so a PollEach, FlushAll or driver poll stage suspended
+// mid-pass (the engine is cooperative) finishes over the links it began with,
+// each exactly once — the removed one included if the pass had not reached it,
+// which is the owner's to tell apart (Get no longer returns it). Removing an
 // unknown peer does nothing.
 func (s *LinkSet) Remove(peer uint32) {
 	l := s.byPeer[peer]
@@ -149,12 +154,13 @@ func (s *LinkSet) Remove(peer uint32) {
 		return
 	}
 	delete(s.byPeer, peer)
-	for i, o := range s.order {
-		if o == l {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
+	order := make([]*Link, 0, len(s.order)-1)
+	for _, o := range s.order {
+		if o != l {
+			order = append(order, o)
 		}
 	}
+	s.order = order
 }
 
 // Get returns the link for a peer, or nil.
@@ -168,21 +174,14 @@ func (s *LinkSet) Len() int { return len(s.order) }
 func (s *LinkSet) All() []*Link { return s.order }
 
 // PollEach drains up to burst inbound messages per link, invoking handle
-// for each, and returns the number handled.
+// for each, and returns the number handled. Consecutive empty polls are one
+// stepped sleep, so a pass over idle links resumes p at most once.
 func (s *LinkSet) PollEach(p *sim.Proc, burst int, handle func(p *sim.Proc, l *Link, payload []byte)) int {
-	progress := 0
-	for _, l := range s.order {
-		for i := 0; i < burst; i++ {
-			payload, ok := l.End.Poll(p)
-			if !ok {
-				break
-			}
-			l.Stats.Received++
-			handle(p, l, payload)
-			progress++
-		}
-	}
-	return progress
+	s.pass.each = handle
+	s.pass.begin(s.order, burst)
+	n := s.pass.run(p)
+	s.pass = pollPass{} // pin neither the handler nor the snapshot
+	return n
 }
 
 // PendingCount returns the total parked messages across all links — counted
@@ -223,6 +222,17 @@ func (s *LinkSet) FlushAll(p *sim.Proc) {
 	for _, l := range s.order {
 		l.End.Flush(p)
 	}
+}
+
+// FlushIdle reports whether FlushAll would do nothing: no end has a stored
+// message still to push.
+func (s *LinkSet) FlushIdle() bool {
+	for _, l := range s.order {
+		if l.End.Unflushed() {
+			return false
+		}
+	}
+	return true
 }
 
 // Stats aggregates all links' counters.

@@ -10,61 +10,106 @@ import (
 	"oasis/internal/sim"
 )
 
-// pollLoop is an engine loop that only polls its links.
-type pollLoop struct{ links *LinkSet }
+// pollLoop is an engine loop that only polls its links, through PollEach.
+type pollLoop struct {
+	links *LinkSet
+	calls int
+}
 
 func (l *pollLoop) LoopName() string { return "poll" }
 func (l *pollLoop) PollOnce(p *sim.Proc) int {
+	l.calls++
 	return l.links.PollEach(p, 32, func(*sim.Proc, *Link, []byte) {})
 }
+
+// stagedPollLoop is the same loop as a stage list.
+type stagedPollLoop struct {
+	pollLoop
+	stages []Stage
+}
+
+func (l *stagedPollLoop) Stages() []Stage {
+	if l.stages == nil {
+		l.stages = []Stage{
+			WorkStage("nothing", func() bool { return true }, func(*sim.Proc) int { return 0 }),
+			PollStage("links", l.links, 32, func(*sim.Proc, *Link, []byte) {}),
+		}
+	}
+	return l.stages
+}
+func (l *stagedPollLoop) PollOnce(p *sim.Proc) int { return RunStages(p, l.Stages()) }
 
 // An empty poll of the Oasis receiver is a read miss, a CLFLUSHOPT and an
 // MFENCE. As three sleeps that was three process switches per poll whenever
 // another core was busy — 25 per driver iteration over eight idle links,
-// counting the loop's own sleep. As one stepped sleep it is at most one.
-// The bound is on sim.Counters, which repeat exactly on any machine.
-func TestEmptyPollCostsOneSwitch(t *testing.T) {
+// counting the loop's own sleep — and as one stepped sleep per poll, 9. With
+// the driver core as the stepper an idle iteration of a staged loop is part
+// of one endless chain and resumes no goroutine at all; a loop without
+// stages is resumed to call PollOnce, and its PollEach chains the eight
+// polls, so it costs one switch per PollEach call and one per iteration.
+// The bounds are on sim.Counters, which repeat exactly on any machine.
+func TestIdleIterationCostsNoSwitch(t *testing.T) {
 	const nlinks = 8
-	eng, pool := testPool()
-	a := host.New(eng, 0, "a", pool, host.DefaultConfig())
-	b := host.New(eng, 1, "b", pool, host.DefaultConfig())
-	aLinks, bLinks := NewLinkSet(DefaultPendingLimit), NewLinkSet(DefaultPendingLimit)
-	for i := uint32(0); i < nlinks; i++ {
-		aEnd, bEnd, err := NewDuplexLink(pool, a, b, msgchan.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
+	for _, staged := range []bool{true, false} {
+		eng, pool := testPool()
+		a := host.New(eng, 0, "a", pool, host.DefaultConfig())
+		b := host.New(eng, 1, "b", pool, host.DefaultConfig())
+		aLinks, bLinks := NewLinkSet(DefaultPendingLimit), NewLinkSet(DefaultPendingLimit)
+		for i := uint32(0); i < nlinks; i++ {
+			aEnd, bEnd, err := NewDuplexLink(pool, a, b, msgchan.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			aLinks.Add(i, aEnd)
+			bLinks.Add(i, bEnd)
 		}
-		aLinks.Add(i, aEnd)
-		bLinks.Add(i, bEnd)
-	}
-	cfg := DriverConfig{LoopCost: 100 * time.Nanosecond}
-	da, db := NewDriver(a, "a/driver", cfg), NewDriver(b, "b/driver", cfg)
-	da.Attach(&pollLoop{aLinks})
-	db.Attach(&pollLoop{bLinks})
-	// Started a few ns apart, each core's sleeps keep landing inside the
-	// other's, so neither gets the lone-process fast path for free.
-	da.Start()
-	eng.After(7*time.Nanosecond, db.Start)
-	eng.RunUntil(sim.Duration(200 * time.Microsecond))
+		cfg := DriverConfig{LoopCost: 100 * time.Nanosecond}
+		da, db := NewDriver(a, "a/driver", cfg), NewDriver(b, "b/driver", cfg)
+		la, lb := &stagedPollLoop{pollLoop: pollLoop{links: aLinks}}, &stagedPollLoop{pollLoop: pollLoop{links: bLinks}}
+		if staged {
+			da.Attach(la)
+			db.Attach(lb)
+		} else {
+			da.Attach(&la.pollLoop)
+			db.Attach(&lb.pollLoop)
+		}
+		// Started a few ns apart, each core's sleeps keep landing inside the
+		// other's, so neither gets the lone-process fast path for free.
+		da.Start()
+		eng.After(7*time.Nanosecond, db.Start)
+		eng.RunUntil(sim.Duration(200 * time.Microsecond))
 
-	iters := da.Iterations + db.Iterations
-	if iters < 100 || da.IdleIterations != da.Iterations || db.IdleIterations != db.Iterations {
-		t.Fatalf("want two idle cores, got iterations %d/%d idle %d/%d",
-			da.Iterations, db.Iterations, da.IdleIterations, db.IdleIterations)
-	}
-	polls := uint64(iters) * nlinks
-	c := eng.Counters()
-	if c.SteppedLegs < 3*polls {
-		t.Fatalf("%d stepped legs over %d empty polls, want 3 per poll", c.SteppedLegs, polls)
-	}
-	// One per poll and one per iteration's own sleep; then the two start-ups
-	// and the iteration each core was part-way through at the deadline.
-	if limit := polls + uint64(iters) + 2 + 2*(nlinks+1); c.Switches > limit {
-		t.Fatalf("%d process switches over %d iterations of %d empty polls (limit %d): %+v",
-			c.Switches, iters, nlinks, limit, c)
-	}
-	if c.Switches < polls/2 {
-		t.Fatalf("only %d switches over %d polls: the cores are not contending, the bound above proves nothing", c.Switches, polls)
+		iters := da.Iterations + db.Iterations
+		if iters < 100 || da.IdleIterations != da.Iterations || db.IdleIterations != db.Iterations {
+			t.Fatalf("staged=%v: want two idle cores, got iterations %d/%d idle %d/%d",
+				staged, da.Iterations, db.Iterations, da.IdleIterations, db.IdleIterations)
+		}
+		polls := uint64(iters) * nlinks
+		c := eng.Counters()
+		// Three legs per poll and one per iteration's own sleep.
+		if c.SteppedLegs < 3*polls+uint64(iters) {
+			t.Fatalf("staged=%v: %d stepped legs over %d iterations of %d empty polls, want 3 per poll and 1 per iteration",
+				staged, c.SteppedLegs, iters, nlinks)
+		}
+		// The witness that the cores contend: were either alone, its legs
+		// would advance the clock in place and switches would be free.
+		if c.FastSleeps > 4 {
+			t.Fatalf("staged=%v: %d sleeps took the lone-process fast path: the cores are not contending, the bound below proves nothing",
+				staged, c.FastSleeps)
+		}
+		// The two start-ups; then nothing, or one per PollEach call plus one
+		// per iteration (the call in flight at the deadline included).
+		limit := uint64(2)
+		if !staged {
+			limit += uint64(la.calls+lb.calls) + uint64(iters)
+		} else if checking {
+			limit += uint64(iters) // OASIS_SIMCHECK=1 runs the idle work stage from the process
+		}
+		if c.Switches > limit {
+			t.Fatalf("staged=%v: %d process switches over %d idle iterations of %d empty polls (limit %d): %+v",
+				staged, c.Switches, iters, nlinks, limit, c)
+		}
+		t.Logf("staged=%v: %d iterations, %+v", staged, iters, c)
 	}
 }
 

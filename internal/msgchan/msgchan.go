@@ -327,11 +327,15 @@ func (s *Sender) TrySend(p *sim.Proc, payload []byte) bool {
 // when their send queue drains, which makes messages visible promptly at low
 // rates without paying a per-message CLWB under load.
 func (s *Sender) Flush(p *sim.Proc) {
-	if s.flushedThrough < s.head {
+	if s.Unflushed() {
 		s.PartialFlushes++
 		s.writebackThrough(p, s.head)
 	}
 }
+
+// Unflushed reports whether Flush would push anything: messages have been
+// stored since the last line went to the pool.
+func (s *Sender) Unflushed() bool { return s.flushedThrough < s.head }
 
 // writebackThrough CLWBs every line containing messages in
 // [flushedThrough, through), as one stepped sleep.
@@ -390,30 +394,51 @@ func (r *Receiver) lineAddrOf(idx int64) int64 {
 //
 // A poll is one stepped sleep: every cache operation's cost is a leg and its
 // effect runs in Step, so an empty poll of design ④ — read miss, CLFLUSHOPT,
-// MFENCE — resumes p once, not three times. Two things a Step cannot do send
-// the poll back here in between: refetching a slot line that vanished under
-// its fill, and storing to a counter line that has a fill in flight.
+// MFENCE — resumes p once, not three times. Poll is Begin, then Step and
+// SleepSteps until Finish says the poll is over; a caller that chains several
+// receivers' polls into one sleep (core.LinkSet) makes the same calls itself.
 func (r *Receiver) Poll(p *sim.Proc) ([]byte, bool) {
-	r.pc = recvStart
+	r.Begin()
 	for {
 		if d, more := r.Step(); more {
 			p.SleepSteps(d, r)
 		}
-		switch r.pc {
-		case recvRefill:
-			r.cache.ReadRefill(p, r.ch.slotAddr(r.tail), r.slotBuf, r.ch.cfg.Category)
-			r.pc = recvCheck
-		case recvCounterBlocked:
-			r.cache.Write(p, r.ch.counterAddr, r.ctr[:], r.ch.cfg.Category)
-			r.cache.WritebackLine(p, r.ch.counterAddr, r.ch.cfg.Category)
-			r.pc = recvCounterDone
-		default:
-			if r.fresh {
-				return r.slotBuf[1:], true
-			}
-			return nil, false
+		if payload, fresh, done := r.Finish(p); done {
+			return payload, fresh
 		}
 	}
+}
+
+// Begin starts a poll: the next Step is its first.
+func (r *Receiver) Begin() { r.pc = recvStart }
+
+// Empty reports, once Step has returned more == false, that the poll is over
+// and found no message: nothing is left for a process to do.
+func (r *Receiver) Empty() bool {
+	return r.pc != recvRefill && r.pc != recvCounterBlocked && !r.fresh
+}
+
+// Finish takes over where Step returned more == false. If the poll is over
+// it reports done and the result. Otherwise the poll stopped at one of the
+// two things a Step cannot do — refetching a slot line that vanished under
+// its fill, storing to a counter line that has a fill in flight — and Finish
+// does it, blocking p; the poll then goes on with Step.
+func (r *Receiver) Finish(p *sim.Proc) (payload []byte, fresh, done bool) {
+	switch r.pc {
+	case recvRefill:
+		r.cache.ReadRefill(p, r.ch.slotAddr(r.tail), r.slotBuf, r.ch.cfg.Category)
+		r.pc = recvCheck
+		return nil, false, false
+	case recvCounterBlocked:
+		r.cache.Write(p, r.ch.counterAddr, r.ctr[:], r.ch.cfg.Category)
+		r.cache.WritebackLine(p, r.ch.counterAddr, r.ch.cfg.Category)
+		r.pc = recvCounterDone
+		return nil, false, false
+	}
+	if r.fresh {
+		return r.slotBuf[1:], true, true
+	}
+	return nil, false, true
 }
 
 // recvPC says what Step does next. Where a leg is in progress, that is the
@@ -436,8 +461,8 @@ const (
 	recvPrefetched                   // prefetch window topped up
 	recvConsumedFlush                // ③④ CLFLUSHOPT of the fully consumed line issued
 	recvDone                         // last leg in progress, or nothing left
-	recvRefill                       // Poll must refetch the slot line (blocking)
-	recvCounterBlocked               // Poll must store the counter (blocking)
+	recvRefill                       // Finish must refetch the slot line (blocking)
+	recvCounterBlocked               // Finish must store the counter (blocking)
 )
 
 // Step implements sim.Stepper: it runs the poll forward from r.pc to the
@@ -575,7 +600,7 @@ func (r *Receiver) Step() (sim.Duration, bool) {
 		case recvConsumedFlush:
 			c.FlushLineNow(r.lineAddrOf(r.tail-1), cfg.Category)
 			r.pc = recvDone
-		default: // recvDone, and the states Poll handles
+		default: // recvDone, and the states Finish handles
 			return 0, false
 		}
 	}

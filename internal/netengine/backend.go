@@ -68,6 +68,7 @@ type Backend struct {
 	errsSnap   int64
 
 	suppressBorrow bool
+	stages         []core.Stage
 
 	// events receives link-state transitions when RegisterObs hooked the
 	// backend to a pod trace ring (nil-safe otherwise).
@@ -143,10 +144,32 @@ func (be *Backend) SetControlLink(end *core.LinkEnd) { be.ctrl = end }
 // LoopName implements core.EngineLoop.
 func (be *Backend) LoopName() string { return fmt.Sprintf("%s/be%d", be.h.Name, be.nicID) }
 
-// PollOnce implements core.EngineLoop: one pass over parked completions,
-// frontend messages, NIC completion queues, RX replenishment, and the
-// control plane's timed duties.
-func (be *Backend) PollOnce(p *sim.Proc) int {
+// PollOnce implements core.EngineLoop: one run of the stages.
+func (be *Backend) PollOnce(p *sim.Proc) int { return core.RunStages(p, be.Stages()) }
+
+// Stages implements core.StagedLoop: one pass over parked completions,
+// frontend messages, NIC completion queues and RX replenishment, and the
+// control plane's commands and timed duties.
+func (be *Backend) Stages() []core.Stage {
+	if be.stages == nil {
+		be.stages = []core.Stage{
+			core.WorkStage("parked completions", be.parkedIdle, be.drainParked),
+			core.PollStage("frontend messages", be.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
+				be.handleFrontendMsg(p, l.Meta.(*feLink), decode(payload))
+			}),
+			core.WorkStage("nic queues", be.nicIdle, be.serveNIC),
+			// Draining allocator commands is not progress: a backend acts on
+			// them out of band (MAC borrowing) and must still back off.
+			core.ControlStage("allocator commands", &be.ctrl, burst, be.handleControlMsg, false),
+			core.WorkStage("duties and flush", be.dutiesIdle, be.dutiesAndFlush),
+		}
+	}
+	return be.stages
+}
+
+func (be *Backend) parkedIdle() bool { return be.timersInit && be.links.PendingCount() == 0 }
+
+func (be *Backend) drainParked(p *sim.Proc) int {
 	if !be.timersInit {
 		// Telemetry and link-check windows open at first poll, not at
 		// construction, so an engine started late doesn't replay old windows.
@@ -158,10 +181,18 @@ func (be *Backend) PollOnce(p *sim.Proc) int {
 	// they are delivered.
 	progress := be.links.PendingCount()
 	be.links.DrainPending(p)
-	// Frontend messages.
-	progress += be.links.PollEach(p, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
-		be.handleFrontendMsg(p, l.Meta.(*feLink), decode(payload))
-	})
+	return progress
+}
+
+// nicIdle reports whether serveNIC has nothing to do: both completion queues
+// are empty and the RX ring holds its target (below it, even a failed buffer
+// allocation is counted).
+func (be *Backend) nicIdle() bool {
+	return !be.dev.CompletionsReady() && be.dev.RxDescCount() >= be.rxTarget
+}
+
+func (be *Backend) serveNIC(p *sim.Proc) int {
+	progress := 0
 	// NIC completion queues.
 	for i := 0; i < burst; i++ {
 		tc, ok := be.dev.PollTxCompletion()
@@ -190,9 +221,22 @@ func (be *Backend) PollOnce(p *sim.Proc) int {
 			break
 		}
 	}
-	// Control plane.
+	return progress
+}
+
+// dutiesIdle reports whether neither timed duty is due and no message line
+// is partly filled.
+func (be *Backend) dutiesIdle() bool {
 	if be.ctrl != nil {
-		core.PollControl(p, be.ctrl, burst, be.handleControlMsg)
+		if now := be.h.Eng.Now(); now >= be.nextCheck || now >= be.nextTelem {
+			return false
+		}
+	}
+	return be.links.FlushIdle() && !be.ctrl.Unflushed()
+}
+
+func (be *Backend) dutiesAndFlush(p *sim.Proc) int {
+	if be.ctrl != nil {
 		be.maybeCheckLink(p)
 		be.maybeSendTelemetry(p)
 	}
@@ -200,7 +244,7 @@ func (be *Backend) PollOnce(p *sim.Proc) int {
 	if be.ctrl != nil {
 		be.ctrl.Flush(p)
 	}
-	return progress
+	return 0
 }
 
 func (be *Backend) handleFrontendMsg(p *sim.Proc, l *feLink, m msg) {

@@ -129,6 +129,7 @@ type Frontend struct {
 	ctrl      *core.LinkEnd
 	cmds      *sim.Queue[feCmd]
 	scratch   []byte
+	stages    []core.Stage
 
 	// Stats.
 	TxForwarded, RxDelivered int64
@@ -364,9 +365,52 @@ func (fe *Frontend) sendRegister(p *sim.Proc, l *beLink, ip netstack.IP) {
 // LoopName implements core.EngineLoop.
 func (fe *Frontend) LoopName() string { return fe.h.Name + "/fe" }
 
-// PollOnce implements core.EngineLoop: one pass over deferred commands,
-// instance TX queues, backend messages, and allocator commands.
-func (fe *Frontend) PollOnce(p *sim.Proc) int {
+// PollOnce implements core.EngineLoop: one run of the stages.
+func (fe *Frontend) PollOnce(p *sim.Proc) int { return core.RunStages(p, fe.Stages()) }
+
+// Stages implements core.StagedLoop: one pass over deferred commands and
+// instance TX queues, backend messages, allocator commands, and the flush of
+// partially-filled message lines.
+func (fe *Frontend) Stages() []core.Stage {
+	if fe.stages == nil {
+		fe.stages = []core.Stage{
+			core.WorkStage("queues", fe.queuesIdle, fe.drainQueues),
+			core.PollStage("backend messages", fe.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
+				fe.handleBackendMsg(p, l.Meta.(*beLink), decode(payload))
+			}),
+			core.ControlStage("allocator commands", &fe.ctrl, burst, fe.handleControlMsg, true),
+			core.WorkStage("flush", fe.flushIdle, fe.flush),
+		}
+	}
+	return fe.stages
+}
+
+// allocRetries reports whether unanswered allocation requests are resent.
+func (fe *Frontend) allocRetries() bool { return fe.ctrl != nil && fe.cfg.AllocRetryBase > 0 }
+
+// queuesIdle reports whether drainQueues has nothing to do: no parked
+// completion, no deferred command, no allocation request due for a resend,
+// no packet queued by a ready instance.
+func (fe *Frontend) queuesIdle() bool {
+	if fe.links.PendingCount() > 0 || fe.cmds.Len() > 0 {
+		return false
+	}
+	now, retries := fe.h.Eng.Now(), fe.allocRetries()
+	for _, ipAddr := range fe.instOrder {
+		inst := fe.insts[ipAddr]
+		if retries && inst.allocWant && now >= inst.allocNext {
+			return false
+		}
+		if inst.txQ.Len() > 0 && inst.Ready() {
+			return false
+		}
+	}
+	return true
+}
+
+// drainQueues is the work the frontend's own queues hold: parked completion
+// messages, deferred commands, allocation-request resends, instance TX.
+func (fe *Frontend) drainQueues(p *sim.Proc) int {
 	// Parked completion messages keep the loop hot until delivered.
 	progress := fe.links.PendingCount()
 	fe.links.DrainPending(p)
@@ -381,7 +425,7 @@ func (fe *Frontend) PollOnce(p *sim.Proc) int {
 	}
 	// Unanswered allocation requests: resend under exponential backoff,
 	// until the per-instance retry budget trips the circuit breaker.
-	if fe.ctrl != nil && fe.cfg.AllocRetryBase > 0 {
+	if fe.allocRetries() {
 		for _, ipAddr := range fe.instOrder {
 			inst := fe.insts[ipAddr]
 			if !inst.allocWant || p.Now() < inst.allocNext {
@@ -420,20 +464,18 @@ func (fe *Frontend) PollOnce(p *sim.Proc) int {
 			progress++
 		}
 	}
-	// Backend messages.
-	progress += fe.links.PollEach(p, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
-		fe.handleBackendMsg(p, l.Meta.(*beLink), decode(payload))
-	})
-	// Allocator commands.
-	if fe.ctrl != nil {
-		progress += core.PollControl(p, fe.ctrl, burst, fe.handleControlMsg)
-	}
-	// Push partial message lines promptly at low rates (§3.2.2).
+	return progress
+}
+
+func (fe *Frontend) flushIdle() bool { return fe.links.FlushIdle() && !fe.ctrl.Unflushed() }
+
+// flush pushes partial message lines promptly at low rates (§3.2.2).
+func (fe *Frontend) flush(p *sim.Proc) int {
 	fe.links.FlushAll(p)
 	if fe.ctrl != nil {
 		fe.ctrl.Flush(p)
 	}
-	return progress
+	return 0
 }
 
 // forwardTx publishes the packet buffer and signals the backend (§3.3.1 TX).

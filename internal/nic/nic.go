@@ -291,6 +291,9 @@ func (n *NIC) RxDescCount() int { return len(n.rxFree) }
 // PollTxCompletion returns one TX completion if available.
 func (n *NIC) PollTxCompletion() (TxCompletion, bool) { return n.txcq.TryPop() }
 
+// CompletionsReady reports whether either completion queue holds an entry.
+func (n *NIC) CompletionsReady() bool { return n.txcq.Len() > 0 || n.rxcq.Len() > 0 }
+
 // PollRxCompletion returns one RX completion if available.
 func (n *NIC) PollRxCompletion() (RxCompletion, bool) { return n.rxcq.TryPop() }
 

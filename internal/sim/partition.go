@@ -70,6 +70,10 @@ import (
 // silently clamping. Tests may toggle it directly.
 var simCheck = os.Getenv("OASIS_SIMCHECK") == "1"
 
+// Checking reports whether OASIS_SIMCHECK=1 asked for the slow self-checks,
+// so layers above the engine can hang theirs on the same switch.
+func Checking() bool { return simCheck }
+
 // minCrossLatency is the physical floor for declared cross-partition
 // latencies. Anything smaller makes windows degenerate (and 0 would
 // livelock the barrier loop); real cross-partition media — CXL port hops,

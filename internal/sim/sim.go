@@ -52,10 +52,18 @@ type event struct {
 // must not leak resources that only Fire would release.
 type Timer interface{ Fire() }
 
+// heapEntry is an event's slot in the timeline: the ordering key beside the
+// pointer, so sifting compares adjacent words instead of chasing two events.
+type heapEntry struct {
+	at  Duration
+	seq uint64
+	ev  *event
+}
+
 // before reports whether a orders strictly before b. (at, seq) is a strict
 // total order — seq is unique — so every correct priority queue pops the
 // same sequence; the heap's shape is free to differ between implementations.
-func (a *event) before(b *event) bool {
+func (a *heapEntry) before(b *heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -67,7 +75,7 @@ func (a *event) before(b *event) bool {
 type Engine struct {
 	now    Duration
 	seq    uint64
-	events []*event // 4-ary min-heap ordered by (at, seq); see heapPush/heapPop
+	events []heapEntry // 4-ary min-heap ordered by (at, seq); see heapPush/heapPop
 	// nowQ holds events scheduled at the current time while the engine is
 	// running. They bypass the heap entirely: same-time scheduling is the
 	// dominant pattern (signal wakeups, yields), and a FIFO append/scan is
@@ -125,6 +133,11 @@ type Counters struct {
 
 // Counters returns the engine's cost counters since it was created.
 func (e *Engine) Counters() Counters { return e.ctr }
+
+// Seq returns how many events have been scheduled so far: the sequence number
+// of the latest one. With Now it is the engine's position in the (time,
+// sequence) order, which is what a change of execution strategy must keep.
+func (e *Engine) Seq() uint64 { return e.seq }
 
 // Bufs returns the engine-local buffer free list used by the datapath's
 // per-packet/per-line allocation sites. Engine-local means race-free by
@@ -184,28 +197,28 @@ func (e *Engine) schedule(at Duration, fn func(), tm Timer, p *Proc) {
 // container/heap's interface indirection was ~20% of a simulation-bound
 // profile, and the wider fan-out halves the levels each pop has to walk.
 func (e *Engine) heapPush(ev *event) {
-	e.events = append(e.events, ev)
+	in := heapEntry{ev.at, ev.seq, ev}
+	e.events = append(e.events, in)
 	h := e.events
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		p := h[parent]
-		if p.before(ev) {
+		if h[parent].before(&in) {
 			break
 		}
-		h[i] = p
+		h[i] = h[parent]
 		i = parent
 	}
-	h[i] = ev
+	h[i] = in
 }
 
 // heapPop removes and returns the earliest event.
 func (e *Engine) heapPop() *event {
 	h := e.events
-	top := h[0]
+	top := h[0].ev
 	n := len(h) - 1
 	last := h[n]
-	h[n] = nil
+	h[n].ev = nil
 	e.events = h[:n]
 	if n > 0 {
 		h = h[:n]
@@ -215,20 +228,20 @@ func (e *Engine) heapPop() *event {
 			if first >= n {
 				break
 			}
-			best, be := first, h[first]
+			best := first
 			end := first + 4
 			if end > n {
 				end = n
 			}
 			for j := first + 1; j < end; j++ {
-				if c := h[j]; c.before(be) {
-					best, be = j, c
+				if h[j].before(&h[best]) {
+					best = j
 				}
 			}
-			if last.before(be) {
+			if last.before(&h[best]) {
 				break
 			}
-			h[i] = be
+			h[i] = h[best]
 			i = best
 		}
 		h[i] = last
@@ -402,9 +415,9 @@ func (e *Engine) Shutdown() {
 	}
 	e.dead = true
 	var victims []*Proc
-	for _, ev := range e.events {
-		if ev.proc != nil {
-			victims = append(victims, ev.proc)
+	for _, in := range e.events {
+		if in.ev.proc != nil {
+			victims = append(victims, in.ev.proc)
 		}
 	}
 	for _, ev := range e.nowQ[e.nowQHead:] {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -409,6 +410,37 @@ func BenchmarkEngineFastPathSleep(b *testing.B) {
 	})
 	b.ResetTimer()
 	eng.Run()
+}
+
+// heapTimer reschedules itself at a period of its own, so a set of them
+// keeps the timeline at a fixed depth with pushes landing all over it.
+type heapTimer struct {
+	eng    *Engine
+	period Duration
+	left   *int
+}
+
+func (t *heapTimer) Fire() {
+	if *t.left--; *t.left > 0 {
+		t.eng.AfterTimer(t.period, t)
+	}
+}
+
+// BenchmarkEngineHeap measures one pop + push on a timeline of the depth an
+// idle rack keeps: 600 pending events (a pod) and 5 000 (a 512-host rack).
+func BenchmarkEngineHeap(b *testing.B) {
+	for _, pending := range []int{600, 5000} {
+		b.Run(fmt.Sprint(pending), func(b *testing.B) {
+			eng := New()
+			left := b.N
+			for i := 0; i < pending; i++ {
+				t := &heapTimer{eng: eng, period: Duration(1000 + 7*i), left: &left}
+				eng.AfterTimer(t.period, t)
+			}
+			b.ResetTimer()
+			eng.Run()
+		})
+	}
 }
 
 func TestShutdownDropsNeverStartedProcs(t *testing.T) {

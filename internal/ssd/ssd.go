@@ -199,6 +199,9 @@ func (d *SSD) PollCompletion() (Completion, bool) {
 	return d.cq.TryPop()
 }
 
+// CompletionsReady reports whether the CQ holds an entry.
+func (d *SSD) CompletionsReady() bool { return d.cq.Len() > 0 }
+
 // worker drains the SQ, performing media access and DMA.
 func (d *SSD) worker(p *sim.Proc) {
 	for {

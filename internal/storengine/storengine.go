@@ -224,6 +224,7 @@ type Frontend struct {
 	nextCID   uint16
 	ctrl      *core.LinkEnd // allocator command channel (failover)
 	backupSSD uint16
+	stages    []core.Stage
 
 	// Stats.
 	Reads, Writes, Errors int64
@@ -610,9 +611,33 @@ func (fe *Frontend) RemoveVolume(ip netstack.IP) error {
 // LoopName implements core.EngineLoop.
 func (fe *Frontend) LoopName() string { return fe.h.Name + "/storage-fe" }
 
-// PollOnce implements core.EngineLoop: one pass over retry promotions, the
+// PollOnce implements core.EngineLoop: one run of the stages.
+func (fe *Frontend) PollOnce(p *sim.Proc) int { return core.RunStages(p, fe.Stages()) }
+
+// Stages implements core.StagedLoop: one pass over retry promotions and the
 // request queue, backend completions, and allocator commands.
-func (fe *Frontend) PollOnce(p *sim.Proc) int {
+func (fe *Frontend) Stages() []core.Stage {
+	if fe.stages == nil {
+		fe.stages = []core.Stage{
+			core.WorkStage("requests", fe.requestsIdle, fe.forwardRequests),
+			core.PollStage("backend messages", fe.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
+				fe.handleBackendMsg(p, l.Meta.(*sbeLink), sdecode(payload))
+			}),
+			core.ControlStage("allocator commands", &fe.ctrl, burst, fe.handleControlMsg, true),
+			core.WorkStage("flush", fe.links.FlushIdle, func(p *sim.Proc) int {
+				fe.links.FlushAll(p)
+				return 0
+			}),
+		}
+	}
+	return fe.stages
+}
+
+// requestsIdle reports whether nothing is queued or waiting out a backoff (a
+// waiting request makes the pass prune the retry list, due or not).
+func (fe *Frontend) requestsIdle() bool { return len(fe.retryQ) == 0 && fe.reqQ.Len() == 0 }
+
+func (fe *Frontend) forwardRequests(p *sim.Proc) int {
 	var buf [63]byte
 	progress := 0
 	if len(fe.retryQ) > 0 {
@@ -641,13 +666,6 @@ func (fe *Frontend) PollOnce(p *sim.Proc) int {
 		fe.forward(p, req, buf[:])
 		progress++
 	}
-	progress += fe.links.PollEach(p, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
-		fe.handleBackendMsg(p, l.Meta.(*sbeLink), sdecode(payload))
-	})
-	if fe.ctrl != nil {
-		progress += core.PollControl(p, fe.ctrl, burst, fe.handleControlMsg)
-	}
-	fe.links.FlushAll(p)
 	return progress
 }
 
@@ -1002,6 +1020,8 @@ type Backend struct {
 	loadSnap   int64
 	latSum     sim.Duration // summed service latency of IOs completed this window
 	latOps     int64        // IOs completed this window
+	stages     []core.Stage
+	msgBuf     [63]byte // outgoing-message scratch; the core's process is its one user
 
 	// Stats.
 	Submitted, Completed int64
@@ -1050,27 +1070,55 @@ func (be *Backend) SetControlLink(end *core.LinkEnd) { be.ctrl = end }
 // LoopName implements core.EngineLoop.
 func (be *Backend) LoopName() string { return fmt.Sprintf("%s/storage-be%d", be.h.Name, be.ssdID) }
 
-// PollOnce implements core.EngineLoop: one pass over parked completions,
+// PollOnce implements core.EngineLoop: one run of the stages.
+func (be *Backend) PollOnce(p *sim.Proc) int { return core.RunStages(p, be.Stages()) }
+
+// Stages implements core.StagedLoop: one pass over parked completions,
 // frontend messages, device completions, and the telemetry window.
-func (be *Backend) PollOnce(p *sim.Proc) int {
+func (be *Backend) Stages() []core.Stage {
+	if be.stages == nil {
+		be.stages = []core.Stage{
+			core.WorkStage("parked completions", be.parkedIdle, be.drainParked),
+			core.PollStage("frontend messages", be.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
+				be.handleFrontendMsg(p, l.Meta.(*sfeLink), sdecode(payload), be.msgBuf[:])
+			}),
+			core.WorkStage("completions, telemetry and flush", be.deviceIdle, be.serveDevice),
+		}
+	}
+	return be.stages
+}
+
+func (be *Backend) parkedIdle() bool { return be.timersInit && be.links.PendingCount() == 0 }
+
+func (be *Backend) drainParked(p *sim.Proc) int {
 	if !be.timersInit {
 		be.timersInit = true
 		be.nextTelem = p.Now() + be.cfg.TelemetryEvery
 	}
-	var buf [63]byte
 	// Parked completions count as progress: the loop must stay hot until
 	// they are delivered.
 	progress := be.links.PendingCount()
 	be.links.DrainPending(p)
-	progress += be.links.PollEach(p, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
-		be.handleFrontendMsg(p, l.Meta.(*sfeLink), sdecode(payload), buf[:])
-	})
+	return progress
+}
+
+// deviceIdle reports whether the drive has completed nothing, the telemetry
+// window is still open and no message line is partly filled.
+func (be *Backend) deviceIdle() bool {
+	if be.dev.CompletionsReady() || (be.ctrl != nil && be.h.Eng.Now() >= be.nextTelem) {
+		return false
+	}
+	return be.links.FlushIdle() && !be.ctrl.Unflushed()
+}
+
+func (be *Backend) serveDevice(p *sim.Proc) int {
+	progress := 0
 	for i := 0; i < burst; i++ {
 		comp, ok := be.dev.PollCompletion()
 		if !ok {
 			break
 		}
-		be.handleCompletion(p, comp, buf[:])
+		be.handleCompletion(p, comp, be.msgBuf[:])
 		progress++
 	}
 	if be.ctrl != nil {
