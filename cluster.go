@@ -60,27 +60,11 @@ type Cluster struct {
 	// perPod gives each AddPod a partition of its own.
 	perPod bool
 
-	// MigrationCopyBudget bounds how long a migration waits for the source
-	// volume to quiesce and for the destination volume to register.
-	MigrationCopyBudget Duration
-
-	// StopTheWorldMigration reverts MigrateInstance to the freeze-first
-	// protocol: writes are frozen for the entire volume copy instead of
-	// only the final dirty flush. Kept for comparison — the blackout
-	// experiment runs both modes side by side.
+	// StopTheWorldMigration makes MigrateInstance freeze writes before the
+	// first copy pass instead of the last, so the whole volume copy sits
+	// inside the blackout. Kept for comparison — the blackout experiment runs
+	// both protocols side by side.
 	StopTheWorldMigration bool
-
-	// PrecopyRounds bounds the iterative dirty-flush rounds a pre-copy
-	// migration runs before freezing: each round re-copies the blocks
-	// dirtied during the previous one, so the set shrinks geometrically
-	// when the copy outruns the writer. More rounds shrink the final
-	// freeze window at the cost of total migration time.
-	PrecopyRounds int
-
-	// PrecopyFlushBlocks stops the iterative rounds early: once a round
-	// begins with at most this many dirty blocks, the migration freezes
-	// and flushes the remainder inside the blackout window.
-	PrecopyFlushBlocks int
 
 	// LastBlackout is the length of the write-blackout window (freeze to
 	// cutover) of the most recent successful volume-backed
@@ -112,14 +96,7 @@ func NewPartitionedCluster() *Cluster { return newCluster(true) }
 func newCluster(perPod bool) *Cluster {
 	g := sim.NewGroup()
 	g.SetMobileLatency(DefaultHopLatency)
-	return &Cluster{
-		Eng:                 g.AddPartition(),
-		group:               g,
-		perPod:              perPod,
-		MigrationCopyBudget: 500 * time.Millisecond,
-		PrecopyRounds:       4,
-		PrecopyFlushBlocks:  16,
-	}
+	return &Cluster{Eng: g.AddPartition(), group: g, perPod: perPod}
 }
 
 // Partitions returns the number of sim partitions backing the cluster: 1
@@ -303,48 +280,56 @@ func (c *Cluster) PlaceInstanceErr(ip netstack.IP) (*Instance, error) {
 // PlaceInstance is the panic-on-error wrapper around PlaceInstanceErr.
 func (c *Cluster) PlaceInstance(ip netstack.IP) *Instance { return must(c.PlaceInstanceErr(ip)) }
 
+// Migration pacing: constants of the protocol.
+const (
+	// migrationCopyBudget bounds how long a migration waits for the source
+	// volume to quiesce and for the destination volume to register.
+	migrationCopyBudget = 500 * time.Millisecond
+	// precopyRounds bounds the dirty passes a pre-copy migration runs
+	// unfrozen: each re-copies the blocks dirtied during the previous one, so
+	// the set shrinks geometrically when the copy outruns the writer. More
+	// rounds shrink the final freeze window at the cost of total time.
+	precopyRounds = 4
+	// precopyFlushBlocks ends them early: a pass that begins with at most
+	// this many dirty blocks is run frozen, as the last.
+	precopyFlushBlocks = 16
+)
+
 // MigrateInstance moves an instance — and its volume, if it has one — to
 // pod dst. It must run inside a simulation process (use Cluster.Go).
 //
-// The default protocol is a pre-copy migration: the bulk of the volume is
-// copied while the instance keeps writing, and only the final dirty-set
-// flush runs inside the write-freeze window, so the blackout is bounded by
-// the write rate rather than the volume size. It reuses the storage
-// engine's epoch/fencing machinery so no acked write is ever lost, even
-// when the fault injector is tearing at both pods:
+// The volume moves in copy passes, one loop (migration.run): pass 0 copies
+// the whole image [0, blocks), every later pass the blocks dirtied since the
+// one before (Volume.TakeDirty, armed before pass 0 reads). A pass reads at
+// the source through the ordinary read path, hops, and writes at the
+// destination; after pass 0's read the destination is placed — instance,
+// allocator request, a fresh volume — once. The last pass is the one run
+// fenced: writes are frozen first (new writes fail fast with ErrMigrating —
+// never acknowledged, so no promise exists) and the volume quiesced, which
+// bumps its fencing epoch so a wedged backend's late completion is rejected
+// (StaleRejected) rather than applied after the cutover — the zombie defense
+// of the SSD failover path. A quiesce timeout is safe to proceed past for the
+// same reason. Everything acked before the freeze is durable and either
+// already copied or in the dirty set the fenced pass takes, so no acked write
+// is ever lost, even with the fault injector tearing at both pods.
 //
-//  1. Track: arm dirty-block tracking on the source volume. Every write
-//     acked from here on has its blocks recorded.
-//  2. Copy: read the full volume image through the ordinary read path —
-//     writes still flowing — and write it into a fresh volume on the
-//     destination pod. Blocks written during the copy are stale in the
-//     image but present in the dirty set.
-//  3. Iterate: re-copy the blocks dirtied during the previous pass, up to
-//     PrecopyRounds times or until at most PrecopyFlushBlocks remain. The
-//     set shrinks geometrically whenever the copy outruns the writer.
-//  4. Fence: freeze writes (new writes fail fast with ErrMigrating — they
-//     are never acknowledged, so no promise exists) and quiesce. The
-//     quiesce bumps the volume's fencing epoch, so a wedged backend's
-//     late completion is rejected (StaleRejected) rather than applied
-//     after the cutover — the same zombie defense the SSD failover path
-//     uses. Acked writes are now durable and all marked dirty-or-copied.
-//  5. Flush: copy the remaining dirty blocks to the destination. This is
-//     the only copy work inside the blackout window.
-//  6. Cutover: re-place the instance on the destination (new frontend
-//     port, allocator assignment) and remove the source instance, volume,
-//     and placement. LastBlackout records freeze→cutover.
+// Which pass is the fenced one is the whole difference between the two
+// protocols. Pre-copy (the default) keeps writes flowing through pass 0 and
+// up to precopyRounds dirty passes and fences the first pass that starts with
+// at most precopyFlushBlocks dirty (or the one after the rounds run out): the
+// blackout is bounded by the write rate, not the volume size.
+// StopTheWorldMigration fences pass 0 — freeze, then copy everything inside
+// the blackout — and is kept for comparison. After the fenced pass the source
+// instance, volume and placement are removed; LastBlackout records
+// freeze→cutover.
 //
-// StopTheWorldMigration selects the old protocol — freeze and quiesce
-// first, then copy everything inside the blackout — for comparison.
-//
-// On any failure the source instance is left intact with writes unfrozen
-// and tracking disarmed (the epoch bump is harmless) and
+// On any failure the migration is torn down from wherever it got to
+// (migration.teardown): the source instance is left intact with writes
+// unfrozen and tracking disarmed (the epoch bump is harmless), and
 // ErrMigrationFailed is returned.
 //
 // The driver executes against one pod at a time, paying a hop-latency
-// control RPC (SetHopLatency) to move between them: source for
-// track/copy-read/fence, destination for placement and copy-write, source
-// again for the cutover removal; each pre-copy round pays one more round
+// control RPC (SetHopLatency) to move between them; each pass is one round
 // trip. In a partitioned cluster each hop re-homes the (mobile) process onto
 // that pod's partition, which is also what makes the pod-local state it
 // touches race-free; hopping within a partition charges the identical
@@ -365,172 +350,178 @@ func (c *Cluster) MigrateInstance(p *Proc, ip netstack.IP, dst int) (*Instance, 
 	if inst.Port == nil {
 		return nil, fmt.Errorf("oasis: %w: baseline local instance %v cannot migrate", ErrNodeInUse, ip)
 	}
-	c.hop(p, srcPod)
-
-	var vol *storengine.Volume
+	m := &migration{c: c, p: p, src: srcPod, dst: dstPod, inst: inst}
+	m.hop(srcPod)
 	if sfe := inst.host.SFE; sfe != nil {
-		vol = sfe.Volume(ip)
+		m.vol = sfe.Volume(ip)
 	}
-	precopy := vol != nil && !c.StopTheWorldMigration
-	var frozeAt Duration // zero until the freeze begins
-	// readChunks reads [lba, lba+nblocks) via the ordinary read path,
-	// honoring the per-request block limit. Runs in the source pod domain.
-	srcChunk := srcPod.cfg.Storage.MaxBlocksPerRequest()
-	readChunks := func(lba, nblocks uint64, dst []byte) error {
-		for off := uint64(0); off < nblocks; off += uint64(srcChunk) {
-			n := srcChunk
-			if rem := nblocks - off; uint64(n) > rem {
-				n = int(rem)
-			}
-			data, err := vol.Read(p, lba+off, n)
-			if err != nil {
-				return err
-			}
-			copy(dst[(off)*uint64(ssd.BlockSize):], data)
-		}
-		return nil
+	if err := m.run(); err != nil {
+		m.teardown()
+		return nil, fmt.Errorf("oasis: %w: %v", ErrMigrationFailed, err)
 	}
-	// cleanupSrc disarms the migration machinery on the source volume; it
-	// must only run in the source pod domain.
-	cleanupSrc := func() {
-		if vol == nil {
-			return
-		}
-		vol.UnfreezeWrites()
-		vol.StopDirtyTracking()
-	}
-
-	var image []byte
-	var blocks uint64
-	if vol != nil {
-		if precopy {
-			vol.StartDirtyTracking()
-		} else {
-			frozeAt = p.Now()
-			vol.FreezeWrites()
-			// A quiesce timeout is safe to proceed past: the epoch bump
-			// fences the wedged request, so it can only end StaleRejected —
-			// never acked, never applied after the copy reads below.
-			vol.Quiesce(p, c.MigrationCopyBudget)
-		}
-		blocks = vol.Blocks()
-		image = make([]byte, blocks*uint64(ssd.BlockSize))
-		if err := readChunks(0, blocks, image); err != nil {
-			cleanupSrc()
-			return nil, fmt.Errorf("oasis: %w: copy read: %v", ErrMigrationFailed, err)
-		}
-	}
-
-	c.hop(p, dstPod)
-	// unwind returns to the source pod's domain before unfreezing: the
-	// volume is source-pod state and must only be touched from there.
-	unwind := func(reason error) (*Instance, error) {
-		c.hop(p, srcPod)
-		cleanupSrc()
-		return nil, fmt.Errorf("oasis: %w: %v", ErrMigrationFailed, reason)
-	}
-	dstHost := leastLoadedHost(dstPod)
-	if dstHost == nil {
-		return unwind(fmt.Errorf("pod%d has no live hosts", dst))
-	}
-	newInst, err := dstPod.AddInstanceErr(dstHost, ip)
-	if err != nil {
-		return unwind(err)
-	}
-	// abort tears the half-built destination down; it must only run in the
-	// destination pod domain.
-	abort := func(reason error) (*Instance, error) {
-		_ = dstPod.RemoveInstanceErr(newInst)
-		return unwind(reason)
-	}
-	if dstPod.Started() && dstPod.Alloc != nil {
-		newInst.RequestAllocation()
-	}
-	var newVol *storengine.Volume
-	if vol != nil {
-		dstSSD := uint16(0)
-		for _, id := range dstPod.ssdIDs() {
-			if !dstPod.SSDs[id].Backup {
-				dstSSD = id
-				break
-			}
-		}
-		if dstSSD == 0 {
-			return abort(fmt.Errorf("pod%d has no usable SSD for the volume", dst))
-		}
-		newVol, err = dstPod.AddVolumeErr(newInst, dstSSD, blocks)
-		if err != nil {
-			return abort(err)
-		}
-		if !newVol.WaitReady(p, c.MigrationCopyBudget) {
-			return abort(fmt.Errorf("destination volume on %s never became ready", dstPod.ssdName(dstSSD)))
-		}
-		dstChunk := dstPod.cfg.Storage.MaxBlocksPerRequest()
-		writeChunks := func(lba, nblocks uint64, src []byte) error {
-			for off := uint64(0); off < nblocks; off += uint64(dstChunk) {
-				n := dstChunk
-				if rem := nblocks - off; uint64(n) > rem {
-					n = int(rem)
-				}
-				data := src[off*uint64(ssd.BlockSize) : (off+uint64(n))*uint64(ssd.BlockSize)]
-				if err := newVol.Write(p, lba+off, data); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := writeChunks(0, blocks, image); err != nil {
-			return abort(fmt.Errorf("copy write: %v", err))
-		}
-		if precopy {
-			// Iterative dirty flushes, then the fenced final flush. Each
-			// round drains the dirty set at the source and replays it at
-			// the destination; the last round runs frozen.
-			for round := 0; ; round++ {
-				c.hop(p, srcPod)
-				final := round >= c.PrecopyRounds || vol.DirtyCount() <= c.PrecopyFlushBlocks
-				if final {
-					frozeAt = p.Now()
-					vol.FreezeWrites()
-					vol.Quiesce(p, c.MigrationCopyBudget)
-				}
-				dirty := vol.TakeDirty()
-				var flush []byte
-				for _, r := range dirty {
-					buf := make([]byte, r.Blocks*uint64(ssd.BlockSize))
-					if err := readChunks(r.LBA, r.Blocks, buf); err != nil {
-						c.hop(p, dstPod)
-						return abort(fmt.Errorf("dirty read at lba %d: %v", r.LBA, err))
-					}
-					flush = append(flush, buf...)
-				}
-				if final {
-					vol.StopDirtyTracking()
-				}
-				c.hop(p, dstPod)
-				off := uint64(0)
-				for _, r := range dirty {
-					if err := writeChunks(r.LBA, r.Blocks, flush[off*uint64(ssd.BlockSize):]); err != nil {
-						return abort(fmt.Errorf("dirty write at lba %d: %v", r.LBA, err))
-					}
-					off += r.Blocks
-				}
-				if final {
-					break
-				}
-			}
-		}
-	}
-	c.hop(p, srcPod)
-	if err := srcPod.RemoveInstanceErr(inst); err != nil {
-		c.hop(p, dstPod)
-		return abort(err)
-	}
-	if vol != nil {
-		c.LastBlackout = p.Now() - frozeAt
+	if m.vol != nil {
+		c.LastBlackout = p.Now() - m.frozeAt
 	}
 	c.Migrations++
-	return newInst, nil
+	return m.newInst, nil
+}
+
+// migration is one MigrateInstance in flight: the two ends, what has been
+// built at the destination so far, and which pod the driving process is
+// executing in — everything teardown needs to undo it from any point.
+type migration struct {
+	c        *Cluster
+	p        *Proc
+	src, dst *Pod
+	at       *Pod               // where p executes now
+	inst     *Instance          // the source instance
+	vol      *storengine.Volume // its volume; nil for a volume-less instance
+	newInst  *Instance          // the destination instance, once placed
+	newVol   *storengine.Volume
+	frozeAt  Duration // when the source volume's writes were frozen
+}
+
+// hop moves the process to pod unless it is already there. Pod state is only
+// ever touched from its own domain.
+func (m *migration) hop(pod *Pod) {
+	if m.at != pod {
+		m.c.hop(m.p, pod)
+		m.at = pod
+	}
+}
+
+// run is the pass loop, then the cutover.
+func (m *migration) run() error {
+	for pass := 0; ; pass++ {
+		m.hop(m.src)
+		var ranges []storengine.DirtyRange
+		fenced := true // a volume-less instance is one empty pass
+		if m.vol != nil {
+			switch {
+			case pass > 0:
+				fenced = pass > precopyRounds || m.vol.DirtyCount() <= precopyFlushBlocks
+			case !m.c.StopTheWorldMigration:
+				fenced = false
+				m.vol.StartDirtyTracking()
+			}
+			if fenced {
+				m.frozeAt = m.p.Now()
+				m.vol.FreezeWrites()
+				m.vol.Quiesce(m.p, migrationCopyBudget)
+			}
+			if pass == 0 {
+				ranges = []storengine.DirtyRange{{LBA: 0, Blocks: m.vol.Blocks()}}
+			} else {
+				ranges = m.vol.TakeDirty()
+			}
+		}
+		data, err := m.read(ranges)
+		if err != nil {
+			return fmt.Errorf("pass %d: %v", pass, err)
+		}
+		m.hop(m.dst)
+		if pass == 0 {
+			if err := m.place(); err != nil {
+				return err
+			}
+		}
+		if err := m.write(ranges, data); err != nil {
+			return fmt.Errorf("pass %d: %v", pass, err)
+		}
+		if fenced {
+			break
+		}
+	}
+	m.hop(m.src)
+	return m.src.RemoveInstanceErr(m.inst)
+}
+
+// read copies ranges off the source volume through the ordinary read path,
+// one request per MaxBlocksPerRequest. Runs in the source pod's domain.
+func (m *migration) read(ranges []storengine.DirtyRange) ([]byte, error) {
+	chunk := uint64(m.src.cfg.Storage.MaxBlocksPerRequest())
+	var blocks uint64
+	for _, r := range ranges {
+		blocks += r.Blocks
+	}
+	data := make([]byte, 0, blocks*ssd.BlockSize)
+	for _, r := range ranges {
+		for off := uint64(0); off < r.Blocks; off += chunk {
+			got, err := m.vol.Read(m.p, r.LBA+off, int(min(chunk, r.Blocks-off)))
+			if err != nil {
+				return nil, fmt.Errorf("read at lba %d: %v", r.LBA+off, err)
+			}
+			data = append(data, got...)
+		}
+	}
+	return data, nil
+}
+
+// write replays what read returned onto the destination volume. Runs in the
+// destination pod's domain.
+func (m *migration) write(ranges []storengine.DirtyRange, data []byte) error {
+	chunk := uint64(m.dst.cfg.Storage.MaxBlocksPerRequest())
+	for _, r := range ranges {
+		for off := uint64(0); off < r.Blocks; off += chunk {
+			n := min(chunk, r.Blocks-off) * ssd.BlockSize
+			if err := m.newVol.Write(m.p, r.LBA+off, data[:n]); err != nil {
+				return fmt.Errorf("write at lba %d: %v", r.LBA+off, err)
+			}
+			data = data[n:]
+		}
+	}
+	return nil
+}
+
+// place builds the destination: the instance on the least-loaded host, its
+// allocator request, and — for a volume-backed instance — a fresh volume of
+// the same size on the pod's first non-backup SSD, waited ready.
+func (m *migration) place() (err error) {
+	dstHost := leastLoadedHost(m.dst)
+	if dstHost == nil {
+		return fmt.Errorf("pod%d has no live hosts", m.dst.podIndex)
+	}
+	if m.newInst, err = m.dst.AddInstanceErr(dstHost, m.inst.IPAddr()); err != nil {
+		return err
+	}
+	if m.dst.Started() && m.dst.Alloc != nil {
+		m.newInst.RequestAllocation()
+	}
+	if m.vol == nil {
+		return nil
+	}
+	dstSSD := uint16(0)
+	for _, id := range m.dst.ssdIDs() {
+		if !m.dst.SSDs[id].Backup {
+			dstSSD = id
+			break
+		}
+	}
+	if dstSSD == 0 {
+		return fmt.Errorf("pod%d has no usable SSD for the volume", m.dst.podIndex)
+	}
+	if m.newVol, err = m.dst.AddVolumeErr(m.newInst, dstSSD, m.vol.Blocks()); err != nil {
+		return err
+	}
+	if !m.newVol.WaitReady(m.p, migrationCopyBudget) {
+		return fmt.Errorf("destination volume on %s never became ready", m.dst.ssdName(dstSSD))
+	}
+	return nil
+}
+
+// teardown undoes a failed migration from wherever it got to: whatever was
+// built at the destination is removed there, then the source volume is
+// unfrozen and its tracking disarmed at the source.
+func (m *migration) teardown() {
+	if m.newInst != nil {
+		m.hop(m.dst)
+		_ = m.dst.RemoveInstanceErr(m.newInst)
+	}
+	m.hop(m.src)
+	if m.vol != nil {
+		m.vol.UnfreezeWrites()
+		m.vol.StopDirtyTracking()
+	}
 }
 
 // RebalanceOnce migrates one instance from the most-loaded pod to the

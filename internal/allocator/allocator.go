@@ -417,14 +417,7 @@ func (a *Allocator) deferRetry(attempt int, fn func(p *sim.Proc, attempt int)) {
 		return
 	}
 	a.ProposeRetries++
-	d := proposeRetryBase
-	for i := 0; i < attempt && d < proposeRetryCap; i++ {
-		d *= 2
-	}
-	if d > proposeRetryCap {
-		d = proposeRetryCap
-	}
-	a.h.Eng.After(d, func() {
+	a.h.Eng.After(core.Backoff(proposeRetryBase, proposeRetryCap, attempt), func() {
 		a.cmds.Push(func(p *sim.Proc) { fn(p, attempt+1) })
 	})
 }

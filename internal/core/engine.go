@@ -58,12 +58,12 @@ type Driver struct {
 	// The iteration cursor: where the polling process is in its endless
 	// sequence of iterations. Step advances it in event context and block
 	// from the process, each as far as it can (see Step).
-	inIter      bool         // an iteration is in progress, over loops[:n]
-	n           int          // loops attached when the iteration began
-	loop, stage int          // the stage at the cursor: stages[loop][stage]
-	polling     bool         // that stage is a poll stage whose pass has begun
-	progress    int          // items processed so far this iteration
-	idle        sim.Duration // backoff after the last idle iteration, 0 after a busy one
+	inIter      bool // an iteration is in progress, over loops[:n]
+	n           int  // loops attached when the iteration began
+	loop, stage int  // the stage at the cursor: stages[loop][stage]
+	polling     bool // that stage is a poll stage whose pass has begun
+	progress    int  // items processed so far this iteration
+	idleRun     int  // consecutive idle iterations, 0 after a busy one
 
 	// Stats.
 	Iterations     int64 // total poll iterations
@@ -182,12 +182,12 @@ func (d *Driver) Step() (sim.Duration, bool) {
 			d.Iterations++
 			d.Processed += int64(d.progress)
 			if d.progress > 0 {
-				d.idle = 0
+				d.idleRun = 0
 				return d.cfg.LoopCost, true
 			}
 			d.IdleIterations++
-			d.idle = NextIdle(d.idle, d.cfg.LoopCost, d.cfg.IdleBackoff)
-			return d.cfg.LoopCost + d.idle, true
+			d.idleRun++
+			return d.cfg.LoopCost + Backoff(d.cfg.LoopCost, d.cfg.IdleBackoff, d.idleRun-1), true
 		}
 		stages := d.stages[d.loop]
 		if len(stages) == 0 {
@@ -305,20 +305,18 @@ func (s *Seat) Start() {
 	s.driver.Start()
 }
 
-// NextIdle doubles the idle backoff from start up to cap (0 cap disables).
-func NextIdle(cur, start, cap sim.Duration) sim.Duration {
+// Backoff is the one capped doubling every pacing and retry site uses:
+// base·2ⁿ, at most cap. n < 0 counts as 0 and a non-positive cap disables
+// backoff (0) — the busy-polling driver.
+func Backoff(base, cap sim.Duration, n int) sim.Duration {
 	if cap <= 0 {
 		return 0
 	}
-	if cur == 0 {
-		cur = start
-	} else {
-		cur *= 2
+	n = max(0, min(n, 62))
+	if base > cap>>uint(n) {
+		return cap
 	}
-	if cur > cap {
-		cur = cap
-	}
-	return cur
+	return base << uint(n)
 }
 
 // EngineStats is the uniform counter block every engine exposes: link-layer

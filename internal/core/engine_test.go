@@ -127,16 +127,61 @@ func TestSeatLaunchModes(t *testing.T) {
 
 func TestNextIdleDoublesToCap(t *testing.T) {
 	start, cap := sim.Duration(100), sim.Duration(1000)
-	cur := sim.Duration(0)
 	want := []sim.Duration{100, 200, 400, 800, 1000, 1000}
 	for i, w := range want {
-		cur = NextIdle(cur, start, cap)
-		if cur != w {
-			t.Fatalf("step %d: idle = %v, want %v", i, cur, w)
+		if got := Backoff(start, cap, i); got != w {
+			t.Fatalf("step %d: idle = %v, want %v", i, got, w)
 		}
 	}
-	if NextIdle(500, 100, 0) != 0 {
+	if Backoff(100, 0, 3) != 0 {
 		t.Fatal("zero cap must disable backoff (busy-poll)")
+	}
+}
+
+// TestBackoffPerCaller lists what each calling site waits at attempts 0–12
+// with its own constants, as literals: storengine's request retry (1-based
+// attempts), the allocator's propose retry, netengine's allocation-request
+// retry (the k-th resend) and the driver's idle sleep at LoopCost 60 ns (the
+// pod default cap and the campaigns' 200 µs). These sequences are in every
+// golden; a caller's waits may not move.
+func TestBackoffPerCaller(t *testing.T) {
+	ms, us, ns := time.Millisecond, time.Microsecond, time.Nanosecond
+	for _, tc := range []struct {
+		site      string
+		base, cap sim.Duration
+		first     int // the n of attempt 0
+		want      [13]sim.Duration
+	}{
+		{"storengine retry", 5 * ms, 100 * ms, -1,
+			[13]sim.Duration{5 * ms, 5 * ms, 10 * ms, 20 * ms, 40 * ms, 80 * ms, 100 * ms, 100 * ms, 100 * ms, 100 * ms, 100 * ms, 100 * ms, 100 * ms}},
+		{"allocator propose retry", 25 * ms, 200 * ms, 0,
+			[13]sim.Duration{25 * ms, 50 * ms, 100 * ms, 200 * ms, 200 * ms, 200 * ms, 200 * ms, 200 * ms, 200 * ms, 200 * ms, 200 * ms, 200 * ms, 200 * ms}},
+		{"netengine alloc retry", 10 * ms, 500 * ms, 0,
+			[13]sim.Duration{10 * ms, 20 * ms, 40 * ms, 80 * ms, 160 * ms, 320 * ms, 500 * ms, 500 * ms, 500 * ms, 500 * ms, 500 * ms, 500 * ms, 500 * ms}},
+		{"driver idle, 1µs cap", 60 * ns, us, 0,
+			[13]sim.Duration{60 * ns, 120 * ns, 240 * ns, 480 * ns, 960 * ns, us, us, us, us, us, us, us, us}},
+		{"driver idle, 200µs cap", 60 * ns, 200 * us, 0,
+			[13]sim.Duration{60 * ns, 120 * ns, 240 * ns, 480 * ns, 960 * ns, 1920 * ns, 3840 * ns, 7680 * ns, 15360 * ns, 30720 * ns, 61440 * ns, 122880 * ns, 200 * us}},
+	} {
+		for attempt, want := range tc.want {
+			if got := Backoff(tc.base, tc.cap, tc.first+attempt); got != want {
+				t.Errorf("%s attempt %d: %v, want %v", tc.site, attempt, got, want)
+			}
+		}
+	}
+	// The stateless form agrees with the blocking reference loop's stateful
+	// doubling wherever the driver can take it: any start, any cap, runs far
+	// past the cap.
+	for _, start := range []sim.Duration{0, 1, 60, 150, 5000} {
+		for _, cap := range []sim.Duration{0, 1, 1000, 200_000, 1 << 61} {
+			cur := sim.Duration(0)
+			for n := 0; n < 80; n++ {
+				cur = refNextIdle(cur, start, cap)
+				if got := Backoff(start, cap, n); got != cur {
+					t.Fatalf("start %v cap %v n %d: %v, want %v", start, cap, n, got, cur)
+				}
+			}
+		}
 	}
 }
 

@@ -36,9 +36,26 @@ func refRun(d *Driver, p *sim.Proc) {
 			continue
 		}
 		d.IdleIterations++
-		idle = NextIdle(idle, d.cfg.LoopCost, d.cfg.IdleBackoff)
+		idle = refNextIdle(idle, d.cfg.LoopCost, d.cfg.IdleBackoff)
 		p.Sleep(d.cfg.LoopCost + idle)
 	}
+}
+
+// refNextIdle is the stateful doubling the blocking loop used (start, then
+// ×2, clamped to cap each step; 0 cap disables) — the oracle for Backoff.
+func refNextIdle(cur, start, cap sim.Duration) sim.Duration {
+	if cap <= 0 {
+		return 0
+	}
+	if cur == 0 {
+		cur = start
+	} else {
+		cur *= 2
+	}
+	if cur > cap {
+		cur = cap
+	}
+	return cur
 }
 
 func refPollEach(s *LinkSet, p *sim.Proc, burst int, handle func(p *sim.Proc, l *Link, payload []byte)) int {

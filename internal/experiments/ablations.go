@@ -182,18 +182,7 @@ func AblFailoverMechanism(scale float64) *Report {
 // backup backend's MAC borrow so recovery relies on the instance's GARP.
 func measureFailover(span time.Duration, macBorrow bool) time.Duration {
 	f := buildFailoverPod()
-	f.pod.Go("echo-server", func(p *oasis.Proc) {
-		conn, err := f.inst.Stack.ListenUDP(7)
-		if err != nil {
-			return
-		}
-		for {
-			dg := conn.Recv(p)
-			if conn.SendTo(p, dg.Src, dg.SrcPort, dg.Data) != nil {
-				return
-			}
-		}
-	})
+	f.pod.Go("echo-server", func(p *oasis.Proc) { udpEcho(p, f.inst.Stack, 7) })
 	failAt := span / 2
 	f.pod.Eng.At(failAt, func() {
 		f.pod.FailNICPort(f.nic.ID)
@@ -221,34 +210,16 @@ func measureFailover(span time.Duration, macBorrow bool) time.Duration {
 			f.inst.Stack.GratuitousARP()
 		})
 	}
-	var firstLoss, lastLoss oasis.Duration
+	var probes probeStream
 	f.pod.Go("client", func(p *oasis.Proc) {
-		conn, err := f.client.Stack.ListenUDP(0)
-		if err != nil {
-			return
-		}
-		p.Sleep(5 * time.Millisecond)
-		for p.Now() < span {
-			at := p.Now()
-			if conn.SendTo(p, serverIP, 7, []byte("probe")) != nil {
-				continue
-			}
-			if _, ok := conn.RecvTimeout(p, time.Millisecond); !ok {
-				if firstLoss == 0 {
-					firstLoss = at
-				}
-				lastLoss = at
-			} else if wait := at + time.Millisecond - p.Now(); wait > 0 {
-				p.Sleep(wait)
-			}
-		}
+		probes.run(p, f.client.Stack, serverIP, "probe", time.Millisecond, span)
 		f.pod.Shutdown()
 	})
 	f.pod.Run(span + time.Second)
-	if lastLoss == 0 {
+	if len(probes.lost) == 0 {
 		return 0
 	}
-	return lastLoss - firstLoss + time.Millisecond
+	return probes.lost[len(probes.lost)-1] - probes.lost[0] + time.Millisecond
 }
 
 // AblHWCoherent evaluates the paper's §6 "CXL 3.0 memory devices"

@@ -34,6 +34,12 @@ func under(x Exec, run func(float64, Exec) *Report) Runner {
 // speed must leave every one of them alone; a change to the model re-blesses
 // the constant it moved and says why.
 //
+// fig13 and blackout are the two users of the campaign harness
+// (campaign.go) outside chaos and grayfail: the probe stream around one NIC
+// failover, and the acked-write ledger across a cross-pod migration under
+// both protocols. Their rows carry the experiments' acceptance bounds
+// (campaignInvariants), so each runs once.
+//
 // The <campaign>/<exec> rows are the determinism gate of the three campaigns
 // under every execution shape: each pair runs once, and a constant is a
 // stronger check than a rerun compare — it pins the bytes across commits as
@@ -67,6 +73,8 @@ func TestReportDigests(t *testing.T) {
 		{"abl-coherent", AblHWCoherent, 0.05, "98e54ab45c2020903abf4d33ee0e3aafeb435c9aa4e81d2bb36371d5e7e41f84"},
 		{"abl-inspect", AblBackendInspect, 0.05, "9798a48a0764d236d6169754651b88b68991b95af3d540529f294e14e155d60f"},
 		{"abl-storage", AblStorage, 0.05, "2e67fbd71bbdd810343b5b91d1beced6db6e0e612ba5012e94de05cfd7324cef"},
+		{"fig13", Fig13, 0.1, "41290607923de867d0b1874209d6b6bea6dce525f47cd25bd748724e6b6b2d96"},
+		{"blackout", Blackout, 0.5, "9e8f7f97352571fa2b4243357671238373f7b6e94ae3952a6c791e5747eabb18"},
 		{"chaos/serial", under(Serial, chaosRun), 1, chaos},
 		{"chaos/perhost", under(PerHost, chaosRun), 1, "4823c279fd59d469e0be131f9f7a08b0e76f0bbcfd436bf86192ef198b3e0298"},
 		{"grayfail/serial", under(Serial, grayfailRun), 1, grayfail},
@@ -96,6 +104,37 @@ func TestReportDigests(t *testing.T) {
 // execution shape, keyed by report id (a report keeps its id under all of
 // them).
 var campaignInvariants = map[string]func(*testing.T, *Report){
+	// The paper reports ~38 ms of interruption (Fig. 13); the reproduction
+	// must keep the loss window in the same regime and actually fail over.
+	"fig13": func(t *testing.T, r *Report) {
+		if r.Values["failovers"] < 1 {
+			t.Fatalf("no failover recorded:\n%s", r)
+		}
+		if outage := r.Values["outage_ms"]; outage <= 0 || outage > 100 {
+			t.Fatalf("failover outage %v ms out of bounds (0, 100]:\n%s", outage, r)
+		}
+		if r.Values["lost"] < 1 {
+			t.Fatalf("probe stream saw no loss at all — failure not injected?\n%s", r)
+		}
+	},
+	// The acceptance gate for pre-copy migration: at every write rate the
+	// pre-copy blackout is strictly under the stop-the-world one on the
+	// identical scenario, with no acked write lost under either protocol.
+	"blackout": func(t *testing.T, r *Report) {
+		if v := r.Values["violations"]; v != 0 {
+			t.Fatalf("blackout experiment violated %v invariant(s):\n%s", v, r)
+		}
+		if r.Values["rates"] < 2 {
+			t.Fatalf("blackout grid too small:\n%s", r)
+		}
+		for k, pre := range r.Values {
+			if rate, ok := strings.CutPrefix(k, "precopy_"); ok {
+				if stw, ok := r.Values["stw_"+rate]; !ok || pre <= 0 || stw <= 0 || pre >= stw {
+					t.Fatalf("%s=%v not strictly under stop-the-world %v:\n%s", k, pre, stw, r)
+				}
+			}
+		}
+	},
 	"chaos": func(t *testing.T, r *Report) {
 		if v := r.Values["violations"]; v != 0 {
 			t.Fatalf("chaos campaign violated %v recovery invariant(s):\n%s", v, r)

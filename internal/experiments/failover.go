@@ -69,52 +69,25 @@ func Fig13(scale float64) *Report {
 	}
 	failAt := span / 2
 	f := buildFailoverPod()
-	f.pod.Go("echo-server", func(p *oasis.Proc) {
-		conn, err := f.inst.Stack.ListenUDP(7)
-		if err != nil {
-			return
-		}
-		for {
-			dg := conn.Recv(p)
-			if conn.SendTo(p, dg.Src, dg.SrcPort, dg.Data) != nil {
-				return
-			}
-		}
-	})
+	f.pod.Go("echo-server", func(p *oasis.Proc) { udpEcho(p, f.inst.Stack, 7) })
 	f.pod.Eng.At(failAt, func() { f.pod.FailNICPort(f.nic.ID) })
 
-	losses := metrics.NewSeries(10 * time.Millisecond) // Fig. 13a bins
-	var firstLoss, lastLoss oasis.Duration
-	sent, lost := 0, 0
+	var probes probeStream // 1 kHz
 	f.pod.Go("client", func(p *oasis.Proc) {
-		conn, err := f.client.Stack.ListenUDP(0)
-		if err != nil {
-			return
-		}
-		p.Sleep(5 * time.Millisecond) // registration warmup
-		interval := time.Millisecond  // 1 kHz probe stream
-		for p.Now() < span {
-			sendAt := p.Now()
-			if conn.SendTo(p, serverIP, 7, []byte("probe-probe-probe")) != nil {
-				continue
-			}
-			sent++
-			if _, ok := conn.RecvTimeout(p, interval); !ok {
-				lost++
-				losses.Add(sendAt, 1)
-				if firstLoss == 0 {
-					firstLoss = sendAt
-				}
-				lastLoss = sendAt
-			} else if wait := sendAt + interval - p.Now(); wait > 0 {
-				p.Sleep(wait)
-			}
-		}
+		probes.run(p, f.client.Stack, serverIP, "probe-probe-probe", time.Millisecond, span)
 		f.pod.Shutdown()
 	})
 	f.pod.Run(span + time.Second)
 
-	outage := time.Duration(0)
+	sent, lost := probes.sent, len(probes.lost)
+	losses := metrics.NewSeries(10 * time.Millisecond) // Fig. 13a bins
+	var firstLoss, lastLoss, outage oasis.Duration
+	for _, at := range probes.lost {
+		losses.Add(at, 1)
+	}
+	if lost > 0 {
+		firstLoss, lastLoss = probes.lost[0], probes.lost[lost-1]
+	}
 	if lastLoss > firstLoss {
 		outage = lastLoss - firstLoss + time.Millisecond
 	}

@@ -93,18 +93,7 @@ func buildNetPodCfg(mode Mode, mutate func(*oasis.Config)) *netPod {
 
 // startUDPEcho runs the echo server app on the instance.
 func (e *netPod) startUDPEcho(port uint16) {
-	e.pod.Go("echo-server", func(p *oasis.Proc) {
-		conn, err := e.inst.Stack.ListenUDP(port)
-		if err != nil {
-			return
-		}
-		for {
-			dg := conn.Recv(p)
-			if conn.SendTo(p, dg.Src, dg.SrcPort, dg.Data) != nil {
-				return
-			}
-		}
-	})
+	e.pod.Go("echo-server", func(p *oasis.Proc) { udpEcho(p, e.inst.Stack, port) })
 }
 
 // udpEchoLoad drives fixed-size echoes at a fixed offered rate from the

@@ -104,16 +104,7 @@ func racksweepSim(r *Report, scale float64, x Exec) {
 				if !inst.WaitReady(p, 50*time.Millisecond) {
 					return
 				}
-				conn, err := inst.Stack.ListenUDP(7)
-				if err != nil {
-					return
-				}
-				for {
-					dg := conn.Recv(p)
-					if conn.SendTo(p, dg.Src, dg.SrcPort, dg.Data) != nil {
-						return
-					}
-				}
+				udpEcho(p, inst.Stack, 7)
 			})
 			// Spawned in the client's execution domain: the pod's partition
 			// (identical to GoPod) unless the client has one of its own.

@@ -84,18 +84,7 @@ func replayRun(traces []*trace.PacketTrace, multiplex bool) (*metrics.Histogram,
 	}
 	for _, inst := range []*oasis.Instance{inst1, inst2} {
 		inst := inst
-		pod.Go("echo", func(p *oasis.Proc) {
-			conn, err := inst.Stack.ListenUDP(7)
-			if err != nil {
-				return
-			}
-			for {
-				dg := conn.Recv(p)
-				if conn.SendTo(p, dg.Src, dg.SrcPort, dg.Data) != nil {
-					return
-				}
-			}
-		})
+		pod.Go("echo", func(p *oasis.Proc) { udpEcho(p, inst.Stack, 7) })
 	}
 	h1 := &metrics.Histogram{}
 	h2 := &metrics.Histogram{}

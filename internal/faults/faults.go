@@ -17,6 +17,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -73,28 +74,85 @@ const (
 	LinkFlaky
 )
 
-var kindNames = map[Kind]string{
-	HostCrash:   "host-crash",
-	EngineStall: "engine-stall",
-	NICLinkDown: "nic-link-down",
-	SSDFail:     "ssd-fail",
-	PortFlap:    "port-flap",
-	CXLDegrade:  "cxl-degrade",
-	SSDSlow:     "ssd-slow",
-	NICLossy:    "nic-lossy",
-	CXLJitter:   "cxl-jitter",
-	LinkFlaky:   "link-flaky",
+// param is one option of an event line: its key in the text form, how its
+// value is read into an Event and rendered back, and the range a kind that
+// reads it accepts. Every key parses on every line — a parameter the line's
+// kind does not read is carried in the Event and dropped by Encode; only a
+// kind's own parameters are range-checked and encoded.
+type param struct {
+	key   string
+	parse func(ev *Event, v string) error
+	text  func(ev *Event) string
+	rng   string               // the valid range in words, for Validate's error
+	ok    func(ev *Event) bool // whether the event's value is inside it
 }
+
+// num and dur build the param for a float64 and a Duration field of Event.
+func num(key string, at func(*Event) *float64, rng string, ok func(*Event) bool) *param {
+	return &param{key: key, rng: rng, ok: ok,
+		parse: func(ev *Event, v string) (err error) { *at(ev), err = strconv.ParseFloat(v, 64); return },
+		text:  func(ev *Event) string { return fmt.Sprintf("%g", *at(ev)) },
+	}
+}
+
+func dur(key string, at func(*Event) *sim.Duration, rng string, ok func(*Event) bool) *param {
+	return &param{key: key, rng: rng, ok: ok,
+		parse: func(ev *Event, v string) (err error) { *at(ev), err = time.ParseDuration(v); return },
+		text:  func(ev *Event) string { return at(ev).String() },
+	}
+}
+
+var (
+	heal   = dur("heal", func(ev *Event) *sim.Duration { return &ev.Heal }, "", nil) // every kind; Validate checks it with At
+	lat    = num("lat", func(ev *Event) *float64 { return &ev.LatMult }, ">= 1", func(ev *Event) bool { return ev.LatMult >= 1 })
+	bw     = num("bw", func(ev *Event) *float64 { return &ev.BWFrac }, "in (0,1]", func(ev *Event) bool { return ev.BWFrac > 0 && ev.BWFrac <= 1 })
+	drop   = num("drop", func(ev *Event) *float64 { return &ev.Drop }, "in (0,1]", func(ev *Event) bool { return ev.Drop > 0 && ev.Drop <= 1 })
+	jitter = dur("jitter", func(ev *Event) *sim.Duration { return &ev.Jitter }, "> 0", func(ev *Event) bool { return ev.Jitter > 0 })
+	period = dur("period", func(ev *Event) *sim.Duration { return &ev.Period }, "> 0", func(ev *Event) bool { return ev.Period > 0 })
+	stall  = dur("stall", func(ev *Event) *sim.Duration { return &ev.Stall }, "in (0,period)", func(ev *Event) bool { return ev.Stall > 0 && ev.Stall < ev.Period })
+
+	// params is every option key ParsePlan accepts.
+	params = []*param{heal, lat, bw, drop, jitter, period, stall}
+)
+
+// kinds is the fault vocabulary, one row per Kind and indexed by it: the
+// wire name of the plan text form, the parameters the kind reads (Validate
+// range-checks them and Encode writes them, in this order), and whether an
+// event must heal — a permanently disabled switch port is a topology change,
+// not a fault. String, Kinds, Validate, Encode and ParsePlan are all derived
+// from this table; a new kind is one const, one row here and one row in the
+// pod's binding table.
+var kinds = [...]struct {
+	name     string
+	reads    []*param
+	mustHeal bool
+}{
+	HostCrash:   {name: "host-crash"},
+	EngineStall: {name: "engine-stall"},
+	NICLinkDown: {name: "nic-link-down"},
+	SSDFail:     {name: "ssd-fail"},
+	PortFlap:    {name: "port-flap", mustHeal: true},
+	CXLDegrade:  {name: "cxl-degrade", reads: []*param{lat, bw}},
+	SSDSlow:     {name: "ssd-slow", reads: []*param{lat}},
+	NICLossy:    {name: "nic-lossy", reads: []*param{drop}},
+	CXLJitter:   {name: "cxl-jitter", reads: []*param{jitter}},
+	LinkFlaky:   {name: "link-flaky", reads: []*param{period, stall}, mustHeal: true},
+}
+
+func (k Kind) known() bool { return k >= 1 && int(k) < len(kinds) }
 
 // Kinds lists every fault kind in declaration order (stable for reports).
 func Kinds() []Kind {
-	return []Kind{HostCrash, EngineStall, NICLinkDown, SSDFail, PortFlap, CXLDegrade,
-		SSDSlow, NICLossy, CXLJitter, LinkFlaky}
+	out := make([]Kind, 0, len(kinds)-1)
+	for k := 1; k < len(kinds); k++ {
+		out = append(out, Kind(k))
+	}
+	return out
 }
 
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k.known() {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -102,7 +160,7 @@ func (k Kind) String() string {
 // kindFromString is the inverse of String (used by ParsePlan).
 func kindFromString(s string) (Kind, bool) {
 	for _, k := range Kinds() {
-		if kindNames[k] == s {
+		if kinds[k].name == s {
 			return k, true
 		}
 	}
@@ -115,13 +173,14 @@ type Event struct {
 	Kind   Kind
 	Target string       // binding-layer name: "host2", "nic1", "ssd1", a driver loop…
 	Heal   sim.Duration // delay until auto-heal; 0 = never heals
-	// Degradation parameters (each read only by the kinds noted).
-	LatMult float64      // latency multiplier, >= 1 (cxl-degrade, ssd-slow)
-	BWFrac  float64      // remaining bandwidth fraction, in (0, 1] (cxl-degrade)
-	Drop    float64      // dropped-frame fraction, in (0, 1] (nic-lossy)
-	Jitter  sim.Duration // added per-transaction latency, > 0 (cxl-jitter)
-	Period  sim.Duration // stall cadence, > 0 (link-flaky)
-	Stall   sim.Duration // per-pulse stall length, in (0, Period) (link-flaky)
+	// Degradation parameters; the kinds table says which kinds read each
+	// and the params above what values they accept.
+	LatMult float64      // latency multiplier
+	BWFrac  float64      // remaining bandwidth fraction
+	Drop    float64      // dropped-frame fraction
+	Jitter  sim.Duration // added per-transaction latency
+	Period  sim.Duration // stall cadence
+	Stall   sim.Duration // per-pulse stall length
 }
 
 // Plan is a named, seeded schedule of fault events. The seed does not
@@ -144,11 +203,12 @@ func (pl Plan) Sorted() Plan {
 }
 
 // Validate checks the plan is executable: known kinds, named targets,
-// non-negative times, flaps that heal (a permanently disabled switch port
-// is a topology change, not a fault), and positive degradation factors.
+// non-negative times, must-heal kinds that do heal, and every parameter a
+// kind reads inside its range.
 func (pl Plan) Validate() error {
-	for i, ev := range pl.Events {
-		if _, ok := kindNames[ev.Kind]; !ok {
+	for i := range pl.Events {
+		ev := &pl.Events[i]
+		if !ev.Kind.known() {
 			return fmt.Errorf("faults: event %d: unknown kind %d", i, ev.Kind)
 		}
 		if ev.Target == "" {
@@ -157,29 +217,14 @@ func (pl Plan) Validate() error {
 		if ev.At < 0 || ev.Heal < 0 {
 			return fmt.Errorf("faults: event %d (%v %s): negative time", i, ev.Kind, ev.Target)
 		}
-		if ev.Kind == PortFlap && ev.Heal == 0 {
-			return fmt.Errorf("faults: event %d: port-flap on %s must heal (set Heal > 0)", i, ev.Target)
+		row := &kinds[ev.Kind]
+		if row.mustHeal && ev.Heal == 0 {
+			return fmt.Errorf("faults: event %d: %v on %s must heal (set Heal > 0)", i, ev.Kind, ev.Target)
 		}
-		if ev.Kind == CXLDegrade && !(ev.LatMult >= 1 && ev.BWFrac > 0 && ev.BWFrac <= 1) {
-			return fmt.Errorf("faults: event %d: cxl-degrade on %s needs LatMult >= 1 and BWFrac in (0,1], got %g/%g",
-				i, ev.Target, ev.LatMult, ev.BWFrac)
-		}
-		if ev.Kind == SSDSlow && !(ev.LatMult >= 1) {
-			return fmt.Errorf("faults: event %d: ssd-slow on %s needs LatMult >= 1, got %g", i, ev.Target, ev.LatMult)
-		}
-		if ev.Kind == NICLossy && !(ev.Drop > 0 && ev.Drop <= 1) {
-			return fmt.Errorf("faults: event %d: nic-lossy on %s needs Drop in (0,1], got %g", i, ev.Target, ev.Drop)
-		}
-		if ev.Kind == CXLJitter && ev.Jitter <= 0 {
-			return fmt.Errorf("faults: event %d: cxl-jitter on %s needs Jitter > 0, got %v", i, ev.Target, ev.Jitter)
-		}
-		if ev.Kind == LinkFlaky {
-			if ev.Period <= 0 || ev.Stall <= 0 || ev.Stall >= ev.Period {
-				return fmt.Errorf("faults: event %d: link-flaky on %s needs 0 < Stall < Period, got %v/%v",
-					i, ev.Target, ev.Stall, ev.Period)
-			}
-			if ev.Heal == 0 {
-				return fmt.Errorf("faults: event %d: link-flaky on %s must heal (set Heal > 0)", i, ev.Target)
+		for _, p := range row.reads {
+			if !p.ok(ev) {
+				return fmt.Errorf("faults: event %d: %v on %s needs %s %s, got %s",
+					i, ev.Kind, ev.Target, p.key, p.rng, p.text(ev))
 			}
 		}
 	}
@@ -189,7 +234,7 @@ func (pl Plan) Validate() error {
 // Encode renders the plan in its canonical replayable text form:
 //
 //	plan <name> seed=<seed>
-//	<at> <kind> <target> heal=<heal> [lat=<mult> bw=<frac>]
+//	<at> <kind> <target> heal=<heal> [<key>=<value> for each parameter the kind reads]
 //
 // Encode(ParsePlan(s)) == s for canonical s, and two plans are equal iff
 // their encodings are byte-identical — the property the chaos experiment's
@@ -199,17 +244,10 @@ func (pl Plan) Encode() string {
 	fmt.Fprintf(&b, "plan %s seed=%d\n", pl.Name, pl.Seed)
 	for _, ev := range pl.Sorted().Events {
 		fmt.Fprintf(&b, "%v %s %s heal=%v", ev.At, ev.Kind, ev.Target, ev.Heal)
-		switch ev.Kind {
-		case CXLDegrade:
-			fmt.Fprintf(&b, " lat=%g bw=%g", ev.LatMult, ev.BWFrac)
-		case SSDSlow:
-			fmt.Fprintf(&b, " lat=%g", ev.LatMult)
-		case NICLossy:
-			fmt.Fprintf(&b, " drop=%g", ev.Drop)
-		case CXLJitter:
-			fmt.Fprintf(&b, " jitter=%v", ev.Jitter)
-		case LinkFlaky:
-			fmt.Fprintf(&b, " period=%v stall=%v", ev.Period, ev.Stall)
+		if ev.Kind.known() {
+			for _, p := range kinds[ev.Kind].reads {
+				fmt.Fprintf(&b, " %s=%s", p.key, p.text(&ev))
+			}
 		}
 		b.WriteByte('\n')
 	}
@@ -253,40 +291,12 @@ func ParsePlan(s string) (Plan, error) {
 		ev := Event{At: at, Kind: kind, Target: f[2]}
 		for _, opt := range f[3:] {
 			k, v, found := strings.Cut(opt, "=")
-			if !found {
-				return pl, fmt.Errorf("faults: malformed option %q in %q", opt, line)
-			}
-			switch k {
-			case "heal":
-				if ev.Heal, err = time.ParseDuration(v); err != nil {
-					return pl, fmt.Errorf("faults: bad heal in %q: %w", line, err)
-				}
-			case "lat":
-				if ev.LatMult, err = strconv.ParseFloat(v, 64); err != nil {
-					return pl, fmt.Errorf("faults: bad lat in %q: %w", line, err)
-				}
-			case "bw":
-				if ev.BWFrac, err = strconv.ParseFloat(v, 64); err != nil {
-					return pl, fmt.Errorf("faults: bad bw in %q: %w", line, err)
-				}
-			case "drop":
-				if ev.Drop, err = strconv.ParseFloat(v, 64); err != nil {
-					return pl, fmt.Errorf("faults: bad drop in %q: %w", line, err)
-				}
-			case "jitter":
-				if ev.Jitter, err = time.ParseDuration(v); err != nil {
-					return pl, fmt.Errorf("faults: bad jitter in %q: %w", line, err)
-				}
-			case "period":
-				if ev.Period, err = time.ParseDuration(v); err != nil {
-					return pl, fmt.Errorf("faults: bad period in %q: %w", line, err)
-				}
-			case "stall":
-				if ev.Stall, err = time.ParseDuration(v); err != nil {
-					return pl, fmt.Errorf("faults: bad stall in %q: %w", line, err)
-				}
-			default:
+			i := slices.IndexFunc(params, func(p *param) bool { return p.key == k })
+			if !found || i < 0 {
 				return pl, fmt.Errorf("faults: unknown option %q in %q", opt, line)
+			}
+			if err := params[i].parse(&ev, v); err != nil {
+				return pl, fmt.Errorf("faults: bad %s in %q: %w", k, line, err)
 			}
 		}
 		pl.Events = append(pl.Events, ev)

@@ -40,6 +40,44 @@ func TestPlanEncodeParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeCanonicalText pins the canonical text of every kind as literal
+// strings: plan files are replay artifacts, so the bytes may never move.
+func TestEncodeCanonicalText(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		ev   Event
+		want string
+	}{
+		{Event{At: 10 * ms, Kind: HostCrash, Target: "host0", Heal: 20 * ms}, "10ms host-crash host0 heal=20ms"},
+		{Event{At: 360 * ms, Kind: EngineStall, Target: "host2/storage-be1", Heal: 280 * ms}, "360ms engine-stall host2/storage-be1 heal=280ms"},
+		{Event{At: 2240 * ms, Kind: NICLinkDown, Target: "pod1/nic1", Heal: 40 * ms}, "2.24s nic-link-down pod1/nic1 heal=40ms"},
+		{Event{At: 20 * ms, Kind: SSDFail, Target: "ssd1"}, "20ms ssd-fail ssd1 heal=0s"},
+		{Event{At: 30 * ms, Kind: PortFlap, Target: "nic1", Heal: 5 * ms}, "30ms port-flap nic1 heal=5ms"},
+		{Event{At: 40 * ms, Kind: CXLDegrade, Target: "host2", Heal: 10 * ms, LatMult: 4, BWFrac: 0.25}, "40ms cxl-degrade host2 heal=10ms lat=4 bw=0.25"},
+		{Event{At: 300 * ms, Kind: SSDSlow, Target: "ssd1", Heal: 500 * ms, LatMult: 40}, "300ms ssd-slow ssd1 heal=500ms lat=40"},
+		{Event{At: 900 * ms, Kind: NICLossy, Target: "nic1", Heal: 500 * ms, Drop: 0.5}, "900ms nic-lossy nic1 heal=500ms drop=0.5"},
+		{Event{At: 1550 * ms, Kind: CXLJitter, Target: "host4", Heal: 250 * ms, Jitter: 2 * time.Microsecond}, "1.55s cxl-jitter host4 heal=250ms jitter=2µs"},
+		{Event{At: 1800 * ms, Kind: LinkFlaky, Target: "nic2", Heal: 250 * ms, Period: 40 * ms, Stall: 3 * ms}, "1.8s link-flaky nic2 heal=250ms period=40ms stall=3ms"},
+		// A parameter the kind does not read is carried but never written.
+		{Event{At: ms, Kind: SSDSlow, Target: "ssd1", LatMult: 1e21, BWFrac: 0.5, Drop: 1, Jitter: ms}, "1ms ssd-slow ssd1 heal=0s lat=1e+21"},
+	} {
+		pl := Plan{Name: "pin", Seed: -3, Events: []Event{tc.ev}}
+		want := "plan pin seed=-3\n" + tc.want + "\n"
+		if got := pl.Encode(); got != want {
+			t.Errorf("%v: Encode = %q, want %q", tc.ev.Kind, got, want)
+		}
+		back, err := ParsePlan(want)
+		if err != nil {
+			t.Errorf("%v: canonical text does not parse: %v", tc.ev.Kind, err)
+		} else if got := back.Encode(); got != want {
+			t.Errorf("%v: round trip = %q, want %q", tc.ev.Kind, got, want)
+		}
+	}
+	if len(Kinds()) != 10 {
+		t.Errorf("the table above covers ten kinds, Kinds() has %d", len(Kinds()))
+	}
+}
+
 func TestPlanValidate(t *testing.T) {
 	bad := []Plan{
 		{Events: []Event{{At: 0, Kind: Kind(99), Target: "x"}}},

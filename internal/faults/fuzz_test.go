@@ -1,9 +1,94 @@
 package faults
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
+
+// nominal is an in-range value per parameter key, and edges the values on
+// and just outside each end of its range (period's are relative to the
+// nominal stall and stall's to the nominal period). A new parameter must
+// add a row to both; a new kind brings its seeds by being in the kinds table.
+var (
+	nominal = map[string]string{"lat": "2", "bw": "0.5", "drop": "0.25", "jitter": "2µs", "period": "10ms", "stall": "2ms"}
+	edges   = map[string][]struct {
+		v     string
+		valid bool
+	}{
+		"lat":    {{"1", true}, {"0.999", false}, {"NaN", false}, {"+Inf", true}},
+		"bw":     {{"1", true}, {"1.001", false}, {"0", false}, {"1e-300", true}},
+		"drop":   {{"1", true}, {"1.001", false}, {"0", false}, {"1e-300", true}},
+		"jitter": {{"1ns", true}, {"0s", false}, {"-1ns", false}},
+		"period": {{"2.000001ms", true}, {"2ms", false}, {"0s", false}},
+		"stall":  {{"1ns", true}, {"0s", false}, {"9.999999ms", true}, {"10ms", false}},
+	}
+)
+
+type nearMiss struct {
+	what, line string
+	valid      bool
+}
+
+// nearMisses ranges over the kinds table and builds, for every kind, its
+// canonical line and the lines one step away from it: each required
+// parameter omitted, a missing heal, a parameter that belongs to another
+// kind (accepted, and dropped by Encode), and each parameter at every edge
+// of its range — the table style of a validity test, generated so a new
+// row brings its seeds.
+func nearMisses(tb testing.TB) []nearMiss {
+	var out []nearMiss
+	for _, k := range Kinds() {
+		row := kinds[k]
+		line := func(heal string, skip *param, override *param, v string) string {
+			l := "1ms " + row.name + " t0"
+			if heal != "" {
+				l += " heal=" + heal
+			}
+			for _, p := range row.reads {
+				switch {
+				case p == skip:
+				case p == override:
+					l += " " + p.key + "=" + v
+				default:
+					l += " " + p.key + "=" + nominal[p.key]
+				}
+			}
+			return l
+		}
+		out = append(out,
+			nearMiss{"canonical", line("5ms", nil, nil, ""), true},
+			nearMiss{"never heals", line("0s", nil, nil, ""), !row.mustHeal},
+			nearMiss{"no heal option", line("", nil, nil, ""), len(row.reads) > 0 && !row.mustHeal})
+		for _, p := range row.reads {
+			if nominal[p.key] == "" || len(edges[p.key]) == 0 {
+				tb.Fatalf("parameter %q has no nominal/edges row in the fuzz seed tables", p.key)
+			}
+			out = append(out, nearMiss{p.key + " omitted", line("5ms", p, nil, ""), false})
+			for _, e := range edges[p.key] {
+				out = append(out, nearMiss{p.key + "=" + e.v, line("5ms", nil, p, e.v), e.valid})
+			}
+		}
+		for _, p := range params[1:] { // params[0] is heal, which every kind reads
+			if !slices.Contains(row.reads, p) {
+				out = append(out, nearMiss{"foreign " + p.key, line("5ms", nil, nil, "") + " " + p.key + "=" + nominal[p.key], true})
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestNearMissVerdicts holds every generated seed to its expected verdict,
+// which makes the seed tables a test of the parameter ranges as well.
+func TestNearMissVerdicts(t *testing.T) {
+	for _, nm := range nearMisses(t) {
+		_, err := ParsePlan("plan near seed=1\n" + nm.line + "\n")
+		if (err == nil) != nm.valid {
+			t.Errorf("%s: %q: valid = %v (err %v), want %v", nm.what, nm.line, err == nil, err, nm.valid)
+		}
+	}
+}
 
 // FuzzParsePlan drives arbitrary text through the plan grammar and checks
 // the two properties every tool in the repo leans on:
@@ -41,6 +126,9 @@ func FuzzParsePlan(f *testing.F) {
 	}
 	for _, s := range seeds {
 		f.Add(s)
+	}
+	for _, nm := range nearMisses(f) {
+		f.Add("plan near seed=1\n" + nm.line + "\n")
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		pl, err := ParsePlan(s)

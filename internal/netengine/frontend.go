@@ -203,11 +203,10 @@ type InstancePort struct {
 	// allocTries counts consecutive unanswered resends toward
 	// AllocRetryBudget; allocErr holds ErrAllocRetryExhausted once the
 	// circuit breaker trips.
-	allocWant    bool
-	allocNext    sim.Duration
-	allocBackoff sim.Duration
-	allocTries   int
-	allocErr     error
+	allocWant  bool
+	allocNext  sim.Duration
+	allocTries int
+	allocErr   error
 
 	// Stats.
 	TxDropsNoBuffer int64
@@ -331,8 +330,7 @@ func (ip *InstancePort) RequestAllocation() {
 			panic("netengine: RequestAllocation without a control link")
 		}
 		ip.allocWant = true
-		ip.allocBackoff = fe.cfg.AllocRetryBase
-		ip.allocNext = p.Now() + ip.allocBackoff
+		ip.allocNext = p.Now() + fe.cfg.AllocRetryBase
 		ip.allocTries = 0
 		ip.allocErr = nil
 		fe.sendAllocRequest(p, ip)
@@ -438,12 +436,8 @@ func (fe *Frontend) drainQueues(p *sim.Proc) int {
 				progress++
 				continue
 			}
-			inst.allocBackoff *= 2
-			if inst.allocBackoff > allocRetryCap {
-				inst.allocBackoff = allocRetryCap
-			}
-			inst.allocNext = p.Now() + inst.allocBackoff
 			inst.allocTries++
+			inst.allocNext = p.Now() + core.Backoff(fe.cfg.AllocRetryBase, allocRetryCap, inst.allocTries)
 			fe.AllocRetries++
 			fe.sendAllocRequest(p, inst)
 			progress++

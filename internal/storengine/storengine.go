@@ -72,7 +72,8 @@ var pacing = core.DriverConfig{LoopCost: 60 * time.Nanosecond, IdleBackoff: time
 const burst = 32
 
 // Request retry policy. maxRetries bounds per-request resubmissions after an
-// errored or fenced completion; with the exponential backoff below the retry
+// errored or fenced completion; with the wait before resubmission n (1-based)
+// at retryBase doubled per attempt up to retryCap (core.Backoff) the retry
 // budget outlasts the allocator's failure-detection window, so a request
 // caught by a drive failure lands on the re-bound volume instead of
 // erroring.
@@ -96,16 +97,6 @@ func DefaultConfig() Config {
 
 // MaxBlocksPerRequest is the per-request span bound.
 func (c Config) MaxBlocksPerRequest() int { return c.BufSize / ssd.BlockSize }
-
-// retryBackoff is the wait before resubmission attempt n (1-based):
-// retryBase doubled per attempt, capped at retryCap.
-func retryBackoff(attempt int) sim.Duration {
-	d := retryBase
-	for i := 1; i < attempt && d < retryCap; i++ {
-		d *= 2
-	}
-	return min(d, retryCap)
-}
 
 // readyRecheck paces the frontend's re-examination of requests parked on a
 // volume whose (re-bound) primary has not acked registration yet.
@@ -852,7 +843,7 @@ func (fe *Frontend) settle(p *sim.Proc, req *ioReq) {
 		fe.Retries++
 		req.okOn = req.okOn[:0]
 		req.status = 0
-		req.notBefore = p.Now() + retryBackoff(req.attempts)
+		req.notBefore = p.Now() + core.Backoff(retryBase, retryCap, req.attempts-1)
 		fe.retryQ = append(fe.retryQ, req)
 		return
 	}

@@ -221,6 +221,7 @@ type Topology struct {
 	clients   []*Client
 	started   bool
 	injector  *faults.Injector
+	flakyGen  map[string]int // link-flaky pulse-train generation per target
 
 	// Identity scope: standalone pods are unscoped (flat names, the
 	// historical scheme); pods inside a Cluster carry their pod index and
@@ -802,8 +803,7 @@ type multiReplicator struct {
 // node still claiming leadership is a zombie and is skipped.
 func (r *multiReplicator) Propose(p *Proc, cmd []byte) bool {
 	deadline := p.Now() + 120*time.Millisecond
-	backoff := time.Millisecond
-	for {
+	for attempt := 0; ; attempt++ {
 		for _, node := range r.nodes {
 			if node.IsLeader() && !node.Stopped() {
 				return node.Propose(p, cmd)
@@ -812,10 +812,7 @@ func (r *multiReplicator) Propose(p *Proc, cmd []byte) bool {
 		if p.Now() >= deadline {
 			return false
 		}
-		p.Sleep(backoff)
-		if backoff < 16*time.Millisecond {
-			backoff *= 2
-		}
+		p.Sleep(core.Backoff(time.Millisecond, 16*time.Millisecond, attempt))
 	}
 }
 
