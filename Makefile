@@ -80,8 +80,10 @@ blackout:
 	$(GO) run ./cmd/oasis-bench -run blackout
 
 # Replay the fuzz seed corpora as plain regression tests (no long fuzzing;
-# scripts/verify.sh runs them through this target): the fault-plan grammar
-# and the control codec. To explore, `go test -fuzz=FuzzParsePlan
-# ./internal/faults` or `go test -fuzz=FuzzControlCodec ./internal/core`.
+# scripts/verify.sh runs them through this target): the fault-plan grammar,
+# the control codec and the event timeline against its sorted reference. To
+# explore, `go test -fuzz=FuzzParsePlan ./internal/faults`, `go test
+# -fuzz=FuzzControlCodec ./internal/core` or `go test -fuzz=FuzzTimeline
+# ./internal/sim`.
 fuzz:
-	$(GO) test -run 'Fuzz' ./internal/faults ./internal/core
+	$(GO) test -run 'Fuzz' ./internal/faults ./internal/core ./internal/sim

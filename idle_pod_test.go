@@ -54,6 +54,7 @@ func TestIdlePodExactCounts(t *testing.T) {
 	procs := pod.Eng.Procs()
 	pod.Shutdown()
 	c.Events, c.Switches, c.FastSleeps, c.SteppedLegs = c.Events-c0.Events, c.Switches-c0.Switches, c.FastSleeps-c0.FastSleeps, c.SteppedLegs-c0.SteppedLegs
+	c.HeapEvents -= c0.HeapEvents
 	iters, idle = iters-iters0, idle-idle0
 	t.Logf("counters %+v, %d live processes, %v iterations (%v idle)", c, procs, iters, idle)
 	if iters < 5000 || idle < 0.95*iters {
@@ -62,6 +63,11 @@ func TestIdlePodExactCounts(t *testing.T) {
 	if c.Events != idlePodEvents || c.FastSleeps != idlePodFastSleeps {
 		t.Errorf("events %d fast sleeps %d, want %d and %d: a simulator-speed change moved the event sequence",
 			c.Events, c.FastSleeps, idlePodEvents, idlePodFastSleeps)
+	}
+	// An idle pod's events are scheduled tens to hundreds of nanoseconds
+	// ahead: all but a sliver stay in the timeline's ring, off the heap.
+	if c.HeapEvents > c.Events/50 {
+		t.Errorf("%d of %d events came off the far heap, want at most one in 50", c.HeapEvents, c.Events)
 	}
 	// An idle iteration resumes no goroutine. One that found work hands each
 	// stage that has some to the core's goroutine — at most once per stage of

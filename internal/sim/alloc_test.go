@@ -14,7 +14,7 @@ func TestScheduleDispatchAllocFree(t *testing.T) {
 	eng := New()
 	n := 0
 	cb := func() { n++ }
-	// Warm up: grow the timeline heap and populate the free list.
+	// Warm up: populate the free list.
 	for i := 1; i <= 64; i++ {
 		eng.After(Duration(i)*time.Microsecond, cb)
 	}
@@ -32,9 +32,9 @@ func TestScheduleDispatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestSameTimestampBatchAllocFree covers the now-queue: many events landing
-// on one timestamp (the common queue-wakeup pattern) must also stay off the
-// heap once warm.
+// TestSameTimestampBatchAllocFree covers one bucket of the timeline's ring:
+// many events landing on one timestamp (the common queue-wakeup pattern) must
+// also allocate nothing once warm.
 func TestSameTimestampBatchAllocFree(t *testing.T) {
 	eng := New()
 	n := 0

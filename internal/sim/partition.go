@@ -355,7 +355,7 @@ func (g *Group) Hop(p *Proc, dst *Engine) {
 	if dst.group != g || src.group != g {
 		panic("sim: Hop destination must be a partition of this group")
 	}
-	at := src.now + g.mobileLat
+	at := src.after(g.mobileLat)
 	src.seq++
 	g.mu.Lock()
 	if !g.mobile[p] {
@@ -486,7 +486,7 @@ func (g *Group) fence(at Duration, srcPid int, dst *Engine) {
 // matching a serial Run returning on an exhausted heap.
 func (g *Group) drained() bool {
 	for _, e := range g.parts {
-		if len(e.events) > 0 || e.nowQHead < len(e.nowQ) {
+		if _, pending := e.nextAt(); pending {
 			return false
 		}
 	}
@@ -624,17 +624,12 @@ func (g *Group) windows(deadline Duration) {
 		g.growScratch()
 	}
 	for i, e := range g.parts {
-		pending := len(e.events) > 0 || e.nowQHead < len(e.nowQ)
+		h, pending := e.nextAt()
 		if !pending {
 			g.actC[i], g.actH[i] = MaxTime, MaxTime
 			continue
 		}
-		g.actC[i] = e.now
-		h := e.now
-		if e.nowQHead >= len(e.nowQ) && len(e.events) > 0 {
-			h = e.events[0].at
-		}
-		g.actH[i] = h
+		g.actC[i], g.actH[i] = e.now, h
 	}
 	mob := MaxTime
 	g.mu.Lock()
@@ -755,7 +750,7 @@ func (g *Group) RunUntil(deadline Duration) Duration {
 			if wend <= e.now {
 				continue // held
 			}
-			if e.nowQHead >= len(e.nowQ) && (len(e.events) == 0 || e.events[0].at > wend) {
+			if at, pending := e.nextAt(); !pending || at > wend {
 				// Idle window: nothing to execute, just commit the clock.
 				if wend != MaxTime {
 					e.now = wend

@@ -344,9 +344,7 @@ func TestCrossLinkInboxBound(t *testing.T) {
 // OASIS_SIMCHECK: scheduling into the past of a partition's committed
 // window start is a lookahead bug and must trip immediately.
 func TestSimCheckPastWindow(t *testing.T) {
-	old := simCheck
-	simCheck = true
-	defer func() { simCheck = old }()
+	forceSimCheck(t)
 	e := New()
 	e.windowStart = 100
 	mustPanic(t, "in the past of partition", func() { e.At(50, func() {}) })

@@ -56,7 +56,7 @@ func (q *Queue[T]) Pop(p *Proc) T {
 
 // PopTimeout is like Pop but gives up after d, reporting ok=false.
 func (q *Queue[T]) PopTimeout(p *Proc, d Duration) (v T, ok bool) {
-	deadline := q.eng.Now() + d
+	deadline := q.eng.after(d)
 	for q.Len() == 0 {
 		remaining := deadline - q.eng.Now()
 		if remaining <= 0 || !q.avail.WaitTimeout(p, remaining) {

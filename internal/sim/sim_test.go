@@ -412,34 +412,52 @@ func BenchmarkEngineFastPathSleep(b *testing.B) {
 	eng.Run()
 }
 
-// heapTimer reschedules itself at a period of its own, so a set of them
-// keeps the timeline at a fixed depth with pushes landing all over it.
+// heapTimer reschedules itself leg after leg, so a set of them keeps the
+// timeline at a fixed depth with pushes landing all over it.
 type heapTimer struct {
-	eng    *Engine
-	period Duration
-	left   *int
+	eng  *Engine
+	legs []Duration
+	i    int
+	left *int
 }
 
 func (t *heapTimer) Fire() {
 	if *t.left--; *t.left > 0 {
-		t.eng.AfterTimer(t.period, t)
+		t.i++
+		t.eng.AfterTimer(t.legs[t.i%len(t.legs)], t)
 	}
 }
 
+// idleLegs is an idle driver iteration as the timeline sees it: two thirds
+// CLFLUSHOPT/MFENCE legs, a quarter fill waits, one LoopCost + IdleBackoff.
+var idleLegs = []Duration{15, 30, 302, 15, 30, 302, 15, 15, 30, 302, 15, 30, 302, 15, 1060}
+
 // BenchmarkEngineHeap measures one pop + push on a timeline of the depth an
 // idle rack keeps: 600 pending events (a pod) and 5 000 (a 512-host rack).
+// The plain rows are the far heap (periods of 1 000 + 7·i ns mostly land
+// nearWindow or more ahead); the near rows are the ring under the rack's own
+// leg mix.
 func BenchmarkEngineHeap(b *testing.B) {
 	for _, pending := range []int{600, 5000} {
-		b.Run(fmt.Sprint(pending), func(b *testing.B) {
-			eng := New()
-			left := b.N
-			for i := 0; i < pending; i++ {
-				t := &heapTimer{eng: eng, period: Duration(1000 + 7*i), left: &left}
-				eng.AfterTimer(t.period, t)
+		for _, near := range []bool{false, true} {
+			name := fmt.Sprint(pending)
+			if near {
+				name = "near/" + name
 			}
-			b.ResetTimer()
-			eng.Run()
-		})
+			b.Run(name, func(b *testing.B) {
+				eng := New()
+				left := b.N
+				for i := 0; i < pending; i++ {
+					t := &heapTimer{eng: eng, legs: []Duration{Duration(1000 + 7*i)}, i: i, left: &left}
+					if near {
+						t.legs = idleLegs
+					}
+					eng.AfterTimer(t.legs[i%len(t.legs)], t)
+				}
+				b.ResetTimer()
+				eng.Run()
+			})
+		}
 	}
 }
 

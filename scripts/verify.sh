@@ -25,7 +25,8 @@ go test -timeout 10m ./...
 # The slow self-checks over the packages every simulated cycle goes through;
 # they take seconds. In sim, cache, msgchan and core that is the
 # scheduling-in-the-past guard (a lookahead bug panics instead of being
-# clamped); in core and the three engine packages it is also the driver
+# clamped) and the timeline's ring asserting, at every pop, that the entry is
+# for the instant its bucket was found at; in core and the three engine packages it is also the driver
 # distrusting every work stage's Idle predicate — a stage it would have
 # skipped is run anyway and must process nothing, take no time and schedule
 # nothing — so a predicate that drifts from its Run fails here instead of
@@ -116,8 +117,9 @@ go run ./cmd/oasis-bench -run blackout | grep -q "invariants: OK"
 # Fuzz seed-corpus regression: the stored seeds of every fuzz target
 # (FuzzParsePlan: every fault kind incl. the gray quartet, plus near-miss
 # invalids; FuzzControlCodec: one message per control opcode, the load clamp
-# boundary, all-0xFF, a data-plane opcode) run as ordinary tests — no long
-# fuzzing here. One list, kept in the Makefile (`make fuzz`).
+# boundary, all-0xFF, a data-plane opcode; FuzzTimeline: the ring's named
+# edge cases as byte programs) run as ordinary tests — no long fuzzing here.
+# One list, kept in the Makefile (`make fuzz`).
 echo "== fuzz seed corpora (make fuzz) =="
 make fuzz
 
