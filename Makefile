@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench bench-check bench-history fmt chaos grayfail blackout fuzz
+.PHONY: all build vet test race verify bench-check bench-history fmt chaos grayfail blackout fuzz
 
 all: verify
 
@@ -35,16 +35,6 @@ race:
 
 verify:
 	./scripts/verify.sh
-
-# Regenerate the per-experiment benchmark suite and snapshot it as
-# BENCH_results.json: parsed ns/op + headline paper metrics for trend
-# tracking across PRs, plus the raw lines (`jq -r '.raw[]'`) for benchstat.
-# The default 1 s benchtime is the iteration floor: sub-second analytic
-# benchmarks (Fig2 stranding, Table 1) iterate until it fills — so their
-# ns/op is a real average, not a single cold run — while the multi-second
-# simulation benchmarks still execute exactly once.
-bench:
-	$(GO) test -run XXX -bench . -benchmem . | tee /dev/stderr | $(GO) run scripts/benchjson.go > BENCH_results.json
 
 # bench/ is a module of its own (oasis/bench, `replace oasis => ../`), so
 # the root build/vet/test never compile it — yet it imports internal/core,
@@ -81,9 +71,10 @@ blackout:
 
 # Replay the fuzz seed corpora as plain regression tests (no long fuzzing;
 # scripts/verify.sh runs them through this target): the fault-plan grammar,
-# the control codec and the event timeline against its sorted reference. To
-# explore, `go test -fuzz=FuzzParsePlan ./internal/faults`, `go test
-# -fuzz=FuzzControlCodec ./internal/core` or `go test -fuzz=FuzzTimeline
+# the control codec, the raft RPC codec and the event timeline against its
+# sorted reference. To explore, `go test -fuzz=FuzzParsePlan
+# ./internal/faults`, `go test -fuzz=FuzzControlCodec ./internal/core`, `go
+# test -fuzz=FuzzRaftCodec ./internal/raft` or `go test -fuzz=FuzzTimeline
 # ./internal/sim`.
 fuzz:
-	$(GO) test -run 'Fuzz' ./internal/faults ./internal/core ./internal/sim
+	$(GO) test -run 'Fuzz' ./internal/faults ./internal/core ./internal/raft ./internal/sim

@@ -199,7 +199,6 @@ type Allocator struct {
 	nextLease  sim.Duration
 	nextRebal  sim.Duration
 	lastPoll   sim.Duration
-	stages     []core.Stage
 
 	// events receives decision trace events when RegisterObs hooked the
 	// allocator to a pod trace ring (nil-safe otherwise).
@@ -254,7 +253,15 @@ func New(h *host.Host, cfg Config) *Allocator {
 		rep:            nullReplicator{},
 		recoveryDetect: &metrics.Histogram{},
 	}
-	a.Seat = core.NewSeat(a, h, core.DriverConfig{LoopCost: pollCost, IdleBackoff: idleCap})
+	// One iteration: deferred commands, frontend requests, backend
+	// telemetry (NIC and SSD), and the lease and rebalance windows.
+	a.Seat = core.NewSeat(h.Name+"/allocator", []core.Stage{
+		core.WorkStage("commands", a.commandsIdle, a.runCommands),
+		core.PollStage("frontend requests", a.frontends, burst, a.handleFE),
+		core.PollStage("nic reports", a.nics, burst, a.ingest),
+		core.PollStage("ssd reports", a.ssds, burst, a.ingest),
+		core.WorkStage("windows and flush", a.windowsIdle, a.windowsAndFlush),
+	}, h, core.DriverConfig{LoopCost: pollCost, IdleBackoff: idleCap})
 	return a
 }
 
@@ -420,28 +427,6 @@ func (a *Allocator) deferRetry(attempt int, fn func(p *sim.Proc, attempt int)) {
 	a.h.Eng.After(core.Backoff(proposeRetryBase, proposeRetryCap, attempt), func() {
 		a.cmds.Push(func(p *sim.Proc) { fn(p, attempt+1) })
 	})
-}
-
-// LoopName implements core.EngineLoop.
-func (a *Allocator) LoopName() string { return a.h.Name + "/allocator" }
-
-// PollOnce implements core.EngineLoop: one run of the stages.
-func (a *Allocator) PollOnce(p *sim.Proc) int { return core.RunStages(p, a.Stages()) }
-
-// Stages implements core.StagedLoop: one pass over deferred commands,
-// frontend requests, backend telemetry (NIC and SSD), and the lease and
-// rebalance windows.
-func (a *Allocator) Stages() []core.Stage {
-	if a.stages == nil {
-		a.stages = []core.Stage{
-			core.WorkStage("commands", a.commandsIdle, a.runCommands),
-			core.PollStage("frontend requests", a.frontends, burst, a.handleFE),
-			core.PollStage("nic reports", a.nics, burst, a.ingest),
-			core.PollStage("ssd reports", a.ssds, burst, a.ingest),
-			core.WorkStage("windows and flush", a.windowsIdle, a.windowsAndFlush),
-		}
-	}
-	return a.stages
 }
 
 // commandsIdle reports whether runCommands has only its time-of-pass mark to

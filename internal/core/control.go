@@ -156,14 +156,3 @@ func SendControl(p *sim.Proc, end ChanEnd, m ControlMsg) bool {
 	end.Flush(p)
 	return true
 }
-
-// PollControl drains up to burst control messages from end into handle and
-// returns how many it delivered; a payload whose opcode is not a control op
-// is dropped uncounted. Whether delivered messages count as loop progress,
-// and when the link is flushed, stay with the calling engine. A staged loop
-// says the same with a ControlStage.
-func PollControl(p *sim.Proc, end ChanEnd, burst int, handle func(p *sim.Proc, m ControlMsg)) int {
-	c := &pollPass{ctl: handle}
-	c.begin([]*Link{{End: end}}, burst)
-	return c.run(p)
-}

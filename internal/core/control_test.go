@@ -67,9 +67,10 @@ func TestDeviceKindString(t *testing.T) {
 }
 
 func TestSendPollControl(t *testing.T) {
-	// SendControl puts a message on the wire flushed; PollControl delivers
+	// SendControl puts a message on the wire flushed; a ControlStage delivers
 	// control messages decoded, burst-bounded, and drops a data-plane payload
-	// uncounted. A full ring refuses the send and leaves it to the caller.
+	// uncounted — and delivers nothing, counted or not, while the engine has
+	// no control end. A full ring refuses the send and leaves it to the caller.
 	eng, pool := testPool()
 	hA := host.New(eng, 0, "A", pool, host.DefaultConfig())
 	hB := host.New(eng, 1, "B", pool, host.DefaultConfig())
@@ -96,12 +97,19 @@ func TestSendPollControl(t *testing.T) {
 		}
 		var got []ControlMsg
 		collect := func(_ *sim.Proc, m ControlMsg) { got = append(got, m) }
+		var ctrl *LinkEnd
+		counted := []Stage{ControlStage("control", &ctrl, 3, collect, true)}
+		discarded := []Stage{ControlStage("control", &ctrl, 3, collect, false)}
+		if n := runStages(p, counted); n != 0 || len(got) != 0 {
+			t.Errorf("a stage without a control end delivered %d (progress %d)", len(got), n)
+		}
+		ctrl = bEnd
 		// Burst 3 polls the data-plane payload and two control messages.
-		if n := PollControl(p, bEnd, 3, collect); n != 2 {
+		if n := runStages(p, counted); n != 2 {
 			t.Errorf("first burst delivered %d, want 2 (data-plane payload uncounted)", n)
 		}
-		if n := PollControl(p, bEnd, 3, collect); n != 1 {
-			t.Errorf("second burst delivered %d, want 1", n)
+		if n := runStages(p, discarded); n != 0 || len(got) != 3 {
+			t.Errorf("second burst: progress %d with %d delivered, want 0 (not counted) with 3", n, len(got))
 		}
 		for i, m := range sent {
 			if i >= len(got) || got[i] != m {

@@ -7,19 +7,16 @@ import (
 	"oasis/internal/sim"
 )
 
-// EngineLoop is one device engine's poll body: the work a driver core does
-// per iteration, with the iteration pacing (loop cost, idle backoff) owned
-// by the Driver that runs it. PollOnce drains whatever is ready — bounded by
-// the engine's own burst limits — and returns how many items it processed.
-//
-// An engine must do all of its work inside PollOnce: queue draining, channel
-// polling, timed duties (telemetry windows, link checks), and flushing of
-// partially-filled message lines. It must never sleep for pacing — the
-// Driver charges the per-iteration cost — though it may sleep to model the
-// cost of the work itself (message handling, cache operations).
-//
-// An engine that polls channels should also be a StagedLoop (stages.go): the
-// driver then runs its idle iterations without resuming a goroutine.
+// EngineLoop is an opaque loop: a poll body the driver core cannot see
+// into. Every engine in the tree describes its iteration as a stage list and
+// hands it to its Seat; an opaque loop is what is left for a caller that has
+// only a function — a micro-benchmark's probe, a test's stub. PollOnce does
+// one whole iteration's work — bounded by the loop's own burst limits — and
+// returns how many items it processed. It must never sleep for pacing (the
+// Driver charges the per-iteration cost), though it may sleep to model the
+// cost of the work itself. The core resumes its process to call it on every
+// iteration, idle or not: one process switch per iteration that a stage
+// list's idle predicates save.
 type EngineLoop interface {
 	// LoopName labels the loop in the driver's process name and stats.
 	LoopName() string
@@ -48,8 +45,8 @@ type Driver struct {
 	h       *host.Host
 	name    string
 	cfg     DriverConfig
-	loops   []EngineLoop
-	stages  [][]Stage // loops[i]'s stage list; empty if it is not a StagedLoop
+	names   []string  // the attached loops, in attach order, and
+	stages  [][]Stage // each one's stage list
 	started bool
 
 	stalled  bool
@@ -83,21 +80,23 @@ func (d *Driver) Host() *host.Host { return d.h }
 // Name returns the driver core's label.
 func (d *Driver) Name() string { return d.name }
 
-// Attach adds an engine loop to this core. A core that is already polling
-// picks the loop up on its next iteration: the simulation is cooperative and
-// every iteration starts from the loop list as it then stands, so a live pod
-// can grow.
-func (d *Driver) Attach(l EngineLoop) {
-	var stages []Stage
-	if sl, ok := l.(StagedLoop); ok {
-		stages = sl.Stages()
-	}
-	d.loops = append(d.loops, l)
+// attach adds a loop — a name and its stage list — to this core. A core that
+// is already polling picks the loop up on its next iteration: the simulation
+// is cooperative and every iteration starts from the loop list as it then
+// stands, so a live pod can grow.
+func (d *Driver) attach(name string, stages []Stage) {
+	d.names = append(d.names, name)
 	d.stages = append(d.stages, stages)
 }
 
-// Loops returns the attached engine loops in attach order.
-func (d *Driver) Loops() []EngineLoop { return d.loops }
+// Attach adds an opaque loop to this core, as one work stage that is never
+// idle: the process is resumed to call PollOnce on every iteration.
+func (d *Driver) Attach(l EngineLoop) {
+	d.attach(l.LoopName(), []Stage{WorkStage("poll once", func() bool { return false }, l.PollOnce)})
+}
+
+// Loops returns the names of the attached loops in attach order.
+func (d *Driver) Loops() []string { return d.names }
 
 // Start launches the polling process. Idempotent.
 func (d *Driver) Start() {
@@ -158,23 +157,22 @@ func (d *Driver) run(p *sim.Proc) {
 //
 //	for {
 //		for d.stalled { d.stallSig.Wait(p) }
-//		for _, l := range d.loops { progress += l.PollOnce(p) }
+//		for each loop { for each stage { progress += its run or its pass } }
 //		// count the iteration
 //		p.Sleep(d.cfg.LoopCost [+ backoff])
 //	}
 //
 // would make, so no event's (time, sequence) depends on how much of it ran
 // here. It returns more == false where only block can go on: a stalled core,
-// a loop without stages, a work stage that is not idle, a poll that found a
-// message or met one of the receiver's blocking escapes, an end that is not
-// a *LinkEnd.
+// a work stage that is not idle, a poll that found a message or met one of
+// the receiver's blocking escapes, an end that is not a *LinkEnd.
 func (d *Driver) Step() (sim.Duration, bool) {
 	for {
 		if !d.inIter {
 			if d.stalled {
 				return 0, false
 			}
-			d.inIter, d.n = true, len(d.loops)
+			d.inIter, d.n = true, len(d.stages)
 			d.loop, d.stage, d.progress = 0, 0, 0
 		}
 		if d.loop == d.n {
@@ -190,9 +188,6 @@ func (d *Driver) Step() (sim.Duration, bool) {
 			return d.cfg.LoopCost + Backoff(d.cfg.LoopCost, d.cfg.IdleBackoff, d.idleRun-1), true
 		}
 		stages := d.stages[d.loop]
-		if len(stages) == 0 {
-			return 0, false
-		}
 		if d.stage == len(stages) {
 			d.loop, d.stage = d.loop+1, 0
 			continue
@@ -230,13 +225,7 @@ func (d *Driver) block(p *sim.Proc) {
 		}
 		return
 	}
-	stages := d.stages[d.loop]
-	if len(stages) == 0 {
-		d.progress += d.loops[d.loop].PollOnce(p)
-		d.loop++
-		return
-	}
-	st := &stages[d.stage]
+	st := &d.stages[d.loop][d.stage]
 	if st.run == nil {
 		st.pass.block(p)
 		return
@@ -261,27 +250,34 @@ func (d *Driver) distrust(p *sim.Proc, st *Stage) {
 	now, seq := eng.Now(), eng.Seq()
 	if n := st.run(p); n != 0 || eng.Now() != now || eng.Seq() != seq {
 		panic(fmt.Sprintf("core: loop %s stage %q reported idle at %v, but its run processed %d items, took %v and scheduled %d events",
-			d.loops[d.loop].LoopName(), st.name, now, n, eng.Now()-now, eng.Seq()-seq))
+			d.names[d.loop], st.name, now, n, eng.Now()-now, eng.Seq()-seq))
 	}
 }
 
-// Seat is an engine loop's place on a driver core. Every device engine
-// embeds one, which gives it the two launch modes of §3.2 and §5.1: Start on
-// its own puts the loop on a dedicated core named after it; Join first puts
-// it on a core shared with other loops, and Start then only makes sure that
-// core is polling.
+// Seat is an engine's loop — its name and its stage list — and that loop's
+// place on a driver core. Every device engine embeds one, built once in the
+// engine's constructor, which gives it its loop name and the two launch modes
+// of §3.2 and §5.1: Start on its own puts the loop on a dedicated core named
+// after it; Join first puts it on a core shared with other loops, and Start
+// then only makes sure that core is polling.
 type Seat struct {
-	loop   EngineLoop
+	name   string
+	stages []Stage
 	h      *host.Host
 	cfg    DriverConfig
 	driver *Driver
 }
 
-// NewSeat returns the seat for loop l on host h; cfg paces the dedicated
-// core Start creates when the loop joined no other.
-func NewSeat(l EngineLoop, h *host.Host, cfg DriverConfig) Seat {
-	return Seat{loop: l, h: h, cfg: cfg}
+// NewSeat returns the seat of the loop called name, whose iteration is
+// stages in order, on host h; cfg paces the dedicated core Start creates when
+// the loop joined no other. The name labels that core's process and the
+// engine's stats.
+func NewSeat(name string, stages []Stage, h *host.Host, cfg DriverConfig) Seat {
+	return Seat{name: name, stages: stages, h: h, cfg: cfg}
 }
+
+// LoopName returns the loop's name.
+func (s *Seat) LoopName() string { return s.name }
 
 // Driver returns the core the loop polls on (nil before Start or Join).
 func (s *Seat) Driver() *Driver { return s.driver }
@@ -290,17 +286,17 @@ func (s *Seat) Driver() *Driver { return s.driver }
 // one core can multiplex several engine loops (§5.1). Must precede Start.
 func (s *Seat) Join(d *Driver) {
 	if s.driver != nil {
-		panic(fmt.Sprintf("core: %s already has a driver core", s.loop.LoopName()))
+		panic(fmt.Sprintf("core: %s already has a driver core", s.name))
 	}
 	s.driver = d
-	d.Attach(s.loop)
+	d.attach(s.name, s.stages)
 }
 
 // Start launches the loop's polling core: the one it joined, or else a
 // dedicated core named after the loop (§3.3). Idempotent.
 func (s *Seat) Start() {
 	if s.driver == nil {
-		s.Join(NewDriver(s.h, s.loop.LoopName(), s.cfg))
+		s.Join(NewDriver(s.h, s.name, s.cfg))
 	}
 	s.driver.Start()
 }

@@ -18,6 +18,12 @@ type stubLoop struct {
 }
 
 func (s *stubLoop) LoopName() string { return s.name }
+
+// seat puts the stub on a seat, as a one-stage list.
+func (s *stubLoop) seat(h *host.Host, cfg DriverConfig) Seat {
+	return NewSeat(s.name, []Stage{WorkStage("stub", func() bool { return false }, s.PollOnce)}, h, cfg)
+}
+
 func (s *stubLoop) PollOnce(p *sim.Proc) int {
 	s.polls++
 	if s.polls <= s.busy {
@@ -93,20 +99,20 @@ func TestSeatLaunchModes(t *testing.T) {
 	cfg := DriverConfig{LoopCost: time.Microsecond}
 
 	own := &stubLoop{name: "h/own"}
-	ownSeat := NewSeat(own, h, cfg)
+	ownSeat := own.seat(h, cfg)
 	if ownSeat.Driver() != nil {
 		t.Fatal("seat has a core before Start or Join")
 	}
 	ownSeat.Start()
 	ownSeat.Start() // idempotent
-	if d := ownSeat.Driver(); d == nil || d.Name() != "h/own" || len(d.Loops()) != 1 {
-		t.Fatalf("dedicated core = %+v, want one named h/own running one loop", d)
+	if d := ownSeat.Driver(); d == nil || d.Name() != "h/own" || fmt.Sprint(d.Loops()) != "[h/own]" || ownSeat.LoopName() != "h/own" {
+		t.Fatalf("dedicated core = %+v, want one named h/own running the loop h/own", d)
 	}
 
 	shared := NewDriver(h, "h/engines", cfg)
 	shared.Start()
 	joined := &stubLoop{name: "h/joined"}
-	joinedSeat := NewSeat(joined, h, cfg)
+	joinedSeat := joined.seat(h, cfg)
 	joinedSeat.Join(shared) // the shared core is already polling
 	joinedSeat.Start()
 	if joinedSeat.Driver() != shared {
@@ -212,16 +218,6 @@ func TestEngineStatsSurfaceBufferExhaustion(t *testing.T) {
 	}
 }
 
-// lyingLoop's one work stage always claims to be idle.
-type lyingLoop struct {
-	stubLoop
-	run func(p *sim.Proc) int
-}
-
-func (l *lyingLoop) Stages() []Stage {
-	return []Stage{WorkStage("fibs", func() bool { return true }, l.run)}
-}
-
 // Under OASIS_SIMCHECK=1 the driver runs the work stages it would have
 // skipped and holds them to their predicate's word: nothing processed, no
 // time passed, nothing scheduled. A predicate that drifts from its run then
@@ -242,7 +238,7 @@ func TestSimCheckDistrustsIdle(t *testing.T) {
 		eng, pool := testPool()
 		h := host.New(eng, 0, "h", pool, host.DefaultConfig())
 		d := NewDriver(h, "h/core", DriverConfig{LoopCost: 100 * time.Nanosecond})
-		d.Attach(&lyingLoop{stubLoop: stubLoop{name: "h/liar"}, run: tc.run})
+		d.attach("h/liar", []Stage{WorkStage("fibs", func() bool { return true }, tc.run)})
 		var got string
 		eng.Go("core", func(p *sim.Proc) {
 			defer func() {

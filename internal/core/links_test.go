@@ -298,9 +298,9 @@ func TestLinkSetRemoveDuringPass(t *testing.T) {
 	})
 	t.Run("poll stage", func(t *testing.T) {
 		r := build(t)
-		loop := &stagedPollLoop{pollLoop: pollLoop{links: r.set}}
+		loop := &pollLoop{links: r.set}
 		d := NewDriver(r.host, "driver", DriverConfig{LoopCost: 100 * time.Nanosecond})
-		d.Attach(loop)
+		d.attach(loop.LoopName(), loop.stages())
 		d.Start()
 		removeSoon(r)
 		for d.Iterations == 0 {

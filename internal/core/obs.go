@@ -39,7 +39,7 @@ func (a *BufferArea) RegisterObs(r *obs.Registry, prefix string) {
 // RegisterObs registers the driver core's accounting under prefix/*
 // (conventionally core/<host or loop name>).
 func (d *Driver) RegisterObs(r *obs.Registry, prefix string) {
-	r.Gauge(prefix+"/loops", func() float64 { return float64(len(d.loops)) })
+	r.Gauge(prefix+"/loops", func() float64 { return float64(len(d.names)) })
 	r.Counter(prefix+"/iters", func() int64 { return d.Iterations })
 	r.Counter(prefix+"/idle_iters", func() int64 { return d.IdleIterations })
 	r.Counter(prefix+"/processed", func() int64 { return d.Processed })

@@ -18,15 +18,16 @@ import (
 // made of, kept as the reference the cursor is compared against: the process
 // is resumed for every poll and every iteration's own sleep.
 
-func refRun(d *Driver, p *sim.Proc) {
+func refRun(r *oracleRig, p *sim.Proc) {
+	d := r.drv
 	idle := sim.Duration(0)
 	for {
 		for d.stalled {
 			d.stallSig.Wait(p)
 		}
 		progress := 0
-		for _, l := range d.loops {
-			progress += l.PollOnce(p)
+		for _, pollOnce := range r.refLoops {
+			progress += pollOnce(p)
 		}
 		d.Iterations++
 		d.Processed += int64(progress)
@@ -89,6 +90,34 @@ func refPollControl(p *sim.Proc, end ChanEnd, burst int, handle func(p *sim.Proc
 	return n
 }
 
+// runStages runs one iteration of a stage list from the calling process,
+// every stage in turn, and returns the items processed: what the staged
+// engines' PollOnce used to be, and what an opaque loop built over a stage
+// list still is.
+func runStages(p *sim.Proc, stages []Stage) int {
+	progress := 0
+	for i := range stages {
+		st := &stages[i]
+		if st.run != nil {
+			progress += st.run(p)
+			continue
+		}
+		st.begin()
+		st.pass.run(p)
+		progress += st.progress()
+	}
+	return progress
+}
+
+// pollControl is a ControlStage's pass as a call, the way the engines used
+// to poll their control end: up to burst control messages from end into
+// handle, a payload that is not a control op dropped uncounted.
+func pollControl(p *sim.Proc, end ChanEnd, burst int, handle func(p *sim.Proc, m ControlMsg)) int {
+	c := &pollPass{ctl: handle}
+	c.begin([]*Link{{End: end}}, burst)
+	return c.run(p)
+}
+
 const oracleBurst = 3
 
 // oracleRig is one driver core, the peers it talks to and everything that
@@ -103,11 +132,12 @@ type oracleRig struct {
 	drv  *Driver
 	log  []string
 
-	loops   []*oracleLoop
-	targets []oracleTarget // what the traffic process sends on; grows as links are added
-	ends    []*LinkEnd     // every end ever made, for the final dump
-	crosses []*CrossEnd
-	evRng   *rand.Rand // drawn from in event context only
+	loops    []*oracleLoop
+	refLoops []func(p *sim.Proc) int // the reference core's loop list
+	targets  []oracleTarget          // what the traffic process sends on; grows as links are added
+	ends     []*LinkEnd              // every end ever made, for the final dump
+	crosses  []*CrossEnd
+	evRng    *rand.Rand // drawn from in event context only
 }
 
 // oracleTarget is a peer-side end and whether it is a control link.
@@ -142,10 +172,7 @@ type oracleLoop struct {
 	counted  bool
 	queue    []int
 	nextPeer uint32
-	stages   []Stage
 }
-
-func (l *oracleLoop) LoopName() string { return l.name }
 
 func (l *oracleLoop) queueIdle() bool { return len(l.queue) == 0 && l.links.PendingCount() == 0 }
 
@@ -196,25 +223,22 @@ func (l *oracleLoop) flush(p *sim.Proc) int {
 	return 0
 }
 
-func (l *oracleLoop) Stages() []Stage {
-	if l.stages == nil {
-		l.stages = []Stage{
-			WorkStage("queue", l.queueIdle, l.runQueue),
-			PollStage("links", l.links, oracleBurst, l.handle),
-			ControlStage("control", &l.ctrl, oracleBurst, l.handleCtl, l.counted),
-			WorkStage("flush", l.flushIdle, l.flush),
-		}
+func (l *oracleLoop) stages() []Stage {
+	return []Stage{
+		WorkStage("queue", l.queueIdle, l.runQueue),
+		PollStage("links", l.links, oracleBurst, l.handle),
+		ControlStage("control", &l.ctrl, oracleBurst, l.handleCtl, l.counted),
+		WorkStage("flush", l.flushIdle, l.flush),
 	}
-	return l.stages
 }
 
-// PollOnce is the iteration as the engines used to write it by hand, over
-// the reference passes or over today's PollEach and PollControl.
-func (l *oracleLoop) PollOnce(p *sim.Proc) int {
+// pollOnce is the iteration as the engines used to write it by hand, over
+// the reference passes or over today's PollEach and a control stage's pass.
+func (l *oracleLoop) pollOnce(p *sim.Proc) int {
 	pollEach := func(p *sim.Proc, burst int, h func(*sim.Proc, *Link, []byte)) int {
 		return l.links.PollEach(p, burst, h)
 	}
-	pollControl := PollControl
+	pollControl := pollControl
 	if l.rig.ref {
 		pollEach = func(p *sim.Proc, burst int, h func(*sim.Proc, *Link, []byte)) int {
 			return refPollEach(l.links, p, burst, h)
@@ -232,25 +256,29 @@ func (l *oracleLoop) PollOnce(p *sim.Proc) int {
 	return progress
 }
 
-// unstagedLoop hides an oracleLoop's stages from the driver, which then has
-// to resume the process and call PollOnce. viaStages makes that PollOnce
-// the staged engines' one-liner instead of the hand-written pass.
-type unstagedLoop struct {
-	l         *oracleLoop
-	viaStages bool
+// opaqueLoop hides an oracleLoop's stages from the driver: it goes on the
+// core through Driver.Attach's adapter, which has to resume the process and
+// call PollOnce on every iteration. PollOnce is the hand-written pass, or,
+// with a stage list, one run of it from the process.
+type opaqueLoop struct {
+	l      *oracleLoop
+	stages []Stage
 }
 
-func (u unstagedLoop) LoopName() string { return u.l.name }
-func (u unstagedLoop) PollOnce(p *sim.Proc) int {
-	if u.viaStages && !u.l.rig.ref {
-		return RunStages(p, u.l.Stages())
+func (o opaqueLoop) LoopName() string { return o.l.name }
+func (o opaqueLoop) PollOnce(p *sim.Proc) int {
+	if o.stages != nil {
+		return runStages(p, o.stages)
 	}
-	return u.l.PollOnce(p)
+	return o.l.pollOnce(p)
 }
 
-// newLoop builds a loop with 0–8 links and, half the time, a control end
-// (made now, or handed over later by a timer).
-func (r *oracleRig) newLoop(rng *rand.Rand, horizon sim.Duration) EngineLoop {
+// attachNewLoop builds a loop with 0–8 links and, half the time, a control
+// end (made now, or handed over later by a timer), and puts it on the core:
+// as its stage list through a seat, the way every engine does, or as an
+// opaque loop through the adapter. The reference core calls the hand-written
+// iteration whichever it is.
+func (r *oracleRig) attachNewLoop(rng *rand.Rand, horizon sim.Duration) {
 	l := &oracleLoop{rig: r, name: fmt.Sprintf("%s/loop%d", r.tag, len(r.loops)), links: NewLinkSet(4), counted: rng.Intn(2) == 0}
 	r.loops = append(r.loops, l)
 	for n := rng.Intn(9); n > 0; n-- {
@@ -264,13 +292,19 @@ func (r *oracleRig) newLoop(rng *rand.Rand, horizon sim.Duration) EngineLoop {
 		end := r.link(true)
 		r.eng.After(sim.Duration(rng.Int63n(int64(horizon))), func() { l.ctrl = end })
 	}
-	switch rng.Intn(4) {
-	case 0:
-		return unstagedLoop{l, false}
-	case 1:
-		return unstagedLoop{l, true}
+	mode := rng.Intn(4)
+	switch {
+	case r.ref:
+		r.drv.attach(l.name, nil)
+		r.refLoops = append(r.refLoops, l.pollOnce)
+	case mode == 0:
+		r.drv.Attach(opaqueLoop{l: l})
+	case mode == 1:
+		r.drv.Attach(opaqueLoop{l: l, stages: l.stages()})
+	default:
+		seat := NewSeat(l.name, l.stages(), r.a, DriverConfig{})
+		seat.Join(r.drv)
 	}
-	return l
 }
 
 // start launches the core: the cursor, or the reference loop in its place.
@@ -280,7 +314,7 @@ func (r *oracleRig) start() {
 		return
 	}
 	r.drv.started = true
-	r.eng.Go(r.drv.name, func(p *sim.Proc) { refRun(r.drv, p) })
+	r.eng.Go(r.drv.name, func(p *sim.Proc) { refRun(r, p) })
 }
 
 // newOracleRig builds the seeded program on eng and schedules everything
@@ -299,7 +333,7 @@ func newOracleRig(eng *sim.Engine, tag string, seed int64, horizon sim.Duration,
 	}
 	r.drv = NewDriver(r.a, tag+"/core", dcfg)
 	for n := 1 + rng.Intn(3); n > 0; n-- {
-		r.drv.Attach(r.newLoop(rng, horizon))
+		r.attachNewLoop(rng, horizon)
 	}
 	at := func() sim.Duration { return sim.Duration(rng.Int63n(int64(horizon))) }
 
@@ -318,7 +352,7 @@ func newOracleRig(eng *sim.Engine, tag string, seed int64, horizon sim.Duration,
 		eng.After(t+sim.Duration(rng.Intn(4000))*time.Nanosecond, r.drv.Resume)
 	}
 	// A loop attached to the running core.
-	eng.After(at(), func() { r.drv.Attach(r.newLoop(r.evRng, horizon/2)) })
+	eng.After(at(), func() { r.attachNewLoop(r.evRng, horizon/2) })
 	// Links added to and removed from sets that are, most of the time,
 	// part-way through a pass.
 	for i := 0; i < 4; i++ {
@@ -403,7 +437,7 @@ func (r *oracleRig) dump() string {
 	d := r.drv
 	b.WriteString(strings.Join(r.log, "\n"))
 	fmt.Fprintf(&b, "\n== %s: now %d seq %d core %d/%d/%d/%d loops %d cache %+v ==\n", r.tag, r.eng.Now(), r.eng.Seq(),
-		d.Iterations, d.IdleIterations, d.Processed, d.Stalls, len(d.loops), r.a.Cache.Stats())
+		d.Iterations, d.IdleIterations, d.Processed, d.Stalls, len(d.Loops()), r.a.Cache.Stats())
 	for _, l := range r.loops {
 		fmt.Fprintf(&b, "%s: queue %d links %d agg %+v\n", l.name, len(l.queue), l.links.Len(), l.links.Stats())
 	}
@@ -473,8 +507,8 @@ func runDriverProgram(seed int64, partitioned, ref bool) string {
 
 // The driver core as a stepper, PollEach as a chained pass and the engines'
 // iteration as a stage list, against the blocking loop and per-link passes
-// they replaced: over seeded programs — 1–3 loops a core, staged or not, 0–8
-// links a set, peers sending at random times, a disturber, stalls, a loop
+// they replaced: over seeded programs — 1–3 loops a core, each a stage list
+// on a seat or an opaque loop through Attach's adapter, 0–8 links a set, peers sending at random times, a disturber, stalls, a loop
 // attached to the running core, links added and removed mid-pass, deadlines
 // and a Shutdown mid-chain — every handler call, every disturber tick's
 // sequence number, the final (time, seq), the core's counters and every

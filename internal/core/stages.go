@@ -2,10 +2,11 @@ package core
 
 import "oasis/internal/sim"
 
-// Stage is one step of an engine loop's iteration. A loop that describes its
-// iteration as an ordered stage list (StagedLoop) lets the driver core run
-// the stages that have nothing to do — and an idle iteration is all of them —
-// without resuming a goroutine (see Driver.Step).
+// Stage is one step of an engine loop's iteration. An engine describes its
+// iteration as an ordered stage list, fixed when it hands the list to its
+// Seat, and the driver core runs nothing else: the stages that have nothing
+// to do — and an idle iteration is all of them — without resuming a goroutine
+// (see Driver.Step).
 //
 // A work stage (WorkStage) is a function plus a predicate that says when
 // calling it would be a no-op. A poll stage drains up to a burst of messages
@@ -51,11 +52,11 @@ func PollStage(name string, set *LinkSet, burst int, handle func(p *sim.Proc, l 
 	return Stage{name: name, set: set, burst: burst, pass: pollPass{each: handle}}
 }
 
-// ControlStage drains up to burst control messages from *end into handle,
-// decoding them as PollControl does; a nil *end (no control link yet) is
-// skipped. counted says whether delivered messages are loop progress — a
-// frontend acting on allocator commands has worked, a backend draining them
-// beside its timed duties has not.
+// ControlStage drains up to burst control messages from *end into handle; a
+// payload whose opcode is not a control op is dropped uncounted, and a nil
+// *end (no control link yet) is skipped. counted says whether delivered
+// messages are loop progress — a frontend acting on allocator commands has
+// worked, a backend draining them beside its timed duties has not.
 func ControlStage(name string, end **LinkEnd, burst int, handle func(p *sim.Proc, m ControlMsg), counted bool) Stage {
 	return Stage{name: name, control: end, ctl: []*Link{{}}, burst: burst, discard: !counted, pass: pollPass{ctl: handle}}
 }
@@ -81,39 +82,12 @@ func (st *Stage) progress() int {
 	return st.pass.got
 }
 
-// StagedLoop is an EngineLoop whose iteration is a stage list. Stages is
-// called once, when the loop is attached to a core, and the list must not
-// change afterwards; PollOnce must be RunStages over the same list, so that
-// an iteration's order is written in exactly one place.
-type StagedLoop interface {
-	EngineLoop
-	Stages() []Stage
-}
-
-// RunStages runs one iteration of a stage list from the calling process,
-// every stage in turn, and returns the items processed: a staged loop's
-// PollOnce.
-func RunStages(p *sim.Proc, stages []Stage) int {
-	progress := 0
-	for i := range stages {
-		st := &stages[i]
-		if st.run != nil {
-			progress += st.run(p)
-			continue
-		}
-		st.begin()
-		st.pass.run(p)
-		progress += st.progress()
-	}
-	return progress
-}
-
 // pollPass is one pass over a list of links, up to burst messages from each:
-// the position that LinkSet.PollEach, PollControl and a driver's poll stage
-// all advance. It is a sim.Stepper over the part of a pass that needs no
-// process — consecutive empty polls of *LinkEnd ends, chained into one
-// sleep — and block is the rest: a message to deliver, one of the receiver's
-// two blocking escapes, an end of another type.
+// the position that LinkSet.PollEach and a driver's poll stage both advance.
+// It is a sim.Stepper over the part of a pass that needs no process —
+// consecutive empty polls of *LinkEnd ends, chained into one sleep — and
+// block is the rest: a message to deliver, one of the receiver's two blocking
+// escapes, an end of another type.
 type pollPass struct {
 	each func(p *sim.Proc, l *Link, payload []byte) // a message from a link, or
 	ctl  func(p *sim.Proc, m ControlMsg)            // a control message, decoded

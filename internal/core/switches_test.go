@@ -10,7 +10,7 @@ import (
 	"oasis/internal/sim"
 )
 
-// pollLoop is an engine loop that only polls its links, through PollEach.
+// pollLoop is an opaque loop that only polls its links, through PollEach.
 type pollLoop struct {
 	links *LinkSet
 	calls int
@@ -22,31 +22,22 @@ func (l *pollLoop) PollOnce(p *sim.Proc) int {
 	return l.links.PollEach(p, 32, func(*sim.Proc, *Link, []byte) {})
 }
 
-// stagedPollLoop is the same loop as a stage list.
-type stagedPollLoop struct {
-	pollLoop
-	stages []Stage
-}
-
-func (l *stagedPollLoop) Stages() []Stage {
-	if l.stages == nil {
-		l.stages = []Stage{
-			WorkStage("nothing", func() bool { return true }, func(*sim.Proc) int { return 0 }),
-			PollStage("links", l.links, 32, func(*sim.Proc, *Link, []byte) {}),
-		}
+// stages is the same loop as a stage list.
+func (l *pollLoop) stages() []Stage {
+	return []Stage{
+		WorkStage("nothing", func() bool { return true }, func(*sim.Proc) int { return 0 }),
+		PollStage("links", l.links, 32, func(*sim.Proc, *Link, []byte) {}),
 	}
-	return l.stages
 }
-func (l *stagedPollLoop) PollOnce(p *sim.Proc) int { return RunStages(p, l.Stages()) }
 
 // An empty poll of the Oasis receiver is a read miss, a CLFLUSHOPT and an
 // MFENCE. As three sleeps that was three process switches per poll whenever
 // another core was busy — 25 per driver iteration over eight idle links,
 // counting the loop's own sleep — and as one stepped sleep per poll, 9. With
-// the driver core as the stepper an idle iteration of a staged loop is part
-// of one endless chain and resumes no goroutine at all; a loop without
-// stages is resumed to call PollOnce, and its PollEach chains the eight
-// polls, so it costs one switch per PollEach call and one per iteration.
+// the driver core as the stepper an idle iteration of a stage list is part
+// of one endless chain and resumes no goroutine at all; an opaque loop (one
+// never-idle stage) is resumed to call PollOnce, and its PollEach chains the
+// eight polls, so it costs one switch per PollEach call and one per iteration.
 // The bounds are on sim.Counters, which repeat exactly on any machine.
 func TestIdleIterationCostsNoSwitch(t *testing.T) {
 	const nlinks = 8
@@ -65,13 +56,13 @@ func TestIdleIterationCostsNoSwitch(t *testing.T) {
 		}
 		cfg := DriverConfig{LoopCost: 100 * time.Nanosecond}
 		da, db := NewDriver(a, "a/driver", cfg), NewDriver(b, "b/driver", cfg)
-		la, lb := &stagedPollLoop{pollLoop: pollLoop{links: aLinks}}, &stagedPollLoop{pollLoop: pollLoop{links: bLinks}}
+		la, lb := &pollLoop{links: aLinks}, &pollLoop{links: bLinks}
 		if staged {
+			da.attach(la.LoopName(), la.stages())
+			db.attach(lb.LoopName(), lb.stages())
+		} else {
 			da.Attach(la)
 			db.Attach(lb)
-		} else {
-			da.Attach(&la.pollLoop)
-			db.Attach(&lb.pollLoop)
 		}
 		// Started a few ns apart, each core's sleeps keep landing inside the
 		// other's, so neither gets the lone-process fast path for free.

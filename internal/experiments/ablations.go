@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"oasis"
-	"oasis/internal/cache"
 	"oasis/internal/core"
 	"oasis/internal/cxl"
 	"oasis/internal/host"
+	"oasis/internal/instance"
 	"oasis/internal/metrics"
 	"oasis/internal/msgchan"
 	"oasis/internal/sim"
@@ -19,22 +19,6 @@ import (
 
 // Ablations quantify the design choices DESIGN.md §5 calls out beyond the
 // four channel designs Figure 6 already sweeps.
-
-// AblRegistry lists the ablation experiments (run via oasis-bench too).
-func AblRegistry() []struct {
-	ID  string
-	Run Runner
-} {
-	return []struct {
-		ID  string
-		Run Runner
-	}{
-		{"abl-counter", AblCounterBatch},
-		{"abl-inspect", AblBackendInspect},
-		{"abl-failover", AblFailoverMechanism},
-		{"abl-coherent", AblHWCoherent},
-	}
-}
 
 // AblCounterBatch sweeps the consumed-counter update batch (§4): updating
 // every message forces a CXL round per message on both sides; batching to
@@ -73,16 +57,7 @@ func runCounterBatch(batch int, window sim.Duration) (mops, updates, rereads flo
 	pool := cxl.NewPool(eng, 1<<24, cxl.DefaultParams())
 	cfg := msgchan.DefaultConfig()
 	cfg.CounterBatch = batch
-	region, err := pool.Alloc(msgchan.RegionBytes(cfg))
-	if err != nil {
-		panic(err)
-	}
-	ch, err := msgchan.New(region, cfg)
-	if err != nil {
-		panic(err)
-	}
-	tx := msgchan.NewSender(ch, pool.AttachPort("tx"), cache.DefaultParams())
-	rx := msgchan.NewReceiver(ch, cache.New(eng, pool.AttachPort("rx"), cache.DefaultParams()))
+	tx, rx := rawChannel(eng, pool, cfg, pool.AttachPort("tx"), pool.AttachPort("rx"))
 	eng.Go("tx", func(p *sim.Proc) {
 		payload := make([]byte, 8)
 		for p.Now() < window {
@@ -182,7 +157,7 @@ func AblFailoverMechanism(scale float64) *Report {
 // backup backend's MAC borrow so recovery relies on the instance's GARP.
 func measureFailover(span time.Duration, macBorrow bool) time.Duration {
 	f := buildFailoverPod()
-	f.pod.Go("echo-server", func(p *oasis.Proc) { udpEcho(p, f.inst.Stack, 7) })
+	f.pod.Go("echo-server", func(p *oasis.Proc) { instance.Echo(p, f.inst.Stack, 7) })
 	failAt := span / 2
 	f.pod.Eng.At(failAt, func() {
 		f.pod.FailNICPort(f.nic.ID)
@@ -242,16 +217,7 @@ func AblHWCoherent(scale float64) *Report {
 		if hw {
 			cfg.Design = msgchan.DesignHWCoherent
 		}
-		region, err := pool.Alloc(msgchan.RegionBytes(cfg))
-		if err != nil {
-			panic(err)
-		}
-		ch, err := msgchan.New(region, cfg)
-		if err != nil {
-			panic(err)
-		}
-		tx := msgchan.NewSender(ch, pool.AttachPort("tx"), cache.DefaultParams())
-		rx := msgchan.NewReceiver(ch, cache.New(eng, pool.AttachPort("rx"), cache.DefaultParams()))
+		tx, rx := rawChannel(eng, pool, cfg, pool.AttachPort("tx"), pool.AttachPort("rx"))
 		var hist metrics.Histogram
 		eng.Go("tx", func(p *sim.Proc) {
 			payload := make([]byte, 8)
@@ -332,17 +298,7 @@ func runSharded(shards int, window sim.Duration) float64 {
 	rxPort := pool.AttachPort("receiver-host")
 	var receivers []*msgchan.Receiver
 	for i := 0; i < shards; i++ {
-		cfg := msgchan.DefaultConfig()
-		region, err := pool.Alloc(msgchan.RegionBytes(cfg))
-		if err != nil {
-			panic(err)
-		}
-		ch, err := msgchan.New(region, cfg)
-		if err != nil {
-			panic(err)
-		}
-		tx := msgchan.NewSender(ch, txPort, cache.DefaultParams())
-		rx := msgchan.NewReceiver(ch, cache.New(eng, rxPort, cache.DefaultParams()))
+		tx, rx := rawChannel(eng, pool, msgchan.DefaultConfig(), txPort, rxPort)
 		receivers = append(receivers, rx)
 		eng.Go("tx", func(p *sim.Proc) {
 			payload := make([]byte, 8)
@@ -384,23 +340,13 @@ func AblQoS(scale float64) *Report {
 	run := func(qos bool) time.Duration {
 		eng := sim.New()
 		pool := cxl.NewPool(eng, 1<<26, cxl.DefaultParams())
-		cfg := msgchan.DefaultConfig()
-		region, err := pool.Alloc(msgchan.RegionBytes(cfg))
-		if err != nil {
-			panic(err)
-		}
-		ch, err := msgchan.New(region, cfg)
-		if err != nil {
-			panic(err)
-		}
 		txPort := pool.AttachPort("sender")
 		rxPort := pool.AttachPort("receiver")
 		if qos {
 			// Throttle the scan to 70% of the receiver's port.
 			rxPort.SetQoS("olap", 0.7)
 		}
-		tx := msgchan.NewSender(ch, txPort, cache.DefaultParams())
-		rx := msgchan.NewReceiver(ch, cache.New(eng, rxPort, cache.DefaultParams()))
+		tx, rx := rawChannel(eng, pool, msgchan.DefaultConfig(), txPort, rxPort)
 		// OLAP co-tenant: stream 64 KiB reads back-to-back on the
 		// receiver's port (same host, different workload).
 		scanRegion, err := pool.Alloc(1 << 20)

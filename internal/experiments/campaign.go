@@ -8,6 +8,7 @@ import (
 
 	"oasis"
 	"oasis/internal/faults"
+	"oasis/internal/instance"
 	"oasis/internal/netstack"
 	"oasis/internal/ssd"
 )
@@ -112,21 +113,6 @@ func (l *ledger) verify(p *oasis.Proc, vol blockVolume, neverAcked bool) (mismat
 		}
 	}
 	return mismatches
-}
-
-// udpEcho is the echo server every probe stream and load generator talks
-// to: it answers each datagram on port until a send fails.
-func udpEcho(p *oasis.Proc, st *netstack.Stack, port uint16) {
-	conn, err := st.ListenUDP(port)
-	if err != nil {
-		return
-	}
-	for {
-		dg := conn.Recv(p)
-		if conn.SendTo(p, dg.Src, dg.SrcPort, dg.Data) != nil {
-			return
-		}
-	}
 }
 
 // probeStream is the Fig. 13 probe stream: one UDP echo request per interval
@@ -283,7 +269,7 @@ func runCampaign(spec campaignSpec, extras func(c *campaign)) (*campaign, error)
 		mismatches = c.ledger.verify(p, vol, true)
 		writerDone = true
 	})
-	pod.Go(spec.name+"-echo", func(p *oasis.Proc) { udpEcho(p, c.insts[0].Stack, 7) })
+	pod.Go(spec.name+"-echo", func(p *oasis.Proc) { instance.Echo(p, c.insts[0].Stack, 7) })
 	// Spawned in the client's execution domain: the pod engine (identical to
 	// pod.Go) unless the client has a partition of its own.
 	client.Go(spec.name+"-prober", func(p *oasis.Proc) {

@@ -34,6 +34,11 @@ func under(x Exec, run func(float64, Exec) *Report) Runner {
 // speed must leave every one of them alone; a change to the model re-blesses
 // the constant it moved and says why.
 //
+// fig9 and fig10 run the baseline pod (netengine.LocalDriver) beside the
+// pooled one under the request/response and echo application models;
+// abl-sharding and abl-qos are the two users of the raw-channel rig
+// (rawChannel) that no other row reaches.
+//
 // fig13 and blackout are the two users of the campaign harness
 // (campaign.go) outside chaos and grayfail: the probe stream around one NIC
 // failover, and the acked-write ledger across a cross-pod migration under
@@ -73,6 +78,10 @@ func TestReportDigests(t *testing.T) {
 		{"abl-coherent", AblHWCoherent, 0.05, "98e54ab45c2020903abf4d33ee0e3aafeb435c9aa4e81d2bb36371d5e7e41f84"},
 		{"abl-inspect", AblBackendInspect, 0.05, "9798a48a0764d236d6169754651b88b68991b95af3d540529f294e14e155d60f"},
 		{"abl-storage", AblStorage, 0.05, "2e67fbd71bbdd810343b5b91d1beced6db6e0e612ba5012e94de05cfd7324cef"},
+		{"fig9", Fig9, 0.05, "621e7ca02899cbbbb9f9d60d67fca5408ce9025657b63cbdf8013a6069557d4f"},
+		{"fig10", Fig10, 0.05, "7680bf1f8390ea138adfcd4d088a36d305e59cdd0310f226b1422c2b4a89375e"},
+		{"abl-sharding", AblSharding, 0.05, "007d3622d21d631fc1c2520479d403ca84315965b51fac1ea809d7da22aeb03b"},
+		{"abl-qos", AblQoS, 0.05, "7ee9d2a969213ee861ae309fbb44a7a8e6b4f1a065c09da510a6491a506ca045"},
 		{"fig13", Fig13, 0.1, "41290607923de867d0b1874209d6b6bea6dce525f47cd25bd748724e6b6b2d96"},
 		{"blackout", Blackout, 0.5, "9e8f7f97352571fa2b4243357671238373f7b6e94ae3952a6c791e5747eabb18"},
 		{"chaos/serial", under(Serial, chaosRun), 1, chaos},

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"time"
 
 	"oasis"
+	"oasis/internal/instance"
 	"oasis/internal/metrics"
 	"oasis/internal/sim"
 )
@@ -69,7 +71,7 @@ func Fig13(scale float64) *Report {
 	}
 	failAt := span / 2
 	f := buildFailoverPod()
-	f.pod.Go("echo-server", func(p *oasis.Proc) { udpEcho(p, f.inst.Stack, 7) })
+	f.pod.Go("echo-server", func(p *oasis.Proc) { instance.Echo(p, f.inst.Stack, 7) })
 	f.pod.Eng.At(failAt, func() { f.pod.FailNICPort(f.nic.ID) })
 
 	var probes probeStream // 1 kHz
@@ -121,33 +123,7 @@ func Fig14(scale float64) *Report {
 	failAt := span / 2
 	f := buildFailoverPod()
 	app := memcachedApp()
-	// Reuse the RR server as the memcached model.
-	f.pod.Go("memcached", func(p *oasis.Proc) {
-		l, err := f.inst.Stack.ListenTCP(11211)
-		if err != nil {
-			return
-		}
-		for {
-			conn := l.Accept(p)
-			f.pod.Go("memcached-conn", func(p *oasis.Proc) {
-				resp := make([]byte, 4+app.RespSize)
-				putLen(resp, app.RespSize)
-				for {
-					hdr, err := conn.Read(p, 4)
-					if err != nil {
-						return
-					}
-					if _, err := conn.Read(p, getLen(hdr)); err != nil {
-						return
-					}
-					p.Sleep(app.Service)
-					if conn.Send(p, resp) != nil {
-						return
-					}
-				}
-			})
-		}
-	})
+	app.serve(f.pod, f.inst.Stack, 11211) // the RR server is the memcached model
 	f.pod.Eng.At(failAt, func() { f.pod.FailNICPort(f.nic.ID) })
 
 	// Per-100ms-window latency collection (Fig. 14's x-axis).
@@ -195,7 +171,7 @@ func Fig14(scale float64) *Report {
 				}
 			})
 			req := make([]byte, 4+app.ReqSize)
-			putLen(req, app.ReqSize)
+			binary.LittleEndian.PutUint32(req, uint32(app.ReqSize))
 			interval := oasis.Duration(float64(time.Second) / perConnRate)
 			next := p.Now()
 			for p.Now() < span {

@@ -20,6 +20,22 @@ type fig6Point struct {
 	medianLat time.Duration
 }
 
+// rawChannel is one message channel on a bare pool, outside any pod — what
+// Fig. 6 and the channel ablations measure: the ring's region, a sender on
+// txPort, and a receiver behind a cache of its own on rxPort.
+func rawChannel(eng *sim.Engine, pool *cxl.Pool, cfg msgchan.Config, txPort, rxPort *cxl.Port) (*msgchan.Sender, *msgchan.Receiver) {
+	region, err := pool.Alloc(msgchan.RegionBytes(cfg))
+	if err != nil {
+		panic(err)
+	}
+	ch, err := msgchan.New(region, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return msgchan.NewSender(ch, txPort, cache.DefaultParams()),
+		msgchan.NewReceiver(ch, cache.New(eng, rxPort, cache.DefaultParams()))
+}
+
 // runMsgChannel drives one channel configuration for the window. offered=0
 // saturates the sender (the throughput-ceiling measurement); otherwise the
 // sender paces open-loop at the offered rate and flushes partial lines
@@ -29,16 +45,7 @@ func runMsgChannel(design msgchan.Design, offeredMops float64, window sim.Durati
 	pool := cxl.NewPool(eng, 1<<24, cxl.DefaultParams())
 	cfg := msgchan.DefaultConfig()
 	cfg.Design = design
-	region, err := pool.Alloc(msgchan.RegionBytes(cfg))
-	if err != nil {
-		panic(err)
-	}
-	ch, err := msgchan.New(region, cfg)
-	if err != nil {
-		panic(err)
-	}
-	tx := msgchan.NewSender(ch, pool.AttachPort("sender"), cache.DefaultParams())
-	rx := msgchan.NewReceiver(ch, cache.New(eng, pool.AttachPort("receiver"), cache.DefaultParams()))
+	tx, rx := rawChannel(eng, pool, cfg, pool.AttachPort("sender"), pool.AttachPort("receiver"))
 
 	procCost := 10 * time.Nanosecond
 	var hist metrics.Histogram

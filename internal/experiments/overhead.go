@@ -11,7 +11,7 @@ import (
 // rrPoint measures one app × mode × concurrency cell.
 func rrPoint(mode Mode, app appModel, conc int, window time.Duration) (*metrics.Histogram, int) {
 	e := buildNetPod(mode)
-	e.startRRServer(80, app)
+	app.serve(e.pod, e.inst.Stack, 80)
 	var hist metrics.Histogram
 	n := e.runRRClients(80, app, conc, window/4, window, &hist)
 	return &hist, n

@@ -5,7 +5,9 @@ import (
 
 	"oasis"
 	"oasis/internal/cxl"
+	"oasis/internal/instance"
 	"oasis/internal/metrics"
+	"oasis/internal/netstack"
 )
 
 // Mode selects the datapath configuration under test (§5.1, Fig. 11).
@@ -93,7 +95,7 @@ func buildNetPodCfg(mode Mode, mutate func(*oasis.Config)) *netPod {
 
 // startUDPEcho runs the echo server app on the instance.
 func (e *netPod) startUDPEcho(port uint16) {
-	e.pod.Go("echo-server", func(p *oasis.Proc) { udpEcho(p, e.inst.Stack, port) })
+	e.pod.Go("echo-server", func(p *oasis.Proc) { instance.Echo(p, e.inst.Stack, port) })
 }
 
 // udpEchoLoad drives fixed-size echoes at a fixed offered rate from the
@@ -215,36 +217,12 @@ func memcachedApp() appModel {
 	return appModel{"memcached", 3 * time.Microsecond, 40, 120}
 }
 
-// startRRServer runs a length-prefixed TCP request/response server on the
-// instance: read 4-byte length + body, sleep the service time, respond.
-func (e *netPod) startRRServer(port uint16, app appModel) {
-	e.pod.Go(app.Name+"-server", func(p *oasis.Proc) {
-		l, err := e.inst.Stack.ListenTCP(port)
-		if err != nil {
-			return
-		}
-		for {
-			conn := l.Accept(p)
-			e.pod.Go(app.Name+"-conn", func(p *oasis.Proc) {
-				resp := make([]byte, 4+app.RespSize)
-				putLen(resp, app.RespSize)
-				for {
-					hdr, err := conn.Read(p, 4)
-					if err != nil {
-						return
-					}
-					n := getLen(hdr)
-					if _, err := conn.Read(p, n); err != nil {
-						return
-					}
-					p.Sleep(app.Service)
-					if conn.Send(p, resp) != nil {
-						return
-					}
-				}
-			})
-		}
-	})
+// serve runs the application's request/response server (instance.ServeRR)
+// on a stack of pod's.
+func (app appModel) serve(pod *oasis.Pod, st *netstack.Stack, port uint16) {
+	if err := instance.ServeRR(pod.Eng, st, port, instance.RRConfig{Service: app.Service, RespSize: app.RespSize}); err != nil {
+		panic(err)
+	}
 }
 
 // runRRClients drives conc closed-loop persistent TCP connections for the
@@ -265,15 +243,10 @@ func (e *netPod) runRRClients(port uint16, app appModel, conc int, warmup, windo
 			if err != nil {
 				return
 			}
-			req := make([]byte, 4+app.ReqSize)
-			putLen(req, app.ReqSize)
 			start := p.Now()
 			for p.Now()-start < warmup+window {
 				t0 := p.Now()
-				if conn.Send(p, req) != nil {
-					return
-				}
-				if _, err := conn.Read(p, 4+app.RespSize); err != nil {
+				if _, err := instance.RRCall(p, conn, app.ReqSize); err != nil {
 					return
 				}
 				if t0-start >= warmup {
@@ -285,15 +258,4 @@ func (e *netPod) runRRClients(port uint16, app appModel, conc int, warmup, windo
 	}
 	e.pod.Run(time.Minute)
 	return done
-}
-
-func putLen(b []byte, n int) {
-	b[0] = byte(n)
-	b[1] = byte(n >> 8)
-	b[2] = byte(n >> 16)
-	b[3] = byte(n >> 24)
-}
-
-func getLen(b []byte) int {
-	return int(b[0]) | int(b[1])<<8 | int(b[2])<<16 | int(b[3])<<24
 }

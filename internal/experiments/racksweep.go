@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"oasis"
+	"oasis/internal/instance"
 	"oasis/internal/strand"
 )
 
@@ -104,7 +105,7 @@ func racksweepSim(r *Report, scale float64, x Exec) {
 				if !inst.WaitReady(p, 50*time.Millisecond) {
 					return
 				}
-				udpEcho(p, inst.Stack, 7)
+				instance.Echo(p, inst.Stack, 7)
 			})
 			// Spawned in the client's execution domain: the pod's partition
 			// (identical to GoPod) unless the client has one of its own.

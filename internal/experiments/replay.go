@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"oasis"
+	"oasis/internal/instance"
 	"oasis/internal/metrics"
 	"oasis/internal/netstack"
 	"oasis/internal/trace"
@@ -84,7 +85,7 @@ func replayRun(traces []*trace.PacketTrace, multiplex bool) (*metrics.Histogram,
 	}
 	for _, inst := range []*oasis.Instance{inst1, inst2} {
 		inst := inst
-		pod.Go("echo", func(p *oasis.Proc) { udpEcho(p, inst.Stack, 7) })
+		pod.Go("echo", func(p *oasis.Proc) { instance.Echo(p, inst.Stack, 7) })
 	}
 	h1 := &metrics.Histogram{}
 	h2 := &metrics.Histogram{}

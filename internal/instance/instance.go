@@ -19,22 +19,20 @@ import (
 	"oasis/internal/sim"
 )
 
-// ServeEcho runs a UDP echo server on the stack until the connection
-// breaks. It returns the listening connection so tests can introspect.
-func ServeEcho(eng *sim.Engine, stack *netstack.Stack, port uint16) (*netstack.UDPConn, error) {
+// Echo is the UDP echo server every probe stream and load generator talks
+// to: run from the calling process, it answers each datagram on port until a
+// send fails.
+func Echo(p *sim.Proc, stack *netstack.Stack, port uint16) {
 	conn, err := stack.ListenUDP(port)
 	if err != nil {
-		return nil, err
+		return
 	}
-	eng.Go(stack.Name()+"/echo", func(p *sim.Proc) {
-		for {
-			dg := conn.Recv(p)
-			if conn.SendTo(p, dg.Src, dg.SrcPort, dg.Data) != nil {
-				return
-			}
+	for {
+		dg := conn.Recv(p)
+		if conn.SendTo(p, dg.Src, dg.SrcPort, dg.Data) != nil {
+			return
 		}
-	})
-	return conn, nil
+	}
 }
 
 // RRConfig describes a request/response service (a web application model).

@@ -48,9 +48,7 @@ func twoNodes(eng *sim.Engine) (*node, *node) {
 func TestEchoServer(t *testing.T) {
 	eng := sim.New()
 	server, client := twoNodes(eng)
-	if _, err := ServeEcho(eng, server.stack, 7); err != nil {
-		t.Fatal(err)
-	}
+	eng.Go("echo", func(p *sim.Proc) { Echo(p, server.stack, 7) })
 	eng.Go("client", func(p *sim.Proc) {
 		conn, _ := client.stack.ListenUDP(0)
 		conn.SendTo(p, server.stack.IP(), 7, []byte("ping"))

@@ -26,9 +26,6 @@ func New(size, align int64) *Allocator {
 // Size returns the managed range's total bytes.
 func (a *Allocator) Size() int64 { return a.size }
 
-// Align returns the allocation granularity.
-func (a *Allocator) Align() int64 { return a.align }
-
 // Alloc reserves size bytes (rounded up to the alignment), returning the
 // base offset.
 func (a *Allocator) Alloc(size int64) (base, rounded int64, err error) {

@@ -605,6 +605,3 @@ func (r *Receiver) Step() (sim.Duration, bool) {
 		}
 	}
 }
-
-// Consumed returns the receiver's total messages consumed.
-func (r *Receiver) Consumed() int64 { return r.tail }

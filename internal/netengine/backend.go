@@ -43,13 +43,12 @@ type txMeta struct {
 // link's bounded pending queue (completions carry buffer ownership).
 type Backend struct {
 	core.Seat
+	nicQueues
 	h     *host.Host
 	nicID uint16
-	dev   *nic.NIC
 	pool  *cxl.Pool
 	cfg   Config
 
-	rxArea     *core.BufferArea
 	links      *core.LinkSet // by frontend host id; Meta holds *feLink
 	regs       map[netstack.IP]*registration
 	tags       map[uint32]*registration
@@ -58,7 +57,6 @@ type Backend struct {
 	nextCook   uint64
 	ctrl       *core.LinkEnd
 	nicDir     map[uint16]netsw.MAC // pod directory: NIC id -> MAC (for borrowing)
-	rxTarget   int                  // RX descriptors to keep posted
 	lastUp     bool
 	timersInit bool
 	nextCheck  sim.Duration
@@ -68,7 +66,6 @@ type Backend struct {
 	errsSnap   int64
 
 	suppressBorrow bool
-	stages         []core.Stage
 
 	// events receives link-state transitions when RegisterObs hooked the
 	// backend to a pod trace ring (nil-safe otherwise).
@@ -90,25 +87,11 @@ func NewBackend(h *host.Host, nicID uint16, dev *nic.NIC, pool *cxl.Pool, nicDir
 	if !h.InPod() {
 		return nil, fmt.Errorf("netengine: backend host must be in the CXL pod")
 	}
-	region, err := pool.Alloc(cfg.RxAreaBytes)
-	if err != nil {
-		return nil, fmt.Errorf("netengine: RX area for NIC %d: %w", nicID, err)
-	}
-	area, err := core.NewBufferArea(region, cfg.BufSize)
-	if err != nil {
-		return nil, err
-	}
-	rxTarget := area.Capacity() / 2
-	if rxTarget > 1024 {
-		rxTarget = 1024
-	}
 	be := &Backend{
 		h:        h,
 		nicID:    nicID,
-		dev:      dev,
 		pool:     pool,
 		cfg:      cfg,
-		rxArea:   area,
 		links:    core.NewLinkSet(core.DefaultPendingLimit),
 		regs:     make(map[netstack.IP]*registration),
 		tags:     make(map[uint32]*registration),
@@ -116,11 +99,94 @@ func NewBackend(h *host.Host, nicID uint16, dev *nic.NIC, pool *cxl.Pool, nicDir
 		cookies:  make(map[uint64]txMeta),
 		nextCook: 1,
 		nicDir:   nicDir,
-		rxTarget: rxTarget,
 		lastUp:   true,
 	}
-	be.Seat = core.NewSeat(be, h, cfg.driverConfig())
+	var err error
+	if be.nicQueues, err = newNICQueues(dev, pool, cfg, be.handleTxCompletion, be.handleRxCompletion); err != nil {
+		return nil, fmt.Errorf("netengine: NIC %d: %w", nicID, err)
+	}
+	// One iteration: parked completions, frontend messages, NIC completion
+	// queues and RX replenishment, and the control plane's commands and
+	// timed duties.
+	be.Seat = core.NewSeat(fmt.Sprintf("%s/be%d", h.Name, nicID), []core.Stage{
+		core.WorkStage("parked completions", be.parkedIdle, be.drainParked),
+		core.PollStage("frontend messages", be.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
+			be.handleFrontendMsg(p, l.Meta.(*feLink), decode(payload))
+		}),
+		core.WorkStage("nic queues", be.nicIdle, be.serveNIC),
+		// Draining allocator commands is not progress: a backend acts on
+		// them out of band (MAC borrowing) and must still back off.
+		core.ControlStage("allocator commands", &be.ctrl, burst, be.handleControlMsg, false),
+		core.WorkStage("duties and flush", be.dutiesIdle, be.dutiesAndFlush),
+	}, h, cfg.driverConfig())
 	return be, nil
+}
+
+// nicQueues is the part of driving a NIC that its two drivers — the pooled
+// Backend and the baseline LocalDriver — share: the RX buffer area, the
+// number of RX descriptors kept posted, and the pass over the completion
+// queues that ends by topping the RX ring up. It is their "nic queues" work
+// stage (nicIdle, serveNIC); what a completion means is the driver's.
+type nicQueues struct {
+	dev      *nic.NIC
+	rxArea   *core.BufferArea
+	rxTarget int // RX descriptors to keep posted
+	onTx     func(p *sim.Proc, tc nic.TxCompletion)
+	onRx     func(p *sim.Proc, rc nic.RxCompletion)
+}
+
+// newNICQueues carves dev's RX buffer area out of pool and sets the
+// descriptor target: half the area, at most 1024.
+func newNICQueues(dev *nic.NIC, pool *cxl.Pool, cfg Config, onTx func(*sim.Proc, nic.TxCompletion), onRx func(*sim.Proc, nic.RxCompletion)) (nicQueues, error) {
+	region, err := pool.Alloc(cfg.RxAreaBytes)
+	if err != nil {
+		return nicQueues{}, fmt.Errorf("RX area: %w", err)
+	}
+	area, err := core.NewBufferArea(region, cfg.BufSize)
+	if err != nil {
+		return nicQueues{}, err
+	}
+	return nicQueues{dev: dev, rxArea: area, rxTarget: min(area.Capacity()/2, 1024), onTx: onTx, onRx: onRx}, nil
+}
+
+// nicIdle reports whether serveNIC has nothing to do: both completion queues
+// are empty and the RX ring holds its target (below it, even a failed buffer
+// allocation is counted).
+func (q *nicQueues) nicIdle() bool {
+	return !q.dev.CompletionsReady() && q.dev.RxDescCount() >= q.rxTarget
+}
+
+// serveNIC hands up to burst TX and up to burst RX completions to the
+// driver, then replenishes the RX descriptors; every completion is progress.
+func (q *nicQueues) serveNIC(p *sim.Proc) int {
+	progress := 0
+	for i := 0; i < burst; i++ {
+		tc, ok := q.dev.PollTxCompletion()
+		if !ok {
+			break
+		}
+		q.onTx(p, tc)
+		progress++
+	}
+	for i := 0; i < burst; i++ {
+		rc, ok := q.dev.PollRxCompletion()
+		if !ok {
+			break
+		}
+		q.onRx(p, rc)
+		progress++
+	}
+	for q.dev.RxDescCount() < q.rxTarget {
+		addr, ok := q.rxArea.Alloc()
+		if !ok {
+			break
+		}
+		if !q.dev.PostRx(p, nic.RxDesc{Addr: addr, Cap: q.rxArea.BufSize()}) {
+			q.rxArea.Free(addr)
+			break
+		}
+	}
+	return progress
 }
 
 // Host returns the backend's host.
@@ -141,32 +207,6 @@ func (be *Backend) ConnectFrontend(hostID int, end *core.LinkEnd) {
 // SetControlLink attaches the backend's channel to the pod-wide allocator.
 func (be *Backend) SetControlLink(end *core.LinkEnd) { be.ctrl = end }
 
-// LoopName implements core.EngineLoop.
-func (be *Backend) LoopName() string { return fmt.Sprintf("%s/be%d", be.h.Name, be.nicID) }
-
-// PollOnce implements core.EngineLoop: one run of the stages.
-func (be *Backend) PollOnce(p *sim.Proc) int { return core.RunStages(p, be.Stages()) }
-
-// Stages implements core.StagedLoop: one pass over parked completions,
-// frontend messages, NIC completion queues and RX replenishment, and the
-// control plane's commands and timed duties.
-func (be *Backend) Stages() []core.Stage {
-	if be.stages == nil {
-		be.stages = []core.Stage{
-			core.WorkStage("parked completions", be.parkedIdle, be.drainParked),
-			core.PollStage("frontend messages", be.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
-				be.handleFrontendMsg(p, l.Meta.(*feLink), decode(payload))
-			}),
-			core.WorkStage("nic queues", be.nicIdle, be.serveNIC),
-			// Draining allocator commands is not progress: a backend acts on
-			// them out of band (MAC borrowing) and must still back off.
-			core.ControlStage("allocator commands", &be.ctrl, burst, be.handleControlMsg, false),
-			core.WorkStage("duties and flush", be.dutiesIdle, be.dutiesAndFlush),
-		}
-	}
-	return be.stages
-}
-
 func (be *Backend) parkedIdle() bool { return be.timersInit && be.links.PendingCount() == 0 }
 
 func (be *Backend) drainParked(p *sim.Proc) int {
@@ -181,46 +221,6 @@ func (be *Backend) drainParked(p *sim.Proc) int {
 	// they are delivered.
 	progress := be.links.PendingCount()
 	be.links.DrainPending(p)
-	return progress
-}
-
-// nicIdle reports whether serveNIC has nothing to do: both completion queues
-// are empty and the RX ring holds its target (below it, even a failed buffer
-// allocation is counted).
-func (be *Backend) nicIdle() bool {
-	return !be.dev.CompletionsReady() && be.dev.RxDescCount() >= be.rxTarget
-}
-
-func (be *Backend) serveNIC(p *sim.Proc) int {
-	progress := 0
-	// NIC completion queues.
-	for i := 0; i < burst; i++ {
-		tc, ok := be.dev.PollTxCompletion()
-		if !ok {
-			break
-		}
-		be.handleTxCompletion(p, tc)
-		progress++
-	}
-	for i := 0; i < burst; i++ {
-		rc, ok := be.dev.PollRxCompletion()
-		if !ok {
-			break
-		}
-		be.handleRxCompletion(p, rc)
-		progress++
-	}
-	// Replenish RX descriptors.
-	for be.dev.RxDescCount() < be.rxTarget {
-		addr, ok := be.rxArea.Alloc()
-		if !ok {
-			break
-		}
-		if !be.dev.PostRx(p, nic.RxDesc{Addr: addr, Cap: be.cfg.BufSize}) {
-			be.rxArea.Free(addr)
-			break
-		}
-	}
 	return progress
 }
 

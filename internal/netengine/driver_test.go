@@ -399,6 +399,64 @@ func TestLocalDriverEcho(t *testing.T) {
 	}
 }
 
+// The baseline driver is a stage list like the pooled engines: with no packet
+// queued by an instance, no completion ready and the RX ring at its target,
+// an iteration is part of the core's stepped chain and resumes no goroutine —
+// also beside a second polling core, where neither gets the lone-process
+// fast path. The counts are sim.Counters, exact on any machine.
+func TestIdleLocalDriverCostsNoSwitch(t *testing.T) {
+	eng := sim.New()
+	pool := cxl.NewPool(eng, 1<<28, cxl.DefaultParams())
+	var drivers []*LocalDriver
+	for i, name := range []string{"a", "b"} {
+		h := host.New(eng, i, name, pool, host.DefaultConfig())
+		dev := nic.New(eng, name+"/nic", mac1, pool.AttachPort(name+"/nic-dma"), netstack.FlowKey, nic.DefaultParams())
+		dev.SetSnooper(h.Cache)
+		dev.Start()
+		ld, err := NewLocalDriver(h, dev, pool, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ld.AddInstance(instIP); err != nil {
+			t.Fatal(err)
+		}
+		// Started a few ns apart, each core's sleeps keep landing inside the
+		// other's.
+		eng.After(sim.Duration(7*i)*time.Nanosecond, ld.Start)
+		drivers = append(drivers, ld)
+	}
+	eng.RunUntil(time.Millisecond) // the first iteration posts a ring of RX descriptors, one doorbell each
+	iterations := func() (n, idle uint64) {
+		for _, ld := range drivers {
+			n, idle = n+uint64(ld.Driver().Iterations), idle+uint64(ld.Driver().IdleIterations)
+		}
+		return
+	}
+	c0 := eng.Counters()
+	iters0, idle0 := iterations()
+	eng.RunUntil(1200 * time.Microsecond)
+	c := eng.Counters()
+	iters, idle := iterations()
+	iters, idle = iters-iters0, idle-idle0
+	eng.Shutdown()
+	if iters < 100 || idle != iters {
+		t.Fatalf("want two idle cores: %d iterations, %d idle", iters, idle)
+	}
+	if fast := c.FastSleeps - c0.FastSleeps; fast > 4 {
+		t.Fatalf("%d sleeps took the lone-process fast path: the cores are not contending, the bound below proves nothing", fast)
+	}
+	if legs := c.SteppedLegs - c0.SteppedLegs; legs+2 < iters {
+		t.Fatalf("%d stepped legs over %d iterations, want each iteration's own sleep", legs, iters)
+	}
+	limit := uint64(0)
+	if sim.Checking() {
+		limit = iters // OASIS_SIMCHECK=1 runs the idle work stages from the process
+	}
+	if got := c.Switches - c0.Switches; got > limit {
+		t.Fatalf("%d process switches over %d idle iterations (limit %d): %+v -> %+v", got, iters, limit, c0, c)
+	}
+}
+
 func TestDuplicateInstanceRejected(t *testing.T) {
 	r := newEngineRig(t)
 	if _, err := r.fe.AddInstance(instIP); err == nil {

@@ -3,6 +3,7 @@ package netengine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"oasis/internal/core"
@@ -129,7 +130,6 @@ type Frontend struct {
 	ctrl      *core.LinkEnd
 	cmds      *sim.Queue[feCmd]
 	scratch   []byte
-	stages    []core.Stage
 
 	// Stats.
 	TxForwarded, RxDelivered int64
@@ -154,7 +154,17 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
 		cmds:    sim.NewQueue[feCmd](h.Eng),
 		scratch: make([]byte, cfg.BufSize),
 	}
-	fe.Seat = core.NewSeat(fe, h, cfg.driverConfig())
+	// One iteration: deferred commands and instance TX queues, backend
+	// messages, allocator commands, and the flush of partially-filled
+	// message lines.
+	fe.Seat = core.NewSeat(h.Name+"/fe", []core.Stage{
+		core.WorkStage("queues", fe.queuesIdle, fe.drainQueues),
+		core.PollStage("backend messages", fe.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
+			fe.handleBackendMsg(p, l.Meta.(*beLink), decode(payload))
+		}),
+		core.ControlStage("allocator commands", &fe.ctrl, burst, fe.handleControlMsg, true),
+		core.WorkStage("flush", fe.flushIdle, fe.flush),
+	}, h, cfg.driverConfig())
 	return fe
 }
 
@@ -168,6 +178,10 @@ func (fe *Frontend) ConnectBackend(nicID uint16, mac netsw.MAC, end *core.LinkEn
 	l := fe.links.Add(uint32(nicID), end)
 	l.Meta = &beLink{nicID: nicID, mac: mac, link: l}
 }
+
+// DisconnectBackend forgets the link to a removed NIC's backend: the
+// frontend stops polling and flushing it. No instance may still use the NIC.
+func (fe *Frontend) DisconnectBackend(nicID uint16) { fe.links.Remove(uint32(nicID)) }
 
 // beLink returns the engine state for a NIC's link, or nil.
 func (fe *Frontend) beLink(nicID uint16) *beLink {
@@ -193,7 +207,8 @@ type InstancePort struct {
 	stack *netstack.Stack
 
 	primary, backup *beLink
-	pendingPrimary  uint16 // NIC id awaiting migration ack (0 = none)
+	pendingPrimary  uint16   // NIC id awaiting migration ack (0 = none)
+	queued          []uint16 // (primary, backup) of every Assign the frontend's core has yet to apply
 	ready           map[uint16]bool
 	readySig        *sim.Signal
 	curMAC          netsw.MAC
@@ -300,7 +315,9 @@ func (ip *InstancePort) Transmit(p *sim.Proc, frame []byte) {
 // is immediate). Pass backup = 0 for no backup.
 func (ip *InstancePort) Assign(primary, backup uint16) {
 	fe := ip.fe
+	ip.queued = append(ip.queued, primary, backup)
 	fe.cmds.Push(func(p *sim.Proc) {
+		ip.queued = ip.queued[2:]
 		pl := fe.beLink(primary)
 		if pl == nil {
 			panic(fmt.Sprintf("netengine: assign to unknown NIC %d", primary))
@@ -358,29 +375,6 @@ func (fe *Frontend) sendRegister(p *sim.Proc, l *beLink, ip netstack.IP) {
 		return
 	}
 	l.link.Flush(p)
-}
-
-// LoopName implements core.EngineLoop.
-func (fe *Frontend) LoopName() string { return fe.h.Name + "/fe" }
-
-// PollOnce implements core.EngineLoop: one run of the stages.
-func (fe *Frontend) PollOnce(p *sim.Proc) int { return core.RunStages(p, fe.Stages()) }
-
-// Stages implements core.StagedLoop: one pass over deferred commands and
-// instance TX queues, backend messages, allocator commands, and the flush of
-// partially-filled message lines.
-func (fe *Frontend) Stages() []core.Stage {
-	if fe.stages == nil {
-		fe.stages = []core.Stage{
-			core.WorkStage("queues", fe.queuesIdle, fe.drainQueues),
-			core.PollStage("backend messages", fe.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
-				fe.handleBackendMsg(p, l.Meta.(*beLink), decode(payload))
-			}),
-			core.ControlStage("allocator commands", &fe.ctrl, burst, fe.handleControlMsg, true),
-			core.WorkStage("flush", fe.flushIdle, fe.flush),
-		}
-	}
-	return fe.stages
 }
 
 // allocRetries reports whether unanswered allocation requests are resent.
@@ -629,8 +623,8 @@ func (fe *Frontend) completeMigration(p *sim.Proc, inst *InstancePort, newNIC ui
 }
 
 // UsesNIC reports whether the instance is attached to the NIC as primary,
-// backup, or pending migration target — the "in use" check a topology-level
-// NIC removal must clear first.
+// backup, queued assignment, or pending migration target — the "in use"
+// check a topology-level NIC removal must clear first.
 func (ip *InstancePort) UsesNIC(id uint16) bool {
 	if ip.primary != nil && ip.primary.nicID == id {
 		return true
@@ -638,7 +632,7 @@ func (ip *InstancePort) UsesNIC(id uint16) bool {
 	if ip.backup != nil && ip.backup.nicID == id {
 		return true
 	}
-	return ip.pendingPrimary == id
+	return ip.pendingPrimary == id || slices.Contains(ip.queued, id)
 }
 
 // RemoveInstance detaches an instance from the frontend (topology removal

@@ -22,17 +22,15 @@ import (
 // queue pair, exactly one intermediary.
 type LocalDriver struct {
 	core.Seat
+	nicQueues
 	h    *host.Host
-	dev  *nic.NIC
 	pool *cxl.Pool
 	cfg  Config
 
 	insts     map[netstack.IP]*LocalPort
 	instOrder []netstack.IP
-	rxArea    *core.BufferArea
 	cookies   map[uint64]localTxMeta
 	nextCook  uint64
-	rxTarget  int
 	scratch   []byte
 
 	// Stats.
@@ -46,31 +44,25 @@ type localTxMeta struct {
 
 // NewLocalDriver creates the baseline driver for a host with a local NIC.
 func NewLocalDriver(h *host.Host, dev *nic.NIC, pool *cxl.Pool, cfg Config) (*LocalDriver, error) {
-	region, err := pool.Alloc(cfg.RxAreaBytes)
-	if err != nil {
-		return nil, fmt.Errorf("netengine: local RX area: %w", err)
-	}
-	area, err := core.NewBufferArea(region, cfg.BufSize)
-	if err != nil {
-		return nil, err
-	}
-	rxTarget := area.Capacity() / 2
-	if rxTarget > 1024 {
-		rxTarget = 1024
-	}
 	d := &LocalDriver{
 		h:        h,
-		dev:      dev,
 		pool:     pool,
 		cfg:      cfg,
 		insts:    make(map[netstack.IP]*LocalPort),
-		rxArea:   area,
 		cookies:  make(map[uint64]localTxMeta),
 		nextCook: 1,
-		rxTarget: rxTarget,
 		scratch:  make([]byte, cfg.BufSize),
 	}
-	d.Seat = core.NewSeat(d, h, cfg.driverConfig())
+	var err error
+	if d.nicQueues, err = newNICQueues(dev, pool, cfg, d.completeTx, d.deliverRx); err != nil {
+		return nil, fmt.Errorf("netengine: local NIC: %w", err)
+	}
+	// One iteration: instance TX rings, then NIC completions and RX
+	// replenishment — the single-intermediary baseline pass.
+	d.Seat = core.NewSeat(h.Name+"/iokernel", []core.Stage{
+		core.WorkStage("instance tx", d.txIdle, d.drainTx),
+		core.WorkStage("nic queues", d.nicIdle, d.serveNIC),
+	}, h, cfg.driverConfig())
 	return d, nil
 }
 
@@ -136,12 +128,19 @@ func (lp *LocalPort) Transmit(p *sim.Proc, frame []byte) {
 	lp.txQ.Push(txReq{addr: addr, size: size})
 }
 
-// LoopName implements core.EngineLoop.
-func (d *LocalDriver) LoopName() string { return d.h.Name + "/iokernel" }
+// txIdle reports whether drainTx has nothing to do: no instance has queued
+// a packet.
+func (d *LocalDriver) txIdle() bool {
+	for _, ip := range d.instOrder {
+		if d.insts[ip].txQ.Len() > 0 {
+			return false
+		}
+	}
+	return true
+}
 
-// PollOnce implements core.EngineLoop: instance TX rings, NIC completions,
-// and RX replenishment — the single-intermediary baseline pass.
-func (d *LocalDriver) PollOnce(p *sim.Proc) int {
+// drainTx forwards up to burst queued packets per instance to the NIC.
+func (d *LocalDriver) drainTx(p *sim.Proc) int {
 	progress := 0
 	for _, ip := range d.instOrder {
 		inst := d.insts[ip]
@@ -165,36 +164,15 @@ func (d *LocalDriver) PollOnce(p *sim.Proc) int {
 			progress++
 		}
 	}
-	for i := 0; i < burst; i++ {
-		tc, ok := d.dev.PollTxCompletion()
-		if !ok {
-			break
-		}
-		if meta, hit := d.cookies[tc.Cookie]; hit {
-			delete(d.cookies, tc.Cookie)
-			meta.inst.area.Free(meta.addr)
-		}
-		progress++
-	}
-	for i := 0; i < burst; i++ {
-		rc, ok := d.dev.PollRxCompletion()
-		if !ok {
-			break
-		}
-		d.deliverRx(p, rc)
-		progress++
-	}
-	for d.dev.RxDescCount() < d.rxTarget {
-		addr, ok := d.rxArea.Alloc()
-		if !ok {
-			break
-		}
-		if !d.dev.PostRx(p, nic.RxDesc{Addr: addr, Cap: d.cfg.BufSize}) {
-			d.rxArea.Free(addr)
-			break
-		}
-	}
 	return progress
+}
+
+// completeTx returns a transmitted packet's buffer to its instance's area.
+func (d *LocalDriver) completeTx(_ *sim.Proc, tc nic.TxCompletion) {
+	if meta, hit := d.cookies[tc.Cookie]; hit {
+		delete(d.cookies, tc.Cookie)
+		meta.inst.area.Free(meta.addr)
+	}
 }
 
 // Stats exports the uniform engine counter block (no message links; the

@@ -392,12 +392,6 @@ func (c *TCPConn) teardown() {
 	c.established.Broadcast()
 }
 
-// State helpers for tests.
-func (c *TCPConn) Established() bool { return c.state == stateEstablished }
-
-// RemoteMAC returns the cached next-hop MAC (tests observe migration).
-func (c *TCPConn) RemoteMAC() netsw.MAC { return c.remoteMAC }
-
 // sendAck emits a bare cumulative ACK.
 func (c *TCPConn) sendAck() { c.sendSegmentAt(c.sndNxt, nil, FlagACK) }
 

@@ -73,9 +73,6 @@ func (s *Switch) AttachRemotePort(g *sim.Group, name string, dev *sim.Engine, si
 // inspection, and diagnostics). Only the switch partition may operate it.
 func (r *RemotePort) Port() *Port { return r.port }
 
-// Extra returns the cable-extension latency.
-func (r *RemotePort) Extra() sim.Duration { return r.extra }
-
 // Send carries a frame from the remote device into the switch. Must be
 // called from the device partition's execution context. The frame bytes
 // pass to the fabric and must not be reused by the caller.

@@ -45,9 +45,6 @@ type Counter struct {
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) { c.v += n }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v++ }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v }
 

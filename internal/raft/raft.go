@@ -493,12 +493,6 @@ func (n *Node) applyCommitted() {
 	}
 }
 
-// LogLen returns the log length (tests).
-func (n *Node) LogLen() int { return len(n.log) }
-
-// EntryAt returns the log entry at 1-based index (tests).
-func (n *Node) EntryAt(idx uint64) Entry { return n.log[idx-1] }
-
 func min64(a, b uint64) uint64 {
 	if a < b {
 		return a

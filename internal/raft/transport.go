@@ -1,10 +1,12 @@
 package raft
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"time"
 
-	"oasis/internal/cache"
+	"oasis/internal/core"
 	"oasis/internal/cxl"
 	"oasis/internal/host"
 	"oasis/internal/msgchan"
@@ -94,45 +96,37 @@ func NewChannelTransport(eng *sim.Engine, id int) *ChannelTransport {
 // delivers).
 func (t *ChannelTransport) Bind(n *Node) { t.node = n }
 
-// ConnectPeer allocates a pair of 64 B channels between this node's host
-// and the peer's transport/host, and starts receive pumps on both sides.
+// ConnectPeer allocates a duplex link of 64 B channels between this node's
+// host and the peer's transport/host, and starts receive pumps on both sides.
 func (t *ChannelTransport) ConnectPeer(pool *cxl.Pool, self *host.Host, peer *ChannelTransport, peerHost *host.Host) error {
 	cfg := msgchan.Config{Slots: 1024, MsgSize: 64, Design: msgchan.DesignInvalidatePrefetched, Category: "raft"}
-	mk := func(txHost, rxHost *host.Host) (*msgchan.Sender, *msgchan.Receiver, error) {
-		region, err := pool.Alloc(msgchan.RegionBytes(cfg))
-		if err != nil {
-			return nil, nil, err
-		}
-		ch, err := msgchan.New(region, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return msgchan.NewSender(ch, txHost.CXLPort, cache.DefaultParams()), msgchan.NewReceiver(ch, rxHost.Cache), nil
-	}
-	sendAB, recvAB, err := mk(self, peerHost)
+	selfEnd, peerEnd, err := core.NewDuplexLink(pool, self, peerHost, cfg)
 	if err != nil {
 		return err
 	}
-	sendBA, recvBA, err := mk(peerHost, self)
-	if err != nil {
-		return err
-	}
-	t.out[peer.id] = sendAB
-	peer.out[t.id] = sendBA
-	t.startPump(recvBA)
-	peer.startPump(recvAB)
+	t.out[peer.id] = selfEnd.Out
+	peer.out[t.id] = peerEnd.Out
+	t.startPump(selfEnd.In)
+	peer.startPump(peerEnd.In)
 	return nil
 }
+
+// The pumps' idle backoff: 200 ns doubling to a 50 µs cap, far below
+// election timescales.
+const (
+	pumpIdleBase = 200 * time.Nanosecond
+	pumpIdleCap  = 50 * time.Microsecond
+)
 
 // startPump launches the receive process for one inbound channel.
 func (t *ChannelTransport) startPump(rx *msgchan.Receiver) {
 	t.eng.Go(fmt.Sprintf("raft-pump-%d", t.id), func(p *sim.Proc) {
-		idle := sim.Duration(0)
+		idle := 0 // consecutive empty polls
 		for {
 			payload, ok := rx.Poll(p)
 			if !ok {
-				idle = nextIdle(idle)
-				p.Sleep(idle)
+				p.Sleep(core.Backoff(pumpIdleBase, pumpIdleCap, idle))
+				idle++
 				continue
 			}
 			idle = 0
@@ -145,17 +139,6 @@ func (t *ChannelTransport) startPump(rx *msgchan.Receiver) {
 			}
 		}
 	})
-}
-
-func nextIdle(cur sim.Duration) sim.Duration {
-	if cur == 0 {
-		return 200
-	}
-	cur *= 2
-	if cur > 50_000 { // 50 µs cap: far below election timescales
-		cur = 50_000
-	}
-	return cur
 }
 
 // Send implements Transport.
@@ -232,12 +215,27 @@ func encodeMessage(m Message) ([]byte, error) {
 	return buf, nil
 }
 
+// wireFixed is the length of each message type's fixed part: the 11-byte
+// header (type, from, to, term) and the type's own fields, up to and
+// including an AppendReq's command-length byte.
+var wireFixed = [...]int{MsgVoteReq: 27, MsgVoteResp: 12, MsgAppendReq: 44, MsgAppendResp: 20}
+
+// decodeMessage is encodeMessage's inverse on whatever a channel slot holds:
+// bytes past the message are ignored (a slot is 63 bytes whatever was sent),
+// and a frame too short for its type, or whose command length is more than
+// MaxCmdBytes or than the frame has left, is an error.
 func decodeMessage(payload []byte) (Message, error) {
-	if len(payload) < 11 {
+	if len(payload) == 0 {
 		return Message{}, fmt.Errorf("raft: short message")
 	}
 	var m Message
 	m.Type = MsgType(payload[0])
+	if m.Type < MsgVoteReq || m.Type > MsgAppendResp {
+		return Message{}, fmt.Errorf("raft: unknown type %d", m.Type)
+	}
+	if len(payload) < wireFixed[m.Type] {
+		return Message{}, fmt.Errorf("raft: short message")
+	}
 	m.From = int(payload[1])
 	m.To = int(payload[2])
 	b := payload[3:]
@@ -258,18 +256,15 @@ func decodeMessage(payload []byte) (Message, error) {
 		m.PrevTerm = get()
 		m.LeaderCommit = get()
 		entryTerm := get()
-		n := b[0]
-		b = b[1:]
-		if n != 0xFF {
-			cmd := make([]byte, n)
-			copy(cmd, b[:n])
-			m.Entries = []Entry{{Term: entryTerm, Cmd: cmd}}
+		if n := int(b[0]); n != 0xFF {
+			if b = b[1:]; n > MaxCmdBytes || n > len(b) {
+				return Message{}, fmt.Errorf("raft: command length %d exceeds %d or the frame", n, MaxCmdBytes)
+			}
+			m.Entries = []Entry{{Term: entryTerm, Cmd: bytes.Clone(b[:n])}}
 		}
 	case MsgAppendResp:
 		m.MatchIndex = get()
 		m.Success = b[0]&1 != 0
-	default:
-		return Message{}, fmt.Errorf("raft: unknown type %d", m.Type)
 	}
 	return m, nil
 }

@@ -182,14 +182,6 @@ func (g *Group) AddPartition() *Engine {
 	return e
 }
 
-// Partition returns partition i, or nil when out of range.
-func (g *Group) Partition(i int) *Engine {
-	if i < 0 || i >= len(g.parts) {
-		return nil
-	}
-	return g.parts[i]
-}
-
 // Partitions returns the number of partitions.
 func (g *Group) Partitions() int { return len(g.parts) }
 

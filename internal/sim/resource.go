@@ -33,10 +33,6 @@ func (r *Resource) Use(p *Proc, d Duration) {
 	p.Sleep(done - r.eng.Now())
 }
 
-// BusyUntil returns the time at which the resource drains, or a past time if
-// it is idle.
-func (r *Resource) BusyUntil() Duration { return r.busyUntil }
-
 // BusyTotal returns the accumulated service time ever booked, used to compute
 // utilization over an interval.
 func (r *Resource) BusyTotal() Duration { return r.busyTotal }

@@ -278,12 +278,3 @@ func (d *SSD) execute(p *sim.Proc, cmd Command) uint8 {
 func (d *SSD) streamTime(n int) sim.Duration {
 	return sim.Duration(float64(n) / d.params.Bandwidth * float64(time.Second))
 }
-
-// PeekBlock returns a namespace block's contents for tests (nil if never
-// written).
-func (d *SSD) PeekBlock(nsid uint32, lba uint64) []byte {
-	if ns, ok := d.namespaces[nsid]; ok {
-		return ns.data[lba]
-	}
-	return nil
-}

@@ -215,7 +215,6 @@ type Frontend struct {
 	nextCID   uint16
 	ctrl      *core.LinkEnd // allocator command channel (failover)
 	backupSSD uint16
-	stages    []core.Stage
 
 	// Stats.
 	Reads, Writes, Errors int64
@@ -242,7 +241,19 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
 		reqQ:    sim.NewQueue[*ioReq](h.Eng),
 		pending: make(map[uint16]*pendingLeg),
 	}
-	fe.Seat = core.NewSeat(fe, h, pacing)
+	// One iteration: retry promotions and the request queue, backend
+	// completions, allocator commands, and the flush.
+	fe.Seat = core.NewSeat(h.Name+"/storage-fe", []core.Stage{
+		core.WorkStage("requests", fe.requestsIdle, fe.forwardRequests),
+		core.PollStage("backend messages", fe.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
+			fe.handleBackendMsg(p, l.Meta.(*sbeLink), sdecode(payload))
+		}),
+		core.ControlStage("allocator commands", &fe.ctrl, burst, fe.handleControlMsg, true),
+		core.WorkStage("flush", fe.links.FlushIdle, func(p *sim.Proc) int {
+			fe.links.FlushAll(p)
+			return 0
+		}),
+	}, h, pacing)
 	return fe
 }
 
@@ -251,6 +262,10 @@ func (fe *Frontend) ConnectBackend(ssdID uint16, end *core.LinkEnd) {
 	l := fe.links.Add(uint32(ssdID), end)
 	l.Meta = &sbeLink{ssdID: ssdID, link: l}
 }
+
+// DisconnectBackend forgets the link to a removed SSD's backend: the
+// frontend stops polling and flushing it. No volume may still be bound there.
+func (fe *Frontend) DisconnectBackend(ssdID uint16) { fe.links.Remove(uint32(ssdID)) }
 
 // SetControlLink attaches the frontend's channel to the pod-wide allocator,
 // which announces SSD failovers (volume re-binding) over it.
@@ -356,9 +371,6 @@ func (v *Volume) Epoch() uint16 { return v.epoch }
 // Lost reports whether the volume's data is gone (drive failed, no valid
 // backup). All I/O on a lost volume fails with ErrVolumeLost.
 func (v *Volume) Lost() bool { return v.lost }
-
-// Mirrored reports whether the backup drive currently holds a valid copy.
-func (v *Volume) Mirrored() bool { return v.mirror != nil && v.mirrorOK }
 
 // WaitReady blocks until the backend granted the volume (false on timeout
 // or if the volume is lost).
@@ -597,31 +609,6 @@ func (fe *Frontend) RemoveVolume(ip netstack.IP) error {
 		}
 	}
 	return nil
-}
-
-// LoopName implements core.EngineLoop.
-func (fe *Frontend) LoopName() string { return fe.h.Name + "/storage-fe" }
-
-// PollOnce implements core.EngineLoop: one run of the stages.
-func (fe *Frontend) PollOnce(p *sim.Proc) int { return core.RunStages(p, fe.Stages()) }
-
-// Stages implements core.StagedLoop: one pass over retry promotions and the
-// request queue, backend completions, and allocator commands.
-func (fe *Frontend) Stages() []core.Stage {
-	if fe.stages == nil {
-		fe.stages = []core.Stage{
-			core.WorkStage("requests", fe.requestsIdle, fe.forwardRequests),
-			core.PollStage("backend messages", fe.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
-				fe.handleBackendMsg(p, l.Meta.(*sbeLink), sdecode(payload))
-			}),
-			core.ControlStage("allocator commands", &fe.ctrl, burst, fe.handleControlMsg, true),
-			core.WorkStage("flush", fe.links.FlushIdle, func(p *sim.Proc) int {
-				fe.links.FlushAll(p)
-				return 0
-			}),
-		}
-	}
-	return fe.stages
 }
 
 // requestsIdle reports whether nothing is queued or waiting out a backoff (a
@@ -1011,8 +998,7 @@ type Backend struct {
 	loadSnap   int64
 	latSum     sim.Duration // summed service latency of IOs completed this window
 	latOps     int64        // IOs completed this window
-	stages     []core.Stage
-	msgBuf     [63]byte // outgoing-message scratch; the core's process is its one user
+	msgBuf     [63]byte     // outgoing-message scratch; the core's process is its one user
 
 	// Stats.
 	Submitted, Completed int64
@@ -1036,18 +1022,20 @@ func NewBackend(h *host.Host, ssdID uint16, dev *ssd.SSD, capacityBlocks uint64,
 		capacity: capacityBlocks,
 		inflight: make(map[uint16]pendingIO),
 	}
-	be.Seat = core.NewSeat(be, h, pacing)
+	// One iteration: parked completions, frontend messages, device
+	// completions, and the telemetry window.
+	be.Seat = core.NewSeat(fmt.Sprintf("%s/storage-be%d", h.Name, ssdID), []core.Stage{
+		core.WorkStage("parked completions", be.parkedIdle, be.drainParked),
+		core.PollStage("frontend messages", be.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
+			be.handleFrontendMsg(p, l.Meta.(*sfeLink), sdecode(payload), be.msgBuf[:])
+		}),
+		core.WorkStage("completions, telemetry and flush", be.deviceIdle, be.serveDevice),
+	}, h, pacing)
 	return be
 }
 
-// SSDID returns the pod-wide SSD identifier.
-func (be *Backend) SSDID() uint16 { return be.ssdID }
-
 // Host returns the backend's host.
 func (be *Backend) Host() *host.Host { return be.h }
-
-// Device returns the SSD under management.
-func (be *Backend) Device() *ssd.SSD { return be.dev }
 
 // ConnectFrontend wires a frontend's link end.
 func (be *Backend) ConnectFrontend(hostID int, end *core.LinkEnd) {
@@ -1057,27 +1045,6 @@ func (be *Backend) ConnectFrontend(hostID int, end *core.LinkEnd) {
 
 // SetControlLink attaches the backend's channel to the pod-wide allocator.
 func (be *Backend) SetControlLink(end *core.LinkEnd) { be.ctrl = end }
-
-// LoopName implements core.EngineLoop.
-func (be *Backend) LoopName() string { return fmt.Sprintf("%s/storage-be%d", be.h.Name, be.ssdID) }
-
-// PollOnce implements core.EngineLoop: one run of the stages.
-func (be *Backend) PollOnce(p *sim.Proc) int { return core.RunStages(p, be.Stages()) }
-
-// Stages implements core.StagedLoop: one pass over parked completions,
-// frontend messages, device completions, and the telemetry window.
-func (be *Backend) Stages() []core.Stage {
-	if be.stages == nil {
-		be.stages = []core.Stage{
-			core.WorkStage("parked completions", be.parkedIdle, be.drainParked),
-			core.PollStage("frontend messages", be.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
-				be.handleFrontendMsg(p, l.Meta.(*sfeLink), sdecode(payload), be.msgBuf[:])
-			}),
-			core.WorkStage("completions, telemetry and flush", be.deviceIdle, be.serveDevice),
-		}
-	}
-	return be.stages
-}
 
 func (be *Backend) parkedIdle() bool { return be.timersInit && be.links.PendingCount() == 0 }
 

@@ -13,6 +13,29 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# One representation, checked by grep: internal/core is the only loop
+# runner, link builder and backoff in the tree. An engine is a stage list on
+# its seat — PollOnce exists only as the opaque-loop interface and its
+# adapter in core/engine.go — raft's transport builds its channels with
+# core.NewDuplexLink and backs off with core.Backoff, and the experiments
+# build raw channels in one place (rawChannel). A new hand-rolled poll loop,
+# channel builder or capped doubling fails here. (bench/ is frozen and keeps
+# the one opaque loop, its idle probe.)
+echo "== one loop runner, one link builder, one backoff (grep gate) =="
+gate() { # gate <what> <matches>: fail if the grep printed anything
+    if [ -n "$2" ]; then
+        echo "grep gate: $1:" >&2
+        echo "$2" >&2
+        exit 1
+    fi
+}
+src() { grep -rn --include='*.go' "$@" . | grep -v '_test\.go:' | grep -v '^\./bench/' || true; }
+gate "PollOnce outside internal/core/engine.go" "$(src 'PollOnce' | grep -v '^\./internal/core/engine\.go:' || true)"
+gate "StagedLoop, RunStages or PollControl outside tests" "$(src 'StagedLoop\|RunStages\|PollControl(')"
+gate "an unstaged branch in the driver core" "$(grep -n 'len(stages) == 0' internal/core/engine.go || true)"
+gate "a channel built or a backoff rolled by hand in raft's transport" "$(grep -n 'msgchan\.New(\|nextIdle' internal/raft/transport.go || true)"
+gate "more than one raw-channel rig in the experiments" "$(grep -rl 'msgchan\.RegionBytes' internal/experiments | sed 1d)"
+
 echo "== go build ./... =="
 go build ./...
 
@@ -117,8 +140,10 @@ go run ./cmd/oasis-bench -run blackout | grep -q "invariants: OK"
 # Fuzz seed-corpus regression: the stored seeds of every fuzz target
 # (FuzzParsePlan: every fault kind incl. the gray quartet, plus near-miss
 # invalids; FuzzControlCodec: one message per control opcode, the load clamp
-# boundary, all-0xFF, a data-plane opcode; FuzzTimeline: the ring's named
-# edge cases as byte programs) run as ordinary tests — no long fuzzing here.
+# boundary, all-0xFF, a data-plane opcode; FuzzRaftCodec: one frame per RPC
+# type cut at every field boundary, and the command-length edge values;
+# FuzzTimeline: the ring's named edge cases as byte programs) run as ordinary
+# tests — no long fuzzing here.
 # One list, kept in the Makefile (`make fuzz`).
 echo "== fuzz seed corpora (make fuzz) =="
 make fuzz

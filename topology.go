@@ -115,10 +115,21 @@ func (i *Instance) IsPooled() bool { return i.Port != nil }
 // Assign sets the instance's primary and backup NICs directly (bypassing
 // the allocator). backup may be 0. Baseline local instances have no pooled
 // frontend port to assign; that returns a descriptive error instead of the
-// historical nil-pointer panic.
+// historical nil-pointer panic. A NIC the pod does not pool — an unknown id,
+// a removed NIC, a baseline local one — is ErrNoSuchNode, with nothing
+// queued on the frontend.
 func (i *Instance) Assign(primary, backup uint16) error {
 	if i.Port == nil {
 		return fmt.Errorf("oasis: Assign on baseline local instance %v: it has no pooled frontend port (AddLocalInstance attaches to the host's local driver; use AddInstance for the pooled datapath)", i.IPAddr())
+	}
+	ids := []uint16{primary}
+	if backup != 0 {
+		ids = append(ids, backup)
+	}
+	for _, id := range ids {
+		if n := i.topo.NICs[id]; n == nil || n.BE == nil {
+			return fmt.Errorf("oasis: %w: instance %v assigned to %s, which is not a pooled NIC of this pod", ErrNoSuchNode, i.IPAddr(), i.topo.nicName(id))
+		}
 	}
 	i.Port.Assign(primary, backup)
 	return nil
@@ -547,10 +558,14 @@ func (t *Topology) storageFE(on *Host) (*storengine.Frontend, error) {
 // AddVolumeErr provisions a block volume for an instance on a pooled SSD.
 // The instance's host is taken from the instance itself (recorded at
 // AddInstance time), so no pod-wide scan is needed. Volumes may be added
-// after Start: registration rides the normal request path.
+// after Start: registration rides the normal request path. An unknown or
+// removed SSD is ErrNoSuchNode.
 func (t *Topology) AddVolumeErr(inst *Instance, ssdID uint16, blocks uint64) (*storengine.Volume, error) {
 	if inst == nil || inst.host == nil {
 		return nil, fmt.Errorf("oasis: AddVolume: instance has no host (not built by AddInstance/AddLocalInstance)")
+	}
+	if t.SSDs[ssdID] == nil {
+		return nil, fmt.Errorf("oasis: %w: volume for instance %v on %s", ErrNoSuchNode, inst.IPAddr(), t.ssdName(ssdID))
 	}
 	fe, err := t.storageFE(inst.host)
 	if err != nil {

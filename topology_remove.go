@@ -108,8 +108,8 @@ func (t *Topology) RemoveHostErr(ph *Host) error {
 // RemoveNICErr removes a pooled NIC. The NIC must be idle: no instance may
 // hold it as primary, backup, or pending migration target, and the
 // allocator must not have placements on it (ErrNodeInUse otherwise). After
-// Start the device's switch port is disabled and its dedicated backend
-// core (if any) is stalled; links to it go permanently quiet.
+// Start the device's switch port is disabled, its dedicated backend core
+// (if any) is stalled, and every frontend drops its link to it.
 func (t *Topology) RemoveNICErr(id uint16) error {
 	n, ok := t.NICs[id]
 	if !ok {
@@ -137,6 +137,9 @@ func (t *Topology) RemoveNICErr(id uint16) error {
 	if t.Alloc != nil {
 		t.Alloc.RemoveDevice(core.DeviceNIC, id)
 	}
+	for _, ph := range t.Hosts {
+		ph.FE.DisconnectBackend(id)
+	}
 	for i, be := range n.host.BEs {
 		if be == n.BE {
 			n.host.BEs = append(n.host.BEs[:i], n.host.BEs[i+1:]...)
@@ -152,6 +155,8 @@ func (t *Topology) RemoveNICErr(id uint16) error {
 // RemoveSSDErr removes a pooled SSD. The drive must be idle: no volume may
 // be bound to it as primary or mirror on any host, and it must not be the
 // designated backup drive while volumes exist (ErrNodeInUse otherwise).
+// After Start its dedicated backend core (if any) is stalled and every
+// storage frontend drops its link to it.
 func (t *Topology) RemoveSSDErr(id uint16) error {
 	d, ok := t.SSDs[id]
 	if !ok {
@@ -169,6 +174,11 @@ func (t *Topology) RemoveSSDErr(id uint16) error {
 	}
 	if t.Alloc != nil {
 		t.Alloc.RemoveDevice(core.DeviceSSD, id)
+	}
+	for _, ph := range t.Hosts {
+		if ph.SFE != nil {
+			ph.SFE.DisconnectBackend(id)
+		}
 	}
 	delete(t.SSDs, id)
 	t.dropNode(topo.Ref{Pod: topo.Unscoped, Kind: topo.KindSSD, Index: int(id)}.String())

@@ -8,11 +8,11 @@ import (
 )
 
 // engine is all the wiring pass needs of a device engine or the allocator:
-// a named loop (core.EngineLoop) on a core.Seat that can register its
-// instruments. wire puts it on a core with seat (shared host cores) and
-// launch; a new engine type that embeds the seat and has a RegisterObs is
-// wired by adding its node to the walk below, and nothing else names its
-// type.
+// a core.Seat — the loop's name, stage list and place on a driver core —
+// and a way to register its instruments. wire puts it on a core with seat
+// (shared host cores) and launch; a new engine type that embeds the seat and
+// has a RegisterObs is wired by adding its node to the walk below, and
+// nothing else names its type.
 type engine interface {
 	LoopName() string
 	Driver() *core.Driver
