@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench-check bench-history fmt chaos grayfail blackout fuzz
+.PHONY: all build vet test race verify bench-check bench-history fmt chaos grayfail blackout fuzz census
 
 all: verify
 
@@ -20,8 +20,8 @@ test:
 # snapshot from outside the sim loop, and core carries the channel-latency
 # trackers it samples); internal/sim, whose partitioned groups run one
 # goroutine per partition inside conservative windows (its whole suite), with
-# the facade's partitioned-cluster and per-host tests on top (client/guest
-# partitions behind RemotePorts and pool channels); and the experiments
+# the facade's partitioned-cluster and per-host tests on top (client
+# partitions behind RemotePorts); and the experiments
 # harness, whose parallel runner fans whole engines out across workers. For
 # experiments only the parallel-runner tests and — under -short — one chaos
 # campaign with its invariants run: the rest of the suite re-runs every
@@ -71,10 +71,19 @@ blackout:
 
 # Replay the fuzz seed corpora as plain regression tests (no long fuzzing;
 # scripts/verify.sh runs them through this target): the fault-plan grammar,
-# the control codec, the raft RPC codec and the event timeline against its
-# sorted reference. To explore, `go test -fuzz=FuzzParsePlan
-# ./internal/faults`, `go test -fuzz=FuzzControlCodec ./internal/core`, `go
-# test -fuzz=FuzzRaftCodec ./internal/raft` or `go test -fuzz=FuzzTimeline
-# ./internal/sim`.
+# the control codec, the raft RPC codec, the event timeline against its
+# sorted reference, the netstack frame parser and the topology target
+# grammar. To explore, `go test -fuzz=FuzzParsePlan ./internal/faults`, `go
+# test -fuzz=FuzzControlCodec ./internal/core`, `go test -fuzz=FuzzRaftCodec
+# ./internal/raft`, `go test -fuzz=FuzzTimeline ./internal/sim`, `go test
+# -fuzz=FuzzUnmarshal ./internal/netstack` or `go test -fuzz=FuzzTopoParse
+# ./internal/topo`.
 fuzz:
-	$(GO) test -run 'Fuzz' ./internal/faults ./internal/core ./internal/raft ./internal/sim
+	$(GO) test -run 'Fuzz' ./internal/faults ./internal/core ./internal/raft ./internal/sim ./internal/netstack ./internal/topo
+
+# Coverage census, report-only (~2 min): build every command, example and
+# the benchmark with -cover, run them all at small scale, and list the
+# functions no production entry point ever called that scripts/census.allow
+# does not explain. See scripts/census.sh.
+census:
+	sh scripts/census.sh

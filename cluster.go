@@ -125,8 +125,8 @@ func (c *Cluster) AddPodErr(cfg Config) (*Pod, error) {
 	case c.perPod:
 		// Pods share no sim channels (cross-pod interaction is the migration
 		// layer's hop), so no CrossLink registration is needed here; wiring
-		// that ever spans pods must declare one (cxl.Pool.DeclareCrossLink,
-		// netsw.Switch.DeclareCrossUplink, core.NewCrossChannel).
+		// that ever spans pods must declare one (sim.Group.Link, as
+		// netsw.Switch.AttachRemotePort does).
 		eng = c.group.AddPartition()
 	case cfg.PerHostPartitions:
 		return nil, fmt.Errorf("oasis: %w: pod%d asks for Config.PerHostPartitions (use NewPartitionedCluster)", ErrSerialCluster, idx)

@@ -2,6 +2,7 @@ package oasis
 
 import (
 	"fmt"
+	"math"
 
 	"oasis/internal/core"
 	"oasis/internal/cxl"
@@ -229,7 +230,7 @@ func (t *Topology) Injector() *faults.Injector { return t.injector }
 
 // faultRef parses a target through the shared topo grammar and checks its
 // pod scope against this topology: unscoped targets address the local pod,
-// scoped ones must name it exactly.
+// scoped ones must name it exactly. A device index has to fit the id type.
 func (t *Topology) faultRef(target string, want topo.Kind) (topo.Ref, error) {
 	r, err := topo.Parse(target)
 	if err != nil {
@@ -240,6 +241,11 @@ func (t *Topology) faultRef(target string, want topo.Kind) (topo.Ref, error) {
 	}
 	if r.Kind != want {
 		return topo.Ref{}, fmt.Errorf("oasis: target %q is a %s, want a %s", target, r.Kind, want)
+	}
+	if (want == topo.KindNIC || want == topo.KindSSD) && r.Index > math.MaxUint16 {
+		// Device ids are uint16: a larger index names no device now or later,
+		// and must not reach resolve's map lookup truncated.
+		return topo.Ref{}, fmt.Errorf("oasis: no such %s %q", want, target)
 	}
 	return r, nil
 }

@@ -111,6 +111,10 @@ func TestRunFaultPlanChecksTargets(t *testing.T) {
 		{Kind: faults.SSDFail, Target: "nic1"},
 		{Kind: faults.HostCrash, Target: "pod3/host0"},
 		{Kind: faults.NICLinkDown, Target: "what"},
+		// A device id is 16 bits: these do not name nic1 / ssd1 modulo 65 536.
+		{Kind: faults.NICLinkDown, Target: "nic65537"},
+		{Kind: faults.SSDFail, Target: "ssd65537"},
+		{Kind: faults.NICLinkDown, Target: "nic4294967297"},
 	} {
 		ev.At, ev.Heal = time.Millisecond, time.Millisecond
 		// The bad event rides behind a good one: nothing of the plan may run.
@@ -123,6 +127,9 @@ func TestRunFaultPlanChecksTargets(t *testing.T) {
 	in := pod.Injector()
 	if len(in.Log()) != 0 {
 		t.Fatalf("a refused plan ran:\n%s", strings.Join(in.Log(), "\n"))
+	}
+	if !pod.NICs[1].Dev.LinkUp() {
+		t.Fatal("a plan aimed at a nic that cannot exist took nic1's link down")
 	}
 	if err := pod.RunFaultPlan(faults.Plan{Name: "late", Events: []faults.Event{
 		{At: 7 * time.Millisecond, Kind: faults.SSDSlow, Target: "ssd1", Heal: time.Millisecond, LatMult: 2},

@@ -702,10 +702,12 @@ const (
 	snoopDropCost      = 30 * time.Nanosecond
 )
 
-// InvalidateAll drops every line (test/reset helper); dirty lines write back.
+// InvalidateAll drops every line (test/reset helper); dirty lines write back,
+// least recently used first — each write-back reserves the port, so the order
+// is the LRU list's, not the map's.
 func (c *Cache) InvalidateAll() {
-	for _, ln := range c.lines {
-		c.dropLine(ln, "reset")
+	for c.lruTail != nil {
+		c.dropLine(c.lruTail, "reset")
 	}
 }
 

@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -354,6 +355,36 @@ func TestInvalidateAll(t *testing.T) {
 		r.pool.Peek(64, got)
 		if got[0] != 2 {
 			t.Error("InvalidateAll must write back dirty lines")
+		}
+	})
+}
+
+// InvalidateAll's write-backs each reserve the port, so their order is
+// simulation-visible: it is the LRU list's (least recently used first), not
+// the line map's.
+func TestInvalidateAllWritesBackInLRUOrder(t *testing.T) {
+	r := newRig()
+	const n = 8
+	r.run(t, func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			r.a.Write(p, int64(i)*cxl.LineSize, []byte{byte(i + 1)}, "m")
+		}
+		r.a.Read(p, 2*cxl.LineSize, make([]byte, 1), "m") // line 2 becomes the most recent
+		r.a.InvalidateAll()
+		var landed []int
+		seen := make([]bool, n)
+		for step := 0; step < 5000 && len(landed) < n; step++ {
+			p.Sleep(time.Nanosecond)
+			for i := 0; i < n; i++ {
+				got := make([]byte, 1)
+				if r.pool.Peek(int64(i)*cxl.LineSize, got); got[0] != 0 && !seen[i] {
+					seen[i] = true
+					landed = append(landed, i)
+				}
+			}
+		}
+		if want := []int{0, 1, 3, 4, 5, 6, 7, 2}; !slices.Equal(landed, want) {
+			t.Errorf("write-backs landed in order %v, want the LRU order %v", landed, want)
 		}
 	})
 }

@@ -148,7 +148,7 @@ func IsControlOp(op byte) bool { return op >= CtlLinkDown && op <= CtlAssign }
 // is worth a retry is the caller's policy (backend telemetry and link
 // reports are best effort — the next window repeats them — while the
 // allocator re-queues its commands).
-func SendControl(p *sim.Proc, end ChanEnd, m ControlMsg) bool {
+func SendControl(p *sim.Proc, end *LinkEnd, m ControlMsg) bool {
 	var buf [15]byte
 	if !end.Send(p, EncodeControl(buf[:], m)) {
 		return false

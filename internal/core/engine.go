@@ -150,8 +150,8 @@ func (d *Driver) run(p *sim.Proc) {
 
 // Step implements sim.Stepper: it advances the cursor through everything
 // that needs no process and returns the next sleep. That is the stall check,
-// every work stage whose idle predicate holds, every empty poll of a
-// *LinkEnd (the receiver's own Step, leg by leg), the iteration's accounting
+// every work stage whose idle predicate holds, every empty poll of a link
+// end (the receiver's own Step, leg by leg), the iteration's accounting
 // and its LoopCost + backoff sleep — after which the next iteration begins
 // in the same chain. The sequence of effects and sleeps is exactly the one
 //
@@ -165,7 +165,7 @@ func (d *Driver) run(p *sim.Proc) {
 // would make, so no event's (time, sequence) depends on how much of it ran
 // here. It returns more == false where only block can go on: a stalled core,
 // a work stage that is not idle, a poll that found a message or met one of
-// the receiver's blocking escapes, an end that is not a *LinkEnd.
+// the receiver's blocking escapes.
 func (d *Driver) Step() (sim.Duration, bool) {
 	for {
 		if !d.inIter {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"oasis/internal/metrics"
 	"oasis/internal/sim"
 )
 
@@ -32,30 +31,13 @@ func (s *LinkStats) add(o LinkStats) {
 	}
 }
 
-// ChanEnd is one driver's end of a duplex message channel: what LinkSet
-// needs from an endpoint. *LinkEnd (a CXL message-channel ring pair) is the
-// canonical implementation; *CrossEnd carries the same traffic across a
-// partition boundary in a partitioned simulation (see cross.go).
-type ChanEnd interface {
-	// Send transmits one message, returning false if the channel is full.
-	Send(p *sim.Proc, payload []byte) bool
-	// Poll drains one inbound message if available.
-	Poll(p *sim.Proc) ([]byte, bool)
-	// Flush pushes any partially-batched sender state.
-	Flush(p *sim.Proc)
-	// Unflushed reports whether Flush would do anything.
-	Unflushed() bool
-	// InLatency returns the inbound delivery-latency histogram, or nil.
-	InLatency() *metrics.Histogram
-}
-
 // Link is one registered peer in a LinkSet: the duplex channel end plus the
 // bounded pending queue for messages that hit a full ring. Meta carries
 // engine-specific peer state (a NIC's MAC, a host id) without the engine
 // keeping its own table.
 type Link struct {
 	Peer uint32 // host or device id, per the owning engine's keying
-	End  ChanEnd
+	End  *LinkEnd
 	Meta any
 
 	pending [][]byte
@@ -131,7 +113,7 @@ func NewLinkSet(pendingLimit int) *LinkSet {
 }
 
 // Add registers a peer's link end. Duplicate peers are a wiring bug.
-func (s *LinkSet) Add(peer uint32, end ChanEnd) *Link {
+func (s *LinkSet) Add(peer uint32, end *LinkEnd) *Link {
 	if _, dup := s.byPeer[peer]; dup {
 		panic(fmt.Sprintf("core: duplicate link for peer %d", peer))
 	}

@@ -75,7 +75,7 @@ func refPollEach(s *LinkSet, p *sim.Proc, burst int, handle func(p *sim.Proc, l 
 	return progress
 }
 
-func refPollControl(p *sim.Proc, end ChanEnd, burst int, handle func(p *sim.Proc, m ControlMsg)) int {
+func refPollControl(p *sim.Proc, end *LinkEnd, burst int, handle func(p *sim.Proc, m ControlMsg)) int {
 	n := 0
 	for i := 0; i < burst; i++ {
 		payload, ok := end.Poll(p)
@@ -112,7 +112,7 @@ func runStages(p *sim.Proc, stages []Stage) int {
 // pollControl is a ControlStage's pass as a call, the way the engines used
 // to poll their control end: up to burst control messages from end into
 // handle, a payload that is not a control op dropped uncounted.
-func pollControl(p *sim.Proc, end ChanEnd, burst int, handle func(p *sim.Proc, m ControlMsg)) int {
+func pollControl(p *sim.Proc, end *LinkEnd, burst int, handle func(p *sim.Proc, m ControlMsg)) int {
 	c := &pollPass{ctl: handle}
 	c.begin([]*Link{{End: end}}, burst)
 	return c.run(p)
@@ -136,13 +136,12 @@ type oracleRig struct {
 	refLoops []func(p *sim.Proc) int // the reference core's loop list
 	targets  []oracleTarget          // what the traffic process sends on; grows as links are added
 	ends     []*LinkEnd              // every end ever made, for the final dump
-	crosses  []*CrossEnd
-	evRng    *rand.Rand // drawn from in event context only
+	evRng    *rand.Rand              // drawn from in event context only
 }
 
 // oracleTarget is a peer-side end and whether it is a control link.
 type oracleTarget struct {
-	end ChanEnd
+	end *LinkEnd
 	ctl bool
 }
 
@@ -445,16 +444,12 @@ func (r *oracleRig) dump() string {
 		fmt.Fprintf(&b, "end %d: rx %d/%d/%d tx %d/%d/%d/%d/%d lat %d\n", i, e.In.Received, e.In.EmptyPolls, e.In.CounterUpdates,
 			e.Out.Sent, e.Out.FullStalls, e.Out.CounterReads, e.Out.LinesWritten, e.Out.PartialFlushes, e.InLatency().Count())
 	}
-	for i, c := range r.crosses {
-		fmt.Fprintf(&b, "cross %d: pending %d lat %d\n", i, c.Pending(), c.InLatency().Count())
-	}
 	return b.String()
 }
 
 // runDriverProgram runs one seeded program — on a bare engine, or as two
-// rigs on the two partitions of a group with a cross-partition channel in
-// each core's first link set — in slices, so that deadlines fall inside
-// chains, and ends it with a Shutdown that does too.
+// rigs on the two partitions of a group — in slices, so that deadlines fall
+// inside chains, and ends it with a Shutdown that does too.
 func runDriverProgram(seed int64, partitioned, ref bool) string {
 	const horizon = 300 * time.Microsecond
 	var g *sim.Group
@@ -467,14 +462,6 @@ func runDriverProgram(seed int64, partitioned, ref bool) string {
 		rigs = []*oracleRig{
 			newOracleRig(e0, "p0", seed, horizon, ref),
 			newOracleRig(e1, "p1", seed+100, horizon, ref),
-		}
-		x0, x1 := NewCrossChannel(g, e0, e1, 700*time.Nanosecond)
-		for i, x := range []*CrossEnd{x0, x1} {
-			// Polled by this partition's core, sent on by its traffic process:
-			// an end that is not a *LinkEnd, so its polls fall to the process.
-			rigs[i].loops[0].links.Add(1000, x)
-			rigs[i].targets = append(rigs[i].targets, oracleTarget{x, false})
-			rigs[i].crosses = append(rigs[i].crosses, x)
 		}
 	}
 	for _, r := range rigs {

@@ -85,9 +85,8 @@ func (st *Stage) progress() int {
 // pollPass is one pass over a list of links, up to burst messages from each:
 // the position that LinkSet.PollEach and a driver's poll stage both advance.
 // It is a sim.Stepper over the part of a pass that needs no process —
-// consecutive empty polls of *LinkEnd ends, chained into one sleep — and
-// block is the rest: a message to deliver, one of the receiver's two blocking
-// escapes, an end of another type.
+// consecutive empty polls, chained into one sleep — and block is the rest: a
+// message to deliver, one of the receiver's two blocking escapes.
 type pollPass struct {
 	each func(p *sim.Proc, l *Link, payload []byte) // a message from a link, or
 	ctl  func(p *sim.Proc, m ControlMsg)            // a control message, decoded
@@ -114,12 +113,8 @@ func (c *pollPass) over() bool { return c.i >= len(c.links) }
 func (c *pollPass) Step() (sim.Duration, bool) {
 	for !c.over() {
 		if c.end == nil {
-			end, ok := c.links[c.i].End.(*LinkEnd)
-			if !ok {
-				return 0, false
-			}
-			c.end = end
-			end.In.Begin()
+			c.end = c.links[c.i].End
+			c.end.In.Begin()
 		}
 		if d, more := c.end.In.Step(); more {
 			return d, true
@@ -136,23 +131,15 @@ func (c *pollPass) Step() (sim.Duration, bool) {
 // block does from process p what Step stopped at (the pass is not over), and
 // leaves the position where Step carries on.
 func (c *pollPass) block(p *sim.Proc) {
-	l := c.links[c.i]
-	var payload []byte
-	var fresh bool
-	if c.end != nil {
-		var done bool
-		if payload, fresh, done = c.end.In.Finish(p); !done {
-			return // the escape is behind us; the same poll goes on
-		}
-		if fresh {
-			c.end.inLat.observe(p.Now())
-		}
-		c.end = nil
-	} else {
-		payload, fresh = l.End.Poll(p)
+	end := c.end
+	payload, fresh, done := end.In.Finish(p)
+	if !done {
+		return // the escape is behind us; the same poll goes on
 	}
+	c.end = nil
 	if fresh {
-		c.deliver(p, l, payload)
+		end.inLat.observe(p.Now())
+		c.deliver(p, c.links[c.i], payload)
 		if c.n++; c.n < c.burst {
 			return
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -12,7 +13,12 @@ import (
 func reportDigest(r *Report) string {
 	var b strings.Builder
 	b.WriteString(r.String())
-	for _, k := range sortedKeys(r.Values) {
+	keys := make([]string, 0, len(r.Values))
+	for k := range r.Values {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
 		fmt.Fprintf(&b, "%s=%v\n", k, r.Values[k])
 	}
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))

@@ -12,7 +12,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -99,16 +98,6 @@ func IDs() []string {
 	for _, e := range Registry() {
 		out = append(out, e.ID)
 	}
-	return out
-}
-
-// sortedKeys is a small report helper.
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 

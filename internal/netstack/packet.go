@@ -221,8 +221,8 @@ func Unmarshal(b []byte) (*Packet, error) {
 		pk.SrcIP = IP(binary.BigEndian.Uint32(rest[12:16]))
 		pk.DstIP = IP(binary.BigEndian.Uint32(rest[16:20]))
 		totalLen := int(binary.BigEndian.Uint16(rest[2:4]))
-		if totalLen > len(rest) {
-			return nil, fmt.Errorf("netstack: IPv4 total length %d exceeds frame", totalLen)
+		if totalLen < IPv4HeaderLen || totalLen > len(rest) {
+			return nil, fmt.Errorf("netstack: IPv4 total length %d outside [%d, %d], the header and the frame", totalLen, IPv4HeaderLen, len(rest))
 		}
 		tp := rest[IPv4HeaderLen:totalLen]
 		switch pk.Proto {

@@ -2,18 +2,6 @@ package netsw
 
 import "oasis/internal/sim"
 
-// DeclareCrossUplink registers a cross-partition event channel from the
-// switch's partition toward peer, declaring the switch's intrinsic minimum
-// frame latency as lookahead: every forwarded frame pays at least the
-// store-and-forward processing delay plus one hop of cable propagation
-// before it can reach a port on another partition, so that sum is a sound
-// conservative window for partitioned execution. Wiring code calls this
-// when an uplink it builds spans partitions; the returned link carries the
-// frames.
-func (s *Switch) DeclareCrossUplink(g *sim.Group, peer *sim.Engine) *sim.CrossLink {
-	return g.Link(s.eng, peer, s.params.ProcessingDelay+s.params.PropagationDelay)
-}
-
 // RemotePort is a switch port whose device lives on another simulation
 // partition: the cable is modeled as the ordinary port cable plus an
 // extension of `extra` each way (one more switch hop of distance, by

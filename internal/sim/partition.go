@@ -11,12 +11,12 @@
 // front:
 //
 //   - CrossLink{MinLatency}: a registered cross-partition event channel
-//     (core.LinkSet, cxl, and netsw declare one when a channel spans
-//     partitions). Sends are timestamp-fenced (at >= sender now + min) and
-//     land in the destination's bounded inbox; a barrier between windows
-//     merges inboxes in (timestamp, source partition, source sequence)
-//     order, so delivery — and with it every simulation result — is
-//     byte-identical regardless of GOMAXPROCS or worker interleaving.
+//     (netsw declares one per direction of a remote port). Sends are
+//     timestamp-fenced (at >= sender now + min) and land in the
+//     destination's bounded inbox; a barrier between windows merges inboxes
+//     in (timestamp, source partition, source sequence) order, so delivery —
+//     and with it every simulation result — is byte-identical regardless of
+//     GOMAXPROCS or worker interleaving.
 //
 //   - Mobile processes: a process registered with GoMobile may Hop between
 //     partitions, modeling a control-plane RPC with the group's mobile
@@ -37,11 +37,10 @@
 // EIT(i)−1. Partitions coupled only through slow paths — or not coupled
 // at all — advance in wide windows while tight CXL neighbors stay in
 // lockstep, and each partition commits its own clock at its own pace (the
-// group time is the minimum commit). When a partition has received no
-// cross traffic for several consecutive barriers, the fixpoint swaps its
-// sources' conservative "could act at their committed time" vector for
-// the exact event-horizon vector, extending the window toward the next
-// event that actually exists; the first delivery drops it back.
+// group time is the minimum commit). A partition's "earliest action" in
+// that system is its earliest pending event, not its committed time — it
+// provably cannot act before it — so windows reach toward the next event
+// that actually exists.
 //
 // Windows execute on persistent per-partition workers: one long-lived
 // goroutine per partition parked on a wake channel, with an atomic
@@ -57,9 +56,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -84,13 +84,6 @@ const minCrossLatency Duration = 100
 // Overflow panics: a partition flooding another faster than the barrier
 // drains is a model bug (unbounded hidden queueing), not backpressure.
 const DefaultInboxBound = 1 << 14
-
-// quietWindows is the adaptive-window hysteresis: after this many
-// consecutive barriers with zero deliveries to a partition, its window
-// bound switches from the conservative committed-time vector to the exact
-// event-horizon vector. Any delivery resets the counter, so a partition
-// under cross traffic always runs conservative windows.
-const quietWindows = 4
 
 // extEvent is a cross-partition event awaiting barrier delivery: a
 // callback or timer sent through a CrossLink, or a mobile process transfer
@@ -145,17 +138,31 @@ type Group struct {
 	sense   uint32
 
 	// Barrier scratch, reused across windows (see windows / deliver).
-	wend       []Duration
-	busy       []bool
-	quiet      []int // consecutive barriers with zero deliveries, per partition
-	ndeliv     []int
-	actC, actH []Duration
-	eotC, eitC []Duration
-	eotH, eitH []Duration
-	extFree    [][]extEvent // recycled extEvent slices (deliver swaps them in)
+	wend          []Duration
+	busy          []bool
+	act, eot, eit []Duration
+	extFree       [][]extEvent // recycled extEvent slices (deliver swaps them in)
 
 	running bool
+	ctr     GroupCounters
 }
+
+// GroupCounters are exact costs of the barrier loop, the partitioned
+// counterpart of an engine's Counters: they depend only on the simulation —
+// not on the machine, GOMAXPROCS or worker interleaving — and are plain
+// fields, not obs instruments. A one-partition group runs no barrier loop and
+// reads all zeros.
+type GroupCounters struct {
+	Barriers       uint64 // rounds that dispatched windows and waited for them
+	Windows        uint64 // partition windows dispatched to a worker (busy)
+	IdleCommits    uint64 // windows with nothing to execute: the clock just moved
+	CrossEvents    uint64 // CrossLink events merged into a destination's timeline
+	Transfers      uint64 // mobile-process hops re-homed
+	FixpointPasses uint64 // sweeps over the lookahead matrix by eitFixpoint
+}
+
+// Counters returns the group's barrier-loop counters since it was created.
+func (g *Group) Counters() GroupCounters { return g.ctr }
 
 // NewGroup returns an empty group with no partitions.
 func NewGroup() *Group {
@@ -205,14 +212,6 @@ func (g *Group) Procs() int {
 	return n
 }
 
-// SetInboxBound overrides the per-partition cross-event inbox cap.
-func (g *Group) SetInboxBound(n int) {
-	if n < 1 {
-		n = 1
-	}
-	g.inboxCap = n
-}
-
 // SetMobileLatency declares the virtual latency of a mobile-process Hop —
 // the control-plane RPC cost of moving execution between partitions. It is
 // a lookahead source, so it must be at least the 100 ns physical floor.
@@ -229,8 +228,8 @@ func (g *Group) MobileLatency() Duration { return g.mobileLat }
 // CrossLink is a declared cross-partition event channel. Every event sent
 // through it must carry a timestamp at least MinLatency after the sender's
 // clock — the conservative lookahead that lets the destination run a
-// window of MinLatency in parallel. core.LinkSet, cxl, and netsw declare
-// one whenever a channel they wire spans partitions.
+// window of MinLatency in parallel. netsw declares one per direction of a
+// remote port.
 type CrossLink struct {
 	g        *Group
 	src, dst *Engine
@@ -413,16 +412,9 @@ func (g *Group) putExt(evs []extEvent) {
 // heaps: first process transfers, then each partition's inbox, each sorted
 // by the canonical (timestamp, source partition, source sequence) key so
 // local sequence numbers — and with them all tie-breaks — are assigned
-// identically on every run. It also counts deliveries per destination for
-// the adaptive-window hysteresis. The drained slices are recycled; senders
-// get a pooled replacement. Runs only between windows, on the coordinator.
+// identically on every run. The drained slices are recycled; senders get a
+// pooled replacement. Runs only between windows, on the coordinator.
 func (g *Group) deliver() {
-	if len(g.ndeliv) != len(g.parts) {
-		g.growScratch()
-	}
-	for i := range g.ndeliv {
-		g.ndeliv[i] = 0
-	}
 	repl := g.getExt()
 	g.mu.Lock()
 	tr := g.transfers
@@ -435,8 +427,8 @@ func (g *Group) deliver() {
 		t.dst.nprocs++
 		t.proc.eng = t.dst
 		t.dst.schedule(t.at, nil, nil, t.proc)
-		g.ndeliv[t.dst.pid]++
 	}
+	g.ctr.Transfers += uint64(len(tr))
 	g.putExt(tr)
 	for _, e := range g.parts {
 		repl := g.getExt()
@@ -449,15 +441,8 @@ func (g *Group) deliver() {
 			g.fence(ev.at, ev.srcPid, e)
 			e.schedule(ev.at, ev.fn, ev.tm, nil)
 		}
-		g.ndeliv[e.pid] += len(evs)
+		g.ctr.CrossEvents += uint64(len(evs))
 		g.putExt(evs)
-	}
-	for i := range g.parts {
-		if g.ndeliv[i] == 0 {
-			g.quiet[i]++
-		} else {
-			g.quiet[i] = 0
-		}
 	}
 }
 
@@ -485,71 +470,27 @@ func (g *Group) drained() bool {
 	return true
 }
 
-func extLess(a, b *extEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.srcPid != b.srcPid {
-		return a.srcPid < b.srcPid
-	}
-	return a.srcSeq < b.srcSeq
-}
-
-// sortExt orders by the canonical merge key. Typical barrier batches are a
-// handful of events, where insertion sort beats sort.Slice and — unlike it —
-// allocates nothing (the closure and reflect header escape); large batches
-// fall back.
+// sortExt orders by the canonical merge key (timestamp, source partition,
+// source sequence); the key is unique, so stability does not matter.
 func sortExt(evs []extEvent) {
-	if len(evs) <= 32 {
-		for i := 1; i < len(evs); i++ {
-			ev := evs[i]
-			j := i - 1
-			for j >= 0 && extLess(&ev, &evs[j]) {
-				evs[j+1] = evs[j]
-				j--
-			}
-			evs[j+1] = ev
-		}
-		return
-	}
-	sort.Slice(evs, func(i, j int) bool { return extLess(&evs[i], &evs[j]) })
+	slices.SortFunc(evs, func(a, b extEvent) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.srcPid, b.srcPid), cmp.Compare(a.srcSeq, b.srcSeq))
+	})
 }
 
-// growScratch sizes the per-barrier scratch vectors to the partition count,
-// preserving the adaptive counters for existing partitions.
+// growScratch sizes the per-barrier scratch vectors to the partition count.
 func (g *Group) growScratch() {
 	n := len(g.parts)
-	grow := func(s []Duration) []Duration {
-		if cap(s) >= n {
-			return s[:n]
-		}
-		return make([]Duration, n)
-	}
-	g.wend = grow(g.wend)
-	g.actC = grow(g.actC)
-	g.actH = grow(g.actH)
-	g.eotC = grow(g.eotC)
-	g.eitC = grow(g.eitC)
-	g.eotH = grow(g.eotH)
-	g.eitH = grow(g.eitH)
-	for len(g.quiet) < n {
-		g.quiet = append(g.quiet, 0)
-	}
-	g.quiet = g.quiet[:n]
-	if cap(g.ndeliv) >= n {
-		g.ndeliv = g.ndeliv[:n]
-	} else {
-		g.ndeliv = make([]int, n)
-	}
-	if cap(g.busy) >= n {
-		g.busy = g.busy[:n]
-	} else {
-		g.busy = make([]bool, n)
-	}
+	g.wend = make([]Duration, n)
+	g.act = make([]Duration, n)
+	g.eot = make([]Duration, n)
+	g.eit = make([]Duration, n)
+	g.busy = make([]bool, n)
 }
 
 // eitFixpoint solves the conservative EOT/EIT system over the lookahead
-// matrix for one "earliest action" vector act:
+// matrix for the "earliest action" vector g.act (see windows), into g.eot
+// and g.eit:
 //
 //	eot[j] = min(act[j], max(eit[j], commit[j]+1))
 //	eit[j] = min over incoming edges (eot[src] + L[src][j]), and the
@@ -561,7 +502,8 @@ func (g *Group) growScratch() {
 // partition woken next barrier and then emitting — is bounded transitively.
 // Values only decrease and each pass propagates bounds one more hop, so it
 // converges within len(parts) passes.
-func (g *Group) eitFixpoint(act, eot, eit []Duration, mob Duration) {
+func (g *Group) eitFixpoint(mob Duration) {
+	act, eot, eit := g.act, g.eot, g.eit
 	n := len(g.parts)
 	for j := 0; j < n; j++ {
 		eot[j] = act[j]
@@ -569,6 +511,7 @@ func (g *Group) eitFixpoint(act, eot, eit []Duration, mob Duration) {
 	}
 	for changed := true; changed; {
 		changed = false
+		g.ctr.FixpointPasses++
 		for dst := 0; dst < n; dst++ {
 			m := mob
 			for src := 0; src < n; src++ {
@@ -600,28 +543,23 @@ func (g *Group) eitFixpoint(act, eot, eit []Duration, mob Duration) {
 }
 
 // windows computes each partition's next conservative window end into
-// g.wend. Two action vectors feed the fixpoint: the conservative one (a
-// partition with pending events could act from its committed time) and the
-// horizon one (it provably cannot act before its earliest pending event).
-// A destination that has seen cross traffic recently is bounded by the
-// conservative solution; after quietWindows delivery-free barriers it
-// switches to the horizon solution, extending its window toward the next
-// event that actually exists. Both solutions derive purely from virtual
-// state, so window shapes — and with them all merge orders — are identical
-// at any GOMAXPROCS. Window ends are inclusive (RunUntil executes events at
-// the boundary), so bounds subtract one tick to keep arrivals strictly
-// outside the window.
+// g.wend. The action vector fed to the fixpoint is the event horizon: a
+// partition provably cannot act before its earliest pending event (nothing
+// local can run sooner, and anything arriving sooner is what eit bounds), and
+// a drained one cannot act at all until something reaches it. It derives
+// purely from virtual state, so window shapes — and with them all merge
+// orders — are identical at any GOMAXPROCS. Window ends are inclusive
+// (RunUntil executes events at the boundary), so bounds subtract one tick to
+// keep arrivals strictly outside the window.
 func (g *Group) windows(deadline Duration) {
 	if len(g.wend) != len(g.parts) {
 		g.growScratch()
 	}
 	for i, e := range g.parts {
-		h, pending := e.nextAt()
-		if !pending {
-			g.actC[i], g.actH[i] = MaxTime, MaxTime
-			continue
+		g.act[i] = MaxTime
+		if h, pending := e.nextAt(); pending {
+			g.act[i] = h
 		}
-		g.actC[i], g.actH[i] = e.now, h
 	}
 	mob := MaxTime
 	g.mu.Lock()
@@ -641,15 +579,10 @@ func (g *Group) windows(deadline Duration) {
 		}
 	}
 	g.mu.Unlock()
-	g.eitFixpoint(g.actC, g.eotC, g.eitC, mob)
-	g.eitFixpoint(g.actH, g.eotH, g.eitH, mob)
+	g.eitFixpoint(mob)
 	for i, e := range g.parts {
-		eit := g.eitC[i]
-		if g.quiet[i] >= quietWindows {
-			eit = g.eitH[i]
-		}
 		w := deadline
-		if eit != MaxTime && eit-1 < w {
+		if eit := g.eit[i]; eit != MaxTime && eit-1 < w {
 			w = eit - 1
 		}
 		if w < e.now {
@@ -747,6 +680,7 @@ func (g *Group) RunUntil(deadline Duration) Duration {
 				if wend != MaxTime {
 					e.now = wend
 					progress = true
+					g.ctr.IdleCommits++
 				}
 				continue
 			}
@@ -761,6 +695,8 @@ func (g *Group) RunUntil(deadline Duration) Duration {
 		if nbusy == 0 {
 			continue
 		}
+		g.ctr.Barriers++
+		g.ctr.Windows += uint64(nbusy)
 		s := g.sense
 		g.pending.Store(int32(nbusy))
 		for i, e := range g.parts {

@@ -331,7 +331,7 @@ func TestCrossLinkLatencyFloor(t *testing.T) {
 // rather than hide unbounded queueing.
 func TestCrossLinkInboxBound(t *testing.T) {
 	g := NewGroup()
-	g.SetInboxBound(8)
+	g.inboxCap = 8
 	a, b := g.AddPartition(), g.AddPartition()
 	link := g.Link(a, b, 1*time.Microsecond)
 	mustPanic(t, "inbox overflow", func() {
@@ -407,7 +407,7 @@ func (c *countTimer) Fire() { c.n++ }
 
 // The barrier loop is the partitioned mode's hot path: once warm, a steady
 // cross-traffic workload must run whole windows — deliver (pooled slices,
-// insertion-sorted merges), the pairwise-window fixpoint, worker wakeups,
+// sorted merges), the pairwise-window fixpoint, worker wakeups,
 // and the sense-reversing completion barrier — without allocating.
 func TestGroupBarrierAllocFree(t *testing.T) {
 	g := NewGroup()
@@ -445,7 +445,7 @@ func TestGroupBarrierAllocFree(t *testing.T) {
 // must name both the flooded and the flooding partition.
 func TestInboxOverflowSendTimer(t *testing.T) {
 	g := NewGroup()
-	g.SetInboxBound(4)
+	g.inboxCap = 4
 	a, b := g.AddPartition(), g.AddPartition()
 	link := g.Link(a, b, 1*time.Microsecond)
 	tm := &countTimer{}
@@ -483,35 +483,5 @@ func TestWindowCollapsePanics(t *testing.T) {
 	a.After(5*time.Microsecond, func() {}) // pending work that can never run
 	mustPanic(t, "window collapsed", func() { g.RunUntil(10 * time.Microsecond) })
 	delete(g.mobile, forged)
-	g.Shutdown()
-}
-
-// Adaptive window sizing: a partition that receives no cross traffic for
-// quietWindows consecutive barriers switches to horizon-bound windows, and
-// the first delivery drops it straight back to conservative ones.
-func TestAdaptiveQuietCounter(t *testing.T) {
-	g := NewGroup()
-	a, b := g.AddPartition(), g.AddPartition()
-	link := g.Link(a, b, time.Microsecond)
-	g.Link(b, a, time.Microsecond) // bound a's windows so many barriers run
-	busy := func(e *Engine) {
-		e.Go("local", func(p *Proc) {
-			for i := 0; i < 50; i++ {
-				p.Sleep(500 * time.Nanosecond)
-			}
-		})
-	}
-	busy(a)
-	busy(b)
-	g.RunUntil(100 * time.Microsecond)
-	if g.quiet[b.pid] < quietWindows {
-		t.Fatalf("partition %d saw no deliveries but quiet counter is %d, want >= %d",
-			b.pid, g.quiet[b.pid], quietWindows)
-	}
-	link.Send(a.Now()+2*time.Microsecond, func() {})
-	g.deliver()
-	if g.quiet[b.pid] != 0 {
-		t.Fatalf("delivery did not reset the quiet counter (got %d)", g.quiet[b.pid])
-	}
 	g.Shutdown()
 }

@@ -119,15 +119,14 @@ type Config struct {
 	// 64 B message channels across the first N pod hosts (§3.5). 0 disables
 	// replication; otherwise it must be an odd count ≥ 3 and ≤ len(hosts).
 	RaftReplicas int
-	// PerHostPartitions gives every AddClient — and every AddGuest, which
-	// requires it — a simulation partition of its own, so load generation and
-	// guest compute advance in parallel with the pod core under the group's
-	// conservative windows. A client then attaches through a switch
-	// RemotePort (one extra cable hop each way, the declared lookahead), a
-	// guest through a channel at the pool's cross-host latency: a different
-	// modeled topology, so the timeline differs from the same pod without
-	// the field — and is itself byte-identical across reruns and GOMAXPROCS
-	// settings. In a cluster it needs NewPartitionedCluster.
+	// PerHostPartitions gives every AddClient a simulation partition of its
+	// own, so load generation advances in parallel with the pod core under
+	// the group's conservative windows. A client then attaches through a
+	// switch RemotePort (one extra cable hop each way, the declared
+	// lookahead): a different modeled topology, so the timeline differs from
+	// the same pod without the field — and is itself byte-identical across
+	// reruns and GOMAXPROCS settings. In a cluster it needs
+	// NewPartitionedCluster.
 	PerHostPartitions bool
 }
 

@@ -3,11 +3,11 @@ package oasis
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
 	"oasis/internal/metrics"
+	"oasis/internal/sim"
 )
 
 func perHostConfig() Config {
@@ -31,10 +31,11 @@ func buildPerHostEchoPod() *echoPod {
 }
 
 // perHostEchoRun drives one fixed-length per-host echo run and returns its
-// observable timeline: every RTT plus the final clock. Per-host runs are
+// observable timeline — every RTT plus the final clock — and the barrier
+// loop's exact counts. Per-host runs are
 // fixed-length with an external Shutdown — a mid-window Shutdown from
 // inside a partition is not a single global instant.
-func perHostEchoRun(t *testing.T) (rtts []time.Duration, end Duration) {
+func perHostEchoRun(t *testing.T) (rtts []time.Duration, end Duration, ctr sim.GroupCounters) {
 	e := buildPerHostEchoPod()
 	e.inst.RequestAllocation()
 	e.startEchoServer(t)
@@ -62,8 +63,9 @@ func perHostEchoRun(t *testing.T) (rtts []time.Duration, end Duration) {
 		}
 	})
 	end = e.pod.Run(50 * time.Millisecond)
+	ctr = e.pod.group.Counters()
 	e.pod.Shutdown()
-	return rtts, end
+	return rtts, end, ctr
 }
 
 // TestPerHostPodUDPEcho runs the evaluation echo flow with the client on
@@ -72,7 +74,7 @@ func perHostEchoRun(t *testing.T) (rtts []time.Duration, end Duration) {
 // single-engine pod (the remote attachment adds ~1.4 µs of cable both
 // ways).
 func TestPerHostPodUDPEcho(t *testing.T) {
-	rtts, _ := perHostEchoRun(t)
+	rtts, _, _ := perHostEchoRun(t)
 	if len(rtts) != 20 {
 		t.Fatalf("completed %d echoes, want 20", len(rtts))
 	}
@@ -89,7 +91,7 @@ func TestPerHostPodUDPEcho(t *testing.T) {
 // verify.sh re-runs this at GOMAXPROCS=1, 2, and 8.
 func TestPerHostPodDeterministic(t *testing.T) {
 	trace := func() string {
-		rtts, end := perHostEchoRun(t)
+		rtts, end, _ := perHostEchoRun(t)
 		return fmt.Sprintf("%v@%v", rtts, end)
 	}
 	a, b := trace(), trace()
@@ -98,9 +100,26 @@ func TestPerHostPodDeterministic(t *testing.T) {
 	}
 }
 
+// TestPerHostPodExactCounts pins what the barrier loop did for that run: the
+// counts derive from virtual state alone, so they repeat on any machine at
+// any GOMAXPROCS, and a change to the window math shows up here as a number
+// rather than as seconds.
+func TestPerHostPodExactCounts(t *testing.T) {
+	_, _, got := perHostEchoRun(t)
+	want := sim.GroupCounters{Barriers: 35477, Windows: 35547, IdleCommits: 35407, CrossEvents: 42, FixpointPasses: 106359}
+	if got != want {
+		t.Fatalf("per-host echo pod's barrier loop:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestPerHostPodShape checks the partition layout: pod core + one
-// partition per client.
+// partition per client, and without the field one partition for everything.
 func TestPerHostPodShape(t *testing.T) {
+	serial := NewPod(DefaultConfig())
+	serial.AddHost()
+	if c := serial.AddClient(IP(10, 0, 99, 1)); c.Remote() || serial.group.Partitions() != 1 {
+		t.Fatal("a serial pod's client must share the pod's only partition")
+	}
 	pod := NewPod(perHostConfig())
 	pod.AddHost()
 	if got := pod.group.Partitions(); got != 1 {
@@ -113,65 +132,5 @@ func TestPerHostPodShape(t *testing.T) {
 	}
 	if got := pod.group.Partitions(); got != 3 {
 		t.Fatalf("pod + 2 clients should be 3 partitions, got %d", got)
-	}
-}
-
-// TestPerHostGuestChannel exercises a guest-compute partition: a guest
-// process ping-pongs RPCs with a pod-side responder over the CXL-pool
-// channel, whose latency is the pool's intrinsic cross-host minimum.
-func TestPerHostGuestChannel(t *testing.T) {
-	pod := NewPod(perHostConfig())
-	h := pod.AddHost()
-	g := pod.AddGuest(h)
-	if got := pod.group.Partitions(); got != 2 {
-		t.Fatalf("pod + guest should be 2 partitions, got %d", got)
-	}
-	if lat := g.Chan.Latency(); lat != pod.Pool.CrossLatency() {
-		t.Fatalf("guest channel latency = %v, want pool cross latency %v", lat, pod.Pool.CrossLatency())
-	}
-	pod.Start()
-	pod.Go("responder", func(p *Proc) {
-		for {
-			if msg, ok := g.PodChan.Poll(p); ok {
-				g.PodChan.Send(p, msg)
-			} else {
-				p.Sleep(5 * time.Microsecond)
-			}
-		}
-	})
-	roundTrips := 0
-	g.Go("guest", func(p *Proc) {
-		deadline := 5 * Duration(time.Millisecond)
-		for p.Now() < deadline {
-			g.Chan.Send(p, []byte("ping"))
-			for {
-				if _, ok := g.Chan.Poll(p); ok {
-					roundTrips++
-					break
-				}
-				if p.Now() >= deadline {
-					return
-				}
-				p.Sleep(5 * time.Microsecond)
-			}
-		}
-	})
-	pod.Run(10 * time.Millisecond)
-	pod.Shutdown()
-	if roundTrips < 10 {
-		t.Fatalf("guest completed %d round trips, want >= 10", roundTrips)
-	}
-}
-
-// TestAddGuestNeedsPerHostPod: a guest is a partition by definition, so a
-// pod that keeps everything on one refuses it and names the field to set.
-func TestAddGuestNeedsPerHostPod(t *testing.T) {
-	pod := NewPod(DefaultConfig())
-	h := pod.AddHost()
-	if _, err := pod.AddGuestErr(h); err == nil || !strings.Contains(err.Error(), "Config.PerHostPartitions") {
-		t.Fatalf("AddGuestErr on a serial pod: err %v, want one naming Config.PerHostPartitions", err)
-	}
-	if c := pod.AddClient(IP(10, 0, 99, 1)); c.Remote() || pod.group.Partitions() != 1 {
-		t.Fatal("a serial pod's client must share the pod's only partition")
 	}
 }

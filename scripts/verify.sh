@@ -36,6 +36,17 @@ gate "an unstaged branch in the driver core" "$(grep -n 'len(stages) == 0' inter
 gate "a channel built or a backoff rolled by hand in raft's transport" "$(grep -n 'msgchan\.New(\|nextIdle' internal/raft/transport.go || true)"
 gate "more than one raw-channel rig in the experiments" "$(grep -rl 'msgchan\.RegionBytes' internal/experiments | sed 1d)"
 
+# One window bound, one kind of link end (PR 24): the adaptive-horizon
+# hysteresis, the interface a LinkSet's ends hid behind, its cross-partition
+# implementation and the guest partitions are gone, comments included —
+# partitioned execution is sim.Group + netsw.RemotePort and nothing else.
+echo "== one window bound, one kind of link end (grep gate) =="
+gate "a deleted partitioned-execution name" "$(grep -rn --include='*.go' 'ChanEnd\|CrossEnd\|NewCrossChannel\|AddGuest\|DeclareCross\|quietWindows\|SetInboxBound' . || true)"
+gate "internal/core/cross.go or internal/cxl/cross.go" "$(ls internal/core/cross.go internal/cxl/cross.go 2>/dev/null || true)"
+gate "more than one eitFixpoint call" "$(grep -c 'eitFixpoint(' internal/sim/partition.go | grep -vx 2 || true)"
+gate "a type assertion on a link end" "$(grep -n '\.(\*LinkEnd)' internal/core/*.go | grep -v '_test\.go:' || true)"
+gate "a second sort in the barrier merge" "$(grep -n 'sort\.Slice\|extLess' internal/sim/partition.go || true)"
+
 echo "== go build ./... =="
 go build ./...
 
@@ -142,10 +153,17 @@ go run ./cmd/oasis-bench -run blackout | grep -q "invariants: OK"
 # invalids; FuzzControlCodec: one message per control opcode, the load clamp
 # boundary, all-0xFF, a data-plane opcode; FuzzRaftCodec: one frame per RPC
 # type cut at every field boundary, and the command-length edge values;
-# FuzzTimeline: the ring's named edge cases as byte programs) run as ordinary
-# tests — no long fuzzing here.
+# FuzzTimeline: the ring's named edge cases as byte programs; FuzzUnmarshal:
+# an ARP, a UDP and a TCP frame cut at every field boundary and with lying
+# IPv4 total lengths; FuzzTopoParse: every node form and its near-misses) run
+# as ordinary tests — no long fuzzing here.
 # One list, kept in the Makefile (`make fuzz`).
 echo "== fuzz seed corpora (make fuzz) =="
 make fuzz
+
+# Coverage census, report-only: how many functions no production entry point
+# calls that scripts/census.allow does not explain (`make census` lists them).
+echo "== coverage census (make census, report-only) =="
+sh scripts/census.sh | tail -n 1
 
 echo "verify: OK"

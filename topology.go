@@ -245,10 +245,8 @@ type Topology struct {
 	// pool, switch, devices, instances) runs on Eng; serial execution is the
 	// case where nothing ever asks the group for a second partition, and a
 	// one-partition group is its engine (see internal/sim). With
-	// Config.PerHostPartitions AddClient and AddGuest each ask for one.
+	// Config.PerHostPartitions every AddClient asks for one.
 	group *sim.Group
-	// guests are the per-host compute partitions added with AddGuest.
-	guests []*Guest
 
 	// nodes is the graph's id set — one canonical topo-grammar key per
 	// node — used to reject double-adds of the same id.
@@ -639,46 +637,6 @@ func (t *Topology) AddClientErr(ip netstack.IP) (*Client, error) {
 // AddClient is the legacy panic-on-error wrapper around AddClientErr.
 func (t *Topology) AddClient(ip netstack.IP) *Client { return must(t.AddClientErr(ip)) }
 
-// Guest is a per-host compute partition (Config.PerHostPartitions): application
-// code that runs on a pod host's spare cores but is coupled to the pod
-// only through channels over the CXL pool, so it can execute on a
-// simulation partition of its own. The pool's intrinsic minimum cross-host
-// event latency (cxl.Pool.CrossLatency — the cheaper of a line load and a
-// posted write) is the declared lookahead in both directions.
-type Guest struct {
-	Eng *sim.Engine
-	// Chan is the guest side of the duplex message channel to the pod
-	// partition; PodChan is the pod side. Poll each end only from its own
-	// partition's processes.
-	Chan    *core.CrossEnd
-	PodChan *core.CrossEnd
-	host    *Host
-}
-
-// Host returns the pod host whose spare cores the guest models.
-func (g *Guest) Host() *Host { return g.host }
-
-// Go spawns an application process on the guest's partition.
-func (g *Guest) Go(name string, fn func(p *Proc)) { g.Eng.Go(name, fn) }
-
-// AddGuestErr adds a guest-compute partition on host h. Only a pod built
-// with Config.PerHostPartitions can host guests: a guest is a partition by
-// definition. The returned guest's channel ends carry its RPCs to the pod at
-// CXL-pool latency.
-func (t *Topology) AddGuestErr(h *Host) (*Guest, error) {
-	if !t.cfg.PerHostPartitions {
-		return nil, fmt.Errorf("oasis: AddGuest on %s needs a pod built with Config.PerHostPartitions", h.H.Name)
-	}
-	ge := t.group.AddPartition()
-	gEnd, pEnd := core.NewCrossChannel(t.group, ge, t.Eng, t.Pool.CrossLatency())
-	g := &Guest{Eng: ge, Chan: gEnd, PodChan: pEnd, host: h}
-	t.guests = append(t.guests, g)
-	return g, nil
-}
-
-// AddGuest is the panic-on-error wrapper around AddGuestErr.
-func (t *Topology) AddGuest(h *Host) *Guest { return must(t.AddGuestErr(h)) }
-
 // sortedIDs returns a device map's ids in ascending order, so pod wiring
 // and reports never depend on map iteration order (determinism).
 func sortedIDs[V any](m map[uint16]V) []uint16 {
@@ -723,7 +681,7 @@ func (t *Topology) Start() {
 }
 
 // Go spawns an application process on the pod partition. Per-host client
-// workloads spawn with Client.Go, guest workloads with Guest.Go.
+// workloads spawn with Client.Go.
 func (t *Topology) Go(name string, fn func(p *Proc)) { t.Eng.Go(name, fn) }
 
 // Run executes d of virtual time on every partition of the pod's group and
