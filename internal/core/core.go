@@ -111,8 +111,10 @@ func InvalidateRange(p *sim.Proc, c *cache.Cache, addr int64, n int, category st
 // the Fig. 6 metric: virtual time from a successful TrySend (which includes
 // any line-batching delay downstream) to the receiver's Poll that drains the
 // message. Rings are FIFO and lossless once a send is accepted, so the
-// sender's stamp queue pairs stamps with deliveries in order; its length is
-// bounded by the ring's in-flight capacity. All samples land in Hist.
+// sender's stamp queue pairs stamps with deliveries in order. The queue drops
+// its consumed prefix once that passes half its length, so it holds at most
+// twice the messages in flight, even under a standing queue that never
+// drains. All samples land in Hist.
 type ChanLatency struct {
 	stamps []sim.Duration
 	head   int
@@ -132,8 +134,8 @@ func (cl *ChanLatency) observe(at sim.Duration) {
 	}
 	sent := cl.stamps[cl.head]
 	cl.head++
-	if cl.head == len(cl.stamps) {
-		cl.stamps = cl.stamps[:0]
+	if 2*cl.head > len(cl.stamps) {
+		cl.stamps = cl.stamps[:copy(cl.stamps, cl.stamps[cl.head:])]
 		cl.head = 0
 	}
 	cl.Hist.Record(at - sent)

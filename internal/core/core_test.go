@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -160,5 +161,50 @@ func TestDuplexLinkRequiresPodHosts(t *testing.T) {
 	client := host.New(eng, 1, "client", nil, host.DefaultConfig())
 	if _, _, err := NewDuplexLink(pool, hA, client, msgchan.DefaultConfig()); err == nil {
 		t.Fatal("link to a non-pod host accepted")
+	}
+}
+
+// An idle link's host memory. Building a default-config duplex link — two
+// 8 192-slot channels, their senders and receivers, two latency trackers —
+// allocates neither a ring-sized copy nor histogram counters until a message
+// needs them. Sized up front, the two came to 394 379 B per link.
+func TestIdleLinkBytes(t *testing.T) {
+	eng, pool := testPool()
+	hA := host.New(eng, 0, "A", pool, host.DefaultConfig())
+	hB := host.New(eng, 1, "B", pool, host.DefaultConfig())
+	const links, limit = 16, 4 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < links; i++ {
+		if _, _, err := NewDuplexLink(pool, hA, hB, msgchan.DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / links
+	t.Logf("idle duplex link: %d B allocated (limit %d B)", per, limit)
+	if per > limit {
+		t.Errorf("an idle duplex link allocates %d B, want at most %d", per, limit)
+	}
+}
+
+// Under a standing queue the stamp queue never drains; it must still stay
+// within twice the messages in flight, and pair every delivery with its own
+// send.
+func TestChanLatencyStandingQueue(t *testing.T) {
+	var cl ChanLatency
+	const inFlight, lag = 100, 7 * time.Microsecond
+	for i := 0; i < inFlight; i++ {
+		cl.stamp(sim.Duration(i))
+	}
+	for i := inFlight; i < 100_000; i++ {
+		cl.stamp(sim.Duration(i))
+		cl.observe(sim.Duration(i-inFlight) + lag)
+		if len(cl.stamps) > 2*(inFlight+1) {
+			t.Fatalf("after %d messages the stamp queue holds %d stamps for %d in flight", i, len(cl.stamps), inFlight)
+		}
+	}
+	if h := &cl.Hist; h.Count() != 100_000-inFlight || h.Min() != lag || h.Max() != lag {
+		t.Fatalf("recorded n=%d min=%v max=%v, want every latency %v", h.Count(), h.Min(), h.Max(), lag)
 	}
 }

@@ -12,9 +12,11 @@
 // each host's CPU cache, and packages msgchan/core implement the paper's
 // software coherence protocols on top.
 //
-// Backing memory is sparse (4 KiB pages allocated on first touch) so that
-// simulations can declare paper-sized regions (4 GB TX areas) without
-// committing host RAM.
+// Backing memory is sparse so that simulations can declare paper-sized
+// regions (4 GB TX areas) without committing host RAM: a two-level page
+// table whose 4 KiB pages, and the directories of 512 pages above them, are
+// allocated on the first write into them. Reading memory nothing has
+// written yields zeros and allocates nothing.
 package cxl
 
 import (
@@ -30,7 +32,14 @@ import (
 // LineSize is the coherence/transfer granularity in bytes.
 const LineSize = 64
 
-const pageSize = 4096
+const (
+	pageSize = 4096
+	dirPages = 512 // pages per page directory: 2 MiB of pool each
+)
+
+// pageDir is one directory of the pool's page table; a nil page was never
+// written.
+type pageDir [dirPages]*[pageSize]byte
 
 // Params configures the pool's timing model.
 type Params struct {
@@ -67,7 +76,7 @@ type Pool struct {
 	eng     *sim.Engine
 	params  Params
 	size    int64
-	pages   [][]byte // sparse backing store, indexed by addr/pageSize
+	dirs    []*pageDir // sparse backing store, indexed by addr/(dirPages*pageSize)
 	ports   []*Port
 	alloc   *memalloc.Allocator
 	classes []classSpan // sorted latency-class overrides
@@ -142,7 +151,7 @@ func NewPool(eng *sim.Engine, size int64, params Params) *Pool {
 		eng:    eng,
 		params: params,
 		size:   size,
-		pages:  make([][]byte, (size+pageSize-1)/pageSize),
+		dirs:   make([]*pageDir, (size+dirPages*pageSize-1)/(dirPages*pageSize)),
 		alloc:  memalloc.New(size, LineSize),
 	}
 }
@@ -214,15 +223,28 @@ func (p *Pool) Free(r Region) {
 // FreeBytes returns the number of unallocated bytes.
 func (p *Pool) FreeBytes() int64 { return p.alloc.FreeBytes() }
 
-// page returns the backing page for addr, allocating it on first touch.
-func (p *Pool) page(addr int64) []byte {
-	i := addr / pageSize
-	pg := p.pages[i]
-	if pg == nil {
-		pg = make([]byte, pageSize)
-		p.pages[i] = pg
+// page returns the backing page for addr, or nil if nothing was ever
+// written there.
+func (p *Pool) page(addr int64) *[pageSize]byte {
+	d := p.dirs[addr/(dirPages*pageSize)]
+	if d == nil {
+		return nil
 	}
-	return pg
+	return d[addr/pageSize%dirPages]
+}
+
+// writablePage returns the backing page for addr, allocating it — and its
+// directory — on the first write.
+func (p *Pool) writablePage(addr int64) *[pageSize]byte {
+	di, pi := addr/(dirPages*pageSize), addr/pageSize%dirPages
+	if p.dirs[di] == nil {
+		p.dirs[di] = new(pageDir)
+	}
+	d := p.dirs[di]
+	if d[pi] == nil {
+		d[pi] = new([pageSize]byte)
+	}
+	return d[pi]
 }
 
 // checkRange panics on out-of-pool accesses — these are simulation bugs.
@@ -233,13 +255,18 @@ func (p *Pool) checkRange(addr int64, n int) {
 }
 
 // peek copies pool contents into buf with no timing or metering; used by the
-// cache model at fill completion and by tests.
+// cache model at fill completion and by tests. A page nothing has written
+// reads as zeros without being allocated.
 func (p *Pool) peek(addr int64, buf []byte) {
 	p.checkRange(addr, len(buf))
 	for len(buf) > 0 {
-		pg := p.page(addr)
 		off := addr & (pageSize - 1)
-		n := copy(buf, pg[off:])
+		n := min(len(buf), pageSize-int(off))
+		if pg := p.page(addr); pg != nil {
+			copy(buf[:n], pg[off:])
+		} else {
+			clear(buf[:n])
+		}
 		buf = buf[n:]
 		addr += int64(n)
 	}
@@ -249,7 +276,7 @@ func (p *Pool) peek(addr int64, buf []byte) {
 func (p *Pool) poke(addr int64, buf []byte) {
 	p.checkRange(addr, len(buf))
 	for len(buf) > 0 {
-		pg := p.page(addr)
+		pg := p.writablePage(addr)
 		off := addr & (pageSize - 1)
 		n := copy(pg[off:], buf)
 		buf = buf[n:]
@@ -257,7 +284,9 @@ func (p *Pool) poke(addr int64, buf []byte) {
 	}
 }
 
-// Peek is the test/debug accessor for raw pool contents.
+// Peek copies raw pool contents into buf, with no timing or metering: the
+// test/debug accessor. Memory never written reads as zeros, and reading it
+// allocates nothing.
 func (p *Pool) Peek(addr int64, buf []byte) { p.peek(addr, buf) }
 
 // Poke is the test/debug mutator for raw pool contents.
@@ -424,7 +453,8 @@ func (pt *Port) FetchLine(addr int64, category string) sim.Duration {
 }
 
 // CollectLine snapshots the line's pool contents into buf. Callers must only
-// invoke it at or after the arrival time returned by FetchLine.
+// invoke it at or after the arrival time returned by FetchLine. A line
+// nothing has written collects as zeros and allocates nothing.
 func (pt *Port) CollectLine(addr int64, buf []byte) {
 	if len(buf) != LineSize {
 		panic("cxl: CollectLine requires a full line buffer")

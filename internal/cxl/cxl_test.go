@@ -49,6 +49,119 @@ func TestPeekUntouchedIsZero(t *testing.T) {
 	}
 }
 
+// pattern fills n bytes that differ from zero and from their neighbours.
+func pattern(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*7) + seed | 1
+	}
+	return b
+}
+
+// Accesses that straddle a page boundary and a page-directory boundary,
+// into memory that was never written on one side, read back exactly what
+// was written and zeros everywhere else.
+func TestPokePeekAcrossDirectories(t *testing.T) {
+	const dirSpan = dirPages * pageSize
+	p := newTestPool(4 * dirSpan)
+	cases := []struct {
+		name string
+		addr int64
+		n    int
+	}{
+		{"page", pageSize - 3, 10},
+		{"directory", dirSpan - 5, 12},
+		{"directory+pages", 2*dirSpan - pageSize - 1, 3*pageSize + 2},
+	}
+	for i, c := range cases {
+		data := pattern(c.n, byte(i))
+		p.Poke(c.addr, data)
+		// Read a margin on both sides: the neighbours were never written.
+		got := make([]byte, c.n+2*LineSize)
+		for j := range got {
+			got[j] = 0xEE
+		}
+		p.Peek(c.addr-LineSize, got)
+		want := append(append(make([]byte, LineSize), data...), make([]byte, LineSize)...)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: [%d, %d) read back wrong", c.name, c.addr, c.addr+int64(c.n))
+		}
+	}
+	// A read that starts in a written directory and runs into one nothing
+	// ever touched.
+	got := pattern(2*pageSize, 9)
+	p.Peek(3*dirSpan-pageSize, got)
+	if !bytes.Equal(got, make([]byte, len(got))) {
+		t.Error("untouched directories must read zero")
+	}
+}
+
+// A pool whose size is no multiple of the directory (or page) span: the
+// last, partial directory and page are usable up to the last byte and no
+// further.
+func TestPoolSizeNotDirectoryMultiple(t *testing.T) {
+	const size = dirPages*pageSize + 3*pageSize + LineSize
+	p := newTestPool(size)
+	tail := pattern(2*LineSize, 3)
+	p.Poke(size-int64(len(tail)), tail)
+	got := make([]byte, len(tail)+pageSize)
+	p.Peek(size-int64(len(got)), got)
+	if !bytes.Equal(got[pageSize:], tail) || !bytes.Equal(got[:pageSize], make([]byte, pageSize)) {
+		t.Fatal("the pool's last bytes read back wrong")
+	}
+	for _, access := range []func(){
+		func() { p.Peek(size-1, make([]byte, 2)) },
+		func() { p.Poke(size, []byte{1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic past the end of the pool")
+				}
+			}()
+			access()
+		}()
+	}
+}
+
+// Reading memory nothing has written — the empty poll of a fresh ring —
+// clears the buffer and allocates nothing, whichever page it lands on.
+func TestPeekUnwrittenAllocatesNothing(t *testing.T) {
+	eng := sim.New()
+	pool := NewPool(eng, 1<<30, DefaultParams())
+	port := pool.AttachPort("h0")
+	pool.Poke(pageSize, []byte{1}) // one written page among unwritten ones
+	// Every read lands on pages no earlier read touched.
+	addr := int64(2 * pageSize)
+	next := func() int64 {
+		addr += 37 * pageSize
+		return addr
+	}
+	line, span := make([]byte, LineSize), make([]byte, pageSize+LineSize)
+	for _, c := range []struct {
+		name string
+		buf  []byte
+		read func()
+	}{
+		{"Peek", line[:40], func() { pool.Peek(next(), line[:40]) }},
+		{"Peek across a page", span, func() { pool.Peek(next()+pageSize-LineSize, span) }},
+		{"CollectLine", line, func() { port.CollectLine(next(), line) }},
+	} {
+		c.buf[0], c.buf[len(c.buf)-1] = 0xFF, 0xFF
+		if allocs := testing.AllocsPerRun(200, c.read); allocs != 0 {
+			t.Errorf("%s of unwritten memory: %v allocations per read, want 0", c.name, allocs)
+		}
+		if c.buf[0] != 0 || c.buf[len(c.buf)-1] != 0 {
+			t.Errorf("%s of unwritten memory left bytes in the buffer, want zeros", c.name)
+		}
+	}
+	got := []byte{0xFF}
+	pool.Peek(pageSize, got)
+	if got[0] != 1 {
+		t.Fatal("the written page lost its byte")
+	}
+}
+
 func TestOutOfRangePanics(t *testing.T) {
 	p := newTestPool(4096)
 	defer func() {

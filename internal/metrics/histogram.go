@@ -18,10 +18,12 @@ import (
 // power-of-two magnitude with a fixed number of linear sub-buckets per
 // magnitude, giving a worst-case relative error of 1/subBuckets.
 //
-// The zero value is ready to use and records values from 1 ns to ~146 h with
-// <0.8 % relative error.
+// The zero value is ready to use and records any non-negative int64
+// nanosecond value (up to ~292 years) with <0.8 % relative error. Counters
+// are allocated up to the highest bucket recorded — none while empty, at
+// most 3 712 (29 KiB) — so an idle channel's histogram costs nothing.
 type Histogram struct {
-	counts [nMagnitudes * subBuckets]int64
+	counts []int64 // grown to the highest bucket recorded; missing buckets are 0
 	total  int64
 	sum    int64 // nanoseconds, for Mean
 	min    int64
@@ -31,7 +33,6 @@ type Histogram struct {
 const (
 	subBucketBits = 7 // 128 sub-buckets per power of two: <=0.79% error
 	subBuckets    = 1 << subBucketBits
-	nMagnitudes   = 64 - subBucketBits // enough for any int64 value
 )
 
 // bucketIndex maps a non-negative nanosecond value to its bucket.
@@ -52,8 +53,8 @@ func bucketIndex(v int64) int {
 	return sub
 }
 
-// bucketLow returns the lowest value that maps to bucket i; bucket midpoints
-// are used when reporting percentiles.
+// bucketValue returns the midpoint of bucket i, the value percentiles
+// report.
 func bucketValue(i int) int64 {
 	if i < subBuckets {
 		return int64(i)
@@ -63,7 +64,7 @@ func bucketValue(i int) int64 {
 	sub := i%(subBuckets/2) + subBuckets/2
 	lo := int64(sub) << uint(mag)
 	hi := lo + (int64(1)<<uint(mag) - 1)
-	return (lo + hi) / 2
+	return lo + (hi-lo)/2 // (lo+hi)/2 overflows in the top magnitude
 }
 
 // Record adds one sample.
@@ -74,7 +75,7 @@ func (h *Histogram) Record(d time.Duration) {
 	}
 	idx := bucketIndex(v)
 	if idx >= len(h.counts) {
-		idx = len(h.counts) - 1
+		h.grow(idx + 1)
 	}
 	h.counts[idx]++
 	h.total++
@@ -85,6 +86,11 @@ func (h *Histogram) Record(d time.Duration) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// grow extends counts to n zeroed buckets.
+func (h *Histogram) grow(n int) {
+	h.counts = append(h.counts, make([]int64, n-len(h.counts))...)
 }
 
 // Count returns the number of recorded samples.
@@ -155,6 +161,9 @@ func (h *Histogram) Reset() { *h = Histogram{} }
 func (h *Histogram) Merge(other *Histogram) {
 	if other.total == 0 {
 		return
+	}
+	if len(other.counts) > len(h.counts) {
+		h.grow(len(other.counts))
 	}
 	for i, c := range other.counts {
 		h.counts[i] += c

@@ -206,6 +206,13 @@ func (ch *Channel) slotEpoch(idx int64) byte {
 // Flush when the send rate is low (§3.2.2). Stores are modelled at
 // store-buffer cost: the read-for-ownership of a line the sender itself
 // wrote one wrap ago is hidden on real cores and carries no information.
+//
+// The shadow is a table of shadowChunk-byte chunks, each allocated zeroed on
+// the first store into it, so a channel that never carries a message costs
+// no ring-sized copy. It stays a full copy of the ring, never a one-line
+// buffer refilled from the pool: the previous wrap's posted write of a line
+// may still be in flight, and a partial flush over a stale refill would
+// publish wrap w−2's bytes, whose epoch bit matches the current wrap's.
 type Sender struct {
 	ch    *Channel
 	port  *cxl.Port
@@ -215,7 +222,7 @@ type Sender struct {
 	cachedConsumed int64 // sender's view of the receiver's counter
 	flushedThrough int64 // messages pushed to the pool (CLWBed)
 
-	shadow []byte // private copy of ring contents
+	shadow []*[shadowChunk]byte // private copy of ring contents; see shadowAt
 
 	// Stepped-sleep position (see Step): what the leg in progress pays for.
 	pc             senderPC
@@ -230,15 +237,32 @@ type Sender struct {
 	PartialFlushes int64
 }
 
+// shadowChunk is the sender shadow's allocation unit. It holds whole lines,
+// so a slot or a line never spans two chunks.
+const shadowChunk = 4096
+
 // NewSender returns the sending endpoint. costs supplies the CPU-side
 // instruction costs (use cache.DefaultParams()).
 func NewSender(ch *Channel, port *cxl.Port, costs cache.Params) *Sender {
+	ring := ch.cfg.Slots * ch.cfg.MsgSize
 	return &Sender{
 		ch:     ch,
 		port:   port,
 		costs:  costs,
-		shadow: make([]byte, ch.cfg.Slots*ch.cfg.MsgSize),
+		shadow: make([]*[shadowChunk]byte, (ring+shadowChunk-1)/shadowChunk),
 	}
+}
+
+// shadowAt returns the n shadow bytes at ring offset off, which lie in one
+// chunk; the chunk is allocated zeroed on first use.
+func (s *Sender) shadowAt(off, n int) []byte {
+	c := s.shadow[off/shadowChunk]
+	if c == nil {
+		c = new([shadowChunk]byte)
+		s.shadow[off/shadowChunk] = c
+	}
+	off %= shadowChunk
+	return c[off : off+n]
 }
 
 // Free returns how many slots the sender believes are available. It does not
@@ -281,7 +305,7 @@ func (s *Sender) Step() (sim.Duration, bool) {
 		idx := s.wbLine * int64(s.ch.slotsPerLine) // first slot of the line
 		addr := cxl.LineAddr(s.ch.slotAddr(idx))
 		off := int(idx%int64(s.ch.cfg.Slots)) * s.ch.cfg.MsgSize
-		s.port.WriteLine(addr, s.shadow[off:off+cxl.LineSize], s.ch.cfg.Category)
+		s.port.WriteLine(addr, s.shadowAt(off, cxl.LineSize), s.ch.cfg.Category)
 		s.LinesWritten++
 		if s.wbLine < s.wbLast {
 			s.wbLine++
@@ -307,7 +331,7 @@ func (s *Sender) TrySend(p *sim.Proc, payload []byte) bool {
 	}
 	// Store the message into the shadow ring.
 	off := int(s.head%int64(s.ch.cfg.Slots)) * s.ch.cfg.MsgSize
-	slot := s.shadow[off : off+s.ch.cfg.MsgSize]
+	slot := s.shadowAt(off, s.ch.cfg.MsgSize)
 	for i := range slot {
 		slot[i] = 0
 	}

@@ -3,6 +3,7 @@ package msgchan
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -95,28 +96,40 @@ func refRefreshConsumed(s *Sender, p *sim.Proc) {
 	s.CounterReads++
 }
 
-func refWritebackThrough(s *Sender, p *sim.Proc, through int64) {
+// refSender drives a Sender through the reference calls. It stores
+// messages into a flat copy of the whole ring of its own, so the sender's
+// chunked shadow is checked against the plain array it stands for.
+type refSender struct {
+	*Sender
+	ring []byte
+}
+
+func newRefSender(s *Sender) *refSender {
+	return &refSender{Sender: s, ring: make([]byte, s.ch.cfg.Slots*s.ch.cfg.MsgSize)}
+}
+
+func refWritebackThrough(s *refSender, p *sim.Proc, through int64) {
 	spl := int64(s.ch.slotsPerLine)
 	for l := s.flushedThrough / spl; l <= (through-1)/spl; l++ {
 		idx := l * spl
 		off := int(idx%int64(s.ch.cfg.Slots)) * s.ch.cfg.MsgSize
 		p.Sleep(s.costs.WritebackIssue)
-		s.port.WriteLine(cxl.LineAddr(s.ch.slotAddr(idx)), s.shadow[off:off+cxl.LineSize], s.ch.cfg.Category)
+		s.port.WriteLine(cxl.LineAddr(s.ch.slotAddr(idx)), s.ring[off:off+cxl.LineSize], s.ch.cfg.Category)
 		s.LinesWritten++
 	}
 	s.flushedThrough = through
 }
 
-func refTrySend(s *Sender, p *sim.Proc, payload []byte) bool {
+func refTrySend(s *refSender, p *sim.Proc, payload []byte) bool {
 	if int(s.head-s.cachedConsumed) >= s.ch.cfg.Slots {
-		refRefreshConsumed(s, p)
+		refRefreshConsumed(s.Sender, p)
 		if int(s.head-s.cachedConsumed) >= s.ch.cfg.Slots {
 			s.FullStalls++
 			return false
 		}
 	}
 	off := int(s.head%int64(s.ch.cfg.Slots)) * s.ch.cfg.MsgSize
-	slot := s.shadow[off : off+s.ch.cfg.MsgSize]
+	slot := s.ring[off : off+s.ch.cfg.MsgSize]
 	for i := range slot {
 		slot[i] = 0
 	}
@@ -131,7 +144,7 @@ func refTrySend(s *Sender, p *sim.Proc, payload []byte) bool {
 	return true
 }
 
-func refFlush(s *Sender, p *sim.Proc) {
+func refFlush(s *refSender, p *sim.Proc) {
 	if s.flushedThrough < s.head {
 		s.PartialFlushes++
 		refWritebackThrough(s, p, s.head)
@@ -142,10 +155,12 @@ func refFlush(s *Sender, p *sim.Proc) {
 // sender, a polling receiver, and a disturber that keeps knocking the
 // receiver's lines out from under it — through the endpoints' own methods or
 // through the reference calls, and returns everything observable: each
-// poll's time and result, each send's time, and the final counters.
-func runChannelProgram(t *testing.T, design Design, seed int64, reference bool) string {
+// poll's time and result, each send's time, the final counters, and the
+// channel region's pool bytes: hashed at every burst end, whole at the end.
+func runChannelProgram(t *testing.T, row channelRow, design Design, seed int64, reference bool) string {
 	t.Helper()
-	cfg := Config{Slots: 64, MsgSize: 16, PrefetchDepth: 4, CounterBatch: 8, Design: design, Category: "message"}
+	cfg := row.cfg
+	cfg.Design = design
 	eng := sim.New()
 	pp := cxl.DefaultParams()
 	pp.HWCoherent = design == DesignHWCoherent
@@ -160,18 +175,35 @@ func runChannelProgram(t *testing.T, design Design, seed int64, reference bool) 
 	}
 	rxCache := cache.New(eng, pool.AttachPort("receiver"), cache.DefaultParams())
 	tx := NewSender(ch, pool.AttachPort("sender"), cache.DefaultParams())
+	ref := newRefSender(tx)
 	rx := NewReceiver(ch, rxCache)
 
 	var log strings.Builder
-	const total = 600
+	total := row.total
+	// The channel region's bytes as the receiver would find them now: the
+	// receiver usually lags a whole line behind the sender, so a stale slot
+	// published by a partial flush must show here, not only in the poll log.
+	mem := make([]byte, region.Size)
+	logPool := func(at sim.Duration) {
+		pool.Peek(region.Base, mem)
+		h := fnv.New64a()
+		h.Write(mem)
+		fmt.Fprintf(&log, "%d pool %x\n", at, h.Sum64())
+	}
 	eng.Go("tx", func(p *sim.Proc) {
 		rng := rand.New(rand.NewSource(seed))
-		payload := make([]byte, 8)
+		buf := make([]byte, ch.PayloadSize())
 		for i := 0; i < total; {
+			// 8 to PayloadSize bytes: a short message must leave the rest
+			// of a slot that held a longer one zeroed.
+			payload := buf[:8+i%(len(buf)-7)]
 			binary.LittleEndian.PutUint64(payload, uint64(i))
+			for k := 8; k < len(payload); k++ {
+				payload[k] = byte(i + k)
+			}
 			ok := false
 			if reference {
-				ok = refTrySend(tx, p, payload)
+				ok = refTrySend(ref, p, payload)
 			} else {
 				ok = tx.TrySend(p, payload)
 			}
@@ -183,15 +215,16 @@ func runChannelProgram(t *testing.T, design Design, seed int64, reference bool) 
 			i++
 			if rng.Intn(6) == 0 { // end of a burst
 				if reference {
-					refFlush(tx, p)
+					refFlush(ref, p)
 				} else {
 					tx.Flush(p)
 				}
 				p.Sleep(sim.Duration(rng.Intn(1500)) * time.Nanosecond)
+				logPool(p.Now())
 			}
 		}
 		if reference {
-			refFlush(tx, p)
+			refFlush(ref, p)
 		} else {
 			tx.Flush(p)
 		}
@@ -249,29 +282,56 @@ func runChannelProgram(t *testing.T, design Design, seed int64, reference bool) 
 	fmt.Fprintf(&log, "end %d rx %d/%d/%d tx %d/%d/%d/%d/%d cache %+v\n", eng.Now(),
 		rx.Received, rx.EmptyPolls, rx.CounterUpdates,
 		tx.Sent, tx.FullStalls, tx.CounterReads, tx.LinesWritten, tx.PartialFlushes, rxCache.Stats())
+	// A 64 B message fills its line, so only smaller slots flush partially.
+	if wraps := tx.Sent / int64(cfg.Slots); wraps < row.wraps || (tx.PartialFlushes == 0) != (cfg.MsgSize == cxl.LineSize) {
+		t.Fatalf("%s: %d wraps, %d partial flushes; want at least %d wraps", row.name, wraps, tx.PartialFlushes, row.wraps)
+	}
+	pool.Peek(region.Base, mem)
+	fmt.Fprintf(&log, "pool %x\n", mem)
 	return log.String()
+}
+
+// channelRow is one channel shape the stepped endpoints are checked on.
+type channelRow struct {
+	name  string
+	cfg   Config
+	total int   // messages sent
+	wraps int64 // ring wraps the program must reach
+}
+
+var channelRows = []channelRow{
+	{"16B", Config{Slots: 64, MsgSize: 16, PrefetchDepth: 4, CounterBatch: 8, Category: "message"}, 600, 9},
+	// 64 B × 256 and 32 B × 512 slots each span four 4 KiB chunks of the
+	// sender's shadow; the 32 B ring also flushes partial lines, the last
+	// one included (an odd total leaves the final line half new).
+	{"64Bx4chunks", Config{Slots: 256, MsgSize: 64, PrefetchDepth: 4, CounterBatch: 32, Category: "message"}, 1000, 3},
+	{"32Bx4chunks", Config{Slots: 512, MsgSize: 32, PrefetchDepth: 4, CounterBatch: 64, Category: "message"}, 1801, 3},
 }
 
 // Both endpoints against their references, for all five designs: same polls
 // at the same virtual times with the same results, same sends, same final
-// counters — including the polls whose slot line was snooped or evicted under
-// its fill (ReadRefill) and the counter stores that met a fill in flight.
+// counters and pool bytes — including the polls whose slot line was snooped
+// or evicted under its fill (ReadRefill) and the counter stores that met a
+// fill in flight. The reference sender stores into a flat ring, so the rows
+// also check the chunked shadow across wraps and partial flushes.
 func TestSteppedEndpointsMatchBlockingReference(t *testing.T) {
 	for d := DesignBypassCache; d <= DesignHWCoherent; d++ {
 		d := d
 		t.Run(d.String(), func(t *testing.T) {
-			for seed := int64(1); seed <= 6; seed++ {
-				want := runChannelProgram(t, d, seed, true)
-				got := runChannelProgram(t, d, seed, false)
-				if got != want {
-					w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-					for i := range w {
-						if i >= len(g) || w[i] != g[i] {
-							t.Fatalf("seed %d: diverged at line %d of %d\nreference: %s\nstepped:   %s",
-								seed, i, len(w), w[i], strings.Join(g[i:min(i+1, len(g))], ""))
+			for _, row := range channelRows {
+				for seed := int64(1); seed <= 6; seed++ {
+					want := runChannelProgram(t, row, d, seed, true)
+					got := runChannelProgram(t, row, d, seed, false)
+					if got != want {
+						w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+						for i := range w {
+							if i >= len(g) || w[i] != g[i] {
+								t.Fatalf("%s seed %d: diverged at line %d of %d\nreference: %.300s\nstepped:   %.300s",
+									row.name, seed, i, len(w), w[i], strings.Join(g[i:min(i+1, len(g))], ""))
+							}
 						}
+						t.Fatalf("%s seed %d: stepped log is longer than the reference's", row.name, seed)
 					}
-					t.Fatalf("seed %d: stepped log is longer than the reference's", seed)
 				}
 			}
 		})

@@ -47,6 +47,11 @@ gate "more than one eitFixpoint call" "$(grep -c 'eitFixpoint(' internal/sim/par
 gate "a type assertion on a link end" "$(grep -n '\.(\*LinkEnd)' internal/core/*.go | grep -v '_test\.go:' || true)"
 gate "a second sort in the barrier merge" "$(grep -n 'sort\.Slice\|extLess' internal/sim/partition.go || true)"
 
+# Memory on first touch: the sender's shadow ring and the latency histogram
+# counters are allocated when a message needs them, never sized up front.
+echo "== memory on first touch (grep gate) =="
+gate "a histogram or sender ring sized up front" "$(grep -rn 'nMagnitudes \* subBuckets\]\|make(\[\]byte, ch.cfg.Slots' internal/ || true)"
+
 echo "== go build ./... =="
 go build ./...
 
@@ -55,6 +60,13 @@ go vet ./...
 
 echo "== go test ./... =="
 go test -timeout 10m ./...
+
+# Exact host-memory counts, asserted by the two tests and printed here: an
+# idle default-config duplex link, and building + starting the benchmark's
+# 128-host rack.
+echo "== host bytes allocated (idle link, rack setup) =="
+go test -count=1 -run 'TestIdleLinkBytes' -v ./internal/core | grep ' B allocated'
+go test -count=1 -run 'TestRackSetupBytes' -v . | grep ' B allocated'
 
 # The slow self-checks over the packages every simulated cycle goes through;
 # they take seconds. In sim, cache, msgchan and core that is the
