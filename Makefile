@@ -20,8 +20,7 @@ test:
 # snapshot from outside the sim loop, and core carries the channel-latency
 # trackers it samples); internal/sim, whose partitioned groups run one
 # goroutine per partition inside conservative windows (its whole suite), with
-# the facade's partitioned-cluster and per-host tests on top (client
-# partitions behind RemotePorts); and the experiments
+# the facade's partitioned-cluster tests on top; and the experiments
 # harness, whose parallel runner fans whole engines out across workers. For
 # experiments only the parallel-runner tests and — under -short — one chaos
 # campaign with its invariants run: the rest of the suite re-runs every
@@ -30,7 +29,7 @@ RACE_PKGS = ./internal/memalloc ./internal/metrics ./internal/obs/... ./internal
 
 race:
 	$(GO) test -race $(RACE_PKGS) ./internal/par ./internal/sim
-	$(GO) test -race -run 'TestPartitionedCluster|TestClusterFaultPlanMidMigration|TestPerHost' .
+	$(GO) test -race -run 'TestPartitionedCluster|TestClusterFaultPlanMidMigration' .
 	$(GO) test -race -short -timeout 10m -run 'Parallel|TestReportDigests/chaos' ./internal/experiments
 
 verify:

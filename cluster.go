@@ -23,10 +23,6 @@ var (
 	// ErrMigrationFailed marks a cross-pod migration that aborted with the
 	// source instance intact (writes unfrozen again).
 	ErrMigrationFailed = errors.New("cross-pod migration failed")
-	// ErrSerialCluster marks a pod whose config needs partitions of its own
-	// (Config.PerHostPartitions) added to a cluster that keeps every pod on
-	// one.
-	ErrSerialCluster = errors.New("serial cluster cannot partition a pod")
 )
 
 // Cluster composes pods into a rack-scale topology. All pods share ONE
@@ -100,8 +96,7 @@ func newCluster(perPod bool) *Cluster {
 }
 
 // Partitions returns the number of sim partitions backing the cluster: 1
-// for a serial cluster; the control partition, one per pod and one per
-// partitioned client or guest otherwise.
+// for a serial cluster; the control partition plus one per pod otherwise.
 func (c *Cluster) Partitions() int { return c.group.Partitions() }
 
 // SetHopLatency changes the modeled control-plane RPC cost a cluster-level
@@ -116,22 +111,15 @@ func (c *Cluster) SetHopLatency(d Duration) { c.group.SetMobileLatency(d) }
 // "pod<i>/" identity scope) is its position. A pod added after
 // Cluster.Start is not started by it: add its nodes and call its own Start
 // (or add them after that Start — the wiring pass is the same either way).
-// A pod with Config.PerHostPartitions needs a partitioned cluster: on a
-// serial one it is refused with ErrSerialCluster.
 func (c *Cluster) AddPodErr(cfg Config) (*Pod, error) {
-	idx := len(c.pods)
 	eng := c.Eng
-	switch {
-	case c.perPod:
+	if c.perPod {
 		// Pods share no sim channels (cross-pod interaction is the migration
 		// layer's hop), so no CrossLink registration is needed here; wiring
-		// that ever spans pods must declare one (sim.Group.Link, as
-		// netsw.Switch.AttachRemotePort does).
+		// that ever spans pods must declare one (sim.Group.Link).
 		eng = c.group.AddPartition()
-	case cfg.PerHostPartitions:
-		return nil, fmt.Errorf("oasis: %w: pod%d asks for Config.PerHostPartitions (use NewPartitionedCluster)", ErrSerialCluster, idx)
 	}
-	p := &Pod{Topology: newTopology(c.group, eng, cfg, idx)}
+	p := &Pod{Topology: newTopology(c.group, eng, cfg, len(c.pods))}
 	c.pods = append(c.pods, p)
 	return p, nil
 }

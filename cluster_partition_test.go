@@ -9,15 +9,27 @@ import (
 	"time"
 
 	"oasis/internal/faults"
+	"oasis/internal/sim"
 	"oasis/internal/ssd"
 )
 
+// clusterRun is what one run of the cluster scenario leaves behind: the
+// workload transcript, the merged stats snapshot and the migration count —
+// none of which may depend on the shape — and the exact costs of running it,
+// which do.
+type clusterRun struct {
+	log        string
+	snap       []byte
+	migrations int64
+	ctr        sim.GroupCounters
+	events     uint64 // dispatched, summed over the partitions
+}
+
 // runClusterScenario builds the same two-pod rack with pod-local workloads
 // and a cross-pod migration driver on either a serial or a partitioned
-// cluster, runs a fixed span, and returns the workload transcript plus the
-// full merged stats snapshot — both of which must not depend on the mode.
-// A non-zero hop replaces the default hop latency.
-func runClusterScenario(t *testing.T, partitioned bool, hop Duration) (string, []byte, int64) {
+// cluster and runs a fixed span. A non-zero hop replaces the default hop
+// latency.
+func runClusterScenario(t *testing.T, partitioned bool, hop Duration) clusterRun {
 	t.Helper()
 	c := newCluster(partitioned)
 	if hop != 0 {
@@ -94,14 +106,20 @@ func runClusterScenario(t *testing.T, partitioned bool, hop Duration) (string, [
 		logs[3] = append(logs[3], fmt.Sprintf("%v verified", p.Now()))
 	})
 	c.Run(80 * time.Millisecond)
-	snap := c.Stats().JSON()
-	migrations := c.Migrations
+	r := clusterRun{snap: c.Stats().JSON(), migrations: c.Migrations, ctr: c.group.Counters()}
+	r.events = c.Eng.Counters().Events
+	if partitioned {
+		for _, p := range c.Pods() {
+			r.events += p.Eng.Counters().Events
+		}
+	}
 	c.Shutdown()
 	var all []string
 	for _, shard := range logs {
 		all = append(all, shard...)
 	}
-	return strings.Join(all, "\n"), snap, migrations
+	r.log = strings.Join(all, "\n")
+	return r
 }
 
 // shapesMatch runs the scenario on a serial and on a partitioned cluster and
@@ -110,24 +128,39 @@ func runClusterScenario(t *testing.T, partitioned bool, hop Duration) (string, [
 // transcript.
 func shapesMatch(t *testing.T, hop Duration) string {
 	t.Helper()
-	serialLog, serialSnap, serialMig := runClusterScenario(t, false, hop)
-	partLog, partSnap, partMig := runClusterScenario(t, true, hop)
-	if serialMig != 1 || partMig != 1 {
-		t.Fatalf("migrations: serial %d, partitioned %d, want 1", serialMig, partMig)
+	serial := runClusterScenario(t, false, hop)
+	part := runClusterScenario(t, true, hop)
+	if serial.migrations != 1 || part.migrations != 1 {
+		t.Fatalf("migrations: serial %d, partitioned %d, want 1", serial.migrations, part.migrations)
 	}
-	if !strings.Contains(serialLog, "verified") {
-		t.Fatalf("scenario incomplete:\n%s", serialLog)
+	if !strings.Contains(serial.log, "verified") {
+		t.Fatalf("scenario incomplete:\n%s", serial.log)
 	}
-	if serialLog != partLog {
-		t.Fatalf("transcripts diverge:\n--- serial ---\n%s\n--- partitioned ---\n%s", serialLog, partLog)
+	if serial.log != part.log {
+		t.Fatalf("transcripts diverge:\n--- serial ---\n%s\n--- partitioned ---\n%s", serial.log, part.log)
 	}
-	if !bytes.Equal(serialSnap, partSnap) {
-		t.Fatalf("stats snapshots diverge:\n--- serial ---\n%s\n--- partitioned ---\n%s", serialSnap, partSnap)
+	if !bytes.Equal(serial.snap, part.snap) {
+		t.Fatalf("stats snapshots diverge:\n--- serial ---\n%s\n--- partitioned ---\n%s", serial.snap, part.snap)
 	}
-	return serialLog
+	return serial.log
 }
 
 func TestPartitionedClusterMatchesSerial(t *testing.T) { shapesMatch(t, 0) }
+
+// TestPartitionedClusterExactCounts pins what the barrier loop did for the
+// partitioned run of that scenario, and the events the partitions dispatched:
+// all of it derives from virtual state alone, so it repeats on any machine at
+// any GOMAXPROCS, and a change to the window math shows up here as a number
+// rather than as seconds. Events over CriticalEvents is the run's speedup
+// ceiling on unlimited cores.
+func TestPartitionedClusterExactCounts(t *testing.T) {
+	got := runClusterScenario(t, true, 0)
+	want := sim.GroupCounters{Barriers: 49, Windows: 100, IdleCommits: 47, Transfers: 6, FixpointPasses: 97, CriticalEvents: 1020606}
+	const wantEvents = 1915408
+	if got.ctr != want || got.events != wantEvents {
+		t.Fatalf("partitioned cluster scenario:\n got %+v, %d events\nwant %+v, %d events", got.ctr, got.events, want, wantEvents)
+	}
+}
 
 // The hop latency has one home, the group's mobile latency, so no cluster
 // shape can charge a different one: a non-default SetHopLatency moves the
@@ -139,35 +172,23 @@ func TestSetHopLatencyKeepsShapesIdentical(t *testing.T) {
 		t.Fatalf("hop latency reads back %v", got)
 	}
 	slow := shapesMatch(t, 75*time.Microsecond)
-	if fast, _, _ := runClusterScenario(t, false, 0); slow == fast {
+	if fast := runClusterScenario(t, false, 0).log; slow == fast {
 		t.Fatalf("SetHopLatency did not move the migration timeline:\n%s", slow)
 	}
 }
 
 // The cluster's shape is its partition count: a serial cluster stays on one
-// however many pods join, a partitioned one adds one per pod and — for a pod
-// with Config.PerHostPartitions — one per client. A serial cluster cannot
-// give such a pod its partitions and says so instead of attaching its
-// clients directly.
+// however many pods join, a partitioned one adds one per pod — and nothing
+// more for the nodes inside a pod, clients included.
 func TestPartitionedClusterShape(t *testing.T) {
-	perHost := perHostConfig()
 	c := NewPartitionedCluster()
 	if c.Partitions() != 1 {
 		t.Fatalf("fresh partitioned cluster: Partitions=%d, want 1 (control)", c.Partitions())
 	}
 	c.AddPod(DefaultConfig())
-	p1, err := c.AddPodErr(perHost)
-	if err != nil {
-		t.Fatalf("per-host pod on a partitioned cluster: %v", err)
-	}
+	c.AddPod(DefaultConfig()).AddClient(IP(10, 1, 99, 1))
 	if c.Partitions() != 3 {
-		t.Fatalf("2 pods: Partitions=%d, want 3 (control + one per pod)", c.Partitions())
-	}
-	if !p1.AddClient(IP(10, 1, 99, 1)).Remote() || c.Pod(0).AddClient(IP(10, 0, 99, 1)).Remote() {
-		t.Fatal("only the per-host pod's client should attach remotely")
-	}
-	if c.Partitions() != 4 {
-		t.Fatalf("2 pods + 1 partitioned client: Partitions=%d, want 4", c.Partitions())
+		t.Fatalf("2 pods and a client: Partitions=%d, want 3 (control + one per pod)", c.Partitions())
 	}
 
 	s := NewCluster()
@@ -175,12 +196,6 @@ func TestPartitionedClusterShape(t *testing.T) {
 	s.AddPod(DefaultConfig())
 	if s.Partitions() != 1 {
 		t.Fatalf("serial cluster with 2 pods: Partitions=%d, want 1", s.Partitions())
-	}
-	if p, err := s.AddPodErr(perHost); !errors.Is(err, ErrSerialCluster) || p != nil {
-		t.Fatalf("per-host pod on a serial cluster: pod %v, err %v; want ErrSerialCluster", p, err)
-	}
-	if len(s.Pods()) != 2 {
-		t.Fatalf("a refused pod was still appended: %d pods", len(s.Pods()))
 	}
 }
 

@@ -31,8 +31,7 @@ func main() {
 		"fan independent experiments and their inner sweeps out across all CPUs; "+
 			"results are printed in the same order with identical bytes (only wall times differ)")
 	execName := flag.String("exec", "serial",
-		"execution shape of chaos, grayfail and racksweep: serial, perpod (a sim partition per pod; "+
-			"same bytes as serial) or perhost (one more per load-generating client)")
+		"execution shape of racksweep: serial or perpod (a sim partition per pod; same bytes as serial)")
 	flag.Parse()
 
 	if *list {
@@ -65,13 +64,13 @@ func main() {
 
 	x, ok := experiments.ParseExec(*execName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "oasis-bench: unknown -exec %q (serial, perpod, perhost)\n", *execName)
+		fmt.Fprintf(os.Stderr, "oasis-bench: unknown -exec %q (serial, perpod)\n", *execName)
 		os.Exit(2)
 	}
 	if x != experiments.Serial {
 		for _, id := range ids {
 			if !experiments.Partitionable(id) {
-				fmt.Fprintf(os.Stderr, "oasis-bench: -exec %v: %s has nothing to partition (chaos, grayfail and racksweep do)\n", x, id)
+				fmt.Fprintf(os.Stderr, "oasis-bench: -exec %v: %s has nothing to partition (racksweep does)\n", x, id)
 				os.Exit(2)
 			}
 		}

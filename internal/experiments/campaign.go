@@ -186,7 +186,6 @@ const (
 // harness's own two measurements are booked.
 type campaignSpec struct {
 	name        string         // process-name prefix
-	exec        Exec           // PerHost puts the probe client on a partition of its own
 	span        oasis.Duration // fault-timeline length; the writer stops 200 ms and the prober 100 ms short of it
 	health      bool           // run the allocator's health scorer
 	instances   []netstack.IP  // on host4; the first owns the volume and answers the probes
@@ -238,7 +237,6 @@ func runCampaign(spec campaignSpec, extras func(c *campaign)) (*campaign, error)
 	cfg.Engine.TelemetryEvery = 40 * time.Millisecond
 	cfg.Allocator.Health = spec.health
 	cfg.RaftReplicas = 3
-	cfg.PerHostPartitions = spec.exec == PerHost
 	pod := oasis.NewPod(cfg)
 	c.pod = pod
 	for i := range c.hosts {
@@ -270,9 +268,7 @@ func runCampaign(spec campaignSpec, extras func(c *campaign)) (*campaign, error)
 		writerDone = true
 	})
 	pod.Go(spec.name+"-echo", func(p *oasis.Proc) { instance.Echo(p, c.insts[0].Stack, 7) })
-	// Spawned in the client's execution domain: the pod engine (identical to
-	// pod.Go) unless the client has a partition of its own.
-	client.Go(spec.name+"-prober", func(p *oasis.Proc) {
+	pod.Go(spec.name+"-prober", func(p *oasis.Proc) {
 		c.probes.run(p, client.Stack, spec.instances[0], spec.probe, campaignProbeEvery, spec.span-100*time.Millisecond)
 	})
 	if extras != nil {

@@ -39,16 +39,7 @@ import (
 // control plane — 120 ms device leases and 40 ms telemetry instead of the
 // paper's 300/100 ms — which shrinks every detection window and lets the
 // whole seven-fault schedule fit in 2.6 virtual seconds.
-//
-// Under PerHost the probe client runs on a partition of its own behind a
-// switch RemotePort. The remote attachment adds real cable latency, so that
-// report is not byte-comparable to the serial one — every recovery invariant
-// must still hold with the client advancing in parallel, and the per-host
-// timeline is itself byte-identical across reruns and GOMAXPROCS settings.
-// PerPod is Serial: the campaign has one pod.
-func Chaos(scale float64) *Report { return chaosRun(scale, exec) }
-
-func chaosRun(_ float64, x Exec) *Report {
+func Chaos(_ float64) *Report {
 	r := newReport("chaos", "chaos campaign: all fault kinds + recovery invariants (2.6 s run)")
 	const (
 		instBAsk   = 820 * time.Millisecond
@@ -60,7 +51,6 @@ func chaosRun(_ float64, x Exec) *Report {
 	var allocRecovery oasis.Duration
 	c, err := runCampaign(campaignSpec{
 		name:        "chaos",
-		exec:        x,
 		span:        2600 * time.Millisecond,
 		instances:   []netstack.IP{oasis.IP(10, 0, 0, 20), oasis.IP(10, 0, 0, 21)}, // instA on nic1, instB on nic2
 		client:      oasis.IP(10, 0, 99, 2),

@@ -51,26 +51,23 @@ func under(x Exec, run func(float64, Exec) *Report) Runner {
 // both protocols. Their rows carry the experiments' acceptance bounds
 // (campaignInvariants), so each runs once.
 //
-// The <campaign>/<exec> rows are the determinism gate of the three campaigns
-// under every execution shape: each pair runs once, and a constant is a
-// stronger check than a rerun compare — it pins the bytes across commits as
-// well as across runs. Serial and PerPod rows share one constant because
-// they are two executions of one model; a single-pod campaign has no PerPod
-// row because there it is the Serial path. PerHost is a different modeled
-// topology (clients behind RemotePorts) with a constant of its own — the
-// racksweep one coincides with serial only because at this scale its report
-// is too coarse to see 1.4 µs of cable. scripts/verify.sh re-runs the
-// non-serial rows at GOMAXPROCS=1, 2 and 8 under OASIS_SIMCHECK=1: the
-// thread count must be invisible in the virtual timeline. Every row also
-// re-asserts its campaign's invariants (campaignInvariants), so a re-blessed
-// constant cannot bless a broken campaign. Under -short (the race gate) only
-// chaos/serial of the campaign rows runs.
+// The next eight rows pin the paper ids no other row reaches: the motivation
+// figures and tables (the pooling model, the bursty trace, the device
+// requirements), the web-application overhead, trace replay, memcached
+// through a NIC failover and the failover-mechanism ablation.
+//
+// The campaign rows run once each: a constant is a stronger check than a
+// rerun compare — it pins the bytes across commits as well as across runs.
+// racksweep, the one experiment with something to partition, runs under both
+// execution shapes against one constant, because they are two executions of
+// one model; scripts/verify.sh re-runs racksweep/perpod at GOMAXPROCS=1, 2
+// and 8 under OASIS_SIMCHECK=1: the thread count must be invisible in the
+// virtual timeline. Every campaign row also re-asserts its invariants
+// (campaignInvariants), so a re-blessed constant cannot bless a broken
+// campaign. Under -short (the race gate) only chaos of the campaign rows
+// runs.
 func TestReportDigests(t *testing.T) {
-	const (
-		racksweep = "b8a01281304395679e802d50f4b9cb5d662893b4ffe88bac06cc299c650520ff"
-		chaos     = "b15ff5f5ac5264bdc6198d4d12cf88c4ef9c030c1328b0229ea51b184e2d8a32"
-		grayfail  = "e9ccc543f1fccbd3550b3a89492536cb0b05b8c13525b83cdc90ea58240dca86"
-	)
+	const racksweep = "b8a01281304395679e802d50f4b9cb5d662893b4ffe88bac06cc299c650520ff"
 	for _, tc := range []struct {
 		name  string
 		run   Runner
@@ -90,17 +87,22 @@ func TestReportDigests(t *testing.T) {
 		{"abl-qos", AblQoS, 0.05, "7ee9d2a969213ee861ae309fbb44a7a8e6b4f1a065c09da510a6491a506ca045"},
 		{"fig13", Fig13, 0.1, "41290607923de867d0b1874209d6b6bea6dce525f47cd25bd748724e6b6b2d96"},
 		{"blackout", Blackout, 0.5, "9e8f7f97352571fa2b4243357671238373f7b6e94ae3952a6c791e5747eabb18"},
-		{"chaos/serial", under(Serial, chaosRun), 1, chaos},
-		{"chaos/perhost", under(PerHost, chaosRun), 1, "4823c279fd59d469e0be131f9f7a08b0e76f0bbcfd436bf86192ef198b3e0298"},
-		{"grayfail/serial", under(Serial, grayfailRun), 1, grayfail},
-		{"grayfail/perhost", under(PerHost, grayfailRun), 1, "89fba91eb4502f8bbe8e171fd117c5987cbc446b8c4d5224dcbcad5b92fe56d6"},
+		{"fig2", Fig2, 0.05, "4a7e0e3b8aa599979c704513211e491f712b4d0a1215b580fbfead702e5d82a0"},
+		{"fig3", Fig3, 0.05, "90b7244d8cc1da248bf3289d50d748639823ff18fbd78c2d7fa102c93fb8ca09"},
+		{"tab1", Table1, 0.05, "4e41275a9c2e91fbd65b9795d41211969c57e2d6e0359549409251b5b7deba87"},
+		{"tab2", Table2, 0.05, "de3491225c2d6c4921d9709e4a9bf08cd63f047972c472fb095b56afff84ad7d"},
+		{"fig8", Fig8, 0.05, "43d9df33b2ea1893093decff9706fd53a1a679e979c0cb418c7bc6fce96330da"},
+		{"fig12", Fig12, 0.05, "4b40454897f6d13c9d7165e2918447e279b0defad52b03ea42b14bb1cbc553b8"},
+		{"fig14", Fig14, 0.05, "9ef97cffee1848b96e435670afa19e5a2b1f8d203a8310a0965e3d9805183f3f"},
+		{"abl-failover", AblFailoverMechanism, 0.05, "8972ffab210bf9e995912735ec6570e3b76975e09d45d2b9dd893884a0a792e1"},
+		{"chaos", Chaos, 1, "b15ff5f5ac5264bdc6198d4d12cf88c4ef9c030c1328b0229ea51b184e2d8a32"},
+		{"grayfail", Grayfail, 1, "e9ccc543f1fccbd3550b3a89492536cb0b05b8c13525b83cdc90ea58240dca86"},
 		{"racksweep/serial", under(Serial, racksweepRun), 0.05, racksweep},
 		{"racksweep/perpod", under(PerPod, racksweepRun), 0.05, racksweep},
-		{"racksweep/perhost", under(PerHost, racksweepRun), 0.05, racksweep},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			if testing.Short() && strings.Contains(tc.name, "/") && tc.name != "chaos/serial" {
+			if testing.Short() && (tc.name == "grayfail" || strings.HasPrefix(tc.name, "racksweep/")) {
 				t.Skip("one campaign is the detector's share; the rest run in the non-race tier")
 			}
 			t.Parallel()

@@ -38,11 +38,7 @@ import (
 // must reproduce the identical report. Like chaos, the pod runs with a
 // compressed control plane (120 ms leases, 40 ms telemetry) so three
 // detection windows fit inside each fault's dwell time.
-// PerHost moves the probe client onto a partition of its own, exactly as in
-// Chaos, with the same consequences.
-func Grayfail(scale float64) *Report { return grayfailRun(scale, exec) }
-
-func grayfailRun(_ float64, x Exec) *Report {
+func Grayfail(_ float64) *Report {
 	r := newReport("grayfail", "gray-failure campaign: four degraded-mode faults + health-scorer evacuations (2.2 s run)")
 	ipA := oasis.IP(10, 0, 0, 30)
 	// On the campaign pod nic1 (instA's primary) is the lossy suspect and
@@ -54,7 +50,6 @@ func grayfailRun(_ float64, x Exec) *Report {
 	// mid-stream re-bind lost nothing.
 	c, err := runCampaign(campaignSpec{
 		name:        "gray",
-		exec:        x,
 		span:        2200 * time.Millisecond,
 		health:      true, // the campaign exists to exercise the scorer
 		instances:   []netstack.IP{ipA},

@@ -42,12 +42,11 @@ func parRun[T any](n int, fn func(i int) T) []T {
 type Exec int
 
 const (
-	Serial  Exec = iota // everything on one partition: the plain event loop
-	PerPod              // a partition per pod, advancing in parallel
-	PerHost             // PerPod, plus a partition per load-generating client
+	Serial Exec = iota // everything on one partition: the plain event loop
+	PerPod             // a partition per pod, advancing in parallel
 )
 
-var execNames = [...]string{"serial", "perpod", "perhost"}
+var execNames = [...]string{"serial", "perpod"}
 
 func (x Exec) String() string { return execNames[x] }
 
@@ -69,7 +68,6 @@ var exec = Serial
 func SetExec(x Exec) { exec = x }
 
 // Partitionable reports whether experiment id has a simulation SetExec can
-// cut: a cluster of pods, or a pod with load generators outside it.
-func Partitionable(id string) bool {
-	return id == "chaos" || id == "grayfail" || id == "racksweep"
-}
+// cut: a cluster of pods. A pod shares its pool's memory among all its nodes,
+// so it is one partition.
+func Partitionable(id string) bool { return id == "racksweep" }

@@ -50,10 +50,10 @@ func TestRacksweepModelIgnoresParallelism(t *testing.T) {
 	}
 }
 
-// Exec names are the -exec flag's vocabulary; only the three campaigns that
-// have something to partition accept one.
+// Exec names are the -exec flag's vocabulary; only the rack, the one
+// experiment with something to partition, accepts one.
 func TestExecNames(t *testing.T) {
-	for _, x := range []Exec{Serial, PerPod, PerHost} {
+	for _, x := range []Exec{Serial, PerPod} {
 		if got, ok := ParseExec(x.String()); !ok || got != x {
 			t.Errorf("ParseExec(%q) = %v, %v", x.String(), got, ok)
 		}
@@ -67,7 +67,7 @@ func TestExecNames(t *testing.T) {
 			got = append(got, id)
 		}
 	}
-	if fmt.Sprint(got) != "[chaos grayfail racksweep]" {
+	if fmt.Sprint(got) != "[racksweep]" {
 		t.Errorf("partitionable experiments = %v", got)
 	}
 }

@@ -18,9 +18,7 @@ import (
 // unwound by the post-run Shutdown, so the virtual timeline — and with it
 // every counter — is identical whether the pods execute serially on one
 // partition or in parallel on one each (Serial and PerPod: same modeled
-// topology, different execution). PerHost additionally splits every client
-// onto a partition of its own behind a RemotePort, which is a different
-// modeled topology — its timeline is compared only against itself.
+// topology, different execution).
 func racksweepSim(r *Report, scale float64, x Exec) {
 	const (
 		pods        = 8
@@ -51,7 +49,6 @@ func racksweepSim(r *Report, scale float64, x Exec) {
 		// pod is pure allocation churn at 8 pods; 256 MiB covers the NIC
 		// queues and instance state with room to spare.
 		cfg.PoolBytes = 256 << 20
-		cfg.PerHostPartitions = x == PerHost
 		p := c.AddPod(cfg)
 		for h := 0; h < hostsPerPod; h++ {
 			p.AddHost()
@@ -107,9 +104,7 @@ func racksweepSim(r *Report, scale float64, x Exec) {
 				}
 				instance.Echo(p, inst.Stack, 7)
 			})
-			// Spawned in the client's execution domain: the pod's partition
-			// (identical to GoPod) unless the client has one of its own.
-			client.Go(fmt.Sprintf("rack-client%d-%d", i, f), func(p *oasis.Proc) {
+			c.GoPod(i, fmt.Sprintf("rack-client%d-%d", i, f), func(p *oasis.Proc) {
 				conn, err := client.Stack.ListenUDP(0)
 				if err != nil {
 					return
@@ -212,9 +207,9 @@ func racksweepModel(r *Report, scale float64) {
 // real multi-pod Cluster simulation of 512 hosts (placement, hot-spot
 // migration, live traffic — every pod on one virtual clock), paired with
 // the analytic stranding model pushed to thousands of hosts. Under PerPod
-// each pod advances on a partition of its own (33 partitions under PerHost,
-// one more per client); the serial and per-pod reports are byte-identical
-// at any GOMAXPROCS — only wall-clock time changes.
+// each pod advances on a partition of its own; the serial and per-pod
+// reports are byte-identical at any GOMAXPROCS — only wall-clock time
+// changes.
 func Racksweep(scale float64) *Report { return racksweepRun(scale, exec) }
 
 func racksweepRun(scale float64, x Exec) *Report {

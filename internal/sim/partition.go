@@ -10,13 +10,13 @@
 // receiving an event in its committed past. Those minima are declared up
 // front:
 //
-//   - CrossLink{MinLatency}: a registered cross-partition event channel
-//     (netsw declares one per direction of a remote port). Sends are
-//     timestamp-fenced (at >= sender now + min) and land in the
-//     destination's bounded inbox; a barrier between windows merges inboxes
-//     in (timestamp, source partition, source sequence) order, so delivery —
-//     and with it every simulation result — is byte-identical regardless of
-//     GOMAXPROCS or worker interleaving.
+//   - CrossLink{MinLatency}: a registered cross-partition event channel (no
+//     production wiring declares one: pods are coupled only through mobile
+//     processes). Sends are timestamp-fenced (at >= sender now + min) and
+//     land in the destination's bounded inbox; a barrier between windows
+//     merges inboxes in (timestamp, source partition, source sequence)
+//     order, so delivery — and with it every simulation result — is
+//     byte-identical regardless of GOMAXPROCS or worker interleaving.
 //
 //   - Mobile processes: a process registered with GoMobile may Hop between
 //     partitions, modeling a control-plane RPC with the group's mobile
@@ -140,6 +140,7 @@ type Group struct {
 	// Barrier scratch, reused across windows (see windows / deliver).
 	wend          []Duration
 	busy          []bool
+	events        []uint64 // a busy partition's Events when its window began
 	act, eot, eit []Duration
 	extFree       [][]extEvent // recycled extEvent slices (deliver swaps them in)
 
@@ -159,6 +160,11 @@ type GroupCounters struct {
 	CrossEvents    uint64 // CrossLink events merged into a destination's timeline
 	Transfers      uint64 // mobile-process hops re-homed
 	FixpointPasses uint64 // sweeps over the lookahead matrix by eitFixpoint
+	// CriticalEvents sums, over barriers, the events dispatched by that
+	// barrier's busiest partition: the critical path of the barrier loop.
+	// The partitions' summed Events over CriticalEvents is the speedup the
+	// run could reach on unlimited cores with free barriers.
+	CriticalEvents uint64
 }
 
 // Counters returns the group's barrier-loop counters since it was created.
@@ -228,8 +234,7 @@ func (g *Group) MobileLatency() Duration { return g.mobileLat }
 // CrossLink is a declared cross-partition event channel. Every event sent
 // through it must carry a timestamp at least MinLatency after the sender's
 // clock — the conservative lookahead that lets the destination run a
-// window of MinLatency in parallel. netsw declares one per direction of a
-// remote port.
+// window of MinLatency in parallel.
 type CrossLink struct {
 	g        *Group
 	src, dst *Engine
@@ -486,6 +491,7 @@ func (g *Group) growScratch() {
 	g.eot = make([]Duration, n)
 	g.eit = make([]Duration, n)
 	g.busy = make([]bool, n)
+	g.events = make([]uint64, n)
 }
 
 // eitFixpoint solves the conservative EOT/EIT system over the lookahead
@@ -701,11 +707,19 @@ func (g *Group) RunUntil(deadline Duration) Duration {
 		g.pending.Store(int32(nbusy))
 		for i, e := range g.parts {
 			if g.busy[i] {
+				g.events[i] = e.ctr.Events
 				e.wake <- windowOrder{wend: g.wend[i], sense: s}
 			}
 		}
 		<-g.barrier[s]
 		g.sense ^= 1
+		var critical uint64
+		for i, e := range g.parts {
+			if g.busy[i] {
+				critical = max(critical, e.ctr.Events-g.events[i])
+			}
+		}
+		g.ctr.CriticalEvents += critical
 	}
 }
 

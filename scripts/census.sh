@@ -23,9 +23,7 @@ bin="$tmp/bin"
 run "$bin/oasis-bench" -list
 run "$bin/oasis-bench" -run all -scale 0.05
 run "$bin/oasis-bench" -run fig6,tab3 -scale 0.05 -parallel -values
-for exec in perhost perpod; do
-    run "$bin/oasis-bench" -run chaos,grayfail,racksweep -exec $exec -scale 0.05
-done
+run "$bin/oasis-bench" -run racksweep -exec perpod -scale 0.05
 run "$bin/oasis-pod" -hosts 2 -nics 1 -ssds 1 -instances 1 -workload kv -duration 50ms -stats json
 run "$bin/oasis-pod" -hosts 3 -nics 2 -backup -instances 2 -fail-at 100ms -duration 300ms -raft -stats prom
 run "$bin/oasis-pod" -hosts 2 -nics 1 -ssds 1 -instances 2 -shared-core -duration 50ms

@@ -36,13 +36,15 @@ gate "an unstaged branch in the driver core" "$(grep -n 'len(stages) == 0' inter
 gate "a channel built or a backoff rolled by hand in raft's transport" "$(grep -n 'msgchan\.New(\|nextIdle' internal/raft/transport.go || true)"
 gate "more than one raw-channel rig in the experiments" "$(grep -rl 'msgchan\.RegionBytes' internal/experiments | sed 1d)"
 
-# One window bound, one kind of link end (PR 24): the adaptive-horizon
-# hysteresis, the interface a LinkSet's ends hid behind, its cross-partition
-# implementation and the guest partitions are gone, comments included —
-# partitioned execution is sim.Group + netsw.RemotePort and nothing else.
-echo "== one window bound, one kind of link end (grep gate) =="
-gate "a deleted partitioned-execution name" "$(grep -rn --include='*.go' 'ChanEnd\|CrossEnd\|NewCrossChannel\|AddGuest\|DeclareCross\|quietWindows\|SetInboxBound' . || true)"
-gate "internal/core/cross.go or internal/cxl/cross.go" "$(ls internal/core/cross.go internal/cxl/cross.go 2>/dev/null || true)"
+# One window bound, one kind of link end, two execution shapes: the
+# adaptive-horizon hysteresis, the interface a LinkSet's ends hid behind, its
+# cross-partition implementation, the guest partitions and per-host
+# partitioning with its remote switch port are gone, comments included —
+# partitioned execution is sim.Group with a partition per pod and nothing
+# else.
+echo "== one window bound, one kind of link end, two shapes (grep gate) =="
+gate "a deleted partitioned-execution name" "$(grep -rn --include='*.go' 'ChanEnd\|CrossEnd\|NewCrossChannel\|AddGuest\|DeclareCross\|quietWindows\|SetInboxBound\|PerHost\|RemotePort\|ErrSerialCluster' . || true)"
+gate "internal/core/cross.go, internal/cxl/cross.go or internal/netsw/cross.go" "$(ls internal/core/cross.go internal/cxl/cross.go internal/netsw/cross.go 2>/dev/null || true)"
 gate "more than one eitFixpoint call" "$(grep -c 'eitFixpoint(' internal/sim/partition.go | grep -vx 2 || true)"
 gate "a type assertion on a link end" "$(grep -n '\.(\*LinkEnd)' internal/core/*.go | grep -v '_test\.go:' || true)"
 gate "a second sort in the barrier merge" "$(grep -n 'sort\.Slice\|extLess' internal/sim/partition.go || true)"
@@ -96,19 +98,17 @@ make race
 
 # Intra-run determinism: the thread count must be invisible in the virtual
 # timeline — the conservative-window barriers plus the (timestamp, source
-# partition, source seq) merge order are the only schedule. The non-serial
-# rows of TestReportDigests (racksweep per-pod against the serial constant;
-# racksweep, chaos and grayfail per-host against their own) and the root
-# package's per-host echo flow are swept at GOMAXPROCS=1 (everything
-# time-slices one thread), 2 (real preemption between partitions) and 8
-# (full fan-out), under OASIS_SIMCHECK=1: partitioned windows are exactly
-# where the past-of-window guard has teeth. The serial rows ran in the
-# `go test ./...` tier above; one thread cannot reorder them.
+# partition, source seq) merge order are the only schedule. The one
+# non-serial row of TestReportDigests (racksweep per-pod, against the serial
+# constant) is swept at GOMAXPROCS=1 (everything time-slices one thread), 2
+# (real preemption between partitions) and 8 (full fan-out), under
+# OASIS_SIMCHECK=1: partitioned windows are exactly where the past-of-window
+# guard has teeth. The serial rows ran in the `go test ./...` tier above; one
+# thread cannot reorder them.
 echo "== partitioned determinism (GOMAXPROCS=1,2,8, OASIS_SIMCHECK=1) =="
 for n in 1 2 8; do
     echo "-- GOMAXPROCS=$n"
-    GOMAXPROCS=$n OASIS_SIMCHECK=1 go test -count=1 -timeout 10m -run 'TestReportDigests/(racksweep|chaos|grayfail)/per' ./internal/experiments
-    GOMAXPROCS=$n OASIS_SIMCHECK=1 go test -count=1 -run 'TestPerHostPodDeterministic' .
+    GOMAXPROCS=$n OASIS_SIMCHECK=1 go test -count=1 -timeout 10m -run 'TestReportDigests/racksweep/perpod' ./internal/experiments
 done
 
 # Smoke the full parallel fan-out end to end: every experiment at tiny
@@ -118,29 +118,30 @@ done
 echo "== oasis-bench parallel smoke =="
 go run ./cmd/oasis-bench -run all -scale 0.05 -parallel > /dev/null
 
-# Campaign smokes through the binary, one run per execution shape (-exec):
-# the seeded chaos and gray-failure campaigns must end with every invariant
-# intact (no acked-write loss, bounded loss windows, bounded control-plane
-# recovery; both gray devices evacuated with the hard-failover machinery
-# silent) and the 512-host rack must place, hot-spot and rebalance with
-# cross-pod migrations — serially, with a sim partition per pod (for the
-# single-pod campaigns that is the serial path), and with one more per
-# load-generating client. Each report says so in one grep-able line; its
-# bytes are pinned by TestReportDigests. (-scale reaches only racksweep:
-# the campaigns' fault timelines are absolute.)
-echo "== chaos / grayfail / racksweep smoke (-exec serial, perpod, perhost) =="
-for exec in serial perpod perhost; do
-    echo "-- -exec $exec"
-    out=$(go run ./cmd/oasis-bench -run chaos,grayfail,racksweep -exec $exec -scale 0.05)
-    [ "$(echo "$out" | grep -c "invariants: OK")" = 2 ]
-    echo "$out" | grep -q "cross-pod migrations"
+# Campaign smokes through the binary: the seeded chaos and gray-failure
+# campaigns must end with every invariant intact (no acked-write loss,
+# bounded loss windows, bounded control-plane recovery; both gray devices
+# evacuated with the hard-failover machinery silent), and the 512-host rack
+# must place, hot-spot and rebalance with cross-pod migrations under each
+# execution shape (-exec): serially and with a sim partition per pod. Each
+# report says so in one grep-able line; its bytes are pinned by
+# TestReportDigests. (-scale reaches only racksweep: the campaigns' fault
+# timelines are absolute.)
+echo "== chaos / grayfail smoke, racksweep smoke (-exec serial, perpod) =="
+out=$(go run ./cmd/oasis-bench -run chaos,grayfail)
+[ "$(echo "$out" | grep -c "invariants: OK")" = 2 ]
+for exec in serial perpod; do
+    echo "-- racksweep -exec $exec"
+    go run ./cmd/oasis-bench -run racksweep -exec $exec -scale 0.05 | grep -q "cross-pod migrations"
 done
-# A shape asked of an experiment with nothing to partition is refused, not
-# silently run serially.
-if go run ./cmd/oasis-bench -run fig6 -exec perpod > /dev/null 2>&1; then
-    echo "oasis-bench accepted -exec perpod for fig6" >&2
-    exit 1
-fi
+# A shape asked of an experiment with nothing to partition — a pod is one
+# partition — is refused, not silently run serially.
+for id in fig6 chaos; do
+    if go run ./cmd/oasis-bench -run $id -exec perpod > /dev/null 2>&1; then
+        echo "oasis-bench accepted -exec perpod for $id" >&2
+        exit 1
+    fi
+done
 
 # Gray-failure determinism through the binary: the report must be
 # byte-identical between the serial run and the -parallel runner (the

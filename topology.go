@@ -154,23 +154,14 @@ func (i *Instance) WaitReady(p *Proc, timeout Duration) bool {
 }
 
 // Client is a load-generator node outside the pod, attached directly to
-// the ToR switch (the paper's "network load driver", §5). With
-// Config.PerHostPartitions each client is a simulation partition of its
-// own, attached through a netsw.RemotePort — the cable extension is the
-// declared cross-partition lookahead — so client-side load generation runs
-// in parallel with the pod core.
+// the ToR switch (the paper's "network load driver", §5). It runs on the pod
+// engine, like everything else in the pod.
 type Client struct {
 	Stack  *netstack.Stack
 	SwPort *netsw.Port
 	mac    netsw.MAC
-	// eng is the engine the client's stack and application processes run
-	// on: the pod engine normally, the client's own partition in per-host
-	// mode.
-	eng *sim.Engine
-	// remote is the cross-partition attachment in per-host mode (nil when
-	// the client shares the pod engine).
-	remote *netsw.RemotePort
-	wired  bool // stack process launched
+	eng    *sim.Engine // the pod engine
+	wired  bool        // stack process launched
 }
 
 // Transmit implements netstack.Endpoint for the raw client.
@@ -179,28 +170,15 @@ func (c *Client) Transmit(p *Proc, frame []byte) {
 	copy(f.Dst[:], frame[0:6])
 	copy(f.Src[:], frame[6:12])
 	f.Bytes = frame
-	if c.remote != nil {
-		c.remote.Send(&f)
-		return
-	}
 	c.SwPort.Send(&f)
 }
 
 // DeliverFrame implements netsw.Sink for the raw client.
 func (c *Client) DeliverFrame(f *netsw.Frame) { c.Stack.DeliverFrame(f.Bytes) }
 
-// Go spawns an application process in the client's execution domain: its
-// own partition with Config.PerHostPartitions, the pod engine otherwise
-// (where this is identical to Topology.Go). Processes that touch the
-// client's stack must be spawned here — a partitioned client's stack may not
-// be driven from the pod's partition.
+// Go spawns an application process on the client's engine, the pod's; it is
+// identical to Topology.Go.
 func (c *Client) Go(name string, fn func(p *Proc)) { c.eng.Go(name, fn) }
-
-// Eng returns the engine the client executes on.
-func (c *Client) Eng() *sim.Engine { return c.eng }
-
-// Remote reports whether the client runs on a partition of its own.
-func (c *Client) Remote() bool { return c.remote != nil }
 
 // Topology is the incremental node graph behind a pod: the engine, the CXL
 // pool, the ToR switch, and every host, device, instance, and client node.
@@ -241,11 +219,10 @@ type Topology struct {
 	scope    string
 
 	// group is the partition group Eng belongs to — the pod's own, or its
-	// cluster's — and what Run, Shutdown and Now drive. The pod core (hosts,
-	// pool, switch, devices, instances) runs on Eng; serial execution is the
-	// case where nothing ever asks the group for a second partition, and a
-	// one-partition group is its engine (see internal/sim). With
-	// Config.PerHostPartitions every AddClient asks for one.
+	// cluster's — and what Run, Shutdown and Now drive. Every node of the pod
+	// runs on Eng: they all share the pool's memory, so a pod is one
+	// partition. A standalone pod's group has only it, and a one-partition
+	// group is its engine (see internal/sim).
 	group *sim.Group
 
 	// nodes is the graph's id set — one canonical topo-grammar key per
@@ -609,21 +586,11 @@ func (t *Topology) AddInstance(on *Host, ip netstack.IP) *Instance {
 }
 
 // AddClientErr attaches a raw load-generator node to the switch. After
-// Start its stack is started immediately. With Config.PerHostPartitions the
-// client becomes a simulation partition of its own: the switch attachment is
-// a RemotePort (one extra cable hop each way, declared as lookahead) and the
-// client's stack — plus anything spawned with Client.Go — executes on the
-// new partition, in parallel with the pod core.
+// Start its stack is started immediately.
 func (t *Topology) AddClientErr(ip netstack.IP) (*Client, error) {
 	name := t.scope + fmt.Sprintf("client-%v", ip)
 	c := &Client{mac: t.allocMAC(), eng: t.Eng}
-	if t.cfg.PerHostPartitions {
-		c.eng = t.group.AddPartition()
-		c.remote = t.Switch.AttachRemotePort(t.group, name, c.eng, c, 0)
-		c.SwPort = c.remote.Port()
-	} else {
-		c.SwPort = t.Switch.AttachPort(name, c)
-	}
+	c.SwPort = t.Switch.AttachPort(name, c)
 	mac := c.mac
 	c.Stack = netstack.NewStack(c.eng, name, ip,
 		func() netsw.MAC { return mac }, c, t.cfg.Stack)
@@ -680,8 +647,7 @@ func (t *Topology) Start() {
 	}
 }
 
-// Go spawns an application process on the pod partition. Per-host client
-// workloads spawn with Client.Go.
+// Go spawns an application process on the pod engine.
 func (t *Topology) Go(name string, fn func(p *Proc)) { t.Eng.Go(name, fn) }
 
 // Run executes d of virtual time on every partition of the pod's group and

@@ -176,12 +176,10 @@ func TestWiringDigests(t *testing.T) {
 			return digestRun(pod, 11*time.Millisecond)
 		}},
 		{"cluster-migration-serial", digestClusterMove, func(t *testing.T) []byte {
-			_, snap, _ := runClusterScenario(t, false, 0)
-			return snap
+			return runClusterScenario(t, false, 0).snap
 		}},
 		{"cluster-migration-partitioned", digestClusterMove, func(t *testing.T) []byte {
-			_, snap, _ := runClusterScenario(t, true, 0)
-			return snap
+			return runClusterScenario(t, true, 0).snap
 		}},
 	}
 	for _, tc := range cases {
