@@ -19,12 +19,15 @@ test:
 # data-structure/statistics code; the obs registry is explicitly safe to
 # snapshot from outside the sim loop, and core carries the channel-latency
 # trackers it samples); internal/sim, whose partitioned groups run one
-# goroutine per partition inside conservative windows (its whole suite), with
-# the facade's partitioned-cluster tests on top; and the experiments
-# harness, whose parallel runner fans whole engines out across workers. For
-# experiments only the parallel-runner tests and — under -short — one chaos
-# campaign with its invariants run: the rest of the suite re-runs every
-# figure at ~10x race overhead without touching any additional concurrency.
+# goroutine per partition inside conservative windows and whose processes
+# are coroutines resumed from whichever goroutine runs the loop (its whole
+# suite, TestProcessPanicReachesRunUntil and TestShutdownReleasesGoroutines
+# included), with the facade's partitioned-cluster tests on top; and the
+# experiments harness, whose parallel runner fans whole engines out across
+# workers. For experiments only the parallel-runner tests and — under
+# -short — one chaos campaign with its invariants run: the rest of the
+# suite re-runs every figure at ~10x race overhead without touching any
+# additional concurrency.
 RACE_PKGS = ./internal/memalloc ./internal/metrics ./internal/obs/... ./internal/core/... ./internal/faults ./internal/topo
 
 race:

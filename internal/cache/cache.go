@@ -79,16 +79,22 @@ type Stats struct {
 	DDIOInstalls      int64 // DDIO allocating writes landed in this cache
 }
 
+// line is one resident (or orphaned, see dropLine) cache line. It fits the
+// 112-byte size class: gen packs beside the two flags as a uint32, which is
+// enough, because a stale fill completion could only mistake a reused struct
+// for its own fill after 2³² drops of that one struct while the fill was in
+// flight.
 type line struct {
 	addr    int64
 	data    [cxl.LineSize]byte
 	dirty   bool
 	pending bool         // fill in flight
+	gen     uint32       // invalidation cancels stale fill completions
 	readyAt sim.Duration // when the in-flight fill lands
-	gen     uint64       // invalidation cancels stale fill completions
 	// Intrusive LRU links (head = most recently used). Embedding the links
 	// avoids a list-element allocation per fill on the datapath hot path.
 	prev, next *line
+	hnext      *line // the next line in its lineTable slot
 }
 
 // Cache is one host's cache over the CXL pool, reached through one port.
@@ -96,7 +102,7 @@ type Cache struct {
 	eng    *sim.Engine
 	port   *cxl.Port
 	params Params
-	lines  map[int64]*line
+	lines  lineTable
 	// Intrusive LRU list over the resident lines.
 	lruHead, lruTail *line
 	// Dropped lines are recycled here. A recycled line keeps its gen counter
@@ -119,7 +125,7 @@ type Cache struct {
 type fillOp struct {
 	c   *Cache
 	ln  *line
-	gen uint64
+	gen uint32
 }
 
 func (f *fillOp) Fire() {
@@ -139,12 +145,7 @@ func New(eng *sim.Engine, port *cxl.Port, params Params) *Cache {
 	if params.CapacityLines == 0 {
 		params.CapacityLines = DefaultCapacityLines
 	}
-	c := &Cache{
-		eng:    eng,
-		port:   port,
-		params: params,
-		lines:  make(map[int64]*line),
-	}
+	c := &Cache{eng: eng, port: port, params: params}
 	port.Pool().RegisterBI(c)
 	return c
 }
@@ -153,10 +154,10 @@ func New(eng *sim.Engine, port *cxl.Port, params Params) *Cache {
 // line, so this cache's copy is dropped without writeback (the remote owner
 // has the newer data). Only invoked in HWCoherent mode.
 func (c *Cache) BackInvalidate(lineAddr int64) {
-	if ln, ok := c.lines[lineAddr]; ok {
+	if ln := c.lines.get(lineAddr); ln != nil {
 		ln.gen++ // cancel in-flight fills
 		c.lruUnlink(ln)
-		delete(c.lines, lineAddr)
+		c.lines.del(ln)
 		if !ln.pending {
 			c.recycleLine(ln)
 		}
@@ -239,9 +240,9 @@ func (c *Cache) recycleLine(ln *line) {
 // insert adds a line, evicting LRU entries over capacity.
 func (c *Cache) insert(ln *line) {
 	c.lruPushFront(ln)
-	c.lines[ln.addr] = ln
-	attempts := len(c.lines)
-	for len(c.lines) > c.params.CapacityLines && attempts > 0 {
+	c.lines.put(ln)
+	attempts := c.lines.n
+	for c.lines.n > c.params.CapacityLines && attempts > 0 {
 		attempts--
 		victim := c.lruTail
 		if victim.pending {
@@ -262,7 +263,7 @@ func (c *Cache) dropLine(ln *line, category string) {
 	}
 	ln.gen++ // cancels any in-flight fill completion
 	c.lruUnlink(ln)
-	delete(c.lines, ln.addr)
+	c.lines.del(ln)
 	// A pending line may still be referenced by a waiter parked on its fill;
 	// leave it orphaned rather than letting a reuse corrupt the waiter's view.
 	if !ln.pending {
@@ -298,8 +299,8 @@ func (c *Cache) startFill(addr int64, category string, timer bool) *line {
 // readyAt is 0); an absent one starts a demand fill and an in-flight one is
 // joined, both to be collected at readyAt.
 func (c *Cache) access(a int64, category string, timer bool) (readyAt sim.Duration, hit bool) {
-	ln, ok := c.lines[a]
-	if !ok {
+	ln := c.lines.get(a)
+	if ln == nil {
 		c.stats.Misses++
 		ln = c.startFill(a, category, timer)
 	} else if ln.pending {
@@ -316,7 +317,7 @@ func (c *Cache) access(a int64, category string, timer bool) (readyAt sim.Durati
 // returns the line with its data in place, or nil when the line was evicted,
 // snooped or back-invalidated meanwhile.
 func (c *Cache) collect(a int64) *line {
-	ln := c.lines[a]
+	ln := c.lines.get(a)
 	if ln != nil && ln.pending {
 		c.port.CollectLine(a, ln.data[:])
 		ln.pending = false
@@ -327,8 +328,8 @@ func (c *Cache) collect(a int64) *line {
 // ensureReady makes the line present and ready, advancing p's time by the
 // demand-miss or fill-wait cost. It returns the line.
 func (c *Cache) ensureReady(p *sim.Proc, addr int64, category string) *line {
-	ln, ok := c.lines[addr]
-	if !ok {
+	ln := c.lines.get(addr)
+	if ln == nil {
 		c.stats.Misses++
 		ln = c.startFill(addr, category, true)
 	} else if ln.pending {
@@ -453,12 +454,19 @@ func (c *Cache) Write(p *sim.Proc, addr int64, data []byte, category string) {
 	first := cxl.LineAddr(addr)
 	last := cxl.LineAddr(addr + int64(len(data)) - 1)
 	for a := first; a <= last; a += cxl.LineSize {
-		ln := c.lines[a]
-		if ln != nil && ln.pending {
-			// Store to an in-flight line: wait for the fill, then merge.
+		ln := c.lines.get(a)
+		for ln != nil && ln.pending {
+			// Store to an in-flight line: wait for the fill, then merge. A
+			// flush, snoop or back-invalidation may drop the line meanwhile,
+			// and a new fill may replace it, so the store goes to whatever
+			// line is resident once the wait is over.
 			c.stats.FillWaits++
 			if wait := ln.readyAt - p.Now(); wait > 0 {
 				p.Sleep(wait)
+			}
+			if now := c.lines.get(a); now != ln {
+				ln = now
+				continue
 			}
 			if ln.pending {
 				c.port.CollectLine(a, ln.data[:])
@@ -490,7 +498,7 @@ func (c *Cache) store(ln *line, a, addr int64, data []byte) {
 // fill in flight: that store has to wait, which only Write can.
 func (c *Cache) StoreNow(addr int64, data []byte) bool {
 	a := cxl.LineAddr(addr)
-	ln := c.lines[a]
+	ln := c.lines.get(a)
 	if ln != nil && ln.pending {
 		return false
 	}
@@ -510,7 +518,7 @@ func (c *Cache) Prefetch(p *sim.Proc, addr int64, category string) {
 // PrefetchNow is Prefetch's effect, without its PrefetchIssue cost.
 func (c *Cache) PrefetchNow(addr int64, category string) {
 	a := cxl.LineAddr(addr)
-	if _, ok := c.lines[a]; ok {
+	if c.lines.get(a) != nil {
 		c.stats.PrefetchIgnored++
 		return
 	}
@@ -528,7 +536,7 @@ func (c *Cache) FlushLine(p *sim.Proc, addr int64, category string) {
 
 // FlushLineNow is FlushLine's effect, without its FlushIssue cost.
 func (c *Cache) FlushLineNow(addr int64, category string) {
-	if ln, ok := c.lines[cxl.LineAddr(addr)]; ok {
+	if ln := c.lines.get(cxl.LineAddr(addr)); ln != nil {
 		c.dropLine(ln, category)
 	}
 }
@@ -544,7 +552,7 @@ func (c *Cache) WritebackLine(p *sim.Proc, addr int64, category string) {
 // cost.
 func (c *Cache) WritebackLineNow(addr int64, category string) {
 	a := cxl.LineAddr(addr)
-	if ln, ok := c.lines[a]; ok && ln.dirty && !ln.pending {
+	if ln := c.lines.get(a); ln != nil && ln.dirty && !ln.pending {
 		c.port.WriteLine(a, ln.data[:], category)
 		ln.dirty = false
 		c.stats.Writebacks++
@@ -622,15 +630,12 @@ func (o *rangeOp) Step() (sim.Duration, bool) {
 
 // Contains reports whether the line holding addr is present (ready or in
 // flight).
-func (c *Cache) Contains(addr int64) bool {
-	_, ok := c.lines[cxl.LineAddr(addr)]
-	return ok
-}
+func (c *Cache) Contains(addr int64) bool { return c.lines.get(cxl.LineAddr(addr)) != nil }
 
 // DirtyLines returns the number of dirty lines (test/debug).
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for _, ln := range c.lines {
+	for ln := c.lruHead; ln != nil; ln = ln.next {
 		if ln.dirty {
 			n++
 		}
@@ -639,7 +644,7 @@ func (c *Cache) DirtyLines() int {
 }
 
 // Len returns the number of resident lines.
-func (c *Cache) Len() int { return len(c.lines) }
+func (c *Cache) Len() int { return c.lines.n }
 
 // InstallLine models a DDIO/"PCIe allocating write": the device writes the
 // line INTO this CPU cache (dirty) instead of memory. Within one coherent
@@ -652,8 +657,8 @@ func (c *Cache) InstallLine(addr int64, data []byte) {
 		panic("cache: InstallLine requires a full line")
 	}
 	a := cxl.LineAddr(addr)
-	ln, ok := c.lines[a]
-	if !ok {
+	ln := c.lines.get(a)
+	if ln == nil {
 		ln = c.newLine(a)
 		c.insert(ln)
 	} else {
@@ -679,8 +684,8 @@ func (c *Cache) Snoop(addr int64, n int, category string) sim.Duration {
 	first := cxl.LineAddr(addr)
 	last := cxl.LineAddr(addr + int64(n) - 1)
 	for a := first; a <= last; a += cxl.LineSize {
-		ln, ok := c.lines[a]
-		if !ok {
+		ln := c.lines.get(a)
+		if ln == nil {
 			continue
 		}
 		if ln.dirty {
@@ -704,7 +709,7 @@ const (
 
 // InvalidateAll drops every line (test/reset helper); dirty lines write back,
 // least recently used first — each write-back reserves the port, so the order
-// is the LRU list's, not the map's.
+// is the LRU list's.
 func (c *Cache) InvalidateAll() {
 	for c.lruTail != nil {
 		c.dropLine(c.lruTail, "reset")
@@ -713,5 +718,5 @@ func (c *Cache) InvalidateAll() {
 
 // String summarizes occupancy for debugging.
 func (c *Cache) String() string {
-	return fmt.Sprintf("cache{lines=%d dirty=%d}", len(c.lines), c.DirtyLines())
+	return fmt.Sprintf("cache{lines=%d dirty=%d}", c.lines.n, c.DirtyLines())
 }

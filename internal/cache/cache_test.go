@@ -3,9 +3,11 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"oasis/internal/cxl"
 	"oasis/internal/sim"
@@ -582,5 +584,118 @@ func TestRangeOpsMatchPerLineCalls(t *testing.T) {
 	}
 	if want, got := run(false), run(true); got != want {
 		t.Fatalf("range ops diverged from per-line calls:\nlines: %s\nrange: %s", want, got)
+	}
+}
+
+// A store that waits on an in-flight fill goes to the line resident when the
+// wait is over. The line it waited on may have been dropped meanwhile — by a
+// flush, a snoop or a back-invalidation — and even replaced by a new fill;
+// merging into the dropped line lost the store, which no write-back could
+// ever reach.
+func TestWriteWaitingOnFillSurvivesDrop(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		drop func(r *rig, p *sim.Proc)
+	}{
+		{"flush", func(r *rig, p *sim.Proc) { r.a.FlushLine(p, 0, "m") }},
+		{"snoop", func(r *rig, p *sim.Proc) { r.a.Snoop(0, 1, "dma") }},
+		{"flush then prefetch", func(r *rig, p *sim.Proc) {
+			r.a.FlushLine(p, 0, "m")
+			r.a.Prefetch(p, 0, "m") // a new fill the store has to wait for too
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig()
+			r.pool.Poke(0, []byte{1})
+			r.eng.Go("dropper", func(p *sim.Proc) {
+				p.Sleep(50 * time.Nanosecond) // while the store waits on the fill
+				tc.drop(r, p)
+			})
+			r.run(t, func(p *sim.Proc) {
+				r.a.Prefetch(p, 0, "m")
+				r.a.Write(p, 0, []byte{7}, "m")
+				if !r.a.Contains(0) || r.a.DirtyLines() != 1 {
+					t.Fatalf("after the store: resident %v, %d dirty lines, want the line resident and dirty",
+						r.a.Contains(0), r.a.DirtyLines())
+				}
+				buf := []byte{0}
+				r.a.Read(p, 0, buf, "m")
+				if buf[0] != 7 {
+					t.Fatalf("read %d after the store, want 7", buf[0])
+				}
+				r.a.FlushLine(p, 0, "m")
+				p.Sleep(time.Microsecond)
+				if r.pool.Peek(0, buf); buf[0] != 7 {
+					t.Fatalf("pool holds %d after the flush, want 7", buf[0])
+				}
+			})
+		})
+	}
+}
+
+// The line table against a Go map: seeded runs of inserts, lookups and drops
+// over address sets that grow the table through several doublings and shrink
+// it again, with addresses that collide in the low bits. Every step compares
+// the length and a lookup of a present and an absent address.
+func TestLineTableMatchesMapReference(t *testing.T) {
+	if size := unsafe.Sizeof(line{}); size != 112 {
+		t.Fatalf("line is %d bytes, want 112: it no longer fits its size class", size)
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var tab lineTable
+		ref := map[int64]int{} // address -> index in lines
+		var lines []*line
+		want := func(a int64) *line {
+			if i, ok := ref[a]; ok {
+				return lines[i]
+			}
+			return nil
+		}
+		addr := func() int64 {
+			switch rng.Intn(3) {
+			case 0:
+				return int64(rng.Intn(4096)) * cxl.LineSize
+			case 1:
+				return int64(rng.Intn(64)) << 20 // same low bits, far apart
+			default:
+				return rng.Int63n(1<<40) &^ (cxl.LineSize - 1)
+			}
+		}
+		for step := 0; step < 20000; step++ {
+			a := addr()
+			// Grow towards ~3 000 lines, then drain: several doublings, and a
+			// table that has shrunk to a few lines in a large slot array.
+			insert := step < 12000 && rng.Intn(3) != 0 || rng.Intn(5) == 0
+			if _, ok := ref[a]; insert && !ok {
+				ln := &line{addr: a}
+				tab.put(ln)
+				ref[a] = len(lines)
+				lines = append(lines, ln)
+			} else if len(lines) > 0 && !insert {
+				i := rng.Intn(len(lines))
+				ln, last := lines[i], lines[len(lines)-1]
+				lines[i], ref[last.addr] = last, i
+				lines = lines[:len(lines)-1]
+				delete(ref, ln.addr)
+				tab.del(ln)
+				a = ln.addr
+			}
+			if tab.n != len(ref) {
+				t.Fatalf("seed %d step %d: table holds %d lines, map %d", seed, step, tab.n, len(ref))
+			}
+			if got := tab.get(a); got != want(a) {
+				t.Fatalf("seed %d step %d: get(%#x) = %p, map %p", seed, step, a, got, want(a))
+			}
+			if len(lines) > 0 {
+				ln := lines[rng.Intn(len(lines))]
+				if got := tab.get(ln.addr); got != ln {
+					t.Fatalf("seed %d step %d: get(%#x) = %p, map %p", seed, step, ln.addr, got, ln)
+				}
+			}
+			if b := addr(); want(b) == nil && tab.get(b) != nil {
+				t.Fatalf("seed %d step %d: get(%#x) found a line the map does not hold", seed, step, b)
+			}
+		}
 	}
 }

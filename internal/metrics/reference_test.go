@@ -2,9 +2,13 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -237,5 +241,109 @@ func TestHistogramPercentileHugeSamples(t *testing.T) {
 	h.Record(math.MaxInt64)
 	if got, want := h.Percentile(99), time.Duration(math.MaxInt64); got < want-want/128 {
 		t.Errorf("p99 = %d, want within 1/128 of %d", got, want)
+	}
+}
+
+// refMeter is the map-backed meter the category slice replaced, kept as the
+// reference the slice must agree with on every accessor.
+type refMeter struct {
+	byCategory map[string]int64
+	total      int64
+}
+
+func (m *refMeter) Add(category string, n int64) {
+	m.byCategory[category] += n
+	m.total += n
+}
+
+func (m *refMeter) Categories() []string {
+	out := make([]string, 0, len(m.byCategory))
+	for c := range m.byCategory {
+		out = append(out, c)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (m *refMeter) Snapshot() map[string]int64 { return maps.Clone(m.byCategory) }
+
+func (m *refMeter) Diff(snap map[string]int64) map[string]int64 {
+	out := make(map[string]int64, len(m.byCategory))
+	for c, v := range m.byCategory {
+		if d := v - snap[c]; d != 0 {
+			out[c] = d
+		}
+	}
+	return out
+}
+
+func (m *refMeter) String() string {
+	var b strings.Builder
+	b.WriteString("meter{")
+	for i, c := range m.Categories() {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s: %d", c, m.byCategory[c])
+	}
+	b.WriteString("}")
+	return b.String()
+}
+
+// TestMeterMatchesMapReference adds seeded byte counts — zero-byte adds
+// that only create a category included — under categories drawn from a
+// pool that sorts differently from its insertion order, with snapshots,
+// diffs against earlier snapshots, and resets, and requires every accessor
+// to agree with the map-backed reference after each step.
+func TestMeterMatchesMapReference(t *testing.T) {
+	names := []string{"payload", "message", "evict", "", "reset", "dma", "a", "payload2", "Z"}
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewMeter()
+		ref := &refMeter{byCategory: map[string]int64{}}
+		var snap, refSnap map[string]int64
+		for step := 0; step < 500; step++ {
+			op := "add"
+			switch k := rng.Intn(50); {
+			case k == 0:
+				op = "reset"
+				m.Reset()
+				ref = &refMeter{byCategory: map[string]int64{}}
+			case k < 5:
+				op = "snapshot"
+				snap, refSnap = m.Snapshot(), ref.Snapshot()
+			default:
+				c := names[rng.Intn(len(names))]
+				n := int64(rng.Intn(3)) * 64 * int64(rng.Intn(100))
+				m.Add(c, n)
+				ref.Add(c, n)
+			}
+			fail := func(what string, got, want any) {
+				t.Fatalf("seed %d step %d (%s): %s = %v, reference %v", seed, step, op, what, got, want)
+			}
+			if m.Total() != ref.total {
+				fail("Total", m.Total(), ref.total)
+			}
+			if got, want := m.Categories(), ref.Categories(); !slices.Equal(got, want) {
+				fail("Categories", got, want)
+			}
+			for _, c := range append(names, "absent") {
+				if got, want := m.Category(c), ref.byCategory[c]; got != want {
+					fail("Category("+c+")", got, want)
+				}
+				if got, want := m.CategoryRate(c, time.Second), float64(ref.byCategory[c]); got != want {
+					fail("CategoryRate("+c+")", got, want)
+				}
+			}
+			if got, want := m.Snapshot(), ref.Snapshot(); !maps.Equal(got, want) {
+				fail("Snapshot", got, want)
+			}
+			if got, want := m.Diff(snap), ref.Diff(refSnap); !maps.Equal(got, want) {
+				fail("Diff", got, want)
+			}
+			if got, want := m.String(), ref.String(); got != want {
+				fail("String", got, want)
+			}
+		}
 	}
 }

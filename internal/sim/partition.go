@@ -2,7 +2,7 @@
 // simulation (PDES) inside one run.
 //
 // A Group splits a simulation into N partitions — each an ordinary Engine
-// with its own clock, heap, and token-passing loop — and advances them in
+// with its own clock, heap, and process loop — and advances them in
 // conservative time windows on separate goroutines. The window width is
 // derived from the minimum latency cross-partition interactions can have:
 // if every event one partition can send another arrives at least L in the
@@ -95,7 +95,7 @@ type extEvent struct {
 	fn     func()
 	tm     Timer
 	proc   *Proc
-	srcEng *Engine // transfer bookkeeping (nprocs accounting, unwinding)
+	srcEng *Engine // transfer bookkeeping (nprocs accounting)
 	dst    *Engine // transfer destination
 }
 
@@ -360,33 +360,10 @@ func (g *Group) Hop(p *Proc, dst *Engine) {
 	}
 	g.transfers = append(g.transfers, extEvent{at: at, srcPid: src.pid, srcSeq: src.seq, proc: p, srcEng: src, dst: dst})
 	g.mu.Unlock()
-	p.parkDetached()
-}
-
-// parkDetached parks a process that is leaving its engine: no wake event
-// exists locally — the barrier re-homes it and schedules its arrival on
-// the destination. The calling goroutine keeps driving the old engine's
-// loop exactly as an ordinary park would.
-func (p *Proc) parkDetached() {
-	e := p.eng
-	if e.dead {
-		panic(killed{})
-	}
-	switch e.drive(p) {
-	case driveOwnerWakeup:
-		panic("sim: detached process has a pending local wakeup")
-	case driveDone:
-		if e.dead {
-			panic(killed{})
-		}
-		e.host <- struct{}{} // window over while we're in flight: wake RunUntil
-	case driveHandoff:
-		// another process drives the old engine; wait for the barrier
-	}
-	<-p.run
-	if p.eng.dead { // p.eng is the NEW home once the barrier re-homed us
-		panic(killed{})
-	}
+	// No wake event exists on src: the process keeps driving src's loop until
+	// it yields there, and the barrier re-homes it and schedules its arrival
+	// on dst, whose worker resumes it.
+	p.park()
 }
 
 // getExt pops a recycled extEvent slice (zero length, retained capacity),
@@ -748,23 +725,10 @@ func (g *Group) Shutdown() {
 			e.wake = nil
 		}
 	}
-	g.mu.Lock()
-	tr := g.transfers
-	g.transfers = nil
-	g.mu.Unlock()
+	// Nothing is in flight: RunUntil delivers every hop before it returns, so
+	// a mobile process caught mid-hop waits in its destination's timeline and
+	// unwinds with that partition.
 	for _, e := range g.parts {
 		e.Shutdown()
-	}
-	// In-flight mobile processes belong to no heap and no blocked list;
-	// unwind them exactly as Shutdown's victim loop would.
-	for _, t := range tr {
-		e := t.srcEng
-		if t.proc.done {
-			continue
-		}
-		e.unwinding = true
-		t.proc.run <- struct{}{}
-		<-e.ack
-		e.unwinding = false
 	}
 }

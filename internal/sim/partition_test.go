@@ -478,7 +478,7 @@ func TestWindowCollapsePanics(t *testing.T) {
 	g.Link(a, b, 200)
 	a.Go("tick", func(p *Proc) { p.Sleep(time.Microsecond) })
 	g.RunUntil(2 * time.Microsecond) // both partitions commit to 2µs
-	forged := &Proc{eng: a, name: "forged", hasWake: true, wakeAt: 0, blockedIdx: -1, run: make(chan struct{})}
+	forged := &Proc{eng: a, name: "forged", hasWake: true, wakeAt: 0, blockedIdx: -1}
 	g.mobile[forged] = true
 	a.After(5*time.Microsecond, func() {}) // pending work that can never run
 	mustPanic(t, "window collapsed", func() { g.RunUntil(10 * time.Microsecond) })

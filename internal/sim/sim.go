@@ -10,7 +10,7 @@
 // is not.
 //
 // The engine is cooperatively single-threaded: although each process runs
-// on its own goroutine, exactly one process executes at a time and control
+// as its own coroutine, exactly one process executes at a time and control
 // returns to the engine whenever a process blocks (Sleep, Wait, queue pop).
 // Event ordering is total: events fire in (time, sequence) order, so two
 // runs of the same simulation produce identical results.
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime/debug"
 	"time"
 
 	"oasis/internal/bufpool"
@@ -126,15 +127,8 @@ type Engine struct {
 	blocked  []*Proc // processes parked on signals/queues (no pending event)
 	deadline Duration
 	bufs     *bufpool.Pool
-
-	// Token-passing scheduler plumbing (see RunUntil). host wakes the
-	// RunUntil caller when the loop finishes on a process goroutine; ack
-	// serializes victim unwinding during Shutdown.
-	host      chan struct{}
-	ack       chan struct{}
-	unwinding bool  // inside Shutdown's victim loop
-	cur       *Proc // process currently holding the token, nil if the host is
-	stepping  *Proc // process whose Step is executing (see SleepSteps), else nil
+	cur      *Proc // process whose coroutine is running, nil while the resumer drives (see RunUntil)
+	stepping *Proc // process whose Step is executing (see SleepSteps), else nil
 
 	ctr Counters
 
@@ -160,7 +154,7 @@ func (e *Engine) Now() Duration { return e.now }
 // obs instruments — reading them never perturbs a snapshot.
 type Counters struct {
 	Events      uint64 // events the loop dispatched: callbacks, timers, process wakes
-	Switches    uint64 // wakes that handed control to another goroutine
+	Switches    uint64 // wakes that resumed a process other than the one driving
 	FastSleeps  uint64 // sleeps and stepped legs that advanced the clock in place
 	SteppedLegs uint64 // Step calls made by SleepSteps, in event context or inline
 	HeapEvents  uint64 // of Events, those dispatched from the far heap (see timeline)
@@ -391,15 +385,15 @@ func (e *Engine) AtTimer(t Duration, tm Timer) { e.schedule(t, nil, tm, nil) }
 func (e *Engine) AfterTimer(d Duration, tm Timer) { e.schedule(e.after(d), nil, tm, nil) }
 
 // Go spawns a new simulated process that begins executing at the current
-// virtual time. The name appears in diagnostics. fn runs on its own
-// goroutine but only ever executes while the engine is blocked on it, so
-// processes never race with each other or with event callbacks.
+// virtual time. The name appears in diagnostics. fn runs as a coroutine that
+// only ever executes while its resumer waits on it, so processes never race
+// with each other or with event callbacks.
 //
-// The goroutine is not created until the startup event fires: a process
+// The coroutine is not created until the startup event fires: a process
 // whose startup event is dropped by Shutdown simply never existed, and its
 // slot in the live-process count is released immediately.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, run: make(chan struct{}), fn: fn, blockedIdx: -1}
+	p := &Proc{eng: e, name: name, fn: fn, blockedIdx: -1}
 	e.nprocs++
 	e.schedule(e.now, nil, nil, p)
 	return p
@@ -414,30 +408,27 @@ func (e *Engine) Run() Duration { return e.RunUntil(MaxTime) }
 // deadline). A deadline already in the past runs nothing and leaves the clock
 // where it is: virtual time never goes back. It returns the final virtual time.
 //
-// Scheduling is token-passing: exactly one goroutine at a time "drives" the
-// event loop. The RunUntil caller starts driving; when the next event
-// resumes a process, the driver hands control directly to that process's
-// goroutine and the loop continues there the next time that process parks.
-// There is no dedicated engine goroutine in the middle, so a process-to-
-// process switch costs one channel handoff instead of two — and a process
-// whose own wakeup is the next event continues with no handoff at all.
-// Event selection is unchanged, so the dispatch order (and with it every
-// simulation result) is identical to a centrally-driven loop.
+// Scheduling is coroutine switching. Every process is a coroutine, and the
+// goroutine that called RunUntil (a partition's worker, for a group) is the
+// one that resumes them: it drives the event loop until an event wakes a
+// process, then runs that process until it parks. A parking process keeps
+// driving the loop itself, inline, so one whose own wakeup is the next event
+// continues with no switch at all; when another process is due, it yields
+// to the resumer naming that process, and the resumer resumes it. A switch
+// is one yield and one resume of iter.Pull's coroutines, which the Go
+// runtime performs without a pass through its scheduler. Event selection is
+// unchanged, so the dispatch order (and with it every simulation result) is
+// identical to a centrally-driven loop. A process that panics ends the run:
+// the panic reaches the RunUntil caller, naming the process.
 func (e *Engine) RunUntil(deadline Duration) Duration {
 	if e.running {
 		panic("sim: RunUntil called re-entrantly")
 	}
 	e.running = true
 	e.deadline = deadline
-	e.cur = nil // the host goroutine drives first
-	if e.host == nil {
-		e.host = make(chan struct{})
-	}
+	e.cur = nil
 	defer func() { e.running = false }()
-	if e.drive(nil) == driveHandoff {
-		// The loop moved onto process goroutines; block until it finishes
-		// there (deadline reached, queue drained, or shutdown).
-		<-e.host
+	for q := e.drive(); q != nil; q = e.switchTo(q) {
 	}
 	if e.now < deadline && deadline != MaxTime {
 		e.now = deadline
@@ -445,30 +436,21 @@ func (e *Engine) RunUntil(deadline Duration) Duration {
 	return e.now
 }
 
-// driveResult says how a drive call ended.
-type driveResult int
-
-const (
-	driveDone        driveResult = iota // deadline/empty queue/shutdown
-	driveHandoff                        // control handed to a process goroutine
-	driveOwnerWakeup                    // owner's own wakeup reached; it keeps running
-)
-
-// drive executes events on the calling goroutine until the loop terminates,
-// control is handed to a process goroutine, or (when owner is non-nil) the
-// next event is owner's own wakeup.
-func (e *Engine) drive(owner *Proc) driveResult {
+// drive executes events on the calling goroutine until the loop ends — the
+// deadline is reached, nothing is pending or the engine is shut down — and
+// returns nil, or until the next event wakes a process, which it returns.
+func (e *Engine) drive() *Proc {
 	deadline := e.deadline
 	for !e.dead {
 		at, ok := e.nextAt()
 		if !ok {
-			return driveDone
+			return nil
 		}
 		if at > deadline {
 			if e.now < deadline {
 				e.now = deadline
 			}
-			return driveDone
+			return nil
 		}
 		// The merge of the timeline's two parts: the heap wins ties.
 		var next *event
@@ -488,11 +470,7 @@ func (e *Engine) drive(owner *Proc) driveResult {
 			if q.steps != nil && e.runSteps(q) {
 				continue // the chain's next leg is scheduled; q stays parked
 			}
-			if q == owner {
-				return driveOwnerWakeup
-			}
-			e.transfer(q)
-			return driveHandoff
+			return q
 		case next.tm != nil:
 			next.tm.Fire()
 			e.recycle(next)
@@ -503,28 +481,30 @@ func (e *Engine) drive(owner *Proc) driveResult {
 			e.recycle(next)
 		}
 	}
-	return driveDone
+	return nil
 }
 
-// transfer hands the control token to process q, spawning its goroutine on
-// first resume. The caller stops driving immediately after.
-func (e *Engine) transfer(q *Proc) {
+// switchTo resumes q, creating its coroutine on the first resume, and
+// returns the process due next once q has parked (nil when the loop is
+// over). When q's body returns instead, the loop continues here.
+func (e *Engine) switchTo(q *Proc) *Proc {
 	e.ctr.Switches++
 	e.cur = q
-	if !q.started {
-		q.started = true
-		fn := q.fn
-		q.fn = nil // don't pin the closure for the process's whole lifetime
-		go q.main(fn)
-		return
+	if q.resume == nil {
+		q.start()
 	}
-	q.run <- struct{}{}
+	next, parked := q.resume()
+	e.cur = nil
+	if !parked {
+		return e.drive()
+	}
+	return next
 }
 
 // Shutdown terminates the simulation: all parked processes are unwound (their
-// blocking calls panic with a killed marker that Proc.main recovers), pending
+// blocking calls panic with a killed marker that Proc.body recovers), pending
 // events are dropped, and Run returns. A process whose startup event never
-// fired is dropped without ever spawning its goroutine. Safe to call from
+// fired is dropped without ever creating its coroutine. Safe to call from
 // within a callback or a process.
 func (e *Engine) Shutdown() {
 	if e.dead {
@@ -554,36 +534,25 @@ func (e *Engine) Shutdown() {
 	}
 	e.timeline = timeline{}
 	e.blocked = nil
-	if e.ack == nil {
-		e.ack = make(chan struct{})
-	}
-	// The token holder may be the one calling us (Shutdown from a callback
-	// dispatched on a parked process's goroutine). It must not be sent its
-	// own run token — it unwinds itself when the current dispatch returns.
-	// Between RunUntil calls no goroutine holds the token, so a stale cur
-	// from the previous run must not shield a victim.
+	// The running process may be the one calling us, from its body or from
+	// a callback or Step it dispatched while parking. It cannot be resumed
+	// from inside itself; it unwinds at its next park.
 	self := e.cur
-	if !e.running {
-		self = nil
-	}
-	e.unwinding = true
 	for _, p := range victims {
 		switch {
-		case p.done:
-		case p == self:
-		case !p.started:
-			// The startup event never fired: no goroutine exists to unwind.
+		case p.done, p == self:
+		case p.resume == nil:
+			// The startup event never fired: no coroutine exists to unwind.
 			// Release the process slot directly.
 			p.done = true
 			e.nprocs--
 		default:
-			// Wake the parked process; it sees dead, unwinds, and acks from
-			// its exit path so victims die strictly one at a time.
-			p.run <- struct{}{}
-			<-e.ack
+			// Resume the parked process: it sees dead and unwinds, and the
+			// resume returns once its coroutine has ended, so victims die
+			// strictly one at a time.
+			p.resume()
 		}
 	}
-	e.unwinding = false
 }
 
 // addBlocked registers a process parked on a signal or queue so Shutdown can
@@ -618,17 +587,18 @@ type killed struct{}
 
 // Proc is a simulated process. Methods on Proc must only be called from the
 // process's own function.
+//
+// A process is an iter.Pull coroutine over body. Resuming it runs it until it
+// parks, and the yield that parks it names the process due next — nil when
+// the loop is over — for the resumer to run (see RunUntil). Apart from the
+// RunUntil caller, only Shutdown resumes a process: its victims, so they
+// unwind.
 type Proc struct {
-	eng  *Engine
-	name string
-	// run delivers the control token to this process: a parked process
-	// blocks in a receive on it, and whoever dispatches the process's
-	// wakeup sends. The reverse direction needs no channel — a parking
-	// process keeps driving the event loop on its own goroutine (see
-	// RunUntil), so a switch is one channel operation, not a round trip.
-	run        chan struct{}
+	eng        *Engine
+	name       string
+	resume     func() (next *Proc, parked bool) // nil until the startup event fires
+	yield      func(next *Proc) bool
 	fn         func(p *Proc) // body; retained until the startup event fires
-	started    bool
 	done       bool
 	blockedIdx int // slot in eng.blocked, -1 when not parked on a primitive
 
@@ -642,64 +612,52 @@ type Proc struct {
 	wakeAt  Duration
 
 	// steps is the chain SleepSteps parked this process on: its wake events
-	// run the next Step instead of resuming the goroutine.
+	// run the next Step instead of resuming the process.
 	steps Stepper
 }
 
-// main runs the process body, handling unwind-on-shutdown. On a normal
-// return the dying goroutine keeps driving the event loop — some other
-// process's wakeup or the RunUntil caller takes over from there.
-func (p *Proc) main(fn func(p *Proc)) {
+// body is the process's coroutine. It returns when fn does, or when fn
+// unwinds after Shutdown; a panic of fn's own is re-raised with the
+// process's name and stack, and iter.Pull carries it to the resumer.
+func (p *Proc) body(yield func(*Proc) bool) {
+	p.yield = yield
+	fn := p.fn
+	p.fn = nil // don't pin the closure for the process's whole lifetime
 	defer func() {
 		p.done = true
-		e := p.eng
-		e.nprocs--
+		p.eng.nprocs--
 		if r := recover(); r != nil {
 			if _, ok := r.(killed); !ok {
-				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+				panic(fmt.Sprintf("sim: process %q panicked: %v\n\n%s", p.name, r, debug.Stack()))
 			}
-			if e.unwinding {
-				e.ack <- struct{}{} // Shutdown's victim loop is waiting
-			} else {
-				// Died holding the token after Shutdown (it was the caller):
-				// the loop is over, wake RunUntil.
-				e.host <- struct{}{}
-			}
-			return
-		}
-		if e.drive(nil) == driveDone {
-			e.host <- struct{}{}
 		}
 	}()
 	fn(p)
 }
 
-// park hands the event loop to this goroutine until the process's own wakeup
-// fires; if the loop ends or moves elsewhere first, it blocks until resumed.
-// If the engine was (or is while parked) shut down, it unwinds the process.
+// park suspends the process until its own wakeup fires. It drives the event
+// loop itself first: if its own wakeup is the next event it just returns;
+// otherwise it yields to its resumer, naming the process due next (nil when
+// the loop is over), and returns when resumed. A process that hopped is
+// resumed by its new partition. If the engine was (or is while parked) shut
+// down, it unwinds the process.
 func (p *Proc) park() {
 	e := p.eng
 	if e.stepping != nil {
 		e.blockedInStep(p)
 	}
 	if e.dead {
-		panic(killed{}) // main's deferred recover hands control onward
+		panic(killed{}) // body's deferred recover ends the coroutine
 	}
-	switch e.drive(p) {
-	case driveOwnerWakeup:
-		return // our own wakeup was next: keep running, zero handoffs
-	case driveDone:
-		if e.dead {
-			// A callback we dispatched called Shutdown: unwind; main's
-			// deferred recover wakes RunUntil exactly once.
-			panic(killed{})
-		}
-		e.host <- struct{}{} // loop over while we're parked: wake RunUntil
-	case driveHandoff:
-		// another process is running; wait for our wakeup
+	q := e.drive()
+	if q == p {
+		return // our own wakeup was next: keep running, no switch
 	}
-	<-p.run
 	if e.dead {
+		panic(killed{}) // a callback we dispatched called Shutdown
+	}
+	p.yield(q)
+	if p.eng.dead {
 		panic(killed{})
 	}
 }
@@ -718,7 +676,7 @@ func (p *Proc) Now() Duration { return p.eng.now }
 // re-scheduled at the current time, after already-pending same-time events).
 //
 // Fast path: when no pending event could fire during the sleep, the clock
-// advances in place without a goroutine handoff. This is semantically
+// advances in place without a process switch. This is semantically
 // identical to park-and-immediately-resume (the wake event would be next
 // anyway) and makes busy-polling simulations orders of magnitude faster.
 func (p *Proc) Sleep(d Duration) {
@@ -776,12 +734,12 @@ type Stepper interface {
 //
 // except for where Step executes: in event context, when the leg's wake
 // event is dispatched (or inline while the Sleep fast path holds), so the
-// process's goroutine is resumed at most once per call instead of once per
-// leg. Every schedule call is made at the same point of the dispatch order
-// as in that loop, so every event keeps its (time, sequence) and the
-// simulation cannot tell the two apart. A wake event of a chain carries its
-// process like any other, so a deadline that falls mid-chain, Shutdown and
-// the group's window bounds all treat the process as parked on a timer.
+// process is resumed at most once per call instead of once per leg. Every
+// schedule call is made at the same point of the dispatch order as in that
+// loop, so every event keeps its (time, sequence) and the simulation cannot
+// tell the two apart. A wake event of a chain carries its process like any
+// other, so a deadline that falls mid-chain, Shutdown and the group's window
+// bounds all treat the process as parked on a timer.
 func (p *Proc) SleepSteps(d Duration, s Stepper) {
 	e := p.eng
 	if e.stepping != nil {

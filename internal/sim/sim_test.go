@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -476,3 +478,103 @@ func TestShutdownDropsNeverStartedProcs(t *testing.T) {
 		t.Fatalf("live procs = %d, want 0", eng.Procs())
 	}
 }
+
+// A process that panics ends the run: the panic reaches the RunUntil caller,
+// naming the process, whichever goroutine resumed it — here the second of
+// two processes, resumed after the first parked.
+func TestProcessPanicReachesRunUntil(t *testing.T) {
+	eng := New()
+	eng.Go("bystander", func(p *Proc) { p.Sleep(time.Hour) })
+	eng.Go("doomed", func(p *Proc) {
+		p.Sleep(10 * time.Nanosecond)
+		panic("boom")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		eng.Run()
+	}()
+	msg := fmt.Sprint(got)
+	if !strings.Contains(msg, `process "doomed" panicked: boom`) {
+		t.Fatalf("RunUntil's caller recovered %q, want the process's panic with its name", msg)
+	}
+	if eng.Now() != 10*time.Nanosecond || eng.Procs() != 1 {
+		t.Fatalf("after the panic: clock %v, %d live processes, want 10ns and the bystander", eng.Now(), eng.Procs())
+	}
+	eng.Shutdown()
+	if eng.Procs() != 0 {
+		t.Fatalf("%d processes survived Shutdown after the panic", eng.Procs())
+	}
+}
+
+// Shutdown leaves no goroutine behind, wherever it is called from: every
+// started process's coroutine ends, and a group's window workers exit.
+func TestShutdownReleasesGoroutines(t *testing.T) {
+	// park starts processes parked every way one can be: on a timer, on a
+	// signal, mid stepped sleep, never started.
+	park := func(e *Engine) {
+		stuck := NewSignal(e)
+		e.Go("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
+		e.Go("waiter", func(p *Proc) { stuck.Wait(p) })
+		e.Go("stepper", func(p *Proc) { p.SleepSteps(time.Nanosecond, endless{}) })
+		e.After(time.Microsecond, func() { e.Go("unstarted", func(p *Proc) {}) })
+	}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"from a process", func() {
+			e := New()
+			park(e)
+			e.Go("killer", func(p *Proc) {
+				p.Sleep(time.Microsecond)
+				e.Shutdown()
+			})
+			e.Run()
+		}},
+		{"from a callback", func() {
+			e := New()
+			park(e)
+			e.After(time.Microsecond, e.Shutdown)
+			e.Run()
+		}},
+		{"between runs", func() {
+			e := New()
+			park(e)
+			e.RunUntil(time.Microsecond)
+			e.Shutdown()
+		}},
+		{"group mid-hop", func() {
+			g := NewGroup()
+			g.SetMobileLatency(10 * time.Microsecond)
+			a, b := g.AddPartition(), g.AddPartition()
+			park(a)
+			park(b)
+			g.GoMobile(a, "migrant", func(p *Proc) {
+				p.Sleep(time.Microsecond)
+				g.Hop(p, b) // arrives at 11µs, after the run
+			})
+			g.RunUntil(5 * time.Microsecond)
+			g.Shutdown()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			tc.run()
+			// Exiting goroutines (a group's workers) leave asynchronously.
+			n := runtime.NumGoroutine()
+			for i := 0; i < 200 && n > before; i++ {
+				time.Sleep(time.Millisecond)
+				n = runtime.NumGoroutine()
+			}
+			if n > before {
+				t.Fatalf("%d goroutines after Shutdown, %d before the run", n, before)
+			}
+		})
+	}
+}
+
+// endless is a stepped sleep that never ends.
+type endless struct{}
+
+func (endless) Step() (Duration, bool) { return time.Nanosecond, true }

@@ -73,8 +73,8 @@ func (w tlEngine) spawn(next func() (Duration, bool)) {
 }
 
 // refWorld is the reference: the engine's scheduling rules (clamp to now,
-// saturating relative times, the Sleep fast path, who holds the token) over
-// the plainest possible timeline.
+// saturating relative times, the Sleep fast path, which process drives the
+// loop) over the plainest possible timeline.
 type refWorld struct {
 	now, deadline Duration
 	seq           uint64

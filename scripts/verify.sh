@@ -54,6 +54,14 @@ gate "a second sort in the barrier merge" "$(grep -n 'sort\.Slice\|extLess' inte
 echo "== memory on first touch (grep gate) =="
 gate "a histogram or sender ring sized up front" "$(grep -rn 'nMagnitudes \* subBuckets\]\|make(\[\]byte, ch.cfg.Slots' internal/ || true)"
 
+# One switch path: a process is an iter.Pull coroutine that its resumer runs
+# until it parks. A channel token beside it (the group's barrier channels
+# aside) would be a second way to switch processes; a Go map from line
+# address to line would put string-free hashing back on every cache access.
+echo "== one switch path, no map of cache lines (grep gate) =="
+gate "a chan struct{} process token in internal/sim" "$(grep -rn --include='*.go' 'chan struct{}' internal/sim | grep -v '_test\.go:' | grep -v 'barrier' || true)"
+gate "a Go map of cache lines" "$(grep -rn 'map\[int64\]\*line' internal/cache || true)"
+
 echo "== go build ./... =="
 go build ./...
 
@@ -63,12 +71,15 @@ go vet ./...
 echo "== go test ./... =="
 go test -timeout 10m ./...
 
-# Exact host-memory counts, asserted by the two tests and printed here: an
-# idle default-config duplex link, and building + starting the benchmark's
-# 128-host rack.
-echo "== host bytes allocated (idle link, rack setup) =="
+# Exact counts, asserted by the tests and printed here: host bytes
+# allocated by an idle default-config duplex link and by building + starting
+# the benchmark's 128-host rack, and the engine counters of the two busy pods
+# (an echo pair, a block mix) that every simulator-speed change must leave
+# where they are.
+echo "== host bytes allocated (idle link, rack setup), busy-pod counters =="
 go test -count=1 -run 'TestIdleLinkBytes' -v ./internal/core | grep ' B allocated'
 go test -count=1 -run 'TestRackSetupBytes' -v . | grep ' B allocated'
+go test -count=1 -run 'TestBusyPodExactCounts' -v . | grep 'counters {'
 
 # The slow self-checks over the packages every simulated cycle goes through;
 # they take seconds. In sim, cache, msgchan and core that is the
