@@ -28,7 +28,7 @@ test:
 # -short — one chaos campaign with its invariants run: the rest of the
 # suite re-runs every figure at ~10x race overhead without touching any
 # additional concurrency.
-RACE_PKGS = ./internal/memalloc ./internal/metrics ./internal/obs/... ./internal/core/... ./internal/faults ./internal/topo
+RACE_PKGS = ./internal/metrics ./internal/obs/... ./internal/core/... ./internal/faults ./internal/topo
 
 race:
 	$(GO) test -race $(RACE_PKGS) ./internal/par ./internal/sim
@@ -83,9 +83,10 @@ blackout:
 fuzz:
 	$(GO) test -run 'Fuzz' ./internal/faults ./internal/core ./internal/raft ./internal/sim ./internal/netstack ./internal/topo
 
-# Coverage census, report-only (~2 min): build every command, example and
-# the benchmark with -cover, run them all at small scale, and list the
-# functions no production entry point ever called that scripts/census.allow
-# does not explain. See scripts/census.sh.
+# Coverage census (~3 min): build every command, example and the benchmark
+# with -cover, run them all at small scale, and list the functions no
+# production entry point ever called that scripts/census.allow does not
+# explain, and the lines there that name no such function. Fails when either
+# list is non-empty; scripts/verify.sh runs it. See scripts/census.sh.
 census:
 	sh scripts/census.sh

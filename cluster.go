@@ -595,6 +595,3 @@ func (c *Cluster) Stats() obs.Snapshot {
 	sort.SliceStable(s.Events, func(a, b int) bool { return s.Events[a].At < s.Events[b].At })
 	return s
 }
-
-// StatsReport renders the merged cluster snapshot.
-func (c *Cluster) StatsReport() string { return c.Stats().String() }

@@ -74,9 +74,6 @@ func NewDriver(h *host.Host, name string, cfg DriverConfig) *Driver {
 	return &Driver{h: h, name: name, cfg: cfg, stallSig: sim.NewSignal(h.Eng)}
 }
 
-// Host returns the host whose core this driver occupies.
-func (d *Driver) Host() *host.Host { return d.h }
-
 // Name returns the driver core's label.
 func (d *Driver) Name() string { return d.name }
 
@@ -106,9 +103,6 @@ func (d *Driver) Start() {
 	d.started = true
 	d.h.Eng.Go(d.name, d.run)
 }
-
-// Started reports whether the core is polling.
-func (d *Driver) Started() bool { return d.started }
 
 // Stall freezes the polling process at its next iteration boundary: no loop
 // body runs, no telemetry is emitted, inbound rings back up. This models a
@@ -313,26 +307,4 @@ func Backoff(base, cap sim.Duration, n int) sim.Duration {
 		return cap
 	}
 	return base << uint(n)
-}
-
-// EngineStats is the uniform counter block every engine exposes: link-layer
-// accounting from its LinkSet plus buffer-area pressure, so operators see
-// backpressure (full rings, deferred sends) and exhaustion (alloc failures)
-// the same way for every device engine.
-type EngineStats struct {
-	Name          string
-	Links         LinkStats
-	BufAllocs     int64
-	BufFrees      int64
-	BufAllocFails int64
-}
-
-// AccumulateArea folds a buffer area's counters into the stats block.
-func (s *EngineStats) AccumulateArea(a *BufferArea) {
-	if a == nil {
-		return
-	}
-	s.BufAllocs += a.Allocs
-	s.BufFrees += a.Frees
-	s.BufAllocFails += a.AllocFails
 }

@@ -24,7 +24,6 @@ import (
 	"sort"
 	"time"
 
-	"oasis/internal/memalloc"
 	"oasis/internal/metrics"
 	"oasis/internal/sim"
 )
@@ -78,8 +77,8 @@ type Pool struct {
 	size    int64
 	dirs    []*pageDir // sparse backing store, indexed by addr/(dirPages*pageSize)
 	ports   []*Port
-	alloc   *memalloc.Allocator
-	classes []classSpan // sorted latency-class overrides
+	next    int64       // bump pointer: [0, next) is allocated, never freed
+	classes []classSpan // latency-class overrides, in address order
 	bi      []BackInvalidator
 }
 
@@ -152,18 +151,11 @@ func NewPool(eng *sim.Engine, size int64, params Params) *Pool {
 		params: params,
 		size:   size,
 		dirs:   make([]*pageDir, (size+dirPages*pageSize-1)/(dirPages*pageSize)),
-		alloc:  memalloc.New(size, LineSize),
 	}
 }
 
-// Engine returns the simulation engine the pool is bound to.
-func (p *Pool) Engine() *sim.Engine { return p.eng }
-
 // Params returns the timing parameters.
 func (p *Pool) Params() Params { return p.params }
-
-// Size returns the pool capacity in bytes.
-func (p *Pool) Size() int64 { return p.size }
 
 // AttachPort adds a host-facing port and returns it. The name appears in
 // bandwidth reports ("host0", "nic1-dma", ...).
@@ -184,44 +176,39 @@ func (p *Pool) AttachPort(name string) *Port {
 // Ports returns all attached ports.
 func (p *Pool) Ports() []*Port { return p.ports }
 
-// Alloc carves a line-aligned region of the given size out of the pool using
-// first-fit. It returns an error when the pool is exhausted.
+// Alloc carves the next line-aligned region of the given size out of the
+// pool. It returns an error when the size is not positive or the pool is
+// exhausted.
+//
+// Pool memory is never freed, so allocation is a bump pointer. Oasis hands
+// no region back (§3.3.1): the buffer area and channels of a removed volume
+// or a failed device stay quarantined, because a zombie device may still
+// DMA into them.
 func (p *Pool) Alloc(size int64) (Region, error) {
 	return p.AllocClass(size, Class{})
 }
 
 // AllocClass allocates a region with a latency-class override.
 func (p *Pool) AllocClass(size int64, c Class) (Region, error) {
-	base, rounded, err := p.alloc.Alloc(size)
-	if err != nil {
-		return Region{}, fmt.Errorf("cxl: %w", err)
+	// Compare before rounding: size + LineSize - 1 could overflow, and the
+	// free space is a whole number of lines, so a size that fits still fits
+	// rounded up.
+	if size <= 0 || size > p.size-p.next {
+		return Region{}, fmt.Errorf("cxl: cannot allocate %d bytes (%d free)", size, p.size-p.next)
 	}
-	r := Region{pool: p, Base: base, Size: rounded}
+	r := Region{pool: p, Base: p.next, Size: (size + LineSize - 1) &^ (LineSize - 1)}
+	p.next += r.Size
 	if c != (Class{}) {
 		p.setClass(r, c)
 	}
 	return r, nil
 }
 
-// setClass records a latency override, keeping spans sorted.
+// setClass records a latency override. Regions arrive in address order, so
+// the spans stay sorted.
 func (p *Pool) setClass(r Region, c Class) {
-	span := classSpan{base: r.Base, end: r.Base + r.Size, c: c}
-	i := sort.Search(len(p.classes), func(i int) bool { return p.classes[i].base >= span.base })
-	p.classes = append(p.classes, classSpan{})
-	copy(p.classes[i+1:], p.classes[i:])
-	p.classes[i] = span
+	p.classes = append(p.classes, classSpan{base: r.Base, end: r.Base + r.Size, c: c})
 }
-
-// Free returns a region to the pool, coalescing with adjacent holes.
-func (p *Pool) Free(r Region) {
-	if r.pool != p {
-		panic("cxl: freeing a region that does not belong to this pool")
-	}
-	p.alloc.Free(r.Base, r.Size)
-}
-
-// FreeBytes returns the number of unallocated bytes.
-func (p *Pool) FreeBytes() int64 { return p.alloc.FreeBytes() }
 
 // page returns the backing page for addr, or nil if nothing was ever
 // written there.
@@ -380,9 +367,6 @@ func (pt *Port) SetJitter(d sim.Duration) {
 	}
 	pt.jitter = d
 }
-
-// Jitter reports the active injected per-transaction latency (0 = none).
-func (pt *Port) Jitter() sim.Duration { return pt.jitter }
 
 // Degraded reports whether a degradation fault is active.
 func (pt *Port) Degraded() bool {

@@ -2,6 +2,7 @@ package cxl
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -191,46 +192,33 @@ func TestAllocAlignmentAndExhaustion(t *testing.T) {
 	if _, err := p.Alloc(64); err == nil {
 		t.Fatal("expected exhaustion")
 	}
-	if p.FreeBytes() != 0 {
-		t.Fatalf("free = %d, want 0", p.FreeBytes())
-	}
 }
 
-func TestFreeCoalesces(t *testing.T) {
-	p := newTestPool(1024)
-	var regs []Region
-	for i := 0; i < 4; i++ {
-		r, err := p.Alloc(256)
-		if err != nil {
+// A request the pool cannot hold — one so large that rounding it up to a
+// line would overflow, or one of no bytes at all — is refused, and the
+// allocation after it lands where it would have without the refusal.
+func TestAllocRejectsOversizedAndEmpty(t *testing.T) {
+	for _, size := range []int64{math.MaxInt64 - 10, 0, -1} {
+		p := newTestPool(1024)
+		if _, err := p.Alloc(100); err != nil {
 			t.Fatal(err)
 		}
-		regs = append(regs, r)
-	}
-	// Free middle two out of order; they must coalesce so a 512 alloc fits.
-	p.Free(regs[2])
-	p.Free(regs[1])
-	r, err := p.Alloc(512)
-	if err != nil {
-		t.Fatalf("coalesced alloc failed: %v", err)
-	}
-	if r.Base != 256 {
-		t.Fatalf("base = %d, want 256", r.Base)
+		if r, err := p.Alloc(size); err == nil {
+			t.Errorf("Alloc(%d) = %+v, want an error", size, r)
+		}
+		r, err := p.Alloc(64)
+		if err != nil || r.Base != 128 {
+			t.Errorf("after Alloc(%d): next region = %+v, %v; want base 128", size, r, err)
+		}
 	}
 }
 
-func TestAllocFreeNeverOverlaps(t *testing.T) {
-	// Property: live allocations never overlap, regardless of alloc/free
-	// interleaving.
+func TestAllocsNeverOverlap(t *testing.T) {
+	// Property: live allocations never overlap.
 	f := func(ops []uint16) bool {
 		p := newTestPool(1 << 16)
 		var live []Region
 		for _, op := range ops {
-			if op%3 == 0 && len(live) > 0 {
-				i := int(op) % len(live)
-				p.Free(live[i])
-				live = append(live[:i], live[i+1:]...)
-				continue
-			}
 			size := int64(op%2048) + 1
 			r, err := p.Alloc(size)
 			if err != nil {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"oasis"
-	"oasis/internal/cxl"
 	"oasis/internal/instance"
 	"oasis/internal/metrics"
 	"oasis/internal/netstack"
@@ -67,8 +66,9 @@ func buildNetPodCfg(mode Mode, mutate func(*oasis.Config)) *netPod {
 		cfg.CXL.WriteLatency = 40 * time.Nanosecond
 		cfg.CXL.PortBandwidth = 64e9
 	case ModeBaselineCXLBufs:
-		// Rings at DDR latency, buffers at CXL latency (pool default).
-		cfg.Engine.Chan.MemClass = cxl.LocalClass()
+		// Buffers at CXL latency: the pool default. The rings need no
+		// override — the local driver's instance rings are host IPC, priced
+		// by Host.IPCCost, and this pod builds no message channel.
 	}
 	if mutate != nil {
 		mutate(&cfg)

@@ -16,7 +16,6 @@ import (
 
 	"oasis/internal/cache"
 	"oasis/internal/cxl"
-	"oasis/internal/memalloc"
 	"oasis/internal/sim"
 )
 
@@ -46,14 +45,13 @@ func DefaultMemParams() MemParams {
 
 const pageSize = 4096
 
-// LocalMemory is one host's DDR: sparse backing pages plus an allocator.
-// It implements nic.DMAMemory.
+// LocalMemory is one host's DDR: sparse backing pages. It implements
+// nic.DMAMemory.
 type LocalMemory struct {
 	eng    *sim.Engine
 	params MemParams
 	size   int64
 	pages  [][]byte // sparse backing store, indexed by addr/pageSize; see page
-	alloc  *memalloc.Allocator
 	dma    *sim.Resource
 	frees  []*memWrite // recycled posted-write ops (engine-local, no lock)
 }
@@ -67,18 +65,9 @@ func NewLocalMemory(eng *sim.Engine, size int64, params MemParams) *LocalMemory 
 		eng:    eng,
 		params: params,
 		size:   size,
-		alloc:  memalloc.New(size, cxl.LineSize),
 		dma:    sim.NewResource(eng),
 	}
 }
-
-// Alloc reserves a line-aligned buffer, returning its base address.
-func (m *LocalMemory) Alloc(size int64) (int64, int64, error) {
-	return m.alloc.Alloc(size)
-}
-
-// Free releases a buffer returned by Alloc.
-func (m *LocalMemory) Free(base, size int64) { m.alloc.Free(base, size) }
 
 func (m *LocalMemory) check(addr int64, n int) {
 	if addr < 0 || addr+int64(n) > m.size {

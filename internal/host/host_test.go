@@ -47,19 +47,6 @@ func TestLocalMemoryDMAVisibilityAtCompletion(t *testing.T) {
 	}
 }
 
-func TestLocalMemoryAllocFree(t *testing.T) {
-	eng := sim.New()
-	mem := NewLocalMemory(eng, 1<<16, DefaultMemParams())
-	base, rounded, err := mem.Alloc(100)
-	if err != nil || rounded != 128 {
-		t.Fatalf("Alloc = %d,%d,%v", base, rounded, err)
-	}
-	mem.Free(base, rounded)
-	if _, _, err := mem.Alloc(1 << 16); err != nil {
-		t.Fatalf("full-size alloc after free: %v", err)
-	}
-}
-
 func TestLocalMemoryBoundsPanic(t *testing.T) {
 	eng := sim.New()
 	mem := NewLocalMemory(eng, 4096, DefaultMemParams())

@@ -194,7 +194,7 @@ func TestSeriesAccumulation(t *testing.T) {
 	s.Add(10*time.Microsecond, 5) // bin 1
 	s.Add(35*time.Microsecond, 7) // bin 3
 	if s.At(0) != 3 || s.At(1) != 5 || s.At(2) != 0 || s.At(3) != 7 {
-		t.Fatalf("bins = %v", s.Values())
+		t.Fatalf("bins = %v %v %v %v", s.At(0), s.At(1), s.At(2), s.At(3))
 	}
 	if s.Total() != 15 {
 		t.Fatalf("total = %v", s.Total())

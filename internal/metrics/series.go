@@ -50,9 +50,6 @@ func (s *Series) At(i int) float64 {
 	return s.bins[i]
 }
 
-// Values returns the backing bin values. The caller must not modify them.
-func (s *Series) Values() []float64 { return s.bins }
-
 // Total returns the sum over all bins.
 func (s *Series) Total() float64 {
 	var t float64

@@ -180,9 +180,6 @@ func New(region cxl.Region, cfg Config) (*Channel, error) {
 	}, nil
 }
 
-// Config returns the channel's effective configuration.
-func (ch *Channel) Config() Config { return ch.cfg }
-
 // PayloadSize returns the usable bytes per message (slot minus header byte).
 func (ch *Channel) PayloadSize() int { return ch.cfg.MsgSize - 1 }
 
@@ -264,10 +261,6 @@ func (s *Sender) shadowAt(off, n int) []byte {
 	off %= shadowChunk
 	return c[off : off+n]
 }
-
-// Free returns how many slots the sender believes are available. It does not
-// re-read the consumed counter.
-func (s *Sender) Free() int { return s.ch.cfg.Slots - int(s.head-s.cachedConsumed) }
 
 // refreshConsumed re-reads the consumed counter from the pool: CLFLUSHOPT +
 // MFENCE + a CXL fetch (§4), as one stepped sleep.

@@ -450,10 +450,3 @@ func (be *Backend) sendToFE(p *sim.Proc, l *feLink, m msg) {
 	var buf [15]byte
 	l.link.SendOrQueue(p, m.encode(buf[:]))
 }
-
-// Stats exports the uniform engine counter block.
-func (be *Backend) Stats() core.EngineStats {
-	s := core.EngineStats{Name: be.LoopName(), Links: be.links.Stats()}
-	s.AccumulateArea(be.rxArea)
-	return s
-}

@@ -168,9 +168,6 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
 	return fe
 }
 
-// Host returns the frontend's host.
-func (fe *Frontend) Host() *host.Host { return fe.h }
-
 // ConnectBackend wires this frontend to a backend over its end of a duplex
 // link. mac is the backend NIC's address (from the pod directory), which
 // instances served by that NIC use as their source MAC.
@@ -255,12 +252,6 @@ func (fe *Frontend) AddInstance(ip netstack.IP) (*InstancePort, error) {
 	fe.instOrder = append(fe.instOrder, ip)
 	return inst, nil
 }
-
-// IP returns the instance's address.
-func (ip *InstancePort) IP() netstack.IP { return ip.ip }
-
-// Frontend returns the driver this port is attached to.
-func (ip *InstancePort) Frontend() *Frontend { return ip.fe }
 
 // AttachStack binds the instance's network stack (created with
 // CurrentMAC as its MAC source and this port as its endpoint).
@@ -653,14 +644,4 @@ func (fe *Frontend) RemoveInstance(ip netstack.IP) error {
 		}
 	}
 	return nil
-}
-
-// Stats exports the uniform engine counter block (link traffic,
-// backpressure, buffer-area pressure across all instances' TX areas).
-func (fe *Frontend) Stats() core.EngineStats {
-	s := core.EngineStats{Name: fe.LoopName(), Links: fe.links.Stats()}
-	for _, ip := range fe.instOrder {
-		s.AccumulateArea(fe.insts[ip].area)
-	}
-	return s
 }

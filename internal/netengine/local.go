@@ -175,17 +175,6 @@ func (d *LocalDriver) completeTx(_ *sim.Proc, tc nic.TxCompletion) {
 	}
 }
 
-// Stats exports the uniform engine counter block (no message links; the
-// baseline driver talks to instances over local IPC only).
-func (d *LocalDriver) Stats() core.EngineStats {
-	s := core.EngineStats{Name: d.LoopName()}
-	s.AccumulateArea(d.rxArea)
-	for _, ip := range d.instOrder {
-		s.AccumulateArea(d.insts[ip].area)
-	}
-	return s
-}
-
 func (d *LocalDriver) deliverRx(p *sim.Proc, rc nic.RxCompletion) {
 	var inst *LocalPort
 	if rc.Matched {

@@ -107,9 +107,6 @@ func New(eng *sim.Engine, params Params) *Switch {
 	return &Switch{eng: eng, params: params, table: make(map[MAC]*Port)}
 }
 
-// Engine returns the simulation engine.
-func (s *Switch) Engine() *sim.Engine { return s.eng }
-
 // AttachPort adds a port wired to the given sink and returns it.
 func (s *Switch) AttachPort(name string, sink Sink) *Port {
 	p := &Port{
@@ -244,9 +241,6 @@ type Port struct {
 	// administrative state flips; NICs use it to start their PHY debounce.
 	onLinkChange func(up bool)
 }
-
-// Name returns the port's diagnostic name.
-func (p *Port) Name() string { return p.name }
 
 // Enabled reports the administrative state.
 func (p *Port) Enabled() bool { return p.enabled }

@@ -18,8 +18,11 @@
 // component's existing counter fields, so instrumentation adds no work — and
 // in particular no virtual time — to the simulated datapath; the registry
 // reads everything lazily at Snapshot time. Registration happens once at
-// wiring time; duplicate names are rejected (a wiring bug), which the
-// Register* forms report as an error and the panic conveniences enforce.
+// wiring time and panics on a duplicate or empty name: that is a wiring bug.
+//
+// The registry is the one read path of the engines' counters: each engine
+// registers its link, channel and buffer-area tallies here, and keeps no
+// stats block of its own beside them.
 package obs
 
 import (
@@ -85,82 +88,47 @@ func New() *Registry {
 	}
 }
 
-// Len returns the number of registered instruments.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.order)
-}
-
-func (r *Registry) register(i *instrument) error {
+// register adds an instrument, panicking on an empty or duplicate name: both
+// are wiring bugs.
+func (r *Registry) register(i *instrument) {
 	if i.name == "" {
-		return fmt.Errorf("obs: empty instrument name")
+		panic("obs: empty instrument name")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.byName[i.name]; dup {
-		return fmt.Errorf("obs: duplicate instrument %q", i.name)
+		panic(fmt.Sprintf("obs: duplicate instrument %q", i.name))
 	}
 	r.byName[i.name] = i
 	r.order = append(r.order, i)
-	return nil
 }
 
-// RegisterCounter registers a sampled counter: fn is read at Snapshot time.
-func (r *Registry) RegisterCounter(name string, fn func() int64) error {
-	return r.register(&instrument{name: name, kind: KindCounter, counter: fn})
-}
-
-// RegisterGauge registers a sampled gauge: fn is read at Snapshot time.
-func (r *Registry) RegisterGauge(name string, fn func() float64) error {
-	return r.register(&instrument{name: name, kind: KindGauge, gauge: fn})
-}
-
-// RegisterHistogram registers an existing histogram; the component keeps
-// recording into it and Snapshot summarizes it.
-func (r *Registry) RegisterHistogram(name string, h *metrics.Histogram) error {
-	if h == nil {
-		return fmt.Errorf("obs: nil histogram for %q", name)
-	}
-	return r.register(&instrument{name: name, kind: KindHistogram, hist: h})
-}
-
-// RegisterMeter registers a categorized byte meter; Snapshot emits one
-// counter point per category, labeled with the category name.
-func (r *Registry) RegisterMeter(name string, m *metrics.Meter) error {
-	if m == nil {
-		return fmt.Errorf("obs: nil meter for %q", name)
-	}
-	return r.register(&instrument{name: name, kind: KindCounter, meter: m})
-}
-
-// Counter is the panic-on-collision convenience for wiring-time registration.
+// Counter registers a sampled counter: fn is read at Snapshot time.
 func (r *Registry) Counter(name string, fn func() int64) {
-	if err := r.RegisterCounter(name, fn); err != nil {
-		panic(err)
-	}
+	r.register(&instrument{name: name, kind: KindCounter, counter: fn})
 }
 
-// Gauge is the panic-on-collision convenience for wiring-time registration.
+// Gauge registers a sampled gauge: fn is read at Snapshot time.
 func (r *Registry) Gauge(name string, fn func() float64) {
-	if err := r.RegisterGauge(name, fn); err != nil {
-		panic(err)
-	}
+	r.register(&instrument{name: name, kind: KindGauge, gauge: fn})
 }
 
-// Histogram is the panic-on-collision convenience for wiring-time
-// registration.
+// Histogram registers an existing histogram; the component keeps recording
+// into it and Snapshot summarizes it.
 func (r *Registry) Histogram(name string, h *metrics.Histogram) {
-	if err := r.RegisterHistogram(name, h); err != nil {
-		panic(err)
+	if h == nil {
+		panic(fmt.Sprintf("obs: nil histogram for %q", name))
 	}
+	r.register(&instrument{name: name, kind: KindHistogram, hist: h})
 }
 
-// Meter is the panic-on-collision convenience for wiring-time registration.
+// Meter registers a categorized byte meter; Snapshot emits one counter point
+// per category, labeled with the category name.
 func (r *Registry) Meter(name string, m *metrics.Meter) {
-	if err := r.RegisterMeter(name, m); err != nil {
-		panic(err)
+	if m == nil {
+		panic(fmt.Sprintf("obs: nil meter for %q", name))
 	}
+	r.register(&instrument{name: name, kind: KindCounter, meter: m})
 }
 
 // NewCounter creates, registers, and returns an owned counter.
@@ -168,11 +136,4 @@ func (r *Registry) NewCounter(name string) *Counter {
 	c := &Counter{}
 	r.Counter(name, c.Value)
 	return c
-}
-
-// NewHistogram creates, registers, and returns an owned histogram.
-func (r *Registry) NewHistogram(name string) *metrics.Histogram {
-	h := &metrics.Histogram{}
-	r.Histogram(name, h)
-	return h
 }

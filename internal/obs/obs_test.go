@@ -11,28 +11,32 @@ import (
 
 func TestRegistryNameCollisionRejected(t *testing.T) {
 	r := New()
-	if err := r.RegisterCounter("nic1/tx_packets", func() int64 { return 0 }); err != nil {
-		t.Fatalf("first registration: %v", err)
-	}
-	if err := r.RegisterCounter("nic1/tx_packets", func() int64 { return 0 }); err == nil {
-		t.Fatal("duplicate counter registration accepted")
-	}
-	// Collisions are rejected across kinds too: the namespace is shared.
-	if err := r.RegisterGauge("nic1/tx_packets", func() float64 { return 0 }); err == nil {
-		t.Fatal("duplicate gauge registration accepted")
-	}
-	if err := r.RegisterHistogram("nic1/tx_packets", &metrics.Histogram{}); err == nil {
-		t.Fatal("duplicate histogram registration accepted")
-	}
-	if err := r.RegisterCounter("", func() int64 { return 0 }); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic convenience did not panic on collision")
-		}
-	}()
 	r.Counter("nic1/tx_packets", func() int64 { return 0 })
+	// Collisions are rejected across kinds too: the namespace is shared.
+	for _, c := range []struct {
+		what     string
+		register func()
+	}{
+		{"duplicate counter", func() { r.Counter("nic1/tx_packets", func() int64 { return 0 }) }},
+		{"duplicate gauge", func() { r.Gauge("nic1/tx_packets", func() float64 { return 0 }) }},
+		{"duplicate histogram", func() { r.Histogram("nic1/tx_packets", &metrics.Histogram{}) }},
+		{"duplicate meter", func() { r.Meter("nic1/tx_packets", metrics.NewMeter()) }},
+		{"empty name", func() { r.Counter("", func() int64 { return 0 }) }},
+		{"nil histogram", func() { r.Histogram("nic1/lat", nil) }},
+		{"nil meter", func() { r.Meter("nic1/bytes", nil) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s registered without a panic", c.what)
+				}
+			}()
+			c.register()
+		}()
+	}
+	if n := len(r.Snapshot(0).Points); n != 1 {
+		t.Fatalf("%d points after the refused registrations, want the first counter only", n)
+	}
 }
 
 func TestHistogramQuantileEdgeCases(t *testing.T) {
@@ -88,7 +92,8 @@ func TestSnapshotSortedAndDeterministic(t *testing.T) {
 		r.Counter("z/last", func() int64 { return 9 })
 		r.Counter("a/first", func() int64 { return 1 })
 		r.Gauge("m/mid", func() float64 { return 2.5 })
-		h := r.NewHistogram("m/lat")
+		h := &metrics.Histogram{}
+		r.Histogram("m/lat", h)
 		h.Record(5 * time.Microsecond)
 		r.Events.Emit(time.Millisecond, "alloc", "placement ip=10.0.0.1 nic=1")
 		return r.Snapshot(42 * time.Millisecond)
@@ -120,7 +125,8 @@ func TestSnapshotEncodings(t *testing.T) {
 	m := metrics.NewMeter()
 	m.Add("payload", 64)
 	r.Meter("cxl/port/host0/wr_bytes", m)
-	h := r.NewHistogram("host0/fe/chan/nic1/rx_lat")
+	h := &metrics.Histogram{}
+	r.Histogram("host0/fe/chan/nic1/rx_lat", h)
 	h.Record(2 * time.Microsecond)
 	s := r.Snapshot(time.Second)
 

@@ -140,8 +140,8 @@ func fmtValue(v float64) string {
 }
 
 // String renders the human-readable report: one line per point, histogram
-// digests inline, trace events at the tail. This is what Pod.StatsReport
-// prints.
+// digests inline, trace events at the tail. This is what every command
+// prints as a pod's Stats().String().
 func (s Snapshot) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "pod after %v of virtual time\n", s.At)

@@ -73,11 +73,3 @@ func (t *TraceRing) Total() int64 {
 	defer t.mu.Unlock()
 	return t.total
 }
-
-// Cap returns the ring's retention bound.
-func (t *TraceRing) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.buf)
-}

@@ -74,19 +74,3 @@ func Do(workers, n int, fn func(i int)) {
 		panic(fmt.Sprintf("par: job %d panicked: %v", first.i, first.v))
 	}
 }
-
-// DoErr is Do for fallible jobs: it runs fn(0..n-1) and returns the error
-// from the lowest-indexed failing job (the one a serial loop would have
-// hit first), or nil if every job succeeded. All jobs run regardless of
-// failures — results land at caller-owned indices either way — so the
-// chosen error does not depend on worker scheduling.
-func DoErr(workers, n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	Do(workers, n, func(i int) { errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}

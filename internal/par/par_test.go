@@ -88,27 +88,3 @@ func TestDoSerialPanicUnwrapped(t *testing.T) {
 		t.Fatalf("serial panic rewrapped: got %v", got)
 	}
 }
-
-// DoErr returns the lowest-indexed job error — the one a serial loop
-// would hit first — independent of worker count, and nil when all pass.
-func TestDoErr(t *testing.T) {
-	errA := errors.New("a")
-	errB := errors.New("b")
-	for _, workers := range []int{1, 2, 8} {
-		err := DoErr(workers, 40, func(i int) error {
-			switch i {
-			case 11:
-				return errA
-			case 29:
-				return errB
-			}
-			return nil
-		})
-		if !errors.Is(err, errA) {
-			t.Fatalf("workers=%d: want lowest-index error %v, got %v", workers, errA, err)
-		}
-		if err := DoErr(workers, 40, func(i int) error { return nil }); err != nil {
-			t.Fatalf("workers=%d: spurious error %v", workers, err)
-		}
-	}
-}

@@ -93,17 +93,6 @@ const (
 	leader
 )
 
-func (r role) String() string {
-	switch r {
-	case follower:
-		return "follower"
-	case candidate:
-		return "candidate"
-	default:
-		return "leader"
-	}
-}
-
 // Node is one Raft replica. Create with New, then Start.
 type Node struct {
 	eng   *sim.Engine

@@ -13,62 +13,6 @@ import (
 	"oasis/internal/sim"
 )
 
-// LocalTransport delivers messages directly between colocated nodes with a
-// configurable one-way delay and optional per-link disconnection. Used by
-// unit tests and by single-host deployments.
-type LocalTransport struct {
-	eng   *sim.Engine
-	delay sim.Duration
-	nodes map[int]*Node
-	down  map[[2]int]bool // directed (from,to) cut
-
-	Sent, Dropped int64
-}
-
-// NewLocalTransport creates a hub with the given one-way delivery delay.
-func NewLocalTransport(eng *sim.Engine, delay sim.Duration) *LocalTransport {
-	return &LocalTransport{
-		eng:   eng,
-		delay: delay,
-		nodes: make(map[int]*Node),
-		down:  make(map[[2]int]bool),
-	}
-}
-
-// Register attaches a node to the hub.
-func (t *LocalTransport) Register(n *Node) { t.nodes[n.ID()] = n }
-
-// SetLink cuts or restores the directed link from -> to.
-func (t *LocalTransport) SetLink(from, to int, up bool) {
-	t.down[[2]int{from, to}] = !up
-}
-
-// Isolate cuts all links to and from a node (models a partition).
-func (t *LocalTransport) Isolate(id int, isolated bool) {
-	for other := range t.nodes {
-		if other == id {
-			continue
-		}
-		t.SetLink(id, other, !isolated)
-		t.SetLink(other, id, !isolated)
-	}
-}
-
-// Send implements Transport.
-func (t *LocalTransport) Send(p *sim.Proc, m Message) {
-	if t.down[[2]int{m.From, m.To}] {
-		t.Dropped++
-		return
-	}
-	dst, ok := t.nodes[m.To]
-	if !ok {
-		t.Dropped++
-		return
-	}
-	t.Sent++
-	t.eng.After(t.delay, func() { dst.Deliver(m) })
-}
-
 // ChannelTransport carries Raft RPCs over the Oasis datapath's 64-byte
 // message channels (§3.5: "RPCs transmitted over the message channels").
 // One RPC fits one channel message: commands are capped at MaxCmdBytes

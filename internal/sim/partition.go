@@ -268,10 +268,6 @@ func (g *Group) Link(src, dst *Engine, min Duration) *CrossLink {
 // MinLatency returns the link's declared minimum event latency.
 func (x *CrossLink) MinLatency() Duration { return x.min }
 
-// Src and Dst return the link's endpoints.
-func (x *CrossLink) Src() *Engine { return x.src }
-func (x *CrossLink) Dst() *Engine { return x.dst }
-
 // Send schedules fn on the destination partition at absolute time at. It
 // must be called from the source partition's execution context (a process
 // or callback running there). The timestamp fence — at >= sender now +

@@ -665,9 +665,6 @@ func (p *Proc) park() {
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Name returns the process name.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Duration { return p.eng.now }
 

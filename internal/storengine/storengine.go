@@ -937,16 +937,6 @@ func (fe *Frontend) handleControlMsg(p *sim.Proc, m core.ControlMsg) {
 	fe.FailoversApplied++
 }
 
-// Stats exports the uniform engine counter block (link traffic plus all
-// volumes' buffer-area pressure).
-func (fe *Frontend) Stats() core.EngineStats {
-	s := core.EngineStats{Name: fe.LoopName(), Links: fe.links.Stats()}
-	for _, ip := range fe.volOrder {
-		s.AccumulateArea(fe.vols[ip].area)
-	}
-	return s
-}
-
 // sfeLink is the backend's engine-specific peer state for one frontend,
 // carried in the core link's Meta.
 type sfeLink struct {
@@ -1033,9 +1023,6 @@ func NewBackend(h *host.Host, ssdID uint16, dev *ssd.SSD, capacityBlocks uint64,
 	}, h, pacing)
 	return be
 }
-
-// Host returns the backend's host.
-func (be *Backend) Host() *host.Host { return be.h }
 
 // ConnectFrontend wires a frontend's link end.
 func (be *Backend) ConnectFrontend(hostID int, end *core.LinkEnd) {
@@ -1189,9 +1176,4 @@ func (be *Backend) handleCompletion(p *sim.Proc, comp ssd.Completion, buf []byte
 	be.latSum += p.Now() - io.submitted
 	be.latOps++
 	io.link.link.SendOrQueue(p, smsg{op: sOpComplete, cid: io.feCID, status: comp.Status, epoch: io.epoch}.encode(buf))
-}
-
-// Stats exports the uniform engine counter block.
-func (be *Backend) Stats() core.EngineStats {
-	return core.EngineStats{Name: be.LoopName(), Links: be.links.Stats()}
 }

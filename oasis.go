@@ -62,7 +62,8 @@
 //
 // Pod.Stats() samples every component's registered instruments into a
 // typed, deterministic Snapshot (sorted series, JSON-marshalable, plus a
-// Prometheus-style text encoding); Pod.StatsReport() is Snapshot.String().
+// Prometheus-style text encoding); the human-readable report every command
+// prints is its String().
 // See internal/obs and DESIGN.md's observability section for the
 // instrument taxonomy and naming scheme.
 package oasis

@@ -3,6 +3,7 @@ package oasis
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -592,7 +593,7 @@ func TestAERProactiveFailoverEndToEnd(t *testing.T) {
 func TestStatsReportCoversComponents(t *testing.T) {
 	e := buildTestEcho(t)
 	e.pod.Run(time.Second)
-	rep := e.pod.StatsReport()
+	rep := e.pod.Stats().String()
 	for _, want := range []string{
 		"nic1/tx_packets", "host0/cache/hits", "alloc/placements",
 		"host0/fe/tx_forwarded", "cxl/port/host0/rd_bytes{payload}",
@@ -794,6 +795,18 @@ func TestBuilderErrForms(t *testing.T) {
 	pod.Shutdown()
 }
 
+// A TX buffer area larger than any pool is a wiring mistake the Err form
+// returns, not a panic in the buffer area's constructor.
+func TestOversizedTxAreaIsAnError(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Engine.TxAreaBytes = math.MaxInt64 - 10
+	pod := NewPod(cfg)
+	h := pod.AddHost()
+	if _, err := pod.AddInstanceErr(h, IP(10, 0, 0, 1)); err == nil {
+		t.Fatal("AddInstanceErr accepted a TX area larger than the pool")
+	}
+}
+
 func TestAssignOnLocalInstanceErrors(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NoAllocator = true
@@ -896,7 +909,7 @@ func TestSSDFailoverEpochFence(t *testing.T) {
 		t.Fatal("writer never got an ack")
 	}
 	// Both new metric families must surface through Pod.Stats.
-	rep := pod.StatsReport()
+	rep := pod.Stats().String()
 	for _, want := range []string{"faults/engine-stall/injected", "alloc/recovery/ssd_failovers", "alloc/recovery/detect_lat"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("Pod.Stats missing %q", want)

@@ -5,8 +5,9 @@
 # (~1 min), and prints each function of `oasis` and `oasis/internal/...` that
 # stayed at 0.0 % and is not named in scripts/census.allow. A listed function
 # is either dead (delete it) or kept on purpose (add it to census.allow with
-# the reason). Report-only: exits 0 unless a run itself fails. The last line,
-# "census: N ...", is what scripts/verify.sh prints.
+# the reason). A gate: exits 1 when a function is unexplained or an allowed
+# one is stale (covered again, or gone), so neither kind of line can pile up.
+# The last line, "census: N ...", is what scripts/verify.sh prints.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -57,3 +58,4 @@ if [ -s "$tmp/stale" ]; then
     sed 's/^/  /' "$tmp/stale"
 fi
 echo "census: $(wc -l < "$tmp/unexplained") unexplained, $(wc -l < "$tmp/allowed") allowed, $(wc -l < "$tmp/stale") stale of $(wc -l < "$tmp/zero") functions at 0.0 %"
+[ ! -s "$tmp/unexplained" ] && [ ! -s "$tmp/stale" ]

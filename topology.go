@@ -763,9 +763,3 @@ func (t *Topology) Obs() *obs.Registry { return t.obs }
 // returns a typed, deterministically ordered snapshot. Instruments are only
 // read here — sampling costs no virtual time and never perturbs the run.
 func (t *Topology) Stats() obs.Snapshot { return t.obs.Snapshot(t.Eng.Now()) }
-
-// StatsReport returns a human-readable dump of the pod's counters: per-NIC
-// traffic, per-port CXL bandwidth by category, driver counters, and
-// allocator decisions. Examples and operators print it after a run. It is
-// exactly Stats().String(); use Stats for programmatic access.
-func (t *Topology) StatsReport() string { return t.Stats().String() }
