@@ -11,26 +11,37 @@ import (
 	"oasis/internal/ssd"
 )
 
-// Exact costs of two busy pods, the shapes of the benchmark's echo_ladder and
-// store_mixed workloads at a smaller scale: every counter of the run phase,
-// captured before coroutine switching and the cache's line table replaced
-// channel hand-offs and the Go map. Both changes are exact by construction —
-// the same events in the same (time, sequence) order, the same process
-// resumed at every switch — so none of these constants may move with a
-// simulator-speed change.
+// Exact costs of three busy pods, the shapes of the benchmark's echo_ladder
+// (pooled, and on the baseline's local datapath) and store_mixed workloads at
+// a smaller scale: every counter of the run phase. Events, FastSleeps and
+// HeapEvents were captured before coroutine switching and the cache's line
+// table replaced channel hand-offs and the Go map, and before the packet
+// path moved into event context; every such change is exact by construction
+// — the same events in the same (time, sequence) order — so they may not
+// move with a simulator-speed change. Switches and SteppedLegs count how the
+// run is executed, and were pinned when the datapath's handlers, the NIC's
+// pipeline and the stacks became chains of steps: 17 279, 11 927 and 3 713
+// switches before.
 var busyPodCounts = map[string]sim.Counters{
-	"echo":  {Events: 73317, Switches: 17279, FastSleeps: 33433, SteppedLegs: 55070, HeapEvents: 2},
-	"store": {Events: 76925, Switches: 3713, FastSleeps: 43287, SteppedLegs: 95034, HeapEvents: 381},
+	"echo":  {Events: 73317, Switches: 1684, FastSleeps: 33433, SteppedLegs: 75314, HeapEvents: 2},
+	"local": {Events: 34674, Switches: 1663, FastSleeps: 11738, SteppedLegs: 30799, HeapEvents: 2},
+	"store": {Events: 76925, Switches: 1236, FastSleeps: 43287, SteppedLegs: 99598, HeapEvents: 381},
 }
 
 func TestBusyPodExactCounts(t *testing.T) {
 	for _, row := range []struct {
 		name string
-		run  func(t *testing.T) sim.Counters
-	}{{"echo", busyEchoCounts}, {"store", busyStoreCounts}} {
+		run  func(t *testing.T) (c sim.Counters, requests int)
+	}{
+		{"echo", func(t *testing.T) (sim.Counters, int) { return busyEchoCounts(t, false) }},
+		{"local", func(t *testing.T) (sim.Counters, int) { return busyEchoCounts(t, true) }},
+		{"store", busyStoreCounts},
+	} {
 		t.Run(row.name, func(t *testing.T) {
-			got, want := row.run(t), busyPodCounts[row.name]
+			got, requests := row.run(t)
+			want := busyPodCounts[row.name]
 			t.Logf("counters %+v", got)
+			t.Logf("%d requests, %.2f switches per request", requests, float64(got.Switches)/float64(requests))
 			if sim.Checking() {
 				// OASIS_SIMCHECK=1 runs every stage from the process to check
 				// the idle predicates: more switches, the same events.
@@ -60,18 +71,34 @@ func runCounted(pod *Pod, until time.Duration) sim.Counters {
 
 // busyEchoCounts is one echo_ladder rung: an instance on host A, its pooled
 // NIC on host B, no allocator, and an open-loop UDP echo at 600 kpps for
-// 1 ms, a quarter of the requests 1 458 B and the rest 75 B.
-func busyEchoCounts(t *testing.T) sim.Counters {
+// 1 ms, a quarter of the requests 1 458 B and the rest 75 B. With local, the
+// instance and its NIC are the baseline's instead (AddLocalNIC and
+// AddLocalInstance on host A: the benchmark's DDR-latency local datapath).
+func busyEchoCounts(t *testing.T, local bool) (sim.Counters, int) {
 	cfg := DefaultConfig()
 	cfg.NoAllocator = true
+	if local {
+		cfg.CXL.LoadLatency = 90 * time.Nanosecond
+		cfg.CXL.WriteLatency = 40 * time.Nanosecond
+		cfg.CXL.PortBandwidth = 64e9
+	}
 	pod := NewPod(cfg)
 	hostA := pod.AddHost()
-	nic := pod.AddNIC(pod.AddHost(), false)
-	inst := pod.AddInstance(hostA, IP(10, 0, 0, 10))
+	var nic *NIC
+	var inst *Instance
+	if local {
+		nic = pod.AddLocalNIC(hostA)
+		inst = pod.AddLocalInstance(hostA, IP(10, 0, 0, 10))
+	} else {
+		nic = pod.AddNIC(pod.AddHost(), false)
+		inst = pod.AddInstance(hostA, IP(10, 0, 0, 10))
+	}
 	client := pod.AddClient(IP(10, 0, 99, 1))
 	pod.Start()
-	if err := inst.Assign(nic.ID, 0); err != nil {
-		t.Fatal(err)
+	if inst.IsPooled() {
+		if err := inst.Assign(nic.ID, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const (
 		n        = 600
@@ -125,14 +152,14 @@ func busyEchoCounts(t *testing.T) sim.Counters {
 	if echoed != n {
 		t.Errorf("%d of %d echoes came back", echoed, n)
 	}
-	return c
+	return c, n
 }
 
 // busyStoreCounts is store_mixed on two hosts: a NIC on host 0, an SSD on
 // host 1, one instance with a volume served by four workers, and four
 // closed-loop clients issuing seeded 70/30 reads and writes of one 4 KiB
 // block for 2 ms.
-func busyStoreCounts(t *testing.T) sim.Counters {
+func busyStoreCounts(t *testing.T) (sim.Counters, int) {
 	pod := NewPod(DefaultConfig())
 	h0, h1 := pod.AddHost(), pod.AddHost()
 	pod.AddNIC(h0, false)
@@ -204,5 +231,5 @@ func busyStoreCounts(t *testing.T) sim.Counters {
 	if done < 100 {
 		t.Errorf("only %d block requests completed", done)
 	}
-	return c
+	return c, done
 }

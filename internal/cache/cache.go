@@ -111,10 +111,11 @@ type Cache struct {
 	// fill it was issued for.
 	freeLines []*line
 	freeFills []*fillOp // recycled fill-completion ops (engine-local, no lock)
-	// Steppers of range operations not in flight. A driver and an instance
-	// process share their host's cache and may each be mid-range, so every
-	// call takes its own.
-	freeRanges []*rangeOp
+	// Steppers of range operations and reads not in flight. A driver and an
+	// instance process share their host's cache and may each be mid-range,
+	// so every call takes its own.
+	freeRanges []*RangeOp
+	freeReads  []*ReadOp
 	stats      Stats
 }
 
@@ -359,37 +360,98 @@ func (c *Cache) ensureReady(p *sim.Proc, addr int64, category string) *line {
 // core's miss-level parallelism), so bulk copies run at link bandwidth plus
 // one load-to-use latency, not one latency per line. Present lines are
 // served from the cache — including stale ones; staleness is the caller's
-// problem, as on real non-coherent hardware.
+// problem, as on real non-coherent hardware. It is a ReadOp run as a job.
 func (c *Cache) Read(p *sim.Proc, addr int64, buf []byte, category string) {
-	if len(buf) == 0 {
-		return
+	var o *ReadOp
+	if k := len(c.freeReads); k > 0 {
+		o = c.freeReads[k-1]
+		c.freeReads = c.freeReads[:k-1]
+	} else {
+		o = &ReadOp{}
 	}
-	// Phase 1: issue fills for all absent lines.
-	first := cxl.LineAddr(addr)
-	last := cxl.LineAddr(addr + int64(len(buf)) - 1)
-	var lastReady sim.Duration
-	for a := first; a <= last; a += cxl.LineSize {
-		readyAt, hit := c.access(a, category, true)
-		if hit {
-			p.Sleep(c.params.HitLatency)
-		} else if readyAt > lastReady {
-			lastReady = readyAt
+	o.Begin(c, addr, buf, category)
+	p.RunJob(o)
+	o.buf = nil
+	c.freeReads = append(c.freeReads, o)
+}
+
+// ReadOp is Read as a sim.Job, for a caller that runs a read as part of its
+// own chain of steps: Begin, then Step from the first Step. Every line's
+// access is issued in turn — a hit costs a HitLatency leg before the next —
+// with a fill-completion event for each miss, as Read has always scheduled
+// them; one leg waits for the slowest fill; then every line is copied out.
+// A line that went away under its fill (evicted by a capacity squeeze
+// mid-copy, rare) blocks the job: Finish refills it synchronously, and the
+// copy goes on.
+type ReadOp struct {
+	c          *Cache
+	addr       int64
+	buf        []byte
+	category   string
+	next, last int64 // the line the read is at; its final line
+	lastReady  sim.Duration
+	pc         readPC
+}
+
+// readPC says where a ReadOp is.
+type readPC uint8
+
+const (
+	readIssue   readPC = iota // issue line next's access (after its predecessor's hit leg)
+	readCollect               // every fill has landed: copy line next out
+	readRefill                // line next vanished: Finish refills it
+	readDone
+)
+
+// Begin starts a read of len(buf) bytes at addr through c into buf.
+func (o *ReadOp) Begin(c *Cache, addr int64, buf []byte, category string) {
+	*o = ReadOp{c: c, addr: addr, buf: buf, category: category, pc: readDone}
+	if len(buf) > 0 {
+		o.next, o.last = cxl.LineAddr(addr), cxl.LineAddr(addr+int64(len(buf))-1)
+		o.pc = readIssue
+	}
+}
+
+// Step implements sim.Stepper.
+func (o *ReadOp) Step() (sim.Duration, bool) {
+	c := o.c
+	switch o.pc {
+	case readIssue:
+		for o.next <= o.last {
+			readyAt, hit := c.access(o.next, o.category, true)
+			o.next += cxl.LineSize
+			if hit {
+				return c.params.HitLatency, true
+			}
+			o.lastReady = max(o.lastReady, readyAt)
 		}
-	}
-	// Phase 2: wait for the slowest fill.
-	if wait := lastReady - p.Now(); wait > 0 {
-		p.Sleep(wait)
-	}
-	// Phase 3: collect.
-	for a := first; a <= last; a += cxl.LineSize {
-		ln := c.collect(a)
-		if ln == nil {
-			// Evicted by a concurrent capacity squeeze mid-copy; refill
-			// synchronously. Rare, but must stay correct.
-			ln = c.ensureReady(p, a, category)
+		o.next, o.pc = cxl.LineAddr(o.addr), readCollect
+		if wait := o.lastReady - c.eng.Now(); wait > 0 {
+			return wait, true
 		}
-		copyOut(buf, addr, ln)
+		fallthrough
+	case readCollect:
+		for ; o.next <= o.last; o.next += cxl.LineSize {
+			ln := c.collect(o.next)
+			if ln == nil {
+				o.pc = readRefill
+				return 0, false
+			}
+			copyOut(o.buf, o.addr, ln)
+		}
+		o.pc = readDone
 	}
+	return 0, false
+}
+
+// Blocked implements sim.Job: a line vanished under its fill.
+func (o *ReadOp) Blocked() bool { return o.pc == readRefill }
+
+// Finish implements sim.Job: it refills the vanished line, blocking p.
+func (o *ReadOp) Finish(p *sim.Proc) {
+	copyOut(o.buf, o.addr, o.c.ensureReady(p, o.next, o.category))
+	o.next += cxl.LineSize
+	o.pc = readCollect
 }
 
 // overlap returns the part [lo, hi) of [addr, addr+n) that lies in line a.
@@ -583,38 +645,54 @@ func (c *Cache) sleepRange(p *sim.Proc, flush bool, addr int64, n int, category 
 	if n <= 0 {
 		return
 	}
-	var o *rangeOp
+	var o *RangeOp
 	if k := len(c.freeRanges); k > 0 {
 		o = c.freeRanges[k-1]
 		c.freeRanges = c.freeRanges[:k-1]
 	} else {
-		o = &rangeOp{c: c}
+		o = &RangeOp{}
 	}
-	o.next, o.last = cxl.LineAddr(addr), cxl.LineAddr(addr+int64(n)-1)
-	o.flush, o.category = flush, category
+	o.Begin(c, flush, addr, n, category)
+	o.issued = true
 	p.SleepSteps(o.issueCost(), o)
 	c.freeRanges = append(c.freeRanges, o)
 }
 
-// rangeOp steps a range operation: each leg but the last is one line's issue
-// cost, ended by that line's effect; the last is the fence.
-type rangeOp struct {
+// RangeOp steps a range operation — FlushRange, or else WritebackRange — for
+// a caller that sleeps it as part of its own chain: Begin, then Step from
+// the first Step. Each leg but the last is one line's issue cost, ended by
+// that line's effect; the last is the fence. An empty range has no legs.
+type RangeOp struct {
 	c          *Cache
 	next, last int64 // line the current leg pays for (past last: the fence); final line
 	flush      bool  // CLFLUSHOPT, else CLWB
+	issued     bool  // the first leg has begun
 	category   string
 }
 
-func (o *rangeOp) issueCost() sim.Duration {
+// Begin starts the operation on the lines of [addr, addr+n).
+func (o *RangeOp) Begin(c *Cache, flush bool, addr int64, n int, category string) {
+	*o = RangeOp{c: c, next: 1, flush: flush, category: category}
+	if n > 0 {
+		o.next, o.last = cxl.LineAddr(addr), cxl.LineAddr(addr+int64(n)-1)
+	}
+}
+
+func (o *RangeOp) issueCost() sim.Duration {
 	if o.flush {
 		return o.c.params.FlushIssue
 	}
 	return o.c.params.WritebackIssue
 }
 
-func (o *rangeOp) Step() (sim.Duration, bool) {
+// Step implements sim.Stepper.
+func (o *RangeOp) Step() (sim.Duration, bool) {
 	if o.next > o.last {
 		return 0, false
+	}
+	if !o.issued {
+		o.issued = true
+		return o.issueCost(), true
 	}
 	if o.flush {
 		o.c.FlushLineNow(o.next, o.category)

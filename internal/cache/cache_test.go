@@ -524,6 +524,29 @@ func TestSteppedReadRefillsVanishedLine(t *testing.T) {
 	}
 }
 
+// A multi-line Read whose middle line is snooped away while the fills are in
+// flight refetches that line, blocking, and still returns every byte.
+func TestReadRefillsVanishedLine(t *testing.T) {
+	r := newRig()
+	want := []byte{1, 2, 3}
+	for i, b := range want {
+		r.pool.Poke(int64(i)*cxl.LineSize, []byte{b})
+	}
+	r.run(t, func(p *sim.Proc) {
+		r.eng.After(20*time.Nanosecond, func() { r.a.Snoop(cxl.LineSize, 1, "dma") })
+		buf := make([]byte, 3*cxl.LineSize)
+		r.a.Read(p, 0, buf, "test")
+		for i, b := range want {
+			if buf[i*cxl.LineSize] != b {
+				t.Errorf("line %d read %d, want %d", i, buf[i*cxl.LineSize], b)
+			}
+		}
+	})
+	if s := r.a.Stats(); s.Misses != 4 || s.SnoopDrops != 1 {
+		t.Fatalf("stats %+v, want three misses and a refill around one snoop drop", s)
+	}
+}
+
 // StoreNow is Write's effect, except that it refuses a line with a fill in
 // flight — that store has to wait, which a Step cannot.
 func TestStoreNowRefusesInflightLine(t *testing.T) {

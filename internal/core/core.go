@@ -153,6 +153,13 @@ type LinkEnd struct {
 	inLat  *ChanLatency // resolves stamps on Poll (this end's inbound direction)
 }
 
+// stampSent records a send accepted now, for the peer's latency tracker.
+func (l *LinkEnd) stampSent() {
+	if l.outLat != nil {
+		l.outLat.stamp(l.Out.Engine().Now())
+	}
+}
+
 // InLatency returns the histogram of inbound delivery latencies — the
 // virtual time messages spent in the channel before this end polled them.
 // Nil if the end was built without trackers.

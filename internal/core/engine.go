@@ -59,6 +59,7 @@ type Driver struct {
 	n           int  // loops attached when the iteration began
 	loop, stage int  // the stage at the cursor: stages[loop][stage]
 	polling     bool // that stage is a poll stage whose pass has begun
+	working     bool // that stage is a work stage whose run has begun
 	progress    int  // items processed so far this iteration
 	idleRun     int  // consecutive idle iterations, 0 after a busy one
 
@@ -144,10 +145,11 @@ func (d *Driver) run(p *sim.Proc) {
 
 // Step implements sim.Stepper: it advances the cursor through everything
 // that needs no process and returns the next sleep. That is the stall check,
-// every work stage whose idle predicate holds, every empty poll of a link
-// end (the receiver's own Step, leg by leg), the iteration's accounting
-// and its LoopCost + backoff sleep — after which the next iteration begins
-// in the same chain. The sequence of effects and sleeps is exactly the one
+// every work stage whose idle predicate holds, every step of a work stage's
+// run and of a handler's job, every poll of a link end (the receiver's own
+// Step, leg by leg), the iteration's accounting and its LoopCost + backoff
+// sleep — after which the next iteration begins in the same chain. The
+// sequence of effects and sleeps is exactly the one
 //
 //	for {
 //		for d.stalled { d.stallSig.Wait(p) }
@@ -158,8 +160,7 @@ func (d *Driver) run(p *sim.Proc) {
 //
 // would make, so no event's (time, sequence) depends on how much of it ran
 // here. It returns more == false where only block can go on: a stalled core,
-// a work stage that is not idle, a poll that found a message or met one of
-// the receiver's blocking escapes.
+// a job that blocked, one of the receiver's blocking escapes.
 func (d *Driver) Step() (sim.Duration, bool) {
 	for {
 		if !d.inIter {
@@ -187,16 +188,32 @@ func (d *Driver) Step() (sim.Duration, bool) {
 			continue
 		}
 		st := &stages[d.stage]
-		if st.run != nil {
-			if checking || !st.idle() {
+		if st.work != nil {
+			if !d.working {
+				if st.idle() {
+					if checking {
+						return 0, false // block distrusts the predicate
+					}
+					d.stage++
+					continue
+				}
+				d.working = true
+				st.work.Begin()
+			}
+			if dur, more := st.work.Step(); more {
+				return dur, true
+			}
+			if st.work.Blocked() {
 				return 0, false
 			}
+			d.working = false
+			d.progress += st.work.Progress()
 			d.stage++
 			continue
 		}
 		if !d.polling {
 			d.polling = true
-			st.begin()
+			st.begin(d.h.Eng)
 		}
 		if dur, more := st.pass.Step(); more {
 			return dur, true
@@ -220,16 +237,15 @@ func (d *Driver) block(p *sim.Proc) {
 		return
 	}
 	st := &d.stages[d.loop][d.stage]
-	if st.run == nil {
+	switch {
+	case st.work == nil:
 		st.pass.block(p)
-		return
-	}
-	if checking && st.idle() {
+	case d.working:
+		st.work.Finish(p)
+	default:
 		d.distrust(p, st)
-	} else {
-		d.progress += st.run(p)
+		d.stage++
 	}
-	d.stage++
 }
 
 // checking is OASIS_SIMCHECK=1: no work stage is skipped on its predicate's
@@ -238,13 +254,24 @@ var checking = sim.Checking()
 
 // distrust runs a work stage whose idle predicate holds, which Step would
 // have skipped, and panics unless the run was the no-op the predicate
-// promised: nothing processed, no time passed, nothing scheduled.
+// promised: nothing processed, no leg, no time passed, nothing scheduled.
+// Its steps are called from the process, outside any chain, so that the
+// engine's counters stay as they are without the check.
 func (d *Driver) distrust(p *sim.Proc, st *Stage) {
 	eng := d.h.Eng
 	now, seq := eng.Now(), eng.Seq()
-	if n := st.run(p); n != 0 || eng.Now() != now || eng.Seq() != seq {
-		panic(fmt.Sprintf("core: loop %s stage %q reported idle at %v, but its run processed %d items, took %v and scheduled %d events",
-			d.names[d.loop], st.name, now, n, eng.Now()-now, eng.Seq()-seq))
+	w := st.work
+	w.Begin()
+	leg := false
+	for {
+		if _, leg = w.Step(); leg || !w.Blocked() {
+			break
+		}
+		w.Finish(p)
+	}
+	if n := w.Progress(); leg || n != 0 || eng.Now() != now || eng.Seq() != seq {
+		panic(fmt.Sprintf("core: loop %s stage %q reported idle at %v, but its run processed %d items, took a leg (%v), took %v and scheduled %d events",
+			d.names[d.loop], st.name, now, n, leg, eng.Now()-now, eng.Seq()-seq))
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"oasis/internal/msgchan"
 	"oasis/internal/sim"
 )
 
@@ -37,6 +38,7 @@ func (s *LinkStats) add(o LinkStats) {
 // keeping its own table.
 type Link struct {
 	Peer uint32 // host or device id, per the owning engine's keying
+	op   linkOp // the link's stepped send (see Step)
 	End  *LinkEnd
 	Meta any
 
@@ -46,14 +48,20 @@ type Link struct {
 	Stats LinkStats
 }
 
+// linkOp is what a link's stepped send is.
+type linkOp uint8
+
+const (
+	linkSend  linkOp = iota // Send
+	linkSendQ               // SendOrQueue
+	linkDone                // nothing left: a message went straight to the pending queue
+)
+
 // Send transmits one message, returning false if the ring is full.
 func (l *Link) Send(p *sim.Proc, payload []byte) bool {
-	if !l.End.Send(p, payload) {
-		l.Stats.SendFull++
-		return false
-	}
-	l.Stats.Sent++
-	return true
+	l.BeginSend(payload)
+	p.Steps(l)
+	return l.Sent()
 }
 
 // SendOrQueue transmits one message, parking a copy on the link's pending
@@ -63,9 +71,58 @@ func (l *Link) Send(p *sim.Proc, payload []byte) bool {
 // queued — losing it would leak a buffer — but the overflow is counted and
 // Backlogged turns true so the engine can stop accepting new work.
 func (l *Link) SendOrQueue(p *sim.Proc, payload []byte) {
-	if len(l.pending) == 0 && l.Send(p, payload) {
+	l.BeginSendOrQueue(payload)
+	p.Steps(l)
+}
+
+// BeginSend starts Send as a chain of steps, for a caller that sleeps it as
+// part of its own: step the link from its first Step; Sent reports the
+// outcome once the chain is over.
+func (l *Link) BeginSend(payload []byte) {
+	l.op = linkSend
+	l.End.Out.BeginSend(payload)
+}
+
+// BeginSendOrQueue starts SendOrQueue the same way.
+func (l *Link) BeginSendOrQueue(payload []byte) {
+	if len(l.pending) > 0 {
+		l.park(payload)
+		l.op = linkDone
 		return
 	}
+	l.op = linkSendQ
+	l.End.Out.BeginSend(payload)
+}
+
+// Sent reports whether the send that has just ended was accepted.
+func (l *Link) Sent() bool { return l.End.Out.Accepted() }
+
+// Step implements sim.Stepper for the send begun last: the sender's legs,
+// and then the link's bookkeeping.
+func (l *Link) Step() (sim.Duration, bool) {
+	if l.op == linkDone {
+		return 0, false
+	}
+	out := l.End.Out
+	if d, more := out.Step(); more {
+		return d, true
+	}
+	switch {
+	case out.Accepted():
+		l.End.stampSent()
+		l.Stats.Sent++
+	case l.op == linkSendQ:
+		l.Stats.SendFull++
+		l.park(out.Message())
+	default:
+		l.Stats.SendFull++
+	}
+	l.op = linkDone
+	return 0, false
+}
+
+// park puts a copy of payload on the pending queue.
+func (l *Link) park(payload []byte) {
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
 	l.pending = append(l.pending, cp)
@@ -98,7 +155,8 @@ type LinkSet struct {
 	byPeer       map[uint32]*Link
 	order        []*Link // never shifted in place: a pass in flight holds it (see Remove)
 	pendingLimit int
-	pass         pollPass // PollEach's position; a set has one poller
+	pass         pollPass     // PollEach's position; a set has one poller
+	each         *procHandler // PollEach's handler, made on its first call
 }
 
 // DefaultPendingLimit bounds each link's pending queue before the link
@@ -159,10 +217,14 @@ func (s *LinkSet) All() []*Link { return s.order }
 // for each, and returns the number handled. Consecutive empty polls are one
 // stepped sleep, so a pass over idle links resumes p at most once.
 func (s *LinkSet) PollEach(p *sim.Proc, burst int, handle func(p *sim.Proc, l *Link, payload []byte)) int {
-	s.pass.each = handle
-	s.pass.begin(s.order, burst)
+	if s.each == nil {
+		s.each = &procHandler{}
+	}
+	s.each.handle = handle
+	s.pass.h = s.each
+	s.pass.begin(p.Engine(), s.order, burst)
 	n := s.pass.run(p)
-	s.pass = pollPass{} // pin neither the handler nor the snapshot
+	s.pass, s.each.handle = pollPass{}, nil // pin neither the handler nor the snapshot
 	return n
 }
 
@@ -225,3 +287,52 @@ func (s *LinkSet) Stats() LinkStats {
 	}
 	return agg
 }
+
+// FlushJob is FlushAll over a link set followed by the Flush of an engine's
+// control end, if it has one yet, as a Work whose steps push the lines: the
+// flush stage of an engine loop. A link with nothing stored is passed over,
+// as its Flush would do nothing; the links are the set's as they stand when
+// the run begins.
+type FlushJob struct {
+	sim.NonBlocking
+	set   *LinkSet
+	ctrl  **LinkEnd
+	links []*Link
+	i     int
+	cur   *msgchan.Sender // the flush in progress
+}
+
+// NewFlushJob returns the flush of set and then of *ctrl (ctrl may be nil).
+func NewFlushJob(set *LinkSet, ctrl **LinkEnd) *FlushJob { return &FlushJob{set: set, ctrl: ctrl} }
+
+// Begin implements Work.
+func (f *FlushJob) Begin() { f.links, f.i, f.cur = f.set.order, 0, nil }
+
+// Step implements sim.Stepper.
+func (f *FlushJob) Step() (sim.Duration, bool) {
+	for {
+		if f.cur != nil {
+			if d, more := f.cur.Step(); more {
+				return d, true
+			}
+			f.cur = nil
+		}
+		switch {
+		case f.i < len(f.links):
+			f.cur = f.links[f.i].End.Out
+		case f.i == len(f.links) && f.ctrl != nil && *f.ctrl != nil:
+			f.cur = (*f.ctrl).Out
+		default:
+			return 0, false
+		}
+		f.i++
+		if !f.cur.Unflushed() {
+			f.cur = nil
+			continue
+		}
+		f.cur.BeginFlush()
+	}
+}
+
+// Progress implements Work: a flush processes no items.
+func (f *FlushJob) Progress() int { return 0 }

@@ -75,6 +75,27 @@ func refPollEach(s *LinkSet, p *sim.Proc, burst int, handle func(p *sim.Proc, l 
 	return progress
 }
 
+// refSendOrQueue, refSend and refFlush are a link's operations as they were
+// written before a link could step them: straight over its end's blocking
+// calls.
+func refSendOrQueue(l *Link, p *sim.Proc, payload []byte) {
+	if len(l.pending) == 0 && refSend(l, p, payload) {
+		return
+	}
+	l.park(payload)
+}
+
+func refSend(l *Link, p *sim.Proc, payload []byte) bool {
+	if !l.End.Send(p, payload) {
+		l.Stats.SendFull++
+		return false
+	}
+	l.Stats.Sent++
+	return true
+}
+
+func refFlush(l *LinkEnd, p *sim.Proc) { l.Out.Flush(p) }
+
 func refPollControl(p *sim.Proc, end *LinkEnd, burst int, handle func(p *sim.Proc, m ControlMsg)) int {
 	n := 0
 	for i := 0; i < burst; i++ {
@@ -98,11 +119,13 @@ func runStages(p *sim.Proc, stages []Stage) int {
 	progress := 0
 	for i := range stages {
 		st := &stages[i]
-		if st.run != nil {
-			progress += st.run(p)
+		if st.work != nil {
+			st.work.Begin()
+			p.RunJob(st.work)
+			progress += st.work.Progress()
 			continue
 		}
-		st.begin()
+		st.begin(p.Engine())
 		st.pass.run(p)
 		progress += st.progress()
 	}
@@ -113,9 +136,9 @@ func runStages(p *sim.Proc, stages []Stage) int {
 // to poll their control end: up to burst control messages from end into
 // handle, a payload that is not a control op dropped uncounted.
 func pollControl(p *sim.Proc, end *LinkEnd, burst int, handle func(p *sim.Proc, m ControlMsg)) int {
-	c := &pollPass{ctl: handle}
-	c.begin([]*Link{{End: end}}, burst)
-	return c.run(p)
+	st := ControlStage("control", &end, burst, handle, true)
+	st.begin(p.Engine())
+	return st.pass.run(p)
 }
 
 const oracleBurst = 3
@@ -162,7 +185,8 @@ func (r *oracleRig) link(ctl bool) *LinkEnd {
 
 // oracleLoop is an engine loop with every kind of stage: a work queue fed by
 // timers, a polled link set, an optional control end that may arrive late,
-// and the flush.
+// and the flush. Its work, handler and flush are written twice: as calls
+// from the process, and as jobs whose steps the core runs in event context.
 type oracleLoop struct {
 	rig      *oracleRig
 	name     string
@@ -171,9 +195,18 @@ type oracleLoop struct {
 	counted  bool
 	queue    []int
 	nextPeer uint32
+
+	qw queueWork
+	hj handlerJob
 }
 
 func (l *oracleLoop) queueIdle() bool { return len(l.queue) == 0 && l.links.PendingCount() == 0 }
+
+// workLeg is the leg an item costs: item%4 == 0 yields.
+func workLeg(item int) sim.Duration { return sim.Duration(item%4) * 25 * time.Nanosecond }
+
+// workRemainder is the part of some items' work that only the process does.
+const workRemainder = 30 * time.Nanosecond
 
 func (l *oracleLoop) runQueue(p *sim.Proc) int {
 	progress := l.links.PendingCount()
@@ -182,27 +215,201 @@ func (l *oracleLoop) runQueue(p *sim.Proc) int {
 		item := l.queue[0]
 		l.queue = l.queue[1:]
 		l.rig.logf("%s work %d", l.name, item)
-		p.Sleep(sim.Duration(item%4) * 25 * time.Nanosecond) // item%4 == 0 yields
+		p.Sleep(workLeg(item))
+		if item%7 == 3 {
+			p.Sleep(workRemainder)
+			l.rig.logf("%s work %d remainder", l.name, item)
+		}
 		if links := l.links.All(); len(links) > 0 && item%2 == 0 {
-			links[item%len(links)].SendOrQueue(p, []byte{byte(item), 0xAA, 0x33})
+			l.sendOrQueue(links[item%len(links)], p, []byte{byte(item), 0xAA, 0x33})
 		}
 		progress++
 	}
 	return progress
 }
 
+// queueWork is runQueue as a job. Redriving parked messages and the
+// remainder of an item hand back to the process.
+type queueWork struct {
+	l        *oracleLoop
+	pc       int
+	n, item  int
+	progress int
+	lk       *Link
+}
+
+const (
+	qDrain     = iota // the process redrives parked messages
+	qNext             // take the next item
+	qWorked           // the item's leg is over
+	qRemainder        // the process does the item's remainder
+	qSend             // send the item's message, if it has one
+	qSending          // lk's send is in progress
+	qDone
+)
+
+func (w *queueWork) Begin() {
+	w.n, w.progress, w.pc = 0, w.l.links.PendingCount(), qNext
+	if w.progress > 0 {
+		w.pc = qDrain
+	}
+}
+
+func (w *queueWork) Step() (sim.Duration, bool) {
+	l := w.l
+	for {
+		switch w.pc {
+		case qNext:
+			if w.n == oracleBurst || len(l.queue) == 0 {
+				w.pc = qDone
+				return 0, false
+			}
+			w.item = l.queue[0]
+			l.queue = l.queue[1:]
+			l.rig.logf("%s work %d", l.name, w.item)
+			w.pc = qWorked
+			return workLeg(w.item), true
+		case qWorked:
+			w.pc = qSend
+			if w.item%7 == 3 {
+				w.pc = qRemainder
+				return 0, false
+			}
+		case qSend:
+			w.pc = qSending
+			w.lk = nil
+			if links := l.links.All(); len(links) > 0 && w.item%2 == 0 {
+				w.lk = links[w.item%len(links)]
+				w.lk.BeginSendOrQueue([]byte{byte(w.item), 0xAA, 0x33})
+			}
+		case qSending:
+			if w.lk != nil {
+				if d, more := w.lk.Step(); more {
+					return d, true
+				}
+			}
+			w.progress++
+			w.n++
+			w.pc = qNext
+		default:
+			return 0, false
+		}
+	}
+}
+
+func (w *queueWork) Blocked() bool { return w.pc == qDrain || w.pc == qRemainder }
+
+func (w *queueWork) Finish(p *sim.Proc) {
+	if w.pc == qDrain {
+		w.l.links.DrainPending(p)
+		w.pc = qNext
+		return
+	}
+	p.Sleep(workRemainder)
+	w.l.rig.logf("%s work %d remainder", w.l.name, w.item)
+	w.pc = qSend
+}
+
+func (w *queueWork) Progress() int { return w.progress }
+
+// hop is one operation of a handler: a sleep, a part only the process does
+// (a sleep, then a log line), a SendOrQueue or a Send of the reply, a flush.
+type hop struct {
+	kind byte // 's', 'r', 'q', 't', 'f'
+	d    sim.Duration
+}
+
+// handlerOps is what a message does, by its first byte mod 8.
+var handlerOps = [8][]hop{
+	{{'s', 40}},
+	{{'q', 0}},
+	{{'s', 15}, {'q', 0}},
+	nil,
+	{{'s', 0}, {'t', 0}},
+	{{'s', 10}, {'r', 25}, {'q', 0}, {'s', 5}, {'f', 0}},
+	{{'f', 0}, {'s', 7}},
+	{{'r', 3}, {'s', 4}, {'r', 0}},
+}
+
 func (l *oracleLoop) handle(p *sim.Proc, lk *Link, payload []byte) {
 	l.rig.logf("%s link %d got %x", l.name, lk.Peer, payload[:3])
 	reply := []byte{payload[0], payload[1], 0xEE}
-	switch payload[0] % 4 {
-	case 0:
-		p.Sleep(40 * time.Nanosecond)
-	case 1:
-		lk.SendOrQueue(p, reply)
-	case 2:
-		p.Sleep(15 * time.Nanosecond)
-		lk.SendOrQueue(p, reply)
+	for _, op := range handlerOps[payload[0]%8] {
+		switch op.kind {
+		case 's':
+			p.Sleep(op.d)
+		case 'r':
+			p.Sleep(op.d)
+			l.rig.logf("%s link %d remainder", l.name, lk.Peer)
+		case 'q':
+			l.sendOrQueue(lk, p, reply)
+		case 't':
+			sent := lk.Send
+			if l.rig.ref {
+				sent = func(p *sim.Proc, payload []byte) bool { return refSend(lk, p, payload) }
+			}
+			l.rig.logf("%s link %d sent %v", l.name, lk.Peer, sent(p, reply))
+		case 'f':
+			l.flushEnd(lk.End, p)
+		}
 	}
+}
+
+// handlerJob is handle as a job: its legs, sends and flushes in event
+// context, every 'r' operation from the process.
+type handlerJob struct {
+	l     *oracleLoop
+	lk    *Link
+	reply [3]byte
+	ops   []hop
+	cur   sim.Stepper // ops[0]'s send or flush, in progress
+}
+
+func (h *handlerJob) Begin(lk *Link, payload []byte) {
+	h.l.rig.logf("%s link %d got %x", h.l.name, lk.Peer, payload[:3])
+	h.lk, h.reply, h.ops, h.cur = lk, [3]byte{payload[0], payload[1], 0xEE}, handlerOps[payload[0]%8], nil
+}
+
+func (h *handlerJob) Step() (sim.Duration, bool) {
+	for len(h.ops) > 0 {
+		op := h.ops[0]
+		if h.cur != nil {
+			if d, more := h.cur.Step(); more {
+				return d, true
+			}
+			if op.kind == 't' {
+				h.l.rig.logf("%s link %d sent %v", h.l.name, h.lk.Peer, h.lk.Sent())
+			}
+			h.cur = nil
+			h.ops = h.ops[1:]
+			continue
+		}
+		switch op.kind {
+		case 's':
+			h.ops = h.ops[1:]
+			return op.d, true
+		case 'r':
+			return 0, false
+		case 'q':
+			h.lk.BeginSendOrQueue(h.reply[:])
+			h.cur = h.lk
+		case 't':
+			h.lk.BeginSend(h.reply[:])
+			h.cur = h.lk
+		case 'f':
+			h.lk.End.Out.BeginFlush()
+			h.cur = h.lk.End.Out
+		}
+	}
+	return 0, false
+}
+
+func (h *handlerJob) Blocked() bool { return len(h.ops) > 0 && h.ops[0].kind == 'r' && h.cur == nil }
+
+func (h *handlerJob) Finish(p *sim.Proc) {
+	p.Sleep(h.ops[0].d)
+	h.l.rig.logf("%s link %d remainder", h.l.name, h.lk.Peer)
+	h.ops = h.ops[1:]
 }
 
 func (l *oracleLoop) handleCtl(p *sim.Proc, m ControlMsg) {
@@ -215,19 +422,54 @@ func (l *oracleLoop) handleCtl(p *sim.Proc, m ControlMsg) {
 func (l *oracleLoop) flushIdle() bool { return l.links.FlushIdle() && !l.ctrl.Unflushed() }
 
 func (l *oracleLoop) flush(p *sim.Proc) int {
-	l.links.FlushAll(p)
+	if l.rig.ref {
+		for _, lk := range l.links.All() {
+			refFlush(lk.End, p)
+		}
+	} else {
+		l.links.FlushAll(p)
+	}
 	if l.ctrl != nil {
-		l.ctrl.Flush(p)
+		l.flushEnd(l.ctrl, p)
 	}
 	return 0
 }
 
-func (l *oracleLoop) stages() []Stage {
+// sendOrQueue and flushEnd are the link operations of the loop's functions:
+// the reference's, or the links' own.
+func (l *oracleLoop) sendOrQueue(lk *Link, p *sim.Proc, payload []byte) {
+	if l.rig.ref {
+		refSendOrQueue(lk, p, payload)
+	} else {
+		lk.SendOrQueue(p, payload)
+	}
+}
+
+func (l *oracleLoop) flushEnd(end *LinkEnd, p *sim.Proc) {
+	if l.rig.ref {
+		refFlush(end, p)
+	} else {
+		end.Flush(p)
+	}
+}
+
+// stages is the loop as a stage list: of jobs, or with stepped false, of
+// the functions the core hands to its process.
+func (l *oracleLoop) stages(stepped bool) []Stage {
+	if !stepped {
+		return []Stage{
+			WorkStage("queue", l.queueIdle, l.runQueue),
+			PollStage("links", l.links, oracleBurst, l.handle),
+			ControlStage("control", &l.ctrl, oracleBurst, l.handleCtl, l.counted),
+			WorkStage("flush", l.flushIdle, l.flush),
+		}
+	}
+	l.qw.l, l.hj.l = l, l
 	return []Stage{
-		WorkStage("queue", l.queueIdle, l.runQueue),
-		PollStage("links", l.links, oracleBurst, l.handle),
+		SteppedWorkStage("queue", l.queueIdle, &l.qw),
+		SteppedPollStage("links", l.links, oracleBurst, &l.hj),
 		ControlStage("control", &l.ctrl, oracleBurst, l.handleCtl, l.counted),
-		WorkStage("flush", l.flushIdle, l.flush),
+		SteppedWorkStage("flush", l.flushIdle, NewFlushJob(l.links, &l.ctrl)),
 	}
 }
 
@@ -291,7 +533,7 @@ func (r *oracleRig) attachNewLoop(rng *rand.Rand, horizon sim.Duration) {
 		end := r.link(true)
 		r.eng.After(sim.Duration(rng.Int63n(int64(horizon))), func() { l.ctrl = end })
 	}
-	mode := rng.Intn(4)
+	mode, stepped := rng.Intn(3), rng.Intn(3) != 0
 	switch {
 	case r.ref:
 		r.drv.attach(l.name, nil)
@@ -299,9 +541,9 @@ func (r *oracleRig) attachNewLoop(rng *rand.Rand, horizon sim.Duration) {
 	case mode == 0:
 		r.drv.Attach(opaqueLoop{l: l})
 	case mode == 1:
-		r.drv.Attach(opaqueLoop{l: l, stages: l.stages()})
+		r.drv.Attach(opaqueLoop{l: l, stages: l.stages(stepped)})
 	default:
-		seat := NewSeat(l.name, l.stages(), r.a, DriverConfig{})
+		seat := NewSeat(l.name, l.stages(stepped), r.a, DriverConfig{})
 		seat.Join(r.drv)
 	}
 }
@@ -495,7 +737,10 @@ func runDriverProgram(seed int64, partitioned, ref bool) string {
 // The driver core as a stepper, PollEach as a chained pass and the engines'
 // iteration as a stage list, against the blocking loop and per-link passes
 // they replaced: over seeded programs — 1–3 loops a core, each a stage list
-// on a seat or an opaque loop through Attach's adapter, 0–8 links a set, peers sending at random times, a disturber, stalls, a loop
+// on a seat or an opaque loop through Attach's adapter, its work, handler
+// and flush as functions of the process or as jobs stepped in event context
+// with random legs, sends and flushes and a remainder only the process does
+// at random points, 0–8 links a set, peers sending at random times, a disturber, stalls, a loop
 // attached to the running core, links added and removed mid-pass, deadlines
 // and a Shutdown mid-chain — every handler call, every disturber tick's
 // sequence number, the final (time, seq), the core's counters and every
@@ -509,7 +754,7 @@ func TestDriverMatchesBlockingReference(t *testing.T) {
 				t.Fatalf("partitioned=%v seed=%d: the stepped core diverged from the blocking reference\n%s",
 					partitioned, seed, firstDiff(want, got))
 			}
-			for _, must := range []string{" got ", " work ", "tick seq"} {
+			for _, must := range []string{" got ", " work ", "tick seq", " remainder", " sent "} {
 				if !strings.Contains(want, must) {
 					t.Fatalf("partitioned=%v seed=%d: no %q in the log: the program is too small to mean anything", partitioned, seed, must)
 				}

@@ -8,16 +8,22 @@ import "oasis/internal/sim"
 // to do — and an idle iteration is all of them — without resuming a goroutine
 // (see Driver.Step).
 //
-// A work stage (WorkStage) is a function plus a predicate that says when
-// calling it would be a no-op. A poll stage drains up to a burst of messages
-// per end into a handler: from every link of a LinkSet (PollStage), or from
-// the engine's one control end, if it has one yet (ControlStage).
+// A work stage (SteppedWorkStage, WorkStage) is work plus a predicate that
+// says when doing it would be a no-op. A poll stage drains up to a burst of
+// messages per end into a handler: from every link of a LinkSet
+// (SteppedPollStage, PollStage), or from the engine's one control end, if it
+// has one yet (ControlStage).
+//
+// Work and handlers are jobs (sim.Job): their steps run in event context as
+// legs of the driver core's chain, and where a step cannot go on — it would
+// block — the core's process finishes that part. A plain function is the job
+// that asks for the process at once.
 type Stage struct {
 	name string
 
 	// Work stage.
 	idle func() bool
-	run  func(p *sim.Proc) int
+	work Work
 
 	// Poll stage: the set polled, or else the engine's field holding its
 	// control end, which ctl (a private one-link list) presents to the pass.
@@ -29,48 +35,116 @@ type Stage struct {
 	pass    pollPass
 }
 
-// WorkStage is a stage that runs engine code: queue draining, timed duties,
-// flushing. run does the work, sleeping for what it costs, and returns the
-// items it processed.
+// Work is a work stage's run as a job: Begin starts a run at the instant the
+// stage is reached, the job's steps do the work, leg by leg, and Progress is
+// read once the run is over: the items it processed.
+type Work interface {
+	sim.Job
+	Begin()
+	Progress() int
+}
+
+// Handler is a poll stage's handling of one message as a job: Begin hands it
+// the message at the instant it was polled, and its steps act on it. The
+// payload is valid until the link's next poll, which is after the job ends.
+type Handler interface {
+	sim.Job
+	Begin(l *Link, payload []byte)
+}
+
+// SteppedWorkStage is a stage that runs engine code: queue draining, timed
+// duties, flushing. w does the work, in legs for what it costs.
 //
-// idle must hold only at an instant where run would return 0 without
-// sleeping, sending or scheduling anything and without changing state that
-// anything reads — so that skipping the call cannot be told from making it.
-// It is evaluated in event context at the instant run would have started; it
-// must not block. Reporting busy when run would in fact do nothing is always
-// safe: the driver then just calls run. If run keeps a time-of-last-pass
-// mark, idle is what keeps it on the passes run is skipped for. Under
-// OASIS_SIMCHECK=1 the driver distrusts idle and calls run anyway, panicking
-// if it processed something, slept or scheduled.
+// idle must hold only at an instant where a run of w would process nothing
+// without sleeping, sending or scheduling anything and without changing
+// state that anything reads — so that skipping the run cannot be told from
+// making it. It is evaluated in event context at the instant the run would
+// have started; it must not block. Reporting busy when the run would in fact
+// do nothing is always safe: the driver then just runs it. If the run keeps a
+// time-of-last-pass mark, idle is what keeps it on the passes it is skipped
+// for. Under OASIS_SIMCHECK=1 the driver distrusts idle and runs w anyway
+// from its process, panicking if it processed something, took a leg or
+// scheduled.
+func SteppedWorkStage(name string, idle func() bool, w Work) Stage {
+	return Stage{name: name, idle: idle, work: w}
+}
+
+// WorkStage is SteppedWorkStage for work that is one function of the
+// process: run does the work, sleeping for what it costs, and returns the
+// items it processed. The core resumes its process for every run.
 func WorkStage(name string, idle func() bool, run func(p *sim.Proc) int) Stage {
-	return Stage{name: name, idle: idle, run: run}
+	return SteppedWorkStage(name, idle, &procWork{run: run})
 }
 
-// PollStage drains up to burst messages from each link of set, in insertion
-// order, into handle; every message is loop progress.
+// SteppedPollStage drains up to burst messages from each link of set, in
+// insertion order, into h; every message is loop progress.
+func SteppedPollStage(name string, set *LinkSet, burst int, h Handler) Stage {
+	return Stage{name: name, set: set, burst: burst, pass: pollPass{h: h}}
+}
+
+// PollStage is SteppedPollStage for a handler that is one function of the
+// process, which the core resumes for every message.
 func PollStage(name string, set *LinkSet, burst int, handle func(p *sim.Proc, l *Link, payload []byte)) Stage {
-	return Stage{name: name, set: set, burst: burst, pass: pollPass{each: handle}}
+	return SteppedPollStage(name, set, burst, &procHandler{handle: handle})
 }
 
-// ControlStage drains up to burst control messages from *end into handle; a
-// payload whose opcode is not a control op is dropped uncounted, and a nil
-// *end (no control link yet) is skipped. counted says whether delivered
-// messages are loop progress — a frontend acting on allocator commands has
-// worked, a backend draining them beside its timed duties has not.
+// ControlStage drains up to burst control messages from *end into handle,
+// from the core's process; a payload whose opcode is not a control op is
+// dropped uncounted, and a nil *end (no control link yet) is skipped.
+// counted says whether delivered messages are loop progress — a frontend
+// acting on allocator commands has worked, a backend draining them beside
+// its timed duties has not.
 func ControlStage(name string, end **LinkEnd, burst int, handle func(p *sim.Proc, m ControlMsg), counted bool) Stage {
-	return Stage{name: name, control: end, ctl: []*Link{{}}, burst: burst, discard: !counted, pass: pollPass{ctl: handle}}
+	return Stage{name: name, control: end, ctl: []*Link{{}}, burst: burst, discard: !counted, pass: pollPass{h: &procHandler{ctl: handle}, control: true}}
+}
+
+// procWork is a run function as a Work: a job that stops at its start, for
+// the process to make the call.
+type procWork struct {
+	run     func(p *sim.Proc) int
+	n       int
+	pending bool
+}
+
+func (w *procWork) Begin()                     { w.n, w.pending = 0, true }
+func (w *procWork) Step() (sim.Duration, bool) { return 0, false }
+func (w *procWork) Blocked() bool              { return w.pending }
+func (w *procWork) Finish(p *sim.Proc)         { w.pending = false; w.n = w.run(p) }
+func (w *procWork) Progress() int              { return w.n }
+
+// procHandler is a handler function as a Handler, the same way: handle, or
+// for a control stage ctl, which takes the message decoded.
+type procHandler struct {
+	handle  func(p *sim.Proc, l *Link, payload []byte)
+	ctl     func(p *sim.Proc, m ControlMsg)
+	l       *Link
+	payload []byte
+}
+
+func (h *procHandler) Begin(l *Link, payload []byte) { h.l, h.payload = l, payload }
+func (h *procHandler) Step() (sim.Duration, bool)    { return 0, false }
+func (h *procHandler) Blocked() bool                 { return h.l != nil }
+
+func (h *procHandler) Finish(p *sim.Proc) {
+	l, payload := h.l, h.payload
+	h.l, h.payload = nil, nil
+	if h.ctl != nil {
+		h.ctl(p, DecodeControl(payload))
+		return
+	}
+	h.handle(p, l, payload)
 }
 
 // begin starts the stage's pass over whatever it polls at this instant.
-func (st *Stage) begin() {
+func (st *Stage) begin(eng *sim.Engine) {
 	switch {
 	case st.set != nil:
-		st.pass.begin(st.set.order, st.burst)
+		st.pass.begin(eng, st.set.order, st.burst)
 	case *st.control != nil:
 		st.ctl[0].End = *st.control
-		st.pass.begin(st.ctl, st.burst)
+		st.pass.begin(eng, st.ctl, st.burst)
 	default:
-		st.pass.begin(nil, 0)
+		st.pass.begin(eng, nil, 0)
 	}
 }
 
@@ -84,25 +158,28 @@ func (st *Stage) progress() int {
 
 // pollPass is one pass over a list of links, up to burst messages from each:
 // the position that LinkSet.PollEach and a driver's poll stage both advance.
-// It is a sim.Stepper over the part of a pass that needs no process —
-// consecutive empty polls, chained into one sleep — and block is the rest: a
-// message to deliver, one of the receiver's two blocking escapes.
+// It is a sim.Stepper over the part of a pass that needs no process — polls,
+// and the handler's steps for each message polled, chained into one sleep —
+// and block is the rest: where the handler blocked, or one of the receiver's
+// two blocking escapes.
 type pollPass struct {
-	each func(p *sim.Proc, l *Link, payload []byte) // a message from a link, or
-	ctl  func(p *sim.Proc, m ControlMsg)            // a control message, decoded
+	h       Handler // what a message is handed to
+	control bool    // control messages: a payload that is not a control op is dropped uncounted
 
-	links []*Link // the pass's snapshot: the links as they were when it began
-	burst int
-	i, n  int      // links[i] is being polled and has delivered n messages
-	end   *LinkEnd // links[i]'s end while a poll of it is in progress
-	got   int      // messages delivered by this pass
+	eng      *sim.Engine
+	links    []*Link // the pass's snapshot: the links as they were when it began
+	burst    int
+	i, n     int      // links[i] is being polled and has delivered n messages
+	end      *LinkEnd // links[i]'s end while a poll of it is in progress
+	handling bool     // h is handling a message from links[i]
+	got      int      // messages delivered by this pass
 }
 
-func (c *pollPass) begin(links []*Link, burst int) {
+func (c *pollPass) begin(eng *sim.Engine, links []*Link, burst int) {
 	if burst <= 0 {
 		links = nil
 	}
-	c.links, c.burst, c.i, c.n, c.end, c.got = links, burst, 0, 0, nil, 0
+	c.eng, c.links, c.burst, c.i, c.n, c.end, c.handling, c.got = eng, links, burst, 0, 0, nil, false, 0
 }
 
 // over reports whether every link has been polled.
@@ -112,6 +189,18 @@ func (c *pollPass) over() bool { return c.i >= len(c.links) }
 // over or block has to take it from here.
 func (c *pollPass) Step() (sim.Duration, bool) {
 	for !c.over() {
+		if c.handling {
+			if d, more := c.h.Step(); more {
+				return d, true
+			}
+			if c.h.Blocked() {
+				return 0, false
+			}
+			c.handling = false
+			c.got++
+			c.delivered()
+			continue
+		}
 		if c.end == nil {
 			c.end = c.links[c.i].End
 			c.end.In.Begin()
@@ -119,45 +208,46 @@ func (c *pollPass) Step() (sim.Duration, bool) {
 		if d, more := c.end.In.Step(); more {
 			return d, true
 		}
-		if !c.end.In.Empty() {
+		if c.end.In.Blocked() {
 			return 0, false
 		}
+		end := c.end
 		c.end = nil
-		c.i, c.n = c.i+1, 0
+		payload := end.In.Payload()
+		if payload == nil {
+			c.i, c.n = c.i+1, 0
+			continue
+		}
+		end.inLat.observe(c.eng.Now())
+		l := c.links[c.i]
+		if c.control && !IsControlOp(payload[0]) {
+			c.delivered()
+			continue
+		}
+		if !c.control {
+			l.Stats.Received++
+		}
+		c.h.Begin(l, payload)
+		c.handling = true
 	}
 	return 0, false
+}
+
+// delivered counts a message against the link's burst.
+func (c *pollPass) delivered() {
+	if c.n++; c.n >= c.burst {
+		c.i, c.n = c.i+1, 0
+	}
 }
 
 // block does from process p what Step stopped at (the pass is not over), and
 // leaves the position where Step carries on.
 func (c *pollPass) block(p *sim.Proc) {
-	end := c.end
-	payload, fresh, done := end.In.Finish(p)
-	if !done {
-		return // the escape is behind us; the same poll goes on
+	if c.handling {
+		c.h.Finish(p)
+		return
 	}
-	c.end = nil
-	if fresh {
-		end.inLat.observe(p.Now())
-		c.deliver(p, c.links[c.i], payload)
-		if c.n++; c.n < c.burst {
-			return
-		}
-	}
-	c.i, c.n = c.i+1, 0
-}
-
-func (c *pollPass) deliver(p *sim.Proc, l *Link, payload []byte) {
-	if c.ctl != nil {
-		if !IsControlOp(payload[0]) {
-			return
-		}
-		c.ctl(p, DecodeControl(payload))
-	} else {
-		l.Stats.Received++
-		c.each(p, l, payload)
-	}
-	c.got++
+	c.end.In.Finish(p) // the escape is behind us; the same poll goes on
 }
 
 // run finishes the pass from process p and returns the messages delivered.

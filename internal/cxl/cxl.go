@@ -412,6 +412,9 @@ func (pt *Port) Name() string { return pt.name }
 // Pool returns the pool this port attaches to.
 func (pt *Port) Pool() *Pool { return pt.pool }
 
+// Engine returns the engine the pool's timing runs on.
+func (p *Pool) Engine() *sim.Engine { return p.eng }
+
 // ReadMeter returns the device-to-host byte meter.
 func (pt *Port) ReadMeter() *metrics.Meter { return pt.rdMeter }
 

@@ -211,9 +211,11 @@ func (ch *Channel) slotEpoch(idx int64) byte {
 // may still be in flight, and a partial flush over a stale refill would
 // publish wrap w−2's bytes, whose epoch bit matches the current wrap's.
 type Sender struct {
-	ch    *Channel
-	port  *cxl.Port
-	costs cache.Params
+	ch   *Channel
+	port *cxl.Port
+	// The CPU-side costs a sender charges: a store, a CLWB, and the
+	// CLFLUSHOPT + MFENCE before a counter refresh.
+	storeLat, wbIssue, refreshIssue sim.Duration
 
 	head           int64 // next absolute index to write
 	cachedConsumed int64 // sender's view of the receiver's counter
@@ -221,10 +223,12 @@ type Sender struct {
 
 	shadow []*[shadowChunk]byte // private copy of ring contents; see shadowAt
 
-	// Stepped-sleep position (see Step): what the leg in progress pays for.
-	pc             senderPC
-	eng            *sim.Engine // the sleeping process's engine
-	wbLine, wbLast int64       // senderWriteback: ring line being CLWBed; final one
+	// The position of a send or flush in progress (see Step): what the leg in
+	// progress pays for.
+	pc     senderPC
+	ok     bool   // the last send was accepted
+	msg    []byte // a copy of the message being sent, made on the first send
+	wbLine int64  // senderWriteback: ring line being CLWBed
 
 	// Stats.
 	Sent           int64
@@ -243,10 +247,12 @@ const shadowChunk = 4096
 func NewSender(ch *Channel, port *cxl.Port, costs cache.Params) *Sender {
 	ring := ch.cfg.Slots * ch.cfg.MsgSize
 	return &Sender{
-		ch:     ch,
-		port:   port,
-		costs:  costs,
-		shadow: make([]*[shadowChunk]byte, (ring+shadowChunk-1)/shadowChunk),
+		ch:           ch,
+		port:         port,
+		storeLat:     costs.StoreLatency,
+		wbIssue:      costs.WritebackIssue,
+		refreshIssue: costs.FlushIssue + costs.FenceLatency,
+		shadow:       make([]*[shadowChunk]byte, (ring+shadowChunk-1)/shadowChunk),
 	}
 }
 
@@ -262,82 +268,130 @@ func (s *Sender) shadowAt(off, n int) []byte {
 	return c[off : off+n]
 }
 
-// refreshConsumed re-reads the consumed counter from the pool: CLFLUSHOPT +
-// MFENCE + a CXL fetch (§4), as one stepped sleep.
-func (s *Sender) refreshConsumed(p *sim.Proc) {
-	s.pc, s.eng = senderFetch, p.Engine()
-	p.SleepSteps(s.costs.FlushIssue+s.costs.FenceLatency, s)
-}
-
-// senderPC says what the leg a Sender is sleeping pays for.
+// senderPC says where a send or flush is: what comes next, or what the leg
+// in progress pays for.
 type senderPC uint8
 
 const (
-	senderFetch     senderPC = iota // counter invalidated and fenced: fetch it
+	senderSend      senderPC = iota // BeginSend: check for room
+	senderFetch                     // counter invalidated and fenced: fetch it
 	senderCollect                   // counter line arriving
+	senderStore                     // room: store the message
+	senderStored                    // the store retiring
+	senderFlush                     // BeginFlush: push the partial line, if any
 	senderWriteback                 // CLWB of ring line wbLine issued
+	senderDone                      // over
 )
 
-// Step implements sim.Stepper for the sender's two multi-leg operations. A
-// sender has one user, so it is its own stepper.
+// BeginSend starts a send of payload, at most PayloadSize bytes, to be
+// stepped from its first Step (see Step); Accepted then reports the outcome.
+// It copies payload, so the caller's buffer stays its own (and on its stack).
+func (s *Sender) BeginSend(payload []byte) {
+	if len(payload) > s.ch.PayloadSize() {
+		panic(fmt.Sprintf("msgchan: payload %d bytes exceeds slot payload %d", len(payload), s.ch.PayloadSize()))
+	}
+	if s.msg == nil {
+		s.msg = make([]byte, 0, s.ch.PayloadSize())
+	}
+	s.msg, s.pc = append(s.msg[:0], payload...), senderSend
+}
+
+// BeginFlush starts a Flush, to be stepped from its first Step.
+func (s *Sender) BeginFlush() { s.pc = senderFlush }
+
+// Accepted reports whether the send that has just ended was accepted.
+func (s *Sender) Accepted() bool { return s.ok }
+
+// Message returns the payload of the send begun last.
+func (s *Sender) Message() []byte { return s.msg }
+
+// Engine returns the engine the sender's pool runs on.
+func (s *Sender) Engine() *sim.Engine { return s.port.Pool().Engine() }
+
+// Step implements sim.Stepper for a send or flush begun by BeginSend or
+// BeginFlush: it runs it from where it is to the start of its next leg, in
+// the order TrySend and Flush have always made their effects and sleeps:
+// when the ring looks full, refresh the consumed counter (CLFLUSHOPT +
+// MFENCE, then a CXL fetch, §4) and give up if it still is; store the
+// message into the shadow ring and pay the store; when that filled a line,
+// or on a flush, CLWB the lines not yet pushed. A sender has one user, so it
+// is its own stepper.
 func (s *Sender) Step() (sim.Duration, bool) {
-	switch s.pc {
-	case senderFetch:
-		arrival := s.port.FetchLine(s.ch.counterAddr, s.ch.cfg.Category)
-		if wait := arrival - s.eng.Now(); wait > 0 {
+	for {
+		switch s.pc {
+		case senderSend:
+			s.pc = senderStore
+			if int(s.head-s.cachedConsumed) >= s.ch.cfg.Slots {
+				s.pc = senderFetch
+				return s.refreshIssue, true
+			}
+		case senderFetch:
+			arrival := s.port.FetchLine(s.ch.counterAddr, s.ch.cfg.Category)
 			s.pc = senderCollect
-			return wait, true
-		}
-		fallthrough
-	case senderCollect:
-		var line [cxl.LineSize]byte
-		s.port.CollectLine(s.ch.counterAddr, line[:])
-		s.cachedConsumed = int64(binary.LittleEndian.Uint64(line[:8]))
-		s.CounterReads++
-	case senderWriteback:
-		idx := s.wbLine * int64(s.ch.slotsPerLine) // first slot of the line
-		addr := cxl.LineAddr(s.ch.slotAddr(idx))
-		off := int(idx%int64(s.ch.cfg.Slots)) * s.ch.cfg.MsgSize
-		s.port.WriteLine(addr, s.shadowAt(off, cxl.LineSize), s.ch.cfg.Category)
-		s.LinesWritten++
-		if s.wbLine < s.wbLast {
-			s.wbLine++
-			return s.costs.WritebackIssue, true
+			if wait := arrival - s.Engine().Now(); wait > 0 {
+				return wait, true
+			}
+		case senderCollect:
+			var line [cxl.LineSize]byte
+			s.port.CollectLine(s.ch.counterAddr, line[:])
+			s.cachedConsumed = int64(binary.LittleEndian.Uint64(line[:8]))
+			s.CounterReads++
+			s.pc = senderStore
+			if int(s.head-s.cachedConsumed) >= s.ch.cfg.Slots {
+				s.FullStalls++
+				s.ok, s.pc = false, senderDone
+			}
+		case senderStore:
+			off := int(s.head%int64(s.ch.cfg.Slots)) * s.ch.cfg.MsgSize
+			slot := s.shadowAt(off, s.ch.cfg.MsgSize)
+			clear(slot)
+			slot[0] = s.ch.slotEpoch(s.head)
+			copy(slot[1:], s.msg)
+			s.pc = senderStored
+			return s.storeLat, true
+		case senderStored:
+			s.head++
+			s.Sent++
+			s.ok, s.pc = true, senderDone
+			// Filled the last slot of a line: CLWB it.
+			if s.head%int64(s.ch.slotsPerLine) == 0 {
+				if d, more := s.writebackHead(); more {
+					return d, true
+				}
+			}
+		case senderFlush:
+			s.pc = senderDone
+			if s.Unflushed() {
+				s.PartialFlushes++
+				if d, more := s.writebackHead(); more {
+					return d, true
+				}
+			}
+		case senderWriteback:
+			idx := s.wbLine * int64(s.ch.slotsPerLine) // first slot of the line
+			addr := cxl.LineAddr(s.ch.slotAddr(idx))
+			off := int(idx%int64(s.ch.cfg.Slots)) * s.ch.cfg.MsgSize
+			s.port.WriteLine(addr, s.shadowAt(off, cxl.LineSize), s.ch.cfg.Category)
+			s.LinesWritten++
+			// head stands still while its lines are pushed: one user.
+			if s.wbLine < (s.head-1)/int64(s.ch.slotsPerLine) {
+				s.wbLine++
+				return s.wbIssue, true
+			}
+			s.flushedThrough, s.pc = s.head, senderDone
+		default:
+			return 0, false
 		}
 	}
-	return 0, false
 }
 
 // TrySend writes one message. payload must be at most PayloadSize bytes.
 // It returns false (after refreshing the consumed counter) when the ring is
 // full; the caller decides whether to retry, back off, or drop.
 func (s *Sender) TrySend(p *sim.Proc, payload []byte) bool {
-	if len(payload) > s.ch.PayloadSize() {
-		panic(fmt.Sprintf("msgchan: payload %d bytes exceeds slot payload %d", len(payload), s.ch.PayloadSize()))
-	}
-	if int(s.head-s.cachedConsumed) >= s.ch.cfg.Slots {
-		s.refreshConsumed(p)
-		if int(s.head-s.cachedConsumed) >= s.ch.cfg.Slots {
-			s.FullStalls++
-			return false
-		}
-	}
-	// Store the message into the shadow ring.
-	off := int(s.head%int64(s.ch.cfg.Slots)) * s.ch.cfg.MsgSize
-	slot := s.shadowAt(off, s.ch.cfg.MsgSize)
-	for i := range slot {
-		slot[i] = 0
-	}
-	slot[0] = s.ch.slotEpoch(s.head)
-	copy(slot[1:], payload)
-	p.Sleep(s.costs.StoreLatency)
-	s.head++
-	s.Sent++
-	// Filled the last slot of a line: CLWB it.
-	if s.head%int64(s.ch.slotsPerLine) == 0 {
-		s.writebackThrough(p, s.head)
-	}
-	return true
+	s.BeginSend(payload)
+	p.Steps(s)
+	return s.ok
 }
 
 // Flush pushes any partially-filled line to the pool (CLWB). Drivers call it
@@ -345,8 +399,8 @@ func (s *Sender) TrySend(p *sim.Proc, payload []byte) bool {
 // rates without paying a per-message CLWB under load.
 func (s *Sender) Flush(p *sim.Proc) {
 	if s.Unflushed() {
-		s.PartialFlushes++
-		s.writebackThrough(p, s.head)
+		s.BeginFlush()
+		p.Steps(s)
 	}
 }
 
@@ -354,16 +408,18 @@ func (s *Sender) Flush(p *sim.Proc) {
 // stored since the last line went to the pool.
 func (s *Sender) Unflushed() bool { return s.flushedThrough < s.head }
 
-// writebackThrough CLWBs every line containing messages in
-// [flushedThrough, through), as one stepped sleep.
-func (s *Sender) writebackThrough(p *sim.Proc, through int64) {
+// writebackHead starts the CLWB of every line containing messages in
+// [flushedThrough, head) and returns its first leg; with no such line it
+// marks them pushed at once.
+func (s *Sender) writebackHead() (sim.Duration, bool) {
 	spl := int64(s.ch.slotsPerLine)
-	s.wbLine, s.wbLast = s.flushedThrough/spl, (through-1)/spl
-	if s.wbLine <= s.wbLast {
-		s.pc = senderWriteback
-		p.SleepSteps(s.costs.WritebackIssue, s)
+	s.wbLine = s.flushedThrough / spl
+	if s.wbLine > (s.head-1)/spl {
+		s.flushedThrough = s.head
+		return 0, false
 	}
-	s.flushedThrough = through
+	s.pc = senderWriteback
+	return s.wbIssue, true
 }
 
 // Receiver is the consuming endpoint, reading through its host's cache with
@@ -411,51 +467,46 @@ func (r *Receiver) lineAddrOf(idx int64) int64 {
 //
 // A poll is one stepped sleep: every cache operation's cost is a leg and its
 // effect runs in Step, so an empty poll of design ④ — read miss, CLFLUSHOPT,
-// MFENCE — resumes p once, not three times. Poll is Begin, then Step and
-// SleepSteps until Finish says the poll is over; a caller that chains several
-// receivers' polls into one sleep (core.LinkSet) makes the same calls itself.
+// MFENCE — resumes p once, not three times. Poll is Begin, then the poll run
+// as a sim.Job, then Payload; a caller that chains several receivers' polls
+// into one sleep (core's poll stages) makes the same calls itself.
 func (r *Receiver) Poll(p *sim.Proc) ([]byte, bool) {
 	r.Begin()
-	for {
-		if d, more := r.Step(); more {
-			p.SleepSteps(d, r)
-		}
-		if payload, fresh, done := r.Finish(p); done {
-			return payload, fresh
-		}
-	}
+	p.RunJob(r)
+	payload := r.Payload()
+	return payload, payload != nil
 }
 
 // Begin starts a poll: the next Step is its first.
 func (r *Receiver) Begin() { r.pc = recvStart }
 
-// Empty reports, once Step has returned more == false, that the poll is over
-// and found no message: nothing is left for a process to do.
-func (r *Receiver) Empty() bool {
-	return r.pc != recvRefill && r.pc != recvCounterBlocked && !r.fresh
+// Blocked implements sim.Job: once Step has returned more == false, it
+// reports that the poll stopped at one of the two things a Step cannot do —
+// refetching a slot line that vanished under its fill, storing to a counter
+// line that has a fill in flight.
+func (r *Receiver) Blocked() bool { return r.pc == recvRefill || r.pc == recvCounterBlocked }
+
+// Payload returns, once the poll is over, the message it found (PayloadSize
+// bytes, valid until the next poll), or nil when it found none.
+func (r *Receiver) Payload() []byte {
+	if r.Blocked() || !r.fresh {
+		return nil
+	}
+	return r.slotBuf[1:]
 }
 
-// Finish takes over where Step returned more == false. If the poll is over
-// it reports done and the result. Otherwise the poll stopped at one of the
-// two things a Step cannot do — refetching a slot line that vanished under
-// its fill, storing to a counter line that has a fill in flight — and Finish
-// does it, blocking p; the poll then goes on with Step.
-func (r *Receiver) Finish(p *sim.Proc) (payload []byte, fresh, done bool) {
+// Finish implements sim.Job: it does what the poll stopped at, blocking p;
+// the poll then goes on with Step.
+func (r *Receiver) Finish(p *sim.Proc) {
 	switch r.pc {
 	case recvRefill:
 		r.cache.ReadRefill(p, r.ch.slotAddr(r.tail), r.slotBuf, r.ch.cfg.Category)
 		r.pc = recvCheck
-		return nil, false, false
 	case recvCounterBlocked:
 		r.cache.Write(p, r.ch.counterAddr, r.ctr[:], r.ch.cfg.Category)
 		r.cache.WritebackLine(p, r.ch.counterAddr, r.ch.cfg.Category)
 		r.pc = recvCounterDone
-		return nil, false, false
 	}
-	if r.fresh {
-		return r.slotBuf[1:], true, true
-	}
-	return nil, false, true
 }
 
 // recvPC says what Step does next. Where a leg is in progress, that is the

@@ -85,7 +85,7 @@ func refUpdateCounter(r *Receiver, p *sim.Proc) {
 }
 
 func refRefreshConsumed(s *Sender, p *sim.Proc) {
-	p.Sleep(s.costs.FlushIssue + s.costs.FenceLatency)
+	p.Sleep(s.refreshIssue)
 	arrival := s.port.FetchLine(s.ch.counterAddr, s.ch.cfg.Category)
 	if wait := arrival - p.Now(); wait > 0 {
 		p.Sleep(wait)
@@ -113,7 +113,7 @@ func refWritebackThrough(s *refSender, p *sim.Proc, through int64) {
 	for l := s.flushedThrough / spl; l <= (through-1)/spl; l++ {
 		idx := l * spl
 		off := int(idx%int64(s.ch.cfg.Slots)) * s.ch.cfg.MsgSize
-		p.Sleep(s.costs.WritebackIssue)
+		p.Sleep(s.wbIssue)
 		s.port.WriteLine(cxl.LineAddr(s.ch.slotAddr(idx)), s.ring[off:off+cxl.LineSize], s.ch.cfg.Category)
 		s.LinesWritten++
 	}
@@ -135,7 +135,7 @@ func refTrySend(s *refSender, p *sim.Proc, payload []byte) bool {
 	}
 	slot[0] = s.ch.slotEpoch(s.head)
 	copy(slot[1:], payload)
-	p.Sleep(s.costs.StoreLatency)
+	p.Sleep(s.storeLat)
 	s.head++
 	s.Sent++
 	if s.head%int64(s.ch.slotsPerLine) == 0 {

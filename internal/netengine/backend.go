@@ -72,6 +72,12 @@ type Backend struct {
 	events   *obs.TraceRing
 	eventSrc string
 
+	// The datapath's jobs (see port.go).
+	feMsg  feMsgJob
+	txDone sendJob
+	rx     beRxJob
+	duties dutiesJob
+
 	// Stats.
 	TxPosted, RxForwarded int64
 	RxNoRoute             int64
@@ -102,22 +108,23 @@ func NewBackend(h *host.Host, nicID uint16, dev *nic.NIC, pool *cxl.Pool, nicDir
 		lastUp:   true,
 	}
 	var err error
-	if be.nicQueues, err = newNICQueues(dev, pool, cfg, be.handleTxCompletion, be.handleRxCompletion); err != nil {
+	if be.nicQueues, err = newNICQueues(dev, pool, cfg, be); err != nil {
 		return nil, fmt.Errorf("netengine: NIC %d: %w", nicID, err)
 	}
+	be.serve.q = &be.nicQueues
+	be.feMsg.be, be.rx.be = be, be
+	be.duties = dutiesJob{be: be, flush: core.NewFlushJob(be.links, &be.ctrl)}
 	// One iteration: parked completions, frontend messages, NIC completion
 	// queues and RX replenishment, and the control plane's commands and
 	// timed duties.
 	be.Seat = core.NewSeat(fmt.Sprintf("%s/be%d", h.Name, nicID), []core.Stage{
 		core.WorkStage("parked completions", be.parkedIdle, be.drainParked),
-		core.PollStage("frontend messages", be.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
-			be.handleFrontendMsg(p, l.Meta.(*feLink), decode(payload))
-		}),
-		core.WorkStage("nic queues", be.nicIdle, be.serveNIC),
+		core.SteppedPollStage("frontend messages", be.links, burst, &be.feMsg),
+		core.SteppedWorkStage("nic queues", be.nicIdle, &be.serve),
 		// Draining allocator commands is not progress: a backend acts on
 		// them out of band (MAC borrowing) and must still back off.
 		core.ControlStage("allocator commands", &be.ctrl, burst, be.handleControlMsg, false),
-		core.WorkStage("duties and flush", be.dutiesIdle, be.dutiesAndFlush),
+		core.SteppedWorkStage("duties and flush", be.dutiesIdle, &be.duties),
 	}, h, cfg.driverConfig())
 	return be, nil
 }
@@ -126,18 +133,18 @@ func NewBackend(h *host.Host, nicID uint16, dev *nic.NIC, pool *cxl.Pool, nicDir
 // Backend and the baseline LocalDriver — share: the RX buffer area, the
 // number of RX descriptors kept posted, and the pass over the completion
 // queues that ends by topping the RX ring up. It is their "nic queues" work
-// stage (nicIdle, serveNIC); what a completion means is the driver's.
+// stage (nicIdle, serve); what a completion means is the driver's.
 type nicQueues struct {
 	dev      *nic.NIC
 	rxArea   *core.BufferArea
 	rxTarget int // RX descriptors to keep posted
-	onTx     func(p *sim.Proc, tc nic.TxCompletion)
-	onRx     func(p *sim.Proc, rc nic.RxCompletion)
+	serve    nicWork
 }
 
 // newNICQueues carves dev's RX buffer area out of pool and sets the
-// descriptor target: half the area, at most 1024.
-func newNICQueues(dev *nic.NIC, pool *cxl.Pool, cfg Config, onTx func(*sim.Proc, nic.TxCompletion), onRx func(*sim.Proc, nic.RxCompletion)) (nicQueues, error) {
+// descriptor target: half the area, at most 1024. c is what the driver makes
+// of a completion.
+func newNICQueues(dev *nic.NIC, pool *cxl.Pool, cfg Config, c completions) (nicQueues, error) {
 	region, err := pool.Alloc(cfg.RxAreaBytes)
 	if err != nil {
 		return nicQueues{}, fmt.Errorf("RX area: %w", err)
@@ -146,47 +153,14 @@ func newNICQueues(dev *nic.NIC, pool *cxl.Pool, cfg Config, onTx func(*sim.Proc,
 	if err != nil {
 		return nicQueues{}, err
 	}
-	return nicQueues{dev: dev, rxArea: area, rxTarget: min(area.Capacity()/2, 1024), onTx: onTx, onRx: onRx}, nil
+	return nicQueues{dev: dev, rxArea: area, rxTarget: min(area.Capacity()/2, 1024), serve: nicWork{c: c}}, nil
 }
 
-// nicIdle reports whether serveNIC has nothing to do: both completion queues
+// nicIdle reports whether serve has nothing to do: both completion queues
 // are empty and the RX ring holds its target (below it, even a failed buffer
 // allocation is counted).
 func (q *nicQueues) nicIdle() bool {
 	return !q.dev.CompletionsReady() && q.dev.RxDescCount() >= q.rxTarget
-}
-
-// serveNIC hands up to burst TX and up to burst RX completions to the
-// driver, then replenishes the RX descriptors; every completion is progress.
-func (q *nicQueues) serveNIC(p *sim.Proc) int {
-	progress := 0
-	for i := 0; i < burst; i++ {
-		tc, ok := q.dev.PollTxCompletion()
-		if !ok {
-			break
-		}
-		q.onTx(p, tc)
-		progress++
-	}
-	for i := 0; i < burst; i++ {
-		rc, ok := q.dev.PollRxCompletion()
-		if !ok {
-			break
-		}
-		q.onRx(p, rc)
-		progress++
-	}
-	for q.dev.RxDescCount() < q.rxTarget {
-		addr, ok := q.rxArea.Alloc()
-		if !ok {
-			break
-		}
-		if !q.dev.PostRx(p, nic.RxDesc{Addr: addr, Cap: q.rxArea.BufSize()}) {
-			q.rxArea.Free(addr)
-			break
-		}
-	}
-	return progress
 }
 
 // Host returns the backend's host.
@@ -235,40 +209,125 @@ func (be *Backend) dutiesIdle() bool {
 	return be.links.FlushIdle() && !be.ctrl.Unflushed()
 }
 
-func (be *Backend) dutiesAndFlush(p *sim.Proc) int {
-	if be.ctrl != nil {
-		be.maybeCheckLink(p)
-		be.maybeSendTelemetry(p)
-	}
-	be.links.FlushAll(p)
-	if be.ctrl != nil {
-		be.ctrl.Flush(p)
-	}
-	return 0
+// dutiesJob is the "duties and flush" stage: the timed duties — a link check,
+// telemetry — from the process when one is due, then the flush of every
+// partly filled message line in steps.
+type dutiesJob struct {
+	be    *Backend
+	flush *core.FlushJob
+	due   bool
 }
 
-func (be *Backend) handleFrontendMsg(p *sim.Proc, l *feLink, m msg) {
-	p.Sleep(be.cfg.MsgCost)
+func (j *dutiesJob) Begin() {
+	be := j.be
+	now := be.h.Eng.Now()
+	j.due = be.ctrl != nil && (now >= be.nextCheck || now >= be.nextTelem)
+	if !j.due {
+		j.flush.Begin()
+	}
+}
+
+func (j *dutiesJob) Step() (sim.Duration, bool) {
+	if j.due {
+		return 0, false
+	}
+	return j.flush.Step()
+}
+
+func (j *dutiesJob) Blocked() bool { return j.due }
+
+func (j *dutiesJob) Finish(p *sim.Proc) {
+	j.be.maybeCheckLink(p)
+	j.be.maybeSendTelemetry(p)
+	j.due = false
+	j.flush.Begin()
+}
+
+func (j *dutiesJob) Progress() int { return 0 }
+
+// feMsgJob is the backend's handling of one frontend message: the datapath's
+// — a packet to post, an RX buffer to recycle — in event context after the
+// per-message cost, registration from the process.
+type feMsgJob struct {
+	be     *Backend
+	l      *feLink
+	m      msg
+	cookie uint64
+	pc     feMsgPC
+	sub
+}
+
+// feMsgPC says where the handling of a frontend message is.
+type feMsgPC uint8
+
+const (
+	feMsgStart    feMsgPC = iota
+	feMsgPaid             // the per-message cost is paid
+	feMsgDoorbell         // the WQE's doorbell leg is over
+	feMsgProc             // the process handles the message
+	feMsgDone
+)
+
+func (j *feMsgJob) Begin(l *core.Link, payload []byte) {
+	j.l, j.m, j.pc = l.Meta.(*feLink), decode(payload), feMsgStart
+}
+
+func (j *feMsgJob) Step() (sim.Duration, bool) {
+	be, m := j.be, j.m
+	for {
+		if d, more := j.step(); more {
+			return d, true
+		}
+		switch j.pc {
+		case feMsgStart:
+			j.pc = feMsgPaid
+			return be.cfg.MsgCost, true
+		case feMsgPaid:
+			j.pc = feMsgDone
+			switch m.op {
+			case opTxPacket:
+				j.cookie = be.nextCook
+				be.nextCook++
+				be.cookies[j.cookie] = txMeta{addr: m.addr, ip: m.ip, link: j.l}
+				j.pc = feMsgDoorbell
+				return be.dev.DoorbellCost(), true
+			case opRxComplete:
+				if be.rxArea.Owns(m.addr) {
+					be.rxArea.Free(m.addr)
+				}
+			default:
+				j.pc = feMsgProc
+				return 0, false
+			}
+		case feMsgDoorbell:
+			j.pc = feMsgDone
+			// The backend never touches the packet buffer: it posts the WQE
+			// with the shared-memory pointer and lets the NIC DMA it (§3.3.1).
+			if !be.dev.PostTxNow(nic.WQE{Addr: m.addr, Len: int(m.size), Cookie: j.cookie}) {
+				// NIC ring full: bounce the completion immediately so the
+				// frontend frees the buffer (the packet is dropped, as a real
+				// full ring would).
+				delete(be.cookies, j.cookie)
+				j.sendOrQueue(j.l.link, msg{op: opTxComplete, addr: m.addr, ip: m.ip})
+				continue
+			}
+			be.TxPosted++
+		default:
+			return 0, false
+		}
+	}
+}
+
+func (j *feMsgJob) Blocked() bool { return j.pc == feMsgProc }
+
+func (j *feMsgJob) Finish(p *sim.Proc) {
+	j.be.handleRegistration(p, j.l, j.m)
+	j.pc = feMsgDone
+}
+
+// handleRegistration handles the control-path frontend messages.
+func (be *Backend) handleRegistration(p *sim.Proc, l *feLink, m msg) {
 	switch m.op {
-	case opTxPacket:
-		cookie := be.nextCook
-		be.nextCook++
-		be.cookies[cookie] = txMeta{addr: m.addr, ip: m.ip, link: l}
-		// The backend never touches the packet buffer: it posts the WQE
-		// with the shared-memory pointer and lets the NIC DMA it (§3.3.1).
-		if !be.dev.PostTx(p, nic.WQE{Addr: m.addr, Len: int(m.size), Cookie: cookie}) {
-			// NIC ring full: bounce the completion immediately so the
-			// frontend frees the buffer (the packet is dropped, as a real
-			// full ring would).
-			delete(be.cookies, cookie)
-			be.sendToFE(p, l, msg{op: opTxComplete, addr: m.addr, ip: m.ip})
-			return
-		}
-		be.TxPosted++
-	case opRxComplete:
-		if be.rxArea.Owns(m.addr) {
-			be.rxArea.Free(m.addr)
-		}
 	case opRegister:
 		reg, ok := be.regs[m.ip]
 		if !ok {
@@ -280,7 +339,8 @@ func (be *Backend) handleFrontendMsg(p *sim.Proc, l *feLink, m msg) {
 		} else {
 			reg.link = l
 		}
-		be.sendToFE(p, l, msg{op: opRegisterAck, ip: m.ip, nic: be.nicID})
+		var buf [15]byte
+		l.link.SendOrQueue(p, msg{op: opRegisterAck, ip: m.ip, nic: be.nicID}.encode(buf[:]))
 	case opUnregister:
 		if reg, ok := be.regs[m.ip]; ok {
 			be.dev.RemoveFlowRule(uint32(m.ip))
@@ -290,34 +350,90 @@ func (be *Backend) handleFrontendMsg(p *sim.Proc, l *feLink, m msg) {
 	}
 }
 
-func (be *Backend) handleTxCompletion(p *sim.Proc, tc nic.TxCompletion) {
+// txJob implements completions: a transmitted packet's completion goes back
+// to the frontend that sent it.
+func (be *Backend) txJob(tc nic.TxCompletion) sim.Job {
 	meta, ok := be.cookies[tc.Cookie]
 	if !ok {
-		return
+		return be.txDone.begin(nil, msg{})
 	}
 	delete(be.cookies, tc.Cookie)
-	be.sendToFE(p, meta.link, msg{op: opTxComplete, addr: meta.addr, ip: meta.ip})
+	return be.txDone.begin(meta.link.link, msg{op: opTxComplete, addr: meta.addr, ip: meta.ip})
 }
 
-func (be *Backend) handleRxCompletion(p *sim.Proc, rc nic.RxCompletion) {
-	p.Sleep(be.cfg.MsgCost)
-	var reg *registration
-	if rc.Matched {
-		reg = be.tags[rc.Tag]
+// rxJob implements completions (see beRxJob).
+func (be *Backend) rxJob(rc nic.RxCompletion) sim.Job {
+	be.rx.rc, be.rx.reg, be.rx.pc = rc, nil, beRxStart
+	return &be.rx
+}
+
+// beRxJob forwards a received packet to the frontend of the instance its flow
+// tag names, after the per-message cost. A flow-tag miss (§3.3.1 footnote)
+// blocks the job: the process inspects the payload to find the target
+// instance, then invalidates the buffer from the backend's caches so future
+// DMA stays snoop-free.
+type beRxJob struct {
+	be  *Backend
+	rc  nic.RxCompletion
+	reg *registration
+	pc  beRxPC
+	sub
+}
+
+// beRxPC says where a received packet's forwarding is.
+type beRxPC uint8
+
+const (
+	beRxStart   beRxPC = iota
+	beRxPaid           // the per-message cost is paid: look the tag up
+	beRxInspect        // the process inspects the payload
+	beRxRoute          // forward to reg, or drop
+	beRxSent           // the message to the frontend is sent
+	beRxDone
+)
+
+func (j *beRxJob) Step() (sim.Duration, bool) {
+	be, rc := j.be, j.rc
+	for {
+		if d, more := j.step(); more {
+			return d, true
+		}
+		switch j.pc {
+		case beRxStart:
+			j.pc = beRxPaid
+			return be.cfg.MsgCost, true
+		case beRxPaid:
+			if rc.Matched {
+				j.reg = be.tags[rc.Tag]
+			}
+			j.pc = beRxRoute
+			if j.reg == nil {
+				j.pc = beRxInspect
+				return 0, false
+			}
+		case beRxRoute:
+			if j.reg == nil {
+				be.RxNoRoute++
+				be.rxArea.Free(rc.Addr) // recycle immediately
+				j.pc = beRxDone
+				continue
+			}
+			j.sendOrQueue(j.reg.link.link, msg{op: opRxPacket, addr: rc.Addr, size: uint16(rc.Len), ip: j.reg.ip})
+			j.pc = beRxSent
+		case beRxSent:
+			be.RxForwarded++
+			j.pc = beRxDone
+		default:
+			return 0, false
+		}
 	}
-	if reg == nil {
-		// Flow-tag miss (§3.3.1 footnote): inspect the payload to find the
-		// target instance, then invalidate the buffer from our caches so
-		// future DMA stays snoop-free.
-		reg = be.inspectAndRoute(p, rc)
-	}
-	if reg == nil {
-		be.RxNoRoute++
-		be.rxArea.Free(rc.Addr) // recycle immediately
-		return
-	}
-	be.sendToFE(p, reg.link, msg{op: opRxPacket, addr: rc.Addr, size: uint16(rc.Len), ip: reg.ip})
-	be.RxForwarded++
+}
+
+func (j *beRxJob) Blocked() bool { return j.pc == beRxInspect }
+
+func (j *beRxJob) Finish(p *sim.Proc) {
+	j.reg = j.be.inspectAndRoute(p, j.rc)
+	j.pc = beRxRoute
 }
 
 // inspectAndRoute reads the packet headers through the backend's cache to
@@ -441,12 +557,4 @@ func (be *Backend) maybeSendTelemetry(p *sim.Proc) {
 		Errs:       uint8(errsDelta),
 		QueueDepth: uint16(qdepth),
 	}) // best effort: a full ring drops the record, the next window's stands in
-}
-
-// sendToFE sends a message to a frontend, parking it on the link's bounded
-// pending queue if the ring is full (completions must not be lost: they
-// carry buffer ownership).
-func (be *Backend) sendToFE(p *sim.Proc, l *feLink, m msg) {
-	var buf [15]byte
-	l.link.SendOrQueue(p, m.encode(buf[:]))
 }

@@ -504,3 +504,68 @@ func TestAllocRetryCircuitBreaker(t *testing.T) {
 	})
 	r.eng.Run()
 }
+
+// The datapath's jobs hand back to the process where a step cannot go on.
+// With every line of the instance host's cache dropped every 100 ns,
+// copy-outs meet lines that vanished under their fills and refetch them;
+// every echo must still come back intact.
+func TestCopyOutRefillsVanishedLines(t *testing.T) {
+	r := newEngineRig(t)
+	r.inst.Assign(1, 0)
+	r.startEcho(t)
+	r.eng.Go("churn", func(p *sim.Proc) {
+		for {
+			p.Sleep(100 * time.Nanosecond)
+			r.hA.Cache.InvalidateAll()
+		}
+	})
+	echoed := 0
+	r.eng.Go("client", func(p *sim.Proc) {
+		conn, _ := r.client.stack.ListenUDP(0)
+		if !r.inst.WaitReady(p, 100*time.Millisecond) {
+			t.Error("not ready")
+			r.eng.Shutdown()
+			return
+		}
+		payload := bytes.Repeat([]byte("0123456789abcdef"), 40)
+		for i := 0; i < 200; i++ {
+			payload[0] = byte(i)
+			conn.SendTo(p, instIP, 7, payload)
+			if dg, ok := conn.RecvTimeout(p, time.Millisecond); ok && bytes.Equal(dg.Data, payload) {
+				echoed++
+			}
+		}
+		r.eng.Shutdown()
+	})
+	r.eng.Run()
+	if echoed != 200 {
+		t.Fatalf("echoed %d/200 intact", echoed)
+	}
+}
+
+// A transmit whose TX buffer line has a fill in flight blocks, and its
+// process finishes the write once the fill lands: the buffer holds the frame.
+func TestTransmitWaitsForInflightFill(t *testing.T) {
+	r := newEngineRig(t)
+	frame := bytes.Repeat([]byte{0xA5}, 200)
+	r.eng.Go("tx", func(p *sim.Proc) {
+		r.inst.Transmit(p, append([]byte(nil), frame...)) // learn the buffer the next transmit reuses
+		addr := r.inst.tx.addr
+		req, _ := r.inst.txQ.TryPop()
+		r.inst.area.Free(req.addr)
+		r.hA.Cache.FlushRange(p, addr, len(frame), "payload")
+		r.hA.Cache.Prefetch(p, addr+64, "payload") // the frame's second line, in flight
+		before := r.hA.Cache.Stats().FillWaits
+		r.inst.Transmit(p, append([]byte(nil), frame...))
+		if r.inst.tx.addr != addr || r.hA.Cache.Stats().FillWaits == before {
+			t.Errorf("transmit into %#x met no fill in flight (buffer %#x)", r.inst.tx.addr, addr)
+		}
+		got := make([]byte, len(frame))
+		r.hA.Cache.Read(p, addr, got, "payload")
+		if !bytes.Equal(got, frame) {
+			t.Errorf("TX buffer holds %x, want the frame", got)
+		}
+		r.eng.Shutdown()
+	})
+	r.eng.Run()
+}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"oasis/internal/cache"
 	"oasis/internal/core"
 	"oasis/internal/cxl"
 	"oasis/internal/host"
@@ -129,7 +130,11 @@ type Frontend struct {
 	instOrder []netstack.IP
 	ctrl      *core.LinkEnd
 	cmds      *sim.Queue[feCmd]
-	scratch   []byte
+
+	// The datapath's jobs (see port.go).
+	queues queuesJob
+	beMsg  beMsgJob
+	rx     rxCopy
 
 	// Stats.
 	TxForwarded, RxDelivered int64
@@ -146,24 +151,23 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
 		panic("netengine: frontend host must be in the CXL pod")
 	}
 	fe := &Frontend{
-		h:       h,
-		pool:    pool,
-		cfg:     cfg,
-		links:   core.NewLinkSet(core.DefaultPendingLimit),
-		insts:   make(map[netstack.IP]*InstancePort),
-		cmds:    sim.NewQueue[feCmd](h.Eng),
-		scratch: make([]byte, cfg.BufSize),
+		h:     h,
+		pool:  pool,
+		cfg:   cfg,
+		links: core.NewLinkSet(core.DefaultPendingLimit),
+		insts: make(map[netstack.IP]*InstancePort),
+		cmds:  sim.NewQueue[feCmd](h.Eng),
+		rx:    newRxCopy(h, cfg.BufSize),
 	}
+	fe.queues.fe, fe.beMsg.fe = fe, fe
 	// One iteration: deferred commands and instance TX queues, backend
 	// messages, allocator commands, and the flush of partially-filled
 	// message lines.
 	fe.Seat = core.NewSeat(h.Name+"/fe", []core.Stage{
-		core.WorkStage("queues", fe.queuesIdle, fe.drainQueues),
-		core.PollStage("backend messages", fe.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
-			fe.handleBackendMsg(p, l.Meta.(*beLink), decode(payload))
-		}),
+		core.SteppedWorkStage("queues", fe.queuesIdle, &fe.queues),
+		core.SteppedPollStage("backend messages", fe.links, burst, &fe.beMsg),
 		core.ControlStage("allocator commands", &fe.ctrl, burst, fe.handleControlMsg, true),
-		core.WorkStage("flush", fe.flushIdle, fe.flush),
+		core.SteppedWorkStage("flush", fe.flushIdle, core.NewFlushJob(fe.links, &fe.ctrl)),
 	}, h, cfg.driverConfig())
 	return fe
 }
@@ -194,14 +198,10 @@ func (fe *Frontend) SetControlLink(end *core.LinkEnd) { fe.ctrl = end }
 
 // InstancePort is one instance's attachment to the frontend: its TX buffer
 // area, its queues, and its current NIC assignment. It implements
-// netstack.Endpoint.
+// netstack.SteppedEndpoint.
 type InstancePort struct {
-	fe   *Frontend
-	ip   netstack.IP
-	area *core.BufferArea
-	txQ  *sim.Queue[txReq]
-
-	stack *netstack.Stack
+	port
+	fe *Frontend
 
 	primary, backup *beLink
 	pendingPrimary  uint16   // NIC id awaiting migration ack (0 = none)
@@ -221,9 +221,8 @@ type InstancePort struct {
 	allocErr   error
 
 	// Stats.
-	TxDropsNoBuffer int64
-	TxPackets       int64
-	RxPackets       int64
+	TxPackets int64
+	RxPackets int64
 }
 
 // AddInstance creates an instance attachment with its own TX buffer area
@@ -241,10 +240,8 @@ func (fe *Frontend) AddInstance(ip netstack.IP) (*InstancePort, error) {
 		return nil, err
 	}
 	inst := &InstancePort{
+		port:     newPort(fe.h, ip, area),
 		fe:       fe,
-		ip:       ip,
-		area:     area,
-		txQ:      sim.NewQueue[txReq](fe.h.Eng),
 		ready:    make(map[uint16]bool),
 		readySig: sim.NewSignal(fe.h.Eng),
 	}
@@ -252,10 +249,6 @@ func (fe *Frontend) AddInstance(ip netstack.IP) (*InstancePort, error) {
 	fe.instOrder = append(fe.instOrder, ip)
 	return inst, nil
 }
-
-// AttachStack binds the instance's network stack (created with
-// CurrentMAC as its MAC source and this port as its endpoint).
-func (ip *InstancePort) AttachStack(s *netstack.Stack) { ip.stack = s }
 
 // CurrentMAC returns the MAC the instance currently transmits with — the
 // primary NIC's address, which survives failover because the backup NIC
@@ -278,27 +271,6 @@ func (ip *InstancePort) WaitReady(p *sim.Proc, timeout sim.Duration) bool {
 		ip.readySig.WaitTimeout(p, remaining)
 	}
 	return true
-}
-
-// Transmit implements netstack.Endpoint: the instance's stack writes the
-// packet into its TX buffer area in shared CXL memory (through the host
-// cache — the frontend writes it back later) and signals the frontend over
-// local IPC (§3.3.1).
-func (ip *InstancePort) Transmit(p *sim.Proc, frame []byte) {
-	if len(frame) > ip.area.BufSize() {
-		panic(fmt.Sprintf("netengine: frame of %d bytes exceeds buffer size %d", len(frame), ip.area.BufSize()))
-	}
-	addr, ok := ip.area.Alloc()
-	if !ok {
-		ip.TxDropsNoBuffer++
-		ip.fe.h.Eng.Bufs().Put(frame)
-		return
-	}
-	size := len(frame)
-	ip.fe.h.Cache.Write(p, addr, frame, "payload")
-	ip.fe.h.Eng.Bufs().Put(frame) // bytes now live in the buffer area
-	p.Sleep(ip.fe.h.IPCCost)
-	ip.txQ.Push(txReq{addr: addr, size: size})
 }
 
 // Assign sets the instance's primary and backup NICs, registering it with
@@ -371,29 +343,41 @@ func (fe *Frontend) sendRegister(p *sim.Proc, l *beLink, ip netstack.IP) {
 // allocRetries reports whether unanswered allocation requests are resent.
 func (fe *Frontend) allocRetries() bool { return fe.ctrl != nil && fe.cfg.AllocRetryBase > 0 }
 
-// queuesIdle reports whether drainQueues has nothing to do: no parked
-// completion, no deferred command, no allocation request due for a resend,
-// no packet queued by a ready instance.
+// queuesIdle reports whether the queues stage has nothing to do: no
+// control work is due (controlDue) and no ready instance has queued a packet.
 func (fe *Frontend) queuesIdle() bool {
-	if fe.links.PendingCount() > 0 || fe.cmds.Len() > 0 {
+	if fe.controlDue() {
 		return false
 	}
-	now, retries := fe.h.Eng.Now(), fe.allocRetries()
 	for _, ipAddr := range fe.instOrder {
-		inst := fe.insts[ipAddr]
-		if retries && inst.allocWant && now >= inst.allocNext {
-			return false
-		}
-		if inst.txQ.Len() > 0 && inst.Ready() {
+		if inst := fe.insts[ipAddr]; inst.txQ.Len() > 0 && inst.Ready() {
 			return false
 		}
 	}
 	return true
 }
 
-// drainQueues is the work the frontend's own queues hold: parked completion
-// messages, deferred commands, allocation-request resends, instance TX.
-func (fe *Frontend) drainQueues(p *sim.Proc) int {
+// controlDue reports whether drainControl has anything to do: a parked
+// completion, a deferred command, an allocation request due for a resend.
+func (fe *Frontend) controlDue() bool {
+	if fe.links.PendingCount() > 0 || fe.cmds.Len() > 0 {
+		return true
+	}
+	if fe.allocRetries() {
+		now := fe.h.Eng.Now()
+		for _, ipAddr := range fe.instOrder {
+			if inst := fe.insts[ipAddr]; inst.allocWant && now >= inst.allocNext {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// drainControl is the work the frontend's own queues hold besides instance
+// TX, done from the process: parked completion messages, deferred commands,
+// allocation-request resends.
+func (fe *Frontend) drainControl(p *sim.Proc) int {
 	// Parked completion messages keep the loop hot until delivered.
 	progress := fe.links.PendingCount()
 	fe.links.DrainPending(p)
@@ -428,108 +412,225 @@ func (fe *Frontend) drainQueues(p *sim.Proc) int {
 			progress++
 		}
 	}
-	// Instance TX queues -> backends.
-	for _, ipAddr := range fe.instOrder {
-		inst := fe.insts[ipAddr]
-		if !inst.Ready() {
-			continue
-		}
-		for i := 0; i < burst; i++ {
-			req, ok := inst.txQ.TryPop()
-			if !ok {
-				break
-			}
-			fe.forwardTx(p, inst, req)
-			progress++
-		}
-	}
 	return progress
 }
 
+// queuesJob is the "queues" stage: what drainControl does, from the process
+// when anything is due, then every ready instance's TX queue forwarded to
+// its primary backend, up to burst packets each, in event context. The
+// forwarding publishes the packet buffer and signals the backend (§3.3.1
+// TX):
+//
+//	p.Sleep(MsgCost)
+//	core.WritebackRange(p, h.Cache, req.addr, req.size, "payload")
+//	if !inst.primary.link.Send(p, opTxPacket message) {
+//		// ring full: count it, and put the request back at the head
+//	}
+type queuesJob struct {
+	fe       *Frontend
+	order    []netstack.IP // the instances as they were when forwarding began
+	idx, n   int           // order[idx] is being drained and has n packets out
+	inst     *InstancePort
+	req      txReq
+	link     *core.Link
+	wb       cache.RangeOp
+	pc       queuesPC
+	progress int
+	sub
+}
+
+// queuesPC says where the queues stage is.
+type queuesPC uint8
+
+const (
+	queuesControl queuesPC = iota // the process does drainControl
+	queuesInst                    // move on to instance order[idx]
+	queuesReq                     // take inst's next request
+	queuesPaid                    // the per-message cost is paid: write the buffer back
+	queuesSend                    // the buffer is written back: signal the backend
+	queuesSent                    // the send is over
+	queuesDone
+)
+
+func (j *queuesJob) Begin() {
+	j.progress, j.pc = 0, queuesInst
+	if j.fe.controlDue() {
+		j.pc = queuesControl
+	}
+	j.order, j.idx = j.fe.instOrder, 0
+}
+
+func (j *queuesJob) Step() (sim.Duration, bool) {
+	fe := j.fe
+	for {
+		if d, more := j.step(); more {
+			return d, true
+		}
+		switch j.pc {
+		case queuesInst:
+			if j.idx == len(j.order) {
+				j.pc = queuesDone
+				continue
+			}
+			j.inst, j.n = fe.insts[j.order[j.idx]], 0
+			j.pc = queuesReq
+			if !j.inst.Ready() {
+				j.idx, j.pc = j.idx+1, queuesInst
+			}
+		case queuesReq:
+			if j.n == burst {
+				j.idx, j.pc = j.idx+1, queuesInst
+				continue
+			}
+			req, ok := j.inst.txQ.TryPop()
+			if !ok {
+				j.idx, j.pc = j.idx+1, queuesInst
+				continue
+			}
+			j.n++
+			j.req, j.pc = req, queuesPaid
+			return fe.cfg.MsgCost, true
+		case queuesPaid:
+			j.wb.Begin(fe.h.Cache, false, j.req.addr, j.req.size, "payload")
+			j.start(&j.wb)
+			j.pc = queuesSend
+		case queuesSend:
+			var buf [15]byte
+			j.link = j.inst.primary.link
+			j.link.BeginSend(msg{op: opTxPacket, addr: j.req.addr, size: uint16(j.req.size), ip: j.inst.ip}.encode(buf[:]))
+			j.start(j.link)
+			j.pc = queuesSent
+		case queuesSent:
+			if j.link.Sent() {
+				j.inst.TxPackets++
+				fe.TxForwarded++
+			} else {
+				fe.TxChannelFull++
+				j.inst.txQ.PushFront(j.req)
+			}
+			j.progress++
+			j.pc = queuesReq
+		default:
+			return 0, false
+		}
+	}
+}
+
+func (j *queuesJob) Blocked() bool { return j.pc == queuesControl }
+
+func (j *queuesJob) Finish(p *sim.Proc) {
+	j.progress += j.fe.drainControl(p)
+	j.pc = queuesInst
+	j.order = j.fe.instOrder
+}
+
+func (j *queuesJob) Progress() int { return j.progress }
+
 func (fe *Frontend) flushIdle() bool { return fe.links.FlushIdle() && !fe.ctrl.Unflushed() }
 
-// flush pushes partial message lines promptly at low rates (§3.2.2).
-func (fe *Frontend) flush(p *sim.Proc) int {
-	fe.links.FlushAll(p)
-	if fe.ctrl != nil {
-		fe.ctrl.Flush(p)
-	}
-	return 0
+// beMsgJob is the frontend's handling of one backend message: the
+// datapath's — a TX completion, a received packet — in event context after
+// the per-message cost, the rest from the process.
+type beMsgJob struct {
+	fe   *Frontend
+	l    *beLink
+	m    msg
+	inst *InstancePort
+	pc   beMsgPC
+	sub
 }
 
-// forwardTx publishes the packet buffer and signals the backend (§3.3.1 TX).
-func (fe *Frontend) forwardTx(p *sim.Proc, inst *InstancePort, req txReq) {
-	p.Sleep(fe.cfg.MsgCost)
-	core.WritebackRange(p, fe.h.Cache, req.addr, req.size, "payload")
-	var buf [15]byte
-	m := msg{op: opTxPacket, addr: req.addr, size: uint16(req.size), ip: inst.ip}
-	if !inst.primary.link.Send(p, m.encode(buf[:])) {
-		fe.TxChannelFull++
-		inst.txQ.PushFront(req)
+// beMsgPC says where the handling of a backend message is.
+type beMsgPC uint8
+
+const (
+	beMsgStart beMsgPC = iota
+	beMsgPaid          // the per-message cost is paid
+	beMsgCopy          // the received packet's copy-out is in progress
+	beMsgProc          // the process handles the message
+	beMsgDone
+)
+
+func (j *beMsgJob) Begin(l *core.Link, payload []byte) {
+	j.l, j.m, j.pc = l.Meta.(*beLink), decode(payload), beMsgStart
+}
+
+func (j *beMsgJob) Step() (sim.Duration, bool) {
+	fe, m := j.fe, j.m
+	for {
+		if d, more := j.step(); more {
+			return d, true
+		}
+		switch j.pc {
+		case beMsgStart:
+			j.pc = beMsgPaid
+			return fe.cfg.MsgCost, true
+		case beMsgPaid:
+			j.pc = beMsgDone
+			switch m.op {
+			case opTxComplete:
+				inst, ok := fe.insts[m.ip]
+				if !ok || !inst.area.Owns(m.addr) {
+					fe.UnknownCompletions++
+					continue
+				}
+				inst.area.Free(m.addr)
+			case opRxPacket:
+				inst, ok := fe.insts[m.ip]
+				if !ok {
+					fe.UnknownCompletions++
+					// Recycle the buffer anyway so the backend does not leak it.
+					j.sendOrQueue(j.l.link, msg{op: opRxComplete, addr: m.addr})
+					continue
+				}
+				// §3.3.1 RX: the copy-out, recycling the buffer to its
+				// backend; the message carries buffer ownership, so a full
+				// ring parks it on the link's pending queue.
+				j.inst = inst
+				fe.rx.begin(&inst.port, m.addr, int(m.size), j.l.link, nil)
+				j.pc = beMsgCopy
+			default:
+				j.pc = beMsgProc
+				return 0, false
+			}
+		case beMsgCopy:
+			if d, more := fe.rx.Step(); more || fe.rx.Blocked() {
+				return d, more
+			}
+			j.inst.RxPackets++
+			fe.RxDelivered++
+			j.inst, j.pc = nil, beMsgDone
+		default:
+			return 0, false
+		}
+	}
+}
+
+func (j *beMsgJob) Blocked() bool {
+	return j.pc == beMsgProc || j.pc == beMsgCopy && j.fe.rx.Blocked()
+}
+
+func (j *beMsgJob) Finish(p *sim.Proc) {
+	if j.pc == beMsgCopy {
+		j.fe.rx.Finish(p)
 		return
 	}
-	inst.TxPackets++
-	fe.TxForwarded++
+	j.fe.handleRegisterAck(p, j.m)
+	j.pc = beMsgDone
 }
 
-func (fe *Frontend) handleBackendMsg(p *sim.Proc, l *beLink, m msg) {
-	p.Sleep(fe.cfg.MsgCost)
-	switch m.op {
-	case opTxComplete:
-		inst, ok := fe.insts[m.ip]
-		if !ok || !inst.area.Owns(m.addr) {
-			fe.UnknownCompletions++
-			return
-		}
-		inst.area.Free(m.addr)
-	case opRxPacket:
-		inst, ok := fe.insts[m.ip]
-		if !ok {
-			fe.UnknownCompletions++
-			// Recycle the buffer anyway so the backend does not leak it.
-			fe.sendRxComplete(p, l, m.addr)
-			return
-		}
-		fe.deliverRx(p, l, inst, m)
-	case opRegisterAck:
-		inst, ok := fe.insts[m.ip]
-		if !ok {
-			return
-		}
-		inst.ready[m.nic] = true
-		inst.readySig.Broadcast()
-		if inst.pendingPrimary == m.nic {
-			fe.completeMigration(p, inst, m.nic)
-		}
+// handleRegisterAck completes a registration with a backend; any other
+// message is ignored.
+func (fe *Frontend) handleRegisterAck(p *sim.Proc, m msg) {
+	inst, ok := fe.insts[m.ip]
+	if m.op != opRegisterAck || !ok {
+		return
 	}
-}
-
-// deliverRx implements §3.3.1 RX: read the packet from the shared RX
-// buffer, copy it into the instance's local memory (isolation, §3.3.2),
-// invalidate the buffer lines, notify the instance, and recycle the buffer.
-func (fe *Frontend) deliverRx(p *sim.Proc, l *beLink, inst *InstancePort, m msg) {
-	n := int(m.size)
-	fe.h.Cache.Read(p, m.addr, fe.scratch[:n], "payload")
-	local := fe.h.Eng.Bufs().Get(n)
-	copy(local, fe.scratch[:n])
-	p.Sleep(fe.h.Local.TouchCost(n)) // the isolation copy into instance memory
-	core.InvalidateRange(p, fe.h.Cache, m.addr, n, "payload")
-	fe.sendRxComplete(p, l, m.addr)
-	inst.RxPackets++
-	fe.RxDelivered++
-	if inst.stack != nil {
-		inst.stack.DeliverOwnedFrame(local)
-	} else {
-		fe.h.Eng.Bufs().Put(local)
+	inst.ready[m.nic] = true
+	inst.readySig.Broadcast()
+	if inst.pendingPrimary == m.nic {
+		fe.completeMigration(p, inst, m.nic)
 	}
-}
-
-// sendRxComplete recycles an RX buffer to its backend. The message carries
-// buffer ownership, so a full ring parks it on the link's bounded pending
-// queue rather than dropping it.
-func (fe *Frontend) sendRxComplete(p *sim.Proc, l *beLink, addr int64) {
-	var buf [15]byte
-	l.link.SendOrQueue(p, msg{op: opRxComplete, addr: addr}.encode(buf[:]))
 }
 
 func (fe *Frontend) handleControlMsg(p *sim.Proc, m core.ControlMsg) {

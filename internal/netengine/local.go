@@ -3,6 +3,7 @@ package netengine
 import (
 	"fmt"
 
+	"oasis/internal/cache"
 	"oasis/internal/core"
 	"oasis/internal/cxl"
 	"oasis/internal/host"
@@ -31,7 +32,11 @@ type LocalDriver struct {
 	instOrder []netstack.IP
 	cookies   map[uint64]localTxMeta
 	nextCook  uint64
-	scratch   []byte
+
+	// The datapath's jobs (see port.go).
+	tx     localTxJob
+	rx     localRxJob
+	txDone sendJob
 
 	// Stats.
 	TxForwarded, RxDelivered int64
@@ -51,33 +56,30 @@ func NewLocalDriver(h *host.Host, dev *nic.NIC, pool *cxl.Pool, cfg Config) (*Lo
 		insts:    make(map[netstack.IP]*LocalPort),
 		cookies:  make(map[uint64]localTxMeta),
 		nextCook: 1,
-		scratch:  make([]byte, cfg.BufSize),
 	}
 	var err error
-	if d.nicQueues, err = newNICQueues(dev, pool, cfg, d.completeTx, d.deliverRx); err != nil {
+	if d.nicQueues, err = newNICQueues(dev, pool, cfg, d); err != nil {
 		return nil, fmt.Errorf("netengine: local NIC: %w", err)
 	}
+	d.serve.q = &d.nicQueues
+	d.tx.d = d
+	d.rx = localRxJob{d: d, copy: newRxCopy(h, cfg.BufSize)}
 	// One iteration: instance TX rings, then NIC completions and RX
 	// replenishment — the single-intermediary baseline pass.
 	d.Seat = core.NewSeat(h.Name+"/iokernel", []core.Stage{
-		core.WorkStage("instance tx", d.txIdle, d.drainTx),
-		core.WorkStage("nic queues", d.nicIdle, d.serveNIC),
+		core.SteppedWorkStage("instance tx", d.txIdle, &d.tx),
+		core.SteppedWorkStage("nic queues", d.nicIdle, &d.serve),
 	}, h, cfg.driverConfig())
 	return d, nil
 }
 
 // LocalPort is an instance's attachment to the baseline driver. It
-// implements netstack.Endpoint like InstancePort, but the driver serves it
-// directly.
+// implements netstack.SteppedEndpoint like InstancePort, but the driver
+// serves it directly.
 type LocalPort struct {
-	drv   *LocalDriver
-	ip    netstack.IP
-	area  *core.BufferArea
-	txQ   *sim.Queue[txReq]
-	stack *netstack.Stack
-	tag   uint32
-
-	TxDropsNoBuffer int64
+	port
+	drv *LocalDriver
+	tag uint32
 }
 
 // AddInstance attaches an instance (buffer area + flow rule) to the driver.
@@ -94,10 +96,8 @@ func (d *LocalDriver) AddInstance(ip netstack.IP) (*LocalPort, error) {
 		return nil, err
 	}
 	lp := &LocalPort{
+		port: newPort(d.h, ip, area),
 		drv:  d,
-		ip:   ip,
-		area: area,
-		txQ:  sim.NewQueue[txReq](d.h.Eng),
 		tag:  uint32(len(d.insts) + 1),
 	}
 	d.insts[ip] = lp
@@ -106,30 +106,11 @@ func (d *LocalDriver) AddInstance(ip netstack.IP) (*LocalPort, error) {
 	return lp, nil
 }
 
-// AttachStack binds the instance's network stack.
-func (lp *LocalPort) AttachStack(s *netstack.Stack) { lp.stack = s }
-
 // CurrentMAC returns the local NIC's MAC.
 func (lp *LocalPort) CurrentMAC() netsw.MAC { return lp.drv.dev.MAC() }
 
-// Transmit implements netstack.Endpoint: write the frame into the buffer
-// area and signal the driver over the IPC ring.
-func (lp *LocalPort) Transmit(p *sim.Proc, frame []byte) {
-	addr, ok := lp.area.Alloc()
-	if !ok {
-		lp.TxDropsNoBuffer++
-		lp.drv.h.Eng.Bufs().Put(frame)
-		return
-	}
-	size := len(frame)
-	lp.drv.h.Cache.Write(p, addr, frame, "payload")
-	lp.drv.h.Eng.Bufs().Put(frame) // bytes now live in the buffer area
-	p.Sleep(lp.drv.h.IPCCost)
-	lp.txQ.Push(txReq{addr: addr, size: size})
-}
-
-// txIdle reports whether drainTx has nothing to do: no instance has queued
-// a packet.
+// txIdle reports whether the instance TX stage has nothing to do: no
+// instance has queued a packet.
 func (d *LocalDriver) txIdle() bool {
 	for _, ip := range d.instOrder {
 		if d.insts[ip].txQ.Len() > 0 {
@@ -139,43 +120,115 @@ func (d *LocalDriver) txIdle() bool {
 	return true
 }
 
-// drainTx forwards up to burst queued packets per instance to the NIC.
-func (d *LocalDriver) drainTx(p *sim.Proc) int {
-	progress := 0
-	for _, ip := range d.instOrder {
-		inst := d.insts[ip]
-		for i := 0; i < burst; i++ {
-			req, ok := inst.txQ.TryPop()
-			if !ok {
-				break
+// localTxJob forwards up to burst queued packets per instance to the NIC:
+// it publishes each buffer for DMA, then posts straight to the NIC — the
+// single-intermediary baseline path:
+//
+//	core.WritebackRange(p, h.Cache, req.addr, req.size, "payload")
+//	if !dev.PostTx(p, wqe) { /* ring full: drop, free the buffer */ }
+type localTxJob struct {
+	sim.NonBlocking
+	d        *LocalDriver
+	order    []netstack.IP // the instances as they were when the pass began
+	idx, n   int           // order[idx] is being drained and has n packets out
+	inst     *LocalPort
+	req      txReq
+	cookie   uint64
+	wb       cache.RangeOp
+	pc       localTxPC
+	progress int
+}
+
+// localTxPC says where the instance TX stage is.
+type localTxPC uint8
+
+const (
+	localTxInst    localTxPC = iota // move on to instance order[idx]
+	localTxReq                      // take inst's next request
+	localTxWB                       // the buffer's write-back is in progress
+	localTxPosting                  // the doorbell leg is over: post the WQE
+)
+
+func (j *localTxJob) Begin() {
+	j.order, j.idx, j.pc, j.progress = j.d.instOrder, 0, localTxInst, 0
+}
+
+func (j *localTxJob) Step() (sim.Duration, bool) {
+	d := j.d
+	for {
+		switch j.pc {
+		case localTxInst:
+			if j.idx == len(j.order) {
+				return 0, false
 			}
-			// Publish the buffer for DMA, then post straight to the NIC
-			// — the single-intermediary baseline path.
-			core.WritebackRange(p, d.h.Cache, req.addr, req.size, "payload")
-			cookie := d.nextCook
+			j.inst, j.n, j.pc = d.insts[j.order[j.idx]], 0, localTxReq
+		case localTxReq:
+			if j.n == burst {
+				j.idx, j.pc = j.idx+1, localTxInst
+				continue
+			}
+			req, ok := j.inst.txQ.TryPop()
+			if !ok {
+				j.idx, j.pc = j.idx+1, localTxInst
+				continue
+			}
+			j.n++
+			j.req, j.pc = req, localTxWB
+			j.wb.Begin(d.h.Cache, false, req.addr, req.size, "payload")
+		case localTxWB:
+			if dur, more := j.wb.Step(); more {
+				return dur, true
+			}
+			j.cookie = d.nextCook
 			d.nextCook++
-			d.cookies[cookie] = localTxMeta{addr: req.addr, inst: inst}
-			if !d.dev.PostTx(p, nic.WQE{Addr: req.addr, Len: req.size, Cookie: cookie}) {
-				delete(d.cookies, cookie)
-				inst.area.Free(req.addr)
+			d.cookies[j.cookie] = localTxMeta{addr: j.req.addr, inst: j.inst}
+			j.pc = localTxPosting
+			return d.dev.DoorbellCost(), true
+		case localTxPosting:
+			j.pc = localTxReq
+			if !d.dev.PostTxNow(nic.WQE{Addr: j.req.addr, Len: j.req.size, Cookie: j.cookie}) {
+				delete(d.cookies, j.cookie)
+				j.inst.area.Free(j.req.addr)
 				continue
 			}
 			d.TxForwarded++
-			progress++
+			j.progress++
 		}
 	}
-	return progress
 }
 
-// completeTx returns a transmitted packet's buffer to its instance's area.
-func (d *LocalDriver) completeTx(_ *sim.Proc, tc nic.TxCompletion) {
+func (j *localTxJob) Progress() int { return j.progress }
+
+// txJob implements completions: a transmitted packet's buffer goes back to
+// its instance's area.
+func (d *LocalDriver) txJob(tc nic.TxCompletion) sim.Job {
 	if meta, hit := d.cookies[tc.Cookie]; hit {
 		delete(d.cookies, tc.Cookie)
 		meta.inst.area.Free(meta.addr)
 	}
+	return d.txDone.begin(nil, msg{})
 }
 
-func (d *LocalDriver) deliverRx(p *sim.Proc, rc nic.RxCompletion) {
+// rxJob implements completions (see localRxJob).
+func (d *LocalDriver) rxJob(rc nic.RxCompletion) sim.Job {
+	d.rx.begin(rc)
+	return &d.rx
+}
+
+// localRxJob delivers a received packet to the instance its flow tag names:
+// the copy-out, recycling the buffer into the RX area. A packet no flow
+// rule matched (broadcasts, ARP) blocks the job: the process inspects it to
+// find the destination instance, and drops it when there is none.
+type localRxJob struct {
+	d       *LocalDriver
+	rc      nic.RxCompletion
+	copy    rxCopy
+	inspect bool // the process inspects the packet
+	copying bool
+}
+
+func (j *localRxJob) begin(rc nic.RxCompletion) {
+	d := j.d
 	var inst *LocalPort
 	if rc.Matched {
 		for _, ip := range d.instOrder {
@@ -185,14 +238,47 @@ func (d *LocalDriver) deliverRx(p *sim.Proc, rc nic.RxCompletion) {
 			}
 		}
 	}
+	j.rc, j.inspect, j.copying = rc, inst == nil, false
+	if inst != nil {
+		j.deliver(inst)
+	}
+}
+
+// deliver starts the copy-out to inst.
+func (j *localRxJob) deliver(inst *LocalPort) {
+	j.copy.begin(&inst.port, j.rc.Addr, j.rc.Len, nil, j.d.rxArea)
+	j.copying = true
+}
+
+func (j *localRxJob) Step() (sim.Duration, bool) {
+	if !j.copying {
+		return 0, false
+	}
+	if d, more := j.copy.Step(); more || j.copy.Blocked() {
+		return d, more
+	}
+	j.d.RxDelivered++
+	j.copying = false
+	return 0, false
+}
+
+func (j *localRxJob) Blocked() bool { return j.inspect || j.copying && j.copy.Blocked() }
+
+func (j *localRxJob) Finish(p *sim.Proc) {
+	if !j.inspect {
+		j.copy.Finish(p)
+		return
+	}
+	j.inspect = false
+	d, rc := j.d, j.rc
 	n := rc.Len
-	if inst == nil {
-		// Inspect (broadcasts/ARP) to find the destination instance.
-		d.h.Cache.Read(p, rc.Addr, d.scratch[:n], "payload")
-		if pk, err := netstack.Unmarshal(d.scratch[:n]); err == nil {
-			if dst, ok := netstack.DstIPOf(pk); ok {
-				inst = d.insts[dst]
-			}
+	scratch := j.copy.buf(n)
+	// Inspect (broadcasts/ARP) to find the destination instance.
+	var inst *LocalPort
+	d.h.Cache.Read(p, rc.Addr, scratch, "payload")
+	if pk, err := netstack.Unmarshal(scratch); err == nil {
+		if dst, ok := netstack.DstIPOf(pk); ok {
+			inst = d.insts[dst]
 		}
 	}
 	if inst == nil {
@@ -200,16 +286,5 @@ func (d *LocalDriver) deliverRx(p *sim.Proc, rc nic.RxCompletion) {
 		d.rxArea.Free(rc.Addr)
 		return
 	}
-	d.h.Cache.Read(p, rc.Addr, d.scratch[:n], "payload")
-	local := d.h.Eng.Bufs().Get(n)
-	copy(local, d.scratch[:n])
-	p.Sleep(d.h.Local.TouchCost(n))
-	core.InvalidateRange(p, d.h.Cache, rc.Addr, n, "payload")
-	d.rxArea.Free(rc.Addr)
-	d.RxDelivered++
-	if inst.stack != nil {
-		inst.stack.DeliverOwnedFrame(local)
-	} else {
-		d.h.Eng.Bufs().Put(local)
-	}
+	j.deliver(inst)
 }

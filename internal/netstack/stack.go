@@ -21,6 +21,16 @@ type Endpoint interface {
 	Transmit(p *sim.Proc, frame []byte)
 }
 
+// SteppedEndpoint is an Endpoint whose transmit also runs in event context,
+// as part of the stack's chain of steps (see Stack.Step), so that sending a
+// frame resumes no process. TransmitJob starts transmitting frame, with
+// Transmit's ownership rules, and returns the job to step from its first
+// Step; where the job is blocked, the stack's process finishes it.
+type SteppedEndpoint interface {
+	Endpoint
+	TransmitJob(frame []byte) sim.Job
+}
+
 // Config tunes the stack's costs and protocol timers.
 type Config struct {
 	RxCost     sim.Duration // per-packet receive-side processing
@@ -74,8 +84,12 @@ type Stack struct {
 	// serving this instance, which changes on graceful migration (§3.3.4).
 	macFn func() netsw.MAC
 	ep    Endpoint
+	sep   SteppedEndpoint // ep, when it offers a stepped transmit
 
 	events *sim.Queue[event]
+	pc     stackPC // where the stack's chain is (see Step)
+	ev     event   // the event it is handling
+	tx     sim.Job // sep's transmit in progress
 
 	arp        map[IP]netsw.MAC
 	arpWaiters map[IP]*sim.Signal
@@ -99,7 +113,9 @@ type fourTuple struct {
 
 // NewStack builds a stack; call Start to launch its process.
 func NewStack(eng *sim.Engine, name string, ip IP, macFn func() netsw.MAC, ep Endpoint, cfg Config) *Stack {
+	sep, _ := ep.(SteppedEndpoint)
 	return &Stack{
+		sep:        sep,
 		eng:        eng,
 		name:       name,
 		ip:         ip,
@@ -143,25 +159,89 @@ func (s *Stack) DeliverOwnedFrame(frame []byte) {
 	s.events.Push(event{kind: evFrameIn, frame: frame, owned: true})
 }
 
-// loop is the stack process: frames in, frames out, TCP timers.
+// loop is the stack process: its chain of steps, and what the chain stops
+// short at — a transmit through an endpoint that is not stepped, or a stepped
+// one that blocked.
 func (s *Stack) loop(p *sim.Proc) {
 	for {
-		ev := s.events.Pop(p)
-		switch ev.kind {
-		case evFrameIn:
-			p.Sleep(s.cfg.RxCost)
-			s.handleFrame(p, ev.frame)
-			if ev.owned {
+		p.Steps(s)
+		if s.pc == stackSend {
+			s.ep.Transmit(p, s.ev.frame)
+			s.pc, s.ev = stackIdle, event{}
+		} else {
+			s.tx.Finish(p)
+		}
+	}
+}
+
+// stackPC says where the stack's chain is.
+type stackPC uint8
+
+const (
+	stackIdle stackPC = iota // take the next event
+	stackRx                  // RxCost of s.ev, a frame in
+	stackTx                  // TxCost of s.ev, a frame out
+	stackSend                // the process transmits s.ev's frame
+	stackJob                 // s.tx, the endpoint's stepped transmit, is in progress
+)
+
+// Step implements sim.Stepper: the stack's event loop as one endless chain.
+// It is the loop
+//
+//	for {
+//		ev := events.Pop(p)
+//		switch ev.kind {
+//		case evFrameIn:   p.Sleep(RxCost); handle the frame
+//		case evTxFrame:   p.Sleep(TxCost); ep.Transmit(p, ev.frame)
+//		case evTCPTimer:  the connection's timer
+//		}
+//	}
+//
+// with the pop an await of the event queue, and the transmit the endpoint's
+// stepped one where it has one.
+func (s *Stack) Step() (sim.Duration, bool) {
+	for {
+		switch s.pc {
+		case stackIdle:
+			ev, ok := s.events.TryPop()
+			if !ok {
+				return s.events.Await()
+			}
+			switch ev.kind {
+			case evFrameIn:
+				s.ev, s.pc = ev, stackRx
+				return s.cfg.RxCost, true
+			case evTxFrame:
+				s.ev, s.pc = ev, stackTx
+				return s.cfg.TxCost, true
+			case evTCPTimer:
+				ev.conn.onTimer(ev.gen)
+			}
+		case stackRx:
+			s.handleFrame(s.ev.frame)
+			if s.ev.owned {
 				// handleFrame copies every byte it keeps (UDP payloads, TCP
 				// segment data), so the frame is dead here.
-				s.eng.Bufs().Put(ev.frame)
+				s.eng.Bufs().Put(s.ev.frame)
 			}
-		case evTxFrame:
-			p.Sleep(s.cfg.TxCost)
+			s.pc, s.ev = stackIdle, event{}
+		case stackTx:
 			s.TxPackets++
-			s.ep.Transmit(p, ev.frame)
-		case evTCPTimer:
-			ev.conn.onTimer(p, ev.gen)
+			if s.sep == nil {
+				s.pc = stackSend
+				return 0, false
+			}
+			s.tx, s.pc, s.ev = s.sep.TransmitJob(s.ev.frame), stackJob, event{}
+		case stackJob:
+			if d, more := s.tx.Step(); more {
+				return d, true
+			}
+			if s.tx.Blocked() {
+				return 0, false
+			}
+			s.tx, s.pc = nil, stackIdle
+		default:
+			return 0, false
 		}
 	}
 }
@@ -175,7 +255,7 @@ func (s *Stack) transmit(pk *Packet) {
 	s.events.Push(event{kind: evTxFrame, frame: frame})
 }
 
-func (s *Stack) handleFrame(p *sim.Proc, frame []byte) {
+func (s *Stack) handleFrame(frame []byte) {
 	pk, err := Unmarshal(frame)
 	if err != nil {
 		s.RxParseErrors++
@@ -197,7 +277,7 @@ func (s *Stack) handleFrame(p *sim.Proc, frame []byte) {
 		case ProtoUDP:
 			s.handleUDP(pk)
 		case ProtoTCP:
-			s.handleTCP(p, pk)
+			s.handleTCP(pk)
 		}
 	}
 }

@@ -138,11 +138,11 @@ func (s *Stack) DialTCP(p *sim.Proc, dst IP, dstPort uint16) (*TCPConn, error) {
 }
 
 // handleTCP dispatches a TCP segment on the stack process.
-func (s *Stack) handleTCP(p *sim.Proc, pk *Packet) {
+func (s *Stack) handleTCP(pk *Packet) {
 	t := fourTuple{pk.DstPort, pk.SrcIP, pk.SrcPort}
 	if c, ok := s.conns[t]; ok {
 		c.remoteMAC = pk.SrcMAC
-		c.handleSegment(p, pk)
+		c.handleSegment(pk)
 		return
 	}
 	if pk.Flags&FlagSYN != 0 && pk.Flags&FlagACK == 0 {
@@ -169,7 +169,7 @@ func (s *Stack) handleTCP(p *sim.Proc, pk *Packet) {
 	s.RxNoSocket++
 }
 
-func (c *TCPConn) handleSegment(p *sim.Proc, pk *Packet) {
+func (c *TCPConn) handleSegment(pk *Packet) {
 	if pk.Flags&FlagRST != 0 {
 		c.teardown()
 		return
@@ -434,7 +434,7 @@ func (c *TCPConn) armTimer() {
 }
 
 // onTimer runs on the stack process when the retransmission timer fires.
-func (c *TCPConn) onTimer(p *sim.Proc, gen int) {
+func (c *TCPConn) onTimer(gen int) {
 	if c.timerGen != gen || c.state == stateClosed || len(c.unacked) == 0 {
 		return
 	}

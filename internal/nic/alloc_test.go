@@ -62,3 +62,39 @@ func TestTxAllocBudget(t *testing.T) {
 	}
 	r.eng.Shutdown()
 }
+
+// TestRxRingCycleAllocFree guards the RX descriptor ring: a frame consuming
+// the oldest descriptor and the driver posting its buffer back must reuse
+// the ring's array, however many packets go round.
+func TestRxRingCycleAllocFree(t *testing.T) {
+	r := newNICRig(t)
+	f := &netsw.Frame{Bytes: testFrame(macB, macA, 0x0a000002, 200)}
+	const posted, perRun = 8, 64
+	var allocs float64
+	r.eng.Go("driver", func(p *sim.Proc) {
+		for i := 0; i < posted; i++ {
+			r.a.PostRx(p, RxDesc{Addr: int64(i) * 2048, Cap: 2048})
+		}
+		run := func() {
+			for i := 0; i < perRun; i++ {
+				r.a.DeliverFrame(f)
+				p.Sleep(time.Microsecond)
+				rc, ok := r.a.PollRxCompletion()
+				if !ok {
+					t.Fatal("no RX completion")
+				}
+				r.a.PostRx(p, RxDesc{Addr: rc.Addr, Cap: 2048})
+			}
+		}
+		run() // warm the pool's pages and the engine's free lists
+		allocs = testing.AllocsPerRun(20, run)
+	})
+	r.eng.Run()
+	if r.a.RxPackets != 22*perRun || r.a.RxDescCount() != posted {
+		t.Fatalf("%d packets received, %d descriptors posted; harness broken", r.a.RxPackets, r.a.RxDescCount())
+	}
+	if allocs != 0 {
+		t.Errorf("%d packets through the RX ring allocated %.2f objects, want 0", perRun, allocs)
+	}
+	r.eng.Shutdown()
+}

@@ -121,10 +121,17 @@ type NIC struct {
 	freeRxOps []*rxCompOp // recycled RX-completion ops (engine-local, no lock)
 
 	txq    *sim.Queue[WQE]
-	txOut  int // occupied TX ring slots (posted, not yet completed)
-	rxFree []RxDesc
+	txOut  int      // occupied TX ring slots (posted, not yet completed)
+	rxFree []RxDesc // posted RX descriptors from rxHead on; see takeRxDesc
+	rxHead int
 	txcq   *sim.Queue[TxCompletion]
 	rxcq   *sim.Queue[RxCompletion]
+
+	// The transmit pipeline's position (see Step): what the leg in
+	// progress pays for, and the WQE and frame buffer it is working on.
+	txPC  txPC
+	txWQE WQE
+	txBuf []byte
 
 	linkUp  bool
 	linkGen int // invalidates stale debounce timers
@@ -189,9 +196,10 @@ func (n *NIC) Connect(port *netsw.Port) {
 	})
 }
 
-// Start launches the NIC's TX engine process.
+// Start launches the NIC's TX engine process. Its pipeline is one endless
+// chain of steps (see Step): the process itself is never resumed.
 func (n *NIC) Start() {
-	n.eng.Go(n.name+"/tx", func(p *sim.Proc) { n.txLoop(p) })
+	n.eng.Go(n.name+"/tx", func(p *sim.Proc) { p.Steps(n) })
 }
 
 // ForceLink overrides the PHY state (failure injection): down takes the
@@ -265,6 +273,15 @@ func (n *NIC) RemoveFlowRule(dstIP uint32) { delete(n.flows, dstIP) }
 // core. It returns false when the TX ring is full.
 func (n *NIC) PostTx(p *sim.Proc, wqe WQE) bool {
 	p.Sleep(n.params.DoorbellCost)
+	return n.PostTxNow(wqe)
+}
+
+// DoorbellCost is what posting one descriptor costs the posting core: the
+// leg a caller that steps its sleeps charges before PostTxNow or PostRxNow.
+func (n *NIC) DoorbellCost() sim.Duration { return n.params.DoorbellCost }
+
+// PostTxNow is PostTx's effect, without its doorbell cost.
+func (n *NIC) PostTxNow(wqe WQE) bool {
 	if n.txOut >= n.params.TxRing {
 		n.TxRingFull++
 		return false
@@ -278,7 +295,12 @@ func (n *NIC) PostTx(p *sim.Proc, wqe WQE) bool {
 // It returns false when the RX ring is full.
 func (n *NIC) PostRx(p *sim.Proc, desc RxDesc) bool {
 	p.Sleep(n.params.DoorbellCost)
-	if len(n.rxFree) >= n.params.RxRing {
+	return n.PostRxNow(desc)
+}
+
+// PostRxNow is PostRx's effect, without its doorbell cost.
+func (n *NIC) PostRxNow(desc RxDesc) bool {
+	if n.RxDescCount() >= n.params.RxRing {
 		return false
 	}
 	n.rxFree = append(n.rxFree, desc)
@@ -286,7 +308,21 @@ func (n *NIC) PostRx(p *sim.Proc, desc RxDesc) bool {
 }
 
 // RxDescCount returns the number of free RX descriptors posted.
-func (n *NIC) RxDescCount() int { return len(n.rxFree) }
+func (n *NIC) RxDescCount() int { return len(n.rxFree) - n.rxHead }
+
+// takeRxDesc consumes the oldest posted descriptor. The ring is a slice with
+// a chasing head, like sim.Queue: reslicing past the front would drop
+// capacity, and PostRx's append would then reallocate the ring every few
+// thousand packets. The consumed prefix is dropped once it dominates.
+func (n *NIC) takeRxDesc() {
+	n.rxHead++
+	switch {
+	case n.rxHead == len(n.rxFree):
+		n.rxFree, n.rxHead = n.rxFree[:0], 0
+	case n.rxHead >= 64 && 2*n.rxHead >= len(n.rxFree):
+		n.rxFree, n.rxHead = n.rxFree[:copy(n.rxFree, n.rxFree[n.rxHead:])], 0
+	}
+}
 
 // PollTxCompletion returns one TX completion if available.
 func (n *NIC) PollTxCompletion() (TxCompletion, bool) { return n.txcq.TryPop() }
@@ -297,46 +333,83 @@ func (n *NIC) CompletionsReady() bool { return n.txcq.Len() > 0 || n.rxcq.Len() 
 // PollRxCompletion returns one RX completion if available.
 func (n *NIC) PollRxCompletion() (RxCompletion, bool) { return n.rxcq.TryPop() }
 
-// txLoop is the NIC's transmit pipeline: fetch WQE, DMA-read the packet
-// (bypassing CPU caches), pace by the per-packet cost, hand the frame to
-// the wire, and complete.
-func (n *NIC) txLoop(p *sim.Proc) {
+// txPC says what the leg the transmit pipeline is in pays for.
+type txPC uint8
+
+const (
+	txFetch txPC = iota // nothing in flight: take the next WQE
+	txPaced             // the per-packet cost of txWQE
+	txSnoop             // the snoop delay of txWQE's DMA
+	txDMA               // txWQE's DMA read landing in txBuf
+)
+
+// Step implements sim.Stepper: the NIC's transmit pipeline as one endless
+// chain. It is the loop
+//
+//	for {
+//		wqe := txq.Pop(p)
+//		p.Sleep(PacketCost)
+//		// snoop any CPU cache holding the buffer; sleep what that costs
+//		// DMA-read the packet, bypassing CPU caches; sleep until it lands
+//		// hand the frame to the wire, and complete
+//	}
+//
+// with the pop an await of the WQE queue (see sim.Queue.Await).
+func (n *NIC) Step() (sim.Duration, bool) {
 	for {
-		wqe := n.txq.Pop(p)
-		p.Sleep(n.params.PacketCost)
-		// Drawn from the pool but never recycled: the frame escapes to the
-		// switch, which may flood it to several sinks. DMARead overwrites
-		// every byte, so recycled contents are harmless.
-		buf := n.eng.Bufs().Get(wqe.Len)
-		if n.snoop != nil {
-			if d := n.snoop.Snoop(wqe.Addr, wqe.Len, "dma-snoop"); d > 0 {
-				p.Sleep(d)
+		switch n.txPC {
+		case txFetch:
+			wqe, ok := n.txq.TryPop()
+			if !ok {
+				return n.txq.Await()
 			}
-		}
-		arrival := n.mem.DMARead(wqe.Addr, buf, "payload")
-		if wait := arrival - p.Now(); wait > 0 {
-			p.Sleep(wait)
-		}
-		frame, err := parseFrame(buf)
-		if err != nil {
-			// Malformed WQE contents are a driver bug; complete it anyway so
-			// the ring does not leak, but do not transmit.
-			n.completeTx(wqe)
-			continue
-		}
-		if n.port != nil {
-			// A MAC transmitting into a dead cable records a carrier error —
-			// the counter that makes a sub-debounce flaky link visible to
-			// telemetry while the link-status register still reads "up".
-			if !n.port.Enabled() {
-				n.TxCarrierErrs++
+			n.txWQE, n.txPC = wqe, txPaced
+			return n.params.PacketCost, true
+		case txPaced:
+			// Drawn from the pool but never recycled: the frame escapes to
+			// the switch, which may flood it to several sinks. DMARead
+			// overwrites every byte, so recycled contents are harmless.
+			n.txBuf = n.eng.Bufs().Get(n.txWQE.Len)
+			n.txPC = txSnoop
+			if n.snoop != nil {
+				if d := n.snoop.Snoop(n.txWQE.Addr, n.txWQE.Len, "dma-snoop"); d > 0 {
+					return d, true
+				}
 			}
-			n.port.Send(frame)
+		case txSnoop:
+			arrival := n.mem.DMARead(n.txWQE.Addr, n.txBuf, "payload")
+			n.txPC = txDMA
+			if wait := arrival - n.eng.Now(); wait > 0 {
+				return wait, true
+			}
+		case txDMA:
+			n.transmit(n.txWQE, n.txBuf)
+			n.txBuf, n.txPC = nil, txFetch
 		}
-		n.TxPackets++
-		n.TxBytes += int64(wqe.Len)
-		n.completeTx(wqe)
 	}
+}
+
+// transmit hands a DMA-read packet to the wire and completes its WQE.
+func (n *NIC) transmit(wqe WQE, buf []byte) {
+	frame, err := parseFrame(buf)
+	if err != nil {
+		// Malformed WQE contents are a driver bug; complete it anyway so
+		// the ring does not leak, but do not transmit.
+		n.completeTx(wqe)
+		return
+	}
+	if n.port != nil {
+		// A MAC transmitting into a dead cable records a carrier error —
+		// the counter that makes a sub-debounce flaky link visible to
+		// telemetry while the link-status register still reads "up".
+		if !n.port.Enabled() {
+			n.TxCarrierErrs++
+		}
+		n.port.Send(frame)
+	}
+	n.TxPackets++
+	n.TxBytes += int64(wqe.Len)
+	n.completeTx(wqe)
 }
 
 func (n *NIC) completeTx(wqe WQE) {
@@ -404,16 +477,16 @@ func (n *NIC) DeliverFrame(f *netsw.Frame) {
 	if n.dropLossy() {
 		return
 	}
-	if len(n.rxFree) == 0 {
+	if n.RxDescCount() == 0 {
 		n.RxNoDesc++
 		return
 	}
-	desc := n.rxFree[0]
+	desc := n.rxFree[n.rxHead]
 	if len(f.Bytes) > desc.Cap {
 		n.Oversize++
 		return
 	}
-	n.rxFree = n.rxFree[1:]
+	n.takeRxDesc()
 	n.RxPackets++
 	n.RxBytes += int64(len(f.Bytes))
 	if n.snoop != nil {

@@ -54,3 +54,57 @@ func TestSameTimestampBatchAllocFree(t *testing.T) {
 		t.Fatalf("same-timestamp batch allocated %.2f objects per batch, want 0", allocs)
 	}
 }
+
+// TestQueueWaitCycleAllocFree covers the wait a consumer parks in: a push
+// that wakes it, its pop and its next wait must reuse the signal's waiter
+// list, whether the consumer blocks in Pop or its chain awaits the queue.
+func TestQueueWaitCycleAllocFree(t *testing.T) {
+	for _, stepped := range []bool{false, true} {
+		eng := New()
+		q := NewQueue[int](eng)
+		got := 0
+		eng.Go("consumer", func(p *Proc) {
+			if stepped {
+				p.Steps(&drainer{q: q, got: &got})
+			}
+			for {
+				got += q.Pop(p)
+			}
+		})
+		var allocs float64
+		eng.Go("producer", func(p *Proc) {
+			cycle := func() {
+				q.Push(1)
+				p.Yield()
+			}
+			for i := 0; i < 64; i++ {
+				cycle() // warm the event free list
+			}
+			allocs = testing.AllocsPerRun(200, cycle)
+		})
+		eng.RunUntil(time.Millisecond)
+		eng.Shutdown()
+		if got < 200 {
+			t.Fatalf("stepped=%v: consumer took %d items; harness broken", stepped, got)
+		}
+		if allocs != 0 {
+			t.Errorf("stepped=%v: a push → wake → pop → wait cycle allocated %.2f objects, want 0", stepped, allocs)
+		}
+	}
+}
+
+// drainer pops and counts a queue's items forever, as a chain.
+type drainer struct {
+	q   *Queue[int]
+	got *int
+}
+
+func (d *drainer) Step() (Duration, bool) {
+	for {
+		v, ok := d.q.TryPop()
+		if !ok {
+			return d.q.Await()
+		}
+		*d.got += v
+	}
+}

@@ -54,6 +54,11 @@ func (q *Queue[T]) Pop(p *Proc) T {
 	return q.take()
 }
 
+// Await is Pop's wait for a chain of steps (see Signal.Await): a Step that
+// finds the queue empty returns q.Await(), and its chain goes on with the
+// next Step once an item is pushed. That Step takes the item with TryPop.
+func (q *Queue[T]) Await() (Duration, bool) { return q.avail.Await() }
+
 // PopTimeout is like Pop but gives up after d, reporting ok=false.
 func (q *Queue[T]) PopTimeout(p *Proc, d Duration) (v T, ok bool) {
 	deadline := q.eng.after(d)

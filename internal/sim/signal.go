@@ -2,7 +2,10 @@ package sim
 
 // Signal is a condition-variable-like primitive: processes Wait on it and a
 // callback or another process wakes them with Signal or Broadcast. Waiters
-// wake in FIFO order, at the virtual time of the wake call.
+// wake in FIFO order, at the virtual time of the wake call. The waiter list
+// keeps its array: Signal shifts the survivors down instead of reslicing past
+// the woken one, which would leave a list with no capacity and make the next
+// Wait allocate.
 type Signal struct {
 	eng     *Engine
 	waiters []*Proc
@@ -45,6 +48,25 @@ func (s *Signal) WaitTimeout(p *Proc, d Duration) bool {
 	return woken
 }
 
+// Await is Wait for a process whose chain of steps waits here: called from a
+// Step (see Proc.SleepSteps), it parks the stepping process on the signal, and
+// the wake event runs the chain's next Step instead of resuming the process.
+// The Step returns Await's result at once. The waiter is registered exactly
+// where Wait would register it, so a chain that awaits where a loop waits
+// schedules every event at the same point of the dispatch order; the process
+// stays on the engine's blocked list meanwhile, so Shutdown, the SIMCHECK
+// guard and a group's window bounds see it parked on a signal.
+func (s *Signal) Await() (Duration, bool) {
+	p := s.eng.stepping
+	if p == nil {
+		panic("sim: Await called outside a Step")
+	}
+	s.waiters = append(s.waiters, p)
+	s.eng.addBlocked(p)
+	p.awaiting = true
+	return 0, true
+}
+
 // remove deletes p from the waiter list, reporting whether it was present.
 func (s *Signal) remove(p *Proc) bool {
 	for i, q := range s.waiters {
@@ -64,7 +86,9 @@ func (s *Signal) Signal() bool {
 		return false
 	}
 	p := s.waiters[0]
-	s.waiters = s.waiters[1:]
+	n := copy(s.waiters, s.waiters[1:])
+	s.waiters[n] = nil
+	s.waiters = s.waiters[:n]
 	s.eng.removeBlocked(p)
 	s.eng.schedule(s.eng.now, nil, nil, p)
 	return true
@@ -76,7 +100,8 @@ func (s *Signal) Broadcast() {
 		s.eng.removeBlocked(p)
 		s.eng.schedule(s.eng.now, nil, nil, p)
 	}
-	s.waiters = nil
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
 }
 
 // Waiters returns the number of parked processes.

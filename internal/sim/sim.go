@@ -156,7 +156,7 @@ type Counters struct {
 	Events      uint64 // events the loop dispatched: callbacks, timers, process wakes
 	Switches    uint64 // wakes that resumed a process other than the one driving
 	FastSleeps  uint64 // sleeps and stepped legs that advanced the clock in place
-	SteppedLegs uint64 // Step calls made by SleepSteps, in event context or inline
+	SteppedLegs uint64 // Step calls made by SleepSteps and Steps, in event context or inline
 	HeapEvents  uint64 // of Events, those dispatched from the far heap (see timeline)
 }
 
@@ -612,8 +612,10 @@ type Proc struct {
 	wakeAt  Duration
 
 	// steps is the chain SleepSteps parked this process on: its wake events
-	// run the next Step instead of resuming the process.
-	steps Stepper
+	// run the next Step instead of resuming the process. awaiting is set by a
+	// Step that parked the chain on a signal (see Signal.Await).
+	steps    Stepper
+	awaiting bool
 }
 
 // body is the process's coroutine. It returns when fn does, or when fn
@@ -708,7 +710,10 @@ func (e *Engine) quietUntil(t Duration) bool {
 // Step runs in event context — on whichever goroutine is driving the loop,
 // like a Timer's Fire — so it may schedule events, wake processes and
 // mutate model state, but it must not block: Sleep, Wait, Pop and SleepSteps
-// panic when entered from a Step. It must not allocate either; a stepper is
+// panic when entered from a Step. It may wait on a queue or signal the way a
+// chain can, by returning Queue.Await or Signal.Await: the chain then goes on
+// with the next Step when the wake comes, where the loop below would return
+// from Pop or Wait. It must not allocate either; a stepper is
 // scratch state reused call after call. That state has to belong to the
 // sleeping process or to an object only one process uses at a time: two
 // processes parked on one stepper overwrite each other's position. A leg's
@@ -748,6 +753,64 @@ func (p *Proc) SleepSteps(d Duration, s Stepper) {
 	}
 }
 
+// Steps runs s as a chain that begins with a Step instead of a leg: it is
+// exactly
+//
+//	for {
+//		d, more := s.Step()
+//		if !more {
+//			return
+//		}
+//		p.Sleep(d)
+//	}
+//
+// with Step in event context, as in SleepSteps. A Step that returns a queue's
+// or signal's Await stands for a Pop or Wait in that loop, after which Step is
+// called again. A chain that never ends — a device pipeline, a stack's event
+// loop — is a process resumed only by Shutdown.
+func (p *Proc) Steps(s Stepper) {
+	e := p.eng
+	if e.stepping != nil {
+		e.blockedInStep(p)
+	}
+	p.steps = s
+	if e.runSteps(p) {
+		p.park()
+	}
+}
+
+// Job is a chain of steps that may stop short of its end, where a Step
+// cannot go on from event context — it would have to block — and only the
+// process can: Blocked then reports true, Finish does that part blocking, and
+// the job goes on with its next Step.
+type Job interface {
+	Stepper
+	// Blocked reports, once Step has returned more == false, that the job
+	// stopped short of its end.
+	Blocked() bool
+	// Finish does from p what Step stopped at.
+	Finish(p *Proc)
+}
+
+// NonBlocking is embedded by a Job that never stops short of its end: its
+// Blocked is always false, so nothing may call its Finish.
+type NonBlocking struct{}
+
+func (NonBlocking) Blocked() bool { return false }
+func (NonBlocking) Finish(*Proc)  { panic("sim: Finish called on a job that never blocks") }
+
+// RunJob runs j to its end from the calling process: its steps as one chain
+// (see Steps), and whatever the chain stops short at blocking.
+func (p *Proc) RunJob(j Job) {
+	for {
+		p.Steps(j)
+		if !j.Blocked() {
+			return
+		}
+		j.Finish(p)
+	}
+}
+
 // legInPlace starts a leg of q's chain. Like Sleep it advances the clock in
 // place when nothing else is due first, and reports true; otherwise it
 // schedules the leg's wake event.
@@ -763,9 +826,9 @@ func (e *Engine) legInPlace(q *Proc, d Duration) bool {
 }
 
 // runSteps continues q's chain from a leg that has just ended — its wake
-// event was dispatched, or it ran in place. It reports whether q has to stay
-// (or go) parked: true when a further leg was scheduled, false when the
-// chain is over.
+// event was dispatched, or it ran in place — or from a wait that a wake ended.
+// It reports whether q has to stay (or go) parked: true when a further leg
+// was scheduled or a Step awaits a signal, false when the chain is over.
 func (e *Engine) runSteps(q *Proc) bool {
 	for {
 		e.ctr.SteppedLegs++
@@ -774,6 +837,10 @@ func (e *Engine) runSteps(q *Proc) bool {
 		e.stepping = nil
 		if e.dead {
 			return true // the Step shut the engine down; q unwinds with the rest
+		}
+		if q.awaiting {
+			q.awaiting = false
+			return true // parked on a signal, whose wake runs the next Step
 		}
 		if !more {
 			q.steps = nil

@@ -24,13 +24,19 @@ func sleepChain(p *Proc, stepped bool, d Duration, s Stepper) {
 }
 
 // stepPart is one partition of a random program: its engine, its dispatch
-// log, a signal its steps may raise and a link to the next partition.
+// log, a signal its steps may raise, a queue they and others push to, and a
+// link to the next partition.
 type stepPart struct {
 	eng  *Engine
 	log  trace
 	sig  *Signal
+	q    *Queue[int]
 	next *stepPart
 	link *CrossLink // nil on a lone engine
+}
+
+func newStepPart(e *Engine) *stepPart {
+	return &stepPart{eng: e, sig: NewSignal(e), q: NewQueue[int](e)}
 }
 
 // logTimer is a Timer that logs its dispatch.
@@ -79,11 +85,14 @@ func (c *randChain) Step() (Duration, bool) {
 		pt.sig.Signal()
 	case 3:
 		if pt.link != nil {
-			dst := pt.next
+			dst, v := pt.next, c.leg
 			pt.link.Send(e.now+pt.link.MinLatency()+randLeg(c.rng), func() {
 				dst.log.log(dst.eng.now, "cross %s", tag)
+				dst.q.Push(v)
 			})
 		}
+	case 4:
+		pt.q.Push(c.leg)
 	}
 	c.leg++
 	if c.left == 0 {
@@ -113,11 +122,117 @@ func spawnStepProgram(pt *stepPart, seed int64, tag string, stepped bool) {
 		})
 	}
 	pt.eng.Go(tag+"-waiter", func(p *Proc) {
+		if stepped {
+			p.Steps(&sigWaiter{pt: pt, name: tag + "-waiter"})
+		}
 		for {
 			pt.sig.Wait(p)
 			pt.log.log(p.Now(), "%s-waiter woken", tag)
 		}
 	})
+	// Two consumers of the queue, so that waiters queue up behind each other.
+	for i := 0; i < 2; i++ {
+		c := &queueConsumer{pt: pt, name: fmt.Sprintf("%s-c%d", tag, i), rng: rand.New(rand.NewSource(seed*17 + int64(i)))}
+		pt.eng.Go(c.name, func(p *Proc) { c.run(p, stepped) })
+	}
+	// Pushes from timers, some of them at one instant, and from a producer
+	// process that pushes bursts at one instant and yields between some.
+	rng := rand.New(rand.NewSource(seed*13 + 5))
+	for i := 0; i < 40; i++ {
+		at, v := Duration(rng.Intn(60000)), 1000+i
+		pt.eng.At(at, func() { pt.q.Push(v) })
+		if i%5 == 0 {
+			pt.eng.At(at, func() { pt.q.Push(v + 500) })
+		}
+	}
+	pt.eng.Go(tag+"-producer", func(p *Proc) {
+		for v := 2000; ; v++ {
+			p.Sleep(randLeg(rng) + Duration(rng.Intn(400)))
+			for k := rng.Intn(4); k >= 0; k-- {
+				pt.q.Push(v)
+				if rng.Intn(3) == 0 {
+					p.Yield()
+				}
+			}
+		}
+	})
+}
+
+// sigWaiter waits on the partition's signal forever as a chain.
+type sigWaiter struct {
+	pt    *stepPart
+	name  string
+	woken bool
+}
+
+func (w *sigWaiter) Step() (Duration, bool) {
+	if w.woken {
+		w.pt.log.log(w.pt.eng.now, "%s woken", w.name)
+	}
+	w.woken = true
+	return w.pt.sig.Await()
+}
+
+// queueConsumer pops items from the partition's queue, sleeps a few legs per
+// item and every few items hands back to its process, which sleeps on its
+// own. The chain and the loop written with Pop make the same calls in the
+// same order: stepped runs the chain; otherwise the loop.
+type queueConsumer struct {
+	pt         *stepPart
+	name       string
+	rng        *rand.Rand
+	popping    bool
+	legs, left int
+}
+
+func (c *queueConsumer) run(p *Proc, stepped bool) {
+	for {
+		c.left = 1 + c.rng.Intn(4)
+		if stepped {
+			c.popping = true
+			p.Steps(c)
+		} else {
+			for ; c.left > 0; c.left-- {
+				c.got(c.pt.q.Pop(p))
+				for ; c.legs > 0; c.legs-- {
+					p.Sleep(randLeg(c.rng))
+					c.legDone()
+				}
+			}
+		}
+		p.Sleep(randLeg(c.rng))
+		c.pt.log.log(p.Now(), "%s resumed", c.name)
+	}
+}
+
+func (c *queueConsumer) got(v int) {
+	c.pt.log.log(c.pt.eng.now, "%s got %d", c.name, v)
+	c.legs = v % 3
+}
+
+func (c *queueConsumer) legDone() { c.pt.log.log(c.pt.eng.now, "%s leg done", c.name) }
+
+func (c *queueConsumer) Step() (Duration, bool) {
+	for {
+		if c.popping {
+			v, ok := c.pt.q.TryPop()
+			if !ok {
+				return c.pt.q.Await()
+			}
+			c.got(v)
+			c.popping = false
+		} else {
+			c.legDone()
+			c.legs--
+		}
+		if c.legs > 0 {
+			return randLeg(c.rng), true
+		}
+		if c.left--; c.left == 0 {
+			return 0, false
+		}
+		c.popping = true
+	}
 }
 
 // runStepProgram runs one seeded program over nparts partitions (0: a bare
@@ -129,13 +244,11 @@ func runStepProgram(seed int64, nparts int, stepped bool) string {
 	var g *Group
 	var parts []*stepPart
 	if nparts == 0 {
-		e := New()
-		parts = []*stepPart{{eng: e, sig: NewSignal(e)}}
+		parts = []*stepPart{newStepPart(New())}
 	} else {
 		g = NewGroup()
 		for i := 0; i < nparts; i++ {
-			e := g.AddPartition()
-			parts = append(parts, &stepPart{eng: e, sig: NewSignal(e)})
+			parts = append(parts, newStepPart(g.AddPartition()))
 		}
 		for i, pt := range parts {
 			pt.next = parts[(i+1)%nparts]
@@ -170,10 +283,13 @@ func runStepProgram(seed int64, nparts int, stepped bool) string {
 	return b.String()
 }
 
-// SleepSteps is defined as a loop of Sleep and Step; this holds it to that:
-// over seeded random programs the dispatch log and every engine's final
-// sequence number must equal the loop's, on a bare engine, a one-partition
-// group and a two-partition group.
+// SleepSteps is defined as a loop of Sleep and Step, and a chain that awaits
+// a queue or signal as the loop that pops or waits there; this holds them to
+// that: over seeded random programs — queue items pushed from timers, Steps,
+// other processes and other partitions, several at one instant, and a
+// Shutdown that finds consumers awaiting — the dispatch log and every
+// engine's final sequence number must equal the loop's, on a bare engine, a
+// one-partition group and a two-partition group.
 func TestSleepStepsMatchesSleepLoop(t *testing.T) {
 	for _, nparts := range []int{0, 1, 2} {
 		for seed := int64(1); seed <= 12; seed++ {
@@ -183,7 +299,8 @@ func TestSleepStepsMatchesSleepLoop(t *testing.T) {
 				t.Fatalf("partitions=%d seed=%d: SleepSteps diverged from the Sleep loop\n%s",
 					nparts, seed, firstDiff(want, got))
 			}
-			if !strings.Contains(want, "leg 3") || !strings.Contains(want, "woken") {
+			if !strings.Contains(want, "leg 3") || !strings.Contains(want, "woken") ||
+				!strings.Contains(want, "leg done") || !strings.Contains(want, "c1 got") {
 				t.Fatalf("partitions=%d seed=%d: program too small to mean anything", nparts, seed)
 			}
 		}
@@ -210,7 +327,7 @@ func firstDiff(want, got string) string {
 // comparison proves less than it claims.
 func TestSleepStepsProgramCoversBothPaths(t *testing.T) {
 	e := New()
-	pt := &stepPart{eng: e, sig: NewSignal(e)}
+	pt := newStepPart(e)
 	spawnStepProgram(pt, 1, "p", true)
 	e.RunUntil(60 * time.Microsecond)
 	c := e.Counters()
@@ -291,6 +408,7 @@ func TestStepMustNotBlock(t *testing.T) {
 		{"Sleep", func(p *Proc) { p.Sleep(5) }},
 		{"Yield", func(p *Proc) { p.Yield() }},
 		{"SleepSteps", func(p *Proc) { p.SleepSteps(5, &fixedChain{}) }},
+		{"Steps", func(p *Proc) { p.Steps(&fixedChain{}) }},
 		{"Wait", func(p *Proc) { NewSignal(p.Engine()).Wait(p) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

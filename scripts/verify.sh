@@ -81,26 +81,31 @@ go test -timeout 10m ./...
 
 # Exact counts, asserted by the tests and printed here: host bytes
 # allocated by an idle default-config duplex link and by building + starting
-# the benchmark's 128-host rack, and the engine counters of the two busy pods
-# (an echo pair, a block mix) that every simulator-speed change must leave
-# where they are.
+# the benchmark's 128-host rack, and the engine counters of the three busy
+# pods (an echo pair, pooled and on the local baseline, and a block mix) whose
+# events every simulator-speed change must leave where they are, with the
+# process switches each request costs.
 echo "== host bytes allocated (idle link, rack setup), busy-pod counters =="
 go test -count=1 -run 'TestIdleLinkBytes' -v ./internal/core | grep ' B allocated'
 go test -count=1 -run 'TestRackSetupBytes' -v . | grep ' B allocated'
-go test -count=1 -run 'TestBusyPodExactCounts' -v . | grep 'counters {'
+go test -count=1 -run 'TestBusyPodExactCounts' -v . | grep 'counters {\|per request'
 
 # The slow self-checks over the packages every simulated cycle goes through;
 # they take seconds. In sim, cache, msgchan and core that is the
 # scheduling-in-the-past guard (a lookahead bug panics instead of being
 # clamped) and the timeline's ring asserting, at every pop, that the entry is
 # for the instant its bucket was found at; in core and the three engine packages it is also the driver
-# distrusting every work stage's Idle predicate — a stage it would have
-# skipped is run anyway and must process nothing, take no time and schedule
-# nothing — so a predicate that drifts from its Run fails here instead of
-# moving a digest. The experiments and the facade run without it above.
-echo "== OASIS_SIMCHECK=1 go test (sim, cache, msgchan, core, netengine, storengine, allocator) =="
+# distrusting every work stage's idle predicate — a stage it would have
+# skipped, stepped or not, is run anyway from the process and must process
+# nothing, take no leg or time and schedule nothing — so a predicate that
+# drifts from its work fails here instead of moving a digest. The NIC's
+# pipeline and the stacks are chains that await their queues; the busy pods'
+# counters (all but Switches) and the wiring digests must hold under the
+# guard too. The experiments run without it above.
+echo "== OASIS_SIMCHECK=1 go test (sim, cache, msgchan, core, netengine, storengine, allocator, nic, netstack; busy pods, wiring) =="
 OASIS_SIMCHECK=1 go test -count=1 ./internal/sim ./internal/cache ./internal/msgchan ./internal/core \
-    ./internal/netengine ./internal/storengine ./internal/allocator
+    ./internal/netengine ./internal/storengine ./internal/allocator ./internal/nic ./internal/netstack
+OASIS_SIMCHECK=1 go test -count=1 -run 'TestBusyPodExactCounts|TestWiringDigests' .
 
 # bench/ is its own module (`replace oasis => ../`), invisible to the ./...
 # patterns above although it imports internal/core, the engine configs and

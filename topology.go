@@ -162,15 +162,34 @@ type Client struct {
 	mac    netsw.MAC
 	eng    *sim.Engine // the pod engine
 	wired  bool        // stack process launched
+	tx     clientTx    // the transmit in progress
 }
 
 // Transmit implements netstack.Endpoint for the raw client.
-func (c *Client) Transmit(p *Proc, frame []byte) {
+func (c *Client) Transmit(p *Proc, frame []byte) { p.RunJob(c.TransmitJob(frame)) }
+
+// TransmitJob implements netstack.SteppedEndpoint: a raw client hands the
+// frame straight to its switch port, which takes no time and no process.
+func (c *Client) TransmitJob(frame []byte) sim.Job {
+	c.tx = clientTx{c: c, frame: frame}
+	return &c.tx
+}
+
+// clientTx is a raw client's transmit as a job: one Step, no legs.
+type clientTx struct {
+	sim.NonBlocking
+	c     *Client
+	frame []byte
+}
+
+func (t *clientTx) Step() (sim.Duration, bool) {
 	var f netsw.Frame
-	copy(f.Dst[:], frame[0:6])
-	copy(f.Src[:], frame[6:12])
-	f.Bytes = frame
-	c.SwPort.Send(&f)
+	copy(f.Dst[:], t.frame[0:6])
+	copy(f.Src[:], t.frame[6:12])
+	f.Bytes = t.frame
+	t.c.SwPort.Send(&f)
+	t.frame = nil
+	return 0, false
 }
 
 // DeliverFrame implements netsw.Sink for the raw client.
