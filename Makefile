@@ -74,14 +74,15 @@ blackout:
 # Replay the fuzz seed corpora as plain regression tests (no long fuzzing;
 # scripts/verify.sh runs them through this target): the fault-plan grammar,
 # the control codec, the raft RPC codec, the event timeline against its
-# sorted reference, the netstack frame parser and the topology target
-# grammar. To explore, `go test -fuzz=FuzzParsePlan ./internal/faults`, `go
-# test -fuzz=FuzzControlCodec ./internal/core`, `go test -fuzz=FuzzRaftCodec
-# ./internal/raft`, `go test -fuzz=FuzzTimeline ./internal/sim`, `go test
-# -fuzz=FuzzUnmarshal ./internal/netstack` or `go test -fuzz=FuzzTopoParse
-# ./internal/topo`.
+# sorted reference, the netstack frame parser, the topology target grammar
+# and the two engines' data-plane codecs. To explore, `go test
+# -fuzz=FuzzParsePlan ./internal/faults`, `go test -fuzz=FuzzControlCodec
+# ./internal/core`, `go test -fuzz=FuzzRaftCodec ./internal/raft`, `go test
+# -fuzz=FuzzTimeline ./internal/sim`, `go test -fuzz=FuzzUnmarshal
+# ./internal/netstack`, `go test -fuzz=FuzzTopoParse ./internal/topo` or `go
+# test -fuzz=FuzzDataCodec ./internal/netengine` (or ./internal/storengine).
 fuzz:
-	$(GO) test -run 'Fuzz' ./internal/faults ./internal/core ./internal/raft ./internal/sim ./internal/netstack ./internal/topo
+	$(GO) test -run 'Fuzz' ./internal/faults ./internal/core ./internal/raft ./internal/sim ./internal/netstack ./internal/topo ./internal/netengine ./internal/storengine
 
 # Coverage census (~3 min): build every command, example and the benchmark
 # with -cover, run them all at small scale, and list the functions no

@@ -209,8 +209,8 @@ func (c *Cluster) leastLoadedPod() *Pod {
 	return best
 }
 
-// leastLoadedHost picks the live host with the fewest instances (ties:
-// lowest index).
+// leastLoadedHost picks the host with the fewest instances (ties: lowest
+// index).
 func leastLoadedHost(p *Pod) *Host {
 	counts := make(map[*Host]int)
 	for _, inst := range p.instances {
@@ -218,7 +218,7 @@ func leastLoadedHost(p *Pod) *Host {
 	}
 	var best *Host
 	bestN := 0
-	for _, ph := range p.liveHosts() {
+	for _, ph := range p.Hosts {
 		if n := counts[ph]; best == nil || n < bestN {
 			best, bestN = ph, n
 		}

@@ -180,7 +180,7 @@ func (t *Topology) setLinkFlaky(n faultNode, ev faults.Event, on bool) error {
 // BindFaults creates (once) the topology's fault injector and registers one
 // handler per faultBindings row: resolve the event's target against the live
 // topology — at injection and again at heal time, so a node added after the
-// plan was scheduled is found and a removed one is an injection-log error,
+// plan was scheduled is found and a missing one is an injection-log error,
 // not a panic — then set the fault on or off. Call it after Start. The
 // injector's instruments register under faults/* in the pod registry
 // (pod<P>/faults/* for cluster pods), so chaos campaigns show up in Stats
@@ -262,7 +262,7 @@ func (t *Topology) resolve(target string, want topo.Kind) (n faultNode, err erro
 	found := false
 	switch want {
 	case topo.KindHost:
-		if found = r.Index < len(t.Hosts) && !t.Hosts[r.Index].removed; found {
+		if found = r.Index < len(t.Hosts); found {
 			n.host, n.idx = t.Hosts[r.Index], r.Index
 		}
 	case topo.KindNIC:

@@ -280,7 +280,7 @@ func (a *Allocator) class(kind core.DeviceKind) *core.LinkSet {
 // dev returns the device record riding on a device-class link.
 func dev(l *core.Link) *device { return l.Meta.(*device) }
 
-// device looks a record up by kind and id (nil if unknown or removed).
+// device looks a record up by kind and id (nil if unknown).
 func (a *Allocator) device(kind core.DeviceKind, id uint16) *device {
 	if l := a.class(kind).Get(uint32(id)); l != nil {
 		return dev(l)
@@ -318,19 +318,6 @@ func (a *Allocator) AddStorageFrontend(hostID int, link *core.LinkEnd) {
 	a.storageFEs.Add(uint32(hostID), link)
 }
 
-// RemoveDevice forgets a device and its control link (topology removal).
-// The caller guarantees nothing is still placed on it; the device simply
-// stops existing for placement, failover, and leases.
-func (a *Allocator) RemoveDevice(kind core.DeviceKind, id uint16) {
-	a.class(kind).Remove(uint32(id))
-}
-
-// RemoveFrontend forgets a host's frontend control links (host removal).
-func (a *Allocator) RemoveFrontend(hostID int) {
-	a.frontends.Remove(uint32(hostID))
-	a.storageFEs.Remove(uint32(hostID))
-}
-
 // ReleaseInstance forgets an instance's placement (cross-pod migration or
 // teardown): its demand is returned to its NIC and it no longer
 // participates in rebalancing or failover fan-out.
@@ -343,18 +330,6 @@ func (a *Allocator) ReleaseInstance(ip netstack.IP) {
 		ns.demand -= st.demand
 	}
 	delete(a.insts, ip)
-}
-
-// InstancesOn counts instances whose primary or backup assignment is the
-// NIC — the "in use" check a topology-level NIC removal must clear.
-func (a *Allocator) InstancesOn(nic uint16) int {
-	n := 0
-	for _, st := range a.insts {
-		if st.primary == nic || st.backup == nic {
-			n++
-		}
-	}
-	return n
 }
 
 // SetInstanceDemand declares an instance type's expected NIC bandwidth in
@@ -513,9 +488,6 @@ func (a *Allocator) handleFE(p *sim.Proc, l *core.Link, payload []byte) {
 // says so first, triggers its kind's failover (see fail).
 func (a *Allocator) ingest(p *sim.Proc, l *core.Link, payload []byte) {
 	d := dev(l)
-	if a.class(d.Kind).Get(l.Peer) != l {
-		return // removed while this burst was being drained
-	}
 	m := core.DecodeControl(payload)
 	switch m.Op {
 	case core.CtlTelemetry:
@@ -849,8 +821,8 @@ func (a *Allocator) rebind(p *sim.Proc, ds *device, target uint16) {
 	a.broadcast(p, a.storageFEs, core.ControlMsg{Op: core.CtlFailover, Kind: core.DeviceSSD, Dev: ds.ID, Aux: target, Epoch: ds.Epoch})
 }
 
-// shiftDemand moves accounted demand between NICs (an unknown id — 0, or a
-// NIC since removed — is skipped).
+// shiftDemand moves accounted demand between NICs (an unknown id, such as
+// 0 for no NIC, is skipped).
 func (a *Allocator) shiftDemand(from, to uint16, d float64) {
 	if ns := a.device(core.DeviceNIC, from); ns != nil {
 		ns.demand -= d
@@ -961,8 +933,8 @@ func (a *Allocator) inferHostDeaths(p *sim.Proc, candidates []int) {
 
 // send delivers one command to a peer of the given link set (frontends by
 // host id, backends by device id). A full ring re-queues the command behind
-// the deferred commands, to be retried next iteration; a peer that has been
-// removed is skipped.
+// the deferred commands, to be retried next iteration; a peer the set does
+// not hold (ids also come from message fields) is skipped.
 func (a *Allocator) send(p *sim.Proc, to *core.LinkSet, peer uint32, m core.ControlMsg) {
 	if l := to.Get(peer); l != nil && !core.SendControl(p, l.End, m) {
 		a.cmds.Push(func(p *sim.Proc) { a.send(p, to, peer, m) })

@@ -59,8 +59,8 @@ func newAllocRig(t *testing.T, nHosts int, nics []DeviceInfo) *allocRig {
 }
 
 // addDevice registers a pooled device on a control link of its own, the way
-// a backend attaches, and returns the allocator's end of that link.
-func (r *allocRig) addDevice(t *testing.T, info DeviceInfo) *core.LinkEnd {
+// a backend attaches.
+func (r *allocRig) addDevice(t *testing.T, info DeviceInfo) {
 	t.Helper()
 	aEnd, beEnd, err := core.NewDuplexLink(r.pool, r.hosts[0], r.hosts[info.HostID], msgchan.DefaultConfig())
 	if err != nil {
@@ -68,7 +68,6 @@ func (r *allocRig) addDevice(t *testing.T, info DeviceInfo) *core.LinkEnd {
 	}
 	r.a.AddDevice(info, aEnd)
 	r.backends(info.Kind)[info.ID] = beEnd
-	return aEnd
 }
 
 // backends returns the test side of a device kind's backend links, by id.
@@ -560,48 +559,5 @@ func TestHealthScorerIgnoresUniformNoise(t *testing.T) {
 	if r.a.HealthNICEvacs != 0 || r.a.View(core.DeviceNIC, 1).Quarantined || r.a.View(core.DeviceNIC, 2).Quarantined {
 		t.Fatalf("uniform noise flagged: evacs=%d q1=%v q2=%v",
 			r.a.HealthNICEvacs, r.a.View(core.DeviceNIC, 1).Quarantined, r.a.View(core.DeviceNIC, 2).Quarantined)
-	}
-}
-
-func TestRemovedNICIsForgotten(t *testing.T) {
-	// A NIC added to a live allocator and then removed stops existing: its
-	// link is no longer polled, placement does not pick it (it would have
-	// been the host-local first choice) and an evacuation does not target it
-	// (it would have been the least-loaded peer).
-	r := newAllocRig(t, 3, []DeviceInfo{
-		{ID: 1, HostID: 2, CapacityBps: 12.5e9},
-		{ID: 2, HostID: 2, CapacityBps: 12.5e9},
-	})
-	r.a.cfg.Health = true
-	aEnd3 := r.addDevice(t, DeviceInfo{Kind: core.DeviceNIC, ID: 3, HostID: 1, CapacityBps: 12.5e9})
-	r.a.RemoveDevice(core.DeviceNIC, 3)
-	ipA, ipB := netstack.IPv4(10, 0, 0, 1), netstack.IPv4(10, 0, 0, 2)
-	r.eng.Go("driver", func(p *sim.Proc) {
-		sendCtl(p, r.be[3], core.ControlMsg{Op: core.CtlTelemetry, Dev: 3, Load: 500_000_000, LinkUp: true})
-		// Host 1's instances land on the remote NICs, least-loaded first.
-		for i, ip := range []netstack.IP{ipA, ipB} {
-			sendCtl(p, r.fe[1], core.ControlMsg{Op: core.CtlAllocRequest, IP: ip})
-			if m, ok := expectMsg(p, r.fe[1], 50*time.Millisecond); !ok || m.Dev != uint16(i+1) {
-				t.Errorf("placement %d: %+v ok=%v, want NIC %d", i, m, ok, i+1)
-			}
-		}
-		// NIC 1 turns gray: its instance must move to NIC 2, loaded as it is.
-		for i := 0; i < r.a.cfg.HealthWindows; i++ {
-			sendCtl(p, r.be[2], core.ControlMsg{Op: core.CtlTelemetry, Dev: 2, Load: 100, LinkUp: true, Errs: 1})
-			sendCtl(p, r.be[1], core.ControlMsg{Op: core.CtlTelemetry, Dev: 1, Load: 100, LinkUp: true, Errs: 40})
-			p.Sleep(5 * time.Millisecond)
-		}
-		m, ok := expectMsg(p, r.fe[1], 100*time.Millisecond)
-		if !ok || m.Op != core.CtlMigrate || m.IP != ipA || m.Dev != 2 {
-			t.Errorf("expected migrate of %v to NIC 2, got %+v ok=%v", ipA, m, ok)
-		}
-		r.eng.Shutdown()
-	})
-	r.eng.Run()
-	if got := aEnd3.In.Received; got != 0 {
-		t.Fatalf("removed NIC's link was polled: %d message(s) received", got)
-	}
-	if r.a.View(core.DeviceNIC, 3).LoadBps != 0 || r.a.View(core.DeviceNIC, 3).Up {
-		t.Fatal("removed NIC still has a record")
 	}
 }

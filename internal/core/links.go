@@ -153,7 +153,7 @@ func (l *Link) Flush(p *sim.Proc) { l.End.Flush(p) }
 // accounting.
 type LinkSet struct {
 	byPeer       map[uint32]*Link
-	order        []*Link // never shifted in place: a pass in flight holds it (see Remove)
+	order        []*Link
 	pendingLimit int
 	pass         pollPass     // PollEach's position; a set has one poller
 	each         *procHandler // PollEach's handler, made on its first call
@@ -170,7 +170,9 @@ func NewLinkSet(pendingLimit int) *LinkSet {
 	return &LinkSet{byPeer: make(map[uint32]*Link), pendingLimit: pendingLimit}
 }
 
-// Add registers a peer's link end. Duplicate peers are a wiring bug.
+// Add registers a peer's link end. Duplicate peers are a wiring bug. Add
+// appends, so a pass in flight (which holds the order slice it began with)
+// does not see the new link; the next one does.
 func (s *LinkSet) Add(peer uint32, end *LinkEnd) *Link {
 	if _, dup := s.byPeer[peer]; dup {
 		panic(fmt.Sprintf("core: duplicate link for peer %d", peer))
@@ -179,28 +181,6 @@ func (s *LinkSet) Add(peer uint32, end *LinkEnd) *Link {
 	s.byPeer[peer] = l
 	s.order = append(s.order, l)
 	return l
-}
-
-// Remove forgets a peer's link (topology removal), keeping the others in
-// insertion order; messages parked on it go with it. The survivors go into a
-// new order slice, so a PollEach, FlushAll or driver poll stage suspended
-// mid-pass (the engine is cooperative) finishes over the links it began with,
-// each exactly once — the removed one included if the pass had not reached it,
-// which is the owner's to tell apart (Get no longer returns it). Removing an
-// unknown peer does nothing.
-func (s *LinkSet) Remove(peer uint32) {
-	l := s.byPeer[peer]
-	if l == nil {
-		return
-	}
-	delete(s.byPeer, peer)
-	order := make([]*Link, 0, len(s.order)-1)
-	for _, o := range s.order {
-		if o != l {
-			order = append(order, o)
-		}
-	}
-	s.order = order
 }
 
 // Get returns the link for a peer, or nil.

@@ -594,19 +594,13 @@ func newOracleRig(eng *sim.Engine, tag string, seed int64, horizon sim.Duration,
 	}
 	// A loop attached to the running core.
 	eng.After(at(), func() { r.attachNewLoop(r.evRng, horizon/2) })
-	// Links added to and removed from sets that are, most of the time,
-	// part-way through a pass.
+	// Links added to sets that are, most of the time, part-way through a
+	// pass.
 	for i := 0; i < 4; i++ {
 		eng.After(at(), func() {
 			l := r.loops[r.evRng.Intn(len(r.loops))]
 			l.links.Add(l.nextPeer, r.link(false))
 			l.nextPeer++
-		})
-		eng.After(at(), func() {
-			l := r.loops[r.evRng.Intn(len(r.loops))]
-			if links := l.links.All(); len(links) > 0 {
-				l.links.Remove(links[r.evRng.Intn(len(links))].Peer)
-			}
 		})
 	}
 	// Lines vanishing under their fills: the receiver's refetch escape.
@@ -741,7 +735,7 @@ func runDriverProgram(seed int64, partitioned, ref bool) string {
 // and flush as functions of the process or as jobs stepped in event context
 // with random legs, sends and flushes and a remainder only the process does
 // at random points, 0–8 links a set, peers sending at random times, a disturber, stalls, a loop
-// attached to the running core, links added and removed mid-pass, deadlines
+// attached to the running core, links added mid-pass, deadlines
 // and a Shutdown mid-chain — every handler call, every disturber tick's
 // sequence number, the final (time, seq), the core's counters and every
 // endpoint's stats must be equal.

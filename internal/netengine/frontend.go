@@ -3,7 +3,6 @@ package netengine
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"oasis/internal/cache"
@@ -179,10 +178,6 @@ func (fe *Frontend) ConnectBackend(nicID uint16, mac netsw.MAC, end *core.LinkEn
 	l := fe.links.Add(uint32(nicID), end)
 	l.Meta = &beLink{nicID: nicID, mac: mac, link: l}
 }
-
-// DisconnectBackend forgets the link to a removed NIC's backend: the
-// frontend stops polling and flushing it. No instance may still use the NIC.
-func (fe *Frontend) DisconnectBackend(nicID uint16) { fe.links.Remove(uint32(nicID)) }
 
 // beLink returns the engine state for a NIC's link, or nil.
 func (fe *Frontend) beLink(nicID uint16) *beLink {
@@ -714,21 +709,8 @@ func (fe *Frontend) completeMigration(p *sim.Proc, inst *InstancePort, newNIC ui
 	}
 }
 
-// UsesNIC reports whether the instance is attached to the NIC as primary,
-// backup, queued assignment, or pending migration target — the "in use"
-// check a topology-level NIC removal must clear first.
-func (ip *InstancePort) UsesNIC(id uint16) bool {
-	if ip.primary != nil && ip.primary.nicID == id {
-		return true
-	}
-	if ip.backup != nil && ip.backup.nicID == id {
-		return true
-	}
-	return ip.pendingPrimary == id || slices.Contains(ip.queued, id)
-}
-
-// RemoveInstance detaches an instance from the frontend (topology removal
-// or cross-pod migration). The caller is responsible for quiescing the
+// RemoveInstance detaches an instance from the frontend (cross-pod
+// migration's cutover or abort). The caller is responsible for quiescing the
 // instance's traffic first; the TX buffer area is intentionally not
 // returned to the pool, so a straggler TX completion frees into a dead
 // area instead of corrupting a reused region (it shows up as an

@@ -263,10 +263,6 @@ func (fe *Frontend) ConnectBackend(ssdID uint16, end *core.LinkEnd) {
 	l.Meta = &sbeLink{ssdID: ssdID, link: l}
 }
 
-// DisconnectBackend forgets the link to a removed SSD's backend: the
-// frontend stops polling and flushing it. No volume may still be bound there.
-func (fe *Frontend) DisconnectBackend(ssdID uint16) { fe.links.Remove(uint32(ssdID)) }
-
 // SetControlLink attaches the frontend's channel to the pod-wide allocator,
 // which announces SSD failovers (volume re-binding) over it.
 func (fe *Frontend) SetControlLink(end *core.LinkEnd) { fe.ctrl = end }
@@ -568,25 +564,6 @@ func minDuration(a, b sim.Duration) sim.Duration {
 
 // Volume returns the frontend's volume for an instance (nil if none).
 func (fe *Frontend) Volume(ip netstack.IP) *Volume { return fe.vols[ip] }
-
-// VolumeCount returns the number of attached volumes.
-func (fe *Frontend) VolumeCount() int { return len(fe.volOrder) }
-
-// UsesSSD reports whether any volume is bound to the drive as primary or
-// mirror, or the drive is the designated backup while volumes exist — the
-// checks a topology-level SSD removal must clear first.
-func (fe *Frontend) UsesSSD(id uint16) bool {
-	for _, ip := range fe.volOrder {
-		v := fe.vols[ip]
-		if v.primaryID == id {
-			return true
-		}
-		if v.mirror != nil && v.mirror.ssdID == id {
-			return true
-		}
-	}
-	return fe.backupSSD == id && len(fe.volOrder) > 0
-}
 
 // RemoveVolume detaches a volume (end of migration or teardown). The
 // volume is marked lost so any straggler leg resolves as an error rather

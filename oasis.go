@@ -29,8 +29,8 @@
 //
 // Pod is a thin compatibility wrapper over Topology, the incremental node
 // graph that owns every host, device, instance, and client. Nodes are
-// added (and removed) one at a time through the ...Err builders. A single
-// idempotent wiring pass turns the graph into a live pod — data links to
+// added one at a time through the ...Err builders. A single idempotent
+// wiring pass turns the graph into a live pod — data links to
 // every peer, the allocator's control links, shared-core seats, driver
 // launches, metric registration, always in the same order. Start runs it
 // over whatever exists; an add after Start runs the same pass, which then

@@ -70,6 +70,14 @@ echo "== one switch path, no map of cache lines (grep gate) =="
 gate "a chan struct{} process token in internal/sim" "$(grep -rn --include='*.go' 'chan struct{}' internal/sim | grep -v '_test\.go:' | grep -v 'barrier' || true)"
 gate "a Go map of cache lines" "$(grep -rn 'map\[int64\]\*line' internal/cache || true)"
 
+# Nodes are added, never removed: failover and migration are the answers to
+# a bad or busy device, and only an instance is ever detached (migration's
+# cutover and abort). Hot removal of hosts, NICs and SSDs, the engine hooks
+# it alone reached and the link set's copy-on-remove are gone.
+echo "== nodes are never removed (grep gate) =="
+gate "a deleted node-removal name" "$(grep -rn --include='*.go' 'RemoveHostErr\|RemoveNICErr\|RemoveSSDErr\|RestoreNICPort\|ErrHostNotEmpty\|liveHosts\|DisconnectBackend\|InstancesOn\|RemoveDevice\|RemoveFrontend\|UsesNIC\|UsesSSD\|VolumeCount' . || true)"
+gate "a LinkSet.Remove" "$(grep -rn --include='*.go' 'func (s \*LinkSet) Remove' . || true)"
+
 echo "== go build ./... =="
 go build ./...
 
@@ -192,8 +200,11 @@ go run ./cmd/oasis-bench -run blackout | grep -q "invariants: OK"
 # type cut at every field boundary, and the command-length edge values;
 # FuzzTimeline: the ring's named edge cases as byte programs; FuzzUnmarshal:
 # an ARP, a UDP and a TCP frame cut at every field boundary and with lying
-# IPv4 total lengths; FuzzTopoParse: every node form and its near-misses) run
-# as ordinary tests — no long fuzzing here.
+# IPv4 total lengths; FuzzTopoParse: every node form and its near-misses;
+# the two FuzzDataCodec targets, netengine's and storengine's: every opcode,
+# 0, an unused one, a control opcode and 0xFF, with size, epoch and status
+# fields at 0, 1 and their max and the buffer address at -1) run as ordinary
+# tests — no long fuzzing here.
 # One list, kept in the Makefile (`make fuzz`).
 echo "== fuzz seed corpora (make fuzz) =="
 make fuzz

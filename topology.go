@@ -34,12 +34,9 @@ var (
 	ErrDuplicateNode = errors.New("duplicate node id")
 	// ErrNoSuchNode marks an operation on a node the graph does not hold.
 	ErrNoSuchNode = errors.New("no such node")
-	// ErrNodeInUse marks a removal blocked by dependents (instances on a
-	// NIC, volumes on an SSD, the allocator or a raft replica on a host).
+	// ErrNodeInUse marks an instance the pod cannot detach or move: a
+	// baseline local instance is construct-then-run.
 	ErrNodeInUse = errors.New("node is in use")
-	// ErrHostNotEmpty marks a host removal while instances or device
-	// backends still live on it; migrate or remove them first.
-	ErrHostNotEmpty = errors.New("host still has live instances or devices")
 )
 
 // Host is one pod member: the underlying host model, its frontend driver,
@@ -56,16 +53,11 @@ type Host struct {
 	// set: every engine loop on this host polls from it.
 	Driver *core.Driver
 
-	removed bool
 	// wired and sfeWired mark what the wiring pass has already linked and
 	// launched: the host (FE, LD, control link) and its storage frontend,
 	// which may arrive later than the host did.
 	wired, sfeWired bool
 }
-
-// Removed reports whether the host has been removed from the topology (its
-// slot in Hosts stays, so host indices remain stable).
-func (h *Host) Removed() bool { return h.removed }
 
 // SSDDev is one pooled SSD: the device and its storage backend driver.
 type SSDDev struct {
@@ -115,9 +107,9 @@ func (i *Instance) IsPooled() bool { return i.Port != nil }
 // Assign sets the instance's primary and backup NICs directly (bypassing
 // the allocator). backup may be 0. Baseline local instances have no pooled
 // frontend port to assign; that returns a descriptive error instead of the
-// historical nil-pointer panic. A NIC the pod does not pool — an unknown id,
-// a removed NIC, a baseline local one — is ErrNoSuchNode, with nothing
-// queued on the frontend.
+// historical nil-pointer panic. A NIC the pod does not pool — an unknown id
+// or a baseline local one — is ErrNoSuchNode, with nothing queued on the
+// frontend.
 func (i *Instance) Assign(primary, backup uint16) error {
 	if i.Port == nil {
 		return fmt.Errorf("oasis: Assign on baseline local instance %v: it has no pooled frontend port (AddLocalInstance attaches to the host's local driver; use AddInstance for the pooled datapath)", i.IPAddr())
@@ -201,12 +193,12 @@ func (c *Client) Go(name string, fn func(p *Proc)) { c.eng.Go(name, fn) }
 
 // Topology is the incremental node graph behind a pod: the engine, the CXL
 // pool, the ToR switch, and every host, device, instance, and client node.
-// Nodes are added one at a time through the ...Err builders and may be
-// removed again. One idempotent pass, wire, turns the graph into a live pod
-// (links to every peer, control links, driver launches, metric
-// registration): Start runs it over whatever exists, and every add after
-// Start runs it again, where it touches only the new node. Pod and Cluster
-// are thin layers over it.
+// Nodes are added one at a time through the ...Err builders; only an
+// instance is ever detached again (migration). One idempotent pass, wire,
+// turns the graph into a live pod (links to every peer, control links,
+// driver launches, metric registration): Start runs it over whatever
+// exists, and every add after Start runs it again, where it touches only the
+// new node. Pod and Cluster are thin layers over it.
 type Topology struct {
 	Eng    *sim.Engine
 	Pool   *cxl.Pool
@@ -365,13 +357,15 @@ func (t *Topology) allocMAC() netsw.MAC {
 	return m
 }
 
-// checkHost validates a host argument.
+// checkHost validates a host argument: it must be one of this topology's
+// hosts, not nil and not a host of another pod of the cluster (whose cache a
+// device built here would snoop).
 func (t *Topology) checkHost(on *Host) error {
 	if on == nil {
 		return fmt.Errorf("oasis: %w: nil host", ErrNoSuchNode)
 	}
-	if on.removed {
-		return fmt.Errorf("oasis: %w: %s was removed", ErrNoSuchNode, on.H.Name)
+	if on.H.ID >= len(t.Hosts) || t.Hosts[on.H.ID] != on {
+		return fmt.Errorf("oasis: %w: %s is not a host of this pod", ErrNoSuchNode, on.H.Name)
 	}
 	return nil
 }
@@ -552,11 +546,14 @@ func (t *Topology) storageFE(on *Host) (*storengine.Frontend, error) {
 // AddVolumeErr provisions a block volume for an instance on a pooled SSD.
 // The instance's host is taken from the instance itself (recorded at
 // AddInstance time), so no pod-wide scan is needed. Volumes may be added
-// after Start: registration rides the normal request path. An unknown or
-// removed SSD is ErrNoSuchNode.
+// after Start: registration rides the normal request path. An unknown SSD,
+// or an instance of another pod, is ErrNoSuchNode.
 func (t *Topology) AddVolumeErr(inst *Instance, ssdID uint16, blocks uint64) (*storengine.Volume, error) {
 	if inst == nil || inst.host == nil {
 		return nil, fmt.Errorf("oasis: AddVolume: instance has no host (not built by AddInstance/AddLocalInstance)")
+	}
+	if inst.topo != t {
+		return nil, fmt.Errorf("oasis: %w: instance %v is not an instance of this pod", ErrNoSuchNode, inst.IPAddr())
 	}
 	if t.SSDs[ssdID] == nil {
 		return nil, fmt.Errorf("oasis: %w: volume for instance %v on %s", ErrNoSuchNode, inst.IPAddr(), t.ssdName(ssdID))
@@ -654,8 +651,7 @@ func (t *Topology) allocHost() *Host { return t.Hosts[0] }
 // wiring pass over every node added so far — links, control plane, driver
 // launches, metric registration, in one deterministic order (see wire). The
 // topology stays mutable afterwards: later adds run the same pass for the
-// new node, removals detach theirs. It panics if the pool cannot hold the
-// pod's channels.
+// new node. It panics if the pool cannot hold the pod's channels.
 func (t *Topology) Start() {
 	if t.started {
 		return
@@ -688,13 +684,6 @@ func (t *Topology) Now() Duration { return t.group.Now() }
 func (t *Topology) FailNICPort(id uint16) {
 	if n, ok := t.NICs[id]; ok {
 		n.SwPort.SetEnabled(false)
-	}
-}
-
-// RestoreNICPort re-enables a failed port.
-func (t *Topology) RestoreNICPort(id uint16) {
-	if n, ok := t.NICs[id]; ok {
-		n.SwPort.SetEnabled(true)
 	}
 }
 

@@ -9,40 +9,42 @@ import (
 
 // --- topology mutation edges ---
 
-func TestRemoveHostWithLiveInstances(t *testing.T) {
-	pod := NewPod(DefaultConfig())
-	h0 := pod.AddHost()
-	h1 := pod.AddHost()
-	h2 := pod.AddHost()
-	h3 := pod.AddHost() // safely removable: no allocator, no raft replica
-	_ = h2
-	pod.AddNIC(h1, false)
-	inst := pod.AddInstance(h3, IP(10, 0, 0, 10))
-
-	if err := pod.RemoveHostErr(h3); !errors.Is(err, ErrHostNotEmpty) {
-		t.Fatalf("remove host with live instance: got %v, want ErrHostNotEmpty", err)
+// TestForeignNodesRefused: in a cluster every builder refuses a host of
+// another pod — and AddVolumeErr an instance of another pod — with
+// ErrNoSuchNode and nothing built. Each used to succeed: a NIC built on pod
+// 1's pool from pod 0's host snooped pod 0's cache, and the volume made a
+// storage frontend on pod 0's host linked through pod 1's pool.
+func TestForeignNodesRefused(t *testing.T) {
+	_, p0, p1 := twoPodCluster(t)
+	foreign := p0.Hosts[0]
+	inst0 := p0.AddInstance(foreign, IP(10, 0, 0, 10))
+	type census struct {
+		nics, ssds, insts, nodes int
+		nextNIC, nextSSD         uint16
+		sfe                      bool
 	}
-	if err := pod.RemoveHostErr(h0); !errors.Is(err, ErrNodeInUse) {
-		t.Fatalf("remove allocator host: got %v, want ErrNodeInUse", err)
+	take := func(p *Pod) census {
+		return census{len(p.NICs), len(p.SSDs), p.Instances(), len(p.nodes), p.nextNICID, p.nextSSDID, foreign.SFE != nil}
 	}
-	if err := pod.RemoveHostErr(h1); !errors.Is(err, ErrHostNotEmpty) {
-		t.Fatalf("remove NIC backend host: got %v, want ErrHostNotEmpty", err)
-	}
-	if err := pod.RemoveInstanceErr(inst); err != nil {
-		t.Fatalf("remove instance: %v", err)
-	}
-	if err := pod.RemoveHostErr(h3); err != nil {
-		t.Fatalf("remove emptied host: %v", err)
-	}
-	if !h3.Removed() {
-		t.Fatal("host not marked removed")
-	}
-	if err := pod.RemoveHostErr(h3); !errors.Is(err, ErrNoSuchNode) {
-		t.Fatalf("double host removal: got %v, want ErrNoSuchNode", err)
-	}
-	// Host slots stay index-stable after removal.
-	if len(pod.Hosts) != 4 || pod.Hosts[3] != h3 {
-		t.Fatal("removal perturbed host indices")
+	for _, tc := range []struct {
+		builder string
+		add     func() error
+	}{
+		{"AddNICErr", func() error { _, err := p1.AddNICErr(foreign, false); return err }},
+		{"AddSSDErr", func() error { _, err := p1.AddSSDErr(foreign, 1<<12); return err }},
+		{"AddInstanceErr", func() error { _, err := p1.AddInstanceErr(foreign, IP(10, 0, 1, 10)); return err }},
+		{"AddLocalNICErr", func() error { _, err := p1.AddLocalNICErr(foreign); return err }},
+		{"AddLocalInstanceErr", func() error { _, err := p1.AddLocalInstanceErr(foreign, IP(10, 0, 1, 11)); return err }},
+		{"AddVolumeErr", func() error { _, err := p1.AddVolumeErr(inst0, 1, 16); return err }},
+	} {
+		before0, before1 := take(p0), take(p1)
+		if err := tc.add(); !errors.Is(err, ErrNoSuchNode) {
+			t.Errorf("pod1.%s with pod 0's node: got %v, want ErrNoSuchNode", tc.builder, err)
+		}
+		if after0, after1 := take(p0), take(p1); after0 != before0 || after1 != before1 {
+			t.Errorf("pod1.%s with pod 0's node built something: pod0 %+v -> %+v, pod1 %+v -> %+v",
+				tc.builder, before0, after0, before1, after1)
+		}
 	}
 }
 
@@ -127,137 +129,39 @@ func TestAddDeviceAfterRunStarted(t *testing.T) {
 	}
 }
 
-// pollCensus is what a frontend-only host's cores have done so far: the
-// iterations of its network and storage frontends' cores (one and the same
-// core under SharedHostCore) and the demand fills of the host's cache. On an
-// idle host every fill is an empty poll of one link, so the fills per
-// iteration count the links a frontend polls.
-type pollCensus struct{ fe, sfe, fills int64 }
-
-func takeCensus(ph *Host) pollCensus {
-	c := pollCensus{fe: ph.FE.Driver().Iterations, fills: ph.H.Cache.Stats().Misses}
-	if ph.SFE != nil {
-		c.sfe = ph.SFE.Driver().Iterations
-	}
-	return c
-}
-
-// TestRemoveDevice is the NIC and SSD removers' table, before and after
-// Start, with dedicated cores and with one shared core per host: an unknown
-// id is ErrNoSuchNode, a device in use is ErrNodeInUse, and an idle one goes —
-// after which no frontend polls a link to it, no instance can be assigned to
-// it, a second removal is ErrNoSuchNode, and the rest of the pod still works.
-func TestRemoveDevice(t *testing.T) {
-	for _, shared := range []bool{false, true} {
-		for _, started := range []bool{false, true} {
-			name := map[bool]string{false: "dedicated", true: "shared"}[shared] + map[bool]string{false: "/before-start", true: "/after-start"}[started]
-			t.Run(name, func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.SharedHostCore = shared
-				pod := NewPod(cfg)
-				h0, h1, h2, h3 := pod.AddHost(), pod.AddHost(), pod.AddHost(), pod.AddHost()
-				n1, n2 := pod.AddNIC(h0, false), pod.AddNIC(h1, false)
-				s1, s2 := pod.AddSSD(h0, 1<<12), pod.AddSSD(h1, 1<<12)
-				inst := pod.AddInstance(h2, IP(10, 0, 0, 10))
-				pod.AddVolume(inst, s1.ID, 16)
-				if err := inst.Assign(n1.ID, 0); err != nil {
-					t.Fatal(err)
-				}
-				defer pod.Shutdown()
-				var before pollCensus
-				if started {
-					pod.Start()
-					pod.Run(2 * time.Millisecond)
-					before = takeCensus(h2)
-					pod.Run(4 * time.Millisecond)
-					d := takeCensus(h2)
-					// Two NIC links and the control link; two SSD links and the control link.
-					if want := (d.fe-before.fe)*3 + (d.sfe-before.sfe)*3; abs64(d.fills-before.fills-want) > 6 {
-						t.Fatalf("with every device present: %d fills over %d+%d iterations, want %d", d.fills-before.fills, d.fe-before.fe, d.sfe-before.sfe, want)
-					}
-				}
-
-				for _, tc := range []struct {
-					what   string
-					remove func(uint16) error
-					id     uint16
-					want   error
-				}{
-					{"unknown NIC", pod.RemoveNICErr, 99, ErrNoSuchNode},
-					{"NIC an instance is assigned to", pod.RemoveNICErr, n1.ID, ErrNodeInUse},
-					{"idle NIC", pod.RemoveNICErr, n2.ID, nil},
-					{"NIC removed already", pod.RemoveNICErr, n2.ID, ErrNoSuchNode},
-					{"unknown SSD", pod.RemoveSSDErr, 99, ErrNoSuchNode},
-					{"SSD a volume is bound to", pod.RemoveSSDErr, s1.ID, ErrNodeInUse},
-					{"idle SSD", pod.RemoveSSDErr, s2.ID, nil},
-					{"SSD removed already", pod.RemoveSSDErr, s2.ID, ErrNoSuchNode},
-				} {
-					if err := tc.remove(tc.id); !errors.Is(err, tc.want) {
-						t.Fatalf("remove %s: got %v, want %v", tc.what, err, tc.want)
-					}
-				}
-				if pod.NICs[n2.ID] != nil || pod.SSDs[s2.ID] != nil || pod.NICs[n1.ID] == nil || pod.SSDs[s1.ID] == nil {
-					t.Fatalf("device tables after removal: NICs %v SSDs %v", pod.NICs, pod.SSDs)
-				}
-				if err := inst.Assign(n2.ID, 0); !errors.Is(err, ErrNoSuchNode) {
-					t.Fatalf("assign to the removed NIC: got %v, want ErrNoSuchNode", err)
-				}
-				if err := inst.Assign(n1.ID, n2.ID); !errors.Is(err, ErrNoSuchNode) {
-					t.Fatalf("removed NIC as backup: got %v, want ErrNoSuchNode", err)
-				}
-				if _, err := pod.AddVolumeErr(pod.AddInstance(h3, IP(10, 0, 0, 11)), s2.ID, 16); !errors.Is(err, ErrNoSuchNode) || h3.SFE != nil {
-					t.Fatalf("volume on the removed SSD: got %v, want ErrNoSuchNode and no storage frontend made", err)
-				}
-
-				pod.Start() // idempotent after Start
-				settle := pod.Now() + 2*time.Millisecond
-				pod.Run(settle)
-				before = takeCensus(h2)
-				pod.Run(settle + 4*time.Millisecond)
-				d := takeCensus(h2)
-				// One NIC link and the control link; one SSD link and the control link.
-				if want := (d.fe-before.fe)*2 + (d.sfe-before.sfe)*2; abs64(d.fills-before.fills-want) > 4 || d.fe == before.fe || d.sfe == before.sfe {
-					t.Fatalf("after the removals: %d fills over %d+%d iterations, want %d: a frontend still polls a removed device",
-						d.fills-before.fills, d.fe-before.fe, d.sfe-before.sfe, want)
-				}
-				if !inst.Port.Ready() {
-					t.Fatal("the instance on the surviving NIC is not ready")
-				}
-			})
-		}
-	}
-}
-
-func abs64(v int64) int64 { return max(v, -v) }
-
-// TestAssignUnknownNIC: an assignment the pod cannot honour is refused at
-// the facade with nothing queued — it used to return nil and take the
-// frontend's process down on its next iteration (unknown id), or leave the
-// instance holding a removed NIC's MAC, never ready (removed id).
-func TestAssignUnknownNIC(t *testing.T) {
+// TestUnknownDeviceIDs: a device id the pod does not pool is refused at the
+// facade with nothing queued or built. An Assign to an unknown NIC used to
+// return nil and take the frontend's process down on its next iteration.
+func TestUnknownDeviceIDs(t *testing.T) {
 	cfg := DefaultConfig()
 	pod := NewPod(cfg)
 	h0, h1 := pod.AddHost(), pod.AddHost()
-	n1, n2 := pod.AddNIC(h0, false), pod.AddNIC(h0, false)
+	n1 := pod.AddNIC(h0, false)
+	pod.AddSSD(h0, 1<<12)
 	local := pod.AddLocalNIC(h1)
 	inst := pod.AddInstance(h1, IP(10, 0, 0, 10))
 	defer pod.Shutdown()
 	pod.Start()
 	pod.Run(time.Millisecond)
-	if err := inst.Assign(99, 0); !errors.Is(err, ErrNoSuchNode) {
-		t.Fatalf("assign to unknown NIC 99: got %v, want ErrNoSuchNode", err)
+	for _, tc := range []struct {
+		what string
+		try  func() error
+	}{
+		{"unknown NIC as primary", func() error { return inst.Assign(99, 0) }},
+		{"unknown NIC as backup", func() error { return inst.Assign(n1.ID, 99) }},
+		{"baseline local NIC as primary", func() error { return inst.Assign(local.ID, 0) }},
+		{"baseline local NIC as backup", func() error { return inst.Assign(n1.ID, local.ID) }},
+		{"volume on an unknown SSD", func() error { _, err := pod.AddVolumeErr(inst, 99, 16); return err }},
+	} {
+		if err := tc.try(); !errors.Is(err, ErrNoSuchNode) {
+			t.Errorf("%s: got %v, want ErrNoSuchNode", tc.what, err)
+		}
 	}
-	if err := inst.Assign(local.ID, 0); !errors.Is(err, ErrNoSuchNode) {
-		t.Fatalf("assign to a baseline local NIC: got %v, want ErrNoSuchNode", err)
-	}
-	if err := pod.RemoveNICErr(n2.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Assign(n2.ID, 0); !errors.Is(err, ErrNoSuchNode) {
-		t.Fatalf("assign to removed NIC: got %v, want ErrNoSuchNode", err)
+	if h1.SFE != nil {
+		t.Fatal("a refused volume made a storage frontend")
 	}
 	pod.Run(2 * time.Millisecond) // the frontend iterates: nothing was queued
-	if inst.Port.Ready() || inst.Port.UsesNIC(n2.ID) {
+	if inst.Port.Ready() {
 		t.Fatal("a refused assignment took effect")
 	}
 	if err := inst.Assign(n1.ID, 0); err != nil {

@@ -60,17 +60,6 @@ func (t *Topology) seat(e engine, on *Host) {
 	e.Join(on.Driver)
 }
 
-// liveHosts returns the hosts that have not been removed, in index order.
-func (t *Topology) liveHosts() []*Host {
-	live := make([]*Host, 0, len(t.Hosts))
-	for _, ph := range t.Hosts {
-		if !ph.removed {
-			live = append(live, ph)
-		}
-	}
-	return live
-}
-
 // wire is the one wiring pass. It brings the live pod up to date with the
 // node graph: data links between every frontend and every backend, the
 // backup-drive mirror, the allocator with a control link per driver, the
@@ -91,10 +80,9 @@ func (t *Topology) wire() error {
 		return nil
 	}
 	nicIDs, ssdIDs := t.nicIDs(), t.ssdIDs()
-	hosts := t.liveHosts()
 
 	// Data links: every frontend to every backend.
-	for _, ph := range hosts {
+	for _, ph := range t.Hosts {
 		for _, id := range nicIDs {
 			n := t.NICs[id]
 			if n.BE == nil || (ph.wired && n.wired) {
@@ -129,7 +117,7 @@ func (t *Topology) wire() error {
 	// storage). Needs the backend mesh above so mirror registrations can
 	// ride the normal request path.
 	if bid := t.backupSSDID(); bid != 0 {
-		for _, ph := range hosts {
+		for _, ph := range t.Hosts {
 			if ph.SFE != nil && !(ph.sfeWired && t.SSDs[bid].wired) {
 				ph.SFE.SetBackupSSD(bid)
 			}
@@ -149,7 +137,7 @@ func (t *Topology) wire() error {
 		ctl := func(peer *host.Host) (aEnd, peerEnd *core.LinkEnd, err error) {
 			return core.NewDuplexLink(t.Pool, ah, peer, t.cfg.Engine.Chan)
 		}
-		for _, ph := range hosts {
+		for _, ph := range t.Hosts {
 			if ph.wired {
 				continue
 			}
@@ -190,7 +178,7 @@ func (t *Topology) wire() error {
 			t.Alloc.AddDevice(allocator.DeviceInfo{Kind: core.DeviceSSD, ID: d.ID, HostID: d.host.H.ID, Backup: d.Backup}, aEnd)
 			d.BE.SetControlLink(beEnd)
 		}
-		for _, ph := range hosts {
+		for _, ph := range t.Hosts {
 			if ph.SFE == nil || ph.sfeWired {
 				continue
 			}
@@ -214,7 +202,7 @@ func (t *Topology) wire() error {
 	// seating order. Seats are taken before the launches below, which then
 	// only make sure the shared core is polling.
 	if t.cfg.SharedHostCore {
-		for _, ph := range hosts {
+		for _, ph := range t.Hosts {
 			if !ph.wired {
 				t.seat(ph.FE, ph)
 			}
@@ -258,7 +246,7 @@ func (t *Topology) wire() error {
 		t.launch(d.BE)
 		d.wired = true
 	}
-	for _, ph := range hosts {
+	for _, ph := range t.Hosts {
 		if !ph.wired {
 			if ph.H.Cache != nil {
 				ph.H.Cache.RegisterObs(t.obs, ph.H.Name+"/cache")
