@@ -86,8 +86,9 @@ fuzz:
 
 # Coverage census (~3 min): build every command, example and the benchmark
 # with -cover, run them all at small scale, and list the functions no
-# production entry point ever called that scripts/census.allow does not
-# explain, and the lines there that name no such function. Fails when either
+# production entry point ever called, and the Config/Params fields no code
+# outside their package sets (scripts/fields.go), that scripts/census.allow
+# does not explain, and the lines there that name no such function or field. Fails when either
 # list is non-empty; scripts/verify.sh runs it. See scripts/census.sh.
 census:
 	sh scripts/census.sh

@@ -427,7 +427,7 @@ func (m *migration) run() error {
 // read copies ranges off the source volume through the ordinary read path,
 // one request per MaxBlocksPerRequest. Runs in the source pod's domain.
 func (m *migration) read(ranges []storengine.DirtyRange) ([]byte, error) {
-	chunk := uint64(m.src.cfg.Storage.MaxBlocksPerRequest())
+	chunk := uint64(storengine.MaxBlocksPerRequest)
 	var blocks uint64
 	for _, r := range ranges {
 		blocks += r.Blocks
@@ -448,7 +448,7 @@ func (m *migration) read(ranges []storengine.DirtyRange) ([]byte, error) {
 // write replays what read returned onto the destination volume. Runs in the
 // destination pod's domain.
 func (m *migration) write(ranges []storengine.DirtyRange, data []byte) error {
-	chunk := uint64(m.dst.cfg.Storage.MaxBlocksPerRequest())
+	chunk := uint64(storengine.MaxBlocksPerRequest)
 	for _, r := range ranges {
 		for off := uint64(0); off < r.Blocks; off += chunk {
 			n := min(chunk, r.Blocks-off) * ssd.BlockSize

@@ -11,6 +11,7 @@ import (
 	"oasis/internal/faults"
 	"oasis/internal/sim"
 	"oasis/internal/ssd"
+	"oasis/internal/storengine"
 )
 
 // clusterRun is what one run of the cluster scenario leaves behind: the
@@ -221,7 +222,7 @@ func TestClusterFaultPlanMidMigrationRouting(t *testing.T) {
 			t.Error("source volume not ready")
 			return
 		}
-		chunk := p0.cfg.Storage.MaxBlocksPerRequest()
+		chunk := storengine.MaxBlocksPerRequest
 		for lba := 0; lba < lbaCount; lba += chunk {
 			end := lba + chunk
 			if end > lbaCount {

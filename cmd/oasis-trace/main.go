@@ -85,7 +85,7 @@ func main() {
 		n := float64(len(demands))
 		fmt.Printf("hosts: %d, avg demand per host: cpu %.1f cores, mem %.1f GB, nic %.1f Gbps, ssd %.0f GB\n",
 			len(demands), cpu/n, mem/n, nicD/n, ssd/n)
-		shape := cfg.Shape
+		shape := trace.DefaultHostShape()
 		fmt.Printf("avg utilization: cpu %.1f%%, mem %.1f%%, nic %.1f%%, ssd %.1f%%\n",
 			100*cpu/n/shape.CPU, 100*mem/n/shape.Mem, 100*nicD/n/shape.NIC, 100*ssd/n/shape.SSD)
 	default:

@@ -55,52 +55,48 @@ type Config struct {
 	RebalanceLow   float64
 	RebalanceEvery sim.Duration
 
-	// AERFailThreshold is the per-telemetry-window count of uncorrectable
-	// PCIe AER errors (§3.5's health metrics) above which a NIC is treated
-	// as failing and proactively failed over — before the link even drops.
-	// 0 disables the policy.
-	AERFailThreshold uint16
-
 	// Health enables the gray-failure scorer: per-telemetry-window
 	// peer-relative outlier detection on the soft signals fail-stop
 	// machinery never sees — a NIC's soft error/drop count, a drive's mean
-	// request service latency. A device whose metric exceeds HealthFactor
+	// request service latency. A device whose metric exceeds healthFactor
 	// times the mean of its healthy peers (and an absolute floor, so idle
-	// pods don't flag noise) for HealthWindows consecutive windows is
+	// pods don't flag noise) for healthWindows consecutive windows is
 	// quarantined and proactively evacuated: volumes re-bind off a suspect
 	// drive under a bumped epoch, instances migrate off a suspect NIC.
 	// The link stays up throughout — this is the degraded-mode complement
 	// to the fail-stop lease/link-down paths.
 	Health bool
-	// HealthWindows is how many consecutive suspect windows are required
-	// before evacuation (debounce against one-window blips).
-	HealthWindows int
-	// HealthFactor is the outlier multiplier over the healthy-peer mean.
-	HealthFactor float64
-	// HealthErrFloor is the minimum per-window soft error count for a NIC
-	// to be considered suspect at all.
-	HealthErrFloor uint16
-	// HealthLatFloorUs is the minimum mean service latency (µs) for a
-	// drive to be considered suspect at all; set it above the loaded
-	// latency of a healthy drive.
-	HealthLatFloorUs uint16
 }
+
+// aerFailThreshold is the per-telemetry-window count of uncorrectable PCIe
+// AER errors (§3.5's health metrics) at which a NIC is treated as failing
+// and proactively failed over — before the link even drops.
+const aerFailThreshold = 16
+
+// The gray-failure scorer's thresholds (Config.Health switches it on).
+const (
+	// healthWindows is how many consecutive suspect windows are required
+	// before evacuation (debounce against one-window blips).
+	healthWindows = 3
+	// healthFactor is the outlier multiplier over the healthy-peer mean.
+	healthFactor = 4.0
+	// healthErrFloor is the minimum per-window soft error count for a NIC
+	// to be considered suspect at all.
+	healthErrFloor = 8
+	// healthLatFloorUs is the minimum mean service latency (µs) for a drive
+	// to be considered suspect at all; it sits above the loaded latency of
+	// a healthy drive.
+	healthLatFloorUs = 400
+)
 
 // DefaultConfig returns production-flavoured defaults (§3.5: telemetry
 // every 100 ms; three missed records expire the lease).
 func DefaultConfig() Config {
 	return Config{
-		LeaseTimeout:     300 * time.Millisecond,
-		RebalanceHigh:    0.80,
-		RebalanceLow:     0.50,
-		RebalanceEvery:   500 * time.Millisecond,
-		AERFailThreshold: 16,
-		// Gray-failure scoring is opt-in (Health: false): the floors below
-		// are sane defaults for deployments that switch it on.
-		HealthWindows:    3,
-		HealthFactor:     4,
-		HealthErrFloor:   8,
-		HealthLatFloorUs: 400,
+		LeaseTimeout:   300 * time.Millisecond,
+		RebalanceHigh:  0.80,
+		RebalanceLow:   0.50,
+		RebalanceEvery: 500 * time.Millisecond,
 	}
 }
 
@@ -506,7 +502,7 @@ func (a *Allocator) ingest(p *sim.Proc, l *core.Link, payload []byte) {
 			a.events.Emit(p.Now(), "alloc", fmt.Sprintf("%v%d reported failed", d.Kind, d.ID))
 			a.fail(p, d)
 		}
-		if d.Kind == core.DeviceNIC && a.cfg.AERFailThreshold > 0 && m.AER >= a.cfg.AERFailThreshold && d.Up && !d.Backup {
+		if d.Kind == core.DeviceNIC && m.AER >= aerFailThreshold && d.Up && !d.Backup {
 			// A burst of uncorrectable PCIe errors: the device is dying.
 			// Fail over proactively instead of waiting for link-down.
 			d.Up = false
@@ -545,9 +541,9 @@ func healthSlot(kind core.DeviceKind, m core.ControlMsg) uint16 {
 // never suspect, so an idle pod does not flag noise.
 func (a *Allocator) healthFloor(kind core.DeviceKind) uint16 {
 	if kind == core.DeviceSSD {
-		return a.cfg.HealthLatFloorUs
+		return healthLatFloorUs
 	}
-	return a.cfg.HealthErrFloor
+	return healthErrFloor
 }
 
 // leaseTracked reports whether silence from the device expires a lease. The
@@ -582,7 +578,7 @@ func (a *Allocator) evacuate(p *sim.Proc, d *device) {
 // signal. The metric is judged peer-relative — an outlier vs. the mean of
 // the pod's other healthy devices of its kind — because absolute thresholds
 // can't separate "the workload is bursty" from "this device is sick"; a
-// floor keeps idle pods from flagging noise. HealthWindows consecutive
+// floor keeps idle pods from flagging noise. healthWindows consecutive
 // suspect windows quarantine the device and steer its load away.
 func (a *Allocator) score(p *sim.Proc, d *device) {
 	if !a.cfg.Health || d.Quarantined || d.Backup || !d.Up {
@@ -601,14 +597,14 @@ func (a *Allocator) score(p *sim.Proc, d *device) {
 	}
 	suspect := metric >= float64(a.healthFloor(d.Kind))
 	if suspect && peers > 0 {
-		suspect = metric > a.cfg.HealthFactor*(peerSum/float64(peers))
+		suspect = metric > healthFactor*(peerSum/float64(peers))
 	}
 	if !suspect {
 		d.suspect = 0
 		return
 	}
 	d.suspect++
-	if d.suspect < a.cfg.HealthWindows {
+	if d.suspect < healthWindows {
 		return
 	}
 	d.Quarantined = true

@@ -1,6 +1,7 @@
 package allocator
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -428,15 +429,15 @@ func TestAERBurstTriggersProactiveFailover(t *testing.T) {
 	}
 	r := newAllocRig(t, 3, nics)
 	r.eng.Go("driver", func(p *sim.Proc) {
-		// Healthy telemetry with a trickle of correctable-only noise (AER=0
-		// here counts uncorrectable): no failover.
-		sendCtl(p, r.be[1], core.ControlMsg{Op: core.CtlTelemetry, Dev: 1, Load: 100, LinkUp: true, AER: 3})
+		// Healthy telemetry with uncorrectable errors one short of the
+		// 16-per-window threshold: no failover.
+		sendCtl(p, r.be[1], core.ControlMsg{Op: core.CtlTelemetry, Dev: 1, Load: 100, LinkUp: true, AER: 15})
 		p.Sleep(10 * time.Millisecond)
 		if r.a.AERFailovers != 0 {
 			t.Error("failover on sub-threshold AER noise")
 		}
-		// A burst of uncorrectable errors while the link is still up.
-		sendCtl(p, r.be[1], core.ControlMsg{Op: core.CtlTelemetry, Dev: 1, Load: 100, LinkUp: true, AER: 40})
+		// A burst of 16 uncorrectable errors while the link is still up.
+		sendCtl(p, r.be[1], core.ControlMsg{Op: core.CtlTelemetry, Dev: 1, Load: 100, LinkUp: true, AER: 16})
 		m, ok := expectMsg(p, r.fe[1], 50*time.Millisecond)
 		if !ok || m.Op != core.CtlFailover || m.Dev != 1 || m.Aux != 2 {
 			t.Errorf("no proactive failover: %+v ok=%v", m, ok)
@@ -489,7 +490,7 @@ func TestHealthScorerEvacuatesGrayDevice(t *testing.T) {
 				// stays clean.
 				be := r.backends(row.kind)
 				telem := core.ControlMsg{Op: core.CtlTelemetry, Kind: row.kind, Load: 100, LinkUp: true}
-				for i := 0; i < r.a.cfg.HealthWindows; i++ {
+				for i := 0; i < healthWindows; i++ {
 					telem.Dev = 2
 					sendCtl(p, be[2], row.health(telem, w.healthy))
 					telem.Dev = 1
@@ -534,6 +535,46 @@ func TestHealthScorerEvacuatesGrayDevice(t *testing.T) {
 				t.Fatalf("ssd1 epoch = %d, want %d", got, wantEpoch)
 			}
 		})
+	}
+}
+
+func TestHealthScorerThresholds(t *testing.T) {
+	// A device is suspect when its signal reaches its kind's floor (8 soft
+	// errors, 400 µs) and exceeds 4× the mean of its healthy peers; the
+	// third suspect window in a row quarantines it. One step short of either
+	// threshold keeps it in service.
+	bounds := map[core.DeviceKind][]struct {
+		peer, sick  uint16
+		quarantined bool
+	}{
+		core.DeviceNIC: {{0, 7, false}, {0, 8, true}, {10, 40, false}, {10, 41, true}},
+		core.DeviceSSD: {{0, 399, false}, {0, 400, true}, {120, 480, false}, {120, 481, true}},
+	}
+	for _, row := range kindRows {
+		for _, c := range bounds[row.kind] {
+			t.Run(fmt.Sprintf("%v/peer=%d/sick=%d", row.kind, c.peer, c.sick), func(t *testing.T) {
+				r := newAllocRig(t, 3, nil)
+				r.addDevice(t, DeviceInfo{Kind: row.kind, ID: 1, HostID: 1, CapacityBps: 12.5e9})
+				r.addDevice(t, DeviceInfo{Kind: row.kind, ID: 2, HostID: 2, CapacityBps: 12.5e9})
+				r.a.cfg.Health = true
+				be := r.backends(row.kind)
+				r.eng.Go("driver", func(p *sim.Proc) {
+					telem := core.ControlMsg{Op: core.CtlTelemetry, Kind: row.kind, Load: 100, LinkUp: true}
+					for w := 1; w <= 4; w++ {
+						telem.Dev = 2
+						sendCtl(p, be[2], row.health(telem, c.peer))
+						telem.Dev = 1
+						sendCtl(p, be[1], row.health(telem, c.sick))
+						p.Sleep(5 * time.Millisecond)
+						if got, want := r.a.View(row.kind, 1).Quarantined, c.quarantined && w >= 3; got != want {
+							t.Errorf("after window %d: quarantined = %v, want %v", w, got, want)
+						}
+					}
+					r.eng.Shutdown()
+				})
+				r.eng.Run()
+			})
+		}
 	}
 }
 

@@ -45,11 +45,10 @@ type Params struct {
 	WritebackIssue sim.Duration // CLWB issue cost, per line
 	FenceLatency   sim.Duration // MFENCE drain cost
 	PrefetchIssue  sim.Duration // PREFETCHT0 issue cost, per line
-	CapacityLines  int          // LRU capacity; 0 means DefaultCapacityLines
 }
 
-// DefaultCapacityLines is 32 Ki lines = 2 MiB, a slice of LLC plausibly
-// available to a polling core.
+// DefaultCapacityLines is the LRU capacity: 32 Ki lines = 2 MiB, a slice of
+// LLC plausibly available to a polling core.
 const DefaultCapacityLines = 32768
 
 // DefaultParams returns the calibrated cost model.
@@ -143,9 +142,6 @@ func (f *fillOp) Fire() {
 // HWCoherent (CXL 3.0 Back Invalidation) mode, the cache subscribes to BI
 // messages so remote writes invalidate its lines automatically.
 func New(eng *sim.Engine, port *cxl.Port, params Params) *Cache {
-	if params.CapacityLines == 0 {
-		params.CapacityLines = DefaultCapacityLines
-	}
 	c := &Cache{eng: eng, port: port, params: params}
 	port.Pool().RegisterBI(c)
 	return c
@@ -243,7 +239,7 @@ func (c *Cache) insert(ln *line) {
 	c.lruPushFront(ln)
 	c.lines.put(ln)
 	attempts := c.lines.n
-	for c.lines.n > c.params.CapacityLines && attempts > 0 {
+	for c.lines.n > DefaultCapacityLines && attempts > 0 {
 		attempts--
 		victim := c.lruTail
 		if victim.pending {

@@ -271,13 +271,11 @@ func TestPartialLineWritePreservesNeighbours(t *testing.T) {
 
 func TestLRUEvictionWritesBackDirty(t *testing.T) {
 	eng := sim.New()
-	pool := cxl.NewPool(eng, 1<<20, cxl.DefaultParams())
-	params := DefaultParams()
-	params.CapacityLines = 4
-	c := New(eng, pool.AttachPort("h"), params)
+	pool := cxl.NewPool(eng, 4<<20, cxl.DefaultParams())
+	c := New(eng, pool.AttachPort("h"), DefaultParams())
 	eng.Go("t", func(p *sim.Proc) {
 		c.Write(p, 0, []byte{11}, "m") // dirty line 0
-		for i := int64(1); i <= 4; i++ {
+		for i := int64(1); i <= 32768; i++ {
 			buf := make([]byte, 1)
 			c.Read(p, i*cxl.LineSize, buf, "m")
 		}
@@ -295,8 +293,8 @@ func TestLRUEvictionWritesBackDirty(t *testing.T) {
 	if c.Stats().Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", c.Stats().Evictions)
 	}
-	if c.Len() != 4 {
-		t.Fatalf("resident = %d, want 4", c.Len())
+	if c.Len() != 32768 {
+		t.Fatalf("resident = %d, want 32768", c.Len())
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"oasis"
-	"oasis/internal/core"
 	"oasis/internal/cxl"
 	"oasis/internal/host"
 	"oasis/internal/instance"
@@ -449,14 +448,11 @@ func runStorageDepth(depth int, window time.Duration) (iops float64, p50, p99 ti
 	hB := hostNew(eng, 1, "hostB", pool)
 	scfg := storengine.DefaultConfig()
 	dev := ssd.New(eng, "ssd0", pool.AttachPort("ssd0-dma"), ssd.DefaultParams())
-	fe := storengine.NewFrontend(hA, pool, scfg)
+	fe := storengine.NewFrontend(hA, pool)
 	be := storengine.NewBackend(hB, 1, dev, 1<<20, scfg)
-	feEnd, beEnd, err := core.NewDuplexLink(pool, hA, hB, scfg.Chan)
-	if err != nil {
+	if err := fe.ConnectBackend(be); err != nil {
 		panic(err)
 	}
-	fe.ConnectBackend(1, feEnd)
-	be.ConnectFrontend(hA.ID, beEnd)
 	dev.Start()
 	fe.Start()
 	be.Start()

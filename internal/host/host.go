@@ -203,7 +203,6 @@ type Host struct {
 type Config struct {
 	LocalMemBytes int64
 	MemParams     MemParams
-	CacheParams   cache.Params
 	IPCCost       sim.Duration
 }
 
@@ -213,7 +212,6 @@ func DefaultConfig() Config {
 	return Config{
 		LocalMemBytes: 1 << 30,
 		MemParams:     DefaultMemParams(),
-		CacheParams:   cache.DefaultParams(),
 		IPCCost:       150 * time.Nanosecond,
 	}
 }
@@ -229,7 +227,7 @@ func New(eng *sim.Engine, id int, name string, pool *cxl.Pool, cfg Config) *Host
 	}
 	if pool != nil {
 		h.CXLPort = pool.AttachPort(name)
-		h.Cache = cache.New(eng, h.CXLPort, cfg.CacheParams)
+		h.Cache = cache.New(eng, h.CXLPort, cache.DefaultParams())
 	}
 	return h
 }

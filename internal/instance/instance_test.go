@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"oasis/internal/core"
 	"oasis/internal/cxl"
 	"oasis/internal/host"
 	"oasis/internal/netstack"
@@ -141,14 +140,11 @@ func volRig(t *testing.T) (*sim.Engine, *storengine.Volume) {
 	hB := host.New(eng, 1, "hostB", pool, host.DefaultConfig())
 	cfg := storengine.DefaultConfig()
 	dev := ssd.New(eng, "ssd0", pool.AttachPort("ssd0-dma"), ssd.DefaultParams())
-	fe := storengine.NewFrontend(hA, pool, cfg)
+	fe := storengine.NewFrontend(hA, pool)
 	be := storengine.NewBackend(hB, 1, dev, 1<<18, cfg)
-	feEnd, beEnd, err := core.NewDuplexLink(pool, hA, hB, cfg.Chan)
-	if err != nil {
+	if err := fe.ConnectBackend(be); err != nil {
 		t.Fatal(err)
 	}
-	fe.ConnectBackend(1, feEnd)
-	be.ConnectFrontend(hA.ID, beEnd)
 	dev.Start()
 	fe.Start()
 	be.Start()
@@ -168,14 +164,11 @@ func smallVolRig(t *testing.T) (*sim.Engine, *storengine.Volume) {
 	hB := host.New(eng, 1, "hostB", pool, host.DefaultConfig())
 	cfg := storengine.DefaultConfig()
 	dev := ssd.New(eng, "ssd0", pool.AttachPort("ssd0-dma"), ssd.DefaultParams())
-	fe := storengine.NewFrontend(hA, pool, cfg)
+	fe := storengine.NewFrontend(hA, pool)
 	be := storengine.NewBackend(hB, 1, dev, 1<<12, cfg)
-	feEnd, beEnd, err := core.NewDuplexLink(pool, hA, hB, cfg.Chan)
-	if err != nil {
+	if err := fe.ConnectBackend(be); err != nil {
 		t.Fatal(err)
 	}
-	fe.ConnectBackend(1, feEnd)
-	be.ConnectFrontend(hA.ID, beEnd)
 	dev.Start()
 	fe.Start()
 	be.Start()

@@ -145,11 +145,11 @@ type nicQueues struct {
 // descriptor target: half the area, at most 1024. c is what the driver makes
 // of a completion.
 func newNICQueues(dev *nic.NIC, pool *cxl.Pool, cfg Config, c completions) (nicQueues, error) {
-	region, err := pool.Alloc(cfg.RxAreaBytes)
+	region, err := pool.Alloc(rxAreaBytes)
 	if err != nil {
 		return nicQueues{}, fmt.Errorf("RX area: %w", err)
 	}
-	area, err := core.NewBufferArea(region, cfg.BufSize)
+	area, err := core.NewBufferArea(region, bufSize)
 	if err != nil {
 		return nicQueues{}, err
 	}
@@ -188,7 +188,7 @@ func (be *Backend) drainParked(p *sim.Proc) int {
 		// Telemetry and link-check windows open at first poll, not at
 		// construction, so an engine started late doesn't replay old windows.
 		be.timersInit = true
-		be.nextCheck = p.Now() + be.cfg.LinkCheckEvery
+		be.nextCheck = p.Now() + linkCheckEvery
 		be.nextTelem = p.Now() + be.cfg.TelemetryEvery
 	}
 	// Parked completions count as progress: the loop must stay hot until
@@ -442,8 +442,8 @@ func (j *beRxJob) Finish(p *sim.Proc) {
 func (be *Backend) inspectAndRoute(p *sim.Proc, rc nic.RxCompletion) *registration {
 	be.Inspected++
 	n := rc.Len
-	if n > be.cfg.BufSize {
-		n = be.cfg.BufSize
+	if n > bufSize {
+		n = bufSize
 	}
 	buf := make([]byte, n)
 	be.h.Cache.Read(p, rc.Addr, buf, "payload")
@@ -499,7 +499,7 @@ func (be *Backend) maybeCheckLink(p *sim.Proc) {
 	if p.Now() < be.nextCheck {
 		return
 	}
-	be.nextCheck = p.Now() + be.cfg.LinkCheckEvery
+	be.nextCheck = p.Now() + linkCheckEvery
 	up := be.dev.LinkUp()
 	if up == be.lastUp {
 		return

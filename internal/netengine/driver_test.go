@@ -59,10 +59,14 @@ var (
 
 func newEngineRig(t *testing.T) *engineRig {
 	t.Helper()
+	return newEngineRigWith(t, DefaultConfig())
+}
+
+func newEngineRigWith(t *testing.T, cfg Config) *engineRig {
+	t.Helper()
 	eng := sim.New()
 	pool := cxl.NewPool(eng, 1<<30, cxl.DefaultParams())
 	sw := netsw.New(eng, netsw.DefaultParams())
-	cfg := DefaultConfig()
 
 	r := &engineRig{eng: eng, pool: pool, sw: sw}
 	r.hA = host.New(eng, 0, "hostA", pool, host.DefaultConfig())
@@ -191,7 +195,12 @@ func TestEngineEchoAndCounters(t *testing.T) {
 }
 
 func TestEngineMigrationCommand(t *testing.T) {
-	r := newEngineRig(t)
+	// The old NIC keeps the instance registered for the 5 s grace window
+	// after the flip (§3.3.4). The drivers back off to 1 ms when idle, so
+	// the window costs milliseconds.
+	cfg := DefaultConfig()
+	cfg.IdleBackoff = time.Millisecond
+	r := newEngineRigWith(t, cfg)
 	r.inst.Assign(1, 0)
 	r.startEcho(t)
 	var buf [15]byte
@@ -213,10 +222,19 @@ func TestEngineMigrationCommand(t *testing.T) {
 		if r.inst.CurrentMAC() != mac2 {
 			t.Error("instance MAC never flipped to the new NIC")
 		}
+		flipped := p.Now()
 		// The switch must have learned the new MAC from the GARP.
 		p.Sleep(5 * time.Millisecond)
 		if r.sw.LookupMAC(mac2) == nil {
 			t.Error("GARP never reached the switch")
+		}
+		p.Sleep(flipped + 4900*time.Millisecond - p.Now())
+		if _, ok := r.be1.regs[instIP]; !ok {
+			t.Error("old NIC dropped the instance inside the grace window")
+		}
+		p.Sleep(200 * time.Millisecond)
+		if _, ok := r.be1.regs[instIP]; ok {
+			t.Error("old NIC still holds the instance after the grace window")
 		}
 		migrated = true
 		r.eng.Shutdown()
@@ -469,20 +487,28 @@ func TestDuplicateInstanceRejected(t *testing.T) {
 func TestAllocRetryCircuitBreaker(t *testing.T) {
 	// With no allocator answering, the frontend retries under backoff only
 	// until the per-instance budget is spent, then fails fast with a typed
-	// error. A late assignment heals the breaker.
-	r := newEngineRig(t)
-	r.fe.cfg.AllocRetryBudget = 3
+	// error. A late assignment heals the breaker. The drivers back off to
+	// 1 ms when idle, so 14 s of allocator silence cost milliseconds; each
+	// resend may then be up to 1 ms late.
+	cfg := DefaultConfig()
+	cfg.IdleBackoff = time.Millisecond
+	r := newEngineRigWith(t, cfg)
 	r.inst.RequestAllocation()
 	var buf [15]byte
 	r.eng.Go("allocator", func(p *sim.Proc) {
-		// Budget 3 at 10/20/40 ms backoff: the breaker trips well within
-		// half a second of allocator silence.
-		p.Sleep(500 * time.Millisecond)
+		// 32 resends, 10 ms after the request and then 20, 40, 80, 160,
+		// 320 ms and 500 ms apart: the last goes out at 13.63 s and the
+		// breaker trips 500 ms later, at 14.13 s.
+		p.Sleep(14100 * time.Millisecond)
+		if r.fe.AllocRetries != 32 || r.fe.AllocRetryExhausted != 0 {
+			t.Errorf("at 14.1 s: retries = %d, breaker trips = %d, want 32 and 0", r.fe.AllocRetries, r.fe.AllocRetryExhausted)
+		}
+		p.Sleep(100 * time.Millisecond)
 		if r.fe.AllocRetryExhausted != 1 {
 			t.Errorf("breaker trips = %d, want 1", r.fe.AllocRetryExhausted)
 		}
-		if r.fe.AllocRetries != 3 {
-			t.Errorf("retries = %d, want exactly the budget 3", r.fe.AllocRetries)
+		if r.fe.AllocRetries != 32 {
+			t.Errorf("retries = %d, want exactly the budget 32", r.fe.AllocRetries)
 		}
 		if err := r.inst.AllocError(); err != ErrAllocRetryExhausted {
 			t.Errorf("AllocError = %v, want ErrAllocRetryExhausted", err)

@@ -16,21 +16,15 @@ import (
 )
 
 // ErrAllocRetryExhausted marks an instance whose allocation-request circuit
-// breaker tripped: AllocRetryBudget consecutive resends went unanswered, so
+// breaker tripped: allocRetryBudget consecutive resends went unanswered, so
 // the frontend fails the placement fast instead of retrying forever. A new
 // RequestAllocation re-arms the breaker.
 var ErrAllocRetryExhausted = errors.New("netengine: allocation retry budget exhausted")
 
-// Config sizes the network engine. The paper's values (64 MB TX areas, 4 GB
-// RX areas, 8192-slot channels) are configurable; defaults are scaled so a
-// simulation's free lists stay small while preserving the >packets-in-flight
-// property that matters.
+// Config tunes the network engine's cores.
 type Config struct {
-	TxAreaBytes int64 // per-instance TX buffer area (§3.3.1; paper: 64 MB)
-	RxAreaBytes int64 // per-NIC RX buffer area (§3.3.1; paper: 4 GB)
-	BufSize     int   // I/O buffer size; holds one MTU frame
-	Chan        msgchan.Config
-	LoopCost    sim.Duration // per poll-loop iteration CPU cost
+	Chan     msgchan.Config
+	LoopCost sim.Duration // per poll-loop iteration CPU cost
 	// MsgCost is the per-message driver handling cost (decode, per-instance
 	// state lookups, WQE/buffer bookkeeping) charged on each send and
 	// receive of a datapath message. It models the §5.1 observation that
@@ -43,52 +37,56 @@ type Config struct {
 	// backoff period. Set 0 to busy-poll faithfully (Table 3's idle row).
 	IdleBackoff sim.Duration
 
-	LinkCheckEvery sim.Duration // backend link-status poll period
 	TelemetryEvery sim.Duration // backend telemetry period (§3.5: 100 ms)
-	MigrationGrace sim.Duration // §3.3.4: dual-NIC RX window (5 s)
-
-	// AllocRetryBase is the initial interval after which an unanswered
-	// allocation request (RequestAllocation with no CtlAssign yet) is resent
-	// to the allocator; subsequent retries back off exponentially up to
-	// allocRetryCap. This is what lets instances launched during an
-	// allocator outage (leader crash, host failure) eventually place. 0
-	// disables retries (a request is sent exactly once).
-	AllocRetryBase sim.Duration
-
-	// AllocRetryBudget is the circuit breaker on that retry loop: after
-	// this many consecutive unanswered resends the frontend stops
-	// retrying and the instance fails fast with ErrAllocRetryExhausted
-	// (AllocError) instead of hammering a dead allocator forever. The
-	// breaker resets when an assignment finally lands or the instance
-	// re-requests. 0 means unlimited retries. The default is generous —
-	// with the backoff cap it tolerates allocator outages of ~15 s —
-	// because tripping it turns a transient outage into a hard error.
-	AllocRetryBudget int
 }
 
 // DefaultConfig returns the engine defaults.
 func DefaultConfig() Config {
 	return Config{
-		TxAreaBytes:      4 << 20,
-		RxAreaBytes:      16 << 20,
-		BufSize:          2048,
-		Chan:             msgchan.DefaultConfig(),
-		LoopCost:         60 * time.Nanosecond,
-		MsgCost:          150 * time.Nanosecond,
-		IdleBackoff:      time.Microsecond,
-		LinkCheckEvery:   time.Millisecond,
-		TelemetryEvery:   100 * time.Millisecond,
-		MigrationGrace:   5 * time.Second,
-		AllocRetryBase:   10 * time.Millisecond,
-		AllocRetryBudget: 32,
+		Chan:           msgchan.DefaultConfig(),
+		LoopCost:       60 * time.Nanosecond,
+		MsgCost:        150 * time.Nanosecond,
+		IdleBackoff:    time.Microsecond,
+		TelemetryEvery: 100 * time.Millisecond,
 	}
 }
+
+// The buffer areas. The paper's values (64 MB TX areas, 4 GB RX areas) are
+// scaled down so a simulation's free lists stay small while preserving the
+// >packets-in-flight property that matters.
+const (
+	txAreaBytes = 4 << 20  // per-instance TX buffer area (§3.3.1; paper: 64 MB)
+	rxAreaBytes = 16 << 20 // per-NIC RX buffer area (§3.3.1; paper: 4 GB)
+	bufSize     = 2048     // I/O buffer size; holds one MTU frame
+)
+
+// The backend's timers.
+const (
+	linkCheckEvery = time.Millisecond // backend link-status poll period
+	migrationGrace = 5 * time.Second  // §3.3.4: dual-NIC RX window
+)
 
 // burst is the most items a driver loop drains per queue per iteration.
 const burst = 32
 
+// allocRetryBase is the initial interval after which an unanswered
+// allocation request (RequestAllocation with no CtlAssign yet) is resent to
+// the allocator; subsequent retries back off exponentially up to
+// allocRetryCap. This is what lets instances launched during an allocator
+// outage (leader crash, host failure) eventually place.
+const allocRetryBase = 10 * time.Millisecond
+
 // allocRetryCap bounds the allocation-request retry backoff.
 const allocRetryCap = 500 * time.Millisecond
+
+// allocRetryBudget is the circuit breaker on that retry loop: after this
+// many consecutive unanswered resends the frontend stops retrying and the
+// instance fails fast with ErrAllocRetryExhausted (AllocError) instead of
+// hammering a dead allocator forever. The breaker resets when an assignment
+// finally lands or the instance re-requests. It is generous — with the
+// backoff cap it tolerates allocator outages of ~15 s — because tripping it
+// turns a transient outage into a hard error.
+const allocRetryBudget = 32
 
 // driverConfig derives the core runtime pacing from the engine config.
 func (c Config) driverConfig() core.DriverConfig {
@@ -156,7 +154,7 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
 		links: core.NewLinkSet(core.DefaultPendingLimit),
 		insts: make(map[netstack.IP]*InstancePort),
 		cmds:  sim.NewQueue[feCmd](h.Eng),
-		rx:    newRxCopy(h, cfg.BufSize),
+		rx:    newRxCopy(h, bufSize),
 	}
 	fe.queues.fe, fe.beMsg.fe = fe, fe
 	// One iteration: deferred commands and instance TX queues, backend
@@ -208,7 +206,7 @@ type InstancePort struct {
 	// Allocation-request retry state (timeout + exponential backoff): set by
 	// RequestAllocation, cleared when the allocator's CtlAssign lands.
 	// allocTries counts consecutive unanswered resends toward
-	// AllocRetryBudget; allocErr holds ErrAllocRetryExhausted once the
+	// allocRetryBudget; allocErr holds ErrAllocRetryExhausted once the
 	// circuit breaker trips.
 	allocWant  bool
 	allocNext  sim.Duration
@@ -226,11 +224,11 @@ func (fe *Frontend) AddInstance(ip netstack.IP) (*InstancePort, error) {
 	if _, dup := fe.insts[ip]; dup {
 		return nil, fmt.Errorf("netengine: instance %v already attached", ip)
 	}
-	region, err := fe.pool.Alloc(fe.cfg.TxAreaBytes)
+	region, err := fe.pool.Alloc(txAreaBytes)
 	if err != nil {
 		return nil, fmt.Errorf("netengine: TX area for %v: %w", ip, err)
 	}
-	area, err := core.NewBufferArea(region, fe.cfg.BufSize)
+	area, err := core.NewBufferArea(region, bufSize)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +303,7 @@ func (ip *InstancePort) RequestAllocation() {
 			panic("netengine: RequestAllocation without a control link")
 		}
 		ip.allocWant = true
-		ip.allocNext = p.Now() + fe.cfg.AllocRetryBase
+		ip.allocNext = p.Now() + allocRetryBase
 		ip.allocTries = 0
 		ip.allocErr = nil
 		fe.sendAllocRequest(p, ip)
@@ -335,9 +333,6 @@ func (fe *Frontend) sendRegister(p *sim.Proc, l *beLink, ip netstack.IP) {
 	l.link.Flush(p)
 }
 
-// allocRetries reports whether unanswered allocation requests are resent.
-func (fe *Frontend) allocRetries() bool { return fe.ctrl != nil && fe.cfg.AllocRetryBase > 0 }
-
 // queuesIdle reports whether the queues stage has nothing to do: no
 // control work is due (controlDue) and no ready instance has queued a packet.
 func (fe *Frontend) queuesIdle() bool {
@@ -358,7 +353,7 @@ func (fe *Frontend) controlDue() bool {
 	if fe.links.PendingCount() > 0 || fe.cmds.Len() > 0 {
 		return true
 	}
-	if fe.allocRetries() {
+	if fe.ctrl != nil {
 		now := fe.h.Eng.Now()
 		for _, ipAddr := range fe.instOrder {
 			if inst := fe.insts[ipAddr]; inst.allocWant && now >= inst.allocNext {
@@ -387,13 +382,13 @@ func (fe *Frontend) drainControl(p *sim.Proc) int {
 	}
 	// Unanswered allocation requests: resend under exponential backoff,
 	// until the per-instance retry budget trips the circuit breaker.
-	if fe.allocRetries() {
+	if fe.ctrl != nil {
 		for _, ipAddr := range fe.instOrder {
 			inst := fe.insts[ipAddr]
 			if !inst.allocWant || p.Now() < inst.allocNext {
 				continue
 			}
-			if fe.cfg.AllocRetryBudget > 0 && inst.allocTries >= fe.cfg.AllocRetryBudget {
+			if inst.allocTries >= allocRetryBudget {
 				inst.allocWant = false
 				inst.allocErr = ErrAllocRetryExhausted
 				fe.AllocRetryExhausted++
@@ -401,7 +396,7 @@ func (fe *Frontend) drainControl(p *sim.Proc) int {
 				continue
 			}
 			inst.allocTries++
-			inst.allocNext = p.Now() + core.Backoff(fe.cfg.AllocRetryBase, allocRetryCap, inst.allocTries)
+			inst.allocNext = p.Now() + core.Backoff(allocRetryBase, allocRetryCap, inst.allocTries)
 			fe.AllocRetries++
 			fe.sendAllocRequest(p, inst)
 			progress++
@@ -697,7 +692,7 @@ func (fe *Frontend) completeMigration(p *sim.Proc, inst *InstancePort, newNIC ui
 		inst.stack.GratuitousARP()
 	}
 	if old != nil && old.nicID != newNIC {
-		fe.h.Eng.After(fe.cfg.MigrationGrace, func() {
+		fe.h.Eng.After(migrationGrace, func() {
 			fe.cmds.Push(func(p *sim.Proc) {
 				var buf [15]byte
 				if old.link.Send(p, msg{op: opUnregister, ip: inst.ip}.encode(buf[:])) {

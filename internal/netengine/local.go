@@ -63,7 +63,7 @@ func NewLocalDriver(h *host.Host, dev *nic.NIC, pool *cxl.Pool, cfg Config) (*Lo
 	}
 	d.serve.q = &d.nicQueues
 	d.tx.d = d
-	d.rx = localRxJob{d: d, copy: newRxCopy(h, cfg.BufSize)}
+	d.rx = localRxJob{d: d, copy: newRxCopy(h, bufSize)}
 	// One iteration: instance TX rings, then NIC completions and RX
 	// replenishment — the single-intermediary baseline pass.
 	d.Seat = core.NewSeat(h.Name+"/iokernel", []core.Stage{
@@ -87,11 +87,11 @@ func (d *LocalDriver) AddInstance(ip netstack.IP) (*LocalPort, error) {
 	if _, dup := d.insts[ip]; dup {
 		return nil, fmt.Errorf("netengine: instance %v already attached", ip)
 	}
-	region, err := d.pool.Alloc(d.cfg.TxAreaBytes)
+	region, err := d.pool.Alloc(txAreaBytes)
 	if err != nil {
 		return nil, err
 	}
-	area, err := core.NewBufferArea(region, d.cfg.BufSize)
+	area, err := core.NewBufferArea(region, bufSize)
 	if err != nil {
 		return nil, err
 	}

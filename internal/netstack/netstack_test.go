@@ -408,6 +408,44 @@ func TestDuplicatePortRejected(t *testing.T) {
 	eng.Run()
 }
 
+func TestTCPRetransmissionBackoff(t *testing.T) {
+	// An unanswered segment is resent 20 ms after it went out, then after
+	// each doubled timeout (40, 80, 160 ms) up to the 320 ms cap, which
+	// holds from then on: the resends go out at 20, 60, 140, 300, 620 and
+	// 940 ms.
+	eng := sim.New()
+	a, b, sw := twoNodes(eng)
+	eng.Go("server", func(p *sim.Proc) {
+		l, _ := b.stack.ListenTCP(80)
+		l.Accept(p)
+	})
+	eng.Go("client", func(p *sim.Proc) {
+		defer eng.Shutdown()
+		conn, err := a.stack.DialTCP(p, b.stack.IP(), 80)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		sw.Ports()[1].SetEnabled(false)
+		sent := p.Now()
+		if err := conn.Send(p, []byte("x")); err != nil {
+			t.Errorf("send: %v", err)
+			return
+		}
+		for i, ms := range []time.Duration{20, 60, 140, 300, 620, 940} {
+			p.Sleep(sent + ms*time.Millisecond - time.Millisecond - p.Now())
+			if conn.Retransmits != int64(i) {
+				t.Errorf("%d ms: %d retransmits, want %d", ms-1, conn.Retransmits, i)
+			}
+			p.Sleep(2 * time.Millisecond)
+			if conn.Retransmits != int64(i+1) {
+				t.Errorf("%d ms: %d retransmits, want %d", ms+1, conn.Retransmits, i+1)
+			}
+		}
+	})
+	eng.Run()
+}
+
 func TestTCPStreamIntegrityUnderRandomLoss(t *testing.T) {
 	// Property: for any loss pattern up to 10%, the byte stream delivered
 	// is exactly the byte stream sent (TCP's contract, and the foundation
@@ -505,24 +543,24 @@ func TestTCPRSTTearsDownConnection(t *testing.T) {
 }
 
 func TestTCPSendWindowBlocks(t *testing.T) {
-	// With the receiver's app not consuming fast and a small window, Send
-	// must block rather than buffer unboundedly, and complete once ACKs
-	// drain.
+	// On a path slower than the sender (1 Gbit/s switch ports) the bytes in
+	// flight reach the window: Send must block there rather than buffer
+	// unboundedly, and complete once ACKs drain.
 	eng := sim.New()
-	sw := netsw.New(eng, netsw.DefaultParams())
-	mkNode := func(name string, ip IP, macLow byte, cfg Config) *node {
+	sp := netsw.DefaultParams()
+	sp.PortBandwidth = 125e6
+	sw := netsw.New(eng, sp)
+	mkNode := func(name string, ip IP, macLow byte) *node {
 		n := &node{}
 		mac := netsw.MAC{0xaa, 0, 0, 0, 0, macLow}
 		n.port = sw.AttachPort(name, n)
-		n.stack = NewStack(eng, name, ip, func() netsw.MAC { return mac }, n, cfg)
+		n.stack = NewStack(eng, name, ip, func() netsw.MAC { return mac }, n, DefaultConfig())
 		n.stack.Start()
 		return n
 	}
-	cfg := DefaultConfig()
-	cfg.TCPWindow = 4096 // tiny window
-	a := mkNode("a", IPv4(10, 0, 0, 1), 1, cfg)
-	b := mkNode("b", IPv4(10, 0, 0, 2), 2, DefaultConfig())
-	total := 64 * 1024
+	a := mkNode("a", IPv4(10, 0, 0, 1), 1)
+	b := mkNode("b", IPv4(10, 0, 0, 2), 2)
+	total := 4 * tcpWindow
 	done := false
 	eng.Go("server", func(p *sim.Proc) {
 		l, _ := b.stack.ListenTCP(80)
@@ -532,18 +570,31 @@ func TestTCPSendWindowBlocks(t *testing.T) {
 		}
 		eng.Shutdown()
 	})
+	var conn *TCPConn
 	eng.Go("client", func(p *sim.Proc) {
-		conn, err := a.stack.DialTCP(p, b.stack.IP(), 80)
-		if err != nil {
+		var err error
+		if conn, err = a.stack.DialTCP(p, b.stack.IP(), 80); err != nil {
 			eng.Shutdown()
 			return
 		}
 		conn.Send(p, make([]byte, total))
 	})
+	maxInflight := 0
+	eng.Go("monitor", func(p *sim.Proc) {
+		for {
+			if conn != nil {
+				maxInflight = max(maxInflight, conn.inflight)
+			}
+			p.Sleep(time.Microsecond)
+		}
+	})
 	eng.RunUntil(10 * time.Second)
 	eng.Shutdown()
 	if !done {
 		t.Fatal("windowed transfer never completed")
+	}
+	if maxInflight < tcpWindow || maxInflight >= tcpWindow+MSS {
+		t.Fatalf("max bytes in flight = %d, want the window: [%d, %d)", maxInflight, tcpWindow, tcpWindow+MSS)
 	}
 }
 

@@ -31,29 +31,28 @@ type SteppedEndpoint interface {
 	TransmitJob(frame []byte) sim.Job
 }
 
-// Config tunes the stack's costs and protocol timers.
+// Config tunes the stack's costs.
 type Config struct {
-	RxCost     sim.Duration // per-packet receive-side processing
-	TxCost     sim.Duration // per-packet transmit-side processing
-	ARPTimeout sim.Duration
-	ARPRetries int
-	RTOInitial sim.Duration // TCP retransmission timeout (fixed-base, doubled on loss)
-	RTOMax     sim.Duration
-	TCPWindow  int // bytes in flight per connection
+	RxCost sim.Duration // per-packet receive-side processing
+	TxCost sim.Duration // per-packet transmit-side processing
 }
 
 // DefaultConfig models a lean kernel-bypass stack (Junction-class).
 func DefaultConfig() Config {
 	return Config{
-		RxCost:     400 * time.Nanosecond,
-		TxCost:     400 * time.Nanosecond,
-		ARPTimeout: time.Millisecond,
-		ARPRetries: 5,
-		RTOInitial: 20 * time.Millisecond,
-		RTOMax:     320 * time.Millisecond,
-		TCPWindow:  256 << 10,
+		RxCost: 400 * time.Nanosecond,
+		TxCost: 400 * time.Nanosecond,
 	}
 }
+
+// The protocol timers and the TCP window.
+const (
+	arpTimeout = time.Millisecond       // wait for an ARP reply before asking again
+	arpRetries = 5                      // ARP requests sent before Resolve gives up
+	rtoInitial = 20 * time.Millisecond  // TCP retransmission timeout (fixed-base, doubled on loss)
+	rtoMax     = 320 * time.Millisecond // cap of the doubled retransmission timeout
+	tcpWindow  = 256 << 10              // bytes in flight per connection
+)
 
 type eventKind int
 
@@ -349,7 +348,7 @@ func (s *Stack) Resolve(p *sim.Proc, ip IP) (netsw.MAC, error) {
 		sig = sim.NewSignal(s.eng)
 		s.arpWaiters[ip] = sig
 	}
-	for try := 0; try < s.cfg.ARPRetries; try++ {
+	for try := 0; try < arpRetries; try++ {
 		s.transmit(&Packet{
 			SrcMAC:       s.macFn(),
 			DstMAC:       netsw.Broadcast,
@@ -359,7 +358,7 @@ func (s *Stack) Resolve(p *sim.Proc, ip IP) (netsw.MAC, error) {
 			ARPSenderIP:  s.ip,
 			ARPTargetIP:  ip,
 		})
-		sig.WaitTimeout(p, s.cfg.ARPTimeout)
+		sig.WaitTimeout(p, arpTimeout)
 		if mac, ok := s.arp[ip]; ok {
 			return mac, nil
 		}

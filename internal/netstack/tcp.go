@@ -96,7 +96,7 @@ func (s *Stack) newConn(localPort uint16, rip IP, rport uint16, mac netsw.MAC, s
 		remotePort:  rport,
 		remoteMAC:   mac,
 		state:       st,
-		rto:         s.cfg.RTOInitial,
+		rto:         rtoInitial,
 		sendWait:    sim.NewSignal(s.eng),
 		established: sim.NewSignal(s.eng),
 		reorder:     make(map[uint32][]byte),
@@ -256,7 +256,7 @@ func (c *TCPConn) handleAck(ack uint32) {
 	}
 	c.unacked = kept
 	c.sendWait.Broadcast()
-	c.rto = c.stack.cfg.RTOInitial // fresh progress resets backoff
+	c.rto = rtoInitial // fresh progress resets backoff
 	if len(c.unacked) == 0 {
 		c.timerGen++ // disarm
 	} else {
@@ -304,7 +304,7 @@ func (c *TCPConn) Send(p *sim.Proc, data []byte) error {
 		if c.state != stateEstablished {
 			return fmt.Errorf("netstack: send on closed connection")
 		}
-		for c.inflight >= c.stack.cfg.TCPWindow {
+		for c.inflight >= tcpWindow {
 			c.sendWait.Wait(p)
 			if c.state != stateEstablished {
 				return fmt.Errorf("netstack: connection closed while sending")
@@ -443,8 +443,8 @@ func (c *TCPConn) onTimer(gen int) {
 	c.sendSegmentAt(seg.seq, seg.data, FlagACK|FlagPSH)
 	c.Retransmits++
 	c.rto *= 2
-	if c.rto > c.stack.cfg.RTOMax {
-		c.rto = c.stack.cfg.RTOMax
+	if c.rto > rtoMax {
+		c.rto = rtoMax
 	}
 	c.armTimer()
 }

@@ -57,9 +57,13 @@ type Params struct {
 	// reaches pool memory, so remote frontends read stale bytes. Off by
 	// default, as §3.2.1 assumes; tests exercise the hazard.
 	DDIO bool
-	// TxRing and RxRing bound outstanding descriptors.
-	TxRing, RxRing int
 }
+
+// txRing and rxRing bound outstanding descriptors.
+const (
+	txRing = 1024
+	rxRing = 4096
+)
 
 // DefaultParams models a 100 Gbit CX5-class NIC.
 func DefaultParams() Params {
@@ -67,8 +71,6 @@ func DefaultParams() Params {
 		PacketCost:   250 * time.Nanosecond,
 		DoorbellCost: 100 * time.Nanosecond,
 		LinkDebounce: 35 * time.Millisecond,
-		TxRing:       1024,
-		RxRing:       4096,
 	}
 }
 
@@ -282,7 +284,7 @@ func (n *NIC) DoorbellCost() sim.Duration { return n.params.DoorbellCost }
 
 // PostTxNow is PostTx's effect, without its doorbell cost.
 func (n *NIC) PostTxNow(wqe WQE) bool {
-	if n.txOut >= n.params.TxRing {
+	if n.txOut >= txRing {
 		n.TxRingFull++
 		return false
 	}
@@ -300,7 +302,7 @@ func (n *NIC) PostRx(p *sim.Proc, desc RxDesc) bool {
 
 // PostRxNow is PostRx's effect, without its doorbell cost.
 func (n *NIC) PostRxNow(desc RxDesc) bool {
-	if n.RxDescCount() >= n.params.RxRing {
+	if n.RxDescCount() >= rxRing {
 		return false
 	}
 	n.rxFree = append(n.rxFree, desc)

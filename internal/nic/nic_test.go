@@ -188,16 +188,17 @@ func TestLinkFlapCancelsDebounce(t *testing.T) {
 func TestTxRingFull(t *testing.T) {
 	eng := sim.New()
 	pool := cxl.NewPool(eng, 1<<20, cxl.DefaultParams())
-	params := DefaultParams()
-	params.TxRing = 2
-	n := New(eng, "n", macA, pool.AttachPort("dma"), testFlowKey, params)
-	// No Start(): WQEs stay queued, so the ring fills.
+	n := New(eng, "n", macA, pool.AttachPort("dma"), testFlowKey, DefaultParams())
+	// No Start(): WQEs stay queued, so the 1024-entry ring fills.
 	eng.Go("driver", func(p *sim.Proc) {
-		ok1 := n.PostTx(p, WQE{Addr: 0, Len: 64})
-		ok2 := n.PostTx(p, WQE{Addr: 64, Len: 64})
-		ok3 := n.PostTx(p, WQE{Addr: 128, Len: 64})
-		if !ok1 || !ok2 || ok3 {
-			t.Errorf("PostTx results = %v %v %v, want true true false", ok1, ok2, ok3)
+		posted := 0
+		for i := 0; i < 1025; i++ {
+			if n.PostTx(p, WQE{Addr: int64(i) * 64, Len: 64}) {
+				posted++
+			}
+		}
+		if posted != 1024 {
+			t.Errorf("posted %d WQEs, want the ring's 1024", posted)
 		}
 		if n.TxRingFull != 1 {
 			t.Errorf("TxRingFull = %d", n.TxRingFull)

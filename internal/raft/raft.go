@@ -67,11 +67,15 @@ type Transport interface {
 type Config struct {
 	ElectionMin  sim.Duration
 	ElectionMax  sim.Duration
-	Heartbeat    sim.Duration
 	Seed         int64 // per-node RNG seed offset for determinism
-	MaxBatch     int   // max entries per AppendEntries
 	ProposeLimit sim.Duration
 }
+
+// The leader's replication pacing.
+const (
+	heartbeat = 5 * time.Millisecond // leader's AppendEntries period
+	maxBatch  = 1                    // max entries per AppendEntries: all encodeMessage carries
+)
 
 // DefaultConfig uses datacenter-fast timers (the channels deliver in
 // microseconds, so tens of milliseconds of election timeout is generous).
@@ -79,8 +83,6 @@ func DefaultConfig() Config {
 	return Config{
 		ElectionMin:  20 * time.Millisecond,
 		ElectionMax:  40 * time.Millisecond,
-		Heartbeat:    5 * time.Millisecond,
-		MaxBatch:     1,
 		ProposeLimit: 500 * time.Millisecond,
 	}
 }
@@ -228,7 +230,7 @@ func (n *Node) run(p *sim.Proc) {
 		m, ok := n.inbox.PopTimeout(p, wait)
 		if n.stopped {
 			// Crashed: drain and ignore until Restart.
-			p.Sleep(n.cfg.Heartbeat)
+			p.Sleep(heartbeat)
 			continue
 		}
 		if ok {
@@ -249,7 +251,7 @@ func (n *Node) resetElectionTimer() {
 func (n *Node) onTimer(p *sim.Proc) {
 	if n.role == leader {
 		n.broadcastAppends(p) // heartbeat
-		n.deadline = p.Now() + n.cfg.Heartbeat
+		n.deadline = p.Now() + heartbeat
 		return
 	}
 	n.startElection(p)
@@ -354,7 +356,7 @@ func (n *Node) maybeWinElection(p *sim.Proc) {
 	}
 	n.matchIndex[n.id] = lastIdx
 	n.broadcastAppends(p)
-	n.deadline = p.Now() + n.cfg.Heartbeat
+	n.deadline = p.Now() + heartbeat
 }
 
 func (n *Node) broadcastAppends(p *sim.Proc) {
@@ -376,7 +378,7 @@ func (n *Node) sendAppend(p *sim.Proc, peer int) {
 		prevTerm = n.log[prevIdx-1].Term
 	}
 	var entries []Entry
-	for i := next; i <= uint64(len(n.log)) && len(entries) < n.cfg.MaxBatch; i++ {
+	for i := next; i <= uint64(len(n.log)) && len(entries) < maxBatch; i++ {
 		entries = append(entries, n.log[i-1])
 	}
 	n.tr.Send(p, Message{

@@ -23,6 +23,7 @@ type LocalTransport struct {
 	down  map[[2]int]bool // directed (from,to) cut
 
 	Sent, Dropped int64
+	MaxEntries    int // the most log entries one delivered message carried
 }
 
 // NewLocalTransport creates a hub with the given one-way delivery delay.
@@ -66,6 +67,7 @@ func (t *LocalTransport) Send(p *sim.Proc, m Message) {
 		return
 	}
 	t.Sent++
+	t.MaxEntries = max(t.MaxEntries, len(m.Entries))
 	t.eng.After(t.delay, func() { dst.Deliver(m) })
 }
 
@@ -228,6 +230,11 @@ func TestRestartedNodeCatchesUp(t *testing.T) {
 		p.Sleep(300 * time.Millisecond)
 		if victim.CommitIndex() < 5 {
 			t.Errorf("restarted node commit=%d, want >=5", victim.CommitIndex())
+		}
+		// Catching up five entries behind, the follower still gets one per
+		// AppendEntries: the channel codec carries no more.
+		if c.tr.MaxEntries != 1 {
+			t.Errorf("an AppendEntries carried %d entries, want at most 1", c.tr.MaxEntries)
 		}
 	})
 	c.eng.RunUntil(time.Second)

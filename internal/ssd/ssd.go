@@ -63,9 +63,13 @@ type Params struct {
 	WriteLatency sim.Duration // program (buffered) time
 	Bandwidth    float64      // bytes/s of media throughput
 	OpCost       sim.Duration // per-command pipeline cost (bounds IOPS)
-	Workers      int          // internal parallelism (channels/dies)
-	QueueDepth   int          // max outstanding commands in the SQ
 }
+
+// The controller's shape.
+const (
+	workers    = 64   // internal parallelism (channels/dies)
+	queueDepth = 1024 // max outstanding commands in the SQ
+)
 
 // DefaultParams models the paper's Table 1 SSD: 5 GB/s, 0.5 MOp/s, 100 µs.
 func DefaultParams() Params {
@@ -74,8 +78,6 @@ func DefaultParams() Params {
 		WriteLatency: 20 * time.Microsecond,
 		Bandwidth:    5e9,
 		OpCost:       2 * time.Microsecond, // 0.5 MOp/s through the shared pipeline
-		Workers:      64,                   // internal die/channel parallelism
-		QueueDepth:   1024,
 	}
 }
 
@@ -132,7 +134,7 @@ func (d *SSD) AddNamespace(nsid uint32, blocks uint64) *Namespace {
 
 // Start launches the device's internal workers.
 func (d *SSD) Start() {
-	for i := 0; i < d.params.Workers; i++ {
+	for i := 0; i < workers; i++ {
 		d.eng.Go(fmt.Sprintf("%s/w%d", d.name, i), d.worker)
 	}
 }
@@ -185,7 +187,7 @@ func (d *SSD) mediaLat(lat sim.Duration) sim.Duration {
 // It reports false when the queue is full.
 func (d *SSD) Submit(p *sim.Proc, cmd Command) bool {
 	p.Sleep(100 * time.Nanosecond) // SQ doorbell
-	if d.outstanding >= d.params.QueueDepth {
+	if d.outstanding >= queueDepth {
 		d.QueueFullRejects++
 		return false
 	}

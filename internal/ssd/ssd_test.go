@@ -155,20 +155,18 @@ func TestParallelWorkersOverlapReads(t *testing.T) {
 func TestQueueDepthEnforced(t *testing.T) {
 	eng := sim.New()
 	pool := cxl.NewPool(eng, 1<<20, cxl.DefaultParams())
-	params := DefaultParams()
-	params.QueueDepth = 4
-	dev := New(eng, "ssd", pool.AttachPort("dma"), params)
+	dev := New(eng, "ssd", pool.AttachPort("dma"), DefaultParams())
 	dev.AddNamespace(1, 1024)
 	// No Start(): commands pile up in the SQ.
 	eng.Go("driver", func(p *sim.Proc) {
 		accepted := 0
-		for i := 0; i < 10; i++ {
+		for i := 0; i < 1030; i++ {
 			if dev.Submit(p, Command{Opcode: OpRead, CID: uint16(i), NSID: 1, LBA: 0, Blocks: 1}) {
 				accepted++
 			}
 		}
-		if accepted != 4 {
-			t.Errorf("accepted %d, want queue depth 4", accepted)
+		if accepted != 1024 {
+			t.Errorf("accepted %d, want queue depth 1024", accepted)
 		}
 		if dev.QueueFullRejects != 6 {
 			t.Errorf("rejects = %d", dev.QueueFullRejects)

@@ -18,7 +18,7 @@ import (
 // Run the stored corpus as a regression test with ordinary `go test`; run
 // `go test -fuzz=FuzzDataCodec ./internal/storengine` to explore.
 func FuzzDataCodec(f *testing.F) {
-	size := DefaultConfig().Chan.MsgSize - 1
+	size := chanConfig.MsgSize - 1
 	// Every opcode, a zero and an unused one, the first control opcode and
 	// all bits set; each with every count, status, epoch and LBA field at 0,
 	// 1 and its max, and the buffer address at -1.

@@ -51,17 +51,29 @@ var ErrVolumeLost = errors.New("storengine: volume lost")
 // after cutover.
 var ErrMigrating = errors.New("storengine: volume is migrating")
 
-// Config sizes the storage engine.
+// Config tunes the storage engine.
 type Config struct {
-	// BufAreaBytes is the per-volume I/O buffer area in shared CXL memory.
-	BufAreaBytes int64
-	// BufSize is one I/O buffer (bounds a single request's span).
-	BufSize int
-	// Chan configures the 64 B channels.
-	Chan msgchan.Config
 	// TelemetryEvery is the backend's load-report period (§3.5: 100 ms).
 	TelemetryEvery sim.Duration
 }
+
+// chanConfig configures the 64 B channels: storage messages mirror the 64 B
+// NVMe command (§3.4).
+var chanConfig = func() msgchan.Config {
+	ch := msgchan.DefaultConfig()
+	ch.MsgSize = 64
+	return ch
+}()
+
+// The buffers: a per-volume I/O buffer area in shared CXL memory, carved
+// into 64 KiB buffers, one per request.
+const (
+	bufAreaBytes = 8 << 20
+	bufSize      = 16 * ssd.BlockSize
+)
+
+// MaxBlocksPerRequest is the per-request span bound: one buffer.
+const MaxBlocksPerRequest = bufSize / ssd.BlockSize
 
 // Storage driver cores pace themselves: 60 ns per iteration, bursts of 32,
 // idle backoff capped at 1 µs — independently of the pod's network engines
@@ -83,20 +95,10 @@ const (
 	retryCap   = 100 * time.Millisecond
 )
 
-// DefaultConfig: 64 KiB buffers (16 blocks per request max).
+// DefaultConfig returns the engine defaults.
 func DefaultConfig() Config {
-	ch := msgchan.DefaultConfig()
-	ch.MsgSize = 64 // §3.4: storage messages mirror the 64 B NVMe command
-	return Config{
-		BufAreaBytes:   8 << 20,
-		BufSize:        16 * ssd.BlockSize,
-		Chan:           ch,
-		TelemetryEvery: 100 * time.Millisecond,
-	}
+	return Config{TelemetryEvery: 100 * time.Millisecond}
 }
-
-// MaxBlocksPerRequest is the per-request span bound.
-func (c Config) MaxBlocksPerRequest() int { return c.BufSize / ssd.BlockSize }
 
 // readyRecheck paces the frontend's re-examination of requests parked on a
 // volume whose (re-bound) primary has not acked registration yet.
@@ -204,7 +206,6 @@ type Frontend struct {
 	core.Seat
 	h    *host.Host
 	pool *cxl.Pool
-	cfg  Config
 
 	links     *core.LinkSet // by SSD id; Meta holds *sbeLink
 	vols      map[netstack.IP]*Volume
@@ -228,14 +229,13 @@ type Frontend struct {
 }
 
 // NewFrontend creates the storage frontend for a pod host.
-func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
+func NewFrontend(h *host.Host, pool *cxl.Pool) *Frontend {
 	if !h.InPod() {
 		panic("storengine: frontend host must be in the CXL pod")
 	}
 	fe := &Frontend{
 		h:       h,
 		pool:    pool,
-		cfg:     cfg,
 		links:   core.NewLinkSet(core.DefaultPendingLimit),
 		vols:    make(map[netstack.IP]*Volume),
 		reqQ:    sim.NewQueue[*ioReq](h.Eng),
@@ -257,10 +257,18 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
 	return fe
 }
 
-// ConnectBackend wires this frontend to a storage backend.
-func (fe *Frontend) ConnectBackend(ssdID uint16, end *core.LinkEnd) {
-	l := fe.links.Add(uint32(ssdID), end)
-	l.Meta = &sbeLink{ssdID: ssdID, link: l}
+// ConnectBackend builds a duplex link in the pool between this frontend and
+// a storage backend and wires both ends.
+func (fe *Frontend) ConnectBackend(be *Backend) error {
+	feEnd, beEnd, err := core.NewDuplexLink(fe.pool, fe.h, be.h, chanConfig)
+	if err != nil {
+		return err
+	}
+	l := fe.links.Add(uint32(be.ssdID), feEnd)
+	l.Meta = &sbeLink{ssdID: be.ssdID, link: l}
+	bl := be.links.Add(uint32(fe.h.ID), beEnd)
+	bl.Meta = &sfeLink{hostID: fe.h.ID, link: bl}
+	return nil
 }
 
 // SetControlLink attaches the frontend's channel to the pod-wide allocator,
@@ -329,11 +337,11 @@ func (fe *Frontend) AddVolume(ip netstack.IP, ssdID uint16, blocks uint64) (*Vol
 	if _, dup := fe.vols[ip]; dup {
 		return nil, fmt.Errorf("storengine: instance %v already has a volume", ip)
 	}
-	region, err := fe.pool.Alloc(fe.cfg.BufAreaBytes)
+	region, err := fe.pool.Alloc(bufAreaBytes)
 	if err != nil {
 		return nil, err
 	}
-	area, err := core.NewBufferArea(region, fe.cfg.BufSize)
+	area, err := core.NewBufferArea(region, bufSize)
 	if err != nil {
 		return nil, err
 	}
@@ -446,8 +454,8 @@ func (v *Volume) submit(p *sim.Proc, op byte, lba uint64, nblocks int, data []by
 	if !v.everReady {
 		return nil, fmt.Errorf("storengine: volume not ready")
 	}
-	if nblocks <= 0 || nblocks > v.fe.cfg.MaxBlocksPerRequest() {
-		return nil, fmt.Errorf("storengine: request of %d blocks exceeds limit %d", nblocks, v.fe.cfg.MaxBlocksPerRequest())
+	if nblocks <= 0 || nblocks > MaxBlocksPerRequest {
+		return nil, fmt.Errorf("storengine: request of %d blocks exceeds limit %d", nblocks, MaxBlocksPerRequest)
 	}
 	if lba+uint64(nblocks) > v.blocks {
 		return nil, fmt.Errorf("storengine: request [%d, %d) outside volume of %d blocks", lba, lba+uint64(nblocks), v.blocks)
@@ -999,12 +1007,6 @@ func NewBackend(h *host.Host, ssdID uint16, dev *ssd.SSD, capacityBlocks uint64,
 		core.WorkStage("completions, telemetry and flush", be.deviceIdle, be.serveDevice),
 	}, h, pacing)
 	return be
-}
-
-// ConnectFrontend wires a frontend's link end.
-func (be *Backend) ConnectFrontend(hostID int, end *core.LinkEnd) {
-	l := be.links.Add(uint32(hostID), end)
-	l.Meta = &sfeLink{hostID: hostID, link: l}
 }
 
 // SetControlLink attaches the backend's channel to the pod-wide allocator.

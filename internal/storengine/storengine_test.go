@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"oasis/internal/core"
 	"oasis/internal/cxl"
 	"oasis/internal/host"
 	"oasis/internal/netstack"
@@ -32,14 +31,11 @@ func newStorRig(t *testing.T) *storRig {
 	hB := host.New(eng, 1, "hostB", pool, host.DefaultConfig())
 	cfg := DefaultConfig()
 	dev := ssd.New(eng, "ssd0", pool.AttachPort("ssd0-dma"), ssd.DefaultParams())
-	fe := NewFrontend(hA, pool, cfg)
+	fe := NewFrontend(hA, pool)
 	be := NewBackend(hB, 1, dev, 1<<18, cfg)
-	feEnd, beEnd, err := core.NewDuplexLink(pool, hA, hB, cfg.Chan)
-	if err != nil {
+	if err := fe.ConnectBackend(be); err != nil {
 		t.Fatal(err)
 	}
-	fe.ConnectBackend(1, feEnd)
-	be.ConnectFrontend(hA.ID, beEnd)
 	dev.Start()
 	fe.Start()
 	be.Start()

@@ -28,9 +28,6 @@ type Config struct {
 	Hosts    int
 	Trials   int // random pod groupings averaged per pod size
 	PodSizes []int
-	Shape    trace.HostShape
-	Alloc    trace.AllocConfig
-	Seed     int64 // pod-grouping shuffle seed
 	// ProvisionPctl is the pod-demand percentile uniform provisioning is
 	// sized for. 100 = absolute worst pod (never migrate); operators
 	// typically provision to a high percentile and rebalance the rare
@@ -50,12 +47,12 @@ func DefaultConfig() Config {
 		Hosts:         512,
 		Trials:        8,
 		PodSizes:      []int{1, 2, 4, 8, 16},
-		Shape:         trace.DefaultHostShape(),
-		Alloc:         trace.DefaultAllocConfig(),
-		Seed:          7,
 		ProvisionPctl: 95,
 	}
 }
+
+// shuffleSeed seeds the pod-grouping shuffle.
+const shuffleSeed = 7
 
 // HostDemand is one filled host's allocated resources.
 type HostDemand struct {
@@ -79,7 +76,8 @@ type Result struct {
 // request, then move on — the paper's "host accepts new instances until it
 // fills up along one dimension".
 func FillHosts(cfg Config) []HostDemand {
-	gen := trace.NewGen(cfg.Alloc)
+	gen := trace.NewGen()
+	shape := trace.DefaultHostShape()
 	hosts := make([]HostDemand, cfg.Hosts)
 	for h := range hosts {
 		d := &hosts[h]
@@ -90,8 +88,8 @@ func FillHosts(cfg Config) []HostDemand {
 		rejects := 0
 		for rejects < 8 {
 			v := gen.Next()
-			if d.CPU+v.CPU > cfg.Shape.CPU || d.Mem+v.Mem > cfg.Shape.Mem ||
-				d.NIC+v.NIC > cfg.Shape.NIC || d.SSD+v.SSD > cfg.Shape.SSD {
+			if d.CPU+v.CPU > shape.CPU || d.Mem+v.Mem > shape.Mem ||
+				d.NIC+v.NIC > shape.NIC || d.SSD+v.SSD > shape.SSD {
 				rejects++
 				continue
 			}
@@ -108,7 +106,7 @@ func FillHosts(cfg Config) []HostDemand {
 // Run executes both phases and returns one Result per pod size.
 func Run(cfg Config) []Result {
 	hosts := FillHosts(cfg)
-	shape := cfg.Shape
+	shape := trace.DefaultHostShape()
 
 	var totCPU, totMem float64
 	for _, d := range hosts {
@@ -122,7 +120,7 @@ func Run(cfg Config) []Result {
 	// permutation is drawn up front in the serial order (pod size outer,
 	// trial inner); the trial computations themselves are pure and fan out
 	// across cfg.Workers.
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(shuffleSeed))
 	type job struct {
 		podSize int
 		perm    []int

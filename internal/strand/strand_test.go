@@ -72,8 +72,9 @@ func TestFillRespectsCapacities(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Hosts = 64
 	hosts := FillHosts(cfg)
+	shape := trace.DefaultHostShape()
 	for i, d := range hosts {
-		if d.CPU > cfg.Shape.CPU || d.Mem > cfg.Shape.Mem || d.NIC > cfg.Shape.NIC || d.SSD > cfg.Shape.SSD {
+		if d.CPU > shape.CPU || d.Mem > shape.Mem || d.NIC > shape.NIC || d.SSD > shape.SSD {
 			t.Fatalf("host %d over capacity: %+v", i, d)
 		}
 		if d.Instances == 0 {
@@ -107,7 +108,6 @@ func TestMaxProvisioningIsMoreConservative(t *testing.T) {
 func TestTinyPodSizesHandleRaggedTail(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Hosts = 50 // not divisible by 16
-	cfg.Alloc = trace.DefaultAllocConfig()
 	res := Run(cfg)
 	for _, r := range res {
 		if r.StrandedNIC < 0 || r.StrandedNIC > 1 || r.StrandedSSD < 0 || r.StrandedSSD > 1 {

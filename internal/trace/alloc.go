@@ -59,25 +59,21 @@ var defaultMix = []instanceType{
 	{0.09, InstanceVec{CPU: 8, Mem: 24, NIC: 25, SSD: 0}},
 }
 
-// AllocConfig drives the allocation-trace generator.
-type AllocConfig struct {
-	Seed int64
-	// Jitter scales each drawn vector by U[1-Jitter, 1+Jitter].
-	Jitter float64
-}
-
-// DefaultAllocConfig returns the calibrated defaults.
-func DefaultAllocConfig() AllocConfig { return AllocConfig{Seed: 1, Jitter: 0.25} }
+// The instance stream's calibration: its seed, and the jitter that scales
+// each drawn vector by U[1-genJitter, 1+genJitter].
+const (
+	genSeed   = 1
+	genJitter = 0.25
+)
 
 // Gen is a deterministic instance stream.
 type Gen struct {
 	rng *rand.Rand
-	cfg AllocConfig
 }
 
 // NewGen creates a stream.
-func NewGen(cfg AllocConfig) *Gen {
-	return &Gen{rng: rand.New(rand.NewSource(cfg.Seed)), cfg: cfg}
+func NewGen() *Gen {
+	return &Gen{rng: rand.New(rand.NewSource(genSeed))}
 }
 
 // Next draws one instance request.
@@ -96,7 +92,7 @@ func (g *Gen) Next() InstanceVec {
 		if v == 0 {
 			return 0
 		}
-		return v * (1 - g.cfg.Jitter + 2*g.cfg.Jitter*g.rng.Float64())
+		return v * (1 - genJitter + 2*genJitter*g.rng.Float64())
 	}
 	return InstanceVec{CPU: scale(vec.CPU), Mem: scale(vec.Mem), NIC: scale(vec.NIC), SSD: scale(vec.SSD)}
 }

@@ -117,8 +117,8 @@ func TestMergeOrders(t *testing.T) {
 }
 
 func TestGenDeterministicAndJittered(t *testing.T) {
-	g1 := NewGen(DefaultAllocConfig())
-	g2 := NewGen(DefaultAllocConfig())
+	g1 := NewGen()
+	g2 := NewGen()
 	sawJitter := false
 	for i := 0; i < 100; i++ {
 		a, b := g1.Next(), g2.Next()

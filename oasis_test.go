@@ -3,7 +3,6 @@ package oasis
 import (
 	"bytes"
 	"errors"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -795,15 +794,16 @@ func TestBuilderErrForms(t *testing.T) {
 	pod.Shutdown()
 }
 
-// A TX buffer area larger than any pool is a wiring mistake the Err form
-// returns, not a panic in the buffer area's constructor.
+// A TX buffer area larger than what is left of the pool is a wiring mistake
+// the Err form returns, not a panic in the buffer area's constructor. The
+// pool holds the host but not one 4 MiB TX area.
 func TestOversizedTxAreaIsAnError(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Engine.TxAreaBytes = math.MaxInt64 - 10
+	cfg.PoolBytes = 2 << 20
 	pod := NewPod(cfg)
 	h := pod.AddHost()
-	if _, err := pod.AddInstanceErr(h, IP(10, 0, 0, 1)); err == nil {
-		t.Fatal("AddInstanceErr accepted a TX area larger than the pool")
+	if _, err := pod.AddInstanceErr(h, IP(10, 0, 0, 1)); err == nil || !strings.Contains(err.Error(), "TX area") {
+		t.Fatalf("AddInstanceErr = %v, want the TX area refused", err)
 	}
 }
 

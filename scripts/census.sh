@@ -5,9 +5,13 @@
 # (~1 min), and prints each function of `oasis` and `oasis/internal/...` that
 # stayed at 0.0 % and is not named in scripts/census.allow. A listed function
 # is either dead (delete it) or kept on purpose (add it to census.allow with
-# the reason). A gate: exits 1 when a function is unexplained or an allowed
-# one is stale (covered again, or gone), so neither kind of line can pile up.
-# The last line, "census: N ...", is what scripts/verify.sh prints.
+# the reason). The same goes for every knob nothing turns: an exported leaf
+# field of a *Config or *Params struct that no non-test code outside its
+# package writes (scripts/fields.go) is listed beside the functions, and is
+# made a constant or given an allow line. A gate: exits 1 when a name is
+# unexplained or an allowed one is stale (covered or written again, or gone),
+# so neither kind of line can pile up. The last line, "census: N ...", is
+# what scripts/verify.sh prints.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -44,18 +48,21 @@ go tool covdata func -i="$tmp/cov" |
         split($1, loc, ":"); pkg = loc[1]; sub(/\/[^\/]*$/, "", pkg)
         name = $2; sub(/^\*/, "", name)
         print pkg ":" name
-    }' | sort -u > "$tmp/zero"
+    }' | sort -u > "$tmp/funcs"
+# "oasis/internal/nic:Params.DDIO": knobs with no writer outside their package.
+go run scripts/fields.go > "$tmp/fields"
+sort -u "$tmp/funcs" "$tmp/fields" > "$tmp/zero"
 grep -v '^#' scripts/census.allow | awk 'NF { print $1 }' | sort -u > "$tmp/allowed"
 comm -23 "$tmp/zero" "$tmp/allowed" > "$tmp/unexplained"
 comm -13 "$tmp/zero" "$tmp/allowed" > "$tmp/stale"
 
 if [ -s "$tmp/unexplained" ]; then
-    echo "never called from any production entry point, and not in scripts/census.allow:"
+    echo "never called from any production entry point, or never set outside its package, and not in scripts/census.allow:"
     sed 's/^/  /' "$tmp/unexplained"
 fi
 if [ -s "$tmp/stale" ]; then
-    echo "in scripts/census.allow but covered now, or gone (drop the line):"
+    echo "in scripts/census.allow but covered or set now, or gone (drop the line):"
     sed 's/^/  /' "$tmp/stale"
 fi
-echo "census: $(wc -l < "$tmp/unexplained") unexplained, $(wc -l < "$tmp/allowed") allowed, $(wc -l < "$tmp/stale") stale of $(wc -l < "$tmp/zero") functions at 0.0 %"
+echo "census: $(wc -l < "$tmp/unexplained") unexplained, $(wc -l < "$tmp/allowed") allowed, $(wc -l < "$tmp/stale") stale of $(wc -l < "$tmp/funcs") functions at 0.0 % and $(wc -l < "$tmp/fields") unset knobs"
 [ ! -s "$tmp/unexplained" ] && [ ! -s "$tmp/stale" ]

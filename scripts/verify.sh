@@ -209,8 +209,9 @@ go run ./cmd/oasis-bench -run blackout | grep -q "invariants: OK"
 echo "== fuzz seed corpora (make fuzz) =="
 make fuzz
 
-# Coverage census, a gate: every function no production entry point calls
-# is explained in scripts/census.allow, and every line there still names one
+# Coverage census, a gate: every function no production entry point calls,
+# and every Config/Params field nothing outside its package sets, is
+# explained in scripts/census.allow, and every line there still names one
 # (`make census` lists what fails). The output is captured first: in a
 # pipeline, sh would take tail's exit status instead of the census's.
 echo "== coverage census (make census) =="

@@ -535,7 +535,7 @@ func (t *Topology) addSSD(on *Host, capacityBlocks uint64, backup bool) (*SSDDev
 // wiring) it on first use.
 func (t *Topology) storageFE(on *Host) (*storengine.Frontend, error) {
 	if on.SFE == nil {
-		on.SFE = storengine.NewFrontend(on.H, t.Pool, t.cfg.Storage)
+		on.SFE = storengine.NewFrontend(on.H, t.Pool)
 		if err := t.wire(); err != nil {
 			return nil, err
 		}

@@ -103,12 +103,9 @@ func (t *Topology) wire() error {
 			if ph.sfeWired && d.wired {
 				continue
 			}
-			feEnd, beEnd, err := core.NewDuplexLink(t.Pool, ph.H, d.host.H, t.cfg.Storage.Chan)
-			if err != nil {
+			if err := ph.SFE.ConnectBackend(d.BE); err != nil {
 				return err
 			}
-			ph.SFE.ConnectBackend(d.ID, feEnd)
-			d.BE.ConnectFrontend(ph.H.ID, beEnd)
 		}
 	}
 
