@@ -12,9 +12,17 @@
 // every byte they later read. All adopted call sites immediately copy over
 // the full length, so recycled garbage is never observable and runs remain
 // byte-identical to the allocating implementation.
+//
+// Put hands a buffer back for good. Under OASIS_SIMCHECK=1 it overwrites
+// every byte it takes back with a poison pattern, so a consumer that still
+// reads a buffer after its release sees garbage — a failed parse, a wrong
+// echo, a moved digest — instead of whatever the buffer's next owner wrote.
 package bufpool
 
-import "math/bits"
+import (
+	"math/bits"
+	"os"
+)
 
 const (
 	minShift = 6  // 64 B: one CXL cache line
@@ -25,7 +33,15 @@ const (
 	// deep retransmit queue, a flood of in-flight lines) cannot pin an
 	// unbounded amount of memory for the rest of the run.
 	perClassCap = 1024
+
+	// Poison is the byte Put writes over a released buffer under
+	// OASIS_SIMCHECK=1.
+	Poison = 0xA5
 )
+
+// scribble is the use-after-release guard, on under OASIS_SIMCHECK=1 (the
+// simulator's self-check switch, see sim.Checking). Tests may toggle it.
+var scribble = os.Getenv("OASIS_SIMCHECK") == "1"
 
 // Pool is a size-classed buffer free list. The zero value is unusable; call
 // New.
@@ -73,14 +89,21 @@ func (p *Pool) Get(n int) []byte {
 	return make([]byte, n, 1<<(c+minShift))
 }
 
-// Put returns a buffer to the pool. Only buffers whose capacity is an exact
-// class size are kept (i.e. buffers that came from Get); anything else —
-// including nil and foreign slices — is dropped, so Put is always safe to
-// call on a buffer whose provenance is unknown. The caller must not touch
-// the buffer afterwards.
+// Put returns a buffer to the pool. The caller must own buf — no one else
+// may hold it or a slice of it — and must not touch it afterwards: any
+// slice whose capacity is a class size is kept and handed out by a later
+// Get, whether it came from Get or from make (make([]byte, 128) is kept).
+// Only nil, capacities that are not a power of two and capacities outside
+// the pooled range are dropped.
 func (p *Pool) Put(buf []byte) {
 	p.Puts++
 	c := cap(buf)
+	if scribble && c > 0 {
+		full := buf[:c]
+		for i := range full {
+			full[i] = Poison
+		}
+	}
 	if c == 0 || c&(c-1) != 0 || c < 1<<minShift || c > 1<<maxShift {
 		return
 	}

@@ -60,6 +60,44 @@ func TestPutForeignSliceDropped(t *testing.T) {
 	p.Put(nil) // must not panic
 }
 
+// TestPutKeepsAnyClassSizedSlice pins what Put really checks: the capacity,
+// not the provenance. A slice from make whose capacity is a class size is
+// kept and comes back from Get — which is why a caller may only Put what it
+// owns.
+func TestPutKeepsAnyClassSizedSlice(t *testing.T) {
+	p := New()
+	foreign := make([]byte, 128)
+	p.Put(foreign)
+	got := p.Get(100)
+	if p.Hits != 1 || &got[0] != &foreign[0] {
+		t.Fatalf("make([]byte, 128) was not pooled (hits %d)", p.Hits)
+	}
+}
+
+// TestPutScribbles: with the use-after-release guard on (OASIS_SIMCHECK=1),
+// every byte Put takes back reads Poison, past len up to cap too; a dropped
+// foreign slice is scribbled as well.
+func TestPutScribbles(t *testing.T) {
+	defer func(on bool) { scribble = on }(scribble)
+	scribble = true
+	p := New()
+	a := p.Get(100)
+	for i := range a {
+		a[i] = byte(i)
+	}
+	p.Put(a[:10])
+	for i, b := range a[:cap(a)] {
+		if b != Poison {
+			t.Fatalf("byte %d of a released buffer reads %#x, want %#x", i, b, Poison)
+		}
+	}
+	odd := []byte{1, 2, 3}
+	p.Put(odd)
+	if odd[0] != Poison || odd[2] != Poison {
+		t.Fatalf("dropped slice not scribbled: %v", odd)
+	}
+}
+
 func TestPerClassCapBounded(t *testing.T) {
 	p := New()
 	bufs := make([][]byte, 0, perClassCap+10)

@@ -88,6 +88,7 @@ type line struct {
 	data    [cxl.LineSize]byte
 	dirty   bool
 	pending bool         // fill in flight
+	held    uint16       // processes asleep on the fill, holding the line
 	gen     uint32       // invalidation cancels stale fill completions
 	readyAt sim.Duration // when the in-flight fill lands
 	// Intrusive LRU links (head = most recently used). Embedding the links
@@ -155,7 +156,7 @@ func (c *Cache) BackInvalidate(lineAddr int64) {
 		ln.gen++ // cancel in-flight fills
 		c.lruUnlink(ln)
 		c.lines.del(ln)
-		if !ln.pending {
+		if !ln.pending || ln.held == 0 {
 			c.recycleLine(ln)
 		}
 		c.stats.BackInvalidations++
@@ -222,7 +223,7 @@ func (c *Cache) newLine(addr int64) *line {
 		c.freeLines[n-1] = nil
 		c.freeLines = c.freeLines[:n-1]
 		ln.addr = addr
-		ln.dirty, ln.pending = false, false
+		ln.dirty, ln.pending, ln.held = false, false, 0
 		ln.readyAt = 0
 		return ln
 	}
@@ -263,7 +264,9 @@ func (c *Cache) dropLine(ln *line, category string) {
 	c.lines.del(ln)
 	// A pending line may still be referenced by a waiter parked on its fill;
 	// leave it orphaned rather than letting a reuse corrupt the waiter's view.
-	if !ln.pending {
+	// With no waiter it is reused at once: a fill completion event checks
+	// gen, which reuse keeps, and everything else finds lines by address.
+	if !ln.pending || ln.held == 0 {
 		c.recycleLine(ln)
 	}
 }
@@ -338,7 +341,9 @@ func (c *Cache) ensureReady(p *sim.Proc, addr int64, category string) *line {
 		return ln
 	}
 	if wait := ln.readyAt - p.Now(); wait > 0 {
+		ln.held++
 		p.Sleep(wait)
+		ln.held--
 	}
 	// The fill-completion event and this wakeup share a timestamp; the fill
 	// event was scheduled first, so the data has landed. Guard regardless.
@@ -520,7 +525,9 @@ func (c *Cache) Write(p *sim.Proc, addr int64, data []byte, category string) {
 			// line is resident once the wait is over.
 			c.stats.FillWaits++
 			if wait := ln.readyAt - p.Now(); wait > 0 {
+				ln.held++
 				p.Sleep(wait)
+				ln.held--
 			}
 			if now := c.lines.get(a); now != ln {
 				ln = now

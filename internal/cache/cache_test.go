@@ -207,6 +207,84 @@ func TestInvalidateCancelsInflightFill(t *testing.T) {
 	})
 }
 
+// TestDroppedInflightLineIsReused: a line dropped with its fill in flight
+// and no process asleep on that fill goes back on the free list at once —
+// the message channel's receiver prefetches a slot and then invalidates it
+// on every poll — so prefetch-and-drop allocates nothing once warm, and the
+// cancelled fill's completion lands nothing in the line's next use.
+func TestDroppedInflightLineIsReused(t *testing.T) {
+	r := newRig()
+	r.pool.Poke(0, []byte{5})
+	r.pool.Poke(64, []byte{9})
+	var allocs float64
+	buf := []byte{0}
+	r.run(t, func(p *sim.Proc) {
+		cycle := func() {
+			r.a.PrefetchNow(0, "m")
+			r.a.FlushLineNow(0, "m") // dropped in flight, nobody waiting
+			r.a.PrefetchNow(64, "m") // the same line object, for line 64
+			p.Sleep(time.Microsecond)
+			r.a.Read(p, 64, buf, "m")
+			if buf[0] != 9 || r.a.Contains(0) {
+				t.Fatalf("line 64 reads %d, line 0 resident %v: want 9, and the cancelled fill gone", buf[0], r.a.Contains(0))
+			}
+			r.a.FlushLineNow(64, "m")
+		}
+		cycle()
+		allocs = testing.AllocsPerRun(10, cycle)
+	})
+	if allocs != 0 {
+		t.Errorf("prefetch-and-drop allocated %.2f objects per cycle, want 0", allocs)
+	}
+}
+
+// TestFillWaiterHoldsDroppedLine: a process asleep on a fill holds its
+// line, so a drop meanwhile leaves that line orphaned instead of reusing it
+// — for another address, where the waiter would land the wrong bytes in
+// it, or for the same address, where the store would not wait for the new
+// fill.
+func TestFillWaiterHoldsDroppedLine(t *testing.T) {
+	const a, b = 0, 64
+	t.Run("refill", func(t *testing.T) {
+		r := newRig()
+		r.pool.Poke(a, []byte{5})
+		r.pool.Poke(b, []byte{9})
+		r.eng.Go("dropper", func(p *sim.Proc) {
+			p.Sleep(50 * time.Nanosecond) // while the refill waits on its fill
+			r.a.FlushLineNow(a, "m")
+			r.a.PrefetchNow(b, "m")
+			p.Sleep(time.Microsecond)
+			got := []byte{0}
+			r.a.Read(p, b, got, "m")
+			if got[0] != 9 {
+				t.Errorf("line %d reads %d, want 9", b, got[0])
+			}
+		})
+		r.run(t, func(p *sim.Proc) {
+			got := []byte{0}
+			r.a.ReadRefill(p, a, got, "m")
+			if got[0] != 5 {
+				t.Errorf("line %d reads %d, want 5", a, got[0])
+			}
+		})
+	})
+	t.Run("write", func(t *testing.T) {
+		r := newRig()
+		r.eng.Go("dropper", func(p *sim.Proc) {
+			p.Sleep(50 * time.Nanosecond) // while the store waits on the fill
+			r.a.FlushLineNow(a, "m")
+			r.a.PrefetchNow(a, "m")
+		})
+		r.run(t, func(p *sim.Proc) {
+			r.a.Prefetch(p, a, "m")
+			r.a.Write(p, a, []byte{7}, "m")
+		})
+		if w := r.a.Stats().FillWaits; w != 2 {
+			t.Errorf("the store waited on %d fills, want 2: the dropped one and its replacement", w)
+		}
+	})
+}
+
 func TestBulkReadOverlapsFills(t *testing.T) {
 	// A 1500 B read spanning 24 lines must take ~latency + serialization,
 	// not 24 × latency.

@@ -21,13 +21,7 @@ type node struct {
 	port  *netsw.Port
 }
 
-func (n *node) Transmit(p *sim.Proc, frame []byte) {
-	var f netsw.Frame
-	copy(f.Dst[:], frame[0:6])
-	copy(f.Src[:], frame[6:12])
-	f.Bytes = frame
-	n.port.Send(&f)
-}
+func (n *node) Transmit(p *sim.Proc, frame []byte) { n.port.SendOwned(frame) }
 
 func (n *node) DeliverFrame(f *netsw.Frame) { n.stack.DeliverFrame(f.Bytes) }
 

@@ -445,14 +445,16 @@ func (be *Backend) inspectAndRoute(p *sim.Proc, rc nic.RxCompletion) *registrati
 	if n > bufSize {
 		n = bufSize
 	}
-	buf := make([]byte, n)
+	buf := be.h.Eng.Bufs().Get(n)
 	be.h.Cache.Read(p, rc.Addr, buf, "payload")
 	core.InvalidateRange(p, be.h.Cache, rc.Addr, n, "payload")
-	pk, err := netstack.Unmarshal(buf)
+	var pk netstack.Packet
+	err := pk.Unmarshal(buf)
+	be.h.Eng.Bufs().Put(buf)
 	if err != nil {
 		return nil
 	}
-	dst, ok := netstack.DstIPOf(pk)
+	dst, ok := netstack.DstIPOf(&pk)
 	if !ok {
 		return nil
 	}
@@ -488,8 +490,7 @@ func (be *Backend) borrowMAC(mac netsw.MAC) {
 		ARPOp:        netstack.ARPReply,
 		ARPSenderMAC: mac,
 	}
-	frame := pk.Marshal()
-	be.dev.SendRaw(&netsw.Frame{Src: mac, Dst: netsw.Broadcast, Bytes: frame})
+	be.dev.SendRaw(pk.Marshal())
 	be.MACBorrows++
 }
 

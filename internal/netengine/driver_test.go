@@ -39,13 +39,7 @@ type rawClient struct {
 	port  *netsw.Port
 }
 
-func (c *rawClient) Transmit(p *sim.Proc, frame []byte) {
-	var f netsw.Frame
-	copy(f.Dst[:], frame[0:6])
-	copy(f.Src[:], frame[6:12])
-	f.Bytes = frame
-	c.port.Send(&f)
-}
+func (c *rawClient) Transmit(p *sim.Proc, frame []byte) { c.port.SendOwned(frame) }
 
 func (c *rawClient) DeliverFrame(f *netsw.Frame) { c.stack.DeliverFrame(f.Bytes) }
 

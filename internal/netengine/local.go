@@ -276,8 +276,9 @@ func (j *localRxJob) Finish(p *sim.Proc) {
 	// Inspect (broadcasts/ARP) to find the destination instance.
 	var inst *LocalPort
 	d.h.Cache.Read(p, rc.Addr, scratch, "payload")
-	if pk, err := netstack.Unmarshal(scratch); err == nil {
-		if dst, ok := netstack.DstIPOf(pk); ok {
+	var pk netstack.Packet
+	if pk.Unmarshal(scratch) == nil {
+		if dst, ok := netstack.DstIPOf(&pk); ok {
 			inst = d.insts[dst]
 		}
 	}

@@ -34,6 +34,12 @@ var fuzzFrames = []struct {
 // ipTotalLen is where an IPv4 frame carries its total length.
 const ipTotalLen = EthHeaderLen + 2
 
+// decode is Unmarshal into a fresh packet.
+func decode(b []byte) (*Packet, error) {
+	pk := new(Packet)
+	return pk, pk.Unmarshal(b)
+}
+
 // withTotalLen returns frame with its IPv4 total-length field set to n.
 func withTotalLen(frame []byte, n int) []byte {
 	b := bytes.Clone(frame)
@@ -52,7 +58,7 @@ func TestUnmarshalShortTotalLength(t *testing.T) {
 			total int
 			ok    bool
 		}{{0, false}, {5, false}, {IPv4HeaderLen - 1, false}, {IPv4HeaderLen, false}, {ipLen, true}, {ipLen + 1, false}} {
-			pk, err := Unmarshal(withTotalLen(frame, tc.total))
+			pk, err := decode(withTotalLen(frame, tc.total))
 			if (err == nil) != tc.ok {
 				t.Errorf("%s frame, total length %d of %d: packet %v, err %v; want accepted = %v", f.name, tc.total, ipLen, pk, err, tc.ok)
 			}
@@ -63,6 +69,9 @@ func TestUnmarshalShortTotalLength(t *testing.T) {
 // FuzzUnmarshal: whatever bytes arrive on the wire — a raw Client.Transmit
 // can put anything there — Unmarshal returns a packet or an error, never
 // panics, and a packet it returns survives Marshal → Unmarshal unchanged.
+// Decoding is in place, so it must also read the same into a Packet left
+// over from a TCP, then a UDP, then an ARP frame as into a zero Packet —
+// error or not: no field of the previous frame survives.
 // Seeds: each frame whole, cut at every field boundary, and (IPv4) with a
 // total length of 0, 19, 20, the true one and one more.
 func FuzzUnmarshal(f *testing.F) {
@@ -82,12 +91,26 @@ func FuzzUnmarshal(f *testing.F) {
 			}
 		}
 	}
+	var leftovers [][]byte
+	for i := len(fuzzFrames) - 1; i >= 0; i-- { // tcp, udp, arp
+		leftovers = append(leftovers, fuzzFrames[i].pk.Marshal())
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		pk, err := Unmarshal(b)
+		pk, err := decode(b)
+		var used Packet
+		for _, prev := range leftovers {
+			if used.Unmarshal(prev) != nil {
+				t.Fatal("a seed frame does not decode")
+			}
+			usedErr := used.Unmarshal(b)
+			if (usedErr == nil) != (err == nil) || !reflect.DeepEqual(&used, pk) {
+				t.Fatalf("decoding %x over a previous frame read\n %+v (err %v), into a zero Packet\n %+v (err %v)", b, used, usedErr, *pk, err)
+			}
+		}
 		if err != nil {
 			return
 		}
-		again, err := Unmarshal(pk.Marshal())
+		again, err := decode(pk.Marshal())
 		if err != nil {
 			t.Fatalf("Unmarshal accepted %x as %+v but rejects its Marshal: %v", b, pk, err)
 		}

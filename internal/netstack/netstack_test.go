@@ -32,7 +32,7 @@ func TestMarshalUnmarshalUDP(t *testing.T) {
 	if len(b) != EthHeaderLen+IPv4HeaderLen+UDPHeaderLen+9 {
 		t.Fatalf("frame length = %d", len(b))
 	}
-	got, err := Unmarshal(b)
+	got, err := decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestMarshalUnmarshalTCP(t *testing.T) {
 		Seq: 0xDEADBEEF, Ack: 0xCAFEBABE, Flags: FlagACK | FlagPSH,
 		Window: 4096, Payload: []byte("tcp data"),
 	}
-	got, err := Unmarshal(pk.Marshal())
+	got, err := decode(pk.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMarshalUnmarshalARP(t *testing.T) {
 		ARPSenderIP:  IPv4(10, 0, 0, 1),
 		ARPTargetIP:  IPv4(10, 0, 0, 2),
 	}
-	got, err := Unmarshal(pk.Marshal())
+	got, err := decode(pk.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		make([]byte, 20), // zero ethertype
 	}
 	for i, b := range cases {
-		if _, err := Unmarshal(b); err == nil {
+		if _, err := decode(b); err == nil {
 			t.Errorf("case %d: garbage accepted", i)
 		}
 	}
@@ -102,7 +102,7 @@ func TestUDPRoundTripProperty(t *testing.T) {
 			SrcIP: IPv4(1, 2, 3, 4), DstIP: IPv4(5, 6, 7, 8),
 			SrcPort: sport, DstPort: dport, Payload: payload,
 		}
-		got, err := Unmarshal(pk.Marshal())
+		got, err := decode(pk.Marshal())
 		if err != nil {
 			return false
 		}
@@ -137,12 +137,7 @@ type node struct {
 	port  *netsw.Port
 }
 
-func (n *node) Transmit(p *sim.Proc, frame []byte) {
-	f := &netsw.Frame{Bytes: frame}
-	copy(f.Dst[:], frame[0:6])
-	copy(f.Src[:], frame[6:12])
-	n.port.Send(f)
-}
+func (n *node) Transmit(p *sim.Proc, frame []byte) { n.port.SendOwned(frame) }
 
 func (n *node) DeliverFrame(f *netsw.Frame) { n.stack.DeliverFrame(f.Bytes) }
 
@@ -704,7 +699,7 @@ func TestUnmarshalNeverPanicsOnRandomBytes(t *testing.T) {
 				t.Errorf("Unmarshal panicked on %d bytes", len(b))
 			}
 		}()
-		_, _ = Unmarshal(b)
+		_, _ = decode(b)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -713,7 +708,7 @@ func TestUnmarshalNeverPanicsOnRandomBytes(t *testing.T) {
 	// Adversarial shapes: valid Ethernet+IPv4 prefix with lying lengths.
 	hdr := (&Packet{EtherType: EtherTypeIPv4, Proto: ProtoUDP, SrcIP: 1, DstIP: 2, Payload: []byte("x")}).Marshal()
 	for cut := 0; cut < len(hdr); cut++ {
-		if _, err := Unmarshal(hdr[:cut]); err == nil && cut < EthHeaderLen+IPv4HeaderLen+UDPHeaderLen {
+		if _, err := decode(hdr[:cut]); err == nil && cut < EthHeaderLen+IPv4HeaderLen+UDPHeaderLen {
 			t.Fatalf("truncated frame of %d bytes accepted", cut)
 		}
 	}
@@ -721,7 +716,7 @@ func TestUnmarshalNeverPanicsOnRandomBytes(t *testing.T) {
 	bad := make([]byte, len(hdr))
 	copy(bad, hdr)
 	bad[16], bad[17] = 0xFF, 0xFF // IPv4 total length
-	if _, err := Unmarshal(bad); err == nil {
+	if _, err := decode(bad); err == nil {
 		t.Fatal("oversized total-length accepted")
 	}
 }

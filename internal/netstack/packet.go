@@ -192,12 +192,14 @@ func (pk *Packet) marshalEth(b []byte) {
 	binary.BigEndian.PutUint16(b[12:14], pk.EtherType)
 }
 
-// Unmarshal parses wire bytes. The returned packet's Payload aliases b.
-func Unmarshal(b []byte) (*Packet, error) {
+// Unmarshal parses wire bytes into pk, in place: every field is reset
+// first, so a Packet reused across frames reads exactly as a fresh one.
+// Payload aliases b.
+func (pk *Packet) Unmarshal(b []byte) error {
+	*pk = Packet{}
 	if len(b) < EthHeaderLen {
-		return nil, fmt.Errorf("netstack: frame too short (%d bytes)", len(b))
+		return fmt.Errorf("netstack: frame too short (%d bytes)", len(b))
 	}
-	var pk Packet
 	copy(pk.DstMAC[:], b[0:6])
 	copy(pk.SrcMAC[:], b[6:12])
 	pk.EtherType = binary.BigEndian.Uint16(b[12:14])
@@ -205,37 +207,37 @@ func Unmarshal(b []byte) (*Packet, error) {
 	switch pk.EtherType {
 	case EtherTypeARP:
 		if len(rest) < ARPBodyLen {
-			return nil, fmt.Errorf("netstack: truncated ARP")
+			return fmt.Errorf("netstack: truncated ARP")
 		}
 		pk.ARPOp = binary.BigEndian.Uint16(rest[6:8])
 		copy(pk.ARPSenderMAC[:], rest[8:14])
 		pk.ARPSenderIP = IP(binary.BigEndian.Uint32(rest[14:18]))
 		copy(pk.ARPTargetMAC[:], rest[18:24])
 		pk.ARPTargetIP = IP(binary.BigEndian.Uint32(rest[24:28]))
-		return &pk, nil
+		return nil
 	case EtherTypeIPv4:
 		if len(rest) < IPv4HeaderLen {
-			return nil, fmt.Errorf("netstack: truncated IPv4 header")
+			return fmt.Errorf("netstack: truncated IPv4 header")
 		}
 		pk.Proto = rest[9]
 		pk.SrcIP = IP(binary.BigEndian.Uint32(rest[12:16]))
 		pk.DstIP = IP(binary.BigEndian.Uint32(rest[16:20]))
 		totalLen := int(binary.BigEndian.Uint16(rest[2:4]))
 		if totalLen < IPv4HeaderLen || totalLen > len(rest) {
-			return nil, fmt.Errorf("netstack: IPv4 total length %d outside [%d, %d], the header and the frame", totalLen, IPv4HeaderLen, len(rest))
+			return fmt.Errorf("netstack: IPv4 total length %d outside [%d, %d], the header and the frame", totalLen, IPv4HeaderLen, len(rest))
 		}
 		tp := rest[IPv4HeaderLen:totalLen]
 		switch pk.Proto {
 		case ProtoUDP:
 			if len(tp) < UDPHeaderLen {
-				return nil, fmt.Errorf("netstack: truncated UDP header")
+				return fmt.Errorf("netstack: truncated UDP header")
 			}
 			pk.SrcPort = binary.BigEndian.Uint16(tp[0:2])
 			pk.DstPort = binary.BigEndian.Uint16(tp[2:4])
 			pk.Payload = tp[UDPHeaderLen:]
 		case ProtoTCP:
 			if len(tp) < TCPHeaderLen {
-				return nil, fmt.Errorf("netstack: truncated TCP header")
+				return fmt.Errorf("netstack: truncated TCP header")
 			}
 			pk.SrcPort = binary.BigEndian.Uint16(tp[0:2])
 			pk.DstPort = binary.BigEndian.Uint16(tp[2:4])
@@ -245,11 +247,11 @@ func Unmarshal(b []byte) (*Packet, error) {
 			pk.Window = binary.BigEndian.Uint16(tp[14:16])
 			pk.Payload = tp[TCPHeaderLen:]
 		default:
-			return nil, fmt.Errorf("netstack: unsupported IPv4 proto %d", pk.Proto)
+			return fmt.Errorf("netstack: unsupported IPv4 proto %d", pk.Proto)
 		}
-		return &pk, nil
+		return nil
 	default:
-		return nil, fmt.Errorf("netstack: unsupported ethertype %#x", pk.EtherType)
+		return fmt.Errorf("netstack: unsupported ethertype %#x", pk.EtherType)
 	}
 }
 

@@ -64,8 +64,7 @@ const (
 
 type event struct {
 	kind  eventKind
-	frame []byte
-	owned bool // frame came from the engine's buffer pool and is ours to recycle
+	frame []byte // evFrameIn: the stack's own, recycled after handling
 	conn  *TCPConn
 	gen   int
 }
@@ -89,6 +88,7 @@ type Stack struct {
 	pc     stackPC // where the stack's chain is (see Step)
 	ev     event   // the event it is handling
 	tx     sim.Job // sep's transmit in progress
+	rx     Packet  // the frame in, decoded in place (see handleFrame)
 
 	arp        map[IP]netsw.MAC
 	arpWaiters map[IP]*sim.Signal
@@ -144,10 +144,13 @@ func (s *Stack) Start() {
 
 // DeliverFrame hands an arrived frame to the stack. Callable from event
 // callbacks and other processes; processing happens on the stack process.
-// The frame may be shared with other sinks (switch floods); the stack only
-// reads it.
+// The stack borrows frame for the call only — a switch sink's frame goes
+// back to the pool when DeliverFrame returns — so it queues a pooled copy,
+// as DeliverOwnedFrame would.
 func (s *Stack) DeliverFrame(frame []byte) {
-	s.events.Push(event{kind: evFrameIn, frame: frame})
+	own := s.eng.Bufs().Get(len(frame))
+	copy(own, frame)
+	s.DeliverOwnedFrame(own)
 }
 
 // DeliverOwnedFrame is DeliverFrame for a frame the caller exclusively owns
@@ -155,7 +158,7 @@ func (s *Stack) DeliverFrame(frame []byte) {
 // engine's buffer pool once protocol processing has copied out what it
 // needs.
 func (s *Stack) DeliverOwnedFrame(frame []byte) {
-	s.events.Push(event{kind: evFrameIn, frame: frame, owned: true})
+	s.events.Push(event{kind: evFrameIn, frame: frame})
 }
 
 // loop is the stack process: its chain of steps, and what the chain stops
@@ -218,11 +221,9 @@ func (s *Stack) Step() (sim.Duration, bool) {
 			}
 		case stackRx:
 			s.handleFrame(s.ev.frame)
-			if s.ev.owned {
-				// handleFrame copies every byte it keeps (UDP payloads, TCP
-				// segment data), so the frame is dead here.
-				s.eng.Bufs().Put(s.ev.frame)
-			}
+			// handleFrame copies every byte it keeps (UDP payloads, TCP
+			// segment data), so the frame is dead here.
+			s.eng.Bufs().Put(s.ev.frame)
 			s.pc, s.ev = stackIdle, event{}
 		case stackTx:
 			s.TxPackets++
@@ -255,8 +256,8 @@ func (s *Stack) transmit(pk *Packet) {
 }
 
 func (s *Stack) handleFrame(frame []byte) {
-	pk, err := Unmarshal(frame)
-	if err != nil {
+	pk := &s.rx
+	if err := pk.Unmarshal(frame); err != nil {
 		s.RxParseErrors++
 		return
 	}

@@ -37,9 +37,15 @@ func (m MAC) IsBroadcast() bool { return m == Broadcast }
 // Frame is an Ethernet frame in flight. Bytes is the full wire image
 // (header + payload) used for sizing and DMA; Src/Dst are parsed out for the
 // switch's forwarding decision.
+//
+// The switch owns every Frame it carries: Send and SendOwned take one from
+// its free list, and the frame's last delivery (or its drop) returns Bytes
+// to the engine's buffer pool and the Frame to the free list.
 type Frame struct {
 	Src, Dst MAC
 	Bytes    []byte
+
+	pending int // deliveries not yet made or dropped: 1 in flight, N flooded
 }
 
 // WireLen returns the frame's length on the wire, clamped to the Ethernet
@@ -52,7 +58,9 @@ func (f *Frame) WireLen() int {
 }
 
 // Sink receives frames delivered by the fabric (a NIC ingress or a raw
-// client node).
+// client node). DeliverFrame borrows f for the call only: once it returns,
+// the switch may recycle f and return f.Bytes to the engine's buffer pool,
+// so a sink copies whatever it keeps.
 type Sink interface {
 	DeliverFrame(f *Frame)
 }
@@ -86,7 +94,8 @@ type Switch struct {
 	lossRate float64 // failure injection: fraction of frames dropped
 	lossRNG  *rand.Rand
 
-	freeOps []*frameOp // recycled frame-hop ops (engine-local, no lock)
+	freeOps    []*frameOp // recycled frame-hop ops (engine-local, no lock)
+	freeFrames []*Frame   // recycled frame headers (see Frame)
 
 	// Stats.
 	Forwarded   int64
@@ -129,10 +138,36 @@ func (s *Switch) Ports() []*Port { return s.ports }
 // tests and diagnostics.
 func (s *Switch) LookupMAC(m MAC) *Port { return s.table[m] }
 
+// newFrame takes a frame header from the free list for one frame in flight.
+func (s *Switch) newFrame(src, dst MAC, b []byte) *Frame {
+	var f *Frame
+	if n := len(s.freeFrames); n > 0 {
+		f = s.freeFrames[n-1]
+		s.freeFrames[n-1] = nil
+		s.freeFrames = s.freeFrames[:n-1]
+	} else {
+		f = &Frame{}
+	}
+	f.Src, f.Dst, f.Bytes, f.pending = src, dst, b, 1
+	return f
+}
+
+// release ends one of f's pending deliveries, made or dropped. The last
+// returns f's bytes to the engine's buffer pool and f to the free list.
+func (s *Switch) release(f *Frame) {
+	if f.pending--; f.pending > 0 {
+		return
+	}
+	s.eng.Bufs().Put(f.Bytes)
+	*f = Frame{}
+	s.freeFrames = append(s.freeFrames, f)
+}
+
 // inject is called by a port when a frame finishes arriving from its device.
 func (s *Switch) inject(from *Port, f *Frame) {
 	if !from.enabled {
 		s.Dropped++
+		s.release(f)
 		return
 	}
 	// Learn the source MAC. This is the hook Oasis failover relies on: a
@@ -141,6 +176,7 @@ func (s *Switch) inject(from *Port, f *Frame) {
 	s.table[f.Src] = from
 	if s.lossRate > 0 && s.lossRNG.Float64() < s.lossRate {
 		s.LossDropped++
+		s.release(f)
 		return
 	}
 
@@ -160,6 +196,7 @@ func (s *Switch) forward(from *Port, f *Frame) {
 	}
 	if !out.enabled {
 		s.Dropped++
+		s.release(f)
 		return
 	}
 	s.Forwarded++
@@ -196,11 +233,10 @@ func (op *frameOp) Fire() {
 	case opDeliver:
 		if !port.enabled {
 			s.Dropped++
-			return
-		}
-		if port.sink != nil {
+		} else if port.sink != nil {
 			port.sink.DeliverFrame(f)
 		}
+		s.release(f)
 	}
 }
 
@@ -217,14 +253,23 @@ func (s *Switch) newFrameOp(kind uint8, port *Port, f *Frame) *frameOp {
 	return op
 }
 
-// flood sends the frame out of every enabled port except the ingress.
+// flood sends the frame out of every enabled port except the ingress, one
+// pending delivery each (deliveries are later events, so none releases it
+// meanwhile); with no such port the frame ends here.
 func (s *Switch) flood(from *Port, f *Frame) {
 	s.Flooded++
+	n := 0
 	for _, p := range s.ports {
 		if p != from && p.enabled {
+			n++
 			p.transmit(f)
 		}
 	}
+	if n == 0 {
+		s.release(f)
+		return
+	}
+	f.pending = n
 }
 
 // Port is one switch port and the cable to its device.
@@ -260,12 +305,32 @@ func (p *Port) SetEnabled(up bool) {
 // OnLinkChange registers the device-side link state callback.
 func (p *Port) OnLinkChange(fn func(up bool)) { p.onLinkChange = fn }
 
-// Send carries a frame from the attached device into the switch,
-// serializing it on the device→switch direction of the cable. Safe to call
-// from procs or event callbacks.
+// SendOwned carries a frame from the attached device into the switch,
+// serializing it on the device→switch direction of the cable. The switch
+// takes ownership of b, the frame's wire image (at least the 12 bytes of its
+// two MAC addresses, read here once): it returns b to the engine's buffer
+// pool when the frame's last delivery or drop is done, so the caller never
+// touches b again. Safe to call from procs or event callbacks.
+func (p *Port) SendOwned(b []byte) {
+	var src, dst MAC
+	copy(dst[:], b[0:6])
+	copy(src[:], b[6:12])
+	p.send(p.sw.newFrame(src, dst, b))
+}
+
+// Send is SendOwned for a frame the caller keeps: the switch carries a
+// pooled copy of f.Bytes, addressed by f.Src and f.Dst, and f stays the
+// caller's.
 func (p *Port) Send(f *Frame) {
+	b := p.sw.eng.Bufs().Get(len(f.Bytes))
+	copy(b, f.Bytes)
+	p.send(p.sw.newFrame(f.Src, f.Dst, b))
+}
+
+func (p *Port) send(f *Frame) {
 	if !p.enabled {
 		p.sw.Dropped++
+		p.sw.release(f)
 		return
 	}
 	ser := p.serialization(f.WireLen())

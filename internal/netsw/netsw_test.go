@@ -1,21 +1,23 @@
 package netsw
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"oasis/internal/sim"
 )
 
-// collector records delivered frames with timestamps.
+// collector records a copy of each delivered frame, with its timestamp: a
+// sink borrows the frame for the call only.
 type collector struct {
 	eng    *sim.Engine
-	frames []*Frame
+	frames []Frame
 	times  []sim.Duration
 }
 
 func (c *collector) DeliverFrame(f *Frame) {
-	c.frames = append(c.frames, f)
+	c.frames = append(c.frames, Frame{Src: f.Src, Dst: f.Dst, Bytes: bytes.Clone(f.Bytes)})
 	c.times = append(c.times, c.eng.Now())
 }
 

@@ -8,12 +8,10 @@ import (
 	"oasis/internal/sim"
 )
 
-// TestTxAllocBudget guards the NIC transmit path. A TX packet can never be
-// fully alloc-free — the parsed frame escapes to the switch, which may hold
-// it across deferred delivery — but everything else (WQE queues, DMA reads,
-// completions, engine events) must stay on free lists. The budget below is
-// the measured steady state plus slack; if a change pushes past it, a
-// per-packet allocation crept back into the hot path.
+// TestTxAllocBudget guards the NIC transmit path: WQE queues, DMA reads,
+// completions, engine events, the frame buffer and the switch's frame
+// header are all recycled — the switch returns each frame to the engine's
+// buffer pool after its last delivery — so a TX packet allocates nothing.
 func TestTxAllocBudget(t *testing.T) {
 	r := newNICRig(t)
 	frame := testFrame(macA, macB, 0x0a000002, 200)
@@ -49,16 +47,10 @@ func TestTxAllocBudget(t *testing.T) {
 	if pkts < 50 {
 		t.Fatalf("only %.0f TX packets per window; harness broken", pkts)
 	}
-	// Two allocations are inherent to this rig: the parsed *netsw.Frame
-	// (escapes to the switch, which may retain it across flood/deferred
-	// delivery) and the frame buffer itself (nothing feeds the buffer pool
-	// here, so Get falls back to make; real pods recycle DMA snapshots into
-	// the same size class). Everything else — WQE/completion queues, DMA
-	// posting, engine events — must stay on free lists.
 	perPkt := allocs / pkts
 	t.Logf("%.0f pkts/window, %.1f allocs/window, %.3f allocs/pkt", pkts, allocs, perPkt)
-	if perPkt > 2.5 {
-		t.Fatalf("NIC TX allocated %.3f objects per packet, budget is 2.5", perPkt)
+	if allocs != 0 {
+		t.Fatalf("NIC TX allocated %.3f objects per packet, want 0", perPkt)
 	}
 	r.eng.Shutdown()
 }

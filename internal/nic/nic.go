@@ -12,7 +12,6 @@
 package nic
 
 import (
-	"fmt"
 	"time"
 
 	"oasis/internal/netsw"
@@ -368,9 +367,9 @@ func (n *NIC) Step() (sim.Duration, bool) {
 			n.txWQE, n.txPC = wqe, txPaced
 			return n.params.PacketCost, true
 		case txPaced:
-			// Drawn from the pool but never recycled: the frame escapes to
-			// the switch, which may flood it to several sinks. DMARead
-			// overwrites every byte, so recycled contents are harmless.
+			// The switch takes the frame and returns it to the pool after
+			// its last delivery (see transmit). DMARead overwrites every
+			// byte, so recycled contents are harmless.
 			n.txBuf = n.eng.Bufs().Get(n.txWQE.Len)
 			n.txPC = txSnoop
 			if n.snoop != nil {
@@ -391,12 +390,14 @@ func (n *NIC) Step() (sim.Duration, bool) {
 	}
 }
 
-// transmit hands a DMA-read packet to the wire and completes its WQE.
+// transmit hands a DMA-read packet to the wire and completes its WQE. The
+// switch port takes buf; with no cable, or a WQE too short to be a frame,
+// it goes back to the pool here.
 func (n *NIC) transmit(wqe WQE, buf []byte) {
-	frame, err := parseFrame(buf)
-	if err != nil {
+	if len(buf) < frameHeaderLen {
 		// Malformed WQE contents are a driver bug; complete it anyway so
 		// the ring does not leak, but do not transmit.
+		n.eng.Bufs().Put(buf)
 		n.completeTx(wqe)
 		return
 	}
@@ -407,29 +408,22 @@ func (n *NIC) transmit(wqe WQE, buf []byte) {
 		if !n.port.Enabled() {
 			n.TxCarrierErrs++
 		}
-		n.port.Send(frame)
+		n.port.SendOwned(buf)
+	} else {
+		n.eng.Bufs().Put(buf)
 	}
 	n.TxPackets++
 	n.TxBytes += int64(wqe.Len)
 	n.completeTx(wqe)
 }
 
+// frameHeaderLen is an Ethernet header: destination and source MAC, then
+// the EtherType. A shorter WQE is not a frame.
+const frameHeaderLen = 14
+
 func (n *NIC) completeTx(wqe WQE) {
 	n.txOut--
 	n.txcq.Push(TxCompletion{Cookie: wqe.Cookie})
-}
-
-// parseFrame extracts src/dst MACs from the wire image (bytes 0-5 dst,
-// 6-11 src, as on real Ethernet).
-func parseFrame(b []byte) (*netsw.Frame, error) {
-	if len(b) < 14 {
-		return nil, fmt.Errorf("nic: frame too short (%d bytes)", len(b))
-	}
-	var f netsw.Frame
-	copy(f.Dst[:], b[0:6])
-	copy(f.Src[:], b[6:12])
-	f.Bytes = b
-	return &f, nil
 }
 
 // ddioWrite lands the packet in the owning host's cache (allocating write).
@@ -462,19 +456,22 @@ func (n *NIC) ddioWrite(addr int64, data []byte) sim.Duration {
 
 // SendRaw injects a pre-built frame directly (used for the failover
 // MAC-borrowing frame, §3.3.3, which the backend crafts rather than an
-// instance). It bypasses the DMA path; timing is one packet cost.
-func (n *NIC) SendRaw(f *netsw.Frame) {
+// instance). It bypasses the DMA path; timing is one packet cost. The
+// switch port takes frame, as SendOwned does.
+func (n *NIC) SendRaw(frame []byte) {
 	if n.port == nil {
+		n.eng.Bufs().Put(frame)
 		return
 	}
-	n.eng.After(n.params.PacketCost, func() { n.port.Send(f) })
+	n.eng.After(n.params.PacketCost, func() { n.port.SendOwned(frame) })
 	n.TxPackets++
-	n.TxBytes += int64(len(f.Bytes))
+	n.TxBytes += int64(len(frame))
 }
 
 // DeliverFrame implements netsw.Sink: a frame arrived from the wire. The
 // NIC claims an RX descriptor, DMA-writes the packet, classifies it, and
-// raises an RX completion.
+// raises an RX completion. The DMA write snapshots the bytes, so nothing
+// of the borrowed frame outlives the call.
 func (n *NIC) DeliverFrame(f *netsw.Frame) {
 	if n.dropLossy() {
 		return

@@ -212,8 +212,7 @@ func TestSendRawReachesWire(t *testing.T) {
 	// Raw MAC-borrow frame from nicB using macA as source: the switch must
 	// relearn macA onto nicB's port.
 	r.eng.At(0, func() {
-		f := &netsw.Frame{Src: macA, Dst: netsw.Broadcast, Bytes: testFrame(macA, netsw.Broadcast, 0, 64)}
-		r.b.SendRaw(f)
+		r.b.SendRaw(testFrame(macA, netsw.Broadcast, 0, 64))
 	})
 	r.eng.At(time.Millisecond, func() { r.eng.Shutdown() })
 	r.eng.Run()
@@ -242,14 +241,18 @@ func TestLocalMemoryDMA(t *testing.T) {
 		eng.Shutdown()
 	})
 	eng.Run()
-	if len(other.frames) != 1 || !bytes.Equal(other.frames[0].Bytes, frame) {
+	if len(other.frames) != 1 || !bytes.Equal(other.frames[0], frame) {
 		t.Fatalf("frame not forwarded from local-memory DMA (got %d)", len(other.frames))
 	}
 }
 
-type frameCollector struct{ frames []*netsw.Frame }
+// frameCollector keeps a copy of each frame delivered: a sink borrows the
+// frame for the call only.
+type frameCollector struct{ frames [][]byte }
 
-func (c *frameCollector) DeliverFrame(f *netsw.Frame) { c.frames = append(c.frames, f) }
+func (c *frameCollector) DeliverFrame(f *netsw.Frame) {
+	c.frames = append(c.frames, bytes.Clone(f.Bytes))
+}
 
 func TestDDIOHazardAcrossHosts(t *testing.T) {
 	// §3.2.1: with DDIO on, RX DMA lands in the owning host's cache and the
@@ -334,5 +337,30 @@ func TestDDIOOffWritesPool(t *testing.T) {
 	eng.Run()
 	if owner.Stats().DDIOInstalls != 0 {
 		t.Fatal("DDIO installs with DDIO disabled")
+	}
+}
+
+// TestMalformedWQEReturnsBuffer: a WQE shorter than an Ethernet header is
+// completed without transmitting, and the buffer its DMA read landed in
+// goes back to the engine's pool.
+func TestMalformedWQEReturnsBuffer(t *testing.T) {
+	r := newNICRig(t)
+	pool := r.eng.Bufs()
+	var puts int64
+	r.eng.Go("driver", func(p *sim.Proc) {
+		puts = pool.Puts
+		r.a.PostTx(p, WQE{Addr: 0, Len: 10, Cookie: 3})
+		p.Sleep(10 * time.Microsecond)
+		if c, ok := r.a.PollTxCompletion(); !ok || c.Cookie != 3 {
+			t.Errorf("completion %+v, %v; want cookie 3", c, ok)
+		}
+		r.eng.Shutdown()
+	})
+	r.eng.Run()
+	if r.a.TxPackets != 0 {
+		t.Errorf("%d packets transmitted, want 0", r.a.TxPackets)
+	}
+	if n := pool.Puts - puts; n != 1 {
+		t.Errorf("%d buffers returned to the pool, want the WQE's one", n)
 	}
 }

@@ -242,14 +242,18 @@ func (d *SSD) execute(p *sim.Proc, cmd Command) uint8 {
 		// Media access, then DMA the data to the host buffer.
 		d.media.Use(p, d.streamTime(n))
 		p.Sleep(d.mediaLat(d.params.ReadLatency))
-		buf := make([]byte, n)
+		// Staged through the pool: DMAWrite snapshots what it carries.
+		buf := d.eng.Bufs().Get(n)
 		for b := 0; b < int(cmd.Blocks); b++ {
-			blk := ns.data[cmd.LBA+uint64(b)]
-			if blk != nil {
-				copy(buf[b*BlockSize:], blk)
+			part := buf[b*BlockSize : (b+1)*BlockSize]
+			if blk := ns.data[cmd.LBA+uint64(b)]; blk != nil {
+				copy(part, blk)
+			} else {
+				clear(part) // never written: reads zeros
 			}
 		}
 		done := d.mem.DMAWrite(cmd.Buf, buf, "payload")
+		d.eng.Bufs().Put(buf)
 		if wait := done - p.Now(); wait > 0 {
 			p.Sleep(wait)
 		}
@@ -257,18 +261,25 @@ func (d *SSD) execute(p *sim.Proc, cmd Command) uint8 {
 		d.BytesRead += int64(n)
 	case OpWrite:
 		// DMA the data from the host buffer, then program the media.
-		buf := make([]byte, n)
+		buf := d.eng.Bufs().Get(n)
 		arrive := d.mem.DMARead(cmd.Buf, buf, "payload")
 		if wait := arrive - p.Now(); wait > 0 {
 			p.Sleep(wait)
 		}
 		d.media.Use(p, d.streamTime(n))
 		p.Sleep(d.mediaLat(d.params.WriteLatency))
+		// Only the first write to an LBA allocates its block; a rewrite
+		// copies over it (no one else holds a block: reads copy out).
 		for b := 0; b < int(cmd.Blocks); b++ {
-			blk := make([]byte, BlockSize)
+			lba := cmd.LBA + uint64(b)
+			blk := ns.data[lba]
+			if blk == nil {
+				blk = make([]byte, BlockSize)
+				ns.data[lba] = blk
+			}
 			copy(blk, buf[b*BlockSize:(b+1)*BlockSize])
-			ns.data[cmd.LBA+uint64(b)] = blk
 		}
+		d.eng.Bufs().Put(buf)
 		d.Writes++
 		d.BytesWritten += int64(n)
 	default:

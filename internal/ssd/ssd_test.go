@@ -194,3 +194,62 @@ func TestUnwrittenBlocksReadZero(t *testing.T) {
 	})
 	r.eng.Run()
 }
+
+// roundTrip submits one command and waits for its completion.
+func roundTrip(t *testing.T, p *sim.Proc, dev *SSD, cmd Command) {
+	if !dev.Submit(p, cmd) {
+		t.Fatal("submit refused")
+	}
+	if c, ok := waitCompletion(p, dev, 10*time.Millisecond); !ok || c.Status != StatusOK {
+		t.Fatalf("completion %+v, ok %v", c, ok)
+	}
+}
+
+// TestReadAndRewriteAllocFree: reads and writes stage their data through
+// the engine's buffer pool, and a rewrite copies over the block it
+// replaces, so once the blocks exist a read, and a rewrite of a written
+// block, allocate nothing.
+func TestReadAndRewriteAllocFree(t *testing.T) {
+	r := newSSDRig()
+	r.pool.Poke(0, bytes.Repeat([]byte{0x5A}, 2*BlockSize))
+	var allocs float64
+	r.eng.Go("driver", func(p *sim.Proc) {
+		run := func() {
+			roundTrip(t, p, r.dev, Command{Opcode: OpWrite, CID: 1, NSID: 1, LBA: 40, Blocks: 2, Buf: 0})
+			roundTrip(t, p, r.dev, Command{Opcode: OpRead, CID: 2, NSID: 1, LBA: 40, Blocks: 2, Buf: 1 << 16})
+			roundTrip(t, p, r.dev, Command{Opcode: OpRead, CID: 3, NSID: 1, LBA: 41, Blocks: 1, Buf: 1 << 17})
+		}
+		run() // the first write allocates the blocks; warms the pool and free lists
+		allocs = testing.AllocsPerRun(20, run)
+		r.eng.Shutdown()
+	})
+	r.eng.Run()
+	if r.dev.Writes != 22 || r.dev.Reads != 44 { // AllocsPerRun warms up once more
+		t.Fatalf("%d writes, %d reads; harness broken", r.dev.Writes, r.dev.Reads)
+	}
+	if allocs != 0 {
+		t.Errorf("a rewrite and two reads allocated %.2f objects, want 0", allocs)
+	}
+}
+
+// TestUnwrittenBlockReadsZeros: a read stages through a pooled buffer that
+// may hold an earlier command's data; the part of a never-written block is
+// cleared, not left to show it.
+func TestUnwrittenBlockReadsZeros(t *testing.T) {
+	r := newSSDRig()
+	r.pool.Poke(0, bytes.Repeat([]byte{0xAB}, BlockSize))
+	r.eng.Go("driver", func(p *sim.Proc) {
+		roundTrip(t, p, r.dev, Command{Opcode: OpWrite, CID: 1, NSID: 1, LBA: 7, Blocks: 1, Buf: 0})
+		roundTrip(t, p, r.dev, Command{Opcode: OpRead, CID: 2, NSID: 1, LBA: 7, Blocks: 1, Buf: 1 << 16})
+		// The staging buffer of this read held block 7's bytes last.
+		roundTrip(t, p, r.dev, Command{Opcode: OpRead, CID: 3, NSID: 1, LBA: 6, Blocks: 1, Buf: 1 << 17})
+		p.Sleep(10 * time.Microsecond) // DMA write propagation
+		got := make([]byte, BlockSize)
+		r.pool.Peek(1<<17, got)
+		if !bytes.Equal(got, make([]byte, BlockSize)) {
+			t.Error("a never-written block read back nonzero bytes")
+		}
+		r.eng.Shutdown()
+	})
+	r.eng.Run()
+}

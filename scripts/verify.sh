@@ -78,6 +78,13 @@ echo "== nodes are never removed (grep gate) =="
 gate "a deleted node-removal name" "$(grep -rn --include='*.go' 'RemoveHostErr\|RemoveNICErr\|RemoveSSDErr\|RestoreNICPort\|ErrHostNotEmpty\|liveHosts\|DisconnectBackend\|InstancesOn\|RemoveDevice\|RemoveFrontend\|UsesNIC\|UsesSSD\|VolumeCount' . || true)"
 gate "a LinkSet.Remove" "$(grep -rn --include='*.go' 'func (s \*LinkSet) Remove' . || true)"
 
+# Every frame has one owner: the switch reads a frame's addresses once, as
+# it takes the bytes (Port.SendOwned), and packets decode in place into a
+# Packet the caller holds, so neither the NIC's own parse nor an allocating
+# decoder comes back.
+echo "== every frame has one owner (grep gate) =="
+gate "a second frame parse or an allocating packet decoder" "$(src 'func parseFrame\|func Unmarshal(')"
+
 echo "== go build ./... =="
 go build ./...
 
@@ -109,11 +116,15 @@ go test -count=1 -run 'TestBusyPodExactCounts' -v . | grep 'counters {\|per requ
 # drifts from its work fails here instead of moving a digest. The NIC's
 # pipeline and the stacks are chains that await their queues; the busy pods'
 # counters (all but Switches) and the wiring digests must hold under the
-# guard too. The experiments run without it above.
-echo "== OASIS_SIMCHECK=1 go test (sim, cache, msgchan, core, netengine, storengine, allocator, nic, netstack; busy pods, wiring) =="
+# guard too. Under the guard the buffer pool also scribbles every buffer it
+# takes back, so a frame read after the switch released it (netsw, nic,
+# netstack, the echo tests' byte-for-byte check) or a staging buffer read
+# after ssd put it back fails. The experiments run without it above.
+echo "== OASIS_SIMCHECK=1 go test (sim, cache, msgchan, core, netengine, storengine, allocator, nic, netstack, netsw, ssd; busy pods, echo, wiring) =="
 OASIS_SIMCHECK=1 go test -count=1 ./internal/sim ./internal/cache ./internal/msgchan ./internal/core \
-    ./internal/netengine ./internal/storengine ./internal/allocator ./internal/nic ./internal/netstack
-OASIS_SIMCHECK=1 go test -count=1 -run 'TestBusyPodExactCounts|TestWiringDigests' .
+    ./internal/netengine ./internal/storengine ./internal/allocator ./internal/nic ./internal/netstack \
+    ./internal/netsw ./internal/ssd
+OASIS_SIMCHECK=1 go test -count=1 -run 'TestBusyPodExactCounts|TestEchoMallocsPerRequest|TestWiringDigests' .
 
 # bench/ is its own module (`replace oasis => ../`), invisible to the ./...
 # patterns above although it imports internal/core, the engine configs and

@@ -161,7 +161,8 @@ type Client struct {
 func (c *Client) Transmit(p *Proc, frame []byte) { p.RunJob(c.TransmitJob(frame)) }
 
 // TransmitJob implements netstack.SteppedEndpoint: a raw client hands the
-// frame straight to its switch port, which takes no time and no process.
+// frame straight to its switch port, which takes no time and no process and
+// takes the frame, as Transmit's ownership rules allow.
 func (c *Client) TransmitJob(frame []byte) sim.Job {
 	c.tx = clientTx{c: c, frame: frame}
 	return &c.tx
@@ -175,16 +176,13 @@ type clientTx struct {
 }
 
 func (t *clientTx) Step() (sim.Duration, bool) {
-	var f netsw.Frame
-	copy(f.Dst[:], t.frame[0:6])
-	copy(f.Src[:], t.frame[6:12])
-	f.Bytes = t.frame
-	t.c.SwPort.Send(&f)
+	t.c.SwPort.SendOwned(t.frame)
 	t.frame = nil
 	return 0, false
 }
 
-// DeliverFrame implements netsw.Sink for the raw client.
+// DeliverFrame implements netsw.Sink for the raw client: the stack queues a
+// copy of the borrowed frame.
 func (c *Client) DeliverFrame(f *netsw.Frame) { c.Stack.DeliverFrame(f.Bytes) }
 
 // Go spawns an application process on the client's engine, the pod's; it is
