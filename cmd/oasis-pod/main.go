@@ -29,7 +29,6 @@ func main() {
 	rate := flag.Float64("rate", 20e3, "client request rate per instance (req/s)")
 	failAt := flag.Duration("fail-at", 0, "inject a NIC-port failure on nic1 at this time (0 = never)")
 	raft := flag.Bool("raft", false, "replicate the allocator with Raft (needs ≥3 hosts)")
-	sharedCore := flag.Bool("shared-core", false, "multiplex each host's engine loops on one driver core (§5.1)")
 	stats := flag.String("stats", "text", "stats output format: text | json | prom")
 	flag.Parse()
 
@@ -45,7 +44,6 @@ func main() {
 
 	cfg := oasis.DefaultConfig()
 	cfg.Engine.IdleBackoff = 20 * time.Microsecond
-	cfg.SharedHostCore = *sharedCore
 	if *raft {
 		cfg.RaftReplicas = 3
 	}

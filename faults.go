@@ -284,35 +284,26 @@ func (t *Topology) resolve(target string, want topo.Kind) (n faultNode, err erro
 }
 
 // hostDrivers collects every driver core that runs on a host — the blast
-// radius of a host crash. Deterministic order, deduped by pointer (shared
-// host cores appear once).
+// radius of a host crash — in deterministic order. Each engine has a core of
+// its own, so no core appears twice.
 func (t *Topology) hostDrivers(ph *Host) []*core.Driver {
-	var out []*core.Driver
-	seen := make(map[*core.Driver]bool)
-	add := func(d *core.Driver) {
-		if d != nil && !seen[d] {
-			seen[d] = true
-			out = append(out, d)
-		}
-	}
-	add(ph.Driver)
-	add(ph.FE.Driver())
+	out := []*core.Driver{ph.FE.Driver}
 	if ph.SFE != nil {
-		add(ph.SFE.Driver())
+		out = append(out, ph.SFE.Driver)
 	}
 	if ph.LD != nil {
-		add(ph.LD.Driver())
+		out = append(out, ph.LD.Driver)
 	}
 	for _, be := range ph.BEs {
-		add(be.Driver())
+		out = append(out, be.Driver)
 	}
 	for _, id := range t.ssdIDs() {
 		if d := t.SSDs[id]; d.host == ph {
-			add(d.BE.Driver())
+			out = append(out, d.BE.Driver)
 		}
 	}
 	if t.Alloc != nil && len(t.Hosts) > 0 && t.Hosts[0] == ph {
-		add(t.Alloc.Driver())
+		out = append(out, t.Alloc.Driver)
 	}
 	return out
 }
@@ -321,14 +312,8 @@ func (t *Topology) hostDrivers(ph *Host) []*core.Driver {
 // order.
 func (t *Topology) allDrivers() []*core.Driver {
 	var out []*core.Driver
-	seen := make(map[*core.Driver]bool)
 	for _, ph := range t.Hosts {
-		for _, d := range t.hostDrivers(ph) {
-			if !seen[d] {
-				seen[d] = true
-				out = append(out, d)
-			}
-		}
+		out = append(out, t.hostDrivers(ph)...)
 	}
 	return out
 }

@@ -33,7 +33,7 @@ func faultEvent(pod *Pod, k faults.Kind) faults.Event {
 		topo.KindHost:   "host1",
 		topo.KindNIC:    "nic1",
 		topo.KindSSD:    "ssd1",
-		topo.KindDriver: pod.NICs[1].BE.Driver().Name(),
+		topo.KindDriver: pod.NICs[1].BE.Name(),
 	}[faultTarget(k)]
 	return faults.Event{At: time.Millisecond, Kind: k, Target: target, Heal: 5 * time.Millisecond,
 		LatMult: 4, BWFrac: 0.5, Drop: 0.5, Jitter: time.Microsecond, Period: 4 * time.Millisecond, Stall: time.Millisecond}

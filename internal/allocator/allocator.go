@@ -164,10 +164,10 @@ type instState struct {
 	backup  uint16
 }
 
-// Allocator is the control-plane service. Run it with Start on its host
-// (the embedded seat gives it a core of its own unless it joined one).
+// Allocator is the control-plane service. Run it with Start on its host:
+// the embedded driver core is its own.
 type Allocator struct {
-	core.Seat
+	*core.Driver
 	h   *host.Host
 	cfg Config
 
@@ -251,13 +251,13 @@ func New(h *host.Host, cfg Config) *Allocator {
 	}
 	// One iteration: deferred commands, frontend requests, backend
 	// telemetry (NIC and SSD), and the lease and rebalance windows.
-	a.Seat = core.NewSeat(h.Name+"/allocator", []core.Stage{
+	a.Driver = core.NewDriver(h, h.Name+"/allocator", core.DriverConfig{LoopCost: pollCost, IdleBackoff: idleCap},
 		core.WorkStage("commands", a.commandsIdle, a.runCommands),
 		core.PollStage("frontend requests", a.frontends, burst, a.handleFE),
 		core.PollStage("nic reports", a.nics, burst, a.ingest),
 		core.PollStage("ssd reports", a.ssds, burst, a.ingest),
 		core.WorkStage("windows and flush", a.windowsIdle, a.windowsAndFlush),
-	}, h, core.DriverConfig{LoopCost: pollCost, IdleBackoff: idleCap})
+	)
 	return a
 }
 

@@ -7,8 +7,8 @@
 //
 //  1. When an I/O buffer passes from a frontend to a backend on another
 //     host, every line of it must be written back to CXL memory first
-//     (WritebackRange), and a receiving host must invalidate before — or,
-//     for RX buffers, after — reading (InvalidateRange).
+//     (cache.Cache.WritebackRange), and a receiving host must invalidate
+//     before — or, for RX buffers, after — reading (cache.Cache.FlushRange).
 //  2. The backend driver never brings I/O buffers into its CPU cache, so
 //     device DMA never snoops dirty lines and the backend needs no
 //     per-buffer coherence work at all.
@@ -91,20 +91,6 @@ func (a *BufferArea) Free(addr int64) {
 func (a *BufferArea) Owns(addr int64) bool {
 	off := addr - a.region.Base
 	return off >= 0 && off < a.region.Size && off%int64(a.bufSize) == 0
-}
-
-// WritebackRange CLWBs every line of [addr, addr+n) and fences — the
-// frontend-side step that makes a just-written I/O buffer visible to devices
-// and other hosts. The whole range is one stepped sleep.
-func WritebackRange(p *sim.Proc, c *cache.Cache, addr int64, n int, category string) {
-	c.WritebackRange(p, addr, n, category)
-}
-
-// InvalidateRange CLFLUSHOPTs every line of [addr, addr+n) and fences — the
-// step that guarantees the next CPU read of a recycled buffer comes from the
-// pool, not from a stale cached copy. The whole range is one stepped sleep.
-func InvalidateRange(p *sim.Proc, c *cache.Cache, addr int64, n int, category string) {
-	c.FlushRange(p, addr, n, category)
 }
 
 // ChanLatency measures one channel direction's message delivery latency —

@@ -83,7 +83,7 @@ func TestWritebackInvalidateRangeMakeBufferVisible(t *testing.T) {
 	eng.Go("test", func(p *sim.Proc) {
 		// A writes a packet and publishes it.
 		hA.Cache.Write(p, region.Base, payload, "payload")
-		WritebackRange(p, hA.Cache, region.Base, len(payload), "payload")
+		hA.Cache.WritebackRange(p, region.Base, len(payload), "payload")
 		p.Sleep(time.Microsecond)
 		// B reads it fresh.
 		buf := make([]byte, len(payload))
@@ -95,16 +95,16 @@ func TestWritebackInvalidateRangeMakeBufferVisible(t *testing.T) {
 		// them (this is the frontend's RX-buffer discipline).
 		payload2 := bytes.Repeat([]byte{0xA5}, 1500)
 		hA.Cache.Write(p, region.Base, payload2, "payload")
-		WritebackRange(p, hA.Cache, region.Base, len(payload2), "payload")
+		hA.Cache.WritebackRange(p, region.Base, len(payload2), "payload")
 		p.Sleep(time.Microsecond)
 		hB.Cache.Read(p, region.Base, buf, "payload")
 		if bytes.Equal(buf, payload2) {
 			t.Error("B saw fresh data without invalidating — cache model broken")
 		}
-		InvalidateRange(p, hB.Cache, region.Base, len(payload2), "payload")
+		hB.Cache.FlushRange(p, region.Base, len(payload2), "payload")
 		hB.Cache.Read(p, region.Base, buf, "payload")
 		if !bytes.Equal(buf, payload2) {
-			t.Error("B still stale after InvalidateRange")
+			t.Error("B still stale after FlushRange")
 		}
 	})
 	eng.Run()

@@ -9,17 +9,15 @@ import (
 
 // EngineLoop is an opaque loop: a poll body the driver core cannot see
 // into. Every engine in the tree describes its iteration as a stage list and
-// hands it to its Seat; an opaque loop is what is left for a caller that has
-// only a function — a micro-benchmark's probe, a test's stub. PollOnce does
-// one whole iteration's work — bounded by the loop's own burst limits — and
-// returns how many items it processed. It must never sleep for pacing (the
-// Driver charges the per-iteration cost), though it may sleep to model the
-// cost of the work itself. The core resumes its process to call it on every
+// builds its driver core with it; an opaque loop is what is left for a
+// caller that has only a function — a micro-benchmark's probe, a test's
+// stub. PollOnce does one whole iteration's work — bounded by the loop's own
+// burst limits — and returns how many items it processed. It must never
+// sleep for pacing (the Driver charges the per-iteration cost), though it
+// may sleep to model the cost of the work itself. The core resumes its process to call it on every
 // iteration, idle or not: one process switch per iteration that a stage
 // list's idle predicates save.
 type EngineLoop interface {
-	// LoopName labels the loop in the driver's process name and stats.
-	LoopName() string
 	// PollOnce performs one poll iteration and reports items processed.
 	PollOnce(p *sim.Proc) int
 }
@@ -27,7 +25,7 @@ type EngineLoop interface {
 // DriverConfig paces a driver core.
 type DriverConfig struct {
 	// LoopCost is the per-iteration CPU cost charged after every pass over
-	// the attached loops (§5.1's driver-core overhead model).
+	// the stage list (§5.1's driver-core overhead model).
 	LoopCost sim.Duration
 	// IdleBackoff caps the exponential sleep applied after consecutive
 	// empty iterations. Real driver cores busy-poll; the backoff is a
@@ -36,17 +34,17 @@ type DriverConfig struct {
 	IdleBackoff sim.Duration
 }
 
-// Driver is one driver core: a dedicated polling process that multiplexes
-// one or more engine loops (§3.2). The paper dedicates a core per frontend
-// and per backend; attaching several loops to one Driver reproduces §5.1's
-// observation that driver cores "handle other tasks, which delays message
-// passing" — every attached loop shares the core's iterations.
+// Driver is one driver core: the dedicated polling process of one engine
+// loop (§3.2). The paper dedicates a core per frontend and per backend, and
+// every engine builds its own in its constructor, with the stage list that is
+// its iteration. §5.1's remark that driver cores "handle other tasks, which
+// delays message passing" is modelled by the engines' message cost, not by
+// sharing a core.
 type Driver struct {
 	h       *host.Host
 	name    string
 	cfg     DriverConfig
-	names   []string  // the attached loops, in attach order, and
-	stages  [][]Stage // each one's stage list
+	stages  []Stage // the loop's iteration, in order
 	started bool
 
 	stalled  bool
@@ -55,46 +53,38 @@ type Driver struct {
 	// The iteration cursor: where the polling process is in its endless
 	// sequence of iterations. Step advances it in event context and block
 	// from the process, each as far as it can (see Step).
-	inIter      bool // an iteration is in progress, over loops[:n]
-	n           int  // loops attached when the iteration began
-	loop, stage int  // the stage at the cursor: stages[loop][stage]
-	polling     bool // that stage is a poll stage whose pass has begun
-	working     bool // that stage is a work stage whose run has begun
-	progress    int  // items processed so far this iteration
-	idleRun     int  // consecutive idle iterations, 0 after a busy one
+	inIter   bool // an iteration is in progress
+	stage    int  // the stage at the cursor: stages[stage]
+	polling  bool // that stage is a poll stage whose pass has begun
+	working  bool // that stage is a work stage whose run has begun
+	progress int  // items processed so far this iteration
+	idleRun  int  // consecutive idle iterations, 0 after a busy one
 
 	// Stats.
 	Iterations     int64 // total poll iterations
 	IdleIterations int64 // iterations that processed nothing
-	Processed      int64 // total items processed across all loops
+	Processed      int64 // total items processed
 	Stalls         int64 // times the core was stalled (fault injection)
 }
 
-// NewDriver creates a driver core on h. The name labels the core's process.
-func NewDriver(h *host.Host, name string, cfg DriverConfig) *Driver {
-	return &Driver{h: h, name: name, cfg: cfg, stallSig: sim.NewSignal(h.Eng)}
+// NewDriver creates the driver core on h of the loop whose iteration is
+// stages in order. The name labels the core's process and the engine's stats.
+func NewDriver(h *host.Host, name string, cfg DriverConfig, stages ...Stage) *Driver {
+	return &Driver{h: h, name: name, cfg: cfg, stages: stages, stallSig: sim.NewSignal(h.Eng)}
 }
 
 // Name returns the driver core's label.
 func (d *Driver) Name() string { return d.name }
 
-// attach adds a loop — a name and its stage list — to this core. A core that
-// is already polling picks the loop up on its next iteration: the simulation
-// is cooperative and every iteration starts from the loop list as it then
-// stands, so a live pod can grow.
-func (d *Driver) attach(name string, stages []Stage) {
-	d.names = append(d.names, name)
-	d.stages = append(d.stages, stages)
-}
-
-// Attach adds an opaque loop to this core, as one work stage that is never
-// idle: the process is resumed to call PollOnce on every iteration.
+// Attach makes an opaque loop this core's only loop, as one work stage that
+// is never idle: the process is resumed to call PollOnce on every iteration.
+// It panics on a core that already has a loop.
 func (d *Driver) Attach(l EngineLoop) {
-	d.attach(l.LoopName(), []Stage{WorkStage("poll once", func() bool { return false }, l.PollOnce)})
+	if len(d.stages) > 0 {
+		panic(fmt.Sprintf("core: driver core %s already has a loop", d.name))
+	}
+	d.stages = []Stage{WorkStage("poll once", func() bool { return false }, l.PollOnce)}
 }
-
-// Loops returns the names of the attached loops in attach order.
-func (d *Driver) Loops() []string { return d.names }
 
 // Start launches the polling process. Idempotent.
 func (d *Driver) Start() {
@@ -153,7 +143,7 @@ func (d *Driver) run(p *sim.Proc) {
 //
 //	for {
 //		for d.stalled { d.stallSig.Wait(p) }
-//		for each loop { for each stage { progress += its run or its pass } }
+//		for each stage { progress += its run or its pass }
 //		// count the iteration
 //		p.Sleep(d.cfg.LoopCost [+ backoff])
 //	}
@@ -167,10 +157,9 @@ func (d *Driver) Step() (sim.Duration, bool) {
 			if d.stalled {
 				return 0, false
 			}
-			d.inIter, d.n = true, len(d.stages)
-			d.loop, d.stage, d.progress = 0, 0, 0
+			d.inIter, d.stage, d.progress = true, 0, 0
 		}
-		if d.loop == d.n {
+		if d.stage == len(d.stages) {
 			d.inIter = false
 			d.Iterations++
 			d.Processed += int64(d.progress)
@@ -182,12 +171,7 @@ func (d *Driver) Step() (sim.Duration, bool) {
 			d.idleRun++
 			return d.cfg.LoopCost + Backoff(d.cfg.LoopCost, d.cfg.IdleBackoff, d.idleRun-1), true
 		}
-		stages := d.stages[d.loop]
-		if d.stage == len(stages) {
-			d.loop, d.stage = d.loop+1, 0
-			continue
-		}
-		st := &stages[d.stage]
+		st := &d.stages[d.stage]
 		if st.work != nil {
 			if !d.working {
 				if st.idle() {
@@ -236,7 +220,7 @@ func (d *Driver) block(p *sim.Proc) {
 		}
 		return
 	}
-	st := &d.stages[d.loop][d.stage]
+	st := &d.stages[d.stage]
 	switch {
 	case st.work == nil:
 		st.pass.block(p)
@@ -271,55 +255,8 @@ func (d *Driver) distrust(p *sim.Proc, st *Stage) {
 	}
 	if n := w.Progress(); leg || n != 0 || eng.Now() != now || eng.Seq() != seq {
 		panic(fmt.Sprintf("core: loop %s stage %q reported idle at %v, but its run processed %d items, took a leg (%v), took %v and scheduled %d events",
-			d.names[d.loop], st.name, now, n, leg, eng.Now()-now, eng.Seq()-seq))
+			d.name, st.name, now, n, leg, eng.Now()-now, eng.Seq()-seq))
 	}
-}
-
-// Seat is an engine's loop — its name and its stage list — and that loop's
-// place on a driver core. Every device engine embeds one, built once in the
-// engine's constructor, which gives it its loop name and the two launch modes
-// of §3.2 and §5.1: Start on its own puts the loop on a dedicated core named
-// after it; Join first puts it on a core shared with other loops, and Start
-// then only makes sure that core is polling.
-type Seat struct {
-	name   string
-	stages []Stage
-	h      *host.Host
-	cfg    DriverConfig
-	driver *Driver
-}
-
-// NewSeat returns the seat of the loop called name, whose iteration is
-// stages in order, on host h; cfg paces the dedicated core Start creates when
-// the loop joined no other. The name labels that core's process and the
-// engine's stats.
-func NewSeat(name string, stages []Stage, h *host.Host, cfg DriverConfig) Seat {
-	return Seat{name: name, stages: stages, h: h, cfg: cfg}
-}
-
-// LoopName returns the loop's name.
-func (s *Seat) LoopName() string { return s.name }
-
-// Driver returns the core the loop polls on (nil before Start or Join).
-func (s *Seat) Driver() *Driver { return s.driver }
-
-// Join seats the loop on an already-created driver core, running or not, so
-// one core can multiplex several engine loops (§5.1). Must precede Start.
-func (s *Seat) Join(d *Driver) {
-	if s.driver != nil {
-		panic(fmt.Sprintf("core: %s already has a driver core", s.name))
-	}
-	s.driver = d
-	d.attach(s.name, s.stages)
-}
-
-// Start launches the loop's polling core: the one it joined, or else a
-// dedicated core named after the loop (§3.3). Idempotent.
-func (s *Seat) Start() {
-	if s.driver == nil {
-		s.Join(NewDriver(s.h, s.name, s.cfg))
-	}
-	s.driver.Start()
 }
 
 // Backoff is the one capped doubling every pacing and retry site uses:

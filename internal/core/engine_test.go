@@ -13,16 +13,13 @@ import (
 
 // stubLoop returns 1 item per poll for the first busy polls, then 0 forever.
 type stubLoop struct {
-	name  string
 	busy  int
 	polls int
 }
 
-func (s *stubLoop) LoopName() string { return s.name }
-
-// seat puts the stub on a seat, as a one-stage list.
-func (s *stubLoop) seat(h *host.Host, cfg DriverConfig) Seat {
-	return NewSeat(s.name, []Stage{WorkStage("stub", func() bool { return false }, s.PollOnce)}, h, cfg)
+// stage is the stub as a never-idle work stage.
+func (s *stubLoop) stage() Stage {
+	return WorkStage("stub", func() bool { return false }, s.PollOnce)
 }
 
 func (s *stubLoop) PollOnce(p *sim.Proc) int {
@@ -33,26 +30,24 @@ func (s *stubLoop) PollOnce(p *sim.Proc) int {
 	return 0
 }
 
-func TestDriverMultiplexesLoops(t *testing.T) {
+// An engine's core is built with its stage list, named after its loop, and
+// runs that list and nothing else: Start is idempotent, every item the loop
+// processes is counted, and empty iterations back off.
+func TestSeatLaunchModes(t *testing.T) {
 	eng, pool := testPool()
 	h := host.New(eng, 0, "h", pool, host.DefaultConfig())
-	d := NewDriver(h, "h/engines", DriverConfig{LoopCost: 100 * time.Nanosecond, IdleBackoff: time.Microsecond})
-	a := &stubLoop{name: "h/a", busy: 10}
-	b := &stubLoop{name: "h/b", busy: 25}
-	d.Attach(a)
-	d.Attach(b)
-	if len(d.Loops()) != 2 {
-		t.Fatalf("loops = %d", len(d.Loops()))
-	}
+	own := &stubLoop{busy: 10}
+	d := NewDriver(h, "h/own", DriverConfig{LoopCost: 100 * time.Nanosecond, IdleBackoff: time.Microsecond}, own.stage())
+	r := obs.New()
+	d.RegisterObs(r, "core/"+d.Name())
 	d.Start()
 	d.Start() // idempotent
 	eng.RunUntil(sim.Duration(time.Millisecond))
-	// One core, every iteration polls BOTH loops — that is the §5.1 sharing.
-	if a.polls != b.polls {
-		t.Fatalf("loops polled unevenly: %d vs %d", a.polls, b.polls)
+	if int64(own.polls) != d.Iterations {
+		t.Fatalf("%d polls over %d iterations, want one per iteration", own.polls, d.Iterations)
 	}
-	if d.Processed != 35 {
-		t.Fatalf("processed = %d, want 10+25", d.Processed)
+	if d.Processed != 10 {
+		t.Fatalf("processed = %d, want 10", d.Processed)
 	}
 	if d.IdleIterations == 0 || d.IdleIterations >= d.Iterations {
 		t.Fatalf("iterations=%d idle=%d: backoff accounting broken", d.Iterations, d.IdleIterations)
@@ -62,74 +57,27 @@ func TestDriverMultiplexesLoops(t *testing.T) {
 	if d.Iterations > 5000 {
 		t.Fatalf("%d iterations in 1ms: idle backoff not applied", d.Iterations)
 	}
-}
-
-// A running core picks up a loop attached between two of its iterations:
-// live pods grow by seating new engines on shared cores that already poll.
-func TestDriverAttachWhileRunning(t *testing.T) {
-	eng, pool := testPool()
-	h := host.New(eng, 0, "h", pool, host.DefaultConfig())
-	d := NewDriver(h, "h/engines", DriverConfig{LoopCost: time.Microsecond})
-	first := &stubLoop{name: "h/first"}
-	d.Attach(first)
-	d.Start()
-	eng.RunUntil(sim.Duration(10 * time.Microsecond))
-	before := first.polls
-	if before == 0 {
-		t.Fatal("core never polled its first loop")
-	}
-	late := &stubLoop{name: "h/late", busy: 3}
-	d.Attach(late)
-	eng.RunUntil(sim.Duration(20 * time.Microsecond))
-	if late.polls == 0 {
-		t.Fatal("loop attached to a running core was never polled")
-	}
-	if got := first.polls - before; got != late.polls {
-		t.Fatalf("after the attach the core polled the first loop %d times and the late one %d times, want equal", got, late.polls)
-	}
-	if d.Processed != 3 {
-		t.Fatalf("processed = %d, want the late loop's 3 items", d.Processed)
+	if got := r.Snapshot(0).Value("core/h/own/loops"); got != 1 {
+		t.Fatalf("core/h/own/loops = %v, want 1", got)
 	}
 }
 
-// A seat runs its loop on a dedicated core named after it unless the loop
-// joined a shared core first, and holds exactly one core.
-func TestSeatLaunchModes(t *testing.T) {
+// A core runs one loop: Attach on a core that already has a stage list
+// panics, naming the core, instead of appending a second loop.
+func TestAttachPanicsOnSecondLoop(t *testing.T) {
 	eng, pool := testPool()
 	h := host.New(eng, 0, "h", pool, host.DefaultConfig())
-	cfg := DriverConfig{LoopCost: time.Microsecond}
-
-	own := &stubLoop{name: "h/own"}
-	ownSeat := own.seat(h, cfg)
-	if ownSeat.Driver() != nil {
-		t.Fatal("seat has a core before Start or Join")
-	}
-	ownSeat.Start()
-	ownSeat.Start() // idempotent
-	if d := ownSeat.Driver(); d == nil || d.Name() != "h/own" || fmt.Sprint(d.Loops()) != "[h/own]" || ownSeat.LoopName() != "h/own" {
-		t.Fatalf("dedicated core = %+v, want one named h/own running the loop h/own", d)
-	}
-
-	shared := NewDriver(h, "h/engines", cfg)
-	shared.Start()
-	joined := &stubLoop{name: "h/joined"}
-	joinedSeat := joined.seat(h, cfg)
-	joinedSeat.Join(shared) // the shared core is already polling
-	joinedSeat.Start()
-	if joinedSeat.Driver() != shared {
-		t.Fatal("Start replaced the joined core")
-	}
-	eng.RunUntil(sim.Duration(10 * time.Microsecond))
-	if own.polls == 0 || joined.polls == 0 {
-		t.Fatalf("polls: own=%d joined=%d, want both > 0", own.polls, joined.polls)
-	}
-
+	d := NewDriver(h, "h/own", DriverConfig{}, (&stubLoop{}).stage())
 	defer func() {
-		if recover() == nil {
-			t.Fatal("second Join accepted")
+		r := recover()
+		if r == nil {
+			t.Fatal("Attach accepted a second loop")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "h/own") {
+			t.Fatalf("panic %q does not name the core h/own", msg)
 		}
 	}()
-	joinedSeat.Join(NewDriver(h, "h/other", cfg))
+	d.Attach(&stubLoop{})
 }
 
 func TestNextIdleDoublesToCap(t *testing.T) {
@@ -242,8 +190,7 @@ func TestSimCheckDistrustsIdle(t *testing.T) {
 	} {
 		eng, pool := testPool()
 		h := host.New(eng, 0, "h", pool, host.DefaultConfig())
-		d := NewDriver(h, "h/core", DriverConfig{LoopCost: 100 * time.Nanosecond})
-		d.attach("h/liar", []Stage{WorkStage("fibs", func() bool { return true }, tc.run)})
+		d := NewDriver(h, "h/liar", DriverConfig{LoopCost: 100 * time.Nanosecond}, WorkStage("fibs", func() bool { return true }, tc.run))
 		var got string
 		eng.Go("core", func(p *sim.Proc) {
 			defer func() {

@@ -68,8 +68,7 @@ func (l *Link) Send(p *sim.Proc, payload []byte) bool {
 // queue if the ring is full. Queued messages must not be dropped (they carry
 // buffer ownership and completions); DrainPending redrives them in FIFO
 // order before new work. Beyond the set's pending bound the message is still
-// queued — losing it would leak a buffer — but the overflow is counted and
-// Backlogged turns true so the engine can stop accepting new work.
+// queued — losing it would leak a buffer — but the overflow is counted.
 func (l *Link) SendOrQueue(p *sim.Proc, payload []byte) {
 	l.BeginSendOrQueue(payload)
 	p.Steps(l)
@@ -135,12 +134,6 @@ func (l *Link) park(payload []byte) {
 	}
 }
 
-// Backlogged reports whether the pending queue exceeds the set's bound —
-// the engine-visible backpressure signal.
-func (l *Link) Backlogged() bool {
-	return l.set != nil && l.set.pendingLimit > 0 && len(l.pending) > l.set.pendingLimit
-}
-
 // PendingLen returns the number of parked messages.
 func (l *Link) PendingLen() int { return len(l.pending) }
 
@@ -149,8 +142,7 @@ func (l *Link) Flush(p *sim.Proc) { l.End.Flush(p) }
 
 // LinkSet is a driver's registry of peer links, keyed by host or device id,
 // iterated in insertion order for determinism (§3.2: one duplex channel per
-// driver pair). It owns the shared pending bound for backpressure
-// accounting.
+// driver pair). It owns the shared pending bound for overflow accounting.
 type LinkSet struct {
 	byPeer       map[uint32]*Link
 	order        []*Link
@@ -159,13 +151,13 @@ type LinkSet struct {
 	each         *procHandler // PollEach's handler, made on its first call
 }
 
-// DefaultPendingLimit bounds each link's pending queue before the link
-// reports backpressure: one ring's worth of messages.
+// DefaultPendingLimit bounds each link's pending queue before parked
+// messages count as overflow: one ring's worth of messages.
 const DefaultPendingLimit = 64
 
 // NewLinkSet creates an empty registry. pendingLimit bounds each link's
-// pending queue before Backlogged trips; <= 0 means unbounded (no
-// backpressure signal, matching an unbounded park list).
+// pending queue before parked messages count as overflow; <= 0 means
+// unbounded (no overflow is ever counted, matching an unbounded park list).
 func NewLinkSet(pendingLimit int) *LinkSet {
 	return &LinkSet{byPeer: make(map[uint32]*Link), pendingLimit: pendingLimit}
 }

@@ -48,7 +48,7 @@ func TestSendOrQueueBackpressureAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewLinkSet(2) // backlogged beyond 2 parked messages
+	s := NewLinkSet(2) // overflowing beyond 2 parked messages
 	l := s.Add(1, aEnd)
 	eng.Go("test", func(p *sim.Proc) {
 		// The 4-slot ring takes 4 messages; everything after parks.
@@ -64,9 +64,9 @@ func TestSendOrQueueBackpressureAccounting(t *testing.T) {
 		if s.PendingCount() != 4 {
 			t.Errorf("set pending count = %d", s.PendingCount())
 		}
-		// 4 parked > limit 2: backpressure is visible but nothing was dropped.
-		if !l.Backlogged() || l.Stats.Overflow != 2 {
-			t.Errorf("backlogged=%v overflow=%d, want true/2", l.Backlogged(), l.Stats.Overflow)
+		// 4 parked > limit 2: the overflow is counted but nothing was dropped.
+		if l.Stats.Overflow != 2 {
+			t.Errorf("overflow=%d, want 2", l.Stats.Overflow)
 		}
 		if l.Stats.PendingPeak != 4 {
 			t.Errorf("pending peak = %d", l.Stats.PendingPeak)
@@ -92,7 +92,7 @@ func TestSendOrQueueBackpressureAccounting(t *testing.T) {
 				t.Fatalf("redriven msg %d: ok=%v got=%v", i, ok, msg[:1])
 			}
 		}
-		if l.PendingLen() != 0 || l.Backlogged() {
+		if l.PendingLen() != 0 {
 			t.Error("pending queue not empty after drain")
 		}
 		if l.Stats.Redrives != 4 || l.Stats.Sent != 8 {

@@ -37,9 +37,10 @@ func (a *BufferArea) RegisterObs(r *obs.Registry, prefix string) {
 }
 
 // RegisterObs registers the driver core's accounting under prefix/*
-// (conventionally core/<host or loop name>).
+// (conventionally core/<core name>). The loops gauge is always 1: a core runs
+// one loop.
 func (d *Driver) RegisterObs(r *obs.Registry, prefix string) {
-	r.Gauge(prefix+"/loops", func() float64 { return float64(len(d.names)) })
+	r.Gauge(prefix+"/loops", func() float64 { return 1 })
 	r.Counter(prefix+"/iters", func() int64 { return d.Iterations })
 	r.Counter(prefix+"/idle_iters", func() int64 { return d.IdleIterations })
 	r.Counter(prefix+"/processed", func() int64 { return d.Processed })

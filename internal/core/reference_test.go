@@ -25,10 +25,7 @@ func refRun(r *oracleRig, p *sim.Proc) {
 		for d.stalled {
 			d.stallSig.Wait(p)
 		}
-		progress := 0
-		for _, pollOnce := range r.refLoops {
-			progress += pollOnce(p)
-		}
+		progress := r.pollOnce(p)
 		d.Iterations++
 		d.Processed += int64(progress)
 		if progress > 0 {
@@ -144,7 +141,9 @@ func pollControl(p *sim.Proc, end *LinkEnd, burst int, handle func(p *sim.Proc, 
 const oracleBurst = 3
 
 // oracleRig is one driver core, the peers it talks to and everything that
-// happens to them in a seeded program, on one engine.
+// happens to them in a seeded program, on one engine. The core's one loop is
+// 1–3 groups of stages in a row: the iteration a core running that many
+// loops would make.
 type oracleRig struct {
 	tag  string
 	eng  *sim.Engine
@@ -155,11 +154,10 @@ type oracleRig struct {
 	drv  *Driver
 	log  []string
 
-	loops    []*oracleLoop
-	refLoops []func(p *sim.Proc) int // the reference core's loop list
-	targets  []oracleTarget          // what the traffic process sends on; grows as links are added
-	ends     []*LinkEnd              // every end ever made, for the final dump
-	evRng    *rand.Rand              // drawn from in event context only
+	groups  []*oracleGroup
+	targets []oracleTarget // what the traffic process sends on; grows as links are added
+	ends    []*LinkEnd     // every end ever made, for the final dump
+	evRng   *rand.Rand     // drawn from in event context only
 }
 
 // oracleTarget is a peer-side end and whether it is a control link.
@@ -183,11 +181,11 @@ func (r *oracleRig) link(ctl bool) *LinkEnd {
 	return aEnd
 }
 
-// oracleLoop is an engine loop with every kind of stage: a work queue fed by
+// oracleGroup is a group of stages of every kind: a work queue fed by
 // timers, a polled link set, an optional control end that may arrive late,
 // and the flush. Its work, handler and flush are written twice: as calls
 // from the process, and as jobs whose steps the core runs in event context.
-type oracleLoop struct {
+type oracleGroup struct {
 	rig      *oracleRig
 	name     string
 	links    *LinkSet
@@ -200,7 +198,7 @@ type oracleLoop struct {
 	hj handlerJob
 }
 
-func (l *oracleLoop) queueIdle() bool { return len(l.queue) == 0 && l.links.PendingCount() == 0 }
+func (l *oracleGroup) queueIdle() bool { return len(l.queue) == 0 && l.links.PendingCount() == 0 }
 
 // workLeg is the leg an item costs: item%4 == 0 yields.
 func workLeg(item int) sim.Duration { return sim.Duration(item%4) * 25 * time.Nanosecond }
@@ -208,7 +206,7 @@ func workLeg(item int) sim.Duration { return sim.Duration(item%4) * 25 * time.Na
 // workRemainder is the part of some items' work that only the process does.
 const workRemainder = 30 * time.Nanosecond
 
-func (l *oracleLoop) runQueue(p *sim.Proc) int {
+func (l *oracleGroup) runQueue(p *sim.Proc) int {
 	progress := l.links.PendingCount()
 	l.links.DrainPending(p)
 	for n := 0; n < oracleBurst && len(l.queue) > 0; n++ {
@@ -231,7 +229,7 @@ func (l *oracleLoop) runQueue(p *sim.Proc) int {
 // queueWork is runQueue as a job. Redriving parked messages and the
 // remainder of an item hand back to the process.
 type queueWork struct {
-	l        *oracleLoop
+	l        *oracleGroup
 	pc       int
 	n, item  int
 	progress int
@@ -331,7 +329,7 @@ var handlerOps = [8][]hop{
 	{{'r', 3}, {'s', 4}, {'r', 0}},
 }
 
-func (l *oracleLoop) handle(p *sim.Proc, lk *Link, payload []byte) {
+func (l *oracleGroup) handle(p *sim.Proc, lk *Link, payload []byte) {
 	l.rig.logf("%s link %d got %x", l.name, lk.Peer, payload[:3])
 	reply := []byte{payload[0], payload[1], 0xEE}
 	for _, op := range handlerOps[payload[0]%8] {
@@ -358,7 +356,7 @@ func (l *oracleLoop) handle(p *sim.Proc, lk *Link, payload []byte) {
 // handlerJob is handle as a job: its legs, sends and flushes in event
 // context, every 'r' operation from the process.
 type handlerJob struct {
-	l     *oracleLoop
+	l     *oracleGroup
 	lk    *Link
 	reply [3]byte
 	ops   []hop
@@ -412,16 +410,16 @@ func (h *handlerJob) Finish(p *sim.Proc) {
 	h.ops = h.ops[1:]
 }
 
-func (l *oracleLoop) handleCtl(p *sim.Proc, m ControlMsg) {
+func (l *oracleGroup) handleCtl(p *sim.Proc, m ControlMsg) {
 	l.rig.logf("%s control op %d dev %d", l.name, m.Op, m.Dev)
 	if m.Dev%2 == 0 {
 		p.Sleep(20 * time.Nanosecond)
 	}
 }
 
-func (l *oracleLoop) flushIdle() bool { return l.links.FlushIdle() && !l.ctrl.Unflushed() }
+func (l *oracleGroup) flushIdle() bool { return l.links.FlushIdle() && !l.ctrl.Unflushed() }
 
-func (l *oracleLoop) flush(p *sim.Proc) int {
+func (l *oracleGroup) flush(p *sim.Proc) int {
 	if l.rig.ref {
 		for _, lk := range l.links.All() {
 			refFlush(lk.End, p)
@@ -437,7 +435,7 @@ func (l *oracleLoop) flush(p *sim.Proc) int {
 
 // sendOrQueue and flushEnd are the link operations of the loop's functions:
 // the reference's, or the links' own.
-func (l *oracleLoop) sendOrQueue(lk *Link, p *sim.Proc, payload []byte) {
+func (l *oracleGroup) sendOrQueue(lk *Link, p *sim.Proc, payload []byte) {
 	if l.rig.ref {
 		refSendOrQueue(lk, p, payload)
 	} else {
@@ -445,7 +443,7 @@ func (l *oracleLoop) sendOrQueue(lk *Link, p *sim.Proc, payload []byte) {
 	}
 }
 
-func (l *oracleLoop) flushEnd(end *LinkEnd, p *sim.Proc) {
+func (l *oracleGroup) flushEnd(end *LinkEnd, p *sim.Proc) {
 	if l.rig.ref {
 		refFlush(end, p)
 	} else {
@@ -453,9 +451,9 @@ func (l *oracleLoop) flushEnd(end *LinkEnd, p *sim.Proc) {
 	}
 }
 
-// stages is the loop as a stage list: of jobs, or with stepped false, of
+// stages is the group as a stage list: of jobs, or with stepped false, of
 // the functions the core hands to its process.
-func (l *oracleLoop) stages(stepped bool) []Stage {
+func (l *oracleGroup) stages(stepped bool) []Stage {
 	if !stepped {
 		return []Stage{
 			WorkStage("queue", l.queueIdle, l.runQueue),
@@ -475,7 +473,7 @@ func (l *oracleLoop) stages(stepped bool) []Stage {
 
 // pollOnce is the iteration as the engines used to write it by hand, over
 // the reference passes or over today's PollEach and a control stage's pass.
-func (l *oracleLoop) pollOnce(p *sim.Proc) int {
+func (l *oracleGroup) pollOnce(p *sim.Proc) int {
 	pollEach := func(p *sim.Proc, burst int, h func(*sim.Proc, *Link, []byte)) int {
 		return l.links.PollEach(p, burst, h)
 	}
@@ -497,31 +495,38 @@ func (l *oracleLoop) pollOnce(p *sim.Proc) int {
 	return progress
 }
 
-// opaqueLoop hides an oracleLoop's stages from the driver: it goes on the
-// core through Driver.Attach's adapter, which has to resume the process and
-// call PollOnce on every iteration. PollOnce is the hand-written pass, or,
+// pollOnce is the core's iteration written by hand: each group's pass in
+// turn.
+func (r *oracleRig) pollOnce(p *sim.Proc) int {
+	progress := 0
+	for _, g := range r.groups {
+		progress += g.pollOnce(p)
+	}
+	return progress
+}
+
+// opaqueLoop hides a core's groups from the driver: it goes on the core
+// through Driver.Attach's adapter, which has to resume the process and call
+// PollOnce on every iteration. PollOnce is the hand-written iteration, or,
 // with a stage list, one run of it from the process.
 type opaqueLoop struct {
-	l      *oracleLoop
+	rig    *oracleRig
 	stages []Stage
 }
 
-func (o opaqueLoop) LoopName() string { return o.l.name }
 func (o opaqueLoop) PollOnce(p *sim.Proc) int {
 	if o.stages != nil {
 		return runStages(p, o.stages)
 	}
-	return o.l.pollOnce(p)
+	return o.rig.pollOnce(p)
 }
 
-// attachNewLoop builds a loop with 0–8 links and, half the time, a control
-// end (made now, or handed over later by a timer), and puts it on the core:
-// as its stage list through a seat, the way every engine does, or as an
-// opaque loop through the adapter. The reference core calls the hand-written
-// iteration whichever it is.
-func (r *oracleRig) attachNewLoop(rng *rand.Rand, horizon sim.Duration) {
-	l := &oracleLoop{rig: r, name: fmt.Sprintf("%s/loop%d", r.tag, len(r.loops)), links: NewLinkSet(4), counted: rng.Intn(2) == 0}
-	r.loops = append(r.loops, l)
+// addGroup builds a group with 0–8 links and, half the time, a control end
+// (made now, or handed over later by a timer). It reports whether the group's
+// stages are jobs.
+func (r *oracleRig) addGroup(rng *rand.Rand, horizon sim.Duration) (stepped bool) {
+	l := &oracleGroup{rig: r, name: fmt.Sprintf("%s/group%d", r.tag, len(r.groups)), links: NewLinkSet(4), counted: rng.Intn(2) == 0}
+	r.groups = append(r.groups, l)
 	for n := rng.Intn(9); n > 0; n-- {
 		l.links.Add(l.nextPeer, r.link(false))
 		l.nextPeer++
@@ -533,18 +538,30 @@ func (r *oracleRig) attachNewLoop(rng *rand.Rand, horizon sim.Duration) {
 		end := r.link(true)
 		r.eng.After(sim.Duration(rng.Int63n(int64(horizon))), func() { l.ctrl = end })
 	}
-	mode, stepped := rng.Intn(3), rng.Intn(3) != 0
+	return rng.Intn(3) != 0
+}
+
+// newDriver builds the core with its one loop: the groups' stage lists in a
+// row, the way every engine builds its core, or an opaque loop through the
+// adapter. The reference core calls the hand-written passes whichever it is.
+func (r *oracleRig) newDriver(name string, cfg DriverConfig, mode int, stepped []bool) *Driver {
+	var stages []Stage
+	for i, g := range r.groups {
+		stages = append(stages, g.stages(stepped[i])...)
+	}
 	switch {
 	case r.ref:
-		r.drv.attach(l.name, nil)
-		r.refLoops = append(r.refLoops, l.pollOnce)
+		return NewDriver(r.a, name, cfg)
 	case mode == 0:
-		r.drv.Attach(opaqueLoop{l: l})
+		d := NewDriver(r.a, name, cfg)
+		d.Attach(opaqueLoop{rig: r})
+		return d
 	case mode == 1:
-		r.drv.Attach(opaqueLoop{l: l, stages: l.stages(stepped)})
+		d := NewDriver(r.a, name, cfg)
+		d.Attach(opaqueLoop{stages: stages})
+		return d
 	default:
-		seat := NewSeat(l.name, l.stages(stepped), r.a, DriverConfig{})
-		seat.Join(r.drv)
+		return NewDriver(r.a, name, cfg, stages...)
 	}
 }
 
@@ -572,17 +589,18 @@ func newOracleRig(eng *sim.Engine, tag string, seed int64, horizon sim.Duration,
 	if rng.Intn(2) == 0 {
 		dcfg.IdleBackoff = time.Microsecond
 	}
-	r.drv = NewDriver(r.a, tag+"/core", dcfg)
+	var stepped []bool
 	for n := 1 + rng.Intn(3); n > 0; n-- {
-		r.attachNewLoop(rng, horizon)
+		stepped = append(stepped, r.addGroup(rng, horizon))
 	}
+	r.drv = r.newDriver(tag+"/core", dcfg, rng.Intn(3), stepped)
 	at := func() sim.Duration { return sim.Duration(rng.Int63n(int64(horizon))) }
 
 	// Work for the queues.
 	for i := 0; i < 30; i++ {
 		item := rng.Intn(1000)
 		eng.After(at(), func() {
-			l := r.loops[r.evRng.Intn(len(r.loops))]
+			l := r.groups[r.evRng.Intn(len(r.groups))]
 			l.queue = append(l.queue, item)
 		})
 	}
@@ -592,13 +610,11 @@ func newOracleRig(eng *sim.Engine, tag string, seed int64, horizon sim.Duration,
 		eng.After(t, r.drv.Stall)
 		eng.After(t+sim.Duration(rng.Intn(4000))*time.Nanosecond, r.drv.Resume)
 	}
-	// A loop attached to the running core.
-	eng.After(at(), func() { r.attachNewLoop(r.evRng, horizon/2) })
 	// Links added to sets that are, most of the time, part-way through a
 	// pass.
 	for i := 0; i < 4; i++ {
 		eng.After(at(), func() {
-			l := r.loops[r.evRng.Intn(len(r.loops))]
+			l := r.groups[r.evRng.Intn(len(r.groups))]
 			l.links.Add(l.nextPeer, r.link(false))
 			l.nextPeer++
 		})
@@ -671,9 +687,9 @@ func (r *oracleRig) dump() string {
 	var b strings.Builder
 	d := r.drv
 	b.WriteString(strings.Join(r.log, "\n"))
-	fmt.Fprintf(&b, "\n== %s: now %d seq %d core %d/%d/%d/%d loops %d cache %+v ==\n", r.tag, r.eng.Now(), r.eng.Seq(),
-		d.Iterations, d.IdleIterations, d.Processed, d.Stalls, len(d.Loops()), r.a.Cache.Stats())
-	for _, l := range r.loops {
+	fmt.Fprintf(&b, "\n== %s: now %d seq %d core %d/%d/%d/%d cache %+v ==\n", r.tag, r.eng.Now(), r.eng.Seq(),
+		d.Iterations, d.IdleIterations, d.Processed, d.Stalls, r.a.Cache.Stats())
+	for _, l := range r.groups {
 		fmt.Fprintf(&b, "%s: queue %d links %d agg %+v\n", l.name, len(l.queue), l.links.Len(), l.links.Stats())
 	}
 	for i, e := range r.ends {
@@ -730,15 +746,16 @@ func runDriverProgram(seed int64, partitioned, ref bool) string {
 
 // The driver core as a stepper, PollEach as a chained pass and the engines'
 // iteration as a stage list, against the blocking loop and per-link passes
-// they replaced: over seeded programs — 1–3 loops a core, each a stage list
-// on a seat or an opaque loop through Attach's adapter, its work, handler
-// and flush as functions of the process or as jobs stepped in event context
-// with random legs, sends and flushes and a remainder only the process does
-// at random points, 0–8 links a set, peers sending at random times, a disturber, stalls, a loop
-// attached to the running core, links added mid-pass, deadlines
-// and a Shutdown mid-chain — every handler call, every disturber tick's
-// sequence number, the final (time, seq), the core's counters and every
-// endpoint's stats must be equal.
+// they replaced: over seeded programs — one loop a core, 1–3 groups of
+// stages in a row, built into the core as its stage list or put on it as an
+// opaque loop through Attach's adapter, each group's work, handler and flush
+// as functions of the process or as jobs stepped in event context with
+// random legs, sends and flushes and a remainder only the process does at
+// random points, 0–8 links a set, peers sending at random times, a
+// disturber, stalls, links added mid-pass, deadlines and a Shutdown
+// mid-chain — every handler call, every disturber tick's sequence number,
+// the final (time, seq), the core's counters and every endpoint's stats
+// must be equal.
 func TestDriverMatchesBlockingReference(t *testing.T) {
 	for _, partitioned := range []bool{false, true} {
 		for seed := int64(1); seed <= 10; seed++ {

@@ -3,8 +3,8 @@ package core
 import "oasis/internal/sim"
 
 // Stage is one step of an engine loop's iteration. An engine describes its
-// iteration as an ordered stage list, fixed when it hands the list to its
-// Seat, and the driver core runs nothing else: the stages that have nothing
+// iteration as an ordered stage list, fixed when it builds its driver core
+// with it, and the driver core runs nothing else: the stages that have nothing
 // to do — and an idle iteration is all of them — without resuming a goroutine
 // (see Driver.Step).
 //

@@ -16,7 +16,6 @@ type pollLoop struct {
 	calls int
 }
 
-func (l *pollLoop) LoopName() string { return "poll" }
 func (l *pollLoop) PollOnce(p *sim.Proc) int {
 	l.calls++
 	return l.links.PollEach(p, 32, func(*sim.Proc, *Link, []byte) {})
@@ -55,12 +54,12 @@ func TestIdleIterationCostsNoSwitch(t *testing.T) {
 			bLinks.Add(i, bEnd)
 		}
 		cfg := DriverConfig{LoopCost: 100 * time.Nanosecond}
-		da, db := NewDriver(a, "a/driver", cfg), NewDriver(b, "b/driver", cfg)
 		la, lb := &pollLoop{links: aLinks}, &pollLoop{links: bLinks}
+		var da, db *Driver
 		if staged {
-			da.attach(la.LoopName(), la.stages())
-			db.attach(lb.LoopName(), lb.stages())
+			da, db = NewDriver(a, "a/driver", cfg, la.stages()...), NewDriver(b, "b/driver", cfg, lb.stages()...)
 		} else {
+			da, db = NewDriver(a, "a/driver", cfg), NewDriver(b, "b/driver", cfg)
 			da.Attach(la)
 			db.Attach(lb)
 		}
@@ -115,10 +114,10 @@ func TestRangeHelpersCostOneSwitch(t *testing.T) {
 		call func(p *sim.Proc, h *host.Host, addr int64)
 	}{
 		{"InvalidateRange", func(p *sim.Proc, h *host.Host, addr int64) {
-			InvalidateRange(p, h.Cache, addr, lines*cxl.LineSize, "payload")
+			h.Cache.FlushRange(p, addr, lines*cxl.LineSize, "payload")
 		}},
 		{"WritebackRange", func(p *sim.Proc, h *host.Host, addr int64) {
-			WritebackRange(p, h.Cache, addr, lines*cxl.LineSize, "payload")
+			h.Cache.WritebackRange(p, addr, lines*cxl.LineSize, "payload")
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -275,18 +275,13 @@ func AblSharding(scale float64) *Report {
 	totals := parRun(len(shardCounts), func(i int) float64 {
 		return runSharded(shardCounts[i], window)
 	})
-	var base float64
 	for i, shards := range shardCounts {
 		total := totals[i]
-		if shards == 1 {
-			base = total
-		}
 		r.addf("%-10d %14.1f %16.1f", shards, total, total/float64(shards))
 		r.Values[fmt.Sprintf("shards%d", shards)] = total
 	}
 	r.addf("paper (§6): message channel throughput scales linearly with additional")
 	r.addf("channels; a sharded multi-channel design lifts the single-core ceiling")
-	_ = base
 	return r
 }
 

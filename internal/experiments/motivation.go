@@ -25,8 +25,6 @@ func Fig2(scale float64) *Report {
 		r.addf("%-8d %8.1f %8.1f %8.1f %8.1f %10.2f %11.1f",
 			res.PodSize, res.StrandedCPU*100, res.StrandedMem*100,
 			res.StrandedNIC*100, res.StrandedSSD*100, res.NICsPerPod, res.DrivesPerPod)
-		k := func(name string) string { return name }
-		_ = k
 		if res.PodSize == 1 {
 			r.Values["base_nic"] = res.StrandedNIC
 			r.Values["base_ssd"] = res.StrandedSSD

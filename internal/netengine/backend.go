@@ -42,7 +42,7 @@ type txMeta struct {
 // on the core runtime; messages that hit a full ring park on the core
 // link's bounded pending queue (completions carry buffer ownership).
 type Backend struct {
-	core.Seat
+	*core.Driver
 	nicQueues
 	h     *host.Host
 	nicID uint16
@@ -117,7 +117,7 @@ func NewBackend(h *host.Host, nicID uint16, dev *nic.NIC, pool *cxl.Pool, nicDir
 	// One iteration: parked completions, frontend messages, NIC completion
 	// queues and RX replenishment, and the control plane's commands and
 	// timed duties.
-	be.Seat = core.NewSeat(fmt.Sprintf("%s/be%d", h.Name, nicID), []core.Stage{
+	be.Driver = core.NewDriver(h, fmt.Sprintf("%s/be%d", h.Name, nicID), cfg.driverConfig(),
 		core.WorkStage("parked completions", be.parkedIdle, be.drainParked),
 		core.SteppedPollStage("frontend messages", be.links, burst, &be.feMsg),
 		core.SteppedWorkStage("nic queues", be.nicIdle, &be.serve),
@@ -125,7 +125,7 @@ func NewBackend(h *host.Host, nicID uint16, dev *nic.NIC, pool *cxl.Pool, nicDir
 		// them out of band (MAC borrowing) and must still back off.
 		core.ControlStage("allocator commands", &be.ctrl, burst, be.handleControlMsg, false),
 		core.SteppedWorkStage("duties and flush", be.dutiesIdle, &be.duties),
-	}, h, cfg.driverConfig())
+	)
 	return be, nil
 }
 
@@ -447,7 +447,7 @@ func (be *Backend) inspectAndRoute(p *sim.Proc, rc nic.RxCompletion) *registrati
 	}
 	buf := be.h.Eng.Bufs().Get(n)
 	be.h.Cache.Read(p, rc.Addr, buf, "payload")
-	core.InvalidateRange(p, be.h.Cache, rc.Addr, n, "payload")
+	be.h.Cache.FlushRange(p, rc.Addr, n, "payload")
 	var pk netstack.Packet
 	err := pk.Unmarshal(buf)
 	be.h.Eng.Bufs().Put(buf)

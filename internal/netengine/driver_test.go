@@ -440,7 +440,7 @@ func TestIdleLocalDriverCostsNoSwitch(t *testing.T) {
 	eng.RunUntil(time.Millisecond) // the first iteration posts a ring of RX descriptors, one doorbell each
 	iterations := func() (n, idle uint64) {
 		for _, ld := range drivers {
-			n, idle = n+uint64(ld.Driver().Iterations), idle+uint64(ld.Driver().IdleIterations)
+			n, idle = n+uint64(ld.Iterations), idle+uint64(ld.IdleIterations)
 		}
 		return
 	}

@@ -113,11 +113,10 @@ type feCmd func(p *sim.Proc)
 // Frontend is the per-host frontend driver (§3.3): it owns the host's
 // instances' TX buffer areas, forwards packets and completions between
 // instances and backends, and applies the allocator's failover/migration
-// commands. It is an engine loop on the core runtime — the embedded seat's
-// Start gives it a dedicated driver core, Join multiplexes it onto a shared
-// one.
+// commands. It is an engine loop on the core runtime, polled by its own
+// embedded driver core.
 type Frontend struct {
-	core.Seat
+	*core.Driver
 	h    *host.Host
 	pool *cxl.Pool
 	cfg  Config
@@ -160,12 +159,12 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
 	// One iteration: deferred commands and instance TX queues, backend
 	// messages, allocator commands, and the flush of partially-filled
 	// message lines.
-	fe.Seat = core.NewSeat(h.Name+"/fe", []core.Stage{
+	fe.Driver = core.NewDriver(h, h.Name+"/fe", cfg.driverConfig(),
 		core.SteppedWorkStage("queues", fe.queuesIdle, &fe.queues),
 		core.SteppedPollStage("backend messages", fe.links, burst, &fe.beMsg),
 		core.ControlStage("allocator commands", &fe.ctrl, burst, fe.handleControlMsg, true),
 		core.SteppedWorkStage("flush", fe.flushIdle, core.NewFlushJob(fe.links, &fe.ctrl)),
-	}, h, cfg.driverConfig())
+	)
 	return fe
 }
 
@@ -412,7 +411,7 @@ func (fe *Frontend) drainControl(p *sim.Proc) int {
 // TX):
 //
 //	p.Sleep(MsgCost)
-//	core.WritebackRange(p, h.Cache, req.addr, req.size, "payload")
+//	h.Cache.WritebackRange(p, req.addr, req.size, "payload")
 //	if !inst.primary.link.Send(p, opTxPacket message) {
 //		// ring full: count it, and put the request back at the head
 //	}

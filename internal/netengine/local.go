@@ -22,7 +22,7 @@ import (
 // The datapath per direction is: instance IPC ring -> driver core -> NIC
 // queue pair, exactly one intermediary.
 type LocalDriver struct {
-	core.Seat
+	*core.Driver
 	nicQueues
 	h    *host.Host
 	pool *cxl.Pool
@@ -66,10 +66,10 @@ func NewLocalDriver(h *host.Host, dev *nic.NIC, pool *cxl.Pool, cfg Config) (*Lo
 	d.rx = localRxJob{d: d, copy: newRxCopy(h, bufSize)}
 	// One iteration: instance TX rings, then NIC completions and RX
 	// replenishment — the single-intermediary baseline pass.
-	d.Seat = core.NewSeat(h.Name+"/iokernel", []core.Stage{
+	d.Driver = core.NewDriver(h, h.Name+"/iokernel", cfg.driverConfig(),
 		core.SteppedWorkStage("instance tx", d.txIdle, &d.tx),
 		core.SteppedWorkStage("nic queues", d.nicIdle, &d.serve),
-	}, h, cfg.driverConfig())
+	)
 	return d, nil
 }
 
@@ -124,7 +124,7 @@ func (d *LocalDriver) txIdle() bool {
 // it publishes each buffer for DMA, then posts straight to the NIC — the
 // single-intermediary baseline path:
 //
-//	core.WritebackRange(p, h.Cache, req.addr, req.size, "payload")
+//	h.Cache.WritebackRange(p, req.addr, req.size, "payload")
 //	if !dev.PostTx(p, wqe) { /* ring full: drop, free the buffer */ }
 type localTxJob struct {
 	sim.NonBlocking
@@ -283,7 +283,7 @@ func (j *localRxJob) Finish(p *sim.Proc) {
 		}
 	}
 	if inst == nil {
-		core.InvalidateRange(p, d.h.Cache, rc.Addr, n, "payload")
+		d.h.Cache.FlushRange(p, rc.Addr, n, "payload")
 		d.rxArea.Free(rc.Addr)
 		return
 	}

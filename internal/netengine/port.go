@@ -177,7 +177,7 @@ func (j *sendJob) Step() (sim.Duration, bool) { return j.step() }
 //	h.Cache.Read(p, addr, scratch[:n], "payload")
 //	local := a copy of scratch[:n]
 //	p.Sleep(h.Local.TouchCost(n))
-//	core.InvalidateRange(p, h.Cache, addr, n, "payload")
+//	h.Cache.FlushRange(p, addr, n, "payload")
 //	// recycle: an RX-complete message over the backend's link, or back
 //	// into the local driver's RX area
 //	stack.DeliverOwnedFrame(local)

@@ -47,7 +47,7 @@
 // counter + sense-reversing completion barrier — no per-window goroutine
 // spawns and no WaitGroup churn.
 //
-// Zero-lookahead couplings (shared-core hosts, intra-pod links) are not
+// Zero-lookahead couplings (shared pool memory, intra-pod links) are not
 // expressible as CrossLinks — the affected processes must share one
 // partition. A degenerate one-partition group IS its engine: RunUntil, Now
 // and Shutdown delegate straight to it and a same-partition Hop is a Sleep,

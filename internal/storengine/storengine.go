@@ -200,10 +200,9 @@ type sbeLink struct {
 
 // Frontend is the per-host storage frontend driver: it exposes block
 // volumes to local instances and forwards requests/completions. It is an
-// engine loop on the core runtime — the embedded seat's Start gives it a
-// dedicated driver core, Join multiplexes it onto a shared one.
+// engine loop on the core runtime, polled by its own embedded driver core.
 type Frontend struct {
-	core.Seat
+	*core.Driver
 	h    *host.Host
 	pool *cxl.Pool
 
@@ -243,7 +242,7 @@ func NewFrontend(h *host.Host, pool *cxl.Pool) *Frontend {
 	}
 	// One iteration: retry promotions and the request queue, backend
 	// completions, allocator commands, and the flush.
-	fe.Seat = core.NewSeat(h.Name+"/storage-fe", []core.Stage{
+	fe.Driver = core.NewDriver(h, h.Name+"/storage-fe", pacing,
 		core.WorkStage("requests", fe.requestsIdle, fe.forwardRequests),
 		core.PollStage("backend messages", fe.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
 			fe.handleBackendMsg(p, l.Meta.(*sbeLink), sdecode(payload))
@@ -253,7 +252,7 @@ func NewFrontend(h *host.Host, pool *cxl.Pool) *Frontend {
 			fe.links.FlushAll(p)
 			return 0
 		}),
-	}, h, pacing)
+	)
 	return fe
 }
 
@@ -692,7 +691,7 @@ func (fe *Frontend) forward(p *sim.Proc, req *ioReq, buf []byte) {
 		}
 	}
 	if req.op == sOpWrite {
-		core.WritebackRange(p, fe.h.Cache, req.buf, len(req.data), "payload")
+		fe.h.Cache.WritebackRange(p, req.buf, len(req.data), "payload")
 	}
 	cid := fe.allocCID()
 	m := smsg{
@@ -763,7 +762,7 @@ func (fe *Frontend) handleBackendMsg(p *sim.Proc, l *sbeLink, m smsg) {
 				// invalidate first so a recycled buffer's stale lines
 				// cannot leak through.
 				n := req.blocks * ssd.BlockSize
-				core.InvalidateRange(p, fe.h.Cache, req.buf, n, "payload")
+				fe.h.Cache.FlushRange(p, req.buf, n, "payload")
 				out := make([]byte, n)
 				fe.h.Cache.Read(p, req.buf, out, "payload")
 				p.Sleep(fe.h.Local.TouchCost(n)) // copy into instance memory
@@ -955,7 +954,7 @@ type pendingIO struct {
 // a backend that was presumed dead cannot smuggle stale acks past a
 // failover.
 type Backend struct {
-	core.Seat
+	*core.Driver
 	h     *host.Host
 	ssdID uint16
 	dev   *ssd.SSD
@@ -999,13 +998,13 @@ func NewBackend(h *host.Host, ssdID uint16, dev *ssd.SSD, capacityBlocks uint64,
 	}
 	// One iteration: parked completions, frontend messages, device
 	// completions, and the telemetry window.
-	be.Seat = core.NewSeat(fmt.Sprintf("%s/storage-be%d", h.Name, ssdID), []core.Stage{
+	be.Driver = core.NewDriver(h, fmt.Sprintf("%s/storage-be%d", h.Name, ssdID), pacing,
 		core.WorkStage("parked completions", be.parkedIdle, be.drainParked),
 		core.PollStage("frontend messages", be.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
 			be.handleFrontendMsg(p, l.Meta.(*sfeLink), sdecode(payload), be.msgBuf[:])
 		}),
 		core.WorkStage("completions, telemetry and flush", be.deviceIdle, be.serveDevice),
-	}, h, pacing)
+	)
 	return be
 }
 

@@ -31,8 +31,7 @@
 // graph that owns every host, device, instance, and client. Nodes are
 // added one at a time through the ...Err builders. A single idempotent
 // wiring pass turns the graph into a live pod — data links to
-// every peer, the allocator's control links, shared-core seats, driver
-// launches, metric registration, always in the same order. Start runs it
+// every peer, the allocator's control links, driver launches, metric registration, always in the same order. Start runs it
 // over whatever exists; an add after Start runs the same pass, which then
 // touches only the new node, so a pod grown one node at a time is wired by
 // the code that wires one built up front. See DESIGN.md §10.
@@ -108,14 +107,6 @@ type Config struct {
 	// NoAllocator disables the pod-wide allocator; instances must then be
 	// assigned to NICs explicitly with Instance.Assign.
 	NoAllocator bool
-	// SharedHostCore multiplexes each host's engine loops — network
-	// frontend, storage frontend, and any locally-attached NIC/SSD backends
-	// — onto ONE driver core per host instead of a dedicated core per
-	// driver. This reproduces §5.1's observation that "the frontend and
-	// backend driver cores also handle other tasks, which delays message
-	// passing": all loops share the core's iterations. The baseline local
-	// driver and the allocator keep their own cores.
-	SharedHostCore bool
 	// RaftReplicas replicates the allocator's decision log with Raft over
 	// 64 B message channels across the first N pod hosts (§3.5). 0 disables
 	// replication; otherwise it must be an odd count ≥ 3 and ≤ len(hosts).

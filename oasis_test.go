@@ -612,105 +612,6 @@ func TestStatsReportCoversComponents(t *testing.T) {
 	}
 }
 
-func TestSharedHostCoreRunsNetAndStorage(t *testing.T) {
-	// Tentpole payoff (§5.1): with SharedHostCore set, each host multiplexes
-	// all of its engine loops onto ONE driver core. hostA runs its net and
-	// storage frontends on a single core; hostB runs its net frontend plus
-	// the NIC and SSD backend loops on another. Both datapaths must still
-	// work end to end through the shared cores.
-	cfg := DefaultConfig()
-	cfg.SharedHostCore = true
-	pod := NewPod(cfg)
-	hA := pod.AddHost()
-	hB := pod.AddHost()
-	n1 := pod.AddNIC(hB, false)
-	d := pod.AddSSD(hB, 1<<16)
-	inst := pod.AddInstance(hA, IP(10, 0, 0, 10))
-	vol := pod.AddVolume(inst, d.ID, 4096)
-	client := pod.AddClient(IP(10, 0, 99, 1))
-	pod.Start()
-
-	// Every engine loop must run on its host's shared core, not a private one.
-	if hA.Driver == nil || hB.Driver == nil {
-		t.Fatal("hosts did not get shared driver cores")
-	}
-	if got := len(hA.Driver.Loops()); got != 2 { // net FE + storage FE
-		t.Fatalf("hostA core runs %d loops, want 2 (net fe + storage fe)", got)
-	}
-	if got := len(hB.Driver.Loops()); got != 3 { // net FE + NIC BE + SSD BE
-		t.Fatalf("hostB core runs %d loops, want 3 (net fe + nic be + ssd be)", got)
-	}
-	if hA.FE.Driver() != hA.Driver || hA.SFE.Driver() != hA.Driver {
-		t.Fatal("hostA engines not attached to the shared core")
-	}
-	if n1.BE.Driver() != hB.Driver || d.BE.Driver() != hB.Driver {
-		t.Fatal("hostB backends not attached to the shared core")
-	}
-
-	inst.RequestAllocation()
-	pod.Go("echo-server", func(p *Proc) {
-		conn, err := inst.Stack.ListenUDP(7)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for {
-			dg := conn.Recv(p)
-			if err := conn.SendTo(p, dg.Src, dg.SrcPort, dg.Data); err != nil {
-				return
-			}
-		}
-	})
-	netOK, storOK := false, false
-	pod.Go("app", func(p *Proc) {
-		defer pod.Shutdown()
-		if !vol.WaitReady(p, 100*time.Millisecond) {
-			t.Error("volume not ready")
-			return
-		}
-		data := bytes.Repeat([]byte{0x5a}, 8192)
-		if err := vol.Write(p, 0, data); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		got, err := vol.Read(p, 0, 2)
-		if err != nil || !bytes.Equal(got, data) {
-			t.Errorf("pooled SSD round trip failed (err=%v)", err)
-			return
-		}
-		storOK = true
-		conn, _ := client.Stack.ListenUDP(0)
-		p.Sleep(2 * time.Millisecond)
-		payload := bytes.Repeat([]byte{0xAB}, 64)
-		for i := 0; i < 10; i++ {
-			if err := conn.SendTo(p, inst.IPAddr(), 7, payload); err != nil {
-				t.Errorf("send %d: %v", i, err)
-				return
-			}
-			dg, ok := conn.RecvTimeout(p, 10*time.Millisecond)
-			if !ok || !bytes.Equal(dg.Data, payload) {
-				t.Errorf("echo %d failed", i)
-				return
-			}
-		}
-		netOK = true
-	})
-	pod.Run(time.Second)
-	if !storOK || !netOK {
-		t.Fatalf("shared-core datapaths incomplete: storage=%v net=%v", storOK, netOK)
-	}
-	if hB.Driver.Processed == 0 {
-		t.Fatal("hostB shared core processed no messages")
-	}
-	snap := pod.Stats()
-	if got := snap.Value("core/host1/loops"); got != 3 {
-		t.Fatalf("core/host1/loops = %v, want 3:\n%s", got, snap.String())
-	}
-	if snap.Value("core/host1/processed") == 0 {
-		t.Fatal("core/host1/processed = 0, want messages through the shared core")
-	}
-}
-
 func TestChannelLatencyHistogram(t *testing.T) {
 	// Fig. 6-style measurement: one-way delivery latency on the message
 	// channel feeding host0's frontend from nic1's backend. The paper

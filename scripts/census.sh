@@ -31,7 +31,7 @@ run "$bin/oasis-bench" -run fig6,tab3 -scale 0.05 -parallel -values
 run "$bin/oasis-bench" -run racksweep -exec perpod -scale 0.05
 run "$bin/oasis-pod" -hosts 2 -nics 1 -ssds 1 -instances 1 -workload kv -duration 50ms -stats json
 run "$bin/oasis-pod" -hosts 3 -nics 2 -backup -instances 2 -fail-at 100ms -duration 300ms -raft -stats prom
-run "$bin/oasis-pod" -hosts 2 -nics 1 -ssds 1 -instances 2 -shared-core -duration 50ms
+run "$bin/oasis-pod" -hosts 2 -nics 1 -ssds 1 -instances 2 -duration 50ms
 run "$bin/oasis-trace" -kind packets -span 10ms -series
 run "$bin/oasis-trace" -kind packets -rack A -span 10ms
 run "$bin/oasis-trace" -kind alloc -hosts 64

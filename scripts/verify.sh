@@ -15,8 +15,8 @@ fi
 
 # One representation, checked by grep: internal/core is the only loop
 # runner, link builder and backoff in the tree. An engine is a stage list on
-# its seat — PollOnce exists only as the opaque-loop interface and its
-# adapter in core/engine.go — raft's transport builds its channels with
+# its own driver core — PollOnce exists only as the opaque-loop interface and
+# its adapter in core/engine.go — raft's transport builds its channels with
 # core.NewDuplexLink and backs off with core.Backoff, and the experiments
 # build raw channels in one place (rawChannel). A new hand-rolled poll loop,
 # channel builder or capped doubling fails here. (bench/ is frozen and keeps
@@ -84,6 +84,15 @@ gate "a LinkSet.Remove" "$(grep -rn --include='*.go' 'func (s \*LinkSet) Remove'
 # decoder comes back.
 echo "== every frame has one owner (grep gate) =="
 gate "a second frame parse or an allocating packet decoder" "$(src 'func parseFrame\|func Unmarshal(')"
+
+# One engine, one core: every engine builds its own driver core with its
+# stage list, and a core runs that one loop. The shared host core, the seat
+# that put a loop on a core and the driver's loop list are gone; so are the
+# core's wrappers over the cache's range operations and the backpressure
+# predicate no engine consulted.
+echo "== one engine, one core (grep gate) =="
+gate "a shared host core, a seat or a loop list in internal/core or the facade" "$(grep -n 'SharedHostCore\|shared-core\|core\.Seat\|NewSeat\|Join(\|Loops()\|obsDrivers\|\[\]\[\]Stage' internal/core/*.go ./*.go cmd/oasis-pod/*.go scripts/census.sh | grep -v '_test\.go:' || true)"
+gate "a core wrapper over a cache range operation, or Link.Backlogged" "$(src 'core\.WritebackRange\|core\.InvalidateRange\|func WritebackRange(p\|func InvalidateRange(\|Backlogged')"
 
 echo "== go build ./... =="
 go build ./...

@@ -49,9 +49,6 @@ type Host struct {
 	SFE *storengine.Frontend
 	// LD is the baseline Junction-style local driver (set by AddLocalNIC).
 	LD *netengine.LocalDriver
-	// Driver is the host's shared driver core when Config.SharedHostCore is
-	// set: every engine loop on this host polls from it.
-	Driver *core.Driver
 
 	// wired and sfeWired mark what the wiring pass has already linked and
 	// launched: the host (FE, LD, control link) and its storage frontend,
@@ -237,11 +234,8 @@ type Topology struct {
 	// nodes is the graph's id set — one canonical topo-grammar key per
 	// node — used to reject double-adds of the same id.
 	nodes map[string]bool
-	// obsDrivers dedupes driver-core registration (a shared host core is
-	// reached through every engine seated on it); obsPorts counts the pool
-	// ports registered so far.
-	obsDrivers map[*core.Driver]bool
-	obsPorts   int
+	// obsPorts counts the pool ports registered so far.
+	obsPorts int
 }
 
 // NewTopology creates an empty standalone topology on partition 0 of a
@@ -255,22 +249,21 @@ func NewTopology(cfg Config) *Topology {
 // every name when the topology joins a cluster.
 func newTopology(g *sim.Group, eng *sim.Engine, cfg Config, podIndex int) *Topology {
 	return &Topology{
-		Eng:        eng,
-		group:      g,
-		Pool:       cxl.NewPool(eng, cfg.PoolBytes, cfg.CXL),
-		Switch:     netsw.New(eng, cfg.Switch),
-		NICs:       make(map[uint16]*NIC),
-		SSDs:       make(map[uint16]*SSDDev),
-		cfg:        cfg,
-		obs:        obs.New(),
-		nicDir:     make(map[uint16]netsw.MAC),
-		nextNICID:  1,
-		nextSSDID:  1,
-		nextMAC:    0x02_00_00_00_00_01, // locally administered
-		podIndex:   podIndex,
-		scope:      topo.Scope(podIndex),
-		nodes:      make(map[string]bool),
-		obsDrivers: make(map[*core.Driver]bool),
+		Eng:       eng,
+		group:     g,
+		Pool:      cxl.NewPool(eng, cfg.PoolBytes, cfg.CXL),
+		Switch:    netsw.New(eng, cfg.Switch),
+		NICs:      make(map[uint16]*NIC),
+		SSDs:      make(map[uint16]*SSDDev),
+		cfg:       cfg,
+		obs:       obs.New(),
+		nicDir:    make(map[uint16]netsw.MAC),
+		nextNICID: 1,
+		nextSSDID: 1,
+		nextMAC:   0x02_00_00_00_00_01, // locally administered
+		podIndex:  podIndex,
+		scope:     topo.Scope(podIndex),
+		nodes:     make(map[string]bool),
 	}
 }
 

@@ -7,74 +7,39 @@ import (
 	"oasis/internal/obs"
 )
 
-// engine is all the wiring pass needs of a device engine or the allocator:
-// a core.Seat — the loop's name, stage list and place on a driver core —
-// and a way to register its instruments. wire puts it on a core with seat
-// (shared host cores) and launch; a new engine type that embeds the seat and
-// has a RegisterObs is wired by adding its node to the walk below, and
-// nothing else names its type.
-type engine interface {
-	LoopName() string
-	Driver() *core.Driver
-	Join(d *core.Driver)
-	Start()
+// instrumented is all the wiring pass needs of a device engine or the
+// allocator beside its driver core: a way to register its instruments.
+type instrumented interface {
 	RegisterObs(r *obs.Registry, prefix string)
 }
 
-// launch starts e's loop — on the shared core it joined, else on a dedicated
-// one — and registers its instruments under its loop name and its core's
-// under core/<core name>. Registration order is invisible: Snapshot sorts by
-// name.
-func (t *Topology) launch(e engine) { t.launchAs(e, e.LoopName()) }
+// launch starts d, the driver core of engine e, and registers e's
+// instruments under the core's name and the core's under core/<core name>.
+// Registration order is invisible: Snapshot sorts by name.
+func (t *Topology) launch(d *core.Driver, e instrumented) { t.launchAs(d, e, d.Name()) }
 
-// launchAs is launch with the instruments under prefix instead (the
-// allocator's series are <scope>alloc/*, not its loop name).
-func (t *Topology) launchAs(e engine, prefix string) {
-	e.Start()
+// launchAs is launch with e's instruments under prefix instead (the
+// allocator's series are <scope>alloc/*, not its core's name).
+func (t *Topology) launchAs(d *core.Driver, e instrumented, prefix string) {
+	d.Start()
 	e.RegisterObs(t.obs, prefix)
-	d := e.Driver()
-	t.regDriver(d, "core/"+d.Name())
-}
-
-// regDriver registers a driver core's instruments once: a shared host core
-// is reached again through every engine seated on it.
-func (t *Topology) regDriver(d *core.Driver, prefix string) {
-	if t.obsDrivers[d] {
-		return
-	}
-	t.obsDrivers[d] = true
-	d.RegisterObs(t.obs, prefix)
-}
-
-// seat puts e on its host's shared driver core (§5.1, Config.SharedHostCore),
-// creating the core for the first engine seated. The core registers under
-// core/<host>, ahead of the engines that reach it through their seats.
-func (t *Topology) seat(e engine, on *Host) {
-	if on.Driver == nil {
-		on.Driver = core.NewDriver(on.H, on.H.Name+"/engines", core.DriverConfig{
-			LoopCost:    t.cfg.Engine.LoopCost,
-			IdleBackoff: t.cfg.Engine.IdleBackoff,
-		})
-		t.regDriver(on.Driver, "core/"+on.H.Name)
-	}
-	e.Join(on.Driver)
+	d.RegisterObs(t.obs, "core/"+d.Name())
 }
 
 // wire is the one wiring pass. It brings the live pod up to date with the
 // node graph: data links between every frontend and every backend, the
 // backup-drive mirror, the allocator with a control link per driver, the
-// raft group, shared-core seats, and finally every launch, each with its
-// metric registration. Start runs it over the whole graph; every add after
+// raft group, and finally every launch, each with its metric registration. Start runs it over the whole graph; every add after
 // Start runs it again, and the per-node wired marks (Host, Host.SFE, NIC,
 // SSDDev, and the instance and client stacks) make it touch only what is
 // new — an edge is made iff one of its endpoints is not yet wired, a loop is
 // launched iff its node is not. Before Start it does nothing.
 //
 // The order is fixed (sorted device ids, host insertion order) and is part
-// of the simulated result: it decides pool addresses, process spawn order
-// and the poll order on shared cores. The engine is cooperative, so growing
-// link sets and shared cores between poll iterations is safe. An error
-// (the pool cannot hold another channel) leaves the new nodes partly wired.
+// of the simulated result: it decides pool addresses and process spawn
+// order. The engine is cooperative, so growing link sets between poll
+// iterations is safe. An error (the pool cannot hold another channel) leaves
+// the new nodes partly wired.
 func (t *Topology) wire() error {
 	if !t.started {
 		return nil
@@ -190,32 +155,7 @@ func (t *Topology) wire() error {
 			if t.cfg.RaftReplicas > 0 {
 				t.setupRaft()
 			}
-			t.launchAs(t.Alloc, t.scope+"alloc")
-		}
-	}
-
-	// Shared host cores (§5.1): one driver core per host multiplexes the
-	// host's frontend loops and locally-attached backend loops, polled in
-	// seating order. Seats are taken before the launches below, which then
-	// only make sure the shared core is polling.
-	if t.cfg.SharedHostCore {
-		for _, ph := range t.Hosts {
-			if !ph.wired {
-				t.seat(ph.FE, ph)
-			}
-			if ph.SFE != nil && !ph.sfeWired {
-				t.seat(ph.SFE, ph)
-			}
-		}
-		for _, id := range nicIDs {
-			if n := t.NICs[id]; n.BE != nil && !n.wired {
-				t.seat(n.BE, n.host)
-			}
-		}
-		for _, id := range ssdIDs {
-			if d := t.SSDs[id]; !d.wired {
-				t.seat(d.BE, d.host)
-			}
+			t.launchAs(t.Alloc.Driver, t.Alloc, t.scope+"alloc")
 		}
 	}
 
@@ -229,7 +169,7 @@ func (t *Topology) wire() error {
 		n.Dev.Start()
 		n.Dev.RegisterObs(t.obs, t.nicName(id))
 		if n.BE != nil {
-			t.launch(n.BE)
+			t.launch(n.BE.Driver, n.BE)
 		}
 		n.wired = true
 	}
@@ -240,7 +180,7 @@ func (t *Topology) wire() error {
 		}
 		d.Dev.Start()
 		d.Dev.RegisterObs(t.obs, t.ssdName(id))
-		t.launch(d.BE)
+		t.launch(d.BE.Driver, d.BE)
 		d.wired = true
 	}
 	for _, ph := range t.Hosts {
@@ -248,14 +188,14 @@ func (t *Topology) wire() error {
 			if ph.H.Cache != nil {
 				ph.H.Cache.RegisterObs(t.obs, ph.H.Name+"/cache")
 			}
-			t.launch(ph.FE)
+			t.launch(ph.FE.Driver, ph.FE)
 		}
 		if ph.SFE != nil && !ph.sfeWired {
-			t.launch(ph.SFE)
+			t.launch(ph.SFE.Driver, ph.SFE)
 			ph.sfeWired = true
 		}
 		if ph.LD != nil && !ph.wired {
-			t.launch(ph.LD)
+			t.launch(ph.LD.Driver, ph.LD)
 		}
 		ph.wired = true
 	}

@@ -14,14 +14,14 @@ import (
 // The wiring goldens: sha256(Stats().JSON()) of small fixed topologies after
 // a short fixed workload. Every other "byte-identical" test in this package
 // compares a run with its own rerun, which cannot notice a change that moves
-// both; these constants can. They pin the order of pool allocations, process
-// spawns and shared-core attaches that Start and the post-Start adds make, so
+// both; these constants can. They pin the order of pool allocations and
+// process spawns that Start and the post-Start adds make, so
 // a wiring refactor that is meant to be invisible has to leave them alone.
 // Regenerate them (go test -run TestWiringDigests -v prints the got values)
 // only with a change that is meant to move simulated results.
 const (
 	digestDefaultPod  = "235ab2be3bfc6f251ec2ae17223d27e286af5022fffa0e8d099a75e543542bcf"
-	digestSharedCore  = "180e6483947593b21d3c2a59eb60b67405232ed53f77c49316cd5652ecdef1ce"
+	digestNetStorage  = "e277b2910267e631db86f3cb060b2a4be85e5cf61ce5393bcd43b0d94f40d5c4"
 	digestRaftBackups = "ef0fdc5d587d14d64fbd94aae0a9f53bfea23cce5322ff77fe4afac8dd19bace"
 	digestBaseline    = "73a166277bf75a949cf6af2126806608c541c8de5337ab417327e7e664f2070c"
 	digestLateAdds    = "d9fc6c477e14628592a11240e6aaf8d86cd6e42e1d8719d8e231a3ef4376b9f8"
@@ -117,10 +117,8 @@ func TestWiringDigests(t *testing.T) {
 			digestEcho(t, pod, inst, client, 20)
 			return digestRun(pod, 10*time.Millisecond)
 		}},
-		{"shared-host-core", digestSharedCore, func(t *testing.T) []byte {
-			cfg := DefaultConfig()
-			cfg.SharedHostCore = true
-			pod := NewPod(cfg)
+		{"net-and-storage", digestNetStorage, func(t *testing.T) []byte {
+			pod := NewPod(DefaultConfig())
 			hA, hB := pod.AddHost(), pod.AddHost()
 			pod.AddNIC(hB, false)
 			d := pod.AddSSD(hB, 1<<12)
@@ -189,53 +187,5 @@ func TestWiringDigests(t *testing.T) {
 				t.Errorf("sha256(Stats().JSON()) = %s, want %s", got, tc.want)
 			}
 		})
-	}
-}
-
-// TestLateAddOnSharedCore grows a running SharedHostCore pod: a NIC, an SSD
-// and a host's first volume (which creates its storage frontend) all arrive
-// after Start, so their loops have to join shared cores that are already
-// polling. Traffic must then flow through each of them.
-func TestLateAddOnSharedCore(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SharedHostCore = true
-	pod := NewPod(cfg)
-	hA, hB := pod.AddHost(), pod.AddHost()
-	inst := pod.AddInstance(hA, IP(10, 0, 0, 10))
-	client := pod.AddClient(IP(10, 0, 99, 1))
-	pod.Start()
-	pod.Run(time.Millisecond)
-	if a, b := len(hA.Driver.Loops()), len(hB.Driver.Loops()); a != 1 || b != 1 {
-		t.Fatalf("shared cores run %d and %d loops before the late adds, want 1 and 1", a, b)
-	}
-
-	n, err := pod.AddNICErr(hB, false)
-	if err != nil {
-		t.Fatalf("late AddNIC: %v", err)
-	}
-	d, err := pod.AddSSDErr(hB, 1<<12)
-	if err != nil {
-		t.Fatalf("late AddSSD: %v", err)
-	}
-	vol, err := pod.AddVolumeErr(inst, d.ID, 64)
-	if err != nil {
-		t.Fatalf("late AddVolume: %v", err)
-	}
-	if n.BE.Driver() != hB.Driver || d.BE.Driver() != hB.Driver || hA.SFE.Driver() != hA.Driver {
-		t.Fatal("late engines did not join their hosts' shared cores")
-	}
-	if a, b := len(hA.Driver.Loops()), len(hB.Driver.Loops()); a != 2 || b != 3 {
-		t.Fatalf("shared cores run %d and %d loops after the late adds, want 2 (fe + storage fe) and 3 (fe + nic be + ssd be)", a, b)
-	}
-
-	digestEcho(t, pod, inst, client, 10)
-	digestVolumeRW(t, pod, vol)
-	pod.Run(12 * time.Millisecond)
-	defer pod.Shutdown()
-	if n.Dev.TxPackets == 0 || n.Dev.RxPackets == 0 {
-		t.Errorf("late NIC carried tx=%d rx=%d packets, want both > 0", n.Dev.TxPackets, n.Dev.RxPackets)
-	}
-	if d.Dev.Reads == 0 || d.Dev.Writes == 0 {
-		t.Errorf("late SSD served reads=%d writes=%d, want both > 0", d.Dev.Reads, d.Dev.Writes)
 	}
 }
