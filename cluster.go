@@ -577,21 +577,13 @@ func (c *Cluster) RunFaultPlan(pl faults.Plan) error {
 
 // Stats merges every pod's snapshot into one cluster-wide view. Pod
 // identity scoping ("pod<i>/" prefixes on hosts, devices, drivers, alloc,
-// raft, faults) keeps the merged namespace collision-free; points re-sort
-// by name and trace events merge in time order (ties: pod order).
+// raft, faults) keeps the merged namespace collision-free; each pod's points
+// are already sorted, so obs.Merge merges the runs by name, and trace events
+// by time (ties: pod order).
 func (c *Cluster) Stats() obs.Snapshot {
-	s := obs.Snapshot{At: c.Eng.Now()}
-	for _, p := range c.pods {
-		ps := p.Stats()
-		s.Points = append(s.Points, ps.Points...)
-		s.Events = append(s.Events, ps.Events...)
+	parts := make([]obs.Snapshot, len(c.pods))
+	for i, p := range c.pods {
+		parts[i] = p.Stats()
 	}
-	sort.Slice(s.Points, func(a, b int) bool {
-		if s.Points[a].Name != s.Points[b].Name {
-			return s.Points[a].Name < s.Points[b].Name
-		}
-		return s.Points[a].Label < s.Points[b].Label
-	})
-	sort.SliceStable(s.Events, func(a, b int) bool { return s.Events[a].At < s.Events[b].At })
-	return s
+	return obs.Merge(c.Eng.Now(), parts...)
 }

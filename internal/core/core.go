@@ -27,10 +27,18 @@ import (
 
 // BufferArea is a pool-resident region divided into fixed-size I/O buffers:
 // a per-instance TX buffer area or a per-NIC RX buffer area (§3.3.1).
+//
+// Buffers are handed out lowest address first and a freed buffer is the
+// next one taken (LIFO). No buffer is listed before it is used: buffers never
+// handed out are the range [next, n), taken from its bottom, and only freed
+// ones are pushed onto the free list — the same order an up-front list of
+// all n buffers, lowest on top, would give.
 type BufferArea struct {
 	region  cxl.Region
 	bufSize int
-	free    []int64
+	n       int64   // buffers in the region
+	next    int64   // buffers [next, n) were never handed out
+	free    []int64 // freed buffers; the top is taken first
 
 	// Stats.
 	Allocs, Frees int64
@@ -48,31 +56,32 @@ func NewBufferArea(region cxl.Region, bufSize int) (*BufferArea, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("core: region of %d bytes holds no %d-byte buffers", region.Size, bufSize)
 	}
-	a := &BufferArea{region: region, bufSize: bufSize, free: make([]int64, 0, n)}
-	// LIFO free list, lowest addresses on top for determinism.
-	for i := n - 1; i >= 0; i-- {
-		a.free = append(a.free, region.Base+i*int64(bufSize))
-	}
-	return a, nil
+	return &BufferArea{region: region, bufSize: bufSize, n: n}, nil
 }
 
 // BufSize returns the per-buffer capacity.
 func (a *BufferArea) BufSize() int { return a.bufSize }
 
 // Capacity returns the total number of buffers.
-func (a *BufferArea) Capacity() int { return int(a.region.Size / int64(a.bufSize)) }
+func (a *BufferArea) Capacity() int { return int(a.n) }
 
 // FreeCount returns the buffers currently available.
-func (a *BufferArea) FreeCount() int { return len(a.free) }
+func (a *BufferArea) FreeCount() int { return len(a.free) + int(a.n-a.next) }
 
 // Alloc takes a buffer, returning its pool address.
 func (a *BufferArea) Alloc() (int64, bool) {
-	if len(a.free) == 0 {
+	if k := len(a.free); k > 0 {
+		addr := a.free[k-1]
+		a.free = a.free[:k-1]
+		a.Allocs++
+		return addr, true
+	}
+	if a.next == a.n {
 		a.AllocFails++
 		return 0, false
 	}
-	addr := a.free[len(a.free)-1]
-	a.free = a.free[:len(a.free)-1]
+	addr := a.region.Base + a.next*int64(a.bufSize)
+	a.next++
 	a.Allocs++
 	return addr, true
 }

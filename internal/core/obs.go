@@ -33,7 +33,7 @@ func (a *BufferArea) RegisterObs(r *obs.Registry, prefix string) {
 	r.Counter(prefix+"/buf_allocs", func() int64 { return a.Allocs })
 	r.Counter(prefix+"/buf_frees", func() int64 { return a.Frees })
 	r.Counter(prefix+"/buf_alloc_fails", func() int64 { return a.AllocFails })
-	r.Gauge(prefix+"/buf_free", func() float64 { return float64(len(a.free)) })
+	r.Gauge(prefix+"/buf_free", func() float64 { return float64(a.FreeCount()) })
 }
 
 // RegisterObs registers the driver core's accounting under prefix/*

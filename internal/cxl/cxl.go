@@ -14,13 +14,16 @@
 //
 // Backing memory is sparse so that simulations can declare paper-sized
 // regions (4 GB TX areas) without committing host RAM: a two-level page
-// table whose 4 KiB pages, and the directories of 512 pages above them, are
-// allocated on the first write into them. Reading memory nothing has
-// written yields zeros and allocates nothing.
+// table whose 256-byte pages, and the directories of pages above them, are
+// allocated on the first write into them. Pages are carved from slabs that
+// double in size, so committing a page is rarely a heap allocation of its
+// own. Reading memory nothing has written yields zeros and allocates
+// nothing.
 package cxl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -32,8 +35,13 @@ import (
 const LineSize = 64
 
 const (
-	pageSize = 4096
-	dirPages = 512 // pages per page directory: 2 MiB of pool each
+	pageSize = 256 // four lines: a small packet commits little more than it writes
+	dirPages = 128 // pages per page directory: 32 KiB of pool each
+
+	// Pages are carved from slabs of slabMinPages pages, doubling up to
+	// slabMaxPages.
+	slabMinPages = 16
+	slabMaxPages = 256
 )
 
 // pageDir is one directory of the pool's page table; a nil page was never
@@ -75,8 +83,10 @@ type Pool struct {
 	eng     *sim.Engine
 	params  Params
 	size    int64
-	dirs    []*pageDir // sparse backing store, indexed by addr/(dirPages*pageSize)
+	dirs    []*pageDir // sparse backing store, indexed by addr/(dirPages*pageSize); grown on write
 	ports   []*Port
+	slab    []byte      // the uncarved tail of the newest page slab
+	slabN   int         // pages in the newest slab
 	next    int64       // bump pointer: [0, next) is allocated, never freed
 	classes []classSpan // latency-class overrides, in address order
 	bi      []BackInvalidator
@@ -150,7 +160,6 @@ func NewPool(eng *sim.Engine, size int64, params Params) *Pool {
 		eng:    eng,
 		params: params,
 		size:   size,
-		dirs:   make([]*pageDir, (size+dirPages*pageSize-1)/(dirPages*pageSize)),
 	}
 }
 
@@ -213,25 +222,40 @@ func (p *Pool) setClass(r Region, c Class) {
 // page returns the backing page for addr, or nil if nothing was ever
 // written there.
 func (p *Pool) page(addr int64) *[pageSize]byte {
-	d := p.dirs[addr/(dirPages*pageSize)]
-	if d == nil {
+	di := addr / (dirPages * pageSize)
+	if di >= int64(len(p.dirs)) || p.dirs[di] == nil {
 		return nil
 	}
-	return d[addr/pageSize%dirPages]
+	return p.dirs[di][addr/pageSize%dirPages]
 }
 
 // writablePage returns the backing page for addr, allocating it — and its
 // directory — on the first write.
 func (p *Pool) writablePage(addr int64) *[pageSize]byte {
 	di, pi := addr/(dirPages*pageSize), addr/pageSize%dirPages
+	if di >= int64(len(p.dirs)) {
+		p.dirs = slices.Grow(p.dirs, int(di)+1-len(p.dirs))[:di+1]
+	}
 	if p.dirs[di] == nil {
 		p.dirs[di] = new(pageDir)
 	}
 	d := p.dirs[di]
 	if d[pi] == nil {
-		d[pi] = new([pageSize]byte)
+		d[pi] = p.newPage()
 	}
 	return d[pi]
+}
+
+// newPage carves a zeroed page from the newest slab, allocating a slab
+// twice the last one's size (up to slabMaxPages pages) when it is used up.
+func (p *Pool) newPage() *[pageSize]byte {
+	if len(p.slab) == 0 {
+		p.slabN = min(max(2*p.slabN, slabMinPages), slabMaxPages)
+		p.slab = make([]byte, p.slabN*pageSize)
+	}
+	pg := (*[pageSize]byte)(p.slab)
+	p.slab = p.slab[pageSize:]
+	return pg
 }
 
 // checkRange panics on out-of-pool accesses — these are simulation bugs.

@@ -17,7 +17,7 @@ func newTestPool(size int64) *Pool {
 func TestPokePeekRoundTrip(t *testing.T) {
 	p := newTestPool(1 << 20)
 	data := []byte("hello, cxl pool")
-	p.Poke(5000, data) // crosses a page? (page 4096: [5000,5015) inside page 1)
+	p.Poke(5000, data) // [5000, 5015) lies inside one page
 	got := make([]byte, len(data))
 	p.Peek(5000, got)
 	if !bytes.Equal(got, data) {
@@ -422,4 +422,80 @@ func TestQoSRejectsBadFraction(t *testing.T) {
 		}
 	}()
 	port.SetQoS("x", 1.5)
+}
+
+// Pages carved from shared slabs stay apart: seeded writes of up to three
+// pages, at scattered addresses so that neighbouring pool pages come from
+// different slabs and slab positions, read back byte for byte as a flat copy
+// of the pool does, and reading memory nothing has written between them
+// allocates nothing. Committing a page is a slab carve, not an allocation of
+// its own.
+func TestSlabPagesMatchFlatMemory(t *testing.T) {
+	const size = 64 * dirPages * pageSize
+	p := newTestPool(size)
+	flat := make([]byte, size)
+	rng := uint64(1)
+	rand := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int(rng>>33) % n
+	}
+	for i := 0; i < 3000; i++ {
+		n := 1 + rand(3*pageSize)
+		addr := int64(rand(size - n))
+		data := pattern(n, byte(i))
+		p.Poke(addr, data)
+		copy(flat[addr:], data)
+		if i%100 == 0 {
+			got := make([]byte, size)
+			p.Peek(0, got)
+			if !bytes.Equal(got, flat) {
+				t.Fatalf("after %d writes the pool reads back differently from a flat copy", i+1)
+			}
+		}
+	}
+	if p.slabN == slabMinPages {
+		t.Fatal("the writes never filled the first slab")
+	}
+	// Unwritten pages among the written ones: find one, read it.
+	var hole int64 = -1
+	for d, dir := range p.dirs {
+		for i, pg := range dir {
+			if pg == nil {
+				hole = (int64(d)*dirPages + int64(i)) * pageSize
+				break
+			}
+		}
+		if hole >= 0 {
+			break
+		}
+	}
+	if hole < 0 {
+		t.Fatal("no unwritten page left to read")
+	}
+	buf := []byte{0xFF, 0xFF}
+	if allocs := testing.AllocsPerRun(100, func() { p.Peek(hole+7, buf) }); allocs != 0 || buf[0] != 0 || buf[1] != 0 {
+		t.Fatalf("reading an unwritten page: %v allocations, bytes %v; want 0 and zeros", allocs, buf)
+	}
+	// Committing a directory's pages one by one allocates the directory
+	// table, the directory and the slabs, nothing per page.
+	want, carved := 2.0, 0
+	for n := slabMinPages; carved < dirPages; n = min(2*n, slabMaxPages) {
+		want, carved = want+1, carved+n
+	}
+	eng := sim.New()
+	fresh := make([]*Pool, 4) // AllocsPerRun(3) runs once more to warm up
+	for i := range fresh {
+		fresh[i] = NewPool(eng, size, DefaultParams())
+	}
+	one := []byte{1}
+	allocs := testing.AllocsPerRun(3, func() {
+		q := fresh[0]
+		fresh = fresh[1:]
+		for a := int64(0); a < dirPages*pageSize; a += pageSize {
+			q.Poke(a, one)
+		}
+	})
+	if allocs != want {
+		t.Fatalf("committing %d pages made %v allocations, want %v", dirPages, allocs, want)
+	}
 }

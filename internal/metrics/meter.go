@@ -13,8 +13,8 @@ import (
 //
 // A meter sees a handful of categories and an Add per CXL line, so they are
 // a small slice kept in name order and searched linearly: no string hashing
-// on the hot path, and Categories is already sorted. The zero value is an
-// empty meter.
+// on the hot path, and Len/CategoryAt walk them in order with no copy. The
+// zero value is an empty meter.
 type Meter struct {
 	cats  []meterCategory
 	total int64
@@ -72,13 +72,13 @@ func (m *Meter) Category(c string) int64 {
 	return 0
 }
 
-// Categories returns the category names in sorted order.
-func (m *Meter) Categories() []string {
-	out := make([]string, len(m.cats))
-	for i, mc := range m.cats {
-		out[i] = mc.name
-	}
-	return out
+// Len returns the number of categories.
+func (m *Meter) Len() int { return len(m.cats) }
+
+// CategoryAt returns the i-th category in name order and its bytes, for
+// 0 <= i < Len(): the meter's in-order iterator.
+func (m *Meter) CategoryAt(i int) (name string, bytes int64) {
+	return m.cats[i].name, m.cats[i].bytes
 }
 
 // Rate returns the average throughput in bytes/second over the elapsed

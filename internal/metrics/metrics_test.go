@@ -237,10 +237,19 @@ func TestMeterCategories(t *testing.T) {
 	if m.Category("payload") != 1500 || m.Category("message") != 200 {
 		t.Fatalf("categories: %v", m.Snapshot())
 	}
-	cats := m.Categories()
+	cats := meterCategories(m)
 	if len(cats) != 2 || cats[0] != "message" || cats[1] != "payload" {
 		t.Fatalf("categories = %v", cats)
 	}
+}
+
+// meterCategories lists a meter's categories through its in-order iterator.
+func meterCategories(m *Meter) []string {
+	out := make([]string, m.Len())
+	for i := range out {
+		out[i], _ = m.CategoryAt(i)
+	}
+	return out
 }
 
 func TestMeterRate(t *testing.T) {

@@ -324,8 +324,13 @@ func TestMeterMatchesMapReference(t *testing.T) {
 			if m.Total() != ref.total {
 				fail("Total", m.Total(), ref.total)
 			}
-			if got, want := m.Categories(), ref.Categories(); !slices.Equal(got, want) {
+			if got, want := meterCategories(m), ref.Categories(); !slices.Equal(got, want) {
 				fail("Categories", got, want)
+			}
+			for i := 0; i < m.Len(); i++ {
+				if c, n := m.CategoryAt(i); n != ref.byCategory[c] {
+					fail("CategoryAt bytes of "+c, n, ref.byCategory[c])
+				}
 			}
 			for _, c := range append(names, "absent") {
 				if got, want := m.Category(c), ref.byCategory[c]; got != want {

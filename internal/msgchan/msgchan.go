@@ -30,6 +30,7 @@ package msgchan
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"oasis/internal/cache"
 	"oasis/internal/cxl"
@@ -149,6 +150,8 @@ type Channel struct {
 	ringBase     int64 // first slot address
 	counterAddr  int64 // 8-byte consumed counter, line-aligned
 	slotsPerLine int
+	lineShift    uint  // log2(slotsPerLine): MsgSize divides the line, so it is a power of two
+	ringLines    int64 // lines in the ring
 }
 
 // RegionBytes returns the pool bytes a channel with this config needs.
@@ -177,24 +180,52 @@ func New(region cxl.Region, cfg Config) (*Channel, error) {
 		ringBase:     region.Base,
 		counterAddr:  region.Base + int64(cfg.Slots*cfg.MsgSize),
 		slotsPerLine: cxl.LineSize / cfg.MsgSize,
+		lineShift:    uint(bits.TrailingZeros(uint(cxl.LineSize / cfg.MsgSize))),
+		ringLines:    int64(cfg.Slots / (cxl.LineSize / cfg.MsgSize)),
 	}, nil
 }
 
 // PayloadSize returns the usable bytes per message (slot minus header byte).
 func (ch *Channel) PayloadSize() int { return ch.cfg.MsgSize - 1 }
 
-// slotAddr maps an absolute message index to its slot address.
-func (ch *Channel) slotAddr(idx int64) int64 {
-	return ch.ringBase + (idx%int64(ch.cfg.Slots))*int64(ch.cfg.MsgSize)
+// position is an endpoint's place in the ring, advanced one message at a
+// time so that no slot address or epoch needs a division by the (runtime)
+// ring size: the slot that absolute message index idx maps to, idx mod
+// Slots, and the epoch bit a fresh message there carries. Pool memory starts
+// zeroed, so wrap 0 writes epoch 1.
+type position struct {
+	slot  int
+	epoch byte
 }
 
-// slotEpoch returns the epoch bit value a fresh message at absolute index
-// idx carries. Pool memory starts zeroed, so wrap 0 writes epoch 1.
-func (ch *Channel) slotEpoch(idx int64) byte {
-	if (idx/int64(ch.cfg.Slots))%2 == 0 {
-		return epochBit
+func startPosition() position { return position{epoch: epochBit} }
+
+// advance moves to the next message index.
+func (ps *position) advance(slots int) {
+	ps.slot++
+	if ps.slot == slots {
+		ps.slot, ps.epoch = 0, ps.epoch^epochBit
 	}
-	return 0
+}
+
+// addr returns the pool address of the position's slot.
+func (ch *Channel) addr(ps position) int64 {
+	return ch.ringBase + int64(ps.slot*ch.cfg.MsgSize)
+}
+
+// ringLine returns the ring line (0 ≤ i < ringLines) that absolute line l
+// maps to, given that absolute line ref maps to ring line refLine. The lines
+// an endpoint touches lie within a prefetch window of its own position, so
+// this is a subtraction or two rather than a division.
+func (ch *Channel) ringLine(l, ref int64, refLine int) int64 {
+	i := int64(refLine) + l - ref
+	for i < 0 {
+		i += ch.ringLines
+	}
+	for i >= ch.ringLines {
+		i -= ch.ringLines
+	}
+	return i
 }
 
 // Sender is the producing endpoint. The sender is the ring's only writer, so
@@ -217,9 +248,10 @@ type Sender struct {
 	// CLFLUSHOPT + MFENCE before a counter refresh.
 	storeLat, wbIssue, refreshIssue sim.Duration
 
-	head           int64 // next absolute index to write
-	cachedConsumed int64 // sender's view of the receiver's counter
-	flushedThrough int64 // messages pushed to the pool (CLWBed)
+	head           int64    // next absolute index to write
+	headPos        position // head's slot and epoch
+	cachedConsumed int64    // sender's view of the receiver's counter
+	flushedThrough int64    // messages pushed to the pool (CLWBed)
 
 	shadow []*[shadowChunk]byte // private copy of ring contents; see shadowAt
 
@@ -252,6 +284,7 @@ func NewSender(ch *Channel, port *cxl.Port, costs cache.Params) *Sender {
 		storeLat:     costs.StoreLatency,
 		wbIssue:      costs.WritebackIssue,
 		refreshIssue: costs.FlushIssue + costs.FenceLatency,
+		headPos:      startPosition(),
 		shadow:       make([]*[shadowChunk]byte, (ring+shadowChunk-1)/shadowChunk),
 	}
 }
@@ -342,19 +375,19 @@ func (s *Sender) Step() (sim.Duration, bool) {
 				s.ok, s.pc = false, senderDone
 			}
 		case senderStore:
-			off := int(s.head%int64(s.ch.cfg.Slots)) * s.ch.cfg.MsgSize
-			slot := s.shadowAt(off, s.ch.cfg.MsgSize)
+			slot := s.shadowAt(s.headPos.slot*s.ch.cfg.MsgSize, s.ch.cfg.MsgSize)
 			clear(slot)
-			slot[0] = s.ch.slotEpoch(s.head)
+			slot[0] = s.headPos.epoch
 			copy(slot[1:], s.msg)
 			s.pc = senderStored
 			return s.storeLat, true
 		case senderStored:
 			s.head++
+			s.headPos.advance(s.ch.cfg.Slots)
 			s.Sent++
 			s.ok, s.pc = true, senderDone
 			// Filled the last slot of a line: CLWB it.
-			if s.head%int64(s.ch.slotsPerLine) == 0 {
+			if s.headPos.slot&(s.ch.slotsPerLine-1) == 0 {
 				if d, more := s.writebackHead(); more {
 					return d, true
 				}
@@ -368,13 +401,11 @@ func (s *Sender) Step() (sim.Duration, bool) {
 				}
 			}
 		case senderWriteback:
-			idx := s.wbLine * int64(s.ch.slotsPerLine) // first slot of the line
-			addr := cxl.LineAddr(s.ch.slotAddr(idx))
-			off := int(idx%int64(s.ch.cfg.Slots)) * s.ch.cfg.MsgSize
-			s.port.WriteLine(addr, s.shadowAt(off, cxl.LineSize), s.ch.cfg.Category)
+			off := int(s.ch.ringLine(s.wbLine, s.lastLine(), s.lastLineRing())) * cxl.LineSize
+			s.port.WriteLine(s.ch.ringBase+int64(off), s.shadowAt(off, cxl.LineSize), s.ch.cfg.Category)
 			s.LinesWritten++
 			// head stands still while its lines are pushed: one user.
-			if s.wbLine < (s.head-1)/int64(s.ch.slotsPerLine) {
+			if s.wbLine < s.lastLine() {
 				s.wbLine++
 				return s.wbIssue, true
 			}
@@ -408,13 +439,24 @@ func (s *Sender) Flush(p *sim.Proc) {
 // stored since the last line went to the pool.
 func (s *Sender) Unflushed() bool { return s.flushedThrough < s.head }
 
+// lastLine returns the absolute line of the last message stored, head-1.
+func (s *Sender) lastLine() int64 { return (s.head - 1) >> s.ch.lineShift }
+
+// lastLineRing returns the ring line of the last message stored.
+func (s *Sender) lastLineRing() int {
+	slot := s.headPos.slot - 1
+	if slot < 0 {
+		slot += s.ch.cfg.Slots
+	}
+	return slot >> s.ch.lineShift
+}
+
 // writebackHead starts the CLWB of every line containing messages in
 // [flushedThrough, head) and returns its first leg; with no such line it
 // marks them pushed at once.
 func (s *Sender) writebackHead() (sim.Duration, bool) {
-	spl := int64(s.ch.slotsPerLine)
-	s.wbLine = s.flushedThrough / spl
-	if s.wbLine > (s.head-1)/spl {
+	s.wbLine = s.flushedThrough >> s.ch.lineShift
+	if s.wbLine > s.lastLine() {
 		s.flushedThrough = s.head
 		return 0, false
 	}
@@ -430,9 +472,10 @@ type Receiver struct {
 	costs   cache.Params
 	slotBuf []byte
 
-	tail              int64 // next absolute index to read
-	pendingConsumed   int   // messages consumed since last counter update
-	highestPrefetched int64 // highest absolute line index prefetch was issued for
+	tail              int64    // next absolute index to read
+	tailPos           position // tail's slot and epoch
+	pendingConsumed   int      // messages consumed since last counter update
+	highestPrefetched int64    // highest absolute line index prefetch was issued for
 
 	// Poll's position in its stepped sleep (see Step). A receiver has one
 	// consumer, so it is its own stepper.
@@ -450,15 +493,21 @@ type Receiver struct {
 
 // NewReceiver returns the consuming endpoint reading through c.
 func NewReceiver(ch *Channel, c *cache.Cache) *Receiver {
-	return &Receiver{ch: ch, cache: c, costs: c.Params(), slotBuf: make([]byte, ch.cfg.MsgSize), highestPrefetched: -1}
+	return &Receiver{ch: ch, cache: c, costs: c.Params(), slotBuf: make([]byte, ch.cfg.MsgSize),
+		tailPos: startPosition(), highestPrefetched: -1}
 }
 
-// absLine returns the absolute line index of absolute message index idx.
-func (r *Receiver) absLine(idx int64) int64 { return idx / int64(r.ch.slotsPerLine) }
+// slotAddr returns the pool address of the tail's slot.
+func (r *Receiver) slotAddr() int64 { return r.ch.addr(r.tailPos) }
 
-// lineAddrOf returns the pool address of the line holding message idx.
-func (r *Receiver) lineAddrOf(idx int64) int64 {
-	return cxl.LineAddr(r.ch.slotAddr(idx))
+// tailLine returns the absolute line index of the tail.
+func (r *Receiver) tailLine() int64 { return r.tail >> r.ch.lineShift }
+
+// lineAddr returns the pool address of absolute line l, at or near the
+// tail's line.
+func (r *Receiver) lineAddr(l int64) int64 {
+	i := r.ch.ringLine(l, r.tailLine(), r.tailPos.slot>>r.ch.lineShift)
+	return r.ch.ringBase + i*cxl.LineSize
 }
 
 // Poll attempts to consume one message, advancing p's time per the design's
@@ -500,7 +549,7 @@ func (r *Receiver) Payload() []byte {
 func (r *Receiver) Finish(p *sim.Proc) {
 	switch r.pc {
 	case recvRefill:
-		r.cache.ReadRefill(p, r.ch.slotAddr(r.tail), r.slotBuf, r.ch.cfg.Category)
+		r.cache.ReadRefill(p, r.slotAddr(), r.slotBuf, r.ch.cfg.Category)
 		r.pc = recvCheck
 	case recvCounterBlocked:
 		r.cache.Write(p, r.ch.counterAddr, r.ctr[:], r.ch.cfg.Category)
@@ -538,7 +587,6 @@ const (
 // blocking cache methods would produce them.
 func (r *Receiver) Step() (sim.Duration, bool) {
 	c, cfg := r.cache, &r.ch.cfg
-	spl := int64(r.ch.slotsPerLine)
 	for {
 		switch r.pc {
 		case recvStart:
@@ -549,25 +597,26 @@ func (r *Receiver) Step() (sim.Duration, bool) {
 				return r.costs.FlushIssue, true
 			}
 		case recvBypassFlush:
-			c.FlushLineNow(r.lineAddrOf(r.tail), cfg.Category)
+			c.FlushLineNow(cxl.LineAddr(r.slotAddr()), cfg.Category)
 			r.pc = recvIssue
 			return r.costs.FenceLatency, true
 		case recvIssue:
 			r.pc = recvCollect
-			if wait, hit := c.ReadIssue(r.ch.slotAddr(r.tail), cfg.Category); hit || wait > 0 {
+			if wait, hit := c.ReadIssue(r.slotAddr(), cfg.Category); hit || wait > 0 {
 				return wait, true
 			}
 		case recvCollect:
 			r.pc = recvCheck
-			if !c.ReadCollect(r.ch.slotAddr(r.tail), r.slotBuf) {
+			if !c.ReadCollect(r.slotAddr(), r.slotBuf) {
 				r.pc = recvRefill
 				return 0, false
 			}
 		case recvCheck:
-			r.fresh = r.slotBuf[0]&epochBit == r.ch.slotEpoch(r.tail)
+			r.fresh = r.slotBuf[0]&epochBit == r.tailPos.epoch
 			owed := false
 			if r.fresh {
 				r.tail++
+				r.tailPos.advance(cfg.Slots)
 				r.Received++
 				r.pendingConsumed++
 				owed = r.pendingConsumed >= cfg.CounterBatch
@@ -603,7 +652,7 @@ func (r *Receiver) Step() (sim.Duration, bool) {
 			r.CounterUpdates++
 			r.pc = recvActions
 		case recvActions:
-			cur := r.absLine(r.tail)
+			cur := r.tailLine()
 			if r.fresh {
 				if cfg.Design == DesignBypassCache {
 					return 0, false
@@ -637,18 +686,18 @@ func (r *Receiver) Step() (sim.Duration, bool) {
 			r.pc = recvFlush
 			return r.costs.FlushIssue, true
 		case recvFlush:
-			c.FlushLineNow(r.lineAddrOf(r.nextLine*spl), cfg.Category)
+			c.FlushLineNow(r.lineAddr(r.nextLine), cfg.Category)
 			if r.nextLine < r.lastLine {
 				r.nextLine++
 				return r.costs.FlushIssue, true
 			}
 			if cfg.Design == DesignInvalidatePrefetched {
-				r.highestPrefetched = r.absLine(r.tail)
+				r.highestPrefetched = r.tailLine()
 			}
 			r.pc = recvDone
 			return r.costs.FenceLatency, true
 		case recvPrefetch:
-			c.PrefetchNow(r.ch.slotAddr(r.nextLine*spl), cfg.Category)
+			c.PrefetchNow(r.lineAddr(r.nextLine), cfg.Category)
 			if r.nextLine < r.lastLine {
 				r.nextLine++
 				return r.costs.PrefetchIssue, true
@@ -661,12 +710,12 @@ func (r *Receiver) Step() (sim.Duration, bool) {
 			r.pc = recvDone
 			// ③④: drop the line once all its messages are consumed so a future
 			// prefetch can bring in the next wrap's contents.
-			if (cfg.Design == DesignInvalidateConsumed || cfg.Design == DesignInvalidatePrefetched) && r.tail%spl == 0 {
+			if (cfg.Design == DesignInvalidateConsumed || cfg.Design == DesignInvalidatePrefetched) && r.tailPos.slot&(r.ch.slotsPerLine-1) == 0 {
 				r.pc = recvConsumedFlush
 				return r.costs.FlushIssue, true
 			}
 		case recvConsumedFlush:
-			c.FlushLineNow(r.lineAddrOf(r.tail-1), cfg.Category)
+			c.FlushLineNow(r.lineAddr(r.tailLine()-1), cfg.Category)
 			r.pc = recvDone
 		default: // recvDone, and the states Finish handles
 			return 0, false

@@ -19,6 +19,31 @@ import (
 // reference the steppers are compared against: one p.Sleep per instruction,
 // through the blocking cache methods.
 
+// The division formulas the endpoints' tracked positions replaced; the
+// references below and TestPositionMatchesDivision use them.
+
+// slotAddr maps an absolute message index to its slot address.
+func (ch *Channel) slotAddr(idx int64) int64 {
+	return ch.ringBase + (idx%int64(ch.cfg.Slots))*int64(ch.cfg.MsgSize)
+}
+
+// slotEpoch returns the epoch bit value a fresh message at absolute index
+// idx carries. Pool memory starts zeroed, so wrap 0 writes epoch 1.
+func (ch *Channel) slotEpoch(idx int64) byte {
+	if (idx/int64(ch.cfg.Slots))%2 == 0 {
+		return epochBit
+	}
+	return 0
+}
+
+// absLine returns the absolute line index of absolute message index idx.
+func (r *Receiver) absLine(idx int64) int64 { return idx / int64(r.ch.slotsPerLine) }
+
+// lineAddrOf returns the pool address of the line holding message idx.
+func (r *Receiver) lineAddrOf(idx int64) int64 {
+	return cxl.LineAddr(r.ch.slotAddr(idx))
+}
+
 func refPoll(r *Receiver, p *sim.Proc) ([]byte, bool) {
 	cfg := r.ch.cfg
 	if cfg.Design == DesignBypassCache {
@@ -306,6 +331,9 @@ var channelRows = []channelRow{
 	// one included (an odd total leaves the final line half new).
 	{"64Bx4chunks", Config{Slots: 256, MsgSize: 64, PrefetchDepth: 4, CounterBatch: 32, Category: "message"}, 1000, 3},
 	{"32Bx4chunks", Config{Slots: 512, MsgSize: 32, PrefetchDepth: 4, CounterBatch: 64, Category: "message"}, 1801, 3},
+	// Three lines: a ring whose line count is no power of two, and a prefetch
+	// window deeper than the ring.
+	{"16Bx3lines", Config{Slots: 12, MsgSize: 16, PrefetchDepth: 4, CounterBatch: 4, Category: "message"}, 301, 9},
 }
 
 // Both endpoints against their references, for all five designs: same polls

@@ -27,6 +27,8 @@ package obs
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"oasis/internal/metrics"
@@ -64,11 +66,19 @@ type instrument struct {
 // Registry holds a pod's instruments and its trace-event ring. The zero
 // value is not usable; create one with New. Registration and Snapshot are
 // safe for concurrent use (the simulation itself is single-threaded, but
-// operators may snapshot from another goroutine).
+// operators may snapshot from another goroutine): both hold mu while they
+// touch the instrument lists.
+//
+// Instruments are kept sorted by name, lazily: a registration only appends
+// to pending, and the next Snapshot sorts that batch in with the rest, into
+// a fresh slice. A published sorted slice is never written again, so a
+// Snapshot samples it after dropping mu, and a snapshot of a registry that
+// gained nothing since the last one sorts nothing.
 type Registry struct {
-	mu     sync.Mutex
-	byName map[string]*instrument
-	order  []*instrument
+	mu      sync.Mutex
+	byName  map[string]*instrument
+	sorted  []*instrument // by name; replaced, never written in place
+	pending []*instrument // registered since the last Snapshot
 
 	// Events is the pod's bounded trace-event ring: components append
 	// noteworthy transitions (placements, failovers, link state) with their
@@ -100,7 +110,20 @@ func (r *Registry) register(i *instrument) {
 		panic(fmt.Sprintf("obs: duplicate instrument %q", i.name))
 	}
 	r.byName[i.name] = i
-	r.order = append(r.order, i)
+	r.pending = append(r.pending, i)
+}
+
+// instruments returns every instrument in name order, first sorting the
+// batch registered since the last call in with the rest, into a fresh slice.
+func (r *Registry) instruments() []*instrument {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.pending) > 0 {
+		sorted := append(slices.Clip(r.sorted), r.pending...)
+		slices.SortFunc(sorted, func(a, b *instrument) int { return strings.Compare(a.name, b.name) })
+		r.sorted, r.pending = sorted, r.pending[:0]
+	}
+	return r.sorted
 }
 
 // Counter registers a sampled counter: fn is read at Snapshot time.

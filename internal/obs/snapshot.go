@@ -3,7 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -42,14 +42,29 @@ type Snapshot struct {
 	Events []Event       `json:"events,omitempty"`
 }
 
-// Snapshot samples every instrument at virtual time `at`.
+// Snapshot samples every instrument at virtual time `at`. Instruments come
+// in name order and a meter walks its categories in order, so the points
+// arrive sorted: Snapshot counts them, allocates them (and the histogram
+// summaries, in one block) at exact length, and never sorts.
 func (r *Registry) Snapshot(at time.Duration) Snapshot {
-	r.mu.Lock()
-	insts := make([]*instrument, len(r.order))
-	copy(insts, r.order)
-	r.mu.Unlock()
-
+	insts := r.instruments()
+	n, hists := 0, 0
+	for _, i := range insts {
+		switch {
+		case i.meter != nil:
+			n += i.meter.Len()
+		case i.hist != nil:
+			hists++
+			n++
+		default:
+			n++
+		}
+	}
 	s := Snapshot{At: at}
+	if n > 0 {
+		s.Points = make([]Point, 0, n)
+	}
+	sums := make([]HistSummary, hists)
 	for _, i := range insts {
 		switch {
 		case i.counter != nil:
@@ -57,8 +72,9 @@ func (r *Registry) Snapshot(at time.Duration) Snapshot {
 		case i.gauge != nil:
 			s.Points = append(s.Points, Point{Name: i.name, Kind: i.kind, Value: i.gauge()})
 		case i.hist != nil:
-			h := i.hist
-			s.Points = append(s.Points, Point{Name: i.name, Kind: KindHistogram, Hist: &HistSummary{
+			h, sum := i.hist, &sums[0]
+			sums = sums[1:]
+			*sum = HistSummary{
 				Count: h.Count(),
 				Min:   h.Min(),
 				Mean:  h.Mean(),
@@ -67,22 +83,86 @@ func (r *Registry) Snapshot(at time.Duration) Snapshot {
 				P99:   h.Percentile(99),
 				P999:  h.Percentile(99.9),
 				Max:   h.Max(),
-			}})
+			}
+			s.Points = append(s.Points, Point{Name: i.name, Kind: KindHistogram, Hist: sum})
 		case i.meter != nil:
-			for _, cat := range i.meter.Categories() { // sorted
-				s.Points = append(s.Points, Point{Name: i.name, Kind: KindCounter, Label: cat,
-					Value: float64(i.meter.Category(cat))})
+			for c := 0; c < i.meter.Len(); c++ {
+				cat, bytes := i.meter.CategoryAt(c)
+				s.Points = append(s.Points, Point{Name: i.name, Kind: KindCounter, Label: cat, Value: float64(bytes)})
 			}
 		}
 	}
-	sort.Slice(s.Points, func(a, b int) bool {
-		if s.Points[a].Name != s.Points[b].Name {
-			return s.Points[a].Name < s.Points[b].Name
-		}
-		return s.Points[a].Label < s.Points[b].Label
-	})
+	checkOrder(s.Points)
 	s.Events = r.Events.Events()
 	return s
+}
+
+// Merge combines snapshots of disjoint registries — a cluster's pods — into
+// one taken at `at`. Each part's points are sorted, so Merge merges the
+// runs instead of sorting their concatenation; its trace events merge in
+// time order. Ties go to the earlier part, which is what a stable sort of
+// the concatenation gives.
+func Merge(at time.Duration, parts ...Snapshot) Snapshot {
+	pts, evs := make([][]Point, len(parts)), make([][]Event, len(parts))
+	np, ne := 0, 0
+	for k, p := range parts {
+		pts[k], evs[k] = p.Points, p.Events
+		np += len(p.Points)
+		ne += len(p.Events)
+	}
+	s := Snapshot{
+		At:     at,
+		Points: mergeRuns(pts, np, pointLess),
+		Events: mergeRuns(evs, ne, func(a, b *Event) bool { return a.At < b.At }),
+	}
+	checkOrder(s.Points)
+	return s
+}
+
+// mergeRuns merges sorted runs holding n elements in all into one slice,
+// nil when n is 0; ties go to the earlier run.
+func mergeRuns[T any](runs [][]T, n int, less func(a, b *T) bool) []T {
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for len(out) < n {
+		best := -1
+		for k, run := range runs {
+			if len(run) > 0 && (best < 0 || less(&run[0], &runs[best][0])) {
+				best = k
+			}
+		}
+		out = append(out, runs[best][0])
+		runs[best] = runs[best][1:]
+	}
+	return out
+}
+
+// pointLess orders points by (Name, Label): the order of a Snapshot.
+func pointLess(a, b *Point) bool {
+	if a.Name != b.Name {
+		return a.Name < b.Name
+	}
+	return a.Label < b.Label
+}
+
+// checking is OASIS_SIMCHECK=1, the simulator's self-check mode.
+var checking = os.Getenv("OASIS_SIMCHECK") == "1"
+
+// checkOrder is the OASIS_SIMCHECK=1 guard on a snapshot: its points
+// strictly increase by (Name, Label), so no sort was needed and no two
+// series collide.
+func checkOrder(pts []Point) {
+	if !checking {
+		return
+	}
+	for i := 1; i < len(pts); i++ {
+		if !pointLess(&pts[i-1], &pts[i]) {
+			panic(fmt.Sprintf("obs: snapshot point %q{%s} does not follow %q{%s}",
+				pts[i].Name, pts[i].Label, pts[i-1].Name, pts[i-1].Label))
+		}
+	}
 }
 
 // Point returns the first point with the given name (any label).

@@ -50,9 +50,18 @@ gate "a type assertion on a link end" "$(grep -n '\.(\*LinkEnd)' internal/core/*
 gate "a second sort in the barrier merge" "$(grep -n 'sort\.Slice\|extLess' internal/sim/partition.go || true)"
 
 # Memory on first touch: the sender's shadow ring and the latency histogram
-# counters are allocated when a message needs them, never sized up front.
+# counters are allocated when a message needs them, never sized up front, and
+# a buffer area lists a buffer only once it has been freed (buffers never
+# handed out are a bump index, not a list of every buffer).
 echo "== memory on first touch (grep gate) =="
 gate "a histogram or sender ring sized up front" "$(grep -rn 'nMagnitudes \* subBuckets\]\|make(\[\]byte, ch.cfg.Slots' internal/ || true)"
+gate "a buffer-area free list built up front" "$(grep -n 'free: *make(\|append(a\.free, region\.Base' internal/core/core.go || true)"
+
+# Snapshots never sort: a registry keeps its instruments in name order (the
+# lazy sort in obs.go, once per batch of registrations), so a snapshot's
+# points come out sorted, and a cluster merges its pods' sorted runs.
+echo "== snapshots never sort (grep gate) =="
+gate "a sort in the snapshot path" "$( (grep -n 'sort\.\|slices\.Sort' internal/obs/snapshot.go; awk '/^func \(c \*Cluster\) Stats\(/,/^}/' cluster.go | grep -n 'sort\.\|slices\.Sort') || true)"
 
 # Pool memory is never freed, and every counter has one read path: a bump
 # pointer allocates pool regions (no span allocator package beside it), obs
@@ -129,11 +138,11 @@ go test -count=1 -run 'TestBusyPodExactCounts' -v . | grep 'counters {\|per requ
 # takes back, so a frame read after the switch released it (netsw, nic,
 # netstack, the echo tests' byte-for-byte check) or a staging buffer read
 # after ssd put it back fails. The experiments run without it above.
-echo "== OASIS_SIMCHECK=1 go test (sim, cache, msgchan, core, netengine, storengine, allocator, nic, netstack, netsw, ssd; busy pods, echo, wiring) =="
+echo "== OASIS_SIMCHECK=1 go test (sim, cache, msgchan, core, netengine, storengine, allocator, nic, netstack, netsw, ssd, obs; busy pods, echo, wiring, clusters) =="
 OASIS_SIMCHECK=1 go test -count=1 ./internal/sim ./internal/cache ./internal/msgchan ./internal/core \
     ./internal/netengine ./internal/storengine ./internal/allocator ./internal/nic ./internal/netstack \
-    ./internal/netsw ./internal/ssd
-OASIS_SIMCHECK=1 go test -count=1 -run 'TestBusyPodExactCounts|TestEchoMallocsPerRequest|TestWiringDigests' .
+    ./internal/netsw ./internal/ssd ./internal/obs
+OASIS_SIMCHECK=1 go test -count=1 -run 'TestBusyPodExactCounts|TestEchoMallocsPerRequest|TestWiringDigests|TestClusterStatsMergedAndScoped|TestPartitionedClusterMatchesSerial' .
 
 # bench/ is its own module (`replace oasis => ../`), invisible to the ./...
 # patterns above although it imports internal/core, the engine configs and
