@@ -119,7 +119,7 @@ func (c *Cluster) AddPodErr(cfg Config) (*Pod, error) {
 		// that ever spans pods must declare one (sim.Group.Link).
 		eng = c.group.AddPartition()
 	}
-	p := &Pod{Topology: newTopology(c.group, eng, cfg, len(c.pods))}
+	p := newPod(c.group, eng, cfg, len(c.pods))
 	c.pods = append(c.pods, p)
 	return p, nil
 }

@@ -259,7 +259,7 @@ func TestClusterFaultPlanMidMigrationRouting(t *testing.T) {
 	}
 	if migErr == nil {
 		// Completed despite the fault: data must be on pod1.
-		if migrated == nil || migrated.topo != p1.Topology {
+		if migrated == nil || migrated.pod != p1 {
 			t.Fatal("migration reported success but instance is not on pod1")
 		}
 	} else {

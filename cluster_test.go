@@ -54,7 +54,7 @@ func TestClusterPlacementLeastLoaded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("place %d: %v", i, err)
 		}
-		got = append(got, inst.topo.podIndex)
+		got = append(got, inst.pod.podIndex)
 	}
 	// load after k placements on pod0 is k/2, pod1 is k/1. Greedy
 	// least-loaded with low-index ties: 0,1,0,0,1,0.
@@ -94,7 +94,7 @@ func TestClusterMigrationPreservesData(t *testing.T) {
 			t.Errorf("migrate: %v", err)
 			return
 		}
-		if newInst.topo != p1.Topology {
+		if newInst.pod != p1 {
 			t.Error("migrated instance not on pod1")
 		}
 		nv := newInst.Host().SFE.Volume(newInst.IPAddr())
@@ -465,7 +465,7 @@ func TestClusterRebalanceOnce(t *testing.T) {
 			t.Error("skewed cluster: rebalance moved nothing")
 			return
 		}
-		if inst.topo != p1.Topology {
+		if inst.pod != p1 {
 			t.Error("rebalance moved instance to the wrong pod")
 		}
 		moved = true

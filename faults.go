@@ -39,18 +39,18 @@ type faultNode struct {
 var faultBindings = []struct {
 	kind   faults.Kind
 	target topo.Kind
-	set    func(t *Topology, n faultNode, ev faults.Event, on bool) error
+	set    func(t *Pod, n faultNode, ev faults.Event, on bool) error
 }{
-	{faults.HostCrash, topo.KindHost, (*Topology).setHostCrash},
-	{faults.EngineStall, topo.KindDriver, func(_ *Topology, n faultNode, _ faults.Event, on bool) error {
+	{faults.HostCrash, topo.KindHost, (*Pod).setHostCrash},
+	{faults.EngineStall, topo.KindDriver, func(_ *Pod, n faultNode, _ faults.Event, on bool) error {
 		stallDriver(n.drv, on)
 		return nil
 	}},
-	{faults.NICLinkDown, topo.KindNIC, func(_ *Topology, n faultNode, _ faults.Event, on bool) error {
+	{faults.NICLinkDown, topo.KindNIC, func(_ *Pod, n faultNode, _ faults.Event, on bool) error {
 		n.nic.Dev.ForceLink(!on)
 		return nil
 	}},
-	{faults.SSDFail, topo.KindSSD, func(_ *Topology, n faultNode, _ faults.Event, on bool) error {
+	{faults.SSDFail, topo.KindSSD, func(_ *Pod, n faultNode, _ faults.Event, on bool) error {
 		if on {
 			n.ssd.Dev.Fail()
 		} else {
@@ -58,24 +58,24 @@ var faultBindings = []struct {
 		}
 		return nil
 	}},
-	{faults.PortFlap, topo.KindNIC, func(_ *Topology, n faultNode, _ faults.Event, on bool) error {
+	{faults.PortFlap, topo.KindNIC, func(_ *Pod, n faultNode, _ faults.Event, on bool) error {
 		n.nic.SwPort.SetEnabled(!on)
 		return nil
 	}},
-	{faults.CXLDegrade, topo.KindHost, func(_ *Topology, n faultNode, ev faults.Event, on bool) error {
+	{faults.CXLDegrade, topo.KindHost, func(_ *Pod, n faultNode, ev faults.Event, on bool) error {
 		if !on {
 			ev.LatMult, ev.BWFrac = 1, 1
 		}
 		return onCXLPort(n, ev, func(pt *cxl.Port) { pt.SetDegraded(ev.LatMult, ev.BWFrac) })
 	}},
-	{faults.SSDSlow, topo.KindSSD, func(_ *Topology, n faultNode, ev faults.Event, on bool) error {
+	{faults.SSDSlow, topo.KindSSD, func(_ *Pod, n faultNode, ev faults.Event, on bool) error {
 		if !on {
 			ev.LatMult = 1
 		}
 		n.ssd.Dev.SetSlow(ev.LatMult)
 		return nil
 	}},
-	{faults.NICLossy, topo.KindNIC, func(_ *Topology, n faultNode, ev faults.Event, on bool) error {
+	{faults.NICLossy, topo.KindNIC, func(_ *Pod, n faultNode, ev faults.Event, on bool) error {
 		if !on {
 			n.nic.Dev.ClearLossy()
 			return nil
@@ -89,13 +89,13 @@ var faultBindings = []struct {
 		n.nic.Dev.SetLossy(ev.Drop, seed)
 		return nil
 	}},
-	{faults.CXLJitter, topo.KindHost, func(_ *Topology, n faultNode, ev faults.Event, on bool) error {
+	{faults.CXLJitter, topo.KindHost, func(_ *Pod, n faultNode, ev faults.Event, on bool) error {
 		if !on {
 			ev.Jitter = 0
 		}
 		return onCXLPort(n, ev, func(pt *cxl.Port) { pt.SetJitter(ev.Jitter) })
 	}},
-	{faults.LinkFlaky, topo.KindNIC, (*Topology).setLinkFlaky},
+	{faults.LinkFlaky, topo.KindNIC, (*Pod).setLinkFlaky},
 }
 
 // faultTarget returns the node kind a fault kind acts on (KindInvalid for a
@@ -131,7 +131,7 @@ func onCXLPort(n faultNode, ev faults.Event, apply func(*cxl.Port)) error {
 // replica, which rejoins as a follower. A crashed allocator host is the
 // "allocator leader loss" scenario: proposals fail over to the re-elected
 // leader and the allocator rebuilds leases when its core resumes.
-func (t *Topology) setHostCrash(n faultNode, _ faults.Event, on bool) error {
+func (t *Pod) setHostCrash(n faultNode, _ faults.Event, on bool) error {
 	for _, d := range t.hostDrivers(n.host) {
 		stallDriver(d, on)
 	}
@@ -150,7 +150,7 @@ func (t *Topology) setHostCrash(n faultNode, _ faults.Event, on bool) error {
 // register, so the backend sees a link that is "up" while frames stall
 // intermittently — detectable only by its effects. The per-target generation
 // stops the pulse train at heal time without leaving the port down.
-func (t *Topology) setLinkFlaky(n faultNode, ev faults.Event, on bool) error {
+func (t *Pod) setLinkFlaky(n faultNode, ev faults.Event, on bool) error {
 	if t.flakyGen == nil {
 		t.flakyGen = make(map[string]int)
 	}
@@ -177,7 +177,7 @@ func (t *Topology) setLinkFlaky(n faultNode, ev faults.Event, on bool) error {
 	return nil
 }
 
-// BindFaults creates (once) the topology's fault injector and registers one
+// BindFaults creates (once) the pod's fault injector and registers one
 // handler per faultBindings row: resolve the event's target against the live
 // topology — at injection and again at heal time, so a node added after the
 // plan was scheduled is found and a missing one is an injection-log error,
@@ -185,7 +185,7 @@ func (t *Topology) setLinkFlaky(n faultNode, ev faults.Event, on bool) error {
 // injector's instruments register under faults/* in the pod registry
 // (pod<P>/faults/* for cluster pods), so chaos campaigns show up in Stats
 // alongside everything else.
-func (t *Topology) BindFaults() *faults.Injector {
+func (t *Pod) BindFaults() *faults.Injector {
 	if t.injector != nil {
 		return t.injector
 	}
@@ -212,7 +212,7 @@ func (t *Topology) BindFaults() *faults.Injector {
 // pod's, and the node kind must be the one the fault acts on — and schedules
 // the plan. A plan that fails the check schedules nothing. Whether the named
 // node exists is left to injection time: it may be added after this call.
-func (t *Topology) RunFaultPlan(pl faults.Plan) error {
+func (t *Pod) RunFaultPlan(pl faults.Plan) error {
 	in := t.BindFaults()
 	if err := pl.Validate(); err != nil {
 		return err
@@ -225,13 +225,13 @@ func (t *Topology) RunFaultPlan(pl faults.Plan) error {
 	return in.Schedule(pl)
 }
 
-// Injector returns the topology's fault injector (nil before BindFaults).
-func (t *Topology) Injector() *faults.Injector { return t.injector }
+// Injector returns the pod's fault injector (nil before BindFaults).
+func (t *Pod) Injector() *faults.Injector { return t.injector }
 
 // faultRef parses a target through the shared topo grammar and checks its
-// pod scope against this topology: unscoped targets address the local pod,
+// pod scope against this pod: unscoped targets address the local pod,
 // scoped ones must name it exactly. A device index has to fit the id type.
-func (t *Topology) faultRef(target string, want topo.Kind) (topo.Ref, error) {
+func (t *Pod) faultRef(target string, want topo.Kind) (topo.Ref, error) {
 	r, err := topo.Parse(target)
 	if err != nil {
 		return topo.Ref{}, fmt.Errorf("oasis: %w", err)
@@ -254,7 +254,7 @@ func (t *Topology) faultRef(target string, want topo.Kind) (topo.Ref, error) {
 // topology. Driver core names carry the pod scope already ("pod1/host2/fe"
 // in a cluster), so the parsed local name is re-prefixed before the exact
 // match.
-func (t *Topology) resolve(target string, want topo.Kind) (n faultNode, err error) {
+func (t *Pod) resolve(target string, want topo.Kind) (n faultNode, err error) {
 	r, err := t.faultRef(target, want)
 	if err != nil {
 		return n, err
@@ -286,7 +286,7 @@ func (t *Topology) resolve(target string, want topo.Kind) (n faultNode, err erro
 // hostDrivers collects every driver core that runs on a host — the blast
 // radius of a host crash — in deterministic order. Each engine has a core of
 // its own, so no core appears twice.
-func (t *Topology) hostDrivers(ph *Host) []*core.Driver {
+func (t *Pod) hostDrivers(ph *Host) []*core.Driver {
 	out := []*core.Driver{ph.FE.Driver}
 	if ph.SFE != nil {
 		out = append(out, ph.SFE.Driver)
@@ -294,8 +294,10 @@ func (t *Topology) hostDrivers(ph *Host) []*core.Driver {
 	if ph.LD != nil {
 		out = append(out, ph.LD.Driver)
 	}
-	for _, be := range ph.BEs {
-		out = append(out, be.Driver)
+	for _, id := range t.nicIDs() {
+		if n := t.NICs[id]; n.host == ph && n.BE != nil {
+			out = append(out, n.BE.Driver)
+		}
 	}
 	for _, id := range t.ssdIDs() {
 		if d := t.SSDs[id]; d.host == ph {
@@ -308,9 +310,9 @@ func (t *Topology) hostDrivers(ph *Host) []*core.Driver {
 	return out
 }
 
-// allDrivers collects every driver core in the topology in deterministic
+// allDrivers collects every driver core in the pod in deterministic
 // order.
-func (t *Topology) allDrivers() []*core.Driver {
+func (t *Pod) allDrivers() []*core.Driver {
 	var out []*core.Driver
 	for _, ph := range t.Hosts {
 		out = append(out, t.hostDrivers(ph)...)

@@ -33,9 +33,10 @@ func (s *LinkStats) add(o LinkStats) {
 }
 
 // Link is one registered peer in a LinkSet: the duplex channel end plus the
-// bounded pending queue for messages that hit a full ring. Meta carries
-// engine-specific peer state (a NIC's MAC, a host id) without the engine
-// keeping its own table.
+// bounded pending queue for messages that hit a full ring. An engine holds
+// the *Link itself as its peer and reads the peer's id from Peer; Meta is
+// only for peer state the link does not already hold (the allocator's
+// device record).
 type Link struct {
 	Peer uint32 // host or device id, per the owning engine's keying
 	op   linkOp // the link's stepped send (see Step)

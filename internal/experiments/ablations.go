@@ -165,9 +165,6 @@ func measureFailover(span time.Duration, macBorrow bool) time.Duration {
 			// failed NIC's MAC; the GARP path remains: after the frontends
 			// repoint, the instance's stack announces via gratuitous ARP.
 			f.backup.BE.SuppressMACBorrow()
-			// GARP-only designs trigger the announcement on failover; the
-			// frontends' switch to the backup changes the instance's MAC.
-			f.pod.Eng.After(time.Millisecond, func() {}) // keep ordering explicit
 		}
 	})
 	if !macBorrow {
@@ -439,8 +436,8 @@ func AblStorage(scale float64) *Report {
 func runStorageDepth(depth int, window time.Duration) (iops float64, p50, p99 time.Duration) {
 	eng := sim.New()
 	pool := cxl.NewPool(eng, 1<<30, cxl.DefaultParams())
-	hA := hostNew(eng, 0, "hostA", pool)
-	hB := hostNew(eng, 1, "hostB", pool)
+	hA := host.New(eng, 0, "hostA", pool, host.DefaultConfig())
+	hB := host.New(eng, 1, "hostB", pool, host.DefaultConfig())
 	scfg := storengine.DefaultConfig()
 	dev := ssd.New(eng, "ssd0", pool.AttachPort("ssd0-dma"), ssd.DefaultParams())
 	fe := storengine.NewFrontend(hA, pool)
@@ -482,10 +479,4 @@ func runStorageDepth(depth int, window time.Duration) (iops float64, p50, p99 ti
 	eng.RunUntil(window + time.Second)
 	eng.Shutdown()
 	return float64(completed) / window.Seconds(), hist.Percentile(50), hist.Percentile(99)
-}
-
-// hostNew is a local helper avoiding an import cycle on the host package's
-// default config.
-func hostNew(eng *sim.Engine, id int, name string, pool *cxl.Pool) *host.Host {
-	return host.New(eng, id, name, pool, host.DefaultConfig())
 }

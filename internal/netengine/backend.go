@@ -13,25 +13,18 @@ import (
 	"oasis/internal/sim"
 )
 
-// feLink is the backend's engine-specific peer state for one frontend (one
-// host), carried in the core link's Meta.
-type feLink struct {
-	hostID int
-	link   *core.Link
-}
-
 // registration is one instance served by this backend's NIC.
 type registration struct {
 	ip   netstack.IP
 	tag  uint32
-	link *feLink
+	link *core.Link // to the instance's frontend
 }
 
 // txMeta tracks an in-flight WQE so its completion can be routed back.
 type txMeta struct {
 	addr int64
 	ip   netstack.IP
-	link *feLink
+	link *core.Link
 }
 
 // Backend is the per-NIC backend driver (§3.3): it forwards TX packets and
@@ -49,7 +42,7 @@ type Backend struct {
 	pool  *cxl.Pool
 	cfg   Config
 
-	links      *core.LinkSet // by frontend host id; Meta holds *feLink
+	links      *core.LinkSet // by frontend host id
 	regs       map[netstack.IP]*registration
 	tags       map[uint32]*registration
 	nextTag    uint32
@@ -174,8 +167,7 @@ func (be *Backend) NICID() uint16 { return be.nicID }
 
 // ConnectFrontend wires a frontend's link end into this backend.
 func (be *Backend) ConnectFrontend(hostID int, end *core.LinkEnd) {
-	l := be.links.Add(uint32(hostID), end)
-	l.Meta = &feLink{hostID: hostID, link: l}
+	be.links.Add(uint32(hostID), end)
 }
 
 // SetControlLink attaches the backend's channel to the pod-wide allocator.
@@ -250,7 +242,7 @@ func (j *dutiesJob) Progress() int { return 0 }
 // per-message cost, registration from the process.
 type feMsgJob struct {
 	be     *Backend
-	l      *feLink
+	l      *core.Link
 	m      msg
 	cookie uint64
 	pc     feMsgPC
@@ -269,7 +261,7 @@ const (
 )
 
 func (j *feMsgJob) Begin(l *core.Link, payload []byte) {
-	j.l, j.m, j.pc = l.Meta.(*feLink), decode(payload), feMsgStart
+	j.l, j.m, j.pc = l, decode(payload), feMsgStart
 }
 
 func (j *feMsgJob) Step() (sim.Duration, bool) {
@@ -308,7 +300,7 @@ func (j *feMsgJob) Step() (sim.Duration, bool) {
 				// frontend frees the buffer (the packet is dropped, as a real
 				// full ring would).
 				delete(be.cookies, j.cookie)
-				j.sendOrQueue(j.l.link, msg{op: opTxComplete, addr: m.addr, ip: m.ip})
+				j.sendOrQueue(j.l, msg{op: opTxComplete, addr: m.addr, ip: m.ip})
 				continue
 			}
 			be.TxPosted++
@@ -326,7 +318,7 @@ func (j *feMsgJob) Finish(p *sim.Proc) {
 }
 
 // handleRegistration handles the control-path frontend messages.
-func (be *Backend) handleRegistration(p *sim.Proc, l *feLink, m msg) {
+func (be *Backend) handleRegistration(p *sim.Proc, l *core.Link, m msg) {
 	switch m.op {
 	case opRegister:
 		reg, ok := be.regs[m.ip]
@@ -340,7 +332,7 @@ func (be *Backend) handleRegistration(p *sim.Proc, l *feLink, m msg) {
 			reg.link = l
 		}
 		var buf [15]byte
-		l.link.SendOrQueue(p, msg{op: opRegisterAck, ip: m.ip, nic: be.nicID}.encode(buf[:]))
+		l.SendOrQueue(p, msg{op: opRegisterAck, ip: m.ip, nic: be.nicID}.encode(buf[:]))
 	case opUnregister:
 		if reg, ok := be.regs[m.ip]; ok {
 			be.dev.RemoveFlowRule(uint32(m.ip))
@@ -358,7 +350,7 @@ func (be *Backend) txJob(tc nic.TxCompletion) sim.Job {
 		return be.txDone.begin(nil, msg{})
 	}
 	delete(be.cookies, tc.Cookie)
-	return be.txDone.begin(meta.link.link, msg{op: opTxComplete, addr: meta.addr, ip: meta.ip})
+	return be.txDone.begin(meta.link, msg{op: opTxComplete, addr: meta.addr, ip: meta.ip})
 }
 
 // rxJob implements completions (see beRxJob).
@@ -418,7 +410,7 @@ func (j *beRxJob) Step() (sim.Duration, bool) {
 				j.pc = beRxDone
 				continue
 			}
-			j.sendOrQueue(j.reg.link.link, msg{op: opRxPacket, addr: rc.Addr, size: uint16(rc.Len), ip: j.reg.ip})
+			j.sendOrQueue(j.reg.link, msg{op: opRxPacket, addr: rc.Addr, size: uint16(rc.Len), ip: j.reg.ip})
 			j.pc = beRxSent
 		case beRxSent:
 			be.RxForwarded++

@@ -87,13 +87,13 @@ func newEngineRigWith(t *testing.T, cfg Config) *engineRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.fe = NewFrontend(r.hA, pool, cfg)
+	r.fe = NewFrontend(r.hA, pool, nicDir, cfg)
 	for _, be := range []*Backend{r.be1, r.be2} {
 		feEnd, beEnd, err := core.NewDuplexLink(pool, r.hA, be.Host(), cfg.Chan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.fe.ConnectBackend(be.NICID(), be.NIC().MAC(), feEnd)
+		r.fe.ConnectBackend(be.NICID(), feEnd)
 		be.ConnectFrontend(r.hA.ID, beEnd)
 	}
 	// Fake allocator links (the test drives the control plane directly).
@@ -237,8 +237,8 @@ func TestEngineMigrationCommand(t *testing.T) {
 	if !migrated {
 		t.Fatal("migration did not run")
 	}
-	if r.inst.primary.nicID != 2 {
-		t.Fatalf("primary NIC = %d, want 2", r.inst.primary.nicID)
+	if nicOf(r.inst.primary) != 2 {
+		t.Fatalf("primary NIC = %d, want 2", nicOf(r.inst.primary))
 	}
 }
 
@@ -265,8 +265,8 @@ func TestEngineFailoverCommand(t *testing.T) {
 		}))
 		r.ctlBE2.Flush(p)
 		p.Sleep(5 * time.Millisecond)
-		if r.inst.primary.nicID != 2 {
-			t.Errorf("primary = %d after failover", r.inst.primary.nicID)
+		if nicOf(r.inst.primary) != 2 {
+			t.Errorf("primary = %d after failover", nicOf(r.inst.primary))
 		}
 		if r.inst.CurrentMAC() != mac1 {
 			t.Error("instance MAC must stay the failed NIC's (borrowed)")

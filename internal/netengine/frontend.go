@@ -99,14 +99,6 @@ type txReq struct {
 	size int
 }
 
-// beLink is the frontend's engine-specific peer state for one backend (one
-// NIC), carried in the core link's Meta.
-type beLink struct {
-	nicID uint16
-	mac   netsw.MAC
-	link  *core.Link
-}
-
 // feCmd is deferred work executed on the frontend's core.
 type feCmd func(p *sim.Proc)
 
@@ -121,7 +113,8 @@ type Frontend struct {
 	pool *cxl.Pool
 	cfg  Config
 
-	links     *core.LinkSet // by NIC id; Meta holds *beLink
+	links     *core.LinkSet        // by NIC id
+	nicDir    map[uint16]netsw.MAC // pod directory: NIC id -> MAC
 	insts     map[netstack.IP]*InstancePort
 	instOrder []netstack.IP
 	ctrl      *core.LinkEnd
@@ -141,19 +134,22 @@ type Frontend struct {
 	AllocRetryExhausted      int64 // circuit-breaker trips (per instance-request)
 }
 
-// NewFrontend creates the frontend driver for a pod host.
-func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
+// NewFrontend creates the frontend driver for a pod host. nicDir is the
+// pod's NIC directory (see NewBackend), where an instance finds the MAC of
+// the NIC that serves it.
+func NewFrontend(h *host.Host, pool *cxl.Pool, nicDir map[uint16]netsw.MAC, cfg Config) *Frontend {
 	if !h.InPod() {
 		panic("netengine: frontend host must be in the CXL pod")
 	}
 	fe := &Frontend{
-		h:     h,
-		pool:  pool,
-		cfg:   cfg,
-		links: core.NewLinkSet(core.DefaultPendingLimit),
-		insts: make(map[netstack.IP]*InstancePort),
-		cmds:  sim.NewQueue[feCmd](h.Eng),
-		rx:    newRxCopy(h, bufSize),
+		h:      h,
+		pool:   pool,
+		cfg:    cfg,
+		links:  core.NewLinkSet(core.DefaultPendingLimit),
+		nicDir: nicDir,
+		insts:  make(map[netstack.IP]*InstancePort),
+		cmds:   sim.NewQueue[feCmd](h.Eng),
+		rx:     newRxCopy(h, bufSize),
 	}
 	fe.queues.fe, fe.beMsg.fe = fe, fe
 	// One iteration: deferred commands and instance TX queues, backend
@@ -168,22 +164,17 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, cfg Config) *Frontend {
 	return fe
 }
 
-// ConnectBackend wires this frontend to a backend over its end of a duplex
-// link. mac is the backend NIC's address (from the pod directory), which
-// instances served by that NIC use as their source MAC.
-func (fe *Frontend) ConnectBackend(nicID uint16, mac netsw.MAC, end *core.LinkEnd) {
-	l := fe.links.Add(uint32(nicID), end)
-	l.Meta = &beLink{nicID: nicID, mac: mac, link: l}
+// ConnectBackend wires this frontend to a NIC's backend over its end of a
+// duplex link.
+func (fe *Frontend) ConnectBackend(nicID uint16, end *core.LinkEnd) {
+	fe.links.Add(uint32(nicID), end)
 }
 
-// beLink returns the engine state for a NIC's link, or nil.
-func (fe *Frontend) beLink(nicID uint16) *beLink {
-	l := fe.links.Get(uint32(nicID))
-	if l == nil {
-		return nil
-	}
-	return l.Meta.(*beLink)
-}
+// backend returns the link to a NIC's backend, or nil.
+func (fe *Frontend) backend(nicID uint16) *core.Link { return fe.links.Get(uint32(nicID)) }
+
+// nicOf is the NIC a backend link leads to.
+func nicOf(l *core.Link) uint16 { return uint16(l.Peer) }
 
 // SetControlLink attaches the frontend's channel to the pod-wide allocator.
 func (fe *Frontend) SetControlLink(end *core.LinkEnd) { fe.ctrl = end }
@@ -195,12 +186,12 @@ type InstancePort struct {
 	port
 	fe *Frontend
 
-	primary, backup *beLink
-	pendingPrimary  uint16   // NIC id awaiting migration ack (0 = none)
-	queued          []uint16 // (primary, backup) of every Assign the frontend's core has yet to apply
-	ready           map[uint16]bool
-	readySig        *sim.Signal
-	curMAC          netsw.MAC
+	primary        *core.Link // to the primary NIC's backend
+	pendingPrimary uint16     // NIC id awaiting migration ack (0 = none)
+	queued         []uint16   // (primary, backup) of every Assign the frontend's core has yet to apply
+	ready          map[uint16]bool
+	readySig       *sim.Signal
+	curMAC         netsw.MAC
 
 	// Allocation-request retry state (timeout + exponential backoff): set by
 	// RequestAllocation, cleared when the allocator's CtlAssign lands.
@@ -249,7 +240,7 @@ func (ip *InstancePort) CurrentMAC() netsw.MAC { return ip.curMAC }
 
 // Ready reports whether the primary NIC registration completed.
 func (ip *InstancePort) Ready() bool {
-	return ip.primary != nil && ip.ready[ip.primary.nicID]
+	return ip.primary != nil && ip.ready[nicOf(ip.primary)]
 }
 
 // WaitReady blocks the calling process until the instance can transmit.
@@ -273,19 +264,18 @@ func (ip *InstancePort) Assign(primary, backup uint16) {
 	ip.queued = append(ip.queued, primary, backup)
 	fe.cmds.Push(func(p *sim.Proc) {
 		ip.queued = ip.queued[2:]
-		pl := fe.beLink(primary)
+		pl := fe.backend(primary)
 		if pl == nil {
 			panic(fmt.Sprintf("netengine: assign to unknown NIC %d", primary))
 		}
 		ip.primary = pl
-		ip.curMAC = pl.mac
+		ip.curMAC = fe.nicDir[primary]
 		fe.sendRegister(p, pl, ip.ip)
 		if backup != 0 {
-			bl := fe.beLink(backup)
+			bl := fe.backend(backup)
 			if bl == nil {
 				panic(fmt.Sprintf("netengine: backup NIC %d unknown", backup))
 			}
-			ip.backup = bl
 			fe.sendRegister(p, bl, ip.ip)
 		}
 	})
@@ -322,14 +312,14 @@ func (fe *Frontend) sendAllocRequest(p *sim.Proc, inst *InstancePort) {
 
 // sendRegister emits a registration message (best effort; the channel is
 // effectively never full for control traffic).
-func (fe *Frontend) sendRegister(p *sim.Proc, l *beLink, ip netstack.IP) {
+func (fe *Frontend) sendRegister(p *sim.Proc, l *core.Link, ip netstack.IP) {
 	var buf [15]byte
-	if !l.link.Send(p, msg{op: opRegister, ip: ip}.encode(buf[:])) {
+	if !l.Send(p, msg{op: opRegister, ip: ip}.encode(buf[:])) {
 		// Ring full: retry via the command queue.
 		fe.cmds.Push(func(p *sim.Proc) { fe.sendRegister(p, l, ip) })
 		return
 	}
-	l.link.Flush(p)
+	l.Flush(p)
 }
 
 // queuesIdle reports whether the queues stage has nothing to do: no
@@ -412,7 +402,7 @@ func (fe *Frontend) drainControl(p *sim.Proc) int {
 //
 //	p.Sleep(MsgCost)
 //	h.Cache.WritebackRange(p, req.addr, req.size, "payload")
-//	if !inst.primary.link.Send(p, opTxPacket message) {
+//	if !inst.primary.Send(p, opTxPacket message) {
 //		// ring full: count it, and put the request back at the head
 //	}
 type queuesJob struct {
@@ -485,7 +475,7 @@ func (j *queuesJob) Step() (sim.Duration, bool) {
 			j.pc = queuesSend
 		case queuesSend:
 			var buf [15]byte
-			j.link = j.inst.primary.link
+			j.link = j.inst.primary
 			j.link.BeginSend(msg{op: opTxPacket, addr: j.req.addr, size: uint16(j.req.size), ip: j.inst.ip}.encode(buf[:]))
 			j.start(j.link)
 			j.pc = queuesSent
@@ -522,7 +512,7 @@ func (fe *Frontend) flushIdle() bool { return fe.links.FlushIdle() && !fe.ctrl.U
 // the per-message cost, the rest from the process.
 type beMsgJob struct {
 	fe   *Frontend
-	l    *beLink
+	l    *core.Link
 	m    msg
 	inst *InstancePort
 	pc   beMsgPC
@@ -541,7 +531,7 @@ const (
 )
 
 func (j *beMsgJob) Begin(l *core.Link, payload []byte) {
-	j.l, j.m, j.pc = l.Meta.(*beLink), decode(payload), beMsgStart
+	j.l, j.m, j.pc = l, decode(payload), beMsgStart
 }
 
 func (j *beMsgJob) Step() (sim.Duration, bool) {
@@ -569,14 +559,14 @@ func (j *beMsgJob) Step() (sim.Duration, bool) {
 				if !ok {
 					fe.UnknownCompletions++
 					// Recycle the buffer anyway so the backend does not leak it.
-					j.sendOrQueue(j.l.link, msg{op: opRxComplete, addr: m.addr})
+					j.sendOrQueue(j.l, msg{op: opRxComplete, addr: m.addr})
 					continue
 				}
 				// §3.3.1 RX: the copy-out, recycling the buffer to its
 				// backend; the message carries buffer ownership, so a full
 				// ring parks it on the link's pending queue.
 				j.inst = inst
-				fe.rx.begin(&inst.port, m.addr, int(m.size), j.l.link, nil)
+				fe.rx.begin(&inst.port, m.addr, int(m.size), j.l, nil)
 				j.pc = beMsgCopy
 			default:
 				j.pc = beMsgProc
@@ -626,13 +616,13 @@ func (fe *Frontend) handleControlMsg(p *sim.Proc, m core.ControlMsg) {
 	switch m.Op {
 	case core.CtlFailover:
 		failed, backup := m.Dev, m.Aux
-		bl := fe.beLink(backup)
+		bl := fe.backend(backup)
 		if bl == nil {
 			return
 		}
 		for _, ipAddr := range fe.instOrder {
 			inst := fe.insts[ipAddr]
-			if inst.primary != nil && inst.primary.nicID == failed {
+			if inst.primary != nil && nicOf(inst.primary) == failed {
 				// TX reroutes immediately: buffers are already in shared CXL
 				// memory, so no copy is needed (§3.3.3). The MAC is borrowed,
 				// so curMAC stays.
@@ -668,7 +658,7 @@ func (fe *Frontend) handleControlMsg(p *sim.Proc, m core.ControlMsg) {
 // startMigration begins a graceful migration (§3.3.4): register with the
 // new NIC; the flip happens when the ack arrives.
 func (fe *Frontend) startMigration(p *sim.Proc, inst *InstancePort, newNIC uint16) {
-	nl := fe.beLink(newNIC)
+	nl := fe.backend(newNIC)
 	if nl == nil {
 		return
 	}
@@ -684,19 +674,19 @@ func (fe *Frontend) startMigration(p *sim.Proc, inst *InstancePort, newNIC uint1
 // gratuitous ARP, and unregisters from the old NIC after the grace period.
 func (fe *Frontend) completeMigration(p *sim.Proc, inst *InstancePort, newNIC uint16) {
 	old := inst.primary
-	inst.primary = fe.beLink(newNIC)
+	inst.primary = fe.backend(newNIC)
 	inst.pendingPrimary = 0
-	inst.curMAC = inst.primary.mac
+	inst.curMAC = fe.nicDir[newNIC]
 	if inst.stack != nil {
 		inst.stack.GratuitousARP()
 	}
-	if old != nil && old.nicID != newNIC {
+	if old != nil && nicOf(old) != newNIC {
 		fe.h.Eng.After(migrationGrace, func() {
 			fe.cmds.Push(func(p *sim.Proc) {
 				var buf [15]byte
-				if old.link.Send(p, msg{op: opUnregister, ip: inst.ip}.encode(buf[:])) {
-					old.link.Flush(p)
-					delete(inst.ready, old.nicID)
+				if old.Send(p, msg{op: opUnregister, ip: inst.ip}.encode(buf[:])) {
+					old.Flush(p)
+					delete(inst.ready, nicOf(old))
 				}
 			})
 		})

@@ -176,7 +176,7 @@ func (j *sendJob) Step() (sim.Duration, bool) { return j.step() }
 //
 //	h.Cache.Read(p, addr, scratch[:n], "payload")
 //	local := a copy of scratch[:n]
-//	p.Sleep(h.Local.TouchCost(n))
+//	p.Sleep(h.TouchCost(n))
 //	h.Cache.FlushRange(p, addr, n, "payload")
 //	// recycle: an RX-complete message over the backend's link, or back
 //	// into the local driver's RX area
@@ -245,7 +245,7 @@ func (c *rxCopy) Step() (sim.Duration, bool) {
 			c.local = c.h.Eng.Bufs().Get(c.n)
 			copy(c.local, c.scratch[:c.n])
 			c.pc = rxTouched
-			return c.h.Local.TouchCost(c.n), true
+			return c.h.TouchCost(c.n), true
 		case rxTouched:
 			c.inval.Begin(c.h.Cache, true, c.addr, c.n, "payload")
 			c.start(&c.inval)

@@ -1,10 +1,10 @@
 // Package nic models a datacenter NIC (Mellanox ConnectX-5 class) as the
 // Oasis backend driver sees it through a kernel-bypass driver (§3.3):
 // descriptor rings for TX and RX, completion queues, DMA into an arbitrary
-// memory space (host DDR for the baseline, the CXL pool for Oasis), flow
-// tagging that matches RX packets to instances by destination IP without
-// the CPU touching the payload, a link-status register with PHY debounce,
-// and line-rate/packet-rate limits.
+// memory space (the CXL pool for Oasis, pool memory at DDR latency for the
+// baseline), flow tagging that matches RX packets to instances by
+// destination IP without the CPU touching the payload, a link-status
+// register with PHY debounce, and line-rate/packet-rate limits.
 //
 // DMA always bypasses CPU caches (DDIO disabled, §3.2.1); the snoop cost of
 // violating that discipline is modelled by the cache package and charged by
@@ -19,8 +19,8 @@ import (
 )
 
 // DMAMemory is the space the NIC's DMA engine reads packets from and writes
-// packets to. *cxl.Port implements it for pool-backed buffers;
-// host.LocalMemory implements it for the baseline's DDR buffers.
+// packets to. *cxl.Port implements it, for the pool's buffers and for the
+// baseline's, which are pool memory at DDR latency.
 type DMAMemory interface {
 	DMARead(addr int64, buf []byte, category string) sim.Duration
 	DMAWrite(addr int64, data []byte, category string) sim.Duration

@@ -8,7 +8,6 @@ import (
 
 	"oasis/internal/cache"
 	"oasis/internal/cxl"
-	"oasis/internal/host"
 	"oasis/internal/netsw"
 	"oasis/internal/sim"
 )
@@ -218,31 +217,6 @@ func TestSendRawReachesWire(t *testing.T) {
 	r.eng.Run()
 	if r.sw.LookupMAC(macA) != r.sw.Ports()[1] {
 		t.Fatal("raw frame did not teach the switch (MAC borrowing broken)")
-	}
-}
-
-func TestLocalMemoryDMA(t *testing.T) {
-	// NIC DMA through host-local DDR (the baseline configuration).
-	eng := sim.New()
-	mem := host.NewLocalMemory(eng, 1<<20, host.DefaultMemParams())
-	sw := netsw.New(eng, netsw.DefaultParams())
-	n := New(eng, "n", macA, mem, testFlowKey, DefaultParams())
-	col := &frameCollector{}
-	n.Connect(sw.AttachPort("p", col))
-	// Attach a second port so the flood has somewhere to go.
-	other := &frameCollector{}
-	sw.AttachPort("q", other)
-	n.Start()
-	frame := testFrame(macA, macB, 1, 120)
-	mem.Poke(256, frame)
-	eng.Go("driver", func(p *sim.Proc) {
-		n.PostTx(p, WQE{Addr: 256, Len: len(frame), Cookie: 5})
-		p.Sleep(100 * time.Microsecond)
-		eng.Shutdown()
-	})
-	eng.Run()
-	if len(other.frames) != 1 || !bytes.Equal(other.frames[0], frame) {
-		t.Fatalf("frame not forwarded from local-memory DMA (got %d)", len(other.frames))
 	}
 }
 

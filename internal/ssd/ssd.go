@@ -19,7 +19,7 @@ import (
 const BlockSize = 4096
 
 // DMAMemory is the space the SSD's DMA engine moves data through
-// (*cxl.Port and host.LocalMemory both satisfy it).
+// (*cxl.Port satisfies it).
 type DMAMemory interface {
 	DMARead(addr int64, buf []byte, category string) sim.Duration
 	DMAWrite(addr int64, data []byte, category string) sim.Duration

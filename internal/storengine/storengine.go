@@ -191,13 +191,6 @@ type pendingLeg struct {
 	epoch uint16
 }
 
-// sbeLink is the frontend's engine-specific peer state for one storage
-// backend (one SSD), carried in the core link's Meta.
-type sbeLink struct {
-	ssdID uint16
-	link  *core.Link
-}
-
 // Frontend is the per-host storage frontend driver: it exposes block
 // volumes to local instances and forwards requests/completions. It is an
 // engine loop on the core runtime, polled by its own embedded driver core.
@@ -206,7 +199,7 @@ type Frontend struct {
 	h    *host.Host
 	pool *cxl.Pool
 
-	links     *core.LinkSet // by SSD id; Meta holds *sbeLink
+	links     *core.LinkSet // by SSD id
 	vols      map[netstack.IP]*Volume
 	volOrder  []netstack.IP
 	reqQ      *sim.Queue[*ioReq]
@@ -245,7 +238,7 @@ func NewFrontend(h *host.Host, pool *cxl.Pool) *Frontend {
 	fe.Driver = core.NewDriver(h, h.Name+"/storage-fe", pacing,
 		core.WorkStage("requests", fe.requestsIdle, fe.forwardRequests),
 		core.PollStage("backend messages", fe.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
-			fe.handleBackendMsg(p, l.Meta.(*sbeLink), sdecode(payload))
+			fe.handleBackendMsg(p, l, sdecode(payload))
 		}),
 		core.ControlStage("allocator commands", &fe.ctrl, burst, fe.handleControlMsg, true),
 		core.WorkStage("flush", fe.links.FlushIdle, func(p *sim.Proc) int {
@@ -263,10 +256,8 @@ func (fe *Frontend) ConnectBackend(be *Backend) error {
 	if err != nil {
 		return err
 	}
-	l := fe.links.Add(uint32(be.ssdID), feEnd)
-	l.Meta = &sbeLink{ssdID: be.ssdID, link: l}
-	bl := be.links.Add(uint32(fe.h.ID), beEnd)
-	bl.Meta = &sfeLink{hostID: fe.h.ID, link: bl}
+	fe.links.Add(uint32(be.ssdID), feEnd)
+	be.links.Add(uint32(fe.h.ID), beEnd)
 	return nil
 }
 
@@ -288,14 +279,11 @@ func (fe *Frontend) SetBackupSSD(id uint16) {
 	}
 }
 
-// sbeLink returns the engine state for an SSD's link, or nil.
-func (fe *Frontend) sbeLink(ssdID uint16) *sbeLink {
-	l := fe.links.Get(uint32(ssdID))
-	if l == nil {
-		return nil
-	}
-	return l.Meta.(*sbeLink)
-}
+// backend returns the link to an SSD's backend, or nil.
+func (fe *Frontend) backend(ssdID uint16) *core.Link { return fe.links.Get(uint32(ssdID)) }
+
+// ssdOf is the SSD a backend link leads to.
+func ssdOf(l *core.Link) uint16 { return uint16(l.Peer) }
 
 // Volume is an instance's block device: a slice of a pooled SSD reached
 // through the storage engine, optionally mirrored onto the pod's backup
@@ -304,9 +292,9 @@ type Volume struct {
 	fe        *Frontend
 	ip        netstack.IP // owning instance
 	primaryID uint16
-	link      *sbeLink // current primary's link
-	mirror    *sbeLink // backup drive's link (nil when unmirrored)
-	mirrorOK  bool     // backup copy valid (in sync)
+	link      *core.Link // to the current primary's backend
+	mirror    *core.Link // to the backup drive's backend (nil when unmirrored)
+	mirrorOK  bool       // backup copy valid (in sync)
 	area      *core.BufferArea
 	base      uint64 // assigned by the primary at registration
 	blocks    uint64
@@ -647,13 +635,13 @@ func (fe *Frontend) allocCID() uint16 {
 // Writes additionally fan a mirror leg out to the backup drive.
 func (fe *Frontend) forward(p *sim.Proc, req *ioReq, buf []byte) {
 	if req.op == sOpRegister {
-		l := fe.sbeLink(req.regTarget)
+		l := fe.backend(req.regTarget)
 		if l == nil {
 			fe.reqQ.Push(req) // backend not wired yet; retry
 			return
 		}
 		m := smsg{op: sOpRegister, ip: req.vol.ip, size: req.lba, epoch: req.vol.epoch}
-		if !l.link.Send(p, m.encode(buf)) {
+		if !l.Send(p, m.encode(buf)) {
 			fe.reqQ.Push(req)
 		}
 		return
@@ -668,8 +656,8 @@ func (fe *Frontend) forward(p *sim.Proc, req *ioReq, buf []byte) {
 		fe.retryQ = append(fe.retryQ, req)
 		return
 	}
-	if v.link == nil || v.link.ssdID != v.primaryID {
-		v.link = fe.sbeLink(v.primaryID)
+	if v.link == nil || ssdOf(v.link) != v.primaryID {
+		v.link = fe.backend(v.primaryID)
 	}
 	if v.link == nil || !v.ready[v.primaryID] {
 		// Re-bound primary has not acked registration yet; park briefly.
@@ -698,7 +686,7 @@ func (fe *Frontend) forward(p *sim.Proc, req *ioReq, buf []byte) {
 		op: req.op, cid: cid, lba: req.lba, blocks: uint16(req.blocks),
 		buf: req.buf, ip: v.ip, epoch: v.epoch,
 	}
-	if !v.link.link.Send(p, m.encode(buf)) {
+	if !v.link.Send(p, m.encode(buf)) {
 		fe.reqQ.Push(req)
 		return
 	}
@@ -712,40 +700,40 @@ func (fe *Frontend) forward(p *sim.Proc, req *ioReq, buf []byte) {
 		}
 	}
 	if req.op == sOpWrite && v.mirror != nil && v.mirrorOK &&
-		v.mirror.ssdID != v.primaryID && v.ready[v.mirror.ssdID] {
+		ssdOf(v.mirror) != v.primaryID && v.ready[ssdOf(v.mirror)] {
 		mcid := fe.allocCID()
 		mm := m
 		mm.cid = mcid
 		// Mirror legs must not be dropped on a full ring — a write is only
 		// acknowledged once both copies resolve — so they take the parked
 		// (SendOrQueue) path.
-		v.mirror.link.SendOrQueue(p, mm.encode(buf))
-		fe.pending[mcid] = &pendingLeg{req: req, ssdID: v.mirror.ssdID, epoch: v.epoch}
+		v.mirror.SendOrQueue(p, mm.encode(buf))
+		fe.pending[mcid] = &pendingLeg{req: req, ssdID: ssdOf(v.mirror), epoch: v.epoch}
 		req.outstanding++
 		fe.MirrorWrites++
 	}
 }
 
-func (fe *Frontend) handleBackendMsg(p *sim.Proc, l *sbeLink, m smsg) {
+func (fe *Frontend) handleBackendMsg(p *sim.Proc, l *core.Link, m smsg) {
 	switch m.op {
 	case sOpRegisterAck:
 		v, ok := fe.vols[m.ip]
 		if !ok {
 			return
 		}
-		v.ready[l.ssdID] = true
-		if l.ssdID == v.primaryID {
+		v.ready[ssdOf(l)] = true
+		if ssdOf(l) == v.primaryID {
 			v.base = m.base
 			v.blocks = m.size
 			v.everReady = true
 			v.sig.Broadcast()
-		} else if l.ssdID == fe.backupSSD && m.size > 0 {
+		} else if ssdOf(l) == fe.backupSSD && m.size > 0 {
 			v.mirror = l
 			v.mirrorOK = true
 		}
 	case sOpComplete:
 		leg, ok := fe.pending[m.cid]
-		if !ok || leg.epoch != m.epoch || leg.ssdID != l.ssdID {
+		if !ok || leg.epoch != m.epoch || leg.ssdID != ssdOf(l) {
 			// A fenced (pre-failover) command's late completion — the
 			// zombie-backend case — or a cid reused across epochs.
 			fe.StaleRejected++
@@ -765,12 +753,12 @@ func (fe *Frontend) handleBackendMsg(p *sim.Proc, l *sbeLink, m smsg) {
 				fe.h.Cache.FlushRange(p, req.buf, n, "payload")
 				out := make([]byte, n)
 				fe.h.Cache.Read(p, req.buf, out, "payload")
-				p.Sleep(fe.h.Local.TouchCost(n)) // copy into instance memory
+				p.Sleep(fe.h.TouchCost(n)) // copy into instance memory
 				req.result = out
 			}
 		} else {
 			req.status = m.status
-			if v.mirror != nil && leg.ssdID == v.mirror.ssdID && leg.ssdID != v.primaryID {
+			if v.mirror != nil && leg.ssdID == ssdOf(v.mirror) && leg.ssdID != v.primaryID {
 				// The backup copy diverged; stop mirroring rather than
 				// failing the request.
 				v.mirrorOK = false
@@ -880,7 +868,7 @@ func (fe *Frontend) handleControlMsg(p *sim.Proc, m core.ControlMsg) {
 	}
 	for _, ip := range fe.volOrder {
 		v := fe.vols[ip]
-		if v.mirror != nil && v.mirror.ssdID == failed {
+		if v.mirror != nil && ssdOf(v.mirror) == failed {
 			v.mirror = nil
 			v.mirrorOK = false
 		}
@@ -897,11 +885,11 @@ func (fe *Frontend) handleControlMsg(p *sim.Proc, m core.ControlMsg) {
 			continue
 		}
 		v.primaryID = target
-		v.link = fe.sbeLink(target)
+		v.link = fe.backend(target)
 		// The failed drive's copy is stale from here on; there is no
 		// fail-back, and the volume runs unmirrored until a new backup
 		// is designated.
-		if v.mirror != nil && v.mirror.ssdID == target {
+		if v.mirror != nil && ssdOf(v.mirror) == target {
 			v.mirror = nil
 		}
 		v.mirrorOK = false
@@ -921,19 +909,12 @@ func (fe *Frontend) handleControlMsg(p *sim.Proc, m core.ControlMsg) {
 	fe.FailoversApplied++
 }
 
-// sfeLink is the backend's engine-specific peer state for one frontend,
-// carried in the core link's Meta.
-type sfeLink struct {
-	hostID int
-	link   *core.Link
-}
-
 // svol is a granted volume on the backend.
 type svol struct {
 	ip     netstack.IP
 	base   uint64
 	blocks uint64
-	link   *sfeLink
+	link   *core.Link // to the volume's frontend
 }
 
 // pendingIO maps a device CID back to the requesting frontend. The epoch is
@@ -942,7 +923,7 @@ type svol struct {
 type pendingIO struct {
 	feCID     uint16
 	epoch     uint16
-	link      *sfeLink
+	link      *core.Link
 	submitted sim.Duration // device submit time, for service-latency telemetry
 }
 
@@ -960,7 +941,7 @@ type Backend struct {
 	dev   *ssd.SSD
 	cfg   Config
 
-	links      *core.LinkSet // by frontend host id; Meta holds *sfeLink
+	links      *core.LinkSet // by frontend host id
 	vols       map[netstack.IP]*svol
 	nextLBA    uint64
 	capacity   uint64
@@ -1001,7 +982,7 @@ func NewBackend(h *host.Host, ssdID uint16, dev *ssd.SSD, capacityBlocks uint64,
 	be.Driver = core.NewDriver(h, fmt.Sprintf("%s/storage-be%d", h.Name, ssdID), pacing,
 		core.WorkStage("parked completions", be.parkedIdle, be.drainParked),
 		core.PollStage("frontend messages", be.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
-			be.handleFrontendMsg(p, l.Meta.(*sfeLink), sdecode(payload), be.msgBuf[:])
+			be.handleFrontendMsg(p, l, sdecode(payload), be.msgBuf[:])
 		}),
 		core.WorkStage("completions, telemetry and flush", be.deviceIdle, be.serveDevice),
 	)
@@ -1092,7 +1073,7 @@ func (be *Backend) maybeSendTelemetry(p *sim.Proc) {
 	be.TelemetrySent++
 }
 
-func (be *Backend) handleFrontendMsg(p *sim.Proc, l *sfeLink, m smsg, buf []byte) {
+func (be *Backend) handleFrontendMsg(p *sim.Proc, l *core.Link, m smsg, buf []byte) {
 	switch m.op {
 	case sOpRegister:
 		if v, dup := be.vols[m.ip]; dup {
@@ -1101,25 +1082,25 @@ func (be *Backend) handleFrontendMsg(p *sim.Proc, l *sfeLink, m smsg, buf []byte
 			// re-ack the existing grant instead of double-allocating.
 			be.ReRegistrations++
 			v.link = l
-			l.link.SendOrQueue(p, smsg{op: sOpRegisterAck, ip: m.ip, base: v.base, size: v.blocks, epoch: m.epoch}.encode(buf))
+			l.SendOrQueue(p, smsg{op: sOpRegisterAck, ip: m.ip, base: v.base, size: v.blocks, epoch: m.epoch}.encode(buf))
 			return
 		}
 		blocks := m.size
 		if be.nextLBA+blocks > be.capacity {
 			be.RegistrationsDenied++
-			l.link.SendOrQueue(p, smsg{op: sOpRegisterAck, ip: m.ip, base: 0, size: 0, epoch: m.epoch}.encode(buf))
+			l.SendOrQueue(p, smsg{op: sOpRegisterAck, ip: m.ip, base: 0, size: 0, epoch: m.epoch}.encode(buf))
 			return
 		}
 		v := &svol{ip: m.ip, base: be.nextLBA, blocks: blocks, link: l}
 		be.nextLBA += blocks
 		be.vols[m.ip] = v
-		l.link.SendOrQueue(p, smsg{op: sOpRegisterAck, ip: m.ip, base: v.base, size: v.blocks, epoch: m.epoch}.encode(buf))
+		l.SendOrQueue(p, smsg{op: sOpRegisterAck, ip: m.ip, base: v.base, size: v.blocks, epoch: m.epoch}.encode(buf))
 	case sOpRead, sOpWrite:
 		v, ok := be.vols[m.ip]
 		if !ok || uint64(m.lba)+uint64(m.blocks) > v.blocks {
 			// Bounds violation: reject without touching the device.
 			be.BoundsViolations++
-			l.link.SendOrQueue(p, smsg{op: sOpComplete, cid: m.cid, status: ssd.StatusLBARange, epoch: m.epoch}.encode(buf))
+			l.SendOrQueue(p, smsg{op: sOpComplete, cid: m.cid, status: ssd.StatusLBARange, epoch: m.epoch}.encode(buf))
 			return
 		}
 		op := uint8(ssd.OpRead)
@@ -1137,7 +1118,7 @@ func (be *Backend) handleFrontendMsg(p *sim.Proc, l *sfeLink, m smsg, buf []byte
 		// straight into the submission queue.
 		if !be.dev.Submit(p, cmd) {
 			delete(be.inflight, devCID)
-			l.link.SendOrQueue(p, smsg{op: sOpComplete, cid: m.cid, status: ssd.StatusDeviceFault, epoch: m.epoch}.encode(buf))
+			l.SendOrQueue(p, smsg{op: sOpComplete, cid: m.cid, status: ssd.StatusDeviceFault, epoch: m.epoch}.encode(buf))
 			return
 		}
 		be.Submitted++
@@ -1153,5 +1134,5 @@ func (be *Backend) handleCompletion(p *sim.Proc, comp ssd.Completion, buf []byte
 	be.Completed++
 	be.latSum += p.Now() - io.submitted
 	be.latOps++
-	io.link.link.SendOrQueue(p, smsg{op: sOpComplete, cid: io.feCID, status: comp.Status, epoch: io.epoch}.encode(buf))
+	io.link.SendOrQueue(p, smsg{op: sOpComplete, cid: io.feCID, status: comp.Status, epoch: io.epoch}.encode(buf))
 }

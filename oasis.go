@@ -25,14 +25,14 @@
 // Everything runs in virtual time: pod.Run(d) executes d of simulated time
 // deterministically.
 //
-// # Topology graph and incremental wiring
+// # The pod graph and incremental wiring
 //
-// Pod is a thin compatibility wrapper over Topology, the incremental node
-// graph that owns every host, device, instance, and client. Nodes are
-// added one at a time through the ...Err builders. A single idempotent
-// wiring pass turns the graph into a live pod — data links to
-// every peer, the allocator's control links, driver launches, metric registration, always in the same order. Start runs it
-// over whatever exists; an add after Start runs the same pass, which then
+// Pod is the incremental node graph that owns every host, device, instance,
+// and client. Nodes are added one at a time through the ...Err builders. A
+// single idempotent wiring pass turns the graph into a live pod — data
+// links to every peer, the allocator's control links, driver launches,
+// metric registration, always in the same order. Start runs it over
+// whatever exists; an add after Start runs the same pass, which then
 // touches only the new node, so a pod grown one node at a time is wired by
 // the code that wires one built up front. See DESIGN.md §10.
 //
@@ -128,20 +128,6 @@ func DefaultConfig() Config {
 		Stack:     netstack.DefaultConfig(),
 		Allocator: allocator.DefaultConfig(),
 	}
-}
-
-// Pod owns one whole simulated rack-scale pod. It is a thin compatibility
-// wrapper over Topology: every builder, accessor, and lifecycle method is
-// promoted from the embedded graph, so historical code keeps working while
-// new code may hold the Topology directly (or compose pods with Cluster).
-type Pod struct {
-	*Topology
-}
-
-// NewPod creates an empty standalone pod (its own engine, flat metric
-// names, local fault targets).
-func NewPod(cfg Config) *Pod {
-	return &Pod{Topology: NewTopology(cfg)}
 }
 
 // Snapshot is the structured result of Pod.Stats: a sorted, deterministic

@@ -103,6 +103,18 @@ echo "== one engine, one core (grep gate) =="
 gate "a shared host core, a seat or a loop list in internal/core or the facade" "$(grep -n 'SharedHostCore\|shared-core\|core\.Seat\|NewSeat\|Join(\|Loops()\|obsDrivers\|\[\]\[\]Stage' internal/core/*.go ./*.go cmd/oasis-pod/*.go scripts/census.sh | grep -v '_test\.go:' || true)"
 gate "a core wrapper over a cache range operation, or Link.Backlogged" "$(src 'core\.WritebackRange\|core\.InvalidateRange\|func WritebackRange(p\|func InvalidateRange(\|Backlogged')"
 
+# One representation per thing: the pod is its graph (no Topology beside
+# Pod), a pod claims only the IPs callers choose (host and device ids come
+# from counters), an engine's peer is its *core.Link (the peer's id is
+# Link.Peer, a NIC's MAC is in the pod's NIC directory), and host DDR is
+# only the cost the datapath charges (no store, no DMA path, no constants
+# that only those read).
+echo "== one representation per thing (grep gate) =="
+gate "a Topology type beside Pod" "$(src 'type Topology struct\|NewTopology(\|\*Topology\b')"
+gate "an engine wrapper around its peer's link" "$(src -w 'feLink\|sfeLink\|sbeLink\|beLink')"
+gate "host DDR as a store, or its DMA constants" "$(grep -n 'LocalMemory\|DMALatency\|DMABandwidth' internal/host/*.go | grep -v '_test\.go:' || true)"
+gate "a host or device id claimed in the pod graph, or Host.BEs" "$(grep -n 'addNode(topo\.Ref\|\bBEs\b' ./*.go | grep -v '_test\.go:' || true)"
+
 echo "== go build ./... =="
 go build ./...
 

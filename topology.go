@@ -30,7 +30,8 @@ var (
 	// only the baseline local-driver path, which exists to reproduce the
 	// paper's static Junction setup, stays construct-then-run.
 	ErrFrozen = errors.New("topology is frozen after Start for baseline local drivers")
-	// ErrDuplicateNode marks an add whose node id is already in the graph.
+	// ErrDuplicateNode marks an add of an instance or client whose IP an
+	// instance or client of the pod already holds.
 	ErrDuplicateNode = errors.New("duplicate node id")
 	// ErrNoSuchNode marks an operation on a node the graph does not hold.
 	ErrNoSuchNode = errors.New("no such node")
@@ -39,12 +40,12 @@ var (
 	ErrNodeInUse = errors.New("node is in use")
 )
 
-// Host is one pod member: the underlying host model, its frontend driver,
-// and any backend drivers for locally-attached NICs.
+// Host is one pod member: the underlying host model and the drivers its
+// instances reach the pod through. The backends of its NICs and SSDs hang
+// off the devices (NIC.BE, SSDDev.BE), which record the host they are on.
 type Host struct {
-	H   *host.Host
-	FE  *netengine.Frontend
-	BEs []*netengine.Backend
+	H  *host.Host
+	FE *netengine.Frontend
 	// SFE is the storage frontend (created on demand by AddSSD/AddVolume).
 	SFE *storengine.Frontend
 	// LD is the baseline Junction-style local driver (set by AddLocalNIC).
@@ -87,7 +88,7 @@ type Instance struct {
 	LocalPort *netengine.LocalPort
 	Stack     *netstack.Stack
 	host      *Host
-	topo      *Topology
+	pod       *Pod
 	wired     bool // stack process launched
 }
 
@@ -116,8 +117,8 @@ func (i *Instance) Assign(primary, backup uint16) error {
 		ids = append(ids, backup)
 	}
 	for _, id := range ids {
-		if n := i.topo.NICs[id]; n == nil || n.BE == nil {
-			return fmt.Errorf("oasis: %w: instance %v assigned to %s, which is not a pooled NIC of this pod", ErrNoSuchNode, i.IPAddr(), i.topo.nicName(id))
+		if n := i.pod.NICs[id]; n == nil || n.BE == nil {
+			return fmt.Errorf("oasis: %w: instance %v assigned to %s, which is not a pooled NIC of this pod", ErrNoSuchNode, i.IPAddr(), i.pod.nicName(id))
 		}
 	}
 	i.Port.Assign(primary, backup)
@@ -183,18 +184,18 @@ func (t *clientTx) Step() (sim.Duration, bool) {
 func (c *Client) DeliverFrame(f *netsw.Frame) { c.Stack.DeliverFrame(f.Bytes) }
 
 // Go spawns an application process on the client's engine, the pod's; it is
-// identical to Topology.Go.
+// identical to Pod.Go.
 func (c *Client) Go(name string, fn func(p *Proc)) { c.eng.Go(name, fn) }
 
-// Topology is the incremental node graph behind a pod: the engine, the CXL
-// pool, the ToR switch, and every host, device, instance, and client node.
-// Nodes are added one at a time through the ...Err builders; only an
-// instance is ever detached again (migration). One idempotent pass, wire,
-// turns the graph into a live pod (links to every peer, control links,
-// driver launches, metric registration): Start runs it over whatever
-// exists, and every add after Start runs it again, where it touches only the
-// new node. Pod and Cluster are thin layers over it.
-type Topology struct {
+// Pod is one whole simulated pod and the incremental node graph behind it:
+// the engine, the CXL pool, the ToR switch, and every host, device,
+// instance, and client node. Nodes are added one at a time through the
+// ...Err builders; only an instance is ever detached again (migration). One
+// idempotent pass, wire, turns the graph into a live pod (links to every
+// peer, control links, driver launches, metric registration): Start runs it
+// over whatever exists, and every add after Start runs it again, where it
+// touches only the new node. Cluster composes pods.
+type Pod struct {
 	Eng    *sim.Engine
 	Pool   *cxl.Pool
 	Switch *netsw.Switch
@@ -231,24 +232,25 @@ type Topology struct {
 	// group is its engine (see internal/sim).
 	group *sim.Group
 
-	// nodes is the graph's id set — one canonical topo-grammar key per
-	// node — used to reject double-adds of the same id.
-	nodes map[string]bool
+	// ips holds every address an instance or a client of the pod has
+	// claimed. Host, NIC and SSD ids come from counters and cannot collide;
+	// an IP is the one id a caller chooses.
+	ips map[netstack.IP]bool
 	// obsPorts counts the pool ports registered so far.
 	obsPorts int
 }
 
-// NewTopology creates an empty standalone topology on partition 0 of a
-// group of its own.
-func NewTopology(cfg Config) *Topology {
+// NewPod creates an empty standalone pod (its own engine, flat metric
+// names, local fault targets) on partition 0 of a group of its own.
+func NewPod(cfg Config) *Pod {
 	g := sim.NewGroup()
-	return newTopology(g, g.AddPartition(), cfg, topo.Unscoped)
+	return newPod(g, g.AddPartition(), cfg, topo.Unscoped)
 }
 
-// newTopology builds the graph shell on partition eng of g. podIndex scopes
-// every name when the topology joins a cluster.
-func newTopology(g *sim.Group, eng *sim.Engine, cfg Config, podIndex int) *Topology {
-	return &Topology{
+// newPod builds the graph shell on partition eng of g. podIndex scopes every
+// name when the pod joins a cluster.
+func newPod(g *sim.Group, eng *sim.Engine, cfg Config, podIndex int) *Pod {
+	return &Pod{
 		Eng:       eng,
 		group:     g,
 		Pool:      cxl.NewPool(eng, cfg.PoolBytes, cfg.CXL),
@@ -263,24 +265,24 @@ func newTopology(g *sim.Group, eng *sim.Engine, cfg Config, podIndex int) *Topol
 		nextMAC:   0x02_00_00_00_00_01, // locally administered
 		podIndex:  podIndex,
 		scope:     topo.Scope(podIndex),
-		nodes:     make(map[string]bool),
+		ips:       make(map[netstack.IP]bool),
 	}
 }
 
-// PodIndex returns the topology's index inside its cluster, or
+// PodIndex returns the pod's index inside its cluster, or
 // topo.Unscoped for a standalone pod.
-func (t *Topology) PodIndex() int { return t.podIndex }
+func (t *Pod) PodIndex() int { return t.podIndex }
 
 // Started reports whether Start has run (later adds are wired as they are
 // made).
-func (t *Topology) Started() bool { return t.started }
+func (t *Pod) Started() bool { return t.started }
 
 // Instances returns the number of placed instances.
-func (t *Topology) Instances() int { return len(t.instances) }
+func (t *Pod) Instances() int { return len(t.instances) }
 
 // InstanceAt returns the i-th placed instance in placement order, or nil
 // when out of range.
-func (t *Topology) InstanceAt(i int) *Instance {
+func (t *Pod) InstanceAt(i int) *Instance {
 	if i < 0 || i >= len(t.instances) {
 		return nil
 	}
@@ -296,36 +298,34 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// addNode claims a canonical node id in the graph.
-func (t *Topology) addNode(key string) error {
-	if t.nodes[key] {
-		return fmt.Errorf("oasis: %w: %s%s", ErrDuplicateNode, t.scope, key)
+// claimIP claims ip for a new instance or client: two stacks answering ARP
+// for one address would split its traffic.
+func (t *Pod) claimIP(ip netstack.IP) error {
+	if t.ips[ip] {
+		return fmt.Errorf("oasis: %w: %v is held by another instance or client of this pod", ErrDuplicateNode, ip)
 	}
-	t.nodes[key] = true
+	t.ips[ip] = true
 	return nil
 }
 
-// dropNode releases a node id.
-func (t *Topology) dropNode(key string) { delete(t.nodes, key) }
+// releaseIP releases a claimed IP.
+func (t *Pod) releaseIP(ip netstack.IP) { delete(t.ips, ip) }
 
-func (t *Topology) hostName(idx int) string { return topo.HostName(t.podIndex, idx) }
-func (t *Topology) nicName(id uint16) string {
+func (t *Pod) hostName(idx int) string { return topo.HostName(t.podIndex, idx) }
+func (t *Pod) nicName(id uint16) string {
 	return topo.DeviceName(t.podIndex, topo.KindNIC, int(id))
 }
-func (t *Topology) ssdName(id uint16) string {
+func (t *Pod) ssdName(id uint16) string {
 	return topo.DeviceName(t.podIndex, topo.KindSSD, int(id))
 }
 
 // AddHostErr adds a pod member with a frontend driver. After Start the new
 // host is wired immediately: data links to every pooled NIC backend, an
 // allocator control link, and a running frontend loop.
-func (t *Topology) AddHostErr() (*Host, error) {
+func (t *Pod) AddHostErr() (*Host, error) {
 	id := len(t.Hosts)
-	if err := t.addNode(topo.Ref{Pod: topo.Unscoped, Kind: topo.KindHost, Index: id}.String()); err != nil {
-		return nil, err
-	}
 	h := host.New(t.Eng, id, t.hostName(id), t.Pool, t.cfg.Host)
-	ph := &Host{H: h, FE: netengine.NewFrontend(h, t.Pool, t.cfg.Engine)}
+	ph := &Host{H: h, FE: netengine.NewFrontend(h, t.Pool, t.nicDir, t.cfg.Engine)}
 	t.Hosts = append(t.Hosts, ph)
 	if err := t.wire(); err != nil {
 		return nil, err
@@ -334,10 +334,10 @@ func (t *Topology) AddHostErr() (*Host, error) {
 }
 
 // AddHost is the legacy panic-on-error wrapper around AddHostErr.
-func (t *Topology) AddHost() *Host { return must(t.AddHostErr()) }
+func (t *Pod) AddHost() *Host { return must(t.AddHostErr()) }
 
 // allocMAC hands out a unique locally-administered MAC.
-func (t *Topology) allocMAC() netsw.MAC {
+func (t *Pod) allocMAC() netsw.MAC {
 	var m netsw.MAC
 	v := t.nextMAC
 	t.nextMAC++
@@ -348,10 +348,10 @@ func (t *Topology) allocMAC() netsw.MAC {
 	return m
 }
 
-// checkHost validates a host argument: it must be one of this topology's
+// checkHost validates a host argument: it must be one of this pod's
 // hosts, not nil and not a host of another pod of the cluster (whose cache a
 // device built here would snoop).
-func (t *Topology) checkHost(on *Host) error {
+func (t *Pod) checkHost(on *Host) error {
 	if on == nil {
 		return fmt.Errorf("oasis: %w: nil host", ErrNoSuchNode)
 	}
@@ -364,11 +364,8 @@ func (t *Topology) checkHost(on *Host) error {
 // newNIC claims the next NIC id and builds the device on host on: a DMA port
 // on the pool, a switch port, and DMA that snoops the owning host's cache
 // (§3.2.1). The caller gives it a driver and enters it in t.NICs.
-func (t *Topology) newNIC(on *Host) (*NIC, error) {
+func (t *Pod) newNIC(on *Host) (*NIC, error) {
 	id := t.nextNICID
-	if err := t.addNode(topo.Ref{Pod: topo.Unscoped, Kind: topo.KindNIC, Index: int(id)}.String()); err != nil {
-		return nil, err
-	}
 	t.nextNICID++
 	name := t.nicName(id)
 	dev := nic.New(t.Eng, name, t.allocMAC(), t.Pool.AttachPort(name+"-dma"), netstack.FlowKey, t.cfg.NIC)
@@ -382,7 +379,7 @@ func (t *Topology) newNIC(on *Host) (*NIC, error) {
 // backup marks the pod's reserved failover NIC (§3.3.3). After Start the
 // NIC is wired immediately: links from every host frontend, an allocator
 // link, and a running device + backend loop.
-func (t *Topology) AddNICErr(on *Host, backup bool) (*NIC, error) {
+func (t *Pod) AddNICErr(on *Host, backup bool) (*NIC, error) {
 	if err := t.checkHost(on); err != nil {
 		return nil, err
 	}
@@ -397,7 +394,6 @@ func (t *Topology) AddNICErr(on *Host, backup bool) (*NIC, error) {
 	}
 	t.nicDir[n.ID] = n.Dev.MAC()
 	t.NICs[n.ID] = n
-	on.BEs = append(on.BEs, n.BE)
 	if err := t.wire(); err != nil {
 		return nil, err
 	}
@@ -405,14 +401,14 @@ func (t *Topology) AddNICErr(on *Host, backup bool) (*NIC, error) {
 }
 
 // AddNIC is the legacy panic-on-error wrapper around AddNICErr.
-func (t *Topology) AddNIC(on *Host, backup bool) *NIC { return must(t.AddNICErr(on, backup)) }
+func (t *Pod) AddNIC(on *Host, backup bool) *NIC { return must(t.AddNICErr(on, backup)) }
 
 // AddLocalNICErr attaches a NIC served by a Junction-style local driver —
 // the evaluation baseline (§5.1): one intermediary core, no pooling, no
 // message channels. Instances added with AddLocalInstance use it. The
 // baseline path is construct-then-run by design and stays frozen after
 // Start.
-func (t *Topology) AddLocalNICErr(on *Host) (*NIC, error) {
+func (t *Pod) AddLocalNICErr(on *Host) (*NIC, error) {
 	if t.started {
 		return nil, fmt.Errorf("oasis: %w (AddLocalNIC)", ErrFrozen)
 	}
@@ -435,11 +431,11 @@ func (t *Topology) AddLocalNICErr(on *Host) (*NIC, error) {
 }
 
 // AddLocalNIC is the legacy panic-on-error wrapper around AddLocalNICErr.
-func (t *Topology) AddLocalNIC(on *Host) *NIC { return must(t.AddLocalNICErr(on)) }
+func (t *Pod) AddLocalNIC(on *Host) *NIC { return must(t.AddLocalNICErr(on)) }
 
 // AddLocalInstanceErr launches an instance on the host's baseline local
 // driver. Like the driver itself, baseline instances are pre-Start only.
-func (t *Topology) AddLocalInstanceErr(on *Host, ip netstack.IP) (*Instance, error) {
+func (t *Pod) AddLocalInstanceErr(on *Host, ip netstack.IP) (*Instance, error) {
 	if t.started {
 		return nil, fmt.Errorf("oasis: %w (AddLocalInstance)", ErrFrozen)
 	}
@@ -449,35 +445,35 @@ func (t *Topology) AddLocalInstanceErr(on *Host, ip netstack.IP) (*Instance, err
 	if on.LD == nil {
 		return nil, fmt.Errorf("oasis: AddLocalInstance requires AddLocalNIC first")
 	}
-	if err := t.addNode(topo.Ref{Pod: topo.Unscoped, Kind: topo.KindInstance, Name: ip.String()}.String()); err != nil {
+	if err := t.claimIP(ip); err != nil {
 		return nil, err
 	}
 	lp, err := on.LD.AddInstance(ip)
 	if err != nil {
-		t.dropNode(topo.Ref{Pod: topo.Unscoped, Kind: topo.KindInstance, Name: ip.String()}.String())
+		t.releaseIP(ip)
 		return nil, err
 	}
 	stack := netstack.NewStack(t.Eng, t.scope+fmt.Sprintf("inst-%v", ip), ip, lp.CurrentMAC, lp, t.cfg.Stack)
 	lp.AttachStack(stack)
-	inst := &Instance{LocalPort: lp, Stack: stack, host: on, topo: t}
+	inst := &Instance{LocalPort: lp, Stack: stack, host: on, pod: t}
 	t.instances = append(t.instances, inst)
 	return inst, nil
 }
 
 // AddLocalInstance is the legacy panic-on-error wrapper around
 // AddLocalInstanceErr.
-func (t *Topology) AddLocalInstance(on *Host, ip netstack.IP) *Instance {
+func (t *Pod) AddLocalInstance(on *Host, ip netstack.IP) *Instance {
 	return must(t.AddLocalInstanceErr(on, ip))
 }
 
 // AddSSDErr attaches a pooled SSD of the given capacity (in 4 KiB blocks)
 // to a host and creates its storage backend driver (§3.4).
-func (t *Topology) AddSSDErr(on *Host, capacityBlocks uint64) (*SSDDev, error) {
+func (t *Pod) AddSSDErr(on *Host, capacityBlocks uint64) (*SSDDev, error) {
 	return t.addSSD(on, capacityBlocks, false)
 }
 
 // AddSSD is the legacy panic-on-error wrapper around AddSSDErr.
-func (t *Topology) AddSSD(on *Host, capacityBlocks uint64) *SSDDev {
+func (t *Pod) AddSSD(on *Host, capacityBlocks uint64) *SSDDev {
 	return must(t.AddSSDErr(on, capacityBlocks))
 }
 
@@ -487,7 +483,7 @@ func (t *Topology) AddSSD(on *Host, capacityBlocks uint64) *SSDDev {
 // allocator re-binds volumes onto it when their primary drive fails. A pod
 // has at most one backup drive; it should be at least as large as the sum
 // of the volumes it protects.
-func (t *Topology) AddBackupSSDErr(on *Host, capacityBlocks uint64) (*SSDDev, error) {
+func (t *Pod) AddBackupSSDErr(on *Host, capacityBlocks uint64) (*SSDDev, error) {
 	for _, id := range t.ssdIDs() {
 		if t.SSDs[id].Backup {
 			return nil, fmt.Errorf("oasis: pod already has backup SSD %d", id)
@@ -497,18 +493,15 @@ func (t *Topology) AddBackupSSDErr(on *Host, capacityBlocks uint64) (*SSDDev, er
 }
 
 // AddBackupSSD is the panic-on-error wrapper around AddBackupSSDErr.
-func (t *Topology) AddBackupSSD(on *Host, capacityBlocks uint64) *SSDDev {
+func (t *Pod) AddBackupSSD(on *Host, capacityBlocks uint64) *SSDDev {
 	return must(t.AddBackupSSDErr(on, capacityBlocks))
 }
 
-func (t *Topology) addSSD(on *Host, capacityBlocks uint64, backup bool) (*SSDDev, error) {
+func (t *Pod) addSSD(on *Host, capacityBlocks uint64, backup bool) (*SSDDev, error) {
 	if err := t.checkHost(on); err != nil {
 		return nil, err
 	}
 	id := t.nextSSDID
-	if err := t.addNode(topo.Ref{Pod: topo.Unscoped, Kind: topo.KindSSD, Index: int(id)}.String()); err != nil {
-		return nil, err
-	}
 	t.nextSSDID++
 	name := t.ssdName(id)
 	dma := t.Pool.AttachPort(name + "-dma")
@@ -524,7 +517,7 @@ func (t *Topology) addSSD(on *Host, capacityBlocks uint64, backup bool) (*SSDDev
 
 // storageFE returns a host's storage frontend, creating (and, post-Start,
 // wiring) it on first use.
-func (t *Topology) storageFE(on *Host) (*storengine.Frontend, error) {
+func (t *Pod) storageFE(on *Host) (*storengine.Frontend, error) {
 	if on.SFE == nil {
 		on.SFE = storengine.NewFrontend(on.H, t.Pool)
 		if err := t.wire(); err != nil {
@@ -539,11 +532,11 @@ func (t *Topology) storageFE(on *Host) (*storengine.Frontend, error) {
 // AddInstance time), so no pod-wide scan is needed. Volumes may be added
 // after Start: registration rides the normal request path. An unknown SSD,
 // or an instance of another pod, is ErrNoSuchNode.
-func (t *Topology) AddVolumeErr(inst *Instance, ssdID uint16, blocks uint64) (*storengine.Volume, error) {
+func (t *Pod) AddVolumeErr(inst *Instance, ssdID uint16, blocks uint64) (*storengine.Volume, error) {
 	if inst == nil || inst.host == nil {
 		return nil, fmt.Errorf("oasis: AddVolume: instance has no host (not built by AddInstance/AddLocalInstance)")
 	}
-	if inst.topo != t {
+	if inst.pod != t {
 		return nil, fmt.Errorf("oasis: %w: instance %v is not an instance of this pod", ErrNoSuchNode, inst.IPAddr())
 	}
 	if t.SSDs[ssdID] == nil {
@@ -557,29 +550,28 @@ func (t *Topology) AddVolumeErr(inst *Instance, ssdID uint16, blocks uint64) (*s
 }
 
 // AddVolume is the legacy panic-on-error wrapper around AddVolumeErr.
-func (t *Topology) AddVolume(inst *Instance, ssdID uint16, blocks uint64) *storengine.Volume {
+func (t *Pod) AddVolume(inst *Instance, ssdID uint16, blocks uint64) *storengine.Volume {
 	return must(t.AddVolumeErr(inst, ssdID, blocks))
 }
 
 // AddInstanceErr launches a container instance on a pod host. After Start
 // the instance's network stack is started immediately.
-func (t *Topology) AddInstanceErr(on *Host, ip netstack.IP) (*Instance, error) {
+func (t *Pod) AddInstanceErr(on *Host, ip netstack.IP) (*Instance, error) {
 	if err := t.checkHost(on); err != nil {
 		return nil, err
 	}
-	key := topo.Ref{Pod: topo.Unscoped, Kind: topo.KindInstance, Name: ip.String()}.String()
-	if err := t.addNode(key); err != nil {
+	if err := t.claimIP(ip); err != nil {
 		return nil, err
 	}
 	port, err := on.FE.AddInstance(ip)
 	if err != nil {
-		t.dropNode(key)
+		t.releaseIP(ip)
 		return nil, err
 	}
 	name := t.scope + fmt.Sprintf("inst-%v", ip)
 	stack := netstack.NewStack(t.Eng, name, ip, port.CurrentMAC, port, t.cfg.Stack)
 	port.AttachStack(stack)
-	inst := &Instance{Port: port, Stack: stack, host: on, topo: t}
+	inst := &Instance{Port: port, Stack: stack, host: on, pod: t}
 	t.instances = append(t.instances, inst)
 	if err := t.wire(); err != nil {
 		return nil, err
@@ -588,13 +580,17 @@ func (t *Topology) AddInstanceErr(on *Host, ip netstack.IP) (*Instance, error) {
 }
 
 // AddInstance is the legacy panic-on-error wrapper around AddInstanceErr.
-func (t *Topology) AddInstance(on *Host, ip netstack.IP) *Instance {
+func (t *Pod) AddInstance(on *Host, ip netstack.IP) *Instance {
 	return must(t.AddInstanceErr(on, ip))
 }
 
-// AddClientErr attaches a raw load-generator node to the switch. After
-// Start its stack is started immediately.
-func (t *Topology) AddClientErr(ip netstack.IP) (*Client, error) {
+// AddClientErr attaches a raw load-generator node to the switch. Its IP
+// must not be one an instance or another client of the pod holds
+// (ErrDuplicateNode). After Start its stack is started immediately.
+func (t *Pod) AddClientErr(ip netstack.IP) (*Client, error) {
+	if err := t.claimIP(ip); err != nil {
+		return nil, err
+	}
 	name := t.scope + fmt.Sprintf("client-%v", ip)
 	c := &Client{mac: t.allocMAC(), eng: t.Eng}
 	c.SwPort = t.Switch.AttachPort(name, c)
@@ -609,7 +605,7 @@ func (t *Topology) AddClientErr(ip netstack.IP) (*Client, error) {
 }
 
 // AddClient is the legacy panic-on-error wrapper around AddClientErr.
-func (t *Topology) AddClient(ip netstack.IP) *Client { return must(t.AddClientErr(ip)) }
+func (t *Pod) AddClient(ip netstack.IP) *Client { return must(t.AddClientErr(ip)) }
 
 // sortedIDs returns a device map's ids in ascending order, so pod wiring
 // and reports never depend on map iteration order (determinism).
@@ -622,11 +618,11 @@ func sortedIDs[V any](m map[uint16]V) []uint16 {
 	return ids
 }
 
-func (t *Topology) nicIDs() []uint16 { return sortedIDs(t.NICs) }
-func (t *Topology) ssdIDs() []uint16 { return sortedIDs(t.SSDs) }
+func (t *Pod) nicIDs() []uint16 { return sortedIDs(t.NICs) }
+func (t *Pod) ssdIDs() []uint16 { return sortedIDs(t.SSDs) }
 
 // backupSSDID returns the pod's reserved backup drive id (0 if none).
-func (t *Topology) backupSSDID() uint16 {
+func (t *Pod) backupSSDID() uint16 {
 	for _, id := range t.ssdIDs() {
 		if t.SSDs[id].Backup {
 			return id
@@ -636,14 +632,14 @@ func (t *Topology) backupSSDID() uint16 {
 }
 
 // allocHost returns the host the allocator runs on (host 0).
-func (t *Topology) allocHost() *Host { return t.Hosts[0] }
+func (t *Pod) allocHost() *Host { return t.Hosts[0] }
 
-// Start brings the pod to life: it marks the topology started and runs the
+// Start brings the pod to life: it marks the pod started and runs the
 // wiring pass over every node added so far — links, control plane, driver
 // launches, metric registration, in one deterministic order (see wire). The
-// topology stays mutable afterwards: later adds run the same pass for the
+// pod stays mutable afterwards: later adds run the same pass for the
 // new node. It panics if the pool cannot hold the pod's channels.
-func (t *Topology) Start() {
+func (t *Pod) Start() {
 	if t.started {
 		return
 	}
@@ -654,25 +650,25 @@ func (t *Topology) Start() {
 }
 
 // Go spawns an application process on the pod engine.
-func (t *Topology) Go(name string, fn func(p *Proc)) { t.Eng.Go(name, fn) }
+func (t *Pod) Go(name string, fn func(p *Proc)) { t.Eng.Go(name, fn) }
 
 // Run executes d of virtual time on every partition of the pod's group and
 // returns the clock. A cluster pod's group is the cluster's: this is
 // Cluster.Run.
-func (t *Topology) Run(d Duration) Duration { return t.group.RunUntil(d) }
+func (t *Pod) Run(d Duration) Duration { return t.group.RunUntil(d) }
 
 // Shutdown unwinds all processes (end of an experiment) on every partition.
 // Once the group has more than one partition, call it only from outside the
 // simulation, between Run calls.
-func (t *Topology) Shutdown() { t.group.Shutdown() }
+func (t *Pod) Shutdown() { t.group.Shutdown() }
 
 // Now returns the virtual clock: the engine's while the pod is the group's
 // only partition, the committed (barrier) time otherwise.
-func (t *Topology) Now() Duration { return t.group.Now() }
+func (t *Pod) Now() Duration { return t.group.Now() }
 
 // FailNICPort injects the paper's §5.3 failure: the switch port connected
 // to the NIC is disabled.
-func (t *Topology) FailNICPort(id uint16) {
+func (t *Pod) FailNICPort(id uint16) {
 	if n, ok := t.NICs[id]; ok {
 		n.SwPort.SetEnabled(false)
 	}
@@ -681,7 +677,7 @@ func (t *Topology) FailNICPort(id uint16) {
 // setupRaft builds the allocator's replica group: RaftReplicas nodes on the
 // first hosts, RPCs over 64 B message channels, with the allocator's
 // decisions proposed to the log before being acted on (§3.5).
-func (t *Topology) setupRaft() {
+func (t *Pod) setupRaft() {
 	n := t.cfg.RaftReplicas
 	if n < 3 || n%2 == 0 || n > len(t.Hosts) {
 		panic(fmt.Sprintf("oasis: RaftReplicas = %d needs an odd count >= 3 and <= hosts", n))
@@ -756,9 +752,9 @@ func (r *multiReplicator) Propose(p *Proc, cmd []byte) bool {
 
 // Obs exposes the pod's metrics registry so applications and tests can
 // register their own instruments alongside the built-in ones.
-func (t *Topology) Obs() *obs.Registry { return t.obs }
+func (t *Pod) Obs() *obs.Registry { return t.obs }
 
 // Stats samples every registered instrument at the current virtual time and
 // returns a typed, deterministically ordered snapshot. Instruments are only
 // read here — sampling costs no virtual time and never perturbs the run.
-func (t *Topology) Stats() obs.Snapshot { return t.obs.Snapshot(t.Eng.Now()) }
+func (t *Pod) Stats() obs.Snapshot { return t.obs.Snapshot(t.Eng.Now()) }

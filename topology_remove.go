@@ -1,18 +1,14 @@
 package oasis
 
-import (
-	"fmt"
+import "fmt"
 
-	"oasis/internal/topo"
-)
-
-// RemoveInstanceErr detaches an instance from the topology: its volume (if
+// RemoveInstanceErr detaches an instance from the pod: its volume (if
 // any) is removed, the allocator forgets its placement, and the frontend
 // drops its port. The caller is responsible for quiescing the instance's
 // traffic first; its stack process idles afterwards (the engine is
 // cooperative, an idle stack costs nothing). Baseline local instances are
 // construct-then-run and cannot be removed.
-func (t *Topology) RemoveInstanceErr(inst *Instance) error {
+func (t *Pod) RemoveInstanceErr(inst *Instance) error {
 	idx := -1
 	for i, in := range t.instances {
 		if in == inst {
@@ -39,6 +35,6 @@ func (t *Topology) RemoveInstanceErr(inst *Instance) error {
 		return err
 	}
 	t.instances = append(t.instances[:idx], t.instances[idx+1:]...)
-	t.dropNode(topo.Ref{Pod: topo.Unscoped, Kind: topo.KindInstance, Name: ip.String()}.String())
+	t.releaseIP(ip)
 	return nil
 }

@@ -19,12 +19,12 @@ func TestForeignNodesRefused(t *testing.T) {
 	foreign := p0.Hosts[0]
 	inst0 := p0.AddInstance(foreign, IP(10, 0, 0, 10))
 	type census struct {
-		nics, ssds, insts, nodes int
-		nextNIC, nextSSD         uint16
-		sfe                      bool
+		nics, ssds, insts, ips int
+		nextNIC, nextSSD       uint16
+		sfe                    bool
 	}
 	take := func(p *Pod) census {
-		return census{len(p.NICs), len(p.SSDs), p.Instances(), len(p.nodes), p.nextNICID, p.nextSSDID, foreign.SFE != nil}
+		return census{len(p.NICs), len(p.SSDs), p.Instances(), len(p.ips), p.nextNICID, p.nextSSDID, foreign.SFE != nil}
 	}
 	for _, tc := range []struct {
 		builder string
@@ -63,6 +63,35 @@ func TestDoubleAddSameID(t *testing.T) {
 	}
 	if _, err := pod.AddInstanceErr(h, IP(10, 0, 0, 10)); err != nil {
 		t.Fatalf("re-add after removal: %v", err)
+	}
+}
+
+// An instance and the clients share the pod's switch: one IP held twice
+// would leave two stacks answering ARP for it, so a client claims its IP as
+// an instance does, against both.
+func TestClientClaimsItsIP(t *testing.T) {
+	pod := NewPod(DefaultConfig())
+	h := pod.AddHost()
+	pod.AddNIC(h, false)
+	pod.AddInstance(h, IP(10, 0, 0, 10))
+	pod.AddClient(IP(10, 0, 99, 1))
+	for _, tc := range []struct {
+		what string
+		add  func() error
+	}{
+		{"client on an instance's IP", func() error { _, err := pod.AddClientErr(IP(10, 0, 0, 10)); return err }},
+		{"client on a client's IP", func() error { _, err := pod.AddClientErr(IP(10, 0, 99, 1)); return err }},
+		{"instance on a client's IP", func() error { _, err := pod.AddInstanceErr(h, IP(10, 0, 99, 1)); return err }},
+	} {
+		if err := tc.add(); !errors.Is(err, ErrDuplicateNode) {
+			t.Errorf("%s: got %v, want ErrDuplicateNode", tc.what, err)
+		}
+	}
+	if len(pod.clients) != 1 || pod.Instances() != 1 {
+		t.Fatalf("refused adds built nodes: %d clients, %d instances", len(pod.clients), pod.Instances())
+	}
+	if _, err := pod.AddClientErr(IP(10, 0, 99, 2)); err != nil {
+		t.Fatalf("client on a free IP: %v", err)
 	}
 }
 

@@ -16,11 +16,11 @@ type instrumented interface {
 // launch starts d, the driver core of engine e, and registers e's
 // instruments under the core's name and the core's under core/<core name>.
 // Registration order is invisible: Snapshot sorts by name.
-func (t *Topology) launch(d *core.Driver, e instrumented) { t.launchAs(d, e, d.Name()) }
+func (t *Pod) launch(d *core.Driver, e instrumented) { t.launchAs(d, e, d.Name()) }
 
 // launchAs is launch with e's instruments under prefix instead (the
 // allocator's series are <scope>alloc/*, not its core's name).
-func (t *Topology) launchAs(d *core.Driver, e instrumented, prefix string) {
+func (t *Pod) launchAs(d *core.Driver, e instrumented, prefix string) {
 	d.Start()
 	e.RegisterObs(t.obs, prefix)
 	d.RegisterObs(t.obs, "core/"+d.Name())
@@ -40,7 +40,7 @@ func (t *Topology) launchAs(d *core.Driver, e instrumented, prefix string) {
 // order. The engine is cooperative, so growing link sets between poll
 // iterations is safe. An error (the pool cannot hold another channel) leaves
 // the new nodes partly wired.
-func (t *Topology) wire() error {
+func (t *Pod) wire() error {
 	if !t.started {
 		return nil
 	}
@@ -57,7 +57,7 @@ func (t *Topology) wire() error {
 			if err != nil {
 				return err
 			}
-			ph.FE.ConnectBackend(n.ID, n.Dev.MAC(), feEnd)
+			ph.FE.ConnectBackend(n.ID, feEnd)
 			n.BE.ConnectFrontend(ph.H.ID, beEnd)
 		}
 		if ph.SFE == nil {
