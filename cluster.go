@@ -73,7 +73,11 @@ type Cluster struct {
 }
 
 // DefaultHopLatency models one cross-pod control RPC: a rack-local
-// round trip through the spine plus kernel/IPC overhead on both ends.
+// round trip through the spine plus kernel/IPC overhead on both ends. It is
+// what a cluster-level operation pays each time it moves between pods
+// (placement probe, migration step), stored once as the group's
+// mobile-process latency — and so also the lookahead a partitioned
+// cluster's windows are cut from.
 const DefaultHopLatency = 20 * time.Microsecond
 
 // NewCluster creates an empty serial cluster: every pod joins partition 0,
@@ -98,14 +102,6 @@ func newCluster(perPod bool) *Cluster {
 // Partitions returns the number of sim partitions backing the cluster: 1
 // for a serial cluster; the control partition plus one per pod otherwise.
 func (c *Cluster) Partitions() int { return c.group.Partitions() }
-
-// SetHopLatency changes the modeled control-plane RPC cost a cluster-level
-// operation pays each time it moves between pods (placement probe, migration
-// step); DefaultHopLatency until set. It is the group's mobile-process
-// latency — the one place it is stored — and so also the lookahead a
-// partitioned cluster's windows are cut from: it must respect the group's
-// 100 ns floor. Call it before spawning cluster processes.
-func (c *Cluster) SetHopLatency(d Duration) { c.group.SetMobileLatency(d) }
 
 // AddPodErr appends a pod built from cfg; its index (and thereby its
 // "pod<i>/" identity scope) is its position. A pod added after
@@ -317,11 +313,11 @@ const (
 // ErrMigrationFailed is returned.
 //
 // The driver executes against one pod at a time, paying a hop-latency
-// control RPC (SetHopLatency) to move between them; each pass is one round
-// trip. In a partitioned cluster each hop re-homes the (mobile) process onto
-// that pod's partition, which is also what makes the pod-local state it
-// touches race-free; hopping within a partition charges the identical
-// virtual time as a sleep. Call it only from processes spawned with
+// control RPC (DefaultHopLatency) to move between them; each pass is one
+// round trip. In a partitioned cluster each hop re-homes the (mobile)
+// process onto that pod's partition, which is also what makes the pod-local
+// state it touches race-free; hopping within a partition charges the
+// identical virtual time as a sleep. Call it only from processes spawned with
 // Cluster.Go.
 func (c *Cluster) MigrateInstance(p *Proc, ip netstack.IP, dst int) (*Instance, error) {
 	dstPod := c.Pod(dst)

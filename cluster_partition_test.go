@@ -34,7 +34,7 @@ func runClusterScenario(t *testing.T, partitioned bool, hop Duration) clusterRun
 	t.Helper()
 	c := newCluster(partitioned)
 	if hop != 0 {
-		c.SetHopLatency(hop)
+		c.group.SetMobileLatency(hop)
 	}
 	for i := 0; i < 2; i++ {
 		cfg := DefaultConfig()
@@ -164,17 +164,12 @@ func TestPartitionedClusterExactCounts(t *testing.T) {
 }
 
 // The hop latency has one home, the group's mobile latency, so no cluster
-// shape can charge a different one: a non-default SetHopLatency moves the
+// shape can charge a different one: a non-default hop latency moves the
 // migration timeline, and moves both shapes together.
-func TestSetHopLatencyKeepsShapesIdentical(t *testing.T) {
-	c := NewCluster()
-	c.SetHopLatency(75 * time.Microsecond)
-	if got := c.group.MobileLatency(); got != 75*time.Microsecond {
-		t.Fatalf("hop latency reads back %v", got)
-	}
+func TestHopLatencyKeepsShapesIdentical(t *testing.T) {
 	slow := shapesMatch(t, 75*time.Microsecond)
 	if fast := runClusterScenario(t, false, 0).log; slow == fast {
-		t.Fatalf("SetHopLatency did not move the migration timeline:\n%s", slow)
+		t.Fatalf("a 75 µs hop latency did not move the migration timeline:\n%s", slow)
 	}
 }
 

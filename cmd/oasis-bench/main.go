@@ -3,10 +3,15 @@
 //	oasis-bench -list
 //	oasis-bench -run all
 //	oasis-bench -run fig6,fig13 -scale 0.5
-//	oasis-bench -run racksweep -exec perpod
 //
 // Each experiment prints the same rows/series the paper reports plus the
 // paper's reference numbers; EXPERIMENTS.md records a full comparison.
+//
+// How a run executes is the machine's choice, never a flag: experiments and
+// their inner sweeps fan out across GOMAXPROCS threads, and racksweep gives
+// each pod a sim partition of its own when there is more than one. Output
+// is flushed in the requested order and its bytes are the same at any
+// GOMAXPROCS — only the wall-time lines differ.
 package main
 
 import (
@@ -27,11 +32,6 @@ func main() {
 	run := flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 	scale := flag.Float64("scale", 1.0, "measurement scale in (0,1]: shrinks windows/loads")
 	values := flag.Bool("values", false, "also print machine-readable values")
-	parallel := flag.Bool("parallel", false,
-		"fan independent experiments and their inner sweeps out across all CPUs; "+
-			"results are printed in the same order with identical bytes (only wall times differ)")
-	execName := flag.String("exec", "serial",
-		"execution shape of racksweep: serial or perpod (a sim partition per pod; same bytes as serial)")
 	flag.Parse()
 
 	if *list {
@@ -62,27 +62,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	x, ok := experiments.ParseExec(*execName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "oasis-bench: unknown -exec %q (serial, perpod)\n", *execName)
-		os.Exit(2)
-	}
-	if x != experiments.Serial {
-		for _, id := range ids {
-			if !experiments.Partitionable(id) {
-				fmt.Fprintf(os.Stderr, "oasis-bench: -exec %v: %s has nothing to partition (racksweep does)\n", x, id)
-				os.Exit(2)
-			}
-		}
-	}
-	experiments.SetExec(x)
-
-	workers := 1
-	if *parallel {
-		workers = runtime.GOMAXPROCS(0)
-		experiments.SetParallelism(workers)
-	}
-
 	// Each experiment renders into its own buffer; buffers are flushed in
 	// the requested order as soon as all earlier ones have finished, so the
 	// byte stream matches a serial run line for line (wall times aside).
@@ -91,7 +70,7 @@ func main() {
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	go par.Do(workers, len(ids), func(i int) {
+	go par.Do(runtime.GOMAXPROCS(0), len(ids), func(i int) {
 		defer close(done[i])
 		runner, _ := experiments.Lookup(ids[i])
 		var b strings.Builder

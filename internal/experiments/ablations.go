@@ -52,30 +52,46 @@ func AblCounterBatch(scale float64) *Report {
 }
 
 func runCounterBatch(batch int, window sim.Duration) (mops, updates, rereads float64) {
-	eng := sim.New()
-	pool := cxl.NewPool(eng, 1<<24, cxl.DefaultParams())
 	cfg := msgchan.DefaultConfig()
 	cfg.CounterBatch = batch
-	tx, rx := rawChannel(eng, pool, cfg, pool.AttachPort("tx"), pool.AttachPort("rx"))
-	eng.Go("tx", func(p *sim.Proc) {
-		payload := make([]byte, 8)
-		for p.Now() < window {
-			if !tx.TrySend(p, payload) {
-				p.Sleep(300 * time.Nanosecond)
+	txs, rxs := saturate(cfg, 1, window)
+	sec := window.Seconds()
+	return float64(rxs[0].Received) / sec / 1e6, float64(rxs[0].CounterUpdates) / sec, float64(txs[0].CounterReads) / sec
+}
+
+// saturate runs shards channels of cfg side by side for window, every one
+// between the same sender and receiver port of one pool: each sender
+// spins on TrySend, each receiver polls and pays 10 ns per message. It
+// returns the channel ends, whose counters are the measurement.
+func saturate(cfg msgchan.Config, shards int, window sim.Duration) ([]*msgchan.Sender, []*msgchan.Receiver) {
+	eng := sim.New()
+	pool := cxl.NewPool(eng, 1<<26, cxl.DefaultParams())
+	txPort := pool.AttachPort("sender-host")
+	rxPort := pool.AttachPort("receiver-host")
+	txs := make([]*msgchan.Sender, shards)
+	rxs := make([]*msgchan.Receiver, shards)
+	for i := range txs {
+		tx, rx := rawChannel(eng, pool, cfg, txPort, rxPort)
+		txs[i], rxs[i] = tx, rx
+		eng.Go("tx", func(p *sim.Proc) {
+			payload := make([]byte, 8)
+			for p.Now() < window {
+				if !tx.TrySend(p, payload) {
+					p.Sleep(300 * time.Nanosecond)
+				}
 			}
-		}
-	})
-	eng.Go("rx", func(p *sim.Proc) {
-		for p.Now() < window {
-			if _, ok := rx.Poll(p); ok {
-				p.Sleep(10 * time.Nanosecond)
+		})
+		eng.Go("rx", func(p *sim.Proc) {
+			for p.Now() < window {
+				if _, ok := rx.Poll(p); ok {
+					p.Sleep(10 * time.Nanosecond)
+				}
 			}
-		}
-	})
+		})
+	}
 	eng.RunUntil(window)
 	eng.Shutdown()
-	sec := window.Seconds()
-	return float64(rx.Received) / sec / 1e6, float64(rx.CounterUpdates) / sec, float64(tx.CounterReads) / sec
+	return txs, rxs
 }
 
 // AblBackendInspect quantifies §3.2.1/§3.3.1: what flow tagging buys. With
@@ -283,34 +299,9 @@ func AblSharding(scale float64) *Report {
 }
 
 func runSharded(shards int, window sim.Duration) float64 {
-	eng := sim.New()
-	pool := cxl.NewPool(eng, 1<<26, cxl.DefaultParams())
-	txPort := pool.AttachPort("sender-host")
-	rxPort := pool.AttachPort("receiver-host")
-	var receivers []*msgchan.Receiver
-	for i := 0; i < shards; i++ {
-		tx, rx := rawChannel(eng, pool, msgchan.DefaultConfig(), txPort, rxPort)
-		receivers = append(receivers, rx)
-		eng.Go("tx", func(p *sim.Proc) {
-			payload := make([]byte, 8)
-			for p.Now() < window {
-				if !tx.TrySend(p, payload) {
-					p.Sleep(300 * time.Nanosecond)
-				}
-			}
-		})
-		eng.Go("rx", func(p *sim.Proc) {
-			for p.Now() < window {
-				if _, ok := rx.Poll(p); ok {
-					p.Sleep(10 * time.Nanosecond)
-				}
-			}
-		})
-	}
-	eng.RunUntil(window)
-	eng.Shutdown()
+	_, rxs := saturate(msgchan.DefaultConfig(), shards, window)
 	var total int64
-	for _, rx := range receivers {
+	for _, rx := range rxs {
 		total += rx.Received
 	}
 	return float64(total) / window.Seconds() / 1e6

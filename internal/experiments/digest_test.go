@@ -24,11 +24,6 @@ func reportDigest(r *Report) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 }
 
-// under fixes the execution shape of a partitionable runner.
-func under(x Exec, run func(float64, Exec) *Report) Runner {
-	return func(scale float64) *Report { return run(scale, x) }
-}
-
 // TestReportDigests pins published bytes, every row against a constant
 // captured at the parent commit of the change that added it.
 //
@@ -60,12 +55,12 @@ func under(x Exec, run func(float64, Exec) *Report) Runner {
 // rerun compare — it pins the bytes across commits as well as across runs.
 // racksweep, the one experiment with something to partition, runs under both
 // execution shapes against one constant, because they are two executions of
-// one model; scripts/verify.sh re-runs racksweep/perpod at GOMAXPROCS=1, 2
-// and 8 under OASIS_SIMCHECK=1: the thread count must be invisible in the
-// virtual timeline. Every campaign row also re-asserts its invariants
-// (campaignInvariants), so a re-blessed constant cannot bless a broken
-// campaign. Under -short (the race gate) only chaos of the campaign rows
-// runs.
+// one model (Racksweep picks one from GOMAXPROCS); scripts/verify.sh
+// re-runs racksweep/perpod at GOMAXPROCS=1, 2 and 8 under OASIS_SIMCHECK=1:
+// the thread count must be invisible in the virtual timeline. Every
+// campaign row also re-asserts its invariants (campaignInvariants), so a
+// re-blessed constant cannot bless a broken campaign. Under -short (the
+// race gate) only chaos of the campaign rows runs.
 func TestReportDigests(t *testing.T) {
 	const racksweep = "b8a01281304395679e802d50f4b9cb5d662893b4ffe88bac06cc299c650520ff"
 	for _, tc := range []struct {
@@ -97,8 +92,8 @@ func TestReportDigests(t *testing.T) {
 		{"abl-failover", AblFailoverMechanism, 0.05, "8972ffab210bf9e995912735ec6570e3b76975e09d45d2b9dd893884a0a792e1"},
 		{"chaos", Chaos, 1, "b15ff5f5ac5264bdc6198d4d12cf88c4ef9c030c1328b0229ea51b184e2d8a32"},
 		{"grayfail", Grayfail, 1, "e9ccc543f1fccbd3550b3a89492536cb0b05b8c13525b83cdc90ea58240dca86"},
-		{"racksweep/serial", under(Serial, racksweepRun), 0.05, racksweep},
-		{"racksweep/perpod", under(PerPod, racksweepRun), 0.05, racksweep},
+		{"racksweep/serial", func(s float64) *Report { return racksweepRun(s, false) }, 0.05, racksweep},
+		{"racksweep/perpod", func(s float64) *Report { return racksweepRun(s, true) }, 0.05, racksweep},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

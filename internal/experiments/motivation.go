@@ -18,7 +18,6 @@ func Fig2(scale float64) *Report {
 	if cfg.Hosts < 64 {
 		cfg.Hosts = 64
 	}
-	cfg.Workers = Parallelism()
 	results := strand.Run(cfg)
 	r.addf("%-8s %8s %8s %8s %8s %10s %11s", "pod", "CPU%", "Mem%", "NIC%", "SSD%", "NICs/pod", "drives/pod")
 	for _, res := range results {

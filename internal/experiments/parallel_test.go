@@ -1,27 +1,30 @@
 package experiments
 
 import (
-	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
+// withProcs runs fn at GOMAXPROCS n and restores the old value.
+func withProcs[T any](n int, fn func() T) T {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	return fn()
+}
+
 // TestParallelMatchesSerial asserts the determinism contract of the parallel
-// runner: any Parallelism() setting yields byte-identical reports. Each run
-// owns a private engine and results merge in index order, so worker count
-// must be invisible in the output. Run with -race, this also exercises the
+// runner: any GOMAXPROCS yields byte-identical reports. Each run owns a
+// private engine and results merge in index order, so the thread count must
+// be invisible in the output. Run with -race, this also exercises the
 // fan-out under the detector (see the race gate in scripts/verify.sh).
 func TestParallelMatchesSerial(t *testing.T) {
-	defer SetParallelism(1)
 	for _, id := range []string{"fig2", "abl-counter"} {
 		run, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("experiment %q not in registry", id)
 		}
-		SetParallelism(1)
-		serial := run(0.05)
-		SetParallelism(8)
-		parallel := run(0.05)
+		serial := withProcs(1, func() *Report { return run(0.05) })
+		parallel := withProcs(8, func() *Report { return run(0.05) })
 		if serial.String() != parallel.String() {
 			t.Errorf("%s: parallel report differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
 				id, serial.String(), parallel.String())
@@ -33,41 +36,18 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// The rack sweep reads Parallelism() in one place, its analytic Part 2 (the
-// simulated rack never fans out), so that is where its -parallel invariance
-// is asserted — the full report's bytes are pinned by TestReportDigests.
+// The rack sweep's analytic Part 2 fans its trials out over GOMAXPROCS, so
+// that is where its thread-count invariance is asserted without building the
+// rack — the full report's bytes, under both shapes of the simulated rack,
+// are pinned by TestReportDigests.
 func TestRacksweepModelIgnoresParallelism(t *testing.T) {
-	defer SetParallelism(1)
-	model := func(workers int) *Report {
-		SetParallelism(workers)
+	model := func() *Report {
 		r := newReport("racksweep", "model only")
 		racksweepModel(r, 0.05)
 		return r
 	}
-	serial, parallel := model(1), model(4)
+	serial, parallel := withProcs(1, model), withProcs(8, model)
 	if reportDigest(serial) != reportDigest(parallel) {
-		t.Errorf("pooling model differs across -parallel:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
-	}
-}
-
-// Exec names are the -exec flag's vocabulary; only the rack, the one
-// experiment with something to partition, accepts one.
-func TestExecNames(t *testing.T) {
-	for _, x := range []Exec{Serial, PerPod} {
-		if got, ok := ParseExec(x.String()); !ok || got != x {
-			t.Errorf("ParseExec(%q) = %v, %v", x.String(), got, ok)
-		}
-	}
-	if _, ok := ParseExec("parallel"); ok {
-		t.Error("ParseExec accepted an unknown shape")
-	}
-	var got []string
-	for _, id := range IDs() {
-		if Partitionable(id) {
-			got = append(got, id)
-		}
-	}
-	if fmt.Sprint(got) != "[racksweep]" {
-		t.Errorf("partitionable experiments = %v", got)
+		t.Errorf("pooling model differs across GOMAXPROCS:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"oasis"
@@ -17,9 +18,9 @@ import (
 // fixed-length: every process either finishes before the deadline or is
 // unwound by the post-run Shutdown, so the virtual timeline — and with it
 // every counter — is identical whether the pods execute serially on one
-// partition or in parallel on one each (Serial and PerPod: same modeled
-// topology, different execution).
-func racksweepSim(r *Report, scale float64, x Exec) {
+// partition or in parallel on one each (same modeled topology, different
+// execution).
+func racksweepSim(r *Report, scale float64, partitioned bool) {
 	const (
 		pods        = 8
 		hostsPerPod = 64 // 512 hosts total
@@ -39,17 +40,12 @@ func racksweepSim(r *Report, scale float64, x Exec) {
 	deadline := window + 8*time.Millisecond
 
 	c := oasis.NewCluster()
-	if x != Serial {
+	if partitioned {
 		c = oasis.NewPartitionedCluster()
 	}
 	clients := make([]*oasis.Client, pods*flowsPerPod)
 	for i := 0; i < pods; i++ {
-		cfg := oasis.DefaultConfig()
-		// No volumes are placed in this sweep, so the default 1 GiB pool per
-		// pod is pure allocation churn at 8 pods; 256 MiB covers the NIC
-		// queues and instance state with room to spare.
-		cfg.PoolBytes = 256 << 20
-		p := c.AddPod(cfg)
+		p := c.AddPod(oasis.DefaultConfig())
 		for h := 0; h < hostsPerPod; h++ {
 			p.AddHost()
 		}
@@ -180,7 +176,7 @@ func racksweepSim(r *Report, scale float64, x Exec) {
 // racksweepModel appends Part 2 to r: the §2.2 pooling model at 1000s of
 // hosts, pod sizes 8-64, trials fanned out over internal/par. Per-worker
 // results reduce in trial order, so the report is byte-identical at any
-// -parallel setting.
+// thread count.
 func racksweepModel(r *Report, scale float64) {
 	sc := strand.DefaultConfig()
 	sc.Hosts = int(2048 * scale)
@@ -189,7 +185,6 @@ func racksweepModel(r *Report, scale float64) {
 	}
 	sc.Trials = 4
 	sc.PodSizes = []int{8, 16, 32, 64}
-	sc.Workers = Parallelism()
 	results := strand.Run(sc)
 	r.addf("pooling model: %d hosts, %d trials/size (workers between engines only)", sc.Hosts, sc.Trials)
 	r.addf("%-8s %8s %8s %10s %11s", "pod", "NIC%", "SSD%", "NICs/pod", "drives/pod")
@@ -206,16 +201,17 @@ func racksweepModel(r *Report, scale float64) {
 // Racksweep extends Table 2 / Figure 2 from a single pod to a rack: a
 // real multi-pod Cluster simulation of 512 hosts (placement, hot-spot
 // migration, live traffic — every pod on one virtual clock), paired with
-// the analytic stranding model pushed to thousands of hosts. Under PerPod
-// each pod advances on a partition of its own; the serial and per-pod
-// reports are byte-identical at any GOMAXPROCS — only wall-clock time
-// changes.
-func Racksweep(scale float64) *Report { return racksweepRun(scale, exec) }
+// the analytic stranding model pushed to thousands of hosts. Given more
+// than one thread, each pod advances on a partition of its own; on one, the
+// whole rack is one event loop, which a partitioned cluster would only slow
+// down. The two shapes print byte-identical reports at any GOMAXPROCS —
+// only wall-clock time changes.
+func Racksweep(scale float64) *Report { return racksweepRun(scale, runtime.GOMAXPROCS(0) > 1) }
 
-func racksweepRun(scale float64, x Exec) *Report {
+func racksweepRun(scale float64, partitioned bool) *Report {
 	scale = clampScale(scale)
 	r := newReport("racksweep", "Rack-scale utilization sweep (multi-pod cluster + pooling model)")
-	racksweepSim(r, scale, x)
+	racksweepSim(r, scale, partitioned)
 	racksweepModel(r, scale)
 	return r
 }

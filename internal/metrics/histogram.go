@@ -6,10 +6,11 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -185,21 +186,19 @@ func (h *Histogram) Summary() string {
 		h.Percentile(99.9), h.Max())
 }
 
-// ExactPercentile computes a nearest-rank percentile over a raw sample slice.
-// Used by tests to validate Histogram error bounds and by small experiments
-// where exactness matters more than memory.
-func ExactPercentile(samples []time.Duration, p float64) time.Duration {
+// ExactPercentile computes a nearest-rank percentile over a raw sample slice
+// without reordering it. It is the one percentile over samples: Series'
+// per-bin percentile, the pooling model's provisioning and the tests that
+// bound Histogram's error all use it.
+func ExactPercentile[T cmp.Ordered](samples []T, p float64) T {
 	if len(samples) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
-	s := make([]time.Duration, len(samples))
-	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(samples)
+	slices.Sort(s)
 	if p >= 100 {
 		return s[len(s)-1]
-	}
-	if p < 0 {
-		p = 0
 	}
 	rank := int(math.Ceil(p / 100 * float64(len(s))))
 	if rank < 1 {

@@ -182,8 +182,14 @@ func TestExactPercentile(t *testing.T) {
 			t.Errorf("ExactPercentile(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
-	if ExactPercentile(nil, 50) != 0 {
+	if s[0] != 5 {
+		t.Errorf("ExactPercentile sorted its input: %v", s)
+	}
+	if ExactPercentile([]time.Duration(nil), 50) != 0 {
 		t.Error("empty slice should yield 0")
+	}
+	if got := ExactPercentile([]float64{0.5, 2.5, 1.5}, 95); got != 2.5 {
+		t.Errorf("float ExactPercentile(95) = %v, want 2.5", got)
 	}
 }
 

@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -81,27 +79,7 @@ func (s *Series) PercentileOverBins(p float64, n int) float64 {
 	for i := 0; i < n && i < len(s.bins); i++ {
 		vals[i] = s.bins[i]
 	}
-	return exactFloatPercentile(vals, p)
-}
-
-func exactFloatPercentile(vals []float64, p float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	s := make([]float64, len(vals))
-	copy(s, vals)
-	sort.Float64s(s)
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	if p < 0 {
-		p = 0
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(s))))
-	if rank < 1 {
-		rank = 1
-	}
-	return s[rank-1]
+	return ExactPercentile(vals, p)
 }
 
 // String renders the series compactly for debugging.

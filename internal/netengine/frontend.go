@@ -641,11 +641,7 @@ func (fe *Frontend) handleControlMsg(p *sim.Proc, m core.ControlMsg) {
 		inst.allocWant = false
 		inst.allocTries = 0
 		inst.allocErr = nil // a late assign heals a tripped breaker
-		backup := uint16(0)
-		if m.Aux != 0 {
-			backup = m.Aux
-		}
-		inst.Assign(m.Dev, backup)
+		inst.Assign(m.Dev, m.Aux)
 	case core.CtlMigrate:
 		inst, ok := fe.insts[m.IP]
 		if !ok {

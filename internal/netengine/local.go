@@ -16,8 +16,9 @@ import (
 // LocalDriver is the evaluation baseline (§5.1): a Junction-style IOKernel
 // serving local instances with a local NIC on ONE polling core — no
 // frontend/backend split and no message-channel crossings. Packet buffers
-// live in a buffer area whose latency class models either host DDR
-// (baseline) or CXL memory (Fig. 11's middle configuration).
+// live in a buffer area carved from the pod's pool, whose latency the
+// experiment sets to host DDR's (baseline) or leaves at CXL's (Fig. 11's
+// middle configuration).
 //
 // The datapath per direction is: instance IPC ring -> driver core -> NIC
 // queue pair, exactly one intermediary.

@@ -228,9 +228,6 @@ func (g *Group) SetMobileLatency(d Duration) {
 	g.mobileLat = d
 }
 
-// MobileLatency returns the declared hop latency (0 if unset).
-func (g *Group) MobileLatency() Duration { return g.mobileLat }
-
 // CrossLink is a declared cross-partition event channel. Every event sent
 // through it must carry a timestamp at least MinLatency after the sender's
 // clock — the conservative lookahead that lets the destination run a
@@ -330,11 +327,11 @@ func (g *Group) demobilize(p *Proc) {
 }
 
 // Hop moves the calling mobile process to partition dst, arriving exactly
-// MobileLatency later — the modeled cost of a cross-partition control RPC.
-// A same-partition hop degenerates to a sleep of the same length, so a
-// process's virtual timeline is identical however partitions are drawn
-// (and identical to a serial run that sleeps at the same points). Must be
-// called by the process itself.
+// the mobile latency (SetMobileLatency) later — the modeled cost of a
+// cross-partition control RPC. A same-partition hop degenerates to a sleep
+// of the same length, so a process's virtual timeline is identical however
+// partitions are drawn (and identical to a serial run that sleeps at the
+// same points). Must be called by the process itself.
 func (g *Group) Hop(p *Proc, dst *Engine) {
 	if g.mobileLat == 0 {
 		panic("sim: Hop requires SetMobileLatency")

@@ -17,8 +17,9 @@ package strand
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"runtime"
 
+	"oasis/internal/metrics"
 	"oasis/internal/par"
 	"oasis/internal/trace"
 )
@@ -33,11 +34,6 @@ type Config struct {
 	// typically provision to a high percentile and rebalance the rare
 	// overflow pod (§6 "Load balancing policies"). Default 95.
 	ProvisionPctl float64
-	// Workers bounds how many trials run concurrently. Every trial's
-	// permutation is drawn from the shared RNG up front in a fixed order,
-	// and per-trial results are reduced in trial order, so the output is
-	// identical for any worker count. 0 or 1 = serial.
-	Workers int
 }
 
 // DefaultConfig mirrors the paper's setup at a rack scale that keeps the
@@ -119,7 +115,8 @@ func Run(cfg Config) []Result {
 	// The shuffle RNG is shared across the whole sweep, so every trial's
 	// permutation is drawn up front in the serial order (pod size outer,
 	// trial inner); the trial computations themselves are pure and fan out
-	// across cfg.Workers.
+	// across GOMAXPROCS workers. Per-trial results are reduced in trial
+	// order, so the output is identical at any thread count.
 	rng := rand.New(rand.NewSource(shuffleSeed))
 	type job struct {
 		podSize int
@@ -135,7 +132,7 @@ func Run(cfg Config) []Result {
 		nicStrand, ssdStrand, nics, drives float64
 	}
 	trials := make([]trialOut, len(jobs))
-	par.Do(cfg.Workers, len(jobs), func(j int) {
+	par.Do(runtime.GOMAXPROCS(0), len(jobs), func(j int) {
 		podSize, perm := jobs[j].podSize, jobs[j].perm
 		// Provisioning is decided fleet-wide before instances arrive:
 		// every pod of this size gets the same device count, sized to
@@ -156,8 +153,8 @@ func Run(cfg Config) []Result {
 			podSSD = append(podSSD, ssd)
 		}
 		pods := len(podNIC)
-		nNIC := math.Ceil(pctl(podNIC, cfg.ProvisionPctl) / shape.NICUnit)
-		nSSD := math.Ceil(pctl(podSSD, cfg.ProvisionPctl) / shape.SSDUnit)
+		nNIC := math.Ceil(metrics.ExactPercentile(podNIC, cfg.ProvisionPctl) / shape.NICUnit)
+		nSSD := math.Ceil(metrics.ExactPercentile(podSSD, cfg.ProvisionPctl) / shape.SSDUnit)
 		provNIC := float64(pods) * nNIC * shape.NICUnit
 		provSSD := float64(pods) * nSSD * shape.SSDUnit
 		trials[j] = trialOut{
@@ -190,22 +187,4 @@ func Run(cfg Config) []Result {
 		})
 	}
 	return out
-}
-
-// pctl is a nearest-rank percentile over a copied slice.
-func pctl(vals []float64, p float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	s := make([]float64, len(vals))
-	copy(s, vals)
-	sort.Float64s(s)
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(s))))
-	if rank < 1 {
-		rank = 1
-	}
-	return s[rank-1]
 }

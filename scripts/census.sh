@@ -27,8 +27,11 @@ run() { "$@" > /dev/null; }
 bin="$tmp/bin"
 run "$bin/oasis-bench" -list
 run "$bin/oasis-bench" -run all -scale 0.05
-run "$bin/oasis-bench" -run fig6,tab3 -scale 0.05 -parallel -values
-run "$bin/oasis-bench" -run racksweep -exec perpod -scale 0.05
+run "$bin/oasis-bench" -run fig6,tab3 -scale 0.05 -values
+# racksweep partitions its rack only with more than one thread: run both
+# shapes, whatever this machine's CPU count.
+run env GOMAXPROCS=1 "$bin/oasis-bench" -run racksweep -scale 0.05
+run env GOMAXPROCS=2 "$bin/oasis-bench" -run racksweep -scale 0.05
 run "$bin/oasis-pod" -hosts 2 -nics 1 -ssds 1 -instances 1 -workload kv -duration 50ms -stats json
 run "$bin/oasis-pod" -hosts 3 -nics 2 -backup -instances 2 -fail-at 100ms -duration 300ms -raft -stats prom
 run "$bin/oasis-pod" -hosts 2 -nics 1 -ssds 1 -instances 2 -duration 50ms

@@ -115,6 +115,15 @@ gate "an engine wrapper around its peer's link" "$(src -w 'feLink\|sfeLink\|sbeL
 gate "host DDR as a store, or its DMA constants" "$(grep -n 'LocalMemory\|DMALatency\|DMABandwidth' internal/host/*.go | grep -v '_test\.go:' || true)"
 gate "a host or device id claimed in the pod graph, or Host.BEs" "$(grep -n 'addNode(topo\.Ref\|\bBEs\b' ./*.go | grep -v '_test\.go:' || true)"
 
+# The machine decides how a run executes: how many threads an experiment
+# fans out over and whether racksweep partitions its rack follow GOMAXPROCS,
+# and the cross-pod hop latency is DefaultHopLatency. Neither changes a
+# report's bytes, so none of them is a setter, a flag or a config field.
+echo "== the machine decides how a run executes (grep gate) =="
+gate "an execution-shape setter, a hop-latency knob or its read-back" "$(src 'SetParallelism\|SetExec\|ParseExec\|Partitionable\|SetHopLatency\|MobileLatency()')"
+gate "a Workers field in internal/strand" "$(grep -n 'Workers' internal/strand/*.go | grep -v '_test\.go:' || true)"
+gate "an oasis-bench flag choosing an execution path" "$(grep -n 'flag\.[A-Za-z]*("\(parallel\|exec\)"' cmd/oasis-bench/*.go || true)"
+
 echo "== go build ./... =="
 go build ./...
 
@@ -184,47 +193,50 @@ for n in 1 2 8; do
     GOMAXPROCS=$n OASIS_SIMCHECK=1 go test -count=1 -timeout 10m -run 'TestReportDigests/racksweep/perpod' ./internal/experiments
 done
 
-# Smoke the full parallel fan-out end to end: every experiment at tiny
-# scale with GOMAXPROCS workers. Output determinism vs the serial path is
-# asserted by TestParallelMatchesSerial; this catches wiring regressions
-# (flag plumbing, ordered flush, worker startup) in the binary itself.
-echo "== oasis-bench parallel smoke =="
-go run ./cmd/oasis-bench -run all -scale 0.05 -parallel > /dev/null
+# The machine decides how a run executes: experiments and their inner sweeps
+# fan out across GOMAXPROCS threads and racksweep partitions its rack when it
+# has more than one, so GOMAXPROCS is the one lever. Every experiment at tiny
+# scale must print the same bytes at one thread as at the default, wall-time
+# lines aside: this catches wiring regressions (ordered flush, worker
+# startup) in the binary itself, beside TestParallelMatchesSerial.
+echo "== oasis-bench thread-count smoke (GOMAXPROCS=1 vs default) =="
+all_1=$(GOMAXPROCS=1 go run ./cmd/oasis-bench -run all -scale 0.05 -values | grep -v "wall time")
+all_n=$(go run ./cmd/oasis-bench -run all -scale 0.05 -values | grep -v "wall time")
+if [ "$all_1" != "$all_n" ]; then
+    echo "oasis-bench -run all differs between GOMAXPROCS=1 and the default" >&2
+    exit 1
+fi
 
 # Campaign smokes through the binary: the seeded chaos and gray-failure
 # campaigns must end with every invariant intact (no acked-write loss,
 # bounded loss windows, bounded control-plane recovery; both gray devices
 # evacuated with the hard-failover machinery silent), and the 512-host rack
 # must place, hot-spot and rebalance with cross-pod migrations under each
-# execution shape (-exec): serially and with a sim partition per pod. Each
-# report says so in one grep-able line; its bytes are pinned by
-# TestReportDigests. (-scale reaches only racksweep: the campaigns' fault
-# timelines are absolute.)
-echo "== chaos / grayfail smoke, racksweep smoke (-exec serial, perpod) =="
+# execution shape: serially at GOMAXPROCS=1 and with a sim partition per pod
+# at 2, printing the same bytes. Each report says so in one grep-able line;
+# its bytes are pinned by TestReportDigests. (-scale reaches only racksweep:
+# the campaigns' fault timelines are absolute.)
+echo "== chaos / grayfail smoke, racksweep smoke (GOMAXPROCS=1, 2) =="
 out=$(go run ./cmd/oasis-bench -run chaos,grayfail)
 [ "$(echo "$out" | grep -c "invariants: OK")" = 2 ]
-for exec in serial perpod; do
-    echo "-- racksweep -exec $exec"
-    go run ./cmd/oasis-bench -run racksweep -exec $exec -scale 0.05 | grep -q "cross-pod migrations"
+rack_1=$(GOMAXPROCS=1 go run ./cmd/oasis-bench -run racksweep -scale 0.05 | grep -v "wall time")
+rack_2=$(GOMAXPROCS=2 go run ./cmd/oasis-bench -run racksweep -scale 0.05 | grep -v "wall time")
+for rack in "$rack_1" "$rack_2"; do
+    echo "$rack" | grep -q "cross-pod migrations"
 done
-# A shape asked of an experiment with nothing to partition — a pod is one
-# partition — is refused, not silently run serially.
-for id in fig6 chaos; do
-    if go run ./cmd/oasis-bench -run $id -exec perpod > /dev/null 2>&1; then
-        echo "oasis-bench accepted -exec perpod for $id" >&2
-        exit 1
-    fi
-done
+if [ "$rack_1" != "$rack_2" ]; then
+    echo "racksweep differs between GOMAXPROCS=1 (serial) and 2 (per pod)" >&2
+    exit 1
+fi
 
 # Gray-failure determinism through the binary: the report must be
-# byte-identical between the serial run and the -parallel runner (the
-# timeline is absolute, so the bytes must match exactly, modulo the
-# real-clock "wall time" footer line).
-echo "== grayfail determinism (serial vs -parallel) =="
-gray_a=$(go run ./cmd/oasis-bench -run grayfail | grep -v "wall time")
-gray_b=$(go run ./cmd/oasis-bench -run grayfail -parallel | grep -v "wall time")
+# byte-identical at one thread and at two (the timeline is absolute, so the
+# bytes must match exactly, modulo the real-clock "wall time" footer line).
+echo "== grayfail determinism (GOMAXPROCS=1 vs 2) =="
+gray_a=$(GOMAXPROCS=1 go run ./cmd/oasis-bench -run grayfail | grep -v "wall time")
+gray_b=$(GOMAXPROCS=2 go run ./cmd/oasis-bench -run grayfail | grep -v "wall time")
 if [ "$gray_a" != "$gray_b" ]; then
-    echo "grayfail report differs between serial and -parallel runs" >&2
+    echo "grayfail report differs between GOMAXPROCS=1 and 2" >&2
     exit 1
 fi
 
