@@ -571,15 +571,15 @@ func (c *Cluster) RunFaultPlan(pl faults.Plan) error {
 	return nil
 }
 
-// Stats merges every pod's snapshot into one cluster-wide view. Pod
+// Stats samples every pod's registry into one cluster-wide view. Pod
 // identity scoping ("pod<i>/" prefixes on hosts, devices, drivers, alloc,
-// raft, faults) keeps the merged namespace collision-free; each pod's points
-// are already sorted, so obs.Merge merges the runs by name, and trace events
-// by time (ties: pod order).
+// raft, faults) keeps the merged namespace collision-free; each registry
+// keeps its instruments sorted, so obs.Sample merges them by name in one
+// pass, and trace events by time (ties: pod order).
 func (c *Cluster) Stats() obs.Snapshot {
-	parts := make([]obs.Snapshot, len(c.pods))
+	regs := make([]*obs.Registry, len(c.pods))
 	for i, p := range c.pods {
-		parts[i] = p.Stats()
+		regs[i] = p.obs
 	}
-	return obs.Merge(c.Eng.Now(), parts...)
+	return obs.Sample(c.Eng.Now(), regs...)
 }

@@ -33,12 +33,19 @@ import (
 // handed out are the range [next, n), taken from its bottom, and only freed
 // ones are pushed onto the free list — the same order an up-front list of
 // all n buffers, lowest on top, would give.
+//
+// A freed buffer's bytes are dead: Free discards its whole pool pages
+// (cxl.Pool.Discard), so the pool's host memory holds the buffers out at
+// once, not every packet the area ever carried. One bit per buffer handed
+// out says which are out, grown with next, and a second Free of a buffer —
+// which would give it two owners and wipe the live one's bytes — panics.
 type BufferArea struct {
 	region  cxl.Region
 	bufSize int
-	n       int64   // buffers in the region
-	next    int64   // buffers [next, n) were never handed out
-	free    []int64 // freed buffers; the top is taken first
+	n       int64    // buffers in the region
+	next    int64    // buffers [next, n) were never handed out
+	free    []int64  // indices of freed buffers; the top is taken first
+	out     []uint64 // bit i: buffer i is handed out; covers [0, next)
 
 	// Stats.
 	Allocs, Frees int64
@@ -70,30 +77,41 @@ func (a *BufferArea) FreeCount() int { return len(a.free) + int(a.n-a.next) }
 
 // Alloc takes a buffer, returning its pool address.
 func (a *BufferArea) Alloc() (int64, bool) {
+	var i int64
 	if k := len(a.free); k > 0 {
-		addr := a.free[k-1]
+		i = a.free[k-1]
 		a.free = a.free[:k-1]
-		a.Allocs++
-		return addr, true
+	} else {
+		if a.next == a.n {
+			a.AllocFails++
+			return 0, false
+		}
+		i = a.next
+		a.next++
+		if i%64 == 0 {
+			a.out = append(a.out, 0)
+		}
 	}
-	if a.next == a.n {
-		a.AllocFails++
-		return 0, false
-	}
-	addr := a.region.Base + a.next*int64(a.bufSize)
-	a.next++
+	a.out[i/64] |= 1 << (i % 64)
 	a.Allocs++
-	return addr, true
+	return a.region.Base + i*int64(a.bufSize), true
 }
 
-// Free returns a buffer to the area. Freeing an address the area does not
-// own is a driver bug and panics.
+// Free returns a buffer to the area and discards its bytes. Freeing an
+// address the area does not own, or a buffer that is not out, is a driver
+// bug and panics.
 func (a *BufferArea) Free(addr int64) {
 	if !a.Owns(addr) {
 		panic(fmt.Sprintf("core: freeing buffer %#x outside area [%#x,%#x)", addr, a.region.Base, a.region.Base+a.region.Size))
 	}
-	a.free = append(a.free, addr)
+	i := (addr - a.region.Base) / int64(a.bufSize)
+	if i >= a.next || a.out[i/64]&(1<<(i%64)) == 0 {
+		panic(fmt.Sprintf("core: freeing buffer %#x, which is not out (double free)", addr))
+	}
+	a.out[i/64] &^= 1 << (i % 64)
+	a.free = append(a.free, i)
 	a.Frees++
+	a.region.Pool().Discard(addr, a.bufSize)
 }
 
 // Owns reports whether addr is a valid buffer base inside this area.

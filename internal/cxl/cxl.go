@@ -18,7 +18,8 @@
 // allocated on the first write into them. Pages are carved from slabs that
 // double in size, so committing a page is rarely a heap allocation of its
 // own. Reading memory nothing has written yields zeros and allocates
-// nothing.
+// nothing. Regions are never freed, but the pages under a freed I/O buffer
+// are (Discard): host memory holds only bytes a reader can still see.
 package cxl
 
 import (
@@ -27,6 +28,7 @@ import (
 	"sort"
 	"time"
 
+	"oasis/internal/bufpool"
 	"oasis/internal/metrics"
 	"oasis/internal/sim"
 )
@@ -80,16 +82,20 @@ func DefaultParams() Params {
 
 // Pool is the shared CXL memory device.
 type Pool struct {
-	eng     *sim.Engine
-	params  Params
-	size    int64
-	dirs    []*pageDir // sparse backing store, indexed by addr/(dirPages*pageSize); grown on write
-	ports   []*Port
-	slab    []byte      // the uncarved tail of the newest page slab
-	slabN   int         // pages in the newest slab
-	next    int64       // bump pointer: [0, next) is allocated, never freed
-	classes []classSpan // latency-class overrides, in address order
-	bi      []BackInvalidator
+	eng    *sim.Engine
+	params Params
+	size   int64
+	dirs   []*pageDir // sparse backing store, indexed by addr/(dirPages*pageSize); grown on write
+	ports  []*Port
+	slab   []byte            // the uncarved tail of the newest page slab
+	slabN  int               // pages in the newest slab
+	spare  []*[pageSize]byte // zeroed pages Discard released, taken before the slab
+	// scribble is the OASIS_SIMCHECK=1 use-after-free guard: Discard
+	// poisons a page in place and keeps it instead of releasing it.
+	scribble bool
+	next     int64       // bump pointer: [0, next) is allocated, never freed
+	classes  []classSpan // latency-class overrides, in address order
+	bi       []BackInvalidator
 }
 
 // BackInvalidator receives CXL 3.0 Back Invalidation messages when the pool
@@ -157,9 +163,10 @@ func NewPool(eng *sim.Engine, size int64, params Params) *Pool {
 		panic("cxl: pool size must be a positive multiple of the line size")
 	}
 	return &Pool{
-		eng:    eng,
-		params: params,
-		size:   size,
+		eng:      eng,
+		params:   params,
+		size:     size,
+		scribble: sim.Checking(),
 	}
 }
 
@@ -189,10 +196,10 @@ func (p *Pool) Ports() []*Port { return p.ports }
 // pool. It returns an error when the size is not positive or the pool is
 // exhausted.
 //
-// Pool memory is never freed, so allocation is a bump pointer. Oasis hands
+// Regions are never freed, so allocation is a bump pointer. Oasis hands
 // no region back (§3.3.1): the buffer area and channels of a removed volume
 // or a failed device stay quarantined, because a zombie device may still
-// DMA into them.
+// DMA into them. Only the pages under a freed buffer go back (Discard).
 func (p *Pool) Alloc(size int64) (Region, error) {
 	return p.AllocClass(size, Class{})
 }
@@ -246,9 +253,16 @@ func (p *Pool) writablePage(addr int64) *[pageSize]byte {
 	return d[pi]
 }
 
-// newPage carves a zeroed page from the newest slab, allocating a slab
-// twice the last one's size (up to slabMaxPages pages) when it is used up.
+// newPage returns a zeroed page: the last one Discard released, else one
+// carved from the newest slab, allocating a slab twice the last one's size
+// (up to slabMaxPages pages) when it is used up.
 func (p *Pool) newPage() *[pageSize]byte {
+	if n := len(p.spare); n > 0 {
+		pg := p.spare[n-1]
+		p.spare[n-1] = nil
+		p.spare = p.spare[:n-1]
+		return pg
+	}
 	if len(p.slab) == 0 {
 		p.slabN = min(max(2*p.slabN, slabMinPages), slabMaxPages)
 		p.slab = make([]byte, p.slabN*pageSize)
@@ -256,6 +270,41 @@ func (p *Pool) newPage() *[pageSize]byte {
 	pg := (*[pageSize]byte)(p.slab)
 	p.slab = p.slab[pageSize:]
 	return pg
+}
+
+// Discard releases the pages wholly inside [addr, addr+n): they read as
+// zeros again, and their memory backs the next page committed. Partial pages
+// at the edges keep their bytes. A freed I/O buffer is discarded — its bytes
+// are dead, because every datapath writes a buffer before the buffer's next
+// reader reads it and every reader copies out only what was written — so
+// host memory follows the buffers live at once, not all traffic carried. A
+// posted write landing after Discard commits a page again.
+//
+// Under OASIS_SIMCHECK=1 Discard instead fills each whole page with
+// bufpool.Poison and keeps it, so a read of a freed buffer's bytes sees
+// garbage — a failed parse, a moved digest — rather than zeros.
+func (p *Pool) Discard(addr int64, n int) {
+	p.checkRange(addr, n)
+	end := (addr + int64(n)) &^ (pageSize - 1)
+	for a := (addr + pageSize - 1) &^ (pageSize - 1); a < end; a += pageSize {
+		if p.scribble {
+			pg := p.writablePage(a)
+			for i := range pg {
+				pg[i] = bufpool.Poison
+			}
+			continue
+		}
+		di := a / (dirPages * pageSize)
+		if di >= int64(len(p.dirs)) || p.dirs[di] == nil {
+			continue
+		}
+		d, pi := p.dirs[di], a/pageSize%dirPages
+		if pg := d[pi]; pg != nil {
+			clear(pg[:])
+			d[pi] = nil
+			p.spare = append(p.spare, pg)
+		}
+	}
 }
 
 // checkRange panics on out-of-pool accesses — these are simulation bugs.

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"oasis/internal/bufpool"
 	"oasis/internal/sim"
 )
 
@@ -426,13 +427,15 @@ func TestQoSRejectsBadFraction(t *testing.T) {
 
 // Pages carved from shared slabs stay apart: seeded writes of up to three
 // pages, at scattered addresses so that neighbouring pool pages come from
-// different slabs and slab positions, read back byte for byte as a flat copy
-// of the pool does, and reading memory nothing has written between them
-// allocates nothing. Committing a page is a slab carve, not an allocation of
-// its own.
+// different slabs and slab positions, and seeded discards among them, read
+// back byte for byte as a flat copy of the pool does — a discard zeroing
+// only the whole pages in its range — and reading memory nothing has
+// written between them allocates nothing. Committing a page is a slab carve
+// or a released page, not an allocation of its own.
 func TestSlabPagesMatchFlatMemory(t *testing.T) {
 	const size = 64 * dirPages * pageSize
 	p := newTestPool(size)
+	p.scribble = false
 	flat := make([]byte, size)
 	rng := uint64(1)
 	rand := func(n int) int {
@@ -442,9 +445,16 @@ func TestSlabPagesMatchFlatMemory(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		n := 1 + rand(3*pageSize)
 		addr := int64(rand(size - n))
-		data := pattern(n, byte(i))
-		p.Poke(addr, data)
-		copy(flat[addr:], data)
+		if rand(4) == 0 {
+			p.Discard(addr, n)
+			for a := (addr + pageSize - 1) &^ (pageSize - 1); a+pageSize <= addr+int64(n); a += pageSize {
+				clear(flat[a : a+pageSize])
+			}
+		} else {
+			data := pattern(n, byte(i))
+			p.Poke(addr, data)
+			copy(flat[addr:], data)
+		}
 		if i%100 == 0 {
 			got := make([]byte, size)
 			p.Peek(0, got)
@@ -476,6 +486,24 @@ func TestSlabPagesMatchFlatMemory(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { p.Peek(hole+7, buf) }); allocs != 0 || buf[0] != 0 || buf[1] != 0 {
 		t.Fatalf("reading an unwritten page: %v allocations, bytes %v; want 0 and zeros", allocs, buf)
 	}
+	// A discarded page reads as zeros, allocating nothing, and a page
+	// released and written again reuses its memory.
+	p.Poke(hole, pattern(pageSize, 9))
+	p.Discard(hole, pageSize)
+	if p.page(hole) != nil {
+		t.Fatal("a discarded page is still committed")
+	}
+	buf[0], buf[1] = 0xFF, 0xFF
+	if allocs := testing.AllocsPerRun(100, func() { p.Peek(hole+7, buf) }); allocs != 0 || buf[0] != 0 || buf[1] != 0 {
+		t.Fatalf("reading a discarded page: %v allocations, bytes %v; want 0 and zeros", allocs, buf)
+	}
+	page := pattern(pageSize, 3)
+	if allocs := testing.AllocsPerRun(100, func() {
+		p.Poke(hole, page)
+		p.Discard(hole, pageSize)
+	}); allocs != 0 {
+		t.Fatalf("rewriting a released page made %v allocations, want 0", allocs)
+	}
 	// Committing a directory's pages one by one allocates the directory
 	// table, the directory and the slabs, nothing per page.
 	want, carved := 2.0, 0
@@ -497,5 +525,27 @@ func TestSlabPagesMatchFlatMemory(t *testing.T) {
 	})
 	if allocs != want {
 		t.Fatalf("committing %d pages made %v allocations, want %v", dirPages, allocs, want)
+	}
+}
+
+// Under OASIS_SIMCHECK=1 a discarded page is poisoned in place and kept, so
+// a read of freed bytes sees bufpool.Poison; partial pages at the edges of
+// the range keep their bytes either way.
+func TestDiscardScribbles(t *testing.T) {
+	p := newTestPool(1 << 20)
+	p.scribble = true
+	p.Poke(1000, pattern(2*pageSize, 5))
+	p.Discard(1000, 2*pageSize) // [1000, 1512): the page [1024, 1280) is whole, [1280, 1536) is not
+	got := make([]byte, 2*pageSize)
+	p.Peek(1000, got)
+	want := pattern(2*pageSize, 5)
+	for i := 24; i < 24+pageSize; i++ {
+		want[i] = bufpool.Poison
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("after a scribbling discard the range reads\n%x\nwant\n%x", got, want)
+	}
+	if len(p.spare) != 0 {
+		t.Fatalf("a scribbling discard released %d pages, want 0", len(p.spare))
 	}
 }

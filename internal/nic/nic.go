@@ -123,8 +123,9 @@ type NIC struct {
 
 	txq    *sim.Queue[WQE]
 	txOut  int      // occupied TX ring slots (posted, not yet completed)
-	rxFree []RxDesc // posted RX descriptors from rxHead on; see takeRxDesc
+	rxFree []RxDesc // posted RX descriptors: a ring of rxN from rxHead; see PostRxNow
 	rxHead int
+	rxN    int
 	txcq   *sim.Queue[TxCompletion]
 	rxcq   *sim.Queue[RxCompletion]
 
@@ -301,28 +302,29 @@ func (n *NIC) PostRx(p *sim.Proc, desc RxDesc) bool {
 
 // PostRxNow is PostRx's effect, without its doorbell cost.
 func (n *NIC) PostRxNow(desc RxDesc) bool {
-	if n.RxDescCount() >= rxRing {
+	if n.rxN >= rxRing {
 		return false
 	}
-	n.rxFree = append(n.rxFree, desc)
+	if n.rxN == len(n.rxFree) {
+		// The ring is full: double it, oldest descriptor first. Its length
+		// stays a power of two, so a position wraps with a mask.
+		grown := make([]RxDesc, max(2*n.rxN, 16))
+		k := copy(grown, n.rxFree[n.rxHead:])
+		copy(grown[k:], n.rxFree[:n.rxHead])
+		n.rxFree, n.rxHead = grown, 0
+	}
+	n.rxFree[(n.rxHead+n.rxN)&(len(n.rxFree)-1)] = desc
+	n.rxN++
 	return true
 }
 
 // RxDescCount returns the number of free RX descriptors posted.
-func (n *NIC) RxDescCount() int { return len(n.rxFree) - n.rxHead }
+func (n *NIC) RxDescCount() int { return n.rxN }
 
-// takeRxDesc consumes the oldest posted descriptor. The ring is a slice with
-// a chasing head, like sim.Queue: reslicing past the front would drop
-// capacity, and PostRx's append would then reallocate the ring every few
-// thousand packets. The consumed prefix is dropped once it dominates.
+// takeRxDesc consumes the oldest posted descriptor.
 func (n *NIC) takeRxDesc() {
-	n.rxHead++
-	switch {
-	case n.rxHead == len(n.rxFree):
-		n.rxFree, n.rxHead = n.rxFree[:0], 0
-	case n.rxHead >= 64 && 2*n.rxHead >= len(n.rxFree):
-		n.rxFree, n.rxHead = n.rxFree[:copy(n.rxFree, n.rxFree[n.rxHead:])], 0
-	}
+	n.rxHead = (n.rxHead + 1) & (len(n.rxFree) - 1)
+	n.rxN--
 }
 
 // PollTxCompletion returns one TX completion if available.

@@ -3,6 +3,7 @@ package nic
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
@@ -336,5 +337,87 @@ func TestMalformedWQEReturnsBuffer(t *testing.T) {
 	}
 	if n := pool.Puts - puts; n != 1 {
 		t.Errorf("%d buffers returned to the pool, want the WQE's one", n)
+	}
+}
+
+// TestRxRingMatchesSliceReference posts and takes RX descriptors in seeded
+// bursts — the ring wrapping, doubling from empty up to rxRing and refusing
+// posts when full; a descriptor too small for a frame staying at the head —
+// against a plain FIFO slice, and requires the same RxDescCount after every
+// post and take, the same refusals and drops, and the descriptors to come
+// out in the reference's order.
+func TestRxRingMatchesSliceReference(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		eng := sim.New()
+		pool := cxl.NewPool(eng, 1<<22+2048, cxl.DefaultParams())
+		n := New(eng, "n", macA, pool.AttachPort("dma"), testFlowKey, DefaultParams())
+		rng := seed
+		rand := func(k int) int {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			return int(rng>>33) % k
+		}
+		small := &netsw.Frame{Bytes: testFrame(macB, macA, 1, 100)}
+		large := &netsw.Frame{Bytes: testFrame(macB, macA, 1, 1000)}
+		var ref []RxDesc
+		var want, got []int64
+		var refNoDesc, refOversize int64
+		posted := int64(0)
+		eng.Go("driver", func(p *sim.Proc) {
+			for burst := 0; burst < 200; burst++ {
+				if rand(2) == 0 {
+					for k := 1 + rand(1500); k > 0; k-- {
+						d := RxDesc{Addr: posted % 16384 * 256, Cap: 2048} // unique among 4 rings' worth
+						if rand(8) == 0 {
+							d.Cap = 512 // holds the small frame, not the large one
+						}
+						posted++
+						fits := len(ref) < rxRing
+						if ok := n.PostRxNow(d); ok != fits {
+							t.Fatalf("seed %d: PostRxNow = %v with %d posted, want %v", seed, ok, len(ref), fits)
+						}
+						if fits {
+							ref = append(ref, d)
+						}
+						if n.RxDescCount() != len(ref) {
+							t.Fatalf("seed %d: RxDescCount %d after a post, reference %d", seed, n.RxDescCount(), len(ref))
+						}
+					}
+					continue
+				}
+				for k := 1 + rand(1500); k > 0; k-- {
+					f := small
+					if rand(4) == 0 {
+						f = large
+					}
+					n.DeliverFrame(f)
+					switch {
+					case len(ref) == 0:
+						refNoDesc++
+					case ref[0].Cap < len(f.Bytes):
+						refOversize++
+					default:
+						want = append(want, ref[0].Addr)
+						ref = ref[1:]
+					}
+					if n.RxDescCount() != len(ref) {
+						t.Fatalf("seed %d: RxDescCount %d after a take, reference %d", seed, n.RxDescCount(), len(ref))
+					}
+				}
+				p.Sleep(time.Millisecond)
+				for c, ok := n.PollRxCompletion(); ok; c, ok = n.PollRxCompletion() {
+					got = append(got, c.Addr)
+				}
+			}
+		})
+		eng.Run()
+		if n.RxNoDesc != refNoDesc || n.Oversize != refOversize {
+			t.Fatalf("seed %d: RxNoDesc %d Oversize %d, reference %d, %d", seed, n.RxNoDesc, n.Oversize, refNoDesc, refOversize)
+		}
+		if refNoDesc == 0 || refOversize == 0 || posted <= int64(len(want)+len(ref)) {
+			t.Fatalf("seed %d: the sequence never ran the ring dry (%d), hit an oversize frame (%d) or filled the ring", seed, refNoDesc, refOversize)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: %d descriptors taken, differing from the reference's %d", seed, len(got), len(want))
+		}
 	}
 }

@@ -151,8 +151,8 @@ func (g *randRegistry) grow() {
 // between snapshots, registrations after a snapshot — and requires every
 // Snapshot to encode byte for byte as the sort-based reference does. It
 // then takes clusters of 1–12 such registries, each under its "pod<i>/"
-// scope, and requires Merge of their snapshots to encode as the sort of
-// their concatenation.
+// scope, and requires Sample of them all to encode as the sort of their
+// snapshots' concatenation.
 func TestSnapshotMatchesSortedReference(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -173,13 +173,13 @@ func TestSnapshotMatchesSortedReference(t *testing.T) {
 			pods[i] = &randRegistry{r: New(), rng: rng, prefix: fmt.Sprintf("pod%d/", i)}
 		}
 		for step := 0; step < 6; step++ {
-			parts := make([]Snapshot, len(pods))
+			regs, parts := make([]*Registry, len(pods)), make([]Snapshot, len(pods))
 			for i, g := range pods {
 				g.grow()
-				parts[i] = g.r.Snapshot(g.now)
+				regs[i], parts[i] = g.r, refSnapshot(g.r, g.now)
 			}
 			at := time.Duration(step) * time.Millisecond
-			got, want := Merge(at, parts...), refMerge(at, parts...)
+			got, want := Sample(at, regs...), refMerge(at, parts...)
 			if !bytes.Equal(got.JSON(), want.JSON()) || got.String() != want.String() {
 				t.Fatalf("seed %d step %d, %d pods: merge\n%s\nreference\n%s", seed, step, len(pods), got, want)
 			}
@@ -189,15 +189,22 @@ func TestSnapshotMatchesSortedReference(t *testing.T) {
 
 // TestSnapshotAllocs pins what a snapshot allocates: the points, one block
 // of histogram summaries and the trace tail — as many allocations at 10
-// series as at 10 000, none of them a sort's.
+// series as at 10 000, none of them a sort's. Sampling four registries at
+// once (a cluster's pods) adds only each registry's trace tail, the list of
+// them and their merge: no point is copied twice.
 func TestSnapshotAllocs(t *testing.T) {
-	allocs := func(series int) float64 {
-		r := New()
+	allocs := func(series, pods int) float64 {
+		regs := make([]*Registry, pods)
+		for k := range regs {
+			regs[k] = New()
+			regs[k].Events.Emit(time.Millisecond, "alloc", "placement")
+		}
 		m := metrics.NewMeter()
 		m.Add("payload", 64)
 		m.Add("message", 64)
 		for i := 0; i < series; i++ {
-			name := fmt.Sprintf("host%d/s%d", i%7, i)
+			r := regs[i%pods]
+			name := fmt.Sprintf("pod%d/host%d/s%d", i%pods, i%7, i)
 			switch i % 4 {
 			case 0:
 				r.Counter(name, func() int64 { return int64(i) })
@@ -211,13 +218,17 @@ func TestSnapshotAllocs(t *testing.T) {
 				r.Meter(name, m)
 			}
 		}
-		r.Events.Emit(time.Millisecond, "alloc", "placement")
-		r.Snapshot(0) // sorts the registrations once
-		return testing.AllocsPerRun(20, func() { r.Snapshot(time.Second) })
+		Sample(0, regs...) // sorts the registrations once
+		return testing.AllocsPerRun(20, func() { Sample(time.Second, regs...) })
 	}
-	small, large := allocs(10), allocs(10_000)
+	small, large := allocs(10, 1), allocs(10_000, 1)
 	t.Logf("allocations per snapshot: %.0f at 10 series, %.0f at 10 000", small, large)
 	if small != large || large > 3 {
 		t.Fatalf("allocations per snapshot: %.0f at 10 series, %.0f at 10 000; want the same, at most 3", small, large)
+	}
+	small, large = allocs(10, 4), allocs(10_000, 4)
+	t.Logf("allocations per snapshot of 4 registries: %.0f at 10 series, %.0f at 10 000", small, large)
+	if small != large || large > 8 {
+		t.Fatalf("allocations per snapshot of 4 registries: %.0f at 10 series, %.0f at 10 000; want the same, at most 8", small, large)
 	}
 }

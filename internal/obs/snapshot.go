@@ -42,31 +42,82 @@ type Snapshot struct {
 	Events []Event       `json:"events,omitempty"`
 }
 
-// Snapshot samples every instrument at virtual time `at`. Instruments come
-// in name order and a meter walks its categories in order, so the points
-// arrive sorted: Snapshot counts them, allocates them (and the histogram
-// summaries, in one block) at exact length, and never sorts.
-func (r *Registry) Snapshot(at time.Duration) Snapshot {
-	insts := r.instruments()
+// Snapshot samples every instrument at virtual time `at`: Sample of the one
+// registry.
+func (r *Registry) Snapshot(at time.Duration) Snapshot { return Sample(at, r) }
+
+// cursor walks one registry's instruments in name order, a meter's
+// categories in order, during Sample.
+type cursor struct {
+	insts []*instrument
+	cat   int // the next category of insts[0] when it is a meter
+}
+
+// skipEmpty drops leading meters with no category left: they emit no point.
+func (c *cursor) skipEmpty() {
+	for len(c.insts) > 0 && c.insts[0].meter != nil && c.cat >= c.insts[0].meter.Len() {
+		c.insts, c.cat = c.insts[1:], 0
+	}
+}
+
+// head returns the (Name, Label) of the cursor's next point.
+func (c *cursor) head() (name, label string) {
+	i := c.insts[0]
+	if i.meter != nil {
+		label, _ = i.meter.CategoryAt(c.cat)
+	}
+	return i.name, label
+}
+
+// Sample samples every instrument of the given registries — one pod's, or
+// the disjoint registries of a cluster's pods — into one snapshot taken at
+// `at`. Each registry keeps its instruments in name order and a meter walks
+// its categories in order, so Sample counts the points, allocates them (and
+// the histogram summaries, in one block) at exact length, and fills them by
+// merging the registries' runs by (Name, Label), ties to the earlier
+// registry: it never sorts and copies no point twice. Trace events merge in
+// time order, ties likewise.
+func Sample(at time.Duration, regs ...*Registry) Snapshot {
+	var stack [8]cursor
+	curs := stack[:0]
 	n, hists := 0, 0
-	for _, i := range insts {
-		switch {
-		case i.meter != nil:
-			n += i.meter.Len()
-		case i.hist != nil:
-			hists++
-			n++
-		default:
-			n++
+	for _, r := range regs {
+		insts := r.instruments()
+		for _, i := range insts {
+			switch {
+			case i.meter != nil:
+				n += i.meter.Len()
+			case i.hist != nil:
+				hists++
+				n++
+			default:
+				n++
+			}
 		}
+		curs = append(curs, cursor{insts: insts})
 	}
 	s := Snapshot{At: at}
 	if n > 0 {
 		s.Points = make([]Point, 0, n)
 	}
 	sums := make([]HistSummary, hists)
-	for _, i := range insts {
-		switch {
+	for {
+		best, bname, blabel := -1, "", ""
+		for k := range curs {
+			c := &curs[k]
+			c.skipEmpty()
+			if len(c.insts) == 0 {
+				continue
+			}
+			if name, label := c.head(); best < 0 || keyLess(name, label, bname, blabel) {
+				best, bname, blabel = k, name, label
+			}
+		}
+		if best < 0 {
+			break
+		}
+		c := &curs[best]
+		switch i := c.insts[0]; {
 		case i.counter != nil:
 			s.Points = append(s.Points, Point{Name: i.name, Kind: i.kind, Value: float64(i.counter())})
 		case i.gauge != nil:
@@ -86,37 +137,30 @@ func (r *Registry) Snapshot(at time.Duration) Snapshot {
 			}
 			s.Points = append(s.Points, Point{Name: i.name, Kind: KindHistogram, Hist: sum})
 		case i.meter != nil:
-			for c := 0; c < i.meter.Len(); c++ {
-				cat, bytes := i.meter.CategoryAt(c)
-				s.Points = append(s.Points, Point{Name: i.name, Kind: KindCounter, Label: cat, Value: float64(bytes)})
-			}
+			_, bytes := i.meter.CategoryAt(c.cat)
+			s.Points = append(s.Points, Point{Name: i.name, Kind: KindCounter, Label: blabel, Value: float64(bytes)})
+			c.cat++
+			continue
 		}
+		c.insts = c.insts[1:]
 	}
 	checkOrder(s.Points)
-	s.Events = r.Events.Events()
+	s.Events = mergeEvents(regs)
 	return s
 }
 
-// Merge combines snapshots of disjoint registries — a cluster's pods — into
-// one taken at `at`. Each part's points are sorted, so Merge merges the
-// runs instead of sorting their concatenation; its trace events merge in
-// time order. Ties go to the earlier part, which is what a stable sort of
-// the concatenation gives.
-func Merge(at time.Duration, parts ...Snapshot) Snapshot {
-	pts, evs := make([][]Point, len(parts)), make([][]Event, len(parts))
-	np, ne := 0, 0
-	for k, p := range parts {
-		pts[k], evs[k] = p.Points, p.Events
-		np += len(p.Points)
-		ne += len(p.Events)
+// mergeEvents returns the registries' retained trace events in time order,
+// ties to the earlier registry: a stable sort of their concatenation.
+func mergeEvents(regs []*Registry) []Event {
+	if len(regs) == 1 {
+		return regs[0].Events.Events()
 	}
-	s := Snapshot{
-		At:     at,
-		Points: mergeRuns(pts, np, pointLess),
-		Events: mergeRuns(evs, ne, func(a, b *Event) bool { return a.At < b.At }),
+	runs, n := make([][]Event, len(regs)), 0
+	for k, r := range regs {
+		runs[k] = r.Events.Events()
+		n += len(runs[k])
 	}
-	checkOrder(s.Points)
-	return s
+	return mergeRuns(runs, n, func(a, b *Event) bool { return a.At < b.At })
 }
 
 // mergeRuns merges sorted runs holding n elements in all into one slice,
@@ -139,12 +183,12 @@ func mergeRuns[T any](runs [][]T, n int, less func(a, b *T) bool) []T {
 	return out
 }
 
-// pointLess orders points by (Name, Label): the order of a Snapshot.
-func pointLess(a, b *Point) bool {
-	if a.Name != b.Name {
-		return a.Name < b.Name
+// keyLess orders series by (Name, Label): the order of a Snapshot.
+func keyLess(name, label, name2, label2 string) bool {
+	if name != name2 {
+		return name < name2
 	}
-	return a.Label < b.Label
+	return label < label2
 }
 
 // checking is OASIS_SIMCHECK=1, the simulator's self-check mode.
@@ -158,7 +202,7 @@ func checkOrder(pts []Point) {
 		return
 	}
 	for i := 1; i < len(pts); i++ {
-		if !pointLess(&pts[i-1], &pts[i]) {
+		if !keyLess(pts[i-1].Name, pts[i-1].Label, pts[i].Name, pts[i].Label) {
 			panic(fmt.Sprintf("obs: snapshot point %q{%s} does not follow %q{%s}",
 				pts[i].Name, pts[i].Label, pts[i-1].Name, pts[i-1].Label))
 		}

@@ -158,12 +158,17 @@ go test -count=1 -run 'TestBusyPodExactCounts' -v . | grep 'counters {\|per requ
 # guard too. Under the guard the buffer pool also scribbles every buffer it
 # takes back, so a frame read after the switch released it (netsw, nic,
 # netstack, the echo tests' byte-for-byte check) or a staging buffer read
-# after ssd put it back fails. The experiments run without it above.
-echo "== OASIS_SIMCHECK=1 go test (sim, cache, msgchan, core, netengine, storengine, allocator, nic, netstack, netsw, ssd, obs; busy pods, echo, wiring, clusters) =="
+# after ssd put it back fails. The pool scribbles too: a freed I/O buffer's
+# whole pages are poisoned in place instead of released, so any result that
+# read a buffer after its free moves a digest. Every report digest runs
+# under the guard as well (~25 s on 2 vCPUs): only the experiments reach
+# failover, migration and blackout, where a buffer is freed early.
+echo "== OASIS_SIMCHECK=1 go test (sim, cache, msgchan, core, netengine, storengine, allocator, nic, netstack, netsw, ssd, obs; busy pods, echo, wiring, clusters; report digests) =="
 OASIS_SIMCHECK=1 go test -count=1 ./internal/sim ./internal/cache ./internal/msgchan ./internal/core \
     ./internal/netengine ./internal/storengine ./internal/allocator ./internal/nic ./internal/netstack \
     ./internal/netsw ./internal/ssd ./internal/obs
 OASIS_SIMCHECK=1 go test -count=1 -run 'TestBusyPodExactCounts|TestEchoMallocsPerRequest|TestWiringDigests|TestClusterStatsMergedAndScoped|TestPartitionedClusterMatchesSerial' .
+OASIS_SIMCHECK=1 go test -count=1 -timeout 10m -run 'TestReportDigests' ./internal/experiments
 
 # bench/ is its own module (`replace oasis => ../`), invisible to the ./...
 # patterns above although it imports internal/core, the engine configs and
