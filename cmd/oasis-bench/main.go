@@ -41,6 +41,11 @@ func main() {
 		return
 	}
 
+	if !validScale(*scale) {
+		fmt.Fprintf(os.Stderr, "oasis-bench: -scale %v is outside (0, 1]\n", *scale)
+		os.Exit(2)
+	}
+
 	var ids []string
 	if *run == "all" {
 		ids = experiments.IDs()
@@ -90,6 +95,10 @@ func main() {
 		fmt.Print(outs[i])
 	}
 }
+
+// validScale reports whether s is a measurement scale: in (0, 1], so NaN
+// is not.
+func validScale(s float64) bool { return s > 0 && s <= 1 }
 
 func sortedKeys(m map[string]float64) []string {
 	out := make([]string, 0, len(m))

@@ -23,7 +23,6 @@ import (
 // every message forces a CXL round per message on both sides; batching to
 // half the ring amortizes it to noise.
 func AblCounterBatch(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("abl-counter", "Ablation: consumed-counter update batch size (§4)")
 	window := time.Duration(float64(2*time.Millisecond) * scale)
 	if window < 500*time.Microsecond {
@@ -99,7 +98,6 @@ func saturate(cfg msgchan.Config, shards int, window sim.Duration) ([]*msgchan.S
 // lines into its cache (extra CXL reads + invalidations on the critical
 // path) and making subsequent DMA snoop its cache.
 func AblBackendInspect(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("abl-inspect", "Ablation: flow tagging vs backend payload inspection (§3.3.1)")
 	window := time.Duration(float64(10*time.Millisecond) * scale)
 	if window < 3*time.Millisecond {
@@ -148,7 +146,6 @@ func AblBackendInspect(scale float64) *Report {
 // re-announces its new MAC after the frontends switch NICs — the path a
 // design without MAC borrowing would take.
 func AblFailoverMechanism(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("abl-failover", "Ablation: MAC borrowing vs GARP-only failover (§3.3.3)")
 	span := time.Duration(float64(3*time.Second) * scale)
 	if span < time.Second {
@@ -214,7 +211,6 @@ func measureFailover(span time.Duration, macBorrow bool) time.Duration {
 // software invalidation at all. The pool's optional coherence mode models
 // BI; the HW-coherent receiver then polls plainly.
 func AblHWCoherent(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("abl-coherent", "Ablation: CXL 3.0 hardware coherence (Back Invalidation, §6)")
 	window := time.Duration(float64(2*time.Millisecond) * scale)
 	if window < 500*time.Microsecond {
@@ -277,7 +273,6 @@ func AblHWCoherent(scale float64) *Report {
 // multi-channel design lifts the single-core ceiling. K sender/receiver
 // core pairs each drive their own channel over the same two CXL ports.
 func AblSharding(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("abl-sharding", "Ablation: sharded multi-channel scaling (§6)")
 	window := time.Duration(float64(2*time.Millisecond) * scale)
 	if window < 500*time.Microsecond {
@@ -313,7 +308,6 @@ func runSharded(shards int, window sim.Duration) float64 {
 // behind the bulk transfers, inflating Oasis's signaling latency. Throttling
 // the OLAP class (Intel RDT-style) restores it.
 func AblQoS(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("abl-qos", "Ablation: CXL bandwidth QoS vs co-tenant interference (§6)")
 	window := time.Duration(float64(2*time.Millisecond) * scale)
 	if window < 500*time.Microsecond {
@@ -392,7 +386,6 @@ func AblQoS(scale float64) *Report {
 // limits (0.5 MOp/s, ~100 µs). The paper designs but does not measure this
 // engine; these are this implementation's reference numbers.
 func AblStorage(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("abl-storage", "Storage engine: remote 4 KiB reads vs queue depth (§3.4)")
 	window := time.Duration(float64(20*time.Millisecond) * scale)
 	if window < 5*time.Millisecond {

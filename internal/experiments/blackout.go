@@ -31,7 +31,6 @@ import (
 // each cell is Cluster.LastBlackout, the engine's own freeze->cutover
 // measurement.
 func Blackout(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("blackout", "migration blackout vs write rate: pre-copy vs stop-the-world")
 
 	cadences := []time.Duration{400 * time.Microsecond, 200 * time.Microsecond, 100 * time.Microsecond, 50 * time.Microsecond}

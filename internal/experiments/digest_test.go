@@ -13,15 +13,19 @@ import (
 func reportDigest(r *Report) string {
 	var b strings.Builder
 	b.WriteString(r.String())
-	keys := make([]string, 0, len(r.Values))
-	for k := range r.Values {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(r.Values) {
 		fmt.Fprintf(&b, "%s=%v\n", k, r.Values[k])
 	}
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
+}
+
+func sortedKeys(values map[string]float64) []string {
+	keys := make([]string, 0, len(values))
+	for k := range values {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // TestReportDigests pins published bytes, every row against a constant
@@ -43,8 +47,9 @@ func reportDigest(r *Report) string {
 // fig13 and blackout are the two users of the campaign harness
 // (campaign.go) outside chaos and grayfail: the probe stream around one NIC
 // failover, and the acked-write ledger across a cross-pod migration under
-// both protocols. Their rows carry the experiments' acceptance bounds
-// (campaignInvariants), so each runs once.
+// both protocols. Their fidelity rows (fidelity_test.go) carry the
+// experiments' acceptance bounds and are checked on these runs, so each runs
+// once.
 //
 // The next eight rows pin the paper ids no other row reaches: the motivation
 // figures and tables (the pooling model, the bursty trace, the device
@@ -57,18 +62,41 @@ func reportDigest(r *Report) string {
 // execution shapes against one constant, because they are two executions of
 // one model (Racksweep picks one from GOMAXPROCS); scripts/verify.sh
 // re-runs racksweep/perpod at GOMAXPROCS=1, 2 and 8 under OASIS_SIMCHECK=1:
-// the thread count must be invisible in the virtual timeline. Every
-// campaign row also re-asserts its invariants (campaignInvariants), so a
-// re-blessed constant cannot bless a broken campaign. Under -short (the
-// race gate) only chaos of the campaign rows runs.
+// the thread count must be invisible in the virtual timeline. Every row
+// also checks the fidelity rows of its (id, scale) — the campaigns'
+// invariants, fig13's outage bounds and fig8's overhead band among them —
+// so a re-blessed constant cannot bless a broken campaign, and no pair runs
+// twice (TestFidelity runs only the pairs these rows do not). Under -short
+// (the race gate) only chaos of the campaign rows runs.
 func TestReportDigests(t *testing.T) {
+	for _, tc := range digestRuns() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && (tc.name == "grayfail" || strings.HasPrefix(tc.name, "racksweep/")) {
+				t.Skip("one campaign is the detector's share; the rest run in the non-race tier")
+			}
+			t.Parallel()
+			r := tc.run(tc.scale)
+			checkClaims(t, r, tc.scale)
+			if got := reportDigest(r); got != tc.want {
+				t.Errorf("%s report digest at scale %v = %s, want %s", tc.name, tc.scale, got, tc.want)
+			}
+		})
+	}
+}
+
+// digestRun is a row of TestReportDigests: a run, and the digest its report
+// must hash to. A row's id is its name up to the first slash.
+type digestRun struct {
+	name  string
+	run   Runner
+	scale float64
+	want  string
+}
+
+func digestRuns() []digestRun {
 	const racksweep = "b8a01281304395679e802d50f4b9cb5d662893b4ffe88bac06cc299c650520ff"
-	for _, tc := range []struct {
-		name  string
-		run   Runner
-		scale float64
-		want  string
-	}{
+	return []digestRun{
 		{"fig6", Fig6, 0.05, "74fc10620f72e359af467ae5d5e12163467cba9d068151380133db802b3aab86"},
 		{"fig11", Fig11, 0.05, "0c731f7302743d806f64eaf2908374aae00231686b9ec0251fc8879663d0a4cf"},
 		{"tab3", Table3, 0.05, "17b9032b7876f32c6b4d002a436f938e37eae30e9a8c34d73b3f81bff90afcc5"},
@@ -94,91 +122,5 @@ func TestReportDigests(t *testing.T) {
 		{"grayfail", Grayfail, 1, "e9ccc543f1fccbd3550b3a89492536cb0b05b8c13525b83cdc90ea58240dca86"},
 		{"racksweep/serial", func(s float64) *Report { return racksweepRun(s, false) }, 0.05, racksweep},
 		{"racksweep/perpod", func(s float64) *Report { return racksweepRun(s, true) }, 0.05, racksweep},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			if testing.Short() && (tc.name == "grayfail" || strings.HasPrefix(tc.name, "racksweep/")) {
-				t.Skip("one campaign is the detector's share; the rest run in the non-race tier")
-			}
-			t.Parallel()
-			r := tc.run(tc.scale)
-			if check := campaignInvariants[r.ID]; check != nil {
-				check(t, r)
-			}
-			if got := reportDigest(r); got != tc.want {
-				t.Errorf("%s report digest at scale %v = %s, want %s", tc.name, tc.scale, got, tc.want)
-			}
-		})
 	}
-}
-
-// campaignInvariants are what a campaign's report must say under every
-// execution shape, keyed by report id (a report keeps its id under all of
-// them).
-var campaignInvariants = map[string]func(*testing.T, *Report){
-	// The paper reports ~38 ms of interruption (Fig. 13); the reproduction
-	// must keep the loss window in the same regime and actually fail over.
-	"fig13": func(t *testing.T, r *Report) {
-		if r.Values["failovers"] < 1 {
-			t.Fatalf("no failover recorded:\n%s", r)
-		}
-		if outage := r.Values["outage_ms"]; outage <= 0 || outage > 100 {
-			t.Fatalf("failover outage %v ms out of bounds (0, 100]:\n%s", outage, r)
-		}
-		if r.Values["lost"] < 1 {
-			t.Fatalf("probe stream saw no loss at all — failure not injected?\n%s", r)
-		}
-	},
-	// The acceptance gate for pre-copy migration: at every write rate the
-	// pre-copy blackout is strictly under the stop-the-world one on the
-	// identical scenario, with no acked write lost under either protocol.
-	"blackout": func(t *testing.T, r *Report) {
-		if v := r.Values["violations"]; v != 0 {
-			t.Fatalf("blackout experiment violated %v invariant(s):\n%s", v, r)
-		}
-		if r.Values["rates"] < 2 {
-			t.Fatalf("blackout grid too small:\n%s", r)
-		}
-		for k, pre := range r.Values {
-			if rate, ok := strings.CutPrefix(k, "precopy_"); ok {
-				if stw, ok := r.Values["stw_"+rate]; !ok || pre <= 0 || stw <= 0 || pre >= stw {
-					t.Fatalf("%s=%v not strictly under stop-the-world %v:\n%s", k, pre, stw, r)
-				}
-			}
-		}
-	},
-	"chaos": func(t *testing.T, r *Report) {
-		if v := r.Values["violations"]; v != 0 {
-			t.Fatalf("chaos campaign violated %v recovery invariant(s):\n%s", v, r)
-		}
-	},
-	"grayfail": func(t *testing.T, r *Report) {
-		if v := r.Values["violations"]; v != 0 {
-			t.Fatalf("grayfail campaign violated %v invariant(s):\n%s", v, r)
-		}
-		if r.Values["health_nic_evacs"] < 1 || r.Values["health_ssd_evacs"] < 1 {
-			t.Fatalf("health scorer did not evacuate both gray devices:\n%s", r)
-		}
-		if r.Values["nic_failovers"] != 0 || r.Values["ssd_failovers"] != 0 {
-			t.Fatalf("gray faults tripped hard failovers:\n%s", r)
-		}
-	},
-	"racksweep": func(t *testing.T, r *Report) {
-		v := r.Values
-		if v["hosts"] < 200 || v["pods"] < 2 {
-			t.Fatalf("simulated cluster has %.0f hosts in %.0f pods, want >= 200 in >= 2", v["hosts"], v["pods"])
-		}
-		if v["migrations"] == 0 {
-			t.Fatal("hot-spot rebalance performed no cross-pod migrations")
-		}
-		if v["spread_final"] > v["spread_skewed"]-2 {
-			t.Fatalf("rebalance barely helped: spread %v -> %v", v["spread_skewed"], v["spread_final"])
-		}
-		if v["echoes"] == 0 {
-			t.Fatal("no traffic completed during the sweep")
-		}
-		if v["pod64_nic"] >= v["pod8_nic"] {
-			t.Fatal("analytic sweep: stranding should fall as the pooling domain grows")
-		}
-	},
 }

@@ -2,12 +2,13 @@
 // paper's evaluation (§2.2, §5). Each runner builds the scenario from the
 // public oasis API, drives the workload in virtual time, and returns a
 // Report with the same rows/series the paper presents plus
-// machine-readable values that the test suite and EXPERIMENTS.md assert
-// against.
+// machine-readable values. The fidelity table (claims, in
+// fidelity_test.go) holds those values to the paper's, one row per claim,
+// and EXPERIMENTS.md's fidelity section is rendered from it.
 //
-// Runners accept a Scale in (0, 1] that shrinks measurement windows and
-// load grids proportionally — CI uses small scales; the benchmark harness
-// runs Scale=1.
+// Runners take a scale in (0, 1] that shrinks measurement windows and load
+// grids proportionally — tests use small scales, oasis-bench defaults to 1
+// and refuses a scale outside (0, 1] before any runner sees it.
 package experiments
 
 import (
@@ -99,11 +100,4 @@ func IDs() []string {
 		out = append(out, e.ID)
 	}
 	return out
-}
-
-func clampScale(s float64) float64 {
-	if s <= 0 || s > 1 {
-		return 1
-	}
-	return s
 }

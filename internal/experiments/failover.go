@@ -63,7 +63,6 @@ func buildFailoverPod() *failoverPod {
 // Fig13 reproduces Figure 13: packet loss during a NIC failure with a 10 s
 // UDP echo stream; the switch port is disabled at t = 5 s.
 func Fig13(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("fig13", "UDP packet loss during NIC failover (10 s run, failure at 5 s)")
 	span := time.Duration(float64(10*time.Second) * scale)
 	if span < time.Second {
@@ -114,7 +113,6 @@ func Fig13(scale float64) *Report {
 // Fig14 reproduces Figure 14: memcached (TCP) P99 latency through the same
 // failure; lost segments retransmit after failover, briefly inflating P99.
 func Fig14(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("fig14", "memcached P99 latency through NIC failover (TCP)")
 	span := time.Duration(float64(10*time.Second) * scale)
 	if span < 2*time.Second {

@@ -104,7 +104,6 @@ func runMsgChannel(design msgchan.Design, offeredMops float64, window sim.Durati
 // Fig6 reproduces Figure 6: one-way message throughput and median latency
 // for the four channel designs.
 func Fig6(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("fig6", "Message channel designs: throughput & median latency (one-way, 16 B)")
 	window := time.Duration(float64(2*time.Millisecond) * scale)
 	if window < 500*time.Microsecond {

@@ -11,7 +11,6 @@ import (
 
 // Fig2 reproduces Figure 2: average stranded resources vs pod size.
 func Fig2(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("fig2", "Stranded resources vs. pod size (pooling simulation)")
 	cfg := strand.DefaultConfig()
 	cfg.Hosts = int(float64(cfg.Hosts) * scale)
@@ -45,7 +44,6 @@ func Fig2(scale float64) *Report {
 // Fig3 reproduces Figure 3: inbound traffic of four busy hosts over one
 // second, at 10 µs resolution.
 func Fig3(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("fig3", "Inbound NIC traffic of 4 hosts (bursty trace, 10 µs buckets)")
 	span := time.Duration(float64(time.Second) * scale)
 	traces := trace.RackA(span)
@@ -91,7 +89,6 @@ func Table1(scale float64) *Report {
 // Table2 reproduces Table 2: per-host and aggregated P99.99 NIC
 // utilization for racks A and B.
 func Table2(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("tab2", "NIC bandwidth utilization at P99.99 (10 µs buckets)")
 	span := time.Duration(float64(time.Second) * scale)
 	bucket := 10 * time.Microsecond

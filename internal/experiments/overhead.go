@@ -70,7 +70,6 @@ func runRRComparison(r *Report, apps []appModel, scale float64) {
 
 // Fig8 reproduces Figure 8: Oasis's overhead on four web applications.
 func Fig8(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("fig8", "Oasis network engine overhead on four web applications (TCP, closed-loop)")
 	runRRComparison(r, webApps(), scale)
 	r.addf("paper: Oasis adds a consistent 4-7 µs at P50/P90/P99 under low and moderate load")
@@ -79,7 +78,6 @@ func Fig8(scale float64) *Report {
 
 // Fig9 reproduces Figure 9: Oasis's overhead on memcached.
 func Fig9(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("fig9", "Oasis network engine overhead on memcached")
 	runRRComparison(r, []appModel{memcachedApp()}, scale)
 	r.addf("paper: latency overhead consistently ~4-7 µs at all percentiles")
@@ -98,7 +96,6 @@ func udpEchoPoint(mode Mode, payload int, rate float64, window time.Duration) *m
 // Fig10 reproduces Figure 10: UDP echo RTT for 75 B and 1500 B payloads at
 // increasing load, baseline vs Oasis.
 func Fig10(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("fig10", "UDP echo overhead vs. packet size and load")
 	window := time.Duration(float64(15*time.Millisecond) * scale)
 	if window < 4*time.Millisecond {
@@ -141,7 +138,6 @@ func Fig10(scale float64) *Report {
 // Fig11 reproduces Figure 11: the overhead breakdown across baseline,
 // baseline with I/O buffers in CXL, and full Oasis.
 func Fig11(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("fig11", "Overhead breakdown: baseline / +CXL buffers / Oasis (UDP echo)")
 	window := time.Duration(float64(15*time.Millisecond) * scale)
 	if window < 4*time.Millisecond {
@@ -180,7 +176,6 @@ func Fig11(scale float64) *Report {
 // Table3 reproduces Table 3: CXL link bandwidth under idle and busy loads,
 // broken down into payload vs message-channel traffic.
 func Table3(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("tab3", "CXL link bandwidth usage (payload vs message traffic)")
 	window := time.Duration(float64(20*time.Millisecond) * scale)
 	if window < 5*time.Millisecond {

@@ -209,7 +209,6 @@ func racksweepModel(r *Report, scale float64) {
 func Racksweep(scale float64) *Report { return racksweepRun(scale, runtime.GOMAXPROCS(0) > 1) }
 
 func racksweepRun(scale float64, partitioned bool) *Report {
-	scale = clampScale(scale)
 	r := newReport("racksweep", "Rack-scale utilization sweep (multi-pod cluster + pooling model)")
 	racksweepSim(r, scale, partitioned)
 	racksweepModel(r, scale)

@@ -15,7 +15,6 @@ import (
 // both sharing host 1's NIC. Both setups run the full Oasis datapath so the
 // comparison isolates multiplexing interference (§5.2).
 func Fig12(scale float64) *Report {
-	scale = clampScale(scale)
 	r := newReport("fig12", "Trace replay: two hosts with own NICs vs. sharing one NIC")
 	span := time.Duration(float64(400*time.Millisecond) * scale)
 	if span < 50*time.Millisecond {

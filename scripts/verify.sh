@@ -124,6 +124,18 @@ gate "an execution-shape setter, a hop-latency knob or its read-back" "$(src 'Se
 gate "a Workers field in internal/strand" "$(grep -n 'Workers' internal/strand/*.go | grep -v '_test\.go:' || true)"
 gate "an oasis-bench flag choosing an execution path" "$(grep -n 'flag\.[A-Za-z]*("\(parallel\|exec\)"' cmd/oasis-bench/*.go || true)"
 
+# One claims table: every claim about the paper and every campaign
+# invariant is a row of the fidelity table (internal/experiments/
+# fidelity_test.go), checked on the runs the tests already make, and
+# EXPERIMENTS.md's fidelity section is rendered from it. The hand-written
+# shape tests and the campaign invariant map it replaced stay gone, and a
+# runner trusts its scale: oasis-bench refuses one outside (0, 1] where it
+# enters, so no runner clamps.
+echo "== one claims table, the scale checked where it enters (grep gate) =="
+gate "a hand-written shape test" "$(grep -rn --include='*.go' 'TestFig2Shapes\|TestFig3Burstiness\|TestTable1DeviceModels\|TestTable2Aggregation\|TestFig6DesignLadder\|TestFig9MemcachedOverheadBand\|TestFig10OverheadSizeIndependent\|TestFig11BreakdownAttribution\|TestTable3BandwidthBreakdown\|TestFig12MultiplexingInterference\|TestFig13FailoverWindow\|TestFig14TCPRecovery\|TestAblCounterBatchAmortizes\|TestAblBackendInspectCosts\|TestAblFailoverMechanisms\|TestAblHWCoherentChannel\|TestAblShardingScalesThroughput\|TestAblQoSProtectsSignaling\|TestAblStorageShapes' . || true)"
+gate "a campaign invariant map beside the claims table" "$(grep -rn --include='*.go' 'campaignInvariants' . || true)"
+gate "a runner clamping its scale" "$(grep -rn --include='*.go' 'clampScale' . || true)"
+
 echo "== go build ./... =="
 go build ./...
 
@@ -209,6 +221,20 @@ all_1=$(GOMAXPROCS=1 go run ./cmd/oasis-bench -run all -scale 0.05 -values | gre
 all_n=$(go run ./cmd/oasis-bench -run all -scale 0.05 -values | grep -v "wall time")
 if [ "$all_1" != "$all_n" ]; then
     echo "oasis-bench -run all differs between GOMAXPROCS=1 and the default" >&2
+    exit 1
+fi
+
+# A scale outside (0, 1] is refused where it enters, with the usage exit
+# status, before any experiment runs. (go run reports any failure as 1, so
+# the binary is built.)
+echo "== oasis-bench refuses -scale 0 (exit 2) =="
+bin=$(mktemp -d)
+go build -o "$bin/oasis-bench" ./cmd/oasis-bench
+status=0
+"$bin/oasis-bench" -run tab1 -scale 0 2>/dev/null || status=$?
+rm -rf "$bin"
+if [ "$status" != 2 ]; then
+    echo "oasis-bench -run tab1 -scale 0 exited $status, want 2" >&2
     exit 1
 fi
 
