@@ -3,6 +3,7 @@ package oasis
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,23 +12,19 @@ import (
 	"oasis/internal/ssd"
 )
 
-// Exact costs of three busy pods, the shapes of the benchmark's echo_ladder
-// (pooled, and on the baseline's local datapath) and store_mixed workloads at
-// a smaller scale: every counter of the run phase. Events, FastSleeps and
-// HeapEvents were captured before coroutine switching and the cache's line
-// table replaced channel hand-offs and the Go map, and before the packet
-// path moved into event context; every such change is exact by construction
-// — the same events in the same (time, sequence) order — so they may not
-// move with a simulator-speed change. Switches and SteppedLegs count how the
-// run is executed, and were pinned when the datapath's handlers, the NIC's
-// pipeline and the stacks became chains of steps: 17 279, 11 927 and 3 713
-// switches before.
-var busyPodCounts = map[string]sim.Counters{
-	"echo":  {Events: 73317, Switches: 1684, FastSleeps: 33433, SteppedLegs: 75314, HeapEvents: 2},
-	"local": {Events: 34674, Switches: 1663, FastSleeps: 11738, SteppedLegs: 30799, HeapEvents: 2},
-	"store": {Events: 76925, Switches: 1236, FastSleeps: 43287, SteppedLegs: 99598, HeapEvents: 381},
-}
-
+// TestBusyPodExactCounts pins every counter of three busy pods' run phase —
+// the shapes of the benchmark's echo_ladder (pooled, and on the baseline's
+// local datapath) and store_mixed workloads at a smaller scale — to their
+// rows of testdata/counts.txt, each with the requests it served, so switches
+// per request read off the row. Events, FastSleeps and HeapEvents were
+// captured before coroutine switching and the cache's line table replaced
+// channel hand-offs and the Go map, and before the packet path moved into
+// event context; every such change is exact by construction — the same
+// events in the same (time, sequence) order — so they may not move with a
+// simulator-speed change. Switches and SteppedLegs count how the run is
+// executed, and were pinned when the datapath's handlers, the NIC's pipeline
+// and the stacks became chains of steps: 17 279, 11 927 and 3 713 switches
+// before.
 func TestBusyPodExactCounts(t *testing.T) {
 	for _, row := range []struct {
 		name string
@@ -38,18 +35,8 @@ func TestBusyPodExactCounts(t *testing.T) {
 		{"store", busyStoreCounts},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			got, requests := row.run(t)
-			want := busyPodCounts[row.name]
-			t.Logf("counters %+v", got)
-			t.Logf("%d requests, %.2f switches per request", requests, float64(got.Switches)/float64(requests))
-			if sim.Checking() {
-				// OASIS_SIMCHECK=1 runs every stage from the process to check
-				// the idle predicates: more switches, the same events.
-				got.Switches = want.Switches
-			}
-			if got != want {
-				t.Errorf("counters %+v\n            want %+v: a simulator-speed change moved the event sequence", got, want)
-			}
+			c, requests := row.run(t)
+			checkCounts(t, fmt.Sprintf("%s requests=%d", countLine(row.name, c, sim.GroupCounters{}), requests))
 		})
 	}
 }
@@ -59,14 +46,7 @@ func TestBusyPodExactCounts(t *testing.T) {
 func runCounted(pod *Pod, until time.Duration) sim.Counters {
 	c0 := pod.Eng.Counters()
 	pod.Run(until)
-	c := pod.Eng.Counters()
-	return sim.Counters{
-		Events:      c.Events - c0.Events,
-		Switches:    c.Switches - c0.Switches,
-		FastSleeps:  c.FastSleeps - c0.FastSleeps,
-		SteppedLegs: c.SteppedLegs - c0.SteppedLegs,
-		HeapEvents:  c.HeapEvents - c0.HeapEvents,
-	}
+	return since(c0, pod.Eng.Counters())
 }
 
 // busyEchoCounts is one echo_ladder rung: an instance on host A, its pooled

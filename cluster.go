@@ -165,6 +165,21 @@ func (c *Cluster) Run(d Duration) Duration { return c.group.RunUntil(d) }
 // down from inside the simulation; a partitioned one only between Run calls.
 func (c *Cluster) Shutdown() { c.group.Shutdown() }
 
+// Counters returns the exact costs of the cluster's runs so far: the summed
+// Counters of its engines — the control partition and, in a partitioned
+// cluster, each pod's own; a serial cluster's pods share the control
+// partition's engine, which counts once — and the group's barrier-loop
+// counters, all zero on one partition. Neither depends on GOMAXPROCS.
+func (c *Cluster) Counters() (sim.Counters, sim.GroupCounters) {
+	ctr := c.Eng.Counters()
+	for _, p := range c.pods {
+		if p.Eng != c.Eng {
+			ctr = ctr.Add(p.Eng.Counters())
+		}
+	}
+	return ctr, c.group.Counters()
+}
+
 // Now returns the cluster's virtual clock: the shared engine's clock in a
 // serial cluster, the committed (barrier) time in a partitioned one.
 func (c *Cluster) Now() Duration { return c.group.Now() }

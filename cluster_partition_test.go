@@ -16,14 +16,14 @@ import (
 
 // clusterRun is what one run of the cluster scenario leaves behind: the
 // workload transcript, the merged stats snapshot and the migration count —
-// none of which may depend on the shape — and the exact costs of running it,
-// which do.
+// none of which may depend on the shape — and the exact costs of running it
+// (Cluster.Counters), which do.
 type clusterRun struct {
 	log        string
 	snap       []byte
 	migrations int64
-	ctr        sim.GroupCounters
-	events     uint64 // dispatched, summed over the partitions
+	ctr        sim.Counters
+	group      sim.GroupCounters
 }
 
 // runClusterScenario builds the same two-pod rack with pod-local workloads
@@ -107,13 +107,8 @@ func runClusterScenario(t *testing.T, partitioned bool, hop Duration) clusterRun
 		logs[3] = append(logs[3], fmt.Sprintf("%v verified", p.Now()))
 	})
 	c.Run(80 * time.Millisecond)
-	r := clusterRun{snap: c.Stats().JSON(), migrations: c.Migrations, ctr: c.group.Counters()}
-	r.events = c.Eng.Counters().Events
-	if partitioned {
-		for _, p := range c.Pods() {
-			r.events += p.Eng.Counters().Events
-		}
-	}
+	r := clusterRun{snap: c.Stats().JSON(), migrations: c.Migrations}
+	r.ctr, r.group = c.Counters()
 	c.Shutdown()
 	var all []string
 	for _, shard := range logs {
@@ -148,19 +143,16 @@ func shapesMatch(t *testing.T, hop Duration) string {
 
 func TestPartitionedClusterMatchesSerial(t *testing.T) { shapesMatch(t, 0) }
 
-// TestPartitionedClusterExactCounts pins what the barrier loop did for the
-// partitioned run of that scenario, and the events the partitions dispatched:
-// all of it derives from virtual state alone, so it repeats on any machine at
-// any GOMAXPROCS, and a change to the window math shows up here as a number
-// rather than as seconds. Events over CriticalEvents is the run's speedup
-// ceiling on unlimited cores.
+// TestPartitionedClusterExactCounts pins what the partitioned run of that
+// scenario cost — the partitions' summed engine counters and what the
+// barrier loop did — to its row of testdata/counts.txt: all of it derives
+// from virtual state alone, so it repeats on any machine at any GOMAXPROCS,
+// and a change to the window math shows up there as a number rather than as
+// seconds. Events over CriticalEvents is the run's speedup ceiling on
+// unlimited cores.
 func TestPartitionedClusterExactCounts(t *testing.T) {
 	got := runClusterScenario(t, true, 0)
-	want := sim.GroupCounters{Barriers: 49, Windows: 100, IdleCommits: 47, Transfers: 6, FixpointPasses: 97, CriticalEvents: 1020606}
-	const wantEvents = 1915408
-	if got.ctr != want || got.events != wantEvents {
-		t.Fatalf("partitioned cluster scenario:\n got %+v, %d events\nwant %+v, %d events", got.ctr, got.events, want, wantEvents)
-	}
+	checkCounts(t, countLine("cluster", got.ctr, got.group))
 }
 
 // The hop latency has one home, the group's mobile latency, so no cluster

@@ -564,13 +564,13 @@ func TestSteppedReadMatchesRead(t *testing.T) {
 		})
 		return log + fmt.Sprintf("%+v", r.a.Stats()), r.eng.Counters().Events
 	}
-	want, wantEvents := run(false)
-	got, gotEvents := run(true)
+	want, readEvents := run(false)
+	got, stepEvents := run(true)
 	if got != want {
 		t.Fatalf("stepped read diverged from Read:\n read: %s\nsteps: %s", want, got)
 	}
-	if gotEvents != wantEvents-2*4 {
-		t.Fatalf("stepped reads dispatched %d events, Read %d; want two fewer for each of the 4 demand misses", gotEvents, wantEvents)
+	if stepEvents != readEvents-2*4 {
+		t.Fatalf("stepped reads dispatched %d events, Read %d; want two fewer for each of the 4 demand misses", stepEvents, readEvents)
 	}
 }
 

@@ -32,7 +32,7 @@ func AblCounterBatch(scale float64) *Report {
 	r.addf("%-12s %12s %14s %14s", "batch", "MOp/s", "counter wr/s", "sender rereads/s")
 	type cbOut struct{ tput, updates, rereads float64 }
 	results := parRun(len(batches), func(i int) cbOut {
-		tput, updates, rereads := runCounterBatch(batches[i], window)
+		tput, updates, rereads := runCounterBatch(r, batches[i], window)
 		return cbOut{tput, updates, rereads}
 	})
 	for i, batch := range batches {
@@ -50,10 +50,10 @@ func AblCounterBatch(scale float64) *Report {
 	return r
 }
 
-func runCounterBatch(batch int, window sim.Duration) (mops, updates, rereads float64) {
+func runCounterBatch(r *Report, batch int, window sim.Duration) (mops, updates, rereads float64) {
 	cfg := msgchan.DefaultConfig()
 	cfg.CounterBatch = batch
-	txs, rxs := saturate(cfg, 1, window)
+	txs, rxs := saturate(r, cfg, 1, window)
 	sec := window.Seconds()
 	return float64(rxs[0].Received) / sec / 1e6, float64(rxs[0].CounterUpdates) / sec, float64(txs[0].CounterReads) / sec
 }
@@ -62,7 +62,7 @@ func runCounterBatch(batch int, window sim.Duration) (mops, updates, rereads flo
 // between the same sender and receiver port of one pool: each sender
 // spins on TrySend, each receiver polls and pays 10 ns per message. It
 // returns the channel ends, whose counters are the measurement.
-func saturate(cfg msgchan.Config, shards int, window sim.Duration) ([]*msgchan.Sender, []*msgchan.Receiver) {
+func saturate(r *Report, cfg msgchan.Config, shards int, window sim.Duration) ([]*msgchan.Sender, []*msgchan.Receiver) {
 	eng := sim.New()
 	pool := cxl.NewPool(eng, 1<<26, cxl.DefaultParams())
 	txPort := pool.AttachPort("sender-host")
@@ -89,6 +89,7 @@ func saturate(cfg msgchan.Config, shards int, window sim.Duration) ([]*msgchan.S
 		})
 	}
 	eng.RunUntil(window)
+	r.count(eng)
 	eng.Shutdown()
 	return txs, rxs
 }
@@ -104,7 +105,7 @@ func AblBackendInspect(scale float64) *Report {
 		window = 3 * time.Millisecond
 	}
 	run := func(disableTagging bool) (*metrics.Histogram, int64, int64) {
-		e := buildNetPod(ModeOasis)
+		e := buildNetPod(r, ModeOasis)
 		e.startUDPEcho(7)
 		if disableTagging {
 			// Strip flow rules as the backend installs them: a registration
@@ -152,7 +153,7 @@ func AblFailoverMechanism(scale float64) *Report {
 		span = time.Second
 	}
 	trials := parRun(2, func(i int) time.Duration {
-		return measureFailover(span, i == 0)
+		return measureFailover(r, span, i == 0)
 	})
 	borrow, garpOnly := trials[0], trials[1]
 	r.addf("%-22s %14s", "mechanism", "interruption")
@@ -167,8 +168,8 @@ func AblFailoverMechanism(scale float64) *Report {
 
 // measureFailover runs the Fig. 13 scenario, optionally suppressing the
 // backup backend's MAC borrow so recovery relies on the instance's GARP.
-func measureFailover(span time.Duration, macBorrow bool) time.Duration {
-	f := buildFailoverPod()
+func measureFailover(r *Report, span time.Duration, macBorrow bool) time.Duration {
+	f := buildFailoverPod(r)
 	f.pod.Go("echo-server", func(p *oasis.Proc) { instance.Echo(p, f.inst.Stack, 7) })
 	failAt := span / 2
 	f.pod.Eng.At(failAt, func() {
@@ -199,7 +200,7 @@ func measureFailover(span time.Duration, macBorrow bool) time.Duration {
 		probes.run(p, f.client.Stack, serverIP, "probe", time.Millisecond, span)
 		f.pod.Shutdown()
 	})
-	f.pod.Run(span + time.Second)
+	f.run(span + time.Second)
 	if len(probes.lost) == 0 {
 		return 0
 	}
@@ -245,6 +246,7 @@ func AblHWCoherent(scale float64) *Report {
 			}
 		})
 		eng.RunUntil(window)
+		r.count(eng)
 		eng.Shutdown()
 		return float64(rx.Received) / window.Seconds() / 1e6, hist.Percentile(50)
 	}
@@ -281,7 +283,7 @@ func AblSharding(scale float64) *Report {
 	r.addf("%-10s %14s %16s", "shards", "total MOp/s", "per-shard MOp/s")
 	shardCounts := []int{1, 2, 4, 8}
 	totals := parRun(len(shardCounts), func(i int) float64 {
-		return runSharded(shardCounts[i], window)
+		return runSharded(r, shardCounts[i], window)
 	})
 	for i, shards := range shardCounts {
 		total := totals[i]
@@ -293,8 +295,8 @@ func AblSharding(scale float64) *Report {
 	return r
 }
 
-func runSharded(shards int, window sim.Duration) float64 {
-	_, rxs := saturate(msgchan.DefaultConfig(), shards, window)
+func runSharded(r *Report, shards int, window sim.Duration) float64 {
+	_, rxs := saturate(r, msgchan.DefaultConfig(), shards, window)
 	var total int64
 	for _, rx := range rxs {
 		total += rx.Received
@@ -366,6 +368,7 @@ func AblQoS(scale float64) *Report {
 			}
 		})
 		eng.RunUntil(window)
+		r.count(eng)
 		eng.Shutdown()
 		return hist.Percentile(99)
 	}
@@ -398,7 +401,7 @@ func AblStorage(scale float64) *Report {
 		p50, p99 time.Duration
 	}
 	results := parRun(len(depths), func(i int) sdOut {
-		iops, p50, p99 := runStorageDepth(depths[i], window)
+		iops, p50, p99 := runStorageDepth(r, depths[i], window)
 		return sdOut{iops, p50, p99}
 	})
 	for i, depth := range depths {
@@ -417,7 +420,7 @@ func AblStorage(scale float64) *Report {
 	return r
 }
 
-func runStorageDepth(depth int, window time.Duration) (iops float64, p50, p99 time.Duration) {
+func runStorageDepth(r *Report, depth int, window time.Duration) (iops float64, p50, p99 time.Duration) {
 	eng := sim.New()
 	pool := cxl.NewPool(eng, 1<<30, cxl.DefaultParams())
 	hA := host.New(eng, 0, "hostA", pool, host.DefaultConfig())
@@ -461,6 +464,7 @@ func runStorageDepth(depth int, window time.Duration) (iops float64, p50, p99 ti
 		})
 	}
 	eng.RunUntil(window + time.Second)
+	r.count(eng)
 	eng.Shutdown()
 	return float64(completed) / window.Seconds(), hist.Percentile(50), hist.Percentile(99)
 }

@@ -53,8 +53,8 @@ func Blackout(scale float64) *Report {
 	r.addf("%-12s %-14s %-14s", "write rate", "pre-copy", "stop-the-world")
 	for _, every := range cadences {
 		rate := int(time.Second / every)
-		pre := blackoutOneRun(every, false)
-		stw := blackoutOneRun(every, true)
+		pre := blackoutOneRun(r, every, false)
+		stw := blackoutOneRun(r, every, true)
 		r.addf("%7d/s   %-14v %-14v", rate, pre.blackout, stw.blackout)
 		check(pre.err == nil, "pre-copy migration failed at "+every.String())
 		check(stw.err == nil, "stop-the-world migration failed at "+every.String())
@@ -83,7 +83,7 @@ type blackoutResult struct {
 
 // blackoutOneRun migrates a written-to volume across pods once and reports
 // the freeze window and the acked-write ledger verdict.
-func blackoutOneRun(writeEvery time.Duration, stopTheWorld bool) blackoutResult {
+func blackoutOneRun(r *Report, writeEvery time.Duration, stopTheWorld bool) blackoutResult {
 	const (
 		migrateAt  = 5 * time.Millisecond
 		writerStop = 12 * time.Millisecond
@@ -138,6 +138,7 @@ func blackoutOneRun(writeEvery time.Duration, stopTheWorld bool) blackoutResult 
 		}
 	})
 	c.Run(time.Second)
+	r.countCluster(c)
 	res.acked = led.ackedWrites
 	return res
 }

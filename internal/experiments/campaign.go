@@ -228,7 +228,7 @@ type campaign struct {
 //	host2  nic2 + ssd1 (the volume's primary) + raft replica 2
 //	host3  nic3, the pod-wide backup + ssd2, the backup drive
 //	host4  the instances
-func runCampaign(spec campaignSpec, extras func(c *campaign)) (*campaign, error) {
+func runCampaign(r *Report, spec campaignSpec, extras func(c *campaign)) (*campaign, error) {
 	c := &campaign{campaignSpec: spec, ledger: newLedger(campaignLBAs)}
 	cfg := oasis.DefaultConfig()
 	cfg.Engine.IdleBackoff = 200 * time.Microsecond
@@ -278,6 +278,7 @@ func runCampaign(spec campaignSpec, extras func(c *campaign)) (*campaign, error)
 	// partitioned out, a Shutdown from inside a partition would not be a
 	// single global instant.
 	pod.Run(spec.span + time.Second)
+	r.count(pod.Eng)
 	pod.Shutdown()
 
 	c.windows = outages(c.probes.lost, campaignWindowGap)

@@ -49,7 +49,7 @@ func Chaos(_ float64) *Report {
 	// (allocator + raft leader) is crashed; the request must be retried by
 	// the frontend and satisfied soon after the host heals.
 	var allocRecovery oasis.Duration
-	c, err := runCampaign(campaignSpec{
+	c, err := runCampaign(r, campaignSpec{
 		name:        "chaos",
 		span:        2600 * time.Millisecond,
 		instances:   []netstack.IP{oasis.IP(10, 0, 0, 20), oasis.IP(10, 0, 0, 21)}, // instA on nic1, instB on nic2

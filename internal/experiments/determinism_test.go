@@ -18,7 +18,7 @@ import (
 // so registering them cannot perturb the run either.
 func TestPodSnapshotDeterministic(t *testing.T) {
 	run := func() []byte {
-		e := buildNetPod(ModeOasis)
+		e := buildNetPod(newReport("snapshot", "snapshot determinism"), ModeOasis)
 		e.startUDPEcho(7)
 		e.udpEchoLoad(64, 50e3, 2*time.Millisecond, 20*time.Millisecond, &metrics.Histogram{})
 		snap := e.pod.Stats()

@@ -66,11 +66,24 @@ func sortedKeys(values map[string]float64) []string {
 // also checks the fidelity rows of its (id, scale) — the campaigns'
 // invariants, fig13's outage bounds and fig8's overhead band among them —
 // so a re-blessed constant cannot bless a broken campaign, and no pair runs
-// twice (TestFidelity runs only the pairs these rows do not). Under -short
-// (the race gate) only chaos of the campaign rows runs.
+// twice (TestFidelity runs only the pairs these rows do not). Every row's
+// run also checks its exact costs against its line of testdata/counts.txt
+// (counts_test.go), and the file has a line for every row and no other.
+// Under -short (the race gate) only chaos of the campaign rows runs.
 func TestReportDigests(t *testing.T) {
-	for _, tc := range digestRuns() {
+	runs := digestRuns()
+	golden := countsGolden(t)
+	for name := range golden {
+		if !slices.ContainsFunc(runs, func(d digestRun) bool { return d.name == name }) {
+			t.Errorf("testdata/counts.txt row %s has no digest row", name)
+		}
+	}
+	for _, tc := range runs {
 		tc := tc
+		want, counted := golden[tc.name]
+		if !counted {
+			t.Errorf("digest row %s has no testdata/counts.txt row", tc.name)
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			if testing.Short() && (tc.name == "grayfail" || strings.HasPrefix(tc.name, "racksweep/")) {
 				t.Skip("one campaign is the detector's share; the rest run in the non-race tier")
@@ -80,6 +93,9 @@ func TestReportDigests(t *testing.T) {
 			checkClaims(t, r, tc.scale)
 			if got := reportDigest(r); got != tc.want {
 				t.Errorf("%s report digest at scale %v = %s, want %s", tc.name, tc.scale, got, tc.want)
+			}
+			if counted {
+				checkCounts(t, want, countLine(tc.name, r))
 			}
 		})
 	}

@@ -14,6 +14,10 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
+
+	"oasis"
+	"oasis/internal/sim"
 )
 
 // Report is one experiment's outcome.
@@ -23,6 +27,15 @@ type Report struct {
 	Lines []string
 	// Values carries machine-readable results keyed by metric name.
 	Values map[string]float64
+
+	// The exact costs of the runs behind the report, outside Values and
+	// String so that no digest moves with them: every engine's Counters
+	// summed, and the barrier-loop counters of its partitioned cluster, if
+	// it ran one. parRun's workers add to them concurrently (mu); a sum does
+	// not depend on the order.
+	mu    sync.Mutex
+	ctr   sim.Counters
+	group sim.GroupCounters
 }
 
 func newReport(id, title string) *Report {
@@ -31,6 +44,25 @@ func newReport(id, title string) *Report {
 
 func (r *Report) addf(format string, args ...any) {
 	r.Lines = append(r.Lines, fmt.Sprintf(format, args...))
+}
+
+// count adds an engine's costs to the report's. Each helper that builds an
+// engine calls it once, right after the engine's run.
+func (r *Report) count(eng *sim.Engine) { r.add(eng.Counters(), sim.GroupCounters{}) }
+
+// countCluster adds a cluster's costs: its engines' and its barrier loop's.
+func (r *Report) countCluster(c *oasis.Cluster) { r.add(c.Counters()) }
+
+func (r *Report) add(ctr sim.Counters, group sim.GroupCounters) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ctr = r.ctr.Add(ctr)
+	if group != (sim.GroupCounters{}) {
+		if r.group != (sim.GroupCounters{}) {
+			panic("experiments: " + r.ID + " ran two partitioned clusters")
+		}
+		r.group = group
+	}
 }
 
 // String renders the report for the CLI.

@@ -32,8 +32,9 @@ func (t *timeQueue) pop(p *oasis.Proc) (oasis.Duration, bool) {
 
 // failoverPod builds the §5.3 topology: instance on host A, its NIC on
 // host B, a reserved backup NIC on host C, with the pod-wide allocator
-// orchestrating.
+// orchestrating. It runs once for a report.
 type failoverPod struct {
+	r      *Report
 	pod    *oasis.Pod
 	inst   *oasis.Instance
 	nic    *oasis.NIC
@@ -41,7 +42,7 @@ type failoverPod struct {
 	client *oasis.Client
 }
 
-func buildFailoverPod() *failoverPod {
+func buildFailoverPod(r *Report) *failoverPod {
 	cfg := oasis.DefaultConfig()
 	// Failover timing is millisecond-scale; generous idle backoff keeps the
 	// 10-second virtual runs fast without touching the result.
@@ -50,7 +51,7 @@ func buildFailoverPod() *failoverPod {
 	hostA := pod.AddHost()
 	hostB := pod.AddHost()
 	hostC := pod.AddHost()
-	f := &failoverPod{pod: pod}
+	f := &failoverPod{r: r, pod: pod}
 	f.nic = pod.AddNIC(hostB, false)
 	f.backup = pod.AddNIC(hostC, true)
 	f.inst = pod.AddInstance(hostA, serverIP)
@@ -58,6 +59,12 @@ func buildFailoverPod() *failoverPod {
 	pod.Start()
 	f.inst.RequestAllocation()
 	return f
+}
+
+// run runs the pod until d and adds its engine's costs to the report.
+func (f *failoverPod) run(d oasis.Duration) {
+	f.pod.Run(d)
+	f.r.count(f.pod.Eng)
 }
 
 // Fig13 reproduces Figure 13: packet loss during a NIC failure with a 10 s
@@ -69,7 +76,7 @@ func Fig13(scale float64) *Report {
 		span = time.Second
 	}
 	failAt := span / 2
-	f := buildFailoverPod()
+	f := buildFailoverPod(r)
 	f.pod.Go("echo-server", func(p *oasis.Proc) { instance.Echo(p, f.inst.Stack, 7) })
 	f.pod.Eng.At(failAt, func() { f.pod.FailNICPort(f.nic.ID) })
 
@@ -78,7 +85,7 @@ func Fig13(scale float64) *Report {
 		probes.run(p, f.client.Stack, serverIP, "probe-probe-probe", time.Millisecond, span)
 		f.pod.Shutdown()
 	})
-	f.pod.Run(span + time.Second)
+	f.run(span + time.Second)
 
 	sent, lost := probes.sent, len(probes.lost)
 	losses := metrics.NewSeries(10 * time.Millisecond) // Fig. 13a bins
@@ -119,7 +126,7 @@ func Fig14(scale float64) *Report {
 		span = 2 * time.Second
 	}
 	failAt := span / 2
-	f := buildFailoverPod()
+	f := buildFailoverPod(r)
 	app := memcachedApp()
 	app.serve(f.pod, f.inst.Stack, 11211) // the RR server is the memcached model
 	f.pod.Eng.At(failAt, func() { f.pod.FailNICPort(f.nic.ID) })
@@ -185,7 +192,7 @@ func Fig14(scale float64) *Report {
 			p.Sleep(500 * time.Millisecond) // drain stragglers
 		})
 	}
-	f.pod.Run(span + 2*time.Second)
+	f.run(span + 2*time.Second)
 
 	// Baseline P99 from the windows before the failure.
 	var pre metrics.Histogram

@@ -82,12 +82,9 @@ var claims = []claim{
 	{id: "fig12", scale: 0.25, name: "host 2 P99 unharmed by multiplexing (µs)", pred: rel("mux_h2_p99_us", "≤", 1, "base_h2_p99_us", 6), paper: "+1 µs at most", source: "Fig. 12", dev: 3},
 	{id: "fig12", scale: 0.25, name: "multiplexing doubles utilization", pred: rel("util_multiplexed", "≥", 1.8, "util_own_nics", 0), paper: "18 % → 37 %", source: "Fig. 12"},
 
-	{id: "fig13", scale: 0.1, name: "a failover happens", key: "failovers", band: atLeast(1), paper: "1", source: "Fig. 13"},
-	{id: "fig13", scale: 0.1, name: "interruption (ms)", key: "outage_ms", band: band{lo: 0, hi: 100, loOpen: true}, paper: "38", source: "Fig. 13, §5.3; DESIGN.md §4 nic.LinkDebounce"},
-	{id: "fig13", scale: 0.1, name: "probes lost in the outage", key: "lost", band: atLeast(1), paper: "loss for 38 ms", source: "Fig. 13"},
-	{id: "fig13", scale: 0.2, name: "one failover", key: "failovers", band: equal(1), paper: "1", source: "Fig. 13"},
-	{id: "fig13", scale: 0.2, name: "interruption (ms)", key: "outage_ms", band: closed(5, 120), paper: "38", source: "Fig. 13, §5.3; DESIGN.md §4 nic.LinkDebounce"},
-	{id: "fig13", scale: 0.2, name: "probes lost in the outage", key: "lost", band: atLeast(3), paper: "loss for 38 ms", source: "Fig. 13"},
+	{id: "fig13", scale: 0.1, name: "one failover", key: "failovers", band: equal(1), paper: "1", source: "Fig. 13"},
+	{id: "fig13", scale: 0.1, name: "interruption (ms)", key: "outage_ms", band: closed(5, 100), paper: "38", source: "Fig. 13, §5.3; DESIGN.md §4 nic.LinkDebounce"},
+	{id: "fig13", scale: 0.1, name: "probes lost in the outage", key: "lost", band: atLeast(3), paper: "loss for 38 ms", source: "Fig. 13"},
 
 	{id: "fig14", scale: 0.2, name: "memcached recovers (ms)", key: "recovery_ms", band: above(0), paper: "133", source: "Fig. 14"},
 	{id: "fig14", scale: 0.2, name: "recovery after TCP retransmission (ms)", key: "recovery_ms", band: closed(10, 400), paper: "133", source: "Fig. 14", dev: 6},
@@ -403,6 +400,8 @@ func TestClaimCheck(t *testing.T) {
 		t.Fatalf("no row %s@%v %q", id, scale, name)
 		return claim{}
 	}
+	// No row of the table has a half-open band; this one pins its edges.
+	openLow := claim{id: "fig13", scale: 0.1, name: "interruption (ms)", key: "outage_ms", band: band{lo: 0, hi: 100, loOpen: true}}
 	tests := []struct {
 		name   string
 		row    claim
@@ -413,8 +412,8 @@ func TestClaimCheck(t *testing.T) {
 		{"closed high edge", row("fig2", 0.5, "baseline NIC stranding"), map[string]float64{"base_nic": 0.35}, true},
 		{"past the high edge", row("fig2", 0.5, "baseline NIC stranding"), map[string]float64{"base_nic": math.Nextafter(0.35, 1)}, false},
 		{"past the low edge", row("fig2", 0.5, "baseline NIC stranding"), map[string]float64{"base_nic": math.Nextafter(0.20, 0)}, false},
-		{"open low edge refused", row("fig13", 0.1, "interruption (ms)"), map[string]float64{"outage_ms": 0}, false},
-		{"closed high edge of an open band", row("fig13", 0.1, "interruption (ms)"), map[string]float64{"outage_ms": 100}, true},
+		{"open low edge refused", openLow, map[string]float64{"outage_ms": 0}, false},
+		{"closed high edge of an open band", openLow, map[string]float64{"outage_ms": 100}, true},
 		{"open edge refused", row("fig14", 0.2, "memcached recovers (ms)"), map[string]float64{"recovery_ms": 0}, false},
 		{"just inside an open edge", row("fig14", 0.2, "memcached recovers (ms)"), map[string]float64{"recovery_ms": math.SmallestNonzeroFloat64}, true},
 		{"equality", row("tab1", 1, "SSD bandwidth (GB/s)"), map[string]float64{"ssd_gbps": 5}, true},

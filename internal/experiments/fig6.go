@@ -40,7 +40,7 @@ func rawChannel(eng *sim.Engine, pool *cxl.Pool, cfg msgchan.Config, txPort, rxP
 // saturates the sender (the throughput-ceiling measurement); otherwise the
 // sender paces open-loop at the offered rate and flushes partial lines
 // whenever it goes idle (§3.2.2).
-func runMsgChannel(design msgchan.Design, offeredMops float64, window sim.Duration) fig6Point {
+func runMsgChannel(r *Report, design msgchan.Design, offeredMops float64, window sim.Duration) fig6Point {
 	eng := sim.New()
 	pool := cxl.NewPool(eng, 1<<24, cxl.DefaultParams())
 	cfg := msgchan.DefaultConfig()
@@ -92,6 +92,7 @@ func runMsgChannel(design msgchan.Design, offeredMops float64, window sim.Durati
 		}
 	})
 	eng.RunUntil(window)
+	r.count(eng)
 	eng.Shutdown()
 	return fig6Point{
 		design:    design,
@@ -120,7 +121,7 @@ func Fig6(scale float64) *Report {
 	// Stage 1: saturation runs decide each design's load grid; stage 2 fans
 	// the surviving (design, load) points out. Assembly stays in grid order.
 	sats := parRun(len(designs), func(i int) fig6Point {
-		return runMsgChannel(designs[i], 0, window)
+		return runMsgChannel(r, designs[i], 0, window)
 	})
 	type loadJob struct {
 		design msgchan.Design
@@ -136,7 +137,7 @@ func Fig6(scale float64) *Report {
 		}
 	}
 	points := parRun(len(jobs), func(i int) fig6Point {
-		return runMsgChannel(jobs[i].design, jobs[i].load, window)
+		return runMsgChannel(r, jobs[i].design, jobs[i].load, window)
 	})
 	next := 0
 	for i, d := range designs {

@@ -48,7 +48,7 @@ func Grayfail(_ float64) *Report {
 	// visible in its error telemetry, and the witness that service continues
 	// across the NIC evacuation; the ledger proves the drive evacuation's
 	// mid-stream re-bind lost nothing.
-	c, err := runCampaign(campaignSpec{
+	c, err := runCampaign(r, campaignSpec{
 		name:        "gray",
 		span:        2200 * time.Millisecond,
 		health:      true, // the campaign exists to exercise the scorer

@@ -9,8 +9,8 @@ import (
 )
 
 // rrPoint measures one app × mode × concurrency cell.
-func rrPoint(mode Mode, app appModel, conc int, window time.Duration) (*metrics.Histogram, int) {
-	e := buildNetPod(mode)
+func rrPoint(r *Report, mode Mode, app appModel, conc int, window time.Duration) (*metrics.Histogram, int) {
+	e := buildNetPod(r, mode)
 	app.serve(e.pod, e.inst.Stack, 80)
 	var hist metrics.Histogram
 	n := e.runRRClients(80, app, conc, window/4, window, &hist)
@@ -41,7 +41,7 @@ func runRRComparison(r *Report, apps []appModel, scale float64) {
 		if i%2 == 1 {
 			mode = ModeOasis
 		}
-		h, n := rrPoint(mode, app, conc, window)
+		h, n := rrPoint(r, mode, app, conc, window)
 		return rrCell{h, n}
 	})
 	for ai, app := range apps {
@@ -85,8 +85,8 @@ func Fig9(scale float64) *Report {
 }
 
 // udpEchoPoint measures one UDP echo cell.
-func udpEchoPoint(mode Mode, payload int, rate float64, window time.Duration) *metrics.Histogram {
-	e := buildNetPod(mode)
+func udpEchoPoint(r *Report, mode Mode, payload int, rate float64, window time.Duration) *metrics.Histogram {
+	e := buildNetPod(r, mode)
 	e.startUDPEcho(7)
 	var hist metrics.Histogram
 	e.udpEchoLoad(payload, rate, window/4, window, &hist)
@@ -113,7 +113,7 @@ func Fig10(scale float64) *Report {
 		if i%2 == 1 {
 			mode = ModeOasis
 		}
-		return udpEchoPoint(mode, udpPayload(size), rate, window)
+		return udpEchoPoint(r, mode, udpPayload(size), rate, window)
 	})
 	for si, size := range sizes {
 		for ri, rate := range rates {
@@ -149,7 +149,7 @@ func Fig11(scale float64) *Report {
 	r.addf("%-22s %6s | %9s %9s %9s", "config", "size", "p50", "p90", "p99")
 	var p50s [3]time.Duration
 	hists := parRun(len(sizes)*len(modes), func(i int) *metrics.Histogram {
-		return udpEchoPoint(modes[i%len(modes)], udpPayload(sizes[i/len(modes)]), rate, window)
+		return udpEchoPoint(r, modes[i%len(modes)], udpPayload(sizes[i/len(modes)]), rate, window)
 	})
 	for si, size := range sizes {
 		for i, mode := range modes {
@@ -195,11 +195,11 @@ func Table3(scale float64) *Report {
 	for _, row := range rows {
 		var e *netPod
 		if row.rate > 0 {
-			e = buildNetPod(ModeOasis)
+			e = buildNetPod(r, ModeOasis)
 		} else {
 			// Idle row: disable the idle-poll backoff so the busy-polling
 			// CXL traffic is measured faithfully (§3.2.2, Table 3).
-			e = buildNetPodCfg(ModeOasis, func(cfg *oasis.Config) {
+			e = buildNetPodCfg(r, ModeOasis, func(cfg *oasis.Config) {
 				cfg.Engine.IdleBackoff = 0
 			})
 		}
@@ -221,7 +221,7 @@ func Table3(scale float64) *Report {
 		} else {
 			snapshotAll()
 			e.pod.Eng.At(window, func() { e.pod.Shutdown() })
-			e.pod.Run(window + time.Millisecond)
+			e.run(window + time.Millisecond)
 		}
 		var payload, message float64
 		for _, port := range e.pod.Pool.Ports() {

@@ -13,10 +13,12 @@ func withProcs[T any](n int, fn func() T) T {
 }
 
 // TestParallelMatchesSerial asserts the determinism contract of the parallel
-// runner: any GOMAXPROCS yields byte-identical reports. Each run owns a
-// private engine and results merge in index order, so the thread count must
-// be invisible in the output. Run with -race, this also exercises the
-// fan-out under the detector (see the race gate in scripts/verify.sh).
+// runner: any GOMAXPROCS yields byte-identical reports and the same exact
+// costs. Each run owns a private engine and results merge in index order, so
+// the thread count must be invisible in the output; the workers add their
+// engines' counters to the report in whatever order they finish, and a sum
+// does not depend on it. Run with -race, this also exercises the fan-out
+// under the detector (see the race gate in scripts/verify.sh).
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, id := range []string{"fig2", "abl-counter"} {
 		run, ok := Lookup(id)
@@ -32,6 +34,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(serial.Values, parallel.Values) {
 			t.Errorf("%s: parallel values differ from serial: %v vs %v",
 				id, serial.Values, parallel.Values)
+		}
+		// fig2 runs no engine; abl-counter fans four out, so its counts
+		// are a sum over the workers.
+		if s, p := countLine(id, serial), countLine(id, parallel); s != p || id == "abl-counter" && serial.ctr.Events == 0 {
+			t.Errorf("parallel counts differ from serial, or none were counted:\n%s\n%s", s, p)
 		}
 	}
 }

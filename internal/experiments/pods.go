@@ -37,8 +37,10 @@ func (m Mode) String() string {
 	}
 }
 
-// netPod is the standard single-instance evaluation topology.
+// netPod is the standard single-instance evaluation topology, run once for
+// a report.
 type netPod struct {
+	r      *Report
 	pod    *oasis.Pod
 	inst   *oasis.Instance
 	nic    *oasis.NIC
@@ -51,11 +53,11 @@ var (
 )
 
 // buildNetPod assembles the §5.1 topology for a mode.
-func buildNetPod(mode Mode) *netPod { return buildNetPodCfg(mode, nil) }
+func buildNetPod(r *Report, mode Mode) *netPod { return buildNetPodCfg(r, mode, nil) }
 
 // buildNetPodCfg is buildNetPod with a config hook (e.g. Table 3 disables
 // the idle-poll backoff for a faithful idle-bandwidth measurement).
-func buildNetPodCfg(mode Mode, mutate func(*oasis.Config)) *netPod {
+func buildNetPodCfg(r *Report, mode Mode, mutate func(*oasis.Config)) *netPod {
 	cfg := oasis.DefaultConfig()
 	cfg.NoAllocator = true
 	switch mode {
@@ -74,7 +76,7 @@ func buildNetPodCfg(mode Mode, mutate func(*oasis.Config)) *netPod {
 		mutate(&cfg)
 	}
 	pod := oasis.NewPod(cfg)
-	e := &netPod{pod: pod}
+	e := &netPod{r: r, pod: pod}
 	hostA := pod.AddHost()
 	if mode == ModeOasis {
 		nicHost := pod.AddHost()
@@ -91,6 +93,12 @@ func buildNetPodCfg(mode Mode, mutate func(*oasis.Config)) *netPod {
 		e.inst.Assign(e.nic.ID, 0)
 	}
 	return e
+}
+
+// run runs the pod until d and adds its engine's costs to the report.
+func (e *netPod) run(d oasis.Duration) {
+	e.pod.Run(d)
+	e.r.count(e.pod.Eng)
 }
 
 // startUDPEcho runs the echo server app on the instance.
@@ -134,7 +142,7 @@ func (e *netPod) udpEchoLoad(payload int, rate float64, warmup, window oasis.Dur
 		}
 		e.pod.Shutdown()
 	})
-	e.pod.Run(time.Minute)
+	e.run(time.Minute)
 	return sent, recv
 }
 
@@ -184,7 +192,7 @@ func (e *netPod) udpStreamLoad(payload int, rate float64, window oasis.Duration)
 		}
 		e.pod.Shutdown()
 	})
-	e.pod.Run(time.Minute)
+	e.run(time.Minute)
 	return sent, recv
 }
 
@@ -256,6 +264,6 @@ func (e *netPod) runRRClients(port uint16, app appModel, conc int, warmup, windo
 			}
 		})
 	}
-	e.pod.Run(time.Minute)
+	e.run(time.Minute)
 	return done
 }

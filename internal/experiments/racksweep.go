@@ -139,6 +139,7 @@ func racksweepSim(r *Report, scale float64, partitioned bool) {
 		final = perPod()
 	})
 	c.Run(deadline)
+	r.countCluster(c)
 	c.Shutdown()
 
 	spread := func(v []int) int {

@@ -22,8 +22,8 @@ func Fig12(scale float64) *Report {
 	}
 	traces := trace.RackA(span)[:2]
 
-	baseH1, baseH2 := replayRun(traces, false)
-	muxH1, muxH2 := replayRun(traces, true)
+	baseH1, baseH2 := replayRun(r, traces, false)
+	muxH1, muxH2 := replayRun(r, traces, true)
 
 	r.addf("%-26s %10s %10s %10s", "setup", "p50", "p99", "count")
 	rows := []struct {
@@ -61,7 +61,7 @@ func Fig12(scale float64) *Report {
 // replayRun replays the traces as UDP echo traffic to two instances. With
 // multiplex, both instances are served by the NIC on host 1's serving
 // host; otherwise each gets its own NIC.
-func replayRun(traces []*trace.PacketTrace, multiplex bool) (*metrics.Histogram, *metrics.Histogram) {
+func replayRun(r *Report, traces []*trace.PacketTrace, multiplex bool) (*metrics.Histogram, *metrics.Histogram) {
 	cfg := oasis.DefaultConfig()
 	cfg.NoAllocator = true
 	pod := oasis.NewPod(cfg)
@@ -144,5 +144,6 @@ func replayRun(traces []*trace.PacketTrace, multiplex bool) (*metrics.Histogram,
 	replay(client1, traces[0], inst1.IPAddr(), h1)
 	replay(client2, traces[1], inst2.IPAddr(), h2)
 	pod.Run(10 * time.Minute)
+	r.count(pod.Eng)
 	return h1, h2
 }

@@ -151,7 +151,10 @@ func (e *Engine) Now() Duration { return e.now }
 // Counters are exact costs of a run: they depend only on the simulation, not
 // on the machine or the Go scheduler, so two versions of the simulator can be
 // compared by them where seconds are too noisy. They are plain fields, not
-// obs instruments — reading them never perturbs a snapshot.
+// obs instruments — reading them never perturbs a snapshot. The goldens are
+// testdata/counts.txt at the repository root (busy, idle and partitioned
+// pods) and internal/experiments/testdata/counts.txt (one line per pinned
+// report): a perf change's verdict is their diff.
 type Counters struct {
 	Events      uint64 // events the loop dispatched: callbacks, timers, process wakes
 	Switches    uint64 // wakes that resumed a process other than the one driving
@@ -162,6 +165,18 @@ type Counters struct {
 
 // Counters returns the engine's cost counters since it was created.
 func (e *Engine) Counters() Counters { return e.ctr }
+
+// Add returns c and d summed field by field: the costs of two runs, or of
+// the engines of one.
+func (c Counters) Add(d Counters) Counters {
+	return Counters{
+		Events:      c.Events + d.Events,
+		Switches:    c.Switches + d.Switches,
+		FastSleeps:  c.FastSleeps + d.FastSleeps,
+		SteppedLegs: c.SteppedLegs + d.SteppedLegs,
+		HeapEvents:  c.HeapEvents + d.HeapEvents,
+	}
+}
 
 // Seq returns how many events have been scheduled so far: the sequence number
 // of the latest one. With Now it is the engine's position in the (time,

@@ -136,6 +136,14 @@ gate "a hand-written shape test" "$(grep -rn --include='*.go' 'TestFig2Shapes\|T
 gate "a campaign invariant map beside the claims table" "$(grep -rn --include='*.go' 'campaignInvariants' . || true)"
 gate "a runner clamping its scale" "$(grep -rn --include='*.go' 'clampScale' . || true)"
 
+# Exact counts are goldens: every count a test pins is a row of one
+# testdata/counts.txt per package — the root's busy, idle and partitioned
+# scenarios, internal/experiments' one line per report digest row — compared
+# by one helper per package. The hand-written count structs and constants it
+# replaced stay gone.
+echo "== exact counts are goldens (grep gate) =="
+gate "a hand-written count struct or constant in a test" "$(grep -rn --include='*_test.go' 'busyPodCounts\|idlePodEvents\|idlePodFastSleeps\|wantEvents' . || true)"
+
 echo "== go build ./... =="
 go build ./...
 
@@ -145,16 +153,16 @@ go vet ./...
 echo "== go test ./... =="
 go test -timeout 10m ./...
 
-# Exact counts, asserted by the tests and printed here: host bytes
-# allocated by an idle default-config duplex link and by building + starting
-# the benchmark's 128-host rack, and the engine counters of the three busy
-# pods (an echo pair, pooled and on the local baseline, and a block mix) whose
-# events every simulator-speed change must leave where they are, with the
-# process switches each request costs.
-echo "== host bytes allocated (idle link, rack setup), busy-pod counters =="
+# Exact counts: host bytes allocated by an idle default-config duplex link
+# and by building + starting the benchmark's 128-host rack, asserted by the
+# tests and printed here; and the root package's count scenarios (busy, idle
+# and partitioned pods) against testdata/counts.txt again at one thread —
+# the golden the default-GOMAXPROCS run above checked, so their
+# independence of the thread count is asserted, not assumed.
+echo "== host bytes allocated (idle link, rack setup); exact counts at GOMAXPROCS=1 =="
 go test -count=1 -run 'TestIdleLinkBytes' -v ./internal/core | grep ' B allocated'
 go test -count=1 -run 'TestRackSetupBytes' -v . | grep ' B allocated'
-go test -count=1 -run 'TestBusyPodExactCounts' -v . | grep 'counters {\|per request'
+GOMAXPROCS=1 go test -count=1 -run 'ExactCounts' .
 
 # The slow self-checks over the packages every simulated cycle goes through;
 # they take seconds. In sim, cache, msgchan and core that is the
@@ -166,15 +174,17 @@ go test -count=1 -run 'TestBusyPodExactCounts' -v . | grep 'counters {\|per requ
 # nothing, take no leg or time and schedule nothing — so a predicate that
 # drifts from its work fails here instead of moving a digest. The NIC's
 # pipeline and the stacks are chains that await their queues; the busy pods'
-# counters (all but Switches) and the wiring digests must hold under the
-# guard too. Under the guard the buffer pool also scribbles every buffer it
+# rows of testdata/counts.txt (all but switches) and the wiring digests must
+# hold under the guard too. Under the guard the buffer pool also scribbles every buffer it
 # takes back, so a frame read after the switch released it (netsw, nic,
 # netstack, the echo tests' byte-for-byte check) or a staging buffer read
 # after ssd put it back fails. The pool scribbles too: a freed I/O buffer's
 # whole pages are poisoned in place instead of released, so any result that
 # read a buffer after its free moves a digest. Every report digest runs
-# under the guard as well (~25 s on 2 vCPUs): only the experiments reach
-# failover, migration and blackout, where a buffer is freed early.
+# under the guard as well (~30 s on 2 vCPUs), with its row of
+# internal/experiments/testdata/counts.txt bar switches: only the
+# experiments reach failover, migration and blackout, where a buffer is
+# freed early.
 echo "== OASIS_SIMCHECK=1 go test (sim, cache, msgchan, core, netengine, storengine, allocator, nic, netstack, netsw, ssd, obs; busy pods, echo, wiring, clusters; report digests) =="
 OASIS_SIMCHECK=1 go test -count=1 ./internal/sim ./internal/cache ./internal/msgchan ./internal/core \
     ./internal/netengine ./internal/storengine ./internal/allocator ./internal/nic ./internal/netstack \
