@@ -1,6 +1,6 @@
 // Package allocator implements Oasis's pod-wide allocator (§3.5): the
 // logically-centralized control plane that maps PCIe devices to instances,
-// ingests 100 ms telemetry from backend drivers, places new instances
+// ingests periodic telemetry from backend drivers, places new instances
 // (host-local first, then least-loaded), and orchestrates NIC failover and
 // graceful migration. It is never on the data path.
 //
@@ -39,10 +39,10 @@ import (
 
 // Config tunes the allocator.
 type Config struct {
-	// LeaseTimeout is how long a device may go silent (no telemetry) before
-	// its host is presumed dead: a NIC's instances are failed over, an SSD
-	// is marked down.
-	LeaseTimeout sim.Duration
+	// TelemetryEvery is the pod's telemetry period: every backend reports
+	// on it, and a device silent for leaseWindows periods is presumed dead
+	// (a NIC's instances are failed over, an SSD is marked down).
+	TelemetryEvery sim.Duration
 
 	// Rebalance enables the §6 "load balancing policies" extension: when a
 	// NIC's telemetry-reported load exceeds RebalanceHigh (fraction of
@@ -89,11 +89,17 @@ const (
 	healthLatFloorUs = 400
 )
 
+// leaseWindows is how many telemetry records a device may miss before its
+// lease expires.
+const leaseWindows = 3
+
+func (c Config) lease() sim.Duration { return leaseWindows * c.TelemetryEvery }
+
 // DefaultConfig returns production-flavoured defaults (§3.5: telemetry
-// every 100 ms; three missed records expire the lease).
+// every 100 ms, so a 300 ms lease).
 func DefaultConfig() Config {
 	return Config{
-		LeaseTimeout:   300 * time.Millisecond,
+		TelemetryEvery: 100 * time.Millisecond,
 		RebalanceHigh:  0.80,
 		RebalanceLow:   0.50,
 		RebalanceEvery: 500 * time.Millisecond,
@@ -108,13 +114,6 @@ const (
 	idleCap  = 20 * time.Microsecond
 	burst    = 32
 )
-
-// telemetryWindow is the window the allocator assumes a telemetry record's
-// byte count covers when it converts it to bytes/s. It is the §3.5 default,
-// not the backend's configured TelemetryEvery: a deployment that reports
-// faster (chaos and grayfail run 40 ms windows) has its load under-reported
-// by the ratio (see DESIGN.md §9).
-const telemetryWindow = 100 * time.Millisecond
 
 // DeviceInfo describes one pooled device to the allocator.
 type DeviceInfo struct {
@@ -406,7 +405,7 @@ func (a *Allocator) deferRetry(attempt int, fn func(p *sim.Proc, attempt int)) {
 // having been on the air.
 func (a *Allocator) commandsIdle() bool {
 	now := a.h.Eng.Now()
-	if !a.timersInit || a.cmds.Len() > 0 || (a.lastPoll > 0 && now-a.lastPoll > a.cfg.LeaseTimeout) {
+	if !a.timersInit || a.cmds.Len() > 0 || (a.lastPoll > 0 && now-a.lastPoll > a.cfg.lease()) {
 		return false
 	}
 	a.lastPoll = now
@@ -416,7 +415,7 @@ func (a *Allocator) commandsIdle() bool {
 func (a *Allocator) runCommands(p *sim.Proc) int {
 	if !a.timersInit {
 		a.timersInit = true
-		a.nextLease = p.Now() + a.cfg.LeaseTimeout
+		a.nextLease = p.Now() + a.cfg.lease()
 		a.nextRebal = p.Now() + a.cfg.RebalanceEvery
 	}
 	// Lease reconstruction (§3.5 applied to allocator recovery): if the
@@ -424,13 +423,13 @@ func (a *Allocator) runCommands(p *sim.Proc) int {
 	// leader re-election), every device's lastSeen is stale through no fault
 	// of the device. Grant a one-window grace instead of mass-expiring the
 	// pod; the next telemetry window rebuilds true liveness.
-	if a.lastPoll > 0 && p.Now()-a.lastPoll > a.cfg.LeaseTimeout {
+	if a.lastPoll > 0 && p.Now()-a.lastPoll > a.cfg.lease() {
 		for _, d := range a.devices() {
 			if d.lastSeen > 0 {
 				d.lastSeen = p.Now()
 			}
 		}
-		a.nextLease = p.Now() + a.cfg.LeaseTimeout
+		a.nextLease = p.Now() + a.cfg.lease()
 		a.LeaseReconstructions++
 		a.events.Emit(p.Now(), "alloc", fmt.Sprintf("lease state reconstructed after %v gap", p.Now()-a.lastPoll))
 	}
@@ -459,7 +458,7 @@ func (a *Allocator) windowsIdle() bool {
 
 func (a *Allocator) windowsAndFlush(p *sim.Proc) int {
 	if p.Now() >= a.nextLease {
-		a.nextLease = p.Now() + a.cfg.LeaseTimeout/4
+		a.nextLease = p.Now() + a.cfg.lease()/4
 		a.checkLeases(p)
 	}
 	if a.cfg.Rebalance && p.Now() >= a.nextRebal {
@@ -488,7 +487,7 @@ func (a *Allocator) ingest(p *sim.Proc, l *core.Link, payload []byte) {
 	switch m.Op {
 	case core.CtlTelemetry:
 		d.lastSeen = p.Now()
-		d.LoadBps = float64(m.Load) * float64(time.Second) / float64(telemetryWindow)
+		d.LoadBps = float64(m.Load) * float64(time.Second) / float64(a.cfg.TelemetryEvery)
 		d.QueueDepth = m.QueueDepth
 		d.health = healthSlot(d.Kind, m)
 		wasUp := d.Up
@@ -638,15 +637,8 @@ func (a *Allocator) evacuateNICAttempt(p *sim.Proc, suspect uint16, attempt int)
 	}
 	a.HealthNICEvacs++
 	a.events.Emit(p.Now(), "alloc", fmt.Sprintf("health evacuation nic%d -> nic%d", suspect, target))
-	var ips []netstack.IP
-	for ip, st := range a.insts {
-		if st.primary == suspect {
-			ips = append(ips, ip)
-		}
-	}
-	sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
-	for _, ip := range ips {
-		a.migrateAttempt(p, ip, target, 0)
+	for _, st := range a.instsOn(suspect) {
+		a.migrateAttempt(p, st.ip, target, 0)
 	}
 }
 
@@ -733,6 +725,20 @@ func (a *Allocator) placeAttempt(p *sim.Proc, hostID int, ip netstack.IP, attemp
 	a.events.Emit(p.Now(), "alloc", fmt.Sprintf("placement ip=%v nic=%d backup=%d", ip, pick.ID, backup))
 }
 
+// instsOn returns the instances whose primary is nic, lowest IP first: every
+// walk over a NIC's instances goes in this order, so a tie goes to the lowest
+// IP and a run does not depend on map order.
+func (a *Allocator) instsOn(nic uint16) []*instState {
+	var on []*instState
+	for _, st := range a.insts {
+		if st.primary == nic {
+			on = append(on, st)
+		}
+	}
+	sort.Slice(on, func(i, j int) bool { return on[i].ip < on[j].ip })
+	return on
+}
+
 // leastLoaded returns the NIC with the lowest accounted demand among the up,
 // non-backup NICs that ok accepts (the first registered wins a tie), or nil.
 func (a *Allocator) leastLoaded(ok func(ns *device) bool) *device {
@@ -773,11 +779,9 @@ func (a *Allocator) failNICAttempt(p *sim.Proc, failed uint16, attempt int) {
 	a.send(p, a.nics, uint32(backup), core.ControlMsg{Op: core.CtlBorrowMAC, Kind: core.DeviceNIC, Dev: failed})
 	a.broadcast(p, a.frontends, core.ControlMsg{Op: core.CtlFailover, Kind: core.DeviceNIC, Dev: failed, Aux: backup})
 	var moved float64
-	for _, st := range a.insts {
-		if st.primary == failed {
-			st.primary = backup
-			moved += st.demand
-		}
+	for _, st := range a.instsOn(failed) {
+		st.primary = backup
+		moved += st.demand
 	}
 	a.shiftDemand(failed, backup, moved)
 }
@@ -850,8 +854,8 @@ func (a *Allocator) rebalance(p *sim.Proc) {
 	}
 	// Move the largest-demand instance on the hot NIC.
 	var victim *instState
-	for _, st := range a.insts {
-		if st.primary == hot.ID && (victim == nil || st.demand > victim.demand) {
+	for _, st := range a.instsOn(hot.ID) {
+		if victim == nil || st.demand > victim.demand {
 			victim = st
 		}
 	}
@@ -879,7 +883,7 @@ func (a *Allocator) checkLeases(p *sim.Proc) {
 		if !d.Up || !leaseTracked(d) || d.lastSeen == 0 {
 			continue // down already, exempt, or never reported yet (startup grace)
 		}
-		if p.Now()-d.lastSeen > a.cfg.LeaseTimeout {
+		if p.Now()-d.lastSeen > a.cfg.lease() {
 			d.Up = false
 			if d.Kind == core.DeviceSSD {
 				a.SSDLeaseExpiries++

@@ -30,6 +30,12 @@ type allocRig struct {
 // frontend link for each other host) and the given NICs (Kind is filled in).
 func newAllocRig(t *testing.T, nHosts int, nics []DeviceInfo) *allocRig {
 	t.Helper()
+	return newAllocRigWith(t, DefaultConfig(), nHosts, nics)
+}
+
+// newAllocRigWith is newAllocRig with the allocator configured by cfg.
+func newAllocRigWith(t *testing.T, cfg Config, nHosts int, nics []DeviceInfo) *allocRig {
+	t.Helper()
 	eng := sim.New()
 	pool := cxl.NewPool(eng, 1<<27, cxl.DefaultParams())
 	r := &allocRig{
@@ -42,7 +48,7 @@ func newAllocRig(t *testing.T, nHosts int, nics []DeviceInfo) *allocRig {
 	for i := 0; i < nHosts; i++ {
 		r.hosts = append(r.hosts, host.New(eng, i, "h", pool, host.DefaultConfig()))
 	}
-	r.a = New(r.hosts[0], DefaultConfig())
+	r.a = New(r.hosts[0], cfg)
 	for i := 1; i < nHosts; i++ {
 		aEnd, feEnd, err := core.NewDuplexLink(pool, r.hosts[0], r.hosts[i], msgchan.DefaultConfig())
 		if err != nil {
@@ -236,66 +242,100 @@ var kindRows = []struct {
 	{core.DeviceSSD, func(m core.ControlMsg, v uint16) core.ControlMsg { m.AER = v; return m }},
 }
 
+// periodRows is one row per telemetry period: the §3.5 default and the
+// campaigns' compressed 40 ms.
+var periodRows = []sim.Duration{100 * time.Millisecond, 40 * time.Millisecond}
+
 func TestLeaseExpiryFailsSilentHost(t *testing.T) {
 	// A device whose telemetry goes silent is marked failed whatever its
-	// kind. What the expiry sets off is the kind's policy: a NIC's instances
-	// fail over to the backup NIC; a drive's volumes re-bind or — here, with
-	// no backup drive — are declared lost, which is never a NIC failover.
+	// kind, once it has missed three periods' records. What the expiry sets
+	// off is the kind's policy: a NIC's instances fail over to the backup
+	// NIC; a drive's volumes re-bind or — here, with no backup drive — are
+	// declared lost, which is never a NIC failover.
 	for _, row := range kindRows {
 		t.Run(row.kind.String(), func(t *testing.T) {
-			r := newAllocRig(t, 3, []DeviceInfo{
-				{ID: 1, HostID: 1, CapacityBps: 12.5e9},
-				{ID: 2, HostID: 2, CapacityBps: 12.5e9, Backup: true},
-			})
-			r.addDevice(t, DeviceInfo{Kind: core.DeviceSSD, ID: 1, HostID: 1})
-			r.eng.Go("driver", func(p *sim.Proc) {
-				// One telemetry record establishes the lease...
-				sendCtl(p, r.backends(row.kind)[1], core.ControlMsg{Op: core.CtlTelemetry, Kind: row.kind, Dev: 1, Load: 100, LinkUp: true})
-				// ...then silence for longer than the lease timeout.
-				p.Sleep(DefaultConfig().LeaseTimeout + 200*time.Millisecond)
-				m, ok := expectMsg(p, r.fe[1], 100*time.Millisecond)
-				if nic := row.kind == core.DeviceNIC; ok != nic || (nic && m.Op != core.CtlFailover) {
-					t.Errorf("frontend command after %v lease expiry: %+v ok=%v, want a failover iff NIC", row.kind, m, ok)
-				}
-				r.eng.Shutdown()
-			})
-			r.eng.Run()
-			if r.a.View(row.kind, 1).Up {
-				t.Fatalf("silent %v still marked up", row.kind)
-			}
-			want := map[core.DeviceKind][3]int64{core.DeviceNIC: {1, 0, 1}, core.DeviceSSD: {0, 1, 0}}[row.kind]
-			if got := [3]int64{r.a.LeaseExpiries, r.a.SSDLeaseExpiries, r.a.Failovers}; got != want {
-				t.Fatalf("NIC lease expiries, SSD lease expiries, NIC failovers = %v, want %v", got, want)
+			for _, every := range periodRows {
+				t.Run(every.String(), func(t *testing.T) { leaseExpiryRun(t, row.kind, every) })
 			}
 		})
 	}
 }
 
+// leaseExpiryRun is one row of TestLeaseExpiryFailsSilentHost: a device of
+// kind reporting every period falls silent.
+func leaseExpiryRun(t *testing.T, kind core.DeviceKind, every sim.Duration) {
+	cfg := DefaultConfig()
+	cfg.TelemetryEvery = every
+	lease := 3 * every
+	r := newAllocRigWith(t, cfg, 3, []DeviceInfo{
+		{ID: 1, HostID: 1, CapacityBps: 12.5e9},
+		{ID: 2, HostID: 2, CapacityBps: 12.5e9, Backup: true},
+	})
+	r.addDevice(t, DeviceInfo{Kind: core.DeviceSSD, ID: 1, HostID: 1})
+	r.eng.Go("driver", func(p *sim.Proc) {
+		// The lease sweep runs every lease/4 from lease after the first
+		// poll. One telemetry record sent 5 ms before the first quarter
+		// establishes the lease, so the sweep at lease+lease/4 finds it 5 ms
+		// past expiry...
+		p.Sleep(lease/4 - 5*time.Millisecond)
+		sendCtl(p, r.backends(kind)[1], core.ControlMsg{Op: core.CtlTelemetry, Kind: kind, Dev: 1, Load: 100, LinkUp: true})
+		// ...then silence: still up 10 ms short of the lease, expired 10 ms
+		// past it.
+		p.Sleep(lease - 10*time.Millisecond)
+		if !r.a.View(kind, 1).Up {
+			t.Errorf("%v down after %v of silence, inside its %v lease", kind, lease-10*time.Millisecond, lease)
+		}
+		p.Sleep(20 * time.Millisecond)
+		if r.a.View(kind, 1).Up {
+			t.Errorf("%v still up after %v of silence, past its %v lease", kind, lease+10*time.Millisecond, lease)
+		}
+		m, ok := expectMsg(p, r.fe[1], 100*time.Millisecond)
+		if nic := kind == core.DeviceNIC; ok != nic || (nic && m.Op != core.CtlFailover) {
+			t.Errorf("frontend command after %v lease expiry: %+v ok=%v, want a failover iff NIC", kind, m, ok)
+		}
+		r.eng.Shutdown()
+	})
+	r.eng.Run()
+	want := map[core.DeviceKind][3]int64{core.DeviceNIC: {1, 0, 1}, core.DeviceSSD: {0, 1, 0}}[kind]
+	if got := [3]int64{r.a.LeaseExpiries, r.a.SSDLeaseExpiries, r.a.Failovers}; got != want {
+		t.Fatalf("NIC lease expiries, SSD lease expiries, NIC failovers = %v, want %v", got, want)
+	}
+}
+
 func TestTelemetryUpdatesLoadView(t *testing.T) {
 	// A backend's load record flows through the one control path and lands in
-	// the allocator's per-device view, for a NIC and a drive alike.
+	// the allocator's per-device view, for a NIC and a drive alike, as the
+	// record's bytes over the configured period: 500 MB per 100 ms is 5 GB/s,
+	// per 40 ms 12.5 GB/s.
+	bps := map[sim.Duration]float64{100 * time.Millisecond: 5e9, 40 * time.Millisecond: 12.5e9}
 	for _, row := range kindRows {
 		t.Run(row.kind.String(), func(t *testing.T) {
-			r := newAllocRig(t, 2, []DeviceInfo{{ID: 1, HostID: 1, CapacityBps: 12.5e9}})
-			r.addDevice(t, DeviceInfo{Kind: core.DeviceSSD, ID: 1, HostID: 1})
-			r.eng.Go("driver", func(p *sim.Proc) {
-				sendCtl(p, r.backends(row.kind)[1], core.ControlMsg{
-					Op: core.CtlTelemetry, Kind: row.kind, Dev: 1,
-					Load: 500_000_000, LinkUp: true, QueueDepth: 7,
+			for _, every := range periodRows {
+				t.Run(every.String(), func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.TelemetryEvery = every
+					r := newAllocRigWith(t, cfg, 2, []DeviceInfo{{ID: 1, HostID: 1, CapacityBps: 12.5e9}})
+					r.addDevice(t, DeviceInfo{Kind: core.DeviceSSD, ID: 1, HostID: 1})
+					r.eng.Go("driver", func(p *sim.Proc) {
+						sendCtl(p, r.backends(row.kind)[1], core.ControlMsg{
+							Op: core.CtlTelemetry, Kind: row.kind, Dev: 1,
+							Load: 500_000_000, LinkUp: true, QueueDepth: 7,
+						})
+						p.Sleep(5 * time.Millisecond)
+						r.eng.Shutdown()
+					})
+					r.eng.Run()
+					v := r.a.View(row.kind, 1)
+					if v.LoadBps != bps[every] {
+						t.Fatalf("telemetry-derived load = %v, want %v", v.LoadBps, bps[every])
+					}
+					if !v.Up {
+						t.Fatal("healthy device marked down")
+					}
+					if v.QueueDepth != 7 {
+						t.Fatalf("queue depth = %d, want 7", v.QueueDepth)
+					}
 				})
-				p.Sleep(5 * time.Millisecond)
-				r.eng.Shutdown()
-			})
-			r.eng.Run()
-			// 500 MB per 100 ms window = 5 GB/s.
-			if got := r.a.View(row.kind, 1).LoadBps; got < 4.9e9 || got > 5.1e9 {
-				t.Fatalf("telemetry-derived load = %v, want ≈ 5e9", got)
-			}
-			if !r.a.View(row.kind, 1).Up {
-				t.Fatal("healthy device marked down")
-			}
-			if got := r.a.View(row.kind, 1).QueueDepth; got != 7 {
-				t.Fatalf("queue depth = %d, want 7", got)
 			}
 		})
 	}
@@ -397,6 +437,40 @@ func TestRebalanceMovesInstanceOffHotNIC(t *testing.T) {
 	}
 	if got, _ := r.a.PrimaryOf(ip); got != 2 {
 		t.Fatalf("instance still on NIC %d", got)
+	}
+}
+
+func TestRebalanceTieGoesToLowestIP(t *testing.T) {
+	// Four equal-demand instances on the hot NIC: the victim is the lowest
+	// IP, on every fresh rig, whatever order they were placed in or the
+	// instance map iterates in.
+	ips := []netstack.IP{netstack.IPv4(10, 0, 0, 13), netstack.IPv4(10, 0, 0, 11), netstack.IPv4(10, 0, 0, 10), netstack.IPv4(10, 0, 0, 12)}
+	for run := 0; run < 10; run++ {
+		r := newAllocRig(t, 3, []DeviceInfo{
+			{ID: 1, HostID: 1, CapacityBps: 10e9},
+			{ID: 2, HostID: 2, CapacityBps: 10e9},
+		})
+		r.a.cfg.Rebalance = true
+		r.a.cfg.RebalanceEvery = 50 * time.Millisecond
+		var moved netstack.IP
+		r.eng.Go("driver", func(p *sim.Proc) {
+			for _, ip := range ips {
+				sendCtl(p, r.fe[1], core.ControlMsg{Op: core.CtlAllocRequest, IP: ip})
+				if m, ok := expectMsg(p, r.fe[1], 50*time.Millisecond); !ok || m.Dev != 1 {
+					t.Errorf("placement of %v: %+v ok=%v", ip, m, ok)
+				}
+			}
+			sendCtl(p, r.be[1], core.ControlMsg{Op: core.CtlTelemetry, Dev: 1, Load: 9e8, LinkUp: true})
+			sendCtl(p, r.be[2], core.ControlMsg{Op: core.CtlTelemetry, Dev: 2, Load: 1e7, LinkUp: true})
+			if m, ok := expectMsg(p, r.fe[1], 200*time.Millisecond); ok && m.Op == core.CtlMigrate {
+				moved = m.IP
+			}
+			r.eng.Shutdown()
+		})
+		r.eng.Run()
+		if want := netstack.IPv4(10, 0, 0, 10); moved != want {
+			t.Fatalf("run %d: rebalance moved %v, want the lowest IP %v", run, moved, want)
+		}
 	}
 }
 

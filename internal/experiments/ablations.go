@@ -425,10 +425,9 @@ func runStorageDepth(r *Report, depth int, window time.Duration) (iops float64, 
 	pool := cxl.NewPool(eng, 1<<30, cxl.DefaultParams())
 	hA := host.New(eng, 0, "hostA", pool, host.DefaultConfig())
 	hB := host.New(eng, 1, "hostB", pool, host.DefaultConfig())
-	scfg := storengine.DefaultConfig()
 	dev := ssd.New(eng, "ssd0", pool.AttachPort("ssd0-dma"), ssd.DefaultParams())
 	fe := storengine.NewFrontend(hA, pool)
-	be := storengine.NewBackend(hB, 1, dev, 1<<20, scfg)
+	be := storengine.NewBackend(hB, 1, dev, 1<<20)
 	if err := fe.ConnectBackend(be); err != nil {
 		panic(err)
 	}

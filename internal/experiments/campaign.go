@@ -219,9 +219,9 @@ type campaign struct {
 // keep: the writer finished and its read-back found no acked write lost, the
 // volume was never declared lost, every fault resolved and healed, probe
 // loss sits in bounded windows that begin near a fault, and no guest write
-// stalled past the bound. The pod runs a compressed control plane (120 ms
-// leases, 40 ms telemetry) so a whole fault schedule fits in seconds. An
-// error means the plan did not schedule; nothing ran.
+// stalled past the bound. The pod runs a compressed control plane (40 ms
+// telemetry, hence 120 ms leases) so a whole fault schedule fits in seconds.
+// An error means the plan did not schedule; nothing ran.
 //
 //	host0  allocator + raft replica 0
 //	host1  nic1 + raft replica 1
@@ -232,9 +232,7 @@ func runCampaign(r *Report, spec campaignSpec, extras func(c *campaign)) (*campa
 	c := &campaign{campaignSpec: spec, ledger: newLedger(campaignLBAs)}
 	cfg := oasis.DefaultConfig()
 	cfg.Engine.IdleBackoff = 200 * time.Microsecond
-	cfg.Allocator.LeaseTimeout = 120 * time.Millisecond
-	cfg.Storage.TelemetryEvery = 40 * time.Millisecond
-	cfg.Engine.TelemetryEvery = 40 * time.Millisecond
+	cfg.Allocator.TelemetryEvery = 40 * time.Millisecond
 	cfg.Allocator.Health = spec.health
 	cfg.RaftReplicas = 3
 	pod := oasis.NewPod(cfg)

@@ -36,9 +36,9 @@ import (
 // (at any scale — chaos ignores scale, fault mechanics need real
 // timeouts) must reproduce the identical report. To keep the campaign
 // cheap enough for CI and the race gate, the pod runs with a compressed
-// control plane — 120 ms device leases and 40 ms telemetry instead of the
-// paper's 300/100 ms — which shrinks every detection window and lets the
-// whole seven-fault schedule fit in 2.6 virtual seconds.
+// control plane — 40 ms telemetry, hence 120 ms device leases, instead of
+// the paper's 100/300 ms — which shrinks every detection window and lets
+// the whole seven-fault schedule fit in 2.6 virtual seconds.
 func Chaos(_ float64) *Report {
 	r := newReport("chaos", "chaos campaign: all fault kinds + recovery invariants (2.6 s run)")
 	const (

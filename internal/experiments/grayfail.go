@@ -36,7 +36,7 @@ import (
 // The fault timeline is absolute, so the run is byte-for-byte replayable:
 // the report embeds the encoded faults.Plan and rerunning the experiment
 // must reproduce the identical report. Like chaos, the pod runs with a
-// compressed control plane (120 ms leases, 40 ms telemetry) so three
+// compressed control plane (40 ms telemetry, hence 120 ms leases) so three
 // detection windows fit inside each fault's dwell time.
 func Grayfail(_ float64) *Report {
 	r := newReport("grayfail", "gray-failure campaign: four degraded-mode faults + health-scorer evacuations (2.2 s run)")

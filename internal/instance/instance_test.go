@@ -132,10 +132,9 @@ func volRig(t *testing.T) (*sim.Engine, *storengine.Volume) {
 	pool := cxl.NewPool(eng, 1<<28, cxl.DefaultParams())
 	hA := host.New(eng, 0, "hostA", pool, host.DefaultConfig())
 	hB := host.New(eng, 1, "hostB", pool, host.DefaultConfig())
-	cfg := storengine.DefaultConfig()
 	dev := ssd.New(eng, "ssd0", pool.AttachPort("ssd0-dma"), ssd.DefaultParams())
 	fe := storengine.NewFrontend(hA, pool)
-	be := storengine.NewBackend(hB, 1, dev, 1<<18, cfg)
+	be := storengine.NewBackend(hB, 1, dev, 1<<18)
 	if err := fe.ConnectBackend(be); err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +155,9 @@ func smallVolRig(t *testing.T) (*sim.Engine, *storengine.Volume) {
 	pool := cxl.NewPool(eng, 1<<28, cxl.DefaultParams())
 	hA := host.New(eng, 0, "hostA", pool, host.DefaultConfig())
 	hB := host.New(eng, 1, "hostB", pool, host.DefaultConfig())
-	cfg := storengine.DefaultConfig()
 	dev := ssd.New(eng, "ssd0", pool.AttachPort("ssd0-dma"), ssd.DefaultParams())
 	fe := storengine.NewFrontend(hA, pool)
-	be := storengine.NewBackend(hB, 1, dev, 1<<12, cfg)
+	be := storengine.NewBackend(hB, 1, dev, 1<<12)
 	if err := fe.ConnectBackend(be); err != nil {
 		t.Fatal(err)
 	}

@@ -49,6 +49,7 @@ type Backend struct {
 	cookies    map[uint64]txMeta
 	nextCook   uint64
 	ctrl       *core.LinkEnd
+	telemEvery sim.Duration         // telemetry period, handed over with ctrl
 	nicDir     map[uint16]netsw.MAC // pod directory: NIC id -> MAC (for borrowing)
 	lastUp     bool
 	timersInit bool
@@ -170,8 +171,11 @@ func (be *Backend) ConnectFrontend(hostID int, end *core.LinkEnd) {
 	be.links.Add(uint32(hostID), end)
 }
 
-// SetControlLink attaches the backend's channel to the pod-wide allocator.
-func (be *Backend) SetControlLink(end *core.LinkEnd) { be.ctrl = end }
+// SetControlLink attaches the backend's channel to the pod-wide allocator
+// and the period to report telemetry on, before the backend starts.
+func (be *Backend) SetControlLink(end *core.LinkEnd, every sim.Duration) {
+	be.ctrl, be.telemEvery = end, every
+}
 
 func (be *Backend) parkedIdle() bool { return be.timersInit && be.links.PendingCount() == 0 }
 
@@ -181,7 +185,7 @@ func (be *Backend) drainParked(p *sim.Proc) int {
 		// construction, so an engine started late doesn't replay old windows.
 		be.timersInit = true
 		be.nextCheck = p.Now() + linkCheckEvery
-		be.nextTelem = p.Now() + be.cfg.TelemetryEvery
+		be.nextTelem = p.Now() + be.telemEvery
 	}
 	// Parked completions count as progress: the loop must stay hot until
 	// they are delivered.
@@ -513,12 +517,12 @@ func (be *Backend) maybeCheckLink(p *sim.Proc) {
 	core.SendControl(p, be.ctrl, core.ControlMsg{Op: op, Kind: core.DeviceNIC, Dev: be.nicID})
 }
 
-// maybeSendTelemetry emits the periodic load record (§3.5: every 100 ms).
+// maybeSendTelemetry emits the load record of the period that just closed.
 func (be *Backend) maybeSendTelemetry(p *sim.Proc) {
 	if p.Now() < be.nextTelem {
 		return
 	}
-	be.nextTelem = p.Now() + be.cfg.TelemetryEvery
+	be.nextTelem = p.Now() + be.telemEvery
 	load := be.dev.TxBytes + be.dev.RxBytes
 	delta := load - be.loadSnap
 	be.loadSnap = load

@@ -51,6 +51,9 @@ var (
 	macCli = netsw.MAC{0x02, 0, 0, 0, 0, 9}
 )
 
+// telemEvery is the rig backends' telemetry period, the §3.5 default.
+const telemEvery = 100 * time.Millisecond
+
 func newEngineRig(t *testing.T) *engineRig {
 	t.Helper()
 	return newEngineRigWith(t, DefaultConfig())
@@ -108,12 +111,12 @@ func newEngineRigWith(t *testing.T, cfg Config) *engineRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.be1.SetControlLink(be1End)
+	r.be1.SetControlLink(be1End, telemEvery)
 	r.ctlBE2, be2End, err = core.NewDuplexLink(pool, r.hC, r.hC, cfg.Chan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.be2.SetControlLink(be2End)
+	r.be2.SetControlLink(be2End, telemEvery)
 
 	r.inst, err = r.fe.AddInstance(instIP)
 	if err != nil {

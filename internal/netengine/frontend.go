@@ -36,18 +36,15 @@ type Config struct {
 	// backoff is a simulation-speed device that bounds added latency to one
 	// backoff period. Set 0 to busy-poll faithfully (Table 3's idle row).
 	IdleBackoff sim.Duration
-
-	TelemetryEvery sim.Duration // backend telemetry period (§3.5: 100 ms)
 }
 
 // DefaultConfig returns the engine defaults.
 func DefaultConfig() Config {
 	return Config{
-		Chan:           msgchan.DefaultConfig(),
-		LoopCost:       60 * time.Nanosecond,
-		MsgCost:        150 * time.Nanosecond,
-		IdleBackoff:    time.Microsecond,
-		TelemetryEvery: 100 * time.Millisecond,
+		Chan:        msgchan.DefaultConfig(),
+		LoopCost:    60 * time.Nanosecond,
+		MsgCost:     150 * time.Nanosecond,
+		IdleBackoff: time.Microsecond,
 	}
 }
 

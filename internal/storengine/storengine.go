@@ -51,12 +51,6 @@ var ErrVolumeLost = errors.New("storengine: volume lost")
 // after cutover.
 var ErrMigrating = errors.New("storengine: volume is migrating")
 
-// Config tunes the storage engine.
-type Config struct {
-	// TelemetryEvery is the backend's load-report period (§3.5: 100 ms).
-	TelemetryEvery sim.Duration
-}
-
 // chanConfig configures the 64 B channels: storage messages mirror the 64 B
 // NVMe command (§3.4).
 var chanConfig = func() msgchan.Config {
@@ -94,11 +88,6 @@ const (
 	retryBase  = 5 * time.Millisecond
 	retryCap   = 100 * time.Millisecond
 )
-
-// DefaultConfig returns the engine defaults.
-func DefaultConfig() Config {
-	return Config{TelemetryEvery: 100 * time.Millisecond}
-}
 
 // readyRecheck paces the frontend's re-examination of requests parked on a
 // volume whose (re-bound) primary has not acked registration yet.
@@ -930,7 +919,7 @@ type pendingIO struct {
 // Backend is the per-SSD storage backend driver: it translates channel
 // messages to SSD submissions and routes completions back, enforcing
 // per-volume LBA bounds (isolation). Like the NIC backends, it reports
-// 100 ms load/queue-depth telemetry to the pod-wide allocator over the
+// periodic load/queue-depth telemetry to the pod-wide allocator over the
 // shared control protocol; completions echo the frontend's fencing epoch so
 // a backend that was presumed dead cannot smuggle stale acks past a
 // failover.
@@ -939,7 +928,6 @@ type Backend struct {
 	h     *host.Host
 	ssdID uint16
 	dev   *ssd.SSD
-	cfg   Config
 
 	links      *core.LinkSet // by frontend host id
 	vols       map[netstack.IP]*svol
@@ -948,6 +936,7 @@ type Backend struct {
 	inflight   map[uint16]pendingIO
 	nextCID    uint16
 	ctrl       *core.LinkEnd
+	telemEvery sim.Duration // telemetry period, handed over with ctrl
 	timersInit bool
 	nextTelem  sim.Duration
 	loadSnap   int64
@@ -965,13 +954,12 @@ type Backend struct {
 
 // NewBackend creates the backend for an SSD whose namespace 1 has the given
 // capacity in blocks.
-func NewBackend(h *host.Host, ssdID uint16, dev *ssd.SSD, capacityBlocks uint64, cfg Config) *Backend {
+func NewBackend(h *host.Host, ssdID uint16, dev *ssd.SSD, capacityBlocks uint64) *Backend {
 	dev.AddNamespace(1, capacityBlocks)
 	be := &Backend{
 		h:        h,
 		ssdID:    ssdID,
 		dev:      dev,
-		cfg:      cfg,
 		links:    core.NewLinkSet(core.DefaultPendingLimit),
 		vols:     make(map[netstack.IP]*svol),
 		capacity: capacityBlocks,
@@ -989,15 +977,18 @@ func NewBackend(h *host.Host, ssdID uint16, dev *ssd.SSD, capacityBlocks uint64,
 	return be
 }
 
-// SetControlLink attaches the backend's channel to the pod-wide allocator.
-func (be *Backend) SetControlLink(end *core.LinkEnd) { be.ctrl = end }
+// SetControlLink attaches the backend's channel to the pod-wide allocator
+// and the period to report telemetry on, before the backend starts.
+func (be *Backend) SetControlLink(end *core.LinkEnd, every sim.Duration) {
+	be.ctrl, be.telemEvery = end, every
+}
 
 func (be *Backend) parkedIdle() bool { return be.timersInit && be.links.PendingCount() == 0 }
 
 func (be *Backend) drainParked(p *sim.Proc) int {
 	if !be.timersInit {
 		be.timersInit = true
-		be.nextTelem = p.Now() + be.cfg.TelemetryEvery
+		be.nextTelem = p.Now() + be.telemEvery
 	}
 	// Parked completions count as progress: the loop must stay hot until
 	// they are delivered.
@@ -1035,14 +1026,14 @@ func (be *Backend) serveDevice(p *sim.Proc) int {
 	return progress
 }
 
-// maybeSendTelemetry emits the periodic load record (§3.5: every 100 ms)
+// maybeSendTelemetry emits the load record of the period that just closed
 // through the same control path NIC backends use, tagged DeviceSSD so the
 // allocator tracks drive leases and load alongside NICs.
 func (be *Backend) maybeSendTelemetry(p *sim.Proc) {
 	if p.Now() < be.nextTelem {
 		return
 	}
-	be.nextTelem = p.Now() + be.cfg.TelemetryEvery
+	be.nextTelem = p.Now() + be.telemEvery
 	load := be.dev.BytesRead + be.dev.BytesWritten
 	delta := load - be.loadSnap
 	be.loadSnap = load

@@ -29,10 +29,9 @@ func newStorRig(t *testing.T) *storRig {
 	pool := cxl.NewPool(eng, 1<<28, cxl.DefaultParams())
 	hA := host.New(eng, 0, "hostA", pool, host.DefaultConfig())
 	hB := host.New(eng, 1, "hostB", pool, host.DefaultConfig())
-	cfg := DefaultConfig()
 	dev := ssd.New(eng, "ssd0", pool.AttachPort("ssd0-dma"), ssd.DefaultParams())
 	fe := NewFrontend(hA, pool)
-	be := NewBackend(hB, 1, dev, 1<<18, cfg)
+	be := NewBackend(hB, 1, dev, 1<<18)
 	if err := fe.ConnectBackend(be); err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,6 @@ import (
 	"oasis/internal/obs"
 	"oasis/internal/sim"
 	"oasis/internal/ssd"
-	"oasis/internal/storengine"
 )
 
 // Re-exported simulation handles so applications only import this package.
@@ -100,7 +99,6 @@ type Config struct {
 	NIC       nic.Params
 	Switch    netsw.Params
 	Engine    netengine.Config
-	Storage   storengine.Config
 	SSD       ssd.Params
 	Stack     netstack.Config
 	Allocator allocator.Config
@@ -123,7 +121,6 @@ func DefaultConfig() Config {
 		NIC:       nic.DefaultParams(),
 		Switch:    netsw.DefaultParams(),
 		Engine:    netengine.DefaultConfig(),
-		Storage:   storengine.DefaultConfig(),
 		SSD:       ssd.DefaultParams(),
 		Stack:     netstack.DefaultConfig(),
 		Allocator: allocator.DefaultConfig(),

@@ -736,8 +736,7 @@ func TestAssignOnLocalInstanceErrors(t *testing.T) {
 // may be lost across the failover.
 func TestSSDFailoverEpochFence(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Allocator.LeaseTimeout = 100 * time.Millisecond
-	cfg.Storage.TelemetryEvery = 40 * time.Millisecond
+	cfg.Allocator.TelemetryEvery = 40 * time.Millisecond // a 120 ms lease
 	pod := NewPod(cfg)
 	h0 := pod.AddHost() // allocator
 	h1 := pod.AddHost() // primary drive
@@ -824,8 +823,7 @@ func TestSSDFailoverEpochFence(t *testing.T) {
 // guest instead of retrying forever.
 func TestVolumeLostWithoutBackup(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Allocator.LeaseTimeout = 100 * time.Millisecond
-	cfg.Storage.TelemetryEvery = 40 * time.Millisecond
+	cfg.Allocator.TelemetryEvery = 40 * time.Millisecond // a 120 ms lease
 	pod := NewPod(cfg)
 	h0 := pod.AddHost()
 	h1 := pod.AddHost()
@@ -884,8 +882,7 @@ func TestVolumeLostWithoutBackup(t *testing.T) {
 func TestAllocatorSurvivesLeaderCrash(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RaftReplicas = 3
-	cfg.Allocator.LeaseTimeout = 100 * time.Millisecond
-	cfg.Engine.TelemetryEvery = 40 * time.Millisecond
+	cfg.Allocator.TelemetryEvery = 40 * time.Millisecond // a 120 ms lease
 	pod := NewPod(cfg)
 	h0 := pod.AddHost() // allocator + raft leader (node 0 elects first)
 	h1 := pod.AddHost()
@@ -942,4 +939,65 @@ func TestAllocatorSurvivesLeaderCrash(t *testing.T) {
 			t.Fatalf("replica %d committed nothing — placement not replicated", i)
 		}
 	}
+}
+
+// TestTelemetryPeriodReachesBackends builds a pod on a 40 ms telemetry
+// period: the NIC and SSD backends both report on it, and the allocator's
+// load for the NIC is the NIC's byte count of each 40 ms window over 40 ms.
+// Echo bursts land mid-window, so each window's bytes are exact at the
+// sample points 5 ms past every window's close.
+func TestTelemetryPeriodReachesBackends(t *testing.T) {
+	const every = 40 * time.Millisecond
+	cfg := DefaultConfig()
+	cfg.Allocator.TelemetryEvery = every
+	pod := NewPod(cfg)
+	pod.AddHost() // allocator
+	h1 := pod.AddHost()
+	h2 := pod.AddHost()
+	n1 := pod.AddNIC(h1, false)
+	d1 := pod.AddSSD(h1, 1<<12)
+	inst := pod.AddInstance(h2, IP(10, 0, 0, 10))
+	client := pod.AddClient(IP(10, 0, 99, 1))
+	pod.Start()
+	inst.RequestAllocation()
+	pod.Go("echo-server", func(p *Proc) {
+		conn, _ := inst.Stack.ListenUDP(7)
+		for {
+			dg := conn.Recv(p)
+			if conn.SendTo(p, dg.Src, dg.SrcPort, dg.Data) != nil {
+				return
+			}
+		}
+	})
+	const windows = 6
+	pod.Go("client", func(p *Proc) {
+		conn, _ := client.Stack.ListenUDP(0)
+		for w := 0; w < windows; w++ {
+			p.Sleep(Duration(w)*every + every/2 - p.Now())
+			for i := 0; i <= w; i++ { // a different byte count per window
+				conn.SendTo(p, inst.IPAddr(), 7, make([]byte, 100))
+				if _, ok := conn.RecvTimeout(p, time.Millisecond); !ok {
+					t.Errorf("window %d: echo %d lost", w, i)
+				}
+			}
+		}
+	})
+	nicBytes := func() int64 { return n1.Dev.TxBytes + n1.Dev.RxBytes }
+	var last int64
+	for w := 1; w <= windows; w++ {
+		pod.Run(Duration(w)*every + 5*time.Millisecond)
+		delta := nicBytes() - last
+		last = nicBytes()
+		if delta == 0 {
+			t.Fatalf("window %d carried no NIC traffic", w)
+		}
+		want := float64(delta) * float64(time.Second) / float64(every)
+		if got := pod.Stats().Value("alloc/nic/nic1/load_bps"); got != want {
+			t.Errorf("window %d: alloc/nic/nic1/load_bps = %v, want %v (%d B in %v)", w, got, want, delta, every)
+		}
+		if got := d1.BE.TelemetrySent; got != int64(w) {
+			t.Errorf("after window %d: ssd telemetry records = %d, want %d", w, got, w)
+		}
+	}
+	pod.Shutdown()
 }

@@ -144,6 +144,14 @@ gate "a runner clamping its scale" "$(grep -rn --include='*.go' 'clampScale' . |
 echo "== exact counts are goldens (grep gate) =="
 gate "a hand-written count struct or constant in a test" "$(grep -rn --include='*_test.go' 'busyPodCounts\|idlePodEvents\|idlePodFastSleeps\|wantEvents' . || true)"
 
+# One telemetry period: allocator.Config.TelemetryEvery is the pod's only
+# telemetry knob. Backends take it with their control link, the allocator's
+# lease is three periods and its load conversion divides by the period, so
+# neither engine keeps a period of its own, no lease is set beside it and no
+# window is assumed.
+echo "== one telemetry period (grep gate) =="
+gate "a second telemetry period, a lease setting or an assumed window" "$(grep -rn --include='*.go' 'LeaseTimeout\|telemetryWindow\|storengine\.Config\|storengine\.DefaultConfig\|Engine\.TelemetryEvery\|Storage\.TelemetryEvery' . | grep -v '^\./bench/' || true)"
+
 echo "== go build ./... =="
 go build ./...
 

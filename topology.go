@@ -506,7 +506,7 @@ func (t *Pod) addSSD(on *Host, capacityBlocks uint64, backup bool) (*SSDDev, err
 	name := t.ssdName(id)
 	dma := t.Pool.AttachPort(name + "-dma")
 	dev := ssd.New(t.Eng, name, dma, t.cfg.SSD)
-	be := storengine.NewBackend(on.H, id, dev, capacityBlocks, t.cfg.Storage)
+	be := storengine.NewBackend(on.H, id, dev, capacityBlocks)
 	d := &SSDDev{ID: id, Dev: dev, BE: be, Backup: backup, host: on}
 	t.SSDs[id] = d
 	if err := t.wire(); err != nil {

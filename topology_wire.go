@@ -126,7 +126,7 @@ func (t *Pod) wire() error {
 				CapacityBps: t.cfg.Switch.PortBandwidth,
 				Backup:      n.Backup,
 			}, aEnd)
-			n.BE.SetControlLink(beEnd)
+			n.BE.SetControlLink(beEnd, t.cfg.Allocator.TelemetryEvery)
 		}
 		for _, id := range ssdIDs {
 			d := t.SSDs[id]
@@ -138,7 +138,7 @@ func (t *Pod) wire() error {
 				return err
 			}
 			t.Alloc.AddDevice(allocator.DeviceInfo{Kind: core.DeviceSSD, ID: d.ID, HostID: d.host.H.ID, Backup: d.Backup}, aEnd)
-			d.BE.SetControlLink(beEnd)
+			d.BE.SetControlLink(beEnd, t.cfg.Allocator.TelemetryEvery)
 		}
 		for _, ph := range t.Hosts {
 			if ph.SFE == nil || ph.sfeWired {
