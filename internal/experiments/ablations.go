@@ -72,21 +72,8 @@ func saturate(r *Report, cfg msgchan.Config, shards int, window sim.Duration) ([
 	for i := range txs {
 		tx, rx := rawChannel(eng, pool, cfg, txPort, rxPort)
 		txs[i], rxs[i] = tx, rx
-		eng.Go("tx", func(p *sim.Proc) {
-			payload := make([]byte, 8)
-			for p.Now() < window {
-				if !tx.TrySend(p, payload) {
-					p.Sleep(300 * time.Nanosecond)
-				}
-			}
-		})
-		eng.Go("rx", func(p *sim.Proc) {
-			for p.Now() < window {
-				if _, ok := rx.Poll(p); ok {
-					p.Sleep(10 * time.Nanosecond)
-				}
-			}
-		})
+		eng.Go("tx", (&sendLoop{tx: tx, end: window, full: 300 * time.Nanosecond}).run)
+		eng.Go("rx", (&pollLoop{rx: rx, eng: eng, end: window, cost: 10 * time.Nanosecond}).run)
 	}
 	eng.RunUntil(window)
 	r.count(eng)

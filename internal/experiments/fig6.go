@@ -36,10 +36,158 @@ func rawChannel(eng *sim.Engine, pool *cxl.Pool, cfg msgchan.Config, txPort, rxP
 		msgchan.NewReceiver(ch, cache.New(eng, rxPort, cache.DefaultParams()))
 }
 
+// sendLoop is a raw channel's sending process as one chain of steps (see
+// sim.Proc.Steps), without a process switch per send. It is
+//
+//	for p.Now() < end {
+//		if wait := next - p.Now(); interval > 0 && wait > 0 {
+//			if flush { tx.Flush(p) }
+//			p.Sleep(wait)
+//		}
+//		payload := the current time, 8 bytes
+//		if !tx.TrySend(p, payload) { p.Sleep(full); continue }
+//		next = max(next+interval, p.Now())
+//	}
+//	if flush { tx.Flush(p) }
+//
+// interval 0 sends back to back.
+type sendLoop struct {
+	tx       *msgchan.Sender
+	end      sim.Duration
+	interval sim.Duration // pacing; 0 saturates
+	full     sim.Duration // the wait after a refused send
+	flush    bool         // flush when going idle and at the end
+
+	next, wait sim.Duration
+	payload    [8]byte
+	pc         sendPC
+}
+
+// sendPC says where a sendLoop is.
+type sendPC uint8
+
+const (
+	sendTop     sendPC = iota // check the clock, then wait or send
+	sendIdle                  // flushing before the wait
+	sendSend                  // store the timestamp and begin the send
+	sendSending               // the send is in progress
+	sendLast                  // the final flush is in progress
+	sendOver
+)
+
+func (l *sendLoop) run(p *sim.Proc) { p.Steps(l) }
+
+func (l *sendLoop) Step() (sim.Duration, bool) {
+	tx := l.tx
+	eng := tx.Engine()
+	for {
+		switch l.pc {
+		case sendTop:
+			if eng.Now() >= l.end {
+				l.pc = sendOver
+				if l.flush && tx.Unflushed() {
+					tx.BeginFlush()
+					l.pc = sendLast
+				}
+				continue
+			}
+			l.pc = sendSend
+			if l.wait = l.next - eng.Now(); l.interval > 0 && l.wait > 0 {
+				if l.flush && tx.Unflushed() {
+					tx.BeginFlush()
+					l.pc = sendIdle
+					continue
+				}
+				return l.wait, true
+			}
+		case sendIdle:
+			if d, more := tx.Step(); more {
+				return d, true
+			}
+			l.pc = sendSend
+			return l.wait, true
+		case sendSend:
+			binary.LittleEndian.PutUint64(l.payload[:], uint64(eng.Now()))
+			tx.BeginSend(l.payload[:])
+			l.pc = sendSending
+		case sendSending:
+			if d, more := tx.Step(); more {
+				return d, true
+			}
+			l.pc = sendTop
+			if !tx.Accepted() {
+				return l.full, true
+			}
+			l.next = max(l.next+l.interval, eng.Now())
+		case sendLast:
+			if d, more := tx.Step(); more {
+				return d, true
+			}
+			l.pc = sendOver
+		default:
+			return 0, false
+		}
+	}
+}
+
+// pollLoop is a raw channel's receiving process as one chain of steps. It
+// is
+//
+//	for p.Now() < end {
+//		if msg, ok := rx.Poll(p); ok {
+//			got(msg)
+//			p.Sleep(cost)
+//		}
+//	}
+//
+// with got, when set, called at the instant the poll ends.
+type pollLoop struct {
+	rx      *msgchan.Receiver
+	eng     *sim.Engine
+	end     sim.Duration
+	cost    sim.Duration // what handling a message costs
+	got     func(msg []byte)
+	polling bool
+}
+
+// run is the process: the chain, and the poll's blocking escapes.
+func (l *pollLoop) run(p *sim.Proc) {
+	for {
+		p.Steps(l)
+		if !l.rx.Blocked() {
+			return
+		}
+		l.rx.Finish(p)
+	}
+}
+
+func (l *pollLoop) Step() (sim.Duration, bool) {
+	rx := l.rx
+	for {
+		if !l.polling {
+			if l.eng.Now() >= l.end {
+				return 0, false
+			}
+			rx.Begin()
+			l.polling = true
+		}
+		if d, more := rx.Step(); more || rx.Blocked() {
+			return d, more
+		}
+		l.polling = false
+		if msg := rx.Payload(); msg != nil {
+			if l.got != nil {
+				l.got(msg)
+			}
+			return l.cost, true
+		}
+	}
+}
+
 // runMsgChannel drives one channel configuration for the window. offered=0
 // saturates the sender (the throughput-ceiling measurement); otherwise the
 // sender paces open-loop at the offered rate and flushes partial lines
-// whenever it goes idle (§3.2.2).
+// whenever it goes idle (§3.2.2). The receiver pays 10 ns per message.
 func runMsgChannel(r *Report, design msgchan.Design, offeredMops float64, window sim.Duration) fig6Point {
 	eng := sim.New()
 	pool := cxl.NewPool(eng, 1<<24, cxl.DefaultParams())
@@ -47,50 +195,16 @@ func runMsgChannel(r *Report, design msgchan.Design, offeredMops float64, window
 	cfg.Design = design
 	tx, rx := rawChannel(eng, pool, cfg, pool.AttachPort("sender"), pool.AttachPort("receiver"))
 
-	procCost := 10 * time.Nanosecond
 	var hist metrics.Histogram
-	eng.Go("tx", func(p *sim.Proc) {
-		payload := make([]byte, 8)
-		if offeredMops <= 0 {
-			for p.Now() < window {
-				binary.LittleEndian.PutUint64(payload, uint64(p.Now()))
-				if !tx.TrySend(p, payload) {
-					p.Sleep(500 * time.Nanosecond)
-				}
-			}
-			tx.Flush(p)
-			return
-		}
-		interval := sim.Duration(float64(time.Second) / (offeredMops * 1e6))
-		next := sim.Duration(0)
-		for p.Now() < window {
-			if wait := next - p.Now(); wait > 0 {
-				tx.Flush(p)
-				p.Sleep(wait)
-			}
-			binary.LittleEndian.PutUint64(payload, uint64(p.Now()))
-			if !tx.TrySend(p, payload) {
-				p.Sleep(interval)
-				continue
-			}
-			next += interval
-			if next < p.Now() {
-				next = p.Now()
-			}
-		}
-		tx.Flush(p)
-	})
-	eng.Go("rx", func(p *sim.Proc) {
-		for p.Now() < window {
-			msg, ok := rx.Poll(p)
-			if !ok {
-				continue
-			}
-			sent := sim.Duration(binary.LittleEndian.Uint64(msg[:8]))
-			hist.Record(p.Now() - sent)
-			p.Sleep(procCost)
-		}
-	})
+	send := &sendLoop{tx: tx, end: window, full: 500 * time.Nanosecond, flush: true}
+	if offeredMops > 0 {
+		send.interval = sim.Duration(float64(time.Second) / (offeredMops * 1e6))
+		send.full = send.interval
+	}
+	eng.Go("tx", send.run)
+	eng.Go("rx", (&pollLoop{rx: rx, eng: eng, end: window, cost: 10 * time.Nanosecond, got: func(msg []byte) {
+		hist.Record(eng.Now() - sim.Duration(binary.LittleEndian.Uint64(msg[:8])))
+	}}).run)
 	eng.RunUntil(window)
 	r.count(eng)
 	eng.Shutdown()
