@@ -313,6 +313,12 @@ func (c *Cache) access(a int64, category string, timer bool) (readyAt sim.Durati
 	return ln.readyAt, false
 }
 
+// ready reports whether an access of line a now would be a hit.
+func (c *Cache) ready(a int64) bool {
+	ln := c.lines.get(a)
+	return ln != nil && !ln.pending
+}
+
 // collect is the other half, run once the fill has had time to land: it
 // returns the line with its data in place, or nil when the line was evicted,
 // snooped or back-invalidated meanwhile.
@@ -378,9 +384,10 @@ func (c *Cache) Read(p *sim.Proc, addr int64, buf []byte, category string) {
 
 // ReadOp is Read as a sim.Job, for a caller that runs a read as part of its
 // own chain of steps: Begin, then Step from the first Step. Every line's
-// access is issued in turn — a hit costs a HitLatency leg before the next —
-// with a fill-completion event for each miss, as Read has always scheduled
-// them; one leg waits for the slowest fill; then every line is copied out.
+// access is issued in turn — a run of hits costs one leg of HitLatency per
+// hit before the next access — with a fill-completion event for each miss,
+// as Read has always scheduled them; one leg waits for the slowest fill;
+// then every line is copied out.
 // A line that went away under its fill (evicted by a capacity squeeze
 // mid-copy, rare) blocks the job: Finish refills it synchronously, and the
 // copy goes on.
@@ -418,13 +425,21 @@ func (o *ReadOp) Step() (sim.Duration, bool) {
 	c := o.c
 	switch o.pc {
 	case readIssue:
+		hits := 0
 		for o.next <= o.last {
+			if hits > 0 && !c.ready(o.next) {
+				break // a miss or a fill in flight is issued after the run's leg
+			}
 			readyAt, hit := c.access(o.next, o.category, true)
 			o.next += cxl.LineSize
 			if hit {
-				return c.params.HitLatency, true
+				hits++
+				continue
 			}
 			o.lastReady = max(o.lastReady, readyAt)
+		}
+		if hits > 0 {
+			return c.params.HitLatency * sim.Duration(hits), true
 		}
 		o.next, o.pc = cxl.LineAddr(o.addr), readCollect
 		if wait := o.lastReady - c.eng.Now(); wait > 0 {
@@ -589,6 +604,21 @@ func (c *Cache) PrefetchNow(addr int64, category string) {
 	}
 	c.stats.PrefetchIssued++
 	c.startFill(a, category, true)
+}
+
+// PrefetchRangeNow is PrefetchNow for every line of [addr, addr+n), in
+// address order. It returns the lines' PrefetchIssue cost, for the caller to
+// charge as one leg.
+func (c *Cache) PrefetchRangeNow(addr int64, n int, category string) sim.Duration {
+	if n <= 0 {
+		return 0
+	}
+	lines := 0
+	for a := cxl.LineAddr(addr); a < addr+int64(n); a += cxl.LineSize {
+		c.PrefetchNow(a, category)
+		lines++
+	}
+	return c.params.PrefetchIssue * sim.Duration(lines)
 }
 
 // FlushLine is CLFLUSHOPT: write the line back if dirty, then drop it so the

@@ -798,3 +798,100 @@ func TestLineTableMatchesMapReference(t *testing.T) {
 		}
 	}
 }
+
+// A read charges a run of hits as one leg, HitLatency per hit, and issues the
+// access that ends the run — a miss here — when that leg is over, as a leg
+// per hit would have.
+func TestReadChargesHitRunAsOneLeg(t *testing.T) {
+	r := newRig()
+	hit := DefaultParams().HitLatency
+	const lines = 5
+	last := int64(lines-1) * cxl.LineSize
+	r.run(t, func(p *sim.Proc) {
+		buf := make([]byte, lines*cxl.LineSize)
+		r.a.Read(p, 0, buf[:last], "m") // every line but the last is present
+		t0, legs := p.Now(), r.eng.Counters().SteppedLegs
+		issued := t0 + (lines-1)*hit
+		r.eng.At(issued-1, func() {
+			if r.a.Contains(last) {
+				t.Errorf("the miss was issued inside the hit run's leg")
+			}
+		})
+		r.eng.At(issued+1, func() {
+			if !r.a.Contains(last) {
+				t.Errorf("the miss was not issued when the hit run's leg ended")
+			}
+		})
+		r.a.Read(p, 0, buf, "m")
+		// Steps: the one that ends each leg — the hit run's, the fill
+		// wait's — and the first.
+		if got := r.eng.Counters().SteppedLegs - legs; got != 3 {
+			t.Errorf("a read of %d hits and a miss took %d steps, want 3", lines-1, got)
+		}
+		if st := r.a.Stats(); st.Hits != lines-1 || st.Misses != lines {
+			t.Errorf("stats %+v, want %d hits and %d misses", st, lines-1, lines)
+		}
+		t1, legs := p.Now(), r.eng.Counters().SteppedLegs
+		r.a.Read(p, 0, buf, "m")
+		if got, d := r.eng.Counters().SteppedLegs-legs, p.Now()-t1; got != 2 || d != lines*hit {
+			t.Errorf("an all-hit read of %d lines took %d steps over %v, want 2 over %v", lines, got, d, lines*hit)
+		}
+	})
+}
+
+// PrefetchRangeNow prefetches every line of the range the way PrefetchNow
+// does — a present line is ignored — and hands back PrefetchIssue per line.
+func TestPrefetchRangeNow(t *testing.T) {
+	r := newRig()
+	r.run(t, func(p *sim.Proc) {
+		r.a.Prefetch(p, 2*cxl.LineSize, "m")
+		if d := r.a.PrefetchRangeNow(cxl.LineSize+5, 3*cxl.LineSize, "m"); d != 4*DefaultParams().PrefetchIssue {
+			t.Errorf("a 4-line range costs %v, want 4 × PrefetchIssue", d)
+		}
+		if d := r.a.PrefetchRangeNow(0, 0, "m"); d != 0 {
+			t.Errorf("an empty range costs %v", d)
+		}
+	})
+	if st := r.a.Stats(); st.PrefetchIssued != 4 || st.PrefetchIgnored != 1 {
+		t.Fatalf("stats %+v, want 4 prefetches issued and 1 ignored", st)
+	}
+	for l := int64(1); l <= 4; l++ {
+		if !r.a.Contains(l * cxl.LineSize) {
+			t.Errorf("line %d not prefetched", l)
+		}
+	}
+}
+
+// PrefetchRangeNow starts every line's fill at the start of its one issue
+// leg, where a PREFETCHT0 per line would start line i's after i+1 issues.
+// The port's read link takes longer to carry a line than an issue takes, so
+// it paces the fills either way: at the default parameters each line of a
+// 1500 B buffer arrives at most one PrefetchIssue before per-line issue would
+// land it.
+func TestPrefetchRangeArrivesAsPerLineIssue(t *testing.T) {
+	const n = 1500
+	addr := int64(64 * cxl.LineSize)
+	r := newRig()
+	r.eng.Go("range", func(p *sim.Proc) {
+		p.Sleep(r.a.PrefetchRangeNow(addr, n, "m"))
+	})
+	r.run(t, func(p *sim.Proc) {
+		for a := addr; a < addr+n; a += cxl.LineSize {
+			r.b.Prefetch(p, a, "m")
+		}
+	})
+	issue, lines := DefaultParams().PrefetchIssue, 0
+	for a := addr; a < addr+n; a += cxl.LineSize {
+		ranged, perLine := r.a.lines.get(a), r.b.lines.get(a)
+		if ranged == nil || perLine == nil {
+			t.Fatalf("line %#x not prefetched", a)
+		}
+		if early := perLine.readyAt - ranged.readyAt; early < 0 || early > issue {
+			t.Errorf("line %#x arrives at %v, per-line issue at %v: want at most %v earlier", a, ranged.readyAt, perLine.readyAt, issue)
+		}
+		lines++
+	}
+	if lines != (n+cxl.LineSize-1)/cxl.LineSize {
+		t.Fatalf("%d lines checked", lines)
+	}
+}

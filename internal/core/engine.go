@@ -53,18 +53,20 @@ type Driver struct {
 	// The iteration cursor: where the polling process is in its endless
 	// sequence of iterations. Step advances it in event context and block
 	// from the process, each as far as it can (see Step).
-	inIter   bool // an iteration is in progress
-	stage    int  // the stage at the cursor: stages[stage]
-	polling  bool // that stage is a poll stage whose pass has begun
-	working  bool // that stage is a work stage whose run has begun
-	progress int  // items processed so far this iteration
-	idleRun  int  // consecutive idle iterations, 0 after a busy one
+	inIter   bool         // an iteration is in progress
+	began    sim.Duration // when it began
+	stage    int          // the stage at the cursor: stages[stage]
+	polling  bool         // that stage is a poll stage whose pass has begun
+	working  bool         // that stage is a work stage whose run has begun
+	progress int          // items processed so far this iteration
+	idleRun  int          // consecutive idle iterations, 0 after a busy one
 
 	// Stats.
-	Iterations     int64 // total poll iterations
-	IdleIterations int64 // iterations that processed nothing
-	Processed      int64 // total items processed
-	Stalls         int64 // times the core was stalled (fault injection)
+	Iterations     int64        // total poll iterations
+	IdleIterations int64        // iterations that processed nothing
+	Processed      int64        // total items processed
+	Busy           sim.Duration // virtual time of the iterations that processed something, LoopCost included
+	Stalls         int64        // times the core was stalled (fault injection)
 }
 
 // NewDriver creates the driver core on h of the loop whose iteration is
@@ -157,7 +159,7 @@ func (d *Driver) Step() (sim.Duration, bool) {
 			if d.stalled {
 				return 0, false
 			}
-			d.inIter, d.stage, d.progress = true, 0, 0
+			d.inIter, d.began, d.stage, d.progress = true, d.h.Eng.Now(), 0, 0
 		}
 		if d.stage == len(d.stages) {
 			d.inIter = false
@@ -165,6 +167,7 @@ func (d *Driver) Step() (sim.Duration, bool) {
 			d.Processed += int64(d.progress)
 			if d.progress > 0 {
 				d.idleRun = 0
+				d.Busy += d.h.Eng.Now() - d.began + d.cfg.LoopCost
 				return d.cfg.LoopCost, true
 			}
 			d.IdleIterations++

@@ -11,9 +11,11 @@ import (
 	"oasis/internal/sim"
 )
 
-// stubLoop returns 1 item per poll for the first busy polls, then 0 forever.
+// stubLoop returns 1 item per poll for the first busy polls, each taking
+// cost, then 0 forever.
 type stubLoop struct {
 	busy  int
+	cost  sim.Duration
 	polls int
 }
 
@@ -25,6 +27,7 @@ func (s *stubLoop) stage() Stage {
 func (s *stubLoop) PollOnce(p *sim.Proc) int {
 	s.polls++
 	if s.polls <= s.busy {
+		p.Sleep(s.cost)
 		return 1
 	}
 	return 0
@@ -36,7 +39,7 @@ func (s *stubLoop) PollOnce(p *sim.Proc) int {
 func TestSeatLaunchModes(t *testing.T) {
 	eng, pool := testPool()
 	h := host.New(eng, 0, "h", pool, host.DefaultConfig())
-	own := &stubLoop{busy: 10}
+	own := &stubLoop{busy: 10, cost: 50 * time.Nanosecond}
 	d := NewDriver(h, "h/own", DriverConfig{LoopCost: 100 * time.Nanosecond, IdleBackoff: time.Microsecond}, own.stage())
 	r := obs.New()
 	d.RegisterObs(r, "core/"+d.Name())
@@ -57,8 +60,9 @@ func TestSeatLaunchModes(t *testing.T) {
 	if d.Iterations > 5000 {
 		t.Fatalf("%d iterations in 1ms: idle backoff not applied", d.Iterations)
 	}
-	if got := r.Snapshot(0).Value("core/h/own/loops"); got != 1 {
-		t.Fatalf("core/h/own/loops = %v, want 1", got)
+	// A busy iteration is its work and its LoopCost; idle ones count nothing.
+	if got := r.Snapshot(0).Value("core/h/own/busy_ns"); got != 10*(50+100) {
+		t.Fatalf("core/h/own/busy_ns = %v, want 10 busy iterations × (50 + 100) ns", got)
 	}
 }
 

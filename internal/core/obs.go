@@ -37,10 +37,10 @@ func (a *BufferArea) RegisterObs(r *obs.Registry, prefix string) {
 }
 
 // RegisterObs registers the driver core's accounting under prefix/*
-// (conventionally core/<core name>). The loops gauge is always 1: a core runs
-// one loop.
+// (conventionally core/<core name>). busy_ns over the virtual time elapsed is
+// the share of the core its loop keeps busy.
 func (d *Driver) RegisterObs(r *obs.Registry, prefix string) {
-	r.Gauge(prefix+"/loops", func() float64 { return 1 })
+	r.Counter(prefix+"/busy_ns", func() int64 { return int64(d.Busy) })
 	r.Counter(prefix+"/iters", func() int64 { return d.Iterations })
 	r.Counter(prefix+"/idle_iters", func() int64 { return d.IdleIterations })
 	r.Counter(prefix+"/processed", func() int64 { return d.Processed })

@@ -63,10 +63,11 @@ func sortedKeys(values map[string]float64) []string {
 // one model (Racksweep picks one from GOMAXPROCS); scripts/verify.sh
 // re-runs racksweep/perpod at GOMAXPROCS=1, 2 and 8 under OASIS_SIMCHECK=1:
 // the thread count must be invisible in the virtual timeline. Every row
-// also checks the fidelity rows of its (id, scale) — the campaigns'
-// invariants, fig13's outage bounds and fig8's overhead band among them —
-// so a re-blessed constant cannot bless a broken campaign, and no pair runs
-// twice (TestFidelity runs only the pairs these rows do not). Every row's
+// runs at the scale of its fidelity rows (fidelity_test.go) and checks them
+// — the campaigns' invariants, fig13's outage bounds and fig8's overhead
+// band among them — so a re-blessed constant cannot bless a broken campaign,
+// and each id runs once per go test (TestFidelity fails on a pair no row
+// runs). Every row's
 // run also checks its exact costs against its line of testdata/counts.txt
 // (counts_test.go), and the file has a line for every row and no other.
 // Under -short (the race gate) only chaos of the campaign rows runs.
@@ -113,28 +114,28 @@ type digestRun struct {
 func digestRuns() []digestRun {
 	const racksweep = "b8a01281304395679e802d50f4b9cb5d662893b4ffe88bac06cc299c650520ff"
 	return []digestRun{
-		{"fig6", Fig6, 0.05, "74fc10620f72e359af467ae5d5e12163467cba9d068151380133db802b3aab86"},
-		{"fig11", Fig11, 0.05, "0c731f7302743d806f64eaf2908374aae00231686b9ec0251fc8879663d0a4cf"},
-		{"tab3", Table3, 0.05, "17b9032b7876f32c6b4d002a436f938e37eae30e9a8c34d73b3f81bff90afcc5"},
-		{"abl-counter", AblCounterBatch, 0.05, "af9faabb00a2763d5cf2f8ca015dcd57b2e5d440a568ed9285b423869fca97ba"},
-		{"abl-coherent", AblHWCoherent, 0.05, "98e54ab45c2020903abf4d33ee0e3aafeb435c9aa4e81d2bb36371d5e7e41f84"},
-		{"abl-inspect", AblBackendInspect, 0.05, "9798a48a0764d236d6169754651b88b68991b95af3d540529f294e14e155d60f"},
-		{"abl-storage", AblStorage, 0.05, "2e67fbd71bbdd810343b5b91d1beced6db6e0e612ba5012e94de05cfd7324cef"},
-		{"fig9", Fig9, 0.05, "621e7ca02899cbbbb9f9d60d67fca5408ce9025657b63cbdf8013a6069557d4f"},
-		{"fig10", Fig10, 0.05, "7680bf1f8390ea138adfcd4d088a36d305e59cdd0310f226b1422c2b4a89375e"},
-		{"abl-sharding", AblSharding, 0.05, "007d3622d21d631fc1c2520479d403ca84315965b51fac1ea809d7da22aeb03b"},
-		{"abl-qos", AblQoS, 0.05, "7ee9d2a969213ee861ae309fbb44a7a8e6b4f1a065c09da510a6491a506ca045"},
+		{"fig6", Fig6, 0.5, "bf8b09e684ecc7847ab34b3a435e969d13684e666b8452096c6eaaabc243e7be"},
+		{"fig11", Fig11, 0.3, "28141ea864aadb4172ddde05f94e02c1ddbd5a56d8b96e932911bc83c11a8de6"},
+		{"tab3", Table3, 0.4, "83979ad757bc7f954676b3c69c564baf45bfa64366c2c0bacd4a29b1a7e7e0d3"},
+		{"abl-counter", AblCounterBatch, 0.5, "90b29abf0f565a59a687d92bdb4264545bfbb2b9127aeeb7241e3e8de999c1c7"},
+		{"abl-coherent", AblHWCoherent, 0.5, "f5e7fd92e2c7cdef6d41f98d3bb6786e4ac5e919648049d1764378f0a28af787"},
+		{"abl-inspect", AblBackendInspect, 0.4, "98fc62cfc81ca09a8bd46f49b95e66e259cf2ad67215803e0552ebaf86c6349f"},
+		{"abl-storage", AblStorage, 0.5, "2b1b4b463dd0acdf864469db0132ec34d30d01ab198b1a2709ded3eecfbe5c09"},
+		{"fig9", Fig9, 0.3, "d16a52b1de868994c91f201f351aa3dc584475a001bac56954a90c96d1c8ed0c"},
+		{"fig10", Fig10, 0.3, "43287e0498a3156c0e2851232f3041e3783687a353831d46a32fc9c814a4bd7b"},
+		{"abl-sharding", AblSharding, 0.5, "a4a4c92b1ac20d59a0d3b7bd94ca14f727e0e562e9ddd74ec14417429173e01c"},
+		{"abl-qos", AblQoS, 0.5, "7ee9d2a969213ee861ae309fbb44a7a8e6b4f1a065c09da510a6491a506ca045"},
 		{"fig13", Fig13, 0.1, "41290607923de867d0b1874209d6b6bea6dce525f47cd25bd748724e6b6b2d96"},
 		{"blackout", Blackout, 0.5, "9e8f7f97352571fa2b4243357671238373f7b6e94ae3952a6c791e5747eabb18"},
-		{"fig2", Fig2, 0.05, "4a7e0e3b8aa599979c704513211e491f712b4d0a1215b580fbfead702e5d82a0"},
-		{"fig3", Fig3, 0.05, "90b7244d8cc1da248bf3289d50d748639823ff18fbd78c2d7fa102c93fb8ca09"},
-		{"tab1", Table1, 0.05, "4e41275a9c2e91fbd65b9795d41211969c57e2d6e0359549409251b5b7deba87"},
-		{"tab2", Table2, 0.05, "de3491225c2d6c4921d9709e4a9bf08cd63f047972c472fb095b56afff84ad7d"},
-		{"fig8", Fig8, 0.05, "43d9df33b2ea1893093decff9706fd53a1a679e979c0cb418c7bc6fce96330da"},
-		{"fig12", Fig12, 0.05, "4b40454897f6d13c9d7165e2918447e279b0defad52b03ea42b14bb1cbc553b8"},
-		{"fig14", Fig14, 0.05, "9ef97cffee1848b96e435670afa19e5a2b1f8d203a8310a0965e3d9805183f3f"},
-		{"abl-failover", AblFailoverMechanism, 0.05, "8972ffab210bf9e995912735ec6570e3b76975e09d45d2b9dd893884a0a792e1"},
-		{"chaos", Chaos, 1, "b15ff5f5ac5264bdc6198d4d12cf88c4ef9c030c1328b0229ea51b184e2d8a32"},
+		{"fig2", Fig2, 0.5, "08430501a8ade2821d02a3261f9bc225756204af6461b5700a84f88421cff601"},
+		{"fig3", Fig3, 0.5, "b3becd0a401021008a8605eafdbc988eb8efe9ee8c3d1fea43820430884a485b"},
+		{"tab1", Table1, 1, "4e41275a9c2e91fbd65b9795d41211969c57e2d6e0359549409251b5b7deba87"},
+		{"tab2", Table2, 0.5, "aa6e9f035fd42ffc3604ea2929916c1f7c5d61fad388e0b4bbd269a2871d38fd"},
+		{"fig8", Fig8, 0.05, "f760d27073d289ffac5ea168dbbbe920f2923fc8227f6f5fb762ae71e31d1165"},
+		{"fig12", Fig12, 0.25, "e97641590142c334f37b8de331e02365eb073b52a5af92da176898de69e963c9"},
+		{"fig14", Fig14, 0.2, "6cb2b0888422bd31c5817039030e4ed997b34f5bc31f60de53a207beaf160b04"},
+		{"abl-failover", AblFailoverMechanism, 0.5, "8972ffab210bf9e995912735ec6570e3b76975e09d45d2b9dd893884a0a792e1"},
+		{"chaos", Chaos, 1, "ba0d5436a9d06cac99b4c40aeda1c3754e8bb8ebc0d24d994bf6e6c135dc6acd"},
 		{"grayfail", Grayfail, 1, "e9ccc543f1fccbd3550b3a89492536cb0b05b8c13525b83cdc90ea58240dca86"},
 		{"racksweep/serial", func(s float64) *Report { return racksweepRun(s, false) }, 0.05, racksweep},
 		{"racksweep/perpod", func(s float64) *Report { return racksweepRun(s, true) }, 0.05, racksweep},

@@ -482,7 +482,7 @@ type Receiver struct {
 	pc       recvPC
 	fresh    bool    // the slot read held a fresh message
 	ctr      [8]byte // consumed counter being stored
-	nextLine int64   // recvFlush / recvPrefetch: absolute ring line the leg pays for
+	nextLine int64   // recvPrefetch: absolute ring line the leg pays for; recvFlush: the run's first line
 	lastLine int64   // final line of that run
 
 	// Stats.
@@ -573,7 +573,7 @@ const (
 	recvCounterWB                    // CLWB of the counter line issued
 	recvCounterDone                  // counter published
 	recvActions                      // plan the design's coherence actions
-	recvFlush                        // empty poll: CLFLUSHOPT of ring line nextLine issued
+	recvFlush                        // empty poll: CLFLUSHOPT of ring lines nextLine..lastLine issued
 	recvPrefetch                     // fresh: PREFETCHT0 of ring line nextLine issued
 	recvPrefetched                   // prefetch window topped up
 	recvConsumedFlush                // ③④ CLFLUSHOPT of the fully consumed line issued
@@ -680,16 +680,16 @@ func (r *Receiver) Step() (sim.Duration, bool) {
 			case DesignInvalidatePrefetched:
 				// ④: additionally invalidate the previously prefetched lines,
 				// which may hold stale contents that would block prefetching
-				// during the next burst.
-				r.nextLine, r.lastLine = cur, r.highestPrefetched
+				// during the next burst. The tail line goes even when no
+				// prefetch has reached it yet.
+				r.nextLine, r.lastLine = cur, max(cur, r.highestPrefetched)
 			}
+			// CLFLUSHOPTs are unordered until the fence: the run is one leg.
 			r.pc = recvFlush
-			return r.costs.FlushIssue, true
+			return r.costs.FlushIssue * sim.Duration(r.lastLine-r.nextLine+1), true
 		case recvFlush:
-			c.FlushLineNow(r.lineAddr(r.nextLine), cfg.Category)
-			if r.nextLine < r.lastLine {
-				r.nextLine++
-				return r.costs.FlushIssue, true
+			for ; r.nextLine <= r.lastLine; r.nextLine++ {
+				c.FlushLineNow(r.lineAddr(r.nextLine), cfg.Category)
 			}
 			if cfg.Design == DesignInvalidatePrefetched {
 				r.highestPrefetched = r.tailLine()

@@ -57,15 +57,22 @@ func refPoll(r *Receiver, p *sim.Proc) ([]byte, bool) {
 		if r.pendingConsumed > 0 {
 			refUpdateCounter(r, p)
 		}
+		// The flush run is one leg of FlushIssue per line — CLFLUSHOPTs are
+		// unordered until the fence — that drops its lines when it ends.
 		switch cfg.Design {
 		case DesignNaivePrefetch, DesignInvalidateConsumed:
-			r.cache.FlushLine(p, r.lineAddrOf(r.tail), cfg.Category)
+			p.Sleep(r.costs.FlushIssue)
+			r.cache.FlushLineNow(r.lineAddrOf(r.tail), cfg.Category)
 			r.cache.Fence(p)
 		case DesignInvalidatePrefetched:
 			cur := r.absLine(r.tail)
-			r.cache.FlushLine(p, r.lineAddrOf(r.tail), cfg.Category)
+			run := []int64{r.lineAddrOf(r.tail)}
 			for l := cur + 1; l <= r.highestPrefetched; l++ {
-				r.cache.FlushLine(p, r.lineAddrOf(l*int64(r.ch.slotsPerLine)), cfg.Category)
+				run = append(run, r.lineAddrOf(l*int64(r.ch.slotsPerLine)))
+			}
+			p.Sleep(r.costs.FlushIssue * sim.Duration(len(run)))
+			for _, a := range run {
+				r.cache.FlushLineNow(a, cfg.Category)
 			}
 			r.highestPrefetched = cur
 			r.cache.Fence(p)
@@ -218,6 +225,7 @@ func runChannelProgram(t *testing.T, row channelRow, design Design, seed int64, 
 	eng.Go("tx", func(p *sim.Proc) {
 		rng := rand.New(rand.NewSource(seed))
 		buf := make([]byte, ch.PayloadSize())
+		p.Sleep(row.txDelay)
 		for i := 0; i < total; {
 			// 8 to PayloadSize bytes: a short message must leave the rest
 			// of a slot that held a longer one zeroed.
@@ -260,12 +268,16 @@ func runChannelProgram(t *testing.T, row channelRow, design Design, seed int64, 
 		for received < total {
 			var payload []byte
 			var ok bool
+			behind := rx.highestPrefetched < rx.tailLine()
 			if reference {
 				payload, ok = refPoll(rx, p)
 			} else {
 				payload, ok = rx.Poll(p)
 			}
 			fmt.Fprintf(&log, "%d poll %v %x\n", p.Now(), ok, payload)
+			if row.txDelay > 0 && rx.Received+rx.EmptyPolls == 1 && (ok || !behind) {
+				t.Fatalf("%s: the first poll found a message or a prefetch at the tail line", row.name)
+			}
 			if ok {
 				if got := binary.LittleEndian.Uint64(payload); got != uint64(received) {
 					t.Errorf("message %d carries %d", received, got)
@@ -318,22 +330,26 @@ func runChannelProgram(t *testing.T, row channelRow, design Design, seed int64, 
 
 // channelRow is one channel shape the stepped endpoints are checked on.
 type channelRow struct {
-	name  string
-	cfg   Config
-	total int   // messages sent
-	wraps int64 // ring wraps the program must reach
+	name    string
+	cfg     Config
+	total   int          // messages sent
+	wraps   int64        // ring wraps the program must reach
+	txDelay sim.Duration // the sender's first send waits this long
 }
 
 var channelRows = []channelRow{
-	{"16B", Config{Slots: 64, MsgSize: 16, PrefetchDepth: 4, CounterBatch: 8, Category: "message"}, 600, 9},
+	{"16B", Config{Slots: 64, MsgSize: 16, PrefetchDepth: 4, CounterBatch: 8, Category: "message"}, 600, 9, 0},
 	// 64 B × 256 and 32 B × 512 slots each span four 4 KiB chunks of the
 	// sender's shadow; the 32 B ring also flushes partial lines, the last
 	// one included (an odd total leaves the final line half new).
-	{"64Bx4chunks", Config{Slots: 256, MsgSize: 64, PrefetchDepth: 4, CounterBatch: 32, Category: "message"}, 1000, 3},
-	{"32Bx4chunks", Config{Slots: 512, MsgSize: 32, PrefetchDepth: 4, CounterBatch: 64, Category: "message"}, 1801, 3},
+	{"64Bx4chunks", Config{Slots: 256, MsgSize: 64, PrefetchDepth: 4, CounterBatch: 32, Category: "message"}, 1000, 3, 0},
+	{"32Bx4chunks", Config{Slots: 512, MsgSize: 32, PrefetchDepth: 4, CounterBatch: 64, Category: "message"}, 1801, 3, 0},
 	// Three lines: a ring whose line count is no power of two, and a prefetch
 	// window deeper than the ring.
-	{"16Bx3lines", Config{Slots: 12, MsgSize: 16, PrefetchDepth: 4, CounterBatch: 4, Category: "message"}, 301, 9},
+	{"16Bx3lines", Config{Slots: 12, MsgSize: 16, PrefetchDepth: 4, CounterBatch: 4, Category: "message"}, 301, 9, 0},
+	// The receiver starts polling an empty ring: its first empty poll has no
+	// prefetch at or past the tail line, and must still flush that line.
+	{"16BidleFirst", Config{Slots: 64, MsgSize: 16, PrefetchDepth: 4, CounterBatch: 8, Category: "message"}, 300, 4, 2 * time.Microsecond},
 }
 
 // Both endpoints against their references, for all five designs: same polls

@@ -2,6 +2,7 @@ package netengine
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -591,4 +592,155 @@ func TestTransmitWaitsForInflightFill(t *testing.T) {
 		r.eng.Shutdown()
 	})
 	r.eng.Run()
+}
+
+// rxBurst is what a lone frontend did with k 1500 B packets handed to it in
+// one burst of RxPacket messages over a backend link the test holds.
+type rxBurst struct {
+	span      sim.Duration // from the burst's flush to the last copy-out
+	frames    [][]byte     // the frames the instance's UDP socket got, in order
+	completes []int64      // the buffers recycled over the link, in order
+	resident  int          // buffer lines still in the frontend host's cache
+	prefetch  int64        // prefetches the burst issued
+	processed int64        // items the frontend's core counted for the burst
+	bufs      []int64      // the RX buffers, in message order
+}
+
+func runRxBurst(t *testing.T, k int, pp cxl.Params) rxBurst {
+	t.Helper()
+	eng := sim.New()
+	pool := cxl.NewPool(eng, 1<<26, pp)
+	hA := host.New(eng, 0, "hostA", pool, host.DefaultConfig())
+	hB := host.New(eng, 1, "hostB", pool, host.DefaultConfig())
+	cfg := DefaultConfig()
+	fe := NewFrontend(hA, pool, map[uint16]netsw.MAC{1: mac1}, cfg)
+	feEnd, beEnd, err := core.NewDuplexLink(pool, hA, hB, cfg.Chan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe.ConnectBackend(1, feEnd)
+	inst, err := fe.AddInstance(instIP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack := netstack.NewStack(eng, "inst", instIP, inst.CurrentMAC, inst, netstack.DefaultConfig())
+	inst.AttachStack(stack)
+	conn, err := stack.ListenUDP(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack.Start()
+	fe.Start()
+	region, err := pool.Alloc(int64(k * bufSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out rxBurst
+	want := make([][]byte, k)
+	for i := range want {
+		pk := netstack.Packet{SrcMAC: macCli, DstMAC: mac1, EtherType: netstack.EtherTypeIPv4, SrcIP: cliIP, DstIP: instIP,
+			Proto: netstack.ProtoUDP, SrcPort: 9, DstPort: 7, Payload: bytes.Repeat([]byte{byte(i + 1)}, 1458)}
+		want[i] = pk.Marshal()
+		out.bufs = append(out.bufs, region.Base+int64(i*bufSize))
+	}
+	// The buffers hold stale bytes first: a line read before its packet's
+	// DMA — before the message is polled — reads them.
+	for _, addr := range out.bufs {
+		pool.Poke(addr, bytes.Repeat([]byte{0xEE}, bufSize))
+	}
+	dma := pool.AttachPort("nic-dma")
+	var flushed sim.Duration
+	prefetched := hA.Cache.Stats().PrefetchIssued
+	var processed int64
+	eng.Go("nic", func(p *sim.Proc) {
+		p.Sleep(20 * time.Microsecond) // the frontend is idle, backing off
+		processed = fe.Processed
+		var done sim.Duration
+		for i, addr := range out.bufs {
+			done = max(done, dma.DMAWrite(addr, want[i], "payload"))
+		}
+		p.Sleep(done - p.Now())
+		var buf [15]byte
+		for _, addr := range out.bufs {
+			if !beEnd.Send(p, msg{op: opRxPacket, addr: addr, size: uint16(len(want[0])), ip: instIP}.encode(buf[:])) {
+				t.Error("RxPacket refused by an empty ring")
+			}
+		}
+		beEnd.Flush(p)
+		flushed = p.Now()
+	})
+	eng.Go("watch", func(p *sim.Proc) {
+		for fe.RxDelivered < int64(k) {
+			p.Sleep(time.Nanosecond)
+		}
+		out.span = p.Now() - flushed
+		for len(out.frames) < k {
+			out.frames = append(out.frames, conn.Recv(p).Data)
+		}
+		for {
+			payload, ok := beEnd.Poll(p)
+			if !ok {
+				break
+			}
+			if m := decode(payload); m.op == opRxComplete {
+				out.completes = append(out.completes, m.addr)
+			}
+		}
+		for _, addr := range out.bufs {
+			for a := addr; a < addr+int64(len(want[0])); a += cxl.LineSize {
+				if hA.Cache.Contains(a) {
+					out.resident++
+				}
+			}
+		}
+		out.prefetch = hA.Cache.Stats().PrefetchIssued - prefetched
+		p.Sleep(time.Microsecond) // the iteration that copied the burst out has ended
+		out.processed = fe.Processed - processed
+		eng.Shutdown()
+	})
+	eng.RunUntil(time.Millisecond)
+	for i, f := range out.frames {
+		if !bytes.Equal(f, want[i][netstack.EthHeaderLen+netstack.IPv4HeaderLen+netstack.UDPHeaderLen:]) {
+			t.Errorf("k=%d: datagram %d is not packet %d's payload", k, i, i)
+		}
+	}
+	return out
+}
+
+// The frontend prefetches a received packet's buffer when it polls the
+// message — the NIC's DMA is done by then — and copies it out after the poll
+// stage, so a burst of k packets pays one fill latency, not k: with the pool's
+// load latency ten times the default, so that a fill dwarfs a packet's work,
+// each packet after the first adds less than half a fill. Every buffer is
+// invalidated after its copy (no line stays in the cache), recycled exactly
+// once in message order, every frame reaches the instance byte for byte,
+// in order, and the core counts each packet once. A copy-out inline with the poll pays a fill per packet; a line
+// read before its packet's DMA reads stale bytes.
+func TestRxBurstOverlapsFills(t *testing.T) {
+	const k = 6
+	pp := cxl.DefaultParams()
+	pp.LoadLatency *= 10
+	one, burst := runRxBurst(t, 1, pp), runRxBurst(t, k, pp)
+	for _, r := range []rxBurst{one, burst} {
+		n := len(r.bufs)
+		if len(r.frames) != n {
+			t.Fatalf("k=%d: %d datagrams delivered", n, len(r.frames))
+		}
+		if !slices.Equal(r.completes, r.bufs) {
+			t.Errorf("k=%d: recycled %#x, want each buffer once in message order %#x", n, r.completes, r.bufs)
+		}
+		if r.resident != 0 {
+			t.Errorf("k=%d: %d buffer lines left in the cache: a buffer was not invalidated after its copy", n, r.resident)
+		}
+		if lines := int64(n * ((1500 + cxl.LineSize - 1) / cxl.LineSize)); r.prefetch < lines {
+			t.Errorf("k=%d: %d prefetches for %d buffer lines", n, r.prefetch, lines)
+		}
+		if r.processed != int64(n) {
+			t.Errorf("k=%d: the core counted %d items, want one per packet", n, r.processed)
+		}
+	}
+	if extra := burst.span - one.span; extra >= (k-1)*pp.LoadLatency/2 {
+		t.Errorf("a burst of %d took %v after its flush, one packet %v: %v more, want under half a %v fill per extra packet",
+			k, burst.span, one.span, extra, pp.LoadLatency)
+	}
 }

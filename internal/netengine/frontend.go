@@ -120,7 +120,9 @@ type Frontend struct {
 	// The datapath's jobs (see port.go).
 	queues queuesJob
 	beMsg  beMsgJob
+	copies rxCopiesJob
 	rx     rxCopy
+	parked []rxParked // received packets prefetched and not yet copied out
 
 	// Stats.
 	TxForwarded, RxDelivered int64
@@ -148,13 +150,14 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, nicDir map[uint16]netsw.MAC, cfg 
 		cmds:   sim.NewQueue[feCmd](h.Eng),
 		rx:     newRxCopy(h, bufSize),
 	}
-	fe.queues.fe, fe.beMsg.fe = fe, fe
+	fe.queues.fe, fe.beMsg.fe, fe.copies.fe = fe, fe, fe
 	// One iteration: deferred commands and instance TX queues, backend
-	// messages, allocator commands, and the flush of partially-filled
-	// message lines.
+	// messages, the copy-out of the packets they brought, allocator
+	// commands, and the flush of partially-filled message lines.
 	fe.Driver = core.NewDriver(h, h.Name+"/fe", cfg.driverConfig(),
 		core.SteppedWorkStage("queues", fe.queuesIdle, &fe.queues),
 		core.SteppedPollStage("backend messages", fe.links, burst, &fe.beMsg),
+		core.SteppedWorkStage("rx copies", fe.copiesIdle, &fe.copies),
 		core.ControlStage("allocator commands", &fe.ctrl, burst, fe.handleControlMsg, true),
 		core.SteppedWorkStage("flush", fe.flushIdle, core.NewFlushJob(fe.links, &fe.ctrl)),
 	)
@@ -507,12 +510,17 @@ func (fe *Frontend) flushIdle() bool { return fe.links.FlushIdle() && !fe.ctrl.U
 // beMsgJob is the frontend's handling of one backend message: the
 // datapath's — a TX completion, a received packet — in event context after
 // the per-message cost, the rest from the process.
+//
+// A received packet is not copied out here (§3.3.1 RX). Its message says the
+// NIC's DMA into the buffer is done, so the job issues PREFETCHT0 for the
+// buffer's lines — one leg, PrefetchIssue per line — and parks the packet
+// for the "rx copies" stage after this poll stage: the fill overlaps the
+// messages behind this one instead of holding the core.
 type beMsgJob struct {
-	fe   *Frontend
-	l    *core.Link
-	m    msg
-	inst *InstancePort
-	pc   beMsgPC
+	fe *Frontend
+	l  *core.Link
+	m  msg
+	pc beMsgPC
 	sub
 }
 
@@ -522,10 +530,18 @@ type beMsgPC uint8
 const (
 	beMsgStart beMsgPC = iota
 	beMsgPaid          // the per-message cost is paid
-	beMsgCopy          // the received packet's copy-out is in progress
 	beMsgProc          // the process handles the message
 	beMsgDone
 )
+
+// rxParked is a received packet whose buffer lines are prefetched, waiting
+// for its copy-out.
+type rxParked struct {
+	inst *InstancePort
+	addr int64
+	n    int
+	link *core.Link // the backend's link, where the buffer is recycled
+}
 
 func (j *beMsgJob) Begin(l *core.Link, payload []byte) {
 	j.l, j.m, j.pc = l, decode(payload), beMsgStart
@@ -559,41 +575,69 @@ func (j *beMsgJob) Step() (sim.Duration, bool) {
 					j.sendOrQueue(j.l, msg{op: opRxComplete, addr: m.addr})
 					continue
 				}
-				// §3.3.1 RX: the copy-out, recycling the buffer to its
-				// backend; the message carries buffer ownership, so a full
-				// ring parks it on the link's pending queue.
-				j.inst = inst
-				fe.rx.begin(&inst.port, m.addr, int(m.size), j.l, nil)
-				j.pc = beMsgCopy
+				fe.parked = append(fe.parked, rxParked{inst: inst, addr: m.addr, n: int(m.size), link: j.l})
+				if d := fe.h.Cache.PrefetchRangeNow(m.addr, int(m.size), "payload"); d > 0 {
+					return d, true
+				}
 			default:
 				j.pc = beMsgProc
 				return 0, false
 			}
-		case beMsgCopy:
-			if d, more := fe.rx.Step(); more || fe.rx.Blocked() {
-				return d, more
-			}
-			j.inst.RxPackets++
-			fe.RxDelivered++
-			j.inst, j.pc = nil, beMsgDone
 		default:
 			return 0, false
 		}
 	}
 }
 
-func (j *beMsgJob) Blocked() bool {
-	return j.pc == beMsgProc || j.pc == beMsgCopy && j.fe.rx.Blocked()
-}
+func (j *beMsgJob) Blocked() bool { return j.pc == beMsgProc }
 
 func (j *beMsgJob) Finish(p *sim.Proc) {
-	if j.pc == beMsgCopy {
-		j.fe.rx.Finish(p)
-		return
-	}
 	j.fe.handleRegisterAck(p, j.m)
 	j.pc = beMsgDone
 }
+
+func (fe *Frontend) copiesIdle() bool { return len(fe.parked) == 0 }
+
+// rxCopiesJob is the "rx copies" stage: the copy-out of every packet the
+// "backend messages" stage before it parked, in the order they were polled —
+// read from the buffer, by now mostly in the cache, copied to the instance,
+// invalidated, recycled to its backend and delivered (see rxCopy). The
+// message that recycles a buffer carries its ownership, so a full ring parks
+// it on the link's pending queue. A copy-out is no item of its own: the poll
+// stage that parked the packet, earlier in the same iteration, counted it.
+type rxCopiesJob struct {
+	fe      *Frontend
+	i       int  // parked[i] is next, or being copied out
+	copying bool // parked[i]'s copy-out is in progress
+}
+
+func (j *rxCopiesJob) Begin() { j.i, j.copying = 0, false }
+
+func (j *rxCopiesJob) Step() (sim.Duration, bool) {
+	fe := j.fe
+	for {
+		if j.copying {
+			if d, more := fe.rx.Step(); more || fe.rx.Blocked() {
+				return d, more
+			}
+			fe.parked[j.i].inst.RxPackets++
+			fe.RxDelivered++
+			j.i, j.copying = j.i+1, false
+		}
+		if j.i == len(fe.parked) {
+			clear(fe.parked)
+			fe.parked = fe.parked[:0]
+			return 0, false
+		}
+		pk := &fe.parked[j.i]
+		fe.rx.begin(&pk.inst.port, pk.addr, pk.n, pk.link, nil)
+		j.copying = true
+	}
+}
+
+func (j *rxCopiesJob) Blocked() bool      { return j.copying && j.fe.rx.Blocked() }
+func (j *rxCopiesJob) Finish(p *sim.Proc) { j.fe.rx.Finish(p) }
+func (j *rxCopiesJob) Progress() int      { return 0 }
 
 // handleRegisterAck completes a registration with a backend; any other
 // message is ignored.

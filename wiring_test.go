@@ -20,12 +20,12 @@ import (
 // Regenerate them (go test -run TestWiringDigests -v prints the got values)
 // only with a change that is meant to move simulated results.
 const (
-	digestDefaultPod  = "235ab2be3bfc6f251ec2ae17223d27e286af5022fffa0e8d099a75e543542bcf"
-	digestNetStorage  = "e277b2910267e631db86f3cb060b2a4be85e5cf61ce5393bcd43b0d94f40d5c4"
-	digestRaftBackups = "ef0fdc5d587d14d64fbd94aae0a9f53bfea23cce5322ff77fe4afac8dd19bace"
-	digestBaseline    = "73a166277bf75a949cf6af2126806608c541c8de5337ab417327e7e664f2070c"
-	digestLateAdds    = "d9fc6c477e14628592a11240e6aaf8d86cd6e42e1d8719d8e231a3ef4376b9f8"
-	digestClusterMove = "5446d82f4978eb00b421cecb01090cb2869eee7955eb038540543c4a85e439cb"
+	digestDefaultPod  = "22f0ee700026113614682ac2972aaad55e76d27abaa08e10bc42b10cae786315"
+	digestNetStorage  = "2e2ba872c5e6c0b3a8b945db0f73f77ffaed53531f8b7d1a22b468f891b31b17"
+	digestRaftBackups = "3018af19433050607cdb89c4f86c6b44369ec945979a43d8f8c79f2b3c4854a7"
+	digestBaseline    = "efc70d7d5f0f10e9211103fa7043ebd8ab31a090f99f46a143788c14f406949a"
+	digestLateAdds    = "28b8482cfc350b77436b3825bdae697b0113ec92e45754e8ecada9adf2112903"
+	digestClusterMove = "7fe5fe0b91106187b8c4c0d1a4a347c9b5bf9ad5bd96f779fbbf3dbbb62d7ca6"
 )
 
 // digestEcho spawns a UDP echo server on inst and a client process that
