@@ -215,23 +215,10 @@ func AblHWCoherent(scale float64) *Report {
 		}
 		tx, rx := rawChannel(eng, pool, cfg, pool.AttachPort("tx"), pool.AttachPort("rx"))
 		var hist metrics.Histogram
-		eng.Go("tx", func(p *sim.Proc) {
-			payload := make([]byte, 8)
-			for p.Now() < window {
-				binary.LittleEndian.PutUint64(payload, uint64(p.Now()))
-				if !tx.TrySend(p, payload) {
-					p.Sleep(300 * time.Nanosecond)
-				}
-			}
-		})
-		eng.Go("rx", func(p *sim.Proc) {
-			for p.Now() < window {
-				if msg, ok := rx.Poll(p); ok {
-					hist.Record(p.Now() - sim.Duration(binary.LittleEndian.Uint64(msg[:8])))
-					p.Sleep(10 * time.Nanosecond)
-				}
-			}
-		})
+		eng.Go("tx", (&sendLoop{tx: tx, end: window, full: 300 * time.Nanosecond}).run)
+		eng.Go("rx", (&pollLoop{rx: rx, eng: eng, end: window, cost: 10 * time.Nanosecond, got: func(msg []byte) {
+			hist.Record(eng.Now() - sim.Duration(binary.LittleEndian.Uint64(msg[:8])))
+		}}).run)
 		eng.RunUntil(window)
 		r.count(eng)
 		eng.Shutdown()
