@@ -73,7 +73,7 @@ func saturate(r *Report, cfg msgchan.Config, shards int, window sim.Duration) ([
 		tx, rx := rawChannel(eng, pool, cfg, txPort, rxPort)
 		txs[i], rxs[i] = tx, rx
 		eng.Go("tx", (&sendLoop{tx: tx, end: window, full: 300 * time.Nanosecond}).run)
-		eng.Go("rx", (&pollLoop{rx: rx, eng: eng, end: window, cost: 10 * time.Nanosecond}).run)
+		eng.Go("rx", (&pollLoop{rx: rx, end: window, cost: 10 * time.Nanosecond}).run)
 	}
 	eng.RunUntil(window)
 	r.count(eng)
@@ -216,7 +216,7 @@ func AblHWCoherent(scale float64) *Report {
 		tx, rx := rawChannel(eng, pool, cfg, pool.AttachPort("tx"), pool.AttachPort("rx"))
 		var hist metrics.Histogram
 		eng.Go("tx", (&sendLoop{tx: tx, end: window, full: 300 * time.Nanosecond}).run)
-		eng.Go("rx", (&pollLoop{rx: rx, eng: eng, end: window, cost: 10 * time.Nanosecond, got: func(msg []byte) {
+		eng.Go("rx", (&pollLoop{rx: rx, end: window, cost: 10 * time.Nanosecond, got: func(msg []byte) {
 			hist.Record(eng.Now() - sim.Duration(binary.LittleEndian.Uint64(msg[:8])))
 		}}).run)
 		eng.RunUntil(window)

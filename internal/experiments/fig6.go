@@ -143,7 +143,6 @@ func (l *sendLoop) Step() (sim.Duration, bool) {
 // with got, when set, called at the instant the poll ends.
 type pollLoop struct {
 	rx      *msgchan.Receiver
-	eng     *sim.Engine
 	end     sim.Duration
 	cost    sim.Duration // what handling a message costs
 	got     func(msg []byte)
@@ -165,7 +164,7 @@ func (l *pollLoop) Step() (sim.Duration, bool) {
 	rx := l.rx
 	for {
 		if !l.polling {
-			if l.eng.Now() >= l.end {
+			if rx.Engine().Now() >= l.end {
 				return 0, false
 			}
 			rx.Begin()
@@ -202,7 +201,7 @@ func runMsgChannel(r *Report, design msgchan.Design, offeredMops float64, window
 		send.full = send.interval
 	}
 	eng.Go("tx", send.run)
-	eng.Go("rx", (&pollLoop{rx: rx, eng: eng, end: window, cost: 10 * time.Nanosecond, got: func(msg []byte) {
+	eng.Go("rx", (&pollLoop{rx: rx, end: window, cost: 10 * time.Nanosecond, got: func(msg []byte) {
 		hist.Record(eng.Now() - sim.Duration(binary.LittleEndian.Uint64(msg[:8])))
 	}}).run)
 	eng.RunUntil(window)

@@ -526,6 +526,9 @@ func (r *Receiver) Poll(p *sim.Proc) ([]byte, bool) {
 	return payload, payload != nil
 }
 
+// Engine returns the engine the receiver's cache runs on.
+func (r *Receiver) Engine() *sim.Engine { return r.cache.Port().Pool().Engine() }
+
 // Begin starts a poll: the next Step is its first.
 func (r *Receiver) Begin() { r.pc = recvStart }
 
