@@ -236,8 +236,9 @@ func (ch *Channel) ringLine(l, ref int64, refLine int) int64 {
 // wrote one wrap ago is hidden on real cores and carries no information.
 //
 // The shadow is a table of shadowChunk-byte chunks, each allocated zeroed on
-// the first store into it, so a channel that never carries a message costs
-// no ring-sized copy. It stays a full copy of the ring, never a one-line
+// the first store into it, and the table itself is made on the sender's
+// first store, so a channel that never carries a message costs neither a
+// ring-sized copy nor the table. It stays a full copy of the ring, never a one-line
 // buffer refilled from the pool: the previous wrap's posted write of a line
 // may still be in flight, and a partial flush over a stale refill would
 // publish wrap w−2's bytes, whose epoch bit matches the current wrap's.
@@ -253,7 +254,7 @@ type Sender struct {
 	cachedConsumed int64    // sender's view of the receiver's counter
 	flushedThrough int64    // messages pushed to the pool (CLWBed)
 
-	shadow []*[shadowChunk]byte // private copy of ring contents; see shadowAt
+	shadow []*[shadowChunk]byte // private copy of ring contents, nil until the first store; see shadowAt
 
 	// The position of a send or flush in progress (see Step): what the leg in
 	// progress pays for.
@@ -277,7 +278,6 @@ const shadowChunk = 4096
 // NewSender returns the sending endpoint. costs supplies the CPU-side
 // instruction costs (use cache.DefaultParams()).
 func NewSender(ch *Channel, port *cxl.Port, costs cache.Params) *Sender {
-	ring := ch.cfg.Slots * ch.cfg.MsgSize
 	return &Sender{
 		ch:           ch,
 		port:         port,
@@ -285,13 +285,16 @@ func NewSender(ch *Channel, port *cxl.Port, costs cache.Params) *Sender {
 		wbIssue:      costs.WritebackIssue,
 		refreshIssue: costs.FlushIssue + costs.FenceLatency,
 		headPos:      startPosition(),
-		shadow:       make([]*[shadowChunk]byte, (ring+shadowChunk-1)/shadowChunk),
 	}
 }
 
 // shadowAt returns the n shadow bytes at ring offset off, which lie in one
-// chunk; the chunk is allocated zeroed on first use.
+// chunk; the table and the chunk are allocated zeroed on first use.
 func (s *Sender) shadowAt(off, n int) []byte {
+	if s.shadow == nil {
+		ring := s.ch.cfg.Slots * s.ch.cfg.MsgSize
+		s.shadow = make([]*[shadowChunk]byte, (ring+shadowChunk-1)/shadowChunk)
+	}
 	c := s.shadow[off/shadowChunk]
 	if c == nil {
 		c = new([shadowChunk]byte)
