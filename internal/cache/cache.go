@@ -116,6 +116,7 @@ type Cache struct {
 	// so every call takes its own.
 	freeRanges []*RangeOp
 	freeReads  []*ReadOp
+	fetched    [cxl.LineSize]byte // the line CollectFetched collected last
 	stats      Stats
 }
 
@@ -498,6 +499,47 @@ func (c *Cache) ReadIssue(addr int64, category string) (wait sim.Duration, hit b
 		return c.params.HitLatency, true
 	}
 	return readyAt - c.eng.Now(), false
+}
+
+// LoadAhead starts the load of line addr ahead of the access that will use
+// it, for a caller that issues several independent loads before it waits on
+// any (a poll pass's tail slots, see msgchan.Receiver.LoadAhead). It is a
+// demand fill with no completion event, counted as a miss now; the access
+// that collects it waits until readyAt and counts nothing more. When the
+// line is present, ready or in flight, it does nothing and reports false:
+// the access then counts as any other.
+func (c *Cache) LoadAhead(addr int64, category string) (readyAt sim.Duration, started bool) {
+	a := cxl.LineAddr(addr)
+	if c.lines.get(a) != nil {
+		return 0, false
+	}
+	c.stats.Misses++
+	return c.startFill(a, category, false).readyAt, true
+}
+
+// FetchAhead is LoadAhead of an absent line that makes no line: the same
+// port reservation, meters and miss, for a caller that keeps the line only
+// if it wants it. It collects the bytes with CollectFetched at or after the
+// returned arrival, and then may keep the line with KeepFetched.
+func (c *Cache) FetchAhead(addr int64, category string) sim.Duration {
+	c.stats.Misses++
+	return c.port.FetchLine(cxl.LineAddr(addr), category)
+}
+
+// CollectFetched copies len(buf) bytes at addr, inside one line, out of the
+// line's pool contents as they are now: the collection of a FetchAhead.
+func (c *Cache) CollectFetched(addr int64, buf []byte) {
+	a := cxl.LineAddr(addr)
+	c.port.CollectLine(a, c.fetched[:])
+	copy(buf, c.fetched[addr-a:])
+}
+
+// KeepFetched makes the absent line addr, collected last by CollectFetched,
+// resident, ready and clean, as a demand fill would have left it.
+func (c *Cache) KeepFetched(addr int64) {
+	ln := c.newLine(cxl.LineAddr(addr))
+	ln.data = c.fetched
+	c.insert(ln)
 }
 
 // ReadCollect completes ReadIssue: it copies len(buf) bytes at addr out of

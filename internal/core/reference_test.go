@@ -56,11 +56,20 @@ func refNextIdle(cur, start, cap sim.Duration) sim.Duration {
 	return cur
 }
 
+// refPollEach and refPollControl are passes under the batched rule, written
+// as blocking calls: every link's tail load issued up front and one sleep
+// until the last lands, each poll run from the process with its empty flush
+// run left over, then one sleep for all the CLFLUSHOPTs and the fence.
 func refPollEach(s *LinkSet, p *sim.Proc, burst int, handle func(p *sim.Proc, l *Link, payload []byte)) int {
+	if burst <= 0 {
+		return 0
+	}
+	links := s.order
+	refLoadAhead(p, links)
 	progress := 0
-	for _, l := range s.order {
+	for _, l := range links {
 		for i := 0; i < burst; i++ {
-			payload, ok := l.End.Poll(p)
+			payload, ok := refPollDeferred(l.End, p)
 			if !ok {
 				break
 			}
@@ -69,7 +78,45 @@ func refPollEach(s *LinkSet, p *sim.Proc, burst int, handle func(p *sim.Proc, l 
 			progress++
 		}
 	}
+	refFlushDeferred(p, links)
 	return progress
+}
+
+// refLoadAhead issues the links' tail loads and sleeps until the last lands.
+func refLoadAhead(p *sim.Proc, links []*Link) {
+	var loaded sim.Duration
+	for _, l := range links {
+		loaded = max(loaded, l.End.In.LoadAhead())
+	}
+	if wait := loaded - p.Now(); wait > 0 {
+		p.Sleep(wait)
+	}
+}
+
+// refPollDeferred is LinkEnd.Poll for a poll made in a pass.
+func refPollDeferred(end *LinkEnd, p *sim.Proc) ([]byte, bool) {
+	end.In.BeginDeferred()
+	p.RunJob(end.In)
+	payload := end.In.Payload()
+	if payload == nil {
+		return nil, false
+	}
+	end.inLat.observe(p.Now())
+	return payload, true
+}
+
+func refFlushDeferred(p *sim.Proc, links []*Link) {
+	var run sim.Duration
+	for _, l := range links {
+		run += l.End.In.DeferredCost()
+	}
+	if run == 0 {
+		return
+	}
+	p.Sleep(run + links[0].End.In.FenceLatency())
+	for _, l := range links {
+		l.End.In.FlushDeferred()
+	}
 }
 
 // refSendOrQueue, refSend and refFlush are a link's operations as they were
@@ -94,9 +141,11 @@ func refSend(l *Link, p *sim.Proc, payload []byte) bool {
 func refFlush(l *LinkEnd, p *sim.Proc) { l.Out.Flush(p) }
 
 func refPollControl(p *sim.Proc, end *LinkEnd, burst int, handle func(p *sim.Proc, m ControlMsg)) int {
+	links := []*Link{{End: end}}
+	refLoadAhead(p, links)
 	n := 0
 	for i := 0; i < burst; i++ {
-		payload, ok := end.Poll(p)
+		payload, ok := refPollDeferred(end, p)
 		if !ok {
 			break
 		}
@@ -105,6 +154,7 @@ func refPollControl(p *sim.Proc, end *LinkEnd, burst int, handle func(p *sim.Pro
 			n++
 		}
 	}
+	refFlushDeferred(p, links)
 	return n
 }
 

@@ -158,10 +158,25 @@ func (st *Stage) progress() int {
 
 // pollPass is one pass over a list of links, up to burst messages from each:
 // the position that LinkSet.PollEach and a driver's poll stage both advance.
-// It is a sim.Stepper over the part of a pass that needs no process — polls,
-// and the handler's steps for each message polled, chained into one sleep —
-// and block is the rest: where the handler blocked, or one of the receiver's
-// two blocking escapes.
+// A pass is three steps, the way a core polls N rings:
+//
+//  1. the load of every link's tail slot line goes out at once
+//     (msgchan.Receiver.LoadAhead), and one leg waits until the last has
+//     landed — the loads are independent, so they overlap, and N idle rings
+//     cost one load-to-use plus the port's serialization of N lines, not N
+//     round trips;
+//  2. the links are polled in order, each poll collecting its load, and
+//     each message is handed to the handler;
+//  3. a CLFLUSHOPT for every line the empty polls left to invalidate
+//     (msgchan.Receiver.BeginDeferred), then one MFENCE — CLFLUSHOPTs are
+//     unordered until a fence — as one leg, at whose end the lines are
+//     gone.
+//
+// A one-link pass costs what a lone poll does. It is a sim.Stepper over the
+// part of a pass that needs no process — the polls, the handler's steps for
+// each message polled and the closing flush run, chained into one sleep —
+// and block is the rest: where the handler blocked, or one of the
+// receiver's two blocking escapes.
 type pollPass struct {
 	h       Handler // what a message is handed to
 	control bool    // control messages: a payload that is not a control op is dropped uncounted
@@ -169,26 +184,46 @@ type pollPass struct {
 	eng      *sim.Engine
 	links    []*Link // the pass's snapshot: the links as they were when it began
 	burst    int
-	i, n     int      // links[i] is being polled and has delivered n messages
-	end      *LinkEnd // links[i]'s end while a poll of it is in progress
-	handling bool     // h is handling a message from links[i]
-	got      int      // messages delivered by this pass
+	i, n     int          // links[i] is being polled and has delivered n messages
+	end      *LinkEnd     // links[i]'s end while a poll of it is in progress
+	handling bool         // h is handling a message from links[i]
+	loaded   sim.Duration // when the last tail load lands; 0 once the pass has waited for it
+	closing  passEnd      // where the closing flush run is, once every link is polled
+	got      int          // messages delivered by this pass
 }
+
+// passEnd says where a pass's closing flush run is.
+type passEnd uint8
+
+const (
+	passFlush   passEnd = iota // charge the deferred CLFLUSHOPTs and the fence
+	passFlushed                // their leg is over: drop the lines
+	passClosed                 // nothing left
+)
 
 func (c *pollPass) begin(eng *sim.Engine, links []*Link, burst int) {
 	if burst <= 0 {
 		links = nil
 	}
-	c.eng, c.links, c.burst, c.i, c.n, c.end, c.handling, c.got = eng, links, burst, 0, 0, nil, false, 0
+	c.eng, c.links, c.burst, c.i, c.n, c.end, c.handling, c.loaded, c.closing, c.got = eng, links, burst, 0, 0, nil, false, 0, passFlush, 0
+	for _, l := range links {
+		c.loaded = max(c.loaded, l.End.In.LoadAhead())
+	}
 }
 
-// over reports whether every link has been polled.
-func (c *pollPass) over() bool { return c.i >= len(c.links) }
+// over reports whether every link has been polled and the pass is closed.
+func (c *pollPass) over() bool { return c.closing == passClosed }
 
 // Step implements sim.Stepper. It returns more == false when the pass is
 // over or block has to take it from here.
 func (c *pollPass) Step() (sim.Duration, bool) {
-	for !c.over() {
+	if c.loaded > 0 {
+		wait := c.loaded - c.eng.Now()
+		if c.loaded = 0; wait > 0 {
+			return wait, true
+		}
+	}
+	for c.i < len(c.links) {
 		if c.handling {
 			if d, more := c.h.Step(); more {
 				return d, true
@@ -203,7 +238,7 @@ func (c *pollPass) Step() (sim.Duration, bool) {
 		}
 		if c.end == nil {
 			c.end = c.links[c.i].End
-			c.end.In.Begin()
+			c.end.In.BeginDeferred()
 		}
 		if d, more := c.end.In.Step(); more {
 			return d, true
@@ -229,6 +264,29 @@ func (c *pollPass) Step() (sim.Duration, bool) {
 		}
 		c.h.Begin(l, payload)
 		c.handling = true
+	}
+	return c.close()
+}
+
+// close runs the pass's third step: the CLFLUSHOPT run its empty polls
+// deferred and the fence, as one leg, if there was a run.
+func (c *pollPass) close() (sim.Duration, bool) {
+	switch c.closing {
+	case passFlush:
+		var run sim.Duration
+		for _, l := range c.links {
+			run += l.End.In.DeferredCost()
+		}
+		c.closing = passClosed
+		if run > 0 {
+			c.closing = passFlushed
+			return run + c.links[0].End.In.FenceLatency(), true
+		}
+	case passFlushed:
+		for _, l := range c.links {
+			l.End.In.FlushDeferred()
+		}
+		c.closing = passClosed
 	}
 	return 0, false
 }

@@ -112,31 +112,31 @@ type digestRun struct {
 }
 
 func digestRuns() []digestRun {
-	const racksweep = "b8a01281304395679e802d50f4b9cb5d662893b4ffe88bac06cc299c650520ff"
+	const racksweep = "0e46e629bc5f5e03deb15f08adda2fc2b59c0779f99f2ec6c309b769143b9ffa"
 	return []digestRun{
 		{"fig6", Fig6, 0.5, "bf8b09e684ecc7847ab34b3a435e969d13684e666b8452096c6eaaabc243e7be"},
-		{"fig11", Fig11, 0.3, "28141ea864aadb4172ddde05f94e02c1ddbd5a56d8b96e932911bc83c11a8de6"},
-		{"tab3", Table3, 0.4, "83979ad757bc7f954676b3c69c564baf45bfa64366c2c0bacd4a29b1a7e7e0d3"},
+		{"fig11", Fig11, 0.3, "d592aa55650d534c4a459bb186b18be9c5c626a8a1542ab26a1415d3981e61d0"},
+		{"tab3", Table3, 0.4, "1c1dc74523eb4a9e9798cd679364706f61c7bdbdce2998dd2706e3084b46108c"},
 		{"abl-counter", AblCounterBatch, 0.5, "90b29abf0f565a59a687d92bdb4264545bfbb2b9127aeeb7241e3e8de999c1c7"},
 		{"abl-coherent", AblHWCoherent, 0.5, "f5e7fd92e2c7cdef6d41f98d3bb6786e4ac5e919648049d1764378f0a28af787"},
-		{"abl-inspect", AblBackendInspect, 0.4, "98fc62cfc81ca09a8bd46f49b95e66e259cf2ad67215803e0552ebaf86c6349f"},
+		{"abl-inspect", AblBackendInspect, 0.4, "930ed67c5601f8a7ec4b1226c6e5c46756ed2226a0c5620d3af00543c0180e60"},
 		{"abl-storage", AblStorage, 0.5, "2b1b4b463dd0acdf864469db0132ec34d30d01ab198b1a2709ded3eecfbe5c09"},
-		{"fig9", Fig9, 0.3, "d16a52b1de868994c91f201f351aa3dc584475a001bac56954a90c96d1c8ed0c"},
-		{"fig10", Fig10, 0.3, "43287e0498a3156c0e2851232f3041e3783687a353831d46a32fc9c814a4bd7b"},
+		{"fig9", Fig9, 0.3, "6f86fabcc4bb3f78ed0033b1aa59c7b17f637cf333414b1a66b824a77cb6db37"},
+		{"fig10", Fig10, 0.3, "6277b202c40079da282e029ea775ff0bb116082ba8933c6dd131df5d919a815e"},
 		{"abl-sharding", AblSharding, 0.5, "a4a4c92b1ac20d59a0d3b7bd94ca14f727e0e562e9ddd74ec14417429173e01c"},
 		{"abl-qos", AblQoS, 0.5, "7ee9d2a969213ee861ae309fbb44a7a8e6b4f1a065c09da510a6491a506ca045"},
 		{"fig13", Fig13, 0.1, "41290607923de867d0b1874209d6b6bea6dce525f47cd25bd748724e6b6b2d96"},
-		{"blackout", Blackout, 0.5, "9e8f7f97352571fa2b4243357671238373f7b6e94ae3952a6c791e5747eabb18"},
+		{"blackout", Blackout, 0.5, "e734a038296391de6cee53101218f4aa8a20c8bcb5e4472e2e2f81885e22e285"},
 		{"fig2", Fig2, 0.5, "08430501a8ade2821d02a3261f9bc225756204af6461b5700a84f88421cff601"},
 		{"fig3", Fig3, 0.5, "b3becd0a401021008a8605eafdbc988eb8efe9ee8c3d1fea43820430884a485b"},
 		{"tab1", Table1, 1, "4e41275a9c2e91fbd65b9795d41211969c57e2d6e0359549409251b5b7deba87"},
 		{"tab2", Table2, 0.5, "aa6e9f035fd42ffc3604ea2929916c1f7c5d61fad388e0b4bbd269a2871d38fd"},
-		{"fig8", Fig8, 0.05, "f760d27073d289ffac5ea168dbbbe920f2923fc8227f6f5fb762ae71e31d1165"},
-		{"fig12", Fig12, 0.25, "e97641590142c334f37b8de331e02365eb073b52a5af92da176898de69e963c9"},
-		{"fig14", Fig14, 0.2, "6cb2b0888422bd31c5817039030e4ed997b34f5bc31f60de53a207beaf160b04"},
+		{"fig8", Fig8, 0.05, "c07cbae7d13ad72bd13a268464c91929a0a2ea8bce707c7d05768488416c5983"},
+		{"fig12", Fig12, 0.25, "9df60e0bfd284453f1f16d4bff7e3b007085aa6104341aa1a5a85ed7f786b4d8"},
+		{"fig14", Fig14, 0.2, "4f767315a92849d254c78551b4555fc9431f58606212846ea19439181185fa5e"},
 		{"abl-failover", AblFailoverMechanism, 0.5, "8972ffab210bf9e995912735ec6570e3b76975e09d45d2b9dd893884a0a792e1"},
-		{"chaos", Chaos, 1, "ba0d5436a9d06cac99b4c40aeda1c3754e8bb8ebc0d24d994bf6e6c135dc6acd"},
-		{"grayfail", Grayfail, 1, "e9ccc543f1fccbd3550b3a89492536cb0b05b8c13525b83cdc90ea58240dca86"},
+		{"chaos", Chaos, 1, "40ba2453da4f4b60bba97afab5a42d5be0205cb5b406f14518f35d9e13984122"},
+		{"grayfail", Grayfail, 1, "745038457002a1f4347618759993cb075f21001154bf58cdf8d2c3d69c3e5d5f"},
 		{"racksweep/serial", func(s float64) *Report { return racksweepRun(s, false) }, 0.05, racksweep},
 		{"racksweep/perpod", func(s float64) *Report { return racksweepRun(s, true) }, 0.05, racksweep},
 	}

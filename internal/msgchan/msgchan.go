@@ -488,16 +488,37 @@ type Receiver struct {
 	nextLine int64   // recvPrefetch: absolute ring line the leg pays for; recvFlush: the run's first line
 	lastLine int64   // final line of that run
 
+	// A poll made in a pass (see LoadAhead and BeginDeferred).
+	ahead     aheadLoad    // how the next poll's slot line was loaded ahead
+	aheadAt   sim.Duration // when that load lands
+	fetchable bool         // LoadAhead may fetch an idle tail line without caching it
+	inPass    bool         // the poll leaves an empty poll's flush run to FlushDeferred
+	deferred  bool         // it did: lines nextLine..lastLine are still to invalidate
+
 	// Stats.
 	Received       int64
 	EmptyPolls     int64
 	CounterUpdates int64
 }
 
+// aheadLoad says how LoadAhead loaded the slot line the next poll reads.
+type aheadLoad uint8
+
+const (
+	aheadNone    aheadLoad = iota // not at all: the poll issues its own read
+	aheadLoaded                   // a cache fill, collected by the poll
+	aheadFetched                  // a port fetch, the line kept only if it holds a message
+)
+
 // NewReceiver returns the consuming endpoint reading through c.
 func NewReceiver(ch *Channel, c *cache.Cache) *Receiver {
 	return &Receiver{ch: ch, cache: c, costs: c.Params(), slotBuf: make([]byte, ch.cfg.MsgSize),
-		tailPos: startPosition(), highestPrefetched: -1}
+		tailPos: startPosition(), highestPrefetched: -1,
+		// The shortcut must end as the cached path would: with no line left
+		// once the pass's flush run has passed, and with no line for a Back
+		// Invalidation to cancel. OASIS_SIMCHECK=1 takes the cached path,
+		// so the digests check the one against the other.
+		fetchable: ch.cfg.Design == DesignInvalidatePrefetched && !c.Port().Pool().Params().HWCoherent && !sim.Checking()}
 }
 
 // slotAddr returns the pool address of the tail's slot.
@@ -533,7 +554,77 @@ func (r *Receiver) Poll(p *sim.Proc) ([]byte, bool) {
 func (r *Receiver) Engine() *sim.Engine { return r.cache.Port().Pool().Engine() }
 
 // Begin starts a poll: the next Step is its first.
-func (r *Receiver) Begin() { r.pc = recvStart }
+func (r *Receiver) Begin() { r.pc, r.inPass = recvStart, false }
+
+// BeginDeferred starts a poll made in a pass over several receivers: an
+// empty poll ends after its consumed-counter update, if it owes one, and
+// leaves its CLFLUSHOPT run and fence to the pass (DeferredCost,
+// FlushDeferred). CLFLUSHOPTs are unordered until a fence, so a core polling
+// N rings issues every ring's run and fences once.
+func (r *Receiver) BeginDeferred() { r.pc, r.inPass = recvStart, true }
+
+// LoadAhead starts the load of the tail's slot line ahead of the next poll,
+// for a caller that polls several receivers in a row: their loads are
+// independent, so a core issues them all before it waits on any. It returns
+// when the line lands, or 0 when it loads nothing. The load is a miss now
+// (cache.Cache.LoadAhead) and the poll collects it without a second count,
+// waiting only for what is left of its fill. Design ① invalidates the line
+// before every read, so it loads nothing ahead.
+//
+// An idle design-④ ring — tail line absent, no line prefetched past it —
+// almost always finds nothing, and its empty poll would drop the line again,
+// so the line is fetched through the port without being cached
+// (cache.Cache.FetchAhead) and installed only if the slot holds a message.
+func (r *Receiver) LoadAhead() sim.Duration {
+	c, cfg := r.cache, &r.ch.cfg
+	if cfg.Design == DesignBypassCache {
+		return 0
+	}
+	addr := r.slotAddr()
+	if r.fetchable && r.highestPrefetched <= r.tailLine() && !c.Contains(addr) {
+		r.ahead, r.aheadAt = aheadFetched, c.FetchAhead(addr, cfg.Category)
+		return r.aheadAt
+	}
+	if at, ok := c.LoadAhead(addr, cfg.Category); ok {
+		r.ahead, r.aheadAt = aheadLoaded, at
+		return at
+	}
+	return 0
+}
+
+// DeferredCost returns the CLFLUSHOPT issue time of the lines the last poll,
+// begun with BeginDeferred, left to invalidate: FlushIssue a line, 0 when it
+// left none.
+func (r *Receiver) DeferredCost() sim.Duration {
+	if !r.deferred {
+		return 0
+	}
+	return r.costs.FlushIssue * sim.Duration(r.lastLine-r.nextLine+1)
+}
+
+// FenceLatency returns the MFENCE that orders a deferred run: a pass owes
+// one for all its receivers' runs.
+func (r *Receiver) FenceLatency() sim.Duration { return r.costs.FenceLatency }
+
+// FlushDeferred invalidates the lines DeferredCost charged for, once the
+// caller has slept their CLFLUSHOPTs and the fence.
+func (r *Receiver) FlushDeferred() {
+	if r.deferred {
+		r.deferred = false
+		r.flushRun()
+	}
+}
+
+// flushRun is the effect of an empty poll's CLFLUSHOPT run over lines
+// nextLine..lastLine.
+func (r *Receiver) flushRun() {
+	for ; r.nextLine <= r.lastLine; r.nextLine++ {
+		r.cache.FlushLineNow(r.lineAddr(r.nextLine), r.ch.cfg.Category)
+	}
+	if r.ch.cfg.Design == DesignInvalidatePrefetched {
+		r.highestPrefetched = r.tailLine()
+	}
+}
 
 // Blocked implements sim.Job: once Step has returned more == false, it
 // reports that the poll stopped at one of the two things a Step cannot do —
@@ -608,17 +699,35 @@ func (r *Receiver) Step() (sim.Duration, bool) {
 			return r.costs.FenceLatency, true
 		case recvIssue:
 			r.pc = recvCollect
+			if r.ahead == aheadLoaded && !c.Contains(r.slotAddr()) {
+				r.ahead = aheadNone // the fill went away: the poll reads anew
+			}
+			if r.ahead != aheadNone {
+				// Loaded ahead, and counted then: wait for the rest of the fill.
+				if wait := r.aheadAt - r.Engine().Now(); wait > 0 {
+					return wait, true
+				}
+				continue
+			}
 			if wait, hit := c.ReadIssue(r.slotAddr(), cfg.Category); hit || wait > 0 {
 				return wait, true
 			}
 		case recvCollect:
 			r.pc = recvCheck
+			if r.ahead == aheadFetched {
+				c.CollectFetched(r.slotAddr(), r.slotBuf)
+				continue
+			}
 			if !c.ReadCollect(r.slotAddr(), r.slotBuf) {
 				r.pc = recvRefill
 				return 0, false
 			}
 		case recvCheck:
 			r.fresh = r.slotBuf[0]&epochBit == r.tailPos.epoch
+			if r.ahead == aheadFetched && r.fresh {
+				c.KeepFetched(r.slotAddr())
+			}
+			r.ahead = aheadNone
 			owed := false
 			if r.fresh {
 				r.tail++
@@ -690,16 +799,15 @@ func (r *Receiver) Step() (sim.Duration, bool) {
 				// prefetch has reached it yet.
 				r.nextLine, r.lastLine = cur, max(cur, r.highestPrefetched)
 			}
+			if r.inPass {
+				r.pc, r.deferred = recvDone, true
+				return 0, false
+			}
 			// CLFLUSHOPTs are unordered until the fence: the run is one leg.
 			r.pc = recvFlush
 			return r.costs.FlushIssue * sim.Duration(r.lastLine-r.nextLine+1), true
 		case recvFlush:
-			for ; r.nextLine <= r.lastLine; r.nextLine++ {
-				c.FlushLineNow(r.lineAddr(r.nextLine), cfg.Category)
-			}
-			if cfg.Design == DesignInvalidatePrefetched {
-				r.highestPrefetched = r.tailLine()
-			}
+			r.flushRun()
 			r.pc = recvDone
 			return r.costs.FenceLatency, true
 		case recvPrefetch:

@@ -20,12 +20,12 @@ import (
 // Regenerate them (go test -run TestWiringDigests -v prints the got values)
 // only with a change that is meant to move simulated results.
 const (
-	digestDefaultPod  = "22f0ee700026113614682ac2972aaad55e76d27abaa08e10bc42b10cae786315"
-	digestNetStorage  = "2e2ba872c5e6c0b3a8b945db0f73f77ffaed53531f8b7d1a22b468f891b31b17"
-	digestRaftBackups = "3018af19433050607cdb89c4f86c6b44369ec945979a43d8f8c79f2b3c4854a7"
+	digestDefaultPod  = "e4208d5142f0576a82a205a891592901ebf3a1e07bd7f6d246e74a901248bfb1"
+	digestNetStorage  = "4d9494ace9a5e9e2d5a64dc09629ad425bafee3947b8db46e41d434aa6fbb980"
+	digestRaftBackups = "21acdd66bad5aea358b19aace7c585736503380d25d5b2470b111e89045cac2e"
 	digestBaseline    = "efc70d7d5f0f10e9211103fa7043ebd8ab31a090f99f46a143788c14f406949a"
-	digestLateAdds    = "28b8482cfc350b77436b3825bdae697b0113ec92e45754e8ecada9adf2112903"
-	digestClusterMove = "7fe5fe0b91106187b8c4c0d1a4a347c9b5bf9ad5bd96f779fbbf3dbbb62d7ca6"
+	digestLateAdds    = "f4e86c9ee649434c423e3063cc041c9759ad1ab4984ec2de0e20f86ff5816257"
+	digestClusterMove = "15f605aa0ff1bafe588e0398db2c65c8dbd2bcaf4d9e95a5d7d20824c4567370"
 )
 
 // digestEcho spawns a UDP echo server on inst and a client process that
