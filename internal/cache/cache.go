@@ -116,7 +116,6 @@ type Cache struct {
 	// so every call takes its own.
 	freeRanges []*RangeOp
 	freeReads  []*ReadOp
-	fetched    [cxl.LineSize]byte // the line CollectFetched collected last
 	stats      Stats
 }
 
@@ -527,18 +526,16 @@ func (c *Cache) FetchAhead(addr int64, category string) sim.Duration {
 }
 
 // CollectFetched copies len(buf) bytes at addr, inside one line, out of the
-// line's pool contents as they are now: the collection of a FetchAhead.
-func (c *Cache) CollectFetched(addr int64, buf []byte) {
-	a := cxl.LineAddr(addr)
-	c.port.CollectLine(a, c.fetched[:])
-	copy(buf, c.fetched[addr-a:])
-}
+// pool as it is now: the collection of a FetchAhead.
+func (c *Cache) CollectFetched(addr int64, buf []byte) { c.port.Pool().Peek(addr, buf) }
 
-// KeepFetched makes the absent line addr, collected last by CollectFetched,
-// resident, ready and clean, as a demand fill would have left it.
+// KeepFetched makes the absent line addr resident, ready and clean, holding
+// the pool's contents: called at the instant of the CollectFetched it keeps,
+// it leaves the line as a demand fill collected then would have.
 func (c *Cache) KeepFetched(addr int64) {
-	ln := c.newLine(cxl.LineAddr(addr))
-	ln.data = c.fetched
+	a := cxl.LineAddr(addr)
+	ln := c.newLine(a)
+	c.port.CollectLine(a, ln.data[:])
 	c.insert(ln)
 }
 

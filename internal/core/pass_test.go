@@ -17,7 +17,6 @@ import (
 // sends on.
 type passRig struct {
 	eng   *sim.Engine
-	pool  *cxl.Pool
 	a, b  *host.Host
 	links *LinkSet
 	peers []*LinkEnd
@@ -25,7 +24,7 @@ type passRig struct {
 
 func newPassRig(t *testing.T, n int) *passRig {
 	eng, pool := testPool()
-	r := &passRig{eng: eng, pool: pool, links: NewLinkSet(DefaultPendingLimit)}
+	r := &passRig{eng: eng, links: NewLinkSet(DefaultPendingLimit)}
 	r.a = host.New(eng, 0, "a", pool, host.DefaultConfig())
 	r.b = host.New(eng, 1, "b", pool, host.DefaultConfig())
 	for i := 0; i < n; i++ {

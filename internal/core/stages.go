@@ -188,6 +188,7 @@ type pollPass struct {
 	end      *LinkEnd     // links[i]'s end while a poll of it is in progress
 	handling bool         // h is handling a message from links[i]
 	loaded   sim.Duration // when the last tail load lands; 0 once the pass has waited for it
+	flushes  sim.Duration // the CLFLUSHOPTs the empty polls so far left to the pass
 	closing  passEnd      // where the closing flush run is, once every link is polled
 	got      int          // messages delivered by this pass
 }
@@ -205,7 +206,7 @@ func (c *pollPass) begin(eng *sim.Engine, links []*Link, burst int) {
 	if burst <= 0 {
 		links = nil
 	}
-	c.eng, c.links, c.burst, c.i, c.n, c.end, c.handling, c.loaded, c.closing, c.got = eng, links, burst, 0, 0, nil, false, 0, passFlush, 0
+	c.eng, c.links, c.burst, c.i, c.n, c.end, c.handling, c.loaded, c.flushes, c.closing, c.got = eng, links, burst, 0, 0, nil, false, 0, 0, passFlush, 0
 	for _, l := range links {
 		c.loaded = max(c.loaded, l.End.In.LoadAhead())
 	}
@@ -250,6 +251,7 @@ func (c *pollPass) Step() (sim.Duration, bool) {
 		c.end = nil
 		payload := end.In.Payload()
 		if payload == nil {
+			c.flushes += end.In.DeferredCost()
 			c.i, c.n = c.i+1, 0
 			continue
 		}
@@ -273,14 +275,10 @@ func (c *pollPass) Step() (sim.Duration, bool) {
 func (c *pollPass) close() (sim.Duration, bool) {
 	switch c.closing {
 	case passFlush:
-		var run sim.Duration
-		for _, l := range c.links {
-			run += l.End.In.DeferredCost()
-		}
 		c.closing = passClosed
-		if run > 0 {
+		if c.flushes > 0 {
 			c.closing = passFlushed
-			return run + c.links[0].End.In.FenceLatency(), true
+			return c.flushes + c.links[0].End.In.FenceLatency(), true
 		}
 	case passFlushed:
 		for _, l := range c.links {

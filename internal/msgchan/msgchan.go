@@ -238,10 +238,11 @@ func (ch *Channel) ringLine(l, ref int64, refLine int) int64 {
 // The shadow is a table of shadowChunk-byte chunks, each allocated zeroed on
 // the first store into it, and the table itself is made on the sender's
 // first store, so a channel that never carries a message costs neither a
-// ring-sized copy nor the table. It stays a full copy of the ring, never a one-line
-// buffer refilled from the pool: the previous wrap's posted write of a line
-// may still be in flight, and a partial flush over a stale refill would
-// publish wrap w−2's bytes, whose epoch bit matches the current wrap's.
+// ring-sized copy nor the table. It stays a full copy of the ring, never a
+// one-line buffer refilled from the pool: the previous wrap's posted write
+// of a line may still be in flight, and a partial flush over a stale refill
+// would publish wrap w−2's bytes, whose epoch bit matches the current
+// wrap's.
 type Sender struct {
 	ch   *Channel
 	port *cxl.Port
@@ -492,6 +493,7 @@ type Receiver struct {
 	ahead     aheadLoad    // how the next poll's slot line was loaded ahead
 	aheadAt   sim.Duration // when that load lands
 	fetchable bool         // LoadAhead may fetch an idle tail line without caching it
+	uncached  bool         // the last poll was such a fetch and found nothing: no line to drop
 	inPass    bool         // the poll leaves an empty poll's flush run to FlushDeferred
 	deferred  bool         // it did: lines nextLine..lastLine are still to invalidate
 
@@ -616,8 +618,12 @@ func (r *Receiver) FlushDeferred() {
 }
 
 // flushRun is the effect of an empty poll's CLFLUSHOPT run over lines
-// nextLine..lastLine.
+// nextLine..lastLine. After an empty poll of an uncached fetch the run is
+// the absent tail line alone, and there is nothing to drop.
 func (r *Receiver) flushRun() {
+	if r.uncached {
+		r.uncached, r.nextLine = false, r.lastLine+1
+	}
 	for ; r.nextLine <= r.lastLine; r.nextLine++ {
 		r.cache.FlushLineNow(r.lineAddr(r.nextLine), r.ch.cfg.Category)
 	}
@@ -724,8 +730,10 @@ func (r *Receiver) Step() (sim.Duration, bool) {
 			}
 		case recvCheck:
 			r.fresh = r.slotBuf[0]&epochBit == r.tailPos.epoch
-			if r.ahead == aheadFetched && r.fresh {
-				c.KeepFetched(r.slotAddr())
+			if r.ahead == aheadFetched {
+				if r.uncached = !r.fresh; r.fresh {
+					c.KeepFetched(r.slotAddr())
+				}
 			}
 			r.ahead = aheadNone
 			owed := false
