@@ -10,13 +10,14 @@ import (
 // TestEchoMallocsPerRequest pins what a steady-state echo request costs the
 // host allocator on the busy pod's pooled echo pair (an instance on host A,
 // its NIC on host B, a raw client at 600 kpps, a quarter of the requests
-// 1 458 B): every frame is drawn from the engine's buffer pool and goes back
-// to it — the switch recycles what it carries, stacks decode in place — and
-// a cache line dropped mid-fill is reused, so what is left is the two
-// datagrams handed to applications, one to the echo server and one to the
-// client's drain. Each echo is checked byte for byte,
-// so under OASIS_SIMCHECK=1 a consumer that reads a frame after its release
-// (the pool scribbles what it takes back) fails here.
+// 1 458 B): nothing. Every frame is drawn from the engine's buffer pool and
+// goes back to it — the switch recycles what it carries, stacks decode in
+// place, a datagram is lent to the process that received it until its next
+// receive — and a cache line dropped mid-fill is reused. The bound, one
+// malloc per hundred requests, leaves room for a stray runtime malloc. Each
+// echo is checked byte for byte, so under OASIS_SIMCHECK=1 a consumer that
+// reads a frame after its release (the pool scribbles what it takes back)
+// fails here.
 func TestEchoMallocsPerRequest(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NoAllocator = true
@@ -93,23 +94,20 @@ func TestEchoMallocsPerRequest(t *testing.T) {
 			sent++
 		}
 	})
-	// Every datagram a stack receives is one copy handed to an application.
-	datagrams := func() int64 { return inst.Stack.RxPackets + client.Stack.RxPackets }
 	pod.Run(warm) // past the first touch of every pool page and cache line
 	// One thread, as testing.AllocsPerRun measures, and the quietest of
 	// three windows: a garbage collection can draw a stray runtime malloc
 	// into one.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var requests uint64
-	var mallocs, handed int64 = 1 << 62, 0
+	var requests, mallocs uint64 = 0, 1 << 62
 	for w := 1; w <= 3; w++ {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		sent0, dg0 := sent, datagrams()
+		sent0 := sent
 		pod.Run(warm + time.Duration(w)*window)
 		runtime.ReadMemStats(&m1)
-		if n := int64(m1.Mallocs - m0.Mallocs); n-(datagrams()-dg0) < mallocs-handed {
-			requests, mallocs, handed = sent-sent0, n, datagrams()-dg0
+		if n := m1.Mallocs - m0.Mallocs; n < mallocs {
+			requests, mallocs = sent-sent0, n
 		}
 	}
 	pod.Shutdown()
@@ -117,9 +115,9 @@ func TestEchoMallocsPerRequest(t *testing.T) {
 	if wrong != 0 || sent == 0 || echoed+10 < sent {
 		t.Fatalf("%d requests sent, %d echoed intact, %d echoes wrong", sent, echoed, wrong)
 	}
-	t.Logf("%d requests in the window, %d datagrams handed to applications, %d mallocs: %.2f per request",
-		requests, handed, mallocs, float64(mallocs)/float64(requests))
-	if handed < 2*int64(requests)-2 || mallocs > handed {
-		t.Errorf("%d requests cost %d mallocs, want at most one per datagram handed to an application (%d)", requests, mallocs, handed)
+	t.Logf("%d requests in the window, %d mallocs: %.2f per request",
+		requests, mallocs, float64(mallocs)/float64(requests))
+	if requests == 0 || mallocs > requests/100 {
+		t.Errorf("%d requests cost %d mallocs, want at most one per hundred", requests, mallocs)
 	}
 }

@@ -113,3 +113,48 @@ func (p *Pool) Put(buf []byte) {
 	}
 	p.free[cl] = append(p.free[cl], buf[:c])
 }
+
+// Loans lends pool buffers to their readers: received bytes belong to the
+// owner that received them — a simulated process, opaque here — until it
+// asks for the next ones, and only then go back to the pool. An owner holds
+// at most one buffer, so an endpoint read by several processes holds one per
+// process, never one for the endpoint: a release on behalf of all would take
+// bytes from a process that has not finished with them.
+type Loans struct {
+	Pool *Pool // where returned buffers go
+	held []loan
+}
+
+type loan struct {
+	owner any
+	buf   []byte
+}
+
+// Return gives owner's buffer, if it holds one, back to the pool.
+func (l *Loans) Return(owner any) {
+	for i := range l.held {
+		if l.held[i].owner == owner {
+			l.Pool.Put(l.held[i].buf)
+			last := len(l.held) - 1
+			l.held[i] = l.held[last]
+			l.held[last] = loan{}
+			l.held = l.held[:last]
+			return
+		}
+	}
+}
+
+// Lend makes buf owner's until its next Return. Owner holds nothing: its
+// receive began with Return, before it waited.
+func (l *Loans) Lend(owner any, buf []byte) {
+	l.held = append(l.held, loan{owner, buf})
+}
+
+// ReturnAll gives every lent buffer back to the pool.
+func (l *Loans) ReturnAll() {
+	for i := range l.held {
+		l.Pool.Put(l.held[i].buf)
+		l.held[i] = loan{}
+	}
+	l.held = l.held[:0]
+}

@@ -135,3 +135,32 @@ func BenchmarkGetPut(b *testing.B) {
 		p.Put(buf)
 	}
 }
+
+// TestLoansAreHeldPerOwner: an owner's buffer goes back to the pool at its
+// own Return, never at another owner's; ReturnAll gives back every one.
+func TestLoansAreHeldPerOwner(t *testing.T) {
+	p := New()
+	l := Loans{Pool: p}
+	one, two := new(int), new(int)
+	a, b := p.Get(100), p.Get(100)
+	l.Lend(one, a)
+	l.Lend(two, b)
+	l.Return(two)
+	if p.Puts != 1 || &p.Get(100)[0] != &b[0] {
+		t.Fatalf("Return(two) put %d buffers back, want two's one", p.Puts)
+	}
+	l.Return(two) // holds nothing now
+	if p.Puts != 1 {
+		t.Fatalf("a second Return(two) put a buffer back")
+	}
+	l.Return(one)
+	if p.Puts != 2 || &p.Get(100)[0] != &a[0] {
+		t.Fatal("Return(one) did not give one's buffer back")
+	}
+	l.Lend(one, p.Get(100))
+	l.Lend(two, p.Get(100))
+	l.ReturnAll()
+	if p.Puts != 4 || len(l.held) != 0 {
+		t.Fatalf("ReturnAll: %d puts, %d still lent; want 4 and 0", p.Puts, len(l.held))
+	}
+}

@@ -675,7 +675,8 @@ func runRxBurst(t *testing.T, k int, pp cxl.Params) rxBurst {
 		}
 		out.span = p.Now() - flushed
 		for len(out.frames) < k {
-			out.frames = append(out.frames, conn.Recv(p).Data)
+			// A datagram is this process's only until its next Recv: keep a copy.
+			out.frames = append(out.frames, bytes.Clone(conn.Recv(p).Data))
 		}
 		for {
 			payload, ok := beEnd.Poll(p)

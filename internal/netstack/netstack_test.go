@@ -720,3 +720,96 @@ func TestUnmarshalNeverPanicsOnRandomBytes(t *testing.T) {
 		t.Fatal("oversized total-length accepted")
 	}
 }
+
+// TestUDPDatagramLentToItsReceiver pins the lending rule on one socket read by
+// two processes: each one's datagram stays byte-exact while the other
+// receives and while it sleeps, and goes back to the pool at its own next
+// receive only — a timed-out one, which then holds nothing.
+func TestUDPDatagramLentToItsReceiver(t *testing.T) {
+	eng := sim.New()
+	a, b, _ := twoNodes(eng)
+	bufs := eng.Bufs()
+	srv, _ := b.stack.ListenUDP(9)
+	const n = 6
+	eng.Go("sender", func(p *sim.Proc) {
+		cli, _ := a.stack.ListenUDP(0)
+		for i := 0; i < n; i++ {
+			cli.SendTo(p, b.stack.IP(), 9, bytes.Repeat([]byte{byte('a' + i)}, 200))
+			p.Sleep(20 * time.Microsecond)
+		}
+	})
+	// hold receives one datagram and checks it across sleep, then again.
+	hold := func(p *sim.Proc, sleep sim.Duration) Datagram {
+		dg := srv.Recv(p)
+		keep := bytes.Clone(dg.Data)
+		p.Sleep(sleep)
+		if !bytes.Equal(dg.Data, keep) {
+			t.Errorf("%q changed to %q before its receiver's next Recv", keep[:4], dg.Data[:4])
+		}
+		return dg
+	}
+	eng.Go("one", func(p *sim.Proc) {
+		dg := hold(p, 300*time.Microsecond) // "two" receives every other datagram meanwhile
+		puts := bufs.Puts
+		if _, ok := srv.RecvTimeout(p, time.Microsecond); ok {
+			t.Error("a datagram was left over")
+			return
+		}
+		if bufs.Puts != puts+1 {
+			t.Errorf("a timed-out RecvTimeout put %d buffers back, want 1: the frame of its last datagram", bufs.Puts-puts)
+		}
+		// The frame is the next 256 B buffer the pool hands out.
+		f := bufs.Get(256)
+		f = f[:cap(f)]
+		for i := range f {
+			f[i] = 0x5C
+		}
+		if !bytes.Equal(dg.Data, bytes.Repeat([]byte{0x5C}, len(dg.Data))) {
+			t.Error("the released frame is not the pool's next buffer")
+		}
+		bufs.Put(f)
+		puts = bufs.Puts
+		srv.RecvTimeout(p, time.Microsecond)
+		if bufs.Puts != puts {
+			t.Errorf("a timed-out RecvTimeout that held nothing put %d buffers back", bufs.Puts-puts)
+		}
+		eng.Shutdown()
+	})
+	eng.Go("two", func(p *sim.Proc) {
+		for i := 1; i < n; i++ {
+			hold(p, 10*time.Microsecond)
+		}
+	})
+	eng.Run()
+}
+
+// TestUDPCloseReturnsLentAndQueuedFrames: Close gives back the frame each
+// reader holds and every frame still queued.
+func TestUDPCloseReturnsLentAndQueuedFrames(t *testing.T) {
+	eng := sim.New()
+	a, b, _ := twoNodes(eng)
+	bufs := eng.Bufs()
+	srv, _ := b.stack.ListenUDP(9)
+	eng.Go("sender", func(p *sim.Proc) {
+		cli, _ := a.stack.ListenUDP(0)
+		for i := 0; i < 4; i++ {
+			cli.SendTo(p, b.stack.IP(), 9, []byte{byte(i)})
+		}
+	})
+	for _, name := range []string{"one", "two"} {
+		eng.Go(name, func(p *sim.Proc) { srv.Recv(p) })
+	}
+	eng.Go("closer", func(p *sim.Proc) {
+		p.Sleep(100 * time.Microsecond)
+		if srv.Pending() != 2 {
+			t.Errorf("pending = %d, want 2", srv.Pending())
+		}
+		puts := bufs.Puts
+		srv.Close()
+		if got := bufs.Puts - puts; got != 4 || srv.Pending() != 0 {
+			t.Errorf("Close put %d frames back and left %d queued, want 4 (two lent, two queued) and 0", got, srv.Pending())
+		}
+		eng.Shutdown()
+	})
+	eng.Run()
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"oasis/internal/bufpool"
 	"oasis/internal/netsw"
 	"oasis/internal/sim"
 )
@@ -154,9 +155,10 @@ func (s *Stack) DeliverFrame(frame []byte) {
 }
 
 // DeliverOwnedFrame is DeliverFrame for a frame the caller exclusively owns
-// (drivers copying out of DMA buffers): the stack recycles it through the
-// engine's buffer pool once protocol processing has copied out what it
-// needs.
+// (drivers copying out of DMA buffers), drawn from the engine's buffer pool:
+// the stack puts it back there once it is done with it — after protocol
+// processing, or, for a UDP datagram, once the process it was lent to
+// receives again (see UDPConn.Recv).
 func (s *Stack) DeliverOwnedFrame(frame []byte) {
 	s.events.Push(event{kind: evFrameIn, frame: frame})
 }
@@ -220,10 +222,11 @@ func (s *Stack) Step() (sim.Duration, bool) {
 				ev.conn.onTimer(ev.gen)
 			}
 		case stackRx:
-			s.handleFrame(s.ev.frame)
-			// handleFrame copies every byte it keeps (UDP payloads, TCP
-			// segment data), so the frame is dead here.
-			s.eng.Bufs().Put(s.ev.frame)
+			// A UDP socket keeps the frame its datagram lies in; TCP copies
+			// the segment data it keeps, so any other frame is dead here.
+			if !s.handleFrame(s.ev.frame) {
+				s.eng.Bufs().Put(s.ev.frame)
+			}
 			s.pc, s.ev = stackIdle, event{}
 		case stackTx:
 			s.TxPackets++
@@ -255,11 +258,13 @@ func (s *Stack) transmit(pk *Packet) {
 	s.events.Push(event{kind: evTxFrame, frame: frame})
 }
 
-func (s *Stack) handleFrame(frame []byte) {
+// handleFrame runs the protocols on one frame and reports whether a UDP
+// socket kept it.
+func (s *Stack) handleFrame(frame []byte) (kept bool) {
 	pk := &s.rx
 	if err := pk.Unmarshal(frame); err != nil {
 		s.RxParseErrors++
-		return
+		return false
 	}
 	s.RxPackets++
 	switch pk.EtherType {
@@ -268,18 +273,19 @@ func (s *Stack) handleFrame(frame []byte) {
 	case EtherTypeIPv4:
 		if pk.DstIP != s.ip {
 			s.RxNoSocket++
-			return
+			return false
 		}
 		// Opportunistically learn the peer's mapping; saves an ARP round
 		// trip on the reply path in a trusted rack.
 		s.learn(pk.SrcIP, pk.SrcMAC)
 		switch pk.Proto {
 		case ProtoUDP:
-			s.handleUDP(pk)
+			return s.handleUDP(pk, frame)
 		case ProtoTCP:
 			s.handleTCP(pk)
 		}
 	}
+	return false
 }
 
 // learn records (and propagates to live connections) an IP→MAC mapping.
@@ -392,18 +398,29 @@ func (s *Stack) allocPort() uint16 {
 	panic("netstack: ephemeral ports exhausted")
 }
 
-// Datagram is one received UDP payload.
+// Datagram is one received UDP payload. Data lies in the stack's pooled
+// receive frame, lent to the process that received it until that process
+// next calls Recv or RecvTimeout on the same socket, or the socket closes:
+// then the frame goes back to the engine's buffer pool, and a process that
+// keeps the bytes longer copies them.
 type Datagram struct {
 	Src     IP
 	SrcPort uint16
 	Data    []byte
 }
 
+// queued is a datagram waiting on its socket, with the frame it lies in.
+type queued struct {
+	dg    Datagram
+	frame []byte
+}
+
 // UDPConn is a bound UDP socket.
 type UDPConn struct {
 	stack *Stack
 	port  uint16
-	rq    *sim.Queue[Datagram]
+	rq    *sim.Queue[queued]
+	lent  bufpool.Loans // each receiving process's frame
 
 	Dropped int64 // payload-too-large send attempts
 }
@@ -416,20 +433,22 @@ func (s *Stack) ListenUDP(port uint16) (*UDPConn, error) {
 	if _, exists := s.udp[port]; exists {
 		return nil, fmt.Errorf("netstack %s: UDP port %d in use", s.name, port)
 	}
-	c := &UDPConn{stack: s, port: port, rq: sim.NewQueue[Datagram](s.eng)}
+	c := &UDPConn{stack: s, port: port, rq: sim.NewQueue[queued](s.eng)}
+	c.lent.Pool = s.eng.Bufs()
 	s.udp[port] = c
 	return c, nil
 }
 
-func (s *Stack) handleUDP(pk *Packet) {
+// handleUDP queues pk's payload, decoded in place in frame, on its socket,
+// and reports whether it did: the socket then owns frame.
+func (s *Stack) handleUDP(pk *Packet, frame []byte) bool {
 	c, ok := s.udp[pk.DstPort]
 	if !ok {
 		s.RxNoSocket++
-		return
+		return false
 	}
-	data := make([]byte, len(pk.Payload))
-	copy(data, pk.Payload)
-	c.rq.Push(Datagram{Src: pk.SrcIP, SrcPort: pk.SrcPort, Data: data})
+	c.rq.Push(queued{Datagram{Src: pk.SrcIP, SrcPort: pk.SrcPort, Data: pk.Payload}, frame})
+	return true
 }
 
 // Port returns the bound local port.
@@ -459,16 +478,43 @@ func (c *UDPConn) SendTo(p *sim.Proc, dst IP, dstPort uint16, payload []byte) er
 	return nil
 }
 
-// Recv blocks until a datagram arrives.
-func (c *UDPConn) Recv(p *sim.Proc) Datagram { return c.rq.Pop(p) }
+// Recv blocks until a datagram arrives. It first gives back the datagram p
+// received last on this socket — its bytes are no longer p's to read — and
+// lends p the new one until p's next Recv or RecvTimeout here.
+func (c *UDPConn) Recv(p *sim.Proc) Datagram {
+	c.lent.Return(p)
+	q := c.rq.Pop(p)
+	c.lent.Lend(p, q.frame)
+	return q.dg
+}
 
-// RecvTimeout blocks up to d for a datagram.
+// RecvTimeout blocks up to d for a datagram, giving back and lending as Recv
+// does. When it times out, p holds no datagram from this socket.
 func (c *UDPConn) RecvTimeout(p *sim.Proc, d sim.Duration) (Datagram, bool) {
-	return c.rq.PopTimeout(p, d)
+	c.lent.Return(p)
+	q, ok := c.rq.PopTimeout(p, d)
+	if ok {
+		c.lent.Lend(p, q.frame)
+	}
+	return q.dg, ok
 }
 
 // Pending returns the number of queued datagrams.
 func (c *UDPConn) Pending() int { return c.rq.Len() }
 
-// Close unbinds the socket.
-func (c *UDPConn) Close() { delete(c.stack.udp, c.port) }
+// Close unbinds the socket and gives back every datagram it holds: those
+// queued and those lent, so no process may read a datagram from it after
+// Close.
+func (c *UDPConn) Close() {
+	if c.stack.udp[c.port] == c {
+		delete(c.stack.udp, c.port)
+	}
+	c.lent.ReturnAll()
+	for {
+		q, ok := c.rq.TryPop()
+		if !ok {
+			return
+		}
+		c.lent.Pool.Put(q.frame)
+	}
+}

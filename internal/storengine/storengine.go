@@ -29,6 +29,7 @@ import (
 	"sort"
 	"time"
 
+	"oasis/internal/bufpool"
 	"oasis/internal/core"
 	"oasis/internal/cxl"
 	"oasis/internal/host"
@@ -295,6 +296,7 @@ type Volume struct {
 	migrating bool // writes frozen for migration (FreezeWrites)
 	inflight  int  // submitted requests not yet resolved (Quiesce)
 	sig       *sim.Signal
+	lent      bufpool.Loans // each reading process's last block data
 
 	// Pre-copy migration support: while tracking is on, the LBA of every
 	// acknowledged write is recorded so a migrator can copy the bulk of the
@@ -328,6 +330,7 @@ func (fe *Frontend) AddVolume(ip netstack.IP, ssdID uint16, blocks uint64) (*Vol
 		ready: make(map[uint16]bool),
 		sig:   sim.NewSignal(fe.h.Eng),
 	}
+	v.lent.Pool = fe.h.Eng.Bufs()
 	fe.vols[ip] = v
 	fe.volOrder = append(fe.volOrder, ip)
 	// Registration rides the request queue so it is sent from the driver
@@ -370,8 +373,12 @@ func (v *Volume) WaitReady(p *sim.Proc, timeout sim.Duration) bool {
 }
 
 // Read reads nblocks starting at lba, blocking the calling (instance)
-// process until completion. Returns the data or an I/O error.
+// process until completion. Returns the data or an I/O error. The data is a
+// pooled buffer lent to p until p's next Read on this volume, which gives it
+// back to the engine's buffer pool first; a process that keeps the bytes
+// longer copies them.
 func (v *Volume) Read(p *sim.Proc, lba uint64, nblocks int) ([]byte, error) {
+	v.lent.Return(p)
 	req, err := v.submit(p, sOpRead, lba, nblocks, nil)
 	if err != nil {
 		return nil, err
@@ -384,6 +391,7 @@ func (v *Volume) Read(p *sim.Proc, lba uint64, nblocks int) ([]byte, error) {
 		v.IOErrors++
 		return nil, fmt.Errorf("storengine: read failed with NVMe status %#x", req.status)
 	}
+	v.lent.Lend(p, req.result)
 	return req.result, nil
 }
 
@@ -740,7 +748,7 @@ func (fe *Frontend) handleBackendMsg(p *sim.Proc, l *core.Link, m smsg) {
 				// cannot leak through.
 				n := req.blocks * ssd.BlockSize
 				fe.h.Cache.FlushRange(p, req.buf, n, "payload")
-				out := make([]byte, n)
+				out := fe.h.Eng.Bufs().Get(n)
 				fe.h.Cache.Read(p, req.buf, out, "payload")
 				p.Sleep(fe.h.TouchCost(n)) // copy into instance memory
 				req.result = out

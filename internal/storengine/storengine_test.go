@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"oasis/internal/bufpool"
 	"oasis/internal/cxl"
 	"oasis/internal/host"
 	"oasis/internal/netstack"
@@ -271,6 +272,73 @@ func TestDirtyTrackingMarksAndCoalesces(t *testing.T) {
 		if vol.DirtyCount() != 0 {
 			t.Errorf("StopDirtyTracking left %d dirty blocks", vol.DirtyCount())
 		}
+	})
+	r.eng.Run()
+}
+
+// pooled reports whether buf's array is on the pool's free list, putting back
+// what it draws to look.
+func pooled(pool *bufpool.Pool, buf []byte) bool {
+	var drawn [][]byte
+	found := false
+	for {
+		hits := pool.Hits
+		b := pool.Get(len(buf))
+		if pool.Hits == hits {
+			break // the free list is empty: b is new
+		}
+		drawn = append(drawn, b)
+		found = found || &b[0] == &buf[0]
+	}
+	for i := len(drawn) - 1; i >= 0; i-- {
+		pool.Put(drawn[i])
+	}
+	return found
+}
+
+// TestVolumeReadLentToItsReader pins the lending rule on one volume read by
+// two processes: each one's data stays byte-exact and out of the pool while
+// the other reads and while it sleeps, and goes back at its own next Read.
+func TestVolumeReadLentToItsReader(t *testing.T) {
+	r := newStorRig(t)
+	vol, _ := r.fe.AddVolume(netstack.IPv4(10, 0, 0, 1), 1, 64)
+	bufs := r.eng.Bufs()
+	block := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, ssd.BlockSize) }
+	// read reads block i, checks it, sleeps, and checks it again.
+	read := func(p *sim.Proc, i int, sleep sim.Duration) []byte {
+		got, err := vol.Read(p, uint64(i), 1)
+		if err != nil {
+			t.Errorf("read %d: %v", i, err)
+			return make([]byte, ssd.BlockSize)
+		}
+		p.Sleep(sleep)
+		if !bytes.Equal(got, block(i)) || pooled(bufs, got) {
+			t.Errorf("block %d changed or went back to the pool before its reader's next Read", i)
+		}
+		return got
+	}
+	r.eng.Go("app", func(p *sim.Proc) {
+		if !vol.WaitReady(p, 100*time.Millisecond) {
+			t.Error("volume never ready")
+			return
+		}
+		for i := 0; i < 8; i++ {
+			if err := vol.Write(p, uint64(i), block(i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		r.eng.Go("two", func(p *sim.Proc) {
+			for i := 1; i < 8; i++ {
+				read(p, i, 20*time.Microsecond)
+			}
+		})
+		got := read(p, 0, 5*time.Millisecond) // "two" reads seven blocks meanwhile
+		next := read(p, 1, 0)
+		if &next[0] != &got[0] && !pooled(bufs, got) {
+			t.Error("the next Read did not give the last one's data back to the pool")
+		}
+		r.eng.Shutdown()
 	})
 	r.eng.Run()
 }
