@@ -131,7 +131,8 @@ type Store struct {
 }
 
 // BlockDev is the slice of the storage engine's Volume API the store needs;
-// *storengine.Volume satisfies it.
+// *storengine.Volume satisfies it. What Read returns is the caller's only
+// until its next Read (see storengine.Volume.Read): Recover copies it out.
 type BlockDev interface {
 	Read(p *sim.Proc, lba uint64, nblocks int) ([]byte, error)
 	Write(p *sim.Proc, lba uint64, data []byte) error
