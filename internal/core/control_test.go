@@ -67,10 +67,11 @@ func TestDeviceKindString(t *testing.T) {
 }
 
 func TestSendPollControl(t *testing.T) {
-	// SendControl puts a message on the wire flushed; a ControlStage delivers
-	// control messages decoded, burst-bounded, and drops a data-plane payload
-	// uncounted — and delivers nothing, counted or not, while the engine has
-	// no control end. A full ring refuses the send and leaves it to the caller.
+	// SendControl puts a message on the wire flushed; a poll stage's pass
+	// over a control end delivers control messages decoded, burst-bounded,
+	// and drops a data-plane payload uncounted — and delivers nothing,
+	// counted or not, while the engine has no control end. A full ring
+	// refuses the send and leaves it to the caller.
 	eng, pool := testPool()
 	hA := host.New(eng, 0, "A", pool, host.DefaultConfig())
 	hB := host.New(eng, 1, "B", pool, host.DefaultConfig())
@@ -98,8 +99,9 @@ func TestSendPollControl(t *testing.T) {
 		var got []ControlMsg
 		collect := func(_ *sim.Proc, m ControlMsg) { got = append(got, m) }
 		var ctrl *LinkEnd
-		counted := []Stage{ControlStage("control", &ctrl, 3, collect, true)}
-		discarded := []Stage{ControlStage("control", &ctrl, 3, collect, false)}
+		none := func(*sim.Proc, *Link, []byte) { t.Error("a message on a set with no links") }
+		counted := []Stage{PollStage("links", NewLinkSet(0), 3, none).Control(&ctrl, collect, true)}
+		discarded := []Stage{PollStage("links", NewLinkSet(0), 3, none).Control(&ctrl, collect, false)}
 		if n := runStages(p, counted); n != 0 || len(got) != 0 {
 			t.Errorf("a stage without a control end delivered %d (progress %d)", len(got), n)
 		}

@@ -208,7 +208,7 @@ func (d *Driver) Step() (sim.Duration, bool) {
 		if !st.pass.over() {
 			return 0, false
 		}
-		d.progress += st.progress()
+		d.progress += st.pass.got
 		d.polling = false
 		d.stage++
 	}

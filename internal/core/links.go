@@ -195,7 +195,7 @@ func (s *LinkSet) PollEach(p *sim.Proc, burst int, handle func(p *sim.Proc, l *L
 	}
 	s.each.handle = handle
 	s.pass.h = s.each
-	s.pass.begin(p.Engine(), s.order, burst)
+	s.pass.begin(p.Engine(), nil, s.order, burst)
 	n := s.pass.run(p)
 	s.pass, s.each.handle = pollPass{}, nil // pin neither the handler nor the snapshot
 	return n

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,28 +16,36 @@ import (
 )
 
 // passRig is one core's host a with n links to host b, whose ends the test
-// sends on.
+// sends on, and, if the rig has one, a control link between them.
 type passRig struct {
-	eng   *sim.Engine
-	a, b  *host.Host
-	links *LinkSet
-	peers []*LinkEnd
+	eng     *sim.Engine
+	pool    *cxl.Pool
+	a, b    *host.Host
+	links   *LinkSet
+	peers   []*LinkEnd
+	ctlPeer *LinkEnd // the allocator's end of the control link
 }
 
 func newPassRig(t *testing.T, n int) *passRig {
 	eng, pool := testPool()
-	r := &passRig{eng: eng, links: NewLinkSet(DefaultPendingLimit)}
+	r := &passRig{eng: eng, pool: pool, links: NewLinkSet(DefaultPendingLimit)}
 	r.a = host.New(eng, 0, "a", pool, host.DefaultConfig())
 	r.b = host.New(eng, 1, "b", pool, host.DefaultConfig())
 	for i := 0; i < n; i++ {
-		aEnd, bEnd, err := NewDuplexLink(pool, r.a, r.b, msgchan.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		aEnd, bEnd := r.link(t)
 		r.links.Add(uint32(i), aEnd)
 		r.peers = append(r.peers, bEnd)
 	}
 	return r
+}
+
+// link makes a duplex link a<->b and returns a's end and b's.
+func (r *passRig) link(t *testing.T) (*LinkEnd, *LinkEnd) {
+	aEnd, bEnd, err := NewDuplexLink(r.pool, r.a, r.b, msgchan.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return aEnd, bEnd
 }
 
 // passCost is what one pass over n idle default links costs: the n tail
@@ -146,28 +156,51 @@ func TestIdlePassCountsOneMissPerLink(t *testing.T) {
 	}
 }
 
-// passRow is a scripted program for one core polling a link set under the
-// batched rule: messages sent on given links at given times.
+// passRow is a scripted program for one core polling a link set, and maybe
+// a control end, under the batched rule: messages sent on given links at
+// given times.
 type passRow struct {
 	name  string
 	links int
+	ctl   passCtl
 	burst int
 	sends []passSend
 	check func(t *testing.T, log string)
 }
 
+// passCtl is what a row's poll stage has for a control end.
+type passCtl uint8
+
+const (
+	ctlNone      passCtl = iota // a poll stage without Control
+	ctlNil                      // Control over an engine field that holds no end
+	ctlCounted                  // a control end whose messages are loop progress
+	ctlDiscarded                // a control end whose messages are not
+)
+
 type passSend struct {
 	at   sim.Duration
-	link int
+	link int // a link of the set, or ctlLink, or ctlJunk
 	n    int // messages, sent back to back and flushed once
 }
 
+const (
+	ctlLink = -1 // control messages on the control link
+	ctlJunk = -2 // data-plane payloads on the control link: dropped uncounted
+)
+
 // runPassRow runs a row on the driver core, or with ref on the blocking
 // reference pass, and renders everything observable: each delivery and each
-// iteration's end with the time, the sequence number, every link's empty
-// polls and the cache's counters, and every end's stats.
+// iteration's end with the time, the sequence number, its progress, every
+// end's empty polls and the cache's counters, and every end's stats.
 func runPassRow(t *testing.T, row passRow, ref bool) string {
 	r := newPassRig(t, row.links)
+	var ctrl *LinkEnd
+	ends := r.links.All()
+	if row.ctl == ctlCounted || row.ctl == ctlDiscarded {
+		ctrl, r.ctlPeer = r.link(t)
+		ends = append([]*Link{{Peer: 99, End: ctrl}}, ends...)
+	}
 	var b strings.Builder
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(&b, "%8d seq %6d %s\n", r.eng.Now(), r.eng.Seq(), fmt.Sprintf(format, args...))
@@ -176,51 +209,116 @@ func runPassRow(t *testing.T, row passRow, ref bool) string {
 		logf("link %d got %x", l.Peer, payload[:2])
 		p.Sleep(40 * time.Nanosecond)
 	}
-	mark := func(*sim.Proc) int {
+	handleCtl := func(p *sim.Proc, m ControlMsg) {
+		logf("control op %d dev %x", m.Op, m.Dev)
+		p.Sleep(30 * time.Nanosecond)
+	}
+	mark := func(progress int) int {
 		var empty []int64
-		for _, l := range r.links.All() {
+		for _, l := range ends {
 			empty = append(empty, l.End.In.EmptyPolls)
 		}
-		logf("iteration over: empty polls %v cache %+v", empty, r.a.Cache.Stats())
+		logf("iteration over: progress %d empty polls %v cache %+v", progress, empty, r.a.Cache.Stats())
 		return 0
 	}
 	cfg := DriverConfig{LoopCost: 100 * time.Nanosecond}
+	counted := row.ctl == ctlCounted
 	if ref {
 		r.eng.Go("core", func(p *sim.Proc) {
 			for {
-				refPollEach(r.links, p, row.burst, handle)
-				mark(p)
+				mark(refPass(p, ctrl, r.links.order, row.burst, handle, handleCtl, counted))
 				p.Sleep(cfg.LoopCost)
 			}
 		})
 	} else {
-		NewDriver(r.a, "core", cfg,
-			PollStage("links", r.links, row.burst, handle),
-			WorkStage("mark", func() bool { return false }, mark)).Start()
+		st := PollStage("links", r.links, row.burst, handle)
+		if row.ctl != ctlNone {
+			st = st.Control(&ctrl, handleCtl, counted)
+		}
+		var d *Driver
+		d = NewDriver(r.a, "core", cfg, st,
+			WorkStage("mark", func() bool { return false }, func(*sim.Proc) int { return mark(d.progress) }))
+		d.Start()
 	}
 	r.eng.Go("peers", func(p *sim.Proc) {
 		for i, s := range row.sends {
 			p.Sleep(s.at - p.Now())
-			for k := 0; k < s.n; k++ {
-				r.peers[s.link].Send(p, []byte{byte(i), byte(k)})
+			end := r.ctlPeer
+			if s.link >= 0 {
+				end = r.peers[s.link]
 			}
-			r.peers[s.link].Flush(p)
+			for k := 0; k < s.n; k++ {
+				switch s.link {
+				case ctlLink:
+					SendControl(p, end, ControlMsg{Op: CtlFailover, Kind: DeviceNIC, Dev: uint16(i<<8 | k)})
+				case ctlJunk:
+					end.Send(p, []byte{0xF0, byte(i), byte(k)})
+				default:
+					end.Send(p, []byte{byte(i), byte(k)})
+				}
+			}
+			end.Flush(p)
 		}
 	})
 	r.eng.RunUntil(30 * time.Microsecond)
 	r.eng.Shutdown()
-	for i, l := range r.links.All() {
+	for i, l := range ends {
 		in := l.End.In
-		fmt.Fprintf(&b, "link %d: rx %d empty %d counter %d\n", i, in.Received, in.EmptyPolls, in.CounterUpdates)
+		fmt.Fprintf(&b, "end %d: rx %d empty %d counter %d\n", i, in.Received, in.EmptyPolls, in.CounterUpdates)
 	}
 	return b.String()
+}
+
+// iterations splits a row's log into its iterations, each ending with its
+// "iteration over" line.
+func iterations(log string) []string {
+	var its []string
+	cur := ""
+	for _, line := range strings.SplitAfter(log, "\n") {
+		if cur += line; strings.Contains(line, "iteration over") {
+			its = append(its, cur)
+			cur = ""
+		}
+	}
+	return its
+}
+
+// progressSum adds up the progress of a row's iterations.
+func progressSum(log string) int {
+	sum := 0
+	for _, m := range regexp.MustCompile(`progress (\d+)`).FindAllStringSubmatch(log, -1) {
+		n, _ := strconv.Atoi(m[1])
+		sum += n
+	}
+	return sum
 }
 
 // The batched pass against its blocking reference on scripted rows: many
 // idle links with one message landing while a pass runs, and a link that
 // hits its burst — whose last poll found a message, so it leaves no flush
-// run to the pass — beside idle ones.
+// run to the pass — beside idle ones. With a control end the pass is the
+// control poll, then each link's, then one CLFLUSHOPT run and one MFENCE:
+// its messages counted as progress or not, alone in a pass, and ahead of a
+// data message that landed with them. An engine field that holds no control
+// end leaves the pass exactly the data-only one.
 func TestPassMatchesBlockingReference(t *testing.T) {
+	controlRow := func(name string, ctl passCtl, wantProgress int) passRow {
+		return passRow{name: name, links: 8, ctl: ctl, burst: 2,
+			sends: []passSend{
+				{at: 1000 * time.Nanosecond, link: ctlLink, n: 3},
+				{at: 1100 * time.Nanosecond, link: ctlJunk, n: 1},
+				{at: 1200 * time.Nanosecond, link: 5, n: 3},
+				{at: 9 * time.Microsecond, link: ctlLink, n: 1},
+			},
+			check: func(t *testing.T, log string) {
+				if n := strings.Count(log, "control op"); n != 4 {
+					t.Fatalf("%d control messages delivered, want 4 (the data-plane payload dropped):\n%s", n, log)
+				}
+				if n := progressSum(log); n != wantProgress {
+					t.Fatalf("the iterations made progress %d, want %d:\n%s", n, wantProgress, log)
+				}
+			}}
+	}
 	for _, row := range []passRow{
 		{name: "idle32-message-mid-pass", links: 32, burst: 4,
 			// The first pass runs from 0 to ~0.87 µs: this message's line
@@ -256,6 +354,33 @@ func TestPassMatchesBlockingReference(t *testing.T) {
 					}
 				}
 			}},
+		controlRow("control-counted", ctlCounted, 7),
+		controlRow("control-discarded", ctlDiscarded, 3),
+		{name: "control-first", links: 4, ctl: ctlDiscarded, burst: 2,
+			sends: []passSend{{at: 2 * time.Microsecond, link: 2, n: 1}, {at: 2 * time.Microsecond, link: ctlLink, n: 1}},
+			check: func(t *testing.T, log string) {
+				for _, it := range iterations(log) {
+					c, d := strings.Index(it, "control op"), strings.Index(it, "link 2 got")
+					if c >= 0 && d >= 0 && c < d {
+						return
+					}
+				}
+				t.Fatalf("no iteration handled the control message before the data message that landed with it:\n%s", log)
+			}},
+		{name: "control-alone", links: 0, ctl: ctlCounted, burst: 2,
+			sends: []passSend{{at: 1 * time.Microsecond, link: ctlLink, n: 2}, {at: 5 * time.Microsecond, link: ctlJunk, n: 1}, {at: 5 * time.Microsecond, link: ctlLink, n: 1}},
+			check: func(t *testing.T, log string) {
+				if n := progressSum(log); n != 3 || strings.Count(log, "control op") != 3 {
+					t.Fatalf("progress %d, want 3 control messages:\n%s", n, log)
+				}
+			}},
+		{name: "control-nil", links: 4, ctl: ctlNil, burst: 2,
+			sends: []passSend{{at: 1 * time.Microsecond, link: 1, n: 3}},
+			check: func(t *testing.T, log string) {
+				if n := progressSum(log); n != 3 {
+					t.Fatalf("progress %d, want 3:\n%s", n, log)
+				}
+			}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			want := runPassRow(t, row, true)
@@ -264,6 +389,13 @@ func TestPassMatchesBlockingReference(t *testing.T) {
 				t.Fatalf("the driver's pass diverged from the blocking reference\n%s", firstDiff(want, got))
 			}
 			row.check(t, want)
+			if row.ctl == ctlNil {
+				plain := row
+				plain.ctl = ctlNone
+				if data := runPassRow(t, plain, false); got != data {
+					t.Fatalf("a nil control end changed the data-only pass\n%s", firstDiff(data, got))
+				}
+			}
 		})
 	}
 }

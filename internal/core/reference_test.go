@@ -56,17 +56,40 @@ func refNextIdle(cur, start, cap sim.Duration) sim.Duration {
 	return cur
 }
 
-// refPollEach and refPollControl are passes under the batched rule, written
-// as blocking calls: every link's tail load issued up front and one sleep
-// until the last lands, each poll run from the process with its empty flush
-// run left over, then one sleep for all the CLFLUSHOPTs and the fence.
-func refPollEach(s *LinkSet, p *sim.Proc, burst int, handle func(p *sim.Proc, l *Link, payload []byte)) int {
+// refPass is a poll stage's pass under the batched rule, written as a
+// blocking call: the tail loads of the control end (if there is one) and of
+// every link issued up front and one sleep until the last lands; up to burst
+// control messages from ctrl into handleCtl, a payload that is not a control
+// op dropped uncounted, and control messages loop progress only if counted;
+// up to burst messages from each link into handle, each poll run from the
+// process with its empty flush run left over; then one sleep for all the
+// CLFLUSHOPTs and the fence.
+func refPass(p *sim.Proc, ctrl *LinkEnd, links []*Link, burst int, handle func(p *sim.Proc, l *Link, payload []byte),
+	handleCtl func(p *sim.Proc, m ControlMsg), counted bool) int {
 	if burst <= 0 {
 		return 0
 	}
-	links := s.order
-	refLoadAhead(p, links)
+	var ends []*LinkEnd
+	if ctrl != nil {
+		ends = append(ends, ctrl)
+	}
+	for _, l := range links {
+		ends = append(ends, l.End)
+	}
+	refLoadAhead(p, ends)
 	progress := 0
+	for i := 0; ctrl != nil && i < burst; i++ {
+		payload, ok := refPollDeferred(ctrl, p)
+		if !ok {
+			break
+		}
+		if IsControlOp(payload[0]) {
+			handleCtl(p, DecodeControl(payload))
+			if counted {
+				progress++
+			}
+		}
+	}
 	for _, l := range links {
 		for i := 0; i < burst; i++ {
 			payload, ok := refPollDeferred(l.End, p)
@@ -78,15 +101,20 @@ func refPollEach(s *LinkSet, p *sim.Proc, burst int, handle func(p *sim.Proc, l 
 			progress++
 		}
 	}
-	refFlushDeferred(p, links)
+	refFlushDeferred(p, ends)
 	return progress
 }
 
-// refLoadAhead issues the links' tail loads and sleeps until the last lands.
-func refLoadAhead(p *sim.Proc, links []*Link) {
+// refPollEach is LinkSet.PollEach: the pass over a set's links alone.
+func refPollEach(s *LinkSet, p *sim.Proc, burst int, handle func(p *sim.Proc, l *Link, payload []byte)) int {
+	return refPass(p, nil, s.order, burst, handle, nil, false)
+}
+
+// refLoadAhead issues the ends' tail loads and sleeps until the last lands.
+func refLoadAhead(p *sim.Proc, ends []*LinkEnd) {
 	var loaded sim.Duration
-	for _, l := range links {
-		loaded = max(loaded, l.End.In.LoadAhead())
+	for _, e := range ends {
+		loaded = max(loaded, e.In.LoadAhead())
 	}
 	if wait := loaded - p.Now(); wait > 0 {
 		p.Sleep(wait)
@@ -105,17 +133,17 @@ func refPollDeferred(end *LinkEnd, p *sim.Proc) ([]byte, bool) {
 	return payload, true
 }
 
-func refFlushDeferred(p *sim.Proc, links []*Link) {
+func refFlushDeferred(p *sim.Proc, ends []*LinkEnd) {
 	var run sim.Duration
-	for _, l := range links {
-		run += l.End.In.DeferredCost()
+	for _, e := range ends {
+		run += e.In.DeferredCost()
 	}
 	if run == 0 {
 		return
 	}
-	p.Sleep(run + links[0].End.In.FenceLatency())
-	for _, l := range links {
-		l.End.In.FlushDeferred()
+	p.Sleep(run + ends[0].In.FenceLatency())
+	for _, e := range ends {
+		e.In.FlushDeferred()
 	}
 }
 
@@ -140,24 +168,6 @@ func refSend(l *Link, p *sim.Proc, payload []byte) bool {
 
 func refFlush(l *LinkEnd, p *sim.Proc) { l.Out.Flush(p) }
 
-func refPollControl(p *sim.Proc, end *LinkEnd, burst int, handle func(p *sim.Proc, m ControlMsg)) int {
-	links := []*Link{{End: end}}
-	refLoadAhead(p, links)
-	n := 0
-	for i := 0; i < burst; i++ {
-		payload, ok := refPollDeferred(end, p)
-		if !ok {
-			break
-		}
-		if IsControlOp(payload[0]) {
-			handle(p, DecodeControl(payload))
-			n++
-		}
-	}
-	refFlushDeferred(p, links)
-	return n
-}
-
 // runStages runs one iteration of a stage list from the calling process,
 // every stage in turn, and returns the items processed: what the staged
 // engines' PollOnce used to be, and what an opaque loop built over a stage
@@ -173,17 +183,16 @@ func runStages(p *sim.Proc, stages []Stage) int {
 			continue
 		}
 		st.begin(p.Engine())
-		st.pass.run(p)
-		progress += st.progress()
+		progress += st.pass.run(p)
 	}
 	return progress
 }
 
-// pollControl is a ControlStage's pass as a call, the way the engines used
-// to poll their control end: up to burst control messages from end into
-// handle, a payload that is not a control op dropped uncounted.
-func pollControl(p *sim.Proc, end *LinkEnd, burst int, handle func(p *sim.Proc, m ControlMsg)) int {
-	st := ControlStage("control", &end, burst, handle, true)
+// pollJoined is a poll stage's pass over a set and a control end, as a
+// call: what an opaque loop makes of the engines' joined pass.
+func pollJoined(p *sim.Proc, s *LinkSet, ctrl *LinkEnd, burst int, handle func(p *sim.Proc, l *Link, payload []byte),
+	handleCtl func(p *sim.Proc, m ControlMsg), counted bool) int {
+	st := PollStage("links", s, burst, handle).Control(&ctrl, handleCtl, counted)
 	st.begin(p.Engine())
 	return st.pass.run(p)
 }
@@ -232,8 +241,8 @@ func (r *oracleRig) link(ctl bool) *LinkEnd {
 }
 
 // oracleGroup is a group of stages of every kind: a work queue fed by
-// timers, a polled link set, an optional control end that may arrive late,
-// and the flush. Its work, handler and flush are written twice: as calls
+// timers, a pass over a link set and an optional control end that may arrive
+// late, and the flush. Its work, handler and flush are written twice: as calls
 // from the process, and as jobs whose steps the core runs in event context.
 type oracleGroup struct {
 	rig      *oracleRig
@@ -507,39 +516,30 @@ func (l *oracleGroup) stages(stepped bool) []Stage {
 	if !stepped {
 		return []Stage{
 			WorkStage("queue", l.queueIdle, l.runQueue),
-			PollStage("links", l.links, oracleBurst, l.handle),
-			ControlStage("control", &l.ctrl, oracleBurst, l.handleCtl, l.counted),
+			PollStage("links", l.links, oracleBurst, l.handle).Control(&l.ctrl, l.handleCtl, l.counted),
 			WorkStage("flush", l.flushIdle, l.flush),
 		}
 	}
 	l.qw.l, l.hj.l = l, l
 	return []Stage{
 		SteppedWorkStage("queue", l.queueIdle, &l.qw),
-		SteppedPollStage("links", l.links, oracleBurst, &l.hj),
-		ControlStage("control", &l.ctrl, oracleBurst, l.handleCtl, l.counted),
+		SteppedPollStage("links", l.links, oracleBurst, &l.hj).Control(&l.ctrl, l.handleCtl, l.counted),
 		SteppedWorkStage("flush", l.flushIdle, NewFlushJob(l.links, &l.ctrl)),
 	}
 }
 
 // pollOnce is the iteration as the engines used to write it by hand, over
-// the reference passes or over today's PollEach and a control stage's pass.
+// the reference pass or over today's: PollEach, or a poll stage's pass once
+// there is a control end.
 func (l *oracleGroup) pollOnce(p *sim.Proc) int {
-	pollEach := func(p *sim.Proc, burst int, h func(*sim.Proc, *Link, []byte)) int {
-		return l.links.PollEach(p, burst, h)
-	}
-	pollControl := pollControl
-	if l.rig.ref {
-		pollEach = func(p *sim.Proc, burst int, h func(*sim.Proc, *Link, []byte)) int {
-			return refPollEach(l.links, p, burst, h)
-		}
-		pollControl = refPollControl
-	}
 	progress := l.runQueue(p)
-	progress += pollEach(p, oracleBurst, l.handle)
-	if l.ctrl != nil {
-		if n := pollControl(p, l.ctrl, oracleBurst, l.handleCtl); l.counted {
-			progress += n
-		}
+	switch {
+	case l.rig.ref:
+		progress += refPass(p, l.ctrl, l.links.order, oracleBurst, l.handle, l.handleCtl, l.counted)
+	case l.ctrl == nil:
+		progress += l.links.PollEach(p, oracleBurst, l.handle)
+	default:
+		progress += pollJoined(p, l.links, l.ctrl, oracleBurst, l.handle, l.handleCtl, l.counted)
 	}
 	l.flush(p)
 	return progress

@@ -9,10 +9,10 @@ import "oasis/internal/sim"
 // (see Driver.Step).
 //
 // A work stage (SteppedWorkStage, WorkStage) is work plus a predicate that
-// says when doing it would be a no-op. A poll stage drains up to a burst of
-// messages per end into a handler: from every link of a LinkSet
-// (SteppedPollStage, PollStage), or from the engine's one control end, if it
-// has one yet (ControlStage).
+// says when doing it would be a no-op. A poll stage (SteppedPollStage,
+// PollStage) drains up to a burst of messages per end into a handler, from
+// every link of a LinkSet, and with Control first from the engine's control
+// end, if it has one yet: one pass over every ring the core reads.
 //
 // Work and handlers are jobs (sim.Job): their steps run in event context as
 // legs of the driver core's chain, and where a step cannot go on — it would
@@ -25,13 +25,11 @@ type Stage struct {
 	idle func() bool
 	work Work
 
-	// Poll stage: the set polled, or else the engine's field holding its
-	// control end, which ctl (a private one-link list) presents to the pass.
+	// Poll stage: the set polled, and the engine's field holding its control
+	// end, if the pass polls one (see Control).
 	set     *LinkSet
 	control **LinkEnd
-	ctl     []*Link
 	burst   int
-	discard bool // polled messages are not loop progress
 	pass    pollPass
 }
 
@@ -88,14 +86,20 @@ func PollStage(name string, set *LinkSet, burst int, handle func(p *sim.Proc, l 
 	return SteppedPollStage(name, set, burst, &procHandler{handle: handle})
 }
 
-// ControlStage drains up to burst control messages from *end into handle,
-// from the core's process; a payload whose opcode is not a control op is
-// dropped uncounted, and a nil *end (no control link yet) is skipped.
-// counted says whether delivered messages are loop progress — a frontend
-// acting on allocator commands has worked, a backend draining them beside
-// its timed duties has not.
-func ControlStage(name string, end **LinkEnd, burst int, handle func(p *sim.Proc, m ControlMsg), counted bool) Stage {
-	return Stage{name: name, control: end, ctl: []*Link{{}}, burst: burst, discard: !counted, pass: pollPass{h: &procHandler{ctl: handle}, control: true}}
+// Control makes the poll stage's pass poll the engine's control end, the
+// one *end holds when the pass begins, before the links of its set: up to
+// burst control messages into handle, from the core's process. Its tail load
+// goes out with the links' and its empty poll joins their closing flush run,
+// so the end costs a pass one more line, not a pass of its own. A payload
+// whose opcode is not a control op is dropped uncounted, and a nil *end (no
+// control link yet) leaves the pass as it is without it. Control messages
+// are not counted in LinkStats.Received; counted says whether they are loop
+// progress — a frontend acting on allocator commands has worked, a backend
+// draining them beside its timed duties has not.
+func (st Stage) Control(end **LinkEnd, handle func(p *sim.Proc, m ControlMsg), counted bool) Stage {
+	st.control = end
+	st.pass.ctlH, st.pass.counted = &procHandler{ctl: handle}, counted
+	return st
 }
 
 // procWork is a run function as a Work: a job that stops at its start, for
@@ -113,7 +117,7 @@ func (w *procWork) Finish(p *sim.Proc)         { w.pending = false; w.n = w.run(
 func (w *procWork) Progress() int              { return w.n }
 
 // procHandler is a handler function as a Handler, the same way: handle, or
-// for a control stage ctl, which takes the message decoded.
+// for a control end ctl, which takes the message decoded.
 type procHandler struct {
 	handle  func(p *sim.Proc, l *Link, payload []byte)
 	ctl     func(p *sim.Proc, m ControlMsg)
@@ -123,7 +127,7 @@ type procHandler struct {
 
 func (h *procHandler) Begin(l *Link, payload []byte) { h.l, h.payload = l, payload }
 func (h *procHandler) Step() (sim.Duration, bool)    { return 0, false }
-func (h *procHandler) Blocked() bool                 { return h.l != nil }
+func (h *procHandler) Blocked() bool                 { return h.payload != nil }
 
 func (h *procHandler) Finish(p *sim.Proc) {
 	l, payload := h.l, h.payload
@@ -137,36 +141,25 @@ func (h *procHandler) Finish(p *sim.Proc) {
 
 // begin starts the stage's pass over whatever it polls at this instant.
 func (st *Stage) begin(eng *sim.Engine) {
-	switch {
-	case st.set != nil:
-		st.pass.begin(eng, st.set.order, st.burst)
-	case *st.control != nil:
-		st.ctl[0].End = *st.control
-		st.pass.begin(eng, st.ctl, st.burst)
-	default:
-		st.pass.begin(eng, nil, 0)
+	var ctl *LinkEnd
+	if st.control != nil {
+		ctl = *st.control
 	}
+	st.pass.begin(eng, ctl, st.set.order, st.burst)
 }
 
-// progress is what the finished pass adds to the loop's progress.
-func (st *Stage) progress() int {
-	if st.discard {
-		return 0
-	}
-	return st.pass.got
-}
-
-// pollPass is one pass over a list of links, up to burst messages from each:
-// the position that LinkSet.PollEach and a driver's poll stage both advance.
-// A pass is three steps, the way a core polls N rings:
+// pollPass is one pass over a list of links, up to burst messages from each,
+// after an engine's control end if it has one: the position that
+// LinkSet.PollEach and a driver's poll stage both advance. A pass is three
+// steps, the way a core polls N rings:
 //
-//  1. the load of every link's tail slot line goes out at once
+//  1. the load of every end's tail slot line goes out at once
 //     (msgchan.Receiver.LoadAhead), and one leg waits until the last has
 //     landed — the loads are independent, so they overlap, and N idle rings
 //     cost one load-to-use plus the port's serialization of N lines, not N
 //     round trips;
-//  2. the links are polled in order, each poll collecting its load, and
-//     each message is handed to the handler;
+//  2. the ends are polled in order, the control end first, each poll
+//     collecting its load, and each message is handed to its handler;
 //  3. a CLFLUSHOPT for every line the empty polls left to invalidate
 //     (msgchan.Receiver.BeginDeferred), then one MFENCE — CLFLUSHOPTs are
 //     unordered until a fence — as one leg, at whose end the lines are
@@ -175,22 +168,24 @@ func (st *Stage) progress() int {
 // A one-link pass costs what a lone poll does. It is a sim.Stepper over the
 // part of a pass that needs no process — the polls, the handler's steps for
 // each message polled and the closing flush run, chained into one sleep —
-// and block is the rest: where the handler blocked, or one of the
-// receiver's two blocking escapes.
+// and block is the rest: where a handler blocked, or one of the receiver's
+// two blocking escapes.
 type pollPass struct {
-	h       Handler // what a message is handed to
-	control bool    // control messages: a payload that is not a control op is dropped uncounted
+	h    Handler      // what a link's message is handed to
+	ctlH *procHandler // what a control message is handed to (see Stage.Control)
 
 	eng      *sim.Engine
-	links    []*Link // the pass's snapshot: the links as they were when it began
+	ctl      *LinkEnd // the pass's control end, or nil
+	links    []*Link  // the pass's snapshot: the links as they were when it began
 	burst    int
-	i, n     int          // links[i] is being polled and has delivered n messages
-	end      *LinkEnd     // links[i]'s end while a poll of it is in progress
-	handling bool         // h is handling a message from links[i]
+	i, n     int          // the end at i is being polled (-1: ctl, else links[i]) and has delivered n messages
+	end      *LinkEnd     // that end while a poll of it is in progress
 	loaded   sim.Duration // when the last tail load lands; 0 once the pass has waited for it
 	flushes  sim.Duration // the CLFLUSHOPTs the empty polls so far left to the pass
-	closing  passEnd      // where the closing flush run is, once every link is polled
-	got      int          // messages delivered by this pass
+	got      int          // messages delivered by this pass that are loop progress
+	handling bool         // a handler is handling a message from the end at i
+	counted  bool         // control messages are loop progress
+	closing  passEnd      // where the closing flush run is, once every end is polled
 }
 
 // passEnd says where a pass's closing flush run is.
@@ -202,18 +197,29 @@ const (
 	passClosed                 // nothing left
 )
 
-func (c *pollPass) begin(eng *sim.Engine, links []*Link, burst int) {
+func (c *pollPass) begin(eng *sim.Engine, ctl *LinkEnd, links []*Link, burst int) {
 	if burst <= 0 {
-		links = nil
+		ctl, links = nil, nil
 	}
-	c.eng, c.links, c.burst, c.i, c.n, c.end, c.handling, c.loaded, c.flushes, c.closing, c.got = eng, links, burst, 0, 0, nil, false, 0, 0, passFlush, 0
+	c.eng, c.ctl, c.links, c.burst, c.i, c.n, c.end, c.handling, c.loaded, c.flushes, c.closing, c.got = eng, ctl, links, burst, 0, 0, nil, false, 0, 0, passFlush, 0
+	if ctl != nil {
+		c.i, c.loaded = -1, ctl.In.LoadAhead()
+	}
 	for _, l := range links {
 		c.loaded = max(c.loaded, l.End.In.LoadAhead())
 	}
 }
 
-// over reports whether every link has been polled and the pass is closed.
+// over reports whether every end has been polled and the pass is closed.
 func (c *pollPass) over() bool { return c.closing == passClosed }
+
+// handler is what the message of the end at i is handed to.
+func (c *pollPass) handler() Handler {
+	if c.i < 0 {
+		return c.ctlH
+	}
+	return c.h
+}
 
 // Step implements sim.Stepper. It returns more == false when the pass is
 // over or block has to take it from here.
@@ -226,19 +232,25 @@ func (c *pollPass) Step() (sim.Duration, bool) {
 	}
 	for c.i < len(c.links) {
 		if c.handling {
-			if d, more := c.h.Step(); more {
+			h := c.handler()
+			if d, more := h.Step(); more {
 				return d, true
 			}
-			if c.h.Blocked() {
+			if h.Blocked() {
 				return 0, false
 			}
 			c.handling = false
-			c.got++
+			if c.i >= 0 || c.counted {
+				c.got++
+			}
 			c.delivered()
 			continue
 		}
 		if c.end == nil {
-			c.end = c.links[c.i].End
+			c.end = c.ctl
+			if c.i >= 0 {
+				c.end = c.links[c.i].End
+			}
 			c.end.In.BeginDeferred()
 		}
 		if d, more := c.end.In.Step(); more {
@@ -256,15 +268,15 @@ func (c *pollPass) Step() (sim.Duration, bool) {
 			continue
 		}
 		end.inLat.observe(c.eng.Now())
-		l := c.links[c.i]
-		if c.control && !IsControlOp(payload[0]) {
+		var l *Link
+		if c.i >= 0 {
+			l = c.links[c.i]
+			l.Stats.Received++
+		} else if !IsControlOp(payload[0]) {
 			c.delivered()
 			continue
 		}
-		if !c.control {
-			l.Stats.Received++
-		}
-		c.h.Begin(l, payload)
+		c.handler().Begin(l, payload)
 		c.handling = true
 	}
 	return c.close()
@@ -278,9 +290,16 @@ func (c *pollPass) close() (sim.Duration, bool) {
 		c.closing = passClosed
 		if c.flushes > 0 {
 			c.closing = passFlushed
-			return c.flushes + c.links[0].End.In.FenceLatency(), true
+			first := c.ctl
+			if first == nil {
+				first = c.links[0].End
+			}
+			return c.flushes + first.In.FenceLatency(), true
 		}
 	case passFlushed:
+		if c.ctl != nil {
+			c.ctl.In.FlushDeferred()
+		}
 		for _, l := range c.links {
 			l.End.In.FlushDeferred()
 		}
@@ -289,7 +308,7 @@ func (c *pollPass) close() (sim.Duration, bool) {
 	return 0, false
 }
 
-// delivered counts a message against the link's burst.
+// delivered counts a message against the end's burst.
 func (c *pollPass) delivered() {
 	if c.n++; c.n >= c.burst {
 		c.i, c.n = c.i+1, 0
@@ -300,13 +319,14 @@ func (c *pollPass) delivered() {
 // leaves the position where Step carries on.
 func (c *pollPass) block(p *sim.Proc) {
 	if c.handling {
-		c.h.Finish(p)
+		c.handler().Finish(p)
 		return
 	}
 	c.end.In.Finish(p) // the escape is behind us; the same poll goes on
 }
 
-// run finishes the pass from process p and returns the messages delivered.
+// run finishes the pass from process p and returns the messages delivered
+// that are loop progress.
 func (c *pollPass) run(p *sim.Proc) int {
 	for {
 		if d, more := c.Step(); more {

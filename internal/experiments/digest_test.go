@@ -112,7 +112,7 @@ type digestRun struct {
 }
 
 func digestRuns() []digestRun {
-	const racksweep = "0e46e629bc5f5e03deb15f08adda2fc2b59c0779f99f2ec6c309b769143b9ffa"
+	const racksweep = "c462e09b3a5954e43459a4634afe334d5c9ad5c2ee7083fb85ea280aa67086a2"
 	return []digestRun{
 		{"fig6", Fig6, 0.5, "bf8b09e684ecc7847ab34b3a435e969d13684e666b8452096c6eaaabc243e7be"},
 		{"fig11", Fig11, 0.3, "d592aa55650d534c4a459bb186b18be9c5c626a8a1542ab26a1415d3981e61d0"},
@@ -126,17 +126,17 @@ func digestRuns() []digestRun {
 		{"abl-sharding", AblSharding, 0.5, "a4a4c92b1ac20d59a0d3b7bd94ca14f727e0e562e9ddd74ec14417429173e01c"},
 		{"abl-qos", AblQoS, 0.5, "7ee9d2a969213ee861ae309fbb44a7a8e6b4f1a065c09da510a6491a506ca045"},
 		{"fig13", Fig13, 0.1, "41290607923de867d0b1874209d6b6bea6dce525f47cd25bd748724e6b6b2d96"},
-		{"blackout", Blackout, 0.5, "e734a038296391de6cee53101218f4aa8a20c8bcb5e4472e2e2f81885e22e285"},
+		{"blackout", Blackout, 0.5, "9ca5174946ec97cfeac099dfdde500a065eb93e3b0416019d068c7e8523197fc"},
 		{"fig2", Fig2, 0.5, "08430501a8ade2821d02a3261f9bc225756204af6461b5700a84f88421cff601"},
 		{"fig3", Fig3, 0.5, "b3becd0a401021008a8605eafdbc988eb8efe9ee8c3d1fea43820430884a485b"},
 		{"tab1", Table1, 1, "4e41275a9c2e91fbd65b9795d41211969c57e2d6e0359549409251b5b7deba87"},
 		{"tab2", Table2, 0.5, "aa6e9f035fd42ffc3604ea2929916c1f7c5d61fad388e0b4bbd269a2871d38fd"},
 		{"fig8", Fig8, 0.05, "c07cbae7d13ad72bd13a268464c91929a0a2ea8bce707c7d05768488416c5983"},
 		{"fig12", Fig12, 0.25, "9df60e0bfd284453f1f16d4bff7e3b007085aa6104341aa1a5a85ed7f786b4d8"},
-		{"fig14", Fig14, 0.2, "4f767315a92849d254c78551b4555fc9431f58606212846ea19439181185fa5e"},
+		{"fig14", Fig14, 0.2, "a9a62b597bd09fdeaa6b5bda03ad04d2fc5028c437f6f5e4033cf6f946ef3714"},
 		{"abl-failover", AblFailoverMechanism, 0.5, "8972ffab210bf9e995912735ec6570e3b76975e09d45d2b9dd893884a0a792e1"},
-		{"chaos", Chaos, 1, "40ba2453da4f4b60bba97afab5a42d5be0205cb5b406f14518f35d9e13984122"},
-		{"grayfail", Grayfail, 1, "745038457002a1f4347618759993cb075f21001154bf58cdf8d2c3d69c3e5d5f"},
+		{"chaos", Chaos, 1, "2b0a131a3b47513e3efd04ed37155b96b883f65d2f9603a9e32b00b29c3b44a8"},
+		{"grayfail", Grayfail, 1, "c1209c1cf6362ed7d00738d3a44fb2110006638339ebf7154d338bbab6cad3de"},
 		{"racksweep/serial", func(s float64) *Report { return racksweepRun(s, false) }, 0.05, racksweep},
 		{"racksweep/perpod", func(s float64) *Report { return racksweepRun(s, true) }, 0.05, racksweep},
 	}

@@ -42,11 +42,19 @@ type failoverPod struct {
 	client *oasis.Client
 }
 
+// failoverIdleBackoff is the failover pods' idle backoff. Failover timing
+// is millisecond-scale, and a generous backoff keeps the 10-second virtual
+// runs fast without moving an outage or a recovery time. It does move
+// fig14's microsecond-scale latencies: four lockstep clients send every
+// 400 µs into driver cores that sleep up to this long when idle, so the
+// pre-failure P50/P99 carry the phase of that sleep, not the datapath's
+// cost — 47.4/62.2 µs at scale 0.2, where the default 1 µs backoff reads
+// 13.0/14.3 µs (EXPERIMENTS.md, deviation 6).
+const failoverIdleBackoff = 20 * time.Microsecond
+
 func buildFailoverPod(r *Report) *failoverPod {
 	cfg := oasis.DefaultConfig()
-	// Failover timing is millisecond-scale; generous idle backoff keeps the
-	// 10-second virtual runs fast without touching the result.
-	cfg.Engine.IdleBackoff = 20 * time.Microsecond
+	cfg.Engine.IdleBackoff = failoverIdleBackoff
 	pod := oasis.NewPod(cfg)
 	hostA := pod.AddHost()
 	hostB := pod.AddHost()
@@ -201,7 +209,7 @@ func Fig14(scale float64) *Report {
 		pre.Merge(wins[i])
 	}
 	baseP99 := pre.Percentile(99)
-	r.addf("pre-failure P99 = %v", baseP99)
+	r.addf("pre-failure P99 = %v (includes the phase of the driver cores' %v idle backoff)", baseP99, failoverIdleBackoff)
 	recoveredAt := oasis.Duration(0)
 	r.addf("P99 per 100 ms window around the failure:")
 	for i := failWin - 2; i < nWins && i < failWin+25; i++ {

@@ -108,16 +108,15 @@ func NewBackend(h *host.Host, nicID uint16, dev *nic.NIC, pool *cxl.Pool, nicDir
 	be.serve.q = &be.nicQueues
 	be.feMsg.be, be.rx.be = be, be
 	be.duties = dutiesJob{be: be, flush: core.NewFlushJob(be.links, &be.ctrl)}
-	// One iteration: parked completions, frontend messages, NIC completion
-	// queues and RX replenishment, and the control plane's commands and
-	// timed duties.
+	// One iteration: parked completions, one pass over allocator commands
+	// and then frontend messages, NIC completion queues and RX
+	// replenishment, and the control plane's timed duties.
 	be.Driver = core.NewDriver(h, fmt.Sprintf("%s/be%d", h.Name, nicID), cfg.driverConfig(),
 		core.WorkStage("parked completions", be.parkedIdle, be.drainParked),
-		core.SteppedPollStage("frontend messages", be.links, burst, &be.feMsg),
-		core.SteppedWorkStage("nic queues", be.nicIdle, &be.serve),
 		// Draining allocator commands is not progress: a backend acts on
 		// them out of band (MAC borrowing) and must still back off.
-		core.ControlStage("allocator commands", &be.ctrl, burst, be.handleControlMsg, false),
+		core.SteppedPollStage("frontend messages", be.links, burst, &be.feMsg).Control(&be.ctrl, be.handleControlMsg, false),
+		core.SteppedWorkStage("nic queues", be.nicIdle, &be.serve),
 		core.SteppedWorkStage("duties and flush", be.dutiesIdle, &be.duties),
 	)
 	return be, nil

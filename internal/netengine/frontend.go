@@ -151,14 +151,15 @@ func NewFrontend(h *host.Host, pool *cxl.Pool, nicDir map[uint16]netsw.MAC, cfg 
 		rx:     newRxCopy(h, bufSize),
 	}
 	fe.queues.fe, fe.beMsg.fe, fe.copies.fe = fe, fe, fe
-	// One iteration: deferred commands and instance TX queues, backend
-	// messages, the copy-out of the packets they brought, allocator
-	// commands, and the flush of partially-filled message lines.
+	// One iteration: deferred commands and instance TX queues, one pass over
+	// allocator commands and then backend messages, the copy-out of the
+	// packets they brought, and the flush of partially-filled message lines.
+	// Polling the control end first keeps every control handler out of the
+	// span between a packet being parked for its copy-out and that copy-out.
 	fe.Driver = core.NewDriver(h, h.Name+"/fe", cfg.driverConfig(),
 		core.SteppedWorkStage("queues", fe.queuesIdle, &fe.queues),
-		core.SteppedPollStage("backend messages", fe.links, burst, &fe.beMsg),
+		core.SteppedPollStage("backend messages", fe.links, burst, &fe.beMsg).Control(&fe.ctrl, fe.handleControlMsg, true),
 		core.SteppedWorkStage("rx copies", fe.copiesIdle, &fe.copies),
-		core.ControlStage("allocator commands", &fe.ctrl, burst, fe.handleControlMsg, true),
 		core.SteppedWorkStage("flush", fe.flushIdle, core.NewFlushJob(fe.links, &fe.ctrl)),
 	)
 	return fe

@@ -223,14 +223,13 @@ func NewFrontend(h *host.Host, pool *cxl.Pool) *Frontend {
 		reqQ:    sim.NewQueue[*ioReq](h.Eng),
 		pending: make(map[uint16]*pendingLeg),
 	}
-	// One iteration: retry promotions and the request queue, backend
-	// completions, allocator commands, and the flush.
+	// One iteration: retry promotions and the request queue, one pass over
+	// allocator commands and then backend completions, and the flush.
 	fe.Driver = core.NewDriver(h, h.Name+"/storage-fe", pacing,
 		core.WorkStage("requests", fe.requestsIdle, fe.forwardRequests),
 		core.PollStage("backend messages", fe.links, burst, func(p *sim.Proc, l *core.Link, payload []byte) {
 			fe.handleBackendMsg(p, l, sdecode(payload))
-		}),
-		core.ControlStage("allocator commands", &fe.ctrl, burst, fe.handleControlMsg, true),
+		}).Control(&fe.ctrl, fe.handleControlMsg, true),
 		core.WorkStage("flush", fe.links.FlushIdle, func(p *sim.Proc) int {
 			fe.links.FlushAll(p)
 			return 0

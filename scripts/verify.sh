@@ -21,7 +21,7 @@ fi
 # build raw channels in one place (rawChannel). A new hand-rolled poll loop,
 # channel builder or capped doubling fails here. (bench/ is frozen and keeps
 # the one opaque loop, its idle probe.)
-echo "== one loop runner, one link builder, one backoff (grep gate) =="
+echo "== one loop runner, one link builder, one backoff, one pass per iteration (grep gate) =="
 gate() { # gate <what> <matches>: fail if the grep printed anything
     if [ -n "$2" ]; then
         echo "grep gate: $1:" >&2
@@ -35,6 +35,9 @@ gate "StagedLoop, RunStages or PollControl outside tests" "$(src 'StagedLoop\|Ru
 gate "an unstaged branch in the driver core" "$(grep -n 'len(stages) == 0' internal/core/engine.go || true)"
 gate "a channel built or a backoff rolled by hand in raft's transport" "$(grep -n 'msgchan\.New(\|nextIdle' internal/raft/transport.go || true)"
 gate "more than one raw-channel rig in the experiments" "$(grep -rl 'msgchan\.RegionBytes' internal/experiments | sed 1d)"
+# One pass per iteration: an engine's control end is polled in its data
+# links' pass (Stage.Control), never in a pass of its own.
+gate "a control stage beside the data pass" "$(grep -rn --include='*.go' 'ControlStage' . || true)"
 
 # One window bound, one kind of link end, two execution shapes: the
 # adaptive-horizon hysteresis, the interface a LinkSet's ends hid behind, its

@@ -20,12 +20,12 @@ import (
 // Regenerate them (go test -run TestWiringDigests -v prints the got values)
 // only with a change that is meant to move simulated results.
 const (
-	digestDefaultPod  = "e4208d5142f0576a82a205a891592901ebf3a1e07bd7f6d246e74a901248bfb1"
-	digestNetStorage  = "4d9494ace9a5e9e2d5a64dc09629ad425bafee3947b8db46e41d434aa6fbb980"
-	digestRaftBackups = "21acdd66bad5aea358b19aace7c585736503380d25d5b2470b111e89045cac2e"
+	digestDefaultPod  = "2cbf70a3c4a7467794bd5d4bac045945bfd8a66caaa2b4316307f3b2c6a4285a"
+	digestNetStorage  = "48f6041c6a37e656890436a7cf9e59af281848555035c1c25ad3994f0c17491c"
+	digestRaftBackups = "581f07ff352e8badd670d0ef5989d451f962e9a50a6fc32360e558ef750e78ef"
 	digestBaseline    = "efc70d7d5f0f10e9211103fa7043ebd8ab31a090f99f46a143788c14f406949a"
-	digestLateAdds    = "f4e86c9ee649434c423e3063cc041c9759ad1ab4984ec2de0e20f86ff5816257"
-	digestClusterMove = "15f605aa0ff1bafe588e0398db2c65c8dbd2bcaf4d9e95a5d7d20824c4567370"
+	digestLateAdds    = "ae9294c6eda9756c804da86c0f20216f416f1f8e0de7e8ed74567cbae5b83eab"
+	digestClusterMove = "fa41fa5a316fea38c9c541bcc7b941f32fd776dd04d35a63dc639faf3cc73ef3"
 )
 
 // digestEcho spawns a UDP echo server on inst and a client process that
