@@ -156,6 +156,44 @@ func TestIdlePassCountsOneMissPerLink(t *testing.T) {
 	}
 }
 
+// A lone poll is a one-link pass, leg for leg: LinkEnd.Poll on one idle
+// default link and PollEach over that same link each take passCost(1) in two
+// stepped legs — the tail load, then the CLFLUSHOPT run and the MFENCE as one
+// closing leg — count one miss, and leave no ring line cached.
+func TestLonePollIsOneLinkPass(t *testing.T) {
+	r := newPassRig(t, 1)
+	end := r.links.All()[0].End
+	type poll struct {
+		took   sim.Duration
+		legs   uint64
+		misses int64
+		lines  int
+	}
+	measure := func(p *sim.Proc, run func()) poll {
+		t0, c0, m0 := p.Now(), r.eng.Counters(), r.a.Cache.Stats().Misses
+		run()
+		return poll{p.Now() - t0, r.eng.Counters().SteppedLegs - c0.SteppedLegs, r.a.Cache.Stats().Misses - m0, r.a.Cache.Len()}
+	}
+	var lone, pass poll
+	r.eng.Go("core", func(p *sim.Proc) {
+		lone = measure(p, func() {
+			if _, ok := end.Poll(p); ok {
+				panic("an idle link delivered a message")
+			}
+		})
+		pass = measure(p, func() {
+			if r.links.PollEach(p, 4, func(*sim.Proc, *Link, []byte) {}) != 0 {
+				panic("an idle link delivered a message")
+			}
+		})
+	})
+	r.eng.RunUntil(100 * time.Microsecond)
+	want := poll{took: passCost(1), legs: 2, misses: 1}
+	if lone != want || pass != want {
+		t.Fatalf("lone poll %+v, one-link pass %+v; want both %+v", lone, pass, want)
+	}
+}
+
 // passRow is a scripted program for one core polling a link set, and maybe
 // a control end, under the batched rule: messages sent on given links at
 // given times.

@@ -123,7 +123,7 @@ func refLoadAhead(p *sim.Proc, ends []*LinkEnd) {
 
 // refPollDeferred is LinkEnd.Poll for a poll made in a pass.
 func refPollDeferred(end *LinkEnd, p *sim.Proc) ([]byte, bool) {
-	end.In.BeginDeferred()
+	end.In.Begin()
 	p.RunJob(end.In)
 	payload := end.In.Payload()
 	if payload == nil {

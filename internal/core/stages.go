@@ -161,15 +161,16 @@ func (st *Stage) begin(eng *sim.Engine) {
 //  2. the ends are polled in order, the control end first, each poll
 //     collecting its load, and each message is handed to its handler;
 //  3. a CLFLUSHOPT for every line the empty polls left to invalidate
-//     (msgchan.Receiver.BeginDeferred), then one MFENCE — CLFLUSHOPTs are
+//     (msgchan.Receiver.DeferredCost), then one MFENCE — CLFLUSHOPTs are
 //     unordered until a fence — as one leg, at whose end the lines are
 //     gone.
 //
-// A one-link pass costs what a lone poll does. It is a sim.Stepper over the
-// part of a pass that needs no process — the polls, the handler's steps for
-// each message polled and the closing flush run, chained into one sleep —
-// and block is the rest: where a handler blocked, or one of the receiver's
-// two blocking escapes.
+// A lone poll (msgchan.Receiver.Poll) closes the same way, so a one-link
+// pass costs what it does by construction, leg for leg. It is a sim.Stepper
+// over the part of a pass that needs no process — the polls, the handler's
+// steps for each message polled and the closing flush run, chained into one
+// sleep — and block is the rest: where a handler blocked, or one of the
+// receiver's two blocking escapes.
 type pollPass struct {
 	h    Handler      // what a link's message is handed to
 	ctlH *procHandler // what a control message is handed to (see Stage.Control)
@@ -251,7 +252,7 @@ func (c *pollPass) Step() (sim.Duration, bool) {
 			if c.i >= 0 {
 				c.end = c.links[c.i].End
 			}
-			c.end.In.BeginDeferred()
+			c.end.In.Begin()
 		}
 		if d, more := c.end.In.Step(); more {
 			return d, true

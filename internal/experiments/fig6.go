@@ -140,13 +140,14 @@ func (l *sendLoop) Step() (sim.Duration, bool) {
 //		}
 //	}
 //
-// with got, when set, called at the instant the poll ends.
+// with got, when set, called at the instant the poll ends; each poll is
+// Poll's own chain (msgchan.Receiver.Lone), closing leg included.
 type pollLoop struct {
-	rx      *msgchan.Receiver
-	end     sim.Duration
-	cost    sim.Duration // what handling a message costs
-	got     func(msg []byte)
-	polling bool
+	rx   *msgchan.Receiver
+	end  sim.Duration
+	cost sim.Duration // what handling a message costs
+	got  func(msg []byte)
+	poll sim.Stepper // the poll in progress, or nil
 }
 
 // run is the process: the chain, and the poll's blocking escapes.
@@ -163,17 +164,16 @@ func (l *pollLoop) run(p *sim.Proc) {
 func (l *pollLoop) Step() (sim.Duration, bool) {
 	rx := l.rx
 	for {
-		if !l.polling {
+		if l.poll == nil {
 			if rx.Engine().Now() >= l.end {
 				return 0, false
 			}
-			rx.Begin()
-			l.polling = true
+			l.poll = rx.Lone()
 		}
-		if d, more := rx.Step(); more || rx.Blocked() {
+		if d, more := l.poll.Step(); more || rx.Blocked() {
 			return d, more
 		}
-		l.polling = false
+		l.poll = nil
 		if msg := rx.Payload(); msg != nil {
 			if l.got != nil {
 				l.got(msg)

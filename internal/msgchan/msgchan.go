@@ -486,16 +486,15 @@ type Receiver struct {
 	pc       recvPC
 	fresh    bool    // the slot read held a fresh message
 	ctr      [8]byte // consumed counter being stored
-	nextLine int64   // recvPrefetch: absolute ring line the leg pays for; recvFlush: the run's first line
+	nextLine int64   // recvPrefetch: absolute ring line the leg pays for; an empty poll: the run's first line
 	lastLine int64   // final line of that run
 
-	// A poll made in a pass (see LoadAhead and BeginDeferred).
+	// How a poll is loaded ahead and closed (see LoadAhead and DeferredCost).
 	ahead     aheadLoad    // how the next poll's slot line was loaded ahead
 	aheadAt   sim.Duration // when that load lands
 	fetchable bool         // LoadAhead may fetch an idle tail line without caching it
 	uncached  bool         // the last poll was such a fetch and found nothing: no line to drop
-	inPass    bool         // the poll leaves an empty poll's flush run to FlushDeferred
-	deferred  bool         // it did: lines nextLine..lastLine are still to invalidate
+	deferred  bool         // an empty poll left lines nextLine..lastLine to invalidate
 
 	// Stats.
 	Received       int64
@@ -540,14 +539,20 @@ func (r *Receiver) lineAddr(l int64) int64 {
 // cost model. On success it returns the payload (PayloadSize bytes, valid
 // until the next Poll).
 //
-// A poll is one stepped sleep: every cache operation's cost is a leg and its
-// effect runs in Step, so an empty poll of design ④ — read miss, CLFLUSHOPT,
-// MFENCE — resumes p once, not three times. Poll is Begin, then the poll run
-// as a sim.Job, then Payload; a caller that chains several receivers' polls
-// into one sleep (core's poll stages) makes the same calls itself.
+// Poll is a pass over this one receiver (see Lone), one stepped sleep whose
+// first step p makes, as a pass's: an empty poll of design ④ — read miss,
+// then the CLFLUSHOPT run and the MFENCE as one closing leg — resumes p once.
 func (r *Receiver) Poll(p *sim.Proc) ([]byte, bool) {
-	r.Begin()
-	p.RunJob(r)
+	j := r.Lone()
+	for {
+		if d, more := j.Step(); more {
+			p.SleepSteps(d, j)
+		}
+		if !r.Blocked() {
+			break
+		}
+		r.Finish(p)
+	}
 	payload := r.Payload()
 	return payload, payload != nil
 }
@@ -555,15 +560,39 @@ func (r *Receiver) Poll(p *sim.Proc) ([]byte, bool) {
 // Engine returns the engine the receiver's cache runs on.
 func (r *Receiver) Engine() *sim.Engine { return r.cache.Port().Pool().Engine() }
 
-// Begin starts a poll: the next Step is its first.
-func (r *Receiver) Begin() { r.pc, r.inPass = recvStart, false }
+// Begin starts a poll: the next Step is its first. An empty poll of designs
+// ②–④ leaves its CLFLUSHOPT run and the fence to the caller (DeferredCost,
+// FlushDeferred): a core polling N rings issues every run and fences once.
+func (r *Receiver) Begin() { r.pc = recvStart }
 
-// BeginDeferred starts a poll made in a pass over several receivers: an
-// empty poll ends after its consumed-counter update, if it owes one, and
-// leaves its CLFLUSHOPT run and fence to the pass (DeferredCost,
-// FlushDeferred). CLFLUSHOPTs are unordered until a fence, so a core polling
-// N rings issues every ring's run and fences once.
-func (r *Receiver) BeginDeferred() { r.pc, r.inPass = recvStart, true }
+// Lone begins a poll of r by itself: its steps, then the closing leg a pass
+// over r alone would take — the CLFLUSHOPT run its empty poll left and the
+// MFENCE, at whose end the lines are dropped. Where the steps stop short,
+// r's Blocked and Finish take over, and Payload reads the result.
+func (r *Receiver) Lone() sim.Stepper {
+	r.Begin()
+	return (*lonePoll)(r)
+}
+
+// lonePoll is a receiver polled by itself (see Lone).
+type lonePoll Receiver
+
+func (j *lonePoll) Step() (sim.Duration, bool) {
+	r := (*Receiver)(j)
+	if r.pc == recvClose {
+		r.FlushDeferred()
+		r.pc = recvDone
+		return 0, false
+	}
+	if d, more := r.Step(); more || r.Blocked() {
+		return d, more
+	}
+	if run := r.DeferredCost(); run > 0 {
+		r.pc = recvClose
+		return run + r.costs.FenceLatency, true
+	}
+	return 0, false
+}
 
 // LoadAhead starts the load of the tail's slot line ahead of the next poll,
 // for a caller that polls several receivers in a row: their loads are
@@ -594,9 +623,8 @@ func (r *Receiver) LoadAhead() sim.Duration {
 	return 0
 }
 
-// DeferredCost returns the CLFLUSHOPT issue time of the lines the last poll,
-// begun with BeginDeferred, left to invalidate: FlushIssue a line, 0 when it
-// left none.
+// DeferredCost returns the CLFLUSHOPT issue time of the lines the last poll
+// left to invalidate: FlushIssue a line, 0 when it left none.
 func (r *Receiver) DeferredCost() sim.Duration {
 	if !r.deferred {
 		return 0
@@ -605,22 +633,18 @@ func (r *Receiver) DeferredCost() sim.Duration {
 }
 
 // FenceLatency returns the MFENCE that orders a deferred run: a pass owes
-// one for all its receivers' runs.
+// one for all its receivers' runs, a lone poll one for its own.
 func (r *Receiver) FenceLatency() sim.Duration { return r.costs.FenceLatency }
 
 // FlushDeferred invalidates the lines DeferredCost charged for, once the
-// caller has slept their CLFLUSHOPTs and the fence.
+// caller has slept their CLFLUSHOPTs and the fence. After an empty poll of
+// an uncached fetch the run is the absent tail line alone, and there is
+// nothing to drop.
 func (r *Receiver) FlushDeferred() {
-	if r.deferred {
-		r.deferred = false
-		r.flushRun()
+	if !r.deferred {
+		return
 	}
-}
-
-// flushRun is the effect of an empty poll's CLFLUSHOPT run over lines
-// nextLine..lastLine. After an empty poll of an uncached fetch the run is
-// the absent tail line alone, and there is nothing to drop.
-func (r *Receiver) flushRun() {
+	r.deferred = false
 	if r.uncached {
 		r.uncached, r.nextLine = false, r.lastLine+1
 	}
@@ -676,11 +700,11 @@ const (
 	recvCounterWB                    // CLWB of the counter line issued
 	recvCounterDone                  // counter published
 	recvActions                      // plan the design's coherence actions
-	recvFlush                        // empty poll: CLFLUSHOPT of ring lines nextLine..lastLine issued
 	recvPrefetch                     // fresh: PREFETCHT0 of ring line nextLine issued
 	recvPrefetched                   // prefetch window topped up
 	recvConsumedFlush                // ③④ CLFLUSHOPT of the fully consumed line issued
 	recvDone                         // last leg in progress, or nothing left
+	recvClose                        // a lone poll's closing leg in progress (see Lone)
 	recvRefill                       // Finish must refetch the slot line (blocking)
 	recvCounterBlocked               // Finish must store the counter (blocking)
 )
@@ -807,17 +831,9 @@ func (r *Receiver) Step() (sim.Duration, bool) {
 				// prefetch has reached it yet.
 				r.nextLine, r.lastLine = cur, max(cur, r.highestPrefetched)
 			}
-			if r.inPass {
-				r.pc, r.deferred = recvDone, true
-				return 0, false
-			}
-			// CLFLUSHOPTs are unordered until the fence: the run is one leg.
-			r.pc = recvFlush
-			return r.costs.FlushIssue * sim.Duration(r.lastLine-r.nextLine+1), true
-		case recvFlush:
-			r.flushRun()
-			r.pc = recvDone
-			return r.costs.FenceLatency, true
+			// The run and its fence are the caller's closing leg.
+			r.pc, r.deferred = recvDone, true
+			return 0, false
 		case recvPrefetch:
 			c.PrefetchNow(r.lineAddr(r.nextLine), cfg.Category)
 			if r.nextLine < r.lastLine {
@@ -839,7 +855,7 @@ func (r *Receiver) Step() (sim.Duration, bool) {
 		case recvConsumedFlush:
 			c.FlushLineNow(r.lineAddr(r.tailLine()-1), cfg.Category)
 			r.pc = recvDone
-		default: // recvDone, and the states Finish handles
+		default: // recvDone, recvClose and the states Finish handles
 			return 0, false
 		}
 	}

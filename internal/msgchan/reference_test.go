@@ -57,25 +57,27 @@ func refPoll(r *Receiver, p *sim.Proc) ([]byte, bool) {
 		if r.pendingConsumed > 0 {
 			refUpdateCounter(r, p)
 		}
-		// The flush run is one leg of FlushIssue per line — CLFLUSHOPTs are
-		// unordered until the fence — that drops its lines when it ends.
+		// The flush run and the fence are one closing leg, FlushIssue per
+		// line — CLFLUSHOPTs are unordered until the fence — plus one MFENCE,
+		// that drops its lines when it ends.
+		var run []int64
 		switch cfg.Design {
 		case DesignNaivePrefetch, DesignInvalidateConsumed:
-			p.Sleep(r.costs.FlushIssue)
-			r.cache.FlushLineNow(r.lineAddrOf(r.tail), cfg.Category)
-			r.cache.Fence(p)
+			run = []int64{r.lineAddrOf(r.tail)}
 		case DesignInvalidatePrefetched:
-			cur := r.absLine(r.tail)
-			run := []int64{r.lineAddrOf(r.tail)}
-			for l := cur + 1; l <= r.highestPrefetched; l++ {
+			run = []int64{r.lineAddrOf(r.tail)}
+			for l := r.absLine(r.tail) + 1; l <= r.highestPrefetched; l++ {
 				run = append(run, r.lineAddrOf(l*int64(r.ch.slotsPerLine)))
 			}
-			p.Sleep(r.costs.FlushIssue * sim.Duration(len(run)))
+		}
+		if len(run) > 0 {
+			p.Sleep(r.costs.FlushIssue*sim.Duration(len(run)) + r.costs.FenceLatency)
 			for _, a := range run {
 				r.cache.FlushLineNow(a, cfg.Category)
 			}
-			r.highestPrefetched = cur
-			r.cache.Fence(p)
+			if cfg.Design == DesignInvalidatePrefetched {
+				r.highestPrefetched = r.absLine(r.tail)
+			}
 		}
 		return nil, false
 	}

@@ -21,7 +21,7 @@ fi
 # build raw channels in one place (rawChannel). A new hand-rolled poll loop,
 # channel builder or capped doubling fails here. (bench/ is frozen and keeps
 # the one opaque loop, its idle probe.)
-echo "== one loop runner, one link builder, one backoff, one pass per iteration (grep gate) =="
+echo "== one loop runner, one link builder, one backoff, one pass per iteration, one closing rule (grep gate) =="
 gate() { # gate <what> <matches>: fail if the grep printed anything
     if [ -n "$2" ]; then
         echo "grep gate: $1:" >&2
@@ -38,6 +38,10 @@ gate "more than one raw-channel rig in the experiments" "$(grep -rl 'msgchan\.Re
 # One pass per iteration: an engine's control end is polled in its data
 # links' pass (Stage.Control), never in a pass of its own.
 gate "a control stage beside the data pass" "$(grep -rn --include='*.go' 'ControlStage' . || true)"
+# One closing rule for every poll: a lone Receiver.Poll is a pass over its
+# one receiver, so the receiver has one Begin and no mode that flushes and
+# fences inside the poll.
+gate "a second poll mode in the receiver" "$(grep -rnE --include='*.go' 'BeginDeferred|inPass|recvFlush' . || true)"
 
 # One window bound, one kind of link end, two execution shapes: the
 # adaptive-horizon hysteresis, the interface a LinkSet's ends hid behind, its
