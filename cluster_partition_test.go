@@ -107,6 +107,14 @@ func runClusterScenario(t *testing.T, partitioned bool, hop Duration) clusterRun
 		logs[3] = append(logs[3], fmt.Sprintf("%v verified", p.Now()))
 	})
 	c.Run(80 * time.Millisecond)
+	// pod1 has no instance at Start, so none of its frontend cores starts
+	// there: the migration lands on its least-loaded host, host0, and starts
+	// that core from the balancer's process (on pod1's partition when
+	// partitioned). host1 never gets an instance, and its core never runs.
+	if p1.Hosts[0].FE.Iterations == 0 || p1.Hosts[1].FE.Iterations != 0 {
+		t.Errorf("pod1 frontend iterations host0=%d host1=%d: want the migration to start host0's core only",
+			p1.Hosts[0].FE.Iterations, p1.Hosts[1].FE.Iterations)
+	}
 	r := clusterRun{snap: c.Stats().JSON(), migrations: c.Migrations}
 	r.ctr, r.group = c.Counters()
 	c.Shutdown()

@@ -115,28 +115,28 @@ func digestRuns() []digestRun {
 	const racksweep = "c462e09b3a5954e43459a4634afe334d5c9ad5c2ee7083fb85ea280aa67086a2"
 	return []digestRun{
 		{"fig6", Fig6, 0.5, "bf8b09e684ecc7847ab34b3a435e969d13684e666b8452096c6eaaabc243e7be"},
-		{"fig11", Fig11, 0.3, "d592aa55650d534c4a459bb186b18be9c5c626a8a1542ab26a1415d3981e61d0"},
-		{"tab3", Table3, 0.4, "1c1dc74523eb4a9e9798cd679364706f61c7bdbdce2998dd2706e3084b46108c"},
+		{"fig11", Fig11, 0.3, "e810600ba1bbcecccb6ed8f37f2e8696d845a67ee6f04718c12a904b7156f398"},
+		{"tab3", Table3, 0.4, "e013bbba4af6e664edd2e39022c464b64518708cf139a149dbed86c9fdc9f84f"},
 		{"abl-counter", AblCounterBatch, 0.5, "90b29abf0f565a59a687d92bdb4264545bfbb2b9127aeeb7241e3e8de999c1c7"},
 		{"abl-coherent", AblHWCoherent, 0.5, "f5e7fd92e2c7cdef6d41f98d3bb6786e4ac5e919648049d1764378f0a28af787"},
-		{"abl-inspect", AblBackendInspect, 0.4, "930ed67c5601f8a7ec4b1226c6e5c46756ed2226a0c5620d3af00543c0180e60"},
+		{"abl-inspect", AblBackendInspect, 0.4, "02ea4a00d94f8a9b1685c59dd3b8d3f3b6fbaf9b43658b2f1e6c2fa98bfea776"},
 		{"abl-storage", AblStorage, 0.5, "2b1b4b463dd0acdf864469db0132ec34d30d01ab198b1a2709ded3eecfbe5c09"},
-		{"fig9", Fig9, 0.3, "6f86fabcc4bb3f78ed0033b1aa59c7b17f637cf333414b1a66b824a77cb6db37"},
-		{"fig10", Fig10, 0.3, "6277b202c40079da282e029ea775ff0bb116082ba8933c6dd131df5d919a815e"},
+		{"fig9", Fig9, 0.3, "688e0e530838087b50b3c33d6add36f181987ccee448111e964316e84ff95b4c"},
+		{"fig10", Fig10, 0.3, "36eb1dafe2419d1c088b9ba89b78d82d84eb143e354b0e4d2a60ab3ceb4db8e4"},
 		{"abl-sharding", AblSharding, 0.5, "a4a4c92b1ac20d59a0d3b7bd94ca14f727e0e562e9ddd74ec14417429173e01c"},
 		{"abl-qos", AblQoS, 0.5, "7ee9d2a969213ee861ae309fbb44a7a8e6b4f1a065c09da510a6491a506ca045"},
 		{"fig13", Fig13, 0.1, "41290607923de867d0b1874209d6b6bea6dce525f47cd25bd748724e6b6b2d96"},
-		{"blackout", Blackout, 0.5, "9ca5174946ec97cfeac099dfdde500a065eb93e3b0416019d068c7e8523197fc"},
+		{"blackout", Blackout, 0.5, "30639f343396c1c2dc7b7b3b29a54d58a033e483ee6097d7bf245a71bce7c7f1"},
 		{"fig2", Fig2, 0.5, "08430501a8ade2821d02a3261f9bc225756204af6461b5700a84f88421cff601"},
 		{"fig3", Fig3, 0.5, "b3becd0a401021008a8605eafdbc988eb8efe9ee8c3d1fea43820430884a485b"},
 		{"tab1", Table1, 1, "4e41275a9c2e91fbd65b9795d41211969c57e2d6e0359549409251b5b7deba87"},
 		{"tab2", Table2, 0.5, "aa6e9f035fd42ffc3604ea2929916c1f7c5d61fad388e0b4bbd269a2871d38fd"},
-		{"fig8", Fig8, 0.05, "c07cbae7d13ad72bd13a268464c91929a0a2ea8bce707c7d05768488416c5983"},
+		{"fig8", Fig8, 0.05, "468696a011862888bf51f726b233a75a0fc371623947d74683809ac13a1a252f"},
 		{"fig12", Fig12, 0.25, "9df60e0bfd284453f1f16d4bff7e3b007085aa6104341aa1a5a85ed7f786b4d8"},
-		{"fig14", Fig14, 0.2, "a9a62b597bd09fdeaa6b5bda03ad04d2fc5028c437f6f5e4033cf6f946ef3714"},
-		{"abl-failover", AblFailoverMechanism, 0.5, "8972ffab210bf9e995912735ec6570e3b76975e09d45d2b9dd893884a0a792e1"},
-		{"chaos", Chaos, 1, "2b0a131a3b47513e3efd04ed37155b96b883f65d2f9603a9e32b00b29c3b44a8"},
-		{"grayfail", Grayfail, 1, "c1209c1cf6362ed7d00738d3a44fb2110006638339ebf7154d338bbab6cad3de"},
+		{"fig14", Fig14, 0.2, "76056cca54f4b2908d3326b2a17c32d42f6acbac53eb384afc2128403be03b90"},
+		{"abl-failover", AblFailoverMechanism, 0.5, "7c6f0a5eb68bb4b8ac19ecd068a22087a7694e5fa16d8ad882810f86eef4475e"},
+		{"chaos", Chaos, 1, "bc5aa76009f6ce08714091b21bcae489e472b5db7c3a68162e62ef2d511c6373"},
+		{"grayfail", Grayfail, 1, "a40a2311f869ef70663e913edfec03e30906d0661184dc1dfd710c78c167fa8d"},
 		{"racksweep/serial", func(s float64) *Report { return racksweepRun(s, false) }, 0.05, racksweep},
 		{"racksweep/perpod", func(s float64) *Report { return racksweepRun(s, true) }, 0.05, racksweep},
 	}

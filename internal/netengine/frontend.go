@@ -234,6 +234,9 @@ func (fe *Frontend) AddInstance(ip netstack.IP) (*InstancePort, error) {
 	return inst, nil
 }
 
+// Instances returns the number of instances attached to the frontend.
+func (fe *Frontend) Instances() int { return len(fe.insts) }
+
 // CurrentMAC returns the MAC the instance currently transmits with — the
 // primary NIC's address, which survives failover because the backup NIC
 // borrows it (§3.3.3) and changes only on graceful migration (§3.3.4).

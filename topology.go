@@ -44,7 +44,12 @@ var (
 // instances reach the pod through. The backends of its NICs and SSDs hang
 // off the devices (NIC.BE, SSDDev.BE), which record the host they are on.
 type Host struct {
-	H  *host.Host
+	H *host.Host
+	// FE is the network frontend. It is wired with the host — data links to
+	// every NIC backend, the allocator control link, its core/<host>/fe/*
+	// series — but its driver core serves the host's instances, so it starts
+	// with the first of them and runs from then on; a host that never has
+	// one polls nothing and reads core/<host>/fe/iters 0.
 	FE *netengine.Frontend
 	// SFE is the storage frontend (created on demand by AddSSD/AddVolume).
 	SFE *storengine.Frontend
@@ -320,8 +325,8 @@ func (t *Pod) ssdName(id uint16) string {
 }
 
 // AddHostErr adds a pod member with a frontend driver. After Start the new
-// host is wired immediately: data links to every pooled NIC backend, an
-// allocator control link, and a running frontend loop.
+// host is wired immediately: data links to every pooled NIC backend and an
+// allocator control link. Its frontend core starts with its first instance.
 func (t *Pod) AddHostErr() (*Host, error) {
 	id := len(t.Hosts)
 	h := host.New(t.Eng, id, t.hostName(id), t.Pool, t.cfg.Host)
@@ -555,7 +560,8 @@ func (t *Pod) AddVolume(inst *Instance, ssdID uint16, blocks uint64) *storengine
 }
 
 // AddInstanceErr launches a container instance on a pod host. After Start
-// the instance's network stack is started immediately.
+// the instance's network stack is started immediately, and so is the host's
+// frontend core if this is the host's first instance.
 func (t *Pod) AddInstanceErr(on *Host, ip netstack.IP) (*Instance, error) {
 	if err := t.checkHost(on); err != nil {
 		return nil, err

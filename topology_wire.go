@@ -13,27 +13,43 @@ type instrumented interface {
 	RegisterObs(r *obs.Registry, prefix string)
 }
 
-// launch starts d, the driver core of engine e, and registers e's
-// instruments under the core's name and the core's under core/<core name>.
-// Registration order is invisible: Snapshot sorts by name.
-func (t *Pod) launch(d *core.Driver, e instrumented) { t.launchAs(d, e, d.Name()) }
+// launch is the one launch path of driver core d and its engine e, and
+// every wiring pass that visits the node calls it. The node's first pass
+// (fresh) registers e's instruments under the core's name and the core's
+// under core/<core name>, so the series a pod lists do not depend on what
+// its nodes serve; d starts at the first pass at which e has a user (used),
+// and runs from then on (Start is idempotent). Every engine has one from its
+// wiring except a host's network frontend, whose users are its host's
+// instances. Registration order is invisible: Snapshot sorts by name.
+func (t *Pod) launch(d *core.Driver, e instrumented, fresh, used bool) {
+	t.launchAs(d, e, d.Name(), fresh, used)
+}
 
 // launchAs is launch with e's instruments under prefix instead (the
 // allocator's series are <scope>alloc/*, not its core's name).
-func (t *Pod) launchAs(d *core.Driver, e instrumented, prefix string) {
-	d.Start()
-	e.RegisterObs(t.obs, prefix)
-	d.RegisterObs(t.obs, "core/"+d.Name())
+func (t *Pod) launchAs(d *core.Driver, e instrumented, prefix string, fresh, used bool) {
+	if used {
+		d.Start()
+	}
+	if fresh {
+		e.RegisterObs(t.obs, prefix)
+		d.RegisterObs(t.obs, "core/"+d.Name())
+	}
 }
 
 // wire is the one wiring pass. It brings the live pod up to date with the
 // node graph: data links between every frontend and every backend, the
 // backup-drive mirror, the allocator with a control link per driver, the
-// raft group, and finally every launch, each with its metric registration. Start runs it over the whole graph; every add after
-// Start runs it again, and the per-node wired marks (Host, Host.SFE, NIC,
-// SSDDev, and the instance and client stacks) make it touch only what is
-// new — an edge is made iff one of its endpoints is not yet wired, a loop is
-// launched iff its node is not. Before Start it does nothing.
+// raft group, and finally every launch, each with its metric registration.
+// Start runs it over the whole graph; every add after Start runs it again,
+// and the per-node wired marks (Host, Host.SFE, NIC, SSDDev, and the
+// instance and client stacks) make it touch only what is new — an edge is
+// made iff one of its endpoints is not yet wired, and a node's engine is
+// registered iff the node is not. A driver core starts once its engine has a
+// user: every core at its node's wiring, except a host's network frontend,
+// which serves its host's instances and starts with the first of them, at
+// Start or at the add that places it — as a host's storage frontend is made
+// on its first volume. Before Start it does nothing.
 //
 // The order is fixed (sorted device ids, host insertion order) and is part
 // of the simulated result: it decides pool addresses and process spawn
@@ -155,7 +171,7 @@ func (t *Pod) wire() error {
 			if t.cfg.RaftReplicas > 0 {
 				t.setupRaft()
 			}
-			t.launchAs(t.Alloc.Driver, t.Alloc, t.scope+"alloc")
+			t.launchAs(t.Alloc.Driver, t.Alloc, t.scope+"alloc", true, true)
 		}
 	}
 
@@ -169,7 +185,7 @@ func (t *Pod) wire() error {
 		n.Dev.Start()
 		n.Dev.RegisterObs(t.obs, t.nicName(id))
 		if n.BE != nil {
-			t.launch(n.BE.Driver, n.BE)
+			t.launch(n.BE.Driver, n.BE, true, true)
 		}
 		n.wired = true
 	}
@@ -180,22 +196,20 @@ func (t *Pod) wire() error {
 		}
 		d.Dev.Start()
 		d.Dev.RegisterObs(t.obs, t.ssdName(id))
-		t.launch(d.BE.Driver, d.BE)
+		t.launch(d.BE.Driver, d.BE, true, true)
 		d.wired = true
 	}
 	for _, ph := range t.Hosts {
-		if !ph.wired {
-			if ph.H.Cache != nil {
-				ph.H.Cache.RegisterObs(t.obs, ph.H.Name+"/cache")
-			}
-			t.launch(ph.FE.Driver, ph.FE)
+		if !ph.wired && ph.H.Cache != nil {
+			ph.H.Cache.RegisterObs(t.obs, ph.H.Name+"/cache")
 		}
+		t.launch(ph.FE.Driver, ph.FE, !ph.wired, ph.FE.Instances() > 0)
 		if ph.SFE != nil && !ph.sfeWired {
-			t.launch(ph.SFE.Driver, ph.SFE)
+			t.launch(ph.SFE.Driver, ph.SFE, true, true)
 			ph.sfeWired = true
 		}
 		if ph.LD != nil && !ph.wired {
-			t.launch(ph.LD.Driver, ph.LD)
+			t.launch(ph.LD.Driver, ph.LD, true, true)
 		}
 		ph.wired = true
 	}

@@ -20,12 +20,12 @@ import (
 // Regenerate them (go test -run TestWiringDigests -v prints the got values)
 // only with a change that is meant to move simulated results.
 const (
-	digestDefaultPod  = "2cbf70a3c4a7467794bd5d4bac045945bfd8a66caaa2b4316307f3b2c6a4285a"
-	digestNetStorage  = "48f6041c6a37e656890436a7cf9e59af281848555035c1c25ad3994f0c17491c"
-	digestRaftBackups = "581f07ff352e8badd670d0ef5989d451f962e9a50a6fc32360e558ef750e78ef"
-	digestBaseline    = "efc70d7d5f0f10e9211103fa7043ebd8ab31a090f99f46a143788c14f406949a"
-	digestLateAdds    = "ae9294c6eda9756c804da86c0f20216f416f1f8e0de7e8ed74567cbae5b83eab"
-	digestClusterMove = "fa41fa5a316fea38c9c541bcc7b941f32fd776dd04d35a63dc639faf3cc73ef3"
+	digestDefaultPod  = "82e9ff754d326226fb2864986d50e87dcb40a4340d3dd444382d4f8f94e9ca6a"
+	digestNetStorage  = "c086d2b4d2e74167f8964a61d51ea5a2548192fa8dec07278fe39b9b00794aa6"
+	digestRaftBackups = "d298438e8d46d17e2c85d39dd257d0c0ccd89d071171eb0241eb8135a7e157f0"
+	digestBaseline    = "664752c374dd2387c051749425ea40605153fd4f6bb628228aed2b750c889f47"
+	digestLateAdds    = "8651dca767f10a0464dc169490e4f7f9ccbdbc3d7ccecb097881bc5071979315"
+	digestClusterMove = "c5805cacb8c51c205b5f65c418ed9f5297c0f688bf743935ae45e14392720161"
 )
 
 // digestEcho spawns a UDP echo server on inst and a client process that
