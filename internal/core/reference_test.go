@@ -136,7 +136,8 @@ func refPollDeferred(end *LinkEnd, p *sim.Proc) ([]byte, bool) {
 func refFlushDeferred(p *sim.Proc, ends []*LinkEnd) {
 	var run sim.Duration
 	for _, e := range ends {
-		run += e.In.DeferredCost()
+		d, _ := e.In.DeferredCost()
+		run += d
 	}
 	if run == 0 {
 		return
