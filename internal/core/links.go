@@ -197,7 +197,7 @@ func (s *LinkSet) PollEach(p *sim.Proc, burst int, handle func(p *sim.Proc, l *L
 	s.pass.h = s.each
 	s.pass.begin(p.Engine(), nil, s.order, burst)
 	n := s.pass.run(p)
-	s.pass, s.each.handle = pollPass{drops: s.pass.drops}, nil // pin neither the handler nor the snapshot
+	s.pass, s.each.handle = pollPass{}, nil // pin neither the handler nor the snapshot
 	return n
 }
 

@@ -136,8 +136,7 @@ func refPollDeferred(end *LinkEnd, p *sim.Proc) ([]byte, bool) {
 func refFlushDeferred(p *sim.Proc, ends []*LinkEnd) {
 	var run sim.Duration
 	for _, e := range ends {
-		d, _ := e.In.DeferredCost()
-		run += d
+		run += e.In.DeferredCost()
 	}
 	if run == 0 {
 		return

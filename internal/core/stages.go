@@ -1,9 +1,6 @@
 package core
 
-import (
-	"oasis/internal/msgchan"
-	"oasis/internal/sim"
-)
+import "oasis/internal/sim"
 
 // Stage is one step of an engine loop's iteration. An engine describes its
 // iteration as an ordered stage list, fixed when it builds its driver core
@@ -182,15 +179,14 @@ type pollPass struct {
 	ctl      *LinkEnd // the pass's control end, or nil
 	links    []*Link  // the pass's snapshot: the links as they were when it began
 	burst    int
-	i, n     int                 // the end at i is being polled (-1: ctl, else links[i]) and has delivered n messages
-	end      *LinkEnd            // that end while a poll of it is in progress
-	loaded   sim.Duration        // when the last tail load lands; 0 once the pass has waited for it
-	flushes  sim.Duration        // the CLFLUSHOPTs the empty polls so far left to the pass
-	drops    []*msgchan.Receiver // the receivers among them with lines to drop at the run's end
-	got      int                 // messages delivered by this pass that are loop progress
-	handling bool                // a handler is handling a message from the end at i
-	counted  bool                // control messages are loop progress
-	closing  passEnd             // where the closing flush run is, once every end is polled
+	i, n     int          // the end at i is being polled (-1: ctl, else links[i]) and has delivered n messages
+	end      *LinkEnd     // that end while a poll of it is in progress
+	loaded   sim.Duration // when the last tail load lands; 0 once the pass has waited for it
+	flushes  sim.Duration // the CLFLUSHOPTs the empty polls so far left to the pass
+	got      int          // messages delivered by this pass that are loop progress
+	handling bool         // a handler is handling a message from the end at i
+	counted  bool         // control messages are loop progress
+	closing  passEnd      // where the closing flush run is, once every end is polled
 }
 
 // passEnd says where a pass's closing flush run is.
@@ -207,7 +203,6 @@ func (c *pollPass) begin(eng *sim.Engine, ctl *LinkEnd, links []*Link, burst int
 		ctl, links = nil, nil
 	}
 	c.eng, c.ctl, c.links, c.burst, c.i, c.n, c.end, c.handling, c.loaded, c.flushes, c.closing, c.got = eng, ctl, links, burst, 0, 0, nil, false, 0, 0, passFlush, 0
-	c.drops = c.drops[:0]
 	if ctl != nil {
 		c.i, c.loaded = -1, ctl.In.LoadAhead()
 	}
@@ -269,10 +264,7 @@ func (c *pollPass) Step() (sim.Duration, bool) {
 		c.end = nil
 		payload := end.In.Payload()
 		if payload == nil {
-			run, drop := end.In.DeferredCost()
-			if c.flushes += run; drop {
-				c.drops = append(c.drops, end.In)
-			}
+			c.flushes += end.In.DeferredCost()
 			c.i, c.n = c.i+1, 0
 			continue
 		}
@@ -306,8 +298,11 @@ func (c *pollPass) close() (sim.Duration, bool) {
 			return c.flushes + first.In.FenceLatency(), true
 		}
 	case passFlushed:
-		for _, r := range c.drops {
-			r.FlushDeferred()
+		if c.ctl != nil {
+			c.ctl.In.FlushDeferred()
+		}
+		for _, l := range c.links {
+			l.End.In.FlushDeferred()
 		}
 		c.closing = passClosed
 	}

@@ -494,8 +494,7 @@ type Receiver struct {
 	aheadAt   sim.Duration // when that load lands
 	fetchable bool         // LoadAhead may fetch an idle tail line without caching it
 	uncached  bool         // the last poll was such a fetch and found nothing: no line to drop
-	run       sim.Duration // the CLFLUSHOPT run the last poll, an empty one, left to the caller
-	deferred  bool         // and with it lines nextLine..lastLine to invalidate
+	deferred  bool         // an empty poll left lines nextLine..lastLine to invalidate
 
 	// Stats.
 	Received       int64
@@ -564,7 +563,7 @@ func (r *Receiver) Engine() *sim.Engine { return r.cache.Port().Pool().Engine() 
 // Begin starts a poll: the next Step is its first. An empty poll of designs
 // ②–④ leaves its CLFLUSHOPT run and the fence to the caller (DeferredCost,
 // FlushDeferred): a core polling N rings issues every run and fences once.
-func (r *Receiver) Begin() { r.pc, r.run = recvStart, 0 }
+func (r *Receiver) Begin() { r.pc = recvStart }
 
 // Lone begins a poll of r by itself: its steps, then the closing leg a pass
 // over r alone would take — the CLFLUSHOPT run its empty poll left and the
@@ -588,7 +587,7 @@ func (j *lonePoll) Step() (sim.Duration, bool) {
 	if d, more := r.Step(); more || r.Blocked() {
 		return d, more
 	}
-	if run, _ := r.DeferredCost(); run > 0 {
+	if run := r.DeferredCost(); run > 0 {
 		r.pc = recvClose
 		return run + r.costs.FenceLatency, true
 	}
@@ -624,24 +623,31 @@ func (r *Receiver) LoadAhead() sim.Duration {
 	return 0
 }
 
-// DeferredCost returns the CLFLUSHOPT issue time of the run the last poll
-// left to its caller — FlushIssue a line, 0 when it left none — and whether
-// the run leaves lines to drop, which FlushDeferred does once the caller has
-// slept it. An empty poll of an uncached fetch charges a run for the absent
-// tail line but has no line to drop: it finished its bookkeeping itself.
-func (r *Receiver) DeferredCost() (run sim.Duration, drop bool) { return r.run, r.deferred }
+// DeferredCost returns the CLFLUSHOPT issue time of the lines the last poll
+// left to invalidate: FlushIssue a line, 0 when it left none.
+func (r *Receiver) DeferredCost() sim.Duration {
+	if !r.deferred {
+		return 0
+	}
+	return r.costs.FlushIssue * sim.Duration(r.lastLine-r.nextLine+1)
+}
 
 // FenceLatency returns the MFENCE that orders a deferred run: a pass owes
 // one for all its receivers' runs, a lone poll one for its own.
 func (r *Receiver) FenceLatency() sim.Duration { return r.costs.FenceLatency }
 
 // FlushDeferred invalidates the lines DeferredCost charged for, once the
-// caller has slept their CLFLUSHOPTs and the fence.
+// caller has slept their CLFLUSHOPTs and the fence. After an empty poll of
+// an uncached fetch the run is the absent tail line alone, and there is
+// nothing to drop.
 func (r *Receiver) FlushDeferred() {
 	if !r.deferred {
 		return
 	}
 	r.deferred = false
+	if r.uncached {
+		r.uncached, r.nextLine = false, r.lastLine+1
+	}
 	for ; r.nextLine <= r.lastLine; r.nextLine++ {
 		r.cache.FlushLineNow(r.lineAddr(r.nextLine), r.ch.cfg.Category)
 	}
@@ -825,15 +831,8 @@ func (r *Receiver) Step() (sim.Duration, bool) {
 				// prefetch has reached it yet.
 				r.nextLine, r.lastLine = cur, max(cur, r.highestPrefetched)
 			}
-			// The run and its fence are the caller's closing leg. An
-			// uncached fetch (④ only) left the tail line absent: nothing to
-			// drop after the run, so the poll does what FlushDeferred would.
-			r.pc, r.run = recvDone, r.costs.FlushIssue*sim.Duration(r.lastLine-r.nextLine+1)
-			if r.uncached {
-				r.uncached, r.highestPrefetched = false, cur
-				return 0, false
-			}
-			r.deferred = true
+			// The run and its fence are the caller's closing leg.
+			r.pc, r.deferred = recvDone, true
 			return 0, false
 		case recvPrefetch:
 			c.PrefetchNow(r.lineAddr(r.nextLine), cfg.Category)
