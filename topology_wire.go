@@ -13,14 +13,15 @@ type instrumented interface {
 	RegisterObs(r *obs.Registry, prefix string)
 }
 
-// launch is the one launch path of driver core d and its engine e, and
-// every wiring pass that visits the node calls it. The node's first pass
-// (fresh) registers e's instruments under the core's name and the core's
-// under core/<core name>, so the series a pod lists do not depend on what
-// its nodes serve; d starts at the first pass at which e has a user (used),
-// and runs from then on (Start is idempotent). Every engine has one from its
-// wiring except a host's network frontend, whose users are its host's
-// instances. Registration order is invisible: Snapshot sorts by name.
+// launch is the one launch path of driver core d and its engine e. On the
+// node's first wiring pass (fresh) it registers e's instruments under the
+// core's name and the core's under core/<core name>; it starts d on the
+// first pass at which e has a user (used), and d runs from then on (Start
+// is idempotent). Every engine has a user from its wiring except a host's
+// network frontend, which serves that host's instances: its core starts with
+// the first of them, as a host's storage frontend is made on its first
+// volume, while its series exist from the host's wiring whatever the
+// placement. Registration order is invisible: Snapshot sorts by name.
 func (t *Pod) launch(d *core.Driver, e instrumented, fresh, used bool) {
 	t.launchAs(d, e, d.Name(), fresh, used)
 }
@@ -44,12 +45,9 @@ func (t *Pod) launchAs(d *core.Driver, e instrumented, prefix string, fresh, use
 // Start runs it over the whole graph; every add after Start runs it again,
 // and the per-node wired marks (Host, Host.SFE, NIC, SSDDev, and the
 // instance and client stacks) make it touch only what is new — an edge is
-// made iff one of its endpoints is not yet wired, and a node's engine is
-// registered iff the node is not. A driver core starts once its engine has a
-// user: every core at its node's wiring, except a host's network frontend,
-// which serves its host's instances and starts with the first of them, at
-// Start or at the add that places it — as a host's storage frontend is made
-// on its first volume. Before Start it does nothing.
+// made iff one of its endpoints is not yet wired, a node's engine is
+// registered iff the node is not, and a core starts once its engine has a
+// user (see launch). Before Start it does nothing.
 //
 // The order is fixed (sorted device ids, host insertion order) and is part
 // of the simulated result: it decides pool addresses and process spawn
