@@ -3,6 +3,8 @@ package experiments
 import (
 	"crypto/sha256"
 	"fmt"
+	"os"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -18,6 +20,22 @@ func reportDigest(r *Report) string {
 	}
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 }
+
+// reportBlock is one fenced block of EXPERIMENTS.md with the info string
+// "report <id>@<scale>": the report that id prints at that scale.
+type reportBlock struct{ key, text string }
+
+var reportFence = regexp.MustCompile("(?ms)^```report (\\S+)\n(.*?)^```$")
+
+func reportBlocks(doc string) []reportBlock {
+	var out []reportBlock
+	for _, m := range reportFence.FindAllStringSubmatch(doc, -1) {
+		out = append(out, reportBlock{m[1], m[2]})
+	}
+	return out
+}
+
+func fenced(key, text string) string { return "```report " + key + "\n" + text + "```" }
 
 func sortedKeys(values map[string]float64) []string {
 	keys := make([]string, 0, len(values))
@@ -69,11 +87,21 @@ func sortedKeys(values map[string]float64) []string {
 // and each id runs once per go test (TestFidelity fails on a pair no row
 // runs). Every row's
 // run also checks its exact costs against its line of testdata/counts.txt
-// (counts_test.go), and the file has a line for every row and no other.
-// Under -short (the race gate) only chaos of the campaign rows runs.
+// (counts_test.go), and the file has a line for every row and no other, and
+// compares the report with its EXPERIMENTS.md block (both racksweep rows
+// with the one racksweep block), printing the block to paste when they
+// differ. Under -short (the race gate) only chaos of the campaign rows runs.
 func TestReportDigests(t *testing.T) {
 	runs := digestRuns()
 	golden := countsGolden(t)
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := map[string]string{}
+	for _, b := range reportBlocks(string(doc)) {
+		blocks[b.key] = b.text
+	}
 	for name := range golden {
 		if !slices.ContainsFunc(runs, func(d digestRun) bool { return d.name == name }) {
 			t.Errorf("testdata/counts.txt row %s has no digest row", name)
@@ -97,6 +125,11 @@ func TestReportDigests(t *testing.T) {
 			}
 			if counted {
 				checkCounts(t, want, countLine(tc.name, r))
+			}
+			id, _, _ := strings.Cut(tc.name, "/")
+			key := fmt.Sprintf("%s@%v", id, tc.scale)
+			if got := r.String(); blocks[key] != got {
+				t.Errorf("EXPERIMENTS.md's report %s block is not the report; it must read:\n%s", key, fenced(key, got))
 			}
 		})
 	}
