@@ -185,6 +185,12 @@ func (p *Pool) AttachPort(name string) *Port {
 		rdMeter: metrics.NewMeter(),
 		wrMeter: metrics.NewMeter(),
 	}
+	// Both directions list Table 3's categories from the start, so a port's
+	// byte series do not depend on what its host happens to run.
+	for _, m := range []*metrics.Meter{port.rdMeter, port.wrMeter} {
+		m.Add("message", 0)
+		m.Add("payload", 0)
+	}
 	p.ports = append(p.ports, port)
 	return port
 }

@@ -20,12 +20,12 @@ import (
 // Regenerate them (go test -run TestWiringDigests -v prints the got values)
 // only with a change that is meant to move simulated results.
 const (
-	digestDefaultPod  = "82e9ff754d326226fb2864986d50e87dcb40a4340d3dd444382d4f8f94e9ca6a"
-	digestNetStorage  = "c086d2b4d2e74167f8964a61d51ea5a2548192fa8dec07278fe39b9b00794aa6"
-	digestRaftBackups = "d298438e8d46d17e2c85d39dd257d0c0ccd89d071171eb0241eb8135a7e157f0"
-	digestBaseline    = "664752c374dd2387c051749425ea40605153fd4f6bb628228aed2b750c889f47"
-	digestLateAdds    = "8651dca767f10a0464dc169490e4f7f9ccbdbc3d7ccecb097881bc5071979315"
-	digestClusterMove = "c5805cacb8c51c205b5f65c418ed9f5297c0f688bf743935ae45e14392720161"
+	digestDefaultPod  = "9132389d27ac790b3ae6ef26d3e377e178fa978c98129035b0154de9a9bba6f9"
+	digestNetStorage  = "eee2ea8a438083a323e6d035da7a7959b96c24dd28df7159686451ac8125b58a"
+	digestRaftBackups = "ece0b4ac5a84aa51e78aa9ccd28ca3730babf9840ac376ec372116e012f27bfa"
+	digestBaseline    = "2c7646cda36e056514b1ade0d171970c144616bd4036ea08d4375694bbfd67cd"
+	digestLateAdds    = "5e41ca87d64b17d1d6b08bd162aa8e9830a163c10379d4bfaf037af2626b4e45"
+	digestClusterMove = "8765972695c0490a42a382385da8f3fbb70c627972766c6e37dbd2344727e33a"
 )
 
 // digestEcho spawns a UDP echo server on inst and a client process that
