@@ -5,8 +5,8 @@ import (
 )
 
 // The paper's claims and the campaigns' invariants are rows of one table,
-// claims in fidelity_test.go; EXPERIMENTS.md records the full-scale
-// paper-vs-measured numbers.
+// claims in fidelity_test.go; EXPERIMENTS.md shows each experiment's report
+// at the scale of its TestReportDigests row, which checks it.
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig2", "fig3", "tab1", "tab2", "fig6", "fig8", "fig9", "fig10", "fig11", "tab3", "fig12", "fig13", "fig14",

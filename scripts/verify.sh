@@ -137,8 +137,10 @@ gate "an oasis-bench flag choosing an execution path" "$(grep -n 'flag\.[A-Za-z]
 # EXPERIMENTS.md's fidelity section is rendered from it. The hand-written
 # shape tests and the campaign invariant map it replaced stay gone, and a
 # runner trusts its scale: oasis-bench refuses one outside (0, 1] where it
-# enters, so no runner clamps.
+# enters, so no runner clamps. A row holds the paper's number as a band
+# (paperBand), never as a number in its paper text, which no test reads.
 echo "== one claims table, the scale checked where it enters (grep gate) =="
+gate "a paper number held as text in the claims table" "$(grep -nE 'paper: "[~≈<> ]*[0-9][0-9.]*([–-][0-9.]+)?( [A-Za-zµ/%]+)?"' internal/experiments/fidelity_test.go || true)"
 gate "a hand-written shape test" "$(grep -rn --include='*.go' 'TestFig2Shapes\|TestFig3Burstiness\|TestTable1DeviceModels\|TestTable2Aggregation\|TestFig6DesignLadder\|TestFig9MemcachedOverheadBand\|TestFig10OverheadSizeIndependent\|TestFig11BreakdownAttribution\|TestTable3BandwidthBreakdown\|TestFig12MultiplexingInterference\|TestFig13FailoverWindow\|TestFig14TCPRecovery\|TestAblCounterBatchAmortizes\|TestAblBackendInspectCosts\|TestAblFailoverMechanisms\|TestAblHWCoherentChannel\|TestAblShardingScalesThroughput\|TestAblQoSProtectsSignaling\|TestAblStorageShapes' . || true)"
 gate "a campaign invariant map beside the claims table" "$(grep -rn --include='*.go' 'campaignInvariants' . || true)"
 gate "a runner clamping its scale" "$(grep -rn --include='*.go' 'clampScale' . || true)"
@@ -167,6 +169,13 @@ go vet ./...
 
 echo "== go test ./... =="
 go test -timeout 10m ./...
+
+# The drift lines: one per claims row whose value lies outside the paper's
+# own band, with its signed distance. The run above failed any such row that
+# cites no deviation; these lines are the row-by-row fidelity ledger a
+# virtual-time change reports.
+echo "== claims outside the paper's band (drift lines) =="
+go test -count=1 -run TestReportDigests -v ./internal/experiments | grep 'paper band' || true
 
 # Exact counts: host bytes allocated by an idle default-config duplex link
 # and by building + starting the benchmark's 128-host rack, asserted by the
