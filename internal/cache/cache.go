@@ -525,6 +525,46 @@ func (c *Cache) FetchAhead(addr int64, category string) sim.Duration {
 	return c.port.FetchLine(cxl.LineAddr(addr), category)
 }
 
+// FetchRun is FetchAhead for many absent lines at one instant, each of a
+// region, inside its pool, whose load latency the caller knows
+// (cxl.Region.LoadLatency): a poll pass's idle tail slots. A line joins the
+// run if it is the run's cache's, latency and category (Joins), or begins a
+// new one (Begin), and Fetch books it on the port's cxl.FetchRun. Each line
+// is a miss; the misses are counted, and the lines booked and metered, when
+// the run ends. Nothing reads either before then, so a run leaves the cache
+// and the port as FetchAhead line by line would. The zero FetchRun is
+// empty.
+type FetchRun struct {
+	c   *Cache
+	run cxl.FetchRun
+}
+
+// Joins reports whether a line of c's with this load latency and category
+// goes on the run as it is.
+func (f *FetchRun) Joins(c *Cache, load sim.Duration, category string) bool {
+	return f.c == c && f.run.Load() == load && f.run.Category() == category
+}
+
+// Begin ends the run so far and begins one for lines of c's with this load
+// latency and category.
+func (f *FetchRun) Begin(c *Cache, load sim.Duration, category string) {
+	f.End()
+	f.c, f.run = c, c.port.BeginFetch(category, load)
+}
+
+// Fetch books a line on the run, which Joins it, and returns its arrival.
+func (f *FetchRun) Fetch() sim.Duration { return f.run.Fetch() }
+
+// End books the run's lines on the port, meters them and counts their
+// misses. A line may follow: it begins a new run.
+func (f *FetchRun) End() {
+	if f.c != nil {
+		f.c.stats.Misses += f.run.Lines()
+		f.run.End()
+		f.c = nil
+	}
+}
+
 // CollectFetched copies len(buf) bytes at addr, inside one line, out of the
 // pool as it is now: the collection of a FetchAhead.
 func (c *Cache) CollectFetched(addr int64, buf []byte) { c.port.Pool().Peek(addr, buf) }

@@ -123,6 +123,26 @@ func (d *Driver) Resume() {
 // Stalled reports whether the core is currently frozen.
 func (d *Driver) Stalled() bool { return d.stalled }
 
+// EmptyPolls returns the empty polls so far of the ends the core's poll
+// stages read now, and how many of them a pass answered from its batched
+// fetch (msgchan.Receiver.Fetched): how much of the idle polling takes the
+// batched path, which no Stats() series shows.
+func (d *Driver) EmptyPolls() (empty, fetched int64) {
+	add := func(e *LinkEnd) { empty, fetched = empty+e.In.EmptyPolls, fetched+e.In.Fetched }
+	for i := range d.stages {
+		st := &d.stages[i]
+		if st.control != nil && *st.control != nil {
+			add(*st.control)
+		}
+		if st.set != nil {
+			for _, l := range st.set.order {
+				add(l.End)
+			}
+		}
+	}
+	return empty, fetched
+}
+
 // run is the polling process: Step as far as event context goes — all the
 // way round, iteration after iteration, while the core is idle — and block
 // for whatever needs the process, at the same cursor.

@@ -26,8 +26,12 @@ type passRig struct {
 	ctlPeer *LinkEnd // the allocator's end of the control link
 }
 
-func newPassRig(t *testing.T, n int) *passRig {
-	eng, pool := testPool()
+func newPassRig(t testing.TB, n int) *passRig { return newPassRigOn(t, n, cxl.DefaultParams()) }
+
+// newPassRigOn is newPassRig on a pool with the given parameters.
+func newPassRigOn(t testing.TB, n int, params cxl.Params) *passRig {
+	eng := sim.New()
+	pool := cxl.NewPool(eng, 1<<24, params)
 	r := &passRig{eng: eng, pool: pool, links: NewLinkSet(DefaultPendingLimit)}
 	r.a = host.New(eng, 0, "a", pool, host.DefaultConfig())
 	r.b = host.New(eng, 1, "b", pool, host.DefaultConfig())
@@ -40,7 +44,7 @@ func newPassRig(t *testing.T, n int) *passRig {
 }
 
 // link makes a duplex link a<->b and returns a's end and b's.
-func (r *passRig) link(t *testing.T) (*LinkEnd, *LinkEnd) {
+func (r *passRig) link(t testing.TB) (*LinkEnd, *LinkEnd) {
 	aEnd, bEnd, err := NewDuplexLink(r.pool, r.a, r.b, msgchan.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -196,13 +200,17 @@ func TestLonePollIsOneLinkPass(t *testing.T) {
 
 // passRow is a scripted program for one core polling a link set, and maybe
 // a control end, under the batched rule: messages sent on given links at
-// given times.
+// given times, and whatever else an agent process does to the core's port.
 type passRow struct {
 	name  string
 	links int
 	ctl   passCtl
 	burst int
+	hw    bool // the pool has Back Invalidation
 	sends []passSend
+	setup func(r *passRig)              // before the run
+	agent func(r *passRig, p *sim.Proc) // a process beside the core and the peers
+	mark  func(r *passRig, iter int)    // at the end of each iteration, between passes
 	check func(t *testing.T, log string)
 }
 
@@ -230,9 +238,16 @@ const (
 // runPassRow runs a row on the driver core, or with ref on the blocking
 // reference pass, and renders everything observable: each delivery and each
 // iteration's end with the time, the sequence number, its progress, every
-// end's empty polls and the cache's counters, and every end's stats.
+// end's empty polls, the cache's counters and the core's port's read bytes
+// and read-link occupancy, and every end's stats.
 func runPassRow(t *testing.T, row passRow, ref bool) string {
-	r := newPassRig(t, row.links)
+	params := cxl.DefaultParams()
+	params.HWCoherent = row.hw
+	r := newPassRigOn(t, row.links, params)
+	if row.setup != nil {
+		row.setup(r)
+	}
+	port := r.a.Cache.Port()
 	var ctrl *LinkEnd
 	ends := r.links.All()
 	if row.ctl == ctlCounted || row.ctl == ctlDiscarded {
@@ -251,12 +266,18 @@ func runPassRow(t *testing.T, row passRow, ref bool) string {
 		logf("control op %d dev %x", m.Op, m.Dev)
 		p.Sleep(30 * time.Nanosecond)
 	}
+	iter := 0
 	mark := func(progress int) int {
+		if row.mark != nil {
+			row.mark(r, iter)
+		}
+		iter++
 		var empty []int64
 		for _, l := range ends {
 			empty = append(empty, l.End.In.EmptyPolls)
 		}
-		logf("iteration over: progress %d empty polls %v cache %+v", progress, empty, r.a.Cache.Stats())
+		logf("iteration over: progress %d empty polls %v cache %+v rd %d busy %d",
+			progress, empty, r.a.Cache.Stats(), port.ReadMeter().Total(), port.ReadBusy())
 		return 0
 	}
 	cfg := DriverConfig{LoopCost: 100 * time.Nanosecond}
@@ -277,6 +298,9 @@ func runPassRow(t *testing.T, row passRow, ref bool) string {
 		d = NewDriver(r.a, "core", cfg, st,
 			WorkStage("mark", func() bool { return false }, func(*sim.Proc) int { return mark(d.progress) }))
 		d.Start()
+	}
+	if row.agent != nil {
+		r.eng.Go("agent", func(p *sim.Proc) { row.agent(r, p) })
 	}
 	r.eng.Go("peers", func(p *sim.Proc) {
 		for i, s := range row.sends {
@@ -331,6 +355,175 @@ func progressSum(log string) int {
 	return sum
 }
 
+// idleRow is the row the batched rows below vary: 8 idle links, burst 2.
+var idleRow = passRow{links: 8, burst: 2}
+
+// iterationEnds returns when each iteration of a row's log ended.
+func iterationEnds(t *testing.T, log string) []sim.Duration {
+	var ends []sim.Duration
+	for _, it := range iterations(log) {
+		lines := strings.Split(strings.TrimSpace(it), "\n")
+		var at sim.Duration
+		if _, err := fmt.Sscan(lines[len(lines)-1], &at); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, at)
+	}
+	return ends
+}
+
+// deliveredIn returns the iteration of a row's log whose pass delivered the
+// message that the given text names, or -1.
+func deliveredIn(log, what string) int {
+	for i, it := range iterations(log) {
+		if strings.Contains(it, what) {
+			return i
+		}
+	}
+	return -1
+}
+
+// batchedRows are the rows that take the batched fetch of idle rings to its
+// edges, timed against idleRow's iterations on the driver core: a message
+// landing 1 ns before, at and 1 ns after a pass's collect instant (when its
+// fetches have landed and the idle rings are polled), after a long idle
+// stretch; another agent's reads booking the core's port just before and at
+// a pass's start; the port degraded, jittered and healed between passes; a
+// QoS share on the rings' category; a ring that owes its counter update on
+// an empty poll; and a Back-Invalidation pool, whose rings take the cached
+// path.
+func batchedRows(t *testing.T) []passRow {
+	ends := iterationEnds(t, runPassRow(t, idleRow, false))
+	p, c := cxl.DefaultParams(), cache.DefaultParams()
+	perLine := sim.Duration(float64(cxl.LineSize) / p.PortBandwidth * float64(time.Second))
+	loopCost := 100 * time.Nanosecond
+	begin := func(k int) sim.Duration { return ends[k-1] + loopCost }
+	collect := func(k int) sim.Duration { return begin(k) + p.LoadLatency + sim.Duration(idleRow.links)*perLine }
+	// A message sent at s lands at s + land: its store, its line's CLWB and
+	// the posted write's serialization and propagation.
+	land := c.StoreLatency + c.WritebackIssue + perLine + p.WriteLatency
+	const k = 20 // the pass the message is timed against: 11 µs of idle passes before it
+	landing := func(name string, off sim.Duration, want ...int) passRow {
+		row := idleRow
+		row.name = name
+		row.sends = []passSend{{at: collect(k) + off - land, link: 3, n: 1}}
+		row.check = func(t *testing.T, log string) {
+			got := deliveredIn(log, "link 3 got")
+			for _, w := range want {
+				if got == w {
+					return
+				}
+			}
+			t.Fatalf("the message landing %v from pass %d's collect instant was delivered by pass %d, want one of %v:\n%s",
+				off, k, got, want, log)
+		}
+		return row
+	}
+	// A read of a buffer line and of a 4 KiB buffer by another agent on the
+	// core's host: booked at a pass's start, or 1 ns before it, they delay
+	// its fetches.
+	portRead := func(name string, off sim.Duration) passRow {
+		row := idleRow
+		row.name = name
+		row.agent = func(r *passRig, pr *sim.Proc) {
+			buf, err := r.pool.Alloc(4096)
+			if err != nil {
+				panic(err)
+			}
+			port := r.a.Cache.Port()
+			pr.Sleep(begin(10) + off)
+			port.FetchLine(buf.Base, "payload")
+			pr.Sleep(begin(14) + off - pr.Now())
+			port.DMARead(buf.Base, make([]byte, 4096), "message")
+		}
+		row.sends = []passSend{{at: 9 * time.Microsecond, link: 6, n: 1}}
+		row.check = func(t *testing.T, log string) {
+			got := iterationEnds(t, log)
+			for _, k := range []int{10, 14} {
+				if got[k]-got[k-1] <= ends[k]-ends[k-1] {
+					t.Fatalf("pass %d took %v with a read booked %v from its start, as long as an idle pass:\n%s",
+						k, got[k]-got[k-1], off, log)
+				}
+			}
+		}
+		return row
+	}
+	degraded := idleRow
+	degraded.name = "port-faults-between-passes"
+	degraded.sends = []passSend{
+		{at: 3 * time.Microsecond, link: 1, n: 1},
+		{at: 6 * time.Microsecond, link: 6, n: 3},
+		{at: 9 * time.Microsecond, link: 4, n: 1},
+		{at: 14 * time.Microsecond, link: 0, n: 2},
+	}
+	degraded.mark = func(r *passRig, iter int) {
+		port := r.a.Cache.Port()
+		switch iter {
+		case 4:
+			port.SetJitter(7 * time.Nanosecond)
+		case 8:
+			port.SetDegraded(1.5, 0.5)
+		case 12:
+			port.SetJitter(0)
+		case 16:
+			port.SetDegraded(1, 1)
+		case 20:
+			port.SetDegraded(2, 0.25)
+			port.SetJitter(3 * time.Nanosecond)
+		}
+	}
+	degraded.check = func(t *testing.T, log string) {
+		if n := strings.Count(log, " got "); n != 7 {
+			t.Fatalf("%d messages delivered, want 7:\n%s", n, log)
+		}
+	}
+	qos := idleRow
+	qos.name = "qos-on-message"
+	qos.setup = func(r *passRig) { r.a.Cache.Port().SetQoS("message", 0.25) }
+	qos.sends = []passSend{{at: 2 * time.Microsecond, link: 2, n: 3}, {at: 7 * time.Microsecond, link: 5, n: 1}}
+	qos.agent = func(r *passRig, pr *sim.Proc) {
+		buf, err := r.pool.Alloc(4096)
+		if err != nil {
+			panic(err)
+		}
+		pr.Sleep(4 * time.Microsecond)
+		r.a.Cache.Port().DMARead(buf.Base, make([]byte, 4096), "payload")
+	}
+	qos.check = func(t *testing.T, log string) {
+		// A 8 GB/s share serializes a line in 8 ns: the first idle pass's
+		// fetches land 8 × 8 ns after its start, plus one load.
+		if ends[0] >= iterationEnds(t, log)[0] {
+			t.Fatalf("the QoS share did not slow the pass's fetches:\n%s", log)
+		}
+	}
+	counter := idleRow
+	counter.name = "empty-poll-owes-counter"
+	counter.burst = 1
+	counter.sends = []passSend{{at: 2 * time.Microsecond, link: 2, n: 3}}
+	counter.check = func(t *testing.T, log string) {
+		if !strings.Contains(log, "end 2: rx 3 ") || !strings.Contains(log, " counter 1\n") {
+			t.Fatalf("link 2 did not deliver its 3 messages and then update its counter once:\n%s", log)
+		}
+	}
+	bi := idleRow
+	bi.name = "back-invalidation-pool"
+	bi.hw = true
+	bi.sends = []passSend{{at: 1 * time.Microsecond, link: 0, n: 2}, {at: 5 * time.Microsecond, link: 7, n: 1}}
+	bi.check = func(t *testing.T, log string) {
+		if n := strings.Count(log, " got "); n != 3 {
+			t.Fatalf("%d messages delivered, want 3:\n%s", n, log)
+		}
+	}
+	return []passRow{
+		landing("landing-1ns-before-collect", -1, k),
+		landing("landing-at-collect", 0, k, k+1),
+		landing("landing-1ns-after-collect", 1, k+1),
+		portRead("port-read-1ns-before-pass", -1),
+		portRead("port-read-at-pass-start", 0),
+		degraded, qos, counter, bi,
+	}
+}
+
 // The batched pass against its blocking reference on scripted rows: many
 // idle links with one message landing while a pass runs, and a link that
 // hits its burst — whose last poll found a message, so it leaves no flush
@@ -338,7 +531,8 @@ func progressSum(log string) int {
 // control poll, then each link's, then one CLFLUSHOPT run and one MFENCE:
 // its messages counted as progress or not, alone in a pass, and ahead of a
 // data message that landed with them. An engine field that holds no control
-// end leaves the pass exactly the data-only one.
+// end leaves the pass exactly the data-only one. The batched rows take the
+// idle rings' batched fetch to its edges (see batchedRows).
 func TestPassMatchesBlockingReference(t *testing.T) {
 	controlRow := func(name string, ctl passCtl, wantProgress int) passRow {
 		return passRow{name: name, links: 8, ctl: ctl, burst: 2,
@@ -357,7 +551,7 @@ func TestPassMatchesBlockingReference(t *testing.T) {
 				}
 			}}
 	}
-	for _, row := range []passRow{
+	for _, row := range append([]passRow{
 		{name: "idle32-message-mid-pass", links: 32, burst: 4,
 			// The first pass runs from 0 to ~0.87 µs: this message's line
 			// lands at ~0.5 µs, after the pass loaded link 20's tail.
@@ -419,7 +613,7 @@ func TestPassMatchesBlockingReference(t *testing.T) {
 					t.Fatalf("progress %d, want 3:\n%s", n, log)
 				}
 			}},
-	} {
+	}, batchedRows(t)...) {
 		t.Run(row.name, func(t *testing.T) {
 			want := runPassRow(t, row, true)
 			got := runPassRow(t, row, false)

@@ -1,6 +1,9 @@
 package core
 
-import "oasis/internal/sim"
+import (
+	"oasis/internal/cache"
+	"oasis/internal/sim"
+)
 
 // Stage is one step of an engine loop's iteration. An engine describes its
 // iteration as an ordered stage list, fixed when it builds its driver core
@@ -154,7 +157,7 @@ func (st *Stage) begin(eng *sim.Engine) {
 // steps, the way a core polls N rings:
 //
 //  1. the load of every end's tail slot line goes out at once
-//     (msgchan.Receiver.LoadAhead), and one leg waits until the last has
+//     (msgchan.Receiver.LoadAheadIn), and one leg waits until the last has
 //     landed — the loads are independent, so they overlap, and N idle rings
 //     cost one load-to-use plus the port's serialization of N lines, not N
 //     round trips;
@@ -164,6 +167,14 @@ func (st *Stage) begin(eng *sim.Engine) {
 //     (msgchan.Receiver.DeferredCost), then one MFENCE — CLFLUSHOPTs are
 //     unordered until a fence — as one leg, at whose end the lines are
 //     gone.
+//
+// An idle design-④ ring costs the pass's host time a few integer
+// operations, not three walks of the receiver: its fetch is one line of the
+// pass's batched run (cache.FetchRun), its poll reads the slot's epoch byte
+// (msgchan.Receiver.PollFetched) and, found stale, leaves the closing run
+// one CLFLUSHOPT and nothing to drop. A ring that finds a message, or owes
+// its counter, is polled through the receiver's steps from the state the
+// fetch left, and only rings polled that way are visited at the close.
 //
 // A lone poll (msgchan.Receiver.Poll) closes the same way, so a one-link
 // pass costs what it does by construction, leg for leg. It is a sim.Stepper
@@ -186,6 +197,7 @@ type pollPass struct {
 	got      int          // messages delivered by this pass that are loop progress
 	handling bool         // a handler is handling a message from the end at i
 	counted  bool         // control messages are loop progress
+	deferred bool         // a poll stepped through its receiver left lines to the closing run
 	closing  passEnd      // where the closing flush run is, once every end is polled
 }
 
@@ -202,13 +214,17 @@ func (c *pollPass) begin(eng *sim.Engine, ctl *LinkEnd, links []*Link, burst int
 	if burst <= 0 {
 		ctl, links = nil, nil
 	}
-	c.eng, c.ctl, c.links, c.burst, c.i, c.n, c.end, c.handling, c.loaded, c.flushes, c.closing, c.got = eng, ctl, links, burst, 0, 0, nil, false, 0, 0, passFlush, 0
+	c.eng, c.ctl, c.links, c.burst, c.i, c.n, c.end, c.handling, c.loaded, c.flushes, c.deferred, c.closing, c.got = eng, ctl, links, burst, 0, 0, nil, false, 0, 0, false, passFlush, 0
+	var run cache.FetchRun
+	var loaded sim.Duration
 	if ctl != nil {
-		c.i, c.loaded = -1, ctl.In.LoadAhead()
+		c.i, loaded = -1, ctl.In.LoadAheadIn(&run)
 	}
 	for _, l := range links {
-		c.loaded = max(c.loaded, l.End.In.LoadAhead())
+		loaded = max(loaded, l.End.In.LoadAheadIn(&run))
 	}
+	run.End()
+	c.loaded = loaded
 }
 
 // over reports whether every end has been polled and the pass is closed.
@@ -248,6 +264,9 @@ func (c *pollPass) Step() (sim.Duration, bool) {
 			continue
 		}
 		if c.end == nil {
+			if c.pollFetched(); c.i == len(c.links) {
+				break
+			}
 			c.end = c.ctl
 			if c.i >= 0 {
 				c.end = c.links[c.i].End
@@ -264,7 +283,10 @@ func (c *pollPass) Step() (sim.Duration, bool) {
 		c.end = nil
 		payload := end.In.Payload()
 		if payload == nil {
-			c.flushes += end.In.DeferredCost()
+			if run := end.In.DeferredCost(); run > 0 {
+				c.flushes += run
+				c.deferred = true
+			}
 			c.i, c.n = c.i+1, 0
 			continue
 		}
@@ -283,6 +305,27 @@ func (c *pollPass) Step() (sim.Duration, bool) {
 	return c.close()
 }
 
+// pollFetched makes, from the end at i on, the polls that its batched fetch
+// answers (msgchan.Receiver.PollFetched), and leaves i at the first end
+// whose poll needs its receiver's steps, or past the last.
+func (c *pollPass) pollFetched() {
+	i, flushes := c.i, c.flushes
+	for ; i < len(c.links); i++ {
+		end := c.ctl
+		if i >= 0 {
+			end = c.links[i].End
+		}
+		run, ok := end.In.PollFetched()
+		if !ok {
+			break
+		}
+		flushes += run
+	}
+	if i != c.i {
+		c.i, c.n, c.flushes = i, 0, flushes
+	}
+}
+
 // close runs the pass's third step: the CLFLUSHOPT run its empty polls
 // deferred and the fence, as one leg, if there was a run.
 func (c *pollPass) close() (sim.Duration, bool) {
@@ -298,11 +341,13 @@ func (c *pollPass) close() (sim.Duration, bool) {
 			return c.flushes + first.In.FenceLatency(), true
 		}
 	case passFlushed:
-		if c.ctl != nil {
-			c.ctl.In.FlushDeferred()
-		}
-		for _, l := range c.links {
-			l.End.In.FlushDeferred()
+		if c.deferred {
+			if c.ctl != nil {
+				c.ctl.In.FlushDeferred()
+			}
+			for _, l := range c.links {
+				l.End.In.FlushDeferred()
+			}
 		}
 		c.closing = passClosed
 	}

@@ -235,11 +235,12 @@ func (p *Pool) setClass(r Region, c Class) {
 // page returns the backing page for addr, or nil if nothing was ever
 // written there.
 func (p *Pool) page(addr int64) *[pageSize]byte {
-	di := addr / (dirPages * pageSize)
-	if di >= int64(len(p.dirs)) || p.dirs[di] == nil {
+	a := uint64(addr) // checked: not negative
+	di := a / (dirPages * pageSize)
+	if di >= uint64(len(p.dirs)) || p.dirs[di] == nil {
 		return nil
 	}
-	return p.dirs[di][addr/pageSize%dirPages]
+	return p.dirs[di][a/pageSize%dirPages]
 }
 
 // writablePage returns the backing page for addr, allocating it — and its
@@ -316,8 +317,15 @@ func (p *Pool) Discard(addr int64, n int) {
 // checkRange panics on out-of-pool accesses — these are simulation bugs.
 func (p *Pool) checkRange(addr int64, n int) {
 	if addr < 0 || addr+int64(n) > p.size {
-		panic(fmt.Sprintf("cxl: access [%d, %d) outside pool of size %d", addr, addr+int64(n), p.size))
+		p.outOfRange(addr, n)
 	}
+}
+
+// outOfRange is checkRange's panic, out of line so that the check inlines.
+//
+//go:noinline
+func (p *Pool) outOfRange(addr int64, n int) {
+	panic(fmt.Sprintf("cxl: access [%d, %d) outside pool of size %d", addr, addr+int64(n), p.size))
 }
 
 // peek copies pool contents into buf with no timing or metering; used by the
@@ -358,6 +366,16 @@ func (p *Pool) Peek(addr int64, buf []byte) { p.peek(addr, buf) }
 // Poke is the test/debug mutator for raw pool contents.
 func (p *Pool) Poke(addr int64, buf []byte) { p.poke(addr, buf) }
 
+// PeekByte returns the pool byte at addr, with no timing or metering: Peek
+// of one byte, for a poll that reads only a fetched slot's epoch byte.
+func (p *Pool) PeekByte(addr int64) byte {
+	p.checkRange(addr, 1)
+	if pg := p.page(addr); pg != nil {
+		return pg[addr&(pageSize-1)]
+	}
+	return 0
+}
+
 // Region is a line-aligned allocation within the pool.
 type Region struct {
 	pool *Pool
@@ -372,6 +390,22 @@ func (r Region) Contains(addr int64, n int) bool {
 
 // Pool returns the pool the region was allocated from.
 func (r Region) Pool() *Pool { return r.pool }
+
+// InPool reports whether the region lies inside its pool, so that every
+// access within it passes the pool's range check: always for a region Alloc
+// returned, which a caller may then have moved or resized.
+func (r Region) InPool() bool {
+	return r.pool != nil && r.Base >= 0 && r.Size >= 0 && r.Base+r.Size <= r.pool.size
+}
+
+// LoadLatency returns the load-to-use latency of every line of the region
+// before any port's degradation: its class's, else the pool's. A region's
+// class is set when it is allocated and never changes, so a caller may look
+// it up once (see Port.BeginFetch).
+func (r Region) LoadLatency() sim.Duration {
+	load, _ := r.pool.classFor(r.Base)
+	return load
+}
 
 // Port is one host's (or one device's DMA path's) attachment to the pool.
 type Port struct {
@@ -471,10 +505,17 @@ func (pt *Port) scaleSer(d sim.Duration) sim.Duration {
 
 // reserveRd books n bytes on the read direction for a category.
 func (pt *Port) reserveRd(category string, n int) sim.Duration {
+	res, d := pt.rdBooking(category, n)
+	return res.Reserve(d)
+}
+
+// rdBooking returns the read-direction resource a category's transfers of
+// n bytes are serialized on, and the occupancy of one.
+func (pt *Port) rdBooking(category string, n int) (*sim.Resource, sim.Duration) {
 	if cl, ok := pt.qosRd[category]; ok {
-		return cl.res.Reserve(pt.scaleSer(sim.Duration(float64(n) / cl.bps * float64(time.Second))))
+		return cl.res, pt.scaleSer(sim.Duration(float64(n) / cl.bps * float64(time.Second)))
 	}
-	return pt.rdLink.Reserve(pt.serialization(n))
+	return pt.rdLink, pt.serialization(n)
 }
 
 // reserveWr books n bytes on the write direction for a category.
@@ -497,6 +538,16 @@ func (p *Pool) Engine() *sim.Engine { return p.eng }
 // ReadMeter returns the device-to-host byte meter.
 func (pt *Port) ReadMeter() *metrics.Meter { return pt.rdMeter }
 
+// ReadBusy returns the occupancy ever booked on the read direction, its QoS
+// shares' included.
+func (pt *Port) ReadBusy() sim.Duration {
+	busy := pt.rdLink.BusyTotal()
+	for _, cl := range pt.qosRd {
+		busy += cl.res.BusyTotal()
+	}
+	return busy
+}
+
 // WriteMeter returns the host-to-device byte meter.
 func (pt *Port) WriteMeter() *metrics.Meter { return pt.wrMeter }
 
@@ -516,6 +567,62 @@ func (pt *Port) FetchLine(addr int64, category string) sim.Duration {
 	done := pt.reserveRd(category, LineSize)
 	load, _ := pt.pool.classFor(addr)
 	return done + pt.scaleLat(load)
+}
+
+// FetchRun is FetchLine for many lines from one instant, in call order, of
+// regions that share a load latency: a poll pass's idle tail slots. The
+// category's link and occupancy and the latency term are looked up when the
+// run begins, so a line costs an addition; the run books its n lines on the
+// link (sim.Resource.ReserveN) and meters their bytes at End. The k-th
+// line's reservation ends where the k-th of n FetchLine Reserves from this
+// instant would, with the same occupancy, and its latency term is
+// FetchLine's arithmetic on the same values, so every arrival, the link's
+// occupancy and the meter's totals are FetchLine's, call for call — as long
+// as nothing else books the port's read direction before End, which the
+// caller ends the run for. The caller also owns the range check: a line of
+// a region that lies in its pool (Region.InPool) is in range. A fault that
+// degrades the port, or a QoS share set on it, applies from the next run.
+type FetchRun struct {
+	pt       *Port
+	category string
+	load     sim.Duration // the regions' load latency (Region.LoadLatency)
+	res      *sim.Resource
+	ser      sim.Duration // one line's occupancy of res
+	at       sim.Duration // the arrival of the line booked last, or the run's start plus the latency term
+	n        int64        // lines booked so far
+}
+
+// BeginFetch starts a run of line reads of one category, of regions whose
+// load latency is load, at this instant.
+func (pt *Port) BeginFetch(category string, load sim.Duration) FetchRun {
+	res, ser := pt.rdBooking(category, LineSize)
+	return FetchRun{pt: pt, category: category, load: load, res: res, ser: ser, at: res.Start() + pt.scaleLat(load)}
+}
+
+// Category returns the category the run books.
+func (f *FetchRun) Category() string { return f.category }
+
+// Load returns the load latency of the run's regions.
+func (f *FetchRun) Load() sim.Duration { return f.load }
+
+// Fetch books the next line and returns its arrival: FetchLine(addr,
+// category) for an addr in one of the run's regions.
+func (f *FetchRun) Fetch() sim.Duration {
+	f.n++
+	f.at += f.ser
+	return f.at
+}
+
+// Lines returns the lines the run has booked.
+func (f *FetchRun) Lines() int64 { return f.n }
+
+// End makes the run's reservations and meters its lines.
+func (f *FetchRun) End() {
+	if f.n > 0 {
+		f.res.ReserveN(f.ser, f.n)
+		f.pt.rdMeter.Add(f.category, f.n*LineSize)
+		f.n = 0
+	}
 }
 
 // CollectLine snapshots the line's pool contents into buf. Callers must only

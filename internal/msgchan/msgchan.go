@@ -143,14 +143,17 @@ const epochBit = 0x80
 
 // Channel is the shared layout: one region holding the slot ring followed by
 // the consumed counter on its own line.
+//
+// What a poll of an idle ring reads comes first, so that it shares lines.
 type Channel struct {
-	cfg    Config
-	region cxl.Region
+	ringBase  int64        // first slot address
+	lineShift uint         // log2(slotsPerLine): MsgSize divides the line, so it is a power of two
+	load      sim.Duration // the region's load latency (cxl.Region.LoadLatency)
+	pool      *cxl.Pool    // the region's
+	cfg       Config
 	// Derived layout.
-	ringBase     int64 // first slot address
 	counterAddr  int64 // 8-byte consumed counter, line-aligned
 	slotsPerLine int
-	lineShift    uint  // log2(slotsPerLine): MsgSize divides the line, so it is a power of two
 	ringLines    int64 // lines in the ring
 }
 
@@ -170,18 +173,24 @@ func New(region cxl.Region, cfg Config) (*Channel, error) {
 	if region.Size < RegionBytes(cfg) {
 		return nil, fmt.Errorf("msgchan: region %d bytes, need %d", region.Size, RegionBytes(cfg))
 	}
+	// Every line the ring is fetched at lies in the region: in range, so a
+	// batched fetch needs no range check of its own (cxl.FetchRun).
+	if !region.InPool() {
+		return nil, fmt.Errorf("msgchan: region [%d, %d) outside its pool", region.Base, region.Base+region.Size)
+	}
 	if cfg.Design == DesignHWCoherent && !region.Pool().Params().HWCoherent {
 		return nil, fmt.Errorf("msgchan: DesignHWCoherent requires a Back-Invalidation (HWCoherent) pool; " +
 			"a receiver that never invalidates would poll stale lines forever on CXL 2.0")
 	}
 	return &Channel{
 		cfg:          cfg,
-		region:       region,
 		ringBase:     region.Base,
 		counterAddr:  region.Base + int64(cfg.Slots*cfg.MsgSize),
 		slotsPerLine: cxl.LineSize / cfg.MsgSize,
 		lineShift:    uint(bits.TrailingZeros(uint(cxl.LineSize / cfg.MsgSize))),
 		ringLines:    int64(cfg.Slots / (cxl.LineSize / cfg.MsgSize)),
+		load:         region.LoadLatency(),
+		pool:         region.Pool(),
 	}, nil
 }
 
@@ -470,36 +479,43 @@ func (s *Sender) writebackHead() (sim.Duration, bool) {
 
 // Receiver is the consuming endpoint, reading through its host's cache with
 // the configured design's coherence strategy.
+//
+// The fields are ordered so that those an idle ring's batched fetch and poll
+// touch (LoadAheadIn, PollFetched) come first and share lines.
 type Receiver struct {
-	ch      *Channel
-	cache   *cache.Cache
-	costs   cache.Params
-	slotBuf []byte
+	ch    *Channel
+	cache *cache.Cache
 
 	tail              int64    // next absolute index to read
 	tailPos           position // tail's slot and epoch
 	pendingConsumed   int      // messages consumed since last counter update
 	highestPrefetched int64    // highest absolute line index prefetch was issued for
 
-	// Poll's position in its stepped sleep (see Step). A receiver has one
-	// consumer, so it is its own stepper.
-	pc       recvPC
-	fresh    bool    // the slot read held a fresh message
-	ctr      [8]byte // consumed counter being stored
-	nextLine int64   // recvPrefetch: absolute ring line the leg pays for; an empty poll: the run's first line
-	lastLine int64   // final line of that run
-
 	// How a poll is loaded ahead and closed (see LoadAhead and DeferredCost).
+	aheadAt   sim.Duration // when the load ahead lands
 	ahead     aheadLoad    // how the next poll's slot line was loaded ahead
-	aheadAt   sim.Duration // when that load lands
 	fetchable bool         // LoadAhead may fetch an idle tail line without caching it
 	uncached  bool         // the last poll was such a fetch and found nothing: no line to drop
 	deferred  bool         // an empty poll left lines nextLine..lastLine to invalidate
+
+	// Poll's position in its stepped sleep (see Step). A receiver has one
+	// consumer, so it is its own stepper.
+	pc    recvPC
+	fresh bool // the slot read held a fresh message
 
 	// Stats.
 	Received       int64
 	EmptyPolls     int64
 	CounterUpdates int64
+	Fetched        int64 // empty polls answered from a pass's batched fetch (PollFetched), of EmptyPolls
+
+	// The rest of Step's position.
+	ctr      [8]byte // consumed counter being stored
+	nextLine int64   // recvPrefetch: absolute ring line the leg pays for; an empty poll: the run's first line
+	lastLine int64   // final line of that run
+
+	costs   cache.Params
+	slotBuf []byte
 }
 
 // aheadLoad says how LoadAhead loaded the slot line the next poll reads.
@@ -606,21 +622,67 @@ func (j *lonePoll) Step() (sim.Duration, bool) {
 // almost always finds nothing, and its empty poll would drop the line again,
 // so the line is fetched through the port without being cached
 // (cache.Cache.FetchAhead) and installed only if the slot holds a message.
-func (r *Receiver) LoadAhead() sim.Duration {
+func (r *Receiver) LoadAhead() sim.Duration { return r.loadAhead(nil) }
+
+// LoadAheadIn is LoadAhead for a pass that books its idle rings' fetches as
+// one run: the fetch of an idle design-④ ring goes on f (cache.FetchRun)
+// and leaves the receiver as LoadAhead's would; any other ring ends f, so
+// that its own load books the port after the run's lines, and loads as
+// LoadAhead does. The caller ends f.
+func (r *Receiver) LoadAheadIn(f *cache.FetchRun) sim.Duration { return r.loadAhead(f) }
+
+// loadAhead is LoadAhead, booking an idle ring's fetch on f if there is one.
+// Only design ④ is fetchable, so the fetch is decided before the design's
+// own test.
+func (r *Receiver) loadAhead(f *cache.FetchRun) sim.Duration {
 	c, cfg := r.cache, &r.ch.cfg
+	if r.fetchable && r.highestPrefetched <= r.tailLine() && !c.Contains(r.slotAddr()) {
+		if f != nil {
+			if !f.Joins(c, r.ch.load, cfg.Category) {
+				f.Begin(c, r.ch.load, cfg.Category)
+			}
+			r.aheadAt = f.Fetch()
+		} else {
+			r.aheadAt = c.FetchAhead(r.slotAddr(), cfg.Category)
+		}
+		r.ahead = aheadFetched
+		return r.aheadAt
+	}
 	if cfg.Design == DesignBypassCache {
 		return 0
 	}
-	addr := r.slotAddr()
-	if r.fetchable && r.highestPrefetched <= r.tailLine() && !c.Contains(addr) {
-		r.ahead, r.aheadAt = aheadFetched, c.FetchAhead(addr, cfg.Category)
-		return r.aheadAt
+	if f != nil {
+		f.End() // the load below may book the port: the run's lines go first
 	}
+	addr := r.slotAddr()
 	if at, ok := c.LoadAhead(addr, cfg.Category); ok {
 		r.ahead, r.aheadAt = aheadLoaded, at
 		return at
 	}
 	return 0
+}
+
+// PollFetched is a poll, begun and over, of a ring whose tail line was
+// fetched ahead without being cached, when that poll is empty and owes no
+// counter update: it reads only the slot's epoch byte. Where that says
+// stale, it makes the poll's effects and its share of the closing run's —
+// EmptyPolls, and FlushDeferred's, which for an uncached fetch drops no line
+// and leaves no line prefetched past the tail — and returns the CLFLUSHOPT
+// the run owes the ring, with ok. Nothing reads the fields FlushDeferred
+// would set before the run is over but the ring's next poll, so setting them
+// now is the same. Otherwise it changes nothing, and the ring is polled as
+// any other (Begin, Step), from the state LoadAhead left. (A ring fetched
+// uncached has had an empty poll since its last message, which published
+// its counter; the test of pendingConsumed keeps that precondition here.)
+func (r *Receiver) PollFetched() (run sim.Duration, ok bool) {
+	if r.ahead != aheadFetched || r.pendingConsumed != 0 || r.ch.pool.PeekByte(r.slotAddr())&epochBit == r.tailPos.epoch {
+		return 0, false
+	}
+	r.ahead, r.pc, r.fresh = aheadNone, recvDone, false
+	r.EmptyPolls++
+	r.Fetched++
+	r.highestPrefetched = r.tailLine()
+	return r.costs.FlushIssue, true
 }
 
 // DeferredCost returns the CLFLUSHOPT issue time of the lines the last poll

@@ -26,6 +26,18 @@ func (r *Resource) Reserve(d Duration) Duration {
 	return r.busyUntil
 }
 
+// Start returns when work booked now would start: now, or when the work
+// already booked ends.
+func (r *Resource) Start() Duration { return max(r.eng.Now(), r.busyUntil) }
+
+// ReserveN is n calls of Reserve(d) in a row: it books n pieces of work of
+// d each, back to back. The k-th, from 1, completes at Start() + k·d, Start
+// read before the booking.
+func (r *Resource) ReserveN(d Duration, n int64) {
+	r.busyUntil = r.Start() + Duration(n)*d
+	r.busyTotal += Duration(n) * d
+}
+
 // Use books d of service time and parks the calling process until the work
 // completes (queueing delay plus service time).
 func (r *Resource) Use(p *Proc, d Duration) {

@@ -208,12 +208,16 @@ GOMAXPROCS=1 go test -count=1 -run 'ExactCounts' .
 # under the guard as well (~30 s on 2 vCPUs), with its row of
 # internal/experiments/testdata/counts.txt bar switches: only the
 # experiments reach failover, migration and blackout, where a buffer is
-# freed early.
-echo "== OASIS_SIMCHECK=1 go test (sim, cache, msgchan, core, netengine, storengine, allocator, nic, netstack, netsw, ssd, obs; busy pods, echo, wiring, clusters; report digests) =="
+# freed early. Under the guard no ring is fetched uncached, so every idle
+# ring takes the cached per-ring path in place of its pass's batched fetch
+# (core.pollPass, msgchan.Receiver.PollFetched): the idle pod's and the
+# partitioned cluster's count rows, which the batched path makes without the
+# guard, cross-check it end to end.
+echo "== OASIS_SIMCHECK=1 go test (sim, cache, msgchan, core, netengine, storengine, allocator, nic, netstack, netsw, ssd, obs; busy and idle pods, echo, wiring, clusters; report digests) =="
 OASIS_SIMCHECK=1 go test -count=1 ./internal/sim ./internal/cache ./internal/msgchan ./internal/core \
     ./internal/netengine ./internal/storengine ./internal/allocator ./internal/nic ./internal/netstack \
     ./internal/netsw ./internal/ssd ./internal/obs
-OASIS_SIMCHECK=1 go test -count=1 -run 'TestBusyPodExactCounts|TestEchoMallocsPerRequest|TestWiringDigests|TestClusterStatsMergedAndScoped|TestPartitionedClusterMatchesSerial' .
+OASIS_SIMCHECK=1 go test -count=1 -run 'TestBusyPodExactCounts|TestEchoMallocsPerRequest|TestWiringDigests|TestClusterStatsMergedAndScoped|TestPartitionedClusterMatchesSerial|TestIdlePodExactCounts|TestPartitionedClusterExactCounts' .
 OASIS_SIMCHECK=1 go test -count=1 -timeout 10m -run 'TestReportDigests' ./internal/experiments
 
 # bench/ is its own module (`replace oasis => ../`), invisible to the ./...
