@@ -30,12 +30,15 @@ func TestIdlePodExactCounts(t *testing.T) {
 		pod.AddVolume(inst, d.ID, 64)
 	}
 	pod.Start()
-	// sample returns the engine's counters, the cores' iterations so far and
-	// their empty polls, and how many of those the batched path answered.
-	sample := func() (c sim.Counters, iters, idle float64, empty, fetched int64) {
+	// sample returns the engine's counters, the cores' iterations so far,
+	// their empty polls and how many of those the batched path answered, and
+	// their passes and how many of those were replayed.
+	sample := func() (c sim.Counters, iters, idle float64, empty, fetched, passes, replayed int64) {
 		for _, d := range pod.allDrivers() {
 			e, f := d.EmptyPolls()
 			empty, fetched = empty+e, fetched+f
+			p, r := d.Passes()
+			passes, replayed = passes+p, replayed+r
 		}
 		for _, pt := range pod.Stats().Points {
 			switch {
@@ -46,18 +49,20 @@ func TestIdlePodExactCounts(t *testing.T) {
 				idle += pt.Value
 			}
 		}
-		return pod.Eng.Counters(), iters, idle, empty, fetched
+		return pod.Eng.Counters(), iters, idle, empty, fetched, passes, replayed
 	}
 	pod.Run(time.Millisecond)
-	c0, iters0, idle0, empty0, fetched0 := sample()
+	c0, iters0, idle0, empty0, fetched0, passes0, replayed0 := sample()
 	pod.Run(2 * time.Millisecond)
-	c, iters, idle, empty, fetched := sample()
+	c, iters, idle, empty, fetched, passes, replayed := sample()
 	procs := pod.Eng.Procs()
 	pod.Shutdown()
 	c = since(c0, c)
 	iters, idle = iters-iters0, idle-idle0
 	empty, fetched = empty-empty0, fetched-fetched0
-	t.Logf("%d live processes, %v iterations (%v idle), %d empty polls (%d from a batched fetch)", procs, iters, idle, empty, fetched)
+	passes, replayed = passes-passes0, replayed-replayed0
+	t.Logf("%d live processes, %v iterations (%v idle), %d empty polls (%d from a batched fetch), %d passes (%d replayed)",
+		procs, iters, idle, empty, fetched, passes, replayed)
 	if iters < 5000 || idle < 0.95*iters {
 		t.Fatalf("%v iterations, %v idle: want an idle pod", iters, idle)
 	}
@@ -67,6 +72,12 @@ func TestIdlePodExactCounts(t *testing.T) {
 	// path is exact — so this does. OASIS_SIMCHECK=1 takes the cached path.
 	if !sim.Checking() && float64(fetched) < 0.95*float64(empty) {
 		t.Errorf("%d of %d empty polls were answered from a batched fetch, want at least 95 %%", fetched, empty)
+	}
+	// A pass that would repeat the one before it is replayed from a memo of
+	// that one (core's pollPass), and almost every pass here would. The
+	// replay is exact, so only this shows that it happens.
+	if !sim.Checking() && float64(replayed) < 0.85*float64(passes) {
+		t.Errorf("%d of %d passes were replayed, want at least 85 %%", replayed, passes)
 	}
 	checkCounts(t, countLine("idle", c, sim.GroupCounters{}))
 	// An idle pod's events are scheduled tens to hundreds of nanoseconds

@@ -535,8 +535,9 @@ func (c *Cache) FetchAhead(addr int64, category string) sim.Duration {
 // and the port as FetchAhead line by line would. The zero FetchRun is
 // empty.
 type FetchRun struct {
-	c   *Cache
-	run cxl.FetchRun
+	c    *Cache
+	run  cxl.FetchRun
+	runs int // runs begun
 }
 
 // Joins reports whether a line of c's with this load latency and category
@@ -550,6 +551,7 @@ func (f *FetchRun) Joins(c *Cache, load sim.Duration, category string) bool {
 func (f *FetchRun) Begin(c *Cache, load sim.Duration, category string) {
 	f.End()
 	f.c, f.run = c, c.port.BeginFetch(category, load)
+	f.runs++
 }
 
 // Fetch books a line on the run, which Joins it, and returns its arrival.
@@ -564,6 +566,39 @@ func (f *FetchRun) End() {
 		f.c = nil
 	}
 }
+
+// Rerun returns, before End, the lines booked as a booking to make again at
+// a later instant (Rerun), with ok when they are one run that started at
+// once (cxl.FetchRun.Rerun).
+func (f *FetchRun) Rerun() (r Rerun, ok bool) {
+	if f.runs != 1 || f.c == nil {
+		return Rerun{}, false
+	}
+	r.run, ok = f.run.Rerun()
+	r.c = f.c
+	return r, ok
+}
+
+// Rerun is a FetchRun's one run kept to be made again: its port booking
+// (cxl.Rerun) and its misses.
+type Rerun struct {
+	c   *Cache
+	run cxl.Rerun
+}
+
+// Ready reports whether Book, now, repeats the run (cxl.Rerun.Ready).
+func (r *Rerun) Ready() bool { return r.run.Ready() }
+
+// Book books the run's lines on the port, meters them and counts their
+// misses, as its End did.
+func (r *Rerun) Book() {
+	r.c.stats.Misses += r.run.Lines()
+	r.run.Book()
+}
+
+// Arrival returns when the k-th line (from 0) of a booking made at start
+// arrives.
+func (r *Rerun) Arrival(start sim.Duration, k int64) sim.Duration { return r.run.Arrival(start, k) }
 
 // CollectFetched copies len(buf) bytes at addr, inside one line, out of the
 // pool as it is now: the collection of a FetchAhead.

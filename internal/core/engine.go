@@ -126,11 +126,13 @@ func (d *Driver) Stalled() bool { return d.stalled }
 // EmptyPolls returns the empty polls so far of the ends the core's poll
 // stages read now, and how many of them a pass answered from its batched
 // fetch (msgchan.Receiver.Fetched): how much of the idle polling takes the
-// batched path, which no Stats() series shows.
+// batched path, which no Stats() series shows. The ends' counters are first
+// credited with the polls of the passes replayed so far.
 func (d *Driver) EmptyPolls() (empty, fetched int64) {
 	add := func(e *LinkEnd) { empty, fetched = empty+e.In.EmptyPolls, fetched+e.In.Fetched }
 	for i := range d.stages {
 		st := &d.stages[i]
+		st.pass.settle()
 		if st.control != nil && *st.control != nil {
 			add(*st.control)
 		}
@@ -141,6 +143,18 @@ func (d *Driver) EmptyPolls() (empty, fetched int64) {
 		}
 	}
 	return empty, fetched
+}
+
+// Passes returns the passes the core's poll stages have begun and how many
+// of them were replayed from a memo of the pass before: how much of the idle
+// polling is replayed, which no Stats() series shows.
+func (d *Driver) Passes() (passes, replayed int64) {
+	for i := range d.stages {
+		if m := d.stages[i].pass.m; m != nil {
+			passes, replayed = passes+m.passes, replayed+m.replayed
+		}
+	}
+	return passes, replayed
 }
 
 // run is the polling process: Step as far as event context goes — all the

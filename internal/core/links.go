@@ -126,6 +126,9 @@ func (l *Link) park(payload []byte) {
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
 	l.pending = append(l.pending, cp)
+	if l.set != nil {
+		l.set.parked++
+	}
 	l.Stats.Deferred++
 	if len(l.pending) > l.Stats.PendingPeak {
 		l.Stats.PendingPeak = len(l.pending)
@@ -143,11 +146,15 @@ func (l *Link) Flush(p *sim.Proc) { l.End.Flush(p) }
 
 // LinkSet is a driver's registry of peer links, keyed by host or device id,
 // iterated in insertion order for determinism (§3.2: one duplex channel per
-// driver pair). It owns the shared pending bound for overflow accounting.
+// driver pair). It owns the shared pending bound for overflow accounting,
+// and keeps what its links hold back — parked messages, stored messages not
+// yet pushed — as counts, so that an idle loop's predicates ask it in O(1).
 type LinkSet struct {
 	byPeer       map[uint32]*Link
 	order        []*Link
 	pendingLimit int
+	parked       int          // messages on the links' pending queues
+	unflushed    int          // links whose sender is Unflushed (msgchan.Sender.Tally)
 	pass         pollPass     // PollEach's position; a set has one poller
 	each         *procHandler // PollEach's handler, made on its first call
 }
@@ -163,12 +170,15 @@ func NewLinkSet(pendingLimit int) *LinkSet {
 	return &LinkSet{byPeer: make(map[uint32]*Link), pendingLimit: pendingLimit}
 }
 
-// Add registers a peer's link end. Duplicate peers are a wiring bug. Add
-// appends, so a pass in flight (which holds the order slice it began with)
-// does not see the new link; the next one does.
+// Add registers a peer's link end. Duplicate peers are a wiring bug, and so
+// is an end in two sets. Add appends, so a pass in flight (which holds the
+// order slice it began with) does not see the new link; the next one does.
 func (s *LinkSet) Add(peer uint32, end *LinkEnd) *Link {
 	if _, dup := s.byPeer[peer]; dup {
 		panic(fmt.Sprintf("core: duplicate link for peer %d", peer))
+	}
+	if end != nil {
+		end.Out.Tally(&s.unflushed)
 	}
 	l := &Link{Peer: peer, End: end, set: s}
 	s.byPeer[peer] = l
@@ -204,11 +214,16 @@ func (s *LinkSet) PollEach(p *sim.Proc, burst int, handle func(p *sim.Proc, l *L
 // PendingCount returns the total parked messages across all links — counted
 // as loop progress so a driver with undelivered completions never backs off.
 func (s *LinkSet) PendingCount() int {
-	n := 0
-	for _, l := range s.order {
-		n += len(l.pending)
+	if checking {
+		n := 0
+		for _, l := range s.order {
+			n += len(l.pending)
+		}
+		if n != s.parked {
+			panic(fmt.Sprintf("core: link set counts %d parked messages, its links hold %d", s.parked, n))
+		}
 	}
-	return n
+	return s.parked
 }
 
 // DrainPending redrives parked messages in FIFO order per link, stopping at
@@ -228,6 +243,7 @@ func (s *LinkSet) DrainPending(p *sim.Proc) int {
 		}
 		if i > 0 {
 			l.pending = append(l.pending[:0], l.pending[i:]...)
+			s.parked -= i
 		}
 	}
 	return drained
@@ -244,12 +260,18 @@ func (s *LinkSet) FlushAll(p *sim.Proc) {
 // FlushIdle reports whether FlushAll would do nothing: no end has a stored
 // message still to push.
 func (s *LinkSet) FlushIdle() bool {
-	for _, l := range s.order {
-		if l.End.Unflushed() {
-			return false
+	if checking {
+		n := 0
+		for _, l := range s.order {
+			if l.End.Unflushed() {
+				n++
+			}
+		}
+		if n != s.unflushed {
+			panic(fmt.Sprintf("core: link set counts %d unflushed links, %d are", s.unflushed, n))
 		}
 	}
-	return true
+	return s.unflushed == 0
 }
 
 // Stats aggregates all links' counters.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"regexp"
 	"strconv"
 	"strings"
@@ -23,7 +24,9 @@ type passRig struct {
 	a, b    *host.Host
 	links   *LinkSet
 	peers   []*LinkEnd
-	ctlPeer *LinkEnd // the allocator's end of the control link
+	ctrl    *LinkEnd      // the core's end of the control link, once there is one
+	ctlPeer *LinkEnd      // the allocator's end of the control link
+	stall   func(on bool) // stalls the core, or resumes it (runPassRow)
 }
 
 func newPassRig(t testing.TB, n int) *passRig { return newPassRigOn(t, n, cxl.DefaultParams()) }
@@ -36,11 +39,16 @@ func newPassRigOn(t testing.TB, n int, params cxl.Params) *passRig {
 	r.a = host.New(eng, 0, "a", pool, host.DefaultConfig())
 	r.b = host.New(eng, 1, "b", pool, host.DefaultConfig())
 	for i := 0; i < n; i++ {
-		aEnd, bEnd := r.link(t)
-		r.links.Add(uint32(i), aEnd)
-		r.peers = append(r.peers, bEnd)
+		r.addLink(t)
 	}
 	return r
+}
+
+// addLink adds a link to the core's set, its peer end after the others.
+func (r *passRig) addLink(t testing.TB) {
+	aEnd, bEnd := r.link(t)
+	r.links.Add(uint32(len(r.peers)), aEnd)
+	r.peers = append(r.peers, bEnd)
 }
 
 // link makes a duplex link a<->b and returns a's end and b's.
@@ -212,6 +220,8 @@ type passRow struct {
 	agent func(r *passRig, p *sim.Proc) // a process beside the core and the peers
 	mark  func(r *passRig, iter int)    // at the end of each iteration, between passes
 	check func(t *testing.T, log string)
+	until sim.Duration // the run's end; 0 is 30 µs
+	after int          // the row's event comes at this pass, after ten or more passes replayed on the driver core
 }
 
 // passCtl is what a row's poll stage has for a control end.
@@ -222,7 +232,11 @@ const (
 	ctlNil                      // Control over an engine field that holds no end
 	ctlCounted                  // a control end whose messages are loop progress
 	ctlDiscarded                // a control end whose messages are not
+	ctlLate                     // Control over a field whose end the row's mark makes (passRig.makeControl)
 )
+
+// makeControl makes the core's control link mid-run, for a ctlLate row.
+func (r *passRig) makeControl(t testing.TB) { r.ctrl, r.ctlPeer = r.link(t) }
 
 type passSend struct {
 	at   sim.Duration
@@ -238,9 +252,11 @@ const (
 // runPassRow runs a row on the driver core, or with ref on the blocking
 // reference pass, and renders everything observable: each delivery and each
 // iteration's end with the time, the sequence number, its progress, every
-// end's empty polls, the cache's counters and the core's port's read bytes
-// and read-link occupancy, and every end's stats.
-func runPassRow(t *testing.T, row passRow, ref bool) string {
+// end's empty polls and receiver state, the cache's counters and the core's
+// port's read bytes by category and read-link occupancy, and every end's
+// stats. On the driver core it also returns how many passes had been
+// replayed by the end of each iteration.
+func runPassRow(t *testing.T, row passRow, ref bool) (string, []int64) {
 	params := cxl.DefaultParams()
 	params.HWCoherent = row.hw
 	r := newPassRigOn(t, row.links, params)
@@ -248,11 +264,19 @@ func runPassRow(t *testing.T, row passRow, ref bool) string {
 		row.setup(r)
 	}
 	port := r.a.Cache.Port()
-	var ctrl *LinkEnd
-	ends := r.links.All()
 	if row.ctl == ctlCounted || row.ctl == ctlDiscarded {
-		ctrl, r.ctlPeer = r.link(t)
-		ends = append([]*Link{{Peer: 99, End: ctrl}}, ends...)
+		r.makeControl(t)
+	}
+	// ends are the ends the core polls now, the control end first.
+	ends := func() []*LinkEnd {
+		var ends []*LinkEnd
+		if r.ctrl != nil {
+			ends = append(ends, r.ctrl)
+		}
+		for _, l := range r.links.All() {
+			ends = append(ends, l.End)
+		}
+		return ends
 	}
 	var b strings.Builder
 	logf := func(format string, args ...any) {
@@ -267,36 +291,62 @@ func runPassRow(t *testing.T, row passRow, ref bool) string {
 		p.Sleep(30 * time.Nanosecond)
 	}
 	iter := 0
+	var d *Driver
+	var replayed []int64
 	mark := func(progress int) int {
 		if row.mark != nil {
 			row.mark(r, iter)
 		}
 		iter++
-		var empty []int64
-		for _, l := range ends {
-			empty = append(empty, l.End.In.EmptyPolls)
+		if d != nil {
+			d.EmptyPolls() // credits the ends with the polls of replayed passes
+			_, n := d.Passes()
+			replayed = append(replayed, n)
 		}
-		logf("iteration over: progress %d empty polls %v cache %+v rd %d busy %d",
-			progress, empty, r.a.Cache.Stats(), port.ReadMeter().Total(), port.ReadBusy())
+		var empty []int64
+		for i, e := range ends() {
+			empty = append(empty, e.In.EmptyPolls)
+			fmt.Fprintf(&b, "  end %d: %s\n", i, e.In.State())
+		}
+		logf("iteration over: progress %d empty polls %v cache %+v rd %v busy %d",
+			progress, empty, r.a.Cache.Stats(), port.ReadMeter(), port.ReadBusy())
 		return 0
 	}
 	cfg := DriverConfig{LoopCost: 100 * time.Nanosecond}
 	counted := row.ctl == ctlCounted
 	if ref {
+		stalled, resumed := false, sim.NewSignal(r.eng)
+		r.stall = func(on bool) {
+			if on || stalled {
+				stalled = on
+				if !on {
+					resumed.Broadcast()
+				}
+			}
+		}
 		r.eng.Go("core", func(p *sim.Proc) {
 			for {
-				mark(refPass(p, ctrl, r.links.order, row.burst, handle, handleCtl, counted))
+				for stalled {
+					resumed.Wait(p)
+				}
+				mark(refPass(p, r.ctrl, r.links.order, row.burst, handle, handleCtl, counted))
 				p.Sleep(cfg.LoopCost)
 			}
 		})
 	} else {
 		st := PollStage("links", r.links, row.burst, handle)
 		if row.ctl != ctlNone {
-			st = st.Control(&ctrl, handleCtl, counted)
+			st = st.Control(&r.ctrl, handleCtl, counted)
 		}
-		var d *Driver
 		d = NewDriver(r.a, "core", cfg, st,
 			WorkStage("mark", func() bool { return false }, func(*sim.Proc) int { return mark(d.progress) }))
+		r.stall = func(on bool) {
+			if on {
+				d.Stall()
+			} else {
+				d.Resume()
+			}
+		}
 		d.Start()
 	}
 	if row.agent != nil {
@@ -322,13 +372,20 @@ func runPassRow(t *testing.T, row passRow, ref bool) string {
 			end.Flush(p)
 		}
 	})
-	r.eng.RunUntil(30 * time.Microsecond)
+	until := row.until
+	if until == 0 {
+		until = 30 * time.Microsecond
+	}
+	r.eng.RunUntil(until)
 	r.eng.Shutdown()
-	for i, l := range ends {
-		in := l.End.In
+	if d != nil {
+		d.EmptyPolls()
+	}
+	for i, e := range ends() {
+		in := e.In
 		fmt.Fprintf(&b, "end %d: rx %d empty %d counter %d\n", i, in.Received, in.EmptyPolls, in.CounterUpdates)
 	}
-	return b.String()
+	return b.String(), replayed
 }
 
 // iterations splits a row's log into its iterations, each ending with its
@@ -393,7 +450,8 @@ func deliveredIn(log, what string) int {
 // an empty poll; and a Back-Invalidation pool, whose rings take the cached
 // path.
 func batchedRows(t *testing.T) []passRow {
-	ends := iterationEnds(t, runPassRow(t, idleRow, false))
+	idle, _ := runPassRow(t, idleRow, false)
+	ends := iterationEnds(t, idle)
 	p, c := cxl.DefaultParams(), cache.DefaultParams()
 	perLine := sim.Duration(float64(cxl.LineSize) / p.PortBandwidth * float64(time.Second))
 	loopCost := 100 * time.Nanosecond
@@ -405,7 +463,7 @@ func batchedRows(t *testing.T) []passRow {
 	const k = 20 // the pass the message is timed against: 11 µs of idle passes before it
 	landing := func(name string, off sim.Duration, want ...int) passRow {
 		row := idleRow
-		row.name = name
+		row.name, row.after = name, k
 		row.sends = []passSend{{at: collect(k) + off - land, link: 3, n: 1}}
 		row.check = func(t *testing.T, log string) {
 			got := deliveredIn(log, "link 3 got")
@@ -424,22 +482,22 @@ func batchedRows(t *testing.T) []passRow {
 	// its fetches.
 	portRead := func(name string, off sim.Duration) passRow {
 		row := idleRow
-		row.name = name
+		row.name, row.after = name, 12
 		row.agent = func(r *passRig, pr *sim.Proc) {
 			buf, err := r.pool.Alloc(4096)
 			if err != nil {
 				panic(err)
 			}
 			port := r.a.Cache.Port()
-			pr.Sleep(begin(10) + off)
+			pr.Sleep(begin(12) + off)
 			port.FetchLine(buf.Base, "payload")
-			pr.Sleep(begin(14) + off - pr.Now())
+			pr.Sleep(begin(16) + off - pr.Now())
 			port.DMARead(buf.Base, make([]byte, 4096), "message")
 		}
-		row.sends = []passSend{{at: 9 * time.Microsecond, link: 6, n: 1}}
+		row.sends = []passSend{{at: 11 * time.Microsecond, link: 6, n: 1}}
 		row.check = func(t *testing.T, log string) {
 			got := iterationEnds(t, log)
-			for _, k := range []int{10, 14} {
+			for _, k := range []int{12, 16} {
 				if got[k]-got[k-1] <= ends[k]-ends[k-1] {
 					t.Fatalf("pass %d took %v with a read booked %v from its start, as long as an idle pass:\n%s",
 						k, got[k]-got[k-1], off, log)
@@ -514,7 +572,99 @@ func batchedRows(t *testing.T) []passRow {
 			t.Fatalf("%d messages delivered, want 3:\n%s", n, log)
 		}
 	}
+	// A line whose write is issued before a pass's collect instant and lands
+	// 1 ns after it: the pass finds every ring empty, but may not be kept to
+	// replay, or the next would miss the line. (Jitter set to what it is
+	// changes no cost, but ends the memo before pass k, so that k is made in
+	// full and is the one that would be kept.)
+	inFlight := idleRow
+	inFlight.name, inFlight.after = "write-in-flight-at-capture", k
+	inFlight.mark = func(r *passRig, iter int) {
+		if iter == k-1 {
+			r.a.Cache.Port().SetJitter(0)
+		}
+	}
+	inFlight.sends = []passSend{{at: collect(k) + 1 - land, link: 3, n: 1}}
+	inFlight.check = func(t *testing.T, log string) {
+		if got := deliveredIn(log, "link 3 got"); got != k+1 {
+			t.Fatalf("the message landing 1 ns after pass %d's collect instant was delivered by pass %d, want %d:\n%s", k, got, k+1, log)
+		}
+	}
+	// The port's costs set and healed between passes, each after a stretch
+	// of replayed ones: jitter, degradation, a QoS share on the rings'
+	// category and its widening to the whole port.
+	costs := idleRow
+	costs.name, costs.after, costs.until = "port-costs-between-replays", 12, 60*time.Microsecond
+	costs.mark = func(r *passRig, iter int) {
+		port := r.a.Cache.Port()
+		switch iter {
+		case 11:
+			port.SetJitter(7 * time.Nanosecond)
+		case 23:
+			port.SetJitter(0)
+		case 35:
+			port.SetDegraded(1.5, 0.5)
+		case 47:
+			port.SetDegraded(1, 1)
+		case 59:
+			port.SetQoS("message", 0.25)
+		case 71:
+			port.SetQoS("message", 1)
+		}
+	}
+	costs.sends = []passSend{{at: 18 * time.Microsecond, link: 2, n: 1}, {at: 41 * time.Microsecond, link: 5, n: 2}}
+	costs.check = func(t *testing.T, log string) {
+		if n := strings.Count(log, " got "); n != 3 {
+			t.Fatalf("%d messages delivered, want 3:\n%s", n, log)
+		}
+		if got := iterationEnds(t, log); len(got) < 80 {
+			t.Fatalf("%d passes, want the run to reach the QoS share's widening at pass 72:\n%s", len(got), log)
+		}
+	}
+	// A link added to the set, then the control end made, then a link
+	// added again — into the room the set's slice grew by at the first, so
+	// the set's order keeps its first element's address — each after a
+	// stretch of replayed passes, and messages on all three.
+	grown := idleRow
+	grown.name, grown.after, grown.ctl, grown.until = "links-and-control-added", 12, ctlLate, 40*time.Microsecond
+	grown.mark = func(r *passRig, iter int) {
+		switch iter {
+		case 11:
+			r.addLink(t)
+		case 24:
+			r.makeControl(t)
+		case 37:
+			r.addLink(t)
+		}
+	}
+	grown.sends = []passSend{
+		{at: 12 * time.Microsecond, link: 8, n: 1},
+		{at: 16 * time.Microsecond, link: ctlLink, n: 1},
+		{at: 32 * time.Microsecond, link: 9, n: 1},
+	}
+	grown.check = func(t *testing.T, log string) {
+		if !strings.Contains(log, "link 8 got") || !strings.Contains(log, "control op") || !strings.Contains(log, "link 9 got") {
+			t.Fatalf("the added link or the control end made mid-run did not deliver:\n%s", log)
+		}
+	}
+	// The core stalled after a stretch of replayed passes and resumed, with
+	// a message landing while it stands.
+	stall := idleRow
+	stall.name, stall.after = "stall-and-resume", 12
+	stall.agent = func(r *passRig, pr *sim.Proc) {
+		pr.Sleep(begin(12) + 50*time.Nanosecond)
+		r.stall(true)
+		pr.Sleep(3 * time.Microsecond)
+		r.stall(false)
+	}
+	stall.sends = []passSend{{at: begin(12) + time.Microsecond, link: 4, n: 1}}
+	stall.check = func(t *testing.T, log string) {
+		if got := deliveredIn(log, "link 4 got"); got != 13 {
+			t.Fatalf("the message that landed while the core stood was delivered by pass %d, want 13, the first after the resume:\n%s", got, log)
+		}
+	}
 	return []passRow{
+		inFlight, costs, grown, stall,
 		landing("landing-1ns-before-collect", -1, k),
 		landing("landing-at-collect", 0, k, k+1),
 		landing("landing-1ns-after-collect", 1, k+1),
@@ -615,19 +765,112 @@ func TestPassMatchesBlockingReference(t *testing.T) {
 			}},
 	}, batchedRows(t)...) {
 		t.Run(row.name, func(t *testing.T) {
-			want := runPassRow(t, row, true)
-			got := runPassRow(t, row, false)
+			want, _ := runPassRow(t, row, true)
+			got, replayed := runPassRow(t, row, false)
 			if got != want {
 				t.Fatalf("the driver's pass diverged from the blocking reference\n%s", firstDiff(want, got))
 			}
 			row.check(t, want)
+			// OASIS_SIMCHECK=1 fetches no ring uncached, so no pass is kept.
+			if row.after > 0 && !sim.Checking() && replayed[row.after-1] < 10 {
+				t.Fatalf("%d passes replayed before pass %d, want at least 10", replayed[row.after-1], row.after)
+			}
 			if row.ctl == ctlNil {
 				plain := row
 				plain.ctl = ctlNone
-				if data := runPassRow(t, plain, false); got != data {
+				if data, _ := runPassRow(t, plain, false); got != data {
 					t.Fatalf("a nil control end changed the data-only pass\n%s", firstDiff(data, got))
 				}
 			}
 		})
 	}
+}
+
+// Seeded programs for one core polling a link set, and maybe a control end,
+// on the driver core against the blocking reference pass (refPass): 1–8
+// links, messages a few at a time at random instants with idle stretches
+// between them, in which the core's passes are replayed, and an agent that
+// books the core's port's read direction, sets and heals its jitter,
+// degradation and a QoS share, stalls and resumes the core; links are added
+// and a control end is made mid-run. After every pass each side logs every
+// receiver's state (msgchan.Receiver.State), the cache's counters and the
+// port's read meter and occupancy; the logs must match, and the driver core
+// must have replayed passes.
+func TestReplayedPassesMatchReference(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		row := programRow(t, seed)
+		want, _ := runPassRow(t, row, true)
+		got, replayed := runPassRow(t, row, false)
+		if got != want {
+			t.Fatalf("seed %d: the driver's pass diverged from the blocking reference\n%s", seed, firstDiff(want, got))
+		}
+		// OASIS_SIMCHECK=1 fetches no ring uncached, so no pass is kept.
+		if n := replayed[len(replayed)-1]; n < int64(len(replayed))/4 && !sim.Checking() {
+			t.Fatalf("seed %d: %d of %d passes replayed, want a quarter or more", seed, n, len(replayed))
+		}
+	}
+}
+
+// programRow is the seeded program of TestReplayedPassesMatchReference.
+func programRow(t *testing.T, seed int64) passRow {
+	rng := rand.New(rand.NewSource(seed))
+	row := passRow{name: fmt.Sprintf("program-%d", seed), links: 1 + rng.Intn(8), burst: 1 + rng.Intn(4), until: 60 * time.Microsecond}
+	row.ctl = []passCtl{ctlNone, ctlCounted, ctlDiscarded, ctlLate}[rng.Intn(4)]
+	for at := sim.Duration(0); ; {
+		at += sim.Duration(500+rng.Intn(6000)) * time.Nanosecond
+		if at >= row.until {
+			break
+		}
+		link := rng.Intn(row.links)
+		if (row.ctl == ctlCounted || row.ctl == ctlDiscarded) && rng.Intn(4) == 0 {
+			link = ctlLink
+		}
+		row.sends = append(row.sends, passSend{at: at, link: link, n: 1 + rng.Intn(3)})
+	}
+	added, ctlAt := map[int]bool{}, -1
+	for i := rng.Intn(3); i > 0; i-- {
+		added[5+rng.Intn(80)] = true
+	}
+	if row.ctl == ctlLate {
+		ctlAt = 5 + rng.Intn(60)
+	}
+	row.mark = func(r *passRig, iter int) {
+		if added[iter] {
+			r.addLink(t)
+		}
+		if iter == ctlAt {
+			r.makeControl(t)
+		}
+	}
+	agentSeed := rng.Int63()
+	row.agent = func(r *passRig, p *sim.Proc) {
+		rng := rand.New(rand.NewSource(agentSeed))
+		buf, err := r.pool.Alloc(4096)
+		if err != nil {
+			panic(err)
+		}
+		port := r.a.Cache.Port()
+		for {
+			p.Sleep(sim.Duration(200+rng.Intn(4000)) * time.Nanosecond)
+			switch rng.Intn(10) {
+			case 0, 1:
+				port.FetchLine(buf.Base, "payload")
+			case 2:
+				port.DMARead(buf.Base, make([]byte, 1024), []string{"payload", "message"}[rng.Intn(2)])
+			case 3:
+				port.SetJitter(sim.Duration(rng.Intn(8)) * time.Nanosecond)
+			case 4:
+				port.SetDegraded(1+rng.Float64(), 0.25+0.75*rng.Float64())
+			case 5:
+				port.SetDegraded(1, 1)
+			case 6:
+				port.SetQoS("message", 0.25+0.75*rng.Float64())
+			case 7:
+				r.stall(true)
+				p.Sleep(sim.Duration(rng.Intn(3000)) * time.Nanosecond)
+				r.stall(false)
+			}
+		}
+	}
+	return row
 }

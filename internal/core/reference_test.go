@@ -736,6 +736,7 @@ func newOracleRig(eng *sim.Engine, tag string, seed int64, horizon sim.Duration,
 func (r *oracleRig) dump() string {
 	var b strings.Builder
 	d := r.drv
+	d.EmptyPolls() // credits the ends with the polls of replayed passes
 	b.WriteString(strings.Join(r.log, "\n"))
 	fmt.Fprintf(&b, "\n== %s: now %d seq %d core %d/%d/%d/%d cache %+v ==\n", r.tag, r.eng.Now(), r.eng.Seq(),
 		d.Iterations, d.IdleIterations, d.Processed, d.Stalls, r.a.Cache.Stats())

@@ -2,6 +2,7 @@ package core
 
 import (
 	"oasis/internal/cache"
+	"oasis/internal/msgchan"
 	"oasis/internal/sim"
 )
 
@@ -80,7 +81,7 @@ func WorkStage(name string, idle func() bool, run func(p *sim.Proc) int) Stage {
 // SteppedPollStage drains up to burst messages from each link of set, in
 // insertion order, into h; every message is loop progress.
 func SteppedPollStage(name string, set *LinkSet, burst int, h Handler) Stage {
-	return Stage{name: name, set: set, burst: burst, pass: pollPass{h: h}}
+	return Stage{name: name, set: set, burst: burst, pass: pollPass{h: h, memoize: true}}
 }
 
 // PollStage is SteppedPollStage for a handler that is one function of the
@@ -176,6 +177,9 @@ func (st *Stage) begin(eng *sim.Engine) {
 // its counter, is polled through the receiver's steps from the state the
 // fetch left, and only rings polled that way are visited at the close.
 //
+// A pass that would repeat the one before it is replayed from a memo of that
+// one in O(1), every effect and leg kept (see capture and replays).
+//
 // A lone poll (msgchan.Receiver.Poll) closes the same way, so a one-link
 // pass costs what it does by construction, leg for leg. It is a sim.Stepper
 // over the part of a pass that needs no process — the polls, the handler's
@@ -199,6 +203,39 @@ type pollPass struct {
 	counted  bool         // control messages are loop progress
 	deferred bool         // a poll stepped through its receiver left lines to the closing run
 	closing  passEnd      // where the closing flush run is, once every end is polled
+
+	memoize bool      // the pass is made again and again: keep a memo of it (a poll stage's)
+	m       *passMemo // the memo and its watch, made on a memoizing pass's first begin
+}
+
+// passMemo is what a pass that can be replayed did: one run of fetches that
+// the port served at once, every ring found empty by PollFetched at the
+// collect instant, no write to any of its rings in flight then, and the
+// closing run and fence. While its rings, the port's costs and its watch's
+// count stand, and the port is free at a pass's start, the next pass would
+// book the same run, wait the same leg, find every ring empty again with
+// the same effects and close with the same leg (see replays). The rings'
+// EmptyPolls and Fetched are owed reps polls each until the memo ends or
+// the counts are read (settle).
+type passMemo struct {
+	// The pass in progress.
+	began   sim.Duration // when it began
+	rerun   cache.Rerun  // its fetch run, to book again
+	rerunOK bool         // it made one run, from a free port, and has not polled yet
+	replay  bool         // it replays the memo and has not yet looked at the watch again
+
+	// The memo, if ok.
+	ok      bool
+	ctl     *LinkEnd
+	links   []*Link
+	run     cache.Rerun
+	wait    sim.Duration  // from the pass's start to its collect instant, when the last line lands
+	flushes sim.Duration  // the CLFLUSHOPTs of the closing run
+	count   uint64        // the watch's count when the memo was made
+	reps    int64         // passes replayed that the rings' counters do not show yet
+	watch   msgchan.Watch // what the rings report the lines written to them to
+
+	passes, replayed int64 // passes begun, and of those replayed
 }
 
 // passEnd says where a pass's closing flush run is.
@@ -215,16 +252,113 @@ func (c *pollPass) begin(eng *sim.Engine, ctl *LinkEnd, links []*Link, burst int
 		ctl, links = nil, nil
 	}
 	c.eng, c.ctl, c.links, c.burst, c.i, c.n, c.end, c.handling, c.loaded, c.flushes, c.deferred, c.closing, c.got = eng, ctl, links, burst, 0, 0, nil, false, 0, 0, false, passFlush, 0
+	if ctl != nil {
+		c.i = -1
+	}
+	if c.memoize {
+		if c.m == nil {
+			c.m = &passMemo{}
+		}
+		m := c.m
+		m.began, m.rerunOK = eng.Now(), false
+		m.passes++
+		if m.ok {
+			if c.replays() {
+				m.run.Book()
+				c.loaded, m.replay = m.began+m.wait, true
+				m.replayed++
+				return
+			}
+			c.endMemo()
+		}
+	}
 	var run cache.FetchRun
 	var loaded sim.Duration
 	if ctl != nil {
-		c.i, loaded = -1, ctl.In.LoadAheadIn(&run)
+		loaded = ctl.In.LoadAheadIn(&run)
 	}
 	for _, l := range links {
 		loaded = max(loaded, l.End.In.LoadAheadIn(&run))
 	}
+	if c.m != nil {
+		c.m.rerun, c.m.rerunOK = run.Rerun()
+	}
 	run.End()
 	c.loaded = loaded
+}
+
+// replays reports whether the pass just begun repeats the memo's: it polls
+// the same ends, nothing was written to their rings since (the watch's
+// count), and its fetches would take what the memo's did
+// (cache.Rerun.Ready). Then nothing that the memo's pass read has changed.
+// A ring is polled only by its pass (a set has one poller), and so only its
+// own receiver loads its lines into the host's cache and moves its
+// position; only its sender writes it, and each write is counted as it is
+// issued. So every ring is still fetchable, its fetch books the same line,
+// and its slot still holds a stale epoch once the fetches land, unless a
+// write is issued before then (Step looks at the watch again at that
+// instant).
+func (c *pollPass) replays() bool {
+	m := c.m
+	return c.ctl == m.ctl && len(c.links) == len(m.links) && (len(c.links) == 0 || &c.links[0] == &m.links[0]) &&
+		m.watch.Count() == m.count && m.run.Ready()
+}
+
+// capture makes the memo of a pass that found every ring empty from its
+// batched fetch, at its collect instant, if no write to any ring is still
+// in flight: one issued before now and landing later would change a ring
+// without the watch counting it after the memo was made. Its rings report
+// to the pass's watch from now on.
+func (c *pollPass) capture() {
+	m := c.m
+	m.watch.Bind(c.eng)
+	landed := c.ctl == nil || c.ctl.In.Watch(&m.watch)
+	for _, l := range c.links {
+		landed = l.End.In.Watch(&m.watch) && landed
+	}
+	if landed {
+		m.ok, m.ctl, m.links, m.run = true, c.ctl, c.links, m.rerun
+		m.wait, m.flushes, m.count = c.eng.Now()-m.began, c.flushes, m.watch.Count()
+	}
+}
+
+// endMemo ends the memo, its rings credited with the polls it replayed.
+func (c *pollPass) endMemo() {
+	c.settle()
+	c.m.ok = false
+}
+
+// settle credits the memo's rings with the empty polls of the passes it
+// replayed so far (msgchan.Receiver.AddFetched).
+func (c *pollPass) settle() {
+	m := c.m
+	if m == nil || m.reps == 0 {
+		return
+	}
+	if m.ctl != nil {
+		m.ctl.In.AddFetched(m.reps)
+	}
+	for _, l := range m.links {
+		l.End.In.AddFetched(m.reps)
+	}
+	m.reps = 0
+}
+
+// unreplay is a replayed pass whose watch counted something while it waited
+// for its fetches: a line written may have landed by now. The memo ends, and
+// each ring is left as its fetch in a pass of its own would have left it, to
+// be polled from the first end as that pass polls them.
+func (c *pollPass) unreplay() {
+	c.endMemo()
+	m, k := c.m, int64(0)
+	if c.ctl != nil {
+		c.ctl.In.Refetched(m.run.Arrival(m.began, k))
+		k++
+	}
+	for _, l := range c.links {
+		l.End.In.Refetched(m.run.Arrival(m.began, k))
+		k++
+	}
 }
 
 // over reports whether every end has been polled and the pass is closed.
@@ -245,6 +379,15 @@ func (c *pollPass) Step() (sim.Duration, bool) {
 		wait := c.loaded - c.eng.Now()
 		if c.loaded = 0; wait > 0 {
 			return wait, true
+		}
+	}
+	if m := c.m; m != nil && m.replay {
+		m.replay = false
+		if m.watch.Count() != m.count {
+			c.unreplay()
+		} else {
+			m.reps++
+			c.i, c.flushes = len(c.links), m.flushes
 		}
 	}
 	for c.i < len(c.links) {
@@ -323,6 +466,12 @@ func (c *pollPass) pollFetched() {
 	}
 	if i != c.i {
 		c.i, c.n, c.flushes = i, 0, flushes
+	}
+	if m := c.m; m != nil && m.rerunOK {
+		// The pass's first polls, at its collect instant: all by its fetch.
+		if m.rerunOK = false; i == len(c.links) {
+			c.capture()
+		}
 	}
 }
 

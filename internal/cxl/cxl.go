@@ -436,6 +436,9 @@ type Port struct {
 	// jitter is a flat added latency per transaction (cxl-jitter gray
 	// fault): a marginal retimer adding delay without shrinking bandwidth.
 	jitter sim.Duration
+	// gen counts the changes to what a booking costs (SetQoS, SetDegraded,
+	// SetJitter), so a kept booking can tell it is out of date (Rerun).
+	gen uint64
 }
 
 type classLink struct {
@@ -455,6 +458,7 @@ func (pt *Port) SetQoS(category string, fraction float64) {
 		pt.qosWr = make(map[string]*classLink)
 	}
 	bps := pt.pool.params.PortBandwidth * fraction
+	pt.gen++
 	pt.qosRd[category] = &classLink{res: sim.NewResource(pt.pool.eng), bps: bps}
 	pt.qosWr[category] = &classLink{res: sim.NewResource(pt.pool.eng), bps: bps}
 }
@@ -468,6 +472,7 @@ func (pt *Port) SetDegraded(latMult, bwFrac float64) {
 		panic(fmt.Sprintf("cxl: SetDegraded(%v, %v) requires positive factors", latMult, bwFrac))
 	}
 	pt.latMult, pt.bwFrac = latMult, bwFrac
+	pt.gen++
 }
 
 // SetJitter injects (or, with 0, clears) a flat added latency on every
@@ -479,6 +484,7 @@ func (pt *Port) SetJitter(d sim.Duration) {
 		panic(fmt.Sprintf("cxl: SetJitter(%v) requires a non-negative delay", d))
 	}
 	pt.jitter = d
+	pt.gen++
 }
 
 // Degraded reports whether a degradation fault is active.
@@ -590,13 +596,15 @@ type FetchRun struct {
 	ser      sim.Duration // one line's occupancy of res
 	at       sim.Duration // the arrival of the line booked last, or the run's start plus the latency term
 	n        int64        // lines booked so far
+	free     bool         // res was free when the run began: it started at once
 }
 
 // BeginFetch starts a run of line reads of one category, of regions whose
 // load latency is load, at this instant.
 func (pt *Port) BeginFetch(category string, load sim.Duration) FetchRun {
 	res, ser := pt.rdBooking(category, LineSize)
-	return FetchRun{pt: pt, category: category, load: load, res: res, ser: ser, at: res.Start() + pt.scaleLat(load)}
+	start := res.Start()
+	return FetchRun{pt: pt, category: category, load: load, res: res, ser: ser, at: start + pt.scaleLat(load), free: start == pt.pool.eng.Now()}
 }
 
 // Category returns the category the run books.
@@ -623,6 +631,54 @@ func (f *FetchRun) End() {
 		f.pt.rdMeter.Add(f.category, f.n*LineSize)
 		f.n = 0
 	}
+}
+
+// Rerun returns the run's lines so far, before End, as a booking to make
+// again at a later instant, with ok when the run started at once: its link
+// was free when it began, so the k-th line arrives a fixed offset after the
+// begin instant (Rerun.Arrival). A run that queued behind other work has no
+// such offset.
+func (f *FetchRun) Rerun() (r Rerun, ok bool) {
+	if !f.free || f.n == 0 {
+		return Rerun{}, false
+	}
+	return Rerun{pt: f.pt, res: f.res, category: f.category, ser: f.ser, n: f.n,
+		lat: f.at - f.pt.pool.eng.Now() - sim.Duration(f.n)*f.ser, gen: f.pt.gen}, true
+}
+
+// Rerun is a FetchRun's booking kept to be made again (FetchRun.Rerun): the
+// same lines on the same link, metered the same way. Made at an instant when
+// Ready holds, it takes what the run took from its own begin instant —
+// every arrival, the link's occupancy and the meter's totals — since the
+// link is as free and the port's costs are as they were.
+type Rerun struct {
+	pt       *Port
+	res      *sim.Resource
+	category string
+	ser      sim.Duration // one line's occupancy of res
+	n        int64        // lines
+	lat      sim.Duration // the latency term of every line
+	gen      uint64       // the port's costs when the run began
+}
+
+// Ready reports whether Book, now, repeats the run: no QoS share,
+// degradation or jitter has been set on the port since the run began, and
+// nothing is booked on its link from now on.
+func (r *Rerun) Ready() bool { return r.pt.gen == r.gen && r.res.Start() == r.pt.pool.eng.Now() }
+
+// Book makes the run's reservations and meters its lines, as its End did.
+func (r *Rerun) Book() {
+	r.res.ReserveN(r.ser, r.n)
+	r.pt.rdMeter.Add(r.category, r.n*LineSize)
+}
+
+// Lines returns the lines the run booked.
+func (r *Rerun) Lines() int64 { return r.n }
+
+// Arrival returns when the k-th line (from 0) of a booking made at start
+// arrives.
+func (r *Rerun) Arrival(start sim.Duration, k int64) sim.Duration {
+	return start + r.lat + sim.Duration(k+1)*r.ser
 }
 
 // CollectLine snapshots the line's pool contents into buf. Callers must only

@@ -155,6 +155,38 @@ type Channel struct {
 	counterAddr  int64 // 8-byte consumed counter, line-aligned
 	slotsPerLine int
 	ringLines    int64 // lines in the ring
+
+	landed sim.Duration // when the last line the sender has written lands
+	watch  *Watch       // the watch the ring reports its writes to, or nil
+}
+
+// Watch counts the lines written to the rings that report to it
+// (Receiver.Watch), each when its write is issued, so that none can land
+// unseen: a poll pass that found every ring empty, with no write in flight,
+// and has seen the count stand still since knows that every ring is still
+// empty (see core's pollPass). The watch is read by the engine it is bound
+// to, so a sender on another engine panics rather than race it.
+type Watch struct {
+	eng   *sim.Engine
+	count uint64
+}
+
+// Bind makes w a watch read on eng.
+func (w *Watch) Bind(eng *sim.Engine) { w.eng = eng }
+
+// Count returns the lines counted so far.
+func (w *Watch) Count() uint64 { return w.count }
+
+// wrote records a line s has written to its ring that lands at land.
+func (s *Sender) wrote(land sim.Duration) {
+	ch := s.ch
+	ch.landed = max(ch.landed, land)
+	if w := ch.watch; w != nil {
+		if w.eng != s.Engine() {
+			panic("msgchan: a ring's sender writes on another engine than its watch is read on")
+		}
+		w.count++
+	}
 }
 
 // RegionBytes returns the pool bytes a channel with this config needs.
@@ -265,6 +297,7 @@ type Sender struct {
 	flushedThrough int64    // messages pushed to the pool (CLWBed)
 
 	shadow []*[shadowChunk]byte // private copy of ring contents, nil until the first store; see shadowAt
+	dirty  *int                 // counts the sender while it is Unflushed, if set (see Tally)
 
 	// The position of a send or flush in progress (see Step): what the leg in
 	// progress pays for.
@@ -395,6 +428,9 @@ func (s *Sender) Step() (sim.Duration, bool) {
 			s.pc = senderStored
 			return s.storeLat, true
 		case senderStored:
+			if s.dirty != nil && s.flushedThrough == s.head {
+				*s.dirty++
+			}
 			s.head++
 			s.headPos.advance(s.ch.cfg.Slots)
 			s.Sent++
@@ -415,14 +451,15 @@ func (s *Sender) Step() (sim.Duration, bool) {
 			}
 		case senderWriteback:
 			off := int(s.ch.ringLine(s.wbLine, s.lastLine(), s.lastLineRing())) * cxl.LineSize
-			s.port.WriteLine(s.ch.ringBase+int64(off), s.shadowAt(off, cxl.LineSize), s.ch.cfg.Category)
+			s.wrote(s.port.WriteLine(s.ch.ringBase+int64(off), s.shadowAt(off, cxl.LineSize), s.ch.cfg.Category))
 			s.LinesWritten++
 			// head stands still while its lines are pushed: one user.
 			if s.wbLine < s.lastLine() {
 				s.wbLine++
 				return s.wbIssue, true
 			}
-			s.flushedThrough, s.pc = s.head, senderDone
+			s.flushed()
+			s.pc = senderDone
 		default:
 			return 0, false
 		}
@@ -452,6 +489,27 @@ func (s *Sender) Flush(p *sim.Proc) {
 // stored since the last line went to the pool.
 func (s *Sender) Unflushed() bool { return s.flushedThrough < s.head }
 
+// Tally makes *n count the sender while it is Unflushed, from now on: one is
+// added when a store makes it so and taken away when its lines are pushed,
+// at the instants Unflushed changes, and one at once if it is. A sender
+// counts toward one tally; a second panics.
+func (s *Sender) Tally(n *int) {
+	if s.dirty != nil {
+		panic("msgchan: a sender already counts toward a tally")
+	}
+	if s.dirty = n; s.Unflushed() {
+		*n++
+	}
+}
+
+// flushed marks every message stored so far pushed.
+func (s *Sender) flushed() {
+	if s.dirty != nil && s.Unflushed() {
+		*s.dirty--
+	}
+	s.flushedThrough = s.head
+}
+
 // lastLine returns the absolute line of the last message stored, head-1.
 func (s *Sender) lastLine() int64 { return (s.head - 1) >> s.ch.lineShift }
 
@@ -470,7 +528,7 @@ func (s *Sender) lastLineRing() int {
 func (s *Sender) writebackHead() (sim.Duration, bool) {
 	s.wbLine = s.flushedThrough >> s.ch.lineShift
 	if s.wbLine > s.lastLine() {
-		s.flushedThrough = s.head
+		s.flushed()
 		return 0, false
 	}
 	s.pc = senderWriteback
@@ -683,6 +741,50 @@ func (r *Receiver) PollFetched() (run sim.Duration, ok bool) {
 	r.Fetched++
 	r.highestPrefetched = r.tailLine()
 	return r.costs.FlushIssue, true
+}
+
+// Watch makes the ring report to w from now on (see Watch), and reports
+// whether every line its sender has written so far has landed before now.
+// A ring reports to one watch: one that reported to another counts there
+// once more, so that whatever relied on that one sees a change.
+func (r *Receiver) Watch(w *Watch) (landed bool) {
+	if old := r.ch.watch; old != w {
+		if old != nil {
+			old.count++
+		}
+		r.ch.watch = w
+	}
+	return r.ch.landed < r.Engine().Now()
+}
+
+// State renders what a later poll, pass or caller reads of the receiver
+// between polls: its position, how its next poll was loaded ahead, the run
+// its last empty poll left, and its counters but Fetched, which says only
+// which path answered the empty polls. A reference that polls by other
+// paths compares it.
+func (r *Receiver) State() string {
+	b := fmt.Sprintf("tail %d slot %d epoch %d pending %d prefetched %d pc %d fresh %v uncached %v ahead %d",
+		r.tail, r.tailPos.slot, r.tailPos.epoch, r.pendingConsumed, r.highestPrefetched, r.pc, r.fresh, r.uncached, r.ahead)
+	if r.ahead != aheadNone {
+		b += fmt.Sprintf("@%d", r.aheadAt)
+	}
+	if r.deferred {
+		b += fmt.Sprintf(" deferred %d..%d", r.nextLine, r.lastLine)
+	}
+	return b + fmt.Sprintf(" rx %d empty %d counter %d", r.Received, r.EmptyPolls, r.CounterUpdates)
+}
+
+// Refetched leaves the receiver as LoadAheadIn leaves an idle design-④ ring
+// whose fetch arrives at at: for a caller that booked the ring's line on a
+// run of its own (cache.Rerun) and now polls it.
+func (r *Receiver) Refetched(at sim.Duration) { r.ahead, r.aheadAt = aheadFetched, at }
+
+// AddFetched counts n empty polls answered from a batched fetch that were
+// made without PollFetched: a caller that repeated such polls of an
+// unchanged ring.
+func (r *Receiver) AddFetched(n int64) {
+	r.EmptyPolls += n
+	r.Fetched += n
 }
 
 // DeferredCost returns the CLFLUSHOPT issue time of the lines the last poll

@@ -113,7 +113,7 @@ type Frontend struct {
 	links     *core.LinkSet        // by NIC id
 	nicDir    map[uint16]netsw.MAC // pod directory: NIC id -> MAC
 	insts     map[netstack.IP]*InstancePort
-	instOrder []netstack.IP
+	instOrder []*InstancePort // insts in the order they were attached
 	ctrl      *core.LinkEnd
 	cmds      *sim.Queue[feCmd]
 
@@ -230,7 +230,7 @@ func (fe *Frontend) AddInstance(ip netstack.IP) (*InstancePort, error) {
 		readySig: sim.NewSignal(fe.h.Eng),
 	}
 	fe.insts[ip] = inst
-	fe.instOrder = append(fe.instOrder, ip)
+	fe.instOrder = append(fe.instOrder, inst)
 	return inst, nil
 }
 
@@ -332,8 +332,8 @@ func (fe *Frontend) queuesIdle() bool {
 	if fe.controlDue() {
 		return false
 	}
-	for _, ipAddr := range fe.instOrder {
-		if inst := fe.insts[ipAddr]; inst.txQ.Len() > 0 && inst.Ready() {
+	for _, inst := range fe.instOrder {
+		if inst.txQ.Len() > 0 && inst.Ready() {
 			return false
 		}
 	}
@@ -348,8 +348,8 @@ func (fe *Frontend) controlDue() bool {
 	}
 	if fe.ctrl != nil {
 		now := fe.h.Eng.Now()
-		for _, ipAddr := range fe.instOrder {
-			if inst := fe.insts[ipAddr]; inst.allocWant && now >= inst.allocNext {
+		for _, inst := range fe.instOrder {
+			if inst.allocWant && now >= inst.allocNext {
 				return true
 			}
 		}
@@ -376,8 +376,7 @@ func (fe *Frontend) drainControl(p *sim.Proc) int {
 	// Unanswered allocation requests: resend under exponential backoff,
 	// until the per-instance retry budget trips the circuit breaker.
 	if fe.ctrl != nil {
-		for _, ipAddr := range fe.instOrder {
-			inst := fe.insts[ipAddr]
+		for _, inst := range fe.instOrder {
 			if !inst.allocWant || p.Now() < inst.allocNext {
 				continue
 			}
@@ -411,8 +410,8 @@ func (fe *Frontend) drainControl(p *sim.Proc) int {
 //	}
 type queuesJob struct {
 	fe       *Frontend
-	order    []netstack.IP // the instances as they were when forwarding began
-	idx, n   int           // order[idx] is being drained and has n packets out
+	order    []*InstancePort // the instances as they were when forwarding began
+	idx, n   int             // order[idx] is being drained and has n packets out
 	inst     *InstancePort
 	req      txReq
 	link     *core.Link
@@ -455,7 +454,7 @@ func (j *queuesJob) Step() (sim.Duration, bool) {
 				j.pc = queuesDone
 				continue
 			}
-			j.inst, j.n = fe.insts[j.order[j.idx]], 0
+			j.inst, j.n = j.order[j.idx], 0
 			j.pc = queuesReq
 			if !j.inst.Ready() {
 				j.idx, j.pc = j.idx+1, queuesInst
@@ -665,8 +664,7 @@ func (fe *Frontend) handleControlMsg(p *sim.Proc, m core.ControlMsg) {
 		if bl == nil {
 			return
 		}
-		for _, ipAddr := range fe.instOrder {
-			inst := fe.insts[ipAddr]
+		for _, inst := range fe.instOrder {
 			if inst.primary != nil && nicOf(inst.primary) == failed {
 				// TX reroutes immediately: buffers are already in shared CXL
 				// memory, so no copy is needed (§3.3.3). The MAC is borrowed,
@@ -746,7 +744,7 @@ func (fe *Frontend) RemoveInstance(ip netstack.IP) error {
 	}
 	delete(fe.insts, ip)
 	for i, o := range fe.instOrder {
-		if o == ip {
+		if o.ip == ip {
 			fe.instOrder = append(fe.instOrder[:i], fe.instOrder[i+1:]...)
 			break
 		}

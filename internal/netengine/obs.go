@@ -18,9 +18,8 @@ func (fe *Frontend) RegisterObs(r *obs.Registry, prefix string) {
 	r.Counter(prefix+"/alloc_retries", func() int64 { return fe.AllocRetries })
 	r.Counter(prefix+"/retry_exhausted", func() int64 { return fe.AllocRetryExhausted })
 	fe.links.RegisterObs(r, prefix, func(peer uint32) string { return fmt.Sprintf("nic%d", peer) })
-	for _, ip := range fe.instOrder {
-		inst := fe.insts[ip]
-		ipfx := fmt.Sprintf("%s/inst/%v", prefix, ip)
+	for _, inst := range fe.instOrder {
+		ipfx := fmt.Sprintf("%s/inst/%v", prefix, inst.ip)
 		r.Counter(ipfx+"/tx_packets", func() int64 { return inst.TxPackets })
 		r.Counter(ipfx+"/rx_packets", func() int64 { return inst.RxPackets })
 		r.Counter(ipfx+"/tx_drops_no_buffer", func() int64 { return inst.TxDropsNoBuffer })
